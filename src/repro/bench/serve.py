@@ -4,9 +4,15 @@ Measures the multi-process tier end to end: one
 :class:`~repro.service.ShardedQueryService` per shard count, a small
 client pool driving distinct-fingerprint ``PERSPECTIVE`` queries over
 the workforce workload, wall-clock per configuration.  Distinct
-fingerprints matter — every query pays a **cold** scenario apply, the
-dominant cost, and each shard applies the scenario over only its owned
-1/N of the leaf data, which is exactly the work the tier parallelises.
+fingerprints matter — every query pays a **cold** scenario apply, and
+each shard applies the scenario over only its owned 1/N of the leaf
+data, which is exactly the work the tier parallelises.  Since ρ/S run as
+array programs over coordinate-code columns that apply costs tens of
+milliseconds at ~100k leaves (it was ≈0.45 s and dwarfed everything
+else), the same order as the coordinator's serial share of a query
+(parse, analysis, axis resolution, scatter and merge) — so the speedup
+this benchmark can show per added shard is bounded by that serial share,
+not by apply alone.
 
 Every sharded grid is verified bit-identical (``repr`` equality on the
 cell matrix) against single-process ``Warehouse.query`` evaluation of

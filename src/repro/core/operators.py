@@ -10,14 +10,18 @@ All operators are pure: they return new cubes and never mutate their input.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from repro.core.predicates import Predicate
 from repro.validity import ValiditySet
 from repro.errors import InvalidChangeError, QueryError
 from repro.olap.cube import Cube
 from repro.olap.instances import VaryingDimension
-from repro.olap.schema import Address
+
+if TYPE_CHECKING:  # pragma: no cover - repro.obs imports the MDX stack, which imports this module
+    from repro.perf.rollup_index import LeafColumns
 
 __all__ = ["select", "relocate", "split", "evaluate", "ChangeTuple", "ChangeRelation"]
 
@@ -52,6 +56,84 @@ def select(cube: Cube, dim_name: str, predicate: Predicate) -> Cube:
 # ---------------------------------------------------------------------------
 
 
+def _moments_of(
+    cols: "LeafColumns", param_index: int, varying: VaryingDimension
+) -> np.ndarray:
+    """Moment index of every row (-1 where the parameter coordinate is
+    not a leaf of the parameter dimension), resolved once per distinct
+    parameter coordinate."""
+    moment_of = {
+        m.name: i for i, m in enumerate(varying.parameter.leaf_members())
+    }
+    by_code = np.array(
+        [moment_of.get(coord, -1) for coord in cols.coords[param_index]],
+        dtype=np.int64,
+    )
+    return by_code[cols.codes[param_index]]
+
+
+def _not_a_moment(
+    cols: "LeafColumns", param_index: int, row: int, varying: VaryingDimension
+) -> QueryError:
+    tcoord = cols.addresses[row][param_index]
+    return QueryError(
+        f"leaf cell parameter coordinate {tcoord!r} is not a leaf of "
+        f"{varying.parameter.name!r}"
+    )
+
+
+def _project(
+    cube: Cube,
+    cols: "LeafColumns",
+    rows: np.ndarray,
+    dim_index: int,
+    out_codes: np.ndarray,
+    out_coords: list[str],
+) -> tuple[Cube, int]:
+    """The output cube of ρ / S, adopted in bulk.
+
+    Output leaf ``k`` is input row ``rows[k]`` with its coordinate on
+    ``dim_index`` replaced by ``out_coords[out_codes[k]]``; ``out_coords``
+    extends the input column's coordinate list, so equal codes mean "not
+    moved" and the input address is reused by identity.  Values are one
+    ``take``; coordinates new to the cube are validated once each.  The
+    output's rollup index is derived from the input's when it has one.
+    Returns the cube and the number of moved cells.
+    """
+    in_addresses = cols.addresses
+    addresses = [in_addresses[i] for i in rows.tolist()]
+    moved = np.flatnonzero(out_codes != cols.codes[dim_index][rows])
+    moved_codes = out_codes[moved]
+    schema = cube.schema
+    for code in np.unique(moved_codes[moved_codes >= len(cols.coords[dim_index])]):
+        if not schema.coordinate_is_leaf(dim_index, out_coords[code]):
+            raise QueryError(
+                f"output coordinate {out_coords[code]!r} is not a leaf "
+                f"coordinate of {schema.dimensions[dim_index].name!r}"
+            )
+    after = dim_index + 1
+    for k, code in zip(moved.tolist(), moved_codes.tolist()):
+        addr = addresses[k]
+        addresses[k] = addr[:dim_index] + (out_coords[code],) + addr[after:]
+    values = cols.values[rows]
+    leaf_cells = dict(zip(addresses, values.tolist()))
+    index = None
+    # two rows landing on one address (S over a cube whose instances
+    # clash) collapse in the dict; rows and leaves then no longer line up,
+    # so that output builds its index from the dict like any other cube
+    if cols.index is not None and len(leaf_cells) == len(addresses):
+        assert cols.ids is not None
+        index = cols.index.derive(
+            cols.ids[rows],
+            addresses,
+            values,
+            {dim_index: (out_codes, out_coords)},
+            leaf_cells,
+        )
+    out = cube.adopt(leaf_cells, dict(cube.stored_derived_cells()), index)
+    return out, len(moved)
+
+
 def relocate(
     cube: Cube,
     varying_name: str,
@@ -67,49 +149,108 @@ def relocate(
     if no d_t exists the cell is ⊥.  Stored non-leaf cells are carried over
     unchanged, so the result holds the correct values for non-visual mode
     (Def. 4.4's closing remark).
+
+    Evaluated as one array program over the varying and parameter
+    coordinate columns: the input rows are grouped by (member, moment),
+    ``validity_out`` becomes a routing table of (output instance, moment)
+    entries, and the output is the concatenation of each entry's group.
+    **Emission order** — the order strict rollups sum in — is output
+    instance (in ``validity_out`` order), then moment, then input order.
     """
     schema = cube.schema
     varying = varying or schema.varying_dimension(varying_name)
     dim_index = schema.dim_index(varying_name)
     param_index = schema.dim_index(varying.parameter.name)
-    param_leaves = [m.name for m in varying.parameter.leaf_members()]
-    moment_of = {name: i for i, name in enumerate(param_leaves)}
+    universe = varying.universe
+    from repro.obs.trace import trace_span
 
-    # Index input leaf cells by (member, moment) so the d_t lookup is O(1).
-    by_member_moment: dict[tuple[str, int], list[tuple[Address, float]]] = {}
-    input_instance_path: dict[tuple[str, int], str] = {}
-    for addr, value in cube.leaf_cells():
-        vcoord = addr[dim_index]
-        member = vcoord.split("/")[-1]
-        tcoord = addr[param_index]
-        t = moment_of.get(tcoord)
-        if t is None:
-            raise QueryError(
-                f"leaf cell parameter coordinate {tcoord!r} is not a leaf of "
-                f"{varying.parameter.name!r}"
-            )
-        by_member_moment.setdefault((member, t), []).append((addr, value))
-        existing = input_instance_path.setdefault((member, t), vcoord)
-        if existing != vcoord:
-            raise QueryError(
-                f"input cube has two instances of member {member!r} with "
-                f"data at the same moment {tcoord!r}: {existing!r} and "
-                f"{vcoord!r} (validity sets must be disjoint)"
-            )
+    with trace_span("core.relocate") as span:
+        cols = cube.leaf_columns(dim_index, param_index)
+        vcodes, vcoords = cols.codes[dim_index], cols.coords[dim_index]
+        n = len(vcodes)
+        moments = _moments_of(cols, param_index, varying)
+        bad = np.flatnonzero(moments < 0)
+        # rows before the first bad parameter coordinate are checked for
+        # instance conflicts first, like a cell-by-cell scan would
+        checked = int(bad[0]) if len(bad) else n
 
-    out = cube.empty_like()
-    for out_coord, validity in validity_out.items():
-        member = out_coord.split("/")[-1]
-        for t in validity:
-            for addr, value in by_member_moment.get((member, t), ()):
-                if addr[dim_index] == out_coord:
-                    out.set_value(addr, value)
-                else:
-                    moved = list(addr)
-                    moved[dim_index] = out_coord
-                    out.set_value(tuple(moved), value)
-    for addr, value in cube.stored_derived_cells():
-        out.set_value(addr, value)
+        # group rows by (member, moment); the sort is stable, so a group
+        # lists its rows in input order
+        members = [coord.rsplit("/", 1)[-1] for coord in vcoords]
+        member_id = {name: i for i, name in enumerate(dict.fromkeys(members))}
+        member_by_code = np.array(
+            [member_id[name] for name in members], dtype=np.int64
+        )
+        group = member_by_code[vcodes[:checked]] * universe + moments[:checked]
+        order = np.argsort(group, kind="stable")
+        sorted_group = group[order]
+        fresh = np.ones(checked, dtype=np.bool_)
+        fresh[1:] = sorted_group[1:] != sorted_group[:-1]
+        starts = np.flatnonzero(fresh)
+        counts = np.diff(np.append(starts, checked))
+        groups = sorted_group[starts]
+
+        # validity sets of one member must be disjoint in the input: every
+        # row of a group carries the group's first instance coordinate
+        sorted_vcodes = vcodes[order]
+        clash = np.flatnonzero(
+            sorted_vcodes != np.repeat(sorted_vcodes[starts], counts)
+        )
+        if len(clash):
+            at = int(clash[np.argmin(order[clash])])  # earliest input row
+            row = int(order[at])
+            first = starts[np.searchsorted(starts, at, side="right") - 1]
+            raise QueryError(
+                f"input cube has two instances of member "
+                f"{members[sorted_vcodes[at]]!r} with data at the same moment "
+                f"{cols.addresses[row][param_index]!r}: "
+                f"{vcoords[sorted_vcodes[first]]!r} and "
+                f"{vcoords[sorted_vcodes[at]]!r} (validity sets must be disjoint)"
+            )
+        if len(bad):
+            raise _not_a_moment(cols, param_index, checked, varying)
+
+        # routing table: one (group key, output code) entry per output
+        # instance and moment, in emission order
+        out_coords = list(vcoords)
+        out_code_of = {coord: code for code, coord in enumerate(vcoords)}
+        entry_group: list[int] = []
+        entry_code: list[int] = []
+        for out_coord, validity in validity_out.items():
+            member = member_id.get(out_coord.rsplit("/", 1)[-1])
+            if member is None:
+                continue  # no data for this member: every cell is ⊥
+            code = out_code_of.get(out_coord)
+            if code is None:
+                code = out_code_of[out_coord] = len(out_coords)
+                out_coords.append(out_coord)
+            base = member * universe
+            for t in validity:
+                if t < universe:  # later moments hold no data to route
+                    entry_group.append(base + t)
+                    entry_code.append(code)
+
+        # the output is the concatenation, entry by entry, of the groups
+        # that hold data
+        wanted = np.array(entry_group, dtype=np.int64)
+        hit = np.flatnonzero(np.isin(wanted, groups))
+        at_group = np.searchsorted(groups, wanted[hit])
+        run = counts[at_group]
+        total = int(run.sum())
+        offset = np.cumsum(run) - run - starts[at_group]
+        rows = order[np.arange(total) - np.repeat(offset, run)]
+        out_codes = np.repeat(np.array(entry_code, dtype=np.int32)[hit], run)
+
+        out, moved = _project(cube, cols, rows, dim_index, out_codes, out_coords)
+        if span is not None:
+            routed = np.zeros(len(groups), dtype=np.bool_)
+            routed[at_group] = True
+            span.set(
+                leaves_in=n,
+                leaves_out=total,
+                moved=moved,
+                dropped=n - int(counts[routed].sum()),
+            )
     return out
 
 
@@ -185,33 +326,68 @@ def split(
     sub-cube keeps τ < t, the added sub-cube keeps τ ≥ t.  Non-leaf cells
     default to the input values (non-visual); apply :func:`evaluate` for
     visual mode.
+
+    Evaluated as one array program: the hypothetical structure becomes a
+    small (affected instance, moment) → output instance | ⊥ routing table
+    that recodes the varying column of the affected rows.  Emission order
+    is input order.
     """
     schema = cube.schema
     varying = varying or schema.varying_dimension(varying_name)
     hypo = _hypothetical_structure(varying, changes)
     dim_index = schema.dim_index(varying_name)
     param_index = schema.dim_index(varying.parameter.name)
-    moment_of = {
-        m.name: i for i, m in enumerate(varying.parameter.leaf_members())
-    }
+    universe = varying.universe
     affected = {change.member for change in changes}
+    from repro.obs.trace import trace_span
 
-    def transform(addr: Address, value: float):
-        member = addr[dim_index].split("/")[-1]
-        if member not in affected:
-            return addr, value
-        t = moment_of[addr[param_index]]
-        new_path = hypo.path_at(member, t)
-        if new_path is None:
-            return None
-        new_coord = "/".join(new_path)
-        if new_coord == addr[dim_index]:
-            return addr, value
-        moved = list(addr)
-        moved[dim_index] = new_coord
-        return tuple(moved), value
+    with trace_span("core.split") as span:
+        cols = cube.leaf_columns(dim_index, param_index)
+        vcodes, vcoords = cols.codes[dim_index], cols.coords[dim_index]
+        n = len(vcodes)
 
-    return cube.map_leaf_cells(transform), hypo
+        # routing table over the affected input instances only; -1 is ⊥
+        out_coords = list(vcoords)
+        out_code_of = {coord: code for code, coord in enumerate(vcoords)}
+        route_row = np.full(len(vcoords), -1, dtype=np.int64)
+        route: list[list[int]] = []
+        for code, coord in enumerate(vcoords):
+            member = coord.rsplit("/", 1)[-1]
+            if member not in affected:
+                continue
+            route_row[code] = len(route)
+            targets = []
+            for t in range(universe):
+                path = hypo.path_at(member, t)
+                if path is None:
+                    targets.append(-1)
+                    continue
+                new_coord = "/".join(path)
+                target = out_code_of.get(new_coord)
+                if target is None:
+                    target = out_code_of[new_coord] = len(out_coords)
+                    out_coords.append(new_coord)
+                targets.append(target)
+            route.append(targets)
+
+        out_codes = vcodes.copy()
+        touched = np.flatnonzero(route_row[vcodes] >= 0)
+        if len(touched):
+            moments = _moments_of(cols, param_index, varying)[touched]
+            if moments.min() < 0:
+                row = int(touched[np.flatnonzero(moments < 0)[0]])
+                raise _not_a_moment(cols, param_index, row, varying)
+            table = np.array(route, dtype=np.int32)
+            out_codes[touched] = table[route_row[vcodes[touched]], moments]
+        rows = np.flatnonzero(out_codes >= 0)
+        out, moved = _project(
+            cube, cols, rows, dim_index, out_codes[rows], out_coords
+        )
+        if span is not None:
+            span.set(
+                leaves_in=n, leaves_out=len(rows), moved=moved, dropped=n - len(rows)
+            )
+    return out, hypo
 
 
 # ---------------------------------------------------------------------------

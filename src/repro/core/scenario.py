@@ -93,11 +93,12 @@ class WhatIfCube:
         )
 
 
-def _members_with_data(cube: Cube, dim_index: int) -> set[str]:
-    return {
-        coord.split("/")[-1]
-        for coord in {addr[dim_index] for addr, _ in cube.leaf_cells()}
-    }
+def _members_with_data(cube: Cube, dim_name: str) -> list[str]:
+    """Members holding leaf data, sorted — one entry per member however
+    many instance coordinates carry its cells."""
+    return sorted(
+        {coord.rsplit("/", 1)[-1] for coord in cube.coordinates_used(dim_name)}
+    )
 
 
 @dataclass
@@ -134,17 +135,21 @@ class NegativeScenario:
                 f"parameter dimension; {varying.parameter.name!r} is unordered"
             )
         pset = PerspectiveSet.from_names(self.perspectives, varying)
-        dim_index = schema.dim_index(self.dimension)
+        from repro.obs.trace import trace_span
 
         # Φ per member (Def. 3.4 / 4.3); σ (active filter) is implicit in
         # dropping instances with empty output validity.
         validity_out: dict[str, ValiditySet] = {}
-        for member in sorted(_members_with_data(cube, dim_index)):
-            transformed = phi_member(
-                varying.instances_of(member), pset, self.semantics
-            )
-            for instance, validity in transformed.items():
-                validity_out[instance.full_path] = validity
+        with trace_span("core.phi") as span:
+            members = _members_with_data(cube, self.dimension)
+            for member in members:
+                transformed = phi_member(
+                    varying.instances_of(member), pset, self.semantics
+                )
+                for instance, validity in transformed.items():
+                    validity_out[instance.full_path] = validity
+            if span is not None:
+                span.set(members=len(members), instances=len(validity_out))
 
         out = relocate(cube, self.dimension, validity_out, varying)
         if self.mode is Mode.VISUAL:
@@ -184,9 +189,8 @@ class PositiveScenario:
             raise QueryError("a changes clause needs at least one change tuple")
         out, hypo = split(cube, self.dimension, list(self.changes), varying)
 
-        dim_index = schema.dim_index(self.dimension)
         validity_out: dict[str, ValiditySet] = {}
-        for member in sorted(_members_with_data(out, dim_index)):
+        for member in _members_with_data(out, self.dimension):
             source = hypo if hypo.is_managed(member) else varying
             for instance in source.instances_of(member):
                 validity_out[instance.full_path] = instance.validity

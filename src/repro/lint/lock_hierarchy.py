@@ -92,15 +92,15 @@ THREAD_SHARED: dict[str, GuardSpec] = {
         "_lock",
         (
             "_id_of",
-            "_addr_of",
-            "_next_id",
-            "_by_dim",
+            "_addrs",
+            "_codes",
+            "_tables",
+            "_live",
+            "_n_live",
             "_memo",
             "_memo_count",
             "_values",
             "_bound",
-            "_synced",
-            "_ordered_ids",
             "_ordered_arr",
             "_mask_of",
             "_struct_shared",

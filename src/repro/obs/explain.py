@@ -5,7 +5,7 @@ the result grid: it parses, runs the static analyzer, renders the
 scenario pipeline in the paper's algebra (σ/Φ/ρ/S/E, Sec. 4), resolves
 the axis sets (instances surviving the scenario, exactly as execution
 would), and estimates every grid cell's **scope size** from the rollup
-index — the per-coordinate leaf buckets give ``min |bucket|`` as a cheap
+index — the smallest per-coordinate leaf count is a cheap
 upper bound on the number of leaf cells a derived cell must aggregate,
 the same quantity that dominates Figs. 11–13.
 
@@ -73,9 +73,9 @@ def _scope_estimates(
 ) -> dict[str, Any]:
     """Estimated scope sizes for the result grid, from the rollup index.
 
-    For each cell address the estimate is the size of the smallest
-    constraining per-coordinate bucket — an upper bound on |scope| that
-    costs one dict probe per coordinate instead of a set intersection.
+    For each cell address the estimate is the smallest per-coordinate
+    leaf count — an upper bound on |scope| that costs one dict probe per
+    coordinate instead of a mask intersection.
     """
     index = warehouse.cube.rollup_index()
     n_leaves = index.n_leaves
@@ -105,12 +105,9 @@ def _scope_estimates(
                 derived_cells += 1
             estimate = n_leaves
             for i, coord in enumerate(addr):
-                bucket = index.candidates(i, coord)
-                if bucket is None:
-                    estimate = 0
+                estimate = min(estimate, index.coord_count(i, coord))
+                if estimate == 0:
                     break
-                if len(bucket) < estimate:
-                    estimate = len(bucket)
             sizes.append(estimate)
 
     summary: dict[str, Any] = {

@@ -103,6 +103,28 @@ class QueryProfile:
             payload["spans"] = self.spans
         return payload
 
+    def _operator_lines(self) -> list[str]:
+        """The spans under each ``scenario.apply`` — which operator (Φ, ρ,
+        S, index derivation) a cold query spent its scenario phase in."""
+        lines: list[str] = []
+
+        def walk(node: dict[str, Any], depth: int, inside: bool) -> None:
+            inside = inside or node["name"] == "scenario.apply"
+            if inside:
+                attrs = "".join(
+                    f" {key}={value}" for key, value in node.get("attrs", {}).items()
+                )
+                lines.append(
+                    f"  {'  ' * depth}{node['name']} "
+                    f"{node['duration_ms']:.3f}ms{attrs}"
+                )
+            for child in node.get("children", ()):
+                walk(child, depth + 1 if inside else depth, inside)
+
+        if self.spans is not None:
+            walk(self.spans, 1, False)
+        return lines
+
     def render(self) -> str:
         """Human-readable breakdown for ``repro query --profile``."""
         lines = ["query profile"]
@@ -111,6 +133,8 @@ class QueryProfile:
                 ms = self.phases[phase]
                 share = 100.0 * ms / self.total_ms if self.total_ms else 0.0
                 lines.append(f"  {phase:<9} {ms:>10.3f}ms  {share:5.1f}%")
+                if phase == "scenario":
+                    lines.extend(self._operator_lines())
         for phase, ms in self.phases.items():  # phases outside the taxonomy
             if phase not in PHASES:
                 lines.append(f"  {phase:<9} {ms:>10.3f}ms")

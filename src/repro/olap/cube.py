@@ -13,12 +13,19 @@ Coordinate conventions are defined in :mod:`repro.olap.schema`.
 Rollup serving
 --------------
 Derived-cell scopes are served by a lazily built
-:class:`~repro.perf.rollup_index.RollupIndex` (one pass over the leaf
-cells, then O(|scope|) per query), maintained incrementally by
+:class:`~repro.perf.rollup_index.RollupIndex` (a column-wise build over
+the leaf cells, then O(|scope|) per query), maintained incrementally by
 :meth:`set_value`.  ``repro.perf.config.naive_mode()`` restores the
 pre-index full-scan path; both paths produce bit-identical values.  Every
 mutation bumps :attr:`version`, which the warehouse's scenario cache uses
 for invalidation.
+
+Bulk transforms
+---------------
+The what-if operators never write cells one by one: they read the leaf
+cells column-wise (:meth:`Cube.leaf_columns`), compute their output as an
+array program and hand the finished stores to :meth:`Cube.adopt`, together
+with a rollup index *derived* from the input's when it has one.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeAlias
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.perf.rollup_index import RollupIndex
+    from repro.perf.rollup_index import LeafColumns, RollupIndex
 
 from repro.errors import RuleError, SnapshotImmutableError
 from repro.lint.lockdep import make_lock
@@ -107,7 +114,7 @@ class Cube:
         cache keys on it.
 
         A built rollup index is *forked*, not dropped: the snapshot gets a
-        copy-on-write clone (shared buckets, plane-granular value sharing)
+        copy-on-write clone (shared columns, plane-granular value sharing)
         plus a warm memo, so the first query on a fresh snapshot pays no
         index rebuild.  Lock order here is Cube._lock -> RollupIndex._lock,
         as declared in the lint hierarchy.
@@ -344,8 +351,23 @@ class Cube:
 
     def coordinates_used(self, dim_name: str) -> set[str]:
         """Distinct leaf-cell coordinates appearing on a dimension."""
-        index = self.schema.dim_index(dim_name)
-        return {addr[index] for addr in self._leaf_cells}
+        dim_index = self.schema.dim_index(dim_name)
+        index = self._rollup_index
+        if index is not None and self._use_index():
+            return set(index.coords_with_data(dim_index))
+        return {addr[dim_index] for addr in self._leaf_cells}
+
+    def leaf_columns(self, *dim_indexes: int) -> "LeafColumns":
+        """The leaf cells column-wise, in insertion order, with the
+        coordinate-code columns of the given dimensions — what the what-if
+        operators read instead of iterating cells.  Served by the rollup
+        index (built on first use); under ``naive_mode()`` the columns are
+        scanned off the leaf dict and no index is involved."""
+        if self._use_index():
+            return self.rollup_index().columns(dim_indexes)
+        from repro.perf.rollup_index import scan_columns
+
+        return scan_columns(self._leaf_cells, dim_indexes)
 
     # -- structure-preserving transforms -----------------------------------------
 
@@ -364,40 +386,45 @@ class Cube:
     def empty_like(self) -> "Cube":
         return Cube(self.schema, self.rules)
 
+    def adopt(
+        self,
+        leaf_cells: dict[Address, float],
+        stored_derived: dict[Address, float],
+        index: "RollupIndex | None" = None,
+    ) -> "Cube":
+        """New cube over this cube's schema and rules that takes ownership
+        of finished stores — the bulk entry point of the transforms.
+
+        Nothing is validated per cell: the caller guarantees that every
+        key of ``leaf_cells`` is a leaf address of the schema with a float
+        value (it validates once per *distinct* new coordinate), that
+        ``stored_derived`` holds only non-leaf addresses, and that
+        ``index``, when given, was derived for exactly ``leaf_cells``.
+        """
+        clone = Cube(self.schema, self.rules)
+        clone._leaf_cells = leaf_cells
+        clone._stored_derived = stored_derived
+        clone._rollup_index = index
+        return clone
+
     def filter_dimension(
         self, dim_name: str, keep: Callable[[str], bool]
     ) -> "Cube":
         """New cube keeping only cells whose coordinate on ``dim_name``
         satisfies ``keep`` (used by the selection operator σ)."""
         index = self.schema.dim_index(dim_name)
-        clone = self.empty_like()
-        clone._leaf_cells = {
-            addr: value for addr, value in self._leaf_cells.items() if keep(addr[index])
-        }
-        clone._stored_derived = {
-            addr: value
-            for addr, value in self._stored_derived.items()
-            if keep(addr[index])
-        }
-        return clone
-
-    def map_leaf_cells(
-        self,
-        transform: Callable[[Address, float], tuple[Address, object] | None],
-    ) -> "Cube":
-        """New cube with each leaf cell rewritten (or dropped on ``None``);
-        stored derived cells are carried over unchanged."""
-        clone = self.empty_like()
-        for addr, value in self._leaf_cells.items():
-            result = transform(addr, value)
-            if result is None:
-                continue
-            new_addr, new_value = result
-            if is_missing(new_value):
-                continue
-            clone.set_value(new_addr, new_value)
-        clone._stored_derived = dict(self._stored_derived)
-        return clone
+        return self.adopt(
+            {
+                addr: value
+                for addr, value in self._leaf_cells.items()
+                if keep(addr[index])
+            },
+            {
+                addr: value
+                for addr, value in self._stored_derived.items()
+                if keep(addr[index])
+            },
+        )
 
     # -- materialisation ----------------------------------------------------------
 

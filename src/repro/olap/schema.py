@@ -200,8 +200,8 @@ class CubeSchema:
         """All coordinates ``c`` with ``is_under(dim_index, leaf_coord, c)``:
         the leaf coordinate itself plus every ancestor up to the root.
 
-        Memoised per (dimension, coordinate); this is the single-pass
-        bucketing step of the rollup index.
+        Memoised per (dimension, coordinate); the rollup index resolves it
+        once per distinct leaf coordinate to build its rolls-up-to tables.
         """
         key = (dim_index, leaf_coord)
         chain = self._ancestor_cache.get(key)

@@ -66,6 +66,30 @@ class ColumnarLeafStore:
         self._size = 0
         self._n_live = 0
 
+    @classmethod
+    def from_values(
+        cls, values: np.ndarray, plane_size: int = DEFAULT_PLANE_SIZE
+    ) -> "ColumnarLeafStore":
+        """Bulk plane load: row ``i`` holds ``values[i]``, every row live.
+
+        Equivalent to appending the values one by one (same planes, same
+        ``nbytes``) at one slice copy per plane instead of one plane write
+        per cell.
+        """
+        store = cls(plane_size)
+        n = len(values)
+        for start in range(0, n, plane_size):
+            chunk = values[start : start + plane_size]
+            plane = DensePlane.empty(plane_size)
+            plane.values[: len(chunk)] = chunk
+            plane.live[: len(chunk)] = True
+            plane.n_live = len(chunk)
+            store._planes.append(plane)
+        store._shared = [False] * len(store._planes)
+        store._size = n
+        store._n_live = n
+        return store
+
     # -- geometry ---------------------------------------------------------------
 
     @property

@@ -168,6 +168,16 @@ class TestRelocate:
                 {JOE["FTE"]: ValiditySet.single(1, 12)},
             )
 
+    def test_output_coordinate_must_be_a_leaf_instance_path(self, example):
+        """A bare member name is an aggregate row, not a leaf slot: moving
+        cells there is refused (validated once per new coordinate) rather
+        than silently turning leaves into stored aggregates."""
+        with pytest.raises(QueryError, match="not a leaf coordinate"):
+            relocate(example.cube, "Organization", {"Joe": ValiditySet.full(12)})
+        # ...unless nothing is routed there
+        out = relocate(example.cube, "Organization", {"Joe": ValiditySet.empty(12)})
+        assert out.n_leaf_cells == 0
+
 
 class TestSplit:
     def test_paper_example_lisa(self, example):

@@ -59,6 +59,56 @@ class TestQueryProfiles:
         assert "scenario.apply" in names
         assert "scenario_cache.get" in names
 
+    def test_profile_names_the_operator_that_spent_a_cold_query(self, warehouse):
+        """Φ, ρ/S and the index derivation are spans under
+        ``scenario.apply``; the profile stays schema-valid and the
+        rendering lists them under the scenario phase."""
+        chained = QUERY.replace(
+            "WITH PERSPECTIVE",
+            "WITH CHANGES {([Lisa], FTE, PTE, Apr)} FOR Organization VISUAL\n"
+            "         PERSPECTIVE",
+        )
+        with tracing():
+            result = warehouse.query(chained)
+        profile = result.profile
+        validate_profile(profile.to_dict())
+
+        applies = []
+
+        def walk(node):
+            if node["name"] == "scenario.apply":
+                applies.append(node)
+            for child in node.get("children", ()):
+                walk(child)
+
+        walk(profile.spans)
+        positive, negative = applies
+        (split_span,) = positive["children"]
+        assert split_span["name"] == "core.split"
+        phi_span, relocate_span = negative["children"]
+        assert (phi_span["name"], relocate_span["name"]) == ("core.phi", "core.relocate")
+        for operator in (split_span, relocate_span):
+            assert {"leaves_in", "leaves_out", "moved", "dropped"} <= set(
+                operator["attrs"]
+            )
+            assert operator["children"][-1]["name"] == "rollup_index.derive"
+        n_leaves = warehouse.cube.n_leaf_cells
+        assert split_span["attrs"]["leaves_in"] == n_leaves
+        assert (
+            relocate_span["attrs"]["leaves_in"] == split_span["attrs"]["leaves_out"]
+        )
+        assert (
+            relocate_span["attrs"]["leaves_out"] + relocate_span["attrs"]["dropped"]
+            == relocate_span["attrs"]["leaves_in"]
+        )
+
+        lines = profile.render().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.split()[0] == "scenario")
+        below = [line.split()[0] for line in lines[at + 1 : at + 9]]
+        assert below[:3] == ["scenario.apply", "core.split", "rollup_index.build"]
+        assert "core.phi" in below and "core.relocate" in below
+        assert lines[at + 9].split()[0] == "axes"
+
     def test_phase_sum_covers_total_when_warm(self, warehouse):
         """Acceptance: phase timings must sum to within 10% of the total
         wall time.  Warm the warehouse first (the first-ever query pays

@@ -102,15 +102,19 @@ class TestTransforms:
         filtered = tiny_cube.filter_dimension("Measures", lambda c: c == "Sales")
         assert filtered.n_stored_derived == 0
 
-    def test_map_leaf_cells_moves_and_drops(self, tiny_cube):
-        def transform(addr, value):
-            if addr[0] == "Jan":
-                return None  # drop Jan
-            return addr, value * 2
-
-        doubled = tiny_cube.map_leaf_cells(transform)
+    def test_adopt_takes_finished_stores(self, tiny_cube):
+        kept = {
+            addr: value * 2
+            for addr, value in tiny_cube.leaf_cells()
+            if addr[0] != "Jan"  # drop Jan
+        }
+        doubled = tiny_cube.adopt(kept, dict(tiny_cube.stored_derived_cells()))
+        assert doubled.schema is tiny_cube.schema
+        assert doubled.rules is tiny_cube.rules
+        assert not doubled.has_rollup_index
         assert is_missing(doubled.at(Time="Jan", Measures="Sales"))
         assert doubled.at(Time="Feb", Measures="Sales") == 40.0
+        assert doubled.rollup(("H1", "Sales")) == 40.0 + 60.0
 
     def test_coordinates_used(self, tiny_cube):
         assert tiny_cube.coordinates_used("Measures") == {"Sales", "COGS"}

@@ -13,6 +13,9 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.operators import ChangeTuple
+from repro.core.perspective import Mode, Semantics
+from repro.core.scenario import NegativeScenario, PositiveScenario, apply_scenarios
 from repro.olap.aggregation import AGGREGATORS
 from repro.olap.cube import Cube
 from repro.olap.dimension import Dimension
@@ -20,6 +23,10 @@ from repro.olap.missing import MISSING, is_missing
 from repro.olap.schema import CubeSchema
 from repro.perf.config import fast_reduction, fast_tolerance, naive_mode
 from repro.perf.rollup_index import RollupIndex
+from repro.workload.running_example import MONTHS as EXAMPLE_MONTHS
+from repro.workload.running_example import build_running_example
+
+from .test_rollup_index import _all_addresses as _example_addresses
 
 MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun")
 MEASURES = ("Sales", "COGS")
@@ -181,6 +188,85 @@ class TestColumnarParityProperty:
                 assert repr(now) == repr(expected), (address, agg)
         # ...and stays bit-identical to its own naive scan
         _assert_parity(snap, snap_index, addresses)
+
+
+def _assert_index_parity(cube: Cube, index: RollupIndex, addresses) -> None:
+    """``index`` (however it came to exist) serves insertion-ordered
+    scopes equal to a fresh build's and sums bit-identical to the scan."""
+    rebuilt = RollupIndex.build(cube, plane_size=PLANE_SIZE)
+    assert index.columns(()).addresses == list(cube._leaf_cells)
+    for address in addresses:
+        assert index.scope_addresses(address) == rebuilt.scope_addresses(address)
+        served = index.rollup(cube._leaf_cells, address)
+        with naive_mode():
+            naive = cube.rollup(address)
+        assert repr(served) == repr(naive), address
+
+
+class TestScenarioViewParity:
+    """The dense/sparse/dict parity extended to scenario views: a derived
+    index (ρ, S ∘ ρ over a compacted parent) and a forked-then-mutated
+    one agree with ``RollupIndex.build`` and the dict scan."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        density=st.floats(min_value=0.2, max_value=1.0),
+        order=st.randoms(use_true_random=False),
+        semantics=st.sampled_from(list(Semantics)),
+        perspectives=st.lists(
+            st.sampled_from(EXAMPLE_MONTHS), min_size=1, max_size=4, unique=True
+        ),
+        change_month=st.sampled_from(EXAMPLE_MONTHS[1:]),
+        ops=st.lists(
+            st.tuples(st.integers(0, 10_000), st.one_of(st.none(), values_strategy)),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_derived_and_forked_indexes(
+        self, density, order, semantics, perspectives, change_month, ops
+    ):
+        example = build_running_example()
+        cells = list(example.cube.leaf_cells())
+        order.shuffle(cells)
+        cube = Cube(example.schema)
+        for addr, value in cells[: max(1, round(density * len(cells)))]:
+            cube.set_value(addr, value)
+        # 25k addresses exist; each example checks a drawn sample of them
+        addresses = order.sample(_example_addresses(cube.schema), 120)
+        index = RollupIndex.build(cube, plane_size=PLANE_SIZE)
+        index.compact_planes(ceiling=1.0)  # sparse parent planes
+        cube._rollup_index = index
+
+        # derived by ρ, and by S then ρ
+        negative = NegativeScenario(
+            "Organization", perspectives, semantics, Mode.VISUAL
+        )
+        view = negative.apply(cube).leaf_cube
+        assert view._rollup_index is not None
+        _assert_index_parity(view, view._rollup_index, addresses)
+        old_parent = example.org.parent_at("Lisa", change_month)
+        new_parent = "PTE" if old_parent != "PTE" else "FTE"
+        chained = apply_scenarios(
+            cube,
+            [
+                PositiveScenario(
+                    "Organization",
+                    [ChangeTuple("Lisa", old_parent, new_parent, change_month)],
+                ),
+                negative,
+            ],
+        ).leaf_cube
+        assert chained._rollup_index is not None
+        _assert_index_parity(chained, chained._rollup_index, addresses)
+
+        # forked, then the live side mutates (update / delete / insert)
+        snap = cube.frozen_copy()
+        for pick, value in ops:
+            addr = cells[pick % len(cells)][0]
+            cube.set_value(addr, MISSING if value is None else value)
+        _assert_index_parity(cube, index, addresses)
+        _assert_index_parity(snap, snap._rollup_index, addresses)
 
 
 class TestFastReduction:

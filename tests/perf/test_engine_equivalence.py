@@ -9,6 +9,10 @@ failpoint hits, same budget degradations.
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,6 +146,16 @@ QUERIES = [
 ]
 
 
+#: positive then negative on one dimension: S feeds ρ, two derived indexes
+CHAINED_QUERY = """
+    WITH CHANGES {([Lisa], FTE, PTE, Apr)} FOR Organization VISUAL
+         PERSPECTIVE {(Mar)} FOR Organization DYNAMIC BACKWARD VISUAL
+    SELECT {Time.[Qtr1], Time.[Qtr2]} ON COLUMNS,
+           {Organization.Children} ON ROWS
+    FROM Warehouse WHERE ([Salary])
+"""
+
+
 def _fresh(example_builder):
     from repro.workload.running_example import build_running_example
 
@@ -239,3 +253,77 @@ class TestInterleavedMutationQueries:
             assert engine.cells == naive.cells, f"step {step}"
             addr, value = next(iter(warehouse.cube.leaf_cells()))
             warehouse.cube.set_value(addr, value + float(step + 1))
+
+    def test_cold_whatif_on_snapshots_while_the_live_cube_mutates(self, warehouse):
+        """Cold VISUAL and chained what-if queries on snapshots while the
+        live cube takes in-place updates, deletes and inserts.
+
+        Every snapshot forks the live rollup index (shared code columns;
+        the writer's next structural write copies them) and every cold
+        apply derives its output index under the parent index's lock.
+        Whatever the interleaving, a grid answered at version v must equal
+        the grid a single-threaded replay produces at v, bit for bit.
+        """
+        queries = (QUERIES[1], CHAINED_QUERY)
+        cube = warehouse.cube
+        cube.rollup_index()  # so that snapshots fork it instead of building
+        cells = list(cube.leaf_cells())
+        script = []
+        for i in range(6):
+            (a, va), (b, vb) = cells[2 * i], cells[2 * i + 1]
+            script += [(a, va + 1.5), (b, MISSING), (a, va - 0.25), (b, vb * 2)]
+
+        def grids(view) -> tuple[str, ...]:
+            view.scenario_cache.clear()  # every apply is cold
+            return tuple(repr(view.query(q).cells) for q in queries)
+
+        replay = _fresh(None)
+        assert replay.cube.version == cube.version
+        expected = {replay.cube.version: grids(replay)}
+        for addr, value in script:
+            replay.cube.set_value(addr, value)
+            expected[replay.cube.version] = grids(replay)
+
+        seen: list[tuple[int, tuple[str, ...]]] = []
+        errors: list[BaseException] = []
+        done = threading.Event()
+
+        def reader() -> None:
+            try:
+                while not done.is_set():
+                    snapshot = warehouse.snapshot()
+                    seen.append((snapshot.version, grids(snapshot)))
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        def writer() -> None:
+            try:
+                for addr, value in script:
+                    cube.set_value(addr, value)
+                    # let at least one more answer land before the next write
+                    answered, deadline = len(seen), time.monotonic() + 2.0
+                    while len(seen) == answered and time.monotonic() < deadline:
+                        time.sleep(0.001)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+            finally:
+                done.set()
+
+        threads = [threading.Thread(target=reader) for _ in range(3)]
+        threads.append(threading.Thread(target=writer))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert len({version for version, _ in seen}) >= 3, "readers saw few versions"
+        for version, answered in seen:
+            assert answered == expected[version], f"version {version}"
+        assert grids(warehouse) == expected[cube.version]

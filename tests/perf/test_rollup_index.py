@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.core.operators import ChangeTuple
+from repro.core.perspective import Mode, Semantics
+from repro.core.scenario import NegativeScenario, PositiveScenario, apply_scenarios
 from repro.errors import MemberNotFoundError
 from repro.olap.aggregation import AGGREGATORS, aggregate
 from repro.olap.cube import Cube
@@ -173,38 +177,133 @@ class TestContracts:
 
 
 class TestPlaneScopes:
-    """partial_scope/combine_scope/rollup_scope — the batched-grid API."""
+    """axis_scope/rollup_axes — the batched-grid API."""
 
-    def test_partial_plus_combine_equals_full_scope(self, example):
+    def test_axis_scopes_and_to_full_scope(self, example):
         cube = example.cube
         index = cube.rollup_index()
+        everything = index.scope_ids(
+            tuple(d.root.name for d in cube.schema.dimensions)
+        )
         for addr in _all_addresses(cube.schema):
             pairs = list(enumerate(addr))
+            expected = index.scope_ids(addr)
             for split in range(len(pairs) + 1):
-                scope = index.combine_scope(
-                    index.partial_scope(pairs[:split]),
-                    index.partial_scope(pairs[split:]),
-                )
-                empty, ids = scope
-                expected = index.scope_ids(addr)
-                if empty:
+                row_empty, row_mask = index.axis_scope(pairs[:split])
+                col_empty, col_mask = index.axis_scope(pairs[split:])
+                if row_empty or col_empty:
                     assert expected == []
-                elif ids is None:
-                    assert expected == sorted(index._addr_of)
+                    continue
+                masks = [m for m in (row_mask, col_mask) if m is not None]
+                if not masks:
+                    assert expected == everything
                 else:
-                    assert sorted(ids) == expected
+                    combined = masks[0] if len(masks) == 1 else masks[0] & masks[1]
+                    assert np.flatnonzero(combined).tolist() == expected
 
-    def test_rollup_scope_matches_rollup(self, example):
+    def test_rollup_axes_matches_rollup(self, example):
         cube = example.cube
         index = cube.rollup_index()
+        fresh = RollupIndex.build(cube)  # separate memo: rollup() recomputes
         for addr in _all_addresses(cube.schema):
-            scope = index.partial_scope(list(enumerate(addr)))
-            via_scope = index.rollup_scope(cube._leaf_cells, addr, scope)
-            index.touch()  # drop the memo so rollup() recomputes
-            direct = index.rollup(cube._leaf_cells, addr)
-            assert via_scope == direct or (
-                is_missing(via_scope) and is_missing(direct)
+            pairs = list(enumerate(addr))
+            via_axes = index.rollup_axes(
+                cube._leaf_cells,
+                addr,
+                index.axis_scope(pairs[:2]),
+                index.axis_scope(pairs[2:]),
             )
+            direct = fresh.rollup(cube._leaf_cells, addr)
+            assert via_axes == direct or (
+                is_missing(via_axes) and is_missing(direct)
+            )
+
+
+def _assert_agrees_with_rebuild(cube, index):
+    """``index`` serves the same ids, in insertion order, and the same
+    strict rollups as a from-scratch build over ``cube`` (itself held to
+    the naive scan by ``TestAgreementWithNaive``), at every address."""
+    rebuilt = RollupIndex.build(cube)
+    assert index.columns(()).addresses == list(cube._leaf_cells)
+    dense = index.n_leaves == len(index._addrs)  # no deleted ids
+    for addr in _all_addresses(cube.schema):
+        ids = index.scope_ids(addr)
+        assert ids == sorted(ids)
+        if dense:
+            assert ids == rebuilt.scope_ids(addr), addr
+        else:
+            assert index.scope_addresses(addr) == rebuilt.scope_addresses(addr)
+        served = index.rollup(cube._leaf_cells, addr)
+        assert repr(served) == repr(rebuilt.rollup(cube._leaf_cells, addr)), addr
+
+
+class TestDerivedAndForkedIndexes:
+    """An index is built, forked or derived; all three must agree."""
+
+    PLANE_SIZE = 4  # the 30-odd example leaves span several planes
+
+    def _indexed(self, example):
+        cube = example.cube
+        cube._rollup_index = RollupIndex.build(cube, plane_size=self.PLANE_SIZE)
+        return cube
+
+    @pytest.mark.parametrize("semantics", list(Semantics))
+    def test_derived_by_relocate(self, example, semantics):
+        cube = self._indexed(example)
+        applied = NegativeScenario(
+            "Organization", ["Feb", "Apr"], semantics, Mode.VISUAL
+        ).apply(cube)
+        out = applied.leaf_cube
+        assert out.has_rollup_index, "ρ derives the output's index"
+        assert out._rollup_index.stats.builds == 0
+        assert out._rollup_index.plane_store.plane_size == self.PLANE_SIZE
+        _assert_agrees_with_rebuild(out, out._rollup_index)
+
+    def test_derived_by_split_then_relocate(self, example):
+        cube = self._indexed(example)
+        chain = [
+            PositiveScenario(
+                "Organization", [ChangeTuple("Lisa", "FTE", "PTE", "Apr")]
+            ),
+            NegativeScenario("Organization", ["Mar"], Semantics.FORWARD),
+        ]
+        first = chain[0].apply(cube)
+        _assert_agrees_with_rebuild(first.leaf_cube, first.leaf_cube._rollup_index)
+        out = apply_scenarios(cube, chain).leaf_cube
+        _assert_agrees_with_rebuild(out, out._rollup_index)
+
+    def test_derived_index_is_maintained_like_a_built_one(self, example):
+        cube = self._indexed(example)
+        out = NegativeScenario(
+            "Organization", ["Feb"], Semantics.FORWARD
+        ).apply(cube).leaf_cube
+        victim, value = next(iter(out.leaf_cells()))
+        out.set_value(victim, value + 1.0)
+        out.set_value(victim, MISSING)
+        out.set_value(
+            ("Organization/FTE/Lisa", "MA", "Feb", "Benefits"), 7.0
+        )
+        _assert_agrees_with_rebuild(out, out._rollup_index)
+
+    def test_forked_then_mutated(self, example):
+        cube = self._indexed(example)
+        live = cube._rollup_index
+        snap = cube.frozen_copy()
+        assert snap._rollup_index._codes is live._codes, "columns are shared"
+        cells = list(cube.leaf_cells())
+        cube.set_value(cells[0][0], cells[0][1] + 1.0)  # in place: still shared
+        assert snap._rollup_index._codes is live._codes
+        cube.set_value(cells[1][0], MISSING)  # structural: the live side copies
+        assert snap._rollup_index._codes is not live._codes
+        cube.set_value(
+            ("Organization/FTE/Lisa", "MA", "Feb", "Benefits"), 7.0
+        )
+        _assert_agrees_with_rebuild(cube, live)
+        _assert_agrees_with_rebuild(snap, snap._rollup_index)
+        # a fork of the diverged live index shares again
+        again = cube.frozen_copy()
+        assert again._rollup_index._codes is live._codes
+        _assert_agrees_with_rebuild(again, again._rollup_index)
 
 
 class TestStreamingAggregators:

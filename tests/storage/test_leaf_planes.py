@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.olap.missing import MISSING, is_missing
-from repro.storage.array_cube import ChunkedCube
+from repro.storage.array_cube import ChunkedCube, ColumnarLeafStore
 from repro.storage.cube_compute import (
     compute_group_bys,
     compute_group_bys_from_cube,
@@ -27,6 +27,33 @@ def _chunks(cube: ChunkedCube) -> dict:
     return {
         coord: cube.store.peek(coord) for coord in cube.store.stored_chunks()
     }
+
+
+class TestBulkPlaneLoad:
+    def test_from_values_equals_appending(self):
+        """``from_values`` is the bulk form of ``append``: same planes,
+        same footprint, same reads — at a plane size that leaves a
+        partly filled trailing plane."""
+        values = np.array([float(i) * 1.5 for i in range(11)] + [float("nan")])
+        for plane_size in (4, 5, 12, 64):
+            appended = ColumnarLeafStore(plane_size)
+            for value in values.tolist():
+                appended.append(value)
+            loaded = ColumnarLeafStore.from_values(values, plane_size)
+            assert loaded.n_rows == appended.n_rows == len(values)
+            assert loaded.n_live == appended.n_live
+            assert loaded.n_planes == appended.n_planes
+            assert loaded.nbytes == appended.nbytes
+            assert loaded.plane_kinds() == appended.plane_kinds()
+            rows = np.arange(len(values))
+            assert np.array_equal(
+                loaded.gather(rows), appended.gather(rows), equal_nan=True
+            )
+            # the loaded store keeps working as a store
+            assert loaded.append(7.0) == len(values)
+            loaded.delete(0)
+            assert loaded.get(0) is None and loaded.get(len(values)) == 7.0
+        assert ColumnarLeafStore.from_values(np.empty(0), 4).n_planes == 0
 
 
 class TestFromCubePlanes:
