@@ -11,6 +11,11 @@ the result object carries ``None``.
 Phases mirror the evaluator pipeline: ``parse`` → ``analyze`` →
 ``scenario`` (Φ/ρ/S/E application, Sec. 4) → ``axes`` (set resolution)
 → ``cells`` (grid fill) → ``finalize`` (NON EMPTY pruning + assembly).
+A query answered by the shard pool (``ShardedQueryService.execute``) is
+profiled from its ``serve.execute`` root instead, whose phases are the
+coordinator's: ``classify`` → ``scatter`` → ``gather`` → ``merge`` →
+``local``, each rendered with its span attributes (owned / spanning /
+local cell counts, shards involved).
 ``validate_profile`` checks a serialized profile against
 :data:`PROFILE_SCHEMA` (a minimal JSON-Schema subset evaluated in-process
 so CI needs no extra dependency).
@@ -28,6 +33,11 @@ __all__ = ["PROFILE_SCHEMA", "QueryProfile", "validate_profile"]
 #: evaluator pipeline phases, in execution order (span names are
 #: ``mdx.<phase>`` under the ``mdx.query`` root)
 PHASES = ("parse", "analyze", "scenario", "axes", "cells", "finalize")
+
+
+def _format_attrs(span: "dict[str, Any]") -> str:
+    """A serialized span's attributes as `` key=value`` pairs."""
+    return "".join(f" {key}={value}" for key, value in span.get("attrs", {}).items())
 
 
 @dataclass
@@ -111,12 +121,9 @@ class QueryProfile:
         def walk(node: dict[str, Any], depth: int, inside: bool) -> None:
             inside = inside or node["name"] == "scenario.apply"
             if inside:
-                attrs = "".join(
-                    f" {key}={value}" for key, value in node.get("attrs", {}).items()
-                )
                 lines.append(
                     f"  {'  ' * depth}{node['name']} "
-                    f"{node['duration_ms']:.3f}ms{attrs}"
+                    f"{node['duration_ms']:.3f}ms{_format_attrs(node)}"
                 )
             for child in node.get("children", ()):
                 walk(child, depth + 1 if inside else depth, inside)
@@ -124,6 +131,16 @@ class QueryProfile:
         if self.spans is not None:
             walk(self.spans, 1, False)
         return lines
+
+    def _phase_attrs(self, phase: str) -> str:
+        """The attributes of the root's child span(s) for ``phase``."""
+        if self.spans is None:
+            return ""
+        return "".join(
+            _format_attrs(child)
+            for child in self.spans.get("children", ())
+            if child["name"].rsplit(".", 1)[-1] == phase
+        )
 
     def render(self) -> str:
         """Human-readable breakdown for ``repro query --profile``."""
@@ -137,7 +154,9 @@ class QueryProfile:
                     lines.extend(self._operator_lines())
         for phase, ms in self.phases.items():  # phases outside the taxonomy
             if phase not in PHASES:
-                lines.append(f"  {phase:<9} {ms:>10.3f}ms")
+                lines.append(
+                    f"  {phase:<9} {ms:>10.3f}ms{self._phase_attrs(phase)}"
+                )
         lines.append(f"  {'total':<9} {self.total_ms:>10.3f}ms")
         lines.append(
             f"  cells: {self.cells_evaluated} evaluated, "

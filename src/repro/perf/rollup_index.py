@@ -580,16 +580,20 @@ class RollupIndex:
             self._ordered_arr = arr
         return arr
 
+    def _rolls_up(self, dim_index: int, coord: str) -> np.ndarray:  # reprolint: locked
+        # per coordinate *code* of the dimension: does it roll up to ``coord``
+        table = self._tables[dim_index]
+        rolls_up = np.zeros(len(table.coords), dtype=np.bool_)
+        rolls_up[table.under.get(coord, [])] = True
+        return rolls_up
+
     def _coord_mask(self, dim_index: int, coord: str) -> np.ndarray:  # reprolint: locked
         # under self._lock; the coordinate is known to hold leaves
         key = (dim_index, coord)
         mask = self._mask_of.get(key)
         if mask is None:
-            table = self._tables[dim_index]
-            rolls_up = np.zeros(len(table.coords), dtype=np.bool_)
-            rolls_up[table.under[coord]] = True
             n = len(self._addrs)
-            mask = rolls_up[self._codes[dim_index][:n]]
+            mask = self._rolls_up(dim_index, coord)[self._codes[dim_index][:n]]
             if self._n_live != n:
                 mask &= self._live[:n]
             self._mask_of[key] = mask
@@ -692,6 +696,64 @@ class RollupIndex:
         with self._lock:
             addrs = self._addrs
             return [addrs[i] for i in self._scope_ids_array(address).tolist()]
+
+    def scope_arrays(
+        self, addresses: Sequence[Sequence[str]]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The scopes of several cells as ``(ids, values, offsets)``:
+        cell ``k`` owns ``ids[offsets[k]:offsets[k + 1]]`` — its leaf ids,
+        ascending (insertion order) — and the same slice of ``values``.
+
+        One consistent read under the lock.  The coordinates every
+        address shares (a grid's slicer and defaults) are intersected
+        once; each cell then tests only the dimensions that vary, over
+        that shared scope instead of the whole id space.  Values come
+        from one plane gather for the batch (the sorted union of the
+        scopes), so they are the bound mapping's, like :meth:`columns`.
+        """
+        with self._lock:
+            scopes = self._batch_scope_ids(addresses)
+            offsets = np.zeros(len(scopes) + 1, dtype=np.int64)
+            np.cumsum([len(scope) for scope in scopes], out=offsets[1:])
+            ids = np.concatenate(scopes) if scopes else _EMPTY_IDS
+            union, inverse = np.unique(ids, return_inverse=True)
+            values = self._values.gather(union)[inverse]
+        return ids, values, offsets
+
+    def _batch_scope_ids(
+        self, addresses: Sequence[Sequence[str]]
+    ) -> list[np.ndarray]:  # reprolint: locked
+        if not addresses:
+            return []
+        first = addresses[0]
+        dims = range(self.schema.n_dims)
+        varying = [
+            dim for dim in dims if any(a[dim] != first[dim] for a in addresses)
+        ]
+        empty, mask = self._scope_mask(
+            [(dim, first[dim]) for dim in dims if dim not in varying]
+        )
+        if empty:
+            shared = _EMPTY_IDS
+        elif mask is None:
+            shared = self._ordered_array()
+        else:
+            shared = np.flatnonzero(mask)
+        columns = {dim: self._codes[dim][shared] for dim in varying}
+        #: (dim, coord) -> which of the shared scope's leaves roll up to it
+        under: dict[tuple[int, str], np.ndarray] = {}
+        scopes = []
+        for address in addresses:
+            keep: "np.ndarray | None" = None
+            for dim in varying:
+                key = (dim, address[dim])
+                hit = under.get(key)
+                if hit is None:
+                    self.coord_count(*key)  # an unknown member raises
+                    hit = under[key] = self._rolls_up(*key)[columns[dim]]
+                keep = hit if keep is None else keep & hit
+            scopes.append(shared if keep is None else shared[keep])
+        return scopes
 
     def iter_scope_cells(
         self, leaf_cells: Mapping[Address, float], address: Sequence[str]

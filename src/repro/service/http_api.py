@@ -28,6 +28,19 @@ rejections are backpressure (429 for tenant quota and overload, 503 with
 error type in the body.  Per-tenant admission quotas
 (:class:`TenantQuotas`) bound concurrent in-flight queries per
 ``X-Tenant`` header before any engine work happens.
+
+**One segment per response.**  Status line, headers and body leave in a
+single ``sendall`` on a ``TCP_NODELAY`` socket.  Written as two sends
+with Nagle on, the body waits in the kernel for the client's delayed ACK
+of the header segment — a fixed ≈40 ms stall on every keep-alive
+response that no engine speed-up can touch.
+
+**Request bodies are untrusted.**  A ``Content-Length`` that is not a
+non-negative integer is a 400 and one above :data:`MAX_BODY_BYTES` a 413;
+both are answered *without* reading the body, so the reply carries
+``Connection: close`` (the unread bytes would otherwise be parsed as the
+next request).  A body that is not UTF-8 JSON is a 400 on a connection
+that stays usable.
 """
 
 from __future__ import annotations
@@ -35,6 +48,7 @@ from __future__ import annotations
 import json
 import math
 import threading
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, Any
 
@@ -50,6 +64,7 @@ from repro.errors import (
 )
 from repro.lint.lockdep import make_lock
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
+from repro.obs.trace import trace_span
 from repro.olap.missing import is_missing
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -58,6 +73,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["TenantQuotas", "make_server", "serve_http"]
 
 DEFAULT_TENANT = "default"
+JSON_CONTENT_TYPE = "application/json; charset=utf-8"
+#: largest request body read off the socket; anything longer is a 413
+MAX_BODY_BYTES = 1 << 20
+
+
+class RequestBodyError(QueryError):
+    """The request body was refused before any engine work.
+
+    ``status`` is the HTTP answer (400 malformed, 413 too large);
+    ``close`` is set when the body was left unread on the socket, so the
+    connection cannot carry another request.
+    """
+
+    def __init__(self, status: int, message: str, *, close: bool = False) -> None:
+        super().__init__(message)
+        self.status = status
+        self.close = close
 
 
 class TenantQuotas:
@@ -124,6 +156,8 @@ def _json_axis(tuples: "list[Any]") -> "list[dict[str, Any]]":
 
 
 def _status_for(error: BaseException) -> int:
+    if isinstance(error, RequestBodyError):
+        return error.status
     if isinstance(error, ServiceOverloadedError):
         return 429
     if isinstance(error, (CircuitOpenError, ShardDownError)):
@@ -148,6 +182,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "ReproHTTPServer"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY on every accepted connection (StreamRequestHandler.setup)
+    disable_nagle_algorithm = True
 
     # -- plumbing -----------------------------------------------------------------
 
@@ -161,29 +197,40 @@ class _Handler(BaseHTTPRequestHandler):
         body: bytes,
         content_type: str,
         retry_after_s: "float | None" = None,
+        close: bool = False,
     ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
+        """Status line, headers and body as one ``sendall`` (``wfile`` is
+        unbuffered: one ``write`` is one ``sendall``)."""
+        self.log_request(status)
+        head = [
+            f"{self.protocol_version} {status} {HTTPStatus(status).phrase}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            f"Content-Type: {content_type}",
+            f"Content-Length: {len(body)}",
+        ]
         if retry_after_s is not None:
             # Retry-After is integer seconds; round up so "0.3s" does
             # not tell the client to hammer immediately.
-            self.send_header("Retry-After", str(max(1, math.ceil(retry_after_s))))
-        self.end_headers()
-        self.wfile.write(body)
+            head.append(f"Retry-After: {max(1, math.ceil(retry_after_s))}")
+        if close:
+            head.append("Connection: close")
+            self.close_connection = True
+        self.wfile.write("\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + body)
 
     def _send_json(
         self,
         status: int,
         payload: "dict[str, Any]",
         retry_after_s: "float | None" = None,
+        close: bool = False,
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
         self._send(
             status,
-            body,
-            "application/json; charset=utf-8",
+            json.dumps(payload).encode("utf-8"),
+            JSON_CONTENT_TYPE,
             retry_after_s=retry_after_s,
+            close=close,
         )
 
     def _send_error_json(self, error: BaseException) -> None:
@@ -202,7 +249,12 @@ class _Handler(BaseHTTPRequestHandler):
         }
         if retry_after is not None:
             payload["retry_after_s"] = retry_after
-        self._send_json(status, payload, retry_after_s=retry_after)
+        self._send_json(
+            status,
+            payload,
+            retry_after_s=retry_after,
+            close=isinstance(error, RequestBodyError) and error.close,
+        )
 
     def _count(self, endpoint: str, status: int) -> None:
         self.server.metrics.counter(
@@ -210,12 +262,32 @@ class _Handler(BaseHTTPRequestHandler):
         ).inc()
 
     def _read_body(self) -> "dict[str, Any]":
-        length = int(self.headers.get("Content-Length", "0") or "0")
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        # str.isdigit, not int(): "-5", "+5", "1_0" and "abc" are all refused
+        if not (declared.isascii() and declared.isdigit()):
+            raise RequestBodyError(
+                400,
+                "Content-Length must be a non-negative integer, "
+                f"not {declared[:32]!r}",
+                close=True,
+            )
+        # Compare digit counts first: int() itself refuses a string of more
+        # than 4300 digits, and a header line may carry 64 KiB of them.
+        digits = declared.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+            raise RequestBodyError(
+                413,
+                f"declared request body exceeds the {MAX_BODY_BYTES}-byte limit",
+                close=True,
+            )
+        length = int(digits)
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise QueryError("request body must be a JSON object")
         try:
             payload = json.loads(raw)
+        except UnicodeDecodeError:
+            raise RequestBodyError(400, "request body is not valid UTF-8") from None
         except json.JSONDecodeError as exc:
             raise QueryError(f"request body is not valid JSON: {exc}") from None
         if not isinstance(payload, dict):
@@ -312,18 +384,22 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error_json(exc)
             return
         self._count(path, 200)
-        envelope: "dict[str, Any]" = {
-            "columns": _json_axis(result.columns),
-            "rows": _json_axis(result.rows),
-            "cells": _json_cells(result.cells),
-            "partial": result.is_partial,
-            "stats": dict(result.stats),
-        }
-        if result.degradations:
-            envelope["degradations"] = [
-                d.to_dict() for d in result.degradations
-            ]
-        self._send_json(200, envelope)
+        with trace_span("http.serialize") as span:
+            envelope: "dict[str, Any]" = {
+                "columns": _json_axis(result.columns),
+                "rows": _json_axis(result.rows),
+                "cells": _json_cells(result.cells),
+                "partial": result.is_partial,
+                "stats": dict(result.stats),
+            }
+            if result.degradations:
+                envelope["degradations"] = [
+                    d.to_dict() for d in result.degradations
+                ]
+            body = json.dumps(envelope).encode("utf-8")
+            if span is not None:
+                span.set(response_bytes=len(body))
+            self._send(200, body, JSON_CONTENT_TYPE)
 
 
 class ReproHTTPServer(ThreadingHTTPServer):

@@ -44,7 +44,7 @@ from repro.errors import (
 )
 from repro.lint.lockdep import make_lock
 from repro.mdx.budget import QueryBudget
-from repro.obs.trace import TRACER, Span
+from repro.obs.trace import TRACER, Span, trace_span
 from repro.service.breaker import BreakerState, CircuitBreaker
 
 if TYPE_CHECKING:
@@ -382,6 +382,41 @@ class QueryService:
         )
 
 
+#: one result cell on the coordinator: (row, column, address)
+_Cell = tuple[int, int, tuple[str, ...]]
+
+
+def _merge_partials(parts: "list[dict[str, Any]]", n_cells: int) -> "list[Any]":
+    """One value per spanning cell from the shards' ``partial`` answers.
+
+    Every part is ``positions`` / ``values`` / ``offsets`` for the same
+    ``n_cells`` scopes (see :mod:`repro.service.shard`).  The leaves of
+    all shards are sorted once by (cell, global insertion position); each
+    cell's slice is then the exact sequence the single-process strict
+    reduction folds over, so the sums are bit-identical.  An empty scope
+    is ⊥.
+    """
+    import numpy as np
+
+    from repro.olap.aggregation import reduce_array
+    from repro.perf import config as perf_config
+
+    counts = [np.diff(part["offsets"]) for part in parts]
+    cell_of = np.concatenate(
+        [np.repeat(np.arange(n_cells), count) for count in counts]
+    )
+    positions = np.concatenate([part["positions"] for part in parts])
+    values = np.concatenate([part["values"] for part in parts])
+    merged = values[np.lexsort((positions, cell_of))]
+    bounds = np.zeros(n_cells + 1, dtype=np.int64)
+    np.cumsum(np.sum(counts, axis=0), out=bounds[1:])
+    mode = perf_config.reduction_mode()
+    return [
+        reduce_array("sum", merged[start:stop], mode)
+        for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+    ]
+
+
 class ShardedQueryService:
     """Scatter-gather query execution over a pool of shard processes.
 
@@ -398,10 +433,11 @@ class ShardedQueryService:
       producing the exact axis tuples of the full context;
     * classifies each result cell as **owned** (one shard evaluates it
       end to end), **spanning** (a pure sum-rollup whose scope crosses
-      shards: every shard returns its scope slice as ``(global position,
-      value)`` pairs, and the coordinator merges them back into global
-      insertion order before the strict reduction — bit-identical to the
-      single-process gather), or **local** (leaf reads, rule-bearing
+      shards: every shard returns its slice of every scope as global
+      insertion positions plus values — three arrays per request — and
+      the coordinator sorts them back into global insertion order before
+      the strict reduction — bit-identical to the single-process
+      gather), or **local** (leaf reads, rule-bearing
       cells, stored aggregates, and scenario cells above any single
       member — evaluated on the coordinator's full warehouse);
     * guards each shard with its own :class:`CircuitBreaker`; a query
@@ -483,7 +519,6 @@ class ShardedQueryService:
         self._dim_index = schema.dim_index(dimension)
         self._metrics = self.warehouse.metrics
         self._metrics.gauge("serve_shards").set(n_shards)
-        self._parsed: "dict[str, Any]" = {}
         self._lock = make_lock("ShardedQueryService._lock", reentrant=False)
         self._closed = False
 
@@ -585,36 +620,6 @@ class ShardedQueryService:
 
     # -- query path ---------------------------------------------------------------
 
-    def _parse(self, text: str):
-        from repro.mdx.parser import parse_query
-
-        query = self._parsed.get(text)
-        if query is None:
-            query = parse_query(text)
-            if len(self._parsed) > 1024:
-                self._parsed.clear()
-            self._parsed[text] = query
-        return query
-
-    @staticmethod
-    def _reads_cell_values(query: Any) -> bool:
-        """Whether any set expression consults cell values (FILTER /
-        ORDER): those must see the full cube, not the hollow seed."""
-        from repro.mdx.ast_nodes import FilterExpr, OrderExpr
-
-        def walk(node: Any) -> bool:
-            if isinstance(node, (FilterExpr, OrderExpr)):
-                return True
-            if isinstance(node, (tuple, list)):
-                return any(walk(item) for item in node)
-            if hasattr(node, "__dict__"):
-                return any(walk(value) for value in vars(node).values())
-            return False
-
-        return any(walk(axis.expr) for axis in query.axes) or (
-            query.slicer is not None and walk(query.slicer)
-        )
-
     def execute(
         self,
         text: str,
@@ -645,13 +650,22 @@ class ShardedQueryService:
             )
         started = self._clock()
         try:
-            result = self._execute(
-                text,
-                analyze=analyze,
-                budget=budget,
-                degrade=degrade or self.degrade,
-                deadline_ms=deadline_ms,
-            )
+            with trace_span("serve.execute") as span:
+                result = self._execute(
+                    text,
+                    analyze=analyze,
+                    budget=budget,
+                    degrade=degrade or self.degrade,
+                    deadline_ms=deadline_ms,
+                )
+            if span is not None and result.profile is None:
+                from repro.obs.profile import QueryProfile
+
+                result.profile = QueryProfile.from_span(
+                    span,
+                    stats=result.stats,
+                    degradations=[d.to_dict() for d in result.degradations],
+                )
         except BaseException:
             self._metrics.counter(
                 "serve_queries_total", status="error"
@@ -679,11 +693,12 @@ class ShardedQueryService:
         from repro.errors import MdxEvaluationError
         from repro.mdx.evaluator import _Context, _axis_tuples
         from repro.mdx.result import AxisTuple, MdxResult
+        from repro.service.shard import parse_for_serving
 
         if self._closed:
             raise ServiceStoppedError("sharded query service is closed")
-        query = self._parse(text)
-        if budget is not None or self._reads_cell_values(query):
+        query, reads_cell_values = parse_for_serving(text)
+        if budget is not None or reads_cell_values:
             self._metrics.counter(
                 "serve_local_fallback_total",
                 reason="budget" if budget is not None else "value-dependent-set",
@@ -774,6 +789,109 @@ class ShardedQueryService:
             stats=stats,
         )
 
+    def _classify(
+        self,
+        schema: Any,
+        rows: "list[Any]",
+        columns: "list[Any]",
+        base_coords: "dict[str, str]",
+        has_scenario: bool,
+    ) -> "tuple[dict[int, list[_Cell]], list[_Cell], list[_Cell]]":
+        """Sort the grid's cells into owned (per shard), spanning and
+        local, each as ``(row, column, address)``.
+
+        What a cell's class depends on — its coordinate slots, whether
+        every coordinate is leaf level, which shard covers its
+        shard-dimension coordinate — is worked out once per axis tuple
+        (and once for ``base_coords``, the slicer over the defaults, in
+        schema order); a cell is then a tuple fill and a few boolean
+        tests.  A column coordinate
+        overrides a row coordinate overrides the base, as in the
+        single-process evaluator.  Only a cube that has rules, or stored
+        aggregates, pays a per-cell probe for them.
+        """
+        cube = self.warehouse.cube
+        rules = cube.rules
+        check_rules = rules is not None and bool(rules.rules)
+        stored_derived = cube._stored_derived
+        shard_dim = self._dim_index
+        shard_of = self.plan.shard_of_coordinate
+        # under a scenario leaf-ness decides nothing: never look it up
+        is_leaf = (
+            (lambda i, coord: False)
+            if has_scenario
+            else schema.coordinate_is_leaf
+        )
+
+        def patches(tuples: "list[Any]") -> "list[list[tuple[int, str]]]":
+            return [
+                list(
+                    {
+                        schema.dim_index(dim): coord
+                        for dim, coord in axis_tuple.coordinates
+                    }.items()
+                )
+                for axis_tuple in tuples
+            ]
+
+        base = list(base_coords.values())
+        base_leaf = [is_leaf(i, coord) for i, coord in enumerate(base)]
+        row_patches = patches(rows)
+        col_patches = patches(columns)
+
+        # Columns that bind the same dimensions share a row's verdict on
+        # all the other dimensions (one group in any ordinary grid).
+        col_dims = [frozenset(i for i, _ in patch) for patch in col_patches]
+        groups = list(dict.fromkeys(col_dims))
+        col_group = [groups.index(dims) for dims in col_dims]
+        col_leaf = [
+            all(is_leaf(i, coord) for i, coord in patch) for patch in col_patches
+        ]
+        unbound = object()
+        col_shard = [
+            shard_of(dict(patch)[shard_dim]) if shard_dim in dims else unbound
+            for patch, dims in zip(col_patches, col_dims)
+        ]
+
+        owned: "dict[int, list[_Cell]]" = {}
+        spanning: "list[_Cell]" = []
+        local: "list[_Cell]" = []
+        for r, row_patch in enumerate(row_patches):
+            row_addr = list(base)
+            row_leaf = list(base_leaf)
+            for i, coord in row_patch:
+                row_addr[i] = coord
+                row_leaf[i] = is_leaf(i, coord)
+            leaf_outside = [
+                all(flag for i, flag in enumerate(row_leaf) if i not in dims)
+                for dims in groups
+            ]
+            row_shard = shard_of(row_addr[shard_dim])
+            for c, col_patch in enumerate(col_patches):
+                cell = list(row_addr)
+                for i, coord in col_patch:
+                    cell[i] = coord
+                addr = tuple(cell)
+                shard = col_shard[c]
+                if shard is unbound:
+                    shard = row_shard
+                if check_rules and rules.has_rule_for(cube, addr):
+                    local.append((r, c, addr))
+                elif has_scenario:
+                    if shard is not None:
+                        owned.setdefault(shard, []).append((r, c, addr))
+                    else:
+                        local.append((r, c, addr))
+                elif (leaf_outside[col_group[c]] and col_leaf[c]) or (
+                    stored_derived and addr in stored_derived
+                ):
+                    local.append((r, c, addr))
+                elif shard is not None:
+                    owned.setdefault(shard, []).append((r, c, addr))
+                else:
+                    spanning.append((r, c, addr))
+        return owned, spanning, local
+
     def _evaluate_cells(
         self,
         query: Any,
@@ -788,60 +906,36 @@ class ShardedQueryService:
     ) -> "tuple[list[list[Any]], dict[str, int], list[Degradation]]":
         """Classify, scatter, gather (with retry/hedge/recovery), and
         merge the result grid."""
-        import numpy as np
-
         from repro.errors import ShardError, TransientFaultError
         from repro.mdx.budget import Degradation
-        from repro.olap.aggregation import reduce_array
         from repro.olap.missing import MISSING
-        from repro.perf import config as perf_config
         from repro.service.shard import _Pending, _decode_value
 
         cube = self.warehouse.cube
-        rules = cube.rules
-        stored_derived = cube._stored_derived
-        dim_index = self._dim_index
-        plan = self.plan
-        defaults = {d.name: d.root.name for d in schema.dimensions}
-        base = dict(defaults)
-        base.update(slicer)
-
-        owned: "dict[int, list[tuple[int, int, tuple[str, ...]]]]" = {}
-        spanning: "list[tuple[int, int, tuple[str, ...]]]" = []
-        local: "list[tuple[int, int, tuple[str, ...]]]" = []
         grid: "list[list[Any]]" = [
             [MISSING] * len(columns) for _ in rows
         ]
-        for r, row in enumerate(rows):
-            for c, column in enumerate(columns):
-                coords = dict(base)
-                coords.update(dict(row.coordinates))
-                coords.update(dict(column.coordinates))
-                addr = schema.address(**coords)
-                shard = plan.shard_of_coordinate(addr[dim_index])
-                ruled = rules is not None and rules.has_rule_for(cube, addr)
-                if ruled:
-                    local.append((r, c, addr))
-                elif has_scenario:
-                    if shard is not None:
-                        owned.setdefault(shard, []).append((r, c, addr))
-                    else:
-                        local.append((r, c, addr))
-                elif schema.is_leaf_address(addr) or addr in stored_derived:
-                    local.append((r, c, addr))
-                elif shard is not None:
-                    owned.setdefault(shard, []).append((r, c, addr))
-                else:
-                    spanning.append((r, c, addr))
-
-        stats = {
-            "cells_evaluated": len(rows) * len(columns),
-            "cells_skipped": 0,
-            "owned_cells": sum(len(v) for v in owned.values()),
-            "spanning_cells": len(spanning),
-            "local_cells": len(local),
-            "fallback_cells": 0,
+        base_coords = {
+            d.name: slicer.get(d.name, d.root.name) for d in schema.dimensions
         }
+        with trace_span("serve.classify") as span:
+            owned, spanning, local = self._classify(
+                schema, rows, columns, base_coords, has_scenario
+            )
+            stats = {
+                "cells_evaluated": len(rows) * len(columns),
+                "cells_skipped": 0,
+                "owned_cells": sum(len(v) for v in owned.values()),
+                "spanning_cells": len(spanning),
+                "local_cells": len(local),
+                "fallback_cells": 0,
+            }
+            if span is not None:
+                span.set(
+                    owned_cells=stats["owned_cells"],
+                    spanning_cells=stats["spanning_cells"],
+                    local_cells=stats["local_cells"],
+                )
 
         # -- RPC deadline / recovery bookkeeping --------------------------------
         # Every scatter/gather on this query shares one wall-clock
@@ -856,8 +950,8 @@ class ShardedQueryService:
         hedge_s = None if self.hedge_ms is None else self.hedge_ms / 1000.0
         hedging = degrade == "fallback" and hedge_s is not None
 
-        fallback_cells: "list[tuple[int, int, tuple[str, ...]]]" = []
-        lost: "list[tuple[str, list[tuple[int, int, tuple[str, ...]]]]]" = []
+        fallback_cells: "list[_Cell]" = []
+        lost: "list[tuple[str, list[_Cell]]]" = []
         spanning_active = bool(spanning)
 
         def recover_owned(shard: int, detail: str) -> None:
@@ -982,25 +1076,31 @@ class ShardedQueryService:
                         recover_spanning(shard, detail)
                     return
 
-        for shard, assigned in sorted(owned.items()):
-            scatter(
-                shard,
-                "cells",
-                {
-                    "op": "cells",
-                    "text": text,
-                    "addresses": [addr for _, _, addr in assigned],
-                },
-            )
-        if spanning_active:
-            spanning_payload = {
-                "op": "partial",
-                "addresses": [addr for _, _, addr in spanning],
-            }
-            for shard in range(self.n_shards):
-                if not spanning_active:
-                    break
-                scatter(shard, "partial", dict(spanning_payload))
+        with trace_span("serve.scatter") as span:
+            for shard, assigned in sorted(owned.items()):
+                scatter(
+                    shard,
+                    "cells",
+                    {
+                        "op": "cells",
+                        "text": text,
+                        "addresses": [addr for _, _, addr in assigned],
+                    },
+                )
+            if spanning_active:
+                spanning_payload = {
+                    "op": "partial",
+                    "addresses": [addr for _, _, addr in spanning],
+                }
+                for shard in range(self.n_shards):
+                    if not spanning_active:
+                        break
+                    scatter(shard, "partial", dict(spanning_payload))
+            if span is not None:
+                span.set(
+                    shards=len({shard for shard, *_ in pendings}),
+                    rpcs=len(pendings),
+                )
 
         # -- gather -------------------------------------------------------------
         def gather_one(
@@ -1084,57 +1184,46 @@ class ShardedQueryService:
 
         responses: "dict[tuple[int, str], dict[str, Any]]" = {}
         first_error: "BaseException | None" = None
-        for shard, kind, payload, pending, client in pendings:
-            try:
-                response = gather_one(shard, kind, payload, pending, client)
-            except ShardError as exc:
-                if degrade == "fail":
+        with trace_span("serve.gather"):
+            for shard, kind, payload, pending, client in pendings:
+                try:
+                    response = gather_one(shard, kind, payload, pending, client)
+                except ShardError as exc:
+                    if degrade == "fail":
+                        if first_error is None:
+                            first_error = exc
+                        continue
+                    detail = f"gather failed: {exc}"
+                    if kind == "cells":
+                        recover_owned(shard, detail)
+                    else:
+                        recover_spanning(shard, detail)
+                except BaseException as exc:
+                    self.breakers[shard].record_failure(exc)
                     if first_error is None:
                         first_error = exc
-                    continue
-                detail = f"gather failed: {exc}"
-                if kind == "cells":
-                    recover_owned(shard, detail)
                 else:
-                    recover_spanning(shard, detail)
-            except BaseException as exc:
-                self.breakers[shard].record_failure(exc)
-                if first_error is None:
-                    first_error = exc
-            else:
-                self.breakers[shard].record_success()
-                responses[(shard, kind)] = response
+                    self.breakers[shard].record_success()
+                    responses[(shard, kind)] = response
         if first_error is not None:
             raise first_error
 
         # -- merge --------------------------------------------------------------
-        for shard, assigned in sorted(owned.items()):
-            values = responses[(shard, "cells")]["values"]
-            for (r, c, _), value in zip(assigned, values):
-                grid[r][c] = _decode_value(value)
-        if spanning_active:
-            mode = perf_config.reduction_mode()
-            shard_partials = [
-                responses[(shard, "partial")]["partials"]
-                for shard in range(self.n_shards)
-            ]
-            for cell_index, (r, c, _) in enumerate(spanning):
-                positions: "list[int]" = []
-                values: "list[float]" = []
-                for partials in shard_partials:
-                    shard_positions, shard_values = partials[cell_index]
-                    positions.extend(shard_positions)
-                    values.extend(shard_values)
-                if not positions:
-                    grid[r][c] = MISSING
-                    continue
-                # Global insertion order restores the exact sequence the
-                # single-process strict reduction folds over.
-                order = np.argsort(
-                    np.asarray(positions, dtype=np.int64), kind="stable"
+        with trace_span("serve.merge"):
+            for shard, assigned in sorted(owned.items()):
+                values = responses[(shard, "cells")]["values"]
+                for (r, c, _), value in zip(assigned, values):
+                    grid[r][c] = _decode_value(value)
+            if spanning_active:
+                merged = _merge_partials(
+                    [
+                        responses[(shard, "partial")]
+                        for shard in range(self.n_shards)
+                    ],
+                    len(spanning),
                 )
-                merged = np.asarray(values, dtype=np.float64)[order]
-                grid[r][c] = reduce_array("sum", merged, mode)
+                for (r, c, _), value in zip(spanning, merged):
+                    grid[r][c] = value
 
         # -- degradation records (partial policy) -------------------------------
         degradations: "list[Degradation]" = []
@@ -1157,17 +1246,22 @@ class ShardedQueryService:
         stats["fallback_cells"] = len(fallback_cells)
         local_all = local + fallback_cells
         if local_all:
-            if has_scenario:
-                from repro.mdx.evaluator import _Context
+            with trace_span(
+                "serve.local",
+                local_cells=len(local),
+                fallback_cells=len(fallback_cells),
+            ):
+                if has_scenario:
+                    from repro.mdx.evaluator import _Context
 
-                # Full context, built once per call; the warehouse's
-                # scenario cache amortises the apply across queries with
-                # the same fingerprints.
-                view = _Context(self.warehouse, query).view
-            else:
-                view = cube
-            for r, c, addr in local_all:
-                grid[r][c] = view.effective_value(addr)
+                    # Full context, built once per call; the warehouse's
+                    # scenario cache amortises the apply across queries
+                    # with the same fingerprints.
+                    view = _Context(self.warehouse, query).view
+                else:
+                    view = cube
+                for r, c, addr in local_all:
+                    grid[r][c] = view.effective_value(addr)
         return grid, stats, degradations
 
     # -- introspection / lifecycle ------------------------------------------------

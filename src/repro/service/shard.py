@@ -13,9 +13,12 @@ Two request shapes cross the pipe:
 * ``cells`` — evaluate the query's scenario chain on the shard's
   sub-warehouse and return ``effective_value`` for each assigned address;
 * ``partial`` — for spanning cells (coordinate above any single member),
-  return the scope's ``(global position, value)`` pairs so the
-  coordinator can merge shards' contributions back into the exact global
-  insertion order before the strict reduction.
+  return every scope's leaves as three arrays for the whole request —
+  ``positions`` (``int64`` global insertion positions), ``values``
+  (``float64``) and ``offsets`` (cell ``k`` owns the slice
+  ``offsets[k]:offsets[k + 1]`` of both) — so the coordinator can merge
+  shards' contributions back into the exact global insertion order
+  before the strict reduction.
 
 Workers are spawned (never forked: the coordinator is multithreaded) and
 rebuild their workload by name — :func:`build_workload` is the shared
@@ -29,8 +32,12 @@ from __future__ import annotations
 import multiprocessing
 import queue
 import threading
+import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Sequence
+
+import numpy as np
 
 from repro.core.merge_graph import ShardPlan, plan_axis_shards
 from repro.errors import ReproError, ShardError
@@ -39,6 +46,7 @@ from repro.olap.cube import Cube
 from repro.olap.missing import MISSING, is_missing
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.mdx.ast_nodes import MdxQuery
     from repro.warehouse import Warehouse
 
 __all__ = [
@@ -46,15 +54,42 @@ __all__ = [
     "ShardSpec",
     "build_shard_plan",
     "build_workload",
+    "parse_for_serving",
     "restrict_warehouse",
     "shard_worker_main",
 ]
 
-Address = tuple[str, ...]
-
 FP_SERVE_SCATTER = register_failpoint("serve.scatter")
 FP_SERVE_GATHER = register_failpoint("serve.gather")
 FP_SHARD_EXEC = register_failpoint("shard.exec")
+
+
+def _reads_cell_values(node: Any) -> bool:
+    from repro.mdx.ast_nodes import FilterExpr, OrderExpr
+
+    if isinstance(node, (FilterExpr, OrderExpr)):
+        return True
+    if isinstance(node, (tuple, list)):
+        return any(_reads_cell_values(item) for item in node)
+    if hasattr(node, "__dict__"):
+        return any(_reads_cell_values(value) for value in vars(node).values())
+    return False
+
+
+@lru_cache(maxsize=256)
+def parse_for_serving(text: str) -> "tuple[MdxQuery, bool]":
+    """The serving tier's one parse cache, coordinator and shard alike:
+    the parsed query plus whether any axis or slicer set consults cell
+    values (FILTER / ORDER) — those must see the full cube, so the
+    coordinator evaluates them locally.  Bounded, because a client may
+    send a never-seen text on every request; the verdict is stored with
+    the query so a warm ``execute`` never re-walks the AST."""
+    from repro.mdx.parser import parse_query
+
+    query = parse_query(text)
+    return query, _reads_cell_values(
+        ([axis.expr for axis in query.axes], query.slicer)
+    )
 
 
 def build_workload(name: str, params: "tuple[tuple[str, Any], ...]" = ()) -> "Warehouse":
@@ -108,15 +143,18 @@ class ShardSpec:
 
 def restrict_warehouse(
     full: "Warehouse", dimension: str, owned_members: Sequence[str]
-) -> "tuple[Warehouse, dict[Address, int]]":
+) -> "tuple[Warehouse, np.ndarray]":
     """The shard's sub-warehouse plus global insertion positions.
 
     The sub-cube holds exactly the full cube's leaf cells whose shard-
     dimension member is owned, inserted in global order (so the shard's
     local insertion order is the restriction of the global one — the
     property the strict bit-identical reduction rests on), plus every
-    stored-derived cell and named set.  ``global_pos`` maps each owned
-    leaf address to its position in the full cube's insertion order.
+    stored-derived cell and named set.  ``global_pos[k]`` is the position
+    in the full cube's insertion order of the sub-cube's ``k``-th leaf —
+    an ``int64`` column over the leaf-id space of the sub-cube's rollup
+    index (ids follow insertion order, and a shard's cube is never
+    written after this).
     """
     from repro.warehouse import Warehouse
 
@@ -124,11 +162,12 @@ def restrict_warehouse(
     dim_index = schema.dim_index(dimension)
     owned = set(owned_members)
     sub_cube = Cube(schema, full.cube.rules)
-    global_pos: dict[Address, int] = {}
+    positions: list[int] = []
     for position, (addr, value) in enumerate(full.cube.leaf_cells()):
         if addr[dim_index].rsplit("/", 1)[-1] in owned:
             sub_cube.set_value(addr, value)
-            global_pos[addr] = position
+            positions.append(position)
+    global_pos = np.asarray(positions, dtype=np.int64)
     for addr, value in full.cube.stored_derived_cells():
         sub_cube.set_value(addr, value)
     sub = Warehouse(schema, sub_cube, name=full.name, aliases=full.aliases)
@@ -156,19 +195,13 @@ class _ShardRuntime:
         self.warehouse, self.global_pos = restrict_warehouse(
             full, spec.dimension, spec.owned_members
         )
-        self._parsed: dict[str, Any] = {}
 
     def _context(self, text: str):
         from repro.mdx.evaluator import _Context
-        from repro.mdx.parser import parse_query
 
-        query = self._parsed.get(text)
-        if query is None:
-            query = parse_query(text)
-            self._parsed[text] = query
         # The scenario cache on the shard's warehouse makes repeated
         # fingerprints one dict probe, exactly like local serving.
-        return _Context(self.warehouse, query)
+        return _Context(self.warehouse, parse_for_serving(text)[0])
 
     def handle(self, request: "dict[str, Any]") -> "dict[str, Any]":
         op = request["op"]
@@ -196,21 +229,14 @@ class _ShardRuntime:
             ]
             return {"ok": True, "values": values}
         if op == "partial":
-            cube = self.warehouse.cube
-            index = cube.rollup_index()
-            leaf_store = cube._leaf_cells
-            global_pos = self.global_pos
-            partials = []
-            for addr in request["addresses"]:
-                positions: list[int] = []
-                values: list[float] = []
-                for cell_addr, value in index.iter_scope_cells(
-                    leaf_store, tuple(addr)
-                ):
-                    positions.append(global_pos[cell_addr])
-                    values.append(value)
-                partials.append((positions, values))
-            return {"ok": True, "partials": partials}
+            index = self.warehouse.cube.rollup_index()
+            ids, values, offsets = index.scope_arrays(request["addresses"])
+            return {
+                "ok": True,
+                "positions": self.global_pos[ids],
+                "values": values,
+                "offsets": offsets,
+            }
         return {"ok": False, "error": "ShardError", "message": f"unknown op {op!r}"}
 
 
@@ -308,12 +334,49 @@ class ShardClient:
         start_timeout: float = 60.0,
         rpc_timeout: float = 60.0,
     ) -> None:
+        self._launch(spec, start_timeout, rpc_timeout)
+        self._await_hello()
+
+    @classmethod
+    def start_all(
+        cls,
+        specs: Sequence[ShardSpec],
+        *,
+        start_timeout: float = 60.0,
+        rpc_timeout: float = 60.0,
+    ) -> "list[ShardClient]":
+        """A pool's initial spawn: start every worker process first, then
+        await the hellos, so the workers rebuild their slices side by
+        side instead of one after the other.  If any hello fails, every
+        worker that did start is closed and reaped before the error
+        propagates."""
+        clients: "list[ShardClient]" = []
+        try:
+            for spec in specs:
+                client = cls.__new__(cls)
+                client._launch(spec, start_timeout, rpc_timeout)
+                clients.append(client)
+            for client in clients:
+                client._await_hello()
+        except BaseException:
+            for client in clients:
+                client.close()
+            raise
+        return clients
+
+    def _launch(
+        self, spec: ShardSpec, start_timeout: float, rpc_timeout: float
+    ) -> None:
+        """Start the worker process; returns without waiting for it."""
         self.spec = spec
         self.shard_index = spec.shard_index
         self.rpc_timeout = rpc_timeout
+        self._start_timeout = start_timeout
         self._closed = False
         self._down = threading.Event()
         self._down_reason = ""
+        #: started by a good hello; ``None`` = the worker never got there
+        self._dispatcher: "threading.Thread | None" = None
         ctx = multiprocessing.get_context("spawn")
         self._conn, child_conn = ctx.Pipe()
         self.process = ctx.Process(
@@ -323,12 +386,20 @@ class ShardClient:
             daemon=True,
         )
         self.process.start()
+        self._start_deadline = time.monotonic() + start_timeout
         child_conn.close()
+
+    def _await_hello(self) -> None:
+        """Block until the worker reports its slice built (at most
+        ``start_timeout`` after launch), then start the dispatcher."""
+        spec = self.spec
         try:
-            if not self._conn.poll(start_timeout):
+            if not self._conn.poll(
+                max(self._start_deadline - time.monotonic(), 0.0)
+            ):
                 raise ShardError(
                     f"shard {spec.shard_index} did not start within "
-                    f"{start_timeout:.3g}s",
+                    f"{self._start_timeout:.3g}s",
                     shard=spec.shard_index,
                 )
             hello = self._conn.recv()
@@ -361,6 +432,7 @@ class ShardClient:
     def _abort_start(self) -> None:
         """Reap a worker whose startup failed: no pipe leak, no zombie,
         no dispatcher thread (it is only started after a good hello)."""
+        self._closed = True
         try:
             self._conn.close()
         except OSError:  # pragma: no cover - defensive
@@ -465,12 +537,15 @@ class ShardClient:
         exited (or never finished starting), and idempotent."""
         if self._closed:
             return
+        if self._dispatcher is None:
+            # Launched but never said hello (a sibling's startup failed
+            # first): nothing to drain and nobody to say goodbye to.
+            self._abort_start()
+            return
         self._closed = True
-        dispatcher = getattr(self, "_dispatcher", None)
-        if dispatcher is not None:
-            # Drain the dispatcher first so no request races the shutdown.
-            self._queue.put(None)
-            dispatcher.join(timeout)
+        # Drain the dispatcher first so no request races the shutdown.
+        self._queue.put(None)
+        self._dispatcher.join(timeout)
         if not self._down.is_set():
             try:
                 self._conn.send({"op": "shutdown"})

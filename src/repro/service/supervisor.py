@@ -119,8 +119,10 @@ class ShardSupervisor:
     ----------
     specs:
         One :class:`~repro.service.shard.ShardSpec` per shard; the
-        supervisor spawns the initial pool and raises (after reaping
-        anything it did start) if any worker fails its hello.
+        supervisor starts the whole initial pool at once
+        (:meth:`~repro.service.shard.ShardClient.start_all`) and raises
+        (after reaping anything it did start) if any worker fails its
+        hello.
     config:
         Backoff/storm/heartbeat tuning; defaults suit serving, tests
         pass tighter values.
@@ -147,17 +149,15 @@ class ShardSupervisor:
         self._lock = make_lock("ShardSupervisor._lock", reentrant=False)
         self._closed = False
         self._wake = threading.Event()
-        slots: list[_Slot] = []
-        try:
-            for spec in specs:
-                client = self._spawn(spec)
-                slots.append(_Slot(spec, client))
-        except BaseException:
-            for slot in slots:
-                slot.client.close()
-            raise
-        self._slots = slots
-        for index in range(len(slots)):
+        self._slots = [
+            _Slot(client.spec, client)
+            for client in ShardClient.start_all(
+                specs,
+                start_timeout=self.config.start_timeout_s,
+                rpc_timeout=self.config.rpc_timeout_s,
+            )
+        ]
+        for index in range(len(self._slots)):
             self._gauge_up(index, 1)
         self._monitor = threading.Thread(
             target=self._monitor_loop,
@@ -169,7 +169,7 @@ class ShardSupervisor:
     # -- helpers ------------------------------------------------------------------
 
     def _spawn(self, spec: ShardSpec) -> ShardClient:
-        """One worker spawn; ``REPRO_FAULTS``/``REPRO_LOCKDEP`` are
+        """One worker respawn; ``REPRO_FAULTS``/``REPRO_LOCKDEP`` are
         re-read from the *current* environment inside the child
         (``shard_worker_main`` arms from env), so chaos regimes follow
         respawns automatically."""

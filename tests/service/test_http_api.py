@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -11,6 +14,8 @@ import pytest
 
 from repro.errors import ServiceError, ShardError
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
+from repro.obs.profile import validate_profile
+from repro.obs.trace import TRACER, tracing
 from repro.olap.missing import is_missing
 from repro.service import (
     CircuitBreaker,
@@ -18,6 +23,7 @@ from repro.service import (
     TenantQuotas,
     make_server,
 )
+from repro.service.http_api import MAX_BODY_BYTES
 
 QUERY = (
     "SELECT {Time.[Jan], Time.[Feb], Time.[Mar], Time.[Apr]} ON COLUMNS, "
@@ -27,6 +33,11 @@ QUERY = (
 SPANNING = (
     "SELECT {Time.[Jan]} ON COLUMNS, {[FTE]} ON ROWS "
     "FROM Warehouse WHERE ([NY], [Salary])"
+)
+#: 12 rows x 204 columns = 2,448 cells: a response of several segments
+LARGE = (
+    "SELECT CrossJoin({Time.Members}, {[Location].Members}) ON COLUMNS, "
+    "{[Organization].Members} ON ROWS FROM Warehouse WHERE ([Salary])"
 )
 
 
@@ -48,6 +59,79 @@ def base_url(service):
     server.shutdown()
     server.server_close()
     thread.join(timeout=5)
+
+
+class _SpySocket:
+    """An accepted connection that records what the server does to it."""
+
+    def __init__(self, sock, sends, options):
+        self._sock = sock
+        self._sends = sends
+        self._options = options
+
+    def sendall(self, data):
+        self._sends.append(bytes(data))
+        return self._sock.sendall(data)
+
+    def setsockopt(self, *args):
+        self._options.append(args)
+        return self._sock.setsockopt(*args)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+@pytest.fixture()
+def spy(service):
+    """A second front door over the same service whose accepted sockets
+    are wrapped: yields (base_url, sendall payloads, setsockopt calls)."""
+    server = make_server(service, port=0)
+    sends, options = [], []
+    accept = server.get_request
+
+    def get_request():
+        sock, address = accept()
+        return _SpySocket(sock, sends, options), address
+
+    server.get_request = get_request
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
+    )
+    thread.start()
+    host, port = server.server_address[:2]
+    yield f"http://{host}:{port}", sends, options
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+
+
+def _raw(base_url, head, body=b""):
+    """Send one hand-written request; return (socket, reader) so a test
+    can read several responses off the same connection."""
+    host, port = base_url.removeprefix("http://").split(":")
+    sock = socket.create_connection((host, int(port)), timeout=30)
+    sock.sendall(head.encode("latin-1") + body)
+    return sock, sock.makefile("rb")
+
+
+def _read_response(reader):
+    """(status, headers, body) of the next response on a raw connection."""
+    status = int(reader.readline().split()[1])
+    headers = {}
+    while True:
+        line = reader.readline()
+        if line in (b"\r\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return status, headers, reader.read(int(headers["content-length"]))
+
+
+def _post_head(length, path="/v1/query"):
+    return (
+        f"POST {path} HTTP/1.1\r\nHost: test\r\n"
+        f"Content-Type: application/json\r\nContent-Length: {length}\r\n\r\n"
+    )
 
 
 def _request(base_url, path, payload=None, headers=None):
@@ -127,7 +211,167 @@ class TestQueryEndpoint:
             assert body["error"] == "NotFound"
 
 
+class TestOneSegmentPerResponse:
+    """Headers and body written separately on a Nagle socket stall every
+    keep-alive response on the client's delayed ACK (≈40 ms): each
+    response must be exactly one ``sendall``, on a ``TCP_NODELAY``
+    socket."""
+
+    @pytest.mark.parametrize(
+        "path, payload, expected",
+        [
+            ("/v1/query", {"query": QUERY}, 200),
+            ("/v1/query", {"query": LARGE}, 200),
+            ("/v1/query", {"query": "SELECT nonsense FROM nowhere"}, 400),
+            ("/v1/nope", {"query": QUERY}, 404),
+            ("/metrics", None, 200),
+            ("/healthz", None, 200),
+        ],
+    )
+    def test_exactly_one_sendall(self, spy, path, payload, expected):
+        base_url, sends, options = spy
+        status, info, _ = _request(base_url, path, payload)
+        assert status == expected
+        assert len(sends) == 1
+        head, _, body = sends[0].partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 %d " % expected)
+        assert len(body) == int(info["Content-Length"])
+        if payload is not None and payload["query"] is LARGE:
+            assert sum(len(row) for row in json.loads(body)["cells"]) >= 2000
+        assert (socket.IPPROTO_TCP, socket.TCP_NODELAY, True) in options
+
+    def test_keep_alive_requests_answered_in_order(self, spy):
+        base_url, sends, _ = spy
+        host, port = base_url.removeprefix("http://").split(":")
+        connection = http.client.HTTPConnection(host, int(port), timeout=30)
+        connection.connect()
+        connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        months = ["Jan", "Feb", "Mar", "Apr"]
+        try:
+            for i in range(20):
+                month = months[i % len(months)]
+                text = QUERY.replace(
+                    "{Time.[Jan], Time.[Feb], Time.[Mar], Time.[Apr]}",
+                    f"{{Time.[{month}]}}",
+                )
+                connection.request(
+                    "POST", "/v1/query", body=json.dumps({"query": text})
+                )
+                response = connection.getresponse()
+                body = json.loads(response.read())
+                assert response.status == 200
+                assert [c["labels"] for c in body["columns"]] == [[month]]
+        finally:
+            connection.close()
+        assert len(sends) == 20
+
+
+class TestRequestBodyHardening:
+    # "\xb2" (superscript two) passes str.isdigit() yet int() refuses it
+    @pytest.mark.parametrize("declared", ["abc", "-5", "+5", "1_0", "\xb2"])
+    def test_bad_content_length_is_typed_400_and_closes(self, base_url, declared):
+        sock, reader = _raw(base_url, _post_head(declared))
+        try:
+            status, headers, body = _read_response(reader)
+            assert status == 400
+            assert json.loads(body)["error"] == "RequestBodyError"
+            assert headers["connection"] == "close"
+            assert reader.read(1) == b""  # closed cleanly, no stray bytes
+        finally:
+            reader.close()
+            sock.close()
+
+    # 5000 digits is past the 4300 that int() itself accepts; leading zeros
+    # must not hide them from the digit count
+    @pytest.mark.parametrize(
+        "declared", [str(MAX_BODY_BYTES + 1), "9" * 5000, "0" * 5000 + "9" * 5000]
+    )
+    def test_oversized_body_is_413_before_it_is_read(self, base_url, declared):
+        # the body is never sent: an answer proves it was never awaited
+        sock, reader = _raw(base_url, _post_head(declared))
+        try:
+            status, headers, body = _read_response(reader)
+            assert status == 413
+            assert json.loads(body)["error"] == "RequestBodyError"
+            assert headers["connection"] == "close"
+            assert reader.read(1) == b""
+        finally:
+            reader.close()
+            sock.close()
+
+    def test_body_at_the_limit_is_read(self, base_url):
+        body = json.dumps({"query": QUERY}).encode()
+        body += b" " * (MAX_BODY_BYTES - len(body))
+        # leading zeros, however many, do not change the length
+        sock, reader = _raw(base_url, _post_head("0" * 5000 + str(len(body))), body)
+        try:
+            assert _read_response(reader)[0] == 200
+        finally:
+            reader.close()
+            sock.close()
+
+    def test_non_utf8_body_is_400_and_connection_stays_usable(self, base_url):
+        bad = b'{"query": "\xff\xfe"}'
+        sock, reader = _raw(base_url, _post_head(len(bad)), bad)
+        try:
+            status, headers, body = _read_response(reader)
+            assert status == 400
+            assert json.loads(body)["error"] == "RequestBodyError"
+            assert "connection" not in headers
+            good = json.dumps({"query": QUERY}).encode()
+            sock.sendall(_post_head(len(good)).encode("ascii") + good)
+            status, _, body = _read_response(reader)
+            assert status == 200
+            assert json.loads(body)["partial"] is False
+        finally:
+            reader.close()
+            sock.close()
+
+
 class TestObservability:
+    def test_query_runs_under_serving_spans(self, service, base_url):
+        TRACER.clear()
+        with tracing():
+            status, _, body = _request(base_url, "/v1/query", {"query": SPANNING})
+        assert status == 200
+        # the handler thread closes http.serialize just after the client
+        # has the last byte
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and len(TRACER.finished) < 2:
+            time.sleep(0.005)
+        roots = {span.name: span for span in TRACER.finished}
+        execute = roots["serve.execute"]
+        assert [child.name for child in execute.children] == [
+            "serve.classify",
+            "serve.scatter",
+            "serve.gather",
+            "serve.merge",
+        ]
+        assert execute.find("serve.classify").attrs == {
+            "owned_cells": 0,
+            "spanning_cells": 1,
+            "local_cells": 0,
+        }
+        assert execute.find("serve.scatter").attrs["shards"] == 2
+        assert roots["http.serialize"].attrs["response_bytes"] == len(
+            json.dumps(body)
+        )
+
+    def test_sharded_result_carries_a_serving_profile(self, service):
+        with tracing():
+            result = service.execute(SPANNING)
+        validate_profile(result.profile.to_dict())
+        assert list(result.profile.phases) == [
+            "classify",
+            "scatter",
+            "gather",
+            "merge",
+        ]
+        rendered = result.profile.render()
+        assert "owned_cells=0 spanning_cells=1 local_cells=0" in rendered
+        assert "shards=2 rpcs=2" in rendered
+        assert service.execute(SPANNING).profile is None  # tracing off
+
     def test_metrics_exposition(self, base_url):
         _request(base_url, "/v1/query", {"query": QUERY})
         status, info, body = _request(base_url, "/metrics")

@@ -1,0 +1,235 @@
+"""Sharded answers are ``Warehouse.query`` answers, bit for bit, in every
+classification class.
+
+The coordinator classifies cells from per-axis facts (which shard covers
+the tuple's shard-dimension coordinate, whether its coordinates are leaf
+level) and spanning cells cross the pipe as position/value/offset arrays
+merged by one sort.  The table below walks every way the shard dimension
+can be bound (rows, columns, both, slicer, not at all, a column set that
+mixes dimensions), at leaf and non-leaf levels, over populated and empty
+scopes, with and without a scenario, with NON EMPTY on either axis, and
+over ruled and stored-aggregate cells; the property test drives the
+spanning wire format in-process over cubes with NaN leaves and deleted
+cells against the naive full scan.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.perf import naive_mode
+from repro.service import ShardedQueryService
+from repro.service.service import _merge_partials
+from repro.service.shard import (
+    build_shard_plan,
+    build_workload,
+    restrict_warehouse,
+)
+
+MONTHS = "{Time.[Jan], Time.[Feb], Time.[Mar], Time.[Qtr1]}"
+#: name -> (columns, rows); Organization is the shard dimension
+LAYOUTS = {
+    "shard-dim-on-rows": (MONTHS, "{[Organization].Members}"),
+    "shard-dim-on-columns": ("{[Organization].Members}", MONTHS),
+    "shard-dim-unbound": (MONTHS, "{[Location].Members}"),
+    "shard-dim-in-crossjoin": (
+        MONTHS,
+        "CrossJoin({[FTE], [PTE], [Joe]}, {[NY], [East]})",
+    ),
+    # column tuples that bind different dimensions
+    "mixed-column-dims": ("{Time.[Jan], [NY]}", "{[Organization].Members}"),
+    # a column coordinate overrides the row's on the same dimension
+    "shard-dim-on-both": ("{[FTE], [Joe]}", "{[Organization].Members}"),
+}
+SLICERS = (
+    "([NY], [Salary])",  # leaf cells under instance rows
+    "([Salary])",  # non-leaf Location
+    "([CA], [Salary])",  # no data: every scope is empty
+    "([East], [Compensation])",  # non-leaf measure
+    "([Lisa], [Salary])",  # shard dimension bound in the slicer, to a member
+    "([FTE])",  # ... and to a category no single shard covers
+)
+SCENARIOS = (
+    "",
+    "WITH PERSPECTIVE {(Feb)} FOR Organization STATIC ",
+    "WITH PERSPECTIVE {(Jan), (Mar)} FOR Organization DYNAMIC FORWARD VISUAL ",
+    "WITH CHANGES {([Joe], [FTE], [PTE], [Jan])} FOR Organization ",
+)
+NON_EMPTY = tuple(itertools.product(("", "NON EMPTY "), repeat=2))
+
+
+def _queries(layout: str, scenarios=SCENARIOS):
+    columns, rows = LAYOUTS[layout]
+    for slicer, scenario, (ne_cols, ne_rows) in itertools.product(
+        SLICERS, scenarios, NON_EMPTY
+    ):
+        yield (
+            f"{scenario}SELECT {ne_cols}{columns} ON COLUMNS, "
+            f"{ne_rows}{rows} ON ROWS FROM Warehouse WHERE {slicer}"
+        )
+
+
+def _assert_parity(service, text, totals):
+    expected = service.warehouse.query(text)
+    got = service.execute(text, degrade="fail")
+    assert got.columns == expected.columns, text
+    assert got.rows == expected.rows, text
+    assert repr(got.cells) == repr(expected.cells), text
+    for key in ("owned_cells", "spanning_cells", "local_cells"):
+        totals[key] = totals.get(key, 0) + got.stats[key]
+
+
+@pytest.fixture(scope="module")
+def service():
+    with ShardedQueryService("running", n_shards=2, chunk=2) as svc:
+        yield svc
+
+
+@pytest.fixture(scope="module")
+def ruled_service():
+    """A pool whose coordinator cube carries a formula rule and a stored
+    aggregate.  Both classes are evaluated on the coordinator, so writing
+    them after the shards were spawned keeps the pool consistent — for
+    the stored aggregate only without a scenario (shards copy stored
+    aggregates at spawn and evaluate scenario cells themselves)."""
+    with ShardedQueryService("running", n_shards=2, chunk=2) as svc:
+        cube = svc.warehouse.cube
+        cube.rules.define("Compensation", "Salary + 2 * Benefits")
+        schema = svc.warehouse.schema
+        cube.set_value(
+            schema.address(
+                Organization="FTE", Location="NY", Time="Qtr1", Measures="Salary"
+            ),
+            1234.5,
+        )
+        cube.set_value(
+            schema.address(
+                Organization="Organization",
+                Location="East",
+                Time="Jan",
+                Measures="Salary",
+            ),
+            -0.0,
+        )
+        yield svc
+
+
+class TestClassificationTable:
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_every_binding_of_the_shard_dimension(self, service, layout):
+        totals: "dict[str, int]" = {}
+        for text in _queries(layout):
+            _assert_parity(service, text, totals)
+        # the layout reached the shards and the coordinator
+        assert totals["local_cells"] > 0
+        assert totals["owned_cells"] + totals["spanning_cells"] > 0
+
+    def test_table_covers_every_class(self, service):
+        totals: "dict[str, int]" = {}
+        for layout in ("shard-dim-on-rows", "shard-dim-unbound"):
+            for text in _queries(layout, scenarios=SCENARIOS[:2]):
+                _assert_parity(service, text, totals)
+        assert all(totals[key] > 0 for key in totals), totals
+
+    def test_empty_spanning_scopes_are_bottom_and_pruned(self, service):
+        text = (
+            "SELECT {Time.[Jan], Time.[Feb]} ON COLUMNS, "
+            "NON EMPTY {[FTE], [PTE]} ON ROWS "
+            "FROM Warehouse WHERE ([CA], [Salary])"
+        )
+        got = service.execute(text, degrade="fail")
+        assert got.stats["spanning_cells"] == 4
+        assert got.rows == [] and got.cells == []
+        assert got.rows == service.warehouse.query(text).rows
+
+
+class TestRuledAndStoredCells:
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_ruled_cells_in_every_layout(self, ruled_service, layout):
+        totals: "dict[str, int]" = {}
+        for text in _queries(layout, scenarios=SCENARIOS[:1]):
+            _assert_parity(ruled_service, text, totals)
+
+    def test_ruled_cells_under_scenarios(self, ruled_service):
+        # stored aggregates sit under [Salary]; the ruled measure does not
+        totals: "dict[str, int]" = {}
+        for layout in sorted(LAYOUTS):
+            columns, rows = LAYOUTS[layout]
+            for scenario in SCENARIOS[1:]:
+                _assert_parity(
+                    ruled_service,
+                    f"{scenario}SELECT {columns} ON COLUMNS, {rows} ON ROWS "
+                    "FROM Warehouse WHERE ([East], [Compensation])",
+                    totals,
+                )
+
+    def test_stored_aggregate_is_served_not_rolled_up(self, ruled_service):
+        text = (
+            "SELECT {Time.[Qtr1], Time.[Jan]} ON COLUMNS, "
+            "{[FTE], [Organization]} ON ROWS "
+            "FROM Warehouse WHERE ([NY], [Salary])"
+        )
+        got = ruled_service.execute(text, degrade="fail")
+        assert got.cells[0][0] == 1234.5
+        assert got.stats["local_cells"] == 1  # the stored cell alone
+        assert got.stats["spanning_cells"] == 3
+        east = ruled_service.execute(
+            text.replace("[NY]", "[East]"), degrade="fail"
+        )
+        assert repr(east.cells[1][1]) == "-0.0"
+
+
+# -- the spanning wire format, in-process ---------------------------------------------
+
+_FULL = build_workload("running")
+_LEAVES = [addr for addr, _ in _FULL.cube.leaf_cells()]
+#: non-leaf addresses no single shard covers, empty scopes included
+_SPANNING_ADDRESSES = [
+    (org, location, time, measure)
+    for org in ("Organization", "FTE", "PTE", "Contractor")
+    for location in ("Location", "East", "NY", "CA")
+    for time in ("Time", "Qtr1", "Jan")
+    for measure in ("Measures", "Salary", "Benefits")
+]
+
+_values = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    st.sampled_from([math.nan, 0.1, 0.2, 0.3, 1e16, -1e16, -0.0]),
+    st.none(),  # delete the leaf
+)
+
+
+class TestSpanningWireFormat:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        writes=st.lists(_values, min_size=len(_LEAVES), max_size=len(_LEAVES)),
+        n_shards=st.integers(min_value=1, max_value=3),
+        batch=st.lists(
+            st.sampled_from(_SPANNING_ADDRESSES), min_size=0, max_size=12
+        ),
+    )
+    def test_merged_partials_equal_the_naive_scan(self, writes, n_shards, batch):
+        full = build_workload("running")
+        for addr, value in zip(_LEAVES, writes):
+            full.cube.set_value(addr, value)
+        plan = build_shard_plan(full, "Organization", n_shards, chunk=2)
+        parts = []
+        for owned in plan.shards:
+            sub, global_pos = restrict_warehouse(full, "Organization", owned)
+            ids, values, offsets = sub.cube.rollup_index().scope_arrays(batch)
+            parts.append(
+                {
+                    "positions": global_pos[ids],
+                    "values": values,
+                    "offsets": offsets,
+                }
+            )
+        merged = _merge_partials(parts, len(batch))
+        with naive_mode():
+            expected = [full.cube.rollup(addr) for addr in batch]
+        assert repr(merged) == repr(expected)

@@ -19,6 +19,7 @@ from repro.errors import (
 )
 from repro.mdx.budget import QueryBudget
 from repro.service import BreakerState, ShardedQueryService
+from repro.service.shard import parse_for_serving
 from repro.service.stress import STRESS_QUERIES
 from repro.workload.workforce import MONTHS, build_workforce
 
@@ -89,6 +90,39 @@ class TestRunningExampleParity:
         assert health["status"] == "ok"
         assert health["dimension"] == "Organization"
         assert [s["alive"] for s in health["shards"]] == [True, True]
+
+
+class TestParseCache:
+    def test_bounded_and_stores_the_reads_cell_values_verdict(self):
+        parse_for_serving.cache_clear()
+        plain = "SELECT {Time.[Jan]} ON COLUMNS FROM Warehouse"
+        filtered = (
+            "SELECT {Time.[Jan]} ON COLUMNS, "
+            "Filter({[Joe], [Lisa]}, [Salary] > 5) ON ROWS FROM Warehouse"
+        )
+        sliced = plain + " WHERE ([NY])"
+        assert [parse_for_serving(t)[1] for t in (plain, filtered, sliced)] == [
+            False,
+            True,
+            False,
+        ]
+        assert parse_for_serving(filtered) is parse_for_serving(filtered)
+        # a client sending a never-seen text per request cannot grow it
+        for padding in range(600):
+            parse_for_serving(plain + " " * padding)
+        assert parse_for_serving.cache_info().currsize <= 256
+
+    def test_value_dependent_sets_are_answered_locally(self, running_service):
+        text = (
+            "SELECT {Time.[Jan]} ON COLUMNS, "
+            "Filter({[Lisa], [Tom]}, ([Salary], [NY], Time.[Jan]) > 5) ON ROWS "
+            "FROM Warehouse WHERE ([NY], [Salary])"
+        )
+        result = running_service.execute(text)
+        assert "sharded" not in result.stats
+        assert repr(result.cells) == repr(
+            running_service.warehouse.query(text).cells
+        )
 
 
 class TestWorkforceParity:

@@ -15,7 +15,12 @@ from repro.errors import FaultInjectedError, ShardDownError, ShardError
 from repro.faults import FAULTS
 from repro.obs.metrics import MetricsRegistry
 from repro.service.breaker import BreakerState, CircuitBreaker
-from repro.service.shard import ShardSpec, build_shard_plan, build_workload
+from repro.service.shard import (
+    ShardClient,
+    ShardSpec,
+    build_shard_plan,
+    build_workload,
+)
 from repro.service.supervisor import ShardSupervisor, SupervisorConfig
 
 TIGHT = SupervisorConfig(
@@ -54,6 +59,77 @@ def _wait_for(predicate, timeout=30.0, interval=0.01):
 @pytest.fixture(scope="module")
 def spec():
     return _single_shard_spec()
+
+
+def _two_shard_specs() -> "list[ShardSpec]":
+    warehouse = build_workload("running")
+    plan = build_shard_plan(warehouse, "Organization", 2, chunk=2)
+    return [
+        ShardSpec(
+            workload="running",
+            dimension="Organization",
+            owned_members=tuple(owned),
+            shard_index=index,
+            n_shards=2,
+        )
+        for index, owned in enumerate(plan.shards)
+    ]
+
+
+@pytest.fixture()
+def launched(monkeypatch):
+    """Every ShardClient launched during the test, in launch order."""
+    clients = []
+    launch = ShardClient._launch
+
+    def recording(client, *args):
+        launch(client, *args)
+        clients.append(client)
+
+    monkeypatch.setattr(ShardClient, "_launch", recording)
+    return clients
+
+
+class TestInitialSpawn:
+    def test_every_worker_is_started_before_any_hello_is_awaited(
+        self, launched, monkeypatch
+    ):
+        started_at_await = []
+        await_hello = ShardClient._await_hello
+
+        def recording(client):
+            started_at_await.append(
+                [c.process.pid is not None for c in launched]
+            )
+            await_hello(client)
+
+        monkeypatch.setattr(ShardClient, "_await_hello", recording)
+        with ShardSupervisor(_two_shard_specs(), config=TIGHT) as supervisor:
+            assert started_at_await == [[True, True], [True, True]]
+            assert supervisor.clients == launched
+            for shard in range(2):
+                assert supervisor.client(shard).request({"op": "ping"})["ok"]
+
+    @pytest.mark.parametrize("bad_index", [0, 1])
+    def test_failed_hello_reaps_every_started_worker(self, launched, bad_index):
+        # The bad worker answers its hello with a typed startup error;
+        # its sibling is either already serving (awaited first) or still
+        # building its slice (never awaited) — both must be reaped.
+        specs = _two_shard_specs()
+        specs[bad_index] = ShardSpec(
+            workload="no-such-workload",
+            dimension="Organization",
+            owned_members=specs[bad_index].owned_members,
+            shard_index=bad_index,
+            n_shards=2,
+        )
+        with pytest.raises(ShardError, match="unknown workload"):
+            ShardSupervisor(specs, config=TIGHT)
+        assert len(launched) == 2
+        for client in launched:
+            assert not client.process.is_alive()
+            assert client.process.exitcode is not None
+            assert client._conn.closed
 
 
 class TestRespawn:
