@@ -21,7 +21,7 @@ from repro.olap.cube import Cube
 from repro.olap.instances import VaryingDimension
 
 if TYPE_CHECKING:  # pragma: no cover - repro.obs imports the MDX stack, which imports this module
-    from repro.perf.rollup_index import LeafColumns
+    from repro.perf.rollup_index import LeafColumns, RollupIndex
 
 __all__ = ["select", "relocate", "split", "evaluate", "ChangeTuple", "ChangeRelation"]
 
@@ -96,8 +96,10 @@ def _project(
     ``dim_index`` replaced by ``out_coords[out_codes[k]]``; ``out_coords``
     extends the input column's coordinate list, so equal codes mean "not
     moved" and the input address is reused by identity.  Values are one
-    ``take``; coordinates new to the cube are validated once each.  The
-    output's rollup index is derived from the input's when it has one.
+    ``take``; coordinates new to the cube are validated once each.  When
+    the input has a rollup index the output's is derived from it and is
+    the output's leaf store (the address -> row map doubles as its id
+    map); otherwise the output is a plain-dict cube.
     Returns the cube and the number of moved cells.
     """
     in_addresses = cols.addresses
@@ -116,21 +118,24 @@ def _project(
         addr = addresses[k]
         addresses[k] = addr[:dim_index] + (out_coords[code],) + addr[after:]
     values = cols.values[rows]
-    leaf_cells = dict(zip(addresses, values.tolist()))
-    index = None
-    # two rows landing on one address (S over a cube whose instances
-    # clash) collapse in the dict; rows and leaves then no longer line up,
-    # so that output builds its index from the dict like any other cube
-    if cols.index is not None and len(leaf_cells) == len(addresses):
+    leaves: "dict | RollupIndex | None" = None
+    if cols.index is not None:
         assert cols.ids is not None
-        index = cols.index.derive(
-            cols.ids[rows],
-            addresses,
-            values,
-            {dim_index: (out_codes, out_coords)},
-            leaf_cells,
-        )
-    out = cube.adopt(leaf_cells, dict(cube.stored_derived_cells()), index)
+        id_of = dict(zip(addresses, range(len(addresses))))
+        # two rows landing on one address (S over a cube whose instances
+        # clash) collapse in a dict; rows and leaves then no longer line
+        # up, so that output is a dict cube, indexed like any other
+        if len(id_of) == len(addresses):
+            leaves = cols.index.derive(
+                cols.ids[rows],
+                addresses,
+                values,
+                {dim_index: (out_codes, out_coords)},
+                id_of,
+            )
+    if leaves is None:
+        leaves = dict(zip(addresses, values.tolist()))
+    out = cube.adopt(leaves, dict(cube.stored_derived_cells()))
     return out, len(moved)
 
 

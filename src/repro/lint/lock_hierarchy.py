@@ -86,24 +86,22 @@ class GuardSpec:
 THREAD_SHARED: dict[str, GuardSpec] = {
     "Cube": GuardSpec(
         "_lock",
-        ("_leaf_cells", "_stored_derived", "_version", "_rollup_index", "_frozen"),
+        # ``_leaf_cells`` is a dict until the cube is indexed, then a
+        # LeafView over ``_index``; the two are swapped together
+        ("_leaf_cells", "_stored_derived", "_version", "_index", "_frozen"),
     ),
     "RollupIndex": GuardSpec(
         "_lock",
+        # ``_struct`` is the structure generation shared with forks (id
+        # map, addresses, code columns, tables, liveness, mask cache):
+        # replaced or mutated only under the lock of the one live index
         (
-            "_id_of",
-            "_addrs",
-            "_codes",
-            "_tables",
-            "_live",
-            "_n_live",
+            "_struct",
+            "_struct_shared",
+            "_struct_copied",
             "_memo",
             "_memo_count",
             "_values",
-            "_bound",
-            "_ordered_arr",
-            "_mask_of",
-            "_struct_shared",
         ),
     ),
     "ScenarioCache": GuardSpec("_lock", ("_entries",)),

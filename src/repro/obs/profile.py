@@ -16,6 +16,10 @@ profiled from its ``serve.execute`` root instead, whose phases are the
 coordinator's: ``classify`` → ``scatter`` → ``gather`` → ``merge`` →
 ``local``, each rendered with its span attributes (owned / spanning /
 local cell counts, shards involved).
+A query that went through ``QueryService.submit`` also carries the
+``service.submit`` span tree of its admission (``submit``): the
+``cube.snapshot`` under it says whether the snapshot was a fork and what
+the writes since the previous one copied.
 ``validate_profile`` checks a serialized profile against
 :data:`PROFILE_SCHEMA` (a minimal JSON-Schema subset evaluated in-process
 so CI needs no extra dependency).
@@ -58,6 +62,9 @@ class QueryProfile:
     fault_events: dict[str, int] = field(default_factory=dict)
     #: full span tree (attrs, events, children) for deep dives
     spans: "dict[str, Any] | None" = None
+    #: the ``service.submit`` span tree of a query admitted by a
+    #: ``QueryService`` (it ran on the submitting thread, before the root)
+    submit: "dict[str, Any] | None" = None
 
     @property
     def phase_sum_ms(self) -> float:
@@ -111,6 +118,8 @@ class QueryProfile:
         }
         if self.spans is not None:
             payload["spans"] = self.spans
+        if self.submit is not None:
+            payload["submit"] = self.submit
         return payload
 
     def _operator_lines(self) -> list[str]:
@@ -145,6 +154,13 @@ class QueryProfile:
     def render(self) -> str:
         """Human-readable breakdown for ``repro query --profile``."""
         lines = ["query profile"]
+        if self.submit is not None:
+            lines.append(f"  {'submit':<9} {self.submit['duration_ms']:>10.3f}ms")
+            for child in self.submit.get("children", ()):
+                lines.append(
+                    f"    {child['name']} {child['duration_ms']:.3f}ms"
+                    f"{_format_attrs(child)}"
+                )
         for phase in PHASES:
             if phase in self.phases:
                 ms = self.phases[phase]
@@ -197,6 +213,7 @@ PROFILE_SCHEMA: dict[str, Any] = {
         "degradations": {"type": "array", "items": {"type": "object"}},
         "fault_events": {"type": "object", "values": {"type": "integer", "minimum": 0}},
         "spans": {"type": "object"},
+        "submit": {"type": "object"},
     },
 }
 

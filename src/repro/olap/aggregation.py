@@ -177,7 +177,10 @@ def reduce_array(name: str, values: np.ndarray, mode: str = "strict") -> CellVal
         # numpy's min/max propagate NaN instead, so guard on its presence.
         if np.isnan(values).any():
             return _sequential_extreme(values, want_min=name == "min")
-        return float(np.min(values) if name == "min" else np.max(values))
+        # the *first* extreme, like the streaming fold (a later equal value
+        # never replaces it) — np.min/np.max may return either zero of ±0.0
+        at = np.argmin(values) if name == "min" else np.argmax(values)
+        return float(values[at])
     raise RuleError(
         f"unknown aggregator {name!r}; expected one of {sorted(AGGREGATORS)}"
     )

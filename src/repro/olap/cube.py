@@ -10,22 +10,30 @@ leaf data hypothetically moves, while visual mode re-evaluates rules.
 
 Coordinate conventions are defined in :mod:`repro.olap.schema`.
 
-Rollup serving
---------------
-Derived-cell scopes are served by a lazily built
-:class:`~repro.perf.rollup_index.RollupIndex` (a column-wise build over
-the leaf cells, then O(|scope|) per query), maintained incrementally by
-:meth:`set_value`.  ``repro.perf.config.naive_mode()`` restores the
-pre-index full-scan path; both paths produce bit-identical values.  Every
-mutation bumps :attr:`version`, which the warehouse's scenario cache uses
-for invalidation.
+Leaf store and rollup serving
+-----------------------------
+A cube that was never asked for a derived value keeps its leaf cells in a
+plain ``dict`` — bulk loads pay one dict store per cell and nothing else.
+The first derived read, column read or snapshot builds a
+:class:`~repro.perf.rollup_index.RollupIndex` (column-wise, once), and
+from then on that index **is** the leaf store: the dict is dropped,
+``_leaf_cells`` becomes a read-only
+:class:`~repro.perf.rollup_index.LeafView` over the index's id map and
+value planes, and :meth:`Cube.set_value` writes the index and nothing
+beside it.  Derived-cell scopes are served from it at O(|scope|) per
+query, and :meth:`Cube.frozen_copy` is a fork of it — nothing
+proportional to the cube is copied.  ``repro.perf.config.naive_mode()``
+restores the pre-index full-scan path (over the dict or the view,
+whichever the cube has; it never builds an index); both paths produce
+bit-identical values.  Every mutation bumps :attr:`version`, which the
+warehouse's scenario cache uses for invalidation.
 
 Bulk transforms
 ---------------
 The what-if operators never write cells one by one: they read the leaf
 cells column-wise (:meth:`Cube.leaf_columns`), compute their output as an
-array program and hand the finished stores to :meth:`Cube.adopt`, together
-with a rollup index *derived* from the input's when it has one.
+array program and hand the finished leaf store to :meth:`Cube.adopt` — a
+rollup index *derived* from the input's when it has one, a dict otherwise.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeAlias
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.perf.rollup_index import LeafColumns, RollupIndex
+    from repro.perf.rollup_index import LeafColumns, LeafView, RollupIndex
 
 from repro.errors import RuleError, SnapshotImmutableError
 from repro.lint.lockdep import make_lock
@@ -61,12 +69,14 @@ class Cube:
     def __init__(self, schema: CubeSchema, rules: "object | None" = None) -> None:
         self.schema = schema
         self.rules = rules
-        self._leaf_cells: dict[Address, float] = {}
+        #: the leaf cells: a dict until the cube is indexed, then a
+        #: read-only view over the index (see the module docstring)
+        self._leaf_cells: "dict[Address, float] | LeafView" = {}
         self._stored_derived: dict[Address, float] = {}
         #: mutation counter; bumped by every write so caches keyed on it
         #: (scenario cache, rollup memo) can invalidate
         self._version = 0
-        self._rollup_index = None  # lazily built RollupIndex
+        self._index: "RollupIndex | None" = None  # lazily built
         #: serialises writers against each other (and against snapshot
         #: copies); readers stay lock-free — concurrent readers of a
         #: *mutating* cube use ``Warehouse.snapshot()`` views instead
@@ -113,20 +123,29 @@ class Cube:
         the source's ``version`` — it *is* that version, and the scenario
         cache keys on it.
 
-        A built rollup index is *forked*, not dropped: the snapshot gets a
-        copy-on-write clone (shared columns, plane-granular value sharing)
-        plus a warm memo, so the first query on a fresh snapshot pays no
-        index rebuild.  Lock order here is Cube._lock -> RollupIndex._lock,
-        as declared in the lint hierarchy.
+        The first snapshot builds this cube's rollup index (unless the
+        engine is off); every snapshot *forks* it — shared structure,
+        plane-granular value sharing, a warm memo — so nothing
+        proportional to the cube is copied and the first query on a fresh
+        snapshot pays no index build.  Lock order here is
+        Cube._lock -> RollupIndex._lock, as declared in the lint hierarchy.
         """
-        with self._lock:
+        from repro.obs.trace import trace_span  # repro.obs imports this module
+
+        with trace_span("cube.snapshot") as span, self._lock:
+            index = self.rollup_index() if self._use_index() else self._index
             clone = Cube(self.schema, self.rules)
-            clone._leaf_cells = dict(self._leaf_cells)
             clone._stored_derived = dict(self._stored_derived)
             clone._version = self._version
             clone._frozen = True
-            if self._rollup_index is not None:
-                clone._rollup_index = self._rollup_index.fork(clone._leaf_cells)
+            if span is not None:
+                span.set(forked=index is not None)
+            if index is None:
+                clone._leaf_cells = dict(self._leaf_cells)
+            else:
+                if span is not None:
+                    span.set(**index.writes_since_fork())
+                clone._rollup_index = index.fork()
             return clone
 
     def rollup_index(self) -> "RollupIndex":
@@ -136,55 +155,67 @@ class Cube:
         snapshot cube must not race to build two indexes (the loser's
         memo/stats would be silently discarded mid-use).
         """
-        index = self._rollup_index
+        index = self._index
         if index is None:
             from repro.perf.rollup_index import RollupIndex
 
             with self._lock:
-                index = self._rollup_index
+                index = self._index
                 if index is None:
                     index = RollupIndex.build(self)
                     self._rollup_index = index
         return index
 
     @property
+    def _rollup_index(self) -> "RollupIndex | None":
+        return self._index
+
+    @_rollup_index.setter
+    def _rollup_index(self, index: "RollupIndex") -> None:  # reprolint: locked
+        """Install ``index`` — which must hold exactly this cube's leaf
+        cells — as the leaf store: the dict (if any) is dropped."""
+        self._index = index
+        self._leaf_cells = index.leaf_view()
+
+    @property
     def has_rollup_index(self) -> bool:
-        return self._rollup_index is not None
+        return self._index is not None
 
     def _use_index(self) -> bool:
         return perf_config.engine_enabled()
 
     # -- write path ------------------------------------------------------------
 
-    def set_value(self, address: Sequence[str], value: object) -> None:
-        """Store a cell value; MISSING/None deletes the cell.
+    def _write(self, addr: Address, is_leaf: bool, value: object) -> bool:  # reprolint: locked
+        """Store one validated cell (MISSING/None deletes it) in the one
+        place it lives; ``False`` when nothing changed (the cell to delete
+        was absent)."""
+        index = self._index if is_leaf else None
+        store = self._leaf_cells if is_leaf else self._stored_derived
+        if is_missing(value):
+            if index is not None:
+                return index.remove_leaf(addr)
+            return store.pop(addr, None) is not None  # type: ignore[union-attr]
+        if index is not None:
+            index.set_leaf(addr, float(value))  # type: ignore[arg-type]
+        else:
+            store[addr] = float(value)  # type: ignore[arg-type,index]
+        return True
 
-        Writers serialise on the cube lock, so the version bump, the cell
-        write, and the incremental index maintenance commit as one unit —
-        a snapshot copy taken concurrently sees all of it or none.
+    def set_value(self, address: Sequence[str], value: object) -> None:
+        """Store a cell value; MISSING/None deletes the cell (deleting an
+        absent cell is not a mutation).
+
+        Writers serialise on the cube lock, so the version bump and the
+        cell write commit as one unit — a snapshot copy taken
+        concurrently sees all of it or none.
         """
         self._check_writable()
         addr = self.schema.validate_address(address)
         is_leaf = self.schema.is_leaf_address(addr)
         with self._lock:
-            store = self._leaf_cells if is_leaf else self._stored_derived
-            index = self._rollup_index
-            if is_missing(value):
-                if store.pop(addr, None) is None:
-                    return  # deleting an absent cell: not a mutation
+            if self._write(addr, is_leaf, value):
                 self._version += 1
-                if is_leaf and index is not None:
-                    index.remove_leaf(addr)
-            else:
-                existed = addr in store
-                fvalue = float(value)  # type: ignore[arg-type]
-                store[addr] = fvalue
-                self._version += 1
-                if is_leaf and index is not None:
-                    if existed:
-                        index.touch_value(addr, fvalue)
-                    else:
-                        index.add_leaf(addr, fvalue)
 
     def set(self, value: object, **coords: str) -> None:
         """Keyword-style :meth:`set_value` (``cube.set(10, Time="Jan", ...)``)."""
@@ -198,11 +229,11 @@ class Cube:
         self, cells: Iterable[tuple[Sequence[str], object]]
     ) -> None:
         """Bulk-apply cell overrides (MISSING/``None`` deletes) as *one*
-        mutation: a single version bump and one locked pass of index
-        maintenance, instead of a per-cell :meth:`set_value` round trip.
-        Scenario materialisation (:mod:`repro.catalog`) applies whole
-        deltas through this.  Deleting absent cells is a no-op and does
-        not bump the version, matching :meth:`set_value`.
+        mutation: a single version bump and one locked pass, instead of a
+        per-cell :meth:`set_value` round trip.  Scenario materialisation
+        (:mod:`repro.catalog`) applies whole deltas through this.
+        Deleting absent cells is a no-op and does not bump the version,
+        matching :meth:`set_value`.
         """
         self._check_writable()
         schema = self.schema
@@ -211,26 +242,9 @@ class Cube:
             addr = schema.validate_address(address)
             validated.append((addr, schema.is_leaf_address(addr), value))
         with self._lock:
-            index = self._rollup_index
             mutated = False
             for addr, is_leaf, value in validated:
-                store = self._leaf_cells if is_leaf else self._stored_derived
-                if is_missing(value):
-                    if store.pop(addr, None) is None:
-                        continue
-                    mutated = True
-                    if is_leaf and index is not None:
-                        index.remove_leaf(addr)
-                else:
-                    existed = addr in store
-                    fvalue = float(value)  # type: ignore[arg-type]
-                    store[addr] = fvalue
-                    mutated = True
-                    if is_leaf and index is not None:
-                        if existed:
-                            index.touch_value(addr, fvalue)
-                        else:
-                            index.add_leaf(addr, fvalue)
+                mutated |= self._write(addr, is_leaf, value)
             if mutated:
                 self._version += 1
 
@@ -247,8 +261,9 @@ class Cube:
     def value(self, address: Sequence[str]) -> CellValue:
         """The *stored* value of a cell (MISSING if not stored)."""
         addr = self.schema.validate_address(address)
-        if addr in self._leaf_cells:
-            return self._leaf_cells[addr]
+        value = self._leaf_cells.get(addr)
+        if value is not None:
+            return value
         return self._stored_derived.get(addr, MISSING)
 
     def at(self, **coords: str) -> CellValue:
@@ -261,10 +276,11 @@ class Cube:
         Leaf cells that are not stored are ⊥ by definition.
         """
         addr = self.schema.validate_address(address)
-        if addr in self._leaf_cells:
-            return self._leaf_cells[addr]
-        if addr in self._stored_derived:
-            return self._stored_derived[addr]
+        value = self._leaf_cells.get(addr)
+        if value is None:
+            value = self._stored_derived.get(addr)
+        if value is not None:
+            return value
         if self.schema.is_leaf_address(addr):
             # A leaf measure governed by a formula rule is still derived.
             if self.rules is not None and self.rules.has_rule_for(self, addr):
@@ -290,30 +306,20 @@ class Cube:
         addr = self.schema.validate_address(address)
         if self._use_index():
             return self.rollup_index().rollup(self._leaf_cells, addr, aggregator)
-        return aggregate(aggregator, self._scan_scope_values(addr))
+        return aggregate(aggregator, self.scope_values(addr))
 
     def scope_values(self, address: Sequence[str]) -> Iterator[float]:
         """Values of the leaf cells in a cell's scope."""
-        addr = self.schema.validate_address(address)
-        if self._use_index():
-            leaf = self._leaf_cells
-            for leaf_addr in self.rollup_index().scope_addresses(addr):
-                yield leaf[leaf_addr]
-            return
-        yield from self._scan_scope_values(addr)
-
-    def _scan_scope_values(self, addr: Address) -> Iterator[float]:
-        """The naive path: one full pass over all leaf cells."""
-        for leaf_addr, value in self._leaf_cells.items():
-            if self._address_under(leaf_addr, addr):
-                yield value
+        for _, value in self.scope_cells(address):
+            yield value
 
     def scope_cells(self, address: Sequence[str]) -> Iterator[tuple[Address, float]]:
         """(address, value) of leaf cells in a cell's scope."""
         addr = self.schema.validate_address(address)
         if self._use_index():
-            yield from self.rollup_index().iter_scope_cells(self._leaf_cells, addr)
+            yield from self.rollup_index().scope_cells(addr)
             return
+        # the naive path: one full pass over all leaf cells
         for leaf_addr, value in self._leaf_cells.items():
             if self._address_under(leaf_addr, addr):
                 yield leaf_addr, value
@@ -352,7 +358,7 @@ class Cube:
     def coordinates_used(self, dim_name: str) -> set[str]:
         """Distinct leaf-cell coordinates appearing on a dimension."""
         dim_index = self.schema.dim_index(dim_name)
-        index = self._rollup_index
+        index = self._index
         if index is not None and self._use_index():
             return set(index.coords_with_data(dim_index))
         return {addr[dim_index] for addr in self._leaf_cells}
@@ -362,7 +368,7 @@ class Cube:
         coordinate-code columns of the given dimensions — what the what-if
         operators read instead of iterating cells.  Served by the rollup
         index (built on first use); under ``naive_mode()`` the columns are
-        scanned off the leaf dict and no index is involved."""
+        scanned off the leaf mapping and no index is built."""
         if self._use_index():
             return self.rollup_index().columns(dim_indexes)
         from repro.perf.rollup_index import scan_columns
@@ -372,14 +378,14 @@ class Cube:
     # -- structure-preserving transforms -----------------------------------------
 
     def copy(self) -> "Cube":
-        # The rollup index is deliberately not carried over: the clone
-        # rebuilds it lazily, so the two cubes never share mutable state
-        # (ancestor verdicts are shared safely via the schema's cache).
-        # Copying a frozen cube yields a writable one — this is how a
-        # snapshot is thawed back into a scratch cube.
+        # The clone is a plain-dict cube: the rollup index is deliberately
+        # not carried over (it is rebuilt lazily), so the two cubes never
+        # share mutable state (ancestor verdicts are shared safely via the
+        # schema's cache).  Copying a frozen cube yields a writable one —
+        # this is how a snapshot is thawed back into a scratch cube.
         with self._lock:
             clone = Cube(self.schema, self.rules)
-            clone._leaf_cells = dict(self._leaf_cells)
+            clone._leaf_cells = self._leaf_cells.copy()
             clone._stored_derived = dict(self._stored_derived)
             return clone
 
@@ -388,23 +394,25 @@ class Cube:
 
     def adopt(
         self,
-        leaf_cells: dict[Address, float],
+        leaves: "dict[Address, float] | RollupIndex",
         stored_derived: dict[Address, float],
-        index: "RollupIndex | None" = None,
     ) -> "Cube":
         """New cube over this cube's schema and rules that takes ownership
-        of finished stores — the bulk entry point of the transforms.
+        of a finished leaf store — the bulk entry point of the transforms.
+        ``leaves`` is a dict of leaf cells or a rollup index that already
+        holds them (the cube is then indexed from the start).
 
         Nothing is validated per cell: the caller guarantees that every
-        key of ``leaf_cells`` is a leaf address of the schema with a float
-        value (it validates once per *distinct* new coordinate), that
-        ``stored_derived`` holds only non-leaf addresses, and that
-        ``index``, when given, was derived for exactly ``leaf_cells``.
+        leaf is a leaf address of the schema with a float value (it
+        validates once per *distinct* new coordinate) and that
+        ``stored_derived`` holds only non-leaf addresses.
         """
         clone = Cube(self.schema, self.rules)
-        clone._leaf_cells = leaf_cells
+        if isinstance(leaves, dict):
+            clone._leaf_cells = leaves
+        else:
+            clone._rollup_index = leaves
         clone._stored_derived = stored_derived
-        clone._rollup_index = index
         return clone
 
     def filter_dimension(

@@ -9,11 +9,10 @@ the whole grid in one pass with the per-cell work hoisted out:
   are applied positionally;
 * per-coordinate leafness is memoised, so the leaf/derived split of an
   address is O(n_dims) dict probes;
-* leaf cells are served from the rollup index's columnar value planes
-  whenever the leaf cube already carries an index (falling back to the
-  semantic dict otherwise — leaf-only grids never build an index just
-  for point reads); stored aggregates are read straight out of the
-  cube's dicts;
+* leaf cells are point reads of the leaf cube's store — the rollup
+  index's id map and value planes when the cube is indexed, its dict
+  otherwise (leaf-only grids never build an index just for point reads);
+  stored aggregates are read straight out of the cube's dict;
 * default-rollup derived cells are resolved **memo-first** against the
   :class:`~repro.perf.rollup_index.RollupIndex`: the index's live memo
   table answers repeat addresses with one lock-free dict probe before any
@@ -21,10 +20,12 @@ the whole grid in one pass with the per-cell work hoisted out:
   time intersecting scopes for cells whose value was already memoised);
 * memo misses are served as *axis planes* over the columnar kernel: when
   every column tuple binds the same dimensions (the overwhelmingly common
-  grid shape), each row's boolean scope mask is computed once and each
-  column's once per query, and a cell's scope is one vector AND + a
-  fancy-indexed plane gather (:meth:`RollupIndex.rollup_axes`) — instead
-  of per-cell set intersections and generator sums.
+  grid shape), each row's scope is resolved once to its ascending leaf
+  ids and each column's once per query to a boolean mask, and a cell's
+  scope is the row's ids filtered by the column's mask + one
+  fancy-indexed value gather (:meth:`RollupIndex.rollup_axes`) — work
+  proportional to the row, not to the id space, and no per-cell set
+  intersections or generator sums.
 
 Semantics are preserved exactly: cells are produced in row-major order,
 the ``mdx.cell`` failpoint fires once per *evaluated* cell in that order,
@@ -85,20 +86,18 @@ def evaluate_grid(
     base = [base_coords[d.name] for d in dims]
 
     leaf_cube, agg_cube = _split_view(view)
-    leaf_store = leaf_cube._leaf_cells
     leaf_stored_derived = leaf_cube._stored_derived
-    agg_leaf_store = agg_cube._leaf_cells
     agg_stored_derived = agg_cube._stored_derived
     leaf_rules = leaf_cube.rules
     agg_rules = agg_cube.rules
 
-    # Leaf point reads are routed through the columnar planes whenever the
-    # leaf cube already carries an index (the planes mirror exactly the
-    # dict the rollup kernel trusts); leaf-only grids never build an index
-    # just for this and keep reading the semantic dict.
-    leaf_read = None
+    # Leaf point reads: the index's lock-free reader when the leaf cube is
+    # indexed (the index is its leaf store), the dict otherwise —
+    # leaf-only grids never build an index just for this.
     if leaf_cube.has_rollup_index:
-        leaf_read = leaf_cube.rollup_index().leaf_reader(leaf_store)
+        leaf_read = leaf_cube.rollup_index().leaf_reader()
+    else:
+        leaf_read = leaf_cube._leaf_cells.get
 
     # the failpoint hook, bound once: its disarmed fast path is a single
     # dict probe, and skipping the module-level wrapper saves a call frame
@@ -142,7 +141,6 @@ def evaluate_grid(
     index = None  # built lazily: leaf-only grids never pay for it
     memo: "dict[Address, CellValue] | None" = None
     col_scopes: list = [None] * len(columns)
-    col_scope_ready = [False] * len(columns)
 
     stats = {"cells_evaluated": 0, "cells_skipped": 0, "indexed_rollups": 0}
     cells: list[list[CellValue]] = []
@@ -165,8 +163,7 @@ def evaluate_grid(
             row_leaf_outside = all(
                 row_flags[i] for i in range(n_dims) if i not in col_dims
             )
-            row_scope = None
-            row_scope_ready = False
+            row_ids = None
         if tracker is None:
             granted = len(columns)
         elif per_cell_charging:
@@ -200,10 +197,7 @@ def evaluate_grid(
                 )
 
             if is_leaf:
-                if leaf_read is not None:
-                    value = leaf_read(addr)
-                else:
-                    value = leaf_store.get(addr)
+                value = leaf_read(addr)
                 if value is None:
                     value = leaf_stored_derived.get(addr)
                 if value is None:
@@ -216,9 +210,8 @@ def evaluate_grid(
                 row_cells.append(value)
                 continue
 
-            value = agg_leaf_store.get(addr)
-            if value is None:
-                value = agg_stored_derived.get(addr)
+            # not a leaf address, so the leaf store cannot hold it
+            value = agg_stored_derived.get(addr)
             if value is not None:
                 row_cells.append(value)
                 continue
@@ -238,25 +231,19 @@ def evaluate_grid(
                 row_cells.append(value)
                 continue
             if plane_mode:
-                if not row_scope_ready:
-                    row_scope = index.axis_scope(
+                if row_ids is None:
+                    row_ids = index.axis_ids(
                         [
                             (i, row_addr[i])
                             for i in range(n_dims)
                             if i not in col_dims
                         ]
                     )
-                    row_scope_ready = True
-                if not col_scope_ready[j]:
+                if col_scopes[j] is None:
                     col_scopes[j] = index.axis_scope(col_patch)
-                    col_scope_ready[j] = True
-                row_cells.append(
-                    index.rollup_axes(
-                        agg_leaf_store, addr, row_scope, col_scopes[j]
-                    )
-                )
+                row_cells.append(index.rollup_axes(addr, row_ids, col_scopes[j]))
             else:
-                row_cells.append(index.rollup(agg_leaf_store, addr))
+                row_cells.append(index.rollup(agg_cube._leaf_cells, addr))
         cells.append(row_cells)
 
     stats["cells_skipped"] = cells_skipped

@@ -12,20 +12,23 @@ distinct coordinate, never per cell).  The scope mask of a queried
 coordinate is then one table lookup through the code column; a scope is
 ``mask & mask`` + ``np.flatnonzero`` (ascending ids == insertion order).
 
-Columnar kernel
----------------
-Leaf *values* are mirrored into a
+Leaf store
+----------
+Leaf *values* live in a
 :class:`~repro.storage.array_cube.ColumnarLeafStore` — chunked contiguous
 ``float64`` planes where plane row == leaf id.  Aggregation is one
-fancy-indexed gather per touched plane followed by
+fancy-indexed gather followed by
 :func:`~repro.olap.aggregation.reduce_array`.  In the default
 ``"strict"`` reduction mode the result is bit-identical to the naive dict
 scan; see :mod:`repro.perf.config`.
 
-The planes answer only for the mapping they mirror — the cube dict bound
-at build time (identity check per query).  ``Cube`` reports every write
-*with* its value, so the mirror cannot go stale; a query that hands in
-any other mapping is served from that mapping, cell by cell.
+An index that a cube has installed *is* that cube's leaf store: the cube
+keeps no address-keyed dict beside it, ``Cube._leaf_cells`` becomes a
+:class:`LeafView` over the id map and the planes, and ``Cube.set_value``
+writes here and nowhere else (:meth:`RollupIndex.set_leaf` /
+:meth:`RollupIndex.remove_leaf`).  An index built with
+:meth:`RollupIndex.build` and never installed is a point-in-time copy of
+the cube it was built from.
 
 Determinism
 -----------
@@ -35,20 +38,24 @@ ascending id order, which is exactly the iteration order of the naive
 on both paths, making indexed results bit-identical to naive results
 (the equivalence property tests assert this).  The invariant holds for
 every way an index comes to exist: :meth:`RollupIndex.build` (ids follow
-the dict), :meth:`RollupIndex.fork` (ids shared) and
+the dict), :meth:`RollupIndex.fork` (ids shared),
 :meth:`RollupIndex.derive` (ids follow the emission order of the
-operator that produced the cube).
+operator that produced the cube) and renumbering (relative order kept).
 
-Maintenance
------------
-The index is maintained *incrementally*: ``Cube.set_value`` notifies it
-of leaf insertions/deletions (one code per column, one plane row) and
-in-place value changes (plane write + rollup-memo flush).
-``Cube.frozen_copy`` *forks* the index: the columns, id maps and
-coordinate tables are shared copy-on-write at whole-index granularity —
-the live parent copies a handful of arrays before its first structural
-mutation — while value planes share at plane granularity through
-``ColumnarLeafStore.fork``.  The what-if operators (ρ, S) *derive* the
+Structure generations
+---------------------
+Everything that depends only on *which* leaves exist — id map, address
+list, code columns, coordinate tables, liveness, the ordered id array and
+the per-coordinate mask cache — is one :class:`_Structure` generation.
+``Cube.frozen_copy`` *forks* the index: the fork shares the generation
+(so a mask computed by one snapshot serves every later one) and shares
+the value planes copy-on-write at plane granularity through
+``ColumnarLeafStore.fork``.  A value write touches no structure.  An
+insert or delete on the live side first replaces a shared generation
+wholesale with a trimmed copy (forks never mutate, so they keep the old
+one); ids are never reused, and once dead ids outnumber live ones the
+next structural write renumbers, so churn cannot grow the id space past
+twice the cube.  The what-if operators (ρ, S) *derive* the
 index of their output from the input's: the unchanged dimensions' columns
 are permuted, the varying dimension's column is recoded, and the gathered
 values are bulk-loaded — no rebuild.  ``copy``/``filter_dimension``
@@ -58,13 +65,14 @@ derived read.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence, TypeAlias
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Sequence, TypeAlias
 
 import numpy as np
 
 from repro.lint.lockdep import make_lock
 from repro.obs.trace import trace_span
-from repro.olap.aggregation import aggregate, reduce_array
+from repro.olap.aggregation import reduce_array
 from repro.olap.missing import Missing
 from repro.perf import config as perf_config
 from repro.storage.array_cube import DEFAULT_PLANE_SIZE, ColumnarLeafStore
@@ -74,7 +82,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.olap.cube import Cube
     from repro.olap.schema import CubeSchema
 
-__all__ = ["LeafColumns", "RollupIndex", "scan_columns"]
+__all__ = ["LeafColumns", "LeafView", "RollupIndex", "scan_columns"]
 
 Address = tuple[str, ...]
 CellValue: TypeAlias = "float | Missing"
@@ -127,7 +135,8 @@ def _factorize(column: Sequence[str]) -> Column:
 def scan_columns(
     leaf_cells: Mapping[Address, float], dims: Sequence[int]
 ) -> LeafColumns:
-    """Read :class:`LeafColumns` straight off a leaf dict (no index): the
+    """Read :class:`LeafColumns` straight off a leaf mapping (a dict or a
+    :class:`LeafView`; no index is consulted for the coordinates): the
     requested coordinate columns are factorised in one pass each."""
     addresses = list(leaf_cells)
     values = np.fromiter(
@@ -193,66 +202,163 @@ class _CoordTable:
             self.n_under[ancestor] -= 1
 
 
-def _grown(array: np.ndarray, capacity: int) -> np.ndarray:
-    out = np.zeros(capacity, dtype=array.dtype)
-    out[: len(array)] = array
+def _with_headroom(array: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` entries of ``array`` in a fresh array with an
+    eighth (plus a few) spare slots — appends stay amortised O(1) while a
+    column never carries more than that past the id space."""
+    out = np.zeros(n + (n >> 3) + 8, dtype=array.dtype)
+    out[:n] = array[:n]
     return out
+
+
+def _ids_in_column(row_ids: np.ndarray, col_scope: AxisScope) -> np.ndarray:
+    """The ids of an ascending row scope that a column scope keeps."""
+    col_empty, col_mask = col_scope
+    if col_empty:
+        return _EMPTY_IDS
+    return row_ids if col_mask is None else row_ids[col_mask[row_ids]]
+
+
+@dataclass(slots=True, eq=False)
+class _Structure:
+    """One generation of an index's structure: everything that depends
+    only on *which* leaves exist, never on their values.
+
+    ``addrs`` maps leaf id -> address (``_DELETED`` once deleted; its
+    length is the size of the id space) and ``id_of`` back; ``codes`` holds
+    per dimension the int32 coordinate code of every leaf id and ``live``
+    their liveness (both may carry spare capacity past the id space);
+    ``tables`` are the per-dimension :class:`_CoordTable`.
+
+    A live index and its forks share one generation.  Forks never write;
+    the live index mutates a generation in place only while no fork
+    shares it and otherwise replaces it with :meth:`copy` first.  The
+    three caches — ``id_of`` (``None`` until a point read or write needs
+    it; most scenario views never do), ``ordered`` (ascending live ids)
+    and ``masks`` ((dim_index, coord) -> boolean mask over the id space)
+    — are filled lazily by whichever index asks first: every filler
+    computes the same value and the store is one attribute or dict
+    assignment, atomic under the GIL, so a mask computed for one
+    snapshot serves all later ones.
+    """
+
+    addrs: list[Address]
+    codes: list[np.ndarray]
+    tables: list[_CoordTable]
+    live: np.ndarray
+    n_live: int
+    id_of: "dict[Address, int] | None" = None
+    ordered: "np.ndarray | None" = None
+    masks: dict[tuple[int, str], np.ndarray] = field(default_factory=dict)
+
+    def copy(self) -> "_Structure":
+        """A private generation for a structural write: same ids, columns
+        trimmed to the id space plus headroom, caches empty (the write is
+        about to invalidate them)."""
+        n = len(self.addrs)
+        return _Structure(
+            list(self.addrs),
+            [_with_headroom(codes, n) for codes in self.codes],
+            [table.copy() for table in self.tables],
+            _with_headroom(self.live, n),
+            self.n_live,
+            None if self.id_of is None else dict(self.id_of),
+        )
+
+
+class LeafView(Mapping[Address, float]):
+    """The leaf cells of an indexed cube as a read-only mapping — what
+    ``Cube._leaf_cells`` is once the cube's rollup index is its leaf
+    store.  Iteration is insertion order (ascending leaf id), like the
+    dict it replaces; bulk reads (``items``/``values``/``copy``) are one
+    column gather, point reads one id-map probe plus one plane read under
+    the index lock.  The view holds the index, never the other way round."""
+
+    __slots__ = ("_index",)
+
+    def __init__(self, index: "RollupIndex") -> None:
+        self._index = index
+
+    def get(self, addr: Address, default: object = None) -> object:
+        """The value stored at ``addr`` (a stored NaN reads back as NaN —
+        liveness, not the value, says whether a leaf exists)."""
+        index = self._index
+        id_of = index._struct.id_of
+        if id_of is not None and addr not in id_of:
+            # lock-free: an insert publishes its id last, so a miss was true
+            # a moment ago — and most probes (derived addresses) are misses
+            return default
+        with index._lock:
+            ident = index._ids().get(addr)
+            return default if ident is None else index._values.get(ident)
+
+    def __getitem__(self, addr: Address) -> float:
+        value = self.get(addr)
+        if value is None:
+            raise KeyError(addr)
+        return value  # type: ignore[return-value]
+
+    def __len__(self) -> int:
+        return self._index.n_leaves
+
+    def __iter__(self) -> Iterator[Address]:
+        return iter(self._index.columns(()).addresses)
+
+    def values(self) -> list[float]:  # type: ignore[override]
+        return self._index.columns(()).values.tolist()
+
+    def items(self) -> list[tuple[Address, float]]:  # type: ignore[override]
+        columns = self._index.columns(())
+        return list(zip(columns.addresses, columns.values.tolist()))
+
+    def copy(self) -> dict[Address, float]:
+        """A plain dict of the leaf cells (``dict.copy`` for a view)."""
+        return dict(self.items())
 
 
 class RollupIndex:
     """Per-dimension coordinate-code columns over the leaf-cell id space.
 
-    Thread-safety: one reentrant lock guards both incremental maintenance
-    (column/id/plane mutation from ``Cube.set_value``) and the query paths
-    that read columns or the rollup memo.  Queries on *frozen* snapshot
-    cubes never contend with maintenance (a frozen cube cannot mutate), so
-    the lock there is uncontended overhead only; for a live cube it makes
-    interleaved query/mutation safe.  The one sanctioned lock-free read is
-    the memo probe through :meth:`memo_table` — a single dict ``get`` on a
-    table that is only ever cleared in place (atomic under the GIL).
+    Thread-safety: one reentrant lock guards both maintenance (structure
+    and plane mutation from ``Cube.set_value``) and the query paths that
+    read columns or the rollup memo.  Queries on *frozen* snapshot cubes
+    never contend with maintenance (a frozen cube cannot mutate), so the
+    lock there is uncontended overhead only; for a live cube it makes
+    interleaved query/mutation safe.  The sanctioned lock-free reads are
+    the memo probe through :meth:`memo_table` — a single dict ``get`` on
+    a table that is only ever cleared in place (atomic under the GIL) —
+    the point reads of :meth:`leaf_reader`, and the miss of
+    :meth:`LeafView.get`.
     """
 
     def __init__(self, schema: "CubeSchema", *, plane_size: "int | None" = None) -> None:
         self.schema = schema
         self._plane_size = DEFAULT_PLANE_SIZE if plane_size is None else plane_size
+        #: memo and build counters; a fork shares its parent's, so the
+        #: numbers describe the cube however many snapshots served it
         self.stats = CacheStats()
         self._lock = make_lock("RollupIndex._lock")
-        #: address -> leaf id, for point maintenance and point reads; a
-        #: bulk-loaded index leaves it ``None`` until first needed (see
-        #: :meth:`_ids`) — most scenario views never are
-        self._id_of: "dict[Address, int] | None" = {}
-        #: leaf id -> address (``_DELETED`` once deleted); its length is
-        #: the size of the id space
-        self._addrs: list[Address] = []
-        #: per dimension: int32 coordinate code of every leaf id (arrays
-        #: may carry spare capacity past the id space)
-        self._codes: list[np.ndarray] = [
-            np.empty(0, dtype=np.int32) for _ in range(schema.n_dims)
-        ]
-        self._tables: list[_CoordTable] = [
-            _CoordTable(schema, i, [], ()) for i in range(schema.n_dims)
-        ]
-        #: liveness of every leaf id (same capacity as the code columns)
-        self._live = np.empty(0, dtype=np.bool_)
-        self._n_live = 0
+        self._struct = _Structure(
+            [],
+            [np.empty(0, dtype=np.int32) for _ in range(schema.n_dims)],
+            [_CoordTable(schema, i, [], ()) for i in range(schema.n_dims)],
+            np.empty(0, dtype=np.bool_),
+            0,
+            {},
+        )
+        #: True while ``_struct`` is shared with a fork; the next
+        #: structural write replaces it first
+        self._struct_shared = False
+        #: whether a structural write replaced the generation since the
+        #: last fork (reported by the ``cube.snapshot`` span)
+        self._struct_copied = False
         # (aggregator, reduction mode) -> {address: value}; inner tables
         # are cleared *in place* on invalidation so refs handed out via
         # memo_table() stay live
         self._memo: dict[tuple[str, str], dict[Address, CellValue]] = {}
         self._memo_count = 0
-        # -- columnar kernel state ------------------------------------------
-        #: leaf values mirrored as chunked planes; plane row == leaf id
+        #: leaf values as chunked planes; plane row == leaf id
         self._values = ColumnarLeafStore(self._plane_size)
-        #: the cube dict the planes mirror (identity-checked per query)
-        self._bound: "Mapping[Address, float] | None" = None
-        #: ascending live leaf ids, recomputed after a structural change
-        self._ordered_arr: "np.ndarray | None" = None
-        #: (dim_index, coord) -> boolean mask over the id space; dropped
-        #: wholesale on any structural change
-        self._mask_of: dict[tuple[int, str], np.ndarray] = {}
-        #: True while structure (id maps, columns, tables) is shared with
-        #: a fork; the first structural mutation copies it
-        self._struct_shared = False
 
     @classmethod
     def _from_columns(
@@ -261,26 +367,27 @@ class RollupIndex:
         addresses: list[Address],
         columns: Sequence[Column],
         values: np.ndarray,
-        bound: "Mapping[Address, float]",
         plane_size: "int | None",
+        id_of: "dict[Address, int] | None" = None,
     ) -> "RollupIndex":
         # leaf id == row: every row is a live leaf, ``columns`` has one
         # (codes, coords) pair per schema dimension
         index = cls(schema, plane_size=plane_size)
         n = len(addresses)
-        index._addrs = addresses
-        index._id_of = None
-        index._codes = [codes for codes, _ in columns]
-        index._tables = [
-            _CoordTable(
-                schema, i, coords, np.bincount(codes, minlength=len(coords)).tolist()
-            )
-            for i, (codes, coords) in enumerate(columns)
-        ]
-        index._live = np.ones(n, dtype=np.bool_)
-        index._n_live = n
+        index._struct = _Structure(
+            addresses,
+            [codes for codes, _ in columns],
+            [
+                _CoordTable(
+                    schema, i, coords, np.bincount(codes, minlength=len(coords)).tolist()
+                )
+                for i, (codes, coords) in enumerate(columns)
+            ],
+            np.ones(n, dtype=np.bool_),
+            n,
+            id_of,
+        )
         index._values = ColumnarLeafStore.from_values(values, index._plane_size)
-        index._bound = bound
         return index
 
     @classmethod
@@ -296,7 +403,6 @@ class RollupIndex:
                 cols.addresses,
                 [(cols.codes[dim], cols.coords[dim]) for dim in range(n_dims)],
                 cols.values,
-                cube._leaf_cells,
                 plane_size,
             )
             index.stats.builds += 1
@@ -311,8 +417,9 @@ class RollupIndex:
         coordinate columns of ``dims`` — one consistent read under the
         index lock."""
         with self._lock:
+            struct = self._struct
             ids = self._ordered_array()
-            addrs = self._addrs
+            addrs = struct.addrs
             if len(ids) == len(addrs):
                 addresses = list(addrs)
             else:
@@ -320,8 +427,8 @@ class RollupIndex:
             return LeafColumns(
                 addresses,
                 self._values.gather(ids),
-                {dim: self._codes[dim][ids] for dim in dims},
-                {dim: list(self._tables[dim].coords) for dim in dims},
+                {dim: struct.codes[dim][ids] for dim in dims},
+                {dim: list(struct.tables[dim].coords) for dim in dims},
                 self,
                 ids,
             )
@@ -332,112 +439,165 @@ class RollupIndex:
         addresses: list[Address],
         values: np.ndarray,
         recoded: Mapping[int, Column],
-        bound: "Mapping[Address, float]",
+        id_of: "dict[Address, int] | None" = None,
     ) -> "RollupIndex":
         """The index of a cube whose leaf ``k`` is this index's leaf
-        ``ids[k]`` moved to ``addresses[k]`` with value ``values[k]``.
+        ``ids[k]`` moved to ``addresses[k]`` with value ``values[k]``
+        (``id_of`` maps each address back to its ``k`` when the caller
+        already has that map).
 
         Only the dimensions in ``recoded`` changed coordinate (their new
         ``(codes, coords)`` columns are given); every other column is this
         index's own, permuted by ``ids``.  Output leaf ids are the output
-        rows, so ascending id == the operator's emission order.  Leaf ids
-        are never reused and a leaf's codes never change, so the read is
-        consistent with the :meth:`columns` call that produced ``ids``
-        even if this index has been mutated since.
+        rows, so ascending id == the operator's emission order.  A leaf's
+        codes never change, so the read is consistent with the
+        :meth:`columns` call that produced ``ids`` as long as no
+        structural write came between the two (the operators run on
+        snapshots and scenario views, which have none).
         """
         with trace_span("rollup_index.derive") as span, self._lock:
+            struct = self._struct
             columns = [
                 recoded[dim]
                 if dim in recoded
-                else (self._codes[dim][ids], list(self._tables[dim].coords))
+                else (struct.codes[dim][ids], list(struct.tables[dim].coords))
                 for dim in range(self.schema.n_dims)
             ]
             child = RollupIndex._from_columns(
-                self.schema, addresses, columns, values, bound, self._plane_size
+                self.schema, addresses, columns, values, self._plane_size, id_of
             )
             if span is not None:
-                span.set(leaves_in=self._n_live, leaves_out=len(addresses))
+                span.set(leaves_in=struct.n_live, leaves_out=len(addresses))
         return child
 
     def coords_with_data(self, dim_index: int) -> list[str]:
         """Distinct leaf coordinates on one dimension that hold a leaf."""
         with self._lock:
-            n_under = self._tables[dim_index].n_under
-            return [c for c in self._tables[dim_index].coords if n_under[c]]
+            table = self._struct.tables[dim_index]
+            n_under = table.n_under
+            return [c for c in table.coords if n_under[c]]
 
-    # -- maintenance ------------------------------------------------------------
+    # -- the leaf store: writes, point reads, the mapping view --------------------
 
     def _ids(self) -> dict[Address, int]:  # reprolint: locked
-        id_of = self._id_of
+        struct = self._struct
+        id_of = struct.id_of
         if id_of is None:
-            id_of = {addr: i for i, addr in enumerate(self._addrs) if addr}
-            self._id_of = id_of
+            id_of = {addr: i for i, addr in enumerate(struct.addrs) if addr}
+            struct.id_of = id_of
         return id_of
 
-    def _insert(self, addr: Address, value: float) -> None:  # reprolint: locked
-        ident = len(self._addrs)
-        if ident == len(self._live):
-            capacity = max(16, 2 * ident)
-            self._codes = [_grown(codes, capacity) for codes in self._codes]
-            self._live = _grown(self._live, capacity)
-        self._ids()[addr] = ident
-        self._addrs.append(addr)
-        self._live[ident] = True
-        self._n_live += 1
-        self._values.append(value)  # plane row == ident by construction
-        chain = self.schema.ancestor_chain
-        for i, coord in enumerate(addr):
-            self._codes[i][ident] = self._tables[i].add_leaf(coord, chain(i, coord))
-
-    def _unshare_structure(self) -> None:  # reprolint: locked
-        # called under self._lock before any structural mutation
-        if not self._struct_shared:
-            return
-        if self._id_of is not None:
-            self._id_of = dict(self._id_of)
-        self._addrs = list(self._addrs)
-        self._codes = [codes.copy() for codes in self._codes]
-        self._tables = [table.copy() for table in self._tables]
-        self._live = self._live.copy()
+    def _writable_structure(self) -> _Structure:  # reprolint: locked
+        """The generation a structural write may mutate.  Dead ids that
+        outnumber the live ones are squeezed out first; a
+        generation shared with forks is replaced by a private copy; one
+        that is already private only loses the caches that describe the
+        old id space."""
+        struct = self._struct
+        if len(struct.addrs) - struct.n_live > struct.n_live:
+            struct = self._renumbered()
+        elif self._struct_shared:
+            struct = struct.copy()
+        else:
+            struct.masks.clear()
+            struct.ordered = None
+            return struct
+        self._struct = struct
         self._struct_shared = False
+        self._struct_copied = True
+        return struct
 
-    def _structural_change(self) -> None:  # reprolint: locked
-        # mask + ordered-array caches describe the old id space
-        self._mask_of.clear()
-        self._ordered_arr = None
+    def _renumbered(self) -> _Structure:  # reprolint: locked
+        """A generation (and value store) without the dead ids: live
+        leaves keep their relative order, so ascending id is still
+        insertion order and strict reductions are unchanged."""
+        dims = range(self.schema.n_dims)
+        cols = self.columns(dims)
+        fresh = RollupIndex._from_columns(
+            self.schema,
+            cols.addresses,
+            [(cols.codes[dim], cols.coords[dim]) for dim in dims],
+            cols.values,
+            self._plane_size,
+        )
+        self._values = fresh._values
+        return fresh._struct
 
-    def add_leaf(self, addr: Address, value: float) -> None:
-        """A leaf cell was inserted at ``addr`` with ``value``."""
+    def set_leaf(self, addr: Address, value: float) -> None:
+        """Store ``value`` at leaf ``addr``: a plane write when the leaf
+        exists (no structure is touched), an insert at the next id
+        otherwise.  Either way the memo is flushed."""
         with self._lock:
-            self._unshare_structure()
-            self._structural_change()
-            self._insert(addr, value)
+            ident = self._ids().get(addr)
+            if ident is not None:
+                self._values.update(ident, value)
+            else:
+                struct = self._writable_structure()
+                ident = len(struct.addrs)
+                if ident == len(struct.live):
+                    struct.codes = [_with_headroom(c, ident) for c in struct.codes]
+                    struct.live = _with_headroom(struct.live, ident)
+                chain = self.schema.ancestor_chain
+                for i, coord in enumerate(addr):
+                    struct.codes[i][ident] = struct.tables[i].add_leaf(
+                        coord, chain(i, coord)
+                    )
+                self._values.append(value)  # plane row == ident by construction
+                struct.addrs.append(addr)
+                struct.live[ident] = True
+                struct.n_live += 1
+                # published last: a lock-free point reader that finds the
+                # id finds its plane row
+                self._ids()[addr] = ident
             self._flush_memo()
 
-    def remove_leaf(self, addr: Address) -> None:
-        """The leaf cell at ``addr`` was deleted."""
+    def remove_leaf(self, addr: Address) -> bool:
+        """Delete the leaf at ``addr``; ``False`` when there is none (not
+        a mutation).  Its id is not reused."""
         with self._lock:
             if addr not in self._ids():
-                return
-            self._unshare_structure()
-            self._structural_change()
+                return False
+            struct = self._writable_structure()
             ident = self._ids().pop(addr)
-            self._addrs[ident] = _DELETED
-            self._live[ident] = False
-            self._n_live -= 1
+            struct.addrs[ident] = _DELETED
+            struct.live[ident] = False
+            struct.n_live -= 1
             self._values.delete(ident)
             chain = self.schema.ancestor_chain
             for i, coord in enumerate(addr):
-                self._tables[i].remove_leaf(chain(i, coord))
+                struct.tables[i].remove_leaf(chain(i, coord))
             self._flush_memo()
+            return True
 
-    def touch_value(self, addr: Address, value: float) -> None:
-        """A leaf value changed in place to ``value``: write the plane row
-        through and flush the memo; the columns are untouched (they store
-        coordinates, not values)."""
-        with self._lock:
-            self._values.update(self._ids()[addr], value)
-            self._flush_memo()
+    def leaf_view(self) -> LeafView:
+        """This index as the read-only leaf mapping of its cube."""
+        return LeafView(self)
+
+    def leaf_reader(self) -> "object":
+        """A point-read callable for grid evaluation: address -> value
+        (``None`` = absent) without taking the index lock per read.
+
+        Like :meth:`memo_table`, it snapshots the id map and the value
+        store once under the lock (on its first read, so a grid that
+        reads no leaf never materialises the id map); in-place value
+        updates show through (planes are written in place), and
+        grid-scoped callers re-fetch per query, so its staleness profile
+        matches the live memo table's.
+        """
+        id_get = values_get = None
+
+        def read(addr: Address) -> "float | None":
+            nonlocal id_get, values_get
+            if id_get is None:
+                with self._lock:
+                    values_get = self._values.get
+                    id_get = self._ids().get
+            ident = id_get(addr)
+            if ident is None:
+                return None
+            return values_get(ident)
+
+        return read
 
     def _flush_memo(self) -> None:  # reprolint: locked
         for table in self._memo.values():
@@ -446,34 +606,33 @@ class RollupIndex:
 
     # -- fork (snapshot copy-on-write) -------------------------------------------
 
-    def fork(self, bound: "Mapping[Address, float] | None" = None) -> "RollupIndex":
+    def writes_since_fork(self) -> dict[str, object]:
+        """What the writes since the previous fork cost: whether one
+        replaced the structure generation, and how many value planes were
+        copied (the ``cube.snapshot`` span's attributes)."""
+        with self._lock:
+            return {
+                "structure_copied": self._struct_copied,
+                "planes_copied": self._values.planes_copied,
+            }
+
+    def fork(self) -> "RollupIndex":
         """A copy-on-write clone for a snapshot cube.
 
-        Structure (id maps, code columns, coordinate tables, liveness) is
-        shared until the *live* side's next structural mutation (the
-        frozen clone never mutates); value planes share at plane
-        granularity through :meth:`ColumnarLeafStore.fork`.  ``bound`` is
-        the clone cube's leaf dict — the mapping the clone's planes now
-        mirror.
+        The structure generation is shared until the *live* side's next
+        structural write (the frozen clone never mutates); value planes
+        share at plane granularity through :meth:`ColumnarLeafStore.fork`;
+        the counters are shared for good.
         """
         with self._lock:
             clone = RollupIndex(self.schema, plane_size=self._plane_size)
-            clone._id_of = self._id_of
-            clone._addrs = self._addrs
-            clone._codes = self._codes
-            clone._tables = self._tables
-            clone._live = self._live
-            clone._n_live = self._n_live
-            clone._ordered_arr = self._ordered_arr
-            clone._mask_of = dict(self._mask_of)
-            clone._values = self._values.fork()
-            clone._bound = bound if bound is not None else self._bound
-            clone._memo = {
-                key: dict(table) for key, table in self._memo.items()
-            }
+            clone.stats = self.stats
+            clone._struct = self._struct
+            clone._struct_shared = self._struct_shared = True
+            self._struct_copied = False
+            clone._memo = {key: dict(table) for key, table in self._memo.items()}
             clone._memo_count = self._memo_count
-            clone._struct_shared = True
-            self._struct_shared = True
+            clone._values = self._values.fork()
             return clone
 
     # -- memo -------------------------------------------------------------------
@@ -506,58 +665,11 @@ class RollupIndex:
         """Record a lock-free memo probe hit (stats only)."""
         self.stats.hits += 1
 
-    def leaf_reader(
-        self, leaf_cells: Mapping[Address, float]
-    ) -> "object | None":
-        """A plane-backed point-read callable for leaf cells, or ``None``
-        when the planes cannot answer for ``leaf_cells`` (the index is
-        bound to a different mapping).
-
-        The callable maps an address to its value (``None`` = absent,
-        NaN reads back as NaN — the liveness bitmap distinguishes the
-        two) without taking the index lock.  Like :meth:`memo_table`,
-        it snapshots the id structure once under the lock (on its first
-        read, so a grid that reads no leaf never materialises the id
-        map); in-place value updates show through (planes are written in
-        place), and grid-scoped callers re-fetch per query, so its
-        staleness profile matches the live memo table's.
-        """
-        with self._lock:
-            if leaf_cells is not self._bound:
-                return None
-            values_get = self._values.get
-        id_of: "dict[Address, int] | None" = None
-
-        def read(addr: Address) -> "float | None":
-            nonlocal id_of
-            if id_of is None:
-                with self._lock:
-                    id_of = self._ids()
-            ident = id_of.get(addr)
-            if ident is None:
-                return None
-            return values_get(ident)
-
-        return read
-
-    def leaf_arrays(
-        self, leaf_cells: Mapping[Address, float]
-    ) -> "tuple[list[Address], np.ndarray] | None":
-        """Every leaf cell as ``(addresses, values)`` in insertion order,
-        the values served by one vectorized plane gather instead of a
-        per-cell dict scan.  ``None`` when the planes cannot answer for
-        ``leaf_cells`` (see :meth:`leaf_reader`)."""
-        with self._lock:
-            if leaf_cells is not self._bound:
-                return None
-            columns = self.columns(())
-            return columns.addresses, columns.values
-
     # -- queries ----------------------------------------------------------------
 
     @property
     def n_leaves(self) -> int:
-        return self._n_live
+        return self._struct.n_live
 
     def coord_count(self, dim_index: int, coord: str) -> int:
         """Number of leaves under ``coord`` on one dimension.
@@ -566,7 +678,7 @@ class RollupIndex:
         :class:`~repro.errors.MemberNotFoundError`, matching the contract
         of the hierarchy lookup the naive scan performs.
         """
-        count = self._tables[dim_index].n_under.get(coord, 0)
+        count = self._struct.tables[dim_index].n_under.get(coord, 0)
         if count == 0:
             dimension = self.schema.dimensions[dim_index]
             if not self.schema.is_varying(dimension.name):
@@ -574,34 +686,35 @@ class RollupIndex:
         return count
 
     def _ordered_array(self) -> np.ndarray:  # reprolint: locked
-        arr = self._ordered_arr
+        struct = self._struct
+        arr = struct.ordered
         if arr is None:
-            arr = np.flatnonzero(self._live[: len(self._addrs)])
-            self._ordered_arr = arr
+            arr = struct.ordered = np.flatnonzero(struct.live[: len(struct.addrs)])
         return arr
 
     def _rolls_up(self, dim_index: int, coord: str) -> np.ndarray:  # reprolint: locked
         # per coordinate *code* of the dimension: does it roll up to ``coord``
-        table = self._tables[dim_index]
+        table = self._struct.tables[dim_index]
         rolls_up = np.zeros(len(table.coords), dtype=np.bool_)
         rolls_up[table.under.get(coord, [])] = True
         return rolls_up
 
     def _coord_mask(self, dim_index: int, coord: str) -> np.ndarray:  # reprolint: locked
         # under self._lock; the coordinate is known to hold leaves
+        struct = self._struct
         key = (dim_index, coord)
-        mask = self._mask_of.get(key)
+        mask = struct.masks.get(key)
         if mask is None:
-            n = len(self._addrs)
-            mask = self._rolls_up(dim_index, coord)[self._codes[dim_index][:n]]
-            if self._n_live != n:
-                mask &= self._live[:n]
-            self._mask_of[key] = mask
+            n = len(struct.addrs)
+            mask = self._rolls_up(dim_index, coord)[struct.codes[dim_index][:n]]
+            if struct.n_live != n:
+                mask &= struct.live[:n]
+            struct.masks[key] = mask
         return mask
 
     def _scope_mask(self, pairs: Sequence[tuple[int, str]]) -> AxisScope:
         # under self._lock: AND of the constraining coordinates' masks
-        n = self._n_live
+        n = self._struct.n_live
         if n == 0:
             return True, None
         combined: "np.ndarray | None" = None
@@ -615,19 +728,22 @@ class RollupIndex:
             combined = mask if combined is None else combined & mask
         return False, combined
 
-    def _scope_ids_array(self, address: Sequence[str]) -> np.ndarray:
-        # under self._lock: ascending leaf ids of a full-address scope
-        empty, mask = self._scope_mask(list(enumerate(address)))
+    def _scope_ids_array(self, pairs: Sequence[tuple[int, str]]) -> np.ndarray:
+        # under self._lock: ascending leaf ids under every (dim, coord)
+        empty, mask = self._scope_mask(pairs)
         if empty:
             return _EMPTY_IDS
         if mask is None:
             return self._ordered_array()
         return np.flatnonzero(mask)
 
+    def _address_ids(self, address: Sequence[str]) -> np.ndarray:  # reprolint: locked
+        return self._scope_ids_array(list(enumerate(address)))
+
     def scope_ids(self, address: Sequence[str]) -> list[int]:
         """Ids of the leaf cells in a cell's scope, in insertion order."""
         with self._lock:
-            return [int(i) for i in self._scope_ids_array(address)]
+            return self._address_ids(address).tolist()
 
     def axis_scope(self, pairs: Sequence[tuple[int, str]]) -> AxisScope:
         """The scope of some (dim_index, coord) pairs as a mask.
@@ -635,67 +751,64 @@ class RollupIndex:
         Returns ``(empty, mask)``: ``empty=True`` means provably no leaf
         matches; otherwise the mask is a boolean vector over the id space
         (``None`` = no constraint, every leaf matches).  Masks are cached
-        per coordinate and combined with ``&``, so a grid's row plane is
-        one vector AND per row instead of a set intersection per cell.
-        The returned mask may alias a cached one — callers must not
-        mutate it.
+        per coordinate and combined with ``&``.  The returned mask may
+        alias a cached one — callers must not mutate it.
         """
         with self._lock:
             return self._scope_mask(pairs)
 
+    def axis_ids(self, pairs: Sequence[tuple[int, str]]) -> np.ndarray:
+        """The scope of some (dim_index, coord) pairs as its ascending
+        leaf ids — a grid row resolves this once and every cell of the
+        row tests its column over these ids only (:meth:`rollup_axes`).
+        Callers must not mutate the array."""
+        with self._lock:
+            return self._scope_ids_array(pairs)
+
+    def _reduced(
+        self, address: Address, aggregator: str, scope_ids: "Callable[..., np.ndarray]", *scope: object
+    ) -> CellValue:  # reprolint: locked
+        # the memoised value of ``address``, else the reduction of the
+        # leaves at ``scope_ids(*scope)`` (ascending), memoised
+        mode = perf_config.reduction_mode()
+        table = self._memo_for(aggregator, mode)
+        if address in table:
+            self.stats.hits += 1
+            return table[address]
+        self.stats.misses += 1
+        value = reduce_array(aggregator, self._values.gather(scope_ids(*scope)), mode)
+        self._memo_put(table, address, value)
+        return value
+
     def rollup_axes(
         self,
-        leaf_cells: Mapping[Address, float],
         address: Address,
-        row_scope: AxisScope,
+        row_ids: np.ndarray,
         col_scope: AxisScope,
         aggregator: str = "sum",
     ) -> CellValue:
-        """Aggregate the intersection of two :meth:`axis_scope` planes,
-        memoised per (address, aggregator, reduction mode).  Ids resolve
-        in ascending order (``np.flatnonzero``), so strict-mode results
-        are bit-identical to the naive scan."""
+        """Aggregate the leaves of a row scope (:meth:`axis_ids`) that
+        fall in a column scope (:meth:`axis_scope`), memoised per
+        (address, aggregator, reduction mode).  Filtering ascending ids
+        keeps them ascending, so strict-mode results are bit-identical to
+        the naive scan."""
         with self._lock:
-            mode = perf_config.reduction_mode()
-            table = self._memo_for(aggregator, mode)
-            if address in table:
-                self.stats.hits += 1
-                return table[address]
-            self.stats.misses += 1
-            row_empty, row_mask = row_scope
-            col_empty, col_mask = col_scope
-            if row_empty or col_empty:
-                ids = _EMPTY_IDS
-            elif row_mask is None and col_mask is None:
-                ids = self._ordered_array()
-            elif row_mask is None:
-                ids = np.flatnonzero(col_mask)
-            elif col_mask is None:
-                ids = np.flatnonzero(row_mask)
-            else:
-                ids = np.flatnonzero(row_mask & col_mask)
-            value = self._reduce_ids(leaf_cells, ids, aggregator, mode)
-            self._memo_put(table, address, value)
-            return value
+            return self._reduced(address, aggregator, _ids_in_column, row_ids, col_scope)
 
-    def _reduce_ids(
-        self,
-        leaf_cells: Mapping[Address, float],
-        ids: np.ndarray,
-        aggregator: str,
-        mode: str,
-    ) -> CellValue:
-        # under self._lock; ids ascending == insertion order
-        if leaf_cells is self._bound:
-            return reduce_array(aggregator, self._values.gather(ids), mode)
-        # planes only answer for the mapping they mirror
-        addrs = self._addrs
-        return aggregate(aggregator, (leaf_cells[addrs[i]] for i in ids.tolist()))
+    def scope_cells(self, address: Sequence[str]) -> list[tuple[Address, float]]:
+        """(address, value) of the leaf cells in a cell's scope, in
+        insertion order — materialised under the lock (a lazy generator
+        would read columns and values at the caller's pace, racing
+        concurrent maintenance)."""
+        with self._lock:
+            ids = self._address_ids(address)
+            addrs = self._struct.addrs
+            return list(
+                zip([addrs[i] for i in ids.tolist()], self._values.gather(ids).tolist())
+            )
 
     def scope_addresses(self, address: Sequence[str]) -> list[Address]:
-        with self._lock:
-            addrs = self._addrs
-            return [addrs[i] for i in self._scope_ids_array(address).tolist()]
+        return [addr for addr, _ in self.scope_cells(address)]
 
     def scope_arrays(
         self, addresses: Sequence[Sequence[str]]
@@ -709,7 +822,7 @@ class RollupIndex:
         once; each cell then tests only the dimensions that vary, over
         that shared scope instead of the whole id space.  Values come
         from one plane gather for the batch (the sorted union of the
-        scopes), so they are the bound mapping's, like :meth:`columns`.
+        scopes).
         """
         with self._lock:
             scopes = self._batch_scope_ids(addresses)
@@ -730,16 +843,10 @@ class RollupIndex:
         varying = [
             dim for dim in dims if any(a[dim] != first[dim] for a in addresses)
         ]
-        empty, mask = self._scope_mask(
+        shared = self._scope_ids_array(
             [(dim, first[dim]) for dim in dims if dim not in varying]
         )
-        if empty:
-            shared = _EMPTY_IDS
-        elif mask is None:
-            shared = self._ordered_array()
-        else:
-            shared = np.flatnonzero(mask)
-        columns = {dim: self._codes[dim][shared] for dim in varying}
+        columns = {dim: self._struct.codes[dim][shared] for dim in varying}
         #: (dim, coord) -> which of the shared scope's leaves roll up to it
         under: dict[tuple[int, str], np.ndarray] = {}
         scopes = []
@@ -755,17 +862,6 @@ class RollupIndex:
             scopes.append(shared if keep is None else shared[keep])
         return scopes
 
-    def iter_scope_cells(
-        self, leaf_cells: Mapping[Address, float], address: Sequence[str]
-    ) -> Iterator[tuple[Address, float]]:
-        # Materialise under the lock: a lazy generator would read columns
-        # and values at the caller's pace, racing concurrent maintenance.
-        with self._lock:
-            cells = [
-                (addr, leaf_cells[addr]) for addr in self.scope_addresses(address)
-            ]
-        yield from cells
-
     def rollup(
         self,
         leaf_cells: Mapping[Address, float],
@@ -774,24 +870,17 @@ class RollupIndex:
     ) -> CellValue:
         """Aggregate a cell's scope through the index, memoised per
         (address, aggregator, reduction mode) until the next leaf
-        mutation."""
+        mutation.  ``leaf_cells`` — the mapping of the cube being asked —
+        is not consulted: the planes are the leaf store, and an index that
+        no cube installed answers for the cells it was built from."""
         with self._lock:
-            mode = perf_config.reduction_mode()
-            table = self._memo_for(aggregator, mode)
-            if address in table:
-                self.stats.hits += 1
-                return table[address]
-            self.stats.misses += 1
-            ids = self._scope_ids_array(address)
-            value = self._reduce_ids(leaf_cells, ids, aggregator, mode)
-            self._memo_put(table, address, value)
-            return value
+            return self._reduced(address, aggregator, self._address_ids, address)
 
     # -- introspection ----------------------------------------------------------
 
     @property
     def plane_store(self) -> ColumnarLeafStore:
-        """The columnar value mirror (tests / bench introspection)."""
+        """The columnar value store (tests / bench introspection)."""
         return self._values
 
     def compact_planes(self, *, ceiling: "float | None" = None) -> int:
@@ -802,5 +891,5 @@ class RollupIndex:
             return self._values.compact(ceiling=ceiling)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        sizes = [len(table.coords) for table in self._tables]
-        return f"RollupIndex({self._n_live} leaves, coords/dim={sizes})"
+        sizes = [len(table.coords) for table in self._struct.tables]
+        return f"RollupIndex({self._struct.n_live} leaves, coords/dim={sizes})"

@@ -128,6 +128,7 @@ class _Job:
         "deadline_ms",
         "submitted_at",
         "parent_span",
+        "submit_span",
     )
 
     def __init__(
@@ -138,6 +139,7 @@ class _Job:
         deadline_ms: "float | None",
         submitted_at: float,
         parent_span: "Span | None",
+        submit_span: "Span | None",
     ) -> None:
         self.ticket = ticket
         self.analyze = analyze
@@ -145,6 +147,9 @@ class _Job:
         self.deadline_ms = deadline_ms
         self.submitted_at = submitted_at
         self.parent_span = parent_span
+        #: the finished ``service.submit`` span (what admission cost: the
+        #: snapshot fork), attached to the query's profile by the worker
+        self.submit_span = submit_span
 
 
 class QueryService:
@@ -255,18 +260,21 @@ class QueryService:
                 if budget is not None and budget.deadline_ms is not None
                 else self.default_deadline_ms
             )
-        snapshot = self.warehouse.snapshot()
-        ticket = QueryTicket(text, snapshot)
         parent = TRACER.current() if TRACER.enabled else None
-        job = _Job(ticket, analyze, budget, deadline_ms, self._clock(), parent)
-        try:
-            self._queue.put_nowait(job)
-        except queue.Full:
-            raise self._shed(
-                "queue-full",
-                f"admission queue is full ({self.queue_depth} waiting); "
-                "query shed",
-            ) from None
+        with trace_span("service.submit") as submit_span:
+            snapshot = self.warehouse.snapshot()
+            ticket = QueryTicket(text, snapshot)
+            job = _Job(
+                ticket, analyze, budget, deadline_ms, self._clock(), parent, submit_span
+            )
+            try:
+                self._queue.put_nowait(job)
+            except queue.Full:
+                raise self._shed(
+                    "queue-full",
+                    f"admission queue is full ({self.queue_depth} waiting); "
+                    "query shed",
+                ) from None
         self._metrics.gauge("service_queue_depth").set(self._queue.qsize())
         return ticket
 
@@ -292,6 +300,9 @@ class QueryService:
                     # and dies with the interpreter.
                     raise
             finally:
+                # an idle worker must not pin its last job's snapshot (the
+                # frozen cube and its index) while it waits for the next
+                job = None
                 self._queue.task_done()
 
     def _run_job(self, job: _Job) -> None:
@@ -333,6 +344,8 @@ class QueryService:
         self.breaker.record_success()
         status = "partial" if result.degradations else "ok"
         self._metrics.counter("service_queries_total", status=status).inc()
+        if result.profile is not None and job.submit_span is not None:
+            result.profile.submit = job.submit_span.to_dict()
         ticket._complete(result)
 
     # -- lifecycle ----------------------------------------------------------------

@@ -8,13 +8,22 @@ can never observe half of a mutation (the MVCC read-view half of the
 standard snapshot-isolation pattern; writers keep writing to the live
 cube and never block readers).
 
-Cost model: the copy is O(leaf cells) *pointer* copies (the address
-tuples and floats are shared), not a data copy, and the warehouse caches
-the snapshot per version — in the read-mostly what-if workload,
-thousands of queries between two mutations share one view, one rollup
-index, and one scenario-cache generation.  The chunked storage layer has
-the finer-grained equivalent: ``ChunkStore.fork()`` shares chunk arrays
-copy-on-write.
+Cost model: a snapshot is a *fork*, not a copy.  The live cube owns its
+rollup index (built once, by the first snapshot or derived read) and that
+index is its leaf store; ``Cube.frozen_copy`` forks it — the structure
+generation (id map, code columns, coordinate tables, mask cache) is
+shared, the value planes are shared copy-on-write — and wraps the fork in
+a read-only leaf view.  Nothing proportional to the cube is copied at
+snapshot time; the *writer* pays afterwards, in proportion to what it
+writes: one 32 KiB plane per plane a value write lands in, one structure
+copy for the first insert/delete after a snapshot.  The warehouse caches
+the snapshot per version — in the read-mostly what-if workload, thousands
+of queries between two mutations share one view, one index, and one
+scenario-cache generation — and a write → re-query loop costs the write
+plus the grid.  (A cube that is never indexed, e.g. under
+``naive_mode()``, still snapshots by copying its leaf dict.)  The chunked
+storage layer has the same idea at chunk granularity:
+``ChunkStore.fork()``.
 
 A snapshot deliberately *is a* :class:`~repro.warehouse.Warehouse`: the
 evaluator, analyzer, EXPLAIN, and profile machinery all run against it
@@ -40,8 +49,8 @@ class WarehouseSnapshot(Warehouse):
 
     Built by ``Warehouse.snapshot()`` — do not construct directly: the
     warehouse caches one snapshot per version so concurrent queries at
-    the same version share the frozen cube (and its lazily built rollup
-    index) instead of copying it once each.
+    the same version share the frozen cube (and its forked rollup index)
+    instead of forking once each.
     """
 
     def __init__(self, origin: Warehouse, cube: "Cube") -> None:

@@ -37,8 +37,11 @@ class ColumnarLeafStore:
     are stored column-wise in fixed-size plane chunks
     (:class:`~repro.storage.chunks.DensePlane` /
     :class:`~repro.storage.chunks.SparsePlane`).  A scope — an ascending
-    array of row ids — is aggregated by one fancy-indexed gather per
-    touched plane instead of one dict probe per cell.
+    array of row ids — is read by one fancy-indexed gather: from its
+    plane when it sits in one, otherwise from the store's *value column*,
+    the planes laid end to end in one contiguous array.  The column is a
+    read cache of one store generation: built on the first multi-plane
+    gather, shared by :meth:`fork`, dropped by every write.
 
     Copy-on-write
     -------------
@@ -48,14 +51,23 @@ class ColumnarLeafStore:
     fork, both stores mark every plane shared; the first write either side
     makes to a shared plane copies just that plane (32 KiB), so a pinned
     snapshot keeps reading the old bytes while the live store diverges one
-    plane at a time.
+    plane at a time.  ``planes_copied`` counts those copies since the last
+    fork — what the writes between two snapshots cost.
 
     Thread-safety: the store itself is unsynchronised — it is owned by a
     :class:`~repro.perf.rollup_index.RollupIndex` and only ever touched
     under that index's lock.
     """
 
-    __slots__ = ("_planes", "_shared", "_size", "_n_live", "plane_size")
+    __slots__ = (
+        "_planes",
+        "_shared",
+        "_size",
+        "_n_live",
+        "_column",
+        "plane_size",
+        "planes_copied",
+    )
 
     def __init__(self, plane_size: int = DEFAULT_PLANE_SIZE) -> None:
         if plane_size <= 0:
@@ -65,6 +77,9 @@ class ColumnarLeafStore:
         self._shared: list[bool] = []
         self._size = 0
         self._n_live = 0
+        #: every plane's values end to end (row == index), or ``None``
+        self._column: "np.ndarray | None" = None
+        self.planes_copied = 0
 
     @classmethod
     def from_values(
@@ -126,16 +141,21 @@ class ColumnarLeafStore:
         clone._shared = [True] * len(self._planes)
         clone._size = self._size
         clone._n_live = self._n_live
+        clone._column = self._column
         # this side must now treat every plane as pinned too
         self._shared = [True] * len(self._planes)
+        self.planes_copied = 0
         return clone
 
     def _writable_plane(self, chunk: int) -> ChunkPlane:
+        # every write comes through here: the value column is stale
+        self._column = None
         plane = self._planes[chunk]
         if self._shared[chunk]:
             plane = plane.copy()
             self._planes[chunk] = plane
             self._shared[chunk] = False
+            self.planes_copied += 1
         return plane
 
     # -- mutation ---------------------------------------------------------------
@@ -182,37 +202,23 @@ class ColumnarLeafStore:
     def gather(self, rows: np.ndarray) -> np.ndarray:
         """Values at the given **ascending, live** row ids.
 
-        The scope array is split once by plane (``searchsorted`` against
-        the plane boundaries — valid because rows are sorted) and each
-        plane answers its slice with one vectorized read.
+        A scope inside one plane is that plane's own vectorized read; a
+        scope that spans planes is one fancy index into the value column
+        (built here when this store generation has none yet), and so is
+        every later scope while the column lives.
         """
         n = len(rows)
         if n == 0:
             return np.empty(0, dtype=np.float64)
-        first_chunk = int(rows[0]) // self.plane_size
-        last_chunk = int(rows[n - 1]) // self.plane_size
-        if first_chunk == last_chunk:
-            return self._planes[first_chunk].gather(
-                rows - first_chunk * self.plane_size
+        column = self._column
+        if column is None:
+            chunk = int(rows[0]) // self.plane_size
+            if chunk == int(rows[n - 1]) // self.plane_size:
+                return self._planes[chunk].gather(rows - chunk * self.plane_size)
+            column = self._column = np.concatenate(
+                [plane.to_dense().values for plane in self._planes]
             )
-        out = np.empty(n, dtype=np.float64)
-        boundaries = np.arange(
-            (first_chunk + 1) * self.plane_size,
-            (last_chunk + 1) * self.plane_size,
-            self.plane_size,
-            dtype=np.int64,
-        )
-        cuts = np.searchsorted(rows, boundaries)
-        start = 0
-        for chunk, stop in zip(
-            range(first_chunk, last_chunk + 1), list(cuts) + [n]
-        ):
-            if stop > start:
-                out[start:stop] = self._planes[chunk].gather(
-                    rows[start:stop] - chunk * self.plane_size
-                )
-            start = stop
-        return out
+        return column[rows]
 
     # -- cold-chunk compression --------------------------------------------------
 
@@ -222,7 +228,8 @@ class ColumnarLeafStore:
         Applies :func:`repro.core.compression.compress_plane` to every
         *sealed* plane (all but the trailing append plane — that one is
         still hot).  Returns the number of planes converted.  Shared
-        planes are replaced, not mutated, so pinned forks are unaffected.
+        planes are replaced, not mutated, so pinned forks are unaffected;
+        the values do not change, so the value column stays.
         """
         from repro.core.compression import SPARSE_DENSITY_CEILING, compress_plane
 
@@ -362,21 +369,18 @@ class ChunkedCube:
         and small integration scenarios; workload generators build chunked
         cubes directly for scale.
 
-        With ``use_planes=True`` (the default) the leaf values come from
-        the cube's rollup-index columnar planes in one vectorized gather
-        (:meth:`~repro.perf.rollup_index.RollupIndex.leaf_arrays`)
-        instead of a second pass over the semantic dict; the dict path
-        remains as the fallback (and under ``use_planes=False``, which
-        the bit-identity regression tests exercise).
+        With ``use_planes=True`` (the default) the leaf cells are read
+        column-wise (:meth:`Cube.leaf_columns` — one vectorized gather
+        from the rollup index's value planes); ``use_planes=False``
+        iterates them cell by cell, which the bit-identity regression
+        tests compare against.
         """
         schema = cube.schema
-        items: "list[tuple[tuple[str, ...], float]] | None" = None
+        items: "list[tuple[tuple[str, ...], float]]"
         if use_planes:
-            snapshot = cube.rollup_index().leaf_arrays(cube._leaf_cells)
-            if snapshot is not None:
-                addresses, values = snapshot
-                items = list(zip(addresses, values.tolist()))
-        if items is None:
+            columns = cube.leaf_columns()
+            items = list(zip(columns.addresses, columns.values.tolist()))
+        else:
             items = list(cube.leaf_cells())
         label_sets: list[set[str]] = [set() for _ in schema.dimensions]
         for addr, _ in items:

@@ -249,3 +249,53 @@ class TestChildScope:
                 with QueryService(warehouse, workers=1) as service:
                     service.submit(query).result(timeout=30.0)
         assert root.find("mdx.query") is not None
+
+    def test_submit_span_carries_the_snapshot_fork(self, example):
+        """``cube.snapshot`` under ``service.submit``: whether the snapshot
+        was a fork and what the writes since the previous one copied; the
+        worker hands the tree to the query's profile."""
+        from repro.obs.profile import validate_profile
+        from repro.olap.missing import MISSING
+        from repro.service import QueryService
+        from repro.warehouse import Warehouse
+
+        warehouse = Warehouse(example.schema, example.cube, name="Warehouse")
+        query = (
+            "SELECT {Time.[Jan]} ON COLUMNS, {[FTE]} ON ROWS "
+            "FROM Warehouse WHERE ([NY], [Salary])"
+        )
+        cube = warehouse.cube
+        (first, value), (second, _) = list(cube.leaf_cells())[:2]
+
+        def snapshot_attrs(result):
+            submit = result.profile.submit
+            assert submit["name"] == "service.submit"
+            (snapshot,) = [c for c in submit["children"] if c["name"] == "cube.snapshot"]
+            return snapshot["attrs"]
+
+        with tracing(), QueryService(warehouse, workers=1) as service:
+            result = service.submit(query).result(timeout=30.0)
+            assert snapshot_attrs(result) == {
+                "forked": True, "structure_copied": False, "planes_copied": 0
+            }
+            assert result.profile.spans["name"] == "mdx.query"
+            cube.set_value(first, value + 1.0)  # in place: one plane copied
+            result = service.submit(query).result(timeout=30.0)
+            assert snapshot_attrs(result) == {
+                "forked": True, "structure_copied": False, "planes_copied": 1
+            }
+            cube.set_value(second, MISSING)  # structural: the generation too
+            result = service.submit(query).result(timeout=30.0)
+            assert snapshot_attrs(result)["structure_copied"] is True
+            # same version, cached snapshot: nothing was forked for this one
+            result = service.submit(query).result(timeout=30.0)
+            assert "children" not in result.profile.submit
+            # no index is built under the query: the live cube owns it
+            assert "rollup_index.build" not in repr(result.profile.spans)
+            validate_profile(result.profile.to_dict())
+            cube.set_value(first, value)
+            text = service.submit(query).result(timeout=30.0).profile.render()
+        assert "\n  submit " in text
+        assert "cube.snapshot" in text
+        assert "forked=True structure_copied=False planes_copied=1" in text
+

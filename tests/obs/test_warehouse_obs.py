@@ -171,6 +171,25 @@ class TestWarehouseMetrics:
         warehouse.metrics.snapshot()
         assert not warehouse.cube.has_rollup_index
 
+    def test_rollup_index_collector_sees_snapshot_traffic(self, warehouse):
+        """The service only queries snapshots; their forked indexes share
+        the live index's counters, so the collector reports what they did
+        — and that the index was built once, not once per snapshot."""
+        from repro.service import QueryService
+
+        query = (
+            "SELECT {Time.[Jan], Time.[Feb]} ON COLUMNS, {[FTE], [PTE]} ON ROWS "
+            "FROM Warehouse WHERE ([NY], [Salary])"
+        )
+        addr, value = next(iter(warehouse.cube.leaf_cells()))
+        with QueryService(warehouse, workers=2) as service:
+            for cycle in range(3):
+                warehouse.cube.set_value(addr, value + cycle)
+                service.submit(query).result(timeout=30.0)
+        snapshot = warehouse.metrics.snapshot()
+        assert snapshot["rollup_index.builds"] == 1
+        assert snapshot["rollup_index.misses"] >= 3 * 4  # every cycle is cold
+
     def test_faults_fired_counter_on_global_registry(self):
         counter = METRICS.counter("faults_fired_total", failpoint="chunk.read")
         before = counter.sample()

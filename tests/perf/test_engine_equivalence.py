@@ -254,6 +254,33 @@ class TestInterleavedMutationQueries:
             addr, value = next(iter(warehouse.cube.leaf_cells()))
             warehouse.cube.set_value(addr, value + float(step + 1))
 
+    def test_write_then_requery_through_the_service(self, warehouse):
+        """The planning loop: edit the live cube (in place, delete,
+        insert), re-query through ``QueryService``.  The first snapshot
+        builds the live cube's index; every later one forks it, and each
+        reply equals a naive scan of the live cube at that moment."""
+        from repro.service import QueryService
+
+        cube = warehouse.cube
+        cells = list(cube.leaf_cells())
+        fresh = ("Organization/FTE/Lisa", "MA", "Feb", "Benefits")
+        writes = [
+            [(cells[0][0], cells[0][1] + 2.5)],
+            [(cells[1][0], MISSING), (fresh, 7.0)],
+            [(cells[1][0], cells[1][1]), (fresh, MISSING), (cells[2][0], -0.0)],
+        ]
+        assert not cube.has_rollup_index
+        with QueryService(warehouse, workers=2) as service:
+            for step, batch in enumerate([[]] + writes):
+                for addr, value in batch:
+                    cube.set_value(addr, value)
+                for query in QUERIES:
+                    served = service.submit(query).result(timeout=30.0)
+                    with naive_mode():
+                        naive = warehouse.query(query)
+                    assert repr(served.cells) == repr(naive.cells), (step, query)
+        assert cube._rollup_index.stats.builds == 1
+
     def test_cold_whatif_on_snapshots_while_the_live_cube_mutates(self, warehouse):
         """Cold VISUAL and chained what-if queries on snapshots while the
         live cube takes in-place updates, deletes and inserts.

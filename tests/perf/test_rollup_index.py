@@ -208,10 +208,7 @@ class TestPlaneScopes:
         for addr in _all_addresses(cube.schema):
             pairs = list(enumerate(addr))
             via_axes = index.rollup_axes(
-                cube._leaf_cells,
-                addr,
-                index.axis_scope(pairs[:2]),
-                index.axis_scope(pairs[2:]),
+                addr, index.axis_ids(pairs[:2]), index.axis_scope(pairs[2:])
             )
             direct = fresh.rollup(cube._leaf_cells, addr)
             assert via_axes == direct or (
@@ -225,7 +222,7 @@ def _assert_agrees_with_rebuild(cube, index):
     the naive scan by ``TestAgreementWithNaive``), at every address."""
     rebuilt = RollupIndex.build(cube)
     assert index.columns(()).addresses == list(cube._leaf_cells)
-    dense = index.n_leaves == len(index._addrs)  # no deleted ids
+    dense = index.n_leaves == len(index._struct.addrs)  # no deleted ids
     for addr in _all_addresses(cube.schema):
         ids = index.scope_ids(addr)
         assert ids == sorted(ids)
@@ -289,12 +286,12 @@ class TestDerivedAndForkedIndexes:
         cube = self._indexed(example)
         live = cube._rollup_index
         snap = cube.frozen_copy()
-        assert snap._rollup_index._codes is live._codes, "columns are shared"
+        assert snap._rollup_index._struct is live._struct, "structure is shared"
         cells = list(cube.leaf_cells())
         cube.set_value(cells[0][0], cells[0][1] + 1.0)  # in place: still shared
-        assert snap._rollup_index._codes is live._codes
+        assert snap._rollup_index._struct is live._struct
         cube.set_value(cells[1][0], MISSING)  # structural: the live side copies
-        assert snap._rollup_index._codes is not live._codes
+        assert snap._rollup_index._struct is not live._struct
         cube.set_value(
             ("Organization/FTE/Lisa", "MA", "Feb", "Benefits"), 7.0
         )
@@ -302,7 +299,7 @@ class TestDerivedAndForkedIndexes:
         _assert_agrees_with_rebuild(snap, snap._rollup_index)
         # a fork of the diverged live index shares again
         again = cube.frozen_copy()
-        assert again._rollup_index._codes is live._codes
+        assert again._rollup_index._struct is live._struct
         _assert_agrees_with_rebuild(again, again._rollup_index)
 
 

@@ -1,0 +1,376 @@
+"""The live cube's rollup index as its leaf store, and snapshots as forks.
+
+Once a cube is indexed the index *is* the leaf store: ``_leaf_cells`` is a
+view over it, ``set_value`` writes it alone, ``frozen_copy`` forks it.
+The contract is that none of this is visible: every snapshot answers
+exactly what a ``naive_mode()`` replay of the writes up to its version
+answers (``repr``-equal, so NaN and the sign of zero count), older
+snapshots never move, and the index is built once.
+
+The CI stress-smoke job runs this module under ``REPRO_LOCKDEP=1`` as
+well, so the threaded test's lock order is witnessed.
+"""
+
+from __future__ import annotations
+
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+
+from repro.io import load_warehouse, save_warehouse
+from repro.olap.aggregation import AGGREGATORS
+from repro.olap.cube import Cube
+from repro.olap.dimension import Dimension
+from repro.olap.missing import MISSING
+from repro.olap.schema import CubeSchema
+from repro.perf.config import naive_mode
+from repro.perf.rollup_index import LeafView, RollupIndex
+from repro.storage.array_cube import ColumnarLeafStore
+from repro.warehouse import Warehouse
+
+MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun")
+MEASURES = ("Sales", "COGS")
+LEAVES = [(m, s) for m in MONTHS for s in MEASURES]
+#: tiny planes so a 12-leaf cube spans several chunks
+PLANE_SIZE = 4
+
+
+def _schema() -> CubeSchema:
+    time_dim = Dimension("Time", ordered=True)
+    time_dim.add_member("H1")
+    time_dim.add_children("H1", MONTHS[:3])
+    time_dim.add_member("H2")
+    time_dim.add_children("H2", MONTHS[3:])
+    measures = Dimension("Measures", is_measures=True)
+    measures.add_children(None, list(MEASURES))
+    return CubeSchema([time_dim, measures])
+
+
+def _addresses(schema: CubeSchema) -> list[tuple[str, str]]:
+    per_dim = [
+        [m.name for m in d.root.descendants(include_self=True)]
+        for d in schema.dimensions
+    ]
+    return [(t, s) for t in per_dim[0] for s in per_dim[1]]
+
+
+def _grid(cube: Cube) -> str:
+    """Every cell under every aggregator plus the leaf cells in order —
+    ``repr``, so NaN == NaN and 0.0 != -0.0."""
+    cells = [
+        (addr, agg, cube.rollup(addr, agg))
+        for addr in _addresses(cube.schema)
+        for agg in AGGREGATORS
+    ]
+    points = [(addr, cube.effective_value(addr)) for addr in LEAVES]
+    return repr((cells, points, list(cube.leaf_cells())))
+
+
+def _naive_grid(cube: Cube) -> str:
+    with naive_mode():
+        return _grid(cube)
+
+
+def _indexed(schema: CubeSchema) -> Cube:
+    cube = Cube(schema)
+    cube._rollup_index = RollupIndex.build(cube, plane_size=PLANE_SIZE)
+    return cube
+
+
+values = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    st.sampled_from([float("nan"), 0.0, -0.0]),
+)
+slots = st.integers(min_value=0, max_value=len(LEAVES) - 1)
+
+
+class SnapshotForkMachine(RuleBasedStateMachine):
+    """Writes of every kind against an indexed cube, snapshots in between;
+    a never-indexed twin takes the same writes and is only ever read
+    under ``naive_mode()``."""
+
+    @initialize(filled=st.lists(st.tuples(slots, values), max_size=12))
+    def build(self, filled):
+        schema = _schema()
+        self.cube = _indexed(schema)
+        self.twin = Cube(schema)
+        self.index = self.cube._rollup_index
+        #: (snapshot cube, the twin's naive grid at its version)
+        self.snapshots: list[tuple[Cube, str]] = []
+        for slot, value in filled:
+            self._write(slot, value)
+
+    def _write(self, slot, value):
+        self.cube.set_value(LEAVES[slot], value)
+        self.twin.set_value(LEAVES[slot], value)
+
+    @rule(slot=slots, value=values)
+    def set_value(self, slot, value):
+        """In place when the leaf exists, an insert otherwise."""
+        self._write(slot, value)
+
+    @rule(slot=slots)
+    def delete(self, slot):
+        self._write(slot, MISSING)
+
+    @rule(slot=slots, value=values)
+    def reinsert(self, slot, value):
+        """A deleted address comes back: new id, end of insertion order."""
+        self._write(slot, MISSING)
+        self._write(slot, value)
+
+    @rule(
+        overrides=st.lists(
+            st.tuples(slots, st.one_of(st.none(), values)), min_size=1, max_size=6
+        )
+    )
+    def apply_overrides(self, overrides):
+        cells = [(LEAVES[slot], value) for slot, value in overrides]
+        self.cube.apply_overrides(cells)
+        self.twin.apply_overrides(cells)
+
+    @rule()
+    def snapshot(self):
+        snap = self.cube.frozen_copy()
+        assert snap.version == self.cube.version == self.twin.version
+        assert isinstance(snap._leaf_cells, LeafView)
+        self.snapshots.append((snap, _naive_grid(self.twin)))
+
+    @rule()
+    def query(self):
+        """The live cube answers like its twin; every snapshot still
+        answers what the twin answered at its version."""
+        assert _grid(self.cube) == _naive_grid(self.twin)
+        for snap, expected in self.snapshots:
+            assert _grid(snap) == expected
+            assert _naive_grid(snap) == expected
+
+    @invariant()
+    def built_once(self):
+        if hasattr(self, "cube"):
+            assert self.cube._rollup_index is self.index
+            assert self.index.stats.builds == 1
+            assert self.cube.n_leaf_cells == self.twin.n_leaf_cells
+
+
+SnapshotForkMachine.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=30, deadline=None
+)
+TestSnapshotForkMachine = SnapshotForkMachine.TestCase
+
+
+def test_snapshots_under_concurrent_writes(monkeypatch):
+    """The state machine's claim with real threads, lock order witnessed:
+    readers snapshot and query while a writer updates in place, deletes,
+    re-inserts and applies bulk overrides."""
+    monkeypatch.setenv("REPRO_LOCKDEP", "1")  # read when a lock is made
+    schema = _schema()
+    cube, twin = _indexed(schema), Cube(schema)
+    script: list[list[tuple[tuple[str, str], object]]] = []
+    for i, addr in enumerate(LEAVES):
+        script.append([(addr, float(i + 1))])
+    for i in range(0, len(LEAVES), 3):
+        a, b, c = LEAVES[i : i + 3]
+        script += [
+            [(a, 0.5 + i)],  # in place
+            [(b, MISSING)],  # delete
+            [(b, float("nan"))],  # re-insert at a new id
+            [(a, -0.0), (c, MISSING), (b, 2.0 * i)],  # one bulk mutation
+            [(c, 7.0)],
+        ]
+    expected = {twin.version: _naive_grid(twin)}
+    for writes in script:
+        twin.apply_overrides(writes)
+        expected[twin.version] = _naive_grid(twin)
+
+    seen: list[tuple[int, str]] = []
+    errors: list[BaseException] = []
+    done = threading.Event()
+
+    def reader() -> None:
+        try:
+            while not done.is_set():
+                snap = cube.frozen_copy()
+                seen.append((snap.version, _grid(snap)))
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    def writer() -> None:
+        try:
+            for writes in script:
+                cube.apply_overrides(writes)
+                answered, deadline = len(seen), time.monotonic() + 2.0
+                while len(seen) == answered and time.monotonic() < deadline:
+                    time.sleep(0.0005)
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+        finally:
+            done.set()
+
+    threads = [threading.Thread(target=reader) for _ in range(3)]
+    threads.append(threading.Thread(target=writer))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert len({version for version, _ in seen}) >= 5, "readers saw few versions"
+    for version, answered in seen:
+        assert answered == expected[version], f"version {version}"
+    assert _grid(cube) == expected[cube.version]
+    assert cube._rollup_index.stats.builds == 1
+
+
+class TestGatherPaths:
+    """One fancy index into the value column vs one read per plane."""
+
+    @staticmethod
+    def _per_plane(store: ColumnarLeafStore, rows: np.ndarray) -> list[float]:
+        return [store.get(int(row)) for row in rows]
+
+    @pytest.mark.parametrize("layout", ["dense", "sparse", "mixed"])
+    def test_one_step_gather_matches_per_plane_reads(self, layout):
+        rng = np.random.default_rng(7)
+        store = ColumnarLeafStore.from_values(rng.normal(size=26), PLANE_SIZE)
+        for row in (1, 2, 3, 9, 10, 20):
+            store.delete(row)
+        if layout == "sparse":
+            assert store.compact(ceiling=1.0) == store.n_planes - 1
+        elif layout == "mixed":
+            assert 0 < store.compact(ceiling=0.6) < store.n_planes - 1
+        assert {"dense": {"dense"}, "sparse": {"dense", "sparse"}}.get(
+            layout, {"dense", "sparse"}
+        ) == set(store.plane_kinds())
+        live = np.array([r for r in range(26) if store.get(r) is not None])
+        inside = live[(live >= 4) & (live < 8)]  # one plane: no column built
+        assert repr(store.gather(inside).tolist()) == repr(self._per_plane(store, inside))
+        assert store._column is None
+        for rows in (live, live[::3], live[-5:]):
+            assert repr(store.gather(rows).tolist()) == repr(self._per_plane(store, rows))
+        assert store._column is not None
+        # ... which then serves one-plane scopes too, and forks
+        assert repr(store.gather(inside).tolist()) == repr(self._per_plane(store, inside))
+        fork = store.fork()
+        assert fork._column is store._column
+        # every write path drops the writer's column, never the fork's
+        pinned = fork.gather(live).tolist()
+        store.update(int(live[0]), 99.0)
+        assert store._column is None and fork._column is not None
+        store.gather(live)
+        store.delete(int(live[1]))
+        assert store._column is None
+        store.gather(live[2:])
+        store.append(5.0)
+        assert store._column is None
+        assert store.gather(live[:1]).tolist() == [99.0]
+        assert repr(fork.gather(live).tolist()) == repr(pinned)
+        assert store.planes_copied == 3  # rows 0, 4 and 26: three shared planes
+
+
+class TestViewBackedCube:
+    """The public cube API on a cube whose leaf store is the view."""
+
+    @pytest.fixture
+    def cube(self, example):
+        cube = example.cube
+        before = dict(cube.leaf_cells())
+        cube.rollup_index()
+        assert isinstance(cube._leaf_cells, LeafView)
+        assert dict(cube.leaf_cells()) == before
+        assert list(cube.leaf_cells()) == list(before.items())
+        return cube
+
+    def test_build_reads_the_view(self, cube):
+        rebuilt = RollupIndex.build(cube, plane_size=PLANE_SIZE)
+        assert rebuilt.columns(()).addresses == list(cube._leaf_cells)
+        assert rebuilt.plane_store.nbytes > 0
+        assert cube.rollup_index().plane_store.nbytes > 0
+        root = tuple(d.root.name for d in cube.schema.dimensions)
+        assert repr(rebuilt.rollup(cube._leaf_cells, root)) == repr(cube.rollup(root))
+
+    def test_point_reads_and_membership(self, cube):
+        view = cube._leaf_cells
+        addr, value = next(iter(cube.leaf_cells()))
+        assert view[addr] == value and addr in view and view.get(addr) == value
+        gone = ("Organization/FTE/Lisa", "MA", "Feb", "Benefits")
+        assert gone not in view and view.get(gone) is None
+        with pytest.raises(KeyError):
+            view[gone]
+        assert cube.value(gone) is MISSING
+        assert len(view) == cube.n_leaf_cells
+
+    def test_copy_thaws_to_a_plain_dict_cube(self, cube):
+        clone = cube.copy()
+        assert type(clone._leaf_cells) is dict and not clone.has_rollup_index
+        assert clone.leaf_equal(cube) and cube.leaf_equal(clone)
+        addr, value = next(iter(clone.leaf_cells()))
+        clone.set_value(addr, value + 1.0)
+        assert not clone.leaf_equal(cube)
+        assert cube.value(addr) == value
+
+    def test_writes_go_to_the_index_alone(self, cube):
+        index, version = cube._rollup_index, cube.version
+        addr, value = next(iter(cube.leaf_cells()))
+        cube.set_value(addr, value + 1.0)
+        new = ("Organization/FTE/Lisa", "MA", "Feb", "Benefits")
+        cube.set_value(new, 7.0)
+        cube.set_value(new, MISSING)
+        cube.set_value(new, MISSING)  # absent: not a mutation
+        assert cube.version == version + 3
+        assert cube._rollup_index is index and index.stats.builds == 1
+        assert cube.value(addr) == value + 1.0 and cube.value(new) is MISSING
+        root = tuple(d.root.name for d in cube.schema.dimensions)
+        with naive_mode():
+            expected = cube.rollup(root)
+        assert repr(cube.rollup(root)) == repr(expected)
+
+    def test_save_load_round_trip(self, cube, example, tmp_path):
+        warehouse = Warehouse(example.schema, cube, name="Warehouse")
+        save_warehouse(warehouse, tmp_path / "wh")
+        loaded = load_warehouse(tmp_path / "wh")
+        assert dict(loaded.cube.leaf_cells()) == dict(cube.leaf_cells())
+        assert loaded.cube.leaf_equal(cube) and cube.leaf_equal(loaded.cube)
+
+    def test_view_does_not_keep_a_cycle_alive(self, example):
+        import gc
+        import weakref
+
+        snap = example.cube.frozen_copy()
+        index = weakref.ref(snap._rollup_index)
+        gc.disable()
+        try:
+            del snap
+            assert index() is None, "view <-> index cycle: needs a gc pass to die"
+        finally:
+            gc.enable()
+
+
+def test_churn_keeps_the_id_space_bounded():
+    """Ids are never reused, so only renumbering keeps insert/delete churn
+    from growing the columns; it must not change any rollup."""
+    schema = _schema()
+    cube, twin = _indexed(schema), Cube(schema)
+    for round_ in range(11):
+        for i, addr in enumerate(LEAVES):
+            for target in (cube, twin):
+                target.set_value(addr, MISSING)
+                target.set_value(addr, float(round_ * 100 + i) / 7.0)
+        struct = cube._rollup_index._struct
+        assert len(struct.codes[0]) <= 2 * cube.n_leaf_cells
+        assert len(struct.addrs) <= 2 * cube.n_leaf_cells
+        assert cube._rollup_index.plane_store.n_rows == len(struct.addrs)
+        assert _grid(cube) == _naive_grid(twin)
+    assert cube._rollup_index.stats.builds == 1

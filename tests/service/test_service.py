@@ -242,6 +242,27 @@ class TestWorkerCrashSafety:
         service.close()
 
 
+class TestIdleWorkers:
+    def test_idle_worker_does_not_pin_its_last_snapshot(self, warehouse):
+        """A worker blocked in ``queue.get()`` used to keep its last job —
+        and through it the frozen cube and its index — alive until its
+        next job arrived."""
+        import gc
+        import weakref
+
+        with QueryService(warehouse, workers=2) as service:
+            ticket = service.submit(QUERY)
+            ticket.result(timeout=30.0)
+            pinned = weakref.ref(ticket.snapshot.cube)
+            assert pinned() is not None
+            addr, value = next(iter(warehouse.cube.leaf_cells()))
+            warehouse.cube.set_value(addr, value + 1.0)
+            service.submit(QUERY).result(timeout=30.0)  # publishes the next version
+            del ticket
+            gc.collect()
+            assert pinned() is None, "an idle worker still holds the old snapshot"
+
+
 class TestLifecycle:
     def test_close_drains_queued_work(self, warehouse):
         service = QueryService(warehouse, workers=1)

@@ -107,9 +107,10 @@ class TestBatchLeafReads:
 
     def test_leaf_reader_mirrors_the_semantic_dict(self, example):
         cube = example.cube
-        reader = cube.rollup_index().leaf_reader(cube._leaf_cells)
-        assert reader is not None
-        for address, value in cube.leaf_cells():
+        before = dict(cube.leaf_cells())  # the dict, before it is replaced
+        reader = cube.rollup_index().leaf_reader()
+        assert dict(cube.leaf_cells()) == before
+        for address, value in before.items():
             assert reader(address) == value
         missing = ("Organization/FTE/Joe", "NY", "Jan", "Benefits")
         if missing not in cube._leaf_cells:
