@@ -149,11 +149,7 @@ def run_query_engine(config: QueryEngineConfig | None = None) -> dict:
     engine_ms = _time_pass(warehouse, queries, config.engine_repeats)
 
     cache_stats = warehouse.scenario_cache.stats.snapshot()
-    index_stats = (
-        warehouse.cube._rollup_index.stats.snapshot()
-        if warehouse.cube.has_rollup_index
-        else {}
-    )
+    index_stats = warehouse.cube.rollup_index().stats.snapshot()
     # Headline throughput: derived result cells served per second — each
     # is one (memoised or vectorized) rollup over the leaf planes.
     cells_per_second = (

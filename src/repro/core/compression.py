@@ -103,12 +103,14 @@ class CompressedPerspectiveCube:
     def materialize(self) -> Cube:
         """Rebuild the full perspective cube (lossless)."""
         out = self.base.empty_like()
-        for addr, value in self.base.leaf_cells():
-            if addr in self.deletions or addr in self.overrides:
-                continue
-            out.set_value(addr, value)
-        for addr, value in self.overrides.items():
-            out.set_value(addr, value)
+        out.load(
+            [
+                (addr, value)
+                for addr, value in self.base.leaf_cells()
+                if addr not in self.deletions and addr not in self.overrides
+            ]
+            + list(self.overrides.items())
+        )
         return out
 
     # -- statistics ---------------------------------------------------------------

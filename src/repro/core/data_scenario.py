@@ -25,7 +25,6 @@ from repro.core.scenario import WhatIfCube
 from repro.errors import QueryError
 from repro.olap.cube import Cube
 from repro.olap.instances import VaryingDimension
-from repro.olap.missing import is_missing
 
 __all__ = ["AllocationScenario"]
 
@@ -92,7 +91,7 @@ class AllocationScenario:
                     f"dimension {schema.dimensions[dim_index].name!r}"
                 )
 
-        out = cube.empty_like()
+        cells: dict[tuple, float] = {}
         moved: dict[tuple, float] = {}
         for addr, value in cube.leaf_cells():
             matches = all(
@@ -100,19 +99,19 @@ class AllocationScenario:
                 for dim_index, coord in source_index.items()
             )
             if not matches:
-                out.set_value(addr, value)
+                cells[addr] = value
                 continue
             amount = value * self.fraction
-            out.set_value(addr, value - amount)
+            cells[addr] = value - amount
             target_addr = list(addr)
             for dim_index, coord in target_index.items():
                 target_addr[dim_index] = coord
             key = tuple(target_addr)
             moved[key] = moved.get(key, 0.0) + amount
         for addr, amount in moved.items():
-            existing = out.value(addr)
-            base = 0.0 if is_missing(existing) else float(existing)
-            out.set_value(addr, base + amount)
+            cells[addr] = cells.get(addr, 0.0) + amount
+        out = cube.empty_like()
+        out.load(cells.items())
 
         if self.mode is Mode.VISUAL:
             out.clear_stored_derived()

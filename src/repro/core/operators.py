@@ -21,7 +21,7 @@ from repro.olap.cube import Cube
 from repro.olap.instances import VaryingDimension
 
 if TYPE_CHECKING:  # pragma: no cover - repro.obs imports the MDX stack, which imports this module
-    from repro.perf.rollup_index import LeafColumns, RollupIndex
+    from repro.perf.rollup_index import LeafColumns
 
 __all__ = ["select", "relocate", "split", "evaluate", "ChangeTuple", "ChangeRelation"]
 
@@ -96,10 +96,10 @@ def _project(
     ``dim_index`` replaced by ``out_coords[out_codes[k]]``; ``out_coords``
     extends the input column's coordinate list, so equal codes mean "not
     moved" and the input address is reused by identity.  Values are one
-    ``take``; coordinates new to the cube are validated once each.  When
-    the input has a rollup index the output's is derived from it and is
-    the output's leaf store (the address -> row map doubles as its id
-    map); otherwise the output is a plain-dict cube.
+    ``take``; coordinates new to the cube are validated once each.  The
+    output's rollup index — its leaf store — is derived from the input's
+    (the address -> row map that detects two rows landing on one address,
+    S over a cube whose instances clash, doubles as its id map).
     Returns the cube and the number of moved cells.
     """
     in_addresses = cols.addresses
@@ -117,25 +117,13 @@ def _project(
     for k, code in zip(moved.tolist(), moved_codes.tolist()):
         addr = addresses[k]
         addresses[k] = addr[:dim_index] + (out_coords[code],) + addr[after:]
-    values = cols.values[rows]
-    leaves: "dict | RollupIndex | None" = None
+    id_of = None
     if cols.index is not None:
-        assert cols.ids is not None
         id_of = dict(zip(addresses, range(len(addresses))))
-        # two rows landing on one address (S over a cube whose instances
-        # clash) collapse in a dict; rows and leaves then no longer line
-        # up, so that output is a dict cube, indexed like any other
-        if len(id_of) == len(addresses):
-            leaves = cols.index.derive(
-                cols.ids[rows],
-                addresses,
-                values,
-                {dim_index: (out_codes, out_coords)},
-                id_of,
-            )
-    if leaves is None:
-        leaves = dict(zip(addresses, values.tolist()))
-    out = cube.adopt(leaves, dict(cube.stored_derived_cells()))
+    index = cols.derive(
+        schema, rows, addresses, {dim_index: (out_codes, out_coords)}, id_of
+    )
+    out = cube.adopt(index, dict(cube.stored_derived_cells()))
     return out, len(moved)
 
 

@@ -235,10 +235,9 @@ def _build_warehouse(schema_path: Path, cells_path: Path) -> Warehouse:
     inject_io_fault(FP_LOAD_CELLS)
     cells = _read_json(cells_path, what="cells.json")
     try:
-        for row in cells["leaf"]:
-            cube.set_value(tuple(row[:-1]), row[-1])
-        for row in cells["derived"]:
-            cube.set_value(tuple(row[:-1]), row[-1])
+        cube.load(
+            (tuple(row[:-1]), row[-1]) for row in cells["leaf"] + cells["derived"]
+        )
     except (KeyError, TypeError) as exc:
         raise WarehouseFormatError(
             f"cells.json is structurally invalid: {exc}",

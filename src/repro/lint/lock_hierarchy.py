@@ -86,8 +86,8 @@ class GuardSpec:
 THREAD_SHARED: dict[str, GuardSpec] = {
     "Cube": GuardSpec(
         "_lock",
-        # ``_leaf_cells`` is a dict until the cube is indexed, then a
-        # LeafView over ``_index``; the two are swapped together
+        # ``_leaf_cells`` is the LeafView over ``_index``; a bulk load
+        # installs the two together
         ("_leaf_cells", "_stored_derived", "_version", "_index", "_frozen"),
     ),
     "RollupIndex": GuardSpec(

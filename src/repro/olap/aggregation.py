@@ -16,14 +16,12 @@ Vectorized reduction
 :func:`reduce_array` is the columnar counterpart used by the rollup
 index's plane kernel: it reduces a gathered ``float64`` array of *live*
 cell values (liveness is resolved upstream, so no MISSING sentinel ever
-appears in the array).  In ``"strict"`` mode the result is bit-identical
-to the streaming aggregators above — summation runs through
-``np.add.accumulate`` (a sequential scan, unlike ``np.sum``'s pairwise
-tree) seeded with the same ``0.0`` the Python loop starts from, and
-min/max fall back to the sequential loop whenever a NaN is present
-(their NaN outcome is order-dependent).  ``"fast"`` mode uses numpy's
-pairwise reductions; it is exactly equal on integer-valued workloads and
-within ``repro.perf.config.fast_tolerance()`` otherwise.
+appears in the array).  The result is bit-identical to the streaming
+aggregators above — summation runs through ``np.add.accumulate`` (a
+sequential scan, unlike ``np.sum``'s pairwise tree) seeded with the same
+``0.0`` the Python loop starts from, and min/max fall back to the
+sequential loop whenever a NaN is present (their NaN outcome is
+order-dependent).
 """
 
 from __future__ import annotations
@@ -151,12 +149,9 @@ def _sequential_extreme(values: np.ndarray, want_min: bool) -> float:
     return best
 
 
-def reduce_array(name: str, values: np.ndarray, mode: str = "strict") -> CellValue:
-    """Reduce a gathered array of live cell values (no MISSING inside).
-
-    ``mode="strict"`` matches the streaming aggregators bit for bit;
-    ``mode="fast"`` uses numpy's pairwise reductions (exact on integer
-    workloads, within configured tolerance otherwise).  An empty array is
+def reduce_array(name: str, values: np.ndarray) -> CellValue:
+    """Reduce a gathered array of live cell values (no MISSING inside),
+    matching the streaming aggregators bit for bit.  An empty array is
     an empty scope: MISSING for every aggregator, including ``count``.
     """
     n = len(values)
@@ -165,13 +160,9 @@ def reduce_array(name: str, values: np.ndarray, mode: str = "strict") -> CellVal
     if name == "count":
         return float(n)
     if name == "sum":
-        if mode == "strict":
-            return _strict_sum(values)
-        return float(np.sum(values))
+        return _strict_sum(values)
     if name == "avg":
-        if mode == "strict":
-            return _strict_sum(values) / n
-        return float(np.sum(values)) / n
+        return _strict_sum(values) / n
     if name == "min" or name == "max":
         # NaN semantics are order-dependent in the streaming aggregators;
         # numpy's min/max propagate NaN instead, so guard on its presence.

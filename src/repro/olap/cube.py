@@ -12,33 +12,34 @@ Coordinate conventions are defined in :mod:`repro.olap.schema`.
 
 Leaf store and rollup serving
 -----------------------------
-A cube that was never asked for a derived value keeps its leaf cells in a
-plain ``dict`` — bulk loads pay one dict store per cell and nothing else.
-The first derived read, column read or snapshot builds a
-:class:`~repro.perf.rollup_index.RollupIndex` (column-wise, once), and
-from then on that index **is** the leaf store: the dict is dropped,
-``_leaf_cells`` becomes a read-only
+A cube is columnar from its first cell: it holds one
+:class:`~repro.perf.rollup_index.RollupIndex` from construction and that
+index **is** the leaf store.  ``_leaf_cells`` is a read-only
 :class:`~repro.perf.rollup_index.LeafView` over the index's id map and
-value planes, and :meth:`Cube.set_value` writes the index and nothing
-beside it.  Derived-cell scopes are served from it at O(|scope|) per
-query, and :meth:`Cube.frozen_copy` is a fork of it — nothing
-proportional to the cube is copied.  ``repro.perf.config.naive_mode()``
-restores the pre-index full-scan path (over the dict or the view,
-whichever the cube has; it never builds an index); both paths produce
-bit-identical values.  Every mutation bumps :attr:`version`, which the
-warehouse's scenario cache uses for invalidation.
+value planes, :meth:`Cube.set_value` writes the index and nothing beside
+it, derived-cell scopes are served from it at O(|scope|) per query, and
+:meth:`Cube.frozen_copy` / :meth:`Cube.copy` are forks of it — nothing
+proportional to the cube is copied.  :meth:`Cube.load` is the bulk entry
+point: on an empty cube it validates every cell and builds the columns
+once.  ``repro.perf.config.naive_mode()`` selects the full-scan reference
+path (over the view's addresses and values; it trusts no code column);
+both paths produce bit-identical values.  Every mutation bumps
+:attr:`version`, which the warehouse's scenario cache uses for
+invalidation.
 
 Bulk transforms
 ---------------
 The what-if operators never write cells one by one: they read the leaf
 cells column-wise (:meth:`Cube.leaf_columns`), compute their output as an
-array program and hand the finished leaf store to :meth:`Cube.adopt` — a
-rollup index *derived* from the input's when it has one, a dict otherwise.
+array program and hand the finished rollup index — *derived* from the
+input's — to :meth:`Cube.adopt`.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeAlias
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.perf.rollup_index import LeafColumns, LeafView, RollupIndex
@@ -67,16 +68,26 @@ class Cube:
     """
 
     def __init__(self, schema: CubeSchema, rules: "object | None" = None) -> None:
+        from repro.perf.rollup_index import RollupIndex  # imports this module
+
+        self._init(schema, rules, RollupIndex(schema), {})
+
+    def _init(  # reprolint: locked
+        self,
+        schema: CubeSchema,
+        rules: "object | None",
+        index: "RollupIndex",
+        stored_derived: dict[Address, float],
+    ) -> None:
         self.schema = schema
         self.rules = rules
-        #: the leaf cells: a dict until the cube is indexed, then a
-        #: read-only view over the index (see the module docstring)
-        self._leaf_cells: "dict[Address, float] | LeafView" = {}
-        self._stored_derived: dict[Address, float] = {}
+        #: the leaf store, and the leaf cells as a read-only mapping over it
+        self._index = index
+        self._leaf_cells: "LeafView" = index.leaf_view()
+        self._stored_derived = stored_derived
         #: mutation counter; bumped by every write so caches keyed on it
         #: (scenario cache, rollup memo) can invalidate
         self._version = 0
-        self._index: "RollupIndex | None" = None  # lazily built
         #: serialises writers against each other (and against snapshot
         #: copies); readers stay lock-free — concurrent readers of a
         #: *mutating* cube use ``Warehouse.snapshot()`` views instead
@@ -123,66 +134,29 @@ class Cube:
         the source's ``version`` — it *is* that version, and the scenario
         cache keys on it.
 
-        The first snapshot builds this cube's rollup index (unless the
-        engine is off); every snapshot *forks* it — shared structure,
+        The snapshot *forks* the rollup index — shared structure,
         plane-granular value sharing, a warm memo — so nothing
-        proportional to the cube is copied and the first query on a fresh
-        snapshot pays no index build.  Lock order here is
+        proportional to the cube is copied.  Lock order here is
         Cube._lock -> RollupIndex._lock, as declared in the lint hierarchy.
         """
         from repro.obs.trace import trace_span  # repro.obs imports this module
 
         with trace_span("cube.snapshot") as span, self._lock:
-            index = self.rollup_index() if self._use_index() else self._index
-            clone = Cube(self.schema, self.rules)
-            clone._stored_derived = dict(self._stored_derived)
+            if span is not None:
+                span.set(forked=True, **self._index.writes_since_fork())
+            clone = self.copy()
             clone._version = self._version
             clone._frozen = True
-            if span is not None:
-                span.set(forked=index is not None)
-            if index is None:
-                clone._leaf_cells = dict(self._leaf_cells)
-            else:
-                if span is not None:
-                    span.set(**index.writes_since_fork())
-                clone._rollup_index = index.fork()
             return clone
 
     def rollup_index(self) -> "RollupIndex":
-        """The cube's rollup index, built on first use.
-
-        The build is guarded by the cube lock: two queries sharing one
-        snapshot cube must not race to build two indexes (the loser's
-        memo/stats would be silently discarded mid-use).
-        """
-        index = self._index
-        if index is None:
-            from repro.perf.rollup_index import RollupIndex
-
-            with self._lock:
-                index = self._index
-                if index is None:
-                    index = RollupIndex.build(self)
-                    self._rollup_index = index
-        return index
-
-    @property
-    def _rollup_index(self) -> "RollupIndex | None":
+        """The cube's rollup index — its leaf store."""
         return self._index
-
-    @_rollup_index.setter
-    def _rollup_index(self, index: "RollupIndex") -> None:  # reprolint: locked
-        """Install ``index`` — which must hold exactly this cube's leaf
-        cells — as the leaf store: the dict (if any) is dropped."""
-        self._index = index
-        self._leaf_cells = index.leaf_view()
 
     @property
     def has_rollup_index(self) -> bool:
-        return self._index is not None
-
-    def _use_index(self) -> bool:
-        return perf_config.engine_enabled()
+        """Always true: a cube is indexed from construction."""
+        return True
 
     # -- write path ------------------------------------------------------------
 
@@ -190,16 +164,14 @@ class Cube:
         """Store one validated cell (MISSING/None deletes it) in the one
         place it lives; ``False`` when nothing changed (the cell to delete
         was absent)."""
-        index = self._index if is_leaf else None
-        store = self._leaf_cells if is_leaf else self._stored_derived
-        if is_missing(value):
-            if index is not None:
-                return index.remove_leaf(addr)
-            return store.pop(addr, None) is not None  # type: ignore[union-attr]
-        if index is not None:
-            index.set_leaf(addr, float(value))  # type: ignore[arg-type]
+        if is_leaf:
+            if is_missing(value):
+                return self._index.remove_leaf(addr)
+            self._index.set_leaf(addr, float(value))  # type: ignore[arg-type]
+        elif is_missing(value):
+            return self._stored_derived.pop(addr, None) is not None
         else:
-            store[addr] = float(value)  # type: ignore[arg-type,index]
+            self._stored_derived[addr] = float(value)  # type: ignore[arg-type]
         return True
 
     def set_value(self, address: Sequence[str], value: object) -> None:
@@ -222,6 +194,36 @@ class Cube:
         self.set_value(self.schema.address(**coords), value)
 
     def load(self, cells: Iterable[tuple[Sequence[str], object]]) -> None:
+        """:meth:`set_value` every cell of a stream, in order.
+
+        On an empty cube — how the workloads and :mod:`repro.io` fill one
+        — every cell is validated as :meth:`set_value` would, collected,
+        and the columns are built once; the cube ends up exactly as the
+        per-cell writes would leave it (insertion order, values, version),
+        except that a stream which fails validation leaves it empty.
+        """
+        from repro.perf.rollup_index import RollupIndex
+
+        schema = self.schema
+        with self._lock:
+            self._check_writable()
+            if not (self._leaf_cells or self._stored_derived):
+                leaves: dict[Address, float] = {}
+                derived: dict[Address, float] = {}
+                mutations = 0
+                for address, value in cells:
+                    addr = schema.validate_address(address)
+                    store = leaves if schema.is_leaf_address(addr) else derived
+                    if is_missing(value):
+                        mutations += store.pop(addr, None) is not None
+                    else:
+                        store[addr] = float(value)  # type: ignore[arg-type]
+                        mutations += 1
+                self._index = RollupIndex.from_cells(schema, leaves)
+                self._leaf_cells = self._index.leaf_view()
+                self._stored_derived = derived
+                self._version += mutations
+                return
         for address, value in cells:
             self.set_value(address, value)
 
@@ -304,8 +306,8 @@ class Cube:
         from repro.olap.aggregation import aggregate
 
         addr = self.schema.validate_address(address)
-        if self._use_index():
-            return self.rollup_index().rollup(self._leaf_cells, addr, aggregator)
+        if perf_config.engine_enabled():
+            return self._index.rollup(addr, aggregator)
         return aggregate(aggregator, self.scope_values(addr))
 
     def scope_values(self, address: Sequence[str]) -> Iterator[float]:
@@ -316,8 +318,8 @@ class Cube:
     def scope_cells(self, address: Sequence[str]) -> Iterator[tuple[Address, float]]:
         """(address, value) of leaf cells in a cell's scope."""
         addr = self.schema.validate_address(address)
-        if self._use_index():
-            yield from self.rollup_index().scope_cells(addr)
+        if perf_config.engine_enabled():
+            yield from self._index.scope_cells(addr)
             return
         # the naive path: one full pass over all leaf cells
         for leaf_addr, value in self._leaf_cells.items():
@@ -358,19 +360,19 @@ class Cube:
     def coordinates_used(self, dim_name: str) -> set[str]:
         """Distinct leaf-cell coordinates appearing on a dimension."""
         dim_index = self.schema.dim_index(dim_name)
-        index = self._index
-        if index is not None and self._use_index():
-            return set(index.coords_with_data(dim_index))
+        if perf_config.engine_enabled():
+            return set(self._index.coords_with_data(dim_index))
         return {addr[dim_index] for addr in self._leaf_cells}
 
     def leaf_columns(self, *dim_indexes: int) -> "LeafColumns":
         """The leaf cells column-wise, in insertion order, with the
         coordinate-code columns of the given dimensions — what the what-if
         operators read instead of iterating cells.  Served by the rollup
-        index (built on first use); under ``naive_mode()`` the columns are
-        scanned off the leaf mapping and no index is built."""
-        if self._use_index():
-            return self.rollup_index().columns(dim_indexes)
+        index; under ``naive_mode()`` the columns are scanned off the leaf
+        addresses and name no index, so whatever is computed from them
+        rebuilds its own columns."""
+        if perf_config.engine_enabled():
+            return self._index.columns(dim_indexes)
         from repro.perf.rollup_index import scan_columns
 
         return scan_columns(self._leaf_cells, dim_indexes)
@@ -378,59 +380,62 @@ class Cube:
     # -- structure-preserving transforms -----------------------------------------
 
     def copy(self) -> "Cube":
-        # The clone is a plain-dict cube: the rollup index is deliberately
-        # not carried over (it is rebuilt lazily), so the two cubes never
-        # share mutable state (ancestor verdicts are shared safely via the
-        # schema's cache).  Copying a frozen cube yields a writable one —
-        # this is how a snapshot is thawed back into a scratch cube.
+        """A writable cube with the same cells: a fork of the rollup index,
+        so neither cube ever observes the other's writes (the structure
+        generation and the value planes both copy on first write from
+        either side).  Copying a frozen cube is how a snapshot is thawed
+        back into a scratch cube."""
         with self._lock:
-            clone = Cube(self.schema, self.rules)
-            clone._leaf_cells = self._leaf_cells.copy()
-            clone._stored_derived = dict(self._stored_derived)
-            return clone
+            return self.adopt(self._index.fork(), dict(self._stored_derived))
 
     def empty_like(self) -> "Cube":
         return Cube(self.schema, self.rules)
 
     def adopt(
-        self,
-        leaves: "dict[Address, float] | RollupIndex",
-        stored_derived: dict[Address, float],
+        self, index: "RollupIndex", stored_derived: dict[Address, float]
     ) -> "Cube":
         """New cube over this cube's schema and rules that takes ownership
         of a finished leaf store — the bulk entry point of the transforms.
-        ``leaves`` is a dict of leaf cells or a rollup index that already
-        holds them (the cube is then indexed from the start).
 
         Nothing is validated per cell: the caller guarantees that every
-        leaf is a leaf address of the schema with a float value (it
-        validates once per *distinct* new coordinate) and that
+        leaf of ``index`` is a leaf address of the schema with a float
+        value (it validates once per *distinct* new coordinate) and that
         ``stored_derived`` holds only non-leaf addresses.
         """
-        clone = Cube(self.schema, self.rules)
-        if isinstance(leaves, dict):
-            clone._leaf_cells = leaves
-        else:
-            clone._rollup_index = leaves
-        clone._stored_derived = stored_derived
+        clone = Cube.__new__(Cube)
+        clone._init(self.schema, self.rules, index, stored_derived)
         return clone
+
+    def restrict_leaves(
+        self, dim_name: str, keep: Callable[[str], bool]
+    ) -> "tuple[RollupIndex, np.ndarray]":
+        """The leaf store of the leaves whose coordinate on ``dim_name``
+        satisfies ``keep`` — a mask over one code column, ``keep`` asked
+        once per distinct coordinate that holds a leaf — and their
+        positions in this cube's insertion order (which the kept leaves'
+        ids follow)."""
+        dim_index = self.schema.dim_index(dim_name)
+        cols = self.leaf_columns(dim_index)
+        codes = cols.codes[dim_index]
+        kept = np.zeros(len(cols.coords[dim_index]), dtype=np.bool_)
+        for code in np.unique(codes).tolist():
+            kept[code] = keep(cols.coords[dim_index][code])
+        rows = np.flatnonzero(kept[codes])
+        addresses = [cols.addresses[row] for row in rows.tolist()]
+        return cols.derive(self.schema, rows, addresses, {}), rows
 
     def filter_dimension(
         self, dim_name: str, keep: Callable[[str], bool]
     ) -> "Cube":
         """New cube keeping only cells whose coordinate on ``dim_name``
         satisfies ``keep`` (used by the selection operator σ)."""
-        index = self.schema.dim_index(dim_name)
+        dim_index = self.schema.dim_index(dim_name)
         return self.adopt(
-            {
-                addr: value
-                for addr, value in self._leaf_cells.items()
-                if keep(addr[index])
-            },
+            self.restrict_leaves(dim_name, keep)[0],
             {
                 addr: value
                 for addr, value in self._stored_derived.items()
-                if keep(addr[index])
+                if keep(addr[dim_index])
             },
         )
 
@@ -447,11 +452,8 @@ class Cube:
                 )
             value = self.derive(addr)
             with self._lock:
-                self._version += 1
-                if is_missing(value):
-                    self._stored_derived.pop(addr, None)
-                else:
-                    self._stored_derived[addr] = float(value)  # type: ignore[arg-type]
+                if self._write(addr, False, value):
+                    self._version += 1
 
     # -- comparison helpers (for tests) ----------------------------------------------
 

@@ -3,16 +3,17 @@
 This package holds the performance layer added on top of the semantic
 engine:
 
-* :mod:`repro.perf.rollup_index` — a per-cube single-pass index that
-  serves ``rollup``/``scope_values`` in O(|scope|) instead of a full leaf
-  scan per derived cell, with incremental maintenance under mutation;
+* :mod:`repro.perf.rollup_index` — the columnar leaf store every cube
+  holds from construction: it serves ``rollup``/``scope_values`` in
+  O(|scope|) instead of a full leaf scan per derived cell and takes the
+  cube's writes;
 * :mod:`repro.perf.scenario_cache` — an LRU cache of applied what-if
   scenarios keyed by their canonical fingerprints, so repeated
   ``WITH PERSPECTIVE``/``WITH CHANGES`` queries skip ``scenario.apply``;
 * :mod:`repro.perf.batch` — batched MDX grid evaluation that resolves
   axis planes against the rollup index;
-* :mod:`repro.perf.config` — the global engine toggle (``naive_mode`` is
-  the pre-index baseline used by benchmarks and equivalence tests).
+* :mod:`repro.perf.config` — ``naive_mode``, the full-scan reference
+  path the ledger's oracle and the equivalence tests evaluate under.
 
 Everything here is behaviour-preserving: with the engine on or off, query
 results are bit-identical (enforced by the equivalence property tests).
@@ -20,14 +21,13 @@ results are bit-identical (enforced by the equivalence property tests).
 
 from typing import Any
 
-from repro.perf.config import engine_enabled, naive_mode, set_engine_enabled
+from repro.perf.config import engine_enabled, naive_mode
 
 __all__ = [
     "RollupIndex",
     "ScenarioCache",
     "engine_enabled",
     "naive_mode",
-    "set_engine_enabled",
 ]
 
 

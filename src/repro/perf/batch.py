@@ -10,9 +10,8 @@ the whole grid in one pass with the per-cell work hoisted out:
 * per-coordinate leafness is memoised, so the leaf/derived split of an
   address is O(n_dims) dict probes;
 * leaf cells are point reads of the leaf cube's store — the rollup
-  index's id map and value planes when the cube is indexed, its dict
-  otherwise (leaf-only grids never build an index just for point reads);
-  stored aggregates are read straight out of the cube's dict;
+  index's id map and value planes; stored aggregates are read straight
+  out of the cube's dict;
 * default-rollup derived cells are resolved **memo-first** against the
   :class:`~repro.perf.rollup_index.RollupIndex`: the index's live memo
   table answers repeat addresses with one lock-free dict probe before any
@@ -52,7 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["evaluate_grid"]
 
-Address = tuple[str, ...]
 CellValue: TypeAlias = "float | Missing"
 
 
@@ -91,13 +89,8 @@ def evaluate_grid(
     leaf_rules = leaf_cube.rules
     agg_rules = agg_cube.rules
 
-    # Leaf point reads: the index's lock-free reader when the leaf cube is
-    # indexed (the index is its leaf store), the dict otherwise —
-    # leaf-only grids never build an index just for this.
-    if leaf_cube.has_rollup_index:
-        leaf_read = leaf_cube.rollup_index().leaf_reader()
-    else:
-        leaf_read = leaf_cube._leaf_cells.get
+    # Leaf point reads: the index's lock-free reader
+    leaf_read = leaf_cube.rollup_index().leaf_reader()
 
     # the failpoint hook, bound once: its disarmed fast path is a single
     # dict probe, and skipping the module-level wrapper saves a call frame
@@ -138,8 +131,8 @@ def evaluate_grid(
         for patch in col_patches
     ]
 
-    index = None  # built lazily: leaf-only grids never pay for it
-    memo: "dict[Address, CellValue] | None" = None
+    index = agg_cube.rollup_index()
+    memo = index.memo_table("sum")
     col_scopes: list = [None] * len(columns)
 
     stats = {"cells_evaluated": 0, "cells_skipped": 0, "indexed_rollups": 0}
@@ -221,9 +214,6 @@ def evaluate_grid(
 
             # Default sum-rollup through the index, memo-first: repeat
             # addresses skip scope construction entirely.
-            if index is None:
-                index = agg_cube.rollup_index()
-                memo = index.memo_table("sum")
             stats["indexed_rollups"] += 1
             value = memo.get(addr)
             if value is not None:
@@ -243,7 +233,7 @@ def evaluate_grid(
                     col_scopes[j] = index.axis_scope(col_patch)
                 row_cells.append(index.rollup_axes(addr, row_ids, col_scopes[j]))
             else:
-                row_cells.append(index.rollup(agg_cube._leaf_cells, addr))
+                row_cells.append(index.rollup(addr))
         cells.append(row_cells)
 
     stats["cells_skipped"] = cells_skipped

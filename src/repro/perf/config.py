@@ -1,24 +1,17 @@
-"""Global toggle for the query-throughput engine.
+"""The reference-path switch of the query-throughput engine.
 
-The engine (rollup index + scenario cache + batched evaluation) is on by
-default.  :func:`naive_mode` restores the pre-index behaviour — a full
-leaf scan per derived cell and a fresh ``scenario.apply`` per query — and
-exists for two consumers:
+The engine (rollup index scopes + memo, scenario cache, batched grid
+evaluation) is always on in production code; nothing sets it per
+deployment.  :func:`naive_mode` is the one scoped way to turn it off: a
+derived cell is then one full scan of the cube's leaf addresses and
+values, nothing is memoised or cached, and the what-if operators rebuild
+their output's columns from its addresses instead of deriving them.  It
+exists as the *reference*: the ledger's oracle and the equivalence suites
+evaluate under it and require bit-identical results.
 
-* the throughput benchmark, which measures the engine against the naive
-  baseline in one process, and
-* the equivalence property tests, which assert that both paths produce
-  bit-identical results.
-
-Reduction mode
---------------
-The columnar kernel reduces gathered value planes in one of two modes.
-``"strict"`` (the default) reduces in insertion-order id sequence with a
-sequential fold and is **bit-identical** to the naive scan — this is the
-contract the tests and the perf equivalence harness rely on.  ``"fast"``
-uses numpy's pairwise reductions: exactly equal on integer-valued
-workloads, and within :func:`fast_tolerance` otherwise.  Use
-:func:`fast_reduction` to opt a scope into the fast path.
+Reductions are strict everywhere (a sequential fold in insertion order,
+see :func:`repro.olap.aggregation.reduce_array`), so there is no
+reduction mode to choose.
 """
 
 from __future__ import annotations
@@ -26,21 +19,9 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator
 
-__all__ = [
-    "engine_enabled",
-    "fast_reduction",
-    "fast_tolerance",
-    "naive_mode",
-    "reduction_mode",
-    "set_engine_enabled",
-    "set_fast_tolerance",
-    "set_reduction_mode",
-]
+__all__ = ["engine_enabled", "naive_mode"]
 
 _ENGINE_ENABLED = True
-_REDUCTION_MODE = "strict"
-_FAST_TOLERANCE = 1e-9
-_REDUCTION_MODES = ("strict", "fast")
 
 
 def engine_enabled() -> bool:
@@ -48,59 +29,13 @@ def engine_enabled() -> bool:
     return _ENGINE_ENABLED
 
 
-def set_engine_enabled(enabled: bool) -> None:
-    global _ENGINE_ENABLED
-    _ENGINE_ENABLED = bool(enabled)
-
-
 @contextmanager
 def naive_mode() -> Iterator[None]:
-    """Temporarily run with the pre-index naive evaluation paths."""
+    """Temporarily evaluate on the full-scan reference paths."""
+    global _ENGINE_ENABLED
     previous = _ENGINE_ENABLED
-    set_engine_enabled(False)
+    _ENGINE_ENABLED = False
     try:
         yield
     finally:
-        set_engine_enabled(previous)
-
-
-def reduction_mode() -> str:
-    """Active columnar reduction mode: ``"strict"`` or ``"fast"``."""
-    return _REDUCTION_MODE
-
-
-def set_reduction_mode(mode: str) -> None:
-    global _REDUCTION_MODE
-    if mode not in _REDUCTION_MODES:
-        raise ValueError(
-            f"unknown reduction mode {mode!r}; expected one of {_REDUCTION_MODES}"
-        )
-    _REDUCTION_MODE = mode
-
-
-def fast_tolerance() -> float:
-    """Absolute tolerance the fast reduction mode is held to on
-    non-integer workloads (integer workloads are exactly equal)."""
-    return _FAST_TOLERANCE
-
-
-def set_fast_tolerance(tolerance: float) -> None:
-    global _FAST_TOLERANCE
-    if tolerance < 0:
-        raise ValueError("fast tolerance must be non-negative")
-    _FAST_TOLERANCE = float(tolerance)
-
-
-@contextmanager
-def fast_reduction(tolerance: "float | None" = None) -> Iterator[None]:
-    """Temporarily reduce planes with numpy's pairwise (fast) kernels."""
-    previous_mode = _REDUCTION_MODE
-    previous_tol = _FAST_TOLERANCE
-    set_reduction_mode("fast")
-    if tolerance is not None:
-        set_fast_tolerance(tolerance)
-    try:
-        yield
-    finally:
-        set_reduction_mode(previous_mode)
-        set_fast_tolerance(previous_tol)
+        _ENGINE_ENABLED = previous

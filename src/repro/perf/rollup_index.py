@@ -18,27 +18,26 @@ Leaf *values* live in a
 :class:`~repro.storage.array_cube.ColumnarLeafStore` — chunked contiguous
 ``float64`` planes where plane row == leaf id.  Aggregation is one
 fancy-indexed gather followed by
-:func:`~repro.olap.aggregation.reduce_array`.  In the default
-``"strict"`` reduction mode the result is bit-identical to the naive dict
-scan; see :mod:`repro.perf.config`.
+:func:`~repro.olap.aggregation.reduce_array`, a sequential fold whose
+result is bit-identical to the naive scan.
 
-An index that a cube has installed *is* that cube's leaf store: the cube
-keeps no address-keyed dict beside it, ``Cube._leaf_cells`` becomes a
-:class:`LeafView` over the id map and the planes, and ``Cube.set_value``
+Every cube holds one index from construction and that index *is* its
+leaf store: the cube keeps no address-keyed dict, ``Cube._leaf_cells`` is
+a :class:`LeafView` over the id map and the planes, and ``Cube.set_value``
 writes here and nowhere else (:meth:`RollupIndex.set_leaf` /
 :meth:`RollupIndex.remove_leaf`).  An index built with
-:meth:`RollupIndex.build` and never installed is a point-in-time copy of
-the cube it was built from.
+:meth:`RollupIndex.build` and not handed to ``Cube.adopt`` is a
+point-in-time copy of the cube it was built from.
 
 Determinism
 -----------
 Leaf ids are assigned in cube insertion order and scopes are served in
 ascending id order, which is exactly the iteration order of the naive
-``dict``-scan.  Floating-point aggregation order is therefore identical
+scan.  Floating-point aggregation order is therefore identical
 on both paths, making indexed results bit-identical to naive results
 (the equivalence property tests assert this).  The invariant holds for
-every way an index comes to exist: :meth:`RollupIndex.build` (ids follow
-the dict), :meth:`RollupIndex.fork` (ids shared),
+every way an index comes to exist: :meth:`RollupIndex.from_cells` (ids
+follow the mapping), :meth:`RollupIndex.fork` (ids shared),
 :meth:`RollupIndex.derive` (ids follow the emission order of the
 operator that produced the cube) and renumbering (relative order kept).
 
@@ -47,20 +46,21 @@ Structure generations
 Everything that depends only on *which* leaves exist — id map, address
 list, code columns, coordinate tables, liveness, the ordered id array and
 the per-coordinate mask cache — is one :class:`_Structure` generation.
-``Cube.frozen_copy`` *forks* the index: the fork shares the generation
-(so a mask computed by one snapshot serves every later one) and shares
-the value planes copy-on-write at plane granularity through
-``ColumnarLeafStore.fork``.  A value write touches no structure.  An
-insert or delete on the live side first replaces a shared generation
-wholesale with a trimmed copy (forks never mutate, so they keep the old
+``Cube.frozen_copy`` and ``Cube.copy`` *fork* the index: the fork shares
+the generation (so a mask computed by one snapshot serves every later
+one) and shares the value planes copy-on-write at plane granularity
+through ``ColumnarLeafStore.fork``.  A value write touches no structure.
+An insert or delete on either side first replaces a shared generation
+wholesale with a trimmed private copy (the other side keeps the old
 one); ids are never reused, and once dead ids outnumber live ones the
 next structural write renumbers, so churn cannot grow the id space past
-twice the cube.  The what-if operators (ρ, S) *derive* the
-index of their output from the input's: the unchanged dimensions' columns
-are permuted, the varying dimension's column is recoded, and the gathered
-values are bulk-loaded — no rebuild.  ``copy``/``filter_dimension``
-produce cubes without an index; it is built column-wise on their first
-derived read.
+twice the cube.  The what-if operators (ρ, S) and the restrictions (σ,
+the shard's slice) *derive* the index of their output from the input's:
+the unchanged dimensions' columns are permuted, a moved dimension's
+column is recoded, and the gathered values are bulk-loaded — no rebuild.
+Columns are built from addresses in one place, :meth:`RollupIndex.from_cells`:
+a bulk ``Cube.load``, an output whose rows clash on one address, and
+anything computed under ``naive_mode()``.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ from repro.lint.lockdep import make_lock
 from repro.obs.trace import trace_span
 from repro.olap.aggregation import reduce_array
 from repro.olap.missing import Missing
-from repro.perf import config as perf_config
 from repro.storage.array_cube import DEFAULT_PLANE_SIZE, ColumnarLeafStore
 from repro.storage.io_stats import CacheStats
 
@@ -93,7 +92,7 @@ AxisScope: TypeAlias = "tuple[bool, np.ndarray | None]"
 Column: TypeAlias = "tuple[np.ndarray, list[str]]"
 
 #: soft cap on the per-index rollup memo (total entries across all
-#: aggregator/mode tables), to bound worst-case memory on long-lived
+#: aggregator tables), to bound worst-case memory on long-lived
 #: cubes queried at ever-changing addresses
 _MEMO_CAP = 65536
 
@@ -110,8 +109,9 @@ class LeafColumns(NamedTuple):
     ``d`` and ``coords[d][code]`` the coordinate itself, for the
     dimensions that were asked for.  ``index``/``ids`` name the rollup
     index the columns were read from and each row's leaf id in it
-    (``None`` for columns scanned from a bare dict), which is what
-    :meth:`RollupIndex.derive` needs to build the output's index.
+    (``None`` for columns scanned off the addresses under
+    ``naive_mode()``), which is what :meth:`derive` needs to build the
+    output's index.
     """
 
     addresses: list[Address]
@@ -120,6 +120,25 @@ class LeafColumns(NamedTuple):
     coords: dict[int, list[str]]
     index: "RollupIndex | None" = None
     ids: "np.ndarray | None" = None
+
+    def derive(
+        self,
+        schema: "CubeSchema",
+        rows: np.ndarray,
+        addresses: list[Address],
+        recoded: Mapping[int, Column],
+        id_of: "dict[Address, int] | None" = None,
+    ) -> "RollupIndex":
+        """The leaf store of the cube whose leaf ``k`` is row ``rows[k]``
+        at ``addresses[k]`` (``id_of``, when given, maps each address to
+        its ``k``): derived from the index the columns were read from
+        (:meth:`RollupIndex.derive`), or built from the addresses when
+        there is none or when two rows land on one address — they collapse
+        to the later value, so rows and leaves no longer line up."""
+        values = self.values[rows]
+        if self.index is None or (id_of is not None and len(id_of) != len(rows)):
+            return RollupIndex.from_cells(schema, dict(zip(addresses, values.tolist())))
+        return self.index.derive(self.ids[rows], addresses, values, recoded, id_of)
 
 
 def _factorize(column: Sequence[str]) -> Column:
@@ -135,9 +154,9 @@ def _factorize(column: Sequence[str]) -> Column:
 def scan_columns(
     leaf_cells: Mapping[Address, float], dims: Sequence[int]
 ) -> LeafColumns:
-    """Read :class:`LeafColumns` straight off a leaf mapping (a dict or a
-    :class:`LeafView`; no index is consulted for the coordinates): the
-    requested coordinate columns are factorised in one pass each."""
+    """Read :class:`LeafColumns` straight off a leaf mapping (no index is
+    consulted for the coordinates): the requested coordinate columns are
+    factorised in one pass each."""
     addresses = list(leaf_cells)
     values = np.fromiter(
         leaf_cells.values(), dtype=np.float64, count=len(addresses)
@@ -230,9 +249,10 @@ class _Structure:
     their liveness (both may carry spare capacity past the id space);
     ``tables`` are the per-dimension :class:`_CoordTable`.
 
-    A live index and its forks share one generation.  Forks never write;
-    the live index mutates a generation in place only while no fork
-    shares it and otherwise replaces it with :meth:`copy` first.  The
+    An index and its forks share one generation.  An index mutates a
+    generation in place only while nothing shares it and otherwise
+    replaces it with :meth:`copy` first (frozen snapshots never write; a
+    writable ``Cube.copy`` does, and diverges the same way).  The
     three caches — ``id_of`` (``None`` until a point read or write needs
     it; most scenario views never do), ``ordered`` (ascending live ids)
     and ``masks`` ((dim_index, coord) -> boolean mask over the id space)
@@ -267,12 +287,12 @@ class _Structure:
 
 
 class LeafView(Mapping[Address, float]):
-    """The leaf cells of an indexed cube as a read-only mapping — what
-    ``Cube._leaf_cells`` is once the cube's rollup index is its leaf
-    store.  Iteration is insertion order (ascending leaf id), like the
-    dict it replaces; bulk reads (``items``/``values``/``copy``) are one
-    column gather, point reads one id-map probe plus one plane read under
-    the index lock.  The view holds the index, never the other way round."""
+    """The leaf cells of a cube as a read-only mapping over its rollup
+    index — what ``Cube._leaf_cells`` is.  Iteration is insertion order
+    (ascending leaf id), like a dict's; bulk reads (``items``/``values``)
+    are one column gather, point reads one id-map probe plus one plane
+    read under the index lock.  The view holds the index, never the other
+    way round."""
 
     __slots__ = ("_index",)
 
@@ -311,10 +331,6 @@ class LeafView(Mapping[Address, float]):
         columns = self._index.columns(())
         return list(zip(columns.addresses, columns.values.tolist()))
 
-    def copy(self) -> dict[Address, float]:
-        """A plain dict of the leaf cells (``dict.copy`` for a view)."""
-        return dict(self.items())
-
 
 class RollupIndex:
     """Per-dimension coordinate-code columns over the leaf-cell id space.
@@ -323,7 +339,7 @@ class RollupIndex:
     and plane mutation from ``Cube.set_value``) and the query paths that
     read columns or the rollup memo.  Queries on *frozen* snapshot cubes
     never contend with maintenance (a frozen cube cannot mutate), so the
-    lock there is uncontended overhead only; for a live cube it makes
+    lock there is uncontended overhead only; for a writable cube it makes
     interleaved query/mutation safe.  The sanctioned lock-free reads are
     the memo probe through :meth:`memo_table` — a single dict ``get`` on
     a table that is only ever cleared in place (atomic under the GIL) —
@@ -352,10 +368,10 @@ class RollupIndex:
         #: whether a structural write replaced the generation since the
         #: last fork (reported by the ``cube.snapshot`` span)
         self._struct_copied = False
-        # (aggregator, reduction mode) -> {address: value}; inner tables
-        # are cleared *in place* on invalidation so refs handed out via
-        # memo_table() stay live
-        self._memo: dict[tuple[str, str], dict[Address, CellValue]] = {}
+        # aggregator -> {address: value}; inner tables are cleared *in
+        # place* on invalidation so refs handed out via memo_table() stay
+        # live
+        self._memo: dict[str, dict[Address, CellValue]] = {}
         self._memo_count = 0
         #: leaf values as chunked planes; plane row == leaf id
         self._values = ColumnarLeafStore(self._plane_size)
@@ -392,14 +408,28 @@ class RollupIndex:
 
     @classmethod
     def build(cls, cube: "Cube", *, plane_size: "int | None" = None) -> "RollupIndex":
-        """Column-wise build from a cube's leaf cells.  ``plane_size``
-        overrides the value-plane chunk size (tests use tiny planes to
-        exercise multi-plane and sparse layouts at small scale)."""
+        """A point-in-time copy of a cube's leaf cells, built column-wise.
+        ``plane_size`` overrides the value-plane chunk size (tests use
+        tiny planes to exercise multi-plane and sparse layouts at small
+        scale)."""
+        return cls.from_cells(cube.schema, cube._leaf_cells, plane_size=plane_size)
+
+    @classmethod
+    def from_cells(
+        cls,
+        schema: "CubeSchema",
+        leaf_cells: Mapping[Address, float],
+        *,
+        plane_size: "int | None" = None,
+    ) -> "RollupIndex":
+        """The one place columns are built from addresses: leaf ids follow
+        the mapping's iteration order.  Nothing is validated — the caller
+        guarantees leaf addresses of ``schema`` with float values."""
         with trace_span("rollup_index.build") as span:
-            n_dims = cube.schema.n_dims
-            cols = scan_columns(cube._leaf_cells, range(n_dims))
+            n_dims = schema.n_dims
+            cols = scan_columns(leaf_cells, range(n_dims))
             index = cls._from_columns(
-                cube.schema,
+                schema,
                 cols.addresses,
                 [(cols.codes[dim], cols.coords[dim]) for dim in range(n_dims)],
                 cols.values,
@@ -511,15 +541,8 @@ class RollupIndex:
         """A generation (and value store) without the dead ids: live
         leaves keep their relative order, so ascending id is still
         insertion order and strict reductions are unchanged."""
-        dims = range(self.schema.n_dims)
-        cols = self.columns(dims)
-        fresh = RollupIndex._from_columns(
-            self.schema,
-            cols.addresses,
-            [(cols.codes[dim], cols.coords[dim]) for dim in dims],
-            cols.values,
-            self._plane_size,
-        )
+        cols = self.columns(())
+        fresh = self.derive(cols.ids, cols.addresses, cols.values, {})
         self._values = fresh._values
         return fresh._struct
 
@@ -617,12 +640,11 @@ class RollupIndex:
             }
 
     def fork(self) -> "RollupIndex":
-        """A copy-on-write clone for a snapshot cube.
+        """A copy-on-write clone (``Cube.frozen_copy`` / ``Cube.copy``).
 
-        The structure generation is shared until the *live* side's next
-        structural write (the frozen clone never mutates); value planes
-        share at plane granularity through :meth:`ColumnarLeafStore.fork`;
-        the counters are shared for good.
+        The structure generation is shared until either side's next
+        structural write; value planes share at plane granularity through
+        :meth:`ColumnarLeafStore.fork`; the counters are shared for good.
         """
         with self._lock:
             clone = RollupIndex(self.schema, plane_size=self._plane_size)
@@ -637,13 +659,6 @@ class RollupIndex:
 
     # -- memo -------------------------------------------------------------------
 
-    def _memo_for(self, aggregator: str, mode: str) -> dict[Address, CellValue]:  # reprolint: locked
-        table = self._memo.get((aggregator, mode))
-        if table is None:
-            table = {}
-            self._memo[(aggregator, mode)] = table
-        return table
-
     def _memo_put(self, table: dict[Address, CellValue], address: Address, value: CellValue) -> None:  # reprolint: locked
         if self._memo_count >= _MEMO_CAP:
             self.stats.evictions += self._memo_count
@@ -653,13 +668,12 @@ class RollupIndex:
         table[address] = value
 
     def memo_table(self, aggregator: str = "sum") -> dict[Address, CellValue]:
-        """The live memo table for ``aggregator`` under the current
-        reduction mode.  Invalidation clears it *in place*, so a held
-        reference is always current: a lock-free ``table.get(addr)`` is
-        either a fresh value or a miss, never a stale value.  Callers
-        must treat it as read-only."""
+        """The live memo table for ``aggregator``.  Invalidation clears it
+        *in place*, so a held reference is always current: a lock-free
+        ``table.get(addr)`` is either a fresh value or a miss, never a
+        stale value.  Callers must treat it as read-only."""
         with self._lock:
-            return self._memo_for(aggregator, perf_config.reduction_mode())
+            return self._memo.setdefault(aggregator, {})
 
     def count_hit(self) -> None:
         """Record a lock-free memo probe hit (stats only)."""
@@ -770,13 +784,12 @@ class RollupIndex:
     ) -> CellValue:  # reprolint: locked
         # the memoised value of ``address``, else the reduction of the
         # leaves at ``scope_ids(*scope)`` (ascending), memoised
-        mode = perf_config.reduction_mode()
-        table = self._memo_for(aggregator, mode)
+        table = self._memo.setdefault(aggregator, {})
         if address in table:
             self.stats.hits += 1
             return table[address]
         self.stats.misses += 1
-        value = reduce_array(aggregator, self._values.gather(scope_ids(*scope)), mode)
+        value = reduce_array(aggregator, self._values.gather(scope_ids(*scope)))
         self._memo_put(table, address, value)
         return value
 
@@ -789,9 +802,8 @@ class RollupIndex:
     ) -> CellValue:
         """Aggregate the leaves of a row scope (:meth:`axis_ids`) that
         fall in a column scope (:meth:`axis_scope`), memoised per
-        (address, aggregator, reduction mode).  Filtering ascending ids
-        keeps them ascending, so strict-mode results are bit-identical to
-        the naive scan."""
+        (address, aggregator).  Filtering ascending ids keeps them
+        ascending, so results are bit-identical to the naive scan."""
         with self._lock:
             return self._reduced(address, aggregator, _ids_in_column, row_ids, col_scope)
 
@@ -862,17 +874,9 @@ class RollupIndex:
             scopes.append(shared if keep is None else shared[keep])
         return scopes
 
-    def rollup(
-        self,
-        leaf_cells: Mapping[Address, float],
-        address: Address,
-        aggregator: str = "sum",
-    ) -> CellValue:
+    def rollup(self, address: Address, aggregator: str = "sum") -> CellValue:
         """Aggregate a cell's scope through the index, memoised per
-        (address, aggregator, reduction mode) until the next leaf
-        mutation.  ``leaf_cells`` — the mapping of the cube being asked —
-        is not consulted: the planes are the leaf store, and an index that
-        no cube installed answers for the cells it was built from."""
+        (address, aggregator) until the next leaf mutation."""
         with self._lock:
             return self._reduced(address, aggregator, self._address_ids, address)
 

@@ -412,7 +412,6 @@ def _merge_partials(parts: "list[dict[str, Any]]", n_cells: int) -> "list[Any]":
     import numpy as np
 
     from repro.olap.aggregation import reduce_array
-    from repro.perf import config as perf_config
 
     counts = [np.diff(part["offsets"]) for part in parts]
     cell_of = np.concatenate(
@@ -423,9 +422,8 @@ def _merge_partials(parts: "list[dict[str, Any]]", n_cells: int) -> "list[Any]":
     merged = values[np.lexsort((positions, cell_of))]
     bounds = np.zeros(n_cells + 1, dtype=np.int64)
     np.cumsum(np.sum(counts, axis=0), out=bounds[1:])
-    mode = perf_config.reduction_mode()
     return [
-        reduce_array("sum", merged[start:stop], mode)
+        reduce_array("sum", merged[start:stop])
         for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist())
     ]
 
@@ -538,8 +536,8 @@ class ShardedQueryService:
         # Every leaf must be owned by exactly one shard, or spanning
         # merges would silently drop its contribution.
         member_shard = self.plan.member_shard
-        for addr, _ in self.warehouse.cube.leaf_cells():
-            member = addr[self._dim_index].rsplit("/", 1)[-1]
+        for coord in sorted(self.warehouse.cube.coordinates_used(dimension)):
+            member = coord.rsplit("/", 1)[-1]
             if member not in member_shard:
                 raise ShardError(
                     f"leaf member {member!r} on {dimension!r} is not covered "
@@ -603,24 +601,25 @@ class ShardedQueryService:
         output validity from ``instances_of`` per member-with-data, so
         one leaf per member reproduces the full context's surviving set
         — and with it the exact axis tuples — at O(members) cost."""
+        import numpy as np
+
         from repro.olap.cube import Cube
         from repro.warehouse import Warehouse
 
         schema = self.warehouse.schema
         hollow_cube = Cube(schema, self.warehouse.cube.rules)
-        varying_dims = [
-            (name, schema.dim_index(name)) for name in schema.varying
-        ]
-        seeded: set[tuple[str, str]] = set()
-        for addr, _ in self.warehouse.cube.leaf_cells():
-            fresh = False
-            for name, dim_index in varying_dims:
-                key = (name, addr[dim_index].rsplit("/", 1)[-1])
-                if key not in seeded:
-                    seeded.add(key)
-                    fresh = True
-            if fresh:
-                hollow_cube.set_value(addr, 0.0)
+        varying_dims = [schema.dim_index(name) for name in schema.varying]
+        cols = self.warehouse.cube.leaf_columns(*varying_dims)
+        firsts = []
+        for dim_index in varying_dims:
+            # the first row of every member: coordinate code -> member code
+            members = [c.rsplit("/", 1)[-1] for c in cols.coords[dim_index]]
+            member_of = np.unique(members, return_inverse=True)[1]
+            firsts.append(
+                np.unique(member_of[cols.codes[dim_index]], return_index=True)[1]
+            )
+        rows = np.unique(np.concatenate(firsts)) if firsts else ()
+        hollow_cube.load((cols.addresses[row], 0.0) for row in rows)
         hollow = Warehouse(
             schema,
             hollow_cube,

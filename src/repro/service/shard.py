@@ -37,15 +37,14 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Sequence
 
-import numpy as np
-
 from repro.core.merge_graph import ShardPlan, plan_axis_shards
 from repro.errors import ReproError, ShardError
 from repro.faults import FAULTS, inject_io_fault, register_failpoint
-from repro.olap.cube import Cube
 from repro.olap.missing import MISSING, is_missing
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
     from repro.mdx.ast_nodes import MdxQuery
     from repro.warehouse import Warehouse
 
@@ -147,30 +146,24 @@ def restrict_warehouse(
     """The shard's sub-warehouse plus global insertion positions.
 
     The sub-cube holds exactly the full cube's leaf cells whose shard-
-    dimension member is owned, inserted in global order (so the shard's
-    local insertion order is the restriction of the global one — the
-    property the strict bit-identical reduction rests on), plus every
-    stored-derived cell and named set.  ``global_pos[k]`` is the position
-    in the full cube's insertion order of the sub-cube's ``k``-th leaf —
-    an ``int64`` column over the leaf-id space of the sub-cube's rollup
-    index (ids follow insertion order, and a shard's cube is never
-    written after this).
+    dimension member is owned, in global order (so the shard's local
+    insertion order is the restriction of the global one — the property
+    the strict bit-identical reduction rests on), plus every
+    stored-derived cell and named set: a mask over the shard dimension's
+    code column and an index derived from the full cube's.
+    ``global_pos[k]`` is the position in the full cube's insertion order
+    of the sub-cube's ``k``-th leaf — an ``int64`` column over the
+    leaf-id space of the sub-cube's rollup index (ids follow insertion
+    order, and a shard's cube is never written after this).
     """
     from repro.warehouse import Warehouse
 
-    schema = full.schema
-    dim_index = schema.dim_index(dimension)
     owned = set(owned_members)
-    sub_cube = Cube(schema, full.cube.rules)
-    positions: list[int] = []
-    for position, (addr, value) in enumerate(full.cube.leaf_cells()):
-        if addr[dim_index].rsplit("/", 1)[-1] in owned:
-            sub_cube.set_value(addr, value)
-            positions.append(position)
-    global_pos = np.asarray(positions, dtype=np.int64)
-    for addr, value in full.cube.stored_derived_cells():
-        sub_cube.set_value(addr, value)
-    sub = Warehouse(schema, sub_cube, name=full.name, aliases=full.aliases)
+    index, global_pos = full.cube.restrict_leaves(
+        dimension, lambda coord: coord.rsplit("/", 1)[-1] in owned
+    )
+    sub_cube = full.cube.adopt(index, dict(full.cube.stored_derived_cells()))
+    sub = Warehouse(full.schema, sub_cube, name=full.name, aliases=full.aliases)
     for named_set in full.named_sets():
         sub.define_named_set(named_set.name, named_set.members)
     return sub, global_pos

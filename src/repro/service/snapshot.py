@@ -9,7 +9,7 @@ standard snapshot-isolation pattern; writers keep writing to the live
 cube and never block readers).
 
 Cost model: a snapshot is a *fork*, not a copy.  The live cube owns its
-rollup index (built once, by the first snapshot or derived read) and that
+rollup index (built once, by the bulk load that filled the cube) and that
 index is its leaf store; ``Cube.frozen_copy`` forks it — the structure
 generation (id map, code columns, coordinate tables, mask cache) is
 shared, the value planes are shared copy-on-write — and wraps the fork in
@@ -20,10 +20,8 @@ copy for the first insert/delete after a snapshot.  The warehouse caches
 the snapshot per version — in the read-mostly what-if workload, thousands
 of queries between two mutations share one view, one index, and one
 scenario-cache generation — and a write → re-query loop costs the write
-plus the grid.  (A cube that is never indexed, e.g. under
-``naive_mode()``, still snapshots by copying its leaf dict.)  The chunked
-storage layer has the same idea at chunk granularity:
-``ChunkStore.fork()``.
+plus the grid.  The chunked storage layer has the same idea at chunk
+granularity: ``ChunkStore.fork()``.
 
 A snapshot deliberately *is a* :class:`~repro.warehouse.Warehouse`: the
 evaluator, analyzer, EXPLAIN, and profile machinery all run against it

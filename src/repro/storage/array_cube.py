@@ -359,8 +359,6 @@ class ChunkedCube:
         cls,
         cube: Cube,
         chunk_shape: Sequence[int] | None = None,
-        *,
-        use_planes: bool = True,
     ) -> "ChunkedCube":
         """Build from a semantic cube's leaf cells.
 
@@ -369,19 +367,14 @@ class ChunkedCube:
         and small integration scenarios; workload generators build chunked
         cubes directly for scale.
 
-        With ``use_planes=True`` (the default) the leaf cells are read
-        column-wise (:meth:`Cube.leaf_columns` — one vectorized gather
-        from the rollup index's value planes); ``use_planes=False``
-        iterates them cell by cell, which the bit-identity regression
-        tests compare against.
+        The leaf cells are read column-wise (:meth:`Cube.leaf_columns` —
+        one vectorized gather from the rollup index's value planes, or the
+        address scan under ``naive_mode()``, which the bit-identity
+        regression tests compare against).
         """
         schema = cube.schema
-        items: "list[tuple[tuple[str, ...], float]]"
-        if use_planes:
-            columns = cube.leaf_columns()
-            items = list(zip(columns.addresses, columns.values.tolist()))
-        else:
-            items = list(cube.leaf_cells())
+        columns = cube.leaf_columns()
+        items = list(zip(columns.addresses, columns.values.tolist()))
         label_sets: list[set[str]] = [set() for _ in schema.dimensions]
         for addr, _ in items:
             for i, coord in enumerate(addr):

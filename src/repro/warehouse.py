@@ -145,10 +145,8 @@ class Warehouse:
             return snapshot
 
     def _rollup_index_stats(self) -> dict[str, int]:
-        """Rollup-index cache counters — empty until the index is built
-        (the collector must not force a build)."""
-        index = self.cube._rollup_index
-        return index.stats.snapshot() if index is not None else {}
+        """Rollup-index cache counters."""
+        return self.cube.rollup_index().stats.snapshot()
 
     # -- named sets ---------------------------------------------------------------
 

@@ -152,12 +152,13 @@ def build_retail(config: RetailConfig | None = None) -> RetailWarehouse:
             current = target
 
     cube = Cube(schema)
-    for name in products:
-        for instance in varying.instances_of(name):
-            for t in instance.validity:
-                for loc in locations:
-                    value = float(rng.integers(5, 50))
-                    cube.set_value((instance.full_path, MONTHS[t], loc), value)
+    cube.load(
+        ((instance.full_path, MONTHS[t], loc), float(rng.integers(5, 50)))
+        for name in products
+        for instance in varying.instances_of(name)
+        for t in instance.validity
+        for loc in locations
+    )
 
     warehouse = Warehouse(schema, cube, name="Retail")
     return RetailWarehouse(
@@ -195,10 +196,12 @@ def fig7_example() -> RetailWarehouse:
     varying.reparent("1001", "100", "Sep")
 
     cube = Cube(schema)
-    for product in ("1001", "1002", "2001", "3001"):
-        for instance in varying.instances_of(product):
-            for t in instance.validity:
-                cube.set_value((instance.full_path, MONTHS[t], "NY"), 10.0)
+    cube.load(
+        ((instance.full_path, MONTHS[t], "NY"), 10.0)
+        for product in ("1001", "1002", "2001", "3001")
+        for instance in varying.instances_of(product)
+        for t in instance.validity
+    )
 
     warehouse = Warehouse(schema, cube, name="Retail")
     return RetailWarehouse(

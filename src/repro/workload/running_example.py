@@ -104,18 +104,12 @@ def build_running_example() -> RunningExample:
 
     rules = RuleEngine(schema)
     cube = Cube(schema, rules)
+    cells: list[tuple[tuple[str, ...], float]] = []
 
     def put(instance_path: str, location_name: str, month: str,
             measure: str, value: float) -> None:
-        cube.set_value(
-            schema.address(
-                Organization=instance_path,
-                Location=location_name,
-                Time=month,
-                Measures=measure,
-            ),
-            value,
-        )
+        # schema order: Organization, Location, Time, Measures
+        cells.append(((instance_path, location_name, month, measure), value))
 
     # Joe's salary under his three instances (NY plus a little MA data so
     # the Fig. 3 query has two interesting rows).
@@ -135,6 +129,7 @@ def build_running_example() -> RunningExample:
         put("Organization/Contractor/Jane", "NY", month, "Salary", 10)
         put("Organization/FTE/Lisa", "NY", month, "Benefits", 2)
         put("Organization/PTE/Tom", "NY", month, "Benefits", 2)
+    cube.load(cells)
     return RunningExample(
         schema=schema,
         cube=cube,

@@ -25,7 +25,7 @@ single two-instance ``EmployeeS3``) are defined on the warehouse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -261,21 +261,22 @@ def build_workforce(config: WorkforceConfig | None = None) -> WorkforceWarehouse
 
     cube = Cube(schema)
     changing_set = set(changing_names)
-    for name in employees:
-        filled = name in changing_set or rng.random() < config.density
-        if not filled:
-            continue
-        for instance in varying.instances_of(name):
-            path = instance.full_path
-            for t in instance.validity:
-                month = MONTHS[t]
-                for account_name in accounts:
-                    for scenario_name in scenarios:
-                        value = float(
-                            np.round(50 + 50 * rng.random(), 2)
-                        )
-                        cube.set_value(
-                            (
+
+    def cells() -> Iterator[tuple[tuple[str, ...], float]]:
+        for name in employees:
+            filled = name in changing_set or rng.random() < config.density
+            if not filled:
+                continue
+            for instance in varying.instances_of(name):
+                path = instance.full_path
+                for t in instance.validity:
+                    month = MONTHS[t]
+                    for account_name in accounts:
+                        for scenario_name in scenarios:
+                            value = float(
+                                np.round(50 + 50 * rng.random(), 2)
+                            )
+                            yield (
                                 path,
                                 month,
                                 account_name,
@@ -283,9 +284,9 @@ def build_workforce(config: WorkforceConfig | None = None) -> WorkforceWarehouse
                                 "Local",
                                 "BU Version_1",
                                 "HSP_InputValue",
-                            ),
-                            value,
-                        )
+                            ), value
+
+    cube.load(cells())
 
     warehouse = Warehouse(schema, cube, name="Db", aliases={"App", "Warehouse"})
     thirds = max(1, (len(changing_names) + 2) // 3)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.validation import check_warehouse
 from repro.warehouse import Warehouse
+from repro.workload import build_running_example
 
 
 @pytest.fixture
@@ -15,6 +16,17 @@ def warehouse(example) -> Warehouse:
 
 def codes(findings):
     return sorted(f.code for f in findings)
+
+
+def plant_unknown_coordinate(warehouse: Warehouse) -> None:
+    """Every write path rejects unknown coordinates, so simulate external
+    corruption: a leaf store filled over a schema that knows one more
+    location, adopted (``adopt`` validates nothing) by the cube whose
+    schema does not."""
+    wider = build_running_example()
+    wider.location.add_children("East", ["Atlantis"])
+    wider.cube.set_value(("Organization/FTE/Lisa", "Atlantis", "Jan", "Salary"), 5.0)
+    warehouse.cube = warehouse.cube.adopt(wider.cube.rollup_index(), {})
 
 
 class TestCleanWarehouse:
@@ -58,12 +70,8 @@ class TestViolations:
         findings = check_warehouse(warehouse)
         assert "unknown-instance" in codes(findings)
 
-    def test_unknown_coordinate_detected(self, warehouse, example):
-        # set_value() rejects unknown coordinates, so simulate external
-        # corruption (e.g. a hand-edited cells.json) directly.
-        example.cube._leaf_cells[
-            ("Organization/FTE/Lisa", "Atlantis", "Jan", "Salary")
-        ] = 5.0
+    def test_unknown_coordinate_detected(self, warehouse):
+        plant_unknown_coordinate(warehouse)
         findings = check_warehouse(warehouse)
         assert "unknown-coordinate" in codes(findings)
 
@@ -76,16 +84,14 @@ class TestViolations:
         findings = check_warehouse(warehouse)
         assert "orphan-named-set" in codes(findings)
 
-    def test_multiple_findings_reported(self, warehouse, example):
-        example.cube.set(
+    def test_multiple_findings_reported(self, warehouse):
+        plant_unknown_coordinate(warehouse)
+        warehouse.cube.set(
             99.0,
             Organization="Organization/FTE/Joe",
             Location="NY",
             Time="Feb",
             Measures="Salary",
         )
-        example.cube._leaf_cells[
-            ("Organization/FTE/Lisa", "Atlantis", "Jan", "Salary")
-        ] = 5.0
         findings = check_warehouse(warehouse)
         assert len(findings) >= 2

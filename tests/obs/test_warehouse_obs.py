@@ -104,10 +104,11 @@ class TestQueryProfiles:
 
         lines = profile.render().splitlines()
         at = next(i for i, line in enumerate(lines) if line.split()[0] == "scenario")
-        below = [line.split()[0] for line in lines[at + 1 : at + 9]]
-        assert below[:3] == ["scenario.apply", "core.split", "rollup_index.build"]
+        below = [line.split()[0] for line in lines[at + 1 : at + 8]]
+        assert below[:3] == ["scenario.apply", "core.split", "rollup_index.derive"]
         assert "core.phi" in below and "core.relocate" in below
-        assert lines[at + 9].split()[0] == "axes"
+        assert "rollup_index.build" not in below, "a cold apply derives, never rebuilds"
+        assert lines[at + 8].split()[0] == "axes"
 
     def test_phase_sum_covers_total_when_warm(self, warehouse):
         """Acceptance: phase timings must sum to within 10% of the total
@@ -167,9 +168,10 @@ class TestWarehouseMetrics:
         assert snapshot["scenario_cache.hits"] == 1
 
     def test_rollup_index_collector_never_forces_a_build(self, warehouse):
-        assert not warehouse.cube.has_rollup_index
-        warehouse.metrics.snapshot()
-        assert not warehouse.cube.has_rollup_index
+        index = warehouse.cube.rollup_index()
+        assert index.stats.builds == 1, "the bulk load's one column build"
+        assert warehouse.metrics.snapshot()["rollup_index.builds"] == 1
+        assert warehouse.cube.rollup_index() is index and index.stats.builds == 1
 
     def test_rollup_index_collector_sees_snapshot_traffic(self, warehouse):
         """The service only queries snapshots; their forked indexes share

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import RuleError, SchemaError
 from repro.olap.cube import Cube
 from repro.olap.missing import MISSING, is_missing
+from repro.perf.rollup_index import RollupIndex
 
 
 class TestStorage:
@@ -81,6 +82,20 @@ class TestRollup:
         tiny_cube.materialize_derived([("H1", "Sales")])
         assert tiny_cube.value(("H1", "Sales")) == 60.0
 
+    def test_materialize_bumps_version_only_on_change(self, tiny_schema):
+        cube = Cube(tiny_schema)
+        cube.set(1.0, Time="Jan", Measures="Sales")
+        version = cube.version
+        # ⊥ derived value, nothing stored to drop: not a mutation
+        cube.materialize_derived([("H2", "Sales"), ("H2", "COGS")])
+        assert cube.version == version and cube.n_stored_derived == 0
+        cube.materialize_derived([("H1", "Sales")])
+        assert cube.version == version + 1
+        # the scope empties: the stored aggregate is dropped, once
+        cube.set(None, Time="Jan", Measures="Sales")
+        cube.materialize_derived([("H1", "Sales"), ("H1", "Sales")])
+        assert cube.version == version + 3 and cube.n_stored_derived == 0
+
     def test_materialize_leaf_rejected(self, tiny_cube):
         with pytest.raises(RuleError):
             tiny_cube.materialize_derived([("Jan", "Sales")])
@@ -108,10 +123,11 @@ class TestTransforms:
             for addr, value in tiny_cube.leaf_cells()
             if addr[0] != "Jan"  # drop Jan
         }
-        doubled = tiny_cube.adopt(kept, dict(tiny_cube.stored_derived_cells()))
+        index = RollupIndex.from_cells(tiny_cube.schema, kept)
+        doubled = tiny_cube.adopt(index, dict(tiny_cube.stored_derived_cells()))
         assert doubled.schema is tiny_cube.schema
         assert doubled.rules is tiny_cube.rules
-        assert not doubled.has_rollup_index
+        assert doubled.rollup_index() is index
         assert is_missing(doubled.at(Time="Jan", Measures="Sales"))
         assert doubled.at(Time="Feb", Measures="Sales") == 40.0
         assert doubled.rollup(("H1", "Sales")) == 40.0 + 60.0

@@ -2,9 +2,8 @@
 
 The vectorized rollup kernel mirrors leaf values into chunked numpy
 planes (dense or coordinate-sparse per chunk) and reduces gathered
-arrays.  Its contract is that this is *invisible*: under the default
-strict reduction mode every representation produces results bit-identical
-to the naive dict scan — across densities, interleaved ``set_value``
+arrays.  Its contract is that this is *invisible*: every representation produces
+results bit-identical to the naive scan — across densities, interleaved ``set_value``
 mutations, frozen snapshots, and fork-COW plane sharing.
 """
 
@@ -21,7 +20,7 @@ from repro.olap.cube import Cube
 from repro.olap.dimension import Dimension
 from repro.olap.missing import MISSING, is_missing
 from repro.olap.schema import CubeSchema
-from repro.perf.config import fast_reduction, fast_tolerance, naive_mode
+from repro.perf.config import naive_mode
 from repro.perf.rollup_index import RollupIndex
 from repro.workload.running_example import MONTHS as EXAMPLE_MONTHS
 from repro.workload.running_example import build_running_example
@@ -63,7 +62,7 @@ def _assert_parity(cube: Cube, index: RollupIndex, addresses) -> None:
     """Indexed (columnar) results must equal the naive scan bit-for-bit."""
     for address in addresses:
         for aggregator in AGGREGATORS:
-            indexed = index.rollup(cube._leaf_cells, address, aggregator)
+            indexed = index.rollup(address, aggregator)
             with naive_mode():
                 naive = cube.rollup(address, aggregator)
             if is_missing(indexed) or is_missing(naive):
@@ -120,7 +119,7 @@ class TestColumnarParityProperty:
         index.compact_planes(ceiling=1.0)
         if index.plane_store.n_planes > 1:
             assert "sparse" in index.plane_store.plane_kinds()
-        cube._rollup_index = index  # so set_value maintains this index
+        cube = cube.adopt(index, {})  # so set_value maintains this index
         # re-valuing one live leaf flushes the memo without desyncing the
         # planes, so the next parity pass actually gathers from them
         first_addr = LEAF_ADDRESSES[chosen[0]]
@@ -159,7 +158,7 @@ class TestColumnarParityProperty:
         live_index = cube.rollup_index()
 
         snap = cube.frozen_copy()
-        snap_index = snap._rollup_index
+        snap_index = snap.rollup_index()
         assert snap_index is not None, "frozen_copy must fork a built index"
         # COW: planes are shared objects until either side writes
         assert (
@@ -197,7 +196,7 @@ def _assert_index_parity(cube: Cube, index: RollupIndex, addresses) -> None:
     assert index.columns(()).addresses == list(cube._leaf_cells)
     for address in addresses:
         assert index.scope_addresses(address) == rebuilt.scope_addresses(address)
-        served = index.rollup(cube._leaf_cells, address)
+        served = index.rollup(address)
         with naive_mode():
             naive = cube.rollup(address)
         assert repr(served) == repr(naive), address
@@ -236,15 +235,15 @@ class TestScenarioViewParity:
         addresses = order.sample(_example_addresses(cube.schema), 120)
         index = RollupIndex.build(cube, plane_size=PLANE_SIZE)
         index.compact_planes(ceiling=1.0)  # sparse parent planes
-        cube._rollup_index = index
+        cube = cube.adopt(index, {})
 
         # derived by ρ, and by S then ρ
         negative = NegativeScenario(
             "Organization", perspectives, semantics, Mode.VISUAL
         )
         view = negative.apply(cube).leaf_cube
-        assert view._rollup_index is not None
-        _assert_index_parity(view, view._rollup_index, addresses)
+        assert view.rollup_index() is not None
+        _assert_index_parity(view, view.rollup_index(), addresses)
         old_parent = example.org.parent_at("Lisa", change_month)
         new_parent = "PTE" if old_parent != "PTE" else "FTE"
         chained = apply_scenarios(
@@ -257,8 +256,8 @@ class TestScenarioViewParity:
                 negative,
             ],
         ).leaf_cube
-        assert chained._rollup_index is not None
-        _assert_index_parity(chained, chained._rollup_index, addresses)
+        assert chained.rollup_index() is not None
+        _assert_index_parity(chained, chained.rollup_index(), addresses)
 
         # forked, then the live side mutates (update / delete / insert)
         snap = cube.frozen_copy()
@@ -266,53 +265,4 @@ class TestScenarioViewParity:
             addr = cells[pick % len(cells)][0]
             cube.set_value(addr, MISSING if value is None else value)
         _assert_index_parity(cube, index, addresses)
-        _assert_index_parity(snap, snap._rollup_index, addresses)
-
-
-class TestFastReduction:
-    def test_fast_mode_exact_on_integer_workloads(self):
-        cube = _tiny_cube()
-        for i, addr in enumerate(LEAF_ADDRESSES):
-            cube.set_value(addr, float(i + 1))
-        index = cube.rollup_index()
-        addresses = _all_addresses(cube.schema)
-        strict = {
-            a: index.rollup(cube._leaf_cells, a) for a in addresses
-        }
-        with fast_reduction():
-            for address in addresses:
-                fast = index.rollup(cube._leaf_cells, address)
-                assert repr(fast) == repr(strict[address]), address
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        values=st.lists(
-            values_strategy,
-            min_size=len(LEAF_ADDRESSES),
-            max_size=len(LEAF_ADDRESSES),
-        )
-    )
-    def test_fast_mode_within_tolerance(self, values):
-        cube = _tiny_cube()
-        for addr, value in zip(LEAF_ADDRESSES, values):
-            cube.set_value(addr, value)
-        index = cube.rollup_index()
-        addresses = _all_addresses(cube.schema)
-        for address in addresses:
-            strict = index.rollup(cube._leaf_cells, address)
-            with fast_reduction():
-                fast = index.rollup(cube._leaf_cells, address)
-            scale = max(1.0, abs(strict))
-            assert abs(fast - strict) <= fast_tolerance() * scale, address
-
-    def test_fast_and_strict_memoised_separately(self):
-        cube = _tiny_cube()
-        cube.set_value(("Jan", "Sales"), 0.1)
-        cube.set_value(("Feb", "Sales"), 0.2)
-        index = cube.rollup_index()
-        address = ("H1", "Sales")
-        strict = index.rollup(cube._leaf_cells, address)
-        with fast_reduction():
-            index.rollup(cube._leaf_cells, address)
-        # back in strict mode the memo must serve the strict value again
-        assert repr(index.rollup(cube._leaf_cells, address)) == repr(strict)
+        _assert_index_parity(snap, snap.rollup_index(), addresses)

@@ -50,9 +50,7 @@ class TestAgreementWithNaive:
         cube = example.cube
         for addr in _all_addresses(cube.schema):
             for aggregator in AGGREGATORS:
-                indexed = cube.rollup_index().rollup(
-                    cube._leaf_cells, addr, aggregator
-                )
+                indexed = cube.rollup_index().rollup(addr, aggregator)
                 naive = _naive_rollup(cube, addr, aggregator)
                 assert indexed == naive or (
                     is_missing(indexed) and is_missing(naive)
@@ -160,10 +158,10 @@ class TestContracts:
         cube = example.cube
         index = cube.rollup_index()
         root = tuple(d.root.name for d in cube.schema.dimensions)
-        index.rollup(cube._leaf_cells, root)
+        index.rollup(root)
         misses = index.stats.misses
         hits = index.stats.hits
-        index.rollup(cube._leaf_cells, root)
+        index.rollup(root)
         assert index.stats.hits == hits + 1
         assert index.stats.misses == misses
 
@@ -210,7 +208,7 @@ class TestPlaneScopes:
             via_axes = index.rollup_axes(
                 addr, index.axis_ids(pairs[:2]), index.axis_scope(pairs[2:])
             )
-            direct = fresh.rollup(cube._leaf_cells, addr)
+            direct = fresh.rollup(addr)
             assert via_axes == direct or (
                 is_missing(via_axes) and is_missing(direct)
             )
@@ -230,8 +228,8 @@ def _assert_agrees_with_rebuild(cube, index):
             assert ids == rebuilt.scope_ids(addr), addr
         else:
             assert index.scope_addresses(addr) == rebuilt.scope_addresses(addr)
-        served = index.rollup(cube._leaf_cells, addr)
-        assert repr(served) == repr(rebuilt.rollup(cube._leaf_cells, addr)), addr
+        served = index.rollup(addr)
+        assert repr(served) == repr(rebuilt.rollup(addr)), addr
 
 
 class TestDerivedAndForkedIndexes:
@@ -241,8 +239,10 @@ class TestDerivedAndForkedIndexes:
 
     def _indexed(self, example):
         cube = example.cube
-        cube._rollup_index = RollupIndex.build(cube, plane_size=self.PLANE_SIZE)
-        return cube
+        return cube.adopt(
+            RollupIndex.build(cube, plane_size=self.PLANE_SIZE),
+            dict(cube.stored_derived_cells()),
+        )
 
     @pytest.mark.parametrize("semantics", list(Semantics))
     def test_derived_by_relocate(self, example, semantics):
@@ -252,9 +252,9 @@ class TestDerivedAndForkedIndexes:
         ).apply(cube)
         out = applied.leaf_cube
         assert out.has_rollup_index, "ρ derives the output's index"
-        assert out._rollup_index.stats.builds == 0
-        assert out._rollup_index.plane_store.plane_size == self.PLANE_SIZE
-        _assert_agrees_with_rebuild(out, out._rollup_index)
+        assert out.rollup_index().stats.builds == 0
+        assert out.rollup_index().plane_store.plane_size == self.PLANE_SIZE
+        _assert_agrees_with_rebuild(out, out.rollup_index())
 
     def test_derived_by_split_then_relocate(self, example):
         cube = self._indexed(example)
@@ -265,9 +265,9 @@ class TestDerivedAndForkedIndexes:
             NegativeScenario("Organization", ["Mar"], Semantics.FORWARD),
         ]
         first = chain[0].apply(cube)
-        _assert_agrees_with_rebuild(first.leaf_cube, first.leaf_cube._rollup_index)
+        _assert_agrees_with_rebuild(first.leaf_cube, first.leaf_cube.rollup_index())
         out = apply_scenarios(cube, chain).leaf_cube
-        _assert_agrees_with_rebuild(out, out._rollup_index)
+        _assert_agrees_with_rebuild(out, out.rollup_index())
 
     def test_derived_index_is_maintained_like_a_built_one(self, example):
         cube = self._indexed(example)
@@ -280,27 +280,27 @@ class TestDerivedAndForkedIndexes:
         out.set_value(
             ("Organization/FTE/Lisa", "MA", "Feb", "Benefits"), 7.0
         )
-        _assert_agrees_with_rebuild(out, out._rollup_index)
+        _assert_agrees_with_rebuild(out, out.rollup_index())
 
     def test_forked_then_mutated(self, example):
         cube = self._indexed(example)
-        live = cube._rollup_index
+        live = cube.rollup_index()
         snap = cube.frozen_copy()
-        assert snap._rollup_index._struct is live._struct, "structure is shared"
+        assert snap.rollup_index()._struct is live._struct, "structure is shared"
         cells = list(cube.leaf_cells())
         cube.set_value(cells[0][0], cells[0][1] + 1.0)  # in place: still shared
-        assert snap._rollup_index._struct is live._struct
+        assert snap.rollup_index()._struct is live._struct
         cube.set_value(cells[1][0], MISSING)  # structural: the live side copies
-        assert snap._rollup_index._struct is not live._struct
+        assert snap.rollup_index()._struct is not live._struct
         cube.set_value(
             ("Organization/FTE/Lisa", "MA", "Feb", "Benefits"), 7.0
         )
         _assert_agrees_with_rebuild(cube, live)
-        _assert_agrees_with_rebuild(snap, snap._rollup_index)
+        _assert_agrees_with_rebuild(snap, snap.rollup_index())
         # a fork of the diverged live index shares again
         again = cube.frozen_copy()
-        assert again._rollup_index._struct is live._struct
-        _assert_agrees_with_rebuild(again, again._rollup_index)
+        assert again.rollup_index()._struct is live._struct
+        _assert_agrees_with_rebuild(again, again.rollup_index())
 
 
 class TestStreamingAggregators:

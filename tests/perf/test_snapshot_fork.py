@@ -1,11 +1,12 @@
-"""The live cube's rollup index as its leaf store, and snapshots as forks.
+"""The cube's rollup index as its leaf store, snapshots and copies as forks.
 
-Once a cube is indexed the index *is* the leaf store: ``_leaf_cells`` is a
-view over it, ``set_value`` writes it alone, ``frozen_copy`` forks it.
-The contract is that none of this is visible: every snapshot answers
-exactly what a ``naive_mode()`` replay of the writes up to its version
-answers (``repr``-equal, so NaN and the sign of zero count), older
-snapshots never move, and the index is built once.
+The index *is* the leaf store from the cube's first cell: ``_leaf_cells``
+is a view over it, ``set_value`` writes it alone, ``load`` builds it in
+one step, ``frozen_copy`` and ``copy`` fork it.  The contract is that
+none of this is visible: every snapshot answers exactly what a
+``naive_mode()`` replay of the writes up to its version answers
+(``repr``-equal, so NaN and the sign of zero count), older snapshots and
+writable copies never move, and the index is built once.
 
 The CI stress-smoke job runs this module under ``REPRO_LOCKDEP=1`` as
 well, so the threaded test's lock order is witnessed.
@@ -19,7 +20,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
@@ -79,8 +80,7 @@ def _naive_grid(cube: Cube) -> str:
 
 def _indexed(schema: CubeSchema) -> Cube:
     cube = Cube(schema)
-    cube._rollup_index = RollupIndex.build(cube, plane_size=PLANE_SIZE)
-    return cube
+    return cube.adopt(RollupIndex.build(cube, plane_size=PLANE_SIZE), {})
 
 
 values = st.one_of(
@@ -91,17 +91,17 @@ slots = st.integers(min_value=0, max_value=len(LEAVES) - 1)
 
 
 class SnapshotForkMachine(RuleBasedStateMachine):
-    """Writes of every kind against an indexed cube, snapshots in between;
-    a never-indexed twin takes the same writes and is only ever read
-    under ``naive_mode()``."""
+    """Writes of every kind against a cube on tiny planes, snapshots and
+    writable copies in between; a twin takes the same writes and is only
+    ever read under ``naive_mode()``."""
 
     @initialize(filled=st.lists(st.tuples(slots, values), max_size=12))
     def build(self, filled):
         schema = _schema()
         self.cube = _indexed(schema)
         self.twin = Cube(schema)
-        self.index = self.cube._rollup_index
-        #: (snapshot cube, the twin's naive grid at its version)
+        self.index = self.cube.rollup_index()
+        #: (pinned cube, the naive grid it must keep answering)
         self.snapshots: list[tuple[Cube, str]] = []
         for slot, value in filled:
             self._write(slot, value)
@@ -142,6 +142,24 @@ class SnapshotForkMachine(RuleBasedStateMachine):
         assert isinstance(snap._leaf_cells, LeafView)
         self.snapshots.append((snap, _naive_grid(self.twin)))
 
+    @rule(
+        overrides=st.lists(
+            st.tuples(slots, st.one_of(st.none(), values)), min_size=1, max_size=4
+        )
+    )
+    def copy_and_diverge(self, overrides):
+        """A writable copy takes writes its source never sees, and none of
+        the source's later writes reach it.  Its expected grid comes from a
+        cube filled cell by cell, which shares nothing with either."""
+        scratch, model = self.cube.copy(), Cube(self.cube.schema)
+        assert not scratch.frozen and scratch.version == 0
+        for addr, value in self.twin.leaf_cells():
+            model.set_value(addr, value)
+        cells = [(LEAVES[slot], value) for slot, value in overrides]
+        scratch.apply_overrides(cells)
+        model.apply_overrides(cells)
+        self.snapshots.append((scratch, _naive_grid(model)))
+
     @rule()
     def query(self):
         """The live cube answers like its twin; every snapshot still
@@ -154,7 +172,7 @@ class SnapshotForkMachine(RuleBasedStateMachine):
     @invariant()
     def built_once(self):
         if hasattr(self, "cube"):
-            assert self.cube._rollup_index is self.index
+            assert self.cube.rollup_index() is self.index
             assert self.index.stats.builds == 1
             assert self.cube.n_leaf_cells == self.twin.n_leaf_cells
 
@@ -231,7 +249,72 @@ def test_snapshots_under_concurrent_writes(monkeypatch):
     for version, answered in seen:
         assert answered == expected[version], f"version {version}"
     assert _grid(cube) == expected[cube.version]
-    assert cube._rollup_index.stats.builds == 1
+    assert cube.rollup_index().stats.builds == 1
+
+
+DERIVED = [("H1", "Sales"), ("H2", "COGS")]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    cells=st.lists(
+        st.tuples(st.sampled_from(LEAVES + DERIVED), st.one_of(st.none(), values)),
+        max_size=30,
+    )
+)
+@example(
+    cells=[
+        (LEAVES[0], 1.5),
+        (LEAVES[1], 2.0),
+        (DERIVED[0], 99.0),  # a stored-derived cell in the stream
+        (LEAVES[0], -0.0),  # a repeated address keeps its place
+        (LEAVES[1], None),  # a ⊥ delete ...
+        (LEAVES[2], float("nan")),
+        (LEAVES[1], 4.0),  # ... and the address comes back at the end
+        (DERIVED[0], None),
+        (LEAVES[3], None),  # deleting an absent cell is not a mutation
+    ]
+)
+def test_bulk_load_equals_per_cell_writes(cells):
+    """``Cube.load`` on an empty cube builds the columns once and leaves
+    the cube exactly as ``set_value`` of the same stream would."""
+    schema = _schema()
+    bulk, single = Cube(schema), Cube(schema)
+    bulk.load(cells)
+    for address, value in cells:
+        single.set_value(address, value)
+    assert bulk.version == single.version
+    assert bulk.n_leaf_cells == single.n_leaf_cells
+    assert repr(list(bulk.leaf_cells())) == repr(list(single.leaf_cells()))
+    assert list(bulk.stored_derived_cells()) == list(single.stored_derived_cells())
+
+    dims = range(schema.n_dims)
+    loaded, written = bulk.rollup_index(), single.rollup_index()
+    b, s = loaded.columns(dims), written.columns(dims)
+    assert b.addresses == s.addresses
+    for dim in dims:
+        assert [b.coords[dim][c] for c in b.codes[dim]] == [
+            s.coords[dim][c] for c in s.codes[dim]
+        ]
+    # leaf ids: the k-th live id is the same leaf on both sides.  A bulk
+    # load is born renumbered, so the ids themselves coincide whenever no
+    # delete left a hole in the per-cell id space.
+    assert b.ids.tolist() == list(range(len(b.addresses)))
+    if written.plane_store.n_rows == written.n_leaves:
+        assert s.ids.tolist() == b.ids.tolist()
+        assert loaded.plane_store.n_planes == written.plane_store.n_planes
+    assert repr(loaded.plane_store.gather(b.ids).tolist()) == repr(
+        written.plane_store.gather(s.ids).tolist()
+    )
+    assert loaded.stats.builds == 1
+    assert _grid(bulk) == _grid(single) == _naive_grid(single)
+
+    # on a cube that already holds cells, load is the per-cell loop
+    bulk.load(cells[:4])
+    for address, value in cells[:4]:
+        single.set_value(address, value)
+    assert bulk.version == single.version
+    assert _grid(bulk) == _grid(single)
 
 
 class TestGatherPaths:
@@ -299,7 +382,7 @@ class TestViewBackedCube:
         assert rebuilt.plane_store.nbytes > 0
         assert cube.rollup_index().plane_store.nbytes > 0
         root = tuple(d.root.name for d in cube.schema.dimensions)
-        assert repr(rebuilt.rollup(cube._leaf_cells, root)) == repr(cube.rollup(root))
+        assert repr(rebuilt.rollup(root)) == repr(cube.rollup(root))
 
     def test_point_reads_and_membership(self, cube):
         view = cube._leaf_cells
@@ -312,17 +395,27 @@ class TestViewBackedCube:
         assert cube.value(gone) is MISSING
         assert len(view) == cube.n_leaf_cells
 
-    def test_copy_thaws_to_a_plain_dict_cube(self, cube):
-        clone = cube.copy()
-        assert type(clone._leaf_cells) is dict and not clone.has_rollup_index
+    def test_copy_thaws_to_a_writable_fork(self, cube):
+        clone = cube.frozen_copy().copy()
+        assert not clone.frozen and clone.version == 0
+        assert clone.rollup_index()._struct is cube.rollup_index()._struct
         assert clone.leaf_equal(cube) and cube.leaf_equal(clone)
         addr, value = next(iter(clone.leaf_cells()))
+        new = ("Organization/FTE/Lisa", "MA", "Feb", "Benefits")
+        # value and structural writes on either side stay on that side
         clone.set_value(addr, value + 1.0)
-        assert not clone.leaf_equal(cube)
-        assert cube.value(addr) == value
+        clone.set_value(new, 7.0)
+        cube.set_value(addr, MISSING)
+        assert clone.value(addr) == value + 1.0 and clone.value(new) == 7.0
+        assert cube.value(addr) is MISSING and cube.value(new) is MISSING
+        root = tuple(d.root.name for d in cube.schema.dimensions)
+        for side in (cube, clone):
+            with naive_mode():
+                expected = side.rollup(root)
+            assert repr(side.rollup(root)) == repr(expected)
 
     def test_writes_go_to_the_index_alone(self, cube):
-        index, version = cube._rollup_index, cube.version
+        index, version = cube.rollup_index(), cube.version
         addr, value = next(iter(cube.leaf_cells()))
         cube.set_value(addr, value + 1.0)
         new = ("Organization/FTE/Lisa", "MA", "Feb", "Benefits")
@@ -330,7 +423,7 @@ class TestViewBackedCube:
         cube.set_value(new, MISSING)
         cube.set_value(new, MISSING)  # absent: not a mutation
         assert cube.version == version + 3
-        assert cube._rollup_index is index and index.stats.builds == 1
+        assert cube.rollup_index() is index and index.stats.builds == 1
         assert cube.value(addr) == value + 1.0 and cube.value(new) is MISSING
         root = tuple(d.root.name for d in cube.schema.dimensions)
         with naive_mode():
@@ -349,7 +442,7 @@ class TestViewBackedCube:
         import weakref
 
         snap = example.cube.frozen_copy()
-        index = weakref.ref(snap._rollup_index)
+        index = weakref.ref(snap.rollup_index())
         gc.disable()
         try:
             del snap
@@ -368,9 +461,9 @@ def test_churn_keeps_the_id_space_bounded():
             for target in (cube, twin):
                 target.set_value(addr, MISSING)
                 target.set_value(addr, float(round_ * 100 + i) / 7.0)
-        struct = cube._rollup_index._struct
+        struct = cube.rollup_index()._struct
         assert len(struct.codes[0]) <= 2 * cube.n_leaf_cells
         assert len(struct.addrs) <= 2 * cube.n_leaf_cells
-        assert cube._rollup_index.plane_store.n_rows == len(struct.addrs)
+        assert cube.rollup_index().plane_store.n_rows == len(struct.addrs)
         assert _grid(cube) == _naive_grid(twin)
-    assert cube._rollup_index.stats.builds == 1
+    assert cube.rollup_index().stats.builds == 1

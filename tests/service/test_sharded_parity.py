@@ -218,9 +218,15 @@ class TestSpanningWireFormat:
         for addr, value in zip(_LEAVES, writes):
             full.cube.set_value(addr, value)
         plan = build_shard_plan(full, "Organization", n_shards, chunk=2)
+        order = [addr for addr, _ in full.cube.leaf_cells()]
         parts = []
         for owned in plan.shards:
             sub, global_pos = restrict_warehouse(full, "Organization", owned)
+            # global_pos: where each owned leaf sits in the full cube's
+            # insertion order — every owned leaf, in that order
+            assert [order[pos] for pos in global_pos] == [
+                addr for addr in order if addr[0].rsplit("/", 1)[-1] in owned
+            ] == [addr for addr, _ in sub.cube.leaf_cells()]
             ids, values, offsets = sub.cube.rollup_index().scope_arrays(batch)
             parts.append(
                 {

@@ -1,9 +1,9 @@
-"""Columnar-plane leaf sourcing: bit-identity against the dict paths.
+"""Columnar-plane leaf sourcing: bit-identity against the address scan.
 
-Covers the three places leaf values are now served from the rollup
-index's columnar planes instead of the semantic dict:
+Covers the three places leaf values are served from the rollup index's
+columnar planes:
 
-* :meth:`ChunkedCube.from_cube` (``use_planes`` gather vs dict fallback),
+* :meth:`ChunkedCube.from_cube` (plane gather vs the ``naive_mode()`` scan),
 * :func:`compute_group_bys_from_cube` (shared-scan over a plane-sourced
   physical image),
 * the batch evaluator's leaf point reads
@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.olap.missing import MISSING, is_missing
+from repro.perf.config import naive_mode
 from repro.storage.array_cube import ChunkedCube, ColumnarLeafStore
 from repro.storage.cube_compute import (
     compute_group_bys,
@@ -58,9 +59,9 @@ class TestBulkPlaneLoad:
 
 class TestFromCubePlanes:
     def test_plane_and_dict_builds_are_bit_identical(self, example):
-        example.cube.rollup_index()  # make sure the planes exist
-        via_planes = ChunkedCube.from_cube(example.cube, use_planes=True)
-        via_dict = ChunkedCube.from_cube(example.cube, use_planes=False)
+        via_planes = ChunkedCube.from_cube(example.cube)
+        with naive_mode():
+            via_dict = ChunkedCube.from_cube(example.cube)
         assert [a.name for a in via_planes.axes] == [
             a.name for a in via_dict.axes
         ]
@@ -74,8 +75,7 @@ class TestFromCubePlanes:
             np.testing.assert_array_equal(data, dict_chunks[coord])
 
     def test_plane_build_without_prebuilt_index(self, example):
-        # from_cube may build the index itself; values must still match
-        # the semantic dict cell for cell.
+        # values must match the semantic cube cell for cell
         image = ChunkedCube.from_cube(example.cube)
         for address, value in example.cube.leaf_cells():
             assert image.value(address) == value
@@ -85,7 +85,8 @@ class TestComputeGroupBysFromCube:
     def test_matches_dict_sourced_shared_scan(self, example):
         group_bys = all_group_bys(example.cube.schema.n_dims)
         results, image = compute_group_bys_from_cube(example.cube, group_bys)
-        baseline_image = ChunkedCube.from_cube(example.cube, use_planes=False)
+        with naive_mode():
+            baseline_image = ChunkedCube.from_cube(example.cube)
         baseline = compute_group_bys(baseline_image.store, group_bys)
         assert sorted(results) == sorted(baseline)
         for dims, result in results.items():
@@ -107,7 +108,7 @@ class TestBatchLeafReads:
 
     def test_leaf_reader_mirrors_the_semantic_dict(self, example):
         cube = example.cube
-        before = dict(cube.leaf_cells())  # the dict, before it is replaced
+        before = dict(cube.leaf_cells())
         reader = cube.rollup_index().leaf_reader()
         assert dict(cube.leaf_cells()) == before
         for address, value in before.items():
@@ -120,9 +121,8 @@ class TestBatchLeafReads:
         from repro.warehouse import Warehouse
 
         warehouse = Warehouse(example.schema, example.cube, name="Warehouse")
-        before = warehouse.query(self.QUERY)
-        example.cube.rollup_index()
-        assert example.cube.has_rollup_index
+        with naive_mode():
+            before = warehouse.query(self.QUERY)
         after = warehouse.query(self.QUERY)
         assert after.rows == before.rows
         assert repr(after.cells) == repr(before.cells)
