@@ -168,69 +168,79 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_statements(args: argparse.Namespace) -> "list[str] | None":
+    """The ``;``-separated statements of ``serve``'s query file (or
+    stdin); ``None``, after saying why on stderr, when there are none."""
+    text = _read_query_text(args.query_file)
+    if text is None:
+        return None
+    statements = [part.strip() for part in text.split(";") if part.strip()]
+    if not statements:
+        print("repro: no queries to serve", file=sys.stderr)
+        return None
+    return statements
+
+
+def _serve_statements(args: argparse.Namespace, statements: "list[str]", submit) -> int:
+    """The batch half of ``serve``, whichever service runs it: admit every
+    statement, then print every grid in order.
+
+    ``submit(statement)`` admits one statement and returns the callable
+    that waits for its :class:`~repro.mdx.result.MdxResult`.  Exit-code
+    contract: 0 = all complete, 1 = any partial (degraded) or shed
+    result, 2 = any query error.
+    """
+    waiters = []
+    for statement in statements:
+        try:
+            waiters.append(submit(statement))
+        except ReproError as exc:
+            waiters.append(exc)  # shed at admission; report in order
+    worst = 0
+    for index, waiter in enumerate(waiters, start=1):
+        print(f"-- query {index}/{len(waiters)} --")
+        if isinstance(waiter, ReproError):
+            print(f"repro: shed: {waiter}", file=sys.stderr)
+            worst = max(worst, 1)
+            continue
+        try:
+            result = waiter()
+        except ReproError as exc:
+            print(f"repro: {exc}", file=sys.stderr)
+            worst = 2
+            continue
+        print(result.to_csv() if args.csv else result.to_text())
+        for degradation in result.degradations:
+            print(f"repro: partial result: {degradation.detail}", file=sys.stderr)
+            worst = max(worst, 1)
+    return worst
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     """The ``serve`` subcommand: run a batch of queries concurrently
-    through the :class:`~repro.service.QueryService`.
-
-    Reads ``;``-separated extended-MDX statements from a file or stdin,
-    submits them all up front (each pinned to a snapshot at submission
-    time), then prints every grid in submission order.  Exit-code
-    contract: 0 = all complete, 1 = any partial (budget-degraded) or
-    shed result, 2 = any query error.
-    """
+    through the :class:`~repro.service.QueryService`, each pinned to a
+    snapshot at submission time (:func:`_serve_statements`)."""
     from repro.service import QueryService
 
     if args.http or args.shards is not None:
         return _cmd_serve_sharded(args)
-    text = _read_query_text(args.query_file)
-    if text is None:
+    statements = _read_statements(args)
+    if statements is None:
         return 2
-    statements = [part.strip() for part in text.split(";") if part.strip()]
-    if not statements:
-        print("repro: no queries to serve", file=sys.stderr)
-        return 2
-    warehouse = _build_warehouse(args.workload)
     budget = _budget_from_args(args)
-    worst = 0
     with QueryService(
-        warehouse,
+        _build_warehouse(args.workload),
         workers=args.workers,
         queue_depth=args.queue_depth,
         default_deadline_ms=getattr(args, "deadline_ms", None),
     ) as service:
-        tickets = []
-        for statement in statements:
-            try:
-                tickets.append(
-                    service.submit(
-                        statement,
-                        analyze=not args.no_analyze,
-                        budget=budget,
-                    )
-                )
-            except ReproError as exc:
-                tickets.append(exc)  # shed at admission; report in order
-        for index, ticket in enumerate(tickets, start=1):
-            print(f"-- query {index}/{len(tickets)} --")
-            if isinstance(ticket, ReproError):
-                print(f"repro: shed: {ticket}", file=sys.stderr)
-                worst = max(worst, 1)
-                continue
-            try:
-                result = ticket.result()
-            except ReproError as exc:
-                print(f"repro: {exc}", file=sys.stderr)
-                worst = 2
-                continue
-            print(result.to_csv() if args.csv else result.to_text())
-            if result.is_partial:
-                for degradation in result.degradations:
-                    print(
-                        f"repro: partial result: {degradation.detail}",
-                        file=sys.stderr,
-                    )
-                worst = max(worst, 1)
-    return worst
+        return _serve_statements(
+            args,
+            statements,
+            lambda statement: service.submit(
+                statement, analyze=not args.no_analyze, budget=budget
+            ).result,
+        )
 
 
 def _cmd_serve_sharded(args: argparse.Namespace) -> int:
@@ -240,57 +250,50 @@ def _cmd_serve_sharded(args: argparse.Namespace) -> int:
     members (co-residency via the merge-dependency graph); the
     coordinator scatter-gathers partial rollups and merges them with the
     strict bit-identical reduction.  Without ``--http``, runs the
-    ;-separated statements through the coordinator and prints grids in
-    order (exit codes as ``serve``); with ``--http``, serves the REST
-    API until interrupted.
+    statements through the coordinator one after the other
+    (:func:`_serve_statements`); with ``--http``, serves the REST API
+    until interrupted.
     """
+    from functools import partial
+
     from repro.service import ShardedQueryService, TenantQuotas, serve_http
 
-    statements: list[str] = []
+    statements = None
     if not args.http:
-        text = _read_query_text(args.query_file)
-        if text is None:
+        statements = _read_statements(args)
+        if statements is None:
             return 2
-        statements = [part.strip() for part in text.split(";") if part.strip()]
-        if not statements:
-            print("repro: no queries to serve", file=sys.stderr)
-            return 2
-    n_shards = args.shards if args.shards is not None else 2
-    worst = 0
     with ShardedQueryService(
         args.workload,
-        n_shards=n_shards,
+        n_shards=args.shards if args.shards is not None else 2,
         chunk=args.chunk,
         degrade=args.degrade,
     ) as service:
-        if args.http:
-            plan = service.plan
-            print(
-                f"repro: serving {args.workload} over {plan.n_shards} "
-                f"shard(s) of [{plan.dimension}] on "
-                f"http://{args.host}:{args.port}",
-                file=sys.stderr,
+        if statements is not None:
+            return _serve_statements(
+                args,
+                statements,
+                lambda statement: partial(
+                    service.execute, statement, analyze=not args.no_analyze
+                ),
             )
-            try:
-                serve_http(
-                    service,
-                    args.host,
-                    args.port,
-                    quotas=TenantQuotas(max_inflight=args.max_inflight),
-                )
-            except KeyboardInterrupt:
-                pass
-            return 0
-        for index, statement in enumerate(statements, start=1):
-            print(f"-- query {index}/{len(statements)} --")
-            try:
-                result = service.execute(statement, analyze=not args.no_analyze)
-            except ReproError as exc:
-                print(f"repro: {exc}", file=sys.stderr)
-                worst = 2
-                continue
-            print(result.to_csv() if args.csv else result.to_text())
-    return worst
+        plan = service.plan
+        print(
+            f"repro: serving {args.workload} over {plan.n_shards} "
+            f"shard(s) of [{plan.dimension}] on "
+            f"http://{args.host}:{args.port}",
+            file=sys.stderr,
+        )
+        try:
+            serve_http(
+                service,
+                args.host,
+                args.port,
+                quotas=TenantQuotas(max_inflight=args.max_inflight),
+            )
+        except KeyboardInterrupt:
+            pass
+        return 0
 
 
 def _cmd_stress(args: argparse.Namespace) -> int:

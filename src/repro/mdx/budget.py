@@ -10,13 +10,34 @@ partial answer — raises :class:`~repro.errors.QueryBudgetExceededError`.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
-from repro.errors import QueryBudgetExceededError
+from repro.errors import QueryBudgetExceededError, QueryError
 
-__all__ = ["BudgetTracker", "Degradation", "QueryBudget"]
+__all__ = ["BudgetTracker", "Degradation", "QueryBudget", "check_deadline_ms"]
+
+
+def check_deadline_ms(deadline_ms: Any) -> "float | None":
+    """A ``deadline_ms`` that arrived from outside the program (an HTTP
+    body, a service caller) as a float — or :class:`~repro.errors.QueryError`
+    unless it is a finite, non-boolean number.
+
+    NaN in particular must never reach a wait: ``max(nan, 0.0)`` is NaN
+    and ``Event.wait(nan)`` returns at once, so every shard RPC would
+    "time out" and be charged to a healthy shard's breaker.
+    """
+    if deadline_ms is None:
+        return None
+    if (
+        isinstance(deadline_ms, bool)
+        or not isinstance(deadline_ms, (int, float))
+        or not math.isfinite(deadline_ms)
+    ):
+        raise QueryError('"deadline_ms" must be a finite number')
+    return float(deadline_ms)
 
 
 @dataclass(frozen=True)
@@ -45,7 +66,8 @@ class QueryBudget:
     )
 
     def __post_init__(self) -> None:
-        if self.deadline_ms is not None and self.deadline_ms < 0:
+        # "not >=" rather than "<": NaN compares false either way
+        if self.deadline_ms is not None and not self.deadline_ms >= 0:
             raise ValueError("deadline_ms must be >= 0")
         if self.max_cells is not None and self.max_cells < 0:
             raise ValueError("max_cells must be >= 0")

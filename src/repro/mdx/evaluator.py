@@ -12,10 +12,19 @@ The pipeline follows the paper's semantics exactly:
 3. Each result cell is the perspective cube's value at the address formed
    by the slicer, the axis coordinates, and dimension roots for every
    unmentioned dimension (the Essbase default member).
+
+Theorem 4.1 gives a query one meaning whoever executes it, so there is
+one pipeline — **resolve → fill → finish** — and executors differ only in
+*fill*.  Steps 1–2 are *resolve* (:class:`_Context`, :func:`resolve_query`);
+step 3 is *fill*: ``perf.batch.evaluate_grid`` here (the per-cell loop
+under ``naive_mode()``), scatter/gather over the shard pool in
+:class:`~repro.service.service.ShardedQueryService`, nothing in EXPLAIN;
+:func:`finish_query` prunes NON EMPTY axes and builds the result.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.operators import ChangeTuple
@@ -49,7 +58,7 @@ from repro.obs.trace import trace_span
 from repro.olap.dimension import Dimension, Member
 from repro.perf import config as perf_config
 
-__all__ = ["evaluate_query", "execute"]
+__all__ = ["evaluate_query", "execute", "finish_query", "resolve_query"]
 
 # A coordinate binding: (dimension name, coordinate, display label)
 Binding = tuple[str, str, str]
@@ -57,8 +66,28 @@ Binding = tuple[str, str, str]
 FP_MDX_CELL = register_failpoint("mdx.cell")
 
 
+def _check_shape(warehouse, query: MdxQuery) -> None:
+    """Refuse an axis line-up this implementation does not evaluate, or a
+    FROM clause naming another cube — before any scenario work."""
+    if not query.axes:
+        raise MdxEvaluationError("a query needs at least one axis")
+    if len(query.axes) > 2:
+        raise MdxEvaluationError(
+            "only COLUMNS and ROWS axes are supported in this implementation"
+        )
+    seen_axes: set[str] = set()
+    for axis in query.axes:
+        if axis.axis in seen_axes:
+            raise MdxEvaluationError(
+                f"axis {axis.axis!r} is bound more than once"
+            )
+        seen_axes.add(axis.axis)
+    warehouse.check_cube_name(query.cube)
+
+
 class _Context:
-    """Evaluation context: warehouse bindings plus the applied scenario."""
+    """Evaluation context: warehouse bindings plus the applied scenario,
+    for a query :func:`_check_shape` accepts."""
 
     def __init__(
         self,
@@ -66,6 +95,7 @@ class _Context:
         query: MdxQuery,
         budget: "QueryBudget | None" = None,
     ) -> None:
+        _check_shape(warehouse, query)
         self.warehouse = warehouse
         self.schema = warehouse.schema
         self.query = query
@@ -492,13 +522,95 @@ def _axis_tuples(
     return result
 
 
+@dataclass(slots=True)
+class ResolvedQuery:
+    """What a query asks for before any cell is read (:func:`resolve_query`)."""
+
+    context: _Context
+    columns: list[AxisTuple]  #: un-pruned, like ``rows``
+    rows: list[AxisTuple]
+    slicer: dict[str, str]  #: slicer bindings only: dimension -> coordinate
+    #: the slicer over every dimension's default (root) member, in schema
+    #: order; a row coordinate overrides it, a column coordinate both
+    base_coords: dict[str, str]
+    non_empty: frozenset[str]  #: the axes ("rows" / "columns") to prune
+
+
+def resolve_query(context: _Context) -> ResolvedQuery:
+    """COLUMNS and ROWS tuples (no ROWS: one empty row tuple) and the
+    slicer, over ``context``.
+
+    With the context's own refusals (:func:`_check_shape`) this is the one
+    definition of what a query asks for: the evaluator, the shard
+    coordinator (over its hollow warehouse) and EXPLAIN all resolve here
+    and differ only in how they fill the grid.  Opens no span.
+    """
+    query = context.query
+    by_axis = {axis.axis: axis for axis in query.axes}
+    if "columns" not in by_axis:
+        raise MdxEvaluationError("a query must place a set ON COLUMNS")
+    columns = _axis_tuples(by_axis["columns"], context)
+    rows = (
+        _axis_tuples(by_axis["rows"], context)
+        if "rows" in by_axis
+        else [AxisTuple((), ())]
+    )
+    slicer: dict[str, str] = {}
+    if query.slicer is not None:
+        for binding_tuple in _as_set(query.slicer, context):
+            for dim, coord, _ in binding_tuple:
+                slicer[dim] = coord
+    base_coords = {
+        d.name: slicer.get(d.name, d.root.name) for d in context.schema.dimensions
+    }
+    non_empty = frozenset(name for name, axis in by_axis.items() if axis.non_empty)
+    return ResolvedQuery(context, columns, rows, slicer, base_coords, non_empty)
+
+
+def finish_query(
+    resolved: ResolvedQuery,
+    cells: "list[list[object]]",
+    stats: "dict[str, int]",
+    degradations: list,
+) -> MdxResult:
+    """The filled grid as an :class:`MdxResult`, NON EMPTY axes pruned —
+    unless ``degradations`` is non-empty: a degraded grid's ⊥ cells (a
+    budget cut, a lost shard) mean "unknown", not "empty", and must stay
+    visible as partial instead of vanishing.  Opens no span.
+    """
+    from repro.olap.missing import is_missing
+
+    columns, rows = resolved.columns, resolved.rows
+    if not degradations:
+        if "rows" in resolved.non_empty:
+            keep = [
+                i
+                for i, row_cells in enumerate(cells)
+                if any(not is_missing(v) for v in row_cells)
+            ]
+            rows = [rows[i] for i in keep]
+            cells = [cells[i] for i in keep]
+        if "columns" in resolved.non_empty:
+            keep = [
+                j
+                for j in range(len(columns))
+                if any(not is_missing(row_cells[j]) for row_cells in cells)
+            ]
+            columns = [columns[j] for j in keep]
+            cells = [[row_cells[j] for j in keep] for row_cells in cells]
+    return MdxResult(
+        columns=columns, rows=rows, cells=cells, degradations=degradations, stats=stats
+    )
+
+
 def evaluate_query(
     warehouse,
     query: MdxQuery,
     analyze: bool = True,
     budget: "QueryBudget | None" = None,
 ) -> MdxResult:
-    """Evaluate a parsed query against a warehouse.
+    """Evaluate a parsed query against a warehouse: analyze → resolve →
+    fill → finish.
 
     With ``analyze=True`` (the default) the static analyzer runs first and
     error-level findings abort evaluation with
@@ -518,59 +630,26 @@ def evaluate_query(
             report = analyze_query(warehouse, query)
         if report.has_errors:
             raise MdxAnalysisError(report)
-    if not query.axes:
-        raise MdxEvaluationError("a query needs at least one axis")
-    if len(query.axes) > 2:
-        raise MdxEvaluationError(
-            "only COLUMNS and ROWS axes are supported in this implementation"
-        )
-    seen_axes: set[str] = set()
-    for axis in query.axes:
-        if axis.axis in seen_axes:
-            raise MdxEvaluationError(
-                f"axis {axis.axis!r} is bound more than once"
-            )
-        seen_axes.add(axis.axis)
-    warehouse.check_cube_name(query.cube)
     with trace_span("mdx.scenario") as scenario_span:
         context = _Context(warehouse, query, budget)
         if scenario_span is not None and context.scenarios:
             scenario_span.set(scenarios=len(context.scenarios))
-
     with trace_span("mdx.axes") as axes_span:
-        by_axis = {axis.axis: axis for axis in query.axes}
-        if "columns" not in by_axis:
-            raise MdxEvaluationError("a query must place a set ON COLUMNS")
-        columns = _axis_tuples(by_axis["columns"], context)
-        rows = (
-            _axis_tuples(by_axis["rows"], context)
-            if "rows" in by_axis
-            else [AxisTuple((), ())]
-        )
-
-        slicer: dict[str, str] = {}
-        if query.slicer is not None:
-            for binding_tuple in _as_set(query.slicer, context):
-                for dim, coord, _ in binding_tuple:
-                    slicer[dim] = coord
+        resolved = resolve_query(context)
+        rows, columns = resolved.rows, resolved.columns
         if axes_span is not None:
             axes_span.set(columns=len(columns), rows=len(rows))
 
-    from repro.olap.missing import MISSING, is_missing
-
-    defaults = {d.name: d.root.name for d in context.schema.dimensions}
     tracker = context.tracker
     stats = dict(context.scenario_stats)
     with trace_span("mdx.cells") as cells_span:
         if perf_config.engine_enabled():
             from repro.perf.batch import evaluate_grid
 
-            base_coords = dict(defaults)
-            base_coords.update(slicer)
             cells, cells_skipped, grid_stats = evaluate_grid(
                 context.view,
                 context.schema,
-                base_coords,
+                resolved.base_coords,
                 rows,
                 columns,
                 tracker,
@@ -578,6 +657,8 @@ def evaluate_query(
             )
             stats.update(grid_stats)
         else:
+            from repro.olap.missing import MISSING
+
             cells = []
             cells_skipped = 0
             cells_evaluated = 0
@@ -593,8 +674,7 @@ def evaluate_query(
                         continue
                     inject_io_fault(FP_MDX_CELL)
                     cells_evaluated += 1
-                    coords = dict(defaults)
-                    coords.update(slicer)
+                    coords = dict(resolved.base_coords)
                     coords.update(dict(row.coordinates))
                     coords.update(dict(column.coordinates))
                     address = context.schema.address(**coords)
@@ -612,33 +692,7 @@ def evaluate_query(
         degradations = []
         if tracker is not None and tracker.breached is not None:
             degradations.append(tracker.degradation(cells_skipped))
-            # Skip NON EMPTY pruning: an all-⊥ row produced by the budget
-            # cut must stay visible as partial, not vanish as empty.
-            return MdxResult(
-                columns=columns,
-                rows=rows,
-                cells=cells,
-                degradations=degradations,
-                stats=stats,
-            )
-
-        if "rows" in by_axis and by_axis["rows"].non_empty:
-            keep = [
-                i
-                for i, row_cells in enumerate(cells)
-                if any(not is_missing(v) for v in row_cells)
-            ]
-            rows = [rows[i] for i in keep]
-            cells = [cells[i] for i in keep]
-        if by_axis["columns"].non_empty:
-            keep = [
-                j
-                for j in range(len(columns))
-                if any(not is_missing(row_cells[j]) for row_cells in cells)
-            ]
-            columns = [columns[j] for j in keep]
-            cells = [[row_cells[j] for j in keep] for row_cells in cells]
-        return MdxResult(columns=columns, rows=rows, cells=cells, stats=stats)
+        return finish_query(resolved, cells, stats, degradations)
 
 
 def execute(

@@ -152,24 +152,12 @@ def explain_report(warehouse, text: str) -> dict[str, Any]:
         if analysis.has_errors:
             return report
 
-        # Axis resolution mirrors execution (scenario applied through the
+        # Axis resolution *is* execution's (scenario applied through the
         # cache; budget-free).  Imported lazily to keep obs dependency-light.
-        from repro.mdx.evaluator import _as_set, _axis_tuples, _Context
-        from repro.mdx.result import AxisTuple
+        from repro.mdx.evaluator import _Context, resolve_query
 
-        context = _Context(warehouse, query)
-        by_axis = {axis.axis: axis for axis in query.axes}
-        columns = _axis_tuples(by_axis["columns"], context)
-        rows = (
-            _axis_tuples(by_axis["rows"], context)
-            if "rows" in by_axis
-            else [AxisTuple((), ())]
-        )
-        slicer: dict[str, str] = {}
-        if query.slicer is not None:
-            for binding_tuple in _as_set(query.slicer, context):
-                for dim, coord, _label in binding_tuple:
-                    slicer[dim] = coord
+        resolved = resolve_query(_Context(warehouse, query))
+        columns, rows = resolved.columns, resolved.rows
 
         axes: list[dict[str, Any]] = []
         for axis in query.axes:
@@ -183,14 +171,10 @@ def explain_report(warehouse, text: str) -> dict[str, Any]:
                 }
             )
         report["axes"] = axes
-        report["slicer"] = dict(sorted(slicer.items()))
-        report["scenario_cache"] = dict(context.scenario_stats)
-
-        schema = warehouse.schema
-        base_coords = {d.name: d.root.name for d in schema.dimensions}
-        base_coords.update(slicer)
+        report["slicer"] = dict(sorted(resolved.slicer.items()))
+        report["scenario_cache"] = dict(resolved.context.scenario_stats)
         report["scope_estimates"] = _scope_estimates(
-            warehouse, schema, base_coords, rows, columns
+            warehouse, warehouse.schema, resolved.base_coords, rows, columns
         )
         return report
 

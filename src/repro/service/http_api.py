@@ -63,6 +63,7 @@ from repro.errors import (
     ShardDownError,
 )
 from repro.lint.lockdep import make_lock
+from repro.mdx.budget import check_deadline_ms
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
 from repro.obs.trace import trace_span
 from repro.olap.missing import is_missing
@@ -346,6 +347,12 @@ class _Handler(BaseHTTPRequestHandler):
             text = payload.get("query")
             if not isinstance(text, str) or not text.strip():
                 raise QueryError('request needs a non-empty "query" string')
+            # The whole envelope is checked before a quota slot is taken:
+            # nothing between acquire and the try/finally may raise.
+            degrade = payload.get("degrade")
+            if degrade is not None and not isinstance(degrade, str):
+                raise QueryError('"degrade" must be a string policy name')
+            deadline_ms = check_deadline_ms(payload.get("deadline_ms"))
             tenant = self._tenant(payload)
             if not self.server.quotas.acquire(tenant):
                 self.server.metrics.counter(
@@ -356,14 +363,6 @@ class _Handler(BaseHTTPRequestHandler):
                     f"({self.server.quotas.limit_for(tenant)})",
                     reason="tenant-quota",
                 )
-            degrade = payload.get("degrade")
-            if degrade is not None and not isinstance(degrade, str):
-                raise QueryError('"degrade" must be a string policy name')
-            deadline_ms = payload.get("deadline_ms")
-            if deadline_ms is not None and not isinstance(
-                deadline_ms, (int, float)
-            ):
-                raise QueryError('"deadline_ms" must be a number')
             try:
                 if path == "/v1/explain":
                     plan = self.server.service.explain(text)
@@ -374,9 +373,7 @@ class _Handler(BaseHTTPRequestHandler):
                     text,
                     analyze=bool(payload.get("analyze", True)),
                     degrade=degrade,
-                    deadline_ms=(
-                        float(deadline_ms) if deadline_ms is not None else None
-                    ),
+                    deadline_ms=deadline_ms,
                 )
             finally:
                 self.server.quotas.release(tenant)

@@ -1,8 +1,12 @@
-"""The concurrent query service: a bounded worker pool with admission
-control, deadline propagation, and overload protection.
+"""Two front ends over the evaluator's one query pipeline.
 
-``submit()`` is the whole client API: it pins a snapshot of the
-warehouse at the current cube version, enqueues the query, and returns a
+A query means one thing whoever executes it (:mod:`repro.mdx.evaluator`:
+resolve → fill → finish); the services here differ in what they put
+around that pipeline, and — for the coordinator — in *fill*.
+
+:class:`QueryService` — a bounded worker pool over snapshots of a *live*
+warehouse.  ``submit()`` is the whole client API: it pins a snapshot at
+the current cube version, enqueues the query, and returns a
 :class:`QueryTicket` immediately.  Every robustness decision happens at
 well-defined points:
 
@@ -25,37 +29,55 @@ well-defined points:
   warehouse's metrics registry.
 
 Results are exactly what ``Warehouse.query`` returns — including partial
-(⊥-degraded) grids under budget breach, PR 2's graceful-degradation
-contract, now reachable under concurrency.
+(⊥-degraded) grids under budget breach.
+
+:class:`ShardedQueryService` — a synchronous coordinator over an
+*immutable named workload* held by a pool of shard processes.  It calls
+the evaluator's own *resolve* (on a hollow warehouse) and *finish*; its
+*fill* is a stage per method over one :class:`_QueryState`: plan cells →
+admit → scatter → gather → merge → local residue.
 """
 
 from __future__ import annotations
 
+import math
 import queue
 import threading
 import time
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import (
     CircuitOpenError,
+    MdxAnalysisError,
     ServiceOverloadedError,
     ServiceStoppedError,
     ServiceTimeoutError,
+    ShardError,
+    TransientFaultError,
 )
 from repro.lint.lockdep import make_lock
-from repro.mdx.budget import QueryBudget
+from repro.mdx.budget import Degradation, QueryBudget, check_deadline_ms
 from repro.obs.trace import TRACER, Span, trace_span
+from repro.olap.missing import MISSING
 from repro.service.breaker import BreakerState, CircuitBreaker
+from repro.service.shard import (
+    ShardSpec,
+    _decode_value,
+    build_shard_plan,
+    build_workload,
+    parse_for_serving,
+)
+from repro.service.supervisor import ShardSupervisor, SupervisorConfig
 
 if TYPE_CHECKING:
-    from repro.mdx.budget import Degradation
+    from repro.mdx.evaluator import ResolvedQuery
     from repro.mdx.result import MdxResult
     from repro.service.shard import ShardClient
     from repro.service.snapshot import WarehouseSnapshot
-    from repro.service.supervisor import SupervisorConfig
     from repro.warehouse import Warehouse
 
-__all__ = ["QueryService", "QueryTicket", "ShardedQueryService"]
+__all__ = ["QueryService", "QueryTicket", "ShardedQueryService", "rpc_action"]
 
 
 class QueryTicket:
@@ -118,38 +140,19 @@ class QueryTicket:
         return f"QueryTicket({state}, version={self.snapshot_version})"
 
 
+@dataclass(slots=True)
 class _Job:
     """One queued query (internal)."""
 
-    __slots__ = (
-        "ticket",
-        "analyze",
-        "budget",
-        "deadline_ms",
-        "submitted_at",
-        "parent_span",
-        "submit_span",
-    )
-
-    def __init__(
-        self,
-        ticket: QueryTicket,
-        analyze: bool,
-        budget: "QueryBudget | None",
-        deadline_ms: "float | None",
-        submitted_at: float,
-        parent_span: "Span | None",
-        submit_span: "Span | None",
-    ) -> None:
-        self.ticket = ticket
-        self.analyze = analyze
-        self.budget = budget
-        self.deadline_ms = deadline_ms
-        self.submitted_at = submitted_at
-        self.parent_span = parent_span
-        #: the finished ``service.submit`` span (what admission cost: the
-        #: snapshot fork), attached to the query's profile by the worker
-        self.submit_span = submit_span
+    ticket: QueryTicket
+    analyze: bool
+    budget: "QueryBudget | None"
+    deadline_ms: "float | None"
+    submitted_at: float
+    parent_span: "Span | None"
+    #: the finished ``service.submit`` span (what admission cost: the
+    #: snapshot fork), attached to the query's profile by the worker
+    submit_span: "Span | None"
 
 
 class QueryService:
@@ -398,6 +401,54 @@ class QueryService:
 #: one result cell on the coordinator: (row, column, address)
 _Cell = tuple[int, int, tuple[str, ...]]
 
+#: per RPC and per stage (scatter, gather): transient faults retried in
+#: place, and respawns of a dead shard waited for, before giving up
+RPC_RETRIES = 2
+
+# how one attempt at an RPC ended ...
+TRANSIENT, SHARD_ERROR, DEADLINE = "transient", "shard-error", "deadline"
+# ... and what the RPC loop does next
+RE_GATHER, RE_SUBMIT, AWAIT_RESPAWN = "re-gather", "re-submit", "await-respawn"
+HEDGE, GIVE_UP, RAISE = "hedge", "give-up", "raise"
+
+
+def rpc_action(
+    fault: str,
+    *,
+    transient: int,
+    respawns: int,
+    remaining: float,
+    consumed: bool,
+    alive: bool,
+    hedging: bool,
+) -> str:
+    """The shard tier's retry / hedge policy: plain values in, an action
+    out (the table in docs/serving.md, "Deadlines, retries, hedging";
+    pinned by ``tests/service/test_rpc_policy.py``).
+
+    ``fault``: a ``TransientFaultError``, a ``ShardError`` (timeout, dead
+    pipe, down shard), or the query's deadline passing before the wait
+    began.  ``transient`` / ``respawns``: what this RPC already spent in
+    this stage.  ``remaining``: seconds to the deadline.  ``consumed``:
+    the pending slot was answered (or never obtained), so trying again
+    means submitting again.  ``alive``: the worker's pipe is still up.
+    ``hedging``: the query runs under ``fallback`` with a hedge threshold.
+    """
+    if fault == DEADLINE:
+        return GIVE_UP
+    if fault == TRANSIENT:
+        if transient >= RPC_RETRIES:
+            return RAISE  # under every degrade policy: the fault is the answer
+        return RE_SUBMIT if consumed else RE_GATHER
+    if alive and not consumed:
+        # The answer is late, the worker is not dead.  Only fallback may
+        # swap the answer's provenance early; fail and partial got here by
+        # waiting out the whole deadline.
+        return HEDGE if hedging else GIVE_UP
+    if respawns >= RPC_RETRIES or remaining <= 0:
+        return GIVE_UP
+    return AWAIT_RESPAWN
+
 
 def _merge_partials(parts: "list[dict[str, Any]]", n_cells: int) -> "list[Any]":
     """One value per spanning cell from the shards' ``partial`` answers.
@@ -428,103 +479,165 @@ def _merge_partials(parts: "list[dict[str, Any]]", n_cells: int) -> "list[Any]":
     ]
 
 
+@dataclass
+class _QueryState:
+    """One sharded query between classification and the finished grid.
+
+    Single-threaded (it belongs to the thread running ``execute``), so no
+    lock.  ``owned`` and ``spanning_whole`` shrink as shards are given up
+    on; what is left when the gather ends is what the merge reads.
+    """
+
+    degrade: str
+    metrics: Any
+    owned: "dict[int, list[_Cell]]"  #: shard -> the cells it evaluates alone
+    spanning: "list[_Cell]"  #: scope crosses shards: every shard contributes
+    local: "list[_Cell]"  #: only the coordinator's full warehouse can answer
+    grid: "list[list[Any]]"  #: the result cells, ⊥ until a stage fills them
+    stats: "dict[str, int]"
+    #: the wall-clock deadline (monotonic s) every RPC of the query shares
+    deadline: float = math.inf
+    deadline_ms: float = math.inf
+    #: how long a live worker may be late before its cells are hedged
+    hedge_s: "float | None" = None
+    fallback: "list[_Cell]" = field(default_factory=list)
+    lost: "list[tuple[str, list[_Cell]]]" = field(default_factory=list)
+    spanning_whole: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.spanning_whole = bool(self.spanning)
+
+    def give_up(self, shard: int, kind: str, detail: str, error: BaseException) -> None:
+        """Stop waiting for ``shard``'s answer of ``kind`` (``"cells"``: its
+        owned cells; ``"partial"``: its share of the spanning merge).
+
+        The one place the degrade policy is applied, whichever of
+        admission, scatter or gather got here: ``fail`` raises ``error``,
+        ``fallback`` hands the cells to the local fill, ``partial`` records
+        them as lost (⊥).  A spanning merge missing any contribution is
+        abandoned whole — a partial sum is not a value, it is a wrong value.
+        """
+        if self.degrade == "fail":
+            raise error
+        if kind == "cells":
+            cells = self.owned.pop(shard, None)
+        else:
+            cells = self.spanning if self.spanning_whole else None
+            self.spanning_whole = False
+            detail += " (spanning merge incomplete)"
+        if not cells:
+            return
+        if self.degrade == "fallback":
+            self.fallback.extend(cells)
+            self.metrics.counter("serve_fallback_cells_total", shard=str(shard)).inc(
+                len(cells)
+            )
+        else:
+            self.lost.append((f"shard {shard}: {detail}", list(cells)))
+
+
+@dataclass(slots=True)
+class _Rpc:
+    """One request to one shard: what to send, and where it stands."""
+
+    shard: int
+    kind: str
+    payload: "dict[str, Any]"
+    client: "ShardClient | None" = None
+    pending: Any = None  #: the slot to gather on; None = submit first
+
+
+def _patches(schema: Any, tuples: "list[Any]") -> "list[list[tuple[int, str]]]":
+    """Each axis tuple as (dimension index, coordinate) pairs, a
+    dimension's last binding winning."""
+    return [
+        list({schema.dim_index(dim): coord for dim, coord in t.coordinates}.items())
+        for t in tuples
+    ]
+
+
+def _never_leaf(dim_index: int, coord: str) -> bool:
+    return False
+
+
 class ShardedQueryService:
     """Scatter-gather query execution over a pool of shard processes.
 
-    The shard dimension (default: the workload's varying dimension) is
-    partitioned by :func:`~repro.core.merge_graph.plan_axis_shards` into
-    member sets whose instance slots co-reside; each shard process owns
-    one set and evaluates any cell whose shard-dimension coordinate
-    resolves to one of its members.  The coordinator:
+    The workload's first varying dimension is partitioned by
+    :func:`~repro.core.merge_graph.plan_axis_shards` into member sets
+    whose instance slots co-reside; each shard process owns one set and
+    evaluates any cell whose shard-dimension coordinate resolves to one
+    of its members.  The coordinator:
 
-    * resolves axes and the slicer on a cheap *seeded hollow* warehouse —
-      the full schema, rules, and named sets over a cube holding one
-      representative leaf per (varying dimension, member-with-data), so
-      scenario application costs O(members) instead of O(cube) while
-      producing the exact axis tuples of the full context;
+    * resolves axes and the slicer on a cheap *seeded hollow* warehouse
+      (:meth:`_build_hollow`): the exact axis tuples of the full context
+      with scenario application at O(members) instead of O(cube);
     * classifies each result cell as **owned** (one shard evaluates it
       end to end), **spanning** (a pure sum-rollup whose scope crosses
-      shards: every shard returns its slice of every scope as global
-      insertion positions plus values — three arrays per request — and
-      the coordinator sorts them back into global insertion order before
-      the strict reduction — bit-identical to the single-process
-      gather), or **local** (leaf reads, rule-bearing
-      cells, stored aggregates, and scenario cells above any single
-      member — evaluated on the coordinator's full warehouse);
-    * guards each shard with its own :class:`CircuitBreaker`; a query
-      needing an open shard fails fast with
-      :class:`~repro.errors.CircuitOpenError`.
+      shards: every shard returns its slice of every scope and
+      :func:`_merge_partials` reduces them in global insertion order,
+      bit-identical to the single-process gather), or **local** (leaf
+      reads, rule-bearing cells, stored aggregates, and scenario cells
+      above any single member — evaluated on the coordinator's full
+      warehouse);
+    * guards each shard with its own :class:`CircuitBreaker`: a shard
+      whose breaker is open is given up on before any RPC.
 
     Queries carrying a budget, or whose sets read cell values (FILTER /
     ORDER), fall back to full local evaluation — correctness first.
 
     **Failure semantics** (docs/serving.md): every scatter/gather runs
-    under a per-RPC deadline derived from ``rpc_timeout_ms`` (narrowed
-    by the caller's ``deadline_ms``); transient faults retry in place; a
-    dead shard is retried against its supervisor-respawned successor;
-    and when a shard stays unavailable the ``degrade`` policy decides —
-    ``"fallback"`` (default) recomputes its cells on the coordinator's
-    full warehouse (bit-identical), ``"partial"`` returns those cells as
-    ⊥ with structured :class:`~repro.mdx.budget.Degradation` records,
-    ``"fail"`` raises the typed error.  Because the coordinator holds
-    the complete warehouse, fallback results are exactly what the
-    healthy pool would have produced.
+    under one deadline per query, ``rpc_timeout_ms`` narrowed by the
+    caller's ``deadline_ms``; :func:`rpc_action` says what happens to a
+    faulted RPC; and when a shard stays unavailable the ``degrade``
+    policy decides (:meth:`_QueryState.give_up`) — ``"fallback"``
+    (default) recomputes its cells on the coordinator's full warehouse,
+    exactly what the healthy pool would have produced; ``"partial"``
+    returns them as ⊥ with :class:`~repro.mdx.budget.Degradation`
+    records; ``"fail"`` raises the typed error.
     """
 
     #: accepted values for the ``degrade`` policy
     DEGRADE_POLICIES = ("fail", "fallback", "partial")
+
+    @classmethod
+    def _check_degrade(cls, policy: str) -> None:
+        if policy not in cls.DEGRADE_POLICIES:
+            raise ShardError(
+                f"unknown degrade policy {policy!r}; expected one of "
+                f"{', '.join(cls.DEGRADE_POLICIES)}"
+            )
 
     def __init__(
         self,
         workload: str = "running",
         *,
         n_shards: int = 2,
-        dimension: "str | None" = None,
         chunk: int = 8,
         workload_params: "tuple[tuple[str, Any], ...]" = (),
-        start_timeout: float = 60.0,
         degrade: str = "fallback",
         rpc_timeout_ms: float = 30_000.0,
         hedge_ms: "float | None" = 1_000.0,
-        rpc_retries: int = 2,
         supervisor_config: "SupervisorConfig | None" = None,
     ) -> None:
-        from repro.errors import ShardError
-        from repro.service.shard import (
-            ShardSpec,
-            build_shard_plan,
-            build_workload,
-        )
-        from repro.service.supervisor import ShardSupervisor, SupervisorConfig
-
         if n_shards < 1:
             raise ShardError("n_shards must be >= 1")
-        if degrade not in self.DEGRADE_POLICIES:
-            raise ShardError(
-                f"unknown degrade policy {degrade!r}; expected one of "
-                f"{', '.join(self.DEGRADE_POLICIES)}"
-            )
+        self._check_degrade(degrade)
         if rpc_timeout_ms <= 0:
             raise ShardError("rpc_timeout_ms must be > 0")
         if hedge_ms is not None and hedge_ms <= 0:
             raise ShardError("hedge_ms must be > 0 (or None to disable)")
-        if rpc_retries < 0:
-            raise ShardError("rpc_retries must be >= 0")
         self.degrade = degrade
         self.rpc_timeout_ms = float(rpc_timeout_ms)
         self.hedge_ms = None if hedge_ms is None else float(hedge_ms)
-        self.rpc_retries = int(rpc_retries)
         self.workload = workload
         self.warehouse = build_workload(workload, tuple(workload_params))
         schema = self.warehouse.schema
-        if dimension is None:
-            varying = list(schema.varying)
-            if not varying:
-                raise ShardError(
-                    f"workload {workload!r} has no varying dimension to shard on"
-                )
-            dimension = varying[0]
-        self.dimension = dimension
+        if not schema.varying:
+            raise ShardError(
+                f"workload {workload!r} has no varying dimension to shard on"
+            )
+        self.dimension = dimension = next(iter(schema.varying))
         self.plan = build_shard_plan(self.warehouse, dimension, n_shards, chunk)
         self.n_shards = n_shards
         self._dim_index = schema.dim_index(dimension)
@@ -558,8 +671,7 @@ class ShardedQueryService:
         ]
         if supervisor_config is None:
             supervisor_config = SupervisorConfig(
-                start_timeout_s=start_timeout,
-                rpc_timeout_s=max(self.rpc_timeout_ms / 1000.0, 1.0),
+                rpc_timeout_s=max(self.rpc_timeout_ms / 1000.0, 1.0)
             )
         self.supervisor = ShardSupervisor(
             specs, config=supervisor_config, metrics=self._metrics
@@ -573,9 +685,9 @@ class ShardedQueryService:
         self.supervisor.attach_breakers(self.breakers)
 
         # Startup invariant: the shards' sub-cubes partition the full cube.
-        total = 0
-        for client in self.supervisor.clients:
-            total += client.request({"op": "ping"})["leaves"]
+        total = sum(
+            client.request({"op": "ping"})["leaves"] for client in self.clients
+        )
         if total != self.warehouse.cube.n_leaf_cells:
             self.close()
             raise ShardError(
@@ -647,28 +759,21 @@ class ShardedQueryService:
         single-process ``Warehouse.query`` returns — same axis tuples,
         bit-identical cells, same NON EMPTY pruning.  ``degrade``
         overrides the service-level policy for this query (``"fail"`` |
-        ``"fallback"`` | ``"partial"``); ``deadline_ms`` narrows the
+        ``"fallback"`` | ``"partial"``); ``deadline_ms`` (a finite
+        number, else :class:`~repro.errors.QueryError`) narrows the
         per-RPC deadline below the service's ``rpc_timeout_ms``.  A
         ``"partial"`` answer carries ⊥ cells plus ``degradations``
         records and skips NON EMPTY pruning (unknown values must not
         silently drop rows).
         """
-        from repro.errors import ShardError
-
-        if degrade is not None and degrade not in self.DEGRADE_POLICIES:
-            raise ShardError(
-                f"unknown degrade policy {degrade!r}; expected one of "
-                f"{', '.join(self.DEGRADE_POLICIES)}"
-            )
+        if degrade is not None:
+            self._check_degrade(degrade)
+        deadline_ms = check_deadline_ms(deadline_ms)
         started = self._clock()
         try:
             with trace_span("serve.execute") as span:
                 result = self._execute(
-                    text,
-                    analyze=analyze,
-                    budget=budget,
-                    degrade=degrade or self.degrade,
-                    deadline_ms=deadline_ms,
+                    text, analyze, budget, degrade or self.degrade, deadline_ms
                 )
             if span is not None and result.profile is None:
                 from repro.obs.profile import QueryProfile
@@ -696,16 +801,16 @@ class ShardedQueryService:
     def _execute(
         self,
         text: str,
-        *,
         analyze: bool,
         budget: "QueryBudget | None",
         degrade: str,
         deadline_ms: "float | None",
     ) -> "MdxResult":
-        from repro.errors import MdxEvaluationError
-        from repro.mdx.evaluator import _Context, _axis_tuples
-        from repro.mdx.result import AxisTuple, MdxResult
-        from repro.service.shard import parse_for_serving
+        """parse → (budget or value-dependent sets: plain local query) →
+        analyze against the full warehouse → resolve against the hollow
+        one → fill across the pool → finish."""
+        from repro.analysis.query_analyzer import analyze_query
+        from repro.mdx.evaluator import _Context, finish_query, resolve_query
 
         if self._closed:
             raise ServiceStoppedError("sharded query service is closed")
@@ -717,139 +822,98 @@ class ShardedQueryService:
             ).inc()
             return self.warehouse.query(text, analyze=analyze, budget=budget)
         if analyze:
-            from repro.analysis.query_analyzer import analyze_query
-            from repro.errors import MdxAnalysisError
-
             report = analyze_query(self.warehouse, query)
             if report.has_errors:
                 raise MdxAnalysisError(report)
-        if not query.axes:
-            raise MdxEvaluationError("a query needs at least one axis")
-        if len(query.axes) > 2:
-            raise MdxEvaluationError(
-                "only COLUMNS and ROWS axes are supported in this implementation"
-            )
-        seen_axes: set[str] = set()
-        for axis in query.axes:
-            if axis.axis in seen_axes:
-                raise MdxEvaluationError(
-                    f"axis {axis.axis!r} is bound more than once"
-                )
-            seen_axes.add(axis.axis)
-        self.warehouse.check_cube_name(query.cube)
-
-        schema = self.warehouse.schema
-        context = _Context(self._hollow, query)
-        by_axis = {axis.axis: axis for axis in query.axes}
-        if "columns" not in by_axis:
-            raise MdxEvaluationError("a query must place a set ON COLUMNS")
-        columns = _axis_tuples(by_axis["columns"], context)
-        rows = (
-            _axis_tuples(by_axis["rows"], context)
-            if "rows" in by_axis
-            else [AxisTuple((), ())]
-        )
-        slicer: dict[str, str] = {}
-        if query.slicer is not None:
-            from repro.mdx.evaluator import _as_set
-
-            for binding_tuple in _as_set(query.slicer, context):
-                for dim, coord, _ in binding_tuple:
-                    slicer[dim] = coord
-
-        has_scenario = bool(context.scenarios)
+        resolved = resolve_query(_Context(self._hollow, query))
         cells, stats, degradations = self._evaluate_cells(
-            query,
-            text,
-            schema,
-            rows,
-            columns,
-            slicer,
-            has_scenario,
-            degrade,
-            deadline_ms,
+            resolved, text, degrade, deadline_ms
         )
         stats["sharded"] = self.n_shards
+        return finish_query(resolved, cells, stats, degradations)
 
-        from repro.olap.missing import is_missing
+    def _evaluate_cells(
+        self,
+        resolved: "ResolvedQuery",
+        text: str,
+        degrade: str,
+        deadline_ms: "float | None",
+    ) -> "tuple[list[list[Any]], dict[str, int], list[Degradation]]":
+        """The coordinator's *fill*: plan cells → admit → scatter →
+        gather → merge → local residue, a stage per method over one
+        :class:`_QueryState`."""
+        state = self._plan_cells(resolved, degrade, deadline_ms)
+        self._admit(state)
+        rpcs = self._scatter(state, text)
+        responses = self._gather(state, rpcs)
+        self._merge(state, responses)
+        degradations = self._degradations(state)
+        self._fill_local(state, resolved)
+        state.stats["fallback_cells"] = len(state.fallback)
+        return state.grid, state.stats, degradations
 
-        # A degraded grid's ⊥ cells mean "unknown", not "empty": NON
-        # EMPTY pruning over unknowns would silently drop rows the
-        # healthy pool keeps, so it is skipped for partial answers.
-        if not degradations:
-            if "rows" in by_axis and by_axis["rows"].non_empty:
-                keep = [
-                    i
-                    for i, row_cells in enumerate(cells)
-                    if any(not is_missing(v) for v in row_cells)
-                ]
-                rows = [rows[i] for i in keep]
-                cells = [cells[i] for i in keep]
-            if by_axis["columns"].non_empty:
-                keep = [
-                    j
-                    for j in range(len(columns))
-                    if any(not is_missing(row_cells[j]) for row_cells in cells)
-                ]
-                columns = [columns[j] for j in keep]
-                cells = [[row_cells[j] for j in keep] for row_cells in cells]
-        return MdxResult(
-            columns=columns,
-            rows=rows,
-            cells=cells,
-            degradations=degradations,
-            stats=stats,
+    def _plan_cells(
+        self, resolved: "ResolvedQuery", degrade: str, deadline_ms: "float | None"
+    ) -> _QueryState:
+        n_rows, n_columns = len(resolved.rows), len(resolved.columns)
+        with trace_span("serve.classify") as span:
+            owned, spanning, local = self._classify(resolved)
+            counts = {
+                "owned_cells": sum(len(v) for v in owned.values()),
+                "spanning_cells": len(spanning),
+                "local_cells": len(local),
+            }
+            if span is not None:
+                span.set(**counts)
+        stats = {"cells_evaluated": n_rows * n_columns, "cells_skipped": 0, **counts}
+        # One wall-clock deadline for every scatter/gather of this query:
+        # rpc_timeout_ms, narrowed by the caller's deadline_ms the way
+        # QueryService narrows an admission deadline (negative clamps to 0).
+        rpc_ms = self.rpc_timeout_ms
+        if deadline_ms is not None:
+            rpc_ms = min(rpc_ms, max(deadline_ms, 0.0))
+        hedging = degrade == "fallback" and self.hedge_ms is not None
+        return _QueryState(
+            degrade,
+            self._metrics,
+            owned,
+            spanning,
+            local,
+            [[MISSING] * n_columns for _ in range(n_rows)],
+            stats,
+            deadline=self._clock() + rpc_ms / 1000.0,
+            deadline_ms=rpc_ms,
+            hedge_s=self.hedge_ms / 1000.0 if hedging else None,
         )
 
     def _classify(
-        self,
-        schema: Any,
-        rows: "list[Any]",
-        columns: "list[Any]",
-        base_coords: "dict[str, str]",
-        has_scenario: bool,
+        self, resolved: "ResolvedQuery"
     ) -> "tuple[dict[int, list[_Cell]], list[_Cell], list[_Cell]]":
         """Sort the grid's cells into owned (per shard), spanning and
         local, each as ``(row, column, address)``.
 
-        What a cell's class depends on — its coordinate slots, whether
-        every coordinate is leaf level, which shard covers its
-        shard-dimension coordinate — is worked out once per axis tuple
-        (and once for ``base_coords``, the slicer over the defaults, in
-        schema order); a cell is then a tuple fill and a few boolean
-        tests.  A column coordinate
-        overrides a row coordinate overrides the base, as in the
-        single-process evaluator.  Only a cube that has rules, or stored
-        aggregates, pays a per-cell probe for them.
+        What decides a cell's class is worked out once per axis tuple and
+        once for the base coordinates (docs/serving.md, "Classification is
+        per axis tuple"); a cell is then a tuple fill and a few boolean
+        tests.  A column coordinate overrides a row coordinate overrides
+        the base, as in the single-process evaluator.  Only a cube that
+        has rules, or stored aggregates, pays a per-cell probe for them.
         """
+        schema = self.warehouse.schema
         cube = self.warehouse.cube
         rules = cube.rules
         check_rules = rules is not None and bool(rules.rules)
         stored_derived = cube._stored_derived
         shard_dim = self._dim_index
         shard_of = self.plan.shard_of_coordinate
+        has_scenario = bool(resolved.context.scenarios)
         # under a scenario leaf-ness decides nothing: never look it up
-        is_leaf = (
-            (lambda i, coord: False)
-            if has_scenario
-            else schema.coordinate_is_leaf
-        )
+        is_leaf = _never_leaf if has_scenario else schema.coordinate_is_leaf
 
-        def patches(tuples: "list[Any]") -> "list[list[tuple[int, str]]]":
-            return [
-                list(
-                    {
-                        schema.dim_index(dim): coord
-                        for dim, coord in axis_tuple.coordinates
-                    }.items()
-                )
-                for axis_tuple in tuples
-            ]
-
-        base = list(base_coords.values())
+        base = list(resolved.base_coords.values())
         base_leaf = [is_leaf(i, coord) for i, coord in enumerate(base)]
-        row_patches = patches(rows)
-        col_patches = patches(columns)
+        row_patches = _patches(schema, resolved.rows)
+        col_patches = _patches(schema, resolved.columns)
 
         # Columns that bind the same dimensions share a row's verdict on
         # all the other dimensions (one group in any ordinary grid).
@@ -904,108 +968,13 @@ class ShardedQueryService:
                     spanning.append((r, c, addr))
         return owned, spanning, local
 
-    def _evaluate_cells(
-        self,
-        query: Any,
-        text: str,
-        schema: Any,
-        rows: "list[Any]",
-        columns: "list[Any]",
-        slicer: "dict[str, str]",
-        has_scenario: bool,
-        degrade: str,
-        deadline_ms: "float | None",
-    ) -> "tuple[list[list[Any]], dict[str, int], list[Degradation]]":
-        """Classify, scatter, gather (with retry/hedge/recovery), and
-        merge the result grid."""
-        from repro.errors import ShardError, TransientFaultError
-        from repro.mdx.budget import Degradation
-        from repro.olap.missing import MISSING
-        from repro.service.shard import _Pending, _decode_value
-
-        cube = self.warehouse.cube
-        grid: "list[list[Any]]" = [
-            [MISSING] * len(columns) for _ in rows
-        ]
-        base_coords = {
-            d.name: slicer.get(d.name, d.root.name) for d in schema.dimensions
-        }
-        with trace_span("serve.classify") as span:
-            owned, spanning, local = self._classify(
-                schema, rows, columns, base_coords, has_scenario
-            )
-            stats = {
-                "cells_evaluated": len(rows) * len(columns),
-                "cells_skipped": 0,
-                "owned_cells": sum(len(v) for v in owned.values()),
-                "spanning_cells": len(spanning),
-                "local_cells": len(local),
-                "fallback_cells": 0,
-            }
-            if span is not None:
-                span.set(
-                    owned_cells=stats["owned_cells"],
-                    spanning_cells=stats["spanning_cells"],
-                    local_cells=stats["local_cells"],
-                )
-
-        # -- RPC deadline / recovery bookkeeping --------------------------------
-        # Every scatter/gather on this query shares one wall-clock
-        # deadline: the service's rpc_timeout_ms narrowed by the
-        # caller's per-query deadline_ms (queue-style narrowing, same
-        # contract as QueryService admission deadlines).
-        rpc_budget = QueryBudget(deadline_ms=self.rpc_timeout_ms).narrowed(
-            deadline_ms
-        )
-        assert rpc_budget.deadline_ms is not None
-        deadline = self._clock() + rpc_budget.deadline_ms / 1000.0
-        hedge_s = None if self.hedge_ms is None else self.hedge_ms / 1000.0
-        hedging = degrade == "fallback" and hedge_s is not None
-
-        fallback_cells: "list[_Cell]" = []
-        lost: "list[tuple[str, list[_Cell]]]" = []
-        spanning_active = bool(spanning)
-
-        def recover_owned(shard: int, detail: str) -> None:
-            """A shard's owned cells survive its death: recomputed
-            locally (fallback) or returned ⊥ (partial)."""
-            cells_for_shard = owned.pop(shard, None)
-            if not cells_for_shard:
-                return
-            if degrade == "fallback":
-                fallback_cells.extend(cells_for_shard)
-                self._metrics.counter(
-                    "serve_fallback_cells_total", shard=str(shard)
-                ).inc(len(cells_for_shard))
-            else:
-                lost.append((f"shard {shard}: {detail}", list(cells_for_shard)))
-
-        def recover_spanning(shard: int, detail: str) -> None:
-            """A spanning merge missing any contribution is abandoned
-            whole — a partial sum is not a value, it is a wrong value."""
-            nonlocal spanning_active
-            if not spanning_active:
-                return
-            spanning_active = False
-            if degrade == "fallback":
-                fallback_cells.extend(spanning)
-                self._metrics.counter(
-                    "serve_fallback_cells_total", shard=str(shard)
-                ).inc(len(spanning))
-            else:
-                lost.append(
-                    (
-                        f"shard {shard}: {detail} (spanning merge incomplete)",
-                        list(spanning),
-                    )
-                )
-
-        # -- admission ----------------------------------------------------------
-        involved = set(owned)
-        if spanning_active:
+    def _admit(self, state: _QueryState) -> None:
+        """Give up, before any RPC, on every involved shard whose breaker
+        is open or whose process is down."""
+        involved = set(state.owned)
+        if state.spanning_whole:
             involved.update(range(self.n_shards))
         for shard in sorted(involved):
-            admission_error: "BaseException | None" = None
             # Shed only while the breaker is fully open.  Half-open probe
             # slots belong to the supervisor's ping loop (never the query
             # path): a query admitted here that ends up with no RPC to
@@ -1017,264 +986,196 @@ class ShardedQueryService:
                 self._metrics.counter(
                     "serve_shed_total", reason="shard-circuit-open"
                 ).inc()
-                admission_error = CircuitOpenError(
+                error: Exception = CircuitOpenError(
                     f"circuit breaker for shard {shard} is open; retry "
                     "after backoff"
                 )
             else:
                 try:
                     self.supervisor.client(shard)
+                    continue
                 except ShardError as down:
                     self.breakers[shard].record_failure(down)
-                    admission_error = down
-            if admission_error is None:
-                continue
-            if degrade == "fail":
-                raise admission_error
-            recover_owned(shard, str(admission_error))
-            recover_spanning(shard, str(admission_error))
+                    error = down
+            state.give_up(shard, "cells", str(error), error)
+            state.give_up(shard, "partial", str(error), error)
 
-        # -- scatter ------------------------------------------------------------
-        pendings: "list[tuple[int, str, dict[str, Any], _Pending, Any]]" = []
+    def _rpc(
+        self, state: _QueryState, rpc: _Rpc, *, gather: bool
+    ) -> "dict[str, Any] | None":
+        """Take one RPC through one stage — submitted (scatter) or
+        answered (gather) — under the query's shared deadline.
 
-        def scatter(shard: int, kind: str, payload: "dict[str, Any]") -> None:
-            """Submit one RPC; transient faults retry in place, a dead
-            shard waits (bounded) for its respawn, and a shard that
-            stays dead is recovered per the degrade policy."""
+        Fault-free, that is one ``submit`` and one ``gather``.  Every
+        fault, in either stage, is put to :func:`rpc_action`; this loop
+        only carries the verdict out.  Returns the response — ``None``
+        once merely submitted, or once the shard is given up on
+        (:meth:`_QueryState.give_up`, which raises under ``fail``).
+        """
+        shard = rpc.shard
+        transient = respawns = 0
+        while True:
+            error: Exception
+            try:
+                if rpc.pending is None:
+                    rpc.client = self.supervisor.client(shard)
+                    rpc.pending = rpc.client.submit(rpc.payload)
+                if not gather:
+                    return None
+                wait = state.deadline - self._clock()
+                if wait > 0:
+                    if state.hedge_s is not None:
+                        wait = min(wait, state.hedge_s)
+                    return rpc.client.gather(rpc.pending, timeout=wait)
+                fault, error = DEADLINE, ShardError(
+                    f"shard {shard} missed the {state.deadline_ms:.0f}ms RPC deadline",
+                    shard=shard,
+                )
+            except TransientFaultError as exc:
+                fault, error = TRANSIENT, exc
+            except ShardError as exc:
+                fault, error = SHARD_ERROR, exc
+                self.breakers[shard].record_failure(exc)
+            # an answered slot is spent, even when the answer was a fault
+            consumed = rpc.pending is None or rpc.pending.event.is_set()
+            alive = rpc.client is not None and not rpc.client.down()
+            if fault == SHARD_ERROR and (consumed or not alive):
+                self.supervisor.notify_failure(shard, error)
+            remaining = state.deadline - self._clock()
+            action = rpc_action(
+                fault,
+                transient=transient,
+                respawns=respawns,
+                remaining=remaining,
+                consumed=consumed,
+                alive=alive,
+                hedging=state.hedge_s is not None,
+            )
+            if action == RAISE:
+                raise error
+            if action == AWAIT_RESPAWN:
+                respawns += 1
+                if self.supervisor.await_live(shard, remaining) is None:
+                    action = GIVE_UP
+            if action == HEDGE:
+                self._metrics.counter("serve_hedge_total", shard=str(shard)).inc()
+            if action in (HEDGE, GIVE_UP):
+                stage = "gather" if gather else "scatter"
+                state.give_up(shard, rpc.kind, f"{stage} failed: {error}", error)
+                return None
+            if action != AWAIT_RESPAWN:
+                transient += 1
             self._metrics.counter(
-                "serve_shard_requests_total", shard=str(shard), kind=kind
+                "serve_shard_retries_total",
+                shard=str(shard),
+                kind="respawn" if action == AWAIT_RESPAWN else "transient",
             ).inc()
-            transient = 0
-            attempts = 0
-            while True:
-                try:
-                    client = self.supervisor.client(shard)
-                    pendings.append(
-                        (shard, kind, payload, client.submit(payload), client)
-                    )
-                    return
-                except TransientFaultError:
-                    transient += 1
-                    if transient > self.rpc_retries:
-                        raise
-                    self._metrics.counter(
-                        "serve_shard_retries_total",
-                        shard=str(shard),
-                        kind="transient",
-                    ).inc()
-                except ShardError as exc:
-                    self.breakers[shard].record_failure(exc)
-                    self.supervisor.notify_failure(shard, exc)
-                    attempts += 1
-                    remaining = deadline - self._clock()
-                    if (
-                        attempts <= self.rpc_retries
-                        and remaining > 0
-                        and self.supervisor.await_live(shard, remaining)
-                        is not None
-                    ):
-                        self._metrics.counter(
-                            "serve_shard_retries_total",
-                            shard=str(shard),
-                            kind="respawn",
-                        ).inc()
-                        continue
-                    if degrade == "fail":
-                        raise
-                    detail = f"scatter failed: {exc}"
-                    if kind == "cells":
-                        recover_owned(shard, detail)
-                    else:
-                        recover_spanning(shard, detail)
-                    return
+            if action != RE_GATHER:
+                rpc.pending = None
 
+    def _scatter(self, state: _QueryState, text: str) -> "list[_Rpc]":
+        """Submit the RPCs the admitted plan needs; returns those in flight."""
+        rpcs: "list[_Rpc]" = []
         with trace_span("serve.scatter") as span:
-            for shard, assigned in sorted(owned.items()):
-                scatter(
-                    shard,
-                    "cells",
-                    {
-                        "op": "cells",
-                        "text": text,
-                        "addresses": [addr for _, _, addr in assigned],
-                    },
-                )
-            if spanning_active:
-                spanning_payload = {
-                    "op": "partial",
-                    "addresses": [addr for _, _, addr in spanning],
-                }
-                for shard in range(self.n_shards):
-                    if not spanning_active:
-                        break
-                    scatter(shard, "partial", dict(spanning_payload))
+            for shard, assigned in sorted(state.owned.items()):
+                addresses = [addr for _, _, addr in assigned]
+                payload = {"op": "cells", "text": text, "addresses": addresses}
+                self._submit(state, rpcs, _Rpc(shard, "cells", payload))
+            addresses = [addr for _, _, addr in state.spanning]
+            for shard in range(self.n_shards):
+                if not state.spanning_whole:
+                    break  # nothing spans, or the merge is already abandoned
+                payload = {"op": "partial", "addresses": addresses}
+                self._submit(state, rpcs, _Rpc(shard, "partial", payload))
             if span is not None:
-                span.set(
-                    shards=len({shard for shard, *_ in pendings}),
-                    rpcs=len(pendings),
-                )
+                span.set(shards=len({rpc.shard for rpc in rpcs}), rpcs=len(rpcs))
+        return rpcs
 
-        # -- gather -------------------------------------------------------------
-        def gather_one(
-            shard: int,
-            kind: str,
-            payload: "dict[str, Any]",
-            pending: _Pending,
-            client: Any,
-        ) -> "dict[str, Any]":
-            """Gather one RPC under the shared deadline.
+    def _submit(self, state: _QueryState, rpcs: "list[_Rpc]", rpc: _Rpc) -> None:
+        self._metrics.counter(
+            "serve_shard_requests_total", shard=str(rpc.shard), kind=rpc.kind
+        ).inc()
+        self._rpc(state, rpc, gather=False)
+        if rpc.pending is not None:
+            rpcs.append(rpc)
 
-            Transient faults re-gather the same pending; a dead shard is
-            retried against the respawned client (re-submit); an
-            alive-but-slow shard past the hedge threshold raises so the
-            caller falls back locally.  Raises ShardError when the shard
-            stays unanswerable within the deadline.
-            """
-            transient = 0
-            attempts = 0
-            while True:
-                remaining = deadline - self._clock()
-                if remaining <= 0:
-                    raise ShardError(
-                        f"shard {shard} missed the "
-                        f"{rpc_budget.deadline_ms:.0f}ms RPC deadline",
-                        shard=shard,
-                    )
-                wait = remaining
-                if hedging:
-                    assert hedge_s is not None
-                    wait = min(wait, hedge_s)
-                try:
-                    return client.gather(pending, timeout=wait)
-                except TransientFaultError:
-                    transient += 1
-                    if transient > self.rpc_retries:
-                        raise
-                    self._metrics.counter(
-                        "serve_shard_retries_total",
-                        shard=str(shard),
-                        kind="transient",
-                    ).inc()
-                    if pending.event.is_set():
-                        # Remote-raised transient: that RPC is consumed,
-                        # so the retry must re-submit.  (A local
-                        # serve.gather fault leaves the pending intact
-                        # and simply re-gathers.)
-                        try:
-                            client = self.supervisor.client(shard)
-                            pending = client.submit(payload)
-                        except (ShardError, TransientFaultError):
-                            continue
-                except ShardError as exc:
-                    self.breakers[shard].record_failure(exc)
-                    if not pending.event.is_set() and not client.down():
-                        # The worker is alive, the answer is late: hedge
-                        # to the coordinator's bit-identical local path.
-                        if hedging:
-                            self._metrics.counter(
-                                "serve_hedge_total", shard=str(shard)
-                            ).inc()
-                        raise
-                    self.supervisor.notify_failure(shard, exc)
-                    attempts += 1
-                    remaining = deadline - self._clock()
-                    if attempts > self.rpc_retries or remaining <= 0:
-                        raise
-                    fresh = self.supervisor.await_live(shard, remaining)
-                    if fresh is None:
-                        raise
-                    self._metrics.counter(
-                        "serve_shard_retries_total",
-                        shard=str(shard),
-                        kind="respawn",
-                    ).inc()
-                    try:
-                        pending = fresh.submit(payload)
-                        client = fresh
-                    except (ShardError, TransientFaultError):
-                        continue
-
+    def _gather(
+        self, state: _QueryState, rpcs: "list[_Rpc]"
+    ) -> "dict[tuple[int, str], dict[str, Any]]":
+        """Wait for every in-flight RPC.  One failing does not stop the
+        others being heard (their breakers want the outcome); the first
+        error is raised once all have been."""
         responses: "dict[tuple[int, str], dict[str, Any]]" = {}
         first_error: "BaseException | None" = None
         with trace_span("serve.gather"):
-            for shard, kind, payload, pending, client in pendings:
+            for rpc in rpcs:
                 try:
-                    response = gather_one(shard, kind, payload, pending, client)
-                except ShardError as exc:
-                    if degrade == "fail":
-                        if first_error is None:
-                            first_error = exc
-                        continue
-                    detail = f"gather failed: {exc}"
-                    if kind == "cells":
-                        recover_owned(shard, detail)
-                    else:
-                        recover_spanning(shard, detail)
+                    response = self._rpc(state, rpc, gather=True)
                 except BaseException as exc:
-                    self.breakers[shard].record_failure(exc)
+                    if not isinstance(exc, ShardError):  # those _rpc has counted
+                        self.breakers[rpc.shard].record_failure(exc)
                     if first_error is None:
                         first_error = exc
-                else:
-                    self.breakers[shard].record_success()
-                    responses[(shard, kind)] = response
+                    continue
+                if response is not None:
+                    self.breakers[rpc.shard].record_success()
+                    responses[rpc.shard, rpc.kind] = response
         if first_error is not None:
             raise first_error
+        return responses
 
-        # -- merge --------------------------------------------------------------
+    def _merge(
+        self, state: _QueryState, responses: "dict[tuple[int, str], dict[str, Any]]"
+    ) -> None:
+        grid = state.grid
         with trace_span("serve.merge"):
-            for shard, assigned in sorted(owned.items()):
-                values = responses[(shard, "cells")]["values"]
+            for shard, assigned in sorted(state.owned.items()):
+                values = responses[shard, "cells"]["values"]
                 for (r, c, _), value in zip(assigned, values):
                     grid[r][c] = _decode_value(value)
-            if spanning_active:
-                merged = _merge_partials(
-                    [
-                        responses[(shard, "partial")]
-                        for shard in range(self.n_shards)
-                    ],
-                    len(spanning),
-                )
-                for (r, c, _), value in zip(spanning, merged):
+            if state.spanning_whole:
+                parts = [responses[shard, "partial"] for shard in range(self.n_shards)]
+                merged = _merge_partials(parts, len(state.spanning))
+                for (r, c, _), value in zip(state.spanning, merged):
                     grid[r][c] = value
 
-        # -- degradation records (partial policy) -------------------------------
-        degradations: "list[Degradation]" = []
-        if lost:
-            skipped = sum(len(cells_lost) for _, cells_lost in lost)
-            stats["cells_skipped"] = skipped
-            self._metrics.counter("serve_degraded_cells_total").inc(skipped)
-            total_cells = len(rows) * len(columns)
-            for detail, cells_lost in lost:
-                degradations.append(
-                    Degradation(
-                        reason="shard-down",
-                        detail=detail,
-                        cells_evaluated=total_cells - skipped,
-                        cells_skipped=len(cells_lost),
-                    )
-                )
+    def _degradations(self, state: _QueryState) -> "list[Degradation]":
+        """One record per loss the ``partial`` policy accepted."""
+        if not state.lost:
+            return []
+        skipped = sum(len(cells) for _, cells in state.lost)
+        state.stats["cells_skipped"] = skipped
+        self._metrics.counter("serve_degraded_cells_total").inc(skipped)
+        return [
+            Degradation(
+                reason="shard-down",
+                detail=detail,
+                cells_evaluated=state.stats["cells_evaluated"] - skipped,
+                cells_skipped=len(cells),
+            )
+            for detail, cells in state.lost
+        ]
 
-        # -- local residue ------------------------------------------------------
-        stats["fallback_cells"] = len(fallback_cells)
-        local_all = local + fallback_cells
-        if local_all:
-            with trace_span(
-                "serve.local",
-                local_cells=len(local),
-                fallback_cells=len(fallback_cells),
-            ):
-                if has_scenario:
-                    from repro.mdx.evaluator import _Context
+    def _fill_local(self, state: _QueryState, resolved: "ResolvedQuery") -> None:
+        """The local residue — cells no shard could answer alone, plus the
+        fallback cells — on the coordinator's full warehouse."""
+        if not state.local and not state.fallback:
+            return
+        with trace_span(
+            "serve.local",
+            local_cells=len(state.local),
+            fallback_cells=len(state.fallback),
+        ):
+            view = self.warehouse.cube
+            if resolved.context.scenarios:
+                from repro.mdx.evaluator import _Context
 
-                    # Full context, built once per call; the warehouse's
-                    # scenario cache amortises the apply across queries
-                    # with the same fingerprints.
-                    view = _Context(self.warehouse, query).view
-                else:
-                    view = cube
-                for r, c, addr in local_all:
-                    grid[r][c] = view.effective_value(addr)
-        return grid, stats, degradations
+                # ``resolved`` holds the hollow context; values need the
+                # full warehouse's, whose scenario cache amortises the
+                # apply across queries with the same fingerprints.
+                view = _Context(self.warehouse, resolved.context.query).view
+            for r, c, addr in state.local + state.fallback:
+                state.grid[r][c] = view.effective_value(addr)
 
     # -- introspection / lifecycle ------------------------------------------------
 
@@ -1294,22 +1195,14 @@ class ShardedQueryService:
         without fallback.  A supervisor mid-respawn leaves the service
         live but not ready.
         """
-        supervision = self.supervisor.status()
-        shards = []
-        for state in supervision:
-            index = state["shard"]
-            shards.append(
-                {
-                    "shard": index,
-                    "alive": state["alive"],
-                    "state": state["state"],
-                    "restarts": state["restarts"],
-                    "next_attempt_in_s": state["next_attempt_in_s"],
-                    "last_error": state["last_error"],
-                    "breaker": self.breakers[index].state.name.lower(),
-                    "members": len(self.plan.shards[index]),
-                }
-            )
+        shards = [
+            {
+                **state,
+                "breaker": self.breakers[state["shard"]].state.name.lower(),
+                "members": len(self.plan.shards[state["shard"]]),
+            }
+            for state in self.supervisor.status()
+        ]
         live = not self._closed
         ready = (
             live

@@ -539,7 +539,14 @@ class ShardClient:
         # Drain the dispatcher first so no request races the shutdown.
         self._queue.put(None)
         self._dispatcher.join(timeout)
-        if not self._down.is_set():
+        if self._dispatcher.is_alive():
+            # A wedged worker (e.g. mid-``sleep`` op): the dispatcher is
+            # still blocked reading its answer, so the pipe is not ours to
+            # say goodbye on, and a worker that will not answer will not
+            # exit when asked either.
+            self.mark_down(f"no answer within {timeout:.3g}s of close")
+            self.process.terminate()
+        elif not self._down.is_set():
             try:
                 self._conn.send({"op": "shutdown"})
                 if self._conn.poll(timeout):
@@ -552,8 +559,7 @@ class ShardClient:
             pass
         self.process.join(timeout)
         if self.process.is_alive():
-            # A wedged worker (e.g. mid-``sleep`` op) ignores shutdown:
-            # escalate to terminate, then kill.
+            # It ignored the goodbye (or SIGTERM): escalate.
             self.process.terminate()
             self.process.join(timeout)
             if self.process.is_alive():  # pragma: no cover - defensive

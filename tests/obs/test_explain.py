@@ -126,6 +126,25 @@ class TestRunningExample:
         # cell is ever evaluated.
         assert warehouse.scenario_cache.stats.misses == 1
 
+    def test_axis_counts_are_the_shape_the_evaluator_resolves(self, warehouse):
+        """EXPLAIN resolves with the evaluator's own ``resolve_query``: its
+        tuple counts are the un-pruned shape, which NON EMPTY then cuts."""
+        from repro.mdx.evaluator import _Context, resolve_query
+        from repro.mdx.parser import parse_query
+
+        text = HEADLINE.replace("{[Joe]}", "NON EMPTY {[Organization].Members}")
+        text = text.replace("SELECT {", "SELECT NON EMPTY {").replace("[NY]", "[CA]")
+        report = explain_report(warehouse, text)
+        resolved = resolve_query(_Context(warehouse, parse_query(text)))
+        counts = {axis["axis"]: axis["tuples"] for axis in report["axes"]}
+        assert counts == {"columns": len(resolved.columns), "rows": len(resolved.rows)}
+        assert report["slicer"] == resolved.slicer
+        assert report["scope_estimates"]["grid_cells"] == (
+            len(resolved.rows) * len(resolved.columns)
+        )
+        pruned = warehouse.query(text)
+        assert pruned.rows == []  # nobody works in CA; pruning is not EXPLAIN's
+
     def test_unscenarioed_query_reports_base_cube(self, warehouse):
         rendered = explain_query(
             warehouse, "SELECT {Time.[Qtr1]} ON COLUMNS FROM Warehouse"

@@ -143,6 +143,17 @@ class TestNarrowed:
         assert not tracker.charge_cell()  # degrades immediately
         assert tracker.breached == "deadline"
 
+    def test_nan_is_refused_not_propagated(self):
+        """``nan < 0`` is false and ``max(nan, 0.0)`` is nan: both used to
+        let a NaN deadline through to every wait that reads it."""
+        nan = float("nan")
+        with pytest.raises(ValueError, match="deadline_ms"):
+            QueryBudget(deadline_ms=nan)
+        with pytest.raises(ValueError, match="deadline_ms"):
+            QueryBudget(deadline_ms=100.0).narrowed(nan)
+        with pytest.raises(ValueError, match="deadline_ms"):
+            QueryBudget().narrowed(nan)
+
     def test_preserves_the_injected_clock(self):
         ticks = [0.0]
         budget = QueryBudget(deadline_ms=1000.0, clock=lambda: ticks[0])

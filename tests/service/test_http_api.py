@@ -12,12 +12,13 @@ import urllib.request
 
 import pytest
 
-from repro.errors import ServiceError, ShardError
+from repro.errors import QueryError, ServiceError, ShardError
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
 from repro.obs.profile import validate_profile
 from repro.obs.trace import TRACER, tracing
 from repro.olap.missing import is_missing
 from repro.service import (
+    BreakerState,
     CircuitBreaker,
     ShardedQueryService,
     TenantQuotas,
@@ -470,6 +471,79 @@ class TestAdmission:
                 fresh = CircuitBreaker()
                 fresh._on_state_change = old._on_state_change
                 service.breakers[i] = fresh
+
+
+    def test_malformed_envelopes_do_not_leak_quota_slots(self, service):
+        """A typed 400 raised after ``quotas.acquire`` but outside the
+        ``try/finally`` kept the slot: ``max_inflight`` bad bodies and the
+        tenant answered 429 forever."""
+        quotas = TenantQuotas(max_inflight=2)
+        server = make_server(service, port=0, quotas=quotas)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        url = "http://%s:%d" % server.server_address[:2]
+        try:
+            for bad in ({"degrade": 5}, {"deadline_ms": "soon"}, {"degrade": ["fail"]}):
+                status, _, body = _request(url, "/v1/query", {"query": QUERY, **bad})
+                assert (status, body["error"]) == (400, "QueryError")
+            assert quotas.inflight("default") == 0
+            status, _, body = _request(url, "/v1/query", {"query": QUERY})
+            assert status == 200 and body["partial"] is False
+            assert quotas.inflight("default") == 0
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+
+    def test_nan_deadline_is_a_400_not_six_shard_timeouts(self, service, base_url):
+        """``json.loads`` accepts NaN; ``Event.wait(nan)`` returns at once,
+        so every RPC "timed out" against a healthy shard and six such
+        bodies opened both breakers for every tenant."""
+        metrics = service.warehouse.metrics
+        series = [
+            ("serve_hedge_total", {"shard": shard}) for shard in ("0", "1")
+        ] + [
+            ("serve_shard_retries_total", {"shard": shard, "kind": kind})
+            for shard in ("0", "1")
+            for kind in ("transient", "respawn")
+        ]
+        before = [metrics.value(name, **labels) for name, labels in series]
+        for _ in range(6):
+            status, _, body = _request(
+                base_url, "/v1/query", {"query": SPANNING, "deadline_ms": float("nan")}
+            )
+            assert (status, body["error"]) == (400, "QueryError")
+        for refused in (True, float("inf"), "5"):
+            status, _, _ = _request(
+                base_url, "/v1/query", {"query": SPANNING, "deadline_ms": refused}
+            )
+            assert status == 400
+        assert [b.state for b in service.breakers] == [BreakerState.CLOSED] * 2
+        assert service.health()["ready"]
+        assert [metrics.value(name, **labels) for name, labels in series] == before
+        status, _, body = _request(
+            base_url, "/v1/query", {"query": SPANNING, "deadline_ms": 5000}
+        )
+        assert status == 200 and body["stats"]["fallback_cells"] == 0
+
+    def test_refused_deadline_leaves_the_connection_usable(self, base_url):
+        bad = b'{"query": "SELECT 1", "deadline_ms": NaN}'
+        good = json.dumps({"query": SPANNING}).encode()
+        sock, reader = _raw(base_url, _post_head(len(bad)), bad)
+        try:
+            status, headers, _ = _read_response(reader)
+            assert status == 400 and "connection" not in headers
+            sock.sendall(_post_head(len(good)).encode("latin-1") + good)
+            assert _read_response(reader)[0] == 200
+        finally:
+            reader.close()
+            sock.close()
+
+    def test_execute_refuses_a_non_finite_deadline(self, service):
+        for refused in (float("nan"), float("inf"), True, "5"):
+            with pytest.raises(QueryError, match="finite number"):
+                service.execute(SPANNING, deadline_ms=refused)
+        assert service.execute(SPANNING, deadline_ms=5000).cells
 
 
 class TestTenantQuotas:

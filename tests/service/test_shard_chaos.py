@@ -136,7 +136,7 @@ class TestKillDuringGather:
             expected = service.warehouse.query(OWNED)
             # Wedge shard 0: the query's RPC queues behind the sleep,
             # then the kill lands mid-gather.
-            service.supervisor.client(0).submit({"op": "sleep", "seconds": 20})
+            service.supervisor.client(0).submit({"op": "sleep", "seconds": 3})
             killer = threading.Timer(
                 0.3, lambda: service.supervisor.kill(0)
             )
@@ -170,13 +170,13 @@ class TestHedging:
         try:
             expected = service.warehouse.query(OWNED)
             # Alive but slow: the worker sleeps past the hedge threshold.
-            service.supervisor.client(0).submit({"op": "sleep", "seconds": 20})
+            service.supervisor.client(0).submit({"op": "sleep", "seconds": 3})
             started = time.monotonic()
             result = service.execute(OWNED)  # default fallback policy
             elapsed = time.monotonic() - started
             assert repr(result.cells) == repr(expected.cells)
             assert not result.degradations
-            assert elapsed < 15.0  # hedged, did not ride out the sleep
+            assert elapsed < 2.0  # hedged, did not ride out the sleep
             assert (
                 service.warehouse.metrics.value(
                     "serve_hedge_total", shard="0"
@@ -260,6 +260,15 @@ class TestShardClientStartupFailures:
         client.process.join(10.0)
         client.close()
         client.close()  # idempotent
+        assert not client.process.is_alive()
+
+    def test_close_of_a_wedged_worker_costs_one_timeout(self):
+        client = ShardClient(_single_shard_spec(), start_timeout=60.0)
+        client.submit({"op": "sleep", "seconds": 30})
+        started = time.monotonic()
+        client.close(timeout=1.0)
+        assert time.monotonic() - started < 3.0
+        assert client.down()
         assert not client.process.is_alive()
 
 

@@ -148,6 +148,29 @@ class TestClassificationTable:
         assert got.rows == service.warehouse.query(text).rows
 
 
+class TestResolveOnTheHollowWarehouse:
+    """The coordinator resolves on its hollow warehouse with the
+    evaluator's own ``resolve_query``; the seeded cube must give it the
+    full warehouse's answer."""
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_same_tuples_and_slicer_as_the_full_warehouse(self, service, scenario):
+        from repro.mdx.evaluator import _Context, resolve_query
+        from repro.mdx.parser import parse_query
+
+        for layout in sorted(LAYOUTS):
+            for text in _queries(layout, scenarios=(scenario,)):
+                if "NON EMPTY" in text:
+                    continue  # resolve does not prune
+                query = parse_query(text)
+                hollow = resolve_query(_Context(service._hollow, query))
+                full = resolve_query(_Context(service.warehouse, query))
+                assert hollow.columns == full.columns, text
+                assert hollow.rows == full.rows, text
+                assert hollow.slicer == full.slicer, text
+                assert hollow.base_coords == full.base_coords, text
+
+
 class TestRuledAndStoredCells:
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     def test_ruled_cells_in_every_layout(self, ruled_service, layout):

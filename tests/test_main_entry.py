@@ -312,3 +312,70 @@ class TestFaultFlags:
         # The query path never touches durability.write; the spec must
         # still parse and the command succeed.
         assert completed.returncode == 0
+
+
+class TestServeBatchLoop:
+    """``serve`` and ``serve --shards N`` share one print-and-exit-code
+    loop; only how a statement is run differs, so stub runners cover it
+    in-process (no pool, no subprocess)."""
+
+    @staticmethod
+    def _serve(run, capsys, statements=("q1", "q2")):
+        import argparse
+
+        from repro.__main__ import _serve_statements
+
+        code = _serve_statements(
+            argparse.Namespace(csv=False), list(statements), lambda text: lambda: run(text)
+        )
+        return code, capsys.readouterr()
+
+    @staticmethod
+    def _result(degradations=()):
+        from repro.mdx.result import AxisTuple, MdxResult
+
+        column = AxisTuple((("Time", "Jan"),), ("Jan",))
+        return MdxResult([column], [AxisTuple((), ())], [[1.0]], list(degradations))
+
+    def test_complete_results_exit_zero(self, capsys):
+        code, out = self._serve(lambda text: self._result(), capsys)
+        assert code == 0
+        assert out.out.count("-- query") == 2 and out.err == ""
+
+    def test_a_partial_grid_exits_one(self, capsys):
+        """``serve --shards N --degrade partial`` printed a grid full of ⊥
+        and exited 0: the sharded loop never looked at ``is_partial``."""
+        from repro.mdx.budget import Degradation
+
+        lost = Degradation("shard-down", "shard 0: is down", 0, 1)
+        code, out = self._serve(
+            lambda text: self._result([lost] if text == "q2" else []), capsys
+        )
+        assert code == 1
+        assert out.err == "repro: partial result: shard 0: is down\n"
+
+    def test_a_query_error_exits_two_and_the_batch_goes_on(self, capsys):
+        from repro.errors import MdxEvaluationError
+
+        def run(text):
+            if text == "q1":
+                raise MdxEvaluationError("no such member")
+            return self._result()
+
+        code, out = self._serve(run, capsys)
+        assert code == 2
+        assert out.err == "repro: no such member\n"
+        assert "-- query 2/2 --" in out.out and "Jan" in out.out
+
+    def test_a_statement_shed_at_admission_exits_one(self, capsys):
+        import argparse
+
+        from repro.__main__ import _serve_statements
+        from repro.errors import ServiceOverloadedError
+
+        def submit(text):
+            raise ServiceOverloadedError("admission queue is full")
+
+        code = _serve_statements(argparse.Namespace(csv=False), ["q1"], submit)
+        assert code == 1
+        assert "repro: shed: admission queue is full" in capsys.readouterr().err
