@@ -72,10 +72,15 @@ def _moments_of(
     return by_code[cols.codes[param_index]]
 
 
+def _coord_at(cols: "LeafColumns", dim_index: int, row: int) -> str:
+    """One row's coordinate on one dimension, off its code column."""
+    return cols.coords[dim_index][cols.codes[dim_index][row]]
+
+
 def _not_a_moment(
     cols: "LeafColumns", param_index: int, row: int, varying: VaryingDimension
 ) -> QueryError:
-    tcoord = cols.addresses[row][param_index]
+    tcoord = _coord_at(cols, param_index, row)
     return QueryError(
         f"leaf cell parameter coordinate {tcoord!r} is not a leaf of "
         f"{varying.parameter.name!r}"
@@ -95,17 +100,16 @@ def _project(
     Output leaf ``k`` is input row ``rows[k]`` with its coordinate on
     ``dim_index`` replaced by ``out_coords[out_codes[k]]``; ``out_coords``
     extends the input column's coordinate list, so equal codes mean "not
-    moved" and the input address is reused by identity.  Values are one
-    ``take``; coordinates new to the cube are validated once each.  The
-    output's rollup index — its leaf store — is derived from the input's
-    (the address -> row map that detects two rows landing on one address,
-    S over a cube whose instances clash, doubles as its id map).
-    Returns the cube and the number of moved cells.
+    moved".  Nothing is built per leaf — no address, no tuple, no dict
+    entry: values are one ``take``, coordinates new to the cube are
+    validated once each, and the output's rollup index — its leaf store —
+    is derived from the input's out of ``rows`` and the recoded column
+    alone (:meth:`~repro.perf.rollup_index.RollupIndex.derive`, which
+    also decides on the columns whether two rows landed on one address —
+    S over a cube whose instances clash).  Returns the cube and the
+    number of moved cells.
     """
-    in_addresses = cols.addresses
-    addresses = [in_addresses[i] for i in rows.tolist()]
-    moved = np.flatnonzero(out_codes != cols.codes[dim_index][rows])
-    moved_codes = out_codes[moved]
+    moved_codes = out_codes[out_codes != cols.codes[dim_index][rows]]
     schema = cube.schema
     for code in np.unique(moved_codes[moved_codes >= len(cols.coords[dim_index])]):
         if not schema.coordinate_is_leaf(dim_index, out_coords[code]):
@@ -113,18 +117,9 @@ def _project(
                 f"output coordinate {out_coords[code]!r} is not a leaf "
                 f"coordinate of {schema.dimensions[dim_index].name!r}"
             )
-    after = dim_index + 1
-    for k, code in zip(moved.tolist(), moved_codes.tolist()):
-        addr = addresses[k]
-        addresses[k] = addr[:dim_index] + (out_coords[code],) + addr[after:]
-    id_of = None
-    if cols.index is not None:
-        id_of = dict(zip(addresses, range(len(addresses))))
-    index = cols.derive(
-        schema, rows, addresses, {dim_index: (out_codes, out_coords)}, id_of
-    )
+    index = cols.derive(schema, rows, {dim_index: (out_codes, out_coords)})
     out = cube.adopt(index, dict(cube.stored_derived_cells()))
-    return out, len(moved)
+    return out, len(moved_codes)
 
 
 def relocate(
@@ -196,7 +191,7 @@ def relocate(
             raise QueryError(
                 f"input cube has two instances of member "
                 f"{members[sorted_vcodes[at]]!r} with data at the same moment "
-                f"{cols.addresses[row][param_index]!r}: "
+                f"{_coord_at(cols, param_index, row)!r}: "
                 f"{vcoords[sorted_vcodes[first]]!r} and "
                 f"{vcoords[sorted_vcodes[at]]!r} (validity sets must be disjoint)"
             )

@@ -138,16 +138,24 @@ class NegativeScenario:
         from repro.obs.trace import trace_span
 
         # Φ per member (Def. 3.4 / 4.3); σ (active filter) is implicit in
-        # dropping instances with empty output validity.
+        # dropping instances with empty output validity.  Φ of an instance
+        # depends only on its own validity set, and most members share
+        # one (never moved: valid throughout), so it runs once per
+        # distinct input set.
         validity_out: dict[str, ValiditySet] = {}
+        transformed: dict[ValiditySet, ValiditySet | None] = {}
         with trace_span("core.phi") as span:
             members = _members_with_data(cube, self.dimension)
             for member in members:
-                transformed = phi_member(
-                    varying.instances_of(member), pset, self.semantics
-                )
-                for instance, validity in transformed.items():
-                    validity_out[instance.full_path] = validity
+                for instance in varying.instances_of(member):
+                    validity = instance.validity
+                    if validity not in transformed:
+                        transformed[validity] = phi_member(
+                            (instance,), pset, self.semantics
+                        ).get(instance)
+                    validity = transformed[validity]
+                    if validity is not None:
+                        validity_out[instance.full_path] = validity
             if span is not None:
                 span.set(members=len(members), instances=len(validity_out))
 

@@ -92,9 +92,10 @@ THREAD_SHARED: dict[str, GuardSpec] = {
     ),
     "RollupIndex": GuardSpec(
         "_lock",
-        # ``_struct`` is the structure generation shared with forks (id
-        # map, addresses, code columns, tables, liveness, mask cache):
-        # replaced or mutated only under the lock of the one live index
+        # ``_struct`` is the structure generation shared with forks (code
+        # columns, tables, liveness, and the address / lookup / mask
+        # caches read off them): replaced or mutated only under the lock
+        # of the one live index
         (
             "_struct",
             "_struct_shared",

@@ -15,8 +15,8 @@ Leaf store and rollup serving
 A cube is columnar from its first cell: it holds one
 :class:`~repro.perf.rollup_index.RollupIndex` from construction and that
 index **is** the leaf store.  ``_leaf_cells`` is a read-only
-:class:`~repro.perf.rollup_index.LeafView` over the index's id map and
-value planes, :meth:`Cube.set_value` writes the index and nothing beside
+:class:`~repro.perf.rollup_index.LeafView` over the index's point lookup
+and value planes, :meth:`Cube.set_value` writes the index and nothing beside
 it, derived-cell scopes are served from it at O(|scope|) per query, and
 :meth:`Cube.frozen_copy` / :meth:`Cube.copy` are forks of it — nothing
 proportional to the cube is copied.  :meth:`Cube.load` is the bulk entry
@@ -32,7 +32,8 @@ Bulk transforms
 The what-if operators never write cells one by one: they read the leaf
 cells column-wise (:meth:`Cube.leaf_columns`), compute their output as an
 array program and hand the finished rollup index — *derived* from the
-input's — to :meth:`Cube.adopt`.
+input's, arrays only: no address is built per leaf — to
+:meth:`Cube.adopt`.
 """
 
 from __future__ import annotations
@@ -421,8 +422,7 @@ class Cube:
         for code in np.unique(codes).tolist():
             kept[code] = keep(cols.coords[dim_index][code])
         rows = np.flatnonzero(kept[codes])
-        addresses = [cols.addresses[row] for row in rows.tolist()]
-        return cols.derive(self.schema, rows, addresses, {}), rows
+        return cols.derive(self.schema, rows, {}), rows
 
     def filter_dimension(
         self, dim_name: str, keep: Callable[[str], bool]

@@ -23,8 +23,8 @@ result is bit-identical to the naive scan.
 
 Every cube holds one index from construction and that index *is* its
 leaf store: the cube keeps no address-keyed dict, ``Cube._leaf_cells`` is
-a :class:`LeafView` over the id map and the planes, and ``Cube.set_value``
-writes here and nowhere else (:meth:`RollupIndex.set_leaf` /
+a :class:`LeafView` over the point lookup and the planes, and
+``Cube.set_value`` writes here and nowhere else (:meth:`RollupIndex.set_leaf` /
 :meth:`RollupIndex.remove_leaf`).  An index built with
 :meth:`RollupIndex.build` and not handed to ``Cube.adopt`` is a
 point-in-time copy of the cube it was built from.
@@ -43,9 +43,10 @@ operator that produced the cube) and renumbering (relative order kept).
 
 Structure generations
 ---------------------
-Everything that depends only on *which* leaves exist — id map, address
-list, code columns, coordinate tables, liveness, the ordered id array and
-the per-coordinate mask cache — is one :class:`_Structure` generation.
+Everything that depends only on *which* leaves exist — code columns,
+coordinate tables, liveness, and the caches read off them (address list,
+point lookup, ordered id array, per-coordinate masks) — is one
+:class:`_Structure` generation.
 ``Cube.frozen_copy`` and ``Cube.copy`` *fork* the index: the fork shares
 the generation (so a mask computed by one snapshot serves every later
 one) and shares the value planes copy-on-write at plane granularity
@@ -57,14 +58,31 @@ next structural write renumbers, so churn cannot grow the id space past
 twice the cube.  The what-if operators (ρ, S) and the restrictions (σ,
 the shard's slice) *derive* the index of their output from the input's:
 the unchanged dimensions' columns are permuted, a moved dimension's
-column is recoded, and the gathered values are bulk-loaded — no rebuild.
+column is recoded, and the gathered values are bulk-loaded — no rebuild,
+and no per-leaf Python object: a derived generation is arrays only.
 Columns are built from addresses in one place, :meth:`RollupIndex.from_cells`:
 a bulk ``Cube.load``, an output whose rows clash on one address, and
 anything computed under ``naive_mode()``.
+
+Addresses and point lookup
+--------------------------
+A leaf's address is row ``k`` of the code columns read through the
+coordinate tables (:meth:`_Structure.addresses`), so the address list is a
+cache of the columns: a generation born from addresses (``from_cells``)
+keeps the list it was handed, a derived one builds only the rows somebody
+names (a scope, an error message) and the whole list only when asked for
+all of them — never on a query path.  Address → leaf id is served from
+what the generation holds (:meth:`_Structure.finder`): the address dict
+on a generation born from addresses or written to, and on a derived one
+the sorted mixed-radix key of its code columns — the same sort that
+proved its rows distinct — searched once per address and remembered.
+The ``rollup_index.materialize`` span marks every full address list or
+dict a generation has to build.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Sequence, TypeAlias
 
@@ -92,16 +110,21 @@ AxisScope: TypeAlias = "tuple[bool, np.ndarray | None]"
 Column: TypeAlias = "tuple[np.ndarray, list[str]]"
 
 #: soft cap on the per-index rollup memo (total entries across all
-#: aggregator tables), to bound worst-case memory on long-lived
-#: cubes queried at ever-changing addresses
+#: aggregator tables) and on a generation's resolved-address cache, to
+#: bound worst-case memory on long-lived cubes queried at ever-changing
+#: addresses
 _MEMO_CAP = 65536
+#: a generation's mixed-radix address key must fit ``int64``: the product
+#: of its coordinate-table sizes may not exceed this
+_KEY_LIMIT = 2**63
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
-#: what a deleted leaf id maps to in the id -> address list
-_DELETED: Address = ()
+#: "not in the resolved-address cache" (``None`` there means "no such leaf")
+_UNSEEN = object()
 
 
-class LeafColumns(NamedTuple):
+@dataclass(slots=True, eq=False)
+class LeafColumns:
     """A cube's leaf cells column-wise, rows in cube insertion order.
 
     This is what the what-if operators read instead of iterating cells:
@@ -112,33 +135,64 @@ class LeafColumns(NamedTuple):
     (``None`` for columns scanned off the addresses under
     ``naive_mode()``), which is what :meth:`derive` needs to build the
     output's index.
+
+    The rows' addresses are not part of the read: columns scanned off
+    addresses keep the list they scanned, columns read from an index
+    build :attr:`addresses` — all of them — or :meth:`addresses_at` — the
+    rows named — from the generation they were read from when somebody
+    asks.  The operators never do.
     """
 
-    addresses: list[Address]
     values: np.ndarray
     codes: dict[int, np.ndarray]
     coords: dict[int, list[str]]
     index: "RollupIndex | None" = None
     ids: "np.ndarray | None" = None
+    #: the generation ``ids`` are ids of; it may have been replaced in
+    #: ``index`` since, but a replaced generation no longer changes
+    _struct: "_Structure | None" = None
+    _addresses: "list[Address] | None" = None
+
+    @property
+    def addresses(self) -> list[Address]:
+        """Every row's address.  On columns read from a derived index
+        this builds the generation's whole address list (≈ 22 ms at 96k
+        leaves), so nothing on a query path may ask."""
+        if self._addresses is None:
+            ids = self.ids
+            addrs = self._struct.all_addresses()
+            n = len(ids)
+            # ascending distinct ids ending at n - 1 are 0 .. n - 1
+            dense = n == 0 or int(ids[-1]) == n - 1
+            self._addresses = addrs[:n] if dense else [addrs[i] for i in ids.tolist()]
+        return self._addresses
+
+    def addresses_at(self, rows: np.ndarray) -> list[Address]:
+        """The addresses of the given rows, and of no other."""
+        if self._addresses is not None:
+            return [self._addresses[row] for row in rows.tolist()]
+        return self._struct.addresses(self.ids[rows])
 
     def derive(
-        self,
-        schema: "CubeSchema",
-        rows: np.ndarray,
-        addresses: list[Address],
-        recoded: Mapping[int, Column],
-        id_of: "dict[Address, int] | None" = None,
+        self, schema: "CubeSchema", rows: np.ndarray, recoded: Mapping[int, Column]
     ) -> "RollupIndex":
         """The leaf store of the cube whose leaf ``k`` is row ``rows[k]``
-        at ``addresses[k]`` (``id_of``, when given, maps each address to
-        its ``k``): derived from the index the columns were read from
-        (:meth:`RollupIndex.derive`), or built from the addresses when
-        there is none or when two rows land on one address — they collapse
-        to the later value, so rows and leaves no longer line up."""
+        with, on every dimension in ``recoded``, the coordinate of that
+        dimension's new ``(codes, coords)`` column: derived from the index
+        the columns were read from (:meth:`RollupIndex.derive`), or, for
+        columns scanned off addresses, built from the rows' patched
+        addresses (two rows on one address collapse to the later value)."""
         values = self.values[rows]
-        if self.index is None or (id_of is not None and len(id_of) != len(rows)):
-            return RollupIndex.from_cells(schema, dict(zip(addresses, values.tolist())))
-        return self.index.derive(self.ids[rows], addresses, values, recoded, id_of)
+        if self.index is not None:
+            return self.index.derive(self.ids[rows], values, recoded)
+        addresses = self.addresses_at(rows)
+        for dim, (codes, coords) in recoded.items():
+            after = dim + 1
+            addresses = [
+                addr[:dim] + (coords[code],) + addr[after:]
+                for addr, code in zip(addresses, codes.tolist())
+            ]
+        return RollupIndex.from_cells(schema, dict(zip(addresses, values.tolist())))
 
 
 def _factorize(column: Sequence[str]) -> Column:
@@ -165,7 +219,7 @@ def scan_columns(
     coords: dict[int, list[str]] = {}
     for dim in dims:
         codes[dim], coords[dim] = _factorize([addr[dim] for addr in addresses])
-    return LeafColumns(addresses, values, codes, coords)
+    return LeafColumns(values, codes, coords, _addresses=addresses)
 
 
 class _CoordTable:
@@ -238,61 +292,189 @@ def _ids_in_column(row_ids: np.ndarray, col_scope: AxisScope) -> np.ndarray:
     return row_ids if col_mask is None else row_ids[col_mask[row_ids]]
 
 
+class _KeyLookup(NamedTuple):
+    """The point lookup of a generation that holds no address dict: the
+    mixed-radix key of every row's codes (radix = coordinate-table size),
+    sorted, and the row behind each."""
+
+    keys: np.ndarray
+    rows: np.ndarray
+
+
 @dataclass(slots=True, eq=False)
 class _Structure:
     """One generation of an index's structure: everything that depends
     only on *which* leaves exist, never on their values.
 
-    ``addrs`` maps leaf id -> address (``_DELETED`` once deleted; its
-    length is the size of the id space) and ``id_of`` back; ``codes`` holds
-    per dimension the int32 coordinate code of every leaf id and ``live``
-    their liveness (both may carry spare capacity past the id space);
-    ``tables`` are the per-dimension :class:`_CoordTable`.
+    ``n_ids`` is the size of the id space; ``codes`` holds per dimension
+    the int32 coordinate code of every leaf id and ``live`` their liveness
+    (both may carry spare capacity past the id space; a deleted id keeps
+    its codes); ``tables`` are the per-dimension :class:`_CoordTable`.
+    That is the whole of a generation — the address of leaf ``k`` is row
+    ``k`` of the code columns read through the tables
+    (:meth:`addresses`) — and everything else is a cache of it:
+
+    * ``addrs`` — the address of every id.  A generation born from
+      addresses (``from_cells``) keeps the list it was handed; a derived
+      one has none until somebody asks for all of them.
+    * ``id_of`` — address -> live id, the dict a write maintains; built
+      from ``addrs`` on first use.
+    * ``lookup`` — what a derived generation has instead of ``id_of``
+      (:meth:`index_rows`), with ``resolved`` remembering every address it
+      was asked, hit or miss, so a repeat read is one dict probe.
+    * ``ordered`` (ascending live ids) and ``masks`` ((dim_index, coord)
+      -> boolean mask over the id space).
 
     An index and its forks share one generation.  An index mutates a
-    generation in place only while nothing shares it and otherwise
-    replaces it with :meth:`copy` first (frozen snapshots never write; a
-    writable ``Cube.copy`` does, and diverges the same way).  The
-    three caches — ``id_of`` (``None`` until a point read or write needs
-    it; most scenario views never do), ``ordered`` (ascending live ids)
-    and ``masks`` ((dim_index, coord) -> boolean mask over the id space)
-    — are filled lazily by whichever index asks first: every filler
-    computes the same value and the store is one attribute or dict
-    assignment, atomic under the GIL, so a mask computed for one
-    snapshot serves all later ones.
+    generation in place only while nothing shares it *and* it holds
+    ``id_of``; otherwise the structural write replaces it with
+    :meth:`copy` first (frozen snapshots never write; a writable
+    ``Cube.copy`` does, and diverges the same way), so a generation that
+    serves reads from ``lookup`` never changes.  The caches are filled
+    lazily by whichever index asks first: every filler computes the same
+    value and the store is one attribute or dict assignment, atomic under
+    the GIL, so a mask computed for one snapshot serves all later ones.
     """
 
-    addrs: list[Address]
+    n_ids: int
     codes: list[np.ndarray]
     tables: list[_CoordTable]
     live: np.ndarray
     n_live: int
+    addrs: "list[Address] | None" = None
     id_of: "dict[Address, int] | None" = None
+    lookup: "_KeyLookup | None" = None
+    resolved: "dict[Address, int | None]" = field(default_factory=dict)
     ordered: "np.ndarray | None" = None
     masks: dict[tuple[int, str], np.ndarray] = field(default_factory=dict)
 
     def copy(self) -> "_Structure":
         """A private generation for a structural write: same ids, columns
-        trimmed to the id space plus headroom, caches empty (the write is
-        about to invalidate them)."""
-        n = len(self.addrs)
+        trimmed to the id space plus headroom, the address list and dict
+        it holds, and none of the caches the write is about to
+        invalidate."""
+        n = self.n_ids
         return _Structure(
-            list(self.addrs),
+            n,
             [_with_headroom(codes, n) for codes in self.codes],
             [table.copy() for table in self.tables],
             _with_headroom(self.live, n),
             self.n_live,
+            None if self.addrs is None else list(self.addrs),
             None if self.id_of is None else dict(self.id_of),
         )
+
+    # -- addresses: a cache of the columns ---------------------------------------
+
+    def addresses(self, ids: np.ndarray) -> list[Address]:
+        """The addresses of the given leaf ids, and the one place an
+        address is defined: row ``k`` of the code columns through the
+        coordinate tables.  Served from the address list when the
+        generation holds one."""
+        addrs = self.addrs
+        if addrs is not None:
+            return [addrs[i] for i in ids.tolist()]
+        return list(
+            zip(
+                *(
+                    map(table.coords.__getitem__, codes[ids].tolist())
+                    for codes, table in zip(self.codes, self.tables)
+                )
+            )
+        )
+
+    def all_addresses(self) -> list[Address]:
+        """``addrs``, filled on first use."""
+        addrs = self.addrs
+        if addrs is None:
+            with trace_span("rollup_index.materialize") as span:
+                addrs = self.addrs = self.addresses(np.arange(self.n_ids))
+                if span is not None:
+                    span.set(leaves=self.n_ids, what="addresses")
+        return addrs
+
+    def ids(self) -> dict[Address, int]:
+        """``id_of``, filled on first use from ``addrs``.  Every id is
+        live then: a generation that has seen a delete holds the dict."""
+        id_of = self.id_of
+        if id_of is None:
+            addrs = self.all_addresses()
+            with trace_span("rollup_index.materialize") as span:
+                id_of = self.id_of = dict(zip(addrs, range(self.n_ids)))
+                if span is not None:
+                    span.set(leaves=self.n_ids, what="id_map")
+        return id_of
+
+    # -- point lookup ------------------------------------------------------------
+
+    def index_rows(self) -> bool:
+        """Give a freshly derived generation (every id live) its point
+        lookup, and say whether its rows are distinct addresses.
+
+        Two rows share an address iff they share the mixed-radix key of
+        their codes, so one sort of the keys decides — equal neighbours —
+        and, kept, *is* the lookup (:meth:`search`).  Where the key does
+        not fit ``int64`` the address dict decides and serves, as it did
+        before there were keys.
+        """
+        n = self.n_ids
+        radices = [len(table.coords) for table in self.tables]
+        if math.prod(radices) > _KEY_LIMIT:
+            return len(self.ids()) == n
+        key = np.zeros(n, dtype=np.int64)
+        for codes, radix in zip(self.codes, radices):
+            key *= radix
+            key += codes[:n]
+        rows = np.argsort(key)
+        keys = key[rows]
+        self.lookup = _KeyLookup(keys, rows)
+        return not (keys[1:] == keys[:-1]).any()
+
+    def search(self, addr: Address) -> "int | None":
+        """The leaf id at ``addr`` by its key: one ``code_of`` probe per
+        dimension, one binary search."""
+        keys, rows = self.lookup
+        key = 0
+        for table, coord in zip(self.tables, addr):
+            code = table.code_of.get(coord)
+            if code is None:
+                return None  # a coordinate no leaf of this generation has
+            key = key * len(table.coords) + code
+        at = int(keys.searchsorted(key))
+        if at < len(keys) and keys[at] == key:
+            return int(rows[at])
+        return None
+
+    def resolve(self, addr: Address) -> "int | None":
+        """:meth:`search`, remembered."""
+        resolved = self.resolved
+        ident = resolved.get(addr, _UNSEEN)
+        if ident is _UNSEEN:
+            ident = self.search(addr)
+            if len(resolved) >= _MEMO_CAP:
+                resolved.clear()
+            resolved[addr] = ident
+        return ident
+
+    def finder(self) -> "Callable[[Address], int | None]":
+        """address -> leaf id (``None`` = no such leaf), chosen from what
+        the generation holds: the dict's own ``get`` when there is a dict
+        (or only an address list to build one from), the key search
+        behind the resolved cache otherwise."""
+        if self.lookup is not None:
+            return self.resolve
+        return self.ids().get
 
 
 class LeafView(Mapping[Address, float]):
     """The leaf cells of a cube as a read-only mapping over its rollup
     index — what ``Cube._leaf_cells`` is.  Iteration is insertion order
-    (ascending leaf id), like a dict's; bulk reads (``items``/``values``)
-    are one column gather, point reads one id-map probe plus one plane
-    read under the index lock.  The view holds the index, never the other
-    way round."""
+    (ascending leaf id), like a dict's; bulk reads (``values``) are one
+    column gather, point reads one probe of the generation's lookup
+    (:meth:`_Structure.finder`) plus one plane read under the index lock.
+    Iterating the keys or ``items`` of a derived view builds its whole
+    address list — that is for exports, oracles and tests, not queries.
+    The view holds the index, never the other way round."""
 
     __slots__ = ("_index",)
 
@@ -309,7 +491,7 @@ class LeafView(Mapping[Address, float]):
             # a moment ago — and most probes (derived addresses) are misses
             return default
         with index._lock:
-            ident = index._ids().get(addr)
+            ident = index._struct.finder()(addr)
             return default if ident is None else index._values.get(ident)
 
     def __getitem__(self, addr: Address) -> float:
@@ -355,11 +537,12 @@ class RollupIndex:
         self.stats = CacheStats()
         self._lock = make_lock("RollupIndex._lock")
         self._struct = _Structure(
-            [],
+            0,
             [np.empty(0, dtype=np.int32) for _ in range(schema.n_dims)],
             [_CoordTable(schema, i, [], ()) for i in range(schema.n_dims)],
             np.empty(0, dtype=np.bool_),
             0,
+            [],
             {},
         )
         #: True while ``_struct`` is shared with a fork; the next
@@ -380,18 +563,18 @@ class RollupIndex:
     def _from_columns(
         cls,
         schema: "CubeSchema",
-        addresses: list[Address],
         columns: Sequence[Column],
         values: np.ndarray,
         plane_size: "int | None",
-        id_of: "dict[Address, int] | None" = None,
+        addresses: "list[Address] | None" = None,
     ) -> "RollupIndex":
         # leaf id == row: every row is a live leaf, ``columns`` has one
-        # (codes, coords) pair per schema dimension
+        # (codes, coords) pair per schema dimension; ``addresses``, when
+        # the caller has them, are the rows' addresses
         index = cls(schema, plane_size=plane_size)
-        n = len(addresses)
+        n = len(values)
         index._struct = _Structure(
-            addresses,
+            n,
             [codes for codes, _ in columns],
             [
                 _CoordTable(
@@ -401,7 +584,7 @@ class RollupIndex:
             ],
             np.ones(n, dtype=np.bool_),
             n,
-            id_of,
+            addresses,
         )
         index._values = ColumnarLeafStore.from_values(values, index._plane_size)
         return index
@@ -430,10 +613,10 @@ class RollupIndex:
             cols = scan_columns(leaf_cells, range(n_dims))
             index = cls._from_columns(
                 schema,
-                cols.addresses,
                 [(cols.codes[dim], cols.coords[dim]) for dim in range(n_dims)],
                 cols.values,
                 plane_size,
+                cols.addresses,
             )
             index.stats.builds += 1
             if span is not None:
@@ -449,56 +632,65 @@ class RollupIndex:
         with self._lock:
             struct = self._struct
             ids = self._ordered_array()
-            addrs = struct.addrs
-            if len(ids) == len(addrs):
-                addresses = list(addrs)
-            else:
-                addresses = [addrs[i] for i in ids.tolist()]
             return LeafColumns(
-                addresses,
                 self._values.gather(ids),
                 {dim: struct.codes[dim][ids] for dim in dims},
                 {dim: list(struct.tables[dim].coords) for dim in dims},
                 self,
                 ids,
+                struct,
             )
 
+    def _permuted(
+        self, ids: np.ndarray, recoded: Mapping[int, Column]
+    ) -> list[Column]:  # reprolint: locked
+        # one (codes, coords) column per dimension for the rows ``ids``:
+        # the ``recoded`` ones as given, the others this index's own
+        struct = self._struct
+        return [
+            recoded[dim]
+            if dim in recoded
+            else (struct.codes[dim][ids], list(struct.tables[dim].coords))
+            for dim in range(self.schema.n_dims)
+        ]
+
     def derive(
-        self,
-        ids: np.ndarray,
-        addresses: list[Address],
-        values: np.ndarray,
-        recoded: Mapping[int, Column],
-        id_of: "dict[Address, int] | None" = None,
+        self, ids: np.ndarray, values: np.ndarray, recoded: Mapping[int, Column]
     ) -> "RollupIndex":
         """The index of a cube whose leaf ``k`` is this index's leaf
-        ``ids[k]`` moved to ``addresses[k]`` with value ``values[k]``
-        (``id_of`` maps each address back to its ``k`` when the caller
-        already has that map).
+        ``ids[k]`` with value ``values[k]``, moved on the dimensions in
+        ``recoded`` to the coordinate their new ``(codes, coords)``
+        columns give.
 
-        Only the dimensions in ``recoded`` changed coordinate (their new
-        ``(codes, coords)`` columns are given); every other column is this
-        index's own, permuted by ``ids``.  Output leaf ids are the output
-        rows, so ascending id == the operator's emission order.  A leaf's
-        codes never change, so the read is consistent with the
-        :meth:`columns` call that produced ``ids`` as long as no
+        Every other column is this index's own, permuted by ``ids``.
+        Output leaf ids are the output rows, so ascending id == the
+        operator's emission order.  Nothing per leaf is built: whether
+        two rows landed on one address is read off the sorted row keys,
+        which the output keeps as its point lookup
+        (:meth:`_Structure.index_rows`).  If two did, rows and leaves no
+        longer line up and the output is rebuilt from its addresses, where
+        the later value wins at the earlier position as a dict write
+        would.  A leaf's codes never change, so the read is consistent
+        with the :meth:`columns` call that produced ``ids`` as long as no
         structural write came between the two (the operators run on
         snapshots and scenario views, which have none).
         """
         with trace_span("rollup_index.derive") as span, self._lock:
-            struct = self._struct
-            columns = [
-                recoded[dim]
-                if dim in recoded
-                else (struct.codes[dim][ids], list(struct.tables[dim].coords))
-                for dim in range(self.schema.n_dims)
-            ]
             child = RollupIndex._from_columns(
-                self.schema, addresses, columns, values, self._plane_size, id_of
+                self.schema, self._permuted(ids, recoded), values, self._plane_size
             )
+            distinct = child._struct.index_rows()
             if span is not None:
-                span.set(leaves_in=struct.n_live, leaves_out=len(addresses))
-        return child
+                span.set(
+                    leaves_in=self._struct.n_live,
+                    leaves_out=len(values),
+                    distinct=distinct,
+                )
+        if distinct:
+            return child
+        return RollupIndex.from_cells(
+            self.schema, dict(zip(child._struct.all_addresses(), values.tolist()))
+        )
 
     def coords_with_data(self, dim_index: int) -> list[str]:
         """Distinct leaf coordinates on one dimension that hold a leaf."""
@@ -509,29 +701,23 @@ class RollupIndex:
 
     # -- the leaf store: writes, point reads, the mapping view --------------------
 
-    def _ids(self) -> dict[Address, int]:  # reprolint: locked
-        struct = self._struct
-        id_of = struct.id_of
-        if id_of is None:
-            id_of = {addr: i for i, addr in enumerate(struct.addrs) if addr}
-            struct.id_of = id_of
-        return id_of
-
     def _writable_structure(self) -> _Structure:  # reprolint: locked
-        """The generation a structural write may mutate.  Dead ids that
-        outnumber the live ones are squeezed out first; a
-        generation shared with forks is replaced by a private copy; one
+        """The generation a structural write may mutate, holding its
+        address dict.  Dead ids that outnumber the live ones are squeezed
+        out first; a generation shared with forks, or one that serves
+        reads from its key lookup, is replaced by a private copy; one
         that is already private only loses the caches that describe the
         old id space."""
         struct = self._struct
-        if len(struct.addrs) - struct.n_live > struct.n_live:
+        if struct.n_ids - struct.n_live > struct.n_live:
             struct = self._renumbered()
-        elif self._struct_shared:
+        elif self._struct_shared or struct.id_of is None:
             struct = struct.copy()
         else:
             struct.masks.clear()
             struct.ordered = None
             return struct
+        struct.ids()
         self._struct = struct
         self._struct_shared = False
         self._struct_copied = True
@@ -541,8 +727,14 @@ class RollupIndex:
         """A generation (and value store) without the dead ids: live
         leaves keep their relative order, so ascending id is still
         insertion order and strict reductions are unchanged."""
-        cols = self.columns(())
-        fresh = self.derive(cols.ids, cols.addresses, cols.values, {})
+        ids = self._ordered_array()
+        fresh = RollupIndex._from_columns(
+            self.schema,
+            self._permuted(ids, {}),
+            self._values.gather(ids),
+            self._plane_size,
+            self._struct.addresses(ids),
+        )
         self._values = fresh._values
         return fresh._struct
 
@@ -551,12 +743,12 @@ class RollupIndex:
         exists (no structure is touched), an insert at the next id
         otherwise.  Either way the memo is flushed."""
         with self._lock:
-            ident = self._ids().get(addr)
+            ident = self._struct.finder()(addr)
             if ident is not None:
                 self._values.update(ident, value)
             else:
                 struct = self._writable_structure()
-                ident = len(struct.addrs)
+                ident = struct.n_ids
                 if ident == len(struct.live):
                     struct.codes = [_with_headroom(c, ident) for c in struct.codes]
                     struct.live = _with_headroom(struct.live, ident)
@@ -569,20 +761,20 @@ class RollupIndex:
                 struct.addrs.append(addr)
                 struct.live[ident] = True
                 struct.n_live += 1
+                struct.n_ids += 1
                 # published last: a lock-free point reader that finds the
                 # id finds its plane row
-                self._ids()[addr] = ident
+                struct.id_of[addr] = ident
             self._flush_memo()
 
     def remove_leaf(self, addr: Address) -> bool:
         """Delete the leaf at ``addr``; ``False`` when there is none (not
         a mutation).  Its id is not reused."""
         with self._lock:
-            if addr not in self._ids():
+            if self._struct.finder()(addr) is None:
                 return False
             struct = self._writable_structure()
-            ident = self._ids().pop(addr)
-            struct.addrs[ident] = _DELETED
+            ident = struct.id_of.pop(addr)
             struct.live[ident] = False
             struct.n_live -= 1
             self._values.delete(ident)
@@ -600,22 +792,23 @@ class RollupIndex:
         """A point-read callable for grid evaluation: address -> value
         (``None`` = absent) without taking the index lock per read.
 
-        Like :meth:`memo_table`, it snapshots the id map and the value
-        store once under the lock (on its first read, so a grid that
-        reads no leaf never materialises the id map); in-place value
-        updates show through (planes are written in place), and
+        Like :meth:`memo_table`, it snapshots the generation's lookup
+        (:meth:`_Structure.finder`) and the value store once under the
+        lock — on its first read, so a grid that reads no leaf never
+        makes a freshly loaded cube build its address dict; in-place
+        value updates show through (planes are written in place), and
         grid-scoped callers re-fetch per query, so its staleness profile
         matches the live memo table's.
         """
-        id_get = values_get = None
+        find = values_get = None
 
         def read(addr: Address) -> "float | None":
-            nonlocal id_get, values_get
-            if id_get is None:
+            nonlocal find, values_get
+            if find is None:
                 with self._lock:
                     values_get = self._values.get
-                    id_get = self._ids().get
-            ident = id_get(addr)
+                    find = self._struct.finder()
+            ident = find(addr)
             if ident is None:
                 return None
             return values_get(ident)
@@ -703,7 +896,7 @@ class RollupIndex:
         struct = self._struct
         arr = struct.ordered
         if arr is None:
-            arr = struct.ordered = np.flatnonzero(struct.live[: len(struct.addrs)])
+            arr = struct.ordered = np.flatnonzero(struct.live[: struct.n_ids])
         return arr
 
     def _rolls_up(self, dim_index: int, coord: str) -> np.ndarray:  # reprolint: locked
@@ -719,7 +912,7 @@ class RollupIndex:
         key = (dim_index, coord)
         mask = struct.masks.get(key)
         if mask is None:
-            n = len(struct.addrs)
+            n = struct.n_ids
             mask = self._rolls_up(dim_index, coord)[struct.codes[dim_index][:n]]
             if struct.n_live != n:
                 mask &= struct.live[:n]
@@ -814,9 +1007,8 @@ class RollupIndex:
         concurrent maintenance)."""
         with self._lock:
             ids = self._address_ids(address)
-            addrs = self._struct.addrs
             return list(
-                zip([addrs[i] for i in ids.tolist()], self._values.gather(ids).tolist())
+                zip(self._struct.addresses(ids), self._values.gather(ids).tolist())
             )
 
     def scope_addresses(self, address: Sequence[str]) -> list[Address]:

@@ -730,8 +730,10 @@ class ShardedQueryService:
             firsts.append(
                 np.unique(member_of[cols.codes[dim_index]], return_index=True)[1]
             )
-        rows = np.unique(np.concatenate(firsts)) if firsts else ()
-        hollow_cube.load((cols.addresses[row], 0.0) for row in rows)
+        rows = (
+            np.unique(np.concatenate(firsts)) if firsts else np.empty(0, dtype=np.int64)
+        )
+        hollow_cube.load((addr, 0.0) for addr in cols.addresses_at(rows))
         hollow = Warehouse(
             schema,
             hollow_cube,

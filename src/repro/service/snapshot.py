@@ -11,7 +11,7 @@ cube and never block readers).
 Cost model: a snapshot is a *fork*, not a copy.  The live cube owns its
 rollup index (built once, by the bulk load that filled the cube) and that
 index is its leaf store; ``Cube.frozen_copy`` forks it — the structure
-generation (id map, code columns, coordinate tables, mask cache) is
+generation (code columns, coordinate tables, lookup and mask caches) is
 shared, the value planes are shared copy-on-write — and wraps the fork in
 a read-only leaf view.  Nothing proportional to the cube is copied at
 snapshot time; the *writer* pays afterwards, in proportion to what it

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_operator_parity import worlds
 
 from repro.core.operators import ChangeTuple, relocate
 from repro.core.perspective import Mode, PerspectiveSet, Semantics, phi_member
@@ -211,6 +214,38 @@ class TestScenarioPipelines:
     def test_empty_pipeline_rejected(self, example):
         with pytest.raises(QueryError):
             apply_scenarios(example.cube, [])
+
+
+class TestPhiIsComposedPerMember:
+    """``NegativeScenario.apply`` runs Φ once per distinct input validity
+    set; the parity suite shares Φ between engine and oracle, so the
+    composition is checked here against ``phi_member`` per member."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(world=worlds(), data=st.data())
+    def test_validity_out_is_phi_member_per_member_in_order(self, world, data):
+        perspectives = data.draw(
+            st.lists(
+                st.sampled_from(world.months),
+                min_size=1,
+                max_size=len(world.months),
+                unique=True,
+            )
+        )
+        pset = PerspectiveSet.from_names(perspectives, world.varying)
+        members = sorted(
+            {addr[0].rsplit("/", 1)[-1] for addr, _ in world.cube.leaf_cells()}
+        )
+        for semantics in Semantics:
+            expected = [
+                (instance.full_path, validity)
+                for member in members
+                for instance, validity in phi_member(
+                    world.varying.instances_of(member), pset, semantics
+                ).items()
+            ]
+            got = NegativeScenario("Org", perspectives, semantics).apply(world.cube)
+            assert list(got.validity_out.items()) == expected, semantics
 
 
 class TestWhatIfCubeFacade:
