@@ -15,12 +15,13 @@ stream through one at a time.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core.pebbling import pebbles_for_order
 from repro.storage.chunks import ChunkGrid
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 __all__ = ["memory_for_dimension_order", "choose_dimension_order"]
 

@@ -27,9 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Hashable, Sequence
+from typing import TYPE_CHECKING, Hashable, Sequence
 
-import networkx as nx
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 __all__ = [
     "PebblingResult",

@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeAl
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.perf.rollup_index import LeafColumns, LeafView, RollupIndex
+    from repro.perf.rollup_index import Column, LeafColumns, LeafView, RollupIndex
 
 from repro.errors import RuleError, SnapshotImmutableError
 from repro.lint.lockdep import make_lock
@@ -54,6 +54,20 @@ from repro.perf import config as perf_config
 __all__ = ["Cube"]
 
 CellValue: TypeAlias = "float | Missing"
+
+
+def _kept_rows(
+    cols: "LeafColumns", dim_index: int, keep: Callable[[str], bool]
+) -> np.ndarray:
+    """The rows whose coordinate on one dimension satisfies ``keep`` — a
+    mask over its code column, ``keep`` asked once per distinct coordinate
+    that holds a leaf."""
+    codes = cols.codes[dim_index]
+    coords = cols.coords[dim_index]
+    kept = np.zeros(len(coords), dtype=np.bool_)
+    for code in np.unique(codes).tolist():
+        kept[code] = keep(coords[code])
+    return np.flatnonzero(kept[codes])
 
 
 class Cube:
@@ -202,6 +216,16 @@ class Cube:
         and the columns are built once; the cube ends up exactly as the
         per-cell writes would leave it (insertion order, values, version),
         except that a stream which fails validation leaves it empty.
+
+        Whether a coordinate is leaf level is a property of the
+        (dimension, coordinate) pair, so the bulk arm asks the schema once
+        per *distinct* pair (a few hundred for a cube of any size) and
+        answers every other cell from a table that lives for this call
+        only — ``Dimension.add_member`` can turn a leaf into a parent, so
+        the schema itself keeps no such table.  The pairs are asked in the
+        order, and with the short-circuit, of
+        :meth:`CubeSchema.is_leaf_address`: an unknown member raises what
+        the per-cell path raises, at the cell that first names it.
         """
         from repro.perf.rollup_index import RollupIndex
 
@@ -212,9 +236,18 @@ class Cube:
                 leaves: dict[Address, float] = {}
                 derived: dict[Address, float] = {}
                 mutations = 0
+                coordinate_is_leaf = schema.coordinate_is_leaf
+                leaf_level: dict[tuple[int, str], bool] = {}
                 for address, value in cells:
                     addr = schema.validate_address(address)
-                    store = leaves if schema.is_leaf_address(addr) else derived
+                    store = leaves
+                    for pair in enumerate(addr):
+                        is_leaf = leaf_level.get(pair)
+                        if is_leaf is None:
+                            is_leaf = leaf_level[pair] = coordinate_is_leaf(*pair)
+                        if not is_leaf:
+                            store = derived
+                            break
                     if is_missing(value):
                         mutations += store.pop(addr, None) is not None
                     else:
@@ -417,12 +450,27 @@ class Cube:
         ids follow)."""
         dim_index = self.schema.dim_index(dim_name)
         cols = self.leaf_columns(dim_index)
-        codes = cols.codes[dim_index]
-        kept = np.zeros(len(cols.coords[dim_index]), dtype=np.bool_)
-        for code in np.unique(codes).tolist():
-            kept[code] = keep(cols.coords[dim_index][code])
-        rows = np.flatnonzero(kept[codes])
+        rows = _kept_rows(cols, dim_index, keep)
         return cols.derive(self.schema, rows, {}), rows
+
+    def slice_cells(
+        self, dim_name: str, keep: Callable[[str], bool]
+    ) -> "tuple[list[Column], np.ndarray, np.ndarray, dict[Address, float]]":
+        """What :meth:`restrict_leaves` keeps, as bare arrays that can
+        cross a process boundary instead of an index: ``(columns, values,
+        rows, stored_derived)`` — per schema dimension the kept leaves'
+        ``(codes, coords)`` column, their values, their positions in this
+        cube's insertion order, and a copy of the stored-derived cells.
+        One consistent read under the write lock;
+        :meth:`RollupIndex.from_columns` and :meth:`adopt` open it again."""
+        dim_index = self.schema.dim_index(dim_name)
+        dims = range(self.schema.n_dims)
+        with self._lock:
+            cols = self.leaf_columns(*dims)
+            stored_derived = dict(self._stored_derived)
+        rows = _kept_rows(cols, dim_index, keep)
+        columns = [(cols.codes[dim][rows], cols.coords[dim]) for dim in dims]
+        return columns, cols.values[rows], rows, stored_derived
 
     def filter_dimension(
         self, dim_name: str, keep: Callable[[str], bool]

@@ -115,7 +115,7 @@ Column: TypeAlias = "tuple[np.ndarray, list[str]]"
 #: addresses
 _MEMO_CAP = 65536
 #: a generation's mixed-radix address key must fit ``int64``: the product
-#: of its coordinate-table sizes may not exceed this
+#: of its coordinate-table sizes must stay below this
 _KEY_LIMIT = 2**63
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
@@ -419,7 +419,7 @@ class _Structure:
         """
         n = self.n_ids
         radices = [len(table.coords) for table in self.tables]
-        if math.prod(radices) > _KEY_LIMIT:
+        if math.prod(radices) >= _KEY_LIMIT:
             return len(self.ids()) == n
         key = np.zeros(n, dtype=np.int64)
         for codes, radix in zip(self.codes, radices):
@@ -587,6 +587,21 @@ class RollupIndex:
             addresses,
         )
         index._values = ColumnarLeafStore.from_values(values, index._plane_size)
+        return index
+
+    @classmethod
+    def from_columns(
+        cls, schema: "CubeSchema", columns: Sequence[Column], values: np.ndarray
+    ) -> "RollupIndex":
+        """The index over finished columns — what :meth:`columns` of
+        another index read, possibly in another process (a shard's slice):
+        leaf id == row, ``columns[d]`` the ``(codes, coords)`` pair of
+        schema dimension ``d``, every row a distinct live leaf.  Arrays
+        only, like every derived generation, with the sorted row keys as
+        its point lookup; nothing is validated per cell."""
+        index = cls._from_columns(schema, columns, values, None)
+        if not index._struct.index_rows():
+            raise ValueError("two rows of the columns share one address")
         return index
 
     @classmethod

@@ -45,6 +45,7 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import (
@@ -66,6 +67,7 @@ from repro.service.shard import (
     _decode_value,
     build_shard_plan,
     build_workload,
+    make_slice,
     parse_for_serving,
 )
 from repro.service.supervisor import ShardSupervisor, SupervisorConfig
@@ -658,15 +660,10 @@ class ShardedQueryService:
                 )
 
         self._hollow = self._build_hollow()
+        # Each shard is handed its slice of the warehouse built above, cut
+        # afresh at every spawn and respawn and never retained.
         specs = [
-            ShardSpec(
-                workload=workload,
-                dimension=dimension,
-                owned_members=tuple(owned),
-                shard_index=index,
-                n_shards=n_shards,
-                workload_params=tuple(workload_params),
-            )
+            ShardSpec(index, partial(make_slice, self.warehouse, dimension, tuple(owned)))
             for index, owned in enumerate(self.plan.shards)
         ]
         if supervisor_config is None:
@@ -676,25 +673,31 @@ class ShardedQueryService:
         self.supervisor = ShardSupervisor(
             specs, config=supervisor_config, metrics=self._metrics
         )
-        self.breakers = [CircuitBreaker() for _ in range(n_shards)]
-        for index, breaker in enumerate(self.breakers):
-            breaker._on_state_change = self._breaker_callback(index)
-            self._metrics.gauge(
-                "serve_breaker_state", shard=str(index)
-            ).set(int(breaker.state))
-        self.supervisor.attach_breakers(self.breakers)
+        # From here on a failure must not strand the pool: nobody else
+        # holds a handle to its monitor thread and worker processes.
+        try:
+            self.breakers = [CircuitBreaker() for _ in range(n_shards)]
+            for index, breaker in enumerate(self.breakers):
+                breaker._on_state_change = self._breaker_callback(index)
+                self._metrics.gauge(
+                    "serve_breaker_state", shard=str(index)
+                ).set(int(breaker.state))
+            self.supervisor.attach_breakers(self.breakers)
 
-        # Startup invariant: the shards' sub-cubes partition the full cube.
-        total = sum(
-            client.request({"op": "ping"})["leaves"] for client in self.clients
-        )
-        if total != self.warehouse.cube.n_leaf_cells:
-            self.close()
-            raise ShardError(
-                f"shards hold {total} leaves, warehouse has "
-                f"{self.warehouse.cube.n_leaf_cells}: the plan is not a "
-                "partition"
-            )
+            # Startup invariant: the shards' sub-cubes partition the full
+            # cube.  Each hello carried the leaf count of the slice just
+            # opened, so no RPC is needed — and no worker can die between
+            # its hello and the check.
+            total = sum(client.leaves for client in self.clients)
+            if total != self.warehouse.cube.n_leaf_cells:
+                raise ShardError(
+                    f"shards hold {total} leaves, warehouse has "
+                    f"{self.warehouse.cube.n_leaf_cells}: the plan is not a "
+                    "partition"
+                )
+        except BaseException:
+            self.supervisor.close()
+            raise
 
     @property
     def clients(self) -> "list[ShardClient]":

@@ -21,38 +21,58 @@ Two request shapes cross the pipe:
   before the strict reduction.
 
 Workers are spawned (never forked: the coordinator is multithreaded) and
-rebuild their workload by name — :func:`build_workload` is the shared
-registry — so nothing but the :class:`ShardSpec` is pickled.  Faults are
-re-armed from ``REPRO_FAULTS`` inside each worker, and the ``shard.exec``
-failpoint fires per request so the fault matrix reaches the remote side.
+are *handed* their slice: the coordinator, which holds the full
+warehouse anyway, cuts a :class:`ShardSlice` — schema and rules, the
+owned leaves' code columns with their coordinate lists, the value column
+and ``global_pos`` — at every spawn and respawn (:func:`make_slice`, a
+mask over one code column; nothing is retained) and the worker opens it
+with :func:`open_slice` (``RollupIndex.from_columns`` + ``Cube.adopt``: no
+cell is validated or hashed twice).  A worker start is three messages —
+the worker imports what a query needs and says *ready*, the coordinator
+sends the slice (only ever to a child known to sit in ``recv``: a
+megabyte ``send`` blocks until it is read), the worker opens it and says
+*hello* with its leaf count — all under one ``start_timeout``.  Set-up
+therefore costs what the data costs, once per service, and any
+:class:`~repro.warehouse.Warehouse` can be sharded, not only one that can
+be re-derived from a name (:func:`build_workload` is merely the registry
+behind ``ShardedQueryService("workforce", …)``).  Faults are re-armed from
+``REPRO_FAULTS`` inside each worker: ``shard.start`` fires before *ready*,
+``shard.exec`` per request, so the fault matrix reaches the remote side.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import pickle
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.core.merge_graph import ShardPlan, plan_axis_shards
 from repro.errors import ReproError, ShardError
 from repro.faults import FAULTS, inject_io_fault, register_failpoint
+from repro.obs.trace import trace_span
 from repro.olap.missing import MISSING, is_missing
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
     from repro.mdx.ast_nodes import MdxQuery
-    from repro.warehouse import Warehouse
+    from repro.olap.schema import Address, CubeSchema
+    from repro.perf.rollup_index import Column
+    from repro.warehouse import NamedSet, Warehouse
 
 __all__ = [
     "ShardClient",
+    "ShardSlice",
     "ShardSpec",
     "build_shard_plan",
     "build_workload",
+    "make_slice",
+    "open_slice",
     "parse_for_serving",
     "restrict_warehouse",
     "shard_worker_main",
@@ -60,6 +80,7 @@ __all__ = [
 
 FP_SERVE_SCATTER = register_failpoint("serve.scatter")
 FP_SERVE_GATHER = register_failpoint("serve.gather")
+FP_SHARD_START = register_failpoint("shard.start")
 FP_SHARD_EXEC = register_failpoint("shard.exec")
 
 
@@ -92,8 +113,9 @@ def parse_for_serving(text: str) -> "tuple[MdxQuery, bool]":
 
 
 def build_workload(name: str, params: "tuple[tuple[str, Any], ...]" = ()) -> "Warehouse":
-    """Rebuild a named workload warehouse (shared by coordinator and
-    shard processes, so both sides derive identical cubes and plans)."""
+    """Build a named workload warehouse — the registry behind
+    ``ShardedQueryService("workforce", …)``.  Only the coordinator calls
+    it; shard processes are handed slices of what it returns."""
     from repro.warehouse import Warehouse
 
     if name == "running":
@@ -113,8 +135,7 @@ def build_shard_plan(
     warehouse: "Warehouse", dimension: str, n_shards: int, chunk: int = 8
 ) -> ShardPlan:
     """The deterministic placement for one warehouse: slots per leaf
-    member come from the varying registry in axis order, so any process
-    rebuilding the workload derives the identical plan."""
+    member come from the varying registry in axis order."""
     varying = warehouse.schema.varying_dimension(dimension)
     slots_of_member: dict[str, list[str]] = {}
     for member in varying.dimension.leaf_members():
@@ -125,48 +146,110 @@ def build_shard_plan(
 
 
 @dataclass(frozen=True)
-class ShardSpec:
-    """Everything a worker needs to rebuild its slice of the warehouse.
+class ShardSlice:
+    """One shard's share of a warehouse, as it crosses the pipe.
 
-    Pure data (picklable): the workload is rebuilt by name inside the
-    worker, never shipped.
+    Everything :func:`open_slice` needs and nothing per leaf but arrays:
+    ``columns[d]`` is dimension ``d``'s ``(codes, coords)`` pair for the
+    owned leaves — row ``k`` is the slice's ``k``-th leaf, in the full
+    cube's insertion order — ``values[k]`` its value and ``global_pos[k]``
+    its position in the full cube's insertion order (strictly increasing
+    ``int64``).  Stored-derived cells and named sets travel whole: every
+    shard holds all of them.  ``schema`` and ``rules`` ride in the same
+    pickle, so ``rules.schema is schema`` on the far side too.
     """
 
-    workload: str
-    dimension: str
-    owned_members: tuple[str, ...]
-    shard_index: int
-    n_shards: int
-    workload_params: tuple[tuple[str, Any], ...] = field(default_factory=tuple)
+    schema: "CubeSchema"
+    rules: "object | None"
+    name: str
+    aliases: "frozenset[str]"
+    named_sets: "tuple[NamedSet, ...]"
+    stored_derived: "dict[Address, float]"
+    columns: "list[Column]"
+    values: "np.ndarray"
+    global_pos: "np.ndarray"
+
+
+def make_slice(
+    full: "Warehouse", dimension: str, owned_members: Sequence[str]
+) -> ShardSlice:
+    """Cut the slice of ``full`` whose shard-dimension member is owned:
+    one mask over the shard dimension's code column (the mask of
+    ``Cube.restrict_leaves``), one gather per column, read under the
+    cube's write lock."""
+    owned = set(owned_members)
+    columns, values, rows, stored_derived = full.cube.slice_cells(
+        dimension, lambda coord: coord.rsplit("/", 1)[-1] in owned
+    )
+    return ShardSlice(
+        schema=full.schema,
+        rules=full.cube.rules,
+        name=full.name,
+        aliases=frozenset(full.aliases),
+        named_sets=tuple(full.named_sets()),
+        stored_derived=stored_derived,
+        columns=columns,
+        values=values,
+        global_pos=rows,
+    )
+
+
+def open_slice(piece: ShardSlice) -> "tuple[Warehouse, np.ndarray]":
+    """The shard's sub-warehouse plus global insertion positions.
+
+    The sub-cube holds exactly the slice's leaf cells, in the order they
+    were cut (so the shard's local insertion order is the restriction of
+    the global one — the property the strict bit-identical reduction
+    rests on), over an index opened from the slice's columns — arrays
+    only, like any derived generation — plus every stored-derived cell
+    and named set.  ``global_pos`` is an ``int64`` column over the
+    leaf-id space of that index (ids follow insertion order, and a
+    shard's cube is never written after this).  A slice whose columns do
+    not fit its schema or each other is refused with a typed error: it
+    came from another process.
+    """
+    from repro.olap.cube import Cube
+    from repro.perf.rollup_index import RollupIndex
+    from repro.warehouse import Warehouse
+
+    schema = piece.schema
+    n = len(piece.values)
+    if len(piece.columns) != schema.n_dims or not all(
+        len(rows) == n
+        for rows in (piece.global_pos, *(codes for codes, _ in piece.columns))
+    ):
+        raise ShardError(
+            f"slice cannot be opened: {len(piece.columns)} columns for "
+            f"{schema.n_dims} dimensions, or columns of unequal length"
+        )
+    index = RollupIndex.from_columns(schema, piece.columns, piece.values)
+    sub_cube = Cube(schema, piece.rules).adopt(index, piece.stored_derived)
+    sub = Warehouse(schema, sub_cube, name=piece.name, aliases=piece.aliases)
+    for named_set in piece.named_sets:
+        sub.define_named_set(named_set.name, named_set.members)
+    return sub, piece.global_pos
 
 
 def restrict_warehouse(
     full: "Warehouse", dimension: str, owned_members: Sequence[str]
 ) -> "tuple[Warehouse, np.ndarray]":
-    """The shard's sub-warehouse plus global insertion positions.
+    """What a shard that owns ``owned_members`` holds: cut the slice, open
+    the slice — the path a worker start takes, minus the pipe."""
+    return open_slice(make_slice(full, dimension, owned_members))
 
-    The sub-cube holds exactly the full cube's leaf cells whose shard-
-    dimension member is owned, in global order (so the shard's local
-    insertion order is the restriction of the global one — the property
-    the strict bit-identical reduction rests on), plus every
-    stored-derived cell and named set: a mask over the shard dimension's
-    code column and an index derived from the full cube's.
-    ``global_pos[k]`` is the position in the full cube's insertion order
-    of the sub-cube's ``k``-th leaf — an ``int64`` column over the
-    leaf-id space of the sub-cube's rollup index (ids follow insertion
-    order, and a shard's cube is never written after this).
+
+@dataclass(frozen=True)
+class ShardSpec:
+    """One shard of a pool: its index and where its slice comes from.
+
+    ``slice_source`` runs on the coordinator at every spawn and respawn
+    and its result is sent, then dropped — the pool retains no slice.  The
+    spec itself never crosses the pipe: a worker is started with its
+    index alone.
     """
-    from repro.warehouse import Warehouse
 
-    owned = set(owned_members)
-    index, global_pos = full.cube.restrict_leaves(
-        dimension, lambda coord: coord.rsplit("/", 1)[-1] in owned
-    )
-    sub_cube = full.cube.adopt(index, dict(full.cube.stored_derived_cells()))
-    sub = Warehouse(full.schema, sub_cube, name=full.name, aliases=full.aliases)
-    for named_set in full.named_sets():
-        sub.define_named_set(named_set.name, named_set.members)
-    return sub, global_pos
+    shard_index: int
+    slice_source: "Callable[[], ShardSlice]"
 
 
 def _encode_value(value: object) -> "float | None":
@@ -180,14 +263,12 @@ def _decode_value(value: "float | None") -> object:
 
 
 class _ShardRuntime:
-    """Worker-process state: the restricted warehouse plus caches."""
+    """Worker-process state: the sub-warehouse opened from the slice the
+    coordinator sent, plus caches."""
 
-    def __init__(self, spec: ShardSpec) -> None:
-        self.spec = spec
-        full = build_workload(spec.workload, spec.workload_params)
-        self.warehouse, self.global_pos = restrict_warehouse(
-            full, spec.dimension, spec.owned_members
-        )
+    def __init__(self, shard_index: int, piece: ShardSlice) -> None:
+        self.shard_index = shard_index
+        self.warehouse, self.global_pos = open_slice(piece)
 
     def _context(self, text: str):
         from repro.mdx.evaluator import _Context
@@ -201,9 +282,8 @@ class _ShardRuntime:
         if op == "ping":
             return {
                 "ok": True,
-                "shard": self.spec.shard_index,
+                "shard": self.shard_index,
                 "leaves": self.warehouse.cube.n_leaf_cells,
-                "members": len(self.spec.owned_members),
             }
         if op == "sleep":
             # Diagnostic op for the chaos/hedge tests: a shard that is
@@ -211,7 +291,7 @@ class _ShardRuntime:
             import time as time_module
 
             time_module.sleep(float(request.get("seconds", 0.0)))
-            return {"ok": True, "shard": self.spec.shard_index}
+            return {"ok": True, "shard": self.shard_index}
         inject_io_fault(FP_SHARD_EXEC)
         if op == "cells":
             context = self._context(request["text"])
@@ -233,25 +313,51 @@ class _ShardRuntime:
         return {"ok": False, "error": "ShardError", "message": f"unknown op {op!r}"}
 
 
-def shard_worker_main(conn, spec: ShardSpec) -> None:
-    """Worker-process entry point: serve pipe requests until shutdown.
+def _error_reply(exc: BaseException) -> "dict[str, Any]":
+    return {"ok": False, "error": type(exc).__name__, "message": str(exc)}
+
+
+def shard_worker_main(conn, shard_index: int) -> None:
+    """Worker-process entry point: say *ready*, open the slice the
+    coordinator then sends, say *hello*, and serve pipe requests until
+    shutdown.
 
     Errors are answered, never fatal: the exception's type name and
     message go back over the pipe and the coordinator re-raises the
-    closest typed equivalent, so a poisoned query cannot kill a shard.
+    closest typed equivalent, so a poisoned query cannot kill a shard —
+    and a failed start is the answer that stands in for *ready* or
+    *hello*.
     """
     FAULTS.arm_from_env()
     try:
-        runtime = _ShardRuntime(spec)
+        inject_io_fault(FP_SHARD_START)
+        # What a query imports, paid before *ready*: side by side with
+        # the sibling workers, and never while the coordinator sits in a
+        # send this process is not yet reading.
+        import repro.mdx.evaluator  # noqa: F401
+        import repro.warehouse  # noqa: F401
+
+        conn.send({"ok": True})
+        payload = conn.recv_bytes()
+        started = time.perf_counter()
+        runtime = _ShardRuntime(shard_index, pickle.loads(payload))
+        del payload  # this frame lives as long as the process
+        conn.send(
+            {
+                "ok": True,
+                "shard": shard_index,
+                "leaves": runtime.warehouse.cube.n_leaf_cells,
+                "open_ms": (time.perf_counter() - started) * 1000.0,
+            }
+        )
     except BaseException as exc:  # startup failure: report, then exit
         try:
-            conn.send(
-                {"ok": False, "error": type(exc).__name__, "message": str(exc)}
-            )
+            conn.send(_error_reply(exc))
+        except OSError:
+            pass  # the coordinator gave up on this start first
         finally:
             conn.close()
         return
-    conn.send({"ok": True, "shard": spec.shard_index})
     while True:
         try:
             request = conn.recv()
@@ -263,11 +369,7 @@ def shard_worker_main(conn, spec: ShardSpec) -> None:
         try:
             response = runtime.handle(request)
         except BaseException as exc:
-            response = {
-                "ok": False,
-                "error": type(exc).__name__,
-                "message": str(exc),
-            }
+            response = _error_reply(exc)
         try:
             conn.send(response)
         except (EOFError, OSError):
@@ -327,7 +429,7 @@ class ShardClient:
         start_timeout: float = 60.0,
         rpc_timeout: float = 60.0,
     ) -> None:
-        self._launch(spec, start_timeout, rpc_timeout)
+        self._launch(spec, start_timeout, rpc_timeout, "respawn")
         self._await_hello()
 
     @classmethod
@@ -339,15 +441,15 @@ class ShardClient:
         rpc_timeout: float = 60.0,
     ) -> "list[ShardClient]":
         """A pool's initial spawn: start every worker process first, then
-        await the hellos, so the workers rebuild their slices side by
-        side instead of one after the other.  If any hello fails, every
-        worker that did start is closed and reaped before the error
-        propagates."""
+        hand out the slices and await the hellos, so the workers pay
+        their imports side by side instead of one after the other.  If
+        any start fails, every worker that did start is closed and reaped
+        before the error propagates."""
         clients: "list[ShardClient]" = []
         try:
             for spec in specs:
                 client = cls.__new__(cls)
-                client._launch(spec, start_timeout, rpc_timeout)
+                client._launch(spec, start_timeout, rpc_timeout, "initial")
                 clients.append(client)
             for client in clients:
                 client._await_hello()
@@ -358,12 +460,14 @@ class ShardClient:
         return clients
 
     def _launch(
-        self, spec: ShardSpec, start_timeout: float, rpc_timeout: float
+        self, spec: ShardSpec, start_timeout: float, rpc_timeout: float, phase: str
     ) -> None:
         """Start the worker process; returns without waiting for it."""
         self.spec = spec
         self.shard_index = spec.shard_index
         self.rpc_timeout = rpc_timeout
+        #: ``initial`` (the pool's first spawn) or ``respawn``
+        self.phase = phase
         self._start_timeout = start_timeout
         self._closed = False
         self._down = threading.Event()
@@ -374,50 +478,87 @@ class ShardClient:
         self._conn, child_conn = ctx.Pipe()
         self.process = ctx.Process(
             target=shard_worker_main,
-            args=(child_conn, spec),
+            args=(child_conn, spec.shard_index),
             name=f"repro-shard-{spec.shard_index}",
             daemon=True,
         )
         self.process.start()
-        self._start_deadline = time.monotonic() + start_timeout
+        self._launched_at = time.monotonic()
         child_conn.close()
 
+    def _startup_message(self) -> "dict[str, Any]":
+        """The worker's next startup message — *ready*, then *hello* —
+        awaited until at most ``start_timeout`` after launch."""
+        shard = self.shard_index
+        remaining = self._launched_at + self._start_timeout - time.monotonic()
+        if not self._conn.poll(max(remaining, 0.0)):
+            raise ShardError(
+                f"shard {shard} did not start within {self._start_timeout:.3g}s",
+                shard=shard,
+            )
+        message = self._conn.recv()
+        if not message.get("ok"):
+            raise _remote_error(
+                message.get("error", "ShardError"),
+                message.get("message", "startup failed"),
+                shard,
+            )
+        return message
+
     def _await_hello(self) -> None:
-        """Block until the worker reports its slice built (at most
-        ``start_timeout`` after launch), then start the dispatcher."""
-        spec = self.spec
+        """Hand the launched worker its slice: wait for *ready*, cut and
+        send the slice, wait for *hello*, then start the dispatcher.
+
+        The slice is sent only to a worker that said *ready* — one known
+        to sit in ``recv`` — because a send larger than the pipe buffer
+        blocks until the far side reads: a child wedged before that point
+        surfaces as the start timeout, never as a coordinator stuck in
+        ``send``.  Any failure reaps the worker before it propagates.
+        """
+        shard = self.shard_index
         try:
-            if not self._conn.poll(
-                max(self._start_deadline - time.monotonic(), 0.0)
-            ):
-                raise ShardError(
-                    f"shard {spec.shard_index} did not start within "
-                    f"{self._start_timeout:.3g}s",
-                    shard=spec.shard_index,
-                )
-            hello = self._conn.recv()
-        except ShardError:
-            self._abort_start()
-            raise
+            with trace_span("shard.spawn", shard=shard, phase=self.phase) as span:
+                with trace_span("shard.spawn.ready"):
+                    self._startup_message()
+                with trace_span("shard.spawn.slice"):
+                    try:
+                        payload = pickle.dumps(
+                            self.spec.slice_source(), pickle.HIGHEST_PROTOCOL
+                        )
+                    except Exception as exc:
+                        raise ShardError(
+                            f"shard {shard}: no slice to hand over: {exc!r}",
+                            shard=shard,
+                        ) from exc
+                with trace_span("shard.spawn.send"):
+                    self._conn.send_bytes(payload)
+                with trace_span("shard.spawn.open"):
+                    hello = self._startup_message()
+                #: what the start cost and carried (the supervisor's
+                #: ``shard_spawn_ms`` / ``shard_slice_bytes``)
+                self.slice_bytes = len(payload)
+                self.leaves = int(hello["leaves"])
+                self.spawn_ms = (time.monotonic() - self._launched_at) * 1000.0
+                if span is not None:
+                    span.set(
+                        slice_bytes=self.slice_bytes,
+                        leaves=self.leaves,
+                        open_ms=hello["open_ms"],
+                    )
         except (EOFError, OSError) as exc:
             self._abort_start()
             raise ShardError(
-                f"shard {spec.shard_index} died during startup: {exc!r}",
-                shard=spec.shard_index,
+                f"shard {shard} died during startup: {exc!r}", shard=shard
             ) from exc
-        if not hello.get("ok"):
+        except BaseException:
             self._abort_start()
-            raise _remote_error(
-                hello.get("error", "ShardError"),
-                hello.get("message", "startup failed"),
-                spec.shard_index,
-            )
+            raise
         self._queue: "queue.Queue[tuple[dict[str, Any], _Pending] | None]" = (
             queue.Queue()
         )
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop,
-            name=f"repro-shard-client-{spec.shard_index}",
+            name=f"repro-shard-client-{shard}",
             daemon=True,
         )
         self._dispatcher.start()

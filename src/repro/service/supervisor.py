@@ -9,10 +9,12 @@ monitor thread that:
   process ``is_alive()`` is false, or whose heartbeat ``ping`` missed
   its deadline is marked down, which fail-fasts every queued and future
   pending on it (no ``gather`` ever hangs on a corpse);
-* **respawns** dead workers with exponential backoff plus deterministic
-  jitter, capped by a restart-storm window (``storm_cap`` respawn
-  attempts per ``storm_window_s``) so a worker that dies at startup
-  cannot hot-loop the spawn machinery.  Workers re-arm ``REPRO_FAULTS``
+* **respawns** dead workers — each handed a freshly cut slice of the
+  coordinator's warehouse, so a respawn costs a Python import plus a few
+  megabytes over a pipe, not a rebuild — with exponential backoff plus
+  deterministic jitter, capped by a restart-storm window (``storm_cap``
+  respawn attempts per ``storm_window_s``) so a worker that dies at
+  startup cannot hot-loop the spawn machinery.  Workers re-arm ``REPRO_FAULTS``
   (and rank their locks under ``REPRO_LOCKDEP``) from the environment at
   every spawn — a respawned shard runs under exactly the chaos regime
   the current environment declares, not a stale copy;
@@ -127,7 +129,8 @@ class ShardSupervisor:
         Backoff/storm/heartbeat tuning; defaults suit serving, tests
         pass tighter values.
     metrics:
-        Registry for ``shard_up{shard}``, ``shard_respawns_total`` and
+        Registry for ``shard_up{shard}``, ``shard_respawns_total``,
+        ``shard_spawn_ms{phase}``, ``shard_slice_bytes{shard}`` and
         ``breaker_probe_total{outcome}``; ``None`` = no metrics.
     clock:
         Monotonic clock in seconds (injectable for deterministic tests).
@@ -157,8 +160,9 @@ class ShardSupervisor:
                 rpc_timeout=self.config.rpc_timeout_s,
             )
         ]
-        for index in range(len(self._slots)):
+        for index, slot in enumerate(self._slots):
             self._gauge_up(index, 1)
+            self._record_spawn(slot.client)
         self._monitor = threading.Thread(
             target=self._monitor_loop,
             name="repro-shard-supervisor",
@@ -169,8 +173,11 @@ class ShardSupervisor:
     # -- helpers ------------------------------------------------------------------
 
     def _spawn(self, spec: ShardSpec) -> ShardClient:
-        """One worker respawn; ``REPRO_FAULTS``/``REPRO_LOCKDEP`` are
-        re-read from the *current* environment inside the child
+        """One worker respawn, handed a slice cut now from the spec's
+        source — on the monitor thread with no supervisor lock held, so
+        the cut's ``Cube._lock`` → ``RollupIndex._lock`` nests nowhere
+        it may not; ``REPRO_FAULTS``/``REPRO_LOCKDEP`` are re-read from
+        the *current* environment inside the child
         (``shard_worker_main`` arms from env), so chaos regimes follow
         respawns automatically."""
         return ShardClient(
@@ -178,6 +185,16 @@ class ShardSupervisor:
             start_timeout=self.config.start_timeout_s,
             rpc_timeout=self.config.rpc_timeout_s,
         )
+
+    def _record_spawn(self, client: ShardClient) -> None:
+        """What one worker start cost (launch to hello) and carried."""
+        if self._metrics is not None:
+            self._metrics.histogram(
+                "shard_spawn_ms", phase=client.phase
+            ).observe(client.spawn_ms)
+            self._metrics.gauge(
+                "shard_slice_bytes", shard=str(client.shard_index)
+            ).set(client.slice_bytes)
 
     def _gauge_up(self, shard: int, value: int) -> None:
         if self._metrics is not None:
@@ -403,6 +420,7 @@ class ShardSupervisor:
             slot.last_error = None
             slot.live.set()
         self._gauge_up(shard, 1)
+        self._record_spawn(fresh)
         self._count("shard_respawns_total", shard=str(shard), outcome="ok")
 
     def _probe_breaker(self, shard: int, slot: _Slot) -> None:

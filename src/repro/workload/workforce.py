@@ -262,20 +262,27 @@ def build_workforce(config: WorkforceConfig | None = None) -> WorkforceWarehouse
     cube = Cube(schema)
     changing_set = set(changing_names)
 
+    per_moment = len(accounts) * len(scenarios)
+
     def cells() -> Iterator[tuple[tuple[str, ...], float]]:
         for name in employees:
             filled = name in changing_set or rng.random() < config.density
             if not filled:
                 continue
-            for instance in varying.instances_of(name):
+            instances = varying.instances_of(name)
+            # One block of draws per employee: ``random(n)`` consumes the
+            # stream as n scalar draws would and ``np.round`` is one ufunc
+            # on a scalar or an array, so the values are bit-for-bit those
+            # of a draw per cell (tests/workload keeps that generator as
+            # the reference) at a hundredth of the cost.
+            n_cells = per_moment * sum(len(inst.validity) for inst in instances)
+            values = iter(np.round(50 + 50 * rng.random(n_cells), 2).tolist())
+            for instance in instances:
                 path = instance.full_path
                 for t in instance.validity:
                     month = MONTHS[t]
                     for account_name in accounts:
                         for scenario_name in scenarios:
-                            value = float(
-                                np.round(50 + 50 * rng.random(), 2)
-                            )
                             yield (
                                 path,
                                 month,
@@ -284,7 +291,7 @@ def build_workforce(config: WorkforceConfig | None = None) -> WorkforceWarehouse
                                 "Local",
                                 "BU Version_1",
                                 "HSP_InputValue",
-                            ), value
+                            ), next(values)
 
     cube.load(cells())
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import RuleError, SchemaError
+from repro.errors import MemberNotFoundError, RuleError, SchemaError
 from repro.olap.cube import Cube
 from repro.olap.missing import MISSING, is_missing
 from repro.perf.rollup_index import RollupIndex
@@ -170,3 +170,129 @@ class TestVaryingCoordinates:
             Measures="Salary",
         )
         assert not example.cube.leaf_equal(other)
+
+
+def _asked_by_is_leaf_address(schema, address):
+    """The (dimension, coordinate) pairs ``is_leaf_address`` asks about:
+    up to and including the first that is not leaf level."""
+    asked = []
+    for pair in enumerate(address):
+        asked.append(pair)
+        if not schema.coordinate_is_leaf(*pair):
+            break
+    return asked
+
+
+class TestBulkLoad:
+    """``Cube.load`` on an empty cube: the per-cell semantics, with the
+    schema asked about each distinct (dimension, coordinate) once."""
+
+    def _stream(self, example):
+        """The running example's cells plus everything a stream may hold:
+        a repeated address, a stored-derived cell on the varying and on a
+        plain dimension, and ⊥ deleting an earlier leaf and an absent one."""
+        cells = [(addr, value) for addr, value in example.cube.leaf_cells()]
+        first, second = cells[0][0], cells[1][0]
+        return cells + [
+            (first, -0.0),
+            (("FTE", "NY", "Jan", "Salary"), 99.0),
+            (("Organization/FTE/Lisa", "East", "Qtr1", "Salary"), 7.0),
+            (second, MISSING),
+            (("Organization/FTE/Sue", "NY", "Dec", "Salary"), None),
+            (second, 4.25),
+        ]
+
+    def test_equals_per_cell_set_value(self, example):
+        stream = self._stream(example)
+        bulk, single = example.cube.empty_like(), example.cube.empty_like()
+        bulk.load(stream)
+        for address, value in stream:
+            single.set_value(address, value)
+        assert repr(list(bulk.leaf_cells())) == repr(list(single.leaf_cells()))
+        assert list(bulk.stored_derived_cells()) == list(single.stored_derived_cells())
+        assert bulk.n_stored_derived == 2
+        assert bulk.version == single.version
+        # the deleted leaf came back at the end of the insertion order
+        assert list(bulk.leaf_cells())[-1] == (stream[1][0], 4.25)
+
+    def test_schema_is_asked_once_per_distinct_coordinate(self, example, monkeypatch):
+        stream = self._stream(example)
+        schema = example.schema
+        # a non-leaf coordinate short-circuits the rest of its address, as
+        # ``is_leaf_address`` does: nothing is asked that it would not ask
+        expected = {
+            pair
+            for address, _ in stream
+            for pair in _asked_by_is_leaf_address(schema, address)
+        }
+        calls = []
+        ask = schema.coordinate_is_leaf
+        monkeypatch.setattr(
+            schema,
+            "coordinate_is_leaf",
+            lambda dim_index, coord: calls.append((dim_index, coord))
+            or ask(dim_index, coord),
+        )
+        example.cube.empty_like().load(stream)
+        assert len(calls) == len(set(calls)) < len(stream)
+        assert set(calls) == expected
+
+    def test_workforce_load_asks_once_per_distinct_coordinate(self, monkeypatch):
+        from repro.olap.schema import CubeSchema
+        from repro.workload.workforce import WorkforceConfig, build_workforce
+
+        calls = []
+        ask = CubeSchema.coordinate_is_leaf
+
+        def counting(schema, dim_index, coord):
+            calls.append((dim_index, coord))
+            return ask(schema, dim_index, coord)
+
+        monkeypatch.setattr(CubeSchema, "coordinate_is_leaf", counting)
+        # the ledger's smoke preset (benchmarks/ledger/workloads.py)
+        wf = build_workforce(
+            WorkforceConfig(
+                n_employees=40,
+                n_departments=4,
+                n_changing=6,
+                max_moves=3,
+                n_accounts=3,
+                n_scenarios=2,
+            )
+        )
+        monkeypatch.undo()
+        cols = wf.cube.leaf_columns(*range(wf.schema.n_dims))
+        distinct = {
+            (dim, cols.coords[dim][code])
+            for dim in cols.codes
+            for code in set(cols.codes[dim].tolist())
+        }
+        assert wf.cube.n_leaf_cells > 20 * len(distinct)
+        assert sorted(calls) == sorted(distinct)
+
+    def test_unknown_member_half_way_raises_and_leaves_the_cube_empty(self, example):
+        stream = self._stream(example)
+        half = len(stream) // 2
+        stream.insert(half, (("Organization/FTE/Lisa", "Atlantis", "Jan", "Salary"), 1.0))
+        single = example.cube.empty_like()
+        with pytest.raises(MemberNotFoundError, match="Atlantis") as per_cell:
+            for address, value in stream:
+                single.set_value(address, value)
+        assert single.n_leaf_cells == half  # the per-cell path stops there
+        bulk = example.cube.empty_like()
+        with pytest.raises(MemberNotFoundError) as in_bulk:
+            bulk.load(stream)
+        assert str(in_bulk.value) == str(per_cell.value)
+        assert bulk.n_leaf_cells == bulk.n_stored_derived == bulk.version == 0
+        assert list(bulk.cells()) == []
+
+    def test_leaf_level_is_not_remembered_between_loads(self, tiny_schema):
+        # ``add_member`` can turn a leaf into a parent: the table of what
+        # is leaf level lives for one call, not on the schema
+        before = Cube(tiny_schema)
+        before.load([(("Jan", "Sales"), 1.0)])
+        assert (before.n_leaf_cells, before.n_stored_derived) == (1, 0)
+        tiny_schema.dimension("Time").add_children("Jan", ["Jan-w1", "Jan-w2"])
+        after = Cube(tiny_schema)
+        after.load([(("Jan", "Sales"), 1.0), (("Jan-w1", "Sales"), 2.0)])
+        assert (after.n_leaf_cells, after.n_stored_derived) == (1, 1)

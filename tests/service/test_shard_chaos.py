@@ -8,18 +8,24 @@ pool heals — a post-chaos ``degrade="fail"`` replay answers again.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 
 import pytest
 
-from repro.errors import ShardDownError, ShardError
+from repro.errors import FaultInjectedError, ShardDownError, ShardError
 from repro.faults import FAULTS
 from repro.olap.missing import is_missing
 from repro.service import ShardedQueryService, SupervisorConfig
-from repro.service.shard import ShardClient, ShardSpec
+from repro.service.shard import ShardClient
 from repro.service.stress import ShardStormConfig, run_shard_storm
-from tests.service.test_supervisor import _single_shard_spec, _wait_for
+from tests.service.test_supervisor import (
+    _single_shard_spec,
+    _sourceless,
+    _unopenable,
+    _wait_for,
+)
 
 SPANNING = (
     "SELECT {Time.[Jan], Time.[Feb]} ON COLUMNS, {[FTE], [PTE]} ON ROWS "
@@ -228,16 +234,39 @@ class TestShardClientStartupFailures:
         with pytest.raises(ShardError, match="did not start"):
             ShardClient(spec, start_timeout=0.001)
 
-    def test_unknown_workload_surfaces_hello_error_and_reaps(self):
-        spec = ShardSpec(
-            workload="no-such-workload",
-            dimension="Organization",
-            owned_members=("Joe",),
-            shard_index=0,
-            n_shards=1,
-        )
-        with pytest.raises(ShardError, match="unknown workload"):
+    def test_unopenable_slice_fails_the_hello(self):
+        spec = _unopenable(_single_shard_spec())
+        with pytest.raises(ShardError, match="slice cannot be opened"):
             ShardClient(spec, start_timeout=60.0)
+
+    def test_failing_slice_source_reaps(self, monkeypatch):
+        reaped = []
+        abort = ShardClient._abort_start
+
+        def recording(client):
+            abort(client)
+            reaped.append(client.process)
+
+        monkeypatch.setattr(ShardClient, "_abort_start", recording)
+        with pytest.raises(ShardError, match="no slice to hand over"):
+            ShardClient(_sourceless(_single_shard_spec()), start_timeout=60.0)
+        assert [process.is_alive() for process in reaped] == [False]
+
+    def test_not_ready_is_never_sent_a_slice(self, monkeypatch):
+        # A slice is megabytes and a pipe buffer 64 KB: sending to a child
+        # that is not in ``recv`` would block the coordinator past any
+        # deadline.  The ``shard.start`` failpoint stops the worker before
+        # *ready* (deterministically, through the environment it re-arms
+        # from) — the coordinator must surface that, not cut or send.
+        cut = []
+        spec = _single_shard_spec()
+        counting = dataclasses.replace(
+            spec, slice_source=lambda: cut.append(1) or spec.slice_source()
+        )
+        monkeypatch.setenv("REPRO_FAULTS", "shard.start:always")
+        with pytest.raises(FaultInjectedError, match="shard.start"):
+            ShardClient(counting, start_timeout=60.0)
+        assert cut == []
 
     def test_gather_on_killed_shard_raises_instead_of_hanging(self):
         client = ShardClient(_single_shard_spec(), start_timeout=60.0)

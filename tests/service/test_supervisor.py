@@ -7,7 +7,9 @@ milliseconds rather than the serving defaults.
 
 from __future__ import annotations
 
+import dataclasses
 import time
+from functools import partial
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.service.shard import (
     ShardSpec,
     build_shard_plan,
     build_workload,
+    make_slice,
 )
 from repro.service.supervisor import ShardSupervisor, SupervisorConfig
 
@@ -35,16 +38,38 @@ TIGHT = SupervisorConfig(
 )
 
 
-def _single_shard_spec() -> ShardSpec:
+def _running_specs(n_shards: int, chunk: int) -> "list[ShardSpec]":
+    """Specs that cut their slices from one running-example warehouse."""
     warehouse = build_workload("running")
-    plan = build_shard_plan(warehouse, "Organization", 1, chunk=8)
-    return ShardSpec(
-        workload="running",
-        dimension="Organization",
-        owned_members=tuple(plan.shards[0]),
-        shard_index=0,
-        n_shards=1,
-    )
+    plan = build_shard_plan(warehouse, "Organization", n_shards, chunk=chunk)
+    return [
+        ShardSpec(index, partial(make_slice, warehouse, "Organization", tuple(owned)))
+        for index, owned in enumerate(plan.shards)
+    ]
+
+
+def _single_shard_spec() -> ShardSpec:
+    return _running_specs(1, chunk=8)[0]
+
+
+def _unopenable(spec: ShardSpec) -> ShardSpec:
+    """``spec`` with a slice that cuts fine but lacks a column: the worker
+    refuses to open it."""
+
+    def source():
+        piece = spec.slice_source()
+        return dataclasses.replace(piece, columns=piece.columns[:-1])
+
+    return ShardSpec(spec.shard_index, source)
+
+
+def _sourceless(spec: ShardSpec) -> ShardSpec:
+    """``spec`` with a slice source that raises on the coordinator."""
+
+    def source():
+        raise RuntimeError("the warehouse went away")
+
+    return ShardSpec(spec.shard_index, source)
 
 
 def _wait_for(predicate, timeout=30.0, interval=0.01):
@@ -62,18 +87,7 @@ def spec():
 
 
 def _two_shard_specs() -> "list[ShardSpec]":
-    warehouse = build_workload("running")
-    plan = build_shard_plan(warehouse, "Organization", 2, chunk=2)
-    return [
-        ShardSpec(
-            workload="running",
-            dimension="Organization",
-            owned_members=tuple(owned),
-            shard_index=index,
-            n_shards=2,
-        )
-        for index, owned in enumerate(plan.shards)
-    ]
+    return _running_specs(2, chunk=2)
 
 
 @pytest.fixture()
@@ -116,15 +130,24 @@ class TestInitialSpawn:
         # its sibling is either already serving (awaited first) or still
         # building its slice (never awaited) — both must be reaped.
         specs = _two_shard_specs()
-        specs[bad_index] = ShardSpec(
-            workload="no-such-workload",
-            dimension="Organization",
-            owned_members=specs[bad_index].owned_members,
-            shard_index=bad_index,
-            n_shards=2,
-        )
-        with pytest.raises(ShardError, match="unknown workload"):
+        specs[bad_index] = _unopenable(specs[bad_index])
+        with pytest.raises(ShardError, match="slice cannot be opened"):
             ShardSupervisor(specs, config=TIGHT)
+        assert len(launched) == 2
+        for client in launched:
+            assert not client.process.is_alive()
+            assert client.process.exitcode is not None
+            assert client._conn.closed
+
+    @pytest.mark.parametrize("bad_index", [0, 1])
+    def test_failed_slice_source_reaps_every_started_worker(self, launched, bad_index):
+        # The coordinator cannot cut the slice: the worker that said
+        # *ready* for it, and its sibling, are reaped all the same.
+        specs = _two_shard_specs()
+        specs[bad_index] = _sourceless(specs[bad_index])
+        with pytest.raises(ShardError, match="no slice to hand over") as excinfo:
+            ShardSupervisor(specs, config=TIGHT)
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
         assert len(launched) == 2
         for client in launched:
             assert not client.process.is_alive()

@@ -5,7 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.workload.workforce import WorkforceConfig, build_workforce
+from repro.workload.workforce import (
+    MONTHS,
+    WorkforceConfig,
+    _build_dimensions,
+    build_workforce,
+)
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +109,106 @@ class TestData:
             WorkforceConfig(n_departments=1)
         with pytest.raises(ValueError):
             WorkforceConfig(density=1.5)
+
+
+def reference_workforce(config: WorkforceConfig):
+    """The generator as it was before it drew a block of values per
+    employee — one scalar draw and one ``np.round`` per cell — kept as the
+    reference ``build_workforce`` must equal bit for bit.  Returns the
+    ordered ``(address, value)`` list, ``moves`` and the named sets."""
+    rng = np.random.default_rng(config.seed)
+    schema, departments, accounts, scenarios = _build_dimensions(config)
+    employee_dim = schema.dimension("Department")
+    employees = [f"e{i:05d}" for i in range(config.n_employees)]
+    home_department = {}
+    for index, name in enumerate(employees):
+        home_department[name] = departments[index % len(departments)]
+        employee_dim.add_member(name, home_department[name])
+    varying = schema.make_varying("Department", "Period")
+    changing = rng.choice(config.n_employees, size=config.n_changing, replace=False)
+    changing_names = [employees[i] for i in sorted(changing)]
+    moves = {}
+    for name in changing_names:
+        varying.assign(name, home_department[name])
+        if config.exact_moves is not None:
+            n_moves = config.exact_moves
+        else:
+            n_moves = int(rng.integers(1, config.max_moves + 1))
+        months = sorted(
+            rng.choice(np.arange(1, 12), size=min(n_moves, 11), replace=False)
+        )
+        moves[name] = []
+        current = home_department[name]
+        for month in months:
+            choices = [d for d in departments if d != current]
+            current = choices[int(rng.integers(0, len(choices)))]
+            varying.reparent(name, current, int(month))
+            moves[name].append((current, int(month)))
+
+    cells = []
+    for name in employees:
+        if not (name in moves or rng.random() < config.density):
+            continue
+        for instance in varying.instances_of(name):
+            for t in instance.validity:
+                for account in accounts:
+                    for scenario in scenarios:
+                        value = float(np.round(50 + 50 * rng.random(), 2))
+                        address = (
+                            instance.full_path, MONTHS[t], account, scenario,
+                            "Local", "BU Version_1", "HSP_InputValue",
+                        )
+                        cells.append((address, value))
+
+    thirds = max(1, (len(changing_names) + 2) // 3)
+    two_instance = next(
+        (n for n in changing_names if len(varying.instances_of(n)) == 2),
+        changing_names[0],
+    )
+    named_sets = {
+        "EmployeesWithAtleastOneMove-Set1": tuple(changing_names[:thirds]),
+        "EmployeesWithAtleastOneMove-Set2": tuple(changing_names[thirds : 2 * thirds]),
+        "EmployeesWithAtleastOneMove-Set3": tuple(changing_names[2 * thirds :]),
+        "EmployeeS3": (two_instance,),
+    }
+    return cells, moves, named_sets
+
+
+#: the ledger's two cube shapes (benchmarks/ledger/workloads.py) at small
+#: ``n_employees``, and every knob that changes how many values are drawn
+_BLOCK_DRAW_CONFIGS = {
+    "default": WorkforceConfig(),
+    "half-dense": WorkforceConfig(density=0.5),
+    "exact-moves": WorkforceConfig(exact_moves=2),
+    "one-scenario": WorkforceConfig(n_scenarios=1),
+    "ledger-full": WorkforceConfig(
+        n_employees=60, n_departments=10, n_changing=40, max_moves=4,
+        n_accounts=10, n_scenarios=2, seed=42,
+    ),
+    "ledger-full-sparse": WorkforceConfig(
+        n_employees=60, n_departments=10, n_changing=40, max_moves=4,
+        n_accounts=10, n_scenarios=2, seed=42, density=0.9,
+    ),
+    "ledger-smoke": WorkforceConfig(
+        n_employees=40, n_departments=4, n_changing=6, max_moves=3,
+        n_accounts=3, n_scenarios=2, seed=1234, density=0.5,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_DRAW_CONFIGS))
+def test_block_draws_equal_the_per_cell_generator(name):
+    config = _BLOCK_DRAW_CONFIGS[name]
+    cells, moves, named_sets = reference_workforce(config)
+    wf = build_workforce(config)
+    built = list(wf.cube.leaf_cells())
+    assert built == cells
+    assert repr(built) == repr(cells)  # bit for bit: -0.0, 50.0 vs 50.00…1
+    assert wf.moves == moves
+    assert list(wf.moves) == list(moves) == wf.changing_employees
+    assert {
+        s.name: s.members for s in wf.warehouse.named_sets()
+    } == named_sets
 
 
 class TestChunkedBuild:
