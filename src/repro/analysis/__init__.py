@@ -1,18 +1,15 @@
-"""Static semantic analysis for what-if queries and algebra plans.
+"""Static semantic analysis for what-if queries.
 
 Public surface:
 
 * :func:`analyze_query` — analyze extended-MDX text (or a parsed
   :class:`~repro.mdx.ast_nodes.MdxQuery`) against a warehouse's metadata;
-* :func:`analyze_plan` — analyze a :mod:`repro.core.plans` tree against a
-  cube schema;
 * the :class:`Diagnostic` / :class:`DiagnosticReport` framework and the
   :data:`CODE_CATALOG` of stable ``WIFnnn`` codes.
 
-Both analyzers are pure metadata passes: no cube data is read.  They run
-by default inside :meth:`repro.warehouse.Warehouse.query` and
-:func:`repro.core.plans.execute_plan`; pass ``analyze=False`` there to
-skip enforcement.
+The analyzer is a pure metadata pass: no cube data is read.  It runs by
+default inside :meth:`repro.warehouse.Warehouse.query`; pass
+``analyze=False`` there to skip enforcement.
 """
 
 from repro.analysis.diagnostics import (
@@ -21,7 +18,6 @@ from repro.analysis.diagnostics import (
     DiagnosticReport,
     Severity,
 )
-from repro.analysis.plan_analyzer import PlanAnalyzer, analyze_plan
 from repro.analysis.query_analyzer import QueryAnalyzer, analyze_query
 
 __all__ = [
@@ -31,6 +27,4 @@ __all__ = [
     "Severity",
     "analyze_query",
     "QueryAnalyzer",
-    "analyze_plan",
-    "PlanAnalyzer",
 ]

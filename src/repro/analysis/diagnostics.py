@@ -11,10 +11,10 @@ Code ranges
 * ``WIF0xx`` — name resolution and query shape,
 * ``WIF1xx`` — perspective (negative scenario) preconditions,
 * ``WIF2xx`` — change-relation (positive scenario) preconditions,
-* ``WIF3xx`` — cell-level findings (guaranteed-⊥ accesses, shadowing),
-* ``WIF4xx`` — algebra-plan findings (errors and optimizer lints),
-* ``WIF5xx`` — cross-operator scenario-chain findings (contradictions,
-  dead perspectives).
+* ``WIF3xx`` — cell-level findings (guaranteed-⊥ accesses, shadowing).
+
+``WIF401``–``WIF407`` and ``WIF501``–``WIF502`` belonged to the removed
+plan analyzer; they are retired and never reused.
 
 ``CODE_CATALOG`` is the single source of truth; ``docs/static_analysis.md``
 documents each entry with a minimal triggering example.
@@ -42,8 +42,7 @@ class Severity(enum.Enum):
 
     ``ERROR`` findings are guaranteed failures or ⊥-polluted results and
     block execution (unless the escape hatch is used); ``WARNING`` findings
-    are suspicious but runnable; ``INFO`` findings are purely advisory
-    (e.g. rewrites the optimizer would apply).
+    are suspicious but runnable; ``INFO`` findings are purely advisory.
     """
 
     ERROR = "error"
@@ -82,17 +81,6 @@ CODE_CATALOG: dict[str, tuple[Severity, str]] = {
     "WIF301": (Severity.WARNING, "guaranteed-⊥ access: referenced instance has no validity under the scenario"),
     "WIF302": (Severity.WARNING, "slicer coordinate is shadowed by an axis on the same dimension"),
     "WIF303": (Severity.ERROR, "tuple component does not expand to exactly one member instance"),
-    # -- WIF4xx: plan findings ------------------------------------------------
-    "WIF401": (Severity.ERROR, "plan node references an unknown or non-varying dimension"),
-    "WIF402": (Severity.ERROR, "perspective moments outside the parameter universe"),
-    "WIF403": (Severity.WARNING, "dead selection: predicate can never match a member"),
-    "WIF404": (Severity.INFO, "redundant Φ composition: optimizer would drop the outer static perspective"),
-    "WIF405": (Severity.INFO, "selection above Perspective/Split is pushable (optimizer rewrite applies)"),
-    "WIF406": (Severity.INFO, "consecutive Evaluate nodes collapse to one"),
-    "WIF407": (Severity.ERROR, "split change relation fails its preconditions"),
-    # -- WIF5xx: cross-operator scenario-chain findings -----------------------
-    "WIF501": (Severity.WARNING, "contradictory scenario chain: the same member is relocated by more than one Split in one chain"),
-    "WIF502": (Severity.WARNING, "dead perspective: its moments are disjoint from the chain's validity-time scope"),
 }
 
 
@@ -104,7 +92,7 @@ class Diagnostic:
     message: str
     severity: Severity
     span: SourceSpan | None = None
-    #: optional machine-readable anchor (plan node label, member path, ...)
+    #: optional machine-readable anchor (member path, set name, ...)
     subject: str | None = None
 
     def __post_init__(self) -> None:

@@ -8,7 +8,6 @@ against the paper's reported shapes).
 from repro.bench.ablations import (
     run_cube_compute_ablation,
     run_dimension_order_ablation,
-    run_optimizer_ablation,
     run_pebbling_ablation,
 )
 from repro.bench.fig11 import bench_config, run_fig11, spread_perspectives
@@ -25,7 +24,6 @@ from repro.bench.harness import (
 __all__ = [
     "run_cube_compute_ablation",
     "run_dimension_order_ablation",
-    "run_optimizer_ablation",
     "run_pebbling_ablation",
     "bench_config",
     "run_fig11",

@@ -20,7 +20,6 @@ import argparse
 from repro.bench.ablations import (
     run_cube_compute_ablation,
     run_dimension_order_ablation,
-    run_optimizer_ablation,
     run_pebbling_ablation,
 )
 from repro.bench.fig11 import run_fig11
@@ -90,13 +89,6 @@ def _ablations() -> None:
         run_cube_compute_ablation(),
         metric="chunk_reads",
         x_label="group-bys",
-    )
-    print()
-    print_series(
-        "Ablation - algebraic optimisation: selection pushdown (wall ms)",
-        run_optimizer_ablation(),
-        metric="wall_ms",
-        x_label="selected members",
     )
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "run_pebbling_ablation",
     "run_dimension_order_ablation",
     "run_cube_compute_ablation",
-    "run_optimizer_ablation",
 ]
 
 
@@ -87,56 +86,6 @@ def run_dimension_order_ablation(
             n, memory_chunks=memory_for_dimension_order(graph, grid, (1, 2, 0))
         )
     return [first, last]
-
-
-def run_optimizer_ablation(
-    member_counts: Sequence[int] = (2, 5, 10),
-    seed: int = 31,
-) -> list[ExperimentSeries]:
-    """Sec. 8 future work: selection pushdown through a perspective.
-
-    Times a Select-over-Perspective plan with and without optimisation on
-    the workforce cube; the optimised plan relocates only the selected
-    members' cells.
-    """
-    from repro.bench.harness import timed
-    from repro.core.optimizer import optimize
-    from repro.core.plans import (
-        BaseCube,
-        MemberIn,
-        PerspectiveNode,
-        SelectNode,
-        execute_plan,
-    )
-    from repro.workload.workforce import WorkforceConfig, build_workforce
-
-    workforce = build_workforce(
-        WorkforceConfig(
-            n_employees=200,
-            n_departments=10,
-            n_changing=20,
-            n_accounts=4,
-            n_scenarios=2,
-            seed=seed,
-        )
-    )
-    original = ExperimentSeries("Unoptimised plan")
-    optimized = ExperimentSeries("Optimised plan")
-    for n in member_counts:
-        members = frozenset(workforce.changing_employees[:n])
-        plan = SelectNode(
-            PerspectiveNode(BaseCube(), "Department", (0,), Semantics.FORWARD),
-            "Department",
-            MemberIn(members),
-        )
-        rewritten, _ = optimize(plan)
-        __, wall_original = timed(lambda: execute_plan(plan, workforce.cube))
-        __, wall_optimized = timed(
-            lambda: execute_plan(rewritten, workforce.cube)
-        )
-        original.add(n, wall_ms=wall_original)
-        optimized.add(n, wall_ms=wall_optimized)
-    return [original, optimized]
 
 
 def run_cube_compute_ablation(

@@ -5,6 +5,12 @@ semantics (Secs. 3.3–3.4, 4.2), the what-if algebra σ/ρ/S/E (Sec. 4),
 scenario application per Theorem 4.1, and the perspective-cube evaluation
 machinery of Sec. 5 (merge dependency graphs, pebbling, dimension-order
 selection, the chunk-level perspective cube builder).
+
+The algebra is executable once: the operators are plain functions
+(:mod:`repro.core.operators`), a what-if query is a chain of scenarios
+over them, and :func:`apply_scenarios` is the one runner.  There is no
+plan tree, optimiser or plan analyzer (Sec. 8's "algebraic optimisation"
+is not implemented; see docs/paper_mapping.md).
 """
 
 from repro.core.compression import CompressedPerspectiveCube, compress
@@ -17,17 +23,6 @@ from repro.core.operators import (
     relocate,
     select,
     split,
-)
-from repro.core.optimizer import OptimizationTrace, optimize
-from repro.core.plans import (
-    BaseCube,
-    EvaluateNode,
-    PerspectiveNode,
-    PlanNode,
-    SelectNode,
-    SplitNode,
-    execute_plan,
-    explain,
 )
 from repro.core.perspective import (
     Mode,
@@ -54,16 +49,6 @@ __all__ = [
     "check_warehouse",
     "CompressedPerspectiveCube",
     "compress",
-    "OptimizationTrace",
-    "optimize",
-    "BaseCube",
-    "EvaluateNode",
-    "PerspectiveNode",
-    "PlanNode",
-    "SelectNode",
-    "SplitNode",
-    "execute_plan",
-    "explain",
     "ChangeRelation",
     "ChangeTuple",
     "evaluate",

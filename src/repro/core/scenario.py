@@ -13,14 +13,21 @@ prescribes:
 The result of applying a scenario is a :class:`WhatIfCube` — the paper's
 *perspective cube* — a read-only facade pairing the hypothetical leaf data
 with the mode-appropriate source of non-leaf (aggregate) values: the
-re-evaluated output for **visual** mode, the original input cube for
+re-evaluated output for **visual** mode, the stage's input cube for
 **non-visual** mode.
+
+The scenario chain is the one executable form of the algebra: a query's
+WITH clause becomes a list of scenarios, :func:`apply_scenarios` is the
+only place a chain is threaded (every query, the shard workers and EXPLAIN
+run through it), and each scenario renders itself in the algebra
+(:meth:`NegativeScenario.describe` / :meth:`PositiveScenario.describe`) —
+there is no separate plan tree to execute, analyze or print.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, TypeAlias
+from typing import Any, Mapping, Sequence, TypeAlias
 
 from repro.core.operators import ChangeTuple, relocate, split
 from repro.core.perspective import Mode, PerspectiveSet, Semantics, phi_member
@@ -64,6 +71,12 @@ class WhatIfCube:
         self.validity_out: dict[str, ValiditySet] = dict(validity_out or {})
         #: hypothetical varying structure (positive scenarios)
         self.varying_out = varying_out
+        #: over the whole chain that produced this cube, per varying
+        #: dimension (filled by :func:`apply_scenarios`; a later stage on
+        #: the same dimension overwrites): the hypothetical structure S
+        #: left behind, and the instances with a non-empty output validity
+        self.varying: dict[str, VaryingDimension] = {}
+        self.surviving: dict[str, frozenset[str]] = {}
 
     @property
     def schema(self) -> CubeSchema:
@@ -93,6 +106,12 @@ class WhatIfCube:
         )
 
 
+def _algebra(movement: str, mode: Mode) -> str:
+    """Theorem 4.1's expression for one stage: E re-evaluates the
+    aggregates over the moved leaves in visual mode only."""
+    return f"E ∘ {movement}" if mode is Mode.VISUAL else movement
+
+
 def _members_with_data(cube: Cube, dim_name: str) -> list[str]:
     """Members holding leaf data, sorted — one entry per member however
     many instance coordinates carry its cells."""
@@ -115,14 +134,30 @@ class NegativeScenario:
         """Canonical cache key: Theorem 4.1 makes :meth:`apply` a pure
         function of the base cube and this normalised clause, so two
         clauses with equal fingerprints yield the same perspective cube.
-        Perspective order is irrelevant to Φ, hence the sort."""
+        P is a set — order and repetition are irrelevant to Φ."""
         return (
             "negative",
             self.dimension,
             self.semantics.value,
             self.mode.value,
-            tuple(sorted(self.perspectives)),
+            tuple(sorted(set(self.perspectives))),
         )
+
+    def describe(self) -> dict[str, Any]:
+        """This stage in the paper's algebra, as EXPLAIN reports it."""
+        perspectives = list(self.perspectives)
+        return {
+            "operator": "Perspective",
+            "algebra": _algebra("ρ(·, Φ_sem(VS, P)) ∘ σ", self.mode),
+            "dimension": self.dimension,
+            "perspectives": perspectives,
+            "semantics": self.semantics.value,
+            "mode": self.mode.value,
+            "label": (
+                f"Perspective[{self.dimension}: P={perspectives}, "
+                f"{self.semantics.value}, {self.mode.value}]"
+            ),
+        }
 
     def apply(self, cube: Cube, varying: VaryingDimension | None = None) -> WhatIfCube:
         schema = cube.schema
@@ -176,19 +211,34 @@ class PositiveScenario:
     mode: Mode = Mode.NON_VISUAL
 
     def fingerprint(self) -> tuple:
-        """Canonical cache key over the normalised change relation R:
-        a set of (m, o, n, t) tuples, so listing order is irrelevant."""
+        """Canonical cache key over the change relation R, normalised the
+        way S applies it (``_hypothetical_structure``: a stable sort by
+        moment): the order tuples of different moments are listed in is
+        irrelevant, the order within one moment is not — a second move of
+        one member at the same moment only validates after the first."""
         return (
             "positive",
             self.dimension,
             self.mode.value,
             tuple(
-                sorted(
-                    (c.member, c.old_parent, c.new_parent, c.moment)
-                    for c in self.changes
-                )
+                (c.member, c.old_parent, c.new_parent, c.moment)
+                for c in sorted(self.changes, key=lambda c: c.moment)
             ),
         )
+
+    def describe(self) -> dict[str, Any]:
+        """This stage in the paper's algebra, as EXPLAIN reports it."""
+        return {
+            "operator": "Split",
+            "algebra": _algebra("S(·, R)", self.mode),
+            "dimension": self.dimension,
+            "changes": len(self.changes),
+            "mode": self.mode.value,
+            "label": (
+                f"Split[{self.dimension}: {len(self.changes)} change(s), "
+                f"{self.mode.value}]"
+            ),
+        }
 
     def apply(self, cube: Cube, varying: VaryingDimension | None = None) -> WhatIfCube:
         schema = cube.schema
@@ -209,27 +259,40 @@ class PositiveScenario:
         return WhatIfCube(out, cube, self.mode, validity_out, varying_out=hypo)
 
 
-Scenario: TypeAlias = "NegativeScenario | PositiveScenario"
-
-
 def apply_scenarios(
     cube: Cube, scenarios: Sequence[NegativeScenario | PositiveScenario]
 ) -> WhatIfCube:
-    """Apply a sequence of scenarios left to right (a query may carry both
-    positive and negative scenarios, Sec. 3.2)."""
+    """Apply a chain of scenarios left to right (a query may carry both
+    positive and negative scenarios, Sec. 3.2: changes first, then
+    perspectives view the hypothetical history).
+
+    The one place a chain is threaded: each stage reads the previous
+    stage's leaves under the hypothetical structure an earlier S left on
+    its dimension.  The last stage's cube is returned carrying, per
+    dimension, that structure (``varying``) and the surviving instances
+    (``surviving``) — all a query needs to resolve its axes.
+    """
+    from repro.obs.trace import trace_span
+
     if not scenarios:
         raise QueryError("apply_scenarios() needs at least one scenario")
     current = cube
     result: WhatIfCube | None = None
-    varying_overrides: dict[str, VaryingDimension] = {}
+    varying: dict[str, VaryingDimension] = {}
+    surviving: dict[str, frozenset[str]] = {}
     for scenario in scenarios:
         # Data-driven scenarios (e.g. AllocationScenario) have no varying
         # dimension; structural ones thread the hypothetical structure.
         dimension = getattr(scenario, "dimension", None)
-        varying = varying_overrides.get(dimension) if dimension else None
-        result = scenario.apply(current, varying)
-        if dimension and result.varying_out is not None:
-            varying_overrides[dimension] = result.varying_out
+        with trace_span(
+            "scenario.apply", kind=type(scenario).__name__, dimension=dimension
+        ):
+            result = scenario.apply(current, varying.get(dimension))
+        if dimension:
+            surviving[dimension] = frozenset(result.validity_out)
+            if result.varying_out is not None:
+                varying[dimension] = result.varying_out
         current = result.leaf_cube
     assert result is not None
+    result.varying, result.surviving = varying, surviving
     return result

@@ -413,13 +413,3 @@ class MdxAnalysisError(AnalysisError, MdxEvaluationError):
         super().__init__(
             "query rejected by static analysis:\n" + report.to_text()
         )
-
-
-class PlanAnalysisError(AnalysisError, QueryError):
-    """An algebra plan was rejected by static analysis."""
-
-    def __init__(self, report) -> None:
-        self.report = report
-        super().__init__(
-            "plan rejected by static analysis:\n" + report.to_text()
-        )

@@ -2,10 +2,13 @@
 
 The pipeline follows the paper's semantics exactly:
 
-1. The WITH clause (if any) is turned into a scenario
-   (:class:`~repro.core.scenario.NegativeScenario` /
-   :class:`~repro.core.scenario.PositiveScenario`) and applied to the
-   warehouse cube, yielding a perspective cube (WhatIfCube).
+1. The WITH clause (if any) is turned into a scenario chain
+   (:func:`build_scenarios`: :class:`~repro.core.scenario.PositiveScenario`
+   then :class:`~repro.core.scenario.NegativeScenario`) and applied to the
+   warehouse cube by :func:`~repro.core.scenario.apply_scenarios` — the
+   one runner, behind the scenario cache — yielding a perspective cube
+   (WhatIfCube).  The chain *is* the query's plan: EXPLAIN prints what the
+   same scenario objects say of themselves.
 2. Axis set expressions are evaluated to lists of tuples.  Leaf members of
    a varying dimension expand to their member *instances* — restricted to
    instances surviving the scenario (non-empty output validity).
@@ -29,13 +32,17 @@ from typing import Sequence
 
 from repro.core.operators import ChangeTuple
 from repro.core.perspective import Mode, Semantics
-from repro.core.scenario import NegativeScenario, PositiveScenario, WhatIfCube
+from repro.core.scenario import (
+    NegativeScenario,
+    PositiveScenario,
+    WhatIfCube,
+    apply_scenarios,
+)
 from repro.errors import MdxEvaluationError
 from repro.faults import inject_io_fault, register_failpoint
 from repro.mdx.budget import BudgetTracker, QueryBudget
 from repro.mdx.ast_nodes import (
     AxisSpec,
-    ChangesClause,
     ChildrenExpr,
     CrossJoinExpr,
     DescendantsExpr,
@@ -58,7 +65,13 @@ from repro.obs.trace import trace_span
 from repro.olap.dimension import Dimension, Member
 from repro.perf import config as perf_config
 
-__all__ = ["evaluate_query", "execute", "finish_query", "resolve_query"]
+__all__ = [
+    "build_scenarios",
+    "evaluate_query",
+    "execute",
+    "finish_query",
+    "resolve_query",
+]
 
 # A coordinate binding: (dimension name, coordinate, display label)
 Binding = tuple[str, str, str]
@@ -85,6 +98,52 @@ def _check_shape(warehouse, query: MdxQuery) -> None:
     warehouse.check_cube_name(query.cube)
 
 
+def build_scenarios(
+    warehouse, query: MdxQuery
+) -> "list[NegativeScenario | PositiveScenario]":
+    """The query's WITH clause as the scenario chain that executes it, in
+    application order: CHANGES first, then PERSPECTIVE views the
+    hypothetical history.  Reads warehouse metadata only (a ``.Children``
+    change tuple expands to one tuple per child, an unnamed CHANGES
+    dimension is the members' own), so EXPLAIN can ask the scenarios to
+    describe themselves without applying them."""
+    scenarios: "list[NegativeScenario | PositiveScenario]" = []
+    if query.changes is not None:
+        clause = query.changes
+        dimension = clause.dimension
+        changes: list[ChangeTuple] = []
+        for spec in clause.changes:
+            dim, member = warehouse.resolve_member(spec.member.parts)
+            members = member.children if spec.expand else [member]
+            if dimension is None:
+                dimension = dim.name
+            elif dimension != dim.name:
+                raise MdxEvaluationError(
+                    f"change tuple member {spec.member.display()} belongs to "
+                    f"{dim.name!r}, clause names {dimension!r}"
+                )
+            for child in members:
+                changes.append(
+                    ChangeTuple(
+                        child.name, spec.old_parent, spec.new_parent, spec.moment
+                    )
+                )
+        if dimension is None:
+            raise MdxEvaluationError("cannot infer the changes dimension")
+        scenarios.append(PositiveScenario(dimension, changes, Mode(clause.mode)))
+    if query.perspective is not None:
+        perspective = query.perspective
+        scenarios.append(
+            NegativeScenario(
+                dimension=perspective.dimension,
+                perspectives=list(perspective.perspectives),
+                semantics=Semantics(perspective.semantics),
+                mode=Mode(perspective.mode),
+            )
+        )
+    return scenarios
+
+
 class _Context:
     """Evaluation context: warehouse bindings plus the applied scenario,
     for a query :func:`_check_shape` accepts."""
@@ -107,133 +166,47 @@ class _Context:
         #: query-scoped named sets (WITH SET ... AS ...), by name
         self.query_sets = dict(query.named_sets)
         self._expanding_sets: set[str] = set()
-        self.scenarios = self._build_scenarios(query)
+        self.scenarios = build_scenarios(warehouse, query)
         self.varying_view = dict(self.schema.varying)
-        #: scenario-cache hits/misses/builds for this one query
+        #: scenario-cache hits/misses/evictions for this one query
         self.scenario_stats: dict[str, int] = {}
         if not self.scenarios:
             self.view = warehouse.cube
-            self.surviving: dict[str, set[str]] | None = None
+            #: per varying dimension a scenario touched, the instances
+            #: with a non-empty output validity (the only ones axes list)
+            self.surviving: "dict[str, frozenset[str]]" = {}
         else:
-            self._apply_scenario_chain(warehouse)
+            applied = self._apply_scenario_chain(warehouse)
+            self.view = applied
+            self.varying_view.update(applied.varying)
+            self.surviving = applied.surviving
 
-    def _apply_scenario_chain(self, warehouse) -> None:
-        """Materialise the scenario view, consulting the warehouse's
-        scenario cache (Theorem 4.1 purity: same fingerprints + same base
-        cube version ⇒ same perspective cube)."""
+    def _apply_scenario_chain(self, warehouse) -> WhatIfCube:
+        """The applied chain, through the warehouse's scenario cache
+        (Theorem 4.1 purity: same fingerprints + same base cube version ⇒
+        same perspective cube): probe → ``apply_scenarios`` → put.  An
+        entry is ``(base cube, what apply_scenarios returned)`` and is
+        shared read-only between queries."""
+        base = warehouse.cube
         cache = getattr(warehouse, "scenario_cache", None)
-        key = version = None
-        if cache is not None and perf_config.engine_enabled():
-            try:
-                key = tuple(s.fingerprint() for s in self.scenarios)
-            except AttributeError:
-                key = None  # ad-hoc scenario without a canonical form
-        if key is not None:
-            version = warehouse.cube.version
-            hit = cache.get(key, version)
-            if hit is not None:
-                base, view, varying_view, surviving = hit
-                if base is warehouse.cube:
-                    # Defensive copies: the entry must not observe later
-                    # per-query mutation of these maps.
-                    self.view = view
-                    self.varying_view = dict(varying_view)
-                    self.surviving = {
-                        dim: set(paths) for dim, paths in surviving.items()
-                    }
-                    self.scenario_stats["scenario_cache_hits"] = 1
-                    return
-                # Same fingerprints + version but a different cube object:
-                # the warehouse swapped cubes.  Drop and rebuild.
-                cache.discard(key)
-        # Apply left to right (changes first, then perspectives view
-        # the hypothetical history), threading the hypothetical varying
-        # structure exactly like apply_scenarios().
-        current = warehouse.cube
-        applied: WhatIfCube | None = None
-        for scenario in self.scenarios:
-            varying = self.varying_view.get(scenario.dimension)
-            with trace_span(
-                "scenario.apply",
-                kind=type(scenario).__name__,
-                dimension=scenario.dimension,
-            ):
-                applied = scenario.apply(current, varying)
-            if applied.varying_out is not None:
-                self.varying_view[scenario.dimension] = applied.varying_out
-            current = applied.leaf_cube
-        assert applied is not None
-        self.view = applied
-        self.surviving = self._surviving_instances(applied)
-        if key is not None:
-            assert version is not None
-            evictions_before = cache.stats.evictions
-            cache.put(
-                key,
-                version,
-                (
-                    warehouse.cube,
-                    applied,
-                    dict(self.varying_view),
-                    {dim: set(paths) for dim, paths in self.surviving.items()},
-                ),
-            )
-            cache.stats.builds += 1
-            self.scenario_stats["scenario_cache_misses"] = 1
-            evicted = cache.stats.evictions - evictions_before
-            if evicted:
-                self.scenario_stats["scenario_cache_evictions"] = evicted
-
-    # -- scenario construction ---------------------------------------------------
-
-    def _build_scenarios(
-        self, query: MdxQuery
-    ) -> "list[NegativeScenario | PositiveScenario]":
-        scenarios: list[NegativeScenario | PositiveScenario] = []
-        if query.changes is not None:
-            scenarios.append(self._build_positive(query.changes))
-        if query.perspective is not None:
-            clause = query.perspective
-            scenarios.append(
-                NegativeScenario(
-                    dimension=clause.dimension,
-                    perspectives=list(clause.perspectives),
-                    semantics=Semantics(clause.semantics),
-                    mode=Mode(clause.mode),
-                )
-            )
-        return scenarios
-
-    def _build_positive(self, clause: ChangesClause) -> PositiveScenario:
-        dimension = clause.dimension
-        changes: list[ChangeTuple] = []
-        for spec in clause.changes:
-            if spec.expand:
-                dim, parent = self.warehouse.resolve_member(spec.member.parts)
-                members = [child.name for child in parent.children]
-            else:
-                dim, member = self.warehouse.resolve_member(spec.member.parts)
-                members = [member.name]
-            if dimension is None:
-                dimension = dim.name
-            elif dimension != dim.name:
-                raise MdxEvaluationError(
-                    f"change tuple member {spec.member.display()} belongs to "
-                    f"{dim.name!r}, clause names {dimension!r}"
-                )
-            for name in members:
-                changes.append(
-                    ChangeTuple(name, spec.old_parent, spec.new_parent, spec.moment)
-                )
-        if dimension is None:
-            raise MdxEvaluationError("cannot infer the changes dimension")
-        return PositiveScenario(dimension, changes, Mode(clause.mode))
-
-    def _surviving_instances(self, applied: WhatIfCube) -> dict[str, set[str]]:
-        surviving: dict[str, set[str]] = {}
-        dim = self.scenarios[-1].dimension
-        surviving[dim] = set(applied.validity_out)
-        return surviving
+        if cache is None or not perf_config.engine_enabled():
+            return apply_scenarios(base, self.scenarios)
+        key = tuple(s.fingerprint() for s in self.scenarios)
+        version = base.version
+        hit = cache.get(key, version)
+        if hit is not None:
+            if hit[0] is base:
+                self.scenario_stats["scenario_cache_hits"] = 1
+                return hit[1]
+            # Same fingerprints + version but a different cube object:
+            # the warehouse swapped cubes.  Drop and rebuild.
+            cache.discard(key)
+        applied = apply_scenarios(base, self.scenarios)
+        evicted = cache.put(key, version, (base, applied))
+        self.scenario_stats["scenario_cache_misses"] = 1
+        if evicted:
+            self.scenario_stats["scenario_cache_evictions"] = evicted
+        return applied
 
     # -- member expansion -----------------------------------------------------------
 
@@ -246,7 +219,7 @@ class _Context:
         if not self.schema.is_varying(name) or not member.is_leaf:
             return [(name, member.name, member.name)]
         varying = self.varying_view[name]
-        allowed = None if self.surviving is None else self.surviving.get(name)
+        allowed = self.surviving.get(name)
         bindings: list[Binding] = []
         for instance in varying.instances_of(member.name):
             if ancestors and not set(ancestors) <= set(instance.path[:-1]):

@@ -1,13 +1,14 @@
 """EXPLAIN for extended-MDX queries: plan, sizes, scope estimates.
 
 ``explain_query`` answers "what would this query *do*" without filling
-the result grid: it parses, runs the static analyzer, renders the
-scenario pipeline in the paper's algebra (σ/Φ/ρ/S/E, Sec. 4), resolves
-the axis sets (instances surviving the scenario, exactly as execution
-would), and estimates every grid cell's **scope size** from the rollup
-index — the smallest per-coordinate leaf count is a cheap
-upper bound on the number of leaf cells a derived cell must aggregate,
-the same quantity that dominates Figs. 11–13.
+the result grid: it parses, runs the static analyzer, builds the
+evaluator's own scenario chain and lets each scenario describe itself in
+the paper's algebra (σ/Φ/ρ/S/E, Sec. 4 — the chain is the plan, so what
+is printed is what runs), resolves the axis sets (instances surviving
+the scenario, exactly as execution would), and estimates every grid
+cell's **scope size** from the rollup index — the smallest per-coordinate
+leaf count is a cheap upper bound on the number of leaf cells a derived
+cell must aggregate, the same quantity that dominates Figs. 11–13.
 
 Axis resolution applies the WITH-clause scenario (through the scenario
 cache), because instance expansion depends on output validity; cell
@@ -28,44 +29,6 @@ __all__ = ["explain_query", "explain_report"]
 
 #: grid cells beyond this are not individually estimated (summary only)
 _ESTIMATE_CAP = 4096
-
-
-def _scenario_steps(query) -> list[dict[str, Any]]:
-    """The WITH-clause pipeline as algebra steps, application order."""
-    steps: list[dict[str, Any]] = []
-    if query.changes is not None:
-        clause = query.changes
-        steps.append(
-            {
-                "operator": "Split",
-                "algebra": "E ∘ S(·, R)",
-                "dimension": clause.dimension or "<inferred>",
-                "changes": len(clause.changes),
-                "mode": clause.mode,
-                "label": (
-                    f"Split[{clause.dimension or '<inferred>'}: "
-                    f"{len(clause.changes)} change(s), {clause.mode}]"
-                ),
-            }
-        )
-    if query.perspective is not None:
-        clause = query.perspective
-        steps.append(
-            {
-                "operator": "Perspective",
-                "algebra": "E ∘ ρ(·, Φ_sem(VS, P)) ∘ σ",
-                "dimension": clause.dimension,
-                "perspectives": list(clause.perspectives),
-                "semantics": clause.semantics,
-                "mode": clause.mode,
-                "label": (
-                    f"Perspective[{clause.dimension}: "
-                    f"P={list(clause.perspectives)}, {clause.semantics}, "
-                    f"{clause.mode}]"
-                ),
-            }
-        )
-    return steps
 
 
 def _scope_estimates(
@@ -134,8 +97,14 @@ def explain_report(warehouse, text: str) -> dict[str, Any]:
     Raises :class:`~repro.errors.MdxSyntaxError` on unparseable input.
     When the analyzer reports error-level findings the report carries the
     plan and the diagnostics but skips axis resolution (execution would
-    refuse the query the same way) and sets ``"executable": False``.
+    refuse the query the same way) and sets ``"executable": False``; a
+    WITH clause no scenario chain can be built from leaves ``"scenario"``
+    out too — the diagnostics already say why.
     """
+    # Imported lazily to keep obs dependency-light.
+    from repro.errors import MdxEvaluationError
+    from repro.mdx.evaluator import _Context, build_scenarios, resolve_query
+
     with trace_span("obs.explain"):
         query = parse_query(text)
         analysis = warehouse.analyze(query)
@@ -144,18 +113,23 @@ def explain_report(warehouse, text: str) -> dict[str, Any]:
             "cube": ".".join(query.cube),
             "warehouse": warehouse.name,
             "leaf_cells": warehouse.cube.n_leaf_cells,
-            "scenario": _scenario_steps(query),
             "named_sets": [name for name, _ in query.named_sets],
             "diagnostics": [d.to_text() for d in analysis],
             "executable": not analysis.has_errors,
         }
+        try:
+            # the chain the evaluator would run, in application order,
+            # each stage rendering itself
+            report["scenario"] = [
+                scenario.describe() for scenario in build_scenarios(warehouse, query)
+            ]
+        except MdxEvaluationError:
+            pass  # no chain to print; an error-level diagnostic says why
         if analysis.has_errors:
             return report
 
         # Axis resolution *is* execution's (scenario applied through the
-        # cache; budget-free).  Imported lazily to keep obs dependency-light.
-        from repro.mdx.evaluator import _Context, resolve_query
-
+        # cache; budget-free).
         resolved = resolve_query(_Context(warehouse, query))
         columns, rows = resolved.columns, resolved.rows
 
@@ -186,11 +160,11 @@ def explain_query(warehouse, text: str) -> str:
         f"EXPLAIN  cube={report['cube']}  warehouse={report['warehouse']}  "
         f"leaf_cells={report['leaf_cells']}"
     ]
-    if report["scenario"]:
+    if report.get("scenario"):
         lines.append("scenario pipeline (applied in order):")
         for i, step in enumerate(report["scenario"], 1):
             lines.append(f"  {i}. {step['label']}    — {step['algebra']}")
-    else:
+    elif "scenario" in report:
         lines.append("scenario pipeline: none (base cube)")
     if report["named_sets"]:
         lines.append(f"query named sets: {', '.join(report['named_sets'])}")

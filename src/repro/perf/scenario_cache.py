@@ -4,10 +4,12 @@ Theorem 4.1 makes every scenario a *pure* function of the base cube and
 the normalised clause: negative scenarios are ``E ∘ ρ(·, Φ_sem(VS, P)) ∘ σ``
 and positive scenarios ``E ∘ S(·, R)``.  Two queries whose WITH clauses
 normalise to the same fingerprints therefore produce the *same*
-perspective cube — so the warehouse may cache the applied
-:class:`~repro.core.scenario.WhatIfCube` chain and skip
-``scenario.apply`` entirely on repeats (the Fig. 11/12 workload shape:
-many queries against one scenario).
+perspective cube — so the warehouse may cache what
+:func:`~repro.core.scenario.apply_scenarios` returns (the final
+:class:`~repro.core.scenario.WhatIfCube`, which carries the chain's
+hypothetical structures and surviving instances) beside the base cube it
+was applied to, and skip ``scenario.apply`` entirely on repeats (the
+Fig. 11/12 workload shape: many queries against one scenario).
 
 Keys are the tuple of scenario fingerprints
 (:meth:`NegativeScenario.fingerprint` /
@@ -78,16 +80,24 @@ class ScenarioCache(Generic[V]):
             trace_event("scenario_cache.hit")
             return value
 
-    def put(self, key: Hashable, version: Hashable, value: V) -> None:
+    def put(self, key: Hashable, version: Hashable, value: V) -> int:
+        """Store a freshly built value (counted as a build) and return the
+        number of entries this put evicted — both under the cache lock,
+        so concurrent missers lose no build and a caller is billed only
+        its own evictions."""
         with trace_span("scenario_cache.put"), self._lock:
+            self.stats.builds += 1
             self._entries[key] = (version, value)
             self._entries.move_to_end(key)
+            evicted = 0
             while len(self._entries) > self.maxsize:
                 # Capacity pressure: the LRU entry leaves.  Counted —
                 # uncounted eviction churn reads as a healthy cache.
                 self._entries.popitem(last=False)
-                self.stats.evictions += 1
+                evicted += 1
                 trace_event("scenario_cache.evicted")
+            self.stats.evictions += evicted
+            return evicted
 
     def discard(self, key: Hashable) -> None:
         """Drop one entry (counted as an invalidation if present) — for

@@ -56,7 +56,7 @@ def test_exit_code_contract():
 def test_sorted_orders_severity_then_position():
     report = DiagnosticReport()
     report.add("WIF104", "warning late", SourceSpan(9, 1))
-    report.add("WIF404", "info", severity=Severity.INFO)
+    report.add("WIF302", "info", severity=Severity.INFO)
     report.add("WIF002", "error late", SourceSpan(5, 2))
     report.add("WIF002", "error early", SourceSpan(1, 1))
     codes = [d.message for d in report.sorted()]

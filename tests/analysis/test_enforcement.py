@@ -1,19 +1,11 @@
-"""Enforcement wiring: the evaluator and plan executor refuse error-level
-queries by default, with ``analyze=False`` as the escape hatch."""
+"""Enforcement wiring: the evaluator refuses error-level queries by
+default, with ``analyze=False`` as the escape hatch."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.perspective import Semantics
-from repro.core.plans import BaseCube, PerspectiveNode, execute_plan
-from repro.errors import (
-    AnalysisError,
-    MdxAnalysisError,
-    MdxEvaluationError,
-    PlanAnalysisError,
-    QueryError,
-)
+from repro.errors import AnalysisError, MdxAnalysisError, MdxEvaluationError
 
 BAD_QUERY = "SELECT {[Nobody]} ON COLUMNS FROM Warehouse"
 GOOD_QUERY = "SELECT {Time.[Jan]} ON COLUMNS FROM Warehouse"
@@ -57,37 +49,6 @@ class TestQueryEnforcement:
         report = warehouse.analyze(BAD_QUERY)
         assert report.has_errors
         assert "WIF002" in report.codes()
-
-
-class TestPlanEnforcement:
-    def test_error_level_plan_is_refused(self, warehouse):
-        plan = PerspectiveNode(
-            BaseCube(), "Organization", (99,), Semantics.STATIC
-        )
-        with pytest.raises(PlanAnalysisError) as excinfo:
-            execute_plan(plan, warehouse.cube)
-        assert "WIF402" in str(excinfo.value)
-
-    def test_plan_analysis_error_is_a_query_error(self, warehouse):
-        plan = PerspectiveNode(
-            BaseCube(), "Organization", (99,), Semantics.STATIC
-        )
-        with pytest.raises(QueryError):
-            execute_plan(plan, warehouse.cube)
-
-    def test_escape_hatch_reaches_the_executor(self, warehouse):
-        plan = PerspectiveNode(
-            BaseCube(), "Organization", (99,), Semantics.STATIC
-        )
-        with pytest.raises(QueryError) as excinfo:
-            execute_plan(plan, warehouse.cube, analyze=False)
-        assert not isinstance(excinfo.value, AnalysisError)
-
-    def test_info_lints_do_not_block(self, warehouse):
-        from repro.core.plans import EvaluateNode
-
-        plan = EvaluateNode(EvaluateNode(BaseCube()))
-        execute_plan(plan, warehouse.cube)  # runs despite WIF406
 
 
 class TestFig10Clean:

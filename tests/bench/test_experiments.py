@@ -166,15 +166,6 @@ class TestAblations:
         shared, naive = run_cube_compute_ablation()
         assert shared.values("chunk_reads")[0] < naive.values("chunk_reads")[0]
 
-    def test_optimizer_pushdown_is_faster(self):
-        from repro.bench.ablations import run_optimizer_ablation
-
-        original, optimized = run_optimizer_ablation(member_counts=(2, 5))
-        for before, after in zip(
-            original.values("wall_ms"), optimized.values("wall_ms")
-        ):
-            assert after < before
-
 
 def test_bench_config_scales():
     small = bench_config(scale=0.5)

@@ -59,10 +59,9 @@ def test_location_what_if():
     assert "unordered" in out  # the rejected-dynamic-semantics message
 
 
-def test_optimizer_and_compression():
-    out = run_example("optimizer_and_compression.py")
-    assert "push-select-through-perspective" in out
-    assert "same result" in out
+def test_compression():
+    out = run_example("compression.py")
+    assert "compression ratio" in out
     assert "lossless roundtrip: True" in out
 
 

@@ -174,3 +174,75 @@ class TestRunningExample:
         # scenario-cache counters (which would differ between two calls).
         text = "SELECT {Time.[Qtr1]} ON COLUMNS FROM Warehouse"
         assert warehouse.explain(text) == explain_query(warehouse, text)
+
+
+class TestTheChainDescribesItself:
+    """EXPLAIN prints what the evaluator's own scenario objects say of
+    themselves — built from warehouse metadata, never re-derived from the
+    clause text."""
+
+    CHILDREN = """
+        WITH CHANGES {([PTE].Children, PTE, Contractor, Mar)} %s
+        SELECT {Time.[Feb], Time.[Mar]} ON COLUMNS, {[Tom]} ON ROWS
+        FROM Warehouse WHERE ([NY], [Salary])
+    """
+
+    def test_inferred_dimension_and_expanded_tuples_are_reported(
+        self, warehouse, example
+    ):
+        report = explain_report(warehouse, self.CHILDREN % "")
+        assert report["executable"] is True
+        (step,) = report["scenario"]
+        n_children = len(example.schema.dimension("Organization").member("PTE").children)
+        assert n_children > 1
+        assert step["operator"] == "Split"
+        assert step["dimension"] == "Organization"
+        assert step["changes"] == n_children
+        assert step["label"] == (
+            f"Split[Organization: {n_children} change(s), non_visual]"
+        )
+        assert f"Split[Organization: {n_children} change(s)" in explain_query(
+            warehouse, self.CHILDREN % ""
+        )
+
+    def test_a_non_visual_clause_applies_no_E(self, warehouse):
+        (split,) = explain_report(warehouse, self.CHILDREN % "NON_VISUAL")["scenario"]
+        assert split["algebra"] == "S(·, R)"
+        (split,) = explain_report(warehouse, self.CHILDREN % "VISUAL")["scenario"]
+        assert split["algebra"] == "E ∘ S(·, R)"
+        non_visual = HEADLINE.replace("FORWARD VISUAL", "FORWARD")
+        (perspective,) = explain_report(warehouse, non_visual)["scenario"]
+        assert perspective["mode"] == "non_visual"
+        assert perspective["algebra"] == "ρ(·, Φ_sem(VS, P)) ∘ σ"
+        assert "E ∘" not in explain_query(warehouse, non_visual)
+
+    def test_a_chain_is_reported_in_application_order(self, warehouse):
+        chained = HEADLINE.replace(
+            "WITH PERSPECTIVE",
+            "WITH CHANGES {([Lisa], FTE, PTE, Apr)} FOR Organization VISUAL\n"
+            "         PERSPECTIVE",
+        )
+        operators = [s["operator"] for s in explain_report(warehouse, chained)["scenario"]]
+        assert operators == ["Split", "Perspective"]
+
+    def test_an_unbuildable_with_clause_omits_the_pipeline(self, warehouse):
+        text = self.CHILDREN.replace("[PTE].Children", "[Nobody]") % ""
+        report = explain_report(warehouse, text)
+        assert report["executable"] is False
+        assert "scenario" not in report
+        assert any("WIF201" in line for line in report["diagnostics"])
+        rendered = explain_query(warehouse, text)
+        assert "scenario pipeline" not in rendered
+        assert "NOT executable" in rendered
+
+    @pytest.mark.parametrize(
+        "text", [FIG10A, FIG10B, FIG10C], ids=["fig10a", "fig10b", "fig10c"]
+    )
+    def test_fig10_pipelines_are_the_evaluators_own(self, workforce_warehouse, text):
+        from repro.mdx.evaluator import build_scenarios
+        from repro.mdx.parser import parse_query
+
+        scenarios = build_scenarios(workforce_warehouse, parse_query(text))
+        assert explain_report(workforce_warehouse, text)["scenario"] == [
+            scenario.describe() for scenario in scenarios
+        ]

@@ -52,6 +52,30 @@ class TestFingerprints:
         scenario = NegativeScenario("Org", ["Feb"])
         assert hash(scenario.fingerprint()) == hash(scenario.fingerprint())
 
+    def test_negative_ignores_repeated_perspective_points(self):
+        """P is a set (WIF104: duplicates have no effect)."""
+        once = NegativeScenario("Org", ["Jan", "Apr"], Semantics.FORWARD)
+        twice = NegativeScenario("Org", ["Jan", "Apr", "Jan"], Semantics.FORWARD)
+        assert once.fingerprint() == twice.fingerprint()
+
+    def test_positive_keeps_listing_order_within_one_moment(self):
+        """S applies same-moment tuples in listing order — the second move
+        of a member only validates after the first — so the key may
+        normalise order across moments only."""
+        first = ChangeTuple("Lisa", "FTE", "Contractor", "Apr")
+        then = ChangeTuple("Lisa", "Contractor", "PTE", "Apr")
+        other = ChangeTuple("Joe", "FTE", "PTE", "Feb")
+        listed = PositiveScenario("Org", [first, then, other])
+        assert (
+            listed.fingerprint()
+            == PositiveScenario("Org", [other, first, then]).fingerprint()
+            == PositiveScenario("Org", [first, other, then]).fingerprint()
+        )
+        assert (
+            listed.fingerprint()
+            != PositiveScenario("Org", [then, first, other]).fingerprint()
+        )
+
 
 class TestScenarioCacheUnit:
     def test_hit_and_miss_counting(self):
@@ -139,6 +163,46 @@ class TestScenarioCacheUnit:
         with pytest.raises(ValueError):
             ScenarioCache(maxsize=0)
 
+    def test_put_counts_the_build_and_returns_its_own_evictions(self):
+        cache = ScenarioCache(maxsize=1)
+        assert cache.put("a", 0, 1) == 0
+        assert cache.put("b", 0, 2) == 1  # displaced a
+        assert cache.put("b", 1, 3) == 0  # overwrite: nothing leaves
+        assert cache.stats.builds == 3
+        assert cache.stats.evictions == 1
+
+    def test_concurrent_puts_lose_no_build_and_share_no_eviction(self):
+        """Every put is a build, and the evictions the puts report add up
+        to the cache's count: both are taken under the cache lock."""
+        import sys
+        import threading
+
+        n_threads, per_thread = 4, 200
+        cache = ScenarioCache(maxsize=1)
+        barrier = threading.Barrier(n_threads)
+        billed = [0] * n_threads
+
+        def worker(slot: int) -> None:
+            barrier.wait(timeout=30)
+            for i in range(per_thread):
+                billed[slot] += cache.put((slot, i), 0, i)
+
+        threads = [
+            threading.Thread(target=worker, args=(slot,)) for slot in range(n_threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # a lost update needs a switch mid-put
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert cache.stats.builds == n_threads * per_thread
+        assert sum(billed) == cache.stats.evictions == n_threads * per_thread - 1
+
 
 class TestWarehouseIntegration:
     def test_repeat_query_hits_cache(self, warehouse):
@@ -180,6 +244,79 @@ class TestWarehouseIntegration:
         assert "scenario_cache_evictions" not in first.stats
         assert second.stats.get("scenario_cache_evictions") == 1
         assert warehouse.scenario_cache.stats.evictions == 1
+
+
+    def test_repeated_perspective_point_hits_the_entry_without_it(self, warehouse):
+        repeated = PERSPECTIVE_QUERY.replace("(Feb), (Apr)", "(Feb), (Apr), (Feb)")
+        first = warehouse.query(PERSPECTIVE_QUERY)
+        second = warehouse.query(repeated)  # WIF104 is a warning: it runs
+        assert first.cells == second.cells
+        assert second.stats.get("scenario_cache_hits") == 1
+        assert len(warehouse.scenario_cache) == 1
+
+    def test_reversed_same_moment_changes_answer_the_same_warm_and_cold(
+        self, example
+    ):
+        """Two moves of Lisa in April only apply in listing order; the
+        reversed listing must be refused whether or not the listed one is
+        cached (it used to share its key and return its grid when warm)."""
+        from repro.errors import InvalidChangeError
+        from repro.workload.running_example import build_running_example
+
+        first = "([Lisa], [FTE], [Contractor], [Apr])"
+        then = "([Lisa], [Contractor], [PTE], [Apr])"
+        text = (
+            "WITH CHANGES {%s} FOR Organization "
+            "SELECT {Time.[Mar], Time.[Apr]} ON COLUMNS, {[Lisa]} ON ROWS "
+            "FROM Warehouse WHERE ([NY], [Salary])"
+        )
+        listed, reversed_ = text % f"{first}, {then}", text % f"{then}, {first}"
+
+        cold = Warehouse(example.schema, example.cube, name="Warehouse")
+        with pytest.raises(InvalidChangeError):
+            cold.query(reversed_, analyze=False)
+
+        fresh = build_running_example()
+        warm = Warehouse(fresh.schema, fresh.cube, name="Warehouse")
+        assert warm.query(listed, analyze=False).row_labels() == [
+            "FTE/Lisa",
+            "PTE/Lisa",
+        ]
+        with pytest.raises(InvalidChangeError):
+            warm.query(reversed_, analyze=False)
+
+    def test_a_query_is_billed_only_its_own_evictions(self, warehouse):
+        """Two workers missing at once on a one-entry cache: every build is
+        counted, and the evictions the two results report add up to the
+        cache's — neither is billed the other's."""
+        import threading
+
+        warehouse.scenario_cache = ScenarioCache(maxsize=1)
+        warehouse.query(PERSPECTIVE_QUERY)  # the entry both will displace
+        texts = [
+            PERSPECTIVE_QUERY.replace("(Feb), (Apr)", "(Mar)"),
+            PERSPECTIVE_QUERY.replace("(Feb), (Apr)", "(May)"),
+        ]
+        barrier = threading.Barrier(len(texts))
+        results = [None] * len(texts)
+
+        def worker(slot: int) -> None:
+            barrier.wait(timeout=30)
+            results[slot] = warehouse.query(texts[slot])
+
+        threads = [
+            threading.Thread(target=worker, args=(slot,)) for slot in range(len(texts))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        stats = warehouse.scenario_cache.stats
+        assert stats.builds == 3
+        assert stats.evictions == 2
+        billed = [r.stats.get("scenario_cache_evictions", 0) for r in results]
+        assert billed == [1, 1]
 
 
 class TestConcurrentInvalidation:

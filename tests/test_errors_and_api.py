@@ -76,13 +76,9 @@ class TestPublicApi:
             AllocationScenario,
             CompressedPerspectiveCube,
             compress,
-            execute_plan,
-            optimize,
         )
 
         assert callable(compress)
-        assert callable(optimize)
-        assert callable(execute_plan)
         assert AllocationScenario is not None
         assert CompressedPerspectiveCube is not None
 
