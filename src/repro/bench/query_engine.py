@@ -151,7 +151,7 @@ def run_query_engine(config: QueryEngineConfig | None = None) -> dict:
     cache_stats = warehouse.scenario_cache.stats.snapshot()
     index_stats = warehouse.cube.rollup_index().stats.snapshot()
     # Headline throughput: derived result cells served per second — each
-    # is one (memoised or vectorized) rollup over the leaf planes.
+    # is one (memoised or vectorized) rollup over the leaf value column.
     cells_per_second = (
         round(derived_cells * 1000.0 / engine_ms, 1) if engine_ms else 0.0
     )

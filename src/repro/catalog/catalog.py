@@ -900,7 +900,7 @@ class ScenarioCatalog:
         copy-on-write.
 
         The base cube's chunked representation (built once per base
-        version, leaf values served from the columnar index planes) is
+        version, leaf values served from the rollup index's value column) is
         forked through :meth:`~repro.storage.chunk_store.ChunkStore.fork`
         and only the delta-touched chunks are rewritten — untouched
         chunks stay shared with the base image by identity, and the
@@ -957,7 +957,7 @@ class ScenarioCatalog:
 
     def _base_image(self, chunk_shape=None):  # reprolint: locked
         """The base cube's chunked image, built once per base version
-        (leaf values gathered from the columnar index planes)."""
+        (leaf values gathered from the rollup index's value column)."""
         from repro.storage.array_cube import ChunkedCube
 
         cached = self._base_chunked

@@ -12,18 +12,6 @@ that disappeared (*deletions*), along with the output validity sets.
 :class:`CompressedPerspectiveCube` answers point reads directly from the
 delta and can :meth:`materialize` the full cube back (a lossless
 round-trip, property-tested).
-
-Columnar plane compression
---------------------------
-The same ~1%-changes observation applies one layer down, to the columnar
-leaf kernel's value planes (:mod:`repro.storage.chunks`): a *cold* plane
-— one pinned by a frozen snapshot or a fork, which will never be written
-again — whose live density is low wastes most of its dense array.
-:func:`compress_plane` re-encodes such planes as coordinate-sparse
-(COO) pairs; :func:`decompress_plane` restores the dense form.  Both are
-lossless and preserve liveness exactly (a live ``NaN`` survives the
-round-trip as a live ``NaN``).  ``ColumnarLeafStore.compact`` applies the
-policy to sealed chunks.
 """
 
 from __future__ import annotations
@@ -36,43 +24,11 @@ from repro.errors import QueryError
 from repro.olap.cube import Cube
 from repro.olap.missing import MISSING, Missing
 from repro.olap.schema import Address
-from repro.storage.chunks import ChunkPlane, DensePlane
 from repro.validity import ValiditySet
 
-__all__ = [
-    "CompressedPerspectiveCube",
-    "SPARSE_DENSITY_CEILING",
-    "compress",
-    "compress_plane",
-    "decompress_plane",
-]
+__all__ = ["CompressedPerspectiveCube", "compress"]
 
 CellValue: TypeAlias = "float | Missing"
-
-#: a cold plane at or below this live density is worth re-encoding as COO
-#: (break-even: a COO entry costs an int32 + float64 = 12 bytes against 9
-#: bytes/slot dense, so ~0.75 is the storage break-even; we compress well
-#: below it so gathers on compressed planes stay one binary search cheap)
-SPARSE_DENSITY_CEILING = 0.25
-
-
-def compress_plane(
-    plane: ChunkPlane, *, ceiling: float = SPARSE_DENSITY_CEILING
-) -> ChunkPlane:
-    """Re-encode a cold value plane as coordinate-sparse when it pays.
-
-    Dense planes at or below ``ceiling`` live density become
-    :class:`~repro.storage.chunks.SparsePlane`; anything else (already
-    sparse, or too dense to win) is returned unchanged.  Lossless.
-    """
-    if plane.kind == "dense" and plane.density <= ceiling:
-        return plane.to_sparse()
-    return plane
-
-
-def decompress_plane(plane: ChunkPlane) -> DensePlane:
-    """Restore a plane to its dense form (no-op for dense planes)."""
-    return plane.to_dense()
 
 
 @dataclass

@@ -95,7 +95,8 @@ THREAD_SHARED: dict[str, GuardSpec] = {
         # ``_struct`` is the structure generation shared with forks (code
         # columns, tables, liveness, and the address / lookup / mask
         # caches read off them): replaced or mutated only under the lock
-        # of the one live index
+        # of the one live index; ``_values`` is the value column's store
+        # (replaced by renumbering, written by ``set_leaf``)
         (
             "_struct",
             "_struct_shared",

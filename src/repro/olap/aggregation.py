@@ -14,7 +14,7 @@ never pay for an intermediate list.
 Vectorized reduction
 --------------------
 :func:`reduce_array` is the columnar counterpart used by the rollup
-index's plane kernel: it reduces a gathered ``float64`` array of *live*
+index's columnar kernel: it reduces a gathered ``float64`` array of *live*
 cell values (liveness is resolved upstream, so no MISSING sentinel ever
 appears in the array).  The result is bit-identical to the streaming
 aggregators above — summation runs through ``np.add.accumulate`` (a

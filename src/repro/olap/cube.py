@@ -16,7 +16,7 @@ A cube is columnar from its first cell: it holds one
 :class:`~repro.perf.rollup_index.RollupIndex` from construction and that
 index **is** the leaf store.  ``_leaf_cells`` is a read-only
 :class:`~repro.perf.rollup_index.LeafView` over the index's point lookup
-and value planes, :meth:`Cube.set_value` writes the index and nothing beside
+and value column, :meth:`Cube.set_value` writes the index and nothing beside
 it, derived-cell scopes are served from it at O(|scope|) per query, and
 :meth:`Cube.frozen_copy` / :meth:`Cube.copy` are forks of it — nothing
 proportional to the cube is copied.  :meth:`Cube.load` is the bulk entry
@@ -83,7 +83,9 @@ class Cube:
     """
 
     def __init__(self, schema: CubeSchema, rules: "object | None" = None) -> None:
-        from repro.perf.rollup_index import RollupIndex  # imports this module
+        # function-local: the index imports repro.obs and repro.storage,
+        # whose package __init__s import this module
+        from repro.perf.rollup_index import RollupIndex
 
         self._init(schema, rules, RollupIndex(schema), {})
 
@@ -134,6 +136,7 @@ class Cube:
         return self
 
     def _check_writable(self) -> None:
+        # call under self._lock, or a freeze can land between check and write
         if self._frozen:
             raise SnapshotImmutableError(
                 "cube is a frozen snapshot view (pinned at version "
@@ -149,9 +152,9 @@ class Cube:
         the source's ``version`` — it *is* that version, and the scenario
         cache keys on it.
 
-        The snapshot *forks* the rollup index — shared structure,
-        plane-granular value sharing, a warm memo — so nothing
-        proportional to the cube is copied.  Lock order here is
+        The snapshot *forks* the rollup index — shared structure, a
+        shared value column, a warm memo — so nothing proportional to the
+        cube is copied until one side writes.  Lock order here is
         Cube._lock -> RollupIndex._lock, as declared in the lint hierarchy.
         """
         from repro.obs.trace import trace_span  # repro.obs imports this module
@@ -197,10 +200,10 @@ class Cube:
         cell write commit as one unit — a snapshot copy taken
         concurrently sees all of it or none.
         """
-        self._check_writable()
         addr = self.schema.validate_address(address)
         is_leaf = self.schema.is_leaf_address(addr)
         with self._lock:
+            self._check_writable()
             if self._write(addr, is_leaf, value):
                 self._version += 1
 
@@ -271,13 +274,13 @@ class Cube:
         Deleting absent cells is a no-op and does not bump the version,
         matching :meth:`set_value`.
         """
-        self._check_writable()
         schema = self.schema
         validated = []
         for address, value in cells:
             addr = schema.validate_address(address)
             validated.append((addr, schema.is_leaf_address(addr), value))
         with self._lock:
+            self._check_writable()
             mutated = False
             for addr, is_leaf, value in validated:
                 mutated |= self._write(addr, is_leaf, value)
@@ -286,8 +289,8 @@ class Cube:
 
     def clear_stored_derived(self) -> None:
         """Drop all materialised aggregate cells."""
-        self._check_writable()
         with self._lock:
+            self._check_writable()
             if self._stored_derived:
                 self._version += 1
             self._stored_derived.clear()
@@ -416,7 +419,7 @@ class Cube:
     def copy(self) -> "Cube":
         """A writable cube with the same cells: a fork of the rollup index,
         so neither cube ever observes the other's writes (the structure
-        generation and the value planes both copy on first write from
+        generation and the value column both copy on first write from
         either side).  Copying a frozen cube is how a snapshot is thawed
         back into a scratch cube."""
         with self._lock:
@@ -491,7 +494,6 @@ class Cube:
 
     def materialize_derived(self, addresses: Iterable[Sequence[str]]) -> None:
         """Evaluate and store derived values for the given addresses."""
-        self._check_writable()
         for address in addresses:
             addr = self.schema.validate_address(address)
             if self.schema.is_leaf_address(addr):
@@ -500,17 +502,26 @@ class Cube:
                 )
             value = self.derive(addr)
             with self._lock:
+                self._check_writable()
                 if self._write(addr, False, value):
                     self._version += 1
 
     # -- comparison helpers (for tests) ----------------------------------------------
 
     def leaf_equal(self, other: "Cube", tolerance: float = 1e-9) -> bool:
-        """Whether two cubes have identical leaf cells (within tolerance)."""
+        """Whether two cubes have identical leaf cells (within tolerance;
+        a stored NaN equals a stored NaN)."""
         if set(self._leaf_cells) != set(other._leaf_cells):
             return False
+        def same(mine: float, theirs: float) -> bool:
+            return (
+                mine == theirs
+                or (mine != mine and theirs != theirs)
+                or abs(mine - theirs) <= tolerance
+            )
+
         return all(
-            abs(value - other._leaf_cells[addr]) <= tolerance
+            same(value, other._leaf_cells[addr])
             for addr, value in self._leaf_cells.items()
         )
 

@@ -32,9 +32,10 @@ __all__ = [
 
 
 def __getattr__(name: str) -> Any:
-    # Lazy re-exports: importing them eagerly would pull repro.storage into
-    # repro.olap.cube's import chain and create a cycle (cube -> perf ->
-    # storage -> array_cube -> cube).
+    # Lazy re-exports: repro.olap.cube imports repro.perf.config, and the
+    # rollup index imports repro.obs.trace and repro.storage.io_stats, whose
+    # package __init__s import the evaluator and the chunked cube — both of
+    # which import repro.olap.cube.  Eagerly that is a cycle.
     if name == "RollupIndex":
         from repro.perf.rollup_index import RollupIndex
 

@@ -10,7 +10,7 @@ the whole grid in one pass with the per-cell work hoisted out:
 * per-coordinate leafness is memoised, so the leaf/derived split of an
   address is O(n_dims) dict probes;
 * leaf cells are point reads of the leaf cube's store — the rollup
-  index's point lookup and value planes; stored aggregates are read straight
+  index's point lookup and value column; stored aggregates are read straight
   out of the cube's dict;
 * default-rollup derived cells are resolved **memo-first** against the
   :class:`~repro.perf.rollup_index.RollupIndex`: the index's live memo

@@ -14,16 +14,19 @@ coordinate is then one table lookup through the code column; a scope is
 
 Leaf store
 ----------
-Leaf *values* live in a
-:class:`~repro.storage.array_cube.ColumnarLeafStore` — chunked contiguous
-``float64`` planes where plane row == leaf id.  Aggregation is one
-fancy-indexed gather followed by
+Leaf *values* are one more column over the same id space: a
+:class:`ColumnarLeafStore` is one contiguous ``float64`` array where row
+== leaf id, grown and copied on write exactly like the code columns.  A
+scope's values are ``column[ids]`` — one fancy-indexed gather — reduced by
 :func:`~repro.olap.aggregation.reduce_array`, a sequential fold whose
-result is bit-identical to the naive scan.
+result is bit-identical to the naive scan.  Which rows are leaves is the
+structure's business (``_Structure.live``, the address dict, the key
+lookup); the value column keeps no liveness of its own, and a row is read
+only after the structure resolved it to a live id.
 
 Every cube holds one index from construction and that index *is* its
 leaf store: the cube keeps no address-keyed dict, ``Cube._leaf_cells`` is
-a :class:`LeafView` over the point lookup and the planes, and
+a :class:`LeafView` over the point lookup and the value column, and
 ``Cube.set_value`` writes here and nowhere else (:meth:`RollupIndex.set_leaf` /
 :meth:`RollupIndex.remove_leaf`).  An index built with
 :meth:`RollupIndex.build` and not handed to ``Cube.adopt`` is a
@@ -49,8 +52,17 @@ point lookup, ordered id array, per-coordinate masks) — is one
 :class:`_Structure` generation.
 ``Cube.frozen_copy`` and ``Cube.copy`` *fork* the index: the fork shares
 the generation (so a mask computed by one snapshot serves every later
-one) and shares the value planes copy-on-write at plane granularity
-through ``ColumnarLeafStore.fork``.  A value write touches no structure.
+one) and shares the value column the same way: the first value write on
+either side copies it (``ColumnarLeafStore.fork``).  The column, not a
+4,096-row plane of it, is the copy-on-write unit: plane-granular sharing
+was measured (ISSUE 22) and lost on every path that is driven — each
+write dropped the end-to-end read copy of the planes, so write → snapshot
+→ query re-concatenated the cube anyway (55 µs against 36 µs for
+copy-write-gather at 96,000 rows, 775 against 673 µs at 10^6; 1,000 point
+reads 276 against 100 µs; bulk load 101 µs at 96k and 1.4 ms at 10^6
+against adopting the gathered array) — and every served generation held
+its values twice (884,736 B of planes + a 768,000 B mirror at 96,000
+leaves).  A value write touches no structure.
 An insert or delete on either side first replaces a shared generation
 wholesale with a trimmed private copy (the other side keeps the old
 one); ids are never reused, and once dead ids outnumber live ones the
@@ -92,14 +104,13 @@ from repro.lint.lockdep import make_lock
 from repro.obs.trace import trace_span
 from repro.olap.aggregation import reduce_array
 from repro.olap.missing import Missing
-from repro.storage.array_cube import DEFAULT_PLANE_SIZE, ColumnarLeafStore
 from repro.storage.io_stats import CacheStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.olap.cube import Cube
     from repro.olap.schema import CubeSchema
 
-__all__ = ["LeafColumns", "LeafView", "RollupIndex", "scan_columns"]
+__all__ = ["ColumnarLeafStore", "LeafColumns", "LeafView", "RollupIndex", "scan_columns"]
 
 Address = tuple[str, ...]
 CellValue: TypeAlias = "float | Missing"
@@ -279,9 +290,94 @@ def _with_headroom(array: np.ndarray, n: int) -> np.ndarray:
     """The first ``n`` entries of ``array`` in a fresh array with an
     eighth (plus a few) spare slots — appends stay amortised O(1) while a
     column never carries more than that past the id space."""
-    out = np.zeros(n + (n >> 3) + 8, dtype=array.dtype)
+    out = np.empty(n + (n >> 3) + 8, dtype=array.dtype)
     out[:n] = array[:n]
+    out[n:] = 0  # only the spare slots: zeroing all of it is a second pass
     return out
+
+
+class ColumnarLeafStore:
+    """The value column of a rollup index: one contiguous ``float64``
+    array over the leaf-id space (row == leaf id), with the same spare
+    capacity rule as the code columns.
+
+    The column is the copy-on-write unit.  :meth:`fork` shares the array
+    and marks both sides shared; the first write either side makes copies
+    it, so a pinned snapshot keeps reading the old bytes.  ``copied``
+    says whether a write since the last fork paid that copy.
+
+    The store knows nothing about liveness: a deleted leaf keeps its row
+    and its bytes, and only ids the structure resolved are ever read.
+
+    Thread-safety: writes happen under the owning index's lock.  A write
+    that replaces the array installs it only after the new value is in
+    it, so the lock-free point readers — which hold :meth:`get`, never
+    the array — read a complete column before or after the write.
+    """
+
+    __slots__ = ("_column", "_size", "_shared", "copied")
+
+    def __init__(self) -> None:
+        self._column = np.empty(0, dtype=np.float64)
+        self._size = 0
+        self._shared = False
+        self.copied = False
+
+    @classmethod
+    def from_values(cls, values: np.ndarray) -> "ColumnarLeafStore":
+        """The store whose row ``i`` holds ``values[i]``.  The array is
+        adopted, not copied: the caller hands over a ``float64`` array
+        nobody else will write."""
+        store = cls()
+        store._column = values
+        store._size = len(values)
+        return store
+
+    @property
+    def n_rows(self) -> int:
+        """Row slots in use — the size of the id space."""
+        return self._size
+
+    @property
+    def nbytes(self) -> int:
+        return self._column.nbytes
+
+    def fork(self) -> "ColumnarLeafStore":
+        """A copy-on-write clone: the array is shared until either side
+        writes."""
+        clone = ColumnarLeafStore.from_values(self._column)
+        clone._size = self._size
+        clone._shared = self._shared = True
+        self.copied = False
+        return clone
+
+    def update(self, row: int, value: float) -> None:
+        """Write one row, first copying a shared column or regrowing a
+        full one."""
+        column = self._column
+        if self._shared or row == len(column):
+            column = _with_headroom(column, self._size)
+            self.copied |= self._shared
+            self._shared = False
+        column[row] = value
+        self._column = column
+
+    def append(self, value: float) -> int:
+        """Store ``value`` at the next row; returns the row id."""
+        row = self._size
+        self.update(row, value)
+        self._size = row + 1
+        return row
+
+    def get(self, row: int) -> float:
+        return float(self._column[row])
+
+    def gather(self, rows: np.ndarray) -> np.ndarray:
+        """Values at the given row ids, as a fresh array."""
+        return self._column[rows]
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"ColumnarLeafStore({self._size} rows, {len(self._column)} slots)"
 
 
 def _ids_in_column(row_ids: np.ndarray, col_scope: AxisScope) -> np.ndarray:
@@ -471,7 +567,7 @@ class LeafView(Mapping[Address, float]):
     index — what ``Cube._leaf_cells`` is.  Iteration is insertion order
     (ascending leaf id), like a dict's; bulk reads (``values``) are one
     column gather, point reads one probe of the generation's lookup
-    (:meth:`_Structure.finder`) plus one plane read under the index lock.
+    (:meth:`_Structure.finder`) plus one column read under the index lock.
     Iterating the keys or ``items`` of a derived view builds its whole
     address list — that is for exports, oracles and tests, not queries.
     The view holds the index, never the other way round."""
@@ -518,7 +614,7 @@ class RollupIndex:
     """Per-dimension coordinate-code columns over the leaf-cell id space.
 
     Thread-safety: one reentrant lock guards both maintenance (structure
-    and plane mutation from ``Cube.set_value``) and the query paths that
+    and value writes from ``Cube.set_value``) and the query paths that
     read columns or the rollup memo.  Queries on *frozen* snapshot cubes
     never contend with maintenance (a frozen cube cannot mutate), so the
     lock there is uncontended overhead only; for a writable cube it makes
@@ -529,9 +625,8 @@ class RollupIndex:
     :meth:`LeafView.get`.
     """
 
-    def __init__(self, schema: "CubeSchema", *, plane_size: "int | None" = None) -> None:
+    def __init__(self, schema: "CubeSchema") -> None:
         self.schema = schema
-        self._plane_size = DEFAULT_PLANE_SIZE if plane_size is None else plane_size
         #: memo and build counters; a fork shares its parent's, so the
         #: numbers describe the cube however many snapshots served it
         self.stats = CacheStats()
@@ -556,8 +651,8 @@ class RollupIndex:
         # live
         self._memo: dict[str, dict[Address, CellValue]] = {}
         self._memo_count = 0
-        #: leaf values as chunked planes; plane row == leaf id
-        self._values = ColumnarLeafStore(self._plane_size)
+        #: the value column; row == leaf id
+        self._values = ColumnarLeafStore()
 
     @classmethod
     def _from_columns(
@@ -565,13 +660,13 @@ class RollupIndex:
         schema: "CubeSchema",
         columns: Sequence[Column],
         values: np.ndarray,
-        plane_size: "int | None",
         addresses: "list[Address] | None" = None,
     ) -> "RollupIndex":
         # leaf id == row: every row is a live leaf, ``columns`` has one
         # (codes, coords) pair per schema dimension; ``addresses``, when
-        # the caller has them, are the rows' addresses
-        index = cls(schema, plane_size=plane_size)
+        # the caller has them, are the rows' addresses.  The arrays are
+        # adopted: every caller passes ones it has just gathered
+        index = cls(schema)
         n = len(values)
         index._struct = _Structure(
             n,
@@ -586,7 +681,7 @@ class RollupIndex:
             n,
             addresses,
         )
-        index._values = ColumnarLeafStore.from_values(values, index._plane_size)
+        index._values = ColumnarLeafStore.from_values(values)
         return index
 
     @classmethod
@@ -598,27 +693,21 @@ class RollupIndex:
         leaf id == row, ``columns[d]`` the ``(codes, coords)`` pair of
         schema dimension ``d``, every row a distinct live leaf.  Arrays
         only, like every derived generation, with the sorted row keys as
-        its point lookup; nothing is validated per cell."""
-        index = cls._from_columns(schema, columns, values, None)
+        its point lookup; nothing is validated per cell and the arrays
+        become the index's own."""
+        index = cls._from_columns(schema, columns, values)
         if not index._struct.index_rows():
             raise ValueError("two rows of the columns share one address")
         return index
 
     @classmethod
-    def build(cls, cube: "Cube", *, plane_size: "int | None" = None) -> "RollupIndex":
-        """A point-in-time copy of a cube's leaf cells, built column-wise.
-        ``plane_size`` overrides the value-plane chunk size (tests use
-        tiny planes to exercise multi-plane and sparse layouts at small
-        scale)."""
-        return cls.from_cells(cube.schema, cube._leaf_cells, plane_size=plane_size)
+    def build(cls, cube: "Cube") -> "RollupIndex":
+        """A point-in-time copy of a cube's leaf cells, built column-wise."""
+        return cls.from_cells(cube.schema, cube._leaf_cells)
 
     @classmethod
     def from_cells(
-        cls,
-        schema: "CubeSchema",
-        leaf_cells: Mapping[Address, float],
-        *,
-        plane_size: "int | None" = None,
+        cls, schema: "CubeSchema", leaf_cells: Mapping[Address, float]
     ) -> "RollupIndex":
         """The one place columns are built from addresses: leaf ids follow
         the mapping's iteration order.  Nothing is validated — the caller
@@ -630,7 +719,6 @@ class RollupIndex:
                 schema,
                 [(cols.codes[dim], cols.coords[dim]) for dim in range(n_dims)],
                 cols.values,
-                plane_size,
                 cols.addresses,
             )
             index.stats.builds += 1
@@ -692,7 +780,7 @@ class RollupIndex:
         """
         with trace_span("rollup_index.derive") as span, self._lock:
             child = RollupIndex._from_columns(
-                self.schema, self._permuted(ids, recoded), values, self._plane_size
+                self.schema, self._permuted(ids, recoded), values
             )
             distinct = child._struct.index_rows()
             if span is not None:
@@ -747,14 +835,16 @@ class RollupIndex:
             self.schema,
             self._permuted(ids, {}),
             self._values.gather(ids),
-            self._plane_size,
             self._struct.addresses(ids),
         )
+        # a new store, not a rewrite of the old one: a point reader that
+        # still holds the old generation's lookup holds the old store
         self._values = fresh._values
+        self._values.copied = True
         return fresh._struct
 
     def set_leaf(self, addr: Address, value: float) -> None:
-        """Store ``value`` at leaf ``addr``: a plane write when the leaf
+        """Store ``value`` at leaf ``addr``: a value-column write when the leaf
         exists (no structure is touched), an insert at the next id
         otherwise.  Either way the memo is flushed."""
         with self._lock:
@@ -772,13 +862,13 @@ class RollupIndex:
                     struct.codes[i][ident] = struct.tables[i].add_leaf(
                         coord, chain(i, coord)
                     )
-                self._values.append(value)  # plane row == ident by construction
+                self._values.append(value)  # row == ident by construction
                 struct.addrs.append(addr)
                 struct.live[ident] = True
                 struct.n_live += 1
                 struct.n_ids += 1
                 # published last: a lock-free point reader that finds the
-                # id finds its plane row
+                # id finds its row in the (possibly regrown) value column
                 struct.id_of[addr] = ident
             self._flush_memo()
 
@@ -792,7 +882,6 @@ class RollupIndex:
             ident = struct.id_of.pop(addr)
             struct.live[ident] = False
             struct.n_live -= 1
-            self._values.delete(ident)
             chain = self.schema.ancestor_chain
             for i, coord in enumerate(addr):
                 struct.tables[i].remove_leaf(chain(i, coord))
@@ -810,8 +899,9 @@ class RollupIndex:
         Like :meth:`memo_table`, it snapshots the generation's lookup
         (:meth:`_Structure.finder`) and the value store once under the
         lock — on its first read, so a grid that reads no leaf never
-        makes a freshly loaded cube build its address dict; in-place
-        value updates show through (planes are written in place), and
+        makes a freshly loaded cube build its address dict; value updates
+        show through (it holds the store's ``get``, not the array a write
+        may replace), and
         grid-scoped callers re-fetch per query, so its staleness profile
         matches the live memo table's.
         """
@@ -839,23 +929,24 @@ class RollupIndex:
 
     def writes_since_fork(self) -> dict[str, object]:
         """What the writes since the previous fork cost: whether one
-        replaced the structure generation, and how many value planes were
-        copied (the ``cube.snapshot`` span's attributes)."""
+        replaced the structure generation, and whether one copied the
+        value column (the ``cube.snapshot`` span's attributes)."""
         with self._lock:
             return {
                 "structure_copied": self._struct_copied,
-                "planes_copied": self._values.planes_copied,
+                "values_copied": self._values.copied,
             }
 
     def fork(self) -> "RollupIndex":
         """A copy-on-write clone (``Cube.frozen_copy`` / ``Cube.copy``).
 
         The structure generation is shared until either side's next
-        structural write; value planes share at plane granularity through
-        :meth:`ColumnarLeafStore.fork`; the counters are shared for good.
+        structural write and the value column until either side's next
+        value write (:meth:`ColumnarLeafStore.fork`); the counters are
+        shared for good.
         """
         with self._lock:
-            clone = RollupIndex(self.schema, plane_size=self._plane_size)
+            clone = RollupIndex(self.schema)
             clone.stats = self.stats
             clone._struct = self._struct
             clone._struct_shared = self._struct_shared = True
@@ -1040,7 +1131,7 @@ class RollupIndex:
         address shares (a grid's slicer and defaults) are intersected
         once; each cell then tests only the dimensions that vary, over
         that shared scope instead of the whole id space.  Values come
-        from one plane gather for the batch (the sorted union of the
+        from one column gather for the batch (the sorted union of the
         scopes).
         """
         with self._lock:
@@ -1091,15 +1182,11 @@ class RollupIndex:
 
     @property
     def plane_store(self) -> ColumnarLeafStore:
-        """The columnar value store (tests / bench introspection)."""
+        """The value store (tests / bench introspection).  There are no
+        planes; the name stays because ``benchmarks/ledger/layers.py``
+        reads ``plane_store.nbytes`` / ``.gather`` and a PR may not edit
+        the benchmark it is measured by."""
         return self._values
-
-    def compact_planes(self, *, ceiling: "float | None" = None) -> int:
-        """Re-encode cold low-density value planes as coordinate-sparse
-        (see :func:`repro.core.compression.compress_plane`).  Returns the
-        number of planes converted."""
-        with self._lock:
-            return self._values.compact(ceiling=ceiling)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         sizes = [len(table.coords) for table in self._struct.tables]

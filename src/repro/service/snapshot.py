@@ -12,11 +12,11 @@ Cost model: a snapshot is a *fork*, not a copy.  The live cube owns its
 rollup index (built once, by the bulk load that filled the cube) and that
 index is its leaf store; ``Cube.frozen_copy`` forks it — the structure
 generation (code columns, coordinate tables, lookup and mask caches) is
-shared, the value planes are shared copy-on-write — and wraps the fork in
+shared, the value column is shared copy-on-write — and wraps the fork in
 a read-only leaf view.  Nothing proportional to the cube is copied at
 snapshot time; the *writer* pays afterwards, in proportion to what it
-writes: one 32 KiB plane per plane a value write lands in, one structure
-copy for the first insert/delete after a snapshot.  The warehouse caches
+writes: one copy of the value column for the first value write after a
+snapshot, one structure copy for the first insert/delete.  The warehouse caches
 the snapshot per version — in the read-mostly what-if workload, thousands
 of queries between two mutations share one view, one index, and one
 scenario-cache generation — and a write → re-query loop costs the write

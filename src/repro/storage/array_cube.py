@@ -18,239 +18,10 @@ import numpy as np
 from repro.errors import StorageError
 from repro.olap.cube import Cube
 from repro.storage.chunk_store import ChunkStore
-from repro.storage.chunks import ChunkGrid, ChunkPlane, DensePlane
+from repro.storage.chunks import ChunkGrid
 from repro.storage.io_stats import IoCostModel
 
-__all__ = ["Axis", "ChunkedCube", "ColumnarLeafStore", "DEFAULT_PLANE_SIZE"]
-
-#: rows per value-plane chunk; 4096 float64 slots = one 32 KiB plane,
-#: small enough that a copy-on-write divergence is cheap, large enough
-#: that gathers amortise the per-chunk dispatch
-DEFAULT_PLANE_SIZE = 4096
-
-
-class ColumnarLeafStore:
-    """Row-addressed columnar leaf values in chunked numpy planes.
-
-    The physical half of the vectorized rollup kernel: leaf cells live at
-    integer *rows* (assigned in insertion order, never reused), and values
-    are stored column-wise in fixed-size plane chunks
-    (:class:`~repro.storage.chunks.DensePlane` /
-    :class:`~repro.storage.chunks.SparsePlane`).  A scope — an ascending
-    array of row ids — is read by one fancy-indexed gather: from its
-    plane when it sits in one, otherwise from the store's *value column*,
-    the planes laid end to end in one contiguous array.  The column is a
-    read cache of one store generation: built on the first multi-plane
-    gather, shared by :meth:`fork`, dropped by every write.
-
-    Copy-on-write
-    -------------
-    :meth:`fork` is the columnar analogue of
-    :meth:`ChunkStore.fork <repro.storage.chunk_store.ChunkStore.fork>`:
-    O(#planes) pointer copies, with the *plane* as the COW unit.  After a
-    fork, both stores mark every plane shared; the first write either side
-    makes to a shared plane copies just that plane (32 KiB), so a pinned
-    snapshot keeps reading the old bytes while the live store diverges one
-    plane at a time.  ``planes_copied`` counts those copies since the last
-    fork — what the writes between two snapshots cost.
-
-    Thread-safety: the store itself is unsynchronised — it is owned by a
-    :class:`~repro.perf.rollup_index.RollupIndex` and only ever touched
-    under that index's lock.
-    """
-
-    __slots__ = (
-        "_planes",
-        "_shared",
-        "_size",
-        "_n_live",
-        "_column",
-        "plane_size",
-        "planes_copied",
-    )
-
-    def __init__(self, plane_size: int = DEFAULT_PLANE_SIZE) -> None:
-        if plane_size <= 0:
-            raise StorageError("plane_size must be positive")
-        self.plane_size = plane_size
-        self._planes: list[ChunkPlane] = []
-        self._shared: list[bool] = []
-        self._size = 0
-        self._n_live = 0
-        #: every plane's values end to end (row == index), or ``None``
-        self._column: "np.ndarray | None" = None
-        self.planes_copied = 0
-
-    @classmethod
-    def from_values(
-        cls, values: np.ndarray, plane_size: int = DEFAULT_PLANE_SIZE
-    ) -> "ColumnarLeafStore":
-        """Bulk plane load: row ``i`` holds ``values[i]``, every row live.
-
-        Equivalent to appending the values one by one (same planes, same
-        ``nbytes``) at one slice copy per plane instead of one plane write
-        per cell.
-        """
-        store = cls(plane_size)
-        n = len(values)
-        for start in range(0, n, plane_size):
-            chunk = values[start : start + plane_size]
-            plane = DensePlane.empty(plane_size)
-            plane.values[: len(chunk)] = chunk
-            plane.live[: len(chunk)] = True
-            plane.n_live = len(chunk)
-            store._planes.append(plane)
-        store._shared = [False] * len(store._planes)
-        store._size = n
-        store._n_live = n
-        return store
-
-    # -- geometry ---------------------------------------------------------------
-
-    @property
-    def n_rows(self) -> int:
-        """Total row slots ever allocated (deleted rows leave holes)."""
-        return self._size
-
-    @property
-    def n_live(self) -> int:
-        return self._n_live
-
-    @property
-    def n_planes(self) -> int:
-        return len(self._planes)
-
-    @property
-    def nbytes(self) -> int:
-        return sum(plane.nbytes for plane in self._planes)
-
-    def plane_kinds(self) -> list[str]:
-        """Per-chunk representation (``"dense"`` / ``"sparse"``) — the
-        observable output of the density-based selection rule."""
-        return [plane.kind for plane in self._planes]
-
-    def density(self, chunk: int) -> float:
-        return self._planes[chunk].density
-
-    # -- copy-on-write ----------------------------------------------------------
-
-    def fork(self) -> "ColumnarLeafStore":
-        """A plane-granularity COW snapshot of this store."""
-        clone = ColumnarLeafStore(self.plane_size)
-        clone._planes = list(self._planes)
-        clone._shared = [True] * len(self._planes)
-        clone._size = self._size
-        clone._n_live = self._n_live
-        clone._column = self._column
-        # this side must now treat every plane as pinned too
-        self._shared = [True] * len(self._planes)
-        self.planes_copied = 0
-        return clone
-
-    def _writable_plane(self, chunk: int) -> ChunkPlane:
-        # every write comes through here: the value column is stale
-        self._column = None
-        plane = self._planes[chunk]
-        if self._shared[chunk]:
-            plane = plane.copy()
-            self._planes[chunk] = plane
-            self._shared[chunk] = False
-            self.planes_copied += 1
-        return plane
-
-    # -- mutation ---------------------------------------------------------------
-
-    def append(self, value: float) -> int:
-        """Store ``value`` at the next row; returns the row id."""
-        row = self._size
-        chunk, local = divmod(row, self.plane_size)
-        if chunk == len(self._planes):
-            self._planes.append(DensePlane.empty(self.plane_size))
-            self._shared.append(False)
-        plane = self._writable_plane(chunk)
-        if plane.kind == "sparse":
-            # a compacted trailing plane receiving new rows inflates back
-            plane = plane.to_dense()
-            self._planes[chunk] = plane
-        self._planes[chunk] = plane.set(local, value)
-        self._size = row + 1
-        self._n_live += 1
-        return row
-
-    def update(self, row: int, value: float) -> None:
-        """Re-value a live row in place (COW-copies a shared plane)."""
-        chunk, local = divmod(row, self.plane_size)
-        plane = self._writable_plane(chunk)
-        self._planes[chunk] = plane.set(local, value)
-
-    def delete(self, row: int) -> None:
-        """Kill a row; its id is never reused."""
-        chunk, local = divmod(row, self.plane_size)
-        plane = self._planes[chunk]
-        if plane.get(local) is None:
-            return
-        plane = self._writable_plane(chunk)
-        self._planes[chunk] = plane.delete(local)
-        self._n_live -= 1
-
-    # -- reads ------------------------------------------------------------------
-
-    def get(self, row: int) -> "float | None":
-        chunk, local = divmod(row, self.plane_size)
-        return self._planes[chunk].get(local)
-
-    def gather(self, rows: np.ndarray) -> np.ndarray:
-        """Values at the given **ascending, live** row ids.
-
-        A scope inside one plane is that plane's own vectorized read; a
-        scope that spans planes is one fancy index into the value column
-        (built here when this store generation has none yet), and so is
-        every later scope while the column lives.
-        """
-        n = len(rows)
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
-        column = self._column
-        if column is None:
-            chunk = int(rows[0]) // self.plane_size
-            if chunk == int(rows[n - 1]) // self.plane_size:
-                return self._planes[chunk].gather(rows - chunk * self.plane_size)
-            column = self._column = np.concatenate(
-                [plane.to_dense().values for plane in self._planes]
-            )
-        return column[rows]
-
-    # -- cold-chunk compression --------------------------------------------------
-
-    def compact(self, *, ceiling: "float | None" = None) -> int:
-        """Re-encode cold low-density planes as coordinate-sparse.
-
-        Applies :func:`repro.core.compression.compress_plane` to every
-        *sealed* plane (all but the trailing append plane — that one is
-        still hot).  Returns the number of planes converted.  Shared
-        planes are replaced, not mutated, so pinned forks are unaffected;
-        the values do not change, so the value column stays.
-        """
-        from repro.core.compression import SPARSE_DENSITY_CEILING, compress_plane
-
-        if ceiling is None:
-            ceiling = SPARSE_DENSITY_CEILING
-        converted = 0
-        for chunk in range(max(0, len(self._planes) - 1)):
-            plane = self._planes[chunk]
-            packed = compress_plane(plane, ceiling=ceiling)
-            if packed is not plane:
-                self._planes[chunk] = packed
-                self._shared[chunk] = False
-                converted += 1
-        return converted
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kinds = ",".join(self.plane_kinds()) or "-"
-        return (
-            f"ColumnarLeafStore({self._n_live}/{self._size} rows, "
-            f"planes=[{kinds}])"
-        )
+__all__ = ["Axis", "ChunkedCube"]
 
 
 class Axis:
@@ -368,7 +139,7 @@ class ChunkedCube:
         cubes directly for scale.
 
         The leaf cells are read column-wise (:meth:`Cube.leaf_columns` —
-        one vectorized gather from the rollup index's value planes, or the
+        one vectorized gather from the rollup index's value column, or the
         address scan under ``naive_mode()``, which the bit-identity
         regression tests compare against).
         """

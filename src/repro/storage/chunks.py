@@ -12,176 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import ceil
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.errors import StorageError
 
-__all__ = ["ChunkGrid", "Chunk", "DensePlane", "SparsePlane", "ChunkPlane"]
+__all__ = ["ChunkGrid", "Chunk"]
 
 ChunkCoord = tuple[int, ...]
-
-
-class DensePlane:
-    """One dense columnar value plane: contiguous float64 values + liveness.
-
-    A *plane* is the columnar analogue of a :class:`Chunk`: a fixed-size
-    run of leaf-row slots holding one value column.  Dead slots (never
-    written, or deleted) keep whatever bytes they had — liveness is the
-    ``live`` bitmap, never a sentinel value, so a stored ``NaN`` remains a
-    legitimate cell value exactly as it is in the semantic cube's dict.
-
-    Planes are the copy-on-write unit of the columnar leaf store: a plane
-    reachable from two stores must never be mutated in place (the owner
-    copies first — see ``ColumnarLeafStore``).
-    """
-
-    __slots__ = ("values", "live", "n_live")
-
-    kind = "dense"
-
-    def __init__(self, values: np.ndarray, live: np.ndarray, n_live: int) -> None:
-        self.values = values
-        self.live = live
-        self.n_live = n_live
-
-    @classmethod
-    def empty(cls, capacity: int) -> "DensePlane":
-        return cls(
-            np.zeros(capacity, dtype=np.float64),
-            np.zeros(capacity, dtype=np.bool_),
-            0,
-        )
-
-    @property
-    def capacity(self) -> int:
-        return len(self.values)
-
-    @property
-    def density(self) -> float:
-        """Live fraction of the plane's slots."""
-        return self.n_live / max(1, len(self.values))
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.values.nbytes + self.live.nbytes)
-
-    def copy(self) -> "DensePlane":
-        return DensePlane(self.values.copy(), self.live.copy(), self.n_live)
-
-    # -- row access (local slot indices) ---------------------------------------
-
-    def gather(self, local: np.ndarray) -> np.ndarray:
-        """Values at the given (live) local slots — one fancy-indexed read."""
-        return self.values[local]
-
-    def get(self, local: int) -> "float | None":
-        if not self.live[local]:
-            return None
-        return float(self.values[local])
-
-    def set(self, local: int, value: float) -> "DensePlane":
-        if not self.live[local]:
-            self.live[local] = True
-            self.n_live += 1
-        self.values[local] = value
-        return self
-
-    def delete(self, local: int) -> "DensePlane":
-        if self.live[local]:
-            self.live[local] = False
-            self.n_live -= 1
-        return self
-
-    # -- representation changes -----------------------------------------------
-
-    def to_sparse(self) -> "SparsePlane":
-        rows = np.flatnonzero(self.live).astype(np.int32)
-        return SparsePlane(rows, self.values[rows], len(self.values))
-
-    def to_dense(self) -> "DensePlane":
-        return self
-
-
-class SparsePlane:
-    """A coordinate-sparse value plane: sorted local slot ids + values.
-
-    The compressed representation for cold, low-density planes (see
-    :mod:`repro.core.compression`).  ``rows`` is strictly ascending, so
-    gathers are one ``searchsorted`` plus a fancy-indexed read.
-    """
-
-    __slots__ = ("rows", "vals", "_capacity")
-
-    kind = "sparse"
-
-    def __init__(self, rows: np.ndarray, vals: np.ndarray, capacity: int) -> None:
-        self.rows = rows
-        self.vals = vals
-        self._capacity = capacity
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    @property
-    def n_live(self) -> int:
-        return len(self.rows)
-
-    @property
-    def density(self) -> float:
-        return len(self.rows) / max(1, self._capacity)
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.rows.nbytes + self.vals.nbytes)
-
-    def copy(self) -> "SparsePlane":
-        return SparsePlane(self.rows.copy(), self.vals.copy(), self._capacity)
-
-    # -- row access (local slot indices) ---------------------------------------
-
-    def gather(self, local: np.ndarray) -> np.ndarray:
-        """Values at the given local slots; every slot must be live."""
-        return self.vals[np.searchsorted(self.rows, local)]
-
-    def get(self, local: int) -> "float | None":
-        pos = int(np.searchsorted(self.rows, local))
-        if pos < len(self.rows) and self.rows[pos] == local:
-            return float(self.vals[pos])
-        return None
-
-    def set(self, local: int, value: float) -> "SparsePlane":
-        pos = int(np.searchsorted(self.rows, local))
-        if pos < len(self.rows) and self.rows[pos] == local:
-            self.vals[pos] = value
-            return self
-        self.rows = np.insert(self.rows, pos, local)
-        self.vals = np.insert(self.vals, pos, value)
-        return self
-
-    def delete(self, local: int) -> "SparsePlane":
-        pos = int(np.searchsorted(self.rows, local))
-        if pos < len(self.rows) and self.rows[pos] == local:
-            self.rows = np.delete(self.rows, pos)
-            self.vals = np.delete(self.vals, pos)
-        return self
-
-    # -- representation changes -----------------------------------------------
-
-    def to_dense(self) -> DensePlane:
-        values = np.zeros(self._capacity, dtype=np.float64)
-        live = np.zeros(self._capacity, dtype=np.bool_)
-        values[self.rows] = self.vals
-        live[self.rows] = True
-        return DensePlane(values, live, len(self.rows))
-
-    def to_sparse(self) -> "SparsePlane":
-        return self
-
-
-ChunkPlane = Union[DensePlane, SparsePlane]
 
 
 @dataclass(frozen=True)

@@ -164,7 +164,7 @@ def compute_group_bys_from_cube(
 
     Materialises the cube into the chunked store via
     :meth:`~repro.storage.array_cube.ChunkedCube.from_cube`, sourcing the
-    leaf values from the cube's columnar index planes (one vectorized
+    leaf values from the cube's rollup index (one vectorized
     gather) instead of rebuilding a private cell view from the semantic
     dict, then runs :func:`compute_group_bys` over it.  Returns
     ``(results, chunked_cube)`` so callers can keep the physical image

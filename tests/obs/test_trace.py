@@ -276,13 +276,13 @@ class TestChildScope:
         with tracing(), QueryService(warehouse, workers=1) as service:
             result = service.submit(query).result(timeout=30.0)
             assert snapshot_attrs(result) == {
-                "forked": True, "structure_copied": False, "planes_copied": 0
+                "forked": True, "structure_copied": False, "values_copied": False
             }
             assert result.profile.spans["name"] == "mdx.query"
-            cube.set_value(first, value + 1.0)  # in place: one plane copied
+            cube.set_value(first, value + 1.0)  # in place: the value column copied
             result = service.submit(query).result(timeout=30.0)
             assert snapshot_attrs(result) == {
-                "forked": True, "structure_copied": False, "planes_copied": 1
+                "forked": True, "structure_copied": False, "values_copied": True
             }
             cube.set_value(second, MISSING)  # structural: the generation too
             result = service.submit(query).result(timeout=30.0)
@@ -297,5 +297,5 @@ class TestChildScope:
             text = service.submit(query).result(timeout=30.0).profile.render()
         assert "\n  submit " in text
         assert "cube.snapshot" in text
-        assert "forked=True structure_copied=False planes_copied=1" in text
+        assert "forked=True structure_copied=False values_copied=True" in text
 

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
-from repro.errors import MemberNotFoundError, RuleError, SchemaError
+from repro.errors import (
+    MemberNotFoundError,
+    RuleError,
+    SchemaError,
+    SnapshotImmutableError,
+)
 from repro.olap.cube import Cube
 from repro.olap.missing import MISSING, is_missing
 from repro.perf.rollup_index import RollupIndex
@@ -170,6 +178,78 @@ class TestVaryingCoordinates:
             Measures="Salary",
         )
         assert not example.cube.leaf_equal(other)
+
+    def test_leaf_equal_with_stored_nan_and_infinity(self, tiny_cube):
+        """A stored NaN is a value like any other: a cube equals its own
+        copy, and differs from one that holds a number there."""
+        tiny_cube.set(float("nan"), Time="Jan", Measures="Sales")
+        tiny_cube.set(float("inf"), Time="Feb", Measures="Sales")
+        other = tiny_cube.copy()
+        assert tiny_cube.leaf_equal(other) and other.leaf_equal(tiny_cube)
+        other.set(10.0, Time="Jan", Measures="Sales")
+        assert not tiny_cube.leaf_equal(other)
+        assert not other.leaf_equal(tiny_cube)
+
+
+class _AnnouncedLock:
+    """A cube's write lock that says when another thread is about to wait
+    for it."""
+
+    def __init__(self, lock):
+        self._lock = lock
+        self._owner = threading.current_thread()
+        self.contended = threading.Event()
+
+    def __enter__(self):
+        if threading.current_thread() is not self._owner:
+            self.contended.set()
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self._lock.__exit__(*exc_info)
+
+
+class TestFreezeAgainstAParkedWriter:
+    """``freeze`` promises that a writer either completes before the cube
+    is immutable or sees ``SnapshotImmutableError`` — also the writer that
+    was already waiting for the write lock when the freeze happened."""
+
+    WRITES = {
+        "set_value": lambda cube: cube.set_value(("Jan", "Sales"), 123.0),
+        "apply_overrides": lambda cube: cube.apply_overrides(
+            [(("Jan", "Sales"), 123.0), (("Feb", "COGS"), None)]
+        ),
+        "clear_stored_derived": lambda cube: cube.clear_stored_derived(),
+        "materialize_derived": lambda cube: cube.materialize_derived(
+            [("H2", "Sales")]
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(WRITES))
+    def test_writer_waiting_for_the_lock_sees_the_freeze(self, tiny_cube, name):
+        cube = tiny_cube
+        cube.set(99.0, Time="H1", Measures="Sales")  # something to clear
+        version, cells = cube.version, list(cube.cells())
+        lock = cube._lock = _AnnouncedLock(cube._lock)
+        raised: list[BaseException] = []
+
+        def writer() -> None:
+            try:
+                self.WRITES[name](cube)
+            except SnapshotImmutableError as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=writer)
+        with lock:
+            thread.start()
+            assert lock.contended.wait(timeout=10.0)
+            time.sleep(0.05)  # from "about to wait" to waiting
+            cube.freeze()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert len(raised) == 1, "the parked writer wrote a frozen cube"
+        assert cube.frozen and cube.version == version
+        assert list(cube.cells()) == cells
 
 
 def _asked_by_is_leaf_address(schema, address):

@@ -1,10 +1,10 @@
-"""Columnar kernel parity: dense planes vs sparse planes vs the dict scan.
+"""Columnar kernel parity: the value column vs the dict scan.
 
-The vectorized rollup kernel mirrors leaf values into chunked numpy
-planes (dense or coordinate-sparse per chunk) and reduces gathered
-arrays.  Its contract is that this is *invisible*: every representation produces
-results bit-identical to the naive scan — across densities, interleaved ``set_value``
-mutations, frozen snapshots, and fork-COW plane sharing.
+The vectorized rollup kernel keeps leaf values in one ``float64`` column
+and reduces gathered arrays.  Its contract is that this is *invisible*:
+results are bit-identical to the naive scan — across fill densities,
+interleaved ``set_value`` mutations, frozen snapshots, and fork
+copy-on-write sharing of the column.
 """
 
 from __future__ import annotations
@@ -30,9 +30,6 @@ from .test_rollup_index import _all_addresses as _example_addresses
 MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun")
 MEASURES = ("Sales", "COGS")
 LEAF_ADDRESSES = [(m, s) for m in MONTHS for s in MEASURES]
-
-#: tiny planes so a 12-leaf cube spans several chunks
-PLANE_SIZE = 4
 
 
 def _tiny_cube() -> Cube:
@@ -101,34 +98,28 @@ class TestColumnarParityProperty:
         ops=mutations,
     )
     def test_dense_sparse_dict_parity(self, density, chosen, values, ops):
-        """Across fill densities 0.01-1.0: dense planes, compacted sparse
-        planes, and the dict scan all agree bit-for-bit, including under
-        interleaved mutations."""
+        """Across fill densities 0.01-1.0: a built index, the same index
+        adopted and written to, and the dict scan all agree bit-for-bit,
+        including under interleaved mutations."""
         cube = _tiny_cube()
         n_fill = max(1, round(density * len(LEAF_ADDRESSES)))
         for slot in chosen[:n_fill]:
             cube.set_value(LEAF_ADDRESSES[slot], values[slot])
         addresses = _all_addresses(cube.schema)
 
-        # dense planes (several of them: plane_size 4 over up to 12 leaves)
-        index = RollupIndex.build(cube, plane_size=PLANE_SIZE)
-        assert index.plane_store.n_planes >= 1
+        index = RollupIndex.build(cube)
         _assert_parity(cube, index, addresses)
 
-        # sparse planes: compact every sealed chunk regardless of density
-        index.compact_planes(ceiling=1.0)
-        if index.plane_store.n_planes > 1:
-            assert "sparse" in index.plane_store.plane_kinds()
         cube = cube.adopt(index, {})  # so set_value maintains this index
-        # re-valuing one live leaf flushes the memo without desyncing the
-        # planes, so the next parity pass actually gathers from them
+        # re-valuing one live leaf flushes the memo, so the next parity
+        # pass actually gathers from the column
         first_addr = LEAF_ADDRESSES[chosen[0]]
         if first_addr in cube._leaf_cells:
             cube.set_value(first_addr, cube._leaf_cells[first_addr])
         _assert_parity(cube, index, addresses)
 
-        # interleaved mutations: inserts, updates and deletes against the
-        # mixed dense/sparse layout keep the kernel bit-identical
+        # interleaved mutations: inserts, updates and deletes keep the
+        # kernel bit-identical
         for slot, value in ops:
             cube.set_value(
                 LEAF_ADDRESSES[slot], MISSING if value is None else value
@@ -149,7 +140,7 @@ class TestColumnarParityProperty:
     def test_frozen_snapshot_fork_cow(self, density, chosen, values, ops):
         """A frozen snapshot forks the index copy-on-write: the snapshot
         keeps serving the pinned values (bit-identical to its own naive
-        scan) while the live cube diverges plane by plane."""
+        scan) while the live cube diverges."""
         cube = _tiny_cube()
         n_fill = max(1, round(density * len(LEAF_ADDRESSES)))
         for slot in chosen[:n_fill]:
@@ -160,11 +151,8 @@ class TestColumnarParityProperty:
         snap = cube.frozen_copy()
         snap_index = snap.rollup_index()
         assert snap_index is not None, "frozen_copy must fork a built index"
-        # COW: planes are shared objects until either side writes
-        assert (
-            snap_index.plane_store._planes[0]
-            is live_index.plane_store._planes[0]
-        )
+        # COW: the column is one shared array until either side writes
+        assert snap_index.plane_store._column is live_index.plane_store._column
 
         pinned = {
             (address, agg): snap.rollup(address, agg)
@@ -192,7 +180,7 @@ class TestColumnarParityProperty:
 def _assert_index_parity(cube: Cube, index: RollupIndex, addresses) -> None:
     """``index`` (however it came to exist) serves insertion-ordered
     scopes equal to a fresh build's and sums bit-identical to the scan."""
-    rebuilt = RollupIndex.build(cube, plane_size=PLANE_SIZE)
+    rebuilt = RollupIndex.build(cube)
     assert index.columns(()).addresses == list(cube._leaf_cells)
     for address in addresses:
         assert index.scope_addresses(address) == rebuilt.scope_addresses(address)
@@ -203,9 +191,9 @@ def _assert_index_parity(cube: Cube, index: RollupIndex, addresses) -> None:
 
 
 class TestScenarioViewParity:
-    """The dense/sparse/dict parity extended to scenario views: a derived
-    index (ρ, S ∘ ρ over a compacted parent) and a forked-then-mutated
-    one agree with ``RollupIndex.build`` and the dict scan."""
+    """The column/dict parity extended to scenario views: a derived
+    index (ρ, S ∘ ρ) and a forked-then-mutated one agree with
+    ``RollupIndex.build`` and the dict scan."""
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -233,8 +221,7 @@ class TestScenarioViewParity:
             cube.set_value(addr, value)
         # 25k addresses exist; each example checks a drawn sample of them
         addresses = order.sample(_example_addresses(cube.schema), 120)
-        index = RollupIndex.build(cube, plane_size=PLANE_SIZE)
-        index.compact_planes(ceiling=1.0)  # sparse parent planes
+        index = RollupIndex.build(cube)
         cube = cube.adopt(index, {})
 
         # derived by ρ, and by S then ρ

@@ -240,13 +240,10 @@ def _assert_agrees_with_rebuild(cube, index):
 class TestDerivedAndForkedIndexes:
     """An index is built, forked or derived; all three must agree."""
 
-    PLANE_SIZE = 4  # the 30-odd example leaves span several planes
-
     def _indexed(self, example):
         cube = example.cube
         return cube.adopt(
-            RollupIndex.build(cube, plane_size=self.PLANE_SIZE),
-            dict(cube.stored_derived_cells()),
+            RollupIndex.build(cube), dict(cube.stored_derived_cells())
         )
 
     @pytest.mark.parametrize("semantics", list(Semantics))
@@ -258,7 +255,6 @@ class TestDerivedAndForkedIndexes:
         out = applied.leaf_cube
         assert out.has_rollup_index, "ρ derives the output's index"
         assert out.rollup_index().stats.builds == 0
-        assert out.rollup_index().plane_store.plane_size == self.PLANE_SIZE
         _assert_agrees_with_rebuild(out, out.rollup_index())
 
     def test_derived_by_split_then_relocate(self, example):

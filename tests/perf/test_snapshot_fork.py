@@ -18,7 +18,6 @@ import sys
 import threading
 import time
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -32,14 +31,11 @@ from repro.olap.missing import MISSING
 from repro.olap.schema import CubeSchema
 from repro.perf.config import naive_mode
 from repro.perf.rollup_index import LeafView, RollupIndex
-from repro.storage.array_cube import ColumnarLeafStore
 from repro.warehouse import Warehouse
 
 MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun")
 MEASURES = ("Sales", "COGS")
 LEAVES = [(m, s) for m in MONTHS for s in MEASURES]
-#: tiny planes so a 12-leaf cube spans several chunks
-PLANE_SIZE = 4
 
 
 def _schema() -> CubeSchema:
@@ -80,7 +76,7 @@ def _naive_grid(cube: Cube) -> str:
 
 def _indexed(schema: CubeSchema) -> Cube:
     cube = Cube(schema)
-    return cube.adopt(RollupIndex.build(cube, plane_size=PLANE_SIZE), {})
+    return cube.adopt(RollupIndex.build(cube), {})
 
 
 values = st.one_of(
@@ -91,7 +87,7 @@ slots = st.integers(min_value=0, max_value=len(LEAVES) - 1)
 
 
 class SnapshotForkMachine(RuleBasedStateMachine):
-    """Writes of every kind against a cube on tiny planes, snapshots and
+    """Writes of every kind against a cube, snapshots and
     writable copies in between; a twin takes the same writes and is only
     ever read under ``naive_mode()``."""
 
@@ -324,7 +320,6 @@ def test_bulk_load_equals_per_cell_writes(cells):
     assert b.ids.tolist() == list(range(len(b.addresses)))
     if written.plane_store.n_rows == written.n_leaves:
         assert s.ids.tolist() == b.ids.tolist()
-        assert loaded.plane_store.n_planes == written.plane_store.n_planes
     assert repr(loaded.plane_store.gather(b.ids).tolist()) == repr(
         written.plane_store.gather(s.ids).tolist()
     )
@@ -337,52 +332,6 @@ def test_bulk_load_equals_per_cell_writes(cells):
         single.set_value(address, value)
     assert bulk.version == single.version
     assert _grid(bulk) == _grid(single)
-
-
-class TestGatherPaths:
-    """One fancy index into the value column vs one read per plane."""
-
-    @staticmethod
-    def _per_plane(store: ColumnarLeafStore, rows: np.ndarray) -> list[float]:
-        return [store.get(int(row)) for row in rows]
-
-    @pytest.mark.parametrize("layout", ["dense", "sparse", "mixed"])
-    def test_one_step_gather_matches_per_plane_reads(self, layout):
-        rng = np.random.default_rng(7)
-        store = ColumnarLeafStore.from_values(rng.normal(size=26), PLANE_SIZE)
-        for row in (1, 2, 3, 9, 10, 20):
-            store.delete(row)
-        if layout == "sparse":
-            assert store.compact(ceiling=1.0) == store.n_planes - 1
-        elif layout == "mixed":
-            assert 0 < store.compact(ceiling=0.6) < store.n_planes - 1
-        assert {"dense": {"dense"}, "sparse": {"dense", "sparse"}}.get(
-            layout, {"dense", "sparse"}
-        ) == set(store.plane_kinds())
-        live = np.array([r for r in range(26) if store.get(r) is not None])
-        inside = live[(live >= 4) & (live < 8)]  # one plane: no column built
-        assert repr(store.gather(inside).tolist()) == repr(self._per_plane(store, inside))
-        assert store._column is None
-        for rows in (live, live[::3], live[-5:]):
-            assert repr(store.gather(rows).tolist()) == repr(self._per_plane(store, rows))
-        assert store._column is not None
-        # ... which then serves one-plane scopes too, and forks
-        assert repr(store.gather(inside).tolist()) == repr(self._per_plane(store, inside))
-        fork = store.fork()
-        assert fork._column is store._column
-        # every write path drops the writer's column, never the fork's
-        pinned = fork.gather(live).tolist()
-        store.update(int(live[0]), 99.0)
-        assert store._column is None and fork._column is not None
-        store.gather(live)
-        store.delete(int(live[1]))
-        assert store._column is None
-        store.gather(live[2:])
-        store.append(5.0)
-        assert store._column is None
-        assert store.gather(live[:1]).tolist() == [99.0]
-        assert repr(fork.gather(live).tolist()) == repr(pinned)
-        assert store.planes_copied == 3  # rows 0, 4 and 26: three shared planes
 
 
 class TestViewBackedCube:
@@ -399,7 +348,7 @@ class TestViewBackedCube:
         return cube
 
     def test_build_reads_the_view(self, cube):
-        rebuilt = RollupIndex.build(cube, plane_size=PLANE_SIZE)
+        rebuilt = RollupIndex.build(cube)
         assert rebuilt.columns(()).addresses == list(cube._leaf_cells)
         assert rebuilt.plane_store.nbytes > 0
         assert cube.rollup_index().plane_store.nbytes > 0

@@ -1,10 +1,10 @@
-"""Columnar-plane leaf sourcing: bit-identity against the address scan.
+"""Columnar leaf sourcing: bit-identity against the address scan.
 
 Covers the three places leaf values are served from the rollup index's
-columnar planes:
+value column:
 
-* :meth:`ChunkedCube.from_cube` (plane gather vs the ``naive_mode()`` scan),
-* :func:`compute_group_bys_from_cube` (shared-scan over a plane-sourced
+* :meth:`ChunkedCube.from_cube` (column gather vs the ``naive_mode()`` scan),
+* :func:`compute_group_bys_from_cube` (shared-scan over a column-sourced
   physical image),
 * the batch evaluator's leaf point reads
   (:meth:`RollupIndex.leaf_reader`).
@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.olap.missing import MISSING, is_missing
 from repro.perf.config import naive_mode
-from repro.storage.array_cube import ChunkedCube, ColumnarLeafStore
+from repro.storage.array_cube import ChunkedCube
 from repro.storage.cube_compute import (
     compute_group_bys,
     compute_group_bys_from_cube,
@@ -28,33 +28,6 @@ def _chunks(cube: ChunkedCube) -> dict:
     return {
         coord: cube.store.peek(coord) for coord in cube.store.stored_chunks()
     }
-
-
-class TestBulkPlaneLoad:
-    def test_from_values_equals_appending(self):
-        """``from_values`` is the bulk form of ``append``: same planes,
-        same footprint, same reads — at a plane size that leaves a
-        partly filled trailing plane."""
-        values = np.array([float(i) * 1.5 for i in range(11)] + [float("nan")])
-        for plane_size in (4, 5, 12, 64):
-            appended = ColumnarLeafStore(plane_size)
-            for value in values.tolist():
-                appended.append(value)
-            loaded = ColumnarLeafStore.from_values(values, plane_size)
-            assert loaded.n_rows == appended.n_rows == len(values)
-            assert loaded.n_live == appended.n_live
-            assert loaded.n_planes == appended.n_planes
-            assert loaded.nbytes == appended.nbytes
-            assert loaded.plane_kinds() == appended.plane_kinds()
-            rows = np.arange(len(values))
-            assert np.array_equal(
-                loaded.gather(rows), appended.gather(rows), equal_nan=True
-            )
-            # the loaded store keeps working as a store
-            assert loaded.append(7.0) == len(values)
-            loaded.delete(0)
-            assert loaded.get(0) is None and loaded.get(len(values)) == 7.0
-        assert ColumnarLeafStore.from_values(np.empty(0), 4).n_planes == 0
 
 
 class TestFromCubePlanes:
