@@ -5,9 +5,8 @@ Chains together most of the library surface:
 1. generate the (scaled) Sec. 6 workforce warehouse;
 2. ask a Fig. 10-style extended-MDX question with Filter/Order/NON EMPTY;
 3. save the warehouse to disk and reload it (JSON round trip);
-4. run a what-if and compute period-to-date on the hypothetical cube;
-5. aggregate the perspective cube via delta adjustment instead of a full
-   recompute, and compress the result against the base.
+4. apply a what-if by hand and compress the perspective cube against the
+   base.
 
 Run with:  python examples/analyst_walkthrough.py
 """
@@ -17,14 +16,8 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from repro import NegativeScenario, Semantics, Mode, load_warehouse, save_warehouse
 from repro.core.compression import compress
-from repro.core.delta_aggregate import adjusted_group_by
-from repro.core.perspective import PerspectiveSet
-from repro.core.perspective_cube import run_perspective_query
-from repro.olap.timeseries import period_to_date
 from repro.workload.workforce import WorkforceConfig, build_workforce
 
 MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
@@ -72,41 +65,10 @@ def main() -> None:
               f"(original {warehouse.cube.n_leaf_cells})")
     print()
 
-    print("=== 3. Period-to-date on a hypothetical structure ===")
-    employee = workforce.changing_employees[0]
+    print("=== 3. A what-if applied by hand, compressed against the base ===")
     scenario = NegativeScenario(
         "Department", ["Jan"], Semantics.FORWARD, Mode.VISUAL
     )
-    whatif = scenario.apply(warehouse.cube)
-    label = next(iter(
-        lbl for lbl in whatif.validity_out if lbl.endswith("/" + employee)
-    ))
-    address = warehouse.schema.address(
-        Department=label, Period="Jun", Account=account,
-        Scenario="Current", Currency="Local", Version="BU Version_1",
-        Value="HSP_InputValue",
-    )
-    period = warehouse.schema.dimension("Period")
-    ytd = period_to_date(whatif, period, address)
-    print(f"{employee}'s Jun YTD under the frozen-January structure: "
-          f"{float(ytd):.2f} (as {label.split('/')[-2]})")
-    print()
-
-    print("=== 4. Delta aggregation + compression over the chunk store ===")
-    chunked, spec = workforce.chunked()
-    pset = PerspectiveSet.from_names(["Jan"], workforce.employee_varying)
-    query = run_perspective_query(
-        spec, workforce.changing_employees, pset, Semantics.FORWARD
-    )
-    dims = (spec.axis_index, spec.param_index)
-    adjusted = adjusted_group_by(
-        spec, query, workforce.changing_employees, dims
-    )
-    print(f"visual Department x Period group-by adjusted in place: "
-          f"shape {adjusted.data.shape}, "
-          f"{int((~np.isnan(adjusted.data)).sum())} "
-          "non-empty cells")
-
     compressed = compress(warehouse.cube, scenario.apply(warehouse.cube))
     print(f"perspective cube delta: {compressed.delta_cells} cells, "
           f"ratio {compressed.compression_ratio:.3f}")

@@ -32,18 +32,8 @@ import repro
 from repro import QueryBudget, Warehouse
 from repro.errors import ReproError
 from repro.faults import FAULTS
+from repro.service.shard import build_workload
 from repro.workload import build_running_example
-
-
-def _build_warehouse(workload: str) -> Warehouse:
-    if workload == "running":
-        example = build_running_example()
-        return Warehouse(example.schema, example.cube)
-    if workload == "workforce":
-        from repro.workload.workforce import build_workforce
-
-        return build_workforce().warehouse
-    raise ValueError(f"unknown workload {workload!r}")
 
 
 def _read_query_text(query_file: str) -> "str | None":
@@ -68,7 +58,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     text = _read_query_text(args.query_file)
     if text is None:
         return 2
-    warehouse = _build_warehouse(args.workload)
+    warehouse = build_workload(args.workload)
     report = warehouse.analyze(text)
     if args.json:
         print(report.to_json(indent=2))
@@ -106,7 +96,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     text = _read_query_text(args.query_file)
     if text is None:
         return 2
-    warehouse = _build_warehouse(args.workload)
+    warehouse = build_workload(args.workload)
     if args.slow_ms is not None:
         warehouse.slow_log.threshold_ms = args.slow_ms
     budget = _budget_from_args(args)
@@ -156,7 +146,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     text = _read_query_text(args.query_file)
     if text is None:
         return 2
-    warehouse = _build_warehouse(args.workload)
+    warehouse = build_workload(args.workload)
     if args.json:
         import json
 
@@ -229,7 +219,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     budget = _budget_from_args(args)
     with QueryService(
-        _build_warehouse(args.workload),
+        build_workload(args.workload),
         workers=args.workers,
         queue_depth=args.queue_depth,
         default_deadline_ms=getattr(args, "deadline_ms", None),
@@ -380,7 +370,7 @@ def _open_catalog(args: argparse.Namespace, *, sync: bool = True):
     workload = getattr(args, "workload", "none")
     if workload == "none":
         return ScenarioCatalog(args.root, sync=sync)
-    warehouse = _build_warehouse(workload)
+    warehouse = build_workload(workload)
     return warehouse.attach_catalog(args.root, sync=sync)
 
 

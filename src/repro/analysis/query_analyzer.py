@@ -27,7 +27,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from repro.analysis.diagnostics import DiagnosticReport, Severity
-from repro.core.perspective import PerspectiveSet, Semantics, phi_member
+from repro.core.operators import ChangeTuple, step_change
+from repro.core.perspective import PerspectiveSet, Semantics
+from repro.core.scenario import expand_instances, phi_validity
 from repro.errors import (
     AmbiguousMemberError,
     MdxEvaluationError,
@@ -100,6 +102,7 @@ class QueryAnalyzer:
         #: no (valid) perspective clause
         self._pset: PerspectiveSet | None = None
         self._semantics: Semantics | None = None
+        self._phi_memo: dict = {}  #: Φ per distinct validity set, this run
         self._scenario_dim: str | None = None
         self._has_scenario = False
 
@@ -283,8 +286,8 @@ class QueryAnalyzer:
             return
 
         # Resolve each change tuple to concrete (member, old, new, moment)
-        # rows, mirroring the evaluator's expansion of member.Children.
-        rows: list[tuple[str, str, str, str, object]] = []
+        # rows, expanding member.Children as the evaluator does.
+        rows: list[tuple[ChangeTuple, object]] = []
         failed = False
         for spec in clause.changes:
             try:
@@ -347,10 +350,10 @@ class QueryAnalyzer:
                     )
                     row_ok = False
                 if row_ok:
-                    rows.append(
-                        (name, spec.old_parent, spec.new_parent, spec.moment,
-                         spec.span)
+                    change = ChangeTuple(
+                        name, spec.old_parent, spec.new_parent, spec.moment
                     )
+                    rows.append((change, spec.span))
                 else:
                     failed = True
         if dimension is None:
@@ -365,10 +368,11 @@ class QueryAnalyzer:
     def _apply_changes(
         self,
         dimension: str,
-        rows: Sequence[tuple[str, str, str, str, object]],
+        rows: Sequence[tuple[ChangeTuple, object]],
     ) -> None:
-        """Mirror of ``operators._hypothetical_structure`` that classifies
-        each failure instead of raising on the first."""
+        """S's structure half, tuple by tuple with the runtime's own
+        stepping rule (``operators.step_change``), classifying each
+        refusal instead of raising on the first."""
         varying = self.varying_view[dimension]
         if not varying.parameter.ordered:
             self.report.add(
@@ -380,76 +384,43 @@ class QueryAnalyzer:
         hypo = varying.copy()
         # Stable sort: same-moment tuples keep their clause order, exactly
         # as the runtime applies them.
-        ordered = sorted(rows, key=lambda row: hypo.moment_index(row[3]))
+        ordered = sorted(rows, key=lambda row: hypo.moment_index(row[0].moment))
         applied: set[tuple[str, str]] = set()
         affected: list[str] = []
         ok = True
-        for member, old_parent, new_parent, moment, span in ordered:
-            t = hypo.moment_index(moment)
-            current = hypo.parent_at(member, t)
-            if current is None:
-                self.report.add(
-                    "WIF202",
-                    f"member {member!r} has no instance at {moment!r}; "
-                    "relocate ρ only moves values between related instances",
-                    span,  # type: ignore[arg-type]
+        for change, span in ordered:
+            member, moment = change.member, change.moment
+            refusal = step_change(hypo, change)
+            if refusal is None:
+                applied.add((member, moment))
+                affected.append(member)
+                continue
+            ok = False
+            kind, message = refusal
+            if kind == "illegal":
+                code = "WIF203"
+            elif (member, moment) in applied:
+                # A second tuple for the same (member, moment) whose old
+                # parent does not chain onto the first one's new parent:
+                # the relation R is inconsistent, not merely stale.
+                code = "WIF204"
+                message = (
+                    f"conflicting change tuples for member {member!r} at "
+                    f"moment {moment!r}: {message}"
                 )
-                ok = False
-                continue
-            if current != old_parent:
-                if (member, moment) in applied:
-                    # A second tuple for the same (member, moment) whose old
-                    # parent does not chain onto the first one's new parent:
-                    # the relation R is inconsistent, not merely stale.
-                    self.report.add(
-                        "WIF204",
-                        f"conflicting change tuples for member {member!r} at "
-                        f"moment {moment!r}: an earlier tuple already moved "
-                        f"it under {current!r}, this one claims old parent "
-                        f"{old_parent!r}",
-                        span,  # type: ignore[arg-type]
-                    )
-                else:
-                    self.report.add(
-                        "WIF202",
-                        f"change for {member!r} at {moment!r} names old "
-                        f"parent {old_parent!r} but the instance valid there "
-                        f"is under {current!r}",
-                        span,  # type: ignore[arg-type]
-                    )
-                ok = False
-                continue
-            parent_obj = hypo.dimension.member(new_parent)
-            if parent_obj.is_leaf and hypo.is_managed(new_parent):
-                self.report.add(
-                    "WIF203",
-                    f"cannot reparent {member!r} under {new_parent!r}: it is "
-                    "a leaf member (split S requires a non-leaf target)",
-                    span,  # type: ignore[arg-type]
-                )
-                ok = False
-                continue
-            try:
-                hypo.reparent(member, new_parent, t)
-            except Exception as exc:  # noqa: BLE001 - classified below
-                self.report.add("WIF203", str(exc), span)  # type: ignore[arg-type]
-                ok = False
-                continue
-            applied.add((member, moment))
-            affected.append(member)
+            else:
+                code = "WIF202"
+            self.report.add(code, message, span)  # type: ignore[arg-type]
         # Cycle scan: computing every affected path is exactly the runtime
         # check, done eagerly on metadata only.
         for member in affected:
-            for t in range(hypo.universe):
-                try:
+            try:
+                for t in range(hypo.universe):
                     hypo.path_at(member, t)
-                except SchemaError as exc:
-                    self.report.add("WIF205", str(exc))
-                    ok = False
-                    break
-            else:
-                continue
-            break
+            except SchemaError as exc:
+                self.report.add("WIF205", str(exc))
+                ok = False
+                break
         if ok:
             self.varying_view[dimension] = hypo
             self._scenario_dim = self._scenario_dim or dimension
@@ -533,28 +504,31 @@ class QueryAnalyzer:
     def _surviving_instances(
         self, dim: Dimension, member: Member, ancestors: Sequence[str]
     ) -> "list[str] | None":
-        """Mirror of ``_Context.expand_member`` on metadata only: the
-        instance paths a varying leaf member expands to, or ``None`` when
-        the reference binds as a plain member (non-varying, or non-leaf)."""
+        """The instance paths a varying leaf member expands to — the
+        evaluator's own expansion (``expand_instances``) over Φ of the
+        member's instances, on metadata only — or ``None`` when the
+        reference binds as a plain member (non-varying, or non-leaf).
+
+        Structural: the runtime expands members *holding data* only, so
+        it lists a subset of these."""
         name = dim.name
         if name not in self.varying_view or not member.is_leaf:
             return None
         varying = self.varying_view[name]
-        allowed: set[str] | None = None
+        surviving = None
         if self._pset is not None and name == self._scenario_dim:
-            transformed = phi_member(
-                varying.instances_of(member.name), self._pset,
-                self._semantics or Semantics.STATIC,
+            surviving = frozenset(
+                phi_validity(
+                    varying, [member.name], self._pset,
+                    self._semantics or Semantics.STATIC, self._phi_memo,
+                )
             )
-            allowed = {inst.full_path for inst in transformed}
-        paths: list[str] = []
-        for instance in varying.instances_of(member.name):
-            if ancestors and not set(ancestors) <= set(instance.path[:-1]):
-                continue
-            if allowed is not None and instance.full_path not in allowed:
-                continue
-            paths.append(instance.full_path)
-        return paths
+        return [
+            instance.full_path
+            for instance in expand_instances(
+                varying, member.name, ancestors, surviving
+            )
+        ]
 
     def _check_member_reference(self, path: MemberPath, in_tuple: bool) -> None:
         if len(path.parts) == 1:
@@ -574,17 +548,9 @@ class QueryAnalyzer:
         paths = self._surviving_instances(dim, member, ancestors)
         if paths is None:
             return
-        if not paths:
-            if in_tuple and not self._has_scenario:
-                # The evaluator requires exactly one binding per tuple
-                # component, so zero instances is a hard failure there.
-                self.report.add(
-                    "WIF303",
-                    f"tuple component {path.display()} matches no member "
-                    "instance (0 instances)",
-                    path.span,
-                )
-                return
+        if in_tuple:
+            self._check_one_instance(path, len(paths))
+        elif not paths:
             scenario = " under the chosen scenario" if self._has_scenario else ""
             self.report.add(
                 "WIF301",
@@ -592,14 +558,26 @@ class QueryAnalyzer:
                 "every cell it addresses is ⊥",
                 path.span,
             )
-        elif in_tuple and len(paths) > 1:
+
+    def _check_one_instance(self, path: MemberPath, count: int) -> None:
+        """The evaluator requires exactly one binding per tuple component."""
+        if count == 0:
+            # Structural zero implies runtime zero (the runtime lists a
+            # subset of the structural instances): a hard failure there,
+            # with or without a scenario.
+            self.report.add(
+                "WIF303",
+                f"tuple component {path.display()} matches no member instance",
+                path.span,
+            )
+        elif count > 1:
             # Without a scenario this is exactly the evaluator's failure;
             # with one, data filtering may still disambiguate at run time.
             severity = None if not self._has_scenario else Severity.WARNING
             self.report.add(
                 "WIF303",
                 f"tuple component {path.display()} is ambiguous "
-                f"({len(paths)} instances); name the instance via its parent",
+                f"({count} instances); name the instance via its parent",
                 path.span,
                 severity=severity,
             )
@@ -615,15 +593,7 @@ class QueryAnalyzer:
                 continue
             paths = self._surviving_instances(dim, member, ())
             total += 1 if paths is None else len(paths)
-        if total > 1:
-            severity = None if not self._has_scenario else Severity.WARNING
-            self.report.add(
-                "WIF303",
-                f"tuple component {path.display()} is ambiguous "
-                f"({total} instances); name the instance via its parent",
-                path.span,
-                severity=severity,
-            )
+        self._check_one_instance(path, total)
 
     # -- expression walk ------------------------------------------------------
 

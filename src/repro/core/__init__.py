@@ -15,7 +15,6 @@ is not implemented; see docs/paper_mapping.md).
 
 from repro.core.compression import CompressedPerspectiveCube, compress
 from repro.core.data_scenario import AllocationScenario
-from repro.core.delta_aggregate import adjusted_group_by, original_rows
 from repro.core.operators import (
     ChangeRelation,
     ChangeTuple,
@@ -43,8 +42,6 @@ from repro.validity import ValiditySet
 
 __all__ = [
     "AllocationScenario",
-    "adjusted_group_by",
-    "original_rows",
     "Finding",
     "check_warehouse",
     "CompressedPerspectiveCube",

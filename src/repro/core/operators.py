@@ -23,7 +23,15 @@ from repro.olap.instances import VaryingDimension
 if TYPE_CHECKING:  # pragma: no cover - repro.obs imports the MDX stack, which imports this module
     from repro.perf.rollup_index import LeafColumns
 
-__all__ = ["select", "relocate", "split", "evaluate", "ChangeTuple", "ChangeRelation"]
+__all__ = [
+    "select",
+    "relocate",
+    "split",
+    "evaluate",
+    "step_change",
+    "ChangeTuple",
+    "ChangeRelation",
+]
 
 
 # ---------------------------------------------------------------------------
@@ -272,27 +280,49 @@ class ChangeTuple:
 ChangeRelation = Sequence[ChangeTuple]
 
 
+def step_change(hypo: VaryingDimension, change: ChangeTuple) -> "tuple[str, str] | None":
+    """One tuple (m, o, n, t) of R against the structure so far: apply it
+    (a Def. 3.1 legal change) and return ``None``, or leave ``hypo`` alone
+    and return ``(kind, message)`` saying why it does not apply there.
+
+    ``kind`` is ``"unrelated"`` — m has no instance at t, or the one it
+    has is not under o: ρ / S only move values between related instances
+    — or ``"illegal"``, the reparenting itself violates Def. 3.1.  The
+    one stepping rule of S's structure half: the runtime raises the
+    message (:func:`_hypothetical_structure`), the static analyzer steps
+    every tuple and classifies the kinds.
+    """
+    t = hypo.moment_index(change.moment)
+    current = hypo.parent_at(change.member, t)
+    if current is None:
+        return "unrelated", (
+            f"member {change.member!r} has no instance at {change.moment!r}; "
+            "cannot apply positive change there"
+        )
+    if current != change.old_parent:
+        return "unrelated", (
+            f"positive change for {change.member!r} at {change.moment!r} "
+            f"names old parent {change.old_parent!r} but the current "
+            f"parent is {current!r}"
+        )
+    try:
+        hypo.reparent(change.member, change.new_parent, t)
+    except InvalidChangeError as exc:
+        return "illegal", str(exc)
+    return None
+
+
 def _hypothetical_structure(
     varying: VaryingDimension, changes: ChangeRelation
 ) -> VaryingDimension:
-    """Apply R to a copy of the varying structure, validating old parents."""
+    """Apply R to a copy of the varying structure, in moment order (a
+    stable sort: same-moment tuples keep their clause order); the first
+    tuple that does not apply raises."""
     hypo = varying.copy()
-    ordered = sorted(changes, key=lambda c: hypo.moment_index(c.moment))
-    for change in ordered:
-        t = hypo.moment_index(change.moment)
-        current = hypo.parent_at(change.member, t)
-        if current is None:
-            raise InvalidChangeError(
-                f"member {change.member!r} has no instance at {change.moment!r}; "
-                "cannot apply positive change there"
-            )
-        if current != change.old_parent:
-            raise InvalidChangeError(
-                f"positive change for {change.member!r} at {change.moment!r} "
-                f"names old parent {change.old_parent!r} but the current "
-                f"parent is {current!r}"
-            )
-        hypo.reparent(change.member, change.new_parent, t)
+    for change in sorted(changes, key=lambda c: hypo.moment_index(c.moment)):
+        refusal = step_change(hypo, change)
+        if refusal is not None:
+            raise InvalidChangeError(refusal[1])
     return hypo
 
 

@@ -18,10 +18,18 @@ re-evaluated output for **visual** mode, the stage's input cube for
 
 The scenario chain is the one executable form of the algebra: a query's
 WITH clause becomes a list of scenarios, :func:`apply_scenarios` is the
-only place a chain is threaded (every query, the shard workers and EXPLAIN
-run through it), and each scenario renders itself in the algebra
+only place a chain is applied (every query and the shard workers run
+through it), and each scenario renders itself in the algebra
 (:meth:`NegativeScenario.describe` / :meth:`PositiveScenario.describe`) —
 there is no separate plan tree to execute, analyze or print.
+
+Φ and R transform validity sets — metadata; only ρ and S move cells.  So
+each scenario has a **structure half** (``structure``: the hypothetical
+structure and the output validity sets, from the varying structure and
+the names of the members holding data) that its ``apply`` runs before
+``relocate`` / ``split``, and :func:`scenario_structure` threads a chain's
+structure halves alone: what axis resolution, EXPLAIN and the static
+analyzer need of a scenario, at O(members) and without touching a cell.
 """
 
 from __future__ import annotations
@@ -29,12 +37,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence, TypeAlias
 
-from repro.core.operators import ChangeTuple, relocate, split
+from repro.core.operators import (
+    ChangeTuple,
+    _hypothetical_structure,
+    relocate,
+    split,
+)
 from repro.core.perspective import Mode, PerspectiveSet, Semantics, phi_member
 from repro.validity import ValiditySet
 from repro.errors import QueryError
 from repro.olap.cube import Cube
-from repro.olap.instances import VaryingDimension
+from repro.olap.instances import MemberInstance, VaryingDimension
 from repro.olap.missing import Missing
 from repro.olap.schema import CubeSchema
 
@@ -43,6 +56,9 @@ __all__ = [
     "NegativeScenario",
     "PositiveScenario",
     "apply_scenarios",
+    "expand_instances",
+    "phi_validity",
+    "scenario_structure",
 ]
 
 CellValue: TypeAlias = "float | Missing"
@@ -120,6 +136,53 @@ def _members_with_data(cube: Cube, dim_name: str) -> list[str]:
     )
 
 
+def phi_validity(
+    varying: VaryingDimension,
+    members: Sequence[str],
+    pset: PerspectiveSet,
+    semantics: Semantics,
+    memo: "dict[ValiditySet, ValiditySet | None] | None" = None,
+) -> dict[str, ValiditySet]:
+    """Φ per member (Def. 3.4 / 4.3) over every instance of ``members``:
+    instance full path → output validity set, in member then instance
+    order.  σ (the active filter) is implicit: an instance whose output
+    set is empty is left out.  Φ of an instance depends only on its own
+    validity set, and most members share one (never moved: valid
+    throughout), so it runs once per distinct input set — ``memo`` holds
+    them, for a caller that asks member by member under one (P, sem)."""
+    validity_out: dict[str, ValiditySet] = {}
+    transformed = {} if memo is None else memo
+    for member in members:
+        for instance in varying.instances_of(member):
+            try:
+                validity = transformed[instance.validity]
+            except KeyError:
+                validity = transformed[instance.validity] = phi_member(
+                    (instance,), pset, semantics
+                ).get(instance)
+            if validity is not None:
+                validity_out[instance.full_path] = validity
+    return validity_out
+
+
+def expand_instances(
+    varying: VaryingDimension,
+    member: str,
+    ancestors: Sequence[str],
+    surviving: "frozenset[str] | None",
+) -> list[MemberInstance]:
+    """The instances a reference to a varying leaf member names: those
+    under every named ancestor and, when a scenario touched the dimension
+    (``surviving`` is not ``None``), with a non-empty output validity."""
+    instances = varying.instances_of(member)
+    if ancestors:
+        wanted = set(ancestors)
+        instances = [i for i in instances if wanted <= set(i.path[:-1])]
+    if surviving is not None:
+        instances = [i for i in instances if i.full_path in surviving]
+    return instances
+
+
 @dataclass
 class NegativeScenario:
     """Perspectives over one varying dimension (Sec. 3.3, extended MDX
@@ -159,9 +222,12 @@ class NegativeScenario:
             ),
         }
 
-    def apply(self, cube: Cube, varying: VaryingDimension | None = None) -> WhatIfCube:
-        schema = cube.schema
-        varying = varying or schema.varying_dimension(self.dimension)
+    def structure(
+        self, varying: VaryingDimension, members: Sequence[str]
+    ) -> "tuple[None, dict[str, ValiditySet]]":
+        """The structure half: Φ_sem(VS_in, P) over the instances of
+        ``members`` (the members holding data).  ρ leaves the varying
+        structure as it is, hence the ``None``."""
         if not self.perspectives:
             raise QueryError("a perspective clause needs at least one moment")
         if self.semantics.is_dynamic and not varying.parameter.ordered:
@@ -172,28 +238,17 @@ class NegativeScenario:
         pset = PerspectiveSet.from_names(self.perspectives, varying)
         from repro.obs.trace import trace_span
 
-        # Φ per member (Def. 3.4 / 4.3); σ (active filter) is implicit in
-        # dropping instances with empty output validity.  Φ of an instance
-        # depends only on its own validity set, and most members share
-        # one (never moved: valid throughout), so it runs once per
-        # distinct input set.
-        validity_out: dict[str, ValiditySet] = {}
-        transformed: dict[ValiditySet, ValiditySet | None] = {}
         with trace_span("core.phi") as span:
-            members = _members_with_data(cube, self.dimension)
-            for member in members:
-                for instance in varying.instances_of(member):
-                    validity = instance.validity
-                    if validity not in transformed:
-                        transformed[validity] = phi_member(
-                            (instance,), pset, self.semantics
-                        ).get(instance)
-                    validity = transformed[validity]
-                    if validity is not None:
-                        validity_out[instance.full_path] = validity
+            validity_out = phi_validity(varying, members, pset, self.semantics)
             if span is not None:
                 span.set(members=len(members), instances=len(validity_out))
+        return None, validity_out
 
+    def apply(self, cube: Cube, varying: VaryingDimension | None = None) -> WhatIfCube:
+        varying = varying or cube.schema.varying_dimension(self.dimension)
+        _, validity_out = self.structure(
+            varying, _members_with_data(cube, self.dimension)
+        )
         out = relocate(cube, self.dimension, validity_out, varying)
         if self.mode is Mode.VISUAL:
             out.clear_stored_derived()
@@ -240,19 +295,45 @@ class PositiveScenario:
             ),
         }
 
-    def apply(self, cube: Cube, varying: VaryingDimension | None = None) -> WhatIfCube:
-        schema = cube.schema
-        varying = varying or schema.varying_dimension(self.dimension)
-        if not self.changes:
-            raise QueryError("a changes clause needs at least one change tuple")
-        out, hypo = split(cube, self.dimension, list(self.changes), varying)
-
+    def _validity(
+        self, hypo: VaryingDimension, varying: VaryingDimension, members: Sequence[str]
+    ) -> dict[str, ValiditySet]:
+        """The validity sets S leaves behind, per instance of ``members``."""
         validity_out: dict[str, ValiditySet] = {}
-        for member in _members_with_data(out, self.dimension):
+        for member in members:
             source = hypo if hypo.is_managed(member) else varying
             for instance in source.instances_of(member):
                 validity_out[instance.full_path] = instance.validity
+        return validity_out
 
+    def structure(
+        self, varying: VaryingDimension, members: Sequence[str]
+    ) -> "tuple[VaryingDimension, dict[str, ValiditySet]]":
+        """The structure half: R applied to a copy of ``varying``, and the
+        validity sets of the instances of ``members`` (the members holding
+        data) under it.
+
+        Precondition for this to be what :meth:`apply` reports: S drops a
+        row only at a moment its member has *no* instance, so a cube with
+        no value at such a moment — what
+        :func:`repro.core.validation.check_warehouse` audits — keeps its
+        members-with-data through S.  :meth:`apply` itself asks the cube S
+        produced.
+        """
+        if not self.changes:
+            raise QueryError("a changes clause needs at least one change tuple")
+        hypo = _hypothetical_structure(varying, self.changes)
+        return hypo, self._validity(hypo, varying, members)
+
+    def apply(self, cube: Cube, varying: VaryingDimension | None = None) -> WhatIfCube:
+        varying = varying or cube.schema.varying_dimension(self.dimension)
+        if not self.changes:
+            raise QueryError("a changes clause needs at least one change tuple")
+        # split owns its structure half (R applied) and hands it back
+        out, hypo = split(cube, self.dimension, list(self.changes), varying)
+        validity_out = self._validity(
+            hypo, varying, _members_with_data(out, self.dimension)
+        )
         if self.mode is Mode.VISUAL:
             out.clear_stored_derived()
             return WhatIfCube(out, out, self.mode, validity_out, varying_out=hypo)
@@ -296,3 +377,31 @@ def apply_scenarios(
     assert result is not None
     result.varying, result.surviving = varying, surviving
     return result
+
+
+def scenario_structure(
+    cube: Cube, scenarios: Sequence[NegativeScenario | PositiveScenario]
+) -> "tuple[dict[str, VaryingDimension], dict[str, frozenset[str]]]":
+    """The structure half of :func:`apply_scenarios`: what it reports as
+    ``.varying`` and ``.surviving``, from the varying structures and the
+    names of the members holding data in ``cube`` alone — no cell is read
+    or moved, no ``scenario.apply`` / ``core.relocate`` / ``core.split``
+    span opens.
+
+    Holds for the chains MDX can express (at most one S, then at most one
+    ρ) over a warehouse :func:`~repro.core.validation.check_warehouse`
+    accepts — see :meth:`PositiveScenario.structure` for why: every stage
+    then sees the base cube's members-with-data.
+    """
+    varying: dict[str, VaryingDimension] = {}
+    surviving: dict[str, frozenset[str]] = {}
+    for scenario in scenarios:
+        dimension = scenario.dimension
+        current = varying.get(dimension) or cube.schema.varying_dimension(dimension)
+        varying_out, validity_out = scenario.structure(
+            current, _members_with_data(cube, dimension)
+        )
+        surviving[dimension] = frozenset(validity_out)
+        if varying_out is not None:
+            varying[dimension] = varying_out
+    return varying, surviving

@@ -37,6 +37,8 @@ from repro.core.scenario import (
     PositiveScenario,
     WhatIfCube,
     apply_scenarios,
+    expand_instances,
+    scenario_structure,
 )
 from repro.errors import MdxEvaluationError
 from repro.faults import inject_io_fault, register_failpoint
@@ -145,8 +147,16 @@ def build_scenarios(
 
 
 class _Context:
-    """Evaluation context: warehouse bindings plus the applied scenario,
-    for a query :func:`_check_shape` accepts."""
+    """Evaluation context: warehouse bindings plus the query's scenario
+    chain, for a query :func:`_check_shape` accepts.
+
+    The chain's two halves are asked for separately.  Axes resolve from
+    its **structure** (:meth:`structure`: metadata, no cell moved); cells
+    are read from :attr:`view`, which applies the chain the first time it
+    is touched.  Whoever reads cells first (``evaluate_query``) resolves
+    from what the applied cube reports; whoever only resolves (the shard
+    coordinator, EXPLAIN) never pays the apply.
+    """
 
     def __init__(
         self,
@@ -167,31 +177,22 @@ class _Context:
         self.query_sets = dict(query.named_sets)
         self._expanding_sets: set[str] = set()
         self.scenarios = build_scenarios(warehouse, query)
-        self.varying_view = dict(self.schema.varying)
         #: scenario-cache hits/misses/evictions for this one query
         self.scenario_stats: dict[str, int] = {}
+        self._applied: "WhatIfCube | None" = None
+        self._structure: "tuple[dict, dict] | None" = None
         if not self.scenarios:
-            self.view = warehouse.cube
-            #: per varying dimension a scenario touched, the instances
-            #: with a non-empty output validity (the only ones axes list)
-            self.surviving: "dict[str, frozenset[str]]" = {}
-        else:
-            applied = self._apply_scenario_chain(warehouse)
-            self.view = applied
-            self.varying_view.update(applied.varying)
-            self.surviving = applied.surviving
+            self._resolve_under({}, {})
 
-    def _apply_scenario_chain(self, warehouse) -> WhatIfCube:
-        """The applied chain, through the warehouse's scenario cache
-        (Theorem 4.1 purity: same fingerprints + same base cube version ⇒
-        same perspective cube): probe → ``apply_scenarios`` → put.  An
-        entry is ``(base cube, what apply_scenarios returned)`` and is
-        shared read-only between queries."""
-        base = warehouse.cube
-        cache = getattr(warehouse, "scenario_cache", None)
+    def _cached(self, key: tuple, build):
+        """``build()`` through the warehouse's scenario cache (Theorem 4.1
+        purity: same fingerprints + same base cube version ⇒ same
+        result): probe → build → put.  An entry is ``(base cube, value)``
+        and is shared read-only between queries."""
+        base = self.warehouse.cube
+        cache = getattr(self.warehouse, "scenario_cache", None)
         if cache is None or not perf_config.engine_enabled():
-            return apply_scenarios(base, self.scenarios)
-        key = tuple(s.fingerprint() for s in self.scenarios)
+            return build(base)
         version = base.version
         hit = cache.get(key, version)
         if hit is not None:
@@ -201,12 +202,46 @@ class _Context:
             # Same fingerprints + version but a different cube object:
             # the warehouse swapped cubes.  Drop and rebuild.
             cache.discard(key)
-        applied = apply_scenarios(base, self.scenarios)
-        evicted = cache.put(key, version, (base, applied))
+        value = build(base)
+        evicted = cache.put(key, version, (base, value))
         self.scenario_stats["scenario_cache_misses"] = 1
         if evicted:
             self.scenario_stats["scenario_cache_evictions"] = evicted
-        return applied
+        return value
+
+    def _resolve_under(self, varying: dict, surviving: dict) -> None:
+        self._structure = ({**self.schema.varying, **varying}, surviving)
+
+    @property
+    def view(self):
+        """The cube cells are read from: the warehouse's, or the applied
+        chain (:func:`apply_scenarios`, once, behind the scenario cache).
+        From then on axes resolve from the structure it reports."""
+        if not self.scenarios:
+            return self.warehouse.cube
+        if self._applied is None:
+            key = tuple(s.fingerprint() for s in self.scenarios)
+            self._applied = applied = self._cached(
+                key, lambda base: apply_scenarios(base, self.scenarios)
+            )
+            self._resolve_under(applied.varying, applied.surviving)
+        return self._applied
+
+    def structure(self) -> "tuple[dict, dict]":
+        """Per varying dimension: the structure axes resolve under (the
+        hypothetical one where S left one) and, where the chain touched
+        the dimension, the instances with a non-empty output validity —
+        the only ones axes list.  The structure half alone
+        (:func:`scenario_structure`, memoised beside the applied cubes
+        under a tagged key) unless :attr:`view` was already applied."""
+        if self._structure is None:
+            key = ("structure", *(s.fingerprint() for s in self.scenarios))
+            self._resolve_under(
+                *self._cached(
+                    key, lambda base: scenario_structure(base, self.scenarios)
+                )
+            )
+        return self._structure
 
     # -- member expansion -----------------------------------------------------------
 
@@ -218,17 +253,12 @@ class _Context:
         name = dim.name
         if not self.schema.is_varying(name) or not member.is_leaf:
             return [(name, member.name, member.name)]
-        varying = self.varying_view[name]
-        allowed = self.surviving.get(name)
-        bindings: list[Binding] = []
-        for instance in varying.instances_of(member.name):
-            if ancestors and not set(ancestors) <= set(instance.path[:-1]):
-                continue
-            if allowed is not None and instance.full_path not in allowed:
-                continue
-            bindings.append(
-                (name, instance.full_path, instance.qualified_name)
-            )
+        varying, surviving = self._structure or self.structure()
+        bindings: list[Binding] = []  # a loop: this runs once per axis member
+        for instance in expand_instances(
+            varying[name], member.name, ancestors, surviving.get(name)
+        ):
+            bindings.append((name, instance.full_path, instance.qualified_name))
         return bindings
 
     def property_value(self, binding_coord: str, property_dim: str) -> str:
@@ -248,17 +278,7 @@ def _as_set(expr: SetExpr, context: _Context) -> list[tuple[Binding, ...]]:
             result.extend(_as_set(element, context))
         return result
     if isinstance(expr, TupleExpr):
-        bindings: list[Binding] = []
-        for path in expr.members:
-            expanded = _member_bindings(path, context)
-            if len(expanded) != 1:
-                raise MdxEvaluationError(
-                    f"tuple component {path.display()} is ambiguous "
-                    f"({len(expanded)} instances); name the instance via its "
-                    "parent"
-                )
-            bindings.append(expanded[0])
-        return [tuple(bindings)]
+        return [tuple(_one_binding(path, context, "tuple") for path in expr.members)]
     if isinstance(expr, MemberPath):
         if len(expr.parts) == 1 and expr.parts[0] in context.query_sets:
             name = expr.parts[0]
@@ -358,18 +378,29 @@ def _condition_value(
     return context.view.effective_value(context.schema.address(**coords))
 
 
+def _one_binding(path: MemberPath, context: _Context, what: str) -> Binding:
+    """The one binding a component of a ``what`` (tuple, Filter condition,
+    Order condition) must expand to."""
+    expanded = _member_bindings(path, context)
+    if len(expanded) == 1:
+        return expanded[0]
+    if not expanded:
+        raise MdxEvaluationError(
+            f"{what} component {path.display()} matches no member instance"
+        )
+    raise MdxEvaluationError(
+        f"{what} component {path.display()} is ambiguous "
+        f"({len(expanded)} instances); name the instance via its parent"
+    )
+
+
 def _resolve_condition(
     condition: TupleExpr, context: _Context, what: str
 ) -> list[Binding]:
-    bindings: list[Binding] = []
-    for path in condition.members:
-        expanded = _member_bindings(path, context)
-        if len(expanded) != 1:
-            raise MdxEvaluationError(
-                f"{what} condition component {path.display()} is ambiguous"
-            )
-        bindings.append(expanded[0])
-    return bindings
+    return [
+        _one_binding(path, context, f"{what} condition")
+        for path in condition.members
+    ]
 
 
 def _order(expr: OrderExpr, context: _Context) -> list[tuple[Binding, ...]]:
@@ -515,8 +546,9 @@ def resolve_query(context: _Context) -> ResolvedQuery:
 
     With the context's own refusals (:func:`_check_shape`) this is the one
     definition of what a query asks for: the evaluator, the shard
-    coordinator (over its hollow warehouse) and EXPLAIN all resolve here
-    and differ only in how they fill the grid.  Opens no span.
+    coordinator and EXPLAIN all resolve here and differ only in how they
+    fill the grid — the last two from the scenario's structure half,
+    applying nothing unless a FILTER / ORDER reads cells.  Opens no span.
     """
     query = context.query
     by_axis = {axis.axis: axis for axis in query.axes}
@@ -605,6 +637,9 @@ def evaluate_query(
             raise MdxAnalysisError(report)
     with trace_span("mdx.scenario") as scenario_span:
         context = _Context(warehouse, query, budget)
+        # Cells are read below, so the chain is applied here — and the
+        # axes resolve from what the applied cube reports.
+        view = context.view
         if scenario_span is not None and context.scenarios:
             scenario_span.set(scenarios=len(context.scenarios))
     with trace_span("mdx.axes") as axes_span:
@@ -620,7 +655,7 @@ def evaluate_query(
             from repro.perf.batch import evaluate_grid
 
             cells, cells_skipped, grid_stats = evaluate_grid(
-                context.view,
+                view,
                 context.schema,
                 resolved.base_coords,
                 rows,
@@ -651,7 +686,7 @@ def evaluate_query(
                     coords.update(dict(row.coordinates))
                     coords.update(dict(column.coordinates))
                     address = context.schema.address(**coords)
-                    row_cells.append(context.view.effective_value(address))
+                    row_cells.append(view.effective_value(address))
                 cells.append(row_cells)
             stats["cells_evaluated"] = cells_evaluated
             stats["cells_skipped"] = cells_skipped

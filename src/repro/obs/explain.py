@@ -10,9 +10,12 @@ cell's **scope size** from the rollup index — the smallest per-coordinate
 leaf count is a cheap upper bound on the number of leaf cells a derived
 cell must aggregate, the same quantity that dominates Figs. 11–13.
 
-Axis resolution applies the WITH-clause scenario (through the scenario
-cache), because instance expansion depends on output validity; cell
-evaluation — the dominant cost — is never performed.
+Instance expansion depends on output validity, so axis resolution needs
+the WITH-clause scenario — its *structure half* only
+(:func:`~repro.core.scenario.scenario_structure`, memoised in the scenario
+cache): Φ and R run on metadata, no cell is moved and none is evaluated.
+The one exception is a FILTER / ORDER set, whose condition reads cells of
+the applied scenario.
 
 Surfaced as ``python -m repro explain <query-file>`` (``--json`` for the
 structured report).
@@ -128,8 +131,8 @@ def explain_report(warehouse, text: str) -> dict[str, Any]:
         if analysis.has_errors:
             return report
 
-        # Axis resolution *is* execution's (scenario applied through the
-        # cache; budget-free).
+        # Axis resolution *is* execution's, from the scenario's structure
+        # half (budget-free; nothing is applied).
         resolved = resolve_query(_Context(warehouse, query))
         columns, rows = resolved.columns, resolved.rows
 

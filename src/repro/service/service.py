@@ -33,7 +33,8 @@ Results are exactly what ``Warehouse.query`` returns — including partial
 
 :class:`ShardedQueryService` — a synchronous coordinator over an
 *immutable named workload* held by a pool of shard processes.  It calls
-the evaluator's own *resolve* (on a hollow warehouse) and *finish*; its
+the evaluator's own *resolve* (from the scenario's structure half: the
+coordinator applies a chain only to read a local cell) and *finish*; its
 *fill* is a stage per method over one :class:`_QueryState`: plan cells →
 admit → scatter → gather → merge → local residue.
 """
@@ -571,9 +572,10 @@ class ShardedQueryService:
     evaluates any cell whose shard-dimension coordinate resolves to one
     of its members.  The coordinator:
 
-    * resolves axes and the slicer on a cheap *seeded hollow* warehouse
-      (:meth:`_build_hollow`): the exact axis tuples of the full context
-      with scenario application at O(members) instead of O(cube);
+    * resolves axes and the slicer on its one full warehouse from the
+      scenario's *structure half* (``mdx.evaluator._Context``): the axis
+      tuples of an in-process query at O(members), no cell moved — the
+      chain is applied here only if a local cell has to be read;
     * classifies each result cell as **owned** (one shard evaluates it
       end to end), **spanning** (a pure sum-rollup whose scope crosses
       shards: every shard returns its slice of every scope and
@@ -659,7 +661,6 @@ class ShardedQueryService:
                     "by the shard plan"
                 )
 
-        self._hollow = self._build_hollow()
         # Each shard is handed its slice of the warehouse built above, cut
         # afresh at every spawn and respawn and never retained.
         specs = [
@@ -708,44 +709,6 @@ class ShardedQueryService:
     def _breaker_callback(self, index: int):
         gauge = self._metrics.gauge("serve_breaker_state", shard=str(index))
         return lambda state: gauge.set(int(state))
-
-    def _build_hollow(self):
-        """The axis-resolution warehouse: full schema/rules/named sets
-        over a cube seeded with one representative leaf per (varying
-        dimension, member-with-data).  Scenario transforms derive their
-        output validity from ``instances_of`` per member-with-data, so
-        one leaf per member reproduces the full context's surviving set
-        — and with it the exact axis tuples — at O(members) cost."""
-        import numpy as np
-
-        from repro.olap.cube import Cube
-        from repro.warehouse import Warehouse
-
-        schema = self.warehouse.schema
-        hollow_cube = Cube(schema, self.warehouse.cube.rules)
-        varying_dims = [schema.dim_index(name) for name in schema.varying]
-        cols = self.warehouse.cube.leaf_columns(*varying_dims)
-        firsts = []
-        for dim_index in varying_dims:
-            # the first row of every member: coordinate code -> member code
-            members = [c.rsplit("/", 1)[-1] for c in cols.coords[dim_index]]
-            member_of = np.unique(members, return_inverse=True)[1]
-            firsts.append(
-                np.unique(member_of[cols.codes[dim_index]], return_index=True)[1]
-            )
-        rows = (
-            np.unique(np.concatenate(firsts)) if firsts else np.empty(0, dtype=np.int64)
-        )
-        hollow_cube.load((addr, 0.0) for addr in cols.addresses_at(rows))
-        hollow = Warehouse(
-            schema,
-            hollow_cube,
-            name=self.warehouse.name,
-            aliases=self.warehouse.aliases,
-        )
-        for named_set in self.warehouse.named_sets():
-            hollow.define_named_set(named_set.name, named_set.members)
-        return hollow
 
     # -- query path ---------------------------------------------------------------
 
@@ -812,8 +775,8 @@ class ShardedQueryService:
         deadline_ms: "float | None",
     ) -> "MdxResult":
         """parse → (budget or value-dependent sets: plain local query) →
-        analyze against the full warehouse → resolve against the hollow
-        one → fill across the pool → finish."""
+        analyze → resolve (the scenario's structure half; nothing
+        applied) → fill across the pool → finish."""
         from repro.analysis.query_analyzer import analyze_query
         from repro.mdx.evaluator import _Context, finish_query, resolve_query
 
@@ -830,7 +793,7 @@ class ShardedQueryService:
             report = analyze_query(self.warehouse, query)
             if report.has_errors:
                 raise MdxAnalysisError(report)
-        resolved = resolve_query(_Context(self._hollow, query))
+        resolved = resolve_query(_Context(self.warehouse, query))
         cells, stats, degradations = self._evaluate_cells(
             resolved, text, degrade, deadline_ms
         )
@@ -1171,14 +1134,9 @@ class ShardedQueryService:
             local_cells=len(state.local),
             fallback_cells=len(state.fallback),
         ):
-            view = self.warehouse.cube
-            if resolved.context.scenarios:
-                from repro.mdx.evaluator import _Context
-
-                # ``resolved`` holds the hollow context; values need the
-                # full warehouse's, whose scenario cache amortises the
-                # apply across queries with the same fingerprints.
-                view = _Context(self.warehouse, resolved.context.query).view
+            # under a scenario this is where the coordinator applies the
+            # chain; the scenario cache amortises it across queries
+            view = resolved.context.view
             for r, c, addr in state.local + state.fallback:
                 state.grid[r][c] = view.effective_value(addr)
 

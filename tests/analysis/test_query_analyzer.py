@@ -162,12 +162,26 @@ CASES = [
         "SELECT {Time.[Jan]} ON COLUMNS FROM Warehouse "
         "WHERE (Organization.[FTE].[Joe], [Salary])",
     ),
+    (
+        "WIF303",
+        # FTE/Joe is valid only in Jan: a static Feb perspective leaves the
+        # tuple component no instance at all, and the evaluator refuses it.
+        "WITH PERSPECTIVE {(Feb)} FOR Organization STATIC "
+        "SELECT {Time.[Jan]} ON COLUMNS FROM Warehouse "
+        "WHERE ([FTE].[Joe], [Salary])",
+        "WITH PERSPECTIVE {(Feb)} FOR Organization STATIC "
+        "SELECT {Time.[Jan]} ON COLUMNS FROM Warehouse "
+        "WHERE ([PTE].[Joe], [Salary])",
+    ),
 ]
+# a code's first row is named after it, later rows are numbered
+IDS: list[str] = []
+for _code, _, _ in CASES:
+    _nth = sum(1 for seen in IDS if seen.split("-")[0] == _code) + 1
+    IDS.append(_code if _nth == 1 else f"{_code}-{_nth}")
 
 
-@pytest.mark.parametrize(
-    "code,trigger,clean", CASES, ids=[case[0] for case in CASES]
-)
+@pytest.mark.parametrize("code,trigger,clean", CASES, ids=IDS)
 def test_trigger_and_clean(warehouse, code, trigger, clean):
     triggered = analyze_query(warehouse, trigger)
     assert code in triggered.codes(), triggered.to_text()
@@ -272,6 +286,28 @@ def test_wif303_demoted_to_warning_under_scenario(warehouse):
     )
     hits = [d for d in report if d.code == "WIF303"]
     assert hits and all(d.severity is Severity.WARNING for d in hits)
+
+
+def test_wif303_zero_instances_is_an_error_under_a_scenario_too(warehouse):
+    """Structural zero implies runtime zero, so a tuple component no
+    instance survives for is refused up front — by the analyzer with the
+    evaluator's own words, not waved through as a guaranteed-⊥ warning."""
+    from repro.errors import MdxEvaluationError
+
+    text = CASES[-1][1]
+    (diag,) = list(analyze_query(warehouse, text))
+    assert (diag.code, diag.severity) == ("WIF303", Severity.ERROR)
+    assert "matches no member instance" in diag.message
+    with pytest.raises(MdxEvaluationError) as caught:
+        warehouse.query(text, analyze=False)
+    assert str(caught.value) == diag.message
+    assert "ambiguous" not in diag.message
+    # outside a tuple the same reference is still only a ⊥ warning
+    report = analyze_query(
+        warehouse,
+        text.replace("{Time.[Jan]}", "{[FTE].[Joe]}").replace("[FTE].[Joe], ", ""),
+    )
+    assert [(d.code, d.severity) for d in report] == [("WIF301", Severity.WARNING)]
 
 
 def test_properties_never_error(warehouse):

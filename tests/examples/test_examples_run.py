@@ -69,5 +69,4 @@ def test_analyst_walkthrough():
     out = run_example("analyst_walkthrough.py")
     assert "Top movers" in out
     assert "reloaded cube has" in out
-    assert "YTD under the frozen-January structure" in out
     assert "ratio" in out

@@ -276,6 +276,19 @@ class TestErrors:
                 "SELECT {([Joe], [Salary])} ON COLUMNS FROM Warehouse"
             )
 
+    def test_tuple_component_without_an_instance(self, warehouse):
+        # FTE/Joe holds only in Jan; zero instances is not "ambiguous"
+        with pytest.raises(
+            MdxEvaluationError,
+            match=r"tuple component \[FTE\]\.\[Joe\] matches no member instance$",
+        ):
+            warehouse.query(
+                "WITH PERSPECTIVE {(Feb)} FOR Organization STATIC "
+                "SELECT {Time.[Jan]} ON COLUMNS FROM Warehouse "
+                "WHERE ([FTE].[Joe], [Salary])",
+                analyze=False,
+            )
+
     def test_ambiguous_member_across_dimensions(self, example):
         example.location.add_member("Clash")
         example.measures.add_member("Clash")

@@ -121,10 +121,26 @@ class TestRunningExample:
         assert report["slicer"] == {"Location": "NY", "Measures": "Salary"}
 
     def test_explain_never_fills_the_grid(self, warehouse):
-        explain_report(warehouse, HEADLINE)
-        # Axis resolution runs (scenario applied, cache touched) but no
-        # cell is ever evaluated.
-        assert warehouse.scenario_cache.stats.misses == 1
+        """Axis resolution runs off the scenario's structure half (Φ and R
+        on metadata, memoised in the scenario cache): no stage is applied,
+        no cell moved, none evaluated."""
+        from repro.obs.trace import tracing
+
+        perspective = HEADLINE.strip().splitlines()[0]
+        changes = "WITH CHANGES {([Lisa], FTE, PTE, Apr)} FOR Organization VISUAL"
+        chained = changes + perspective.replace("WITH", "")
+        for n, clause in enumerate((perspective, changes, chained), 1):
+            with tracing() as tracer:
+                report = explain_report(warehouse, HEADLINE.replace(perspective, clause))
+                root = tracer.take_last()
+            assert report["executable"] and report["axes"][1]["tuples"] >= 1
+            assert root.name == "obs.explain"
+            opened = {span.name for span in root.iter_spans()}
+            assert not opened & {
+                "scenario.apply", "core.relocate", "core.split", "mdx.cells"
+            }, opened
+            assert report["scenario_cache"] == {"scenario_cache_misses": 1}
+            assert len(warehouse.scenario_cache) == n  # structures, no cube
 
     def test_axis_counts_are_the_shape_the_evaluator_resolves(self, warehouse):
         """EXPLAIN resolves with the evaluator's own ``resolve_query``: its

@@ -148,13 +148,14 @@ class TestClassificationTable:
         assert got.rows == service.warehouse.query(text).rows
 
 
-class TestResolveOnTheHollowWarehouse:
-    """The coordinator resolves on its hollow warehouse with the
-    evaluator's own ``resolve_query``; the seeded cube must give it the
-    full warehouse's answer."""
+class TestResolveFromTheStructureHalf:
+    """The coordinator resolves with the evaluator's own ``resolve_query``
+    from the scenario's structure half and applies nothing; that must be
+    the answer of a context that applied the chain first, as
+    ``evaluate_query`` does."""
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
-    def test_same_tuples_and_slicer_as_the_full_warehouse(self, service, scenario):
+    def test_same_tuples_and_slicer_as_the_applied_chain(self, service, scenario):
         from repro.mdx.evaluator import _Context, resolve_query
         from repro.mdx.parser import parse_query
 
@@ -163,12 +164,37 @@ class TestResolveOnTheHollowWarehouse:
                 if "NON EMPTY" in text:
                     continue  # resolve does not prune
                 query = parse_query(text)
-                hollow = resolve_query(_Context(service._hollow, query))
-                full = resolve_query(_Context(service.warehouse, query))
-                assert hollow.columns == full.columns, text
-                assert hollow.rows == full.rows, text
-                assert hollow.slicer == full.slicer, text
-                assert hollow.base_coords == full.base_coords, text
+                structure = resolve_query(_Context(service.warehouse, query))
+                assert structure.context._applied is None, text
+                context = _Context(service.warehouse, query)
+                context.view  # reading cells first applies the chain
+                assert (context._applied is None) == (not scenario)
+                applied = resolve_query(context)
+                assert structure.columns == applied.columns, text
+                assert structure.rows == applied.rows, text
+                assert structure.slicer == applied.slicer, text
+                assert structure.base_coords == applied.base_coords, text
+
+
+    @pytest.mark.parametrize("scenario", SCENARIOS[1:])
+    def test_a_query_the_shards_answer_applies_nothing_here(self, service, scenario):
+        """Every cell owned by a shard: the coordinator's trace holds the
+        structure half at most (``core.phi``), never a data half."""
+        from repro.obs.trace import tracing
+
+        text = (
+            f"{scenario}SELECT {MONTHS} ON COLUMNS, {{[Joe], [Lisa], [Tom]}} ON ROWS "
+            "FROM Warehouse WHERE ([NY], [Salary])"
+        )
+        with tracing() as tracer:
+            got = service.execute(text, degrade="fail")
+            root = tracer.take_last()
+        assert got.stats["local_cells"] == got.stats["fallback_cells"] == 0
+        assert root.name == "serve.execute"
+        opened = {span.name for span in root.iter_spans()}
+        assert not opened & {"scenario.apply", "core.relocate", "core.split"}, opened
+        expected = service.warehouse.query(text)
+        assert (got.rows, repr(got.cells)) == (expected.rows, repr(expected.cells))
 
 
 class TestRuledAndStoredCells:

@@ -147,7 +147,7 @@ class TestWorkforceParity:
             f"WITH PERSPECTIVE {{(Jan), (Jul)}} FOR Department STATIC "
             f"SELECT {{{months}}} ON COLUMNS, {{[Department].Children}} "
             f"ON ROWS FROM [Db]",
-            # named sets resolve identically on the hollow context
+            # named sets resolve on the coordinator as they do in-process
             f"SELECT {{{months}}} ON COLUMNS, "
             f"{{EmployeesWithAtleastOneMove-Set1}} ON ROWS FROM [Db]",
         )
