@@ -135,6 +135,7 @@ def relocate(
     varying_name: str,
     validity_out: Mapping[str, ValiditySet],
     varying: VaryingDimension | None = None,
+    rows: "np.ndarray | None" = None,
 ) -> Cube:
     """ρ(C, 𝒱): move leaf-cell values according to output validity sets.
 
@@ -152,6 +153,15 @@ def relocate(
     entries, and the output is the concatenation of each entry's group.
     **Emission order** — the order strict rollups sum in — is output
     instance (in ``validity_out`` order), then moment, then input order.
+
+    ``rows`` (ascending leaf ids of the cube's rollup index,
+    :meth:`~repro.perf.rollup_index.RollupIndex.ids_under`) applies ρ to
+    that row subset, σ below ρ: every table below is built from the rows
+    read, and each of the three order keys restricted to a subset is the
+    same relative order, so ``ρ(σ_F(C))`` lists the leaves of
+    ``σ_F(ρ(C))`` in its order whenever ``F`` keeps or drops a member's
+    rows together on this dimension.  The two refusals are raised for the
+    rows read, first offender among them.
     """
     schema = cube.schema
     varying = varying or schema.varying_dimension(varying_name)
@@ -161,7 +171,7 @@ def relocate(
     from repro.obs.trace import trace_span
 
     with trace_span("core.relocate") as span:
-        cols = cube.leaf_columns(dim_index, param_index)
+        cols = cube.leaf_columns(dim_index, param_index, ids=rows)
         vcodes, vcoords = cols.codes[dim_index], cols.coords[dim_index]
         n = len(vcodes)
         moments = _moments_of(cols, param_index, varying)
@@ -171,12 +181,13 @@ def relocate(
         checked = int(bad[0]) if len(bad) else n
 
         # group rows by (member, moment); the sort is stable, so a group
-        # lists its rows in input order
-        members = [coord.rsplit("/", 1)[-1] for coord in vcoords]
-        member_id = {name: i for i, name in enumerate(dict.fromkeys(members))}
-        member_by_code = np.array(
-            [member_id[name] for name in members], dtype=np.int64
-        )
+        # lists its rows in input order.  Members are numbered for the
+        # coordinates the rows read hold, not for the cube's whole table
+        present = np.flatnonzero(np.bincount(vcodes, minlength=len(vcoords))).tolist()
+        member_of = {code: vcoords[code].rsplit("/", 1)[-1] for code in present}
+        member_id = {name: i for i, name in enumerate(dict.fromkeys(member_of.values()))}
+        member_by_code = np.zeros(len(vcoords), dtype=np.int64)
+        member_by_code[present] = [member_id[name] for name in member_of.values()]
         group = member_by_code[vcodes[:checked]] * universe + moments[:checked]
         order = np.argsort(group, kind="stable")
         sorted_group = group[order]
@@ -198,7 +209,7 @@ def relocate(
             first = starts[np.searchsorted(starts, at, side="right") - 1]
             raise QueryError(
                 f"input cube has two instances of member "
-                f"{members[sorted_vcodes[at]]!r} with data at the same moment "
+                f"{member_of[int(sorted_vcodes[at])]!r} with data at the same moment "
                 f"{_coord_at(cols, param_index, row)!r}: "
                 f"{vcoords[sorted_vcodes[first]]!r} and "
                 f"{vcoords[sorted_vcodes[at]]!r} (validity sets must be disjoint)"
@@ -207,11 +218,15 @@ def relocate(
             raise _not_a_moment(cols, param_index, checked, varying)
 
         # routing table: one (group key, output code) entry per output
-        # instance and moment, in emission order
+        # instance and moment, in emission order — expanded from one row
+        # per output instance and one moment list per *distinct* validity
+        # set (most members never move: they share one)
         out_coords = list(vcoords)
         out_code_of = {coord: code for code, coord in enumerate(vcoords)}
-        entry_group: list[int] = []
+        entry_base: list[int] = []
         entry_code: list[int] = []
+        entry_set: list[int] = []
+        sets: dict[ValiditySet, int] = {}
         for out_coord, validity in validity_out.items():
             member = member_id.get(out_coord.rsplit("/", 1)[-1])
             if member is None:
@@ -220,29 +235,39 @@ def relocate(
             if code is None:
                 code = out_code_of[out_coord] = len(out_coords)
                 out_coords.append(out_coord)
-            base = member * universe
-            for t in validity:
-                if t < universe:  # later moments hold no data to route
-                    entry_group.append(base + t)
-                    entry_code.append(code)
+            entry_base.append(member * universe)
+            entry_code.append(code)
+            entry_set.append(sets.setdefault(validity, len(sets)))
+        # later moments hold no data to route
+        moments_of = [[t for t in validity if t < universe] for validity in sets]
+        set_len = np.array([len(ts) for ts in moments_of], dtype=np.int64)
+        set_at = np.cumsum(set_len) - set_len
+        set_moments = np.array([t for ts in moments_of for t in ts], dtype=np.int64)
+        of_set = np.array(entry_set, dtype=np.int64)
+        span_len = set_len[of_set]
+        shift = np.cumsum(span_len) - span_len - set_at[of_set]
+        wanted = np.repeat(np.array(entry_base, dtype=np.int64), span_len) + (
+            set_moments[np.arange(int(span_len.sum())) - np.repeat(shift, span_len)]
+        )
+        wanted_code = np.repeat(np.array(entry_code, dtype=np.int32), span_len)
 
         # the output is the concatenation, entry by entry, of the groups
         # that hold data
-        wanted = np.array(entry_group, dtype=np.int64)
         hit = np.flatnonzero(np.isin(wanted, groups))
         at_group = np.searchsorted(groups, wanted[hit])
         run = counts[at_group]
         total = int(run.sum())
         offset = np.cumsum(run) - run - starts[at_group]
-        rows = order[np.arange(total) - np.repeat(offset, run)]
-        out_codes = np.repeat(np.array(entry_code, dtype=np.int32)[hit], run)
+        emitted = order[np.arange(total) - np.repeat(offset, run)]
+        out_codes = np.repeat(wanted_code[hit], run)
 
-        out, moved = _project(cube, cols, rows, dim_index, out_codes, out_coords)
+        out, moved = _project(cube, cols, emitted, dim_index, out_codes, out_coords)
         if span is not None:
             routed = np.zeros(len(groups), dtype=np.bool_)
             routed[at_group] = True
             span.set(
-                leaves_in=n,
+                leaves_in=cube.n_leaf_cells,
+                footprint_rows=n,
                 leaves_out=total,
                 moved=moved,
                 dropped=n - int(counts[routed].sum()),
@@ -331,6 +356,7 @@ def split(
     varying_name: str,
     changes: ChangeRelation,
     varying: VaryingDimension | None = None,
+    rows: "np.ndarray | None" = None,
 ) -> tuple[Cube, VaryingDimension]:
     """S(C, R): split member sub-cubes at the change moments (Def. 4.5).
 
@@ -348,7 +374,9 @@ def split(
     Evaluated as one array program: the hypothetical structure becomes a
     small (affected instance, moment) → output instance | ⊥ routing table
     that recodes the varying column of the affected rows.  Emission order
-    is input order.
+    is input order — so over a row subset (``rows``, as in
+    :func:`relocate`) it is the subset's, and ``S(σ_F(C))`` lists the
+    leaves of ``σ_F(S(C))`` in its order under the same condition on ``F``.
     """
     schema = cube.schema
     varying = varying or schema.varying_dimension(varying_name)
@@ -360,7 +388,7 @@ def split(
     from repro.obs.trace import trace_span
 
     with trace_span("core.split") as span:
-        cols = cube.leaf_columns(dim_index, param_index)
+        cols = cube.leaf_columns(dim_index, param_index, ids=rows)
         vcodes, vcoords = cols.codes[dim_index], cols.coords[dim_index]
         n = len(vcodes)
 
@@ -397,13 +425,17 @@ def split(
                 raise _not_a_moment(cols, param_index, row, varying)
             table = np.array(route, dtype=np.int32)
             out_codes[touched] = table[route_row[vcodes[touched]], moments]
-        rows = np.flatnonzero(out_codes >= 0)
+        kept = np.flatnonzero(out_codes >= 0)
         out, moved = _project(
-            cube, cols, rows, dim_index, out_codes[rows], out_coords
+            cube, cols, kept, dim_index, out_codes[kept], out_coords
         )
         if span is not None:
             span.set(
-                leaves_in=n, leaves_out=len(rows), moved=moved, dropped=n - len(rows)
+                leaves_in=cube.n_leaf_cells,
+                footprint_rows=n,
+                leaves_out=len(kept),
+                moved=moved,
+                dropped=n - len(kept),
             )
     return out, hypo
 

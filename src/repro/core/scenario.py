@@ -27,15 +27,25 @@ there is no separate plan tree to execute, analyze or print.
 each scenario has a **structure half** (``structure``: the hypothetical
 structure and the output validity sets, from the varying structure and
 the names of the members holding data) that its ``apply`` runs before
-``relocate`` / ``split``, and :func:`scenario_structure` threads a chain's
+``relocate`` / ``split``, and :func:`chain_structure` threads a chain's
 structure halves alone: what axis resolution, EXPLAIN and the static
 analyzer need of a scenario, at O(members) and without touching a cell.
+
+Theorem 4.1 applies the chain to *the result of the core query*, σ first.
+So a query is answered **resolve → footprint → σ → ρ/S**: axes resolve
+from the structure half, the coordinates the cells name are the query's
+*footprint* (:data:`Footprint`), :func:`footprint_rows` turns it into the
+base rows that can reach one of those cells, and ρ / S run over those
+rows only (:func:`apply_chain`).  The full view is the unrestricted case
+of the same call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence, TypeAlias
+from typing import Any, Mapping, NamedTuple, Sequence, TypeAlias
+
+import numpy as np
 
 from repro.core.operators import (
     ChangeTuple,
@@ -50,18 +60,34 @@ from repro.olap.cube import Cube
 from repro.olap.instances import MemberInstance, VaryingDimension
 from repro.olap.missing import Missing
 from repro.olap.schema import CubeSchema
+from repro.perf import config as perf_config
 
 __all__ = [
+    "AppliedChain",
+    "ChainStructure",
+    "Footprint",
     "WhatIfCube",
     "NegativeScenario",
     "PositiveScenario",
+    "apply_chain",
     "apply_scenarios",
+    "chain_structure",
     "expand_instances",
+    "footprint_rows",
     "phi_validity",
     "scenario_structure",
 ]
 
 CellValue: TypeAlias = "float | Missing"
+#: one stage's structure half, as ``scenario.structure`` returns it: the
+#: hypothetical structure S leaves (``None`` for ρ) and the output validity
+#: sets by instance full path
+Stage: TypeAlias = "tuple[VaryingDimension | None, dict[str, ValiditySet]]"
+#: what a query's cells name: per dimension the coordinates some cell
+#: carries there.  A dimension left out is unrestricted (a cell names its
+#: root, or nothing may be assumed about the reader); ``{}`` is the whole
+#: cube.
+Footprint: TypeAlias = "Mapping[str, frozenset[str]]"
 
 
 class WhatIfCube:
@@ -244,12 +270,23 @@ class NegativeScenario:
                 span.set(members=len(members), instances=len(validity_out))
         return None, validity_out
 
-    def apply(self, cube: Cube, varying: VaryingDimension | None = None) -> WhatIfCube:
+    def apply(
+        self,
+        cube: Cube,
+        varying: VaryingDimension | None = None,
+        rows: "np.ndarray | None" = None,
+        structure: "Stage | None" = None,
+    ) -> WhatIfCube:
+        """``rows`` applies ρ to those leaves of ``cube`` only
+        (:func:`footprint_rows`); ``structure`` is this stage's structure
+        half when the caller already ran it (once per chain, on the whole
+        cube — Φ is not asked again)."""
         varying = varying or cube.schema.varying_dimension(self.dimension)
-        _, validity_out = self.structure(
+        _, validity_out = structure or self.structure(
             varying, _members_with_data(cube, self.dimension)
         )
-        out = relocate(cube, self.dimension, validity_out, varying)
+        operands = (cube, self.dimension, validity_out, varying)
+        out = relocate(*operands) if rows is None else relocate(*operands, rows)
         if self.mode is Mode.VISUAL:
             out.clear_stored_derived()
             return WhatIfCube(out, out, self.mode, validity_out)
@@ -325,14 +362,24 @@ class PositiveScenario:
         hypo = _hypothetical_structure(varying, self.changes)
         return hypo, self._validity(hypo, varying, members)
 
-    def apply(self, cube: Cube, varying: VaryingDimension | None = None) -> WhatIfCube:
+    def apply(
+        self,
+        cube: Cube,
+        varying: VaryingDimension | None = None,
+        rows: "np.ndarray | None" = None,
+        structure: "Stage | None" = None,
+    ) -> WhatIfCube:
+        """``rows`` / ``structure`` as in :meth:`NegativeScenario.apply`."""
         varying = varying or cube.schema.varying_dimension(self.dimension)
         if not self.changes:
             raise QueryError("a changes clause needs at least one change tuple")
         # split owns its structure half (R applied) and hands it back
-        out, hypo = split(cube, self.dimension, list(self.changes), varying)
-        validity_out = self._validity(
-            hypo, varying, _members_with_data(out, self.dimension)
+        operands = (cube, self.dimension, list(self.changes), varying)
+        out, hypo = split(*operands) if rows is None else split(*operands, rows)
+        validity_out = (
+            structure[1]
+            if structure is not None
+            else self._validity(hypo, varying, _members_with_data(out, self.dimension))
         )
         if self.mode is Mode.VISUAL:
             out.clear_stored_derived()
@@ -341,7 +388,10 @@ class PositiveScenario:
 
 
 def apply_scenarios(
-    cube: Cube, scenarios: Sequence[NegativeScenario | PositiveScenario]
+    cube: Cube,
+    scenarios: Sequence[NegativeScenario | PositiveScenario],
+    rows: "np.ndarray | None" = None,
+    stages: "Sequence[Stage] | None" = None,
 ) -> WhatIfCube:
     """Apply a chain of scenarios left to right (a query may carry both
     positive and negative scenarios, Sec. 3.2: changes first, then
@@ -352,6 +402,12 @@ def apply_scenarios(
     its dimension.  The last stage's cube is returned carrying, per
     dimension, that structure (``varying``) and the surviving instances
     (``surviving``) — all a query needs to resolve its axes.
+
+    ``rows`` (:func:`footprint_rows`) is σ pushed below the chain: the
+    first stage reads those leaves of ``cube`` only, and every later
+    stage the — already restricted — output of the one before.
+    ``stages`` hands each stage the structure half :func:`chain_structure`
+    computed for it on the whole cube.
     """
     from repro.obs.trace import trace_span
 
@@ -361,14 +417,19 @@ def apply_scenarios(
     result: WhatIfCube | None = None
     varying: dict[str, VaryingDimension] = {}
     surviving: dict[str, frozenset[str]] = {}
-    for scenario in scenarios:
+    for position, scenario in enumerate(scenarios):
         # Data-driven scenarios (e.g. AllocationScenario) have no varying
         # dimension; structural ones thread the hypothetical structure.
         dimension = getattr(scenario, "dimension", None)
+        restricted: dict[str, Any] = {}
+        if rows is not None and position == 0:
+            restricted["rows"] = rows
+        if stages is not None:
+            restricted["structure"] = stages[position]
         with trace_span(
             "scenario.apply", kind=type(scenario).__name__, dimension=dimension
         ):
-            result = scenario.apply(current, varying.get(dimension))
+            result = scenario.apply(current, varying.get(dimension), **restricted)
         if dimension:
             surviving[dimension] = frozenset(result.validity_out)
             if result.varying_out is not None:
@@ -379,14 +440,23 @@ def apply_scenarios(
     return result
 
 
-def scenario_structure(
+class ChainStructure(NamedTuple):
+    """The structure half of a whole chain (:func:`chain_structure`): what
+    :func:`apply_scenarios` reports as ``.varying`` / ``.surviving``, and
+    each stage's own half for the apply that follows."""
+
+    varying: dict[str, VaryingDimension]
+    surviving: dict[str, frozenset[str]]
+    stages: tuple[Stage, ...]
+
+
+def chain_structure(
     cube: Cube, scenarios: Sequence[NegativeScenario | PositiveScenario]
-) -> "tuple[dict[str, VaryingDimension], dict[str, frozenset[str]]]":
-    """The structure half of :func:`apply_scenarios`: what it reports as
-    ``.varying`` and ``.surviving``, from the varying structures and the
-    names of the members holding data in ``cube`` alone — no cell is read
-    or moved, no ``scenario.apply`` / ``core.relocate`` / ``core.split``
-    span opens.
+) -> ChainStructure:
+    """The structure half of :func:`apply_scenarios`, from the varying
+    structures and the names of the members holding data in ``cube`` alone
+    — no cell is read or moved, no ``scenario.apply`` / ``core.relocate`` /
+    ``core.split`` span opens.
 
     Holds for the chains MDX can express (at most one S, then at most one
     ρ) over a warehouse :func:`~repro.core.validation.check_warehouse`
@@ -395,13 +465,155 @@ def scenario_structure(
     """
     varying: dict[str, VaryingDimension] = {}
     surviving: dict[str, frozenset[str]] = {}
+    stages: list[Stage] = []
     for scenario in scenarios:
         dimension = scenario.dimension
         current = varying.get(dimension) or cube.schema.varying_dimension(dimension)
-        varying_out, validity_out = scenario.structure(
-            current, _members_with_data(cube, dimension)
+        stage = scenario.structure(current, _members_with_data(cube, dimension))
+        stages.append(stage)
+        surviving[dimension] = frozenset(stage[1])
+        if stage[0] is not None:
+            varying[dimension] = stage[0]
+    return ChainStructure(varying, surviving, tuple(stages))
+
+
+def scenario_structure(
+    cube: Cube, scenarios: Sequence[NegativeScenario | PositiveScenario]
+) -> "tuple[dict[str, VaryingDimension], dict[str, frozenset[str]]]":
+    """``(varying, surviving)`` of :func:`chain_structure`."""
+    return chain_structure(cube, scenarios)[:2]
+
+
+# ---------------------------------------------------------------------------
+# σ below ρ: a chain is applied to the rows the query reads
+# ---------------------------------------------------------------------------
+
+
+def _rows_of_members_reaching(
+    cube: Cube, name: str, structures: Sequence[VaryingDimension], named: frozenset[str]
+) -> list[str]:
+    """On a scenario's own dimension: the leaf coordinates (with data) of
+    the members that have an instance at or under a named coordinate in
+    one of ``structures`` — the input one and the hypothetical one.  ρ and
+    S move a value between instances of one member only, so these members'
+    rows are the ones that can come to lie under a named coordinate:
+    Fig. 13's axis.
+
+    A named instance path names its member outright; a member with data
+    at an instance under a named coordinate is read off the index; only
+    the others are looked up in the structures (an instance that holds no
+    data yet — a hypothetical one, or one Φ routes into)."""
+    index = cube.rollup_index()
+    dim_index = cube.schema.dim_index(name)
+    member_of = {
+        coord: coord.rsplit("/", 1)[-1] for coord in index.coords_with_data(dim_index)
+    }
+    reaching = {coord.rsplit("/", 1)[-1] for coord in named if "/" in coord}
+    above = {coord for coord in named if "/" not in coord}
+    for coord in above:
+        reaching.update(
+            member_of[held] for held in index.coords_with_data(dim_index, under=coord)
         )
-        surviving[dimension] = frozenset(validity_out)
-        if varying_out is not None:
-            varying[dimension] = varying_out
-    return varying, surviving
+    if above:
+        for member in dict.fromkeys(member_of.values()):
+            if member not in reaching and any(
+                not above.isdisjoint(instance.path)
+                for structure in structures
+                for instance in structure.instances_of(member)
+            ):
+                reaching.add(member)
+    return [coord for coord, member in member_of.items() if member in reaching]
+
+
+def footprint_rows(
+    cube: Cube,
+    scenarios: Sequence[NegativeScenario | PositiveScenario],
+    structure: ChainStructure,
+    named: Footprint,
+) -> "np.ndarray | None":
+    """σ_F below the chain: the leaf ids of ``cube`` (ascending, for
+    ``apply_scenarios(..., rows=)``) that can reach a cell naming only
+    coordinates of ``named`` — ``None`` when that is every leaf.
+
+    On a dimension the chain does not touch, ρ and S leave a row's
+    coordinate alone (the parameter dimension included: a value moves
+    between instances *at one moment*): the rows rolling up into a named
+    coordinate, off the base index's per-coordinate masks.  On a
+    scenario's own dimension, all rows of the members that reach a named
+    coordinate (:func:`_rows_of_members_reaching`).  Applying the chain to
+    these rows yields the restriction of the full view to them, order
+    included (``relocate`` / ``split`` say why), and a cell's scope lies
+    within them by construction.
+
+    A cube with a rule engine is read whole — a formula may read any cell
+    — and so is anything under ``naive_mode()``, which trusts no mask.
+    """
+    if not named or cube.rules is not None or not perf_config.engine_enabled():
+        return None
+    schema = cube.schema
+    touched = {scenario.dimension for scenario in scenarios}
+    under: dict[int, "Sequence[str] | frozenset[str]"] = {}
+    for name, coords in named.items():
+        if name in touched:
+            structures = [schema.varying_dimension(name)]
+            if name in structure.varying:
+                structures.append(structure.varying[name])
+            coords = _rows_of_members_reaching(cube, name, structures, coords)
+        under[schema.dim_index(name)] = coords
+    return cube.rollup_index().ids_under(under)
+
+
+def _covers(schema: CubeSchema, have: Footprint, want: Footprint) -> bool:
+    """Whether every coordinate of ``want`` is, or lies under, one of
+    ``have`` on each dimension ``have`` restricts."""
+    for name, coords in have.items():
+        asked = want.get(name)
+        if asked is None:
+            return False
+        if asked <= coords:
+            continue
+        dim_index = schema.dim_index(name)
+        for coord in asked - coords:
+            if coords.isdisjoint(schema.ancestor_chain(dim_index, coord)):
+                return False
+    return True
+
+
+class AppliedChain(NamedTuple):
+    """What the scenario cache holds for one fingerprint chain: the base
+    cube it was threaded over, the chain's structure half, and the applied
+    data for **one** footprint (``view`` is ``None`` while only axes have
+    been resolved under the chain).  Immutable and shared read-only
+    between queries; :func:`apply_chain` returns a wider one."""
+
+    base: Cube
+    view: "WhatIfCube | None"
+    structure: ChainStructure
+    #: the footprint ``view`` was applied under; ``{}`` = the whole cube
+    named: "Footprint | None" = None
+    #: base leaves ``view`` was applied to
+    footprint_rows: int = 0
+
+
+def apply_chain(
+    entry: AppliedChain,
+    scenarios: Sequence[NegativeScenario | PositiveScenario],
+    named: Footprint,
+) -> AppliedChain:
+    """``entry`` if its data covers the footprint ``named``; otherwise the
+    chain applied to the rows of the per-dimension union of both
+    footprints (a dimension either leaves unrestricted stays so), so an
+    entry only ever widens — towards, and never past, the full view."""
+    base, schema = entry.base, entry.base.schema
+    if entry.view is not None:
+        if _covers(schema, entry.named, named):
+            return entry
+        named = {
+            name: entry.named[name] | named[name]
+            for name in entry.named.keys() & named.keys()
+        }
+    rows = footprint_rows(base, scenarios, entry.structure, named)
+    view = apply_scenarios(base, scenarios, rows, entry.structure.stages)
+    if rows is None:
+        return entry._replace(view=view, named={}, footprint_rows=base.n_leaf_cells)
+    return entry._replace(view=view, named=named, footprint_rows=len(rows))

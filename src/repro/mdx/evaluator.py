@@ -4,25 +4,32 @@ The pipeline follows the paper's semantics exactly:
 
 1. The WITH clause (if any) is turned into a scenario chain
    (:func:`build_scenarios`: :class:`~repro.core.scenario.PositiveScenario`
-   then :class:`~repro.core.scenario.NegativeScenario`) and applied to the
-   warehouse cube by :func:`~repro.core.scenario.apply_scenarios` — the
-   one runner, behind the scenario cache — yielding a perspective cube
-   (WhatIfCube).  The chain *is* the query's plan: EXPLAIN prints what the
-   same scenario objects say of themselves.
-2. Axis set expressions are evaluated to lists of tuples.  Leaf members of
-   a varying dimension expand to their member *instances* — restricted to
-   instances surviving the scenario (non-empty output validity).
-3. Each result cell is the perspective cube's value at the address formed
+   then :class:`~repro.core.scenario.NegativeScenario`).  The chain *is*
+   the query's plan: EXPLAIN prints what the same scenario objects say of
+   themselves.
+2. Axis set expressions are evaluated to lists of tuples, under the
+   chain's *structure half* (Φ and R on metadata; no cell moved).  Leaf
+   members of a varying dimension expand to their member *instances* —
+   restricted to instances surviving the scenario (non-empty output
+   validity).
+3. The coordinates the cells name are the query's *footprint*; the chain
+   is applied — by :func:`~repro.core.scenario.apply_scenarios`, the one
+   runner, behind the scenario cache — to the base rows that can reach
+   one of those cells (Theorem 4.1 applies it "to the result of the core
+   query", σ first), yielding a perspective cube (WhatIfCube).
+4. Each result cell is the perspective cube's value at the address formed
    by the slicer, the axis coordinates, and dimension roots for every
    unmentioned dimension (the Essbase default member).
 
 Theorem 4.1 gives a query one meaning whoever executes it, so there is
 one pipeline — **resolve → fill → finish** — and executors differ only in
 *fill*.  Steps 1–2 are *resolve* (:class:`_Context`, :func:`resolve_query`);
-step 3 is *fill*: ``perf.batch.evaluate_grid`` here (the per-cell loop
+steps 3–4 are *fill*: ``perf.batch.evaluate_grid`` here (the per-cell loop
 under ``naive_mode()``), scatter/gather over the shard pool in
 :class:`~repro.service.service.ShardedQueryService`, nothing in EXPLAIN;
-:func:`finish_query` prunes NON EMPTY axes and builds the result.
+:func:`finish_query` prunes NON EMPTY axes and builds the result.  Whoever
+reads a scenario's cells asks :class:`_Context` for the view of *its*
+cells (:meth:`_Context.view_under`, by way of ``view_for`` / ``view_at``).
 """
 
 from __future__ import annotations
@@ -33,12 +40,14 @@ from typing import Sequence
 from repro.core.operators import ChangeTuple
 from repro.core.perspective import Mode, Semantics
 from repro.core.scenario import (
+    AppliedChain,
+    Footprint,
     NegativeScenario,
     PositiveScenario,
     WhatIfCube,
-    apply_scenarios,
+    apply_chain,
+    chain_structure,
     expand_instances,
-    scenario_structure,
 )
 from repro.errors import MdxEvaluationError
 from repro.faults import inject_io_fault, register_failpoint
@@ -150,12 +159,17 @@ class _Context:
     """Evaluation context: warehouse bindings plus the query's scenario
     chain, for a query :func:`_check_shape` accepts.
 
-    The chain's two halves are asked for separately.  Axes resolve from
-    its **structure** (:meth:`structure`: metadata, no cell moved); cells
-    are read from :attr:`view`, which applies the chain the first time it
-    is touched.  Whoever reads cells first (``evaluate_query``) resolves
-    from what the applied cube reports; whoever only resolves (the shard
-    coordinator, EXPLAIN) never pays the apply.
+    The chain has one scenario-cache entry
+    (:class:`~repro.core.scenario.AppliedChain`, keyed by its
+    fingerprints; Theorem 4.1 purity: same fingerprints + same base cube
+    version ⇒ same result), probed once per query.  Axes resolve from the
+    entry's **structure** half (:meth:`structure`: metadata, no cell
+    moved); cells are read from the view of a footprint
+    (:meth:`view_under`), which applies the chain to the
+    rows those cells can reach unless the entry's data already covers
+    them.  What the query built is stored once: by the view, or — for an
+    executor that resolved and read no cell here (the shard coordinator,
+    EXPLAIN) — by :meth:`keep`.
     """
 
     def __init__(
@@ -177,71 +191,119 @@ class _Context:
         self.query_sets = dict(query.named_sets)
         self._expanding_sets: set[str] = set()
         self.scenarios = build_scenarios(warehouse, query)
-        #: scenario-cache hits/misses/evictions for this one query
+        #: scenario-cache hits/misses/evictions for this one query: was
+        #: the chain's entry there
         self.scenario_stats: dict[str, int] = {}
+        #: the chain's entry as this query sees it, the key and version it
+        #: was probed under, and whether the cache does not hold it (yet)
+        self._entry: "AppliedChain | None" = None
+        self._key: tuple = ()
+        self._version: object = None
+        self._unsaved = False
+        #: the applied chain this query read cells from, once it has
         self._applied: "WhatIfCube | None" = None
-        self._structure: "tuple[dict, dict] | None" = None
-        if not self.scenarios:
-            self._resolve_under({}, {})
+        self._structure: "tuple[dict, dict] | None" = (
+            None if self.scenarios else (self.schema.varying, {})
+        )
 
-    def _cached(self, key: tuple, build):
-        """``build()`` through the warehouse's scenario cache (Theorem 4.1
-        purity: same fingerprints + same base cube version ⇒ same
-        result): probe → build → put.  An entry is ``(base cube, value)``
-        and is shared read-only between queries."""
-        base = self.warehouse.cube
-        cache = getattr(self.warehouse, "scenario_cache", None)
-        if cache is None or not perf_config.engine_enabled():
-            return build(base)
-        version = base.version
-        hit = cache.get(key, version)
-        if hit is not None:
-            if hit[0] is base:
+    def _cache(self):
+        if not perf_config.engine_enabled():
+            return None
+        return getattr(self.warehouse, "scenario_cache", None)
+
+    def chain(self) -> AppliedChain:
+        """The chain's entry: the cached one, or — a miss, or a hit over
+        another cube object (the warehouse swapped cubes) — its structure
+        half built on the base cube, data to follow."""
+        if self._entry is None:
+            base = self.warehouse.cube
+            cache = self._cache()
+            self._key = key = tuple(s.fingerprint() for s in self.scenarios)
+            self._version = base.version
+            hit = None if cache is None else cache.get(key, self._version)
+            if hit is not None and hit.base is not base:
+                cache.discard(key)
+                hit = None
+            if hit is not None:
                 self.scenario_stats["scenario_cache_hits"] = 1
-                return hit[1]
-            # Same fingerprints + version but a different cube object:
-            # the warehouse swapped cubes.  Drop and rebuild.
-            cache.discard(key)
-        value = build(base)
-        evicted = cache.put(key, version, (base, value))
-        self.scenario_stats["scenario_cache_misses"] = 1
-        if evicted:
-            self.scenario_stats["scenario_cache_evictions"] = evicted
-        return value
+                self._entry = hit
+            else:
+                if cache is not None:
+                    self.scenario_stats["scenario_cache_misses"] = 1
+                self._entry = AppliedChain(
+                    base, None, chain_structure(base, self.scenarios)
+                )
+                self._unsaved = True
+        return self._entry
 
-    def _resolve_under(self, varying: dict, surviving: dict) -> None:
-        self._structure = ({**self.schema.varying, **varying}, surviving)
-
-    @property
-    def view(self):
-        """The cube cells are read from: the warehouse's, or the applied
-        chain (:func:`apply_scenarios`, once, behind the scenario cache).
-        From then on axes resolve from the structure it reports."""
-        if not self.scenarios:
-            return self.warehouse.cube
-        if self._applied is None:
-            key = tuple(s.fingerprint() for s in self.scenarios)
-            self._applied = applied = self._cached(
-                key, lambda base: apply_scenarios(base, self.scenarios)
-            )
-            self._resolve_under(applied.varying, applied.surviving)
-        return self._applied
+    def keep(self) -> None:
+        """Store what this query built and has not stored yet, as the
+        chain's one entry."""
+        cache = self._cache()
+        if self._unsaved and cache is not None:
+            evicted = cache.put(self._key, self._version, self._entry)
+            if evicted:
+                self.scenario_stats["scenario_cache_evictions"] = evicted
+        self._unsaved = False
 
     def structure(self) -> "tuple[dict, dict]":
         """Per varying dimension: the structure axes resolve under (the
         hypothetical one where S left one) and, where the chain touched
         the dimension, the instances with a non-empty output validity —
-        the only ones axes list.  The structure half alone
-        (:func:`scenario_structure`, memoised beside the applied cubes
-        under a tagged key) unless :attr:`view` was already applied."""
+        the only ones axes list."""
         if self._structure is None:
-            key = ("structure", *(s.fingerprint() for s in self.scenarios))
-            self._resolve_under(
-                *self._cached(
-                    key, lambda base: scenario_structure(base, self.scenarios)
-                )
-            )
+            varying, surviving = self.chain().structure[:2]
+            self._structure = ({**self.schema.varying, **varying}, surviving)
         return self._structure
+
+    def view_under(self, named: Footprint):
+        """The cube to read the cells of a footprint from: the
+        warehouse's, or the chain applied to the rows those cells can
+        reach (:func:`~repro.core.scenario.apply_chain`: the entry's data
+        if it covers them, else re-applied for the union and swapped in).
+        Every reader of a scenario's cells comes through here."""
+        if not self.scenarios:
+            return self.warehouse.cube
+        entry = self.chain()
+        applied = apply_chain(entry, self.scenarios, named)
+        if applied is not entry:
+            self._entry, self._unsaved = applied, True
+        self.keep()
+        self._applied = applied.view
+        return applied.view
+
+    @property
+    def view(self):
+        """:meth:`view_under` no restriction — the whole cube's view: what
+        a FILTER / ORDER condition reads while axes still resolve."""
+        return self.view_under({})
+
+    def _holds_everything(self) -> bool:
+        """Whether the chain's entry already holds the whole cube's view:
+        it covers any footprint, so none needs deriving."""
+        entry = self.chain()
+        return entry.view is not None and not entry.named
+
+    def view_for(self, resolved: "ResolvedQuery"):
+        """:meth:`view_under` the footprint of a resolved grid."""
+        if not self.scenarios or self._holds_everything():
+            return self.view
+        return self.view_under(resolved.footprint())
+
+    def view_at(self, addresses: "Sequence[Sequence[str]]"):
+        """:meth:`view_under` the footprint of the cells at ``addresses``."""
+        if not self.scenarios or self._holds_everything():
+            return self.view
+        named: dict[str, set[str]] = {d.name: set() for d in self.schema.dimensions}
+        for coords, column in zip(named.values(), zip(*addresses)):
+            coords.update(column)
+        return self.view_under(_restricting(self.schema, named))
+
+    @property
+    def footprint_rows(self) -> "int | None":
+        """Base leaves the view this query read was applied to (``None``:
+        no scenario, or no cell read yet)."""
+        return None if self._applied is None else self._entry.footprint_rows
 
     # -- member expansion -----------------------------------------------------------
 
@@ -526,6 +588,16 @@ def _axis_tuples(
     return result
 
 
+def _restricting(schema, named: "dict[str, set[str]]") -> Footprint:
+    """``named`` as a footprint: a dimension whose root some cell names is
+    unrestricted, hence left out."""
+    return {
+        d.name: frozenset(named[d.name])
+        for d in schema.dimensions
+        if d.root.name not in named[d.name]
+    }
+
+
 @dataclass(slots=True)
 class ResolvedQuery:
     """What a query asks for before any cell is read (:func:`resolve_query`)."""
@@ -538,6 +610,28 @@ class ResolvedQuery:
     #: order; a row coordinate overrides it, a column coordinate both
     base_coords: dict[str, str]
     non_empty: frozenset[str]  #: the axes ("rows" / "columns") to prune
+
+    def footprint(self) -> Footprint:
+        """The coordinates the grid's cells name, per dimension: those of
+        the row and column tuples, and the slicer / default coordinate of
+        every dimension some cell leaves to it (one an axis binds in every
+        tuple is never read off ``base_coords``).  O(rows + columns)."""
+        named: dict[str, set[str]] = {name: set() for name in self.base_coords}
+        overridden: set[str] = set()
+        for axis in (self.rows, self.columns):
+            shapes: set[tuple[str, ...]] = set()  # the dimensions a tuple binds
+            for axis_tuple in axis:
+                shape = []
+                for dim, coord in axis_tuple.coordinates:
+                    named[dim].add(coord)
+                    shape.append(dim)
+                shapes.add(tuple(shape))
+            if shapes:
+                overridden.update(set.intersection(*map(set, shapes)))
+        for dim, coord in self.base_coords.items():
+            if dim not in overridden:
+                named[dim].add(coord)
+        return _restricting(self.context.schema, named)
 
 
 def resolve_query(context: _Context) -> ResolvedQuery:
@@ -635,18 +729,22 @@ def evaluate_query(
             report = analyze_query(warehouse, query)
         if report.has_errors:
             raise MdxAnalysisError(report)
-    with trace_span("mdx.scenario") as scenario_span:
-        context = _Context(warehouse, query, budget)
-        # Cells are read below, so the chain is applied here — and the
-        # axes resolve from what the applied cube reports.
-        view = context.view
-        if scenario_span is not None and context.scenarios:
-            scenario_span.set(scenarios=len(context.scenarios))
     with trace_span("mdx.axes") as axes_span:
+        context = _Context(warehouse, query, budget)
         resolved = resolve_query(context)
         rows, columns = resolved.rows, resolved.columns
         if axes_span is not None:
             axes_span.set(columns=len(columns), rows=len(rows))
+    with trace_span("mdx.scenario") as scenario_span:
+        # Cells are read below, so the chain is applied here — to the rows
+        # the grid's cells can reach.
+        view = context.view_for(resolved)
+        if scenario_span is not None and context.scenarios:
+            scenario_span.set(
+                scenarios=len(context.scenarios),
+                leaves_in=warehouse.cube.n_leaf_cells,
+                footprint_rows=context.footprint_rows,
+            )
 
     tracker = context.tracker
     stats = dict(context.scenario_stats)

@@ -12,10 +12,13 @@ cell must aggregate, the same quantity that dominates Figs. 11–13.
 
 Instance expansion depends on output validity, so axis resolution needs
 the WITH-clause scenario — its *structure half* only
-(:func:`~repro.core.scenario.scenario_structure`, memoised in the scenario
-cache): Φ and R run on metadata, no cell is moved and none is evaluated.
-The one exception is a FILTER / ORDER set, whose condition reads cells of
-the applied scenario.
+(:func:`~repro.core.scenario.chain_structure`, kept as the chain's
+scenario-cache entry): Φ and R run on metadata, no cell is moved and none
+is evaluated.  The one exception is a FILTER / ORDER set, whose condition
+reads cells of the applied scenario.  The report also says what the
+chain would be applied *to*: the query's footprint — the dimensions its
+cells restrict and the base rows that can reach one of them, counted off
+the rollup index's masks (:func:`~repro.core.scenario.footprint_rows`).
 
 Surfaced as ``python -m repro explain <query-file>`` (``--json`` for the
 structured report).
@@ -105,6 +108,7 @@ def explain_report(warehouse, text: str) -> dict[str, Any]:
     out too — the diagnostics already say why.
     """
     # Imported lazily to keep obs dependency-light.
+    from repro.core.scenario import footprint_rows
     from repro.errors import MdxEvaluationError
     from repro.mdx.evaluator import _Context, build_scenarios, resolve_query
 
@@ -133,7 +137,8 @@ def explain_report(warehouse, text: str) -> dict[str, Any]:
 
         # Axis resolution *is* execution's, from the scenario's structure
         # half (budget-free; nothing is applied).
-        resolved = resolve_query(_Context(warehouse, query))
+        context = _Context(warehouse, query)
+        resolved = resolve_query(context)
         columns, rows = resolved.columns, resolved.rows
 
         axes: list[dict[str, Any]] = []
@@ -149,7 +154,20 @@ def explain_report(warehouse, text: str) -> dict[str, Any]:
             )
         report["axes"] = axes
         report["slicer"] = dict(sorted(resolved.slicer.items()))
-        report["scenario_cache"] = dict(resolved.context.scenario_stats)
+        if context.scenarios:
+            # what the chain would be applied to — counted, not applied
+            named = resolved.footprint()
+            kept = footprint_rows(
+                warehouse.cube, context.scenarios, context.chain().structure, named
+            )
+            total = warehouse.cube.n_leaf_cells
+            report["footprint"] = {
+                "restricted": sorted(named) if kept is not None else [],
+                "rows": total if kept is None else len(kept),
+                "leaf_cells": total,
+            }
+        context.keep()
+        report["scenario_cache"] = dict(context.scenario_stats)
         report["scope_estimates"] = _scope_estimates(
             warehouse, warehouse.schema, resolved.base_coords, rows, columns
         )
@@ -191,6 +209,13 @@ def explain_query(warehouse, text: str) -> str:
     if report["slicer"]:
         slicer = ", ".join(f"{k}={v}" for k, v in report["slicer"].items())
         lines.append(f"slicer: {slicer}")
+    if "footprint" in report:
+        footprint = report["footprint"]
+        lines.append(
+            f"footprint: {footprint['rows']} of {footprint['leaf_cells']} base "
+            "row(s) can reach a cell; restricted on "
+            + (", ".join(footprint["restricted"]) or "no dimension")
+        )
     if report["scenario_cache"]:
         cache = ", ".join(
             f"{k.rsplit('_', 1)[-1]}={v}"

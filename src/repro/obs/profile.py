@@ -36,7 +36,7 @@ __all__ = ["PROFILE_SCHEMA", "QueryProfile", "validate_profile"]
 
 #: evaluator pipeline phases, in execution order (span names are
 #: ``mdx.<phase>`` under the ``mdx.query`` root)
-PHASES = ("parse", "analyze", "scenario", "axes", "cells", "finalize")
+PHASES = ("parse", "analyze", "axes", "scenario", "cells", "finalize")
 
 
 def _format_attrs(span: "dict[str, Any]") -> str:
@@ -123,8 +123,9 @@ class QueryProfile:
         return payload
 
     def _operator_lines(self) -> list[str]:
-        """The spans under each ``scenario.apply`` — which operator (Φ, ρ,
-        S, index derivation) a cold query spent its scenario phase in."""
+        """The spans under each ``scenario.apply`` — which operator (ρ, S,
+        index derivation) a cold query spent its scenario phase in.  (Φ is
+        the structure half: it runs while axes resolve.)"""
         lines: list[str] = []
 
         def walk(node: dict[str, Any], depth: int, inside: bool) -> None:

@@ -401,15 +401,21 @@ class Cube:
             return set(self._index.coords_with_data(dim_index))
         return {addr[dim_index] for addr in self._leaf_cells}
 
-    def leaf_columns(self, *dim_indexes: int) -> "LeafColumns":
+    def leaf_columns(
+        self, *dim_indexes: int, ids: "np.ndarray | None" = None
+    ) -> "LeafColumns":
         """The leaf cells column-wise, in insertion order, with the
         coordinate-code columns of the given dimensions — what the what-if
-        operators read instead of iterating cells.  Served by the rollup
-        index; under ``naive_mode()`` the columns are scanned off the leaf
-        addresses and name no index, so whatever is computed from them
-        rebuilds its own columns."""
+        operators read instead of iterating cells.  ``ids`` (ascending
+        leaf ids of the rollup index, :meth:`RollupIndex.ids_under`) reads
+        a row subset.  Served by the rollup index; under ``naive_mode()``
+        the columns are scanned off the leaf addresses and name no index,
+        so whatever is computed from them rebuilds its own columns — and
+        there are no ids to restrict by."""
         if perf_config.engine_enabled():
-            return self._index.columns(dim_indexes)
+            return self._index.columns(dim_indexes, ids)
+        if ids is not None:
+            raise ValueError("naive_mode() reads whole cubes: leaf ids name index rows")
         from repro.perf.rollup_index import scan_columns
 
         return scan_columns(self._leaf_cells, dim_indexes)

@@ -92,8 +92,12 @@ class VaryingDimension:
             )
         # member name -> per-moment parent name (None = invalid at that moment)
         self._parent_at: dict[str, list[str | None]] = {}
-        self._version = 0
-        self._instance_cache: tuple[int, dict[str, list[MemberInstance]]] | None = None
+        #: every name a row was ever pointed at: a write to one of these
+        #: can change the path of the members below it
+        self._parents_named: set[str] = set()
+        #: member -> its instances, computed on first ask and kept until a
+        #: write can change them (:meth:`_forget`)
+        self._instances: dict[str, list[MemberInstance]] = {}
 
     # -- basic properties ---------------------------------------------------
 
@@ -147,9 +151,17 @@ class VaryingDimension:
                 )
         return parent_obj
 
-    def _touch(self) -> None:
-        self._version += 1
-        self._instance_cache = None
+    def _forget(self, member: str) -> None:
+        """Drop the instances a write to ``member``'s row can change.  A
+        member's instances are read off its own row and its ancestors', so
+        a member nothing hangs below — no skeleton child, never named as a
+        parent — takes only its own entry with it; below any other member
+        every path may pass through it (Def. 3.1: a non-leaf reparent
+        changes every root-to-leaf path under it), so everything goes."""
+        if self.dimension.member(member).children or member in self._parents_named:
+            self._instances.clear()
+        else:
+            self._instances.pop(member, None)
 
     def assign(
         self,
@@ -164,20 +176,21 @@ class VaryingDimension:
         """
         self._check_parent(parent)
         row = self._managed_row(member)
+        self._forget(member)
+        self._parents_named.add(parent)
         if moments is None:
             for t in range(self._universe):
                 row[t] = parent
         else:
             for moment in moments:
                 row[self.moment_index(moment)] = parent
-        self._touch()
 
     def set_invalid(self, member: str, moments: Iterable[str | int]) -> None:
         """Mark ``member`` invalid (no instance) at the given moments."""
         row = self._managed_row(member)
+        self._forget(member)
         for moment in moments:
             row[self.moment_index(moment)] = None
-        self._touch()
 
     def reparent(self, member: str, new_parent: str, from_moment: str | int) -> None:
         """Apply a legal structural change (Def. 3.1).
@@ -194,10 +207,11 @@ class VaryingDimension:
         self._check_parent(new_parent)
         start = self.moment_index(from_moment)
         row = self._managed_row(member)
+        self._forget(member)
+        self._parents_named.add(new_parent)
         for t in range(start, self._universe):
             if row[t] is not None:
                 row[t] = new_parent
-        self._touch()
 
     def assignments(self) -> dict[str, list[str | None]]:
         """Snapshot of the per-moment parent table (for persistence)."""
@@ -218,16 +232,23 @@ class VaryingDimension:
                 if parent is not None:
                     self.dimension.member(parent)
         self._parent_at = {name: list(row) for name, row in table.items()}
-        self._touch()
+        self._parents_named = {
+            parent for row in table.values() for parent in row if parent is not None
+        }
+        self._instances = {}
 
     def copy(self) -> "VaryingDimension":
         """Independent copy sharing the skeleton and parameter dimensions.
 
         Used to build *hypothetical* structures (positive scenarios) without
-        disturbing the real one.
+        disturbing the real one.  The clone starts with every instance this
+        structure has already computed (instances are immutable), so a
+        change relation recomputes the members it moves and no other.
         """
         clone = VaryingDimension(self.dimension, self.parameter)
         clone._parent_at = {name: list(row) for name, row in self._parent_at.items()}
+        clone._parents_named = set(self._parents_named)
+        clone._instances = dict(self._instances)
         return clone
 
     # -- structure queries ---------------------------------------------------
@@ -269,15 +290,6 @@ class VaryingDimension:
 
     # -- instances -------------------------------------------------------------
 
-    def _instance_table(self) -> dict[str, list[MemberInstance]]:
-        if self._instance_cache is not None and self._instance_cache[0] == self._version:
-            return self._instance_cache[1]
-        table: dict[str, list[MemberInstance]] = {}
-        for member in self._parent_at:
-            table[member] = self._compute_instances(member)
-        self._instance_cache = (self._version, table)
-        return table
-
     def _compute_instances(self, member: str) -> list[MemberInstance]:
         by_path: dict[tuple[str, ...], list[int]] = {}
         first_seen: dict[tuple[str, ...], int] = {}
@@ -303,11 +315,11 @@ class VaryingDimension:
         A member with no managed ancestors yields its single static
         instance, valid at every moment.
         """
-        table = self._instance_table()
-        if member not in table:
+        instances = self._instances.get(member)
+        if instances is None:
             self.dimension.member(member)  # validate existence
-            table[member] = self._compute_instances(member)
-        return list(table[member])
+            instances = self._instances[member] = self._compute_instances(member)
+        return list(instances)
 
     def instance_at(self, member: str, moment: str | int) -> MemberInstance | None:
         """The unique instance of ``member`` valid at a moment, if any.

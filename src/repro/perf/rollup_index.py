@@ -238,7 +238,10 @@ class _CoordTable:
     up to: ``under[c]`` lists the codes of the leaf coordinates below (or
     equal to) coordinate ``c`` and ``n_under[c]`` counts the live leaves
     there.  Built from ``CubeSchema.ancestor_chain`` once per *distinct*
-    coordinate."""
+    coordinate that has held a leaf: a coordinate the table merely lists
+    (a derived cube keeps its parent's codes, whatever rows it kept) rolls
+    up to nothing until :meth:`add_leaf` counts a leaf there, so a table
+    costs what its cube holds."""
 
     __slots__ = ("coords", "code_of", "under", "n_under")
 
@@ -253,11 +256,19 @@ class _CoordTable:
         self.code_of = {coord: code for code, coord in enumerate(coords)}
         self.under: dict[str, list[int]] = {}
         self.n_under: dict[str, int] = {}
+        under, n_under = self.under, self.n_under
         chain = schema.ancestor_chain
         for code, (coord, count) in enumerate(zip(coords, counts)):
+            if not count:
+                continue
             for ancestor in chain(dim_index, coord):
-                self.under.setdefault(ancestor, []).append(code)
-                self.n_under[ancestor] = self.n_under.get(ancestor, 0) + count
+                codes = under.get(ancestor)
+                if codes is None:
+                    under[ancestor] = [code]
+                    n_under[ancestor] = count
+                else:
+                    codes.append(code)
+                    n_under[ancestor] += count
 
     def copy(self) -> "_CoordTable":
         clone = _CoordTable.__new__(_CoordTable)
@@ -274,9 +285,10 @@ class _CoordTable:
             code = len(self.coords)
             self.coords.append(coord)
             self.code_of[coord] = code
+        n_under = self.n_under
+        if coord not in n_under:  # the first leaf ever counted here
             for ancestor in chain:
                 self.under.setdefault(ancestor, []).append(code)
-        n_under = self.n_under
         for ancestor in chain:
             n_under[ancestor] = n_under.get(ancestor, 0) + 1
         return code
@@ -728,13 +740,18 @@ class RollupIndex:
 
     # -- column reads / derivation (the what-if operators' interface) -------------
 
-    def columns(self, dims: Sequence[int]) -> LeafColumns:
+    def columns(
+        self, dims: Sequence[int], ids: "np.ndarray | None" = None
+    ) -> LeafColumns:
         """The live leaf cells column-wise in insertion order, with the
         coordinate columns of ``dims`` — one consistent read under the
-        index lock."""
+        index lock.  ``ids`` (ascending live leaf ids, e.g. from
+        :meth:`ids_under`) reads those leaves and no other: the gathers
+        cost what is kept, not what the cube holds."""
         with self._lock:
             struct = self._struct
-            ids = self._ordered_array()
+            if ids is None:
+                ids = self._ordered_array()
             return LeafColumns(
                 self._values.gather(ids),
                 {dim: struct.codes[dim][ids] for dim in dims},
@@ -795,12 +812,16 @@ class RollupIndex:
             self.schema, dict(zip(child._struct.all_addresses(), values.tolist()))
         )
 
-    def coords_with_data(self, dim_index: int) -> list[str]:
-        """Distinct leaf coordinates on one dimension that hold a leaf."""
+    def coords_with_data(self, dim_index: int, under: "str | None" = None) -> list[str]:
+        """Distinct leaf coordinates on one dimension that hold a leaf —
+        all of them, or those rolling up into ``under``."""
         with self._lock:
             table = self._struct.tables[dim_index]
             n_under = table.n_under
-            return [c for c in table.coords if n_under[c]]
+            if under is None:
+                return [c for c in table.coords if n_under.get(c)]
+            coords = [table.coords[code] for code in table.under.get(under, ())]
+            return [c for c in coords if n_under[c]]
 
     # -- the leaf store: writes, point reads, the mapping view --------------------
 
@@ -1052,6 +1073,62 @@ class RollupIndex:
 
     def _address_ids(self, address: Sequence[str]) -> np.ndarray:  # reprolint: locked
         return self._scope_ids_array(list(enumerate(address)))
+
+    def ids_under(
+        self, named: Mapping[int, "Sequence[str] | frozenset[str]"]
+    ) -> "np.ndarray | None":
+        """σ as a row set: the ascending ids of the live leaves that, on
+        every dimension of ``named``, roll up into *one of* that
+        dimension's coordinates — ``None`` when that is every leaf.
+
+        Per dimension the coordinates become the set of coordinate codes
+        under them (the table has a few hundred); a dimension whose
+        coordinates cover every leaf costs nothing more.  Dimensions
+        naming one coordinate are intersected through the cached
+        per-coordinate masks (the ones grid evaluation fills); the rest
+        filter the ids that survive, so no pass over the id space is made
+        that a query on the same coordinates would not make.  A
+        coordinate no leaf rolls up into keeps nothing (it is not looked
+        up in the schema: nothing is evaluated there).
+        """
+        with self._lock:
+            struct = self._struct
+            n_live = struct.n_live
+            masks: list[np.ndarray] = []
+            filters: list[tuple[int, int, np.ndarray]] = []
+            for dim, coords in named.items():
+                table = struct.tables[dim]
+                codes = {
+                    code for coord in coords for code in table.under.get(coord, ())
+                }
+                kept = sum(table.n_under[table.coords[code]] for code in codes)
+                if kept == n_live:
+                    continue
+                if kept == 0:
+                    return _EMPTY_IDS
+                if len(coords) == 1:
+                    masks.append(self._coord_mask(dim, next(iter(coords))))
+                else:
+                    keep = np.zeros(len(table.coords), dtype=np.bool_)
+                    keep[list(codes)] = True
+                    filters.append((kept, dim, keep))
+            if not masks and not filters:
+                return None
+            filters.sort(key=lambda item: item[0])
+            if masks:
+                mask = masks[0]
+                for other in masks[1:]:
+                    mask = mask & other
+            else:
+                n = struct.n_ids
+                _, dim, keep = filters.pop(0)
+                mask = keep[struct.codes[dim][:n]]
+                if n_live != n:
+                    mask &= struct.live[:n]
+            ids = np.flatnonzero(mask)
+            for _, dim, keep in filters:
+                ids = ids[keep[struct.codes[dim][ids]]]
+            return ids
 
     def scope_ids(self, address: Sequence[str]) -> list[int]:
         """Ids of the leaf cells in a cell's scope, in insertion order."""

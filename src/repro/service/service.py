@@ -817,6 +817,9 @@ class ShardedQueryService:
         self._merge(state, responses)
         degradations = self._degradations(state)
         self._fill_local(state, resolved)
+        # axes resolved under a chain no query had met, and no cell read
+        # here: its structure half is the chain's cache entry from now on
+        resolved.context.keep()
         state.stats["fallback_cells"] = len(state.fallback)
         return state.grid, state.stats, degradations
 
@@ -1129,14 +1132,21 @@ class ShardedQueryService:
         fallback cells — on the coordinator's full warehouse."""
         if not state.local and not state.fallback:
             return
+        context = resolved.context
         with trace_span(
             "serve.local",
             local_cells=len(state.local),
             fallback_cells=len(state.fallback),
-        ):
+        ) as span:
             # under a scenario this is where the coordinator applies the
-            # chain; the scenario cache amortises it across queries
-            view = resolved.context.view
+            # chain, to the rows the grid's cells can reach; the scenario
+            # cache amortises it across queries
+            view = context.view_for(resolved)
+            if span is not None and context.scenarios:
+                span.set(
+                    leaves_in=self.warehouse.cube.n_leaf_cells,
+                    footprint_rows=context.footprint_rows,
+                )
             for r, c, addr in state.local + state.fallback:
                 state.grid[r][c] = view.effective_value(addr)
 

@@ -295,11 +295,12 @@ class _ShardRuntime:
         inject_io_fault(FP_SHARD_EXEC)
         if op == "cells":
             context = self._context(request["text"])
-            view = context.view
-            values = [
-                _encode_value(view.effective_value(tuple(addr)))
-                for addr in request["addresses"]
-            ]
+            # the footprint of a shard's share of a query is the addresses
+            # it was sent: the chain is applied to the rows of the slice
+            # those cells can reach
+            addresses = [tuple(addr) for addr in request["addresses"]]
+            view = context.view_at(addresses)
+            values = [_encode_value(view.effective_value(addr)) for addr in addresses]
             return {"ok": True, "values": values}
         if op == "partial":
             index = self.warehouse.cube.rollup_index()

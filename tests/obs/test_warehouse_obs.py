@@ -60,9 +60,10 @@ class TestQueryProfiles:
         assert "scenario_cache.get" in names
 
     def test_profile_names_the_operator_that_spent_a_cold_query(self, warehouse):
-        """Φ, ρ/S and the index derivation are spans under
-        ``scenario.apply``; the profile stays schema-valid and the
-        rendering lists them under the scenario phase."""
+        """ρ / S and the index derivation are spans under
+        ``scenario.apply``, Φ — the structure half, run once — one under
+        the axes phase; the profile stays schema-valid and the rendering
+        lists the operators under the scenario phase."""
         chained = QUERY.replace(
             "WITH PERSPECTIVE",
             "WITH CHANGES {([Lisa], FTE, PTE, Apr)} FOR Organization VISUAL\n"
@@ -73,42 +74,52 @@ class TestQueryProfiles:
         profile = result.profile
         validate_profile(profile.to_dict())
 
-        applies = []
+        applies, phis = [], []
 
-        def walk(node):
+        def walk(node, phase):
             if node["name"] == "scenario.apply":
                 applies.append(node)
+            if node["name"] == "core.phi":
+                phis.append(phase)
             for child in node.get("children", ()):
-                walk(child)
+                walk(child, phase)
 
-        walk(profile.spans)
+        for phase_span in profile.spans["children"]:
+            walk(phase_span, phase_span["name"])
+        assert phis == ["mdx.axes"]  # once per cold query, before anything moves
         positive, negative = applies
         (split_span,) = positive["children"]
         assert split_span["name"] == "core.split"
-        phi_span, relocate_span = negative["children"]
-        assert (phi_span["name"], relocate_span["name"]) == ("core.phi", "core.relocate")
+        (relocate_span,) = negative["children"]
+        assert relocate_span["name"] == "core.relocate"
         for operator in (split_span, relocate_span):
-            assert {"leaves_in", "leaves_out", "moved", "dropped"} <= set(
-                operator["attrs"]
-            )
+            assert {
+                "leaves_in", "footprint_rows", "leaves_out", "moved", "dropped"
+            } <= set(operator["attrs"])
             assert operator["children"][-1]["name"] == "rollup_index.derive"
         n_leaves = warehouse.cube.n_leaf_cells
         assert split_span["attrs"]["leaves_in"] == n_leaves
+        # the running example carries a rule engine: its cube is read whole
+        assert split_span["attrs"]["footprint_rows"] == n_leaves
         assert (
-            relocate_span["attrs"]["leaves_in"] == split_span["attrs"]["leaves_out"]
+            relocate_span["attrs"]["leaves_in"]
+            == relocate_span["attrs"]["footprint_rows"]
+            == split_span["attrs"]["leaves_out"]
         )
         assert (
             relocate_span["attrs"]["leaves_out"] + relocate_span["attrs"]["dropped"]
-            == relocate_span["attrs"]["leaves_in"]
+            == relocate_span["attrs"]["footprint_rows"]
         )
 
         lines = profile.render().splitlines()
         at = next(i for i, line in enumerate(lines) if line.split()[0] == "scenario")
-        below = [line.split()[0] for line in lines[at + 1 : at + 8]]
-        assert below[:3] == ["scenario.apply", "core.split", "rollup_index.derive"]
-        assert "core.phi" in below and "core.relocate" in below
-        assert "rollup_index.build" not in below, "a cold apply derives, never rebuilds"
-        assert lines[at + 8].split()[0] == "axes"
+        below = [line.split()[0] for line in lines[at + 1 : at + 7]]
+        assert below == [
+            "scenario.apply", "core.split", "rollup_index.derive",
+            "scenario.apply", "core.relocate", "rollup_index.derive",
+        ], "a cold apply derives, never rebuilds"
+        assert lines[at - 1].split()[0] == "axes"
+        assert lines[at + 7].split()[0] == "cells"
 
     def test_phase_sum_covers_total_when_warm(self, warehouse):
         """Acceptance: phase timings must sum to within 10% of the total

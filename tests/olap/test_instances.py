@@ -221,3 +221,68 @@ def test_validity_sets_partition_valid_moments(changes):
         assert not moments & seen
         seen |= moments
     assert seen == set(range(6))  # Joe is never invalidated here
+
+
+def build_teams() -> VaryingDimension:
+    """Two levels below the root, so a non-leaf reparent changes paths of
+    members it is not the skeleton parent of alone."""
+    org = Dimension("Org")
+    org.add_children(None, ["East", "West", "Spare"])
+    org.add_children("East", ["TeamA", "TeamB"])
+    org.add_children("West", ["TeamC"])
+    org.add_children("TeamA", ["Joe", "Lisa"])
+    org.add_children("TeamB", ["Tom"])
+    org.add_children("TeamC", ["Jane"])
+    time = Dimension("Time", ordered=True)
+    for month in MONTHS:
+        time.add_member(month)
+    return VaryingDimension(org, time)
+
+
+_LEAVES = ["Joe", "Lisa", "Tom", "Jane"]
+_TEAMS = ["TeamA", "TeamB", "TeamC"]
+_REGIONS = ["East", "West", "Spare"]
+_MOMENT = st.integers(min_value=0, max_value=5)
+_WRITES = st.one_of(
+    st.tuples(st.just("reparent"), st.sampled_from(_LEAVES), st.sampled_from(_TEAMS), _MOMENT),
+    st.tuples(st.just("reparent"), st.sampled_from(_TEAMS), st.sampled_from(_REGIONS), _MOMENT),
+    st.tuples(st.just("invalid"), st.sampled_from(_LEAVES + _TEAMS), st.just(""), _MOMENT),
+    st.tuples(st.just("assign"), st.sampled_from(_LEAVES), st.sampled_from(_TEAMS + ["Spare"]), _MOMENT),
+)
+
+
+@given(before=st.lists(_WRITES, max_size=4), after=st.lists(_WRITES, max_size=8))
+def test_a_copy_remembers_exactly_the_instances_its_writes_leave_alone(before, after):
+    """Property: a structure hands its copy the instances it has computed,
+    and a write drops only what it can change — so after any sequence of
+    legal changes on the copy (leaf and non-leaf reparents, ⊥ moments,
+    bulk assigns), interleaved with reads that refill the table,
+    ``instances_of`` of *every* member is what a structure freshly loaded
+    from ``assignments()`` computes; and the original is untouched."""
+
+    def write(varying: VaryingDimension, kind, member, parent, moment) -> None:
+        try:
+            if kind == "reparent":
+                varying.reparent(member, parent, moment)
+            elif kind == "invalid":
+                varying.set_invalid(member, [moment])
+            else:
+                varying.assign(member, parent, [moment])
+        except InvalidChangeError:
+            pass  # an illegal change leaves the structure as it was
+
+    def everything(varying: VaryingDimension):
+        return {m: varying.instances_of(m) for m in _LEAVES + _TEAMS + _REGIONS}
+
+    original = build_teams()
+    for step in before:
+        write(original, *step)
+    remembered = everything(original)  # the table the copy starts from
+    hypothetical = original.copy()
+    for step in after:
+        write(hypothetical, *step)
+        hypothetical.instances_of(step[1])  # a read between writes refills
+    fresh = build_teams()
+    fresh.load_assignments(hypothetical.assignments())
+    assert everything(hypothetical) == everything(fresh)
+    assert everything(original) == remembered
