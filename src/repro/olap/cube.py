@@ -154,7 +154,9 @@ class Cube:
 
         The snapshot *forks* the rollup index — shared structure, a
         shared value column, a warm memo — so nothing proportional to the
-        cube is copied until one side writes.  Lock order here is
+        cube is copied until one side writes.  The memo is the previous
+        snapshot's, less what the writes since can reach
+        (``RollupIndex.fork(frozen=True)``).  Lock order here is
         Cube._lock -> RollupIndex._lock, as declared in the lint hierarchy.
         """
         from repro.obs.trace import trace_span  # repro.obs imports this module
@@ -162,7 +164,9 @@ class Cube:
         with trace_span("cube.snapshot") as span, self._lock:
             if span is not None:
                 span.set(forked=True, **self._index.writes_since_fork())
-            clone = self.copy()
+            clone = self.adopt(
+                self._index.fork(frozen=True), dict(self._stored_derived)
+            )
             clone._version = self._version
             clone._frozen = True
             return clone

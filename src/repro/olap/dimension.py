@@ -145,7 +145,9 @@ class Dimension:
         self.is_measures = is_measures
         self._root = Member(name, None, self)
         self._members: dict[str, Member] = {name: self._root}
-        self._leaf_order: dict[str, int] | None = None  # lazily rebuilt
+        # both lazily rebuilt after add_member
+        self._leaf_order: dict[str, int] | None = None
+        self._leaf_names: frozenset[str] | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -163,7 +165,7 @@ class Dimension:
         member = Member(name, parent_member, self)
         parent_member._children.append(member)
         self._members[name] = member
-        self._leaf_order = None
+        self._leaf_order = self._leaf_names = None
         return member
 
     def add_children(self, parent: str | Member | None, names: Iterable[str]) -> list[Member]:
@@ -215,6 +217,15 @@ class Dimension:
                 member.name: index for index, member in enumerate(self._root.leaves())
             }
         return self._leaf_order
+
+    def leaf_names(self) -> frozenset[str]:
+        """The names of the leaf members — a membership test is the
+        leafness test of a known member (``add_member`` under a leaf
+        makes it a parent, so the set is rebuilt after every add)."""
+        names = self._leaf_names
+        if names is None:
+            names = self._leaf_names = frozenset(self._ensure_leaf_order())
+        return names
 
     @property
     def leaf_count(self) -> int:

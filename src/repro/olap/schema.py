@@ -156,10 +156,22 @@ class CubeSchema:
         return dimension.member(coord).is_leaf
 
     def is_leaf_address(self, address: Sequence[str]) -> bool:
-        """A cell is leaf iff every coordinate is leaf level (Sec. 2)."""
-        return all(
-            self.coordinate_is_leaf(i, coord) for i, coord in enumerate(address)
-        )
+        """A cell is leaf iff every coordinate is leaf level (Sec. 2).
+
+        :meth:`coordinate_is_leaf` in dimension order, stopping at the
+        first coordinate that is not: a known leaf is one probe of its
+        dimension's leaf-name set, and only a coordinate outside the set
+        is looked up — which raises ``MemberNotFoundError`` for an
+        unknown member, as the per-coordinate test does."""
+        varying = self._varying
+        for dimension, coord in zip(self.dimensions, address):
+            if dimension.name in varying:
+                if "/" not in coord:
+                    return False
+            elif coord not in dimension.leaf_names():
+                dimension.member(coord)  # an unknown member raises here
+                return False
+        return True
 
     def coordinate_display(self, dim_index: int, coord: str) -> str:
         """Short display form (``FTE/Joe`` for instance paths)."""

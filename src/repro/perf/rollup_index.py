@@ -64,10 +64,12 @@ against adopting the gathered array) — and every served generation held
 its values twice (884,736 B of planes + a 768,000 B mirror at 96,000
 leaves).  A value write touches no structure.
 An insert or delete on either side first replaces a shared generation
-wholesale with a trimmed private copy (the other side keeps the old
-one); ids are never reused, and once dead ids outnumber live ones the
-next structural write renumbers, so churn cannot grow the id space past
-twice the cube.  The what-if operators (ρ, S) and the restrictions (σ,
+with a private copy (the other side keeps the old one): its arrays and
+per-coordinate tables are copied, its address list, address dict and
+masks are shared or layered (:meth:`_Structure.copy`).  Ids are never
+reused, and once dead ids outnumber live
+ones the next structural write renumbers, so churn cannot grow the id
+space past twice the cube.  The what-if operators (ρ, S) and the restrictions (σ,
 the shard's slice) *derive* the index of their output from the input's:
 the unchanged dimensions' columns are permuted, a moved dimension's
 column is recoded, and the gathered values are bulk-loaded — no rebuild,
@@ -90,6 +92,13 @@ the sorted mixed-radix key of its code columns — the same sort that
 proved its rows distinct — searched once per address and remembered.
 The ``rollup_index.materialize`` span marks every full address list or
 dict a generation has to build.
+
+The memo across writes
+----------------------
+A leaf write can change exactly the cells whose coordinate on every
+dimension is the leaf's own or one of its ancestors — its roll-up cone.
+The live index flushes its memo on every leaf write; a fork starts from
+the last *frozen* fork's memo less that cone (:meth:`RollupIndex._carry_memo`).
 """
 
 from __future__ import annotations
@@ -409,6 +418,56 @@ class _KeyLookup(NamedTuple):
     rows: np.ndarray
 
 
+class _IdOverlay:
+    """address -> live id of a generation copied for a structural write:
+    the writes since the copy in a dict of their own (``None`` = deleted
+    since) over the address dict of the generation it was copied from,
+    which nobody writes any more.  The subset of a dict the generation's
+    readers and writers use; a point read is two probes at most."""
+
+    __slots__ = ("base", "over")
+
+    def __init__(self, base: dict[Address, int], over: "dict[Address, int | None]") -> None:
+        self.base = base
+        self.over = over
+
+    @staticmethod
+    def layered(id_of: "dict[Address, int] | _IdOverlay") -> "dict[Address, int] | _IdOverlay":
+        """The lookup of a copy of the generation that holds ``id_of``:
+        the same shared dict under a copy of the overlay — or, once the
+        overlay outgrows an eighth of the shared dict, the two flattened
+        into a plain dict (amortised: the eighth was paid in writes)."""
+        if not isinstance(id_of, _IdOverlay):
+            return _IdOverlay(id_of, {})
+        base, over = id_of.base, id_of.over
+        if len(over) <= len(base) >> 3:
+            return _IdOverlay(base, dict(over))
+        flat = dict(base)
+        for addr, ident in over.items():
+            if ident is None:
+                flat.pop(addr, None)
+            else:
+                flat[addr] = ident
+        return flat
+
+    def get(self, addr: Address, default: "int | None" = None) -> "int | None":
+        ident = self.over.get(addr, _UNSEEN)
+        if ident is _UNSEEN:
+            return self.base.get(addr, default)
+        return default if ident is None else ident  # type: ignore[return-value]
+
+    def __contains__(self, addr: Address) -> bool:
+        return self.get(addr) is not None
+
+    def __setitem__(self, addr: Address, ident: int) -> None:
+        self.over[addr] = ident
+
+    def pop(self, addr: Address) -> "int | None":
+        ident = self.get(addr)
+        self.over[addr] = None
+        return ident
+
+
 @dataclass(slots=True, eq=False)
 class _Structure:
     """One generation of an index's structure: everything that depends
@@ -424,14 +483,23 @@ class _Structure:
 
     * ``addrs`` — the address of every id.  A generation born from
       addresses (``from_cells``) keeps the list it was handed; a derived
-      one has none until somebody asks for all of them.
+      one has none until somebody asks for all of them.  The list may run
+      past ``n_ids``: a copy made for a structural write by the index that
+      owned the old generation goes on appending to the same list, which
+      the old generation reads only below its own ``n_ids``.
     * ``id_of`` — address -> live id, the dict a write maintains; built
-      from ``addrs`` on first use.
+      from ``addrs`` on first use, or, on a copy, the old generation's
+      under an :class:`_IdOverlay` of the writes since.
     * ``lookup`` — what a derived generation has instead of ``id_of``
       (:meth:`index_rows`), with ``resolved`` remembering every address it
       was asked, hit or miss, so a repeat read is one dict probe.
     * ``ordered`` (ascending live ids) and ``masks`` ((dim_index, coord)
       -> boolean mask over the id space).
+    * ``carried`` — masks computed before the last structural write(s),
+      each over the id space as it was then (:meth:`RollupIndex._coord_mask`
+      patches one on first use: a leaf's codes never change, so only the
+      ids appended since are looked up and the deleted ones cleared).  A
+      key is in ``masks`` or ``carried``, never both.
 
     An index and its forks share one generation.  An index mutates a
     generation in place only while nothing shares it *and* it holds
@@ -455,21 +523,27 @@ class _Structure:
     resolved: "dict[Address, int | None]" = field(default_factory=dict)
     ordered: "np.ndarray | None" = None
     masks: dict[tuple[int, str], np.ndarray] = field(default_factory=dict)
+    carried: dict[tuple[int, str], np.ndarray] = field(default_factory=dict)
 
-    def copy(self) -> "_Structure":
+    def copy(self, owns_addrs: bool) -> "_Structure":
         """A private generation for a structural write: same ids, columns
-        trimmed to the id space plus headroom, the address list and dict
-        it holds, and none of the caches the write is about to
-        invalidate."""
+        trimmed to the id space plus headroom — arrays and per-coordinate
+        tables, nothing per leaf.  The address list is shared when the
+        writer ``owns_addrs`` (and cut to the id space otherwise), the
+        address dict is layered (:meth:`_IdOverlay.layered`) and every
+        mask is carried for patching; the caches of the old id space
+        (ordered ids, key lookup) are left behind."""
         n = self.n_ids
+        addrs, id_of = self.addrs, self.id_of
         return _Structure(
             n,
             [_with_headroom(codes, n) for codes in self.codes],
             [table.copy() for table in self.tables],
             _with_headroom(self.live, n),
             self.n_live,
-            None if self.addrs is None else list(self.addrs),
-            None if self.id_of is None else dict(self.id_of),
+            addrs if addrs is None or owns_addrs else addrs[:n],
+            None if id_of is None else _IdOverlay.layered(id_of),
+            carried={**self.carried, **self.masks},
         )
 
     # -- addresses: a cache of the columns ---------------------------------------
@@ -655,6 +729,9 @@ class RollupIndex:
         #: True while ``_struct`` is shared with a fork; the next
         #: structural write replaces it first
         self._struct_shared = False
+        #: whether this index may append to its generation's address list
+        #: (false on a fork until its own first structural write)
+        self._owns_addrs = True
         #: whether a structural write replaced the generation since the
         #: last fork (reported by the ``cube.snapshot`` span)
         self._struct_copied = False
@@ -663,6 +740,11 @@ class RollupIndex:
         # live
         self._memo: dict[str, dict[Address, CellValue]] = {}
         self._memo_count = 0
+        #: the last frozen fork's memo, as its queries fill it, and per
+        #: dimension the leaf coordinates written since that fork: what
+        #: the next fork carries forward (:meth:`_carry_memo`)
+        self._inherited: "dict[str, dict[Address, CellValue]] | None" = None
+        self._written: list[set[str]] = [set() for _ in range(schema.n_dims)]
         #: the value column; row == leaf id
         self._values = ColumnarLeafStore()
 
@@ -830,20 +912,22 @@ class RollupIndex:
         address dict.  Dead ids that outnumber the live ones are squeezed
         out first; a generation shared with forks, or one that serves
         reads from its key lookup, is replaced by a private copy; one
-        that is already private only loses the caches that describe the
-        old id space."""
+        that is already private only loses the ordered ids and sets its
+        masks aside for patching."""
         struct = self._struct
         if struct.n_ids - struct.n_live > struct.n_live:
             struct = self._renumbered()
         elif self._struct_shared or struct.id_of is None:
-            struct = struct.copy()
+            struct = struct.copy(self._owns_addrs)
         else:
+            struct.carried.update(struct.masks)
             struct.masks.clear()
             struct.ordered = None
             return struct
         struct.ids()
         self._struct = struct
         self._struct_shared = False
+        self._owns_addrs = True
         self._struct_copied = True
         return struct
 
@@ -867,7 +951,7 @@ class RollupIndex:
     def set_leaf(self, addr: Address, value: float) -> None:
         """Store ``value`` at leaf ``addr``: a value-column write when the leaf
         exists (no structure is touched), an insert at the next id
-        otherwise.  Either way the memo is flushed."""
+        otherwise.  Either way the write is recorded (:meth:`_wrote`)."""
         with self._lock:
             ident = self._struct.finder()(addr)
             if ident is not None:
@@ -891,7 +975,7 @@ class RollupIndex:
                 # published last: a lock-free point reader that finds the
                 # id finds its row in the (possibly regrown) value column
                 struct.id_of[addr] = ident
-            self._flush_memo()
+            self._wrote(addr)
 
     def remove_leaf(self, addr: Address) -> bool:
         """Delete the leaf at ``addr``; ``False`` when there is none (not
@@ -906,8 +990,17 @@ class RollupIndex:
             chain = self.schema.ancestor_chain
             for i, coord in enumerate(addr):
                 struct.tables[i].remove_leaf(chain(i, coord))
-            self._flush_memo()
+            self._wrote(addr)
             return True
+
+    def _wrote(self, addr: Address) -> None:  # reprolint: locked
+        # after every leaf write: the coordinates join the record the next
+        # fork's memo carry reads, and the live memo — whose lock-free
+        # probes must never see a value older than a write — is flushed
+        for coords, coord in zip(self._written, addr):
+            coords.add(coord)
+        if self._memo_count:
+            self._flush_memo()
 
     def leaf_view(self) -> LeafView:
         """This index as the read-only leaf mapping of its cube."""
@@ -958,24 +1051,84 @@ class RollupIndex:
                 "values_copied": self._values.copied,
             }
 
-    def fork(self) -> "RollupIndex":
-        """A copy-on-write clone (``Cube.frozen_copy`` / ``Cube.copy``).
+    def fork(self, frozen: bool = False) -> "RollupIndex":
+        """A copy-on-write clone: ``frozen`` for ``Cube.frozen_copy``,
+        writable for ``Cube.copy``.
 
         The structure generation is shared until either side's next
         structural write and the value column until either side's next
         value write (:meth:`ColumnarLeafStore.fork`); the counters are
-        shared for good.
+        shared for good; the memo is carried (:meth:`_carry_memo`).  A
+        frozen clone is never written, so it is the one the next fork
+        inherits from, and the write record starts again.
         """
         with self._lock:
             clone = RollupIndex(self.schema)
             clone.stats = self.stats
-            clone._struct = self._struct
+            clone._struct = struct = self._struct
             clone._struct_shared = self._struct_shared = True
+            clone._owns_addrs = False
             self._struct_copied = False
-            clone._memo = {key: dict(table) for key, table in self._memo.items()}
-            clone._memo_count = self._memo_count
             clone._values = self._values.fork()
+            if not frozen:
+                self._carry_memo(clone)
+                return clone
+            with trace_span("rollup_index.carry") as span:
+                dropped = self._carry_memo(clone)
+                if span is not None:
+                    span.set(
+                        memo_kept=clone._memo_count,
+                        memo_dropped=dropped,
+                        masks_kept=len(struct.masks) + len(struct.carried),
+                    )
+            self._inherited = clone._memo
+            for coords in self._written:
+                coords.clear()
             return clone
+
+    def _carry_memo(self, clone: "RollupIndex") -> int:  # reprolint: locked
+        """Start ``clone``'s memo: the last frozen fork's entries that no
+        leaf written since can reach, plus the live memo (flushed by every
+        write, so all of it is current); returns the number dropped.
+
+        An entry is dropped when its coordinate on every dimension lies in
+        the union of the written coordinates' ancestor chains — a
+        per-dimension test that may drop a cell no single write reaches,
+        never one a write does.  A kept entry is bit-identical to a
+        recomputation: its scope holds the same leaves in the same
+        ascending-id order with the same values (renumbering keeps
+        relative order; an insert or delete is in its own cone).  A
+        writable fork is never inherited from: it may take writes this
+        index never saw.  The inherited tables belong to a snapshot whose
+        queries may be filling them: each is read with one
+        ``dict.copy()``, which no concurrent insert can tear."""
+        inherited = (self._inherited or {}).copy()
+        cone = None
+        if inherited and any(self._written):
+            chain = self.schema.ancestor_chain
+            cone = [
+                {up for coord in coords for up in chain(dim, coord)}
+                for dim, coords in enumerate(self._written)
+            ]
+        reached = set.__contains__
+        memo: dict[str, dict[Address, CellValue]] = {}
+        dropped = 0
+        for aggregator, table in inherited.items():
+            table = table.copy()
+            if cone is not None:
+                kept = {
+                    addr: value
+                    for addr, value in table.items()
+                    if not all(map(reached, cone, addr))
+                }
+                dropped += len(table) - len(kept)
+                table = kept
+            memo[aggregator] = table
+        for aggregator, table in self._memo.items():
+            memo.setdefault(aggregator, {}).update(table)
+        clone._memo = memo
+        clone._memo_count = sum(map(len, memo.values()))
+        return dropped
 
     # -- memo -------------------------------------------------------------------
 
@@ -1034,16 +1187,28 @@ class RollupIndex:
         return rolls_up
 
     def _coord_mask(self, dim_index: int, coord: str) -> np.ndarray:  # reprolint: locked
-        # under self._lock; the coordinate is known to hold leaves
+        # under self._lock; the coordinate is known to hold leaves.  A
+        # carried mask is patched (``_Structure.carried``), not recomputed
         struct = self._struct
         key = (dim_index, coord)
         mask = struct.masks.get(key)
         if mask is None:
             n = struct.n_ids
-            mask = self._rolls_up(dim_index, coord)[struct.codes[dim_index][:n]]
+            codes = struct.codes[dim_index]
+            rolls_up = self._rolls_up(dim_index, coord)
+            stale = struct.carried.get(key)
+            if stale is None:
+                mask = rolls_up[codes[:n]]
+            else:
+                done = len(stale)
+                mask = np.empty(n, dtype=np.bool_)
+                mask[:done] = stale
+                mask[done:] = rolls_up[codes[done:n]]
             if struct.n_live != n:
                 mask &= struct.live[:n]
             struct.masks[key] = mask
+            # after the store: a concurrent reader finds one or the other
+            struct.carried.pop(key, None)
         return mask
 
     def _scope_mask(self, pairs: Sequence[tuple[int, str]]) -> AxisScope:

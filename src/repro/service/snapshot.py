@@ -16,12 +16,14 @@ shared, the value column is shared copy-on-write — and wraps the fork in
 a read-only leaf view.  Nothing proportional to the cube is copied at
 snapshot time; the *writer* pays afterwards, in proportion to what it
 writes: one copy of the value column for the first value write after a
-snapshot, one structure copy for the first insert/delete.  The warehouse caches
-the snapshot per version — in the read-mostly what-if workload, thousands
-of queries between two mutations share one view, one index, and one
-scenario-cache generation — and a write → re-query loop costs the write
-plus the grid.  The chunked storage layer has the same idea at chunk
-granularity: ``ChunkStore.fork()``.
+snapshot, one copy of the structure's arrays for the first insert/delete.
+The warehouse caches the snapshot per version — in the read-mostly
+what-if workload, thousands of queries between two mutations share one
+view, one index, and one scenario-cache generation — and a write →
+re-query loop costs the write
+plus the cells it can have changed: each snapshot starts from the previous
+one's rollup memo less the written leaves' roll-up cone.  The chunked
+storage layer has the same idea at chunk granularity: ``ChunkStore.fork()``.
 
 A snapshot deliberately *is a* :class:`~repro.warehouse.Warehouse`: the
 evaluator, analyzer, EXPLAIN, and profile machinery all run against it

@@ -100,6 +100,50 @@ class TestCoordinateSemantics:
             ("Organization/FTE/Joe", "NY", "Qtr1", "Salary")
         )
 
+    def test_is_leaf_address_follows_add_member(self):
+        """The leaf-name set is rebuilt after ``add_member``: a child under
+        a former leaf makes it a parent."""
+        time = Dimension("Time")
+        time.add_children(None, ["Jan", "Feb"])
+        measures = Dimension("Measures", is_measures=True)
+        measures.add_children(None, ["Sales"])
+        schema = CubeSchema([time, measures])
+        assert schema.is_leaf_address(("Jan", "Sales"))
+        time.add_children("Jan", ["Jan-w1"])
+        assert not schema.is_leaf_address(("Jan", "Sales"))
+        assert schema.coordinate_is_leaf(0, "Feb") and not schema.coordinate_is_leaf(0, "Jan")
+        assert schema.is_leaf_address(("Jan-w1", "Sales"))
+
+    @pytest.mark.parametrize(
+        ("address", "dimension", "member"),
+        [
+            (("Organization/FTE/Joe", "Atlantis", "Jan", "Salary"), "Location", "Atlantis"),
+            (("Organization/FTE/Joe", "NY", "Jan", "Bonus"), "Measures", "Bonus"),
+            (("Organization/FTE/Joe", "Atlantis", "Jan", "Bonus"), "Location", "Atlantis"),
+        ],
+    )
+    def test_unknown_member_raises_at_the_first_unknown_coordinate(
+        self, example, address, dimension, member
+    ):
+        """Coordinates are asked in dimension order, as the per-coordinate
+        test asks them: the first unknown member raises."""
+        from repro.errors import MemberNotFoundError
+
+        schema = example.schema
+        with pytest.raises(MemberNotFoundError) as raised:
+            schema.is_leaf_address(address)
+        with pytest.raises(MemberNotFoundError) as per_coordinate:
+            all(schema.coordinate_is_leaf(i, c) for i, c in enumerate(address))
+        assert str(raised.value) == str(per_coordinate.value)
+        assert dimension in str(raised.value) and member in str(raised.value)
+
+    def test_a_non_leaf_coordinate_stops_before_an_unknown_one(self, example):
+        # the short-circuit: "Qtr1" is known and not a leaf, so the
+        # unknown measure after it is never asked about
+        assert not example.schema.is_leaf_address(
+            ("Organization/FTE/Joe", "NY", "Qtr1", "Bonus")
+        )
+
     def test_coordinate_display(self, example):
         schema = example.schema
         org = schema.dim_index("Organization")
