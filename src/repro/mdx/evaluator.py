@@ -86,6 +86,8 @@ __all__ = [
 
 # A coordinate binding: (dimension name, coordinate, display label)
 Binding = tuple[str, str, str]
+# One rectangle of a result grid: (row tuples, column tuples)
+GridBlock = tuple[Sequence[AxisTuple], Sequence[AxisTuple]]
 
 FP_MDX_CELL = register_failpoint("mdx.cell")
 
@@ -286,18 +288,15 @@ class _Context:
 
     def view_for(self, resolved: "ResolvedQuery"):
         """:meth:`view_under` the footprint of a resolved grid."""
-        if not self.scenarios or self._holds_everything():
-            return self.view
-        return self.view_under(resolved.footprint())
+        return self.view_at(resolved.base_coords, [(resolved.rows, resolved.columns)])
 
-    def view_at(self, addresses: "Sequence[Sequence[str]]"):
-        """:meth:`view_under` the footprint of the cells at ``addresses``."""
+    def view_at(self, base_coords: "dict[str, str]", blocks: "Sequence[GridBlock]"):
+        """:meth:`view_under` the footprint of some blocks of a grid
+        (:func:`grid_footprint`): a shard's share of a query, or the
+        coordinator's residue."""
         if not self.scenarios or self._holds_everything():
             return self.view
-        named: dict[str, set[str]] = {d.name: set() for d in self.schema.dimensions}
-        for coords, column in zip(named.values(), zip(*addresses)):
-            coords.update(column)
-        return self.view_under(_restricting(self.schema, named))
+        return self.view_under(grid_footprint(self.schema, base_coords, blocks))
 
     @property
     def footprint_rows(self) -> "int | None":
@@ -588,9 +587,31 @@ def _axis_tuples(
     return result
 
 
-def _restricting(schema, named: "dict[str, set[str]]") -> Footprint:
-    """``named`` as a footprint: a dimension whose root some cell names is
-    unrestricted, hence left out."""
+def grid_footprint(
+    schema, base_coords: "dict[str, str]", blocks: "Sequence[GridBlock]"
+) -> Footprint:
+    """The coordinates the cells of some grid blocks name, per dimension:
+    those of each block's row and column tuples, and the slicer / default
+    coordinate of every dimension some cell of a block leaves to it (one
+    an axis binds in every tuple of the block is never read off
+    ``base_coords``).  A dimension whose root some cell names is
+    unrestricted, hence left out.  O(rows + columns)."""
+    named: dict[str, set[str]] = {name: set() for name in base_coords}
+    for block in blocks:
+        overridden: set[str] = set()
+        for axis in block:
+            shapes: set[tuple[str, ...]] = set()  # the dimensions a tuple binds
+            for axis_tuple in axis:
+                shape = []
+                for dim, coord in axis_tuple.coordinates:
+                    named[dim].add(coord)
+                    shape.append(dim)
+                shapes.add(tuple(shape))
+            if shapes:
+                overridden.update(set.intersection(*map(set, shapes)))
+        for dim, coord in base_coords.items():
+            if dim not in overridden:
+                named[dim].add(coord)
     return {
         d.name: frozenset(named[d.name])
         for d in schema.dimensions
@@ -612,26 +633,11 @@ class ResolvedQuery:
     non_empty: frozenset[str]  #: the axes ("rows" / "columns") to prune
 
     def footprint(self) -> Footprint:
-        """The coordinates the grid's cells name, per dimension: those of
-        the row and column tuples, and the slicer / default coordinate of
-        every dimension some cell leaves to it (one an axis binds in every
-        tuple is never read off ``base_coords``).  O(rows + columns)."""
-        named: dict[str, set[str]] = {name: set() for name in self.base_coords}
-        overridden: set[str] = set()
-        for axis in (self.rows, self.columns):
-            shapes: set[tuple[str, ...]] = set()  # the dimensions a tuple binds
-            for axis_tuple in axis:
-                shape = []
-                for dim, coord in axis_tuple.coordinates:
-                    named[dim].add(coord)
-                    shape.append(dim)
-                shapes.add(tuple(shape))
-            if shapes:
-                overridden.update(set.intersection(*map(set, shapes)))
-        for dim, coord in self.base_coords.items():
-            if dim not in overridden:
-                named[dim].add(coord)
-        return _restricting(self.context.schema, named)
+        """The coordinates the grid's cells name (:func:`grid_footprint`
+        of the whole grid as one block)."""
+        return grid_footprint(
+            self.context.schema, self.base_coords, [(self.rows, self.columns)]
+        )
 
 
 def resolve_query(context: _Context) -> ResolvedQuery:

@@ -468,22 +468,42 @@ class Cube:
 
     def slice_cells(
         self, dim_name: str, keep: Callable[[str], bool]
-    ) -> "tuple[list[Column], np.ndarray, np.ndarray, dict[Address, float]]":
+    ) -> "tuple[list[Column], np.ndarray, np.ndarray, dict[Address, float], int]":
         """What :meth:`restrict_leaves` keeps, as bare arrays that can
         cross a process boundary instead of an index: ``(columns, values,
-        rows, stored_derived)`` — per schema dimension the kept leaves'
-        ``(codes, coords)`` column, their values, their positions in this
-        cube's insertion order, and a copy of the stored-derived cells.
-        One consistent read under the write lock;
-        :meth:`RollupIndex.from_columns` and :meth:`adopt` open it again."""
+        rows, stored_derived, version)`` — per schema dimension the kept
+        leaves' ``(codes, coords)`` column, their values, their positions
+        in this cube's insertion order, a copy of the stored-derived
+        cells, and the version all of it was read at.  One consistent read
+        under the write lock; :meth:`RollupIndex.from_columns` and
+        :meth:`adopt` open it again."""
         dim_index = self.schema.dim_index(dim_name)
         dims = range(self.schema.n_dims)
         with self._lock:
             cols = self.leaf_columns(*dims)
             stored_derived = dict(self._stored_derived)
+            version = self._version
         rows = _kept_rows(cols, dim_index, keep)
         columns = [(cols.codes[dim][rows], cols.coords[dim]) for dim in dims]
-        return columns, cols.values[rows], rows, stored_derived
+        return columns, cols.values[rows], rows, stored_derived, version
+
+    def memoise_rollups(
+        self, version: int, rollups: Iterable[tuple[Address, CellValue]]
+    ) -> bool:
+        """Store sum rollups computed elsewhere from this cube's leaves as
+        they stood at ``version`` — a shard pool's merged partials — as
+        rollup-memo entries, while that is still this cube's version;
+        ``False`` (nothing stored) once it has moved.
+
+        Checked and stored under the write lock, then the index lock: a
+        leaf write flushes the memo *before* it bumps the version, so a
+        check under the index lock alone could store a pre-write sum just
+        after the flush."""
+        with self._lock:
+            if version != self._version:
+                return False
+            self._index.memo_store(rollups)
+            return True
 
     def filter_dimension(
         self, dim_name: str, keep: Callable[[str], bool]

@@ -62,6 +62,10 @@ def _split_view(view: Any) -> tuple[Any, Any]:
     return leaf_cube, aggregate_cube
 
 
+def _no_failpoint(failpoint: None) -> None:
+    return None
+
+
 def evaluate_grid(
     view: Any,
     schema: "CubeSchema",
@@ -69,14 +73,16 @@ def evaluate_grid(
     rows: "Sequence[Any]",
     columns: "Sequence[Any]",
     tracker: "BudgetTracker | None",
-    failpoint: str,
+    failpoint: "str | None",
 ) -> tuple[list[list[CellValue]], int, dict[str, int]]:
     """Fill the result grid for ``rows`` x ``columns`` axis tuples.
 
     ``base_coords`` maps every dimension to its default/slicer coordinate;
     row and column coordinates are patched on top (columns last, matching
-    the per-cell evaluator's dict-update order).  Returns
-    ``(cells, cells_skipped, stats)``.
+    the per-cell evaluator's dict-update order).  ``failpoint`` fires once
+    per evaluated cell; ``None`` fires none (a shard, or the shard
+    coordinator's residue, fills blocks of a request that has its own
+    failpoints).  Returns ``(cells, cells_skipped, stats)``.
     """
     dims = schema.dimensions
     n_dims = schema.n_dims
@@ -95,7 +101,7 @@ def evaluate_grid(
     # the failpoint hook, bound once: its disarmed fast path is a single
     # dict probe, and skipping the module-level wrapper saves a call frame
     # on every evaluated cell
-    faults_hit = FAULTS.hit
+    faults_hit = FAULTS.hit if failpoint is not None else _no_failpoint
 
     # -- memoised coordinate leafness -------------------------------------------
     leaf_flag: dict[tuple[int, str], bool] = {}

@@ -10,15 +10,20 @@ global insertion order, and the strict reduction is order-defined).
 
 Two request shapes cross the pipe:
 
-* ``cells`` — evaluate the query's scenario chain on the shard's
-  sub-warehouse and return ``effective_value`` for each assigned address;
+* ``cells`` — the shard's owned cells as grid blocks
+  (:func:`cells_request`: the base coordinates plus, per block, its row
+  and column axis tuples' coordinates); the shard applies the query's
+  scenario chain to the rows of its slice those blocks can reach and
+  fills each block with :func:`~repro.perf.batch.evaluate_grid`, as
+  ``Warehouse.query`` fills a whole grid;
 * ``partial`` — for spanning cells (coordinate above any single member),
   return every scope's leaves as three arrays for the whole request —
   ``positions`` (``int64`` global insertion positions), ``values``
   (``float64``) and ``offsets`` (cell ``k`` owns the slice
   ``offsets[k]:offsets[k + 1]`` of both) — so the coordinator can merge
   shards' contributions back into the exact global insertion order
-  before the strict reduction.
+  before the strict reduction, plus the cube ``version`` the slice was
+  cut at, so it knows whether the merged sums are still the cube's.
 
 Workers are spawned (never forked: the coordinator is multithreaded) and
 are *handed* their slice: the coordinator, which holds the full
@@ -61,6 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
     from repro.mdx.ast_nodes import MdxQuery
+    from repro.mdx.evaluator import GridBlock
     from repro.olap.schema import Address, CubeSchema
     from repro.perf.rollup_index import Column
     from repro.warehouse import NamedSet, Warehouse
@@ -71,6 +77,7 @@ __all__ = [
     "ShardSpec",
     "build_shard_plan",
     "build_workload",
+    "cells_request",
     "make_slice",
     "open_slice",
     "parse_for_serving",
@@ -157,6 +164,7 @@ class ShardSlice:
     ``int64``).  Stored-derived cells and named sets travel whole: every
     shard holds all of them.  ``schema`` and ``rules`` ride in the same
     pickle, so ``rules.schema is schema`` on the far side too.
+    ``version`` is the full cube's version the slice was cut at.
     """
 
     schema: "CubeSchema"
@@ -168,6 +176,7 @@ class ShardSlice:
     columns: "list[Column]"
     values: "np.ndarray"
     global_pos: "np.ndarray"
+    version: int
 
 
 def make_slice(
@@ -176,9 +185,9 @@ def make_slice(
     """Cut the slice of ``full`` whose shard-dimension member is owned:
     one mask over the shard dimension's code column (the mask of
     ``Cube.restrict_leaves``), one gather per column, read under the
-    cube's write lock."""
+    cube's write lock with the version it was read at."""
     owned = set(owned_members)
-    columns, values, rows, stored_derived = full.cube.slice_cells(
+    columns, values, rows, stored_derived, version = full.cube.slice_cells(
         dimension, lambda coord: coord.rsplit("/", 1)[-1] in owned
     )
     return ShardSlice(
@@ -191,6 +200,7 @@ def make_slice(
         columns=columns,
         values=values,
         global_pos=rows,
+        version=version,
     )
 
 
@@ -262,12 +272,31 @@ def _decode_value(value: "float | None") -> object:
     return MISSING if value is None else value
 
 
+def cells_request(
+    text: str, base_coords: "dict[str, str]", blocks: "Sequence[GridBlock]"
+) -> "dict[str, Any]":
+    """Op ``cells`` for some blocks of a query's grid: the query text, its
+    base coordinates, and per block the coordinates of its row and column
+    axis tuples — no cell address crosses the pipe.  The answer's
+    ``values`` hold one row-major grid per block (⊥ as ``None``)."""
+    return {
+        "op": "cells",
+        "text": text,
+        "base": base_coords,
+        "blocks": [
+            ([t.coordinates for t in rows], [t.coordinates for t in columns])
+            for rows, columns in blocks
+        ],
+    }
+
+
 class _ShardRuntime:
     """Worker-process state: the sub-warehouse opened from the slice the
     coordinator sent, plus caches."""
 
     def __init__(self, shard_index: int, piece: ShardSlice) -> None:
         self.shard_index = shard_index
+        self.version = piece.version
         self.warehouse, self.global_pos = open_slice(piece)
 
     def _context(self, text: str):
@@ -294,13 +323,27 @@ class _ShardRuntime:
             return {"ok": True, "shard": self.shard_index}
         inject_io_fault(FP_SHARD_EXEC)
         if op == "cells":
+            from repro.mdx.result import AxisTuple
+            from repro.perf.batch import evaluate_grid
+
             context = self._context(request["text"])
-            # the footprint of a shard's share of a query is the addresses
-            # it was sent: the chain is applied to the rows of the slice
-            # those cells can reach
-            addresses = [tuple(addr) for addr in request["addresses"]]
-            view = context.view_at(addresses)
-            values = [_encode_value(view.effective_value(addr)) for addr in addresses]
+            base = request["base"]
+            blocks = [
+                ([AxisTuple(t, ()) for t in rows], [AxisTuple(t, ()) for t in columns])
+                for rows, columns in request["blocks"]
+            ]
+            # the footprint of a shard's share of a query is the blocks it
+            # was sent: the chain is applied to the rows of the slice those
+            # cells can reach
+            view = context.view_at(base, blocks)
+            schema = self.warehouse.schema
+            values = [
+                [
+                    [_encode_value(value) for value in row]
+                    for row in evaluate_grid(view, schema, base, rows, columns, None, None)[0]
+                ]
+                for rows, columns in blocks
+            ]
             return {"ok": True, "values": values}
         if op == "partial":
             index = self.warehouse.cube.rollup_index()
@@ -310,6 +353,7 @@ class _ShardRuntime:
                 "positions": self.global_pos[ids],
                 "values": values,
                 "offsets": offsets,
+                "version": self.version,
             }
         return {"ok": False, "error": "ShardError", "message": f"unknown op {op!r}"}
 
@@ -336,6 +380,7 @@ def shard_worker_main(conn, shard_index: int) -> None:
         # the sibling workers, and never while the coordinator sits in a
         # send this process is not yet reading.
         import repro.mdx.evaluator  # noqa: F401
+        import repro.perf.batch  # noqa: F401
         import repro.warehouse  # noqa: F401
 
         conn.send({"ok": True})
@@ -523,9 +568,8 @@ class ShardClient:
                     self._startup_message()
                 with trace_span("shard.spawn.slice"):
                     try:
-                        payload = pickle.dumps(
-                            self.spec.slice_source(), pickle.HIGHEST_PROTOCOL
-                        )
+                        piece = self.spec.slice_source()
+                        payload = pickle.dumps(piece, pickle.HIGHEST_PROTOCOL)
                     except Exception as exc:
                         raise ShardError(
                             f"shard {shard}: no slice to hand over: {exc!r}",
@@ -536,8 +580,10 @@ class ShardClient:
                 with trace_span("shard.spawn.open"):
                     hello = self._startup_message()
                 #: what the start cost and carried (the supervisor's
-                #: ``shard_spawn_ms`` / ``shard_slice_bytes``)
+                #: ``shard_spawn_ms`` / ``shard_slice_bytes``), and the
+                #: cube version the worker's data stands at
                 self.slice_bytes = len(payload)
+                self.slice_version = piece.version
                 self.leaves = int(hello["leaves"])
                 self.spawn_ms = (time.monotonic() - self._launched_at) * 1000.0
                 if span is not None:

@@ -316,6 +316,7 @@ class ShardSupervisor:
                     and not slot.client.down()
                     and slot.client.process.is_alive(),
                     "restarts": slot.restarts,
+                    "slice_version": slot.client.slice_version,
                     "next_attempt_in_s": (
                         max(slot.next_attempt_at - now, 0.0)
                         if slot.state != "live"

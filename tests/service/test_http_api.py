@@ -25,6 +25,7 @@ from repro.service import (
     make_server,
 )
 from repro.service.http_api import MAX_BODY_BYTES
+from tests.service.test_spanning_memo import forget_merges
 
 QUERY = (
     "SELECT {Time.[Jan], Time.[Feb], Time.[Mar], Time.[Apr]} ON COLUMNS, "
@@ -331,6 +332,7 @@ class TestRequestBodyHardening:
 
 class TestObservability:
     def test_query_runs_under_serving_spans(self, service, base_url):
+        forget_merges(service)  # the spanning cell takes the shard path
         TRACER.clear()
         with tracing():
             status, _, body = _request(base_url, "/v1/query", {"query": SPANNING})
@@ -359,6 +361,7 @@ class TestObservability:
         )
 
     def test_sharded_result_carries_a_serving_profile(self, service):
+        forget_merges(service)  # the spanning cell takes the shard path
         with tracing():
             result = service.execute(SPANNING)
         validate_profile(result.profile.to_dict())
@@ -410,6 +413,7 @@ class TestAdmission:
     def test_open_breaker_maps_to_503_under_fail_policy(
         self, service, base_url
     ):
+        forget_merges(service)  # the spanning cell needs every shard
         originals = list(service.breakers)
         try:
             for _ in range(service.breakers[0].failure_threshold):
@@ -450,6 +454,7 @@ class TestAdmission:
     def test_open_breaker_partial_policy_returns_bottom_cells(
         self, service, base_url
     ):
+        forget_merges(service)  # the spanning cell needs every shard
         originals = list(service.breakers)
         try:
             for _ in range(service.breakers[0].failure_threshold):

@@ -20,6 +20,7 @@ from repro.olap.missing import is_missing
 from repro.service import ShardedQueryService, SupervisorConfig
 from repro.service.shard import ShardClient
 from repro.service.stress import ShardStormConfig, run_shard_storm
+from tests.service.test_spanning_memo import forget_merges, reference
 from tests.service.test_supervisor import (
     _single_shard_spec,
     _sourceless,
@@ -68,18 +69,22 @@ class TestKillBeforeScatter:
             rpc_timeout_ms=5_000.0,
         )
         try:
-            expected = service.warehouse.query(OWNED)
+            expected = reference(service, OWNED)
             service.supervisor.kill(0)
             _wait_for(lambda: service.supervisor.status()[0]["state"] != "live")
 
+            # before each policy the spanning cells need every shard again
+            forget_merges(service)
             with pytest.raises(ShardDownError):
                 service.execute(OWNED, degrade="fail")
 
+            forget_merges(service)
             fallback = service.execute(OWNED, degrade="fallback")
             assert repr(fallback.cells) == repr(expected.cells)
             assert not fallback.degradations
             assert fallback.stats["fallback_cells"] > 0
 
+            forget_merges(service)
             partial = service.execute(OWNED, degrade="partial")
             assert partial.is_partial
             assert all(
@@ -114,13 +119,16 @@ class TestKillBeforeScatter:
             rpc_timeout_ms=5_000.0,
         )
         try:
-            expected = service.warehouse.query(SPANNING)
+            expected = reference(service, SPANNING)
             service.supervisor.kill(1)
             _wait_for(lambda: service.supervisor.status()[1]["state"] != "live")
 
+            # before each policy the spanning cells need every shard again
+            forget_merges(service)
             fallback = service.execute(SPANNING, degrade="fallback")
             assert repr(fallback.cells) == repr(expected.cells)
 
+            forget_merges(service)
             partial = service.execute(SPANNING, degrade="partial")
             for row in partial.cells:
                 for value in row:
@@ -139,7 +147,8 @@ class TestKillDuringGather:
             rpc_timeout_ms=30_000.0,
         )
         try:
-            expected = service.warehouse.query(OWNED)
+            expected = reference(service, OWNED)
+            forget_merges(service)  # the spanning cells need shard 0
             # Wedge shard 0: the query's RPC queues behind the sleep,
             # then the kill lands mid-gather.
             service.supervisor.client(0).submit({"op": "sleep", "seconds": 3})
@@ -174,7 +183,8 @@ class TestHedging:
             hedge_ms=100.0,
         )
         try:
-            expected = service.warehouse.query(OWNED)
+            expected = reference(service, OWNED)
+            forget_merges(service)  # the spanning cells need shard 0
             # Alive but slow: the worker sleeps past the hedge threshold.
             service.supervisor.client(0).submit({"op": "sleep", "seconds": 3})
             started = time.monotonic()
@@ -199,7 +209,8 @@ class TestScatterGatherFaultpoints:
             "running", n_shards=2, chunk=2, supervisor_config=FAST_RESPAWN
         )
         try:
-            expected = service.warehouse.query(OWNED)
+            expected = reference(service, OWNED)
+            forget_merges(service)  # the spanning cells are scattered for
             FAULTS.fail_transient("serve.scatter", times=1)
             result = service.execute(OWNED, degrade="fail")
             assert repr(result.cells) == repr(expected.cells)

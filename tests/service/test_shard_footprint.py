@@ -1,11 +1,13 @@
-"""A shard derives its footprint from the addresses it was sent.
+"""A shard derives its footprint from the grid blocks it was sent.
 
-Op ``cells`` carries a query text and the addresses of the shard's share
-of the grid.  The shard applies the text's scenario chain to the rows *of
-its slice* that those cells can reach — through the same call every other
-reader of scenario cells makes (``_Context.view_at``) — and the
-coordinator does the same for its local residue (``serve.local``).  The
-answers are those of the whole cube's view, whatever was kept.
+Op ``cells`` carries a query text, its base coordinates and the row and
+column tuples of the shard's share of the grid, as blocks.  The shard
+applies the text's scenario chain to the rows *of its slice* that those
+cells can reach — through the same call, and the same footprint rule
+(``grid_footprint``), every other reader of scenario cells uses
+(``_Context.view_at``) — and the coordinator does the same for its local
+residue (``serve.local``).  The answers are those of the whole cube's
+view, whatever was kept.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from repro.service.shard import (
     _ShardRuntime,
     build_shard_plan,
     build_workload,
+    cells_request,
     make_slice,
 )
 from repro.workload.workforce import MONTHS
@@ -55,17 +58,28 @@ def _dashboard(clause: str, account: str) -> str:
     )
 
 
-def _addresses(full, text: str) -> "list[tuple[str, ...]]":
-    """Every grid address of a query, as the coordinator would send them."""
+def _share(full, text: str, owned) -> "tuple[dict, list, list]":
+    """A grid's block the coordinator would send the shard owning
+    ``owned``: the base coordinates, the rows whose shard-dimension member
+    it owns, and every column."""
     resolved = resolve_query(_Context(full, parse_query(text)))
-    addresses = []
-    for row in resolved.rows:
-        for column in resolved.columns:
-            coords = dict(resolved.base_coords)
-            coords.update(dict(row.coordinates))
-            coords.update(dict(column.coordinates))
-            addresses.append(full.schema.address(**coords))
-    return addresses
+    rows = [
+        row
+        for row in resolved.rows
+        if row.coordinate("Department").rsplit("/", 1)[-1] in owned
+    ]
+    return resolved.base_coords, rows, resolved.columns
+
+
+def _addresses(full, base, rows, columns) -> "list[tuple[str, ...]]":
+    """Every address of a block, row-major."""
+    return [
+        full.schema.address(
+            **{**base, **dict(row.coordinates), **dict(column.coordinates)}
+        )
+        for row in rows
+        for column in columns
+    ]
 
 
 @pytest.mark.parametrize("clause", CLAUSES)
@@ -80,29 +94,29 @@ def test_a_shard_applies_the_chain_to_the_rows_its_addresses_reach(clause):
         runtime = _ShardRuntime(shard, make_slice(full, "Department", owned))
         slice_leaves = runtime.warehouse.cube.n_leaf_cells
 
-        def share(text: str) -> "list[tuple[str, ...]]":
-            """The addresses of a grid the coordinator would send here."""
-            return [a for a in _addresses(full, text) if a[0].rsplit("/", 1)[-1] in owned]
-
         # two departments it owns employees of, each on its own account
-        mine_of = [d for d in departments if share(_employee_grid(clause, d, "Acct001"))]
+        mine_of = [
+            d
+            for d in departments
+            if _share(full, _employee_grid(clause, d, "Acct001"), owned)[1]
+        ]
         assert len(mine_of) >= 2, "the plan left this shard one department only"
         kept = []
         for department, account in zip(mine_of, ("Acct001", "Acct002")):
             text = _employee_grid(clause, department, account)
-            mine = share(text)
-            reply = runtime.handle(
-                {"op": "cells", "text": text, "addresses": [list(a) for a in mine]}
-            )
+            base, rows, columns = _share(full, text, owned)
+            reply = runtime.handle(cells_request(text, base, [(rows, columns)]))
             assert reply["ok"]
-            got = [_decode_value(value) for value in reply["values"]]
+            (block,) = reply["values"]
+            got = [_decode_value(value) for row in block for value in row]
+            mine = _addresses(full, base, rows, columns)
             assert repr(got) == repr([whole.effective_value(addr) for addr in mine])
             (entry,) = [value for _, value in runtime.warehouse.scenario_cache._entries.values()]
             kept.append(entry.footprint_rows)
             assert set(entry.named) == {d.name for d in full.schema.dimensions}
         # one account, one scenario, the department's employees it owns ...
         assert 0 < kept[0] < slice_leaves // 6
-        # ... then the second request's addresses were not covered: widened,
+        # ... then the second request's blocks were not covered: widened,
         # once, to the box over both (two accounts × both departments)
         assert kept[0] < kept[1] < slice_leaves
         assert runtime.warehouse.scenario_cache.stats.builds == 2
@@ -113,12 +127,20 @@ def test_an_unscenarioed_cells_request_derives_no_footprint():
     full = build_workload("workforce", PARAMS)
     plan = build_shard_plan(full, "Department", 2, chunk=2)
     runtime = _ShardRuntime(0, make_slice(full, "Department", plan.shards[0]))
-    text = _dashboard("", "Acct001")
     owned = set(plan.shards[0])
-    leaf = next(addr for addr, _ in runtime.warehouse.cube.leaf_cells())
-    assert leaf[0].rsplit("/", 1)[-1] in owned
-    reply = runtime.handle({"op": "cells", "text": text, "addresses": [list(leaf)]})
-    assert reply["values"] == [full.cube.effective_value(leaf)]
+    department = next(
+        d.name
+        for d in full.schema.dimension("Department").root.children
+        if _share(full, _employee_grid("", d.name, "Acct001"), owned)[1]
+    )
+    text = _employee_grid("", department, "Acct001")
+    base, rows, columns = _share(full, text, owned)
+    reply = runtime.handle(cells_request(text, base, [(rows, columns)]))
+    (block,) = reply["values"]
+    assert any(value is not None for row in block for value in row)
+    got = [_decode_value(value) for row in block for value in row]
+    expected = [full.cube.effective_value(a) for a in _addresses(full, base, rows, columns)]
+    assert repr(got) == repr(expected)
     assert len(runtime.warehouse.scenario_cache) == 0
 
 
