@@ -237,9 +237,9 @@ def _cmd_serve_sharded(args: argparse.Namespace) -> int:
     """``serve --shards N`` / ``serve --http``: the multi-process tier.
 
     Each shard process owns a disjoint set of the varying dimension's
-    members (co-residency via the merge-dependency graph); the
-    coordinator scatter-gathers partial rollups and merges them with the
-    strict bit-identical reduction.  Without ``--http``, runs the
+    members (co-residency via the merge-dependency graph) and answers
+    the cells it owns; the coordinator fills every other cell on its
+    full warehouse, as ``Warehouse.query`` does.  Without ``--http``, runs the
     statements through the coordinator one after the other
     (:func:`_serve_statements`); with ``--http``, serves the REST API
     until interrupted.

@@ -174,7 +174,7 @@ def run_serve_bench(config: dict) -> dict:
         try:
             # warm-up: parse cache + one scenario fingerprint per shard
             service.execute(queries[0])
-            owned = spanning = local_cells = memo_cells = shards_touched = 0
+            owned = local_cells = shards_touched = 0
             started = time.perf_counter()
             with ThreadPoolExecutor(config["client_threads"]) as pool:
                 results = list(pool.map(service.execute, queries))
@@ -183,9 +183,7 @@ def run_serve_bench(config: dict) -> dict:
                 if _grid_repr(result) != expected:
                     identical = False
                 owned += result.stats.get("owned_cells", 0)
-                spanning += result.stats.get("spanning_cells", 0)
                 local_cells += result.stats.get("local_cells", 0)
-                memo_cells += result.stats.get("memo_cells", 0)
                 shards_touched += len(
                     {
                         service.plan.shard_of_coordinate(row.coordinates[0][1])
@@ -195,17 +193,13 @@ def run_serve_bench(config: dict) -> dict:
                 )
         finally:
             service.close()
-        evaluated = owned + spanning + local_cells
+        evaluated = owned + local_cells
         per_shard[str(n_shards)] = {
             "wall_s": round(wall_s, 4),
             "queries_per_second": round(len(queries) / wall_s, 3),
             "ms_per_query": round(wall_s * 1000.0 / len(queries), 3),
             "owned_cells": owned,
-            "spanning_cells": spanning,
             "local_cells": local_cells,
-            # spanning cells the coordinator's rollup memo answered (they
-            # stay counted as spanning above)
-            "memo_cells": memo_cells,
             "owned_fraction": round(owned / evaluated, 4) if evaluated else 0.0,
             "avg_shards_touched": round(shards_touched / len(queries), 2),
         }

@@ -50,8 +50,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from repro.catalog.diff import ScenarioDiff, diff_states
 from repro.catalog.journal import CatalogJournal
 from repro.catalog.model import (
@@ -238,9 +236,6 @@ class ScenarioCatalog:
         self._checkpoint_lsn = 0
         self._gauged_tenants: set[str] = set()
         self._base_digest_cache: "tuple[int, dict[str, str]] | None" = None
-        #: (base version, chunked image, chunk_shape) — the physical base
-        #: image materialize_chunked() forks copy-on-write
-        self._base_chunked: "tuple[int, object, object] | None" = None
         self.recovery = self._recover(allow_lost=allow_lost)
 
     @classmethod
@@ -894,82 +889,6 @@ class ScenarioCatalog:
             cube.freeze()
             self._cache.put(("catalog", name), version, cube)
             return cube
-
-    def materialize_chunked(self, name: str, chunk_shape=None):
-        """The scenario as a *physical* chunked image, applied
-        copy-on-write.
-
-        The base cube's chunked representation (built once per base
-        version, leaf values served from the rollup index's value column) is
-        forked through :meth:`~repro.storage.chunk_store.ChunkStore.fork`
-        and only the delta-touched chunks are rewritten — untouched
-        chunks stay shared with the base image by identity, and the
-        fork's I/O ledger charges exactly the rewritten chunks.
-        Tombstones (``None`` deltas) write NaN (⊥).  Results are cached
-        like :meth:`materialize`.
-
-        Raises :class:`~repro.errors.CatalogError` when a delta cell is
-        not addressable on the base image's leaf axes (e.g. a coordinate
-        the base cube never stored): such a scenario has no complete
-        physical image and must be served semantically.
-        """
-        from repro.errors import StorageError
-
-        with trace_span(
-            "catalog.materialize_chunked", scenario=name
-        ), self._lock:
-            state = self._require(name)
-            if self._base is None:
-                raise CatalogError(
-                    "catalog has no base cube bound; materialize_chunked "
-                    "requires one (open the catalog through "
-                    "Warehouse.attach_catalog)"
-                )
-            version = (self._base.version, self._generation)
-            cached = self._cache.get(("catalog-chunked", name), version)
-            if cached is not None:
-                return cached
-            base_image = self._base_image(chunk_shape)
-            fork = base_image.fork()
-            grid = fork.store.grid
-            by_chunk: "dict[tuple[int, ...], list]" = {}
-            for address, value in sorted(state.delta.items()):
-                try:
-                    cell = fork.cell_of(address)
-                except StorageError as exc:
-                    raise CatalogError(
-                        f"scenario {name!r} delta cell {address!r} is not "
-                        f"addressable on the base image's leaf axes; "
-                        f"materialize it semantically instead ({exc})"
-                    ) from None
-                by_chunk.setdefault(grid.chunk_of_cell(cell), []).append(
-                    (cell, value)
-                )
-            for coord in sorted(by_chunk):
-                data = np.array(fork.store.peek(coord), copy=True)
-                origin = grid.chunk_origin(coord)
-                for cell, value in by_chunk[coord]:
-                    local = tuple(c - o for c, o in zip(cell, origin))
-                    data[local] = float("nan") if value is None else value
-                fork.store.write(coord, data)
-            self._cache.put(("catalog-chunked", name), version, fork)
-            return fork
-
-    def _base_image(self, chunk_shape=None):  # reprolint: locked
-        """The base cube's chunked image, built once per base version
-        (leaf values gathered from the rollup index's value column)."""
-        from repro.storage.array_cube import ChunkedCube
-
-        cached = self._base_chunked
-        if (
-            cached is not None
-            and cached[0] == self._base.version
-            and (chunk_shape is None or cached[2] == chunk_shape)
-        ):
-            return cached[1]
-        image = ChunkedCube.from_cube(self._base, chunk_shape)
-        self._base_chunked = (self._base.version, image, chunk_shape)
-        return image
 
     @property
     def cache(self) -> "ScenarioCache[Cube]":

@@ -251,7 +251,8 @@ class ShardPlan:
 
     def shard_of_coordinate(self, coord: str) -> "int | None":
         """Owning shard of a cell coordinate on the shard axis, or
-        ``None`` when no single shard covers its scope (spanning cell).
+        ``None`` when no single shard covers its scope (the coordinator
+        answers such a cell).
 
         Accepts either a slot label (instance full path) or a bare
         member name; anything else — a category, the dimension root —

@@ -75,7 +75,6 @@ __all__ = [
     "expand_instances",
     "footprint_rows",
     "phi_validity",
-    "scenario_structure",
 ]
 
 CellValue: TypeAlias = "float | Missing"
@@ -475,13 +474,6 @@ def chain_structure(
         if stage[0] is not None:
             varying[dimension] = stage[0]
     return ChainStructure(varying, surviving, tuple(stages))
-
-
-def scenario_structure(
-    cube: Cube, scenarios: Sequence[NegativeScenario | PositiveScenario]
-) -> "tuple[dict[str, VaryingDimension], dict[str, frozenset[str]]]":
-    """``(varying, surviving)`` of :func:`chain_structure`."""
-    return chain_structure(cube, scenarios)[:2]
 
 
 # ---------------------------------------------------------------------------

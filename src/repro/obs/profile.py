@@ -14,8 +14,8 @@ Phases mirror the evaluator pipeline: ``parse`` → ``analyze`` →
 A query answered by the shard pool (``ShardedQueryService.execute``) is
 profiled from its ``serve.execute`` root instead, whose phases are the
 coordinator's: ``classify`` → ``scatter`` → ``gather`` → ``merge`` →
-``local``, each rendered with its span attributes (owned / spanning /
-local cell counts, shards involved).
+``local``, each rendered with its span attributes (owned / local cell
+counts, shards involved).
 A query that went through ``QueryService.submit`` also carries the
 ``service.submit`` span tree of its admission (``submit``): the
 ``cube.snapshot`` under it says whether the snapshot was a fork and what

@@ -455,28 +455,25 @@ class Cube:
 
     def restrict_leaves(
         self, dim_name: str, keep: Callable[[str], bool]
-    ) -> "tuple[RollupIndex, np.ndarray]":
+    ) -> "RollupIndex":
         """The leaf store of the leaves whose coordinate on ``dim_name``
         satisfies ``keep`` — a mask over one code column, ``keep`` asked
-        once per distinct coordinate that holds a leaf — and their
-        positions in this cube's insertion order (which the kept leaves'
-        ids follow)."""
+        once per distinct coordinate that holds a leaf — in this cube's
+        insertion order."""
         dim_index = self.schema.dim_index(dim_name)
         cols = self.leaf_columns(dim_index)
-        rows = _kept_rows(cols, dim_index, keep)
-        return cols.derive(self.schema, rows, {}), rows
+        return cols.derive(self.schema, _kept_rows(cols, dim_index, keep), {})
 
     def slice_cells(
         self, dim_name: str, keep: Callable[[str], bool]
-    ) -> "tuple[list[Column], np.ndarray, np.ndarray, dict[Address, float], int]":
+    ) -> "tuple[list[Column], np.ndarray, dict[Address, float], int]":
         """What :meth:`restrict_leaves` keeps, as bare arrays that can
         cross a process boundary instead of an index: ``(columns, values,
-        rows, stored_derived, version)`` — per schema dimension the kept
-        leaves' ``(codes, coords)`` column, their values, their positions
-        in this cube's insertion order, a copy of the stored-derived
-        cells, and the version all of it was read at.  One consistent read
-        under the write lock; :meth:`RollupIndex.from_columns` and
-        :meth:`adopt` open it again."""
+        stored_derived, version)`` — per schema dimension the kept
+        leaves' ``(codes, coords)`` column, their values, a copy of the
+        stored-derived cells, and the version all of it was read at.  One
+        consistent read under the write lock;
+        :meth:`RollupIndex.from_columns` and :meth:`adopt` open it again."""
         dim_index = self.schema.dim_index(dim_name)
         dims = range(self.schema.n_dims)
         with self._lock:
@@ -485,25 +482,7 @@ class Cube:
             version = self._version
         rows = _kept_rows(cols, dim_index, keep)
         columns = [(cols.codes[dim][rows], cols.coords[dim]) for dim in dims]
-        return columns, cols.values[rows], rows, stored_derived, version
-
-    def memoise_rollups(
-        self, version: int, rollups: Iterable[tuple[Address, CellValue]]
-    ) -> bool:
-        """Store sum rollups computed elsewhere from this cube's leaves as
-        they stood at ``version`` — a shard pool's merged partials — as
-        rollup-memo entries, while that is still this cube's version;
-        ``False`` (nothing stored) once it has moved.
-
-        Checked and stored under the write lock, then the index lock: a
-        leaf write flushes the memo *before* it bumps the version, so a
-        check under the index lock alone could store a pre-write sum just
-        after the flush."""
-        with self._lock:
-            if version != self._version:
-                return False
-            self._index.memo_store(rollups)
-            return True
+        return columns, cols.values[rows], stored_derived, version
 
     def filter_dimension(
         self, dim_name: str, keep: Callable[[str], bool]
@@ -512,7 +491,7 @@ class Cube:
         satisfies ``keep`` (used by the selection operator σ)."""
         dim_index = self.schema.dim_index(dim_name)
         return self.adopt(
-            self.restrict_leaves(dim_name, keep)[0],
+            self.restrict_leaves(dim_name, keep),
             {
                 addr: value
                 for addr, value in self._stored_derived.items()

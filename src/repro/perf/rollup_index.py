@@ -99,9 +99,6 @@ A leaf write can change exactly the cells whose coordinate on every
 dimension is the leaf's own or one of its ancestors — its roll-up cone.
 The live index flushes its memo on every leaf write; a fork starts from
 the last *frozen* fork's memo less that cone (:meth:`RollupIndex._carry_memo`).
-A rollup computed outside the index — a shard pool's merged partials —
-enters the memo only through ``Cube.memoise_rollups``, which stores it
-while the cube is still at the version it was computed for.
 """
 
 from __future__ import annotations
@@ -111,7 +108,6 @@ from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Callable,
-    Iterable,
     Iterator,
     Mapping,
     NamedTuple,
@@ -1152,15 +1148,6 @@ class RollupIndex:
             self._memo_count += 1
         table[address] = value
 
-    def memo_store(self, rollups: "Iterable[tuple[Address, CellValue]]") -> None:
-        """Memoise sums the caller guarantees are this index's current
-        rollups (``Cube.memoise_rollups`` holds the write lock that makes
-        that true)."""
-        with self._lock:
-            table = self._memo.setdefault("sum", {})
-            for address, value in rollups:
-                self._memo_put(table, address, value)
-
     def memo_table(self, aggregator: str = "sum") -> dict[Address, CellValue]:
         """The live memo table for ``aggregator``.  Invalidation clears it
         *in place*, so a held reference is always current: a lock-free
@@ -1382,58 +1369,6 @@ class RollupIndex:
 
     def scope_addresses(self, address: Sequence[str]) -> list[Address]:
         return [addr for addr, _ in self.scope_cells(address)]
-
-    def scope_arrays(
-        self, addresses: Sequence[Sequence[str]]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The scopes of several cells as ``(ids, values, offsets)``:
-        cell ``k`` owns ``ids[offsets[k]:offsets[k + 1]]`` — its leaf ids,
-        ascending (insertion order) — and the same slice of ``values``.
-
-        One consistent read under the lock.  The coordinates every
-        address shares (a grid's slicer and defaults) are intersected
-        once; each cell then tests only the dimensions that vary, over
-        that shared scope instead of the whole id space.  Values come
-        from one column gather for the batch (the sorted union of the
-        scopes).
-        """
-        with self._lock:
-            scopes = self._batch_scope_ids(addresses)
-            offsets = np.zeros(len(scopes) + 1, dtype=np.int64)
-            np.cumsum([len(scope) for scope in scopes], out=offsets[1:])
-            ids = np.concatenate(scopes) if scopes else _EMPTY_IDS
-            union, inverse = np.unique(ids, return_inverse=True)
-            values = self._values.gather(union)[inverse]
-        return ids, values, offsets
-
-    def _batch_scope_ids(
-        self, addresses: Sequence[Sequence[str]]
-    ) -> list[np.ndarray]:  # reprolint: locked
-        if not addresses:
-            return []
-        first = addresses[0]
-        dims = range(self.schema.n_dims)
-        varying = [
-            dim for dim in dims if any(a[dim] != first[dim] for a in addresses)
-        ]
-        shared = self._scope_ids_array(
-            [(dim, first[dim]) for dim in dims if dim not in varying]
-        )
-        columns = {dim: self._struct.codes[dim][shared] for dim in varying}
-        #: (dim, coord) -> which of the shared scope's leaves roll up to it
-        under: dict[tuple[int, str], np.ndarray] = {}
-        scopes = []
-        for address in addresses:
-            keep: "np.ndarray | None" = None
-            for dim in varying:
-                key = (dim, address[dim])
-                hit = under.get(key)
-                if hit is None:
-                    self.coord_count(*key)  # an unknown member raises
-                    hit = under[key] = self._rolls_up(*key)[columns[dim]]
-                keep = hit if keep is None else keep & hit
-            scopes.append(shared if keep is None else shared[keep])
-        return scopes
 
     def rollup(self, address: Address, aggregator: str = "sum") -> CellValue:
         """Aggregate a cell's scope through the index, memoised per

@@ -23,9 +23,10 @@ bounded under real concurrency:
   multi-process tier: each shard process owns a disjoint set of the
   varying dimension's members (co-residency decided by the merge
   dependency graph, see :func:`repro.core.merge_graph.plan_axis_shards`),
-  a coordinator scatter-gathers partial rollups and merges them with the
-  strict bit-identical reduction, and per-shard circuit breakers fail
-  fast when a shard process dies.
+  a shard answers the cells it owns in grid blocks, the coordinator
+  fills every other cell on its full warehouse exactly as
+  ``Warehouse.query`` does, and per-shard circuit breakers fail fast
+  when a shard process dies.
 * :class:`~repro.service.supervisor.ShardSupervisor` — the self-healing
   layer over the shard pool: liveness heartbeats, exponential-backoff
   respawn with a restart-storm cap, and breaker probe routing, so a

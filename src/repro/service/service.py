@@ -35,10 +35,9 @@ Results are exactly what ``Warehouse.query`` returns — including partial
 *immutable named workload* held by a pool of shard processes.  It calls
 the evaluator's own *resolve* (from the scenario's structure half: the
 coordinator applies a chain only to read a local cell) and *finish*; its
-*fill* is a stage per method over one :class:`_QueryState`: plan cells
-(classify, then recall spanning cells from the rollup memo) → admit →
-scatter → gather → merge → local residue.  Shards and the residue fill
-grid blocks with ``perf.batch.evaluate_grid``, as ``Warehouse.query``
+*fill* is a stage per method over one :class:`_QueryState`: classify →
+admit → scatter → gather → merge → local residue.  Shards and the residue
+fill grid blocks with ``perf.batch.evaluate_grid``, as ``Warehouse.query``
 fills a grid.
 """
 
@@ -496,49 +495,19 @@ def rpc_action(
     return AWAIT_RESPAWN
 
 
-def _merge_partials(parts: "list[dict[str, Any]]", n_cells: int) -> "list[Any]":
-    """One value per spanning cell from the shards' ``partial`` answers.
-
-    Every part is ``positions`` / ``values`` / ``offsets`` for the same
-    ``n_cells`` scopes (see :mod:`repro.service.shard`).  The leaves of
-    all shards are sorted once by (cell, global insertion position); each
-    cell's slice is then the exact sequence the single-process strict
-    reduction folds over, so the sums are bit-identical.  An empty scope
-    is ⊥.
-    """
-    import numpy as np
-
-    from repro.olap.aggregation import reduce_array
-
-    counts = [np.diff(part["offsets"]) for part in parts]
-    cell_of = np.concatenate(
-        [np.repeat(np.arange(n_cells), count) for count in counts]
-    )
-    positions = np.concatenate([part["positions"] for part in parts])
-    values = np.concatenate([part["values"] for part in parts])
-    merged = values[np.lexsort((positions, cell_of))]
-    bounds = np.zeros(n_cells + 1, dtype=np.int64)
-    np.cumsum(np.sum(counts, axis=0), out=bounds[1:])
-    return [
-        reduce_array("sum", merged[start:stop])
-        for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist())
-    ]
-
-
 @dataclass
 class _QueryState:
     """One sharded query between classification and the finished grid.
 
     Single-threaded (it belongs to the thread running ``execute``), so no
-    lock.  ``owned`` and ``spanning_whole`` shrink as shards are given up
-    on; what is left when the gather ends is what the merge reads.
+    lock.  ``owned`` shrinks as shards are given up on; what is left when
+    the gather ends is what the merge reads.
     """
 
     degrade: str
     metrics: Any
     owned: "dict[int, list[_Cell]]"  #: shard -> the cells it evaluates alone
-    spanning: "list[_Cell]"  #: scope crosses shards: every shard contributes
-    local: "list[_Cell]"  #: only the coordinator's full warehouse can answer
+    local: "list[_Cell]"  #: the coordinator's: no single shard owns them
     grid: "list[list[Any]]"  #: the result cells, ⊥ until a stage fills them
     stats: "dict[str, int]"
     #: the wall-clock deadline (monotonic s) every RPC of the query shares
@@ -551,29 +520,18 @@ class _QueryState:
     blocks: "dict[int, list[_Block]]" = field(default_factory=dict)
     fallback: "list[_Cell]" = field(default_factory=list)
     lost: "list[tuple[str, list[_Cell]]]" = field(default_factory=list)
-    spanning_whole: bool = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.spanning_whole = bool(self.spanning)
-
-    def give_up(self, shard: int, kind: str, detail: str, error: BaseException) -> None:
-        """Stop waiting for ``shard``'s answer of ``kind`` (``"cells"``: its
-        owned cells; ``"partial"``: its share of the spanning merge).
+    def give_up(self, shard: int, detail: str, error: BaseException) -> None:
+        """Stop waiting for ``shard``'s answer for its owned cells.
 
         The one place the degrade policy is applied, whichever of
         admission, scatter or gather got here: ``fail`` raises ``error``,
         ``fallback`` hands the cells to the local fill, ``partial`` records
-        them as lost (⊥).  A spanning merge missing any contribution is
-        abandoned whole — a partial sum is not a value, it is a wrong value.
+        them as lost (⊥).
         """
         if self.degrade == "fail":
             raise error
-        if kind == "cells":
-            cells = self.owned.pop(shard, None)
-        else:
-            cells = self.spanning if self.spanning_whole else None
-            self.spanning_whole = False
-            detail += " (spanning merge incomplete)"
+        cells = self.owned.pop(shard, None)
         if not cells:
             return
         if self.degrade == "fallback":
@@ -590,7 +548,6 @@ class _Rpc:
     """One request to one shard: what to send, and where it stands."""
 
     shard: int
-    kind: str
     payload: "dict[str, Any]"
     client: "ShardClient | None" = None
     pending: Any = None  #: the slot to gather on; None = submit first
@@ -623,19 +580,13 @@ class ShardedQueryService:
       tuples of an in-process query at O(members), no cell moved — the
       chain is applied here only if a local cell has to be read;
     * classifies each result cell as **owned** (one shard evaluates it
-      end to end; its cells travel as grid blocks), **spanning** (a pure
-      sum-rollup whose scope crosses shards: merged once, then a memo
-      entry — while no shard is stale, a cell the full cube's rollup memo
-      holds is read from it before admission; for the rest every shard
-      returns its slice of every scope, :func:`_merge_partials` reduces
-      them in global insertion order, bit-identical to the
-      single-process gather, and the sums are stored in the memo while
-      every contributing slice still stands at the cube's version), or
-      **local** (leaf reads,
-      rule-bearing cells, stored aggregates, and scenario cells above any
-      single member — evaluated on the coordinator's full warehouse);
+      end to end; its cells travel as grid blocks) or **local** (a cell
+      above any single member, a leaf read, a rule-bearing cell or a
+      stored aggregate: filled on the coordinator's full warehouse,
+      memo first, exactly as ``Warehouse.query`` fills it);
     * guards each shard with its own :class:`CircuitBreaker`: a shard
-      whose breaker is open is given up on before any RPC.
+      whose breaker is open is given up on before any RPC.  A grid with
+      no owned cells sends no RPC and consults no breaker.
 
     Queries carrying a budget, or whose sets read cell values (FILTER /
     ORDER), fall back to full local evaluation — correctness first.
@@ -700,8 +651,8 @@ class ShardedQueryService:
         self._lock = make_lock("ShardedQueryService._lock", reentrant=False)
         self._closed = False
 
-        # Every leaf must be owned by exactly one shard, or spanning
-        # merges would silently drop its contribution.
+        # Every leaf must be owned by exactly one shard, or a shard's
+        # answer would silently drop its contribution.
         member_shard = self.plan.member_shard
         for coord in sorted(self.warehouse.cube.coordinates_used(dimension)):
             member = coord.rsplit("/", 1)[-1]
@@ -857,8 +808,8 @@ class ShardedQueryService:
         degrade: str,
         deadline_ms: "float | None",
     ) -> "tuple[list[list[Any]], dict[str, int], list[Degradation]]":
-        """The coordinator's *fill*: plan cells → admit → scatter →
-        gather → merge → local residue, a stage per method over one
+        """The coordinator's *fill*: classify → admit → scatter → gather →
+        merge → local residue, a stage per method over one
         :class:`_QueryState`."""
         state = self._plan_cells(resolved, degrade, deadline_ms)
         self._admit(state)
@@ -878,25 +829,14 @@ class ShardedQueryService:
     ) -> _QueryState:
         n_rows, n_columns = len(resolved.rows), len(resolved.columns)
         with trace_span("serve.classify") as span:
-            owned, spanning, local = self._classify(resolved)
+            owned, local = self._classify(resolved)
             counts = {
                 "owned_cells": sum(len(v) for v in owned.values()),
-                "spanning_cells": len(spanning),
                 "local_cells": len(local),
             }
             if span is not None:
                 span.set(**counts)
-        grid = [[MISSING] * n_columns for _ in range(n_rows)]
-        spanning = self._recall(spanning, grid)
-        memo_cells = counts["spanning_cells"] - len(spanning)
-        if memo_cells:
-            self._metrics.counter("serve_memo_cells_total").inc(memo_cells)
-        stats = {
-            "cells_evaluated": n_rows * n_columns,
-            "cells_skipped": 0,
-            **counts,
-            "memo_cells": memo_cells,
-        }
+        stats = {"cells_evaluated": n_rows * n_columns, "cells_skipped": 0, **counts}
         # One wall-clock deadline for every scatter/gather of this query:
         # rpc_timeout_ms, narrowed by the caller's deadline_ms the way
         # QueryService narrows an admission deadline (negative clamps to 0).
@@ -908,9 +848,8 @@ class ShardedQueryService:
             degrade,
             self._metrics,
             owned,
-            spanning,
             local,
-            grid,
+            [[MISSING] * n_columns for _ in range(n_rows)],
             stats,
             deadline=self._clock() + rpc_ms / 1000.0,
             deadline_ms=rpc_ms,
@@ -919,16 +858,19 @@ class ShardedQueryService:
 
     def _classify(
         self, resolved: "ResolvedQuery"
-    ) -> "tuple[dict[int, list[_Cell]], list[_Cell], list[_Cell]]":
-        """Sort the grid's cells into owned (per shard), spanning and
-        local, each as ``(row, column, address)``.
+    ) -> "tuple[dict[int, list[_Cell]], list[_Cell]]":
+        """Sort the grid's cells into owned (per shard) and local, each as
+        ``(row, column, address)``.
 
-        What decides a cell's class is worked out once per axis tuple and
-        once for the base coordinates (docs/serving.md, "Classification is
-        per axis tuple"); a cell is then a tuple fill and a few boolean
-        tests.  A column coordinate overrides a row coordinate overrides
-        the base, as in the single-process evaluator.  Only a cube that
-        has rules, or stored aggregates, pays a per-cell probe for them.
+        A cell is owned when one shard covers its shard-dimension
+        coordinate and it is not a leaf read, a rule-bearing cell or (with
+        no scenario) a stored aggregate; every other cell is local.  What
+        decides a cell's class is worked out once per axis tuple and once
+        for the base coordinates (docs/serving.md, "Classification is per
+        axis tuple"); a cell is then a tuple fill and a few boolean tests.
+        A column coordinate overrides a row coordinate overrides the base,
+        as in the single-process evaluator.  Only a cube that has rules,
+        or stored aggregates, pays a per-cell probe for them.
         """
         schema = self.warehouse.schema
         cube = self.warehouse.cube
@@ -938,6 +880,9 @@ class ShardedQueryService:
         shard_dim = self._dim_index
         shard_of = self.plan.shard_of_coordinate
         has_scenario = bool(resolved.context.scenarios)
+        # without a scenario a stored aggregate is a point read here, as a
+        # leaf is
+        stored_local = bool(stored_derived) and not has_scenario
         # under a scenario leaf-ness decides nothing: never look it up
         is_leaf = _never_leaf if has_scenario else schema.coordinate_is_leaf
 
@@ -961,7 +906,6 @@ class ShardedQueryService:
         ]
 
         owned: "dict[int, list[_Cell]]" = {}
-        spanning: "list[_Cell]" = []
         local: "list[_Cell]" = []
         for r, row_patch in enumerate(row_patches):
             row_addr = list(base)
@@ -982,59 +926,21 @@ class ShardedQueryService:
                 shard = col_shard[c]
                 if shard is unbound:
                     shard = row_shard
-                if check_rules and rules.has_rule_for(cube, addr):
-                    local.append((r, c, addr))
-                elif has_scenario:
-                    if shard is not None:
-                        owned.setdefault(shard, []).append((r, c, addr))
-                    else:
-                        local.append((r, c, addr))
-                elif (leaf_outside[col_group[c]] and col_leaf[c]) or (
-                    stored_derived and addr in stored_derived
+                if (
+                    shard is None
+                    or (check_rules and rules.has_rule_for(cube, addr))
+                    or (leaf_outside[col_group[c]] and col_leaf[c])
+                    or (stored_local and addr in stored_derived)
                 ):
                     local.append((r, c, addr))
-                elif shard is not None:
-                    owned.setdefault(shard, []).append((r, c, addr))
                 else:
-                    spanning.append((r, c, addr))
-        return owned, spanning, local
-
-    def _recall(self, spanning: "list[_Cell]", grid: "list[list[Any]]") -> "list[_Cell]":
-        """Fill each spanning cell the full cube's rollup memo holds — a
-        merge an earlier query stored, or the coordinator's own rollup —
-        and return the rest, the cells a merge must still scatter for.
-        The probe is lock-free, as ``evaluate_grid`` makes it: a write
-        clears the table in place, so a hit is never older than a write.
-
-        Only while every shard's slice stands at the cube's version: once
-        the coordinator has been written, the pool answers every spanning
-        cell from the shards' data, as it answers every owned cell —
-        stale, and reported so by :meth:`health` — whatever the
-        coordinator has evaluated since."""
-        if not spanning:
-            return spanning
-        cube = self.warehouse.cube
-        version = cube.version
-        if any(client.slice_version != version for client in self.supervisor.clients):
-            return spanning
-        memo = cube.rollup_index().memo_table("sum")
-        misses = []
-        for cell in spanning:
-            r, c, addr = cell
-            value = memo.get(addr)
-            if value is None:
-                misses.append(cell)
-            else:
-                grid[r][c] = value
-        return misses
+                    owned.setdefault(shard, []).append((r, c, addr))
+        return owned, local
 
     def _admit(self, state: _QueryState) -> None:
         """Give up, before any RPC, on every involved shard whose breaker
         is open or whose process is down."""
-        involved = set(state.owned)
-        if state.spanning_whole:
-            involved.update(range(self.n_shards))
-        for shard in sorted(involved):
+        for shard in sorted(state.owned):
             # Shed only while the breaker is fully open.  Half-open probe
             # slots belong to the supervisor's ping loop (never the query
             # path): a query admitted here that ends up with no RPC to
@@ -1057,8 +963,7 @@ class ShardedQueryService:
                 except ShardError as down:
                     self.breakers[shard].record_failure(down)
                     error = down
-            state.give_up(shard, "cells", str(error), error)
-            state.give_up(shard, "partial", str(error), error)
+            state.give_up(shard, str(error), error)
 
     def _rpc(
         self, state: _QueryState, rpc: _Rpc, *, gather: bool
@@ -1121,7 +1026,7 @@ class ShardedQueryService:
                 self._metrics.counter("serve_hedge_total", shard=str(shard)).inc()
             if action in (HEDGE, GIVE_UP):
                 stage = "gather" if gather else "scatter"
-                state.give_up(shard, rpc.kind, f"{stage} failed: {error}", error)
+                state.give_up(shard, f"{stage} failed: {error}", error)
                 return None
             if action != AWAIT_RESPAWN:
                 transient += 1
@@ -1144,36 +1049,22 @@ class ShardedQueryService:
                 payload = cells_request(
                     text, resolved.base_coords, _axis_blocks(resolved, blocks)
                 )
-                self._submit(state, rpcs, _Rpc(shard, "cells", payload))
-            addresses = [addr for _, _, addr in state.spanning]
-            for shard in range(self.n_shards):
-                if not state.spanning_whole:
-                    break  # nothing spans, or the merge is already abandoned
-                payload = {"op": "partial", "addresses": addresses}
-                self._submit(state, rpcs, _Rpc(shard, "partial", payload))
+                rpc = _Rpc(shard, payload)
+                self._metrics.counter("serve_shard_requests_total", shard=str(shard)).inc()
+                self._rpc(state, rpc, gather=False)
+                if rpc.pending is not None:
+                    rpcs.append(rpc)
             if span is not None:
-                span.set(
-                    shards=len({rpc.shard for rpc in rpcs}),
-                    rpcs=len(rpcs),
-                    memo_hits=state.stats["memo_cells"],
-                )
+                span.set(shards=len({rpc.shard for rpc in rpcs}), rpcs=len(rpcs))
         return rpcs
-
-    def _submit(self, state: _QueryState, rpcs: "list[_Rpc]", rpc: _Rpc) -> None:
-        self._metrics.counter(
-            "serve_shard_requests_total", shard=str(rpc.shard), kind=rpc.kind
-        ).inc()
-        self._rpc(state, rpc, gather=False)
-        if rpc.pending is not None:
-            rpcs.append(rpc)
 
     def _gather(
         self, state: _QueryState, rpcs: "list[_Rpc]"
-    ) -> "dict[tuple[int, str], dict[str, Any]]":
+    ) -> "dict[int, dict[str, Any]]":
         """Wait for every in-flight RPC.  One failing does not stop the
         others being heard (their breakers want the outcome); the first
         error is raised once all have been."""
-        responses: "dict[tuple[int, str], dict[str, Any]]" = {}
+        responses: "dict[int, dict[str, Any]]" = {}
         first_error: "BaseException | None" = None
         with trace_span("serve.gather"):
             for rpc in rpcs:
@@ -1187,32 +1078,17 @@ class ShardedQueryService:
                     continue
                 if response is not None:
                     self.breakers[rpc.shard].record_success()
-                    responses[rpc.shard, rpc.kind] = response
+                    responses[rpc.shard] = response
         if first_error is not None:
             raise first_error
         return responses
 
-    def _merge(
-        self, state: _QueryState, responses: "dict[tuple[int, str], dict[str, Any]]"
-    ) -> None:
-        grid = state.grid
+    def _merge(self, state: _QueryState, responses: "dict[int, dict[str, Any]]") -> None:
+        """Write each answering shard's blocks into the grid."""
         with trace_span("serve.merge"):
             for shard in sorted(state.owned):
-                values = responses[shard, "cells"]["values"]
-                _fill_blocks(grid, state.blocks[shard], values, _decode_value)
-            if state.spanning_whole:
-                parts = [responses[shard, "partial"] for shard in range(self.n_shards)]
-                merged = _merge_partials(parts, len(state.spanning))
-                for (r, c, _), value in zip(state.spanning, merged):
-                    grid[r][c] = value
-                # merged once: from now on a memo entry, if every slice
-                # that contributed still stands at the cube's version
-                version = parts[0]["version"]
-                if all(part["version"] == version for part in parts):
-                    self.warehouse.cube.memoise_rollups(
-                        version,
-                        [(addr, value) for (_, _, addr), value in zip(state.spanning, merged)],
-                    )
+                values = responses[shard]["values"]
+                _fill_blocks(state.grid, state.blocks[shard], values, _decode_value)
 
     def _degradations(self, state: _QueryState) -> "list[Degradation]":
         """One record per loss the ``partial`` policy accepted."""
@@ -1232,9 +1108,9 @@ class ShardedQueryService:
         ]
 
     def _fill_local(self, state: _QueryState, resolved: "ResolvedQuery") -> None:
-        """The local residue — cells no shard could answer alone, plus the
+        """The local residue — cells no single shard owns, plus the
         fallback cells — on the coordinator's full warehouse, in grid
-        blocks, the way a shard fills its own."""
+        blocks, memo first, the way ``Warehouse.query`` fills a grid."""
         if not state.local and not state.fallback:
             return
         from repro.perf.batch import evaluate_grid
@@ -1285,13 +1161,13 @@ class ShardedQueryService:
         live but not ready.
 
         Per shard, ``slice_version`` is the coordinator cube's version its
-        slice was cut at, and ``stale`` says the cube has moved past it: a
-        write on the coordinator that the shard answers without (a shard
-        is handed data at spawn only).  While any shard is stale the
-        rollup memo is neither read nor written for spanning cells, so
-        every shard-answered cell is consistently the shards' data.
-        Staleness does not touch ``ready``; the ``serve_shards_stale``
-        gauge counts stale shards as of the latest health check.
+        slice was cut at, and ``stale`` says the cube has moved past it (a
+        shard is handed data at spawn only).  Until a stale shard respawns,
+        the cells it owns answer its pre-write data; every other cell —
+        local, and any owned cell that fell back — answers the
+        coordinator's current data.  Staleness does not touch ``ready``;
+        the ``serve_shards_stale`` gauge counts stale shards as of the
+        latest health check.
         """
         version = self.warehouse.cube.version
         shards = [

@@ -8,28 +8,20 @@ evaluated by that shard alone, bit-identically to the single-process
 engine (the shard's sub-cube is the restriction of the full cube in
 global insertion order, and the strict reduction is order-defined).
 
-Two request shapes cross the pipe:
-
-* ``cells`` — the shard's owned cells as grid blocks
-  (:func:`cells_request`: the base coordinates plus, per block, its row
-  and column axis tuples' coordinates); the shard applies the query's
-  scenario chain to the rows of its slice those blocks can reach and
-  fills each block with :func:`~repro.perf.batch.evaluate_grid`, as
-  ``Warehouse.query`` fills a whole grid;
-* ``partial`` — for spanning cells (coordinate above any single member),
-  return every scope's leaves as three arrays for the whole request —
-  ``positions`` (``int64`` global insertion positions), ``values``
-  (``float64``) and ``offsets`` (cell ``k`` owns the slice
-  ``offsets[k]:offsets[k + 1]`` of both) — so the coordinator can merge
-  shards' contributions back into the exact global insertion order
-  before the strict reduction, plus the cube ``version`` the slice was
-  cut at, so it knows whether the merged sums are still the cube's.
+A query crosses the pipe as one request shape, ``cells``: the shard's
+owned cells as grid blocks (:func:`cells_request`: the base coordinates
+plus, per block, its row and column axis tuples' coordinates).  The shard
+applies the query's scenario chain to the rows of its slice those blocks
+can reach and fills each block with
+:func:`~repro.perf.batch.evaluate_grid`, as ``Warehouse.query`` fills a
+whole grid.  Besides ``cells`` a shard answers only ``ping`` and
+``sleep`` (a diagnostic).
 
 Workers are spawned (never forked: the coordinator is multithreaded) and
 are *handed* their slice: the coordinator, which holds the full
 warehouse anyway, cuts a :class:`ShardSlice` — schema and rules, the
-owned leaves' code columns with their coordinate lists, the value column
-and ``global_pos`` — at every spawn and respawn (:func:`make_slice`, a
+owned leaves' code columns with their coordinate lists and the value
+column — at every spawn and respawn (:func:`make_slice`, a
 mask over one code column; nothing is retained) and the worker opens it
 with :func:`open_slice` (``RollupIndex.from_columns`` + ``Cube.adopt``: no
 cell is validated or hashed twice).  A worker start is three messages —
@@ -81,7 +73,6 @@ __all__ = [
     "make_slice",
     "open_slice",
     "parse_for_serving",
-    "restrict_warehouse",
     "shard_worker_main",
 ]
 
@@ -159,12 +150,11 @@ class ShardSlice:
     Everything :func:`open_slice` needs and nothing per leaf but arrays:
     ``columns[d]`` is dimension ``d``'s ``(codes, coords)`` pair for the
     owned leaves — row ``k`` is the slice's ``k``-th leaf, in the full
-    cube's insertion order — ``values[k]`` its value and ``global_pos[k]``
-    its position in the full cube's insertion order (strictly increasing
-    ``int64``).  Stored-derived cells and named sets travel whole: every
-    shard holds all of them.  ``schema`` and ``rules`` ride in the same
-    pickle, so ``rules.schema is schema`` on the far side too.
-    ``version`` is the full cube's version the slice was cut at.
+    cube's insertion order — and ``values[k]`` its value.  Stored-derived
+    cells and named sets travel whole: every shard holds all of them.
+    ``schema`` and ``rules`` ride in the same pickle, so ``rules.schema
+    is schema`` on the far side too.  ``version`` is the full cube's
+    version the slice was cut at.
     """
 
     schema: "CubeSchema"
@@ -175,7 +165,6 @@ class ShardSlice:
     stored_derived: "dict[Address, float]"
     columns: "list[Column]"
     values: "np.ndarray"
-    global_pos: "np.ndarray"
     version: int
 
 
@@ -187,7 +176,7 @@ def make_slice(
     ``Cube.restrict_leaves``), one gather per column, read under the
     cube's write lock with the version it was read at."""
     owned = set(owned_members)
-    columns, values, rows, stored_derived, version = full.cube.slice_cells(
+    columns, values, stored_derived, version = full.cube.slice_cells(
         dimension, lambda coord: coord.rsplit("/", 1)[-1] in owned
     )
     return ShardSlice(
@@ -199,24 +188,21 @@ def make_slice(
         stored_derived=stored_derived,
         columns=columns,
         values=values,
-        global_pos=rows,
         version=version,
     )
 
 
-def open_slice(piece: ShardSlice) -> "tuple[Warehouse, np.ndarray]":
-    """The shard's sub-warehouse plus global insertion positions.
+def open_slice(piece: ShardSlice) -> "Warehouse":
+    """The shard's sub-warehouse.
 
     The sub-cube holds exactly the slice's leaf cells, in the order they
     were cut (so the shard's local insertion order is the restriction of
-    the global one — the property the strict bit-identical reduction
-    rests on), over an index opened from the slice's columns — arrays
-    only, like any derived generation — plus every stored-derived cell
-    and named set.  ``global_pos`` is an ``int64`` column over the
-    leaf-id space of that index (ids follow insertion order, and a
-    shard's cube is never written after this).  A slice whose columns do
-    not fit its schema or each other is refused with a typed error: it
-    came from another process.
+    the global one — the property the strict bit-identical reduction of
+    an owned cell rests on), over an index opened from the slice's
+    columns — arrays only, like any derived generation — plus every
+    stored-derived cell and named set.  A slice whose columns do not fit
+    its schema or each other is refused with a typed error: it came from
+    another process.
     """
     from repro.olap.cube import Cube
     from repro.perf.rollup_index import RollupIndex
@@ -225,8 +211,7 @@ def open_slice(piece: ShardSlice) -> "tuple[Warehouse, np.ndarray]":
     schema = piece.schema
     n = len(piece.values)
     if len(piece.columns) != schema.n_dims or not all(
-        len(rows) == n
-        for rows in (piece.global_pos, *(codes for codes, _ in piece.columns))
+        len(codes) == n for codes, _ in piece.columns
     ):
         raise ShardError(
             f"slice cannot be opened: {len(piece.columns)} columns for "
@@ -237,15 +222,7 @@ def open_slice(piece: ShardSlice) -> "tuple[Warehouse, np.ndarray]":
     sub = Warehouse(schema, sub_cube, name=piece.name, aliases=piece.aliases)
     for named_set in piece.named_sets:
         sub.define_named_set(named_set.name, named_set.members)
-    return sub, piece.global_pos
-
-
-def restrict_warehouse(
-    full: "Warehouse", dimension: str, owned_members: Sequence[str]
-) -> "tuple[Warehouse, np.ndarray]":
-    """What a shard that owns ``owned_members`` holds: cut the slice, open
-    the slice — the path a worker start takes, minus the pipe."""
-    return open_slice(make_slice(full, dimension, owned_members))
+    return sub
 
 
 @dataclass(frozen=True)
@@ -296,8 +273,7 @@ class _ShardRuntime:
 
     def __init__(self, shard_index: int, piece: ShardSlice) -> None:
         self.shard_index = shard_index
-        self.version = piece.version
-        self.warehouse, self.global_pos = open_slice(piece)
+        self.warehouse = open_slice(piece)
 
     def _context(self, text: str):
         from repro.mdx.evaluator import _Context
@@ -345,16 +321,6 @@ class _ShardRuntime:
                 for rows, columns in blocks
             ]
             return {"ok": True, "values": values}
-        if op == "partial":
-            index = self.warehouse.cube.rollup_index()
-            ids, values, offsets = index.scope_arrays(request["addresses"])
-            return {
-                "ok": True,
-                "positions": self.global_pos[ids],
-                "values": values,
-                "offsets": offsets,
-                "version": self.version,
-            }
         return {"ok": False, "error": "ShardError", "message": f"unknown op {op!r}"}
 
 

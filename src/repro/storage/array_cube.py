@@ -166,11 +166,6 @@ class ChunkedCube:
             chunk_shape = tuple(max(1, len(a) // 2) for a in axes)
         return cls.build(axes, iter(items), chunk_shape)
 
-    def fork(self) -> "ChunkedCube":
-        """A copy-on-write clone over :meth:`ChunkStore.fork`: axes are
-        shared (immutable), chunks are shared until first write."""
-        return ChunkedCube(self.axes, self.store.fork())
-
     # -- access ------------------------------------------------------------------
 
     def cell_of(self, labels: Sequence[str]) -> tuple[int, ...]:

@@ -1,6 +1,6 @@
 """The structure half as a law: Φ and R run on metadata.
 
-``scenario_structure(cube, chain)`` must report exactly what
+``chain_structure(cube, chain)[:2]`` must report exactly what
 ``apply_scenarios(cube, chain)`` reports as ``.varying`` / ``.surviving`` —
 for every chain MDX can express (at most one S, then at most one ρ), on
 the generated worlds of ``test_operator_parity.py`` (hierarchies, move
@@ -27,7 +27,7 @@ from repro.core.scenario import (
     NegativeScenario,
     PositiveScenario,
     apply_scenarios,
-    scenario_structure,
+    chain_structure,
 )
 from repro.core.validation import check_warehouse
 from repro.obs.trace import tracing
@@ -51,7 +51,7 @@ def _accepted(world: World) -> None:
 def _same_structure(cube: Cube, chain: list) -> None:
     with tracing() as tracer:
         tracer.clear()
-        varying, surviving = scenario_structure(cube, chain)
+        varying, surviving = chain_structure(cube, chain)[:2]
         opened = {
             span.name for root in tracer.finished for span in root.iter_spans()
         }
@@ -127,7 +127,7 @@ def test_the_precondition_is_the_one_check_warehouse_audits():
 
     findings = check_warehouse(Warehouse(schema, cube))
     assert [f.code for f in findings] == ["meaningless-cell"]
-    structure = scenario_structure(cube, chain)[1]["Org"]
+    structure = chain_structure(cube, chain).surviving["Org"]
     applied = apply_scenarios(cube, chain).surviving["Org"]
     assert applied == {"Org/G0/kept"}
     assert structure - applied == {"Org/G1/ghost"}

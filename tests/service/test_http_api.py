@@ -25,16 +25,17 @@ from repro.service import (
     make_server,
 )
 from repro.service.http_api import MAX_BODY_BYTES
-from tests.service.test_spanning_memo import forget_merges
 
 QUERY = (
     "SELECT {Time.[Jan], Time.[Feb], Time.[Mar], Time.[Apr]} ON COLUMNS, "
     "{[Organization].Members} ON ROWS "
     "FROM Warehouse WHERE ([NY], [Salary])"
 )
-SPANNING = (
-    "SELECT {Time.[Jan]} ON COLUMNS, {[FTE]} ON ROWS "
-    "FROM Warehouse WHERE ([NY], [Salary])"
+#: one owned cell per shard: Lisa is shard 0's, Tom shard 1's, and East is
+#: above any leaf
+OWNED = (
+    "SELECT {Time.[Jan]} ON COLUMNS, {[Lisa], [Tom]} ON ROWS "
+    "FROM Warehouse WHERE ([East], [Salary])"
 )
 #: 12 rows x 204 columns = 2,448 cells: a response of several segments
 LARGE = (
@@ -332,10 +333,9 @@ class TestRequestBodyHardening:
 
 class TestObservability:
     def test_query_runs_under_serving_spans(self, service, base_url):
-        forget_merges(service)  # the spanning cell takes the shard path
         TRACER.clear()
         with tracing():
-            status, _, body = _request(base_url, "/v1/query", {"query": SPANNING})
+            status, _, body = _request(base_url, "/v1/query", {"query": OWNED})
         assert status == 200
         # the handler thread closes http.serialize just after the client
         # has the last byte
@@ -351,8 +351,7 @@ class TestObservability:
             "serve.merge",
         ]
         assert execute.find("serve.classify").attrs == {
-            "owned_cells": 0,
-            "spanning_cells": 1,
+            "owned_cells": 2,
             "local_cells": 0,
         }
         assert execute.find("serve.scatter").attrs["shards"] == 2
@@ -361,9 +360,8 @@ class TestObservability:
         )
 
     def test_sharded_result_carries_a_serving_profile(self, service):
-        forget_merges(service)  # the spanning cell takes the shard path
         with tracing():
-            result = service.execute(SPANNING)
+            result = service.execute(OWNED)
         validate_profile(result.profile.to_dict())
         assert list(result.profile.phases) == [
             "classify",
@@ -372,9 +370,9 @@ class TestObservability:
             "merge",
         ]
         rendered = result.profile.render()
-        assert "owned_cells=0 spanning_cells=1 local_cells=0" in rendered
+        assert "owned_cells=2 local_cells=0" in rendered
         assert "shards=2 rpcs=2" in rendered
-        assert service.execute(SPANNING).profile is None  # tracing off
+        assert service.execute(OWNED).profile is None  # tracing off
 
     def test_metrics_exposition(self, base_url):
         _request(base_url, "/v1/query", {"query": QUERY})
@@ -413,13 +411,12 @@ class TestAdmission:
     def test_open_breaker_maps_to_503_under_fail_policy(
         self, service, base_url
     ):
-        forget_merges(service)  # the spanning cell needs every shard
         originals = list(service.breakers)
         try:
             for _ in range(service.breakers[0].failure_threshold):
                 service.breakers[0].record_failure(ShardError("boom"))
             status, headers, body = _request(
-                base_url, "/v1/query", {"query": SPANNING, "degrade": "fail"}
+                base_url, "/v1/query", {"query": OWNED, "degrade": "fail"}
             )
             assert status == 503
             assert body["error"] == "CircuitOpenError"
@@ -432,7 +429,7 @@ class TestAdmission:
 
     def test_open_breaker_serves_fallback_by_default(self, service, base_url):
         reference_status, _, reference = _request(
-            base_url, "/v1/query", {"query": SPANNING}
+            base_url, "/v1/query", {"query": OWNED}
         )
         assert reference_status == 200
         originals = list(service.breakers)
@@ -440,7 +437,7 @@ class TestAdmission:
             for _ in range(service.breakers[0].failure_threshold):
                 service.breakers[0].record_failure(ShardError("boom"))
             status, _, body = _request(
-                base_url, "/v1/query", {"query": SPANNING}
+                base_url, "/v1/query", {"query": OWNED}
             )
             assert status == 200
             assert body["partial"] is False
@@ -454,7 +451,6 @@ class TestAdmission:
     def test_open_breaker_partial_policy_returns_bottom_cells(
         self, service, base_url
     ):
-        forget_merges(service)  # the spanning cell needs every shard
         originals = list(service.breakers)
         try:
             for _ in range(service.breakers[0].failure_threshold):
@@ -462,7 +458,7 @@ class TestAdmission:
             status, _, body = _request(
                 base_url,
                 "/v1/query",
-                {"query": SPANNING, "degrade": "partial"},
+                {"query": OWNED, "degrade": "partial"},
             )
             assert status == 200
             assert body["partial"] is True
@@ -515,25 +511,25 @@ class TestAdmission:
         before = [metrics.value(name, **labels) for name, labels in series]
         for _ in range(6):
             status, _, body = _request(
-                base_url, "/v1/query", {"query": SPANNING, "deadline_ms": float("nan")}
+                base_url, "/v1/query", {"query": OWNED, "deadline_ms": float("nan")}
             )
             assert (status, body["error"]) == (400, "QueryError")
         for refused in (True, float("inf"), "5"):
             status, _, _ = _request(
-                base_url, "/v1/query", {"query": SPANNING, "deadline_ms": refused}
+                base_url, "/v1/query", {"query": OWNED, "deadline_ms": refused}
             )
             assert status == 400
         assert [b.state for b in service.breakers] == [BreakerState.CLOSED] * 2
         assert service.health()["ready"]
         assert [metrics.value(name, **labels) for name, labels in series] == before
         status, _, body = _request(
-            base_url, "/v1/query", {"query": SPANNING, "deadline_ms": 5000}
+            base_url, "/v1/query", {"query": OWNED, "deadline_ms": 5000}
         )
         assert status == 200 and body["stats"]["fallback_cells"] == 0
 
     def test_refused_deadline_leaves_the_connection_usable(self, base_url):
         bad = b'{"query": "SELECT 1", "deadline_ms": NaN}'
-        good = json.dumps({"query": SPANNING}).encode()
+        good = json.dumps({"query": OWNED}).encode()
         sock, reader = _raw(base_url, _post_head(len(bad)), bad)
         try:
             status, headers, _ = _read_response(reader)
@@ -547,8 +543,8 @@ class TestAdmission:
     def test_execute_refuses_a_non_finite_deadline(self, service):
         for refused in (float("nan"), float("inf"), True, "5"):
             with pytest.raises(QueryError, match="finite number"):
-                service.execute(SPANNING, deadline_ms=refused)
-        assert service.execute(SPANNING, deadline_ms=5000).cells
+                service.execute(OWNED, deadline_ms=refused)
+        assert service.execute(OWNED, deadline_ms=5000).cells
 
 
 class TestTenantQuotas:

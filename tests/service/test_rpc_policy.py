@@ -97,11 +97,10 @@ def test_the_policy_is_total_and_closed():
                         assert action not in (RE_GATHER, RE_SUBMIT, RAISE)
 
 
-# -- the give-up step: 3 policies x {cells, partial} ---------------------------------
+# -- the give-up step: 3 policies ---------------------------------------------------
 
 CELL_0 = (0, 0, ("Joe", "NY", "Jan", "Salary"))
 CELL_1 = (1, 0, ("Lisa", "NY", "Jan", "Salary"))
-SPANNING = [(2, 0, ("FTE", "NY", "Jan", "Salary")), (3, 0, ("PTE", "NY", "Jan", "Salary"))]
 BOOM = ShardError("shard 0 is down", shard=0)
 
 
@@ -110,7 +109,6 @@ def _state(degrade: str) -> _QueryState:
         degrade,
         MetricsRegistry(),
         owned={0: [CELL_0], 1: [CELL_1]},
-        spanning=list(SPANNING),
         local=[],
         grid=[],
         stats={},
@@ -121,62 +119,29 @@ def _fallback_count(state: _QueryState) -> float:
     return state.metrics.value("serve_fallback_cells_total", shard="0")
 
 
-@pytest.mark.parametrize("kind", ["cells", "partial"])
-def test_fail_raises_the_error_and_moves_nothing(kind):
+def test_fail_raises_the_error_and_moves_nothing():
     state = _state("fail")
     with pytest.raises(ShardError) as raised:
-        state.give_up(0, kind, "gather failed: boom", BOOM)
+        state.give_up(0, "gather failed: boom", BOOM)
     assert raised.value is BOOM
     assert state.owned == {0: [CELL_0], 1: [CELL_1]}
-    assert state.spanning_whole
     assert state.fallback == [] and state.lost == []
 
 
 def test_fallback_recomputes_a_lost_shards_owned_cells_locally():
     state = _state("fallback")
-    state.give_up(0, "cells", "gather failed: boom", BOOM)
+    state.give_up(0, "gather failed: boom", BOOM)
     assert state.owned == {1: [CELL_1]}  # the merge will not look for shard 0
     assert state.fallback == [CELL_0]
     assert _fallback_count(state) == 1
-    assert state.spanning_whole and state.lost == []
-    state.give_up(0, "cells", "again", BOOM)  # nothing left to give up
+    assert state.lost == []
+    state.give_up(0, "again", BOOM)  # nothing left to give up
     assert state.fallback == [CELL_0] and _fallback_count(state) == 1
-
-
-def test_fallback_abandons_the_spanning_merge_whole():
-    state = _state("fallback")
-    state.give_up(0, "partial", "scatter failed: boom", BOOM)
-    assert not state.spanning_whole  # never half-summed
-    assert state.fallback == SPANNING
-    assert _fallback_count(state) == len(SPANNING)
-    assert state.owned == {0: [CELL_0], 1: [CELL_1]}
-    state.give_up(1, "partial", "gather failed: boom", BOOM)  # ... nor twice
-    assert state.fallback == SPANNING and state.lost == []
 
 
 def test_partial_records_a_lost_shards_owned_cells():
     state = _state("partial")
-    state.give_up(0, "cells", "gather failed: boom", BOOM)
+    state.give_up(0, "gather failed: boom", BOOM)
     assert state.owned == {1: [CELL_1]}
     assert state.lost == [("shard 0: gather failed: boom", [CELL_0])]
     assert state.fallback == [] and _fallback_count(state) == 0
-
-
-def test_partial_loses_every_spanning_cell_together():
-    state = _state("partial")
-    state.give_up(0, "partial", "shard 0 is down", BOOM)
-    state.give_up(1, "partial", "gather failed: boom", BOOM)
-    assert not state.spanning_whole
-    assert state.lost == [
-        ("shard 0: shard 0 is down (spanning merge incomplete)", SPANNING)
-    ]
-    assert state.fallback == []
-
-
-def test_a_query_with_nothing_spanning_has_no_merge_to_abandon():
-    state = _QueryState(
-        "partial", MetricsRegistry(), owned={}, spanning=[], local=[], grid=[], stats={}
-    )
-    assert not state.spanning_whole
-    state.give_up(0, "partial", "shard 0 is down", BOOM)
-    assert state.lost == [] and state.fallback == []

@@ -20,7 +20,6 @@ from repro.olap.missing import is_missing
 from repro.service import ShardedQueryService, SupervisorConfig
 from repro.service.shard import ShardClient
 from repro.service.stress import ShardStormConfig, run_shard_storm
-from tests.service.test_spanning_memo import forget_merges, reference
 from tests.service.test_supervisor import (
     _single_shard_spec,
     _sourceless,
@@ -28,14 +27,12 @@ from tests.service.test_supervisor import (
     _wait_for,
 )
 
-SPANNING = (
-    "SELECT {Time.[Jan], Time.[Feb]} ON COLUMNS, {[FTE], [PTE]} ON ROWS "
-    "FROM Warehouse WHERE ([NY], [Salary])"
-)
+#: every member's row at East, above any leaf: each shard owns its
+#: members' cells, and the categories' cells are the coordinator's
 OWNED = (
     "SELECT {Time.[Jan], Time.[Feb], Time.[Mar], Time.[Apr]} ON COLUMNS, "
     "{[Organization].Members} ON ROWS "
-    "FROM Warehouse WHERE ([NY], [Salary])"
+    "FROM Warehouse WHERE ([East], [Salary])"
 )
 
 FAST_RESPAWN = SupervisorConfig(
@@ -69,22 +66,18 @@ class TestKillBeforeScatter:
             rpc_timeout_ms=5_000.0,
         )
         try:
-            expected = reference(service, OWNED)
+            expected = service.warehouse.query(OWNED)
             service.supervisor.kill(0)
             _wait_for(lambda: service.supervisor.status()[0]["state"] != "live")
 
-            # before each policy the spanning cells need every shard again
-            forget_merges(service)
             with pytest.raises(ShardDownError):
                 service.execute(OWNED, degrade="fail")
 
-            forget_merges(service)
             fallback = service.execute(OWNED, degrade="fallback")
             assert repr(fallback.cells) == repr(expected.cells)
             assert not fallback.degradations
             assert fallback.stats["fallback_cells"] > 0
 
-            forget_merges(service)
             partial = service.execute(OWNED, degrade="partial")
             assert partial.is_partial
             assert all(
@@ -108,34 +101,6 @@ class TestKillBeforeScatter:
         finally:
             service.close()
 
-    def test_spanning_merge_is_never_partially_summed(self):
-        # A spanning cell missing one shard's contribution must come
-        # back ⊥ (or fallback-exact) — never a partial sum.
-        service = ShardedQueryService(
-            "running",
-            n_shards=2,
-            chunk=2,
-            supervisor_config=SLOW_RESPAWN,
-            rpc_timeout_ms=5_000.0,
-        )
-        try:
-            expected = reference(service, SPANNING)
-            service.supervisor.kill(1)
-            _wait_for(lambda: service.supervisor.status()[1]["state"] != "live")
-
-            # before each policy the spanning cells need every shard again
-            forget_merges(service)
-            fallback = service.execute(SPANNING, degrade="fallback")
-            assert repr(fallback.cells) == repr(expected.cells)
-
-            forget_merges(service)
-            partial = service.execute(SPANNING, degrade="partial")
-            for row in partial.cells:
-                for value in row:
-                    assert is_missing(value)
-        finally:
-            service.close()
-
 
 class TestKillDuringGather:
     def test_respawn_retry_answers_bit_identically_under_fail_policy(self):
@@ -147,8 +112,7 @@ class TestKillDuringGather:
             rpc_timeout_ms=30_000.0,
         )
         try:
-            expected = reference(service, OWNED)
-            forget_merges(service)  # the spanning cells need shard 0
+            expected = service.warehouse.query(OWNED)
             # Wedge shard 0: the query's RPC queues behind the sleep,
             # then the kill lands mid-gather.
             service.supervisor.client(0).submit({"op": "sleep", "seconds": 3})
@@ -183,8 +147,7 @@ class TestHedging:
             hedge_ms=100.0,
         )
         try:
-            expected = reference(service, OWNED)
-            forget_merges(service)  # the spanning cells need shard 0
+            expected = service.warehouse.query(OWNED)
             # Alive but slow: the worker sleeps past the hedge threshold.
             service.supervisor.client(0).submit({"op": "sleep", "seconds": 3})
             started = time.monotonic()
@@ -209,8 +172,7 @@ class TestScatterGatherFaultpoints:
             "running", n_shards=2, chunk=2, supervisor_config=FAST_RESPAWN
         )
         try:
-            expected = reference(service, OWNED)
-            forget_merges(service)  # the spanning cells are scattered for
+            expected = service.warehouse.query(OWNED)
             FAULTS.fail_transient("serve.scatter", times=1)
             result = service.execute(OWNED, degrade="fail")
             assert repr(result.cells) == repr(expected.cells)

@@ -1,12 +1,12 @@
 """A shard is handed its slice: the wire form, the worker start that
 carries it, and what a respawn is worth.
 
-``make_slice`` cuts one shard's share of a warehouse as bare arrays,
-``open_slice`` turns it back into a queryable sub-warehouse, and the two
-together are ``restrict_warehouse``.  The reference here is the
-restriction as it was before slices existed — a derived index over the
-*same* schema object, nothing pickled — and every read path of an opened
-slice, after a pickle round trip, must agree with it.
+``make_slice`` cuts one shard's share of a warehouse as bare arrays and
+``open_slice`` turns it back into a queryable sub-warehouse.  The
+reference here is the restriction as it was before slices existed — a
+derived index over the *same* schema object, nothing pickled — and every
+read path of an opened slice, after a pickle round trip, must agree with
+it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 import pickle
 
-import numpy as np
 import pytest
 
 from repro.errors import ShardError
@@ -29,21 +28,21 @@ from repro.service.shard import (
 )
 from repro.service.supervisor import ShardSupervisor
 from repro.warehouse import Warehouse
-from tests.service.test_shard_chaos import FAST_RESPAWN, OWNED, SPANNING
+from tests.service.test_shard_chaos import FAST_RESPAWN, OWNED
 from tests.service.test_supervisor import _wait_for
 
 
 def _reference_restrict(full: Warehouse, dimension: str, owned_members):
-    """``restrict_warehouse`` before slices: an index derived in-process."""
+    """A shard's share before slices: an index derived in-process."""
     owned = set(owned_members)
-    index, global_pos = full.cube.restrict_leaves(
+    index = full.cube.restrict_leaves(
         dimension, lambda coord: coord.rsplit("/", 1)[-1] in owned
     )
     sub_cube = full.cube.adopt(index, dict(full.cube.stored_derived_cells()))
     sub = Warehouse(full.schema, sub_cube, name=full.name, aliases=full.aliases)
     for named_set in full.named_sets():
         sub.define_named_set(named_set.name, named_set.members)
-    return sub, global_pos
+    return sub
 
 
 def _ruled_running() -> Warehouse:
@@ -84,7 +83,7 @@ _WORKFORCE_TEXTS = [
 ]
 
 
-def _every_read_path(sub: Warehouse, global_pos, texts) -> dict:
+def _every_read_path(sub: Warehouse, texts) -> dict:
     """What a shard can be asked, as plain comparable values."""
     cube = sub.cube
     leaves = list(cube.leaf_cells())
@@ -95,7 +94,6 @@ def _every_read_path(sub: Warehouse, global_pos, texts) -> dict:
     probes += [roots[:1] + addr[1:] for addr in probes[:3]]
     probes += [addr[:-1] + roots[-1:] for addr in probes[:3]]
     probes.append(roots)
-    ids, values, offsets = cube.rollup_index().scope_arrays(probes)
     results = [sub.query(text) for text in texts]
     return {
         "leaves": repr(leaves),
@@ -107,11 +105,8 @@ def _every_read_path(sub: Warehouse, global_pos, texts) -> dict:
         ],
         "effective": repr([cube.effective_value(addr) for addr in probes]),
         "stored": repr([cube.value(addr) for addr in probes]),
-        "scopes": (
-            global_pos[ids].tolist(),
-            repr(values.tolist()),
-            offsets.tolist(),
-        ),
+        "rollups": repr([cube.rollup(addr) for addr in probes]),
+        "scopes": repr([cube.rollup_index().scope_cells(addr) for addr in probes]),
         "grids": [(r.columns, r.rows, repr(r.cells)) for r in results],
     }
 
@@ -131,8 +126,8 @@ def test_opened_slice_agrees_with_the_in_process_restriction(build, dimension, t
     total = 0
     for owned in plan.shards:
         piece = pickle.loads(pickle.dumps(make_slice(full, dimension, owned)))
-        sub, global_pos = open_slice(piece)
-        reference, reference_pos = _reference_restrict(full, dimension, owned)
+        sub = open_slice(piece)
+        reference = _reference_restrict(full, dimension, owned)
 
         # arrays only, like the derived index it replaces
         struct = sub.cube.rollup_index()._struct
@@ -144,12 +139,7 @@ def test_opened_slice_agrees_with_the_in_process_restriction(build, dimension, t
             assert sub.cube.rules.schema is sub.schema
             assert len(sub.cube.rules.rules) == len(full.cube.rules.rules)
 
-        assert global_pos.dtype == np.int64
-        assert (np.diff(global_pos) > 0).all()
-        assert global_pos.tolist() == reference_pos.tolist()
-        assert _every_read_path(sub, global_pos, texts) == _every_read_path(
-            reference, reference_pos, texts
-        )
+        assert _every_read_path(sub, texts) == _every_read_path(reference, texts)
         total += sub.cube.n_leaf_cells
     assert total == full.cube.n_leaf_cells
 
@@ -159,8 +149,9 @@ def test_slice_whose_columns_do_not_fit_is_refused():
     piece = make_slice(full, "Organization", ["Joe", "Lisa"])
     with pytest.raises(ShardError, match="slice cannot be opened"):
         open_slice(dataclasses.replace(piece, columns=piece.columns[:-1]))
+    (codes, coords), *rest = piece.columns
     with pytest.raises(ShardError, match="slice cannot be opened"):
-        open_slice(dataclasses.replace(piece, global_pos=piece.global_pos[:-1]))
+        open_slice(dataclasses.replace(piece, columns=[(codes[:-1], coords), *rest]))
 
 
 # -- the worker start that carries a slice ---------------------------------------------
@@ -183,13 +174,8 @@ def test_kill_respawn_answers_bit_identically_and_is_accounted():
         )
     with service:
         metrics = service.warehouse.metrics
-        before = [
-            repr(service.execute(text, degrade="fail").cells)
-            for text in (SPANNING, OWNED)
-        ]
-        assert before == [
-            repr(service.warehouse.query(text).cells) for text in (SPANNING, OWNED)
-        ]
+        before = repr(service.execute(OWNED, degrade="fail").cells)
+        assert before == repr(service.warehouse.query(OWNED).cells)
         initial = _spawn_spans()
         assert [s.attrs["shard"] for s in initial] == [0, 1]
         for span in initial:
@@ -223,11 +209,7 @@ def test_kill_respawn_answers_bit_identically_and_is_accounted():
         (respawn,) = _spawn_spans()
         assert respawn.attrs["phase"] == "respawn" and respawn.attrs["shard"] == 0
         assert respawn.attrs["leaves"] == initial[0].attrs["leaves"]
-        after = [
-            repr(service.execute(text, degrade="fail").cells)
-            for text in (SPANNING, OWNED)
-        ]
-        assert after == before
+        assert repr(service.execute(OWNED, degrade="fail").cells) == before
         # the same answer came from the shards, not from a fallback
         assert service.execute(OWNED, degrade="fail").stats["fallback_cells"] == 0
     TRACER.clear()
@@ -275,7 +257,6 @@ class TestConstructorLeaksNothing:
                 piece,
                 columns=[(codes[:-1], coords) for codes, coords in piece.columns],
                 values=piece.values[:-1],
-                global_pos=piece.global_pos[:-1],
             )
 
         monkeypatch.setattr(service_module, "make_slice", short_by_one)

@@ -1,35 +1,24 @@
-"""Sharded answers are ``Warehouse.query`` answers, bit for bit, in every
-classification class.
+"""Sharded answers are ``Warehouse.query`` answers, bit for bit, in both
+classification classes.
 
 The coordinator classifies cells from per-axis facts (which shard covers
 the tuple's shard-dimension coordinate, whether its coordinates are leaf
-level) and spanning cells cross the pipe as position/value/offset arrays
-merged by one sort.  The table below walks every way the shard dimension
-can be bound (rows, columns, both, slicer, not at all, a column set that
-mixes dimensions), at leaf and non-leaf levels, over populated and empty
+level): a cell one shard covers is owned and crosses the pipe as part of
+a grid block; every other cell is filled on the coordinator's full
+warehouse.  The table below walks every way the shard dimension can be
+bound (rows, columns, both, slicer, not at all, a column set that mixes
+dimensions), at leaf and non-leaf levels, over populated and empty
 scopes, with and without a scenario, with NON EMPTY on either axis, and
-over ruled and stored-aggregate cells; the property test drives the
-spanning wire format in-process over cubes with NaN leaves and deleted
-cells against the naive full scan.
+over ruled and stored-aggregate cells.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.perf import naive_mode
 from repro.service import ShardedQueryService
-from repro.service.service import _merge_partials
-from repro.service.shard import (
-    build_shard_plan,
-    build_workload,
-    restrict_warehouse,
-)
 
 MONTHS = "{Time.[Jan], Time.[Feb], Time.[Mar], Time.[Qtr1]}"
 #: name -> (columns, rows); Organization is the shard dimension
@@ -80,7 +69,7 @@ def _assert_parity(service, text, totals):
     assert got.columns == expected.columns, text
     assert got.rows == expected.rows, text
     assert repr(got.cells) == repr(expected.cells), text
-    for key in ("owned_cells", "spanning_cells", "local_cells"):
+    for key in ("owned_cells", "local_cells"):
         totals[key] = totals.get(key, 0) + got.stats[key]
 
 
@@ -127,13 +116,14 @@ class TestClassificationTable:
             _assert_parity(service, text, totals)
         # the layout reached the shards and the coordinator
         assert totals["local_cells"] > 0
-        assert totals["owned_cells"] + totals["spanning_cells"] > 0
+        assert totals["owned_cells"] > 0
 
     def test_table_covers_every_class(self, service):
         totals: "dict[str, int]" = {}
         for layout in ("shard-dim-on-rows", "shard-dim-unbound"):
             for text in _queries(layout, scenarios=SCENARIOS[:2]):
                 _assert_parity(service, text, totals)
+        assert set(totals) == {"owned_cells", "local_cells"}
         assert all(totals[key] > 0 for key in totals), totals
 
     def test_empty_spanning_scopes_are_bottom_and_pruned(self, service):
@@ -143,7 +133,7 @@ class TestClassificationTable:
             "FROM Warehouse WHERE ([CA], [Salary])"
         )
         got = service.execute(text, degrade="fail")
-        assert got.stats["spanning_cells"] == 4
+        assert got.stats["local_cells"] == 4 and got.stats["owned_cells"] == 0
         assert got.rows == [] and got.cells == []
         assert got.rows == service.warehouse.query(text).rows
 
@@ -225,66 +215,9 @@ class TestRuledAndStoredCells:
         )
         got = ruled_service.execute(text, degrade="fail")
         assert got.cells[0][0] == 1234.5
-        assert got.stats["local_cells"] == 1  # the stored cell alone
-        assert got.stats["spanning_cells"] == 3
+        # the stored cell and the categories above any single member
+        assert got.stats["local_cells"] == 4 and got.stats["owned_cells"] == 0
         east = ruled_service.execute(
             text.replace("[NY]", "[East]"), degrade="fail"
         )
         assert repr(east.cells[1][1]) == "-0.0"
-
-
-# -- the spanning wire format, in-process ---------------------------------------------
-
-_FULL = build_workload("running")
-_LEAVES = [addr for addr, _ in _FULL.cube.leaf_cells()]
-#: non-leaf addresses no single shard covers, empty scopes included
-_SPANNING_ADDRESSES = [
-    (org, location, time, measure)
-    for org in ("Organization", "FTE", "PTE", "Contractor")
-    for location in ("Location", "East", "NY", "CA")
-    for time in ("Time", "Qtr1", "Jan")
-    for measure in ("Measures", "Salary", "Benefits")
-]
-
-_values = st.one_of(
-    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-    st.sampled_from([math.nan, 0.1, 0.2, 0.3, 1e16, -1e16, -0.0]),
-    st.none(),  # delete the leaf
-)
-
-
-class TestSpanningWireFormat:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        writes=st.lists(_values, min_size=len(_LEAVES), max_size=len(_LEAVES)),
-        n_shards=st.integers(min_value=1, max_value=3),
-        batch=st.lists(
-            st.sampled_from(_SPANNING_ADDRESSES), min_size=0, max_size=12
-        ),
-    )
-    def test_merged_partials_equal_the_naive_scan(self, writes, n_shards, batch):
-        full = build_workload("running")
-        for addr, value in zip(_LEAVES, writes):
-            full.cube.set_value(addr, value)
-        plan = build_shard_plan(full, "Organization", n_shards, chunk=2)
-        order = [addr for addr, _ in full.cube.leaf_cells()]
-        parts = []
-        for owned in plan.shards:
-            sub, global_pos = restrict_warehouse(full, "Organization", owned)
-            # global_pos: where each owned leaf sits in the full cube's
-            # insertion order — every owned leaf, in that order
-            assert [order[pos] for pos in global_pos] == [
-                addr for addr in order if addr[0].rsplit("/", 1)[-1] in owned
-            ] == [addr for addr, _ in sub.cube.leaf_cells()]
-            ids, values, offsets = sub.cube.rollup_index().scope_arrays(batch)
-            parts.append(
-                {
-                    "positions": global_pos[ids],
-                    "values": values,
-                    "offsets": offsets,
-                }
-            )
-        merged = _merge_partials(parts, len(batch))
-        with naive_mode():
-            expected = [full.cube.rollup(addr) for addr in batch]
-        assert repr(merged) == repr(expected)

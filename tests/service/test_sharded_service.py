@@ -24,7 +24,7 @@ from repro.service.stress import STRESS_QUERIES
 from repro.workload.workforce import MONTHS, build_workforce
 
 RUNNING_QUERIES = STRESS_QUERIES + (
-    # category rollup rows: spanning cells (no single shard owns [FTE])
+    # category rollup rows: local cells (no single shard owns [FTE])
     """
     SELECT {Time.[Jan], Time.[Feb], Time.[Mar], Time.[Apr]} ON COLUMNS,
            {[FTE], [PTE], [Contractor]} ON ROWS
@@ -66,9 +66,7 @@ class TestRunningExampleParity:
         result = running_service.execute(RUNNING_QUERIES[0])
         assert result.stats["sharded"] == 2
         assert (
-            result.stats["owned_cells"]
-            + result.stats["spanning_cells"]
-            + result.stats["local_cells"]
+            result.stats["owned_cells"] + result.stats["local_cells"]
             == result.stats["cells_evaluated"]
         )
 
@@ -132,7 +130,7 @@ class TestWorkforceParity:
         account = workforce.accounts[0]
         months = ", ".join(f"Period.[{m}]" for m in MONTHS)
         queries = (
-            # spanning: department + root rollups cross shard boundaries
+            # local: department + root rollups cross shard boundaries
             f"SELECT {{{months}}} ON COLUMNS, {{[Department]}} ON ROWS "
             f"FROM [App].[Db]",
             # owned: one member's instances live on exactly one shard
@@ -182,21 +180,22 @@ class TestFailureHandling:
             else:
                 os.environ["REPRO_FAULTS"] = previous
         try:
-            spanning = (
-                "SELECT {Time.[Jan]} ON COLUMNS, {[FTE]} ON ROWS "
-                "FROM Warehouse WHERE ([NY], [Salary])"
+            # one owned cell per shard (East is above any leaf)
+            owned = (
+                "SELECT {Time.[Jan]} ON COLUMNS, {[Lisa], [Tom]} ON ROWS "
+                "FROM Warehouse WHERE ([East], [Salary])"
             )
             for _ in range(service.breakers[0].failure_threshold):
                 with pytest.raises(FaultInjectedError):
-                    service.execute(spanning)
+                    service.execute(owned)
             assert service.breakers[0].state is BreakerState.OPEN
             with pytest.raises(CircuitOpenError):
-                service.execute(spanning, degrade="fail")
+                service.execute(owned, degrade="fail")
             assert service.health()["shards"][0]["breaker"] == "open"
             # The default fallback policy routes around the open breaker
             # and still answers bit-identically from the coordinator.
-            fallback = service.execute(spanning)
-            expected = service.warehouse.query(spanning)
+            fallback = service.execute(owned)
+            expected = service.warehouse.query(owned)
             assert repr(fallback.cells) == repr(expected.cells)
             assert not fallback.degradations
         finally:

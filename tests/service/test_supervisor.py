@@ -22,6 +22,7 @@ from repro.service.shard import (
     ShardSpec,
     build_shard_plan,
     build_workload,
+    cells_request,
     make_slice,
 )
 from repro.service.supervisor import ShardSupervisor, SupervisorConfig
@@ -36,6 +37,10 @@ TIGHT = SupervisorConfig(
     start_timeout_s=60.0,
     rpc_timeout_s=30.0,
 )
+
+#: a ``cells`` request with no blocks: the cheapest request ``shard.exec``
+#: guards
+NO_BLOCKS = cells_request("SELECT {Time.[Jan]} ON COLUMNS FROM Warehouse", {}, [])
 
 
 def _running_specs(n_shards: int, chunk: int) -> "list[ShardSpec]":
@@ -189,15 +194,13 @@ class TestRespawn:
         # pick up the REPRO_FAULTS now in the environment (spawned
         # workers re-arm from os.environ, not from a stale snapshot).
         with ShardSupervisor([spec], config=TIGHT) as supervisor:
-            assert supervisor.client(0).request(
-                {"op": "partial", "addresses": []}
-            )["ok"]
+            assert supervisor.client(0).request(NO_BLOCKS)["ok"]
             monkeypatch.setenv("REPRO_FAULTS", "shard.exec:always")
             supervisor.kill(0)
             fresh = supervisor.await_live(0, timeout=30.0)
             assert fresh is not None
             with pytest.raises(FaultInjectedError):
-                fresh.request({"op": "partial", "addresses": []})
+                fresh.request(NO_BLOCKS)
 
     def test_retry_after_is_generic_hint_when_all_live(self, spec):
         with ShardSupervisor([spec], config=TIGHT) as supervisor:
