@@ -6,11 +6,11 @@ Usage::
     python -m repro.bench fig12
     python -m repro.bench fig13
     python -m repro.bench ablations
-    python -m repro.bench query-engine
     python -m repro.bench all
 
-``query-engine`` also writes the committed ``BENCH_query_engine.json``
-baseline (engine-vs-naive throughput; see docs/performance.md).
+Every target prints and writes nothing.  Query latency on the engine we
+serve with is measured by the performance ledger (``BENCHMARK.json``,
+``benchmarks/ledger/``), not here.
 """
 
 from __future__ import annotations
@@ -92,24 +92,11 @@ def _ablations() -> None:
     )
 
 
-def _query_engine() -> None:
-    from repro.bench.query_engine import (
-        render_report,
-        run_query_engine,
-        write_baseline,
-    )
-
-    report = run_query_engine()
-    print(render_report(report))
-    write_baseline(report)
-    print("baseline written to BENCH_query_engine.json")
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(prog="repro.bench", description=__doc__)
     parser.add_argument(
         "target",
-        choices=["fig11", "fig12", "fig13", "ablations", "query-engine", "all"],
+        choices=["fig11", "fig12", "fig13", "ablations", "all"],
         help="which experiment to regenerate",
     )
     args = parser.parse_args()
@@ -122,8 +109,6 @@ def main() -> None:
         _fig13()
     if args.target in ("ablations", "all"):
         _ablations()
-    if args.target in ("query-engine", "all"):
-        _query_engine()
 
 
 if __name__ == "__main__":

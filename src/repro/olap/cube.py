@@ -224,15 +224,10 @@ class Cube:
         per-cell writes would leave it (insertion order, values, version),
         except that a stream which fails validation leaves it empty.
 
-        Whether a coordinate is leaf level is a property of the
-        (dimension, coordinate) pair, so the bulk arm asks the schema once
-        per *distinct* pair (a few hundred for a cube of any size) and
-        answers every other cell from a table that lives for this call
-        only — ``Dimension.add_member`` can turn a leaf into a parent, so
-        the schema itself keeps no such table.  The pairs are asked in the
-        order, and with the short-circuit, of
-        :meth:`CubeSchema.is_leaf_address`: an unknown member raises what
-        the per-cell path raises, at the cell that first names it.
+        Each cell is classified by :meth:`CubeSchema.is_leaf_address`, as
+        :meth:`set_value` classifies it — a set probe per coordinate — so
+        an unknown member raises what the per-cell path raises, at the
+        cell that first names it.
         """
         from repro.perf.rollup_index import RollupIndex
 
@@ -243,18 +238,9 @@ class Cube:
                 leaves: dict[Address, float] = {}
                 derived: dict[Address, float] = {}
                 mutations = 0
-                coordinate_is_leaf = schema.coordinate_is_leaf
-                leaf_level: dict[tuple[int, str], bool] = {}
                 for address, value in cells:
                     addr = schema.validate_address(address)
-                    store = leaves
-                    for pair in enumerate(addr):
-                        is_leaf = leaf_level.get(pair)
-                        if is_leaf is None:
-                            is_leaf = leaf_level[pair] = coordinate_is_leaf(*pair)
-                        if not is_leaf:
-                            store = derived
-                            break
+                    store = leaves if schema.is_leaf_address(addr) else derived
                     if is_missing(value):
                         mutations += store.pop(addr, None) is not None
                     else:

@@ -25,8 +25,8 @@ __all__ = ["CacheStats", "IoCostModel", "IoStats"]
 
 @dataclass
 class CacheStats:
-    """Hit/miss/invalidation/eviction counters shared by the query-engine
-    caches (scenario-cube cache, rollup index).
+    """Hit/miss/invalidation/eviction counters shared by the query
+    engine's caches (scenario-cube cache, rollup index).
 
     ``builds`` counts full (re)constructions — index builds or scenario
     applications on a cache miss; ``invalidations`` counts entries dropped

@@ -152,6 +152,56 @@ class TestQueryProfiles:
         assert plain.cells == traced.cells
 
 
+class TestTracingCost:
+    def test_a_warm_query_opens_as_many_spans_for_340_cells_as_for_16(self):
+        """Enabled tracing costs per query, not per cell: no span is
+        opened in a per-cell loop, so a warm query's span count does not
+        grow with its grid, with or without a scenario.  (A cold query
+        opens more — Φ, the apply, the cache put — so warm first.)"""
+        from repro.workload.workforce import WorkforceConfig, build_workforce
+
+        # the ledger's smoke preset (benchmarks/ledger/workloads.py)
+        warehouse = build_workforce(
+            WorkforceConfig(
+                n_employees=40,
+                n_departments=4,
+                n_changing=6,
+                max_moves=3,
+                n_accounts=3,
+                n_scenarios=2,
+            )
+        ).warehouse
+        tail = "[Local], [BU Version_1], [HSP_InputValue]"
+        small = (
+            "SELECT {Period.Children} ON COLUMNS, {Department.Children} ON ROWS "
+            f"FROM [App].[Db] WHERE ([Acct000], [Current], {tail})"
+        )
+        large = (
+            "SELECT {Period.Members} ON COLUMNS, "
+            "{CrossJoin({Department.Children}, {Account.Members})} ON ROWS "
+            f"FROM [App].[Db] WHERE ([Current], {tail})"
+        )
+        perspective = "WITH PERSPECTIVE {(Jan)} FOR Department STATIC\n"
+        pairs = [(small, large), (perspective + small, perspective + large)]
+        for pair in pairs:
+            for text in pair:
+                warehouse.query(text)
+
+        def spans(node):
+            return 1 + sum(spans(child) for child in node.get("children", ()))
+
+        for pair in pairs:
+            counts = {}
+            for text in pair:
+                with tracing():
+                    result = warehouse.query(text)
+                counts[len(result.rows) * len(result.columns)] = spans(
+                    result.profile.spans
+                )
+            assert set(counts) == {16, 340}
+            assert counts[16] == counts[340], counts
+
+
 class TestWarehouseMetrics:
     def test_query_counters_and_latency(self, warehouse):
         warehouse.query(QUERY)

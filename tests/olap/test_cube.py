@@ -252,20 +252,10 @@ class TestFreezeAgainstAParkedWriter:
         assert list(cube.cells()) == cells
 
 
-def _asked_by_is_leaf_address(schema, address):
-    """The (dimension, coordinate) pairs ``is_leaf_address`` asks about:
-    up to and including the first that is not leaf level."""
-    asked = []
-    for pair in enumerate(address):
-        asked.append(pair)
-        if not schema.coordinate_is_leaf(*pair):
-            break
-    return asked
-
-
 class TestBulkLoad:
-    """``Cube.load`` on an empty cube: the per-cell semantics, with the
-    schema asked about each distinct (dimension, coordinate) once."""
+    """``Cube.load`` on an empty cube: the cube per-cell ``set_value``
+    would leave, the same error at the same cell, and leaf level read
+    from the schema as it is at each call."""
 
     def _stream(self, example):
         """The running example's cells plus everything a stream may hold:
@@ -294,61 +284,6 @@ class TestBulkLoad:
         assert bulk.version == single.version
         # the deleted leaf came back at the end of the insertion order
         assert list(bulk.leaf_cells())[-1] == (stream[1][0], 4.25)
-
-    def test_schema_is_asked_once_per_distinct_coordinate(self, example, monkeypatch):
-        stream = self._stream(example)
-        schema = example.schema
-        # a non-leaf coordinate short-circuits the rest of its address, as
-        # ``is_leaf_address`` does: nothing is asked that it would not ask
-        expected = {
-            pair
-            for address, _ in stream
-            for pair in _asked_by_is_leaf_address(schema, address)
-        }
-        calls = []
-        ask = schema.coordinate_is_leaf
-        monkeypatch.setattr(
-            schema,
-            "coordinate_is_leaf",
-            lambda dim_index, coord: calls.append((dim_index, coord))
-            or ask(dim_index, coord),
-        )
-        example.cube.empty_like().load(stream)
-        assert len(calls) == len(set(calls)) < len(stream)
-        assert set(calls) == expected
-
-    def test_workforce_load_asks_once_per_distinct_coordinate(self, monkeypatch):
-        from repro.olap.schema import CubeSchema
-        from repro.workload.workforce import WorkforceConfig, build_workforce
-
-        calls = []
-        ask = CubeSchema.coordinate_is_leaf
-
-        def counting(schema, dim_index, coord):
-            calls.append((dim_index, coord))
-            return ask(schema, dim_index, coord)
-
-        monkeypatch.setattr(CubeSchema, "coordinate_is_leaf", counting)
-        # the ledger's smoke preset (benchmarks/ledger/workloads.py)
-        wf = build_workforce(
-            WorkforceConfig(
-                n_employees=40,
-                n_departments=4,
-                n_changing=6,
-                max_moves=3,
-                n_accounts=3,
-                n_scenarios=2,
-            )
-        )
-        monkeypatch.undo()
-        cols = wf.cube.leaf_columns(*range(wf.schema.n_dims))
-        distinct = {
-            (dim, cols.coords[dim][code])
-            for dim in cols.codes
-            for code in set(cols.codes[dim].tolist())
-        }
-        assert wf.cube.n_leaf_cells > 20 * len(distinct)
-        assert sorted(calls) == sorted(distinct)
 
     def test_unknown_member_half_way_raises_and_leaves_the_cube_empty(self, example):
         stream = self._stream(example)
