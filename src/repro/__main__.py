@@ -236,10 +236,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_serve_sharded(args: argparse.Namespace) -> int:
     """``serve --shards N`` / ``serve --http``: the multi-process tier.
 
-    Each shard process owns a disjoint set of the varying dimension's
-    members (co-residency via the merge-dependency graph) and answers
-    the cells it owns; the coordinator fills every other cell on its
-    full warehouse, as ``Warehouse.query`` does.  Without ``--http``, runs the
+    Each shard process owns a contiguous run of the varying dimension's
+    members, every instance of each, and answers the cells it owns; the
+    coordinator fills every other cell on its full warehouse, as
+    ``Warehouse.query`` does.  Without ``--http``, runs the
     statements through the coordinator one after the other
     (:func:`_serve_statements`); with ``--http``, serves the REST API
     until interrupted.
@@ -256,7 +256,6 @@ def _cmd_serve_sharded(args: argparse.Namespace) -> int:
     with ShardedQueryService(
         args.workload,
         n_shards=args.shards if args.shards is not None else 2,
-        chunk=args.chunk,
         degrade=args.degrade,
     ) as service:
         if statements is not None:
@@ -751,16 +750,8 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="N",
         help="run through the multi-process sharded coordinator with N "
-        "shard processes (each owning a disjoint chunk of the varying "
-        "dimension) instead of the in-process worker pool",
-    )
-    serve.add_argument(
-        "--chunk",
-        type=int,
-        default=8,
-        metavar="N",
-        help="shard-planner chunk size over the varying dimension's slots "
-        "(default: 8; smaller spreads members across more shards)",
+        "shard processes (each owning a contiguous run of the varying "
+        "dimension's members) instead of the in-process worker pool",
     )
     serve.add_argument(
         "--degrade",

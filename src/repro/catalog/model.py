@@ -14,8 +14,7 @@ for In-Memory What-If Analysis", PAPERS.md).
 Deltas are partitioned into **chunks** for conflict detection: the chunk
 key of an address is its first ``chunk_depth`` coordinates (JSON-encoded,
 so keys are unambiguous).  Two branches that changed the same chunk in
-different ways cannot be merged or rebased automatically — mirroring the
-chunk-granularity merge dependencies of :mod:`repro.core.merge_graph`.
+different ways cannot be merged or rebased automatically.
 
 The canonical encoding (sorted cells, sorted keys, compact separators) is
 shared by the journal and the per-scenario delta files, so a payload has
@@ -31,7 +30,6 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from repro.core.merge_graph import merge_graph_from_occurrences
 from repro.errors import CatalogError
 from repro.olap.schema import Address
 
@@ -90,24 +88,16 @@ def conflicting_chunks(
 ) -> tuple[tuple[str, ...], tuple[Address, ...]]:
     """Chunks both deltas changed *differently*, plus the addresses inside.
 
-    The dependency structure is built with
-    :func:`~repro.core.merge_graph.merge_graph_from_occurrences`: each
-    shared chunk links its occurrence in branch ``ours`` to its occurrence
-    in branch ``theirs``; every edge is a chunk neither branch can merge
-    past without the other (the Fig. 8/9 notion, lifted from physical
-    chunk planes to delta chunks).  A chunk where both deltas agree
-    cell-for-cell is *not* a conflict — the branches made the same change.
+    Every chunk both deltas touch is one neither branch can merge past
+    without the other; they are walked in chunk-key order.  A chunk where
+    both deltas agree cell-for-cell is *not* a conflict — the branches
+    made the same change.
     """
     ours_chunks = chunks_of(ours, chunk_depth)
     theirs_chunks = chunks_of(theirs, chunk_depth)
-    shared = sorted(set(ours_chunks) & set(theirs_chunks))
-    graph = merge_graph_from_occurrences(
-        {chunk: [("ours", chunk), ("theirs", chunk)] for chunk in shared}
-    )
     conflicts: list[str] = []
     addresses: list[Address] = []
-    for _, _, data in sorted(graph.edges(data=True), key=lambda e: e[2]["member"]):
-        chunk = data["member"]
+    for chunk in sorted(set(ours_chunks) & set(theirs_chunks)):
         in_ours = {addr: ours[addr] for addr in ours_chunks[chunk]}
         in_theirs = {addr: theirs[addr] for addr in theirs_chunks[chunk]}
         if in_ours == in_theirs:

@@ -23,7 +23,6 @@ Two builders are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence
 
 from repro.core.perspective import PerspectiveSet, Semantics, phi
@@ -40,8 +39,6 @@ __all__ = [
     "merge_graph_from_occurrences",
     "build_merge_graph",
     "occurrence_chunks",
-    "plan_axis_shards",
-    "ShardPlan",
     "VaryingAxisSpec",
     "fig8_example_graph",
 ]
@@ -229,136 +226,3 @@ def build_merge_graph(
                     else:
                         graph.add_node(tuple(target))
     return graph
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """A deterministic placement of a varying axis onto shard processes.
-
-    ``shards[i]`` is the tuple of member names owned by shard ``i`` (in
-    axis order); ``member_shard`` maps each member name to its shard and
-    ``label_shard`` maps each instance slot label (full path) to the
-    shard holding its member.  Co-residency is total per member: every
-    slot of a member lives on exactly one shard, so a cell whose varying
-    coordinate is one instance can be evaluated by that shard alone.
-    """
-
-    dimension: str
-    n_shards: int
-    shards: tuple[tuple[str, ...], ...]
-    member_shard: Mapping[str, int]
-    label_shard: Mapping[str, int]
-
-    def shard_of_coordinate(self, coord: str) -> "int | None":
-        """Owning shard of a cell coordinate on the shard axis, or
-        ``None`` when no single shard covers its scope (the coordinator
-        answers such a cell).
-
-        Accepts either a slot label (instance full path) or a bare
-        member name; anything else — a category, the dimension root —
-        spans shards.
-        """
-        shard = self.label_shard.get(coord)
-        if shard is not None:
-            return shard
-        shard = self.member_shard.get(coord)
-        if shard is not None:
-            return shard
-        return self.member_shard.get(coord.rsplit("/", 1)[-1])
-
-
-def plan_axis_shards(
-    dimension: str,
-    slots_of_member: Mapping[str, Sequence[str]],
-    n_shards: int,
-    chunk: int = 8,
-) -> ShardPlan:
-    """Partition a varying axis across shard processes.
-
-    The axis's slot labels (member-instance rows, in axis order) are cut
-    into chunks of ``chunk`` slots; :func:`merge_graph_from_occurrences`
-    over each member's occurrence chunks yields the merge dependency
-    graph, whose connected components are the *co-residency groups*:
-    chunks in one component hold instances that a perspective merge may
-    need together, so the whole group — and with it every slot of every
-    member touching it — is placed on a single shard.  Groups are then
-    **range-packed**: swept in axis (lowest-chunk) order into ``n_shards``
-    contiguous bins of roughly equal slot count.  Contiguity is the
-    point — the axis is laid out in outline order, so members that are
-    queried together (one department, one organisational unit) stay on
-    one shard and a scoped query touches a single shard instead of
-    scattering to all of them; the equal-load sweep keeps the bins as
-    balanced as group granularity allows.  The sweep is deterministic,
-    so coordinator and shards can both derive the identical plan from
-    the schema alone.
-    """
-    if n_shards < 1:
-        raise QueryError("n_shards must be >= 1")
-    if chunk < 1:
-        raise QueryError("chunk must be >= 1")
-    import networkx as nx
-
-    members = list(slots_of_member)
-    slot_order: list[str] = []
-    for member in members:
-        slot_order.extend(slots_of_member[member])
-    chunk_of_slot = {
-        label: position // chunk for position, label in enumerate(slot_order)
-    }
-    occurrences = {
-        member: sorted({chunk_of_slot[label] for label in slots_of_member[member]})
-        for member in members
-    }
-    graph = merge_graph_from_occurrences(occurrences)
-    # Every chunk must be a node even when edge-free (single-member chunks
-    # form their own singleton component).
-    for chunks in occurrences.values():
-        graph.add_nodes_from(chunks)
-
-    members_of_chunk: dict[int, list[str]] = {}
-    for member, chunks in occurrences.items():
-        for c in chunks:
-            members_of_chunk.setdefault(c, []).append(member)
-
-    member_rank = {member: i for i, member in enumerate(members)}
-    groups: list[tuple[int, int, list[str]]] = []  # (min_chunk, weight, members)
-    for component in nx.connected_components(graph):
-        group_members: set[str] = set()
-        for c in component:
-            group_members.update(members_of_chunk.get(c, ()))
-        if not group_members:
-            continue
-        ordered = sorted(group_members, key=member_rank.__getitem__)
-        weight = sum(len(slots_of_member[m]) for m in ordered)
-        groups.append((min(component), weight, ordered))
-    groups.sort()
-
-    # Range packing: sweep the groups in axis order and close each bin
-    # once its cumulative load crosses the bin's fair-share boundary —
-    # contiguous, balanced, and locality-preserving.
-    total_slots = sum(weight for _, weight, _ in groups)
-    bins: list[list[str]] = [[] for _ in range(n_shards)]
-    cumulative = 0
-    for _, weight, group_members in groups:
-        # midpoint assignment: the group goes to the bin its centre falls
-        # into, so a group straddling a boundary is not always pushed right
-        centre = cumulative + weight / 2.0
-        target = min(n_shards - 1, int(centre * n_shards // max(total_slots, 1)))
-        bins[target].extend(group_members)
-        cumulative += weight
-
-    member_shard: dict[str, int] = {}
-    label_shard: dict[str, int] = {}
-    for index, owned in enumerate(bins):
-        owned.sort(key=member_rank.__getitem__)
-        for member in owned:
-            member_shard[member] = index
-            for label in slots_of_member[member]:
-                label_shard[label] = index
-    return ShardPlan(
-        dimension=dimension,
-        n_shards=n_shards,
-        shards=tuple(tuple(owned) for owned in bins),
-        member_shard=member_shard,
-        label_shard=label_shard,
-    )

@@ -159,35 +159,6 @@ class BudgetTracker:
         self.cells_evaluated += 1
         return True
 
-    def charge_cells(self, count: int) -> int:
-        """Account for a batch of up to ``count`` upcoming cell evaluations.
-
-        Returns how many of them may proceed (0..``count``).  Cell caps are
-        exact: the grant never exceeds the remaining cap, and exhausting it
-        mid-batch records the breach.  The wall-clock deadline is checked
-        once per batch — which is why the batched evaluator only uses this
-        method for cap-only budgets and falls back to per-cell
-        :meth:`charge_cell` whenever a deadline is set, so a deadline
-        tripping mid-row degrades at exactly the same cell (identical
-        ``cells_evaluated``/``cells_skipped``) as the per-cell loop.
-        """
-        if count <= 0 or self.breached is not None:
-            return 0
-        remaining = count
-        if self.budget.max_cells is not None:
-            remaining = self.budget.max_cells - self.cells_evaluated
-            if remaining <= 0:
-                self.breached = "cell-cap"
-                return 0
-        if self._deadline_passed():
-            self.breached = "deadline"
-            return 0
-        granted = min(count, remaining)
-        self.cells_evaluated += granted
-        if granted < count:
-            self.breached = "cell-cap"
-        return granted
-
     def charge_cell_or_raise(self, phase: str) -> None:
         """Like :meth:`charge_cell`, but raise
         :class:`~repro.errors.QueryBudgetExceededError` on breach — for

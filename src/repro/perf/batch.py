@@ -28,14 +28,10 @@ the whole grid in one pass with the per-cell work hoisted out:
 
 Semantics are preserved exactly: cells are produced in row-major order,
 the ``mdx.cell`` failpoint fires once per *evaluated* cell in that order,
-and budget degradation is cell-exact on both budget kinds — cap-only
-budgets are charged per row with exact cell counts
-(:meth:`~repro.mdx.budget.BudgetTracker.charge_cells`), while any budget
-carrying a wall-clock deadline is charged per cell
-(:meth:`~repro.mdx.budget.BudgetTracker.charge_cell`), because a row
-granted in one batch could otherwise keep evaluating past a deadline
-that trips mid-row and report more ``cells_evaluated`` (and fewer
-``cells_skipped``) than the per-cell path.
+and budget degradation is cell-exact: a budget is charged per cell
+(:meth:`~repro.mdx.budget.BudgetTracker.charge_cell`), as the per-cell
+evaluator charges it, so a cap or a deadline that trips mid-row degrades
+at the same cell with the same ``cells_evaluated`` and ``cells_skipped``.
 """
 
 from __future__ import annotations
@@ -145,13 +141,6 @@ def evaluate_grid(
     cells: list[list[CellValue]] = []
     cells_skipped = 0
 
-    # Deadline budgets are charged per cell: a whole row granted up front
-    # could breach the deadline mid-row yet keep evaluating, reporting
-    # different cells_evaluated/cells_skipped than the per-cell loop.
-    per_cell_charging = (
-        tracker is not None and tracker.budget.deadline_ms is not None
-    )
-
     for row_patch in row_patches:
         row_addr = list(base)
         row_flags = list(base_flags)
@@ -163,20 +152,10 @@ def evaluate_grid(
                 row_flags[i] for i in range(n_dims) if i not in col_dims
             )
             row_ids = None
-        if tracker is None:
-            granted = len(columns)
-        elif per_cell_charging:
-            granted = -1  # sentinel: consult charge_cell() per cell
-        else:
-            granted = tracker.charge_cells(len(columns))
 
         row_cells: list[CellValue] = []
         for j, col_patch in enumerate(col_patches):
-            if granted < 0:
-                allowed = tracker.charge_cell()
-            else:
-                allowed = j < granted
-            if not allowed:
+            if tracker is not None and not tracker.charge_cell():
                 # Budget breached: remaining cells are ⊥, uncharged and
                 # without fault injection — exactly the per-cell path.
                 row_cells.append(MISSING)

@@ -20,10 +20,9 @@ bounded under real concurrency:
   failpoints, then replays every completed query serially against its
   pinned snapshot and asserts bit-identical grids.
 * :class:`~repro.service.service.ShardedQueryService` — the
-  multi-process tier: each shard process owns a disjoint set of the
-  varying dimension's members (co-residency decided by the merge
-  dependency graph, see :func:`repro.core.merge_graph.plan_axis_shards`),
-  a shard answers the cells it owns in grid blocks, the coordinator
+  multi-process tier: each shard process owns a contiguous run of the
+  varying dimension's whole members, balanced by instance count (see
+  :func:`repro.service.shard.build_shard_plan`), a shard answers the cells it owns in grid blocks, the coordinator
   fills every other cell on its full warehouse exactly as
   ``Warehouse.query`` does, and per-shard circuit breakers fail fast
   when a shard process dies.

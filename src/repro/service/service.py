@@ -54,6 +54,7 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.errors import (
     CircuitOpenError,
     MdxAnalysisError,
+    QueryError,
     ServiceOverloadedError,
     ServiceStoppedError,
     ServiceTimeoutError,
@@ -570,10 +571,11 @@ class ShardedQueryService:
     """Scatter-gather query execution over a pool of shard processes.
 
     The workload's first varying dimension is partitioned by
-    :func:`~repro.core.merge_graph.plan_axis_shards` into member sets
-    whose instance slots co-reside; each shard process owns one set and
-    evaluates any cell whose shard-dimension coordinate resolves to one
-    of its members.  The coordinator:
+    :func:`~repro.service.shard.build_shard_plan` into contiguous runs of
+    whole members, balanced by instance count; each shard process owns
+    one run — every instance of its members — and evaluates any cell
+    whose shard-dimension coordinate resolves to one of them.  A pool of
+    more shards than members is refused.  The coordinator:
 
     * resolves axes and the slicer on its one full warehouse from the
       scenario's *structure half* (``mdx.evaluator._Context``): the axis
@@ -618,15 +620,12 @@ class ShardedQueryService:
         workload: str = "running",
         *,
         n_shards: int = 2,
-        chunk: int = 8,
         workload_params: "tuple[tuple[str, Any], ...]" = (),
         degrade: str = "fallback",
         rpc_timeout_ms: float = 30_000.0,
         hedge_ms: "float | None" = 1_000.0,
         supervisor_config: "SupervisorConfig | None" = None,
     ) -> None:
-        if n_shards < 1:
-            raise ShardError("n_shards must be >= 1")
         self._check_degrade(degrade)
         if rpc_timeout_ms <= 0:
             raise ShardError("rpc_timeout_ms must be > 0")
@@ -643,7 +642,10 @@ class ShardedQueryService:
                 f"workload {workload!r} has no varying dimension to shard on"
             )
         self.dimension = dimension = next(iter(schema.varying))
-        self.plan = build_shard_plan(self.warehouse, dimension, n_shards, chunk)
+        try:
+            self.plan = build_shard_plan(self.warehouse, dimension, n_shards)
+        except QueryError as exc:  # n_shards < 1, or more shards than members
+            raise ShardError(str(exc)) from exc
         self.n_shards = n_shards
         self._dim_index = schema.dim_index(dimension)
         self._metrics = self.warehouse.metrics

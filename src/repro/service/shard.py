@@ -1,12 +1,12 @@
 """Shard processes for the multi-process serving tier.
 
-One shard process owns a disjoint set of the shard dimension's members —
-the co-residency groups of :func:`~repro.core.merge_graph.plan_axis_shards`
-guarantee every member's instance slots land wholly on one shard, so any
-cell whose shard-dimension coordinate resolves to one member can be
-evaluated by that shard alone, bit-identically to the single-process
-engine (the shard's sub-cube is the restriction of the full cube in
-global insertion order, and the strict reduction is order-defined).
+One shard process owns a contiguous run of the shard dimension's members
+(:class:`ShardPlan`), every instance slot of each: ρ and S move a value
+only between instances of one member, so any cell whose shard-dimension
+coordinate resolves to one member can be evaluated by that shard alone,
+bit-identically to the single-process engine (the shard's sub-cube is
+the restriction of the full cube in global insertion order, and the
+strict reduction is order-defined).
 
 A query crosses the pipe as one request shape, ``cells``: the shard's
 owned cells as grid blocks (:func:`cells_request`: the base coordinates
@@ -46,10 +46,9 @@ import threading
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
-from repro.core.merge_graph import ShardPlan, plan_axis_shards
-from repro.errors import ReproError, ShardError
+from repro.errors import QueryError, ReproError, ShardError
 from repro.faults import FAULTS, inject_io_fault, register_failpoint
 from repro.obs.trace import trace_span
 from repro.olap.missing import MISSING, is_missing
@@ -65,6 +64,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "ShardClient",
+    "ShardPlan",
     "ShardSlice",
     "ShardSpec",
     "build_shard_plan",
@@ -129,18 +129,101 @@ def build_workload(name: str, params: "tuple[tuple[str, Any], ...]" = ()) -> "Wa
     raise ShardError(f"unknown workload {name!r}")
 
 
-def build_shard_plan(
-    warehouse: "Warehouse", dimension: str, n_shards: int, chunk: int = 8
-) -> ShardPlan:
-    """The deterministic placement for one warehouse: slots per leaf
-    member come from the varying registry in axis order."""
+@dataclass(frozen=True)
+class ShardPlan:
+    """A deterministic placement of a varying dimension's members onto
+    shard processes.
+
+    ``shards[i]`` is the tuple of member names owned by shard ``i`` (in
+    axis order); ``member_shard`` maps each member name to its shard and
+    ``label_shard`` maps each instance slot label (full path) to the
+    shard holding its member.  A shard owns whole members: every slot of
+    a member lives on exactly one shard, so a cell whose varying
+    coordinate is one instance can be evaluated by that shard alone.
+    """
+
+    dimension: str
+    n_shards: int
+    shards: tuple[tuple[str, ...], ...]
+    member_shard: Mapping[str, int]
+    label_shard: Mapping[str, int]
+
+    @classmethod
+    def pack(
+        cls, dimension: str, slots_of_member: Mapping[str, Sequence[str]], n_shards: int
+    ) -> "ShardPlan":
+        """Range-pack the members that have an instance slot (in axis
+        order, each with its slots) into ``n_shards`` contiguous runs of
+        roughly equal slot count.
+
+        A member goes to the shard its slots' midpoint falls in on the
+        cumulative slot axis, clamped so that no shard is skipped and
+        every later shard is left a member.  Contiguity keeps members
+        queried together (one department, one organisational unit) on
+        one shard, and the midpoint rule keeps the loads within about
+        one member's slot count of each other.  More shards than members
+        is refused: a shard must own something.
+        """
+        members = [member for member, slots in slots_of_member.items() if slots]
+        if n_shards < 1:
+            raise QueryError("n_shards must be >= 1")
+        if n_shards > len(members):
+            raise QueryError(
+                f"{n_shards} shards for {len(members)} members of "
+                f"{dimension!r}: a shard would own nothing"
+            )
+        total = sum(len(slots) for slots in slots_of_member.values())
+        bins: list[list[str]] = [[] for _ in range(n_shards)]
+        member_shard: dict[str, int] = {}
+        label_shard: dict[str, int] = {}
+        shard = -1  # the previous member's shard
+        cumulative = 0
+        for rank, member in enumerate(members):
+            slots = slots_of_member[member]
+            midpoint = (2 * cumulative + len(slots)) * n_shards // (2 * total)
+            # at most one shard past the previous member's, and no further
+            # left than leaves one member for each shard still to fill
+            shard = min(shard + 1, max(midpoint, n_shards - len(members) + rank))
+            bins[shard].append(member)
+            member_shard[member] = shard
+            label_shard.update(dict.fromkeys(slots, shard))
+            cumulative += len(slots)
+        return cls(
+            dimension=dimension,
+            n_shards=n_shards,
+            shards=tuple(tuple(owned) for owned in bins),
+            member_shard=member_shard,
+            label_shard=label_shard,
+        )
+
+    def shard_of_coordinate(self, coord: str) -> "int | None":
+        """Owning shard of a cell coordinate on the shard axis, or
+        ``None`` when no single shard covers its scope (the coordinator
+        answers such a cell).
+
+        Accepts either a slot label (instance full path) or a bare
+        member name; anything else — a category, the dimension root —
+        spans shards.
+        """
+        shard = self.label_shard.get(coord)
+        if shard is not None:
+            return shard
+        shard = self.member_shard.get(coord)
+        if shard is not None:
+            return shard
+        return self.member_shard.get(coord.rsplit("/", 1)[-1])
+
+
+def build_shard_plan(warehouse: "Warehouse", dimension: str, n_shards: int) -> ShardPlan:
+    """The deterministic placement for one warehouse: the leaf members of
+    ``dimension`` in axis order, each with its instance slots from the
+    varying registry (:meth:`ShardPlan.pack`)."""
     varying = warehouse.schema.varying_dimension(dimension)
-    slots_of_member: dict[str, list[str]] = {}
-    for member in varying.dimension.leaf_members():
-        slots = [inst.full_path for inst in varying.instances_of(member.name)]
-        if slots:
-            slots_of_member[member.name] = slots
-    return plan_axis_shards(dimension, slots_of_member, n_shards, chunk)
+    slots_of_member = {
+        member.name: [inst.full_path for inst in varying.instances_of(member.name)]
+        for member in varying.dimension.leaf_members()
+    }
+    return ShardPlan.pack(dimension, slots_of_member, n_shards)
 
 
 @dataclass(frozen=True)

@@ -211,23 +211,6 @@ class StressReport:
         return "\n".join(lines)
 
 
-def _grids_equal(left: Any, right: Any) -> bool:
-    """Bit-identical grid comparison: floats via ``==`` (no tolerance —
-    the engine guarantees identical summation order), ⊥ via identity."""
-    if len(left.cells) != len(right.cells):
-        return False
-    for row_a, row_b in zip(left.cells, right.cells):
-        if len(row_a) != len(row_b):
-            return False
-        for a, b in zip(row_a, row_b):
-            if is_missing(a) or is_missing(b):
-                if not (is_missing(a) and is_missing(b)):
-                    return False
-            elif a != b:
-                return False
-    return True
-
-
 class _Chaos:
     """Shared state for one run (threads append under ``lock``)."""
 
@@ -383,7 +366,7 @@ def _verify_replays(chaos: _Chaos) -> None:
             continue
         report.verified += 1
         concurrent = ticket.result()
-        if not _grids_equal(concurrent, replay):
+        if not _matches_reference(concurrent, replay, allow_missing=False):
             report.mismatches.append(
                 f"grid differs from serial replay at version "
                 f"{ticket.snapshot_version}: "
@@ -565,9 +548,11 @@ class _ShardChaos:
 
 
 def _matches_reference(result: Any, reference: Any, *, allow_missing: bool) -> bool:
-    """Cells equal the reference bit-for-bit; with ``allow_missing`` an
-    actual ⊥ is also accepted (a degraded cell), but a *value* must
-    still be the reference's value — degradation may omit, never alter."""
+    """Cells equal the reference bit-for-bit (floats via ``==``, no
+    tolerance: the engine fixes the summation order); with
+    ``allow_missing`` an actual ⊥ is also accepted (a degraded cell), but
+    a *value* must still be the reference's value — degradation may omit,
+    never alter."""
     if len(result.cells) != len(reference.cells):
         return False
     for row_actual, row_expected in zip(result.cells, reference.cells):

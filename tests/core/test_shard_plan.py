@@ -1,11 +1,12 @@
-"""plan_axis_shards: determinism, co-residency, coverage, range packing."""
+"""The shard plan: determinism, whole members, coverage, range packing."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.merge_graph import ShardPlan, plan_axis_shards
 from repro.errors import QueryError
+from repro.service.shard import ShardPlan, build_shard_plan, build_workload
+from repro.workload.workforce import WorkforceConfig, build_workforce
 
 
 def _slots(n_members: int, instances: int = 1, prefix: str = "m") -> dict:
@@ -20,15 +21,15 @@ def _slots(n_members: int, instances: int = 1, prefix: str = "m") -> dict:
 class TestPlanning:
     def test_deterministic(self):
         slots = _slots(40, instances=2)
-        a = plan_axis_shards("Dim", slots, 4, chunk=4)
-        b = plan_axis_shards("Dim", slots, 4, chunk=4)
+        a = ShardPlan.pack("Dim", slots, 4)
+        b = ShardPlan.pack("Dim", slots, 4)
         assert a.shards == b.shards
         assert dict(a.member_shard) == dict(b.member_shard)
         assert dict(a.label_shard) == dict(b.label_shard)
 
     def test_every_member_covered_exactly_once(self):
         slots = _slots(33, instances=3)
-        plan = plan_axis_shards("Dim", slots, 5, chunk=4)
+        plan = ShardPlan.pack("Dim", slots, 5)
         seen: list[str] = []
         for owned in plan.shards:
             seen.extend(owned)
@@ -38,31 +39,13 @@ class TestPlanning:
             for label in labels:
                 assert plan.label_shard[label] == shard
 
-    def test_member_spanning_chunks_is_co_resident(self):
-        # m1's slots land in chunks 0 and 2 (chunk=2, 3 members x 2 slots):
-        # all of m1 — and via the merge graph every member sharing those
-        # chunks — must end up on one shard.
-        slots = {
-            "m0": ["D/a/m0-0", "D/a/m0-1"],
-            "m1": ["D/a/m1-0", "D/b/m1-1", "D/b/m1-2"],
-            "m2": ["D/b/m2-0"],
-        }
-        plan = plan_axis_shards("D", slots, 3, chunk=2)
-        shard_of = plan.member_shard
-        # slots: m0-0 m0-1 | m1-0 m1-1 | m1-2 m2-0  (chunks 0,1,2)
-        # m1 occupies chunks 1,2 -> chunk 2 joins chunk 1 -> m2 rides along
-        assert shard_of["m1"] == shard_of["m2"]
-        for labels, member in ((slots["m1"], "m1"), (slots["m2"], "m2")):
-            for label in labels:
-                assert plan.label_shard[label] == shard_of[member]
-
     def test_range_packing_is_contiguous_in_axis_order(self):
         slots = _slots(64)
-        plan = plan_axis_shards("Dim", slots, 4, chunk=4)
+        plan = ShardPlan.pack("Dim", slots, 4)
         order = {member: i for i, member in enumerate(slots)}
         boundaries = []
         for owned in plan.shards:
-            assert owned, "64 singleton groups must fill every shard"
+            assert owned, "64 members must fill every shard"
             ranks = sorted(order[m] for m in owned)
             # contiguous: the shard owns one unbroken run of the axis
             assert ranks == list(range(ranks[0], ranks[-1] + 1))
@@ -71,15 +54,15 @@ class TestPlanning:
 
     def test_balanced_within_group_granularity(self):
         slots = _slots(80)
-        plan = plan_axis_shards("Dim", slots, 4, chunk=4)
+        plan = ShardPlan.pack("Dim", slots, 4)
         loads = [
             sum(len(slots[m]) for m in owned) for owned in plan.shards
         ]
-        assert max(loads) - min(loads) <= 4  # one chunk of slack
+        assert max(loads) - min(loads) <= 1  # one member's slot count
 
     def test_single_shard_owns_everything(self):
         slots = _slots(10, instances=2)
-        plan = plan_axis_shards("Dim", slots, 1, chunk=8)
+        plan = ShardPlan.pack("Dim", slots, 1)
         assert len(plan.shards) == 1
         assert sorted(plan.shards[0]) == sorted(slots)
 
@@ -87,7 +70,7 @@ class TestPlanning:
 class TestShardOfCoordinate:
     @pytest.fixture
     def plan(self) -> ShardPlan:
-        return plan_axis_shards("Dim", _slots(16, instances=2), 2, chunk=2)
+        return ShardPlan.pack("Dim", _slots(16, instances=2), 2)
 
     def test_resolves_slot_label(self, plan):
         assert plan.shard_of_coordinate("Dim/cat1/m001-0") == plan.member_shard["m001"]
@@ -109,8 +92,55 @@ class TestShardOfCoordinate:
 class TestValidation:
     def test_rejects_bad_shard_count(self):
         with pytest.raises(QueryError):
-            plan_axis_shards("Dim", _slots(4), 0)
+            ShardPlan.pack("Dim", _slots(4), 0)
 
-    def test_rejects_bad_chunk(self):
+
+@pytest.fixture(scope="module")
+def running():
+    return build_workload("running"), "Organization"
+
+
+@pytest.fixture(scope="module")
+def ledger_workforce():
+    # the ledger's full cube shape (benchmarks/ledger/workloads.py)
+    config = WorkforceConfig(
+        n_employees=400, n_departments=10, n_changing=40, max_moves=4,
+        n_accounts=10, n_scenarios=2, seed=42,
+    )
+    return build_workforce(config).warehouse, "Department"
+
+
+class TestEveryShardOwnsAMember:
+    """Whatever the shard count, every shard owns a contiguous run of
+    whole members, and the loads differ by at most one member's
+    instance count."""
+
+    @staticmethod
+    def _check(warehouse, dimension: str, n_shards: int) -> None:
+        varying = warehouse.schema.varying_dimension(dimension)
+        axis = [
+            member.name
+            for member in varying.dimension.leaf_members()
+            if varying.instances_of(member.name)
+        ]
+        weight = {member: len(varying.instances_of(member)) for member in axis}
+        plan = build_shard_plan(warehouse, dimension, n_shards)
+        assert len(plan.shards) == n_shards
+        assert all(plan.shards), f"an empty shard: {plan.shards}"
+        owned = [member for shard in plan.shards for member in shard]
+        # each member on exactly one shard, the shards' runs in axis order
+        assert owned == axis
+        for index, shard in enumerate(plan.shards):
+            assert all(plan.member_shard[member] == index for member in shard)
+        loads = [sum(weight[member] for member in shard) for shard in plan.shards]
+        assert max(loads) - min(loads) <= max(weight.values()), loads
         with pytest.raises(QueryError):
-            plan_axis_shards("Dim", _slots(4), 2, chunk=0)
+            build_shard_plan(warehouse, dimension, len(axis) + 1)
+
+    @pytest.mark.parametrize("n_shards", range(1, 7))
+    def test_running_example(self, running, n_shards):
+        self._check(*running, n_shards)
+
+    @pytest.mark.parametrize("n_shards", range(1, 9))
+    def test_ledger_workforce(self, ledger_workforce, n_shards):
+        self._check(*ledger_workforce, n_shards)

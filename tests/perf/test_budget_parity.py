@@ -1,12 +1,10 @@
 """Budget-degradation parity: batched vs naive evaluation must degrade
 at exactly the same cell, even when a wall-clock deadline trips mid-row.
 
-The deadline used to be checked once per row batch on the engine path
-(``BudgetTracker.charge_cells``), so a deadline breaching mid-row cut the
-naive grid mid-row but the batched grid only at the next row boundary.
-The evaluator now charges per cell whenever a deadline is set; these
-tests pin that contract with an injectable deterministic clock
-(``QueryBudget.clock``)."""
+A deadline checked once per row would cut the naive grid mid-row but the
+batched grid only at the next row boundary.  Both paths charge the
+budget per cell; these tests pin that contract with an injectable
+deterministic clock (``QueryBudget.clock``)."""
 
 from __future__ import annotations
 
@@ -66,21 +64,6 @@ class TestTrackerClockInjection:
         )
         assert tracker.charge_cell() is True  # override never advances
         assert budget_clock.reads == 0
-
-    def test_charge_cells_checks_deadline_once_per_batch(self):
-        # The documented limitation that motivates per-cell charging on
-        # the batched path whenever a deadline is set.
-        clock = SteppingClock(step_s=0.01)
-        tracker = BudgetTracker(QueryBudget(deadline_ms=25.0, clock=clock))
-        assert tracker.charge_cells(100) == 100  # checked at 10ms: granted
-        assert tracker.charge_cells(100) == 100  # checked at 20ms: granted
-        assert tracker.charge_cells(100) == 0  # checked at 30ms: breach
-        assert tracker.breached == "deadline"
-        # 300 cells were requested but only one deadline check per batch
-        # happened — the per-cell path would have caught the breach at
-        # cell 25.  This is why evaluate_grid charges per cell whenever
-        # budget.deadline_ms is set.
-        assert tracker.cells_evaluated == 200
 
 
 class TestMidRowDeadlineParity:

@@ -66,7 +66,6 @@ def service():
     with ShardedQueryService(
         "running",
         n_shards=2,
-        chunk=2,
         supervisor_config=SLOW_RESPAWN,
         rpc_timeout_ms=5_000.0,
     ) as pool:

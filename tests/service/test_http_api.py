@@ -46,7 +46,7 @@ LARGE = (
 
 @pytest.fixture(scope="module")
 def service():
-    with ShardedQueryService("running", n_shards=2, chunk=2) as svc:
+    with ShardedQueryService("running", n_shards=2) as svc:
         yield svc
 
 

@@ -61,7 +61,6 @@ class TestKillBeforeScatter:
         service = ShardedQueryService(
             "running",
             n_shards=2,
-            chunk=2,
             supervisor_config=SLOW_RESPAWN,
             rpc_timeout_ms=5_000.0,
         )
@@ -107,7 +106,6 @@ class TestKillDuringGather:
         service = ShardedQueryService(
             "running",
             n_shards=2,
-            chunk=2,
             supervisor_config=FAST_RESPAWN,
             rpc_timeout_ms=30_000.0,
         )
@@ -141,7 +139,6 @@ class TestHedging:
         service = ShardedQueryService(
             "running",
             n_shards=2,
-            chunk=2,
             supervisor_config=FAST_RESPAWN,
             rpc_timeout_ms=30_000.0,
             hedge_ms=100.0,
@@ -169,7 +166,7 @@ class TestHedging:
 class TestScatterGatherFaultpoints:
     def test_transient_scatter_fault_retries_in_place(self):
         service = ShardedQueryService(
-            "running", n_shards=2, chunk=2, supervisor_config=FAST_RESPAWN
+            "running", n_shards=2, supervisor_config=FAST_RESPAWN
         )
         try:
             expected = service.warehouse.query(OWNED)
@@ -189,7 +186,7 @@ class TestScatterGatherFaultpoints:
 
     def test_transient_gather_fault_regathers_same_pending(self):
         service = ShardedQueryService(
-            "running", n_shards=2, chunk=2, supervisor_config=FAST_RESPAWN
+            "running", n_shards=2, supervisor_config=FAST_RESPAWN
         )
         try:
             expected = service.warehouse.query(OWNED)

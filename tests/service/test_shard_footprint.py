@@ -86,7 +86,7 @@ def _addresses(full, base, rows, columns) -> "list[tuple[str, ...]]":
 def test_a_shard_applies_the_chain_to_the_rows_its_addresses_reach(clause):
     full = build_workload("workforce", PARAMS)
     departments = [m.name for m in full.schema.dimension("Department").root.children]
-    plan = build_shard_plan(full, "Department", 2, chunk=2)
+    plan = build_shard_plan(full, "Department", 2)
     whole = apply_scenarios(
         full.cube, build_scenarios(full, parse_query(_dashboard(clause, "Acct001")))
     )
@@ -125,7 +125,7 @@ def test_a_shard_applies_the_chain_to_the_rows_its_addresses_reach(clause):
 
 def test_an_unscenarioed_cells_request_derives_no_footprint():
     full = build_workload("workforce", PARAMS)
-    plan = build_shard_plan(full, "Department", 2, chunk=2)
+    plan = build_shard_plan(full, "Department", 2)
     runtime = _ShardRuntime(0, make_slice(full, "Department", plan.shards[0]))
     owned = set(plan.shards[0])
     department = next(
@@ -147,7 +147,7 @@ def test_an_unscenarioed_cells_request_derives_no_footprint():
 @pytest.fixture(scope="module")
 def service():
     with ShardedQueryService(
-        "workforce", n_shards=2, chunk=2, workload_params=PARAMS
+        "workforce", n_shards=2, workload_params=PARAMS
     ) as pool:
         yield pool
 

@@ -121,7 +121,7 @@ def _every_read_path(sub: Warehouse, texts) -> dict:
 )
 def test_opened_slice_agrees_with_the_in_process_restriction(build, dimension, texts):
     full = build()
-    plan = build_shard_plan(full, dimension, 2, chunk=2)
+    plan = build_shard_plan(full, dimension, 2)
     assert all(plan.shards)
     total = 0
     for owned in plan.shards:
@@ -170,7 +170,7 @@ def test_kill_respawn_answers_bit_identically_and_is_accounted():
     TRACER.clear()
     with tracing():
         service = ShardedQueryService(
-            "running", n_shards=2, chunk=2, supervisor_config=FAST_RESPAWN
+            "running", n_shards=2, supervisor_config=FAST_RESPAWN
         )
     with service:
         metrics = service.warehouse.metrics
@@ -244,7 +244,7 @@ class TestConstructorLeaksNothing:
 
         monkeypatch.setattr(ShardSupervisor, "attach_breakers", refuse)
         with pytest.raises(ShardError, match="no breakers today"):
-            ShardedQueryService("running", n_shards=2, chunk=2)
+            ShardedQueryService("running", n_shards=2)
         (supervisor,) = pools
         self._assert_closed(supervisor)
 
@@ -261,7 +261,7 @@ class TestConstructorLeaksNothing:
 
         monkeypatch.setattr(service_module, "make_slice", short_by_one)
         with pytest.raises(ShardError, match="not a partition"):
-            ShardedQueryService("running", n_shards=2, chunk=2)
+            ShardedQueryService("running", n_shards=2)
         (supervisor,) = pools
         self._assert_closed(supervisor)
 
@@ -281,7 +281,7 @@ class TestConstructorLeaksNothing:
 
         monkeypatch.setattr(ShardClient, "_await_hello", hello_then_die)
         with ShardedQueryService(
-            "running", n_shards=2, chunk=2, supervisor_config=FAST_RESPAWN
+            "running", n_shards=2, supervisor_config=FAST_RESPAWN
         ) as service:
             assert killed
             assert _wait_for(lambda: service.supervisor.restarts(1) == 1)

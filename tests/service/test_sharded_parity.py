@@ -75,7 +75,7 @@ def _assert_parity(service, text, totals):
 
 @pytest.fixture(scope="module")
 def service():
-    with ShardedQueryService("running", n_shards=2, chunk=2) as svc:
+    with ShardedQueryService("running", n_shards=2) as svc:
         yield svc
 
 
@@ -86,7 +86,7 @@ def ruled_service():
     them after the shards were spawned keeps the pool consistent — for
     the stored aggregate only without a scenario (shards copy stored
     aggregates at spawn and evaluate scenario cells themselves)."""
-    with ShardedQueryService("running", n_shards=2, chunk=2) as svc:
+    with ShardedQueryService("running", n_shards=2) as svc:
         cube = svc.warehouse.cube
         cube.rules.define("Compensation", "Salary + 2 * Benefits")
         schema = svc.warehouse.schema

@@ -42,13 +42,13 @@ RUNNING_QUERIES = STRESS_QUERIES + (
 
 @pytest.fixture(scope="module")
 def running_service():
-    with ShardedQueryService("running", n_shards=2, chunk=2) as service:
+    with ShardedQueryService("running", n_shards=2) as service:
         yield service
 
 
 @pytest.fixture(scope="module")
 def workforce_service():
-    with ShardedQueryService("workforce", n_shards=3, chunk=2) as service:
+    with ShardedQueryService("workforce", n_shards=3) as service:
         yield service
 
 
@@ -88,6 +88,11 @@ class TestRunningExampleParity:
         assert health["status"] == "ok"
         assert health["dimension"] == "Organization"
         assert [s["alive"] for s in health["shards"]] == [True, True]
+
+    def test_default_pool_puts_members_on_every_shard(self, running_service):
+        # (Joe, Lisa | Sue, Tom, Dave, Jane): 4 instances a shard
+        health = running_service.health()
+        assert [s["members"] for s in health["shards"]] == [2, 4]
 
 
 class TestParseCache:
@@ -173,7 +178,7 @@ class TestFailureHandling:
         previous = os.environ.get("REPRO_FAULTS")
         os.environ["REPRO_FAULTS"] = "shard.exec:always"
         try:
-            service = ShardedQueryService("running", n_shards=2, chunk=2)
+            service = ShardedQueryService("running", n_shards=2)
         finally:
             if previous is None:
                 del os.environ["REPRO_FAULTS"]
@@ -202,7 +207,7 @@ class TestFailureHandling:
             service.close()
 
     def test_execute_after_close_raises_typed_error(self):
-        service = ShardedQueryService("running", n_shards=1, chunk=8)
+        service = ShardedQueryService("running", n_shards=1)
         service.close()
         with pytest.raises(ServiceStoppedError):
             service.execute(RUNNING_QUERIES[0])
@@ -210,3 +215,8 @@ class TestFailureHandling:
     def test_rejects_zero_shards(self):
         with pytest.raises(ShardError):
             ShardedQueryService("running", n_shards=0)
+
+    def test_rejects_more_shards_than_members(self):
+        # the running example's Organization has six leaf members
+        with pytest.raises(ShardError, match="a shard would own nothing"):
+            ShardedQueryService("running", n_shards=7)

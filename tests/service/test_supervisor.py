@@ -43,10 +43,10 @@ TIGHT = SupervisorConfig(
 NO_BLOCKS = cells_request("SELECT {Time.[Jan]} ON COLUMNS FROM Warehouse", {}, [])
 
 
-def _running_specs(n_shards: int, chunk: int) -> "list[ShardSpec]":
+def _running_specs(n_shards: int) -> "list[ShardSpec]":
     """Specs that cut their slices from one running-example warehouse."""
     warehouse = build_workload("running")
-    plan = build_shard_plan(warehouse, "Organization", n_shards, chunk=chunk)
+    plan = build_shard_plan(warehouse, "Organization", n_shards)
     return [
         ShardSpec(index, partial(make_slice, warehouse, "Organization", tuple(owned)))
         for index, owned in enumerate(plan.shards)
@@ -54,7 +54,7 @@ def _running_specs(n_shards: int, chunk: int) -> "list[ShardSpec]":
 
 
 def _single_shard_spec() -> ShardSpec:
-    return _running_specs(1, chunk=8)[0]
+    return _running_specs(1)[0]
 
 
 def _unopenable(spec: ShardSpec) -> ShardSpec:
@@ -92,7 +92,7 @@ def spec():
 
 
 def _two_shard_specs() -> "list[ShardSpec]":
-    return _running_specs(2, chunk=2)
+    return _running_specs(2)
 
 
 @pytest.fixture()
