@@ -207,69 +207,48 @@ def _serve_statements(args: argparse.Namespace, statements: "list[str]", submit)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """The ``serve`` subcommand: run a batch of queries concurrently
-    through the :class:`~repro.service.QueryService`, each pinned to a
-    snapshot at submission time (:func:`_serve_statements`)."""
-    from repro.service import QueryService
+    """The ``serve`` subcommand: one :class:`~repro.service.QueryService`
+    over the workload, in process or over ``--shards N`` shard processes.
 
-    if args.http or args.shards is not None:
-        return _cmd_serve_sharded(args)
-    statements = _read_statements(args)
-    if statements is None:
-        return 2
-    budget = _budget_from_args(args)
-    with QueryService(
-        build_workload(args.workload),
-        workers=args.workers,
-        queue_depth=args.queue_depth,
-        default_deadline_ms=getattr(args, "deadline_ms", None),
-    ) as service:
-        return _serve_statements(
-            args,
-            statements,
-            lambda statement: service.submit(
-                statement, analyze=not args.no_analyze, budget=budget
-            ).result,
-        )
-
-
-def _cmd_serve_sharded(args: argparse.Namespace) -> int:
-    """``serve --shards N`` / ``serve --http``: the multi-process tier.
-
-    Each shard process owns a contiguous run of the varying dimension's
-    members, every instance of each, and answers the cells it owns; the
-    coordinator fills every other cell on its full warehouse, as
-    ``Warehouse.query`` does.  Without ``--http``, runs the
-    statements through the coordinator one after the other
+    Without ``--http``, submits every statement — each pinned to a
+    snapshot at submission, run on ``--workers`` threads under
+    ``--max-cells`` / ``--deadline-ms`` — and prints the grids in order
     (:func:`_serve_statements`); with ``--http``, serves the REST API
     until interrupted.
     """
-    from functools import partial
-
-    from repro.service import ShardedQueryService, TenantQuotas, serve_http
+    from repro.service import QueryService, TenantQuotas, serve_http
 
     statements = None
     if not args.http:
         statements = _read_statements(args)
         if statements is None:
             return 2
-    with ShardedQueryService(
-        args.workload,
-        n_shards=args.shards if args.shards is not None else 2,
+    # the deadline is the service's: it bounds shard RPCs when a query
+    # scatters and is the budget deadline when it runs locally
+    budget = None if args.max_cells is None else QueryBudget(max_cells=args.max_cells)
+    with QueryService(
+        build_workload(args.workload),
+        n_shards=args.shards,
+        workers=args.workers,
+        queue_depth=args.queue_depth,
+        default_deadline_ms=getattr(args, "deadline_ms", None),
         degrade=args.degrade,
     ) as service:
         if statements is not None:
             return _serve_statements(
                 args,
                 statements,
-                lambda statement: partial(
-                    service.execute, statement, analyze=not args.no_analyze
-                ),
+                lambda statement: service.submit(
+                    statement, analyze=not args.no_analyze, budget=budget
+                ).result,
             )
-        plan = service.plan
+        where = (
+            f"over {args.shards} shard(s) of [{service.dimension}]"
+            if args.shards
+            else "in process"
+        )
         print(
-            f"repro: serving {args.workload} over {plan.n_shards} "
-            f"shard(s) of [{plan.dimension}] on "
+            f"repro: serving {args.workload} {where} on "
             f"http://{args.host}:{args.port}",
             file=sys.stderr,
         )
@@ -686,13 +665,16 @@ def main(argv: list[str] | None = None) -> int:
     )
     serve = subparsers.add_parser(
         "serve",
-        help="run ;-separated queries concurrently through the query service",
+        help="run ;-separated queries concurrently through the query "
+        "service, or serve its REST API",
         description=(
             "Read ;-separated extended-MDX statements from a file (or "
             "stdin with '-'), submit them all through a bounded worker "
-            "pool — each pinned to a snapshot at submission — and print "
-            "the grids in submission order.  Exit codes: 0 = all "
-            "complete, 1 = any partial or shed, 2 = any error."
+            "pool — each pinned to a snapshot at submission, in process "
+            "or over --shards N shard processes — and print the grids in "
+            "submission order; with --http, serve the same service over "
+            "HTTP instead.  Exit codes: 0 = all complete, 1 = any partial "
+            "or shed, 2 = any error."
         ),
     )
     serve.add_argument(
@@ -747,17 +729,17 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument(
         "--shards",
         type=int,
-        default=None,
+        default=0,
         metavar="N",
-        help="run through the multi-process sharded coordinator with N "
-        "shard processes (each owning a contiguous run of the varying "
-        "dimension's members) instead of the in-process worker pool",
+        help="shard processes, each owning a contiguous run of the "
+        "varying dimension's members (default: 0, every query runs in "
+        "process)",
     )
     serve.add_argument(
         "--degrade",
         choices=("fail", "fallback", "partial"),
         default="fallback",
-        help="shard-failure policy for the sharded coordinator: 'fallback' "
+        help="shard-failure policy with --shards: 'fallback' "
         "recomputes a dead shard's cells locally (bit-identical, default), "
         "'partial' returns them as ⊥ with degradation records, 'fail' "
         "raises a typed error",
@@ -766,8 +748,8 @@ def main(argv: list[str] | None = None) -> int:
         "--http",
         action="store_true",
         help="serve the REST API (POST /v1/query, POST /v1/explain, "
-        "GET /metrics, GET /healthz, GET /readyz) over the sharded "
-        "coordinator instead of executing a query batch",
+        "GET /metrics, GET /healthz, GET /readyz) instead of executing a "
+        "query batch; in process unless --shards N",
     )
     serve.add_argument(
         "--host",

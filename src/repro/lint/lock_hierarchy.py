@@ -36,9 +36,8 @@ LOCK_ORDER: tuple[str, ...] = (
     "_Chaos.lock",
     "_ShardChaos.lock",
     "QueryService._lock",
-    "ShardedQueryService._lock",
-    # The supervisor nests inside the sharded service (close order) and
-    # outside the per-shard breakers it probes and the metrics it bumps.
+    # The supervisor nests inside the service (close order) and outside
+    # the per-shard breakers it probes and the metrics it bumps.
     "ShardSupervisor._lock",
     "TenantQuotas._lock",
     "Warehouse._snapshot_lock",
@@ -129,7 +128,6 @@ THREAD_SHARED: dict[str, GuardSpec] = {
         ("_state", "_consecutive_failures", "_opened_at", "_probe_in_flight", "trips"),
     ),
     "QueryService": GuardSpec("_lock", ("_closed",)),
-    "ShardedQueryService": GuardSpec("_lock", ("_closed",)),
     "ShardSupervisor": GuardSpec("_lock", ("_closed",)),
     "TenantQuotas": GuardSpec("_lock", ("_inflight",)),
     "Warehouse": GuardSpec("_snapshot_lock", ("_snapshot_cache",)),
@@ -157,9 +155,8 @@ ENTRY_POINTS: frozenset[str] = frozenset(
         "Warehouse.analyze",
         "Warehouse.explain",
         "QueryService.submit",
+        "QueryService.execute",
         "QueryService.close",
-        "ShardedQueryService.execute",
-        "ShardedQueryService.close",
         "QueryTicket.result",
         "QueryTicket.exception",
         "ScenarioCatalog.create",

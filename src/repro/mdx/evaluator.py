@@ -26,7 +26,7 @@ one pipeline — **resolve → fill → finish** — and executors differ only i
 *fill*.  Steps 1–2 are *resolve* (:class:`_Context`, :func:`resolve_query`);
 steps 3–4 are *fill*: ``perf.batch.evaluate_grid`` here (the per-cell loop
 under ``naive_mode()``), scatter/gather over the shard pool in
-:class:`~repro.service.service.ShardedQueryService`, nothing in EXPLAIN;
+:class:`~repro.service.service.QueryService`, nothing in EXPLAIN;
 :func:`finish_query` prunes NON EMPTY axes and builds the result.  Whoever
 reads a scenario's cells asks :class:`_Context` for the view of *its*
 cells (:meth:`_Context.view_under`, by way of ``view_for`` / ``view_at``).

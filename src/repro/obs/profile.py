@@ -11,7 +11,7 @@ the result object carries ``None``.
 Phases mirror the evaluator pipeline: ``parse`` → ``analyze`` →
 ``scenario`` (Φ/ρ/S/E application, Sec. 4) → ``axes`` (set resolution)
 → ``cells`` (grid fill) → ``finalize`` (NON EMPTY pruning + assembly).
-A query answered by the shard pool (``ShardedQueryService.execute``) is
+A query answered by the shard pool (``QueryService`` with shards) is
 profiled from its ``serve.execute`` root instead, whose phases are the
 coordinator's: ``classify`` → ``scatter`` → ``gather`` → ``merge`` →
 ``local``, each rendered with its span attributes (owned / local cell

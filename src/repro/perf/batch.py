@@ -17,14 +17,14 @@ the whole grid in one pass with the per-cell work hoisted out:
   table answers repeat addresses with one lock-free dict probe before any
   scope work happens (profiling showed the warm path spending ~40% of its
   time intersecting scopes for cells whose value was already memoised);
-* memo misses are served as *axis planes* over the columnar kernel: when
-  every column tuple binds the same dimensions (the overwhelmingly common
-  grid shape), each row's scope is resolved once to its ascending leaf
-  ids and each column's once per query to a boolean mask, and a cell's
-  scope is the row's ids filtered by the column's mask + one
-  fancy-indexed value gather (:meth:`RollupIndex.rollup_axes`) — work
-  proportional to the row, not to the id space, and no per-cell set
-  intersections or generator sums.
+* memo misses are served as *axis planes* over the columnar kernel:
+  columns are grouped by the dimensions they bind (one group in any
+  ordinary grid); each row's scope over the dimensions a group leaves
+  free is resolved once to its ascending leaf ids and each column's once
+  per query to a boolean mask, and a cell's scope is the row's ids
+  filtered by the column's mask + one fancy-indexed value gather
+  (:meth:`RollupIndex.rollup_axes`) — work proportional to the row, not
+  to the id space, and no per-cell set intersections or generator sums.
 
 Semantics are preserved exactly: cells are produced in row-major order,
 the ``mdx.cell`` failpoint fires once per *evaluated* cell in that order,
@@ -120,14 +120,13 @@ def evaluate_grid(
         [(dim_index[dim], coord) for dim, coord in c.coordinates] for c in columns
     ]
 
-    # Plane mode: every column tuple binds the same dimension set, so a
-    # row's scope mask (over the remaining dimensions) can be shared
-    # across all its cells.
+    # Columns that bind the same dimensions form a group (one in any
+    # ordinary grid): a row's leaf-ness and scope ids over the remaining
+    # dimensions are shared by every cell of the row in that group.
     col_dim_sets = [frozenset(i for i, _ in patch) for patch in col_patches]
-    plane_mode = bool(col_patches) and all(
-        s == col_dim_sets[0] for s in col_dim_sets
-    )
-    col_dims = col_dim_sets[0] if plane_mode else frozenset()
+    groups = list(dict.fromkeys(col_dim_sets))
+    col_group = [groups.index(dims) for dims in col_dim_sets]
+    outside = [[i for i in range(n_dims) if i not in dims] for dims in groups]
     col_all_leaf = [
         all(coord_is_leaf(i, coord) for i, coord in patch)
         for patch in col_patches
@@ -147,11 +146,10 @@ def evaluate_grid(
         for i, coord in row_patch:
             row_addr[i] = coord
             row_flags[i] = coord_is_leaf(i, coord)
-        if plane_mode:
-            row_leaf_outside = all(
-                row_flags[i] for i in range(n_dims) if i not in col_dims
-            )
-            row_ids = None
+        row_leaf_outside = [all(row_flags[i] for i in dims) for dims in outside]
+        # most rows of a grid are above the leaves: one test skips the rest
+        row_may_be_leaf = any(row_leaf_outside)
+        row_ids: "list[Any]" = [None] * len(groups)
 
         row_cells: list[CellValue] = []
         for j, col_patch in enumerate(col_patches):
@@ -167,14 +165,7 @@ def evaluate_grid(
             for i, coord in col_patch:
                 addr_list[i] = coord
             addr = tuple(addr_list)
-            if plane_mode:
-                is_leaf = row_leaf_outside and col_all_leaf[j]
-            else:
-                is_leaf = all(
-                    coord_is_leaf(i, coord) for i, coord in enumerate(addr)
-                )
-
-            if is_leaf:
+            if row_may_be_leaf and col_all_leaf[j] and row_leaf_outside[col_group[j]]:
                 value = leaf_read(addr)
                 if value is None:
                     value = leaf_stored_derived.get(addr)
@@ -205,20 +196,15 @@ def evaluate_grid(
                 index.count_hit()
                 row_cells.append(value)
                 continue
-            if plane_mode:
-                if row_ids is None:
-                    row_ids = index.axis_ids(
-                        [
-                            (i, row_addr[i])
-                            for i in range(n_dims)
-                            if i not in col_dims
-                        ]
-                    )
-                if col_scopes[j] is None:
-                    col_scopes[j] = index.axis_scope(col_patch)
-                row_cells.append(index.rollup_axes(addr, row_ids, col_scopes[j]))
-            else:
-                row_cells.append(index.rollup(addr))
+            group = col_group[j]
+            ids = row_ids[group]
+            if ids is None:
+                ids = row_ids[group] = index.axis_ids(
+                    [(i, row_addr[i]) for i in outside[group]]
+                )
+            if col_scopes[j] is None:
+                col_scopes[j] = index.axis_scope(col_patch)
+            row_cells.append(index.rollup_axes(addr, ids, col_scopes[j]))
         cells.append(row_cells)
 
     stats["cells_skipped"] = cells_skipped

@@ -9,23 +9,25 @@ bounded under real concurrency:
   (``Warehouse.snapshot()``) — an immutable read view pinned to one
   ``Cube.version``.  In-flight queries never observe a torn mutation,
   and writers never block readers.
-* :class:`~repro.service.service.QueryService` — a bounded worker pool
-  behind ``submit()``: queue-depth admission control with typed load
-  shedding (:class:`~repro.errors.ServiceOverloadedError`), per-query
-  deadline propagation into :class:`~repro.mdx.budget.QueryBudget`, and
-  a :class:`~repro.service.breaker.CircuitBreaker` that trips on
-  repeated failpoint/corruption errors and half-opens after backoff.
+* :class:`~repro.service.service.QueryService` — the one service, with
+  N ≥ 0 shard processes: ``submit()`` (a bounded worker pool) and
+  ``execute()`` (the caller's thread) share one admission step — a
+  :class:`~repro.service.breaker.CircuitBreaker` that trips on repeated
+  failpoint/corruption errors and half-opens after backoff, and a
+  snapshot pinned per query — with queue-depth load shedding
+  (:class:`~repro.errors.ServiceOverloadedError`) and deadline
+  propagation into :class:`~repro.mdx.budget.QueryBudget`.  With shards,
+  each shard process owns a contiguous run of the varying dimension's
+  whole members, balanced by instance count (see
+  :func:`repro.service.shard.build_shard_plan`), answers the cells it
+  owns in grid blocks, and has its own circuit breaker; the coordinator
+  fills every other cell from the pinned snapshot exactly as
+  ``Warehouse.query`` does.  :class:`~repro.service.service.ShardedQueryService`
+  is the same service built from a workload name.
 * :mod:`~repro.service.stress` — the chaos harness behind
   ``repro stress``: races concurrent queries against mutations and armed
   failpoints, then replays every completed query serially against its
   pinned snapshot and asserts bit-identical grids.
-* :class:`~repro.service.service.ShardedQueryService` — the
-  multi-process tier: each shard process owns a contiguous run of the
-  varying dimension's whole members, balanced by instance count (see
-  :func:`repro.service.shard.build_shard_plan`), a shard answers the cells it owns in grid blocks, the coordinator
-  fills every other cell on its full warehouse exactly as
-  ``Warehouse.query`` does, and per-shard circuit breakers fail fast
-  when a shard process dies.
 * :class:`~repro.service.supervisor.ShardSupervisor` — the self-healing
   layer over the shard pool: liveness heartbeats, exponential-backoff
   respawn with a restart-storm cap, and breaker probe routing, so a

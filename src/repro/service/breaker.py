@@ -10,8 +10,10 @@ actually produces (armed failpoints and storage corruption):
   (cheaper for the caller than queuing work that will fail, and it takes
   load off a struggling store).
 * **half-open** — after ``reset_after_ms`` of backoff, exactly one probe
-  query is admitted; success closes the breaker, failure re-opens it and
-  restarts the backoff.
+  query is admitted; success closes the breaker, a tripping failure
+  re-opens it and restarts the backoff, and any other outcome (a user
+  error, a shed, a shard fault seen by the service breaker) gives the
+  probe slot back for the next query.
 
 Only *infrastructure* errors count toward tripping — injected faults
 (:class:`~repro.errors.FaultInjectedError`) and storage/corruption
@@ -168,11 +170,12 @@ class CircuitBreaker:
                 self._set_state(BreakerState.CLOSED)
 
     def record_failure(self, error: BaseException) -> None:
-        """Report a query failure; only :data:`TRIPPING_ERRORS` count."""
-        if not isinstance(error, TRIPPING_ERRORS):
-            return
+        """Report a query failure.  The probe slot is given back whatever
+        the error; only :data:`TRIPPING_ERRORS` count."""
         with self._lock:
             self._probe_in_flight = False
+            if not isinstance(error, TRIPPING_ERRORS):
+                return
             if self._state is BreakerState.HALF_OPEN:
                 # The probe failed: straight back to open, fresh backoff.
                 self._set_state(BreakerState.OPEN)
@@ -183,6 +186,20 @@ class CircuitBreaker:
                 and self._consecutive_failures >= self.failure_threshold
             ):
                 self._set_state(BreakerState.OPEN)
+
+    def release(self) -> None:
+        """Give the probe slot back without reporting an outcome: the
+        query proved nothing about what this breaker guards."""
+        with self._lock:
+            self._probe_in_flight = False
+
+    def retry_after_s(self) -> float:
+        """Seconds until an open breaker half-opens; 0 unless open."""
+        with self._lock:
+            self._advance()
+            if self._state is not BreakerState.OPEN:
+                return 0.0
+            return self.reset_after_ms / 1000.0 - (self._clock() - self._opened_at)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -1,23 +1,26 @@
-"""HTTP front end for the sharded serving tier (``repro serve --http``).
+"""HTTP front end for the query service (``repro serve --http``).
 
-A stdlib-only REST surface over :class:`~repro.service.ShardedQueryService`
-— :class:`http.server.ThreadingHTTPServer`, one thread per connection, no
-third-party dependencies:
+A stdlib-only REST surface over any :class:`~repro.service.QueryService`
+— in process (no shard) or over a shard pool —
+:class:`http.server.ThreadingHTTPServer`, one thread per connection, no
+third-party dependencies; each request runs ``QueryService.execute`` on
+its connection's thread:
 
 * ``POST /v1/query``   — ``{"query": "...", "analyze": true, "degrade":
   "fallback", "deadline_ms": 5000}`` → the grid as JSON (axis tuples,
   cells with ``null`` for ⊥, stats); a degraded answer carries
   ``"partial": true`` plus structured ``degradations`` records;
 * ``POST /v1/explain`` — the evaluation plan as text;
-* ``GET  /metrics``    — Prometheus text exposition of the coordinator
-  warehouse's registry (``serve_*``, ``mdx_*``, cache and breaker
-  series);
-* ``GET  /healthz``    — **liveness**: 200 while the coordinator can
-  answer at all (even degraded, with supervisor respawns in flight);
-  503 only once the service is closed.  The body carries per-shard
-  supervision state and restart counts.
-* ``GET  /readyz``     — **readiness**: 200 only when every shard is
-  live and every breaker closed (the pool answers without fallback);
+* ``GET  /metrics``    — Prometheus text exposition of the served
+  warehouse's registry (``service_*``, ``serve_*``, ``mdx_*``, cache and
+  breaker series);
+* ``GET  /healthz``    — **liveness**: 200 while the service can answer
+  at all (even degraded, with supervisor respawns in flight); 503 only
+  once the service is closed.  The body carries the service breaker and
+  per-shard supervision state and restart counts (``"shards": []`` in
+  process).
+* ``GET  /readyz``     — **readiness**: 200 only when the service
+  breaker is not open and every shard is live with its breaker closed;
   503 with a ``Retry-After`` hint otherwise.
 
 Typed engine errors map onto status codes the way a gateway expects:
@@ -69,7 +72,7 @@ from repro.obs.trace import trace_span
 from repro.olap.missing import is_missing
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.service.service import ShardedQueryService
+    from repro.service.service import QueryService
 
 __all__ = ["TenantQuotas", "make_server", "serve_http"]
 
@@ -170,11 +173,11 @@ def _status_for(error: BaseException) -> int:
 
 def _retry_after_s(error: BaseException, server: "ReproHTTPServer") -> "float | None":
     """The ``Retry-After`` hint for a 503: the shard's own respawn
-    estimate when the error carries one, else the supervisor's."""
+    estimate when the error carries one, else the service's."""
     if isinstance(error, ShardDownError):
         return error.retry_after_s
     if isinstance(error, CircuitOpenError):
-        return server.service.supervisor.retry_after_s()
+        return server.service.retry_after_s()
     return None
 
 
@@ -313,15 +316,16 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(200, body, PROMETHEUS_CONTENT_TYPE)
             return
         if path == "/healthz":
-            # Liveness: the coordinator answers (degraded included);
-            # only a closed service is dead.
+            # Liveness: the service answers (degraded included); only a
+            # closed service is dead.
             health = self.server.service.health()
             status = 200 if health["live"] else 503
             self._count(path, status)
             self._send_json(status, health)
             return
         if path == "/readyz":
-            # Readiness: every shard live, every breaker closed.
+            # Readiness: the service breaker not open, every shard live
+            # with its breaker closed.
             health = self.server.service.health()
             status = 200 if health["ready"] else 503
             self._count(path, status)
@@ -400,14 +404,14 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class ReproHTTPServer(ThreadingHTTPServer):
-    """The serving socket: threads per connection over one coordinator."""
+    """The serving socket: threads per connection over one service."""
 
     daemon_threads = True
 
     def __init__(
         self,
         address: "tuple[str, int]",
-        service: "ShardedQueryService",
+        service: "QueryService",
         quotas: "TenantQuotas | None" = None,
         verbose: bool = False,
     ) -> None:
@@ -419,7 +423,7 @@ class ReproHTTPServer(ThreadingHTTPServer):
 
 
 def make_server(
-    service: "ShardedQueryService",
+    service: "QueryService",
     host: str = "127.0.0.1",
     port: int = 0,
     *,
@@ -432,7 +436,7 @@ def make_server(
 
 
 def serve_http(
-    service: "ShardedQueryService",
+    service: "QueryService",
     host: str = "127.0.0.1",
     port: int = 8080,
     *,

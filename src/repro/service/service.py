@@ -1,44 +1,44 @@
-"""Two front ends over the evaluator's one query pipeline.
+"""One query service over the evaluator's one query pipeline, with
+N ≥ 0 shard processes.
 
 A query means one thing whoever executes it (:mod:`repro.mdx.evaluator`:
-resolve → fill → finish); the services here differ in what they put
-around that pipeline, and — for the coordinator — in *fill*.
+resolve → fill → finish).  :class:`QueryService` puts admission around
+that pipeline and, when it has shards, spreads *fill* over them.
 
-:class:`QueryService` — a bounded worker pool over snapshots of a *live*
-warehouse.  ``submit()`` is the whole client API: it pins a snapshot at
-the current cube version, enqueues the query, and returns a
-:class:`QueryTicket` immediately.  Every robustness decision happens at
-well-defined points:
+**Admission** is one step for both entry points: a closed service
+raises :class:`~repro.errors.ServiceStoppedError`; the service circuit
+breaker is consulted (:class:`~repro.errors.CircuitOpenError` fails fast
+while the coordinator's own evaluation keeps failing); and a snapshot of
+the *live* warehouse is pinned at the current cube version.  Nothing in
+admission can block.
 
-* **Admission** — the circuit breaker is consulted first
-  (:class:`~repro.errors.CircuitOpenError` fails fast while the store is
-  sick), then the bounded queue: a full queue sheds the query with
-  :class:`~repro.errors.ServiceOverloadedError` *at submit time*.
-  Nothing in the submit path can block, so overload can never deadlock
-  the caller.
-* **Execution** — a worker dequeues the job, charges the queue wait
-  against the query's deadline (``QueryBudget.narrowed``), and runs it
-  against the snapshot pinned at submit.  A deadline that fully expired
-  in the queue sheds instead of executing.  If the submitter was inside
-  a traced span, the worker attaches to it via ``Tracer.child_scope`` so
-  the evaluation is not an orphan trace.
-* **Completion** — the outcome lands on the ticket (result or typed
-  error), the breaker hears about success/failure, and the service
-  counters (``service_queries_total{status}``, ``service_shed_total``,
-  ``service_queue_wait_ms``, ``circuit_state``) are updated on the
-  warehouse's metrics registry.
+* ``submit()`` pins the snapshot, enqueues the query on a bounded queue
+  (a full queue sheds it with :class:`~repro.errors.ServiceOverloadedError`
+  *at submit time*) and returns a :class:`QueryTicket` at once.  A worker
+  thread charges the queue wait against the query's deadline; a deadline
+  that fully expired in the queue sheds instead of executing.  If the
+  submitter was inside a traced span, the worker attaches to it via
+  ``Tracer.child_scope``.
+* ``execute()`` pins the snapshot and runs the query on the caller's
+  thread (the HTTP front end's path).
 
-Results are exactly what ``Warehouse.query`` returns — including partial
-(⊥-degraded) grids under budget breach.
+**Execution** reads the pinned snapshot only.  With no shard, when the
+caller passed a budget, or when a FILTER / ORDER set reads cell values,
+the answer is ``snapshot.query`` — exactly what ``Warehouse.query``
+returns, partial (⊥-degraded) grids under budget breach included.
+Otherwise the coordinator runs *resolve* from the scenario's structure
+half (a chain is applied here only to read a coordinator cell) and
+*finish*; its *fill* is a stage per method over one :class:`_QueryState`:
+classify → admit → scatter → gather → merge → local residue.  Shards and
+the residue fill grid blocks with ``perf.batch.evaluate_grid``, as
+``Warehouse.query`` fills a grid.
 
-:class:`ShardedQueryService` — a synchronous coordinator over an
-*immutable named workload* held by a pool of shard processes.  It calls
-the evaluator's own *resolve* (from the scenario's structure half: the
-coordinator applies a chain only to read a local cell) and *finish*; its
-*fill* is a stage per method over one :class:`_QueryState`: classify →
-admit → scatter → gather → merge → local residue.  Shards and the residue
-fill grid blocks with ``perf.batch.evaluate_grid``, as ``Warehouse.query``
-fills a grid.
+Three rules hold whatever the shard count: the service breaker gates
+every admission but counts only the coordinator's own evaluation (a
+shard fault is charged to that shard's breaker alone); ``deadline_ms``
+bounds the shard RPCs when a query scatters and is the budget deadline
+when it runs locally; ``service_*`` metrics cover the queue and the
+service breaker, ``serve_*`` metrics execution and the shard tier.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ from repro.service.supervisor import ShardSupervisor, SupervisorConfig
 if TYPE_CHECKING:
     from repro.mdx.evaluator import GridBlock, ResolvedQuery
     from repro.mdx.result import MdxResult
-    from repro.service.shard import ShardClient
+    from repro.service.shard import ShardClient, ShardPlan
     from repro.service.snapshot import WarehouseSnapshot
     from repro.warehouse import Warehouse
 
@@ -162,249 +162,6 @@ class _Job:
     submit_span: "Span | None"
 
 
-class QueryService:
-    """A bounded thread pool serving MDX queries over warehouse snapshots.
-
-    Parameters
-    ----------
-    warehouse:
-        The live warehouse; every submission pins ``warehouse.snapshot()``.
-    workers:
-        Worker threads (concurrent query executions).
-    queue_depth:
-        Maximum *waiting* submissions; beyond it, ``submit`` sheds with
-        :class:`~repro.errors.ServiceOverloadedError` instead of blocking.
-    default_deadline_ms:
-        Deadline applied to submissions that bring neither their own
-        ``deadline_ms`` nor a budget deadline; ``None`` = none.
-    breaker:
-        The circuit breaker; a default-tuned one is built when omitted.
-    clock:
-        Monotonic clock in seconds (injectable for tests).
-    """
-
-    def __init__(
-        self,
-        warehouse: "Warehouse",
-        *,
-        workers: int = 4,
-        queue_depth: int = 16,
-        default_deadline_ms: "float | None" = None,
-        breaker: "CircuitBreaker | None" = None,
-        clock: "Callable[[], float] | None" = None,
-    ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if queue_depth < 1:
-            raise ValueError("queue_depth must be >= 1")
-        self.warehouse = warehouse
-        self.workers = workers
-        self.queue_depth = queue_depth
-        self.default_deadline_ms = default_deadline_ms
-        self._clock = clock or time.monotonic
-        self._metrics = warehouse.metrics
-        self.breaker = breaker or CircuitBreaker()
-        self.breaker._on_state_change = self._on_breaker_state
-        self._metrics.gauge("circuit_state").set(int(self.breaker.state))
-        self._queue: "queue.Queue[_Job | None]" = queue.Queue(
-            maxsize=queue_depth
-        )
-        self._closed = False
-        self._lock = make_lock("QueryService._lock", reentrant=False)
-        self._threads = [
-            threading.Thread(
-                target=self._worker_loop,
-                name=f"repro-query-worker-{i}",
-                daemon=True,
-            )
-            for i in range(workers)
-        ]
-        for thread in self._threads:
-            thread.start()
-
-    # -- metrics helpers ----------------------------------------------------------
-
-    def _on_breaker_state(self, state: BreakerState) -> None:
-        self._metrics.gauge("circuit_state").set(int(state))
-
-    def _shed(self, reason: str, message: str) -> ServiceOverloadedError:
-        self._metrics.counter("service_shed_total", reason=reason).inc()
-        self._metrics.counter("service_queries_total", status="shed").inc()
-        return ServiceOverloadedError(message, reason=reason)
-
-    # -- client API ---------------------------------------------------------------
-
-    def submit(
-        self,
-        text: str,
-        *,
-        analyze: bool = True,
-        budget: "QueryBudget | None" = None,
-        deadline_ms: "float | None" = None,
-    ) -> QueryTicket:
-        """Admit one query; returns immediately with a ticket.
-
-        Raises :class:`~repro.errors.CircuitOpenError` while the breaker
-        is open, :class:`~repro.errors.ServiceOverloadedError` when the
-        admission queue is full, and
-        :class:`~repro.errors.ServiceStoppedError` after :meth:`close` —
-        all *before* any work is queued, so the caller can shed load
-        upstream.  Never blocks.
-        """
-        if self._closed:
-            raise ServiceStoppedError("query service is closed")
-        if not self.breaker.allow():
-            self._metrics.counter(
-                "service_shed_total", reason="circuit-open"
-            ).inc()
-            self._metrics.counter(
-                "service_queries_total", status="shed"
-            ).inc()
-            raise CircuitOpenError(
-                "circuit breaker is open (repeated backend failures); "
-                "retry after backoff"
-            )
-        if deadline_ms is None:
-            deadline_ms = (
-                budget.deadline_ms
-                if budget is not None and budget.deadline_ms is not None
-                else self.default_deadline_ms
-            )
-        parent = TRACER.current() if TRACER.enabled else None
-        with trace_span("service.submit") as submit_span:
-            snapshot = self.warehouse.snapshot()
-            ticket = QueryTicket(text, snapshot)
-            job = _Job(
-                ticket, analyze, budget, deadline_ms, self._clock(), parent, submit_span
-            )
-            try:
-                self._queue.put_nowait(job)
-            except queue.Full:
-                raise self._shed(
-                    "queue-full",
-                    f"admission queue is full ({self.queue_depth} waiting); "
-                    "query shed",
-                ) from None
-        self._metrics.gauge("service_queue_depth").set(self._queue.qsize())
-        return ticket
-
-    # -- worker side --------------------------------------------------------------
-
-    def _worker_loop(self) -> None:
-        while True:
-            job = self._queue.get()
-            try:
-                if job is None:  # close() sentinel
-                    return
-                self._run_job(job)
-            except BaseException as exc:  # defensive: keep the worker alive
-                if not job.ticket.done():
-                    job.ticket._complete(None, exc)
-                self._metrics.counter(
-                    "service_worker_errors_total", kind=type(exc).__name__
-                ).inc()
-                if isinstance(exc, (SystemExit, KeyboardInterrupt)):
-                    # Interpreter-exit exceptions must never be swallowed
-                    # by the keep-alive: the ticket is completed (the
-                    # caller sees the error), then the worker re-raises
-                    # and dies with the interpreter.
-                    raise
-            finally:
-                # an idle worker must not pin its last job's snapshot (the
-                # frozen cube and its index) while it waits for the next
-                job = None
-                self._queue.task_done()
-
-    def _run_job(self, job: _Job) -> None:
-        ticket = job.ticket
-        wait_ms = (self._clock() - job.submitted_at) * 1000.0
-        self._metrics.histogram("service_queue_wait_ms").observe(wait_ms)
-        self._metrics.gauge("service_queue_depth").set(self._queue.qsize())
-        if job.deadline_ms is not None and wait_ms >= job.deadline_ms:
-            # The deadline died in the queue: shed, don't start work the
-            # caller has already given up on.
-            ticket._complete(
-                None,
-                self._shed(
-                    "deadline-expired",
-                    f"deadline of {job.deadline_ms}ms expired after "
-                    f"{wait_ms:.1f}ms in the admission queue",
-                ),
-            )
-            return
-        budget = job.budget or QueryBudget()
-        if job.deadline_ms is not None:
-            budget = budget.narrowed(job.deadline_ms - wait_ms)
-        try:
-            with TRACER.child_scope(job.parent_span):
-                result = ticket.snapshot.query(
-                    ticket.text,
-                    analyze=job.analyze,
-                    budget=None if budget.unlimited else budget,
-                )
-        except BaseException as exc:
-            self.breaker.record_failure(exc)
-            self._metrics.counter(
-                "service_queries_total", status="error"
-            ).inc()
-            ticket._complete(None, exc)
-            if isinstance(exc, (SystemExit, KeyboardInterrupt)):
-                raise  # completed the ticket first; now let the exit out
-            return
-        self.breaker.record_success()
-        status = "partial" if result.degradations else "ok"
-        self._metrics.counter("service_queries_total", status=status).inc()
-        if result.profile is not None and job.submit_span is not None:
-            result.profile.submit = job.submit_span.to_dict()
-        ticket._complete(result)
-
-    # -- lifecycle ----------------------------------------------------------------
-
-    def close(self, *, drain: bool = True, timeout: "float | None" = None) -> None:
-        """Stop the service.
-
-        ``drain=True`` lets queued work finish; ``drain=False`` fails
-        every still-queued ticket with
-        :class:`~repro.errors.ServiceStoppedError`.  Idempotent.
-        """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        if not drain:
-            while True:
-                try:
-                    job = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if job is not None:
-                    job.ticket._complete(
-                        None,
-                        ServiceStoppedError(
-                            "service closed before this query ran"
-                        ),
-                    )
-                self._queue.task_done()
-        for _ in self._threads:
-            # blocking put: sentinels queue behind any draining work
-            self._queue.put(None)
-        for thread in self._threads:
-            thread.join(timeout)
-
-    def __enter__(self) -> "QueryService":
-        return self
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        self.close(drain=exc_type is None)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"QueryService({self.workers} workers, "
-            f"queue {self._queue.qsize()}/{self.queue_depth}, "
-            f"breaker {self.breaker.state.name})"
-        )
-
-
 #: one result cell on the coordinator: (row, column, address)
 _Cell = tuple[int, int, tuple[str, ...]]
 #: one rectangle of the grid: (row positions, column positions)
@@ -446,6 +203,7 @@ def _fill_blocks(
             grid_row = grid[r]
             for c, value in zip(columns, row_values):
                 grid_row[c] = decode(value)
+
 
 #: per RPC and per stage (scatter, gather): transient faults retried in
 #: place, and respawns of a dead shard waited for, before giving up
@@ -500,7 +258,7 @@ def rpc_action(
 class _QueryState:
     """One sharded query between classification and the finished grid.
 
-    Single-threaded (it belongs to the thread running ``execute``), so no
+    Single-threaded (it belongs to the thread running the query), so no
     lock.  ``owned`` shrinks as shards are given up on; what is left when
     the gather ends is what the merge reads.
     """
@@ -567,41 +325,32 @@ def _never_leaf(dim_index: int, coord: str) -> bool:
     return False
 
 
-class ShardedQueryService:
-    """Scatter-gather query execution over a pool of shard processes.
+class QueryService:
+    """Bounded, breaker-guarded query execution over snapshots of a live
+    warehouse, in process or across ``n_shards`` shard processes (see the
+    module docstring).
 
-    The workload's first varying dimension is partitioned by
+    The warehouse's first varying dimension is partitioned by
     :func:`~repro.service.shard.build_shard_plan` into contiguous runs of
-    whole members, balanced by instance count; each shard process owns
-    one run — every instance of its members — and evaluates any cell
-    whose shard-dimension coordinate resolves to one of them.  A pool of
-    more shards than members is refused.  The coordinator:
+    whole members, balanced by instance count; each shard owns one run —
+    every instance of its members.  A cell one shard covers is **owned**
+    and crosses the pipe in a grid block; every other cell (above any
+    single member, a leaf read, a rule-bearing cell or a stored
+    aggregate) is **local**, filled from the pinned snapshot as
+    ``Warehouse.query`` fills it.  A grid with no owned cells sends no RPC.
 
-    * resolves axes and the slicer on its one full warehouse from the
-      scenario's *structure half* (``mdx.evaluator._Context``): the axis
-      tuples of an in-process query at O(members), no cell moved — the
-      chain is applied here only if a local cell has to be read;
-    * classifies each result cell as **owned** (one shard evaluates it
-      end to end; its cells travel as grid blocks) or **local** (a cell
-      above any single member, a leaf read, a rule-bearing cell or a
-      stored aggregate: filled on the coordinator's full warehouse,
-      memo first, exactly as ``Warehouse.query`` fills it);
-    * guards each shard with its own :class:`CircuitBreaker`: a shard
-      whose breaker is open is given up on before any RPC.  A grid with
-      no owned cells sends no RPC and consults no breaker.
-
-    Queries carrying a budget, or whose sets read cell values (FILTER /
-    ORDER), fall back to full local evaluation — correctness first.
-
-    **Failure semantics** (docs/serving.md): every scatter/gather runs
-    under one deadline per query, ``rpc_timeout_ms`` narrowed by the
-    caller's ``deadline_ms``; :func:`rpc_action` says what happens to a
-    faulted RPC; and when a shard stays unavailable the ``degrade``
-    policy decides (:meth:`_QueryState.give_up`) — ``"fallback"``
-    (default) recomputes its cells on the coordinator's full warehouse,
-    exactly what the healthy pool would have produced; ``"partial"``
-    returns them as ⊥ with :class:`~repro.mdx.budget.Degradation`
-    records; ``"fail"`` raises the typed error.
+    ``workers`` threads run ``submit``'s queue of at most ``queue_depth``
+    waiting queries; ``default_deadline_ms`` applies to queries with
+    neither their own deadline nor a budget deadline; ``clock`` is
+    injectable for tests.  The shard tier's failure semantics
+    (docs/serving.md): every scatter/gather of a query shares one
+    deadline, ``rpc_timeout_ms`` narrowed by the query's ``deadline_ms``;
+    :func:`rpc_action` says what happens to a faulted RPC; each shard has
+    its own :class:`CircuitBreaker`; and when a shard stays unavailable
+    ``degrade`` decides (:meth:`_QueryState.give_up`) — ``"fallback"``
+    recomputes its cells on the coordinator, ``"partial"`` returns them
+    as ⊥ with :class:`~repro.mdx.budget.Degradation` records, ``"fail"``
+    raises the typed error.
     """
 
     #: accepted values for the ``degrade`` policy
@@ -617,55 +366,76 @@ class ShardedQueryService:
 
     def __init__(
         self,
-        workload: str = "running",
+        warehouse: "Warehouse",
         *,
-        n_shards: int = 2,
-        workload_params: "tuple[tuple[str, Any], ...]" = (),
+        n_shards: int = 0,
+        workers: int = 4,
+        queue_depth: int = 16,
+        default_deadline_ms: "float | None" = None,
+        breaker: "CircuitBreaker | None" = None,
+        clock: "Callable[[], float] | None" = None,
         degrade: str = "fallback",
         rpc_timeout_ms: float = 30_000.0,
         hedge_ms: "float | None" = 1_000.0,
         supervisor_config: "SupervisorConfig | None" = None,
     ) -> None:
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        if queue_depth < 1:
+            raise ValueError("queue_depth must be >= 1")
         self._check_degrade(degrade)
         if rpc_timeout_ms <= 0:
             raise ShardError("rpc_timeout_ms must be > 0")
         if hedge_ms is not None and hedge_ms <= 0:
             raise ShardError("hedge_ms must be > 0 (or None to disable)")
+        self.warehouse = warehouse
+        self.workload = warehouse.name
+        self.workers = workers
+        self.queue_depth = queue_depth
+        self.default_deadline_ms = default_deadline_ms
         self.degrade = degrade
         self.rpc_timeout_ms = float(rpc_timeout_ms)
         self.hedge_ms = None if hedge_ms is None else float(hedge_ms)
-        self.workload = workload
-        self.warehouse = build_workload(workload, tuple(workload_params))
+        self._clock = clock or time.monotonic
+        self._metrics = warehouse.metrics
+        self.breaker = breaker or CircuitBreaker()
+        self.breaker._on_state_change = self._on_breaker_state
+        self._metrics.gauge("circuit_state").set(int(self.breaker.state))
+        self._lock = make_lock("QueryService._lock", reentrant=False)
+        self._closed = False
+        self.n_shards = n_shards
+        self._metrics.gauge("serve_shards").set(n_shards)
+        self.plan: "ShardPlan | None" = None
+        self.dimension: "str | None" = None
+        self.supervisor: "ShardSupervisor | None" = None
+        self.breakers: "list[CircuitBreaker]" = []
+        if n_shards:
+            self._start_pool(supervisor_config)
+        # Last: nothing after the threads start may fail and strand them.
+        self._queue: "queue.Queue[_Job | None]" = queue.Queue(maxsize=queue_depth)
+        self._threads = [
+            threading.Thread(target=self._worker_loop, name=f"repro-query-worker-{i}", daemon=True)
+            for i in range(workers)
+        ]
+        for thread in self._threads:
+            thread.start()
+
+    def _start_pool(self, supervisor_config: "SupervisorConfig | None") -> None:
+        """Plan the shards, spawn them, and check that their slices
+        partition the cube."""
         schema = self.warehouse.schema
         if not schema.varying:
             raise ShardError(
-                f"workload {workload!r} has no varying dimension to shard on"
+                f"warehouse {self.warehouse.name!r} has no varying dimension to shard on"
             )
         self.dimension = dimension = next(iter(schema.varying))
         try:
-            self.plan = build_shard_plan(self.warehouse, dimension, n_shards)
+            self.plan = build_shard_plan(self.warehouse, dimension, self.n_shards)
         except QueryError as exc:  # n_shards < 1, or more shards than members
             raise ShardError(str(exc)) from exc
-        self.n_shards = n_shards
         self._dim_index = schema.dim_index(dimension)
-        self._metrics = self.warehouse.metrics
-        self._metrics.gauge("serve_shards").set(n_shards)
-        self._lock = make_lock("ShardedQueryService._lock", reentrant=False)
-        self._closed = False
-
-        # Every leaf must be owned by exactly one shard, or a shard's
-        # answer would silently drop its contribution.
-        member_shard = self.plan.member_shard
-        for coord in sorted(self.warehouse.cube.coordinates_used(dimension)):
-            member = coord.rsplit("/", 1)[-1]
-            if member not in member_shard:
-                raise ShardError(
-                    f"leaf member {member!r} on {dimension!r} is not covered "
-                    "by the shard plan"
-                )
-
-        # Each shard is handed its slice of the warehouse built above, cut
-        # afresh at every spawn and respawn and never retained.
+        # Each shard is handed its slice of the live warehouse, cut afresh
+        # at every spawn and respawn and never retained.
         specs = [
             ShardSpec(index, partial(make_slice, self.warehouse, dimension, tuple(owned)))
             for index, owned in enumerate(self.plan.shards)
@@ -680,18 +450,17 @@ class ShardedQueryService:
         # From here on a failure must not strand the pool: nobody else
         # holds a handle to its monitor thread and worker processes.
         try:
-            self.breakers = [CircuitBreaker() for _ in range(n_shards)]
+            self.breakers = [CircuitBreaker() for _ in range(self.n_shards)]
             for index, breaker in enumerate(self.breakers):
                 breaker._on_state_change = self._breaker_callback(index)
-                self._metrics.gauge(
-                    "serve_breaker_state", shard=str(index)
-                ).set(int(breaker.state))
+                breaker._on_state_change(breaker.state)
             self.supervisor.attach_breakers(self.breakers)
 
             # Startup invariant: the shards' sub-cubes partition the full
-            # cube.  Each hello carried the leaf count of the slice just
-            # opened, so no RPC is needed — and no worker can die between
-            # its hello and the check.
+            # cube, so every leaf is owned by exactly one shard and no
+            # answer silently drops a contribution.  Each hello carried the
+            # leaf count of the slice just opened, so no RPC is needed —
+            # and no worker can die between its hello and the check.
             total = sum(client.leaves for client in self.clients)
             if total != self.warehouse.cube.n_leaf_cells:
                 raise ShardError(
@@ -707,13 +476,93 @@ class ShardedQueryService:
     def clients(self) -> "list[ShardClient]":
         """The current client per shard (supervisor-owned; a respawn
         swaps the list entry for the replacement process's client)."""
-        return self.supervisor.clients
+        return self.supervisor.clients if self.supervisor is not None else []
 
-    def _breaker_callback(self, index: int):
+    def _breaker_callback(self, index: int) -> "Callable[[BreakerState], None]":
         gauge = self._metrics.gauge("serve_breaker_state", shard=str(index))
         return lambda state: gauge.set(int(state))
 
-    # -- query path ---------------------------------------------------------------
+    def _on_breaker_state(self, state: BreakerState) -> None:
+        self._metrics.gauge("circuit_state").set(int(state))
+
+    def _shed(self, reason: str, error: Exception) -> Exception:
+        self._metrics.counter("service_shed_total", reason=reason).inc()
+        self._metrics.counter("service_queries_total", status="shed").inc()
+        return error
+
+    # -- client API ---------------------------------------------------------------
+
+    def _admission(
+        self,
+        budget: "QueryBudget | None",
+        degrade: "str | None",
+        deadline_ms: "float | None",
+    ) -> "tuple[WarehouseSnapshot, str, float | None]":
+        """The one admission step of ``submit`` and ``execute``: refuse on
+        a closed service, a bad policy or deadline, or an open breaker;
+        else pin a snapshot.  Returns it with the query's policy and
+        deadline (its own, else the budget's, else the service default)."""
+        if self._closed:
+            raise ServiceStoppedError("query service is closed")
+        if degrade is None:
+            degrade = self.degrade
+        self._check_degrade(degrade)
+        deadline_ms = check_deadline_ms(deadline_ms)
+        if deadline_ms is None:
+            deadline_ms = (
+                budget.deadline_ms
+                if budget is not None and budget.deadline_ms is not None
+                else self.default_deadline_ms
+            )
+        if not self.breaker.allow():
+            raise self._shed(
+                "circuit-open",
+                CircuitOpenError(
+                    "circuit breaker is open (repeated backend failures); "
+                    "retry after backoff"
+                ),
+            )
+        return self.warehouse.snapshot(), degrade, deadline_ms
+
+    def submit(
+        self,
+        text: str,
+        *,
+        analyze: bool = True,
+        budget: "QueryBudget | None" = None,
+        deadline_ms: "float | None" = None,
+    ) -> QueryTicket:
+        """Admit one query; returns immediately with a ticket.
+
+        Raises :class:`~repro.errors.CircuitOpenError` while the breaker
+        is open, :class:`~repro.errors.ServiceOverloadedError` when the
+        admission queue is full, and
+        :class:`~repro.errors.ServiceStoppedError` after :meth:`close` —
+        all *before* any work is queued, so the caller can shed load
+        upstream.  Never blocks.
+        """
+        parent = TRACER.current() if TRACER.enabled else None
+        with trace_span("service.submit") as submit_span:
+            snapshot, _, deadline_ms = self._admission(budget, None, deadline_ms)
+            ticket = QueryTicket(text, snapshot)
+            job = _Job(
+                ticket, analyze, budget, deadline_ms, self._clock(), parent, submit_span
+            )
+            try:
+                self._queue.put_nowait(job)
+            except queue.Full:
+                error = self._shed(
+                    "queue-full",
+                    ServiceOverloadedError(
+                        f"admission queue is full ({self.queue_depth} waiting); "
+                        "query shed",
+                        reason="queue-full",
+                    ),
+                )
+                self.breaker.record_failure(error)  # frees a probe slot
+                raise error from None
+        self._metrics.gauge("service_queue_depth").set(self._queue.qsize())
+        return ticket
 
     def execute(
         self,
@@ -724,27 +573,113 @@ class ShardedQueryService:
         degrade: "str | None" = None,
         deadline_ms: "float | None" = None,
     ) -> "MdxResult":
-        """Evaluate one query across the shard pool.
+        """Admit and evaluate one query on the calling thread.
 
-        When every involved shard answers, returns exactly what
-        single-process ``Warehouse.query`` returns — same axis tuples,
-        bit-identical cells, same NON EMPTY pruning.  ``degrade``
-        overrides the service-level policy for this query (``"fail"`` |
+        Returns exactly what ``Warehouse.query`` returns at the admitted
+        version — same axis tuples, bit-identical cells, same NON EMPTY
+        pruning — when every involved shard answers (a stale shard's
+        owned cells answer its pre-write data).  ``degrade`` overrides
+        the service-level policy for this query (``"fail"`` |
         ``"fallback"`` | ``"partial"``); ``deadline_ms`` (a finite
         number, else :class:`~repro.errors.QueryError`) narrows the
-        per-RPC deadline below the service's ``rpc_timeout_ms``.  A
+        per-RPC deadline below ``rpc_timeout_ms`` when the query
+        scatters, and is the budget deadline when it runs locally.  A
         ``"partial"`` answer carries ⊥ cells plus ``degradations``
         records and skips NON EMPTY pruning (unknown values must not
         silently drop rows).
         """
-        if degrade is not None:
-            self._check_degrade(degrade)
-        deadline_ms = check_deadline_ms(deadline_ms)
+        snapshot, degrade, deadline_ms = self._admission(budget, degrade, deadline_ms)
+        return self._run(snapshot, text, analyze, budget, degrade, deadline_ms)
+
+    # -- worker side --------------------------------------------------------------
+
+    def _worker_loop(self) -> None:
+        while True:
+            job = self._queue.get()
+            try:
+                if job is None:  # close() sentinel
+                    return
+                self._run_job(job)
+            except BaseException as exc:  # defensive: keep the worker alive
+                if not job.ticket.done():
+                    job.ticket._complete(None, exc)
+                self._metrics.counter(
+                    "service_worker_errors_total", kind=type(exc).__name__
+                ).inc()
+                if isinstance(exc, (SystemExit, KeyboardInterrupt)):
+                    # Interpreter-exit exceptions must never be swallowed
+                    # by the keep-alive: the ticket is completed (the
+                    # caller sees the error), then the worker re-raises
+                    # and dies with the interpreter.
+                    raise
+            finally:
+                # an idle worker must not pin its last job's snapshot (the
+                # frozen cube and its index) while it waits for the next
+                job = None
+                self._queue.task_done()
+
+    def _run_job(self, job: _Job) -> None:
+        ticket = job.ticket
+        wait_ms = (self._clock() - job.submitted_at) * 1000.0
+        self._metrics.histogram("service_queue_wait_ms").observe(wait_ms)
+        self._metrics.gauge("service_queue_depth").set(self._queue.qsize())
+        deadline_ms = job.deadline_ms
+        if deadline_ms is not None:
+            if wait_ms >= deadline_ms:
+                # The deadline died in the queue: shed, don't start work
+                # the caller has already given up on.
+                error = self._shed(
+                    "deadline-expired",
+                    ServiceOverloadedError(
+                        f"deadline of {deadline_ms}ms expired after "
+                        f"{wait_ms:.1f}ms in the admission queue",
+                        reason="deadline-expired",
+                    ),
+                )
+                self.breaker.record_failure(error)  # frees a probe slot
+                ticket._complete(None, error)
+                return
+            deadline_ms -= wait_ms
+        try:
+            with TRACER.child_scope(job.parent_span):
+                result = self._run(
+                    ticket.snapshot,
+                    ticket.text,
+                    job.analyze,
+                    job.budget,
+                    self.degrade,
+                    deadline_ms,
+                )
+        except BaseException as exc:
+            self._metrics.counter("service_queries_total", status="error").inc()
+            ticket._complete(None, exc)
+            if isinstance(exc, (SystemExit, KeyboardInterrupt)):
+                raise  # completed the ticket first; now let the exit out
+            return
+        status = "partial" if result.degradations else "ok"
+        self._metrics.counter("service_queries_total", status=status).inc()
+        if result.profile is not None and job.submit_span is not None:
+            result.profile.submit = job.submit_span.to_dict()
+        ticket._complete(result)
+
+    # -- query path ---------------------------------------------------------------
+
+    def _run(
+        self,
+        snapshot: "WarehouseSnapshot",
+        text: str,
+        analyze: bool,
+        budget: "QueryBudget | None",
+        degrade: str,
+        deadline_ms: "float | None",
+    ) -> "MdxResult":
+        """One admitted query under the ``serve.execute`` span and the
+        ``serve_*`` execution metrics."""
         started = self._clock()
         try:
             with trace_span("serve.execute") as span:
                 result = self._execute(
-                    text, analyze, budget, degrade or self.degrade, deadline_ms
+                    snapshot, text, analyze, budget, degrade, deadline_ms
                 )
             if span is not None and result.profile is None:
                 from repro.obs.profile import QueryProfile
@@ -755,9 +690,7 @@ class ShardedQueryService:
                     degradations=[d.to_dict() for d in result.degradations],
                 )
         except BaseException:
-            self._metrics.counter(
-                "serve_queries_total", status="error"
-            ).inc()
+            self._metrics.counter("serve_queries_total", status="error").inc()
             raise
         finally:
             self._metrics.histogram("serve_query_ms").observe(
@@ -767,64 +700,71 @@ class ShardedQueryService:
         self._metrics.counter("serve_queries_total", status=status).inc()
         return result
 
-    _clock = staticmethod(time.monotonic)
-
     def _execute(
         self,
+        snapshot: "WarehouseSnapshot",
         text: str,
         analyze: bool,
         budget: "QueryBudget | None",
         degrade: str,
         deadline_ms: "float | None",
     ) -> "MdxResult":
-        """parse → (budget or value-dependent sets: plain local query) →
-        analyze → resolve (the scenario's structure half; nothing
-        applied) → fill across the pool → finish."""
+        """``snapshot.query`` (no shard, a budget, or a set that reads
+        cell values), else parse → analyze → resolve (the scenario's
+        structure half; nothing applied) → fill across the pool → finish,
+        every coordinator read from ``snapshot``.
+
+        The service breaker hears the outcome of the coordinator's own
+        work only: a fault raised while the shards are asked gives a
+        half-open probe slot back and counts nothing.
+        """
         from repro.analysis.query_analyzer import analyze_query
         from repro.mdx.evaluator import _Context, finish_query, resolve_query
 
-        if self._closed:
-            raise ServiceStoppedError("sharded query service is closed")
-        query, reads_cell_values = parse_for_serving(text)
-        if budget is not None or reads_cell_values:
-            self._metrics.counter(
-                "serve_local_fallback_total",
-                reason="budget" if budget is not None else "value-dependent-set",
-            ).inc()
-            return self.warehouse.query(text, analyze=analyze, budget=budget)
-        if analyze:
-            report = analyze_query(self.warehouse, query)
-            if report.has_errors:
-                raise MdxAnalysisError(report)
-        resolved = resolve_query(_Context(self.warehouse, query))
-        cells, stats, degradations = self._evaluate_cells(
-            resolved, text, degrade, deadline_ms
-        )
-        stats["sharded"] = self.n_shards
-        return finish_query(resolved, cells, stats, degradations)
+        asking_shards = False
+        try:
+            if self.n_shards and budget is None:
+                query, local = parse_for_serving(text)
+                reason = "value-dependent-set"
+            else:
+                local, reason = True, "budget"
+            if local:
+                if self.n_shards:
+                    self._metrics.counter("serve_local_fallback_total", reason=reason).inc()
+                budget = (budget or QueryBudget()).narrowed(deadline_ms)
+                result = snapshot.query(
+                    text, analyze=analyze, budget=None if budget.unlimited else budget
+                )
+            else:
+                if analyze:
+                    report = analyze_query(snapshot, query)
+                    if report.has_errors:
+                        raise MdxAnalysisError(report)
+                resolved = resolve_query(_Context(snapshot, query))
+                state = self._plan_cells(resolved, degrade, deadline_ms)
+                asking_shards = True
+                self._admit(state)
+                self._merge(state, self._gather(state, self._scatter(state, resolved, text)))
+                asking_shards = False
+                degradations = self._degradations(state)
+                self._fill_local(state, resolved)
+                # axes resolved under a chain no query had met, and no cell
+                # read here: its structure half is the chain's cache entry
+                # from now on
+                resolved.context.keep()
+                state.stats["fallback_cells"] = len(state.fallback)
+                state.stats["sharded"] = self.n_shards
+                result = finish_query(resolved, state.grid, state.stats, degradations)
+        except BaseException as exc:
+            if asking_shards:
+                self.breaker.release()
+            else:
+                self.breaker.record_failure(exc)
+            raise
+        self.breaker.record_success()
+        return result
 
-    def _evaluate_cells(
-        self,
-        resolved: "ResolvedQuery",
-        text: str,
-        degrade: str,
-        deadline_ms: "float | None",
-    ) -> "tuple[list[list[Any]], dict[str, int], list[Degradation]]":
-        """The coordinator's *fill*: classify → admit → scatter → gather →
-        merge → local residue, a stage per method over one
-        :class:`_QueryState`."""
-        state = self._plan_cells(resolved, degrade, deadline_ms)
-        self._admit(state)
-        rpcs = self._scatter(state, resolved, text)
-        responses = self._gather(state, rpcs)
-        self._merge(state, responses)
-        degradations = self._degradations(state)
-        self._fill_local(state, resolved)
-        # axes resolved under a chain no query had met, and no cell read
-        # here: its structure half is the chain's cache entry from now on
-        resolved.context.keep()
-        state.stats["fallback_cells"] = len(state.fallback)
-        return state.grid, state.stats, degradations
+    # -- the shard fill: classify → admit → scatter → gather → merge → residue ---
 
     def _plan_cells(
         self, resolved: "ResolvedQuery", degrade: str, deadline_ms: "float | None"
@@ -840,8 +780,8 @@ class ShardedQueryService:
                 span.set(**counts)
         stats = {"cells_evaluated": n_rows * n_columns, "cells_skipped": 0, **counts}
         # One wall-clock deadline for every scatter/gather of this query:
-        # rpc_timeout_ms, narrowed by the caller's deadline_ms the way
-        # QueryService narrows an admission deadline (negative clamps to 0).
+        # rpc_timeout_ms, narrowed by the query's deadline_ms (negative
+        # clamps to 0).
         rpc_ms = self.rpc_timeout_ms
         if deadline_ms is not None:
             rpc_ms = min(rpc_ms, max(deadline_ms, 0.0))
@@ -875,7 +815,7 @@ class ShardedQueryService:
         or stored aggregates, pays a per-cell probe for them.
         """
         schema = self.warehouse.schema
-        cube = self.warehouse.cube
+        cube = resolved.context.warehouse.cube
         rules = cube.rules
         check_rules = rules is not None and bool(rules.rules)
         stored_derived = cube._stored_derived
@@ -1111,8 +1051,8 @@ class ShardedQueryService:
 
     def _fill_local(self, state: _QueryState, resolved: "ResolvedQuery") -> None:
         """The local residue — cells no single shard owns, plus the
-        fallback cells — on the coordinator's full warehouse, in grid
-        blocks, memo first, the way ``Warehouse.query`` fills a grid."""
+        fallback cells — from the pinned snapshot, in grid blocks, memo
+        first, the way ``Warehouse.query`` fills a grid."""
         if not state.local and not state.fallback:
             return
         from repro.perf.batch import evaluate_grid
@@ -1131,7 +1071,7 @@ class ShardedQueryService:
             view = context.view_at(resolved.base_coords, axis_blocks)
             if span is not None and context.scenarios:
                 span.set(
-                    leaves_in=self.warehouse.cube.n_leaf_cells,
+                    leaves_in=context.warehouse.cube.n_leaf_cells,
                     footprint_rows=context.footprint_rows,
                 )
             schema, base = self.warehouse.schema, resolved.base_coords
@@ -1149,27 +1089,31 @@ class ShardedQueryService:
     def explain(self, text: str) -> str:
         return self.warehouse.explain(text)
 
-    def analyze(self, text: str):
-        return self.warehouse.analyze(text)
+    def retry_after_s(self) -> float:
+        """The ``Retry-After`` hint of a 503: the longer of the service
+        breaker's remaining backoff and the shard pool's respawn estimate
+        (1 s when nothing is waited for)."""
+        shards = self.supervisor.retry_after_s() if self.supervisor is not None else 1.0
+        return max(self.breaker.retry_after_s(), shards)
 
     def health(self) -> "dict[str, Any]":
-        """Machine-readable health: per-shard supervision state, breaker
-        state, and the liveness/readiness split.
+        """Machine-readable health: the service breaker, per-shard
+        supervision and breaker state, and the liveness/readiness split.
 
-        ``live`` — the coordinator itself is up (it can always answer,
-        degraded if necessary).  ``ready`` — every shard is live and
-        every breaker closed, i.e. the pool serves bit-identical answers
-        without fallback.  A supervisor mid-respawn leaves the service
-        live but not ready.
+        ``live`` — the service is up (it can always answer, degraded if
+        necessary).  ``ready`` — the service breaker is not open, and
+        every shard is live with its breaker closed, i.e. the pool serves
+        bit-identical answers without fallback.  A supervisor mid-respawn
+        leaves the service live but not ready.
 
-        Per shard, ``slice_version`` is the coordinator cube's version its
-        slice was cut at, and ``stale`` says the cube has moved past it (a
-        shard is handed data at spawn only).  Until a stale shard respawns,
-        the cells it owns answer its pre-write data; every other cell —
-        local, and any owned cell that fell back — answers the
-        coordinator's current data.  Staleness does not touch ``ready``;
-        the ``serve_shards_stale`` gauge counts stale shards as of the
-        latest health check.
+        Per shard, ``slice_version`` is the cube version its slice was cut
+        at, and ``stale`` says the live cube has moved past it (a shard is
+        handed data at spawn only).  Until a stale shard respawns, the
+        cells it owns answer its pre-write data; every other cell — local,
+        and any owned cell that fell back — answers the version the query
+        pinned.  Staleness does not touch ``ready``; the
+        ``serve_shards_stale`` gauge counts stale shards as of the latest
+        health check.
         """
         version = self.warehouse.cube.version
         shards = [
@@ -1179,17 +1123,16 @@ class ShardedQueryService:
                 "breaker": self.breakers[state["shard"]].state.name.lower(),
                 "members": len(self.plan.shards[state["shard"]]),
             }
-            for state in self.supervisor.status()
+            for state in (self.supervisor.status() if self.supervisor is not None else ())
         ]
         self._metrics.gauge("serve_shards_stale").set(sum(s["stale"] for s in shards))
+        breaker = self.breaker.state
         live = not self._closed
         ready = (
             live
+            and breaker is not BreakerState.OPEN
             and all(s["alive"] for s in shards)
-            and all(
-                breaker.state is BreakerState.CLOSED
-                for breaker in self.breakers
-            )
+            and all(b.state is BreakerState.CLOSED for b in self.breakers)
         )
         if not live:
             status = "closed"
@@ -1201,29 +1144,76 @@ class ShardedQueryService:
             "status": status,
             "live": live,
             "ready": ready,
+            "breaker": breaker.name.lower(),
             "degrade": self.degrade,
             "workload": self.workload,
             "dimension": self.dimension,
             "restarts_total": sum(s["restarts"] for s in shards),
-            "retry_after_s": self.supervisor.retry_after_s(),
+            "retry_after_s": self.retry_after_s(),
             "shards": shards,
         }
 
-    def close(self, timeout: float = 5.0) -> None:
+    def close(self, *, drain: bool = True, timeout: "float | None" = None) -> None:
+        """Stop the service, then its shard pool.
+
+        ``drain=True`` lets queued work finish; ``drain=False`` fails
+        every still-queued ticket with
+        :class:`~repro.errors.ServiceStoppedError`.  Idempotent.
+        """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-        self.supervisor.close(timeout)
+        if not drain:
+            while True:
+                try:
+                    job = self._queue.get_nowait()
+                except queue.Empty:
+                    break
+                if job is not None:
+                    error = ServiceStoppedError("service closed before this query ran")
+                    self.breaker.record_failure(error)  # frees a probe slot
+                    job.ticket._complete(None, error)
+                self._queue.task_done()
+        for _ in self._threads:
+            # blocking put: sentinels queue behind any draining work
+            self._queue.put(None)
+        for thread in self._threads:
+            thread.join(timeout)
+        if self.supervisor is not None:
+            self.supervisor.close(5.0 if timeout is None else timeout)
 
-    def __enter__(self) -> "ShardedQueryService":
+    def __enter__(self) -> "QueryService":
         return self
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        self.close()
+        self.close(drain=exc_type is None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        shards = f"{self.n_shards} shards on {self.dimension!r}, " if self.n_shards else ""
         return (
-            f"ShardedQueryService({self.workload!r}, {self.n_shards} shards "
-            f"on {self.dimension!r})"
+            f"QueryService({self.workload!r}, {shards}{self.workers} workers, "
+            f"queue {self._queue.qsize()}/{self.queue_depth}, "
+            f"breaker {self.breaker.state.name})"
         )
+
+
+class ShardedQueryService(QueryService):
+    """A :class:`QueryService` over a named workload with ``n_shards ≥ 1``
+    shard processes (the ledger's, the tests' and the stress harness's
+    entry point)."""
+
+    def __init__(
+        self,
+        workload: str = "running",
+        *,
+        n_shards: int = 2,
+        workload_params: "tuple[tuple[str, Any], ...]" = (),
+        **options: Any,
+    ) -> None:
+        if n_shards < 1:
+            raise ShardError(f"a sharded service needs n_shards >= 1, not {n_shards}")
+        super().__init__(
+            build_workload(workload, tuple(workload_params)), n_shards=n_shards, **options
+        )
+        self.workload = workload

@@ -143,6 +143,12 @@ QUERIES = [
     FROM Warehouse
     WHERE (Organization.[Contractor].[Joe], Measures.[Salary])
     """,
+    # column tuples that bind different dimension sets (two column groups)
+    """
+    SELECT {Time.[Jan], [NY], Time.[Qtr1], [East]} ON COLUMNS,
+           {Organization.Members} ON ROWS
+    FROM Warehouse WHERE ([Salary])
+    """,
 ]
 
 

@@ -569,3 +569,62 @@ class TestTenantQuotas:
     def test_negative_default_rejected(self):
         with pytest.raises(ServiceError):
             TenantQuotas(max_inflight=-1)
+
+
+class _Clock:
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
+@pytest.fixture(scope="module")
+def in_process():
+    """The front end over a zero-shard service: (service, base URL, the
+    service breaker's clock)."""
+    from repro.service import QueryService
+    from repro.service.shard import build_workload
+
+    clock = _Clock()
+    breaker = CircuitBreaker(failure_threshold=1, reset_after_ms=100.0, clock=clock)
+    with QueryService(build_workload("running"), workers=2, breaker=breaker) as svc:
+        server = make_server(svc, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        yield svc, "http://%s:%d" % server.server_address[:2], clock
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+class TestInProcessService:
+    def test_query_is_the_warehouse_query(self, in_process):
+        service, url, _ = in_process
+        status, _, body = _request(url, "/v1/query", {"query": QUERY})
+        assert status == 200
+        local = service.warehouse.query(QUERY)
+        assert body["cells"] == [
+            [None if is_missing(v) else float(v) for v in row] for row in local.cells
+        ]
+        assert [t["labels"] for t in body["rows"]] == [list(t.labels) for t in local.rows]
+        assert "sharded" not in body["stats"]
+
+    def test_healthz_has_no_shards(self, in_process):
+        _, url, _ = in_process
+        status, _, body = _request(url, "/healthz")
+        assert status == 200
+        assert body["shards"] == [] and body["status"] == "ok"
+
+    def test_readyz_follows_the_service_breaker(self, in_process):
+        service, url, clock = in_process
+        service.breaker.record_failure(ShardError("boom"))
+        status, headers, body = _request(url, "/readyz")
+        assert status == 503 and int(headers["Retry-After"]) >= 1
+        assert body["breaker"] == "open"
+        status, _, body = _request(url, "/v1/query", {"query": QUERY})
+        assert (status, body["error"]) == (503, "CircuitOpenError")
+        clock.now += 0.1  # backoff over: the next query is the probe
+        assert _request(url, "/v1/query", {"query": QUERY})[0] == 200
+        assert service.breaker.state is BreakerState.CLOSED
+        assert _request(url, "/readyz")[0] == 200

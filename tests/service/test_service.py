@@ -9,6 +9,7 @@ import pytest
 from repro.errors import (
     CircuitOpenError,
     FaultInjectedError,
+    MdxAnalysisError,
     ServiceOverloadedError,
     ServiceStoppedError,
 )
@@ -305,3 +306,43 @@ class TestLifecycle:
             QueryService(warehouse, workers=0)
         with pytest.raises(ValueError):
             QueryService(warehouse, workers=1, queue_depth=0)
+
+
+class TestHalfOpenProbe:
+    """A half-open probe that proves nothing about the store gives its
+    slot back; the breaker must not stay half-open for good."""
+
+    @staticmethod
+    def breaker():
+        clock = FakeClock()
+        breaker = CircuitBreaker(failure_threshold=1, reset_after_ms=100.0, clock=clock)
+        return breaker, clock
+
+    def test_a_probe_ending_in_a_user_error(self, warehouse):
+        breaker, clock = self.breaker()
+        with QueryService(warehouse, workers=1, breaker=breaker) as service:
+            breaker.record_failure(FaultInjectedError("boom"))
+            clock.advance_ms(100.0)
+            probe = service.submit(QUERY.replace("[Joe]", "[Nobody]"))
+            assert isinstance(probe.exception(timeout=30.0), MdxAnalysisError)
+            # the next query is admitted as the probe, succeeds, and closes
+            assert service.submit(QUERY).result(timeout=30.0) is not None
+            assert warehouse.metrics.gauge("circuit_state").sample() == 0
+
+    def test_a_probe_shed_by_a_full_queue(self, warehouse):
+        breaker, clock = self.breaker()
+        service = QueryService(warehouse, workers=1, queue_depth=1, breaker=breaker)
+        blocker = Blocker(warehouse.snapshot())
+        running = service.submit(QUERY)
+        assert blocker.started.wait(10.0)
+        queued = service.submit(QUERY)  # fills the queue
+        breaker.record_failure(FaultInjectedError("boom"))
+        clock.advance_ms(100.0)
+        for _ in range(2):
+            # admitted as the probe, shed by the full queue, slot given back
+            with pytest.raises(ServiceOverloadedError):
+                service.submit(QUERY)
+        blocker.release.set()
+        assert running.result(timeout=30.0) is not None
+        assert queued.result(timeout=30.0) is not None
+        service.close()

@@ -14,11 +14,12 @@ from repro.errors import (
     CircuitOpenError,
     FaultInjectedError,
     MdxAnalysisError,
+    ReproError,
     ServiceStoppedError,
     ShardError,
 )
 from repro.mdx.budget import QueryBudget
-from repro.service import BreakerState, ShardedQueryService
+from repro.service import BreakerState, CircuitBreaker, ShardedQueryService
 from repro.service.shard import parse_for_serving
 from repro.service.stress import STRESS_QUERIES
 from repro.workload.workforce import MONTHS, build_workforce
@@ -220,3 +221,101 @@ class TestFailureHandling:
         # the running example's Organization has six leaf members
         with pytest.raises(ShardError, match="a shard would own nothing"):
             ShardedQueryService("running", n_shards=7)
+
+
+class FakeClock:
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
+#: Lisa is owned by shard 0; FTE and the root are the coordinator's
+ONE_OWNED_TWO_LOCAL = (
+    "SELECT {Time.[Jan]} ON COLUMNS, {[Lisa], [FTE], [Organization]} ON ROWS "
+    "FROM Warehouse WHERE ([East], [Salary])"
+)
+FILTERED = (
+    "SELECT {Time.[Jan]} ON COLUMNS, "
+    "Filter({[Lisa], [Tom]}, ([Salary], [NY], Time.[Jan]) > 5) ON ROWS "
+    "FROM Warehouse WHERE ([NY], [Salary])"
+)
+
+
+def _outcome(run):
+    """A query's result, or the type of the error it ended with."""
+    try:
+        return run()
+    except ReproError as exc:
+        return type(exc)
+
+
+class TestOneService:
+    """Run last in this module: a write leaves the pool stale (restored,
+    so stale but equal)."""
+
+    def test_the_residue_reads_the_version_the_query_was_admitted_at(
+        self, running_service, monkeypatch
+    ):
+        service = running_service
+        cube = service.warehouse.cube
+        leaf = cube.schema.address(
+            Organization="Organization/FTE/Lisa", Location="NY", Time="Jan", Measures="Salary"
+        )
+        original = cube.value(leaf)
+        admitted = service.warehouse.query(ONE_OWNED_TWO_LOCAL)
+        fill_local = service._fill_local
+
+        def write_then_fill(*args, **kwargs):
+            # the shards have answered; the residue is not filled yet
+            cube.set_value(leaf, original + 1.0)
+            return fill_local(*args, **kwargs)
+
+        monkeypatch.setattr(service, "_fill_local", write_then_fill)
+        try:
+            got = service.execute(ONE_OWNED_TWO_LOCAL, degrade="fail")
+        finally:
+            monkeypatch.undo()
+            cube.set_value(leaf, original)
+        assert (got.stats["owned_cells"], got.stats["local_cells"]) == (1, 2)
+        assert repr(got.cells[0]) == repr(admitted.cells[0])  # the shards' data
+        assert repr(got.cells[1:]) == repr(admitted.cells[1:])  # the admitted version
+
+    def test_a_local_fallback_honours_deadline_ms(self, running_service):
+        expected = _outcome(
+            lambda: running_service.warehouse.query(
+                FILTERED, budget=QueryBudget(deadline_ms=0)
+            )
+        )
+        got = _outcome(lambda: running_service.execute(FILTERED, deadline_ms=0))
+        if isinstance(expected, type):
+            assert got is expected
+        else:
+            assert got.degradations == expected.degradations
+
+    def test_a_probe_that_only_asks_the_shards_gives_its_slot_back(
+        self, running_service
+    ):
+        service = running_service
+        clock = FakeClock()
+        original, shard_breakers = service.breaker, list(service.breakers)
+        service.breaker = CircuitBreaker(failure_threshold=1, reset_after_ms=100.0, clock=clock)
+        try:
+            service.breaker.record_failure(FaultInjectedError("boom"))
+            clock.now += 0.1  # half-open: one probe at a time
+            for _ in range(service.breakers[0].failure_threshold):
+                service.breakers[0].record_failure(ShardError("boom"))
+            owned = "SELECT {Time.[Jan]} ON COLUMNS, {[Lisa]} ON ROWS FROM Warehouse"
+            # the probe: shard 0's own breaker refuses it, nothing is learnt
+            with pytest.raises(CircuitOpenError):
+                service.execute(owned, degrade="fail")
+            assert service.breaker.state is BreakerState.HALF_OPEN
+            # the slot is free again: the next probe runs and closes it
+            assert service.execute(owned).cells
+            assert service.breaker.state is BreakerState.CLOSED
+        finally:
+            service.breaker = original
+            service.breakers[:] = [CircuitBreaker() for _ in shard_breakers]
+            for fresh, old in zip(service.breakers, shard_breakers):
+                fresh._on_state_change = old._on_state_change
