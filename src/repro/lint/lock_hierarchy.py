@@ -51,6 +51,9 @@ LOCK_ORDER: tuple[str, ...] = (
     "Cube._lock",
     "RollupIndex._lock",
     "ScenarioCache._lock",
+    # the warehouse's prepared-plan cache: the same LRU class as the
+    # scenario cache, under its own name; nothing is taken inside it
+    "PlanCache._lock",
     "SlowQueryLog._lock",
     "FaultRegistry._lock",
     "ChunkStore._lock",
@@ -87,7 +90,14 @@ THREAD_SHARED: dict[str, GuardSpec] = {
         "_lock",
         # ``_leaf_cells`` is the LeafView over ``_index``; a bulk load
         # installs the two together
-        ("_leaf_cells", "_stored_derived", "_version", "_index", "_frozen"),
+        (
+            "_leaf_cells",
+            "_stored_derived",
+            "_version",
+            "_structure_generation",
+            "_index",
+            "_frozen",
+        ),
     ),
     "RollupIndex": GuardSpec(
         "_lock",

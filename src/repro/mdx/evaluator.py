@@ -22,20 +22,34 @@ The pipeline follows the paper's semantics exactly:
    unmentioned dimension (the Essbase default member).
 
 Theorem 4.1 gives a query one meaning whoever executes it, so there is
-one pipeline — **resolve → fill → finish** — and executors differ only in
-*fill*.  Steps 1–2 are *resolve* (:class:`_Context`, :func:`resolve_query`);
-steps 3–4 are *fill*: ``perf.batch.evaluate_grid`` here (the per-cell loop
-under ``naive_mode()``), scatter/gather over the shard pool in
+one pipeline — **prepare → resolve → fill → finish** — and executors
+differ only in *fill*.  :func:`prepare` parses and analyzes; steps 1–2
+are *resolve* (:meth:`Prepared.resolve`: :class:`_Context`,
+:func:`resolve_query`); steps 3–4 are *fill*: ``perf.batch.evaluate_grid``
+in :func:`evaluate_query` (the per-cell loop under ``naive_mode()``),
+scatter/gather over the shard pool in
 :class:`~repro.service.service.QueryService`, nothing in EXPLAIN;
 :func:`finish_query` prunes NON EMPTY axes and builds the result.  Whoever
 reads a scenario's cells asks :class:`_Context` for the view of *its*
 cells (:meth:`_Context.view_under`, by way of ``view_for`` / ``view_at``).
+
+Resolve reads the **prepared plan** (:class:`Plan`).  By Theorem 4.1 a
+query's algebra expression depends on its text and the cube's
+*structure*, not on its cell values, so the warehouse's ``plan_cache``
+keeps, per text, the analyzer's report and the resolved axes, slicer,
+base coordinates and footprint, versioned by
+:meth:`~repro.warehouse.Warehouse.plan_version` (the cube's structure
+generation, the schema's, the named sets').  A value write keeps a plan;
+a leaf insert or delete, a schema edit or a named-set edit drops it.  Axes
+that read cell values (a FILTER or ORDER condition, wherever it sits) are
+resolved on every call — budget charges and the ``mdx.cell`` failpoint
+fire there as without a plan — and only their analysis is kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.operators import ChangeTuple
 from repro.core.perspective import Mode, Semantics
@@ -76,11 +90,17 @@ from repro.obs.trace import trace_span
 from repro.olap.dimension import Dimension, Member
 from repro.perf import config as perf_config
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.diagnostics import DiagnosticReport
+
 __all__ = [
+    "Plan",
+    "Prepared",
     "build_scenarios",
     "evaluate_query",
     "execute",
     "finish_query",
+    "prepare",
     "resolve_query",
 ]
 
@@ -179,8 +199,11 @@ class _Context:
         warehouse,
         query: MdxQuery,
         budget: "QueryBudget | None" = None,
+        scenarios: "Sequence[NegativeScenario | PositiveScenario] | None" = None,
     ) -> None:
-        _check_shape(warehouse, query)
+        if scenarios is None:  # a plan hands in what a checked query built
+            _check_shape(warehouse, query)
+            scenarios = build_scenarios(warehouse, query)
         self.warehouse = warehouse
         self.schema = warehouse.schema
         self.query = query
@@ -192,7 +215,10 @@ class _Context:
         #: query-scoped named sets (WITH SET ... AS ...), by name
         self.query_sets = dict(query.named_sets)
         self._expanding_sets: set[str] = set()
-        self.scenarios = build_scenarios(warehouse, query)
+        #: whether resolving met a FILTER / ORDER condition, which reads
+        #: cell values: such axes are resolved on every call
+        self.reads_cells = False
+        self.scenarios = scenarios
         #: scenario-cache hits/misses/evictions for this one query: was
         #: the chain's entry there
         self.scenario_stats: dict[str, int] = {}
@@ -288,7 +314,9 @@ class _Context:
 
     def view_for(self, resolved: "ResolvedQuery"):
         """:meth:`view_under` the footprint of a resolved grid."""
-        return self.view_at(resolved.base_coords, [(resolved.rows, resolved.columns)])
+        if not self.scenarios or self._holds_everything():
+            return self.view
+        return self.view_under(resolved.footprint())
 
     def view_at(self, base_coords: "dict[str, str]", blocks: "Sequence[GridBlock]"):
         """:meth:`view_under` the footprint of some blocks of a grid
@@ -409,6 +437,7 @@ def _filter(expr: FilterExpr, context: _Context) -> list[tuple[Binding, ...]]:
     from repro.olap.missing import is_missing
 
     compare = _RELOP_FUNCS[expr.relop]
+    context.reads_cells = True
     condition_bindings = _resolve_condition(expr.condition, context, "Filter")
     kept: list[tuple[Binding, ...]] = []
     for candidate in _as_set(expr.base, context):
@@ -468,6 +497,7 @@ def _order(expr: OrderExpr, context: _Context) -> list[tuple[Binding, ...]]:
     """Order(set, (tuple), ASC|DESC): sort by cell value, ⊥ last."""
     from repro.olap.missing import is_missing
 
+    context.reads_cells = True
     condition_bindings = _resolve_condition(expr.condition, context, "Order")
     candidates = _as_set(expr.base, context)
     keyed = []
@@ -621,23 +651,33 @@ def grid_footprint(
 
 @dataclass(slots=True)
 class ResolvedQuery:
-    """What a query asks for before any cell is read (:func:`resolve_query`)."""
+    """What a query asks for before any cell is read (:func:`resolve_query`,
+    or a :class:`Plan`'s copy of it)."""
 
     context: _Context
-    columns: list[AxisTuple]  #: un-pruned, like ``rows``
-    rows: list[AxisTuple]
+    columns: Sequence[AxisTuple]  #: un-pruned, like ``rows``
+    rows: Sequence[AxisTuple]
     slicer: dict[str, str]  #: slicer bindings only: dimension -> coordinate
     #: the slicer over every dimension's default (root) member, in schema
     #: order; a row coordinate overrides it, a column coordinate both
     base_coords: dict[str, str]
     non_empty: frozenset[str]  #: the axes ("rows" / "columns") to prune
+    #: :meth:`footprint`, once computed (a plan keeps it)
+    named: "Footprint | None" = None
+
+    @property
+    def reads_cells(self) -> bool:
+        """Whether resolving read a cell value (a FILTER / ORDER set)."""
+        return self.context.reads_cells
 
     def footprint(self) -> Footprint:
         """The coordinates the grid's cells name (:func:`grid_footprint`
         of the whole grid as one block)."""
-        return grid_footprint(
-            self.context.schema, self.base_coords, [(self.rows, self.columns)]
-        )
+        if self.named is None:
+            self.named = grid_footprint(
+                self.context.schema, self.base_coords, [(self.rows, self.columns)]
+            )
+        return self.named
 
 
 def resolve_query(context: _Context) -> ResolvedQuery:
@@ -672,6 +712,165 @@ def resolve_query(context: _Context) -> ResolvedQuery:
     return ResolvedQuery(context, columns, rows, slicer, base_coords, non_empty)
 
 
+# -- prepared plans -----------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class _Axes:
+    """What a resolve found, as a plan keeps it: the scenario chain, the
+    un-pruned axes, the slicer and base coordinates, and — under a
+    scenario — the grid's footprint."""
+
+    scenarios: "tuple[NegativeScenario | PositiveScenario, ...]"
+    columns: tuple[AxisTuple, ...]
+    rows: tuple[AxisTuple, ...]
+    slicer: dict[str, str]
+    base_coords: dict[str, str]
+    non_empty: frozenset[str]
+    named: "Footprint | None"
+
+    @classmethod
+    def of(cls, resolved: ResolvedQuery) -> "_Axes":
+        scenarios = tuple(resolved.context.scenarios)
+        return cls(
+            scenarios,
+            tuple(resolved.columns),
+            tuple(resolved.rows),
+            dict(resolved.slicer),
+            dict(resolved.base_coords),
+            resolved.non_empty,
+            resolved.footprint() if scenarios else None,
+        )
+
+
+@dataclass(frozen=True, slots=True)
+class Plan:
+    """A query text prepared at one :meth:`~repro.warehouse.Warehouse.plan_version`:
+    one ``plan_cache`` entry.  Immutable, and nothing in it refers to a
+    warehouse, a cube, a view or a :class:`_Context`, so a cached plan
+    pins no snapshot.
+
+    ``report`` stays ``None`` until an ``analyze=True`` call runs the
+    analyzer — an ``analyze=False`` call never does, so its plan never
+    lets a later call skip the analyzer.  ``axes`` stays ``None`` until a
+    resolve succeeds, and for good when the axes read cell values
+    (``reads_cells``): those resolve on every call."""
+
+    query: MdxQuery
+    report: "DiagnosticReport | None" = None
+    axes: "_Axes | None" = None
+    reads_cells: bool = False
+
+
+def _plan_cache(warehouse):
+    # the reference path (naive_mode) keeps no plan, as it keeps no
+    # scenario view
+    if not perf_config.engine_enabled():
+        return None
+    return getattr(warehouse, "plan_cache", None)
+
+
+class Prepared:
+    """One call's hold on a query's :class:`Plan` (:func:`prepare`): the
+    parsed query, :meth:`analyze`, :meth:`check` and :meth:`resolve`.
+    What the call adds to the plan is stored back.  Opens no span: the
+    in-process evaluator times the steps as its ``mdx.*`` phases
+    (:func:`execute`), and the shard coordinator's phases are its own."""
+
+    __slots__ = ("warehouse", "text", "plan", "report", "_version")
+
+    def __init__(self, warehouse, text: str, plan: Plan, version) -> None:
+        self.warehouse = warehouse
+        self.text = text
+        self.plan = plan
+        #: the analyzer's report once this call asked for it (``None`` for
+        #: an ``analyze=False`` call, whatever the plan holds)
+        self.report: "DiagnosticReport | None" = None
+        #: the plan version the plan was looked up under (``None``: no cache)
+        self._version = version
+
+    @property
+    def query(self) -> MdxQuery:
+        return self.plan.query
+
+    @property
+    def reads_cells(self) -> bool:
+        """Whether an earlier resolve found that the axes read cell values."""
+        return self.plan.reads_cells
+
+    def analyze(self) -> "DiagnosticReport":
+        """The analyzer's report: the plan's, or run now and kept."""
+        plan = self.plan
+        if plan.report is None:
+            from repro.analysis.query_analyzer import analyze_query
+
+            self._store(replace(plan, report=analyze_query(self.warehouse, plan.query)))
+        self.report = self.plan.report
+        return self.report
+
+    def check(self) -> None:
+        """Refuse, with :class:`~repro.errors.MdxAnalysisError`, a query
+        whose analysis this call asked for and found error-level
+        findings in.  The error carries a copy of the plan's report."""
+        report = self.report
+        if report is not None and report.has_errors:
+            from repro.errors import MdxAnalysisError
+
+            raise MdxAnalysisError(replace(report, diagnostics=list(report.diagnostics)))
+
+    def _store(self, plan: Plan) -> None:
+        self.plan = plan
+        cache = _plan_cache(self.warehouse)
+        # a structural write during this call makes what it built belong
+        # to no one version: keep it for this call only
+        if cache is not None and self.warehouse.plan_version() == self._version:
+            cache.put(self.text, self._version, plan)
+
+    def resolve(self, budget: "QueryBudget | None" = None) -> ResolvedQuery:
+        """The query's axes: the plan's (fresh dicts; the axes are
+        tuples), or resolved over a fresh :class:`_Context` — with
+        ``budget``'s tracker, which FILTER / ORDER conditions charge — and
+        kept in the plan unless they read cell values."""
+        plan = self.plan
+        axes = plan.axes
+        if axes is None:
+            resolved = resolve_query(_Context(self.warehouse, plan.query, budget))
+            if not plan.reads_cells:
+                self._store(
+                    replace(plan, reads_cells=True)
+                    if resolved.reads_cells
+                    else replace(plan, axes=_Axes.of(resolved))
+                )
+            return resolved
+        return ResolvedQuery(
+            _Context(self.warehouse, plan.query, budget, axes.scenarios),
+            axes.columns,
+            axes.rows,
+            dict(axes.slicer),
+            dict(axes.base_coords),
+            axes.non_empty,
+            axes.named,
+        )
+
+
+def prepare(warehouse, text: str, analyze: bool = True) -> Prepared:
+    """The warehouse's plan for ``text`` at its current
+    :meth:`~repro.warehouse.Warehouse.plan_version`, or a new one from
+    the parser — analyzed when ``analyze`` (:meth:`Prepared.analyze`).
+    Raises nothing for analyzer findings: callers that refuse them call
+    :meth:`Prepared.check`.  The evaluator, the shard coordinator and
+    EXPLAIN all start here."""
+    plan = version = None
+    cache = _plan_cache(warehouse)
+    if cache is not None:
+        version = warehouse.plan_version()
+        plan = cache.get(text, version)
+    prepared = Prepared(warehouse, text, plan or Plan(parse_query(text)), version)
+    if analyze:
+        prepared.analyze()
+    return prepared
+
+
 def finish_query(
     resolved: ResolvedQuery,
     cells: "list[list[object]]",
@@ -685,7 +884,9 @@ def finish_query(
     """
     from repro.olap.missing import is_missing
 
-    columns, rows = resolved.columns, resolved.rows
+    # fresh lists: the axes may be a cached plan's, and a caller may edit
+    # the result it is handed
+    columns, rows = list(resolved.columns), list(resolved.rows)
     if not degradations:
         if "rows" in resolved.non_empty:
             keep = [
@@ -708,39 +909,19 @@ def finish_query(
     )
 
 
-def evaluate_query(
-    warehouse,
-    query: MdxQuery,
-    analyze: bool = True,
-    budget: "QueryBudget | None" = None,
-) -> MdxResult:
-    """Evaluate a parsed query against a warehouse: analyze → resolve →
-    fill → finish.
+def evaluate_query(resolved: ResolvedQuery) -> MdxResult:
+    """Fill and finish a resolved query in process: the chain applied to
+    the rows the grid's cells can reach, the grid filled by
+    ``evaluate_grid`` (the per-cell loop under ``naive_mode()``), NON EMPTY
+    axes pruned.
 
-    With ``analyze=True`` (the default) the static analyzer runs first and
-    error-level findings abort evaluation with
-    :class:`~repro.errors.MdxAnalysisError` before any cube data is read;
-    ``analyze=False`` is the escape hatch that goes straight to execution.
-
-    A ``budget`` (:class:`~repro.mdx.budget.QueryBudget`) bounds the work:
-    on breach during cell evaluation the result is *partial* — remaining
-    cells are ⊥ and ``result.degradations`` is non-empty.  Degraded
-    results skip NON EMPTY pruning so the ⊥-marked positions stay visible.
+    On a budget breach during cell evaluation the result is *partial* —
+    remaining cells are ⊥ and ``result.degradations`` is non-empty.
+    Degraded results skip NON EMPTY pruning so the ⊥-marked positions stay
+    visible.
     """
-    if analyze:
-        with trace_span("mdx.analyze"):
-            from repro.analysis.query_analyzer import analyze_query
-            from repro.errors import MdxAnalysisError
-
-            report = analyze_query(warehouse, query)
-        if report.has_errors:
-            raise MdxAnalysisError(report)
-    with trace_span("mdx.axes") as axes_span:
-        context = _Context(warehouse, query, budget)
-        resolved = resolve_query(context)
-        rows, columns = resolved.rows, resolved.columns
-        if axes_span is not None:
-            axes_span.set(columns=len(columns), rows=len(rows))
+    context = resolved.context
+    rows, columns = resolved.rows, resolved.columns
     with trace_span("mdx.scenario") as scenario_span:
         # Cells are read below, so the chain is applied here — to the rows
         # the grid's cells can reach.
@@ -748,13 +929,13 @@ def evaluate_query(
         if scenario_span is not None and context.scenarios:
             scenario_span.set(
                 scenarios=len(context.scenarios),
-                leaves_in=warehouse.cube.n_leaf_cells,
+                leaves_in=context.warehouse.cube.n_leaf_cells,
                 footprint_rows=context.footprint_rows,
             )
 
     tracker = context.tracker
-    stats = dict(context.scenario_stats)
     with trace_span("mdx.cells") as cells_span:
+        stats = dict(context.scenario_stats)
         if perf_config.engine_enabled():
             from repro.perf.batch import evaluate_grid
 
@@ -813,7 +994,30 @@ def execute(
     analyze: bool = True,
     budget: "QueryBudget | None" = None,
 ) -> MdxResult:
-    """Parse and evaluate extended-MDX text."""
+    """Evaluate extended-MDX text: prepare → resolve → fill → finish.
+
+    With ``analyze=True`` (the default) error-level analyzer findings
+    abort evaluation with :class:`~repro.errors.MdxAnalysisError` before
+    any cube data is read; ``analyze=False`` is the escape hatch that goes
+    straight to execution.  A ``budget``
+    (:class:`~repro.mdx.budget.QueryBudget`) bounds the work
+    (:func:`evaluate_query`).
+    """
     with trace_span("mdx.parse"):
-        query = parse_query(text)
-    return evaluate_query(warehouse, query, analyze=analyze, budget=budget)
+        prepared = prepare(warehouse, text, analyze=False)
+    plan = prepared.plan
+    if analyze:
+        with trace_span("mdx.analyze") as span:
+            prepared.analyze()
+            if span is not None and plan.report is not None:
+                span.set(plan="hit")
+            prepared.check()
+    with trace_span("mdx.axes") as span:
+        resolved = prepared.resolve(budget)
+        if span is not None:
+            span.set(
+                plan="hit" if plan.axes is not None else "miss",
+                columns=len(resolved.columns),
+                rows=len(resolved.rows),
+            )
+    return evaluate_query(resolved)

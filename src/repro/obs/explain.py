@@ -10,8 +10,11 @@ cell's **scope size** from the rollup index — the smallest per-coordinate
 leaf count is a cheap upper bound on the number of leaf cells a derived
 cell must aggregate, the same quantity that dominates Figs. 11–13.
 
-Instance expansion depends on output validity, so axis resolution needs
-the WITH-clause scenario — its *structure half* only
+Parse, analysis and axis resolution are the evaluator's own
+(:func:`~repro.mdx.evaluator.prepare`), so EXPLAIN reads and fills the
+warehouse's prepared-plan cache as a query does.  Instance expansion
+depends on output validity, so axis resolution needs the WITH-clause
+scenario — its *structure half* only
 (:func:`~repro.core.scenario.chain_structure`, kept as the chain's
 scenario-cache entry): Φ and R run on metadata, no cell is moved and none
 is evaluated.  The one exception is a FILTER / ORDER set, whose condition
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.mdx.parser import parse_query
 from repro.obs.trace import trace_span
 
 __all__ = ["explain_query", "explain_report"]
@@ -110,11 +112,11 @@ def explain_report(warehouse, text: str) -> dict[str, Any]:
     # Imported lazily to keep obs dependency-light.
     from repro.core.scenario import footprint_rows
     from repro.errors import MdxEvaluationError
-    from repro.mdx.evaluator import _Context, build_scenarios, resolve_query
+    from repro.mdx.evaluator import build_scenarios, prepare
 
     with trace_span("obs.explain"):
-        query = parse_query(text)
-        analysis = warehouse.analyze(query)
+        prepared = prepare(warehouse, text)
+        query, analysis = prepared.query, prepared.report
 
         report: dict[str, Any] = {
             "cube": ".".join(query.cube),
@@ -135,10 +137,10 @@ def explain_report(warehouse, text: str) -> dict[str, Any]:
         if analysis.has_errors:
             return report
 
-        # Axis resolution *is* execution's, from the scenario's structure
-        # half (budget-free; nothing is applied).
-        context = _Context(warehouse, query)
-        resolved = resolve_query(context)
+        # Axis resolution *is* execution's, from the plan or the
+        # scenario's structure half (budget-free; nothing is applied).
+        resolved = prepared.resolve()
+        context = resolved.context
         columns, rows = resolved.columns, resolved.rows
 
         axes: list[dict[str, Any]] = []

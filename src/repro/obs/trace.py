@@ -42,11 +42,15 @@ class Span:
     Spans are context managers bound to their tracer; entering pushes the
     span on the tracer's thread-local stack, exiting finishes it and
     attaches it to its parent (or to ``tracer.finished`` for roots).
+    A span's clock covers its own bookkeeping — it starts before the span
+    is built and stops after it is filed — so the time between sibling
+    spans is the untraced code alone.
     """
 
     __slots__ = ("name", "attrs", "events", "children", "error", "_t0", "_t1", "_tracer")
 
     def __init__(self, name: str, attrs: "dict[str, Any] | None" = None, tracer: "Tracer | None" = None) -> None:
+        self._t0 = time.perf_counter()
         self.name = name
         self.attrs: dict[str, Any] = attrs if attrs is not None else {}
         self.events: list[tuple[str, dict[str, Any]]] = []
@@ -54,7 +58,6 @@ class Span:
         #: repr of the exception that escaped the span body, if any
         self.error: "str | None" = None
         self._tracer = tracer
-        self._t0 = time.perf_counter()
         self._t1: "float | None" = None
 
     # -- lifecycle ----------------------------------------------------------------
@@ -192,18 +195,17 @@ class Tracer:
 
     def end(self, span: Span) -> None:
         """Finish ``span``, popping it (and anything leaked above it)."""
-        span.finish()
         stack = self._stack()
         while stack:
             top = stack.pop()
             if top is span:
                 break
             top.finish()  # leaked child: close it rather than corrupt the stack
-        parent = stack[-1] if stack else None
-        if parent is not None:
-            parent.children.append(span)
+        if stack:
+            stack[-1].children.append(span)
         else:
             self.finished.append(span)
+        span.finish()
 
     def event(self, name: str, **attrs: Any) -> None:
         """Attach a point event to the current span (no-op when disabled

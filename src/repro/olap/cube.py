@@ -25,7 +25,9 @@ once.  ``repro.perf.config.naive_mode()`` selects the full-scan reference
 path (over the view's addresses and values; it trusts no code column);
 both paths produce bit-identical values.  Every mutation bumps
 :attr:`version`, which the warehouse's scenario cache uses for
-invalidation.
+invalidation; a leaf insert or delete also moves
+:attr:`structure_generation`, which is all the warehouse's prepared query
+plans depend on.
 
 Bulk transforms
 ---------------
@@ -47,6 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
 
 from repro.errors import RuleError, SnapshotImmutableError
 from repro.lint.lockdep import make_lock
+from repro.olap.dimension import next_generation
 from repro.olap.missing import MISSING, Missing, is_missing
 from repro.olap.schema import Address, CubeSchema
 from repro.perf import config as perf_config
@@ -105,6 +108,9 @@ class Cube:
         #: mutation counter; bumped by every write so caches keyed on it
         #: (scenario cache, rollup memo) can invalidate
         self._version = 0
+        #: which leaves exist: moved by every leaf insert or delete, not by
+        #: an in-place value write (:attr:`structure_generation`)
+        self._structure_generation = next_generation()
         #: serialises writers against each other (and against snapshot
         #: copies); readers stay lock-free — concurrent readers of a
         #: *mutating* cube use ``Warehouse.snapshot()`` views instead
@@ -118,6 +124,15 @@ class Cube:
     def version(self) -> int:
         """Monotonic mutation counter (any leaf or stored-derived write)."""
         return self._version
+
+    @property
+    def structure_generation(self) -> int:
+        """Which leaves the cube holds: a fresh number after every leaf
+        insert or delete, unchanged by an in-place value write or a
+        stored-aggregate write.  Numbers come from one process-wide
+        counter, so two cubes share one only when one is a
+        :meth:`frozen_copy` of the other."""
+        return self._structure_generation
 
     @property
     def frozen(self) -> bool:
@@ -168,6 +183,7 @@ class Cube:
                 self._index.fork(frozen=True), dict(self._stored_derived)
             )
             clone._version = self._version
+            clone._structure_generation = self._structure_generation
             clone._frozen = True
             return clone
 
@@ -188,8 +204,11 @@ class Cube:
         was absent)."""
         if is_leaf:
             if is_missing(value):
-                return self._index.remove_leaf(addr)
-            self._index.set_leaf(addr, float(value))  # type: ignore[arg-type]
+                if not self._index.remove_leaf(addr):
+                    return False
+                self._structure_generation = next_generation()
+            elif self._index.set_leaf(addr, float(value)):  # type: ignore[arg-type]
+                self._structure_generation = next_generation()
         elif is_missing(value):
             return self._stored_derived.pop(addr, None) is not None
         else:
@@ -250,6 +269,7 @@ class Cube:
                 self._leaf_cells = self._index.leaf_view()
                 self._stored_derived = derived
                 self._version += mutations
+                self._structure_generation = next_generation()
                 return
         for address, value in cells:
             self.set_value(address, value)

@@ -21,11 +21,18 @@ hierarchy.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Iterable, Iterator
 
 from repro.errors import DuplicateMemberError, MemberNotFoundError, SchemaError
 
-__all__ = ["Member", "Dimension"]
+__all__ = ["Member", "Dimension", "next_generation"]
+
+#: A fresh structure generation: dimension hierarchies, varying
+#: structures, schemas, a cube's set of leaves and a warehouse's named sets
+#: all draw theirs from this one process-wide counter, so no number is
+#: handed out twice and two equal generations are one structure state.
+next_generation = itertools.count(1).__next__
 
 
 class Member:
@@ -148,6 +155,8 @@ class Dimension:
         # both lazily rebuilt after add_member
         self._leaf_order: dict[str, int] | None = None
         self._leaf_names: frozenset[str] | None = None
+        #: bumped by every add_member (see :attr:`CubeSchema.generation`)
+        self.generation = next_generation()
 
     # -- construction -----------------------------------------------------
 
@@ -166,6 +175,7 @@ class Dimension:
         parent_member._children.append(member)
         self._members[name] = member
         self._leaf_order = self._leaf_names = None
+        self.generation = next_generation()
         return member
 
     def add_children(self, parent: str | Member | None, names: Iterable[str]) -> list[Member]:

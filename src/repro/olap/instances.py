@@ -30,7 +30,7 @@ from typing import Iterable, Iterator
 
 from repro.validity import ValiditySet
 from repro.errors import InvalidChangeError, SchemaError
-from repro.olap.dimension import Dimension, Member
+from repro.olap.dimension import Dimension, Member, next_generation
 
 __all__ = ["MemberInstance", "VaryingDimension"]
 
@@ -98,6 +98,8 @@ class VaryingDimension:
         #: member -> its instances, computed on first ask and kept until a
         #: write can change them (:meth:`_forget`)
         self._instances: dict[str, list[MemberInstance]] = {}
+        #: bumped by every write (see :attr:`CubeSchema.generation`)
+        self.generation = next_generation()
 
     # -- basic properties ---------------------------------------------------
 
@@ -158,6 +160,7 @@ class VaryingDimension:
         parent — takes only its own entry with it; below any other member
         every path may pass through it (Def. 3.1: a non-leaf reparent
         changes every root-to-leaf path under it), so everything goes."""
+        self.generation = next_generation()
         if self.dimension.member(member).children or member in self._parents_named:
             self._instances.clear()
         else:
@@ -236,6 +239,7 @@ class VaryingDimension:
             parent for row in table.values() for parent in row if parent is not None
         }
         self._instances = {}
+        self.generation = next_generation()
 
     def copy(self) -> "VaryingDimension":
         """Independent copy sharing the skeleton and parameter dimensions.

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.errors import SchemaError
-from repro.olap.dimension import Dimension
+from repro.olap.dimension import Dimension, next_generation
 from repro.olap.instances import MemberInstance, VaryingDimension
 
 __all__ = ["CubeSchema"]
@@ -53,6 +53,7 @@ class CubeSchema:
         # clears them (see :meth:`register_varying`).
         self._under_cache: dict[tuple[int, str, str], bool] = {}
         self._ancestor_cache: dict[tuple[int, str], tuple[str, ...]] = {}
+        self._generation = next_generation()
 
     # -- registry ------------------------------------------------------------
 
@@ -77,7 +78,20 @@ class CubeSchema:
         # under the old semantics would be stale.
         self._under_cache.clear()
         self._ancestor_cache.clear()
+        self._generation = next_generation()
         return varying
+
+    @property
+    def generation(self) -> int:
+        """The schema's structure generation: it moves on every edit of a
+        dimension hierarchy, a varying structure or the varying registry.
+        Every such edit draws a fresh number from one process-wide
+        counter, so the largest is new after each of them."""
+        return max(
+            self._generation,
+            *(d.generation for d in self.dimensions),
+            *(v.generation for v in self._varying.values()),
+        )
 
     def make_varying(self, dim_name: str, parameter_name: str) -> VaryingDimension:
         """Convenience: build + register a VaryingDimension from names."""

@@ -956,13 +956,15 @@ class RollupIndex:
         self._values.copied = True
         return fresh._struct
 
-    def set_leaf(self, addr: Address, value: float) -> None:
+    def set_leaf(self, addr: Address, value: float) -> bool:
         """Store ``value`` at leaf ``addr``: a value-column write when the leaf
         exists (no structure is touched), an insert at the next id
-        otherwise.  Either way the write is recorded (:meth:`_wrote`)."""
+        otherwise — ``True`` for an insert.  Either way the write is
+        recorded (:meth:`_wrote`)."""
         with self._lock:
             ident = self._struct.finder()(addr)
-            if ident is not None:
+            inserted = ident is None
+            if not inserted:
                 self._values.update(ident, value)
             else:
                 struct = self._writable_structure()
@@ -984,6 +986,7 @@ class RollupIndex:
                 # id finds its row in the (possibly regrown) value column
                 struct.id_of[addr] = ident
             self._wrote(addr)
+            return inserted
 
     def remove_leaf(self, addr: Address) -> bool:
         """Delete the leaf at ``addr``; ``False`` when there is none (not

@@ -23,6 +23,10 @@ scenario cubes on the *pair* ``(base_cube.version, catalog.generation)``,
 so a merge or rebase — which moves the catalog generation without
 touching the base cube — still invalidates every cached cube for the
 rewritten scenario (the stale-read-after-rebase bug).
+
+The warehouse's prepared-plan cache (:func:`repro.mdx.evaluator.prepare`)
+is the same LRU under another ``name``: keyed by query text, versioned by
+the structure the plan was made on.
 """
 
 from __future__ import annotations
@@ -49,55 +53,82 @@ class ScenarioCache(Generic[V]):
     consistent with the entry map) runs under one cache lock; the values
     themselves are immutable applied-scenario tuples, so handing them out
     beyond the lock is safe.
+
+    ``name`` prefixes the cache's spans and trace events — ``None`` for
+    a cache whose callers' spans already time it, which opens and
+    records none;
+    ``lock`` is its lock's name in the declared hierarchy
+    (``lint/lock_hierarchy.py``).
     """
 
-    def __init__(self, maxsize: int = 32) -> None:
+    def __init__(
+        self,
+        maxsize: int = 32,
+        name: "str | None" = "scenario_cache",
+        lock: str = "ScenarioCache._lock",
+    ) -> None:
         if maxsize < 1:
             raise ValueError("ScenarioCache maxsize must be >= 1")
         self.maxsize = maxsize
+        self.name = name
         self.stats = CacheStats()
-        self._lock = make_lock("ScenarioCache._lock")
+        self._lock = make_lock(lock)
         self._entries: "OrderedDict[Hashable, tuple[Hashable, V]]" = OrderedDict()
 
     def get(self, key: Hashable, version: Hashable) -> "V | None":
-        with trace_span("scenario_cache.get"), self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.stats.misses += 1
-                trace_event("scenario_cache.miss")
-                return None
-            cached_version, value = entry
-            if cached_version != version:
-                # The base cube (or owning catalog) moved since this
-                # scenario was applied.
-                del self._entries[key]
-                self.stats.invalidations += 1
-                self.stats.misses += 1
-                trace_event("scenario_cache.invalidated")
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            trace_event("scenario_cache.hit")
+        name = self.name
+        if name is None:
+            with self._lock:
+                return self._lookup(key, version)[0]
+        with trace_span(f"{name}.get"), self._lock:
+            value, outcome = self._lookup(key, version)
+            trace_event(f"{name}.{outcome}")
             return value
+
+    def _lookup(self, key: Hashable, version: Hashable) -> "tuple[V | None, str]":  # reprolint: locked
+        entry = self._entries.get(key)
+        if entry is None:
+            self.stats.misses += 1
+            return None, "miss"
+        cached_version, value = entry
+        if cached_version != version:
+            # The base cube (or owning catalog) moved since this
+            # scenario was applied.
+            del self._entries[key]
+            self.stats.invalidations += 1
+            self.stats.misses += 1
+            return None, "invalidated"
+        self._entries.move_to_end(key)
+        self.stats.hits += 1
+        return value, "hit"
 
     def put(self, key: Hashable, version: Hashable, value: V) -> int:
         """Store a freshly built value (counted as a build) and return the
         number of entries this put evicted — both under the cache lock,
         so concurrent missers lose no build and a caller is billed only
         its own evictions."""
-        with trace_span("scenario_cache.put"), self._lock:
-            self.stats.builds += 1
-            self._entries[key] = (version, value)
-            self._entries.move_to_end(key)
-            evicted = 0
-            while len(self._entries) > self.maxsize:
-                # Capacity pressure: the LRU entry leaves.  Counted —
-                # uncounted eviction churn reads as a healthy cache.
-                self._entries.popitem(last=False)
-                evicted += 1
-                trace_event("scenario_cache.evicted")
-            self.stats.evictions += evicted
+        name = self.name
+        if name is None:
+            with self._lock:
+                return self._store(key, version, value)
+        with trace_span(f"{name}.put"), self._lock:
+            evicted = self._store(key, version, value)
+            for _ in range(evicted):
+                trace_event(f"{name}.evicted")
             return evicted
+
+    def _store(self, key: Hashable, version: Hashable, value: V) -> int:  # reprolint: locked
+        self.stats.builds += 1
+        self._entries[key] = (version, value)
+        self._entries.move_to_end(key)
+        evicted = 0
+        while len(self._entries) > self.maxsize:
+            # Capacity pressure: the LRU entry leaves.  Counted —
+            # uncounted eviction churn reads as a healthy cache.
+            self._entries.popitem(last=False)
+            evicted += 1
+        self.stats.evictions += evicted
+        return evicted
 
     def discard(self, key: Hashable) -> None:
         """Drop one entry (counted as an invalidation if present) — for
@@ -116,6 +147,6 @@ class ScenarioCache(Generic[V]):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"ScenarioCache({len(self._entries)}/{self.maxsize} entries, "
+            f"ScenarioCache({self.name!r}, {len(self._entries)}/{self.maxsize} entries, "
             f"{self.stats.hits} hits, {self.stats.misses} misses)"
         )

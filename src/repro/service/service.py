@@ -53,7 +53,6 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import (
     CircuitOpenError,
-    MdxAnalysisError,
     QueryError,
     ServiceOverloadedError,
     ServiceStoppedError,
@@ -73,7 +72,6 @@ from repro.service.shard import (
     build_workload,
     cells_request,
     make_slice,
-    parse_for_serving,
 )
 from repro.service.supervisor import ShardSupervisor, SupervisorConfig
 
@@ -710,25 +708,30 @@ class QueryService:
         deadline_ms: "float | None",
     ) -> "MdxResult":
         """``snapshot.query`` (no shard, a budget, or a set that reads
-        cell values), else parse → analyze → resolve (the scenario's
-        structure half; nothing applied) → fill across the pool → finish,
-        every coordinator read from ``snapshot``.
+        cell values), else prepare → resolve (the plan's axes, or the
+        scenario's structure half; nothing applied) → fill across the pool
+        → finish, every coordinator read from ``snapshot``.  Whether a set
+        reads cell values is what resolve found — wherever the FILTER or
+        ORDER sits, a WITH SET included — and the plan remembers it.
 
         The service breaker hears the outcome of the coordinator's own
         work only: a fault raised while the shards are asked gives a
         half-open probe slot back and counts nothing.
         """
-        from repro.analysis.query_analyzer import analyze_query
-        from repro.mdx.evaluator import _Context, finish_query, resolve_query
+        from repro.mdx.evaluator import finish_query, prepare
 
         asking_shards = False
         try:
+            resolved, reason = None, "budget"
             if self.n_shards and budget is None:
-                query, local = parse_for_serving(text)
                 reason = "value-dependent-set"
-            else:
-                local, reason = True, "budget"
-            if local:
+                prepared = prepare(snapshot, text, analyze)
+                prepared.check()
+                if not prepared.reads_cells:
+                    resolved = prepared.resolve()
+                    if resolved.reads_cells:  # met for the first time
+                        resolved = None
+            if resolved is None:
                 if self.n_shards:
                     self._metrics.counter("serve_local_fallback_total", reason=reason).inc()
                 budget = (budget or QueryBudget()).narrowed(deadline_ms)
@@ -736,11 +739,6 @@ class QueryService:
                     text, analyze=analyze, budget=None if budget.unlimited else budget
                 )
             else:
-                if analyze:
-                    report = analyze_query(snapshot, query)
-                    if report.has_errors:
-                        raise MdxAnalysisError(report)
-                resolved = resolve_query(_Context(snapshot, query))
                 state = self._plan_cells(resolved, degrade, deadline_ms)
                 asking_shards = True
                 self._admit(state)

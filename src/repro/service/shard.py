@@ -45,7 +45,6 @@ import queue
 import threading
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.errors import QueryError, ReproError, ShardError
@@ -56,7 +55,6 @@ from repro.olap.missing import MISSING, is_missing
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
-    from repro.mdx.ast_nodes import MdxQuery
     from repro.mdx.evaluator import GridBlock
     from repro.olap.schema import Address, CubeSchema
     from repro.perf.rollup_index import Column
@@ -72,7 +70,6 @@ __all__ = [
     "cells_request",
     "make_slice",
     "open_slice",
-    "parse_for_serving",
     "shard_worker_main",
 ]
 
@@ -80,34 +77,6 @@ FP_SERVE_SCATTER = register_failpoint("serve.scatter")
 FP_SERVE_GATHER = register_failpoint("serve.gather")
 FP_SHARD_START = register_failpoint("shard.start")
 FP_SHARD_EXEC = register_failpoint("shard.exec")
-
-
-def _reads_cell_values(node: Any) -> bool:
-    from repro.mdx.ast_nodes import FilterExpr, OrderExpr
-
-    if isinstance(node, (FilterExpr, OrderExpr)):
-        return True
-    if isinstance(node, (tuple, list)):
-        return any(_reads_cell_values(item) for item in node)
-    if hasattr(node, "__dict__"):
-        return any(_reads_cell_values(value) for value in vars(node).values())
-    return False
-
-
-@lru_cache(maxsize=256)
-def parse_for_serving(text: str) -> "tuple[MdxQuery, bool]":
-    """The serving tier's one parse cache, coordinator and shard alike:
-    the parsed query plus whether any axis or slicer set consults cell
-    values (FILTER / ORDER) — those must see the full cube, so the
-    coordinator evaluates them locally.  Bounded, because a client may
-    send a never-seen text on every request; the verdict is stored with
-    the query so a warm ``execute`` never re-walks the AST."""
-    from repro.mdx.parser import parse_query
-
-    query = parse_query(text)
-    return query, _reads_cell_values(
-        ([axis.expr for axis in query.axes], query.slicer)
-    )
 
 
 def build_workload(name: str, params: "tuple[tuple[str, Any], ...]" = ()) -> "Warehouse":
@@ -360,10 +329,11 @@ class _ShardRuntime:
 
     def _context(self, text: str):
         from repro.mdx.evaluator import _Context
+        from repro.mdx.parser import parse_query
 
         # The scenario cache on the shard's warehouse makes repeated
         # fingerprints one dict probe, exactly like local serving.
-        return _Context(self.warehouse, parse_for_serving(text)[0])
+        return _Context(self.warehouse, parse_query(text))
 
     def handle(self, request: "dict[str, Any]") -> "dict[str, Any]":
         op = request["op"]

@@ -63,14 +63,16 @@ class WarehouseSnapshot(Warehouse):
         self.origin = origin
         #: the base-cube mutation version this view is pinned to
         self.version = cube.version
-        # Named sets are copied: later definitions on the origin must not
-        # leak into a pinned view.
+        # Named sets are copied, with their version: later definitions on
+        # the origin must not leak into a pinned view.
         self._named_sets = dict(origin._named_sets)
-        # Share the origin's hot structures.  The scenario cache is
-        # version-keyed (entries from other versions read as misses), and
-        # metrics/slow-log aggregation belongs to the live warehouse —
+        self.named_set_version = origin.named_set_version
+        # Share the origin's hot structures.  The scenario and plan caches
+        # are version-keyed (entries from other versions read as misses),
+        # and metrics/slow-log aggregation belongs to the live warehouse —
         # a service query must not vanish into a per-snapshot registry.
         self.scenario_cache = origin.scenario_cache
+        self.plan_cache = origin.plan_cache
         self.metrics = origin.metrics
         self.slow_log = origin.slow_log
 

@@ -24,7 +24,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.trace import TRACER
 from repro.olap.cube import Cube
-from repro.olap.dimension import Dimension, Member
+from repro.olap.dimension import Dimension, Member, next_generation
 from repro.olap.instances import VaryingDimension
 from repro.olap.schema import CubeSchema
 from repro.perf.scenario_cache import ScenarioCache
@@ -70,16 +70,23 @@ class Warehouse:
         self.name = name
         self.aliases = set(aliases)
         self._named_sets: dict[str, NamedSet] = {}
+        #: moved by every define_named_set (a process-wide generation, so a
+        #: snapshot that defines its own sets never meets its origin's)
+        self.named_set_version = next_generation()
         #: LRU of applied what-if scenarios keyed by fingerprint chain;
         #: entries are invalidated by the cube's mutation version (see
         #: :mod:`repro.perf.scenario_cache`)
         self.scenario_cache = ScenarioCache()
+        #: LRU of prepared query plans keyed by text, invalidated by the
+        #: structure they were made on (:func:`repro.mdx.evaluator.prepare`)
+        self.plan_cache = ScenarioCache(256, name=None, lock="PlanCache._lock")
         #: per-warehouse metrics: query counters/latency histogram plus
         #: pull-based collectors over the engine cache stats
         self.metrics = MetricsRegistry()
         self.metrics.register_collector(
             "scenario_cache", self.scenario_cache.stats.snapshot
         )
+        self.metrics.register_collector("plan_cache", self.plan_cache.stats.snapshot)
         self.metrics.register_collector(
             "rollup_index", self._rollup_index_stats
         )
@@ -156,6 +163,7 @@ class Warehouse:
             self.resolve_member((member,))  # validates existence
         named = NamedSet(name, tuple(members))
         self._named_sets[name] = named
+        self.named_set_version = next_generation()
         return named
 
     def named_set(self, name: str) -> NamedSet | None:
@@ -163,6 +171,16 @@ class Warehouse:
 
     def named_sets(self) -> list[NamedSet]:
         return list(self._named_sets.values())
+
+    def plan_version(self) -> tuple[int, int, int]:
+        """What a prepared query plan depends on besides its text: the
+        cube's structure generation, the schema's, and the named sets'
+        version.  A value write moves none of them."""
+        return (
+            self.cube.structure_generation,
+            self.schema.generation,
+            self.named_set_version,
+        )
 
     # -- member resolution ----------------------------------------------------------
 
@@ -248,8 +266,8 @@ class Warehouse:
         """
         from repro.mdx.evaluator import execute
 
-        span = TRACER.start("mdx.query") if TRACER.enabled else None
         fired_before = FAULTS.fired_counts()
+        span = TRACER.start("mdx.query") if TRACER.enabled else None
         t0 = time.perf_counter()
         result = None
         error: "str | None" = None

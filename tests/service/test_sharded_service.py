@@ -20,7 +20,6 @@ from repro.errors import (
 )
 from repro.mdx.budget import QueryBudget
 from repro.service import BreakerState, CircuitBreaker, ShardedQueryService
-from repro.service.shard import parse_for_serving
 from repro.service.stress import STRESS_QUERIES
 from repro.workload.workforce import MONTHS, build_workforce
 
@@ -96,25 +95,42 @@ class TestRunningExampleParity:
         assert [s["members"] for s in health["shards"]] == [2, 4]
 
 
+def _fallbacks(service) -> float:
+    return service.warehouse.metrics.snapshot().get(
+        "serve_local_fallback_total{reason=value-dependent-set}", 0
+    )
+
+
 class TestParseCache:
-    def test_bounded_and_stores_the_reads_cell_values_verdict(self):
-        parse_for_serving.cache_clear()
+    def test_the_plan_stores_the_reads_cell_values_verdict(self):
+        """Whether a query's sets read cell values is what resolving found
+        — a FILTER / ORDER anywhere, a WITH SET included — and the
+        prepared plan keeps it, so a warm query never resolves to learn."""
+        from repro.mdx.evaluator import prepare
+        from repro.warehouse import Warehouse
+        from repro.workload import build_running_example
+
+        example = build_running_example()
+        warehouse = Warehouse(example.schema, example.cube, name="Warehouse")
         plain = "SELECT {Time.[Jan]} ON COLUMNS FROM Warehouse"
         filtered = (
             "SELECT {Time.[Jan]} ON COLUMNS, "
             "Filter({[Joe], [Lisa]}, [Salary] > 5) ON ROWS FROM Warehouse"
         )
+        in_a_set = (
+            "WITH SET S AS Order({[Joe], [Lisa]}, ([Salary]), DESC) "
+            "SELECT {Time.[Jan]} ON COLUMNS, {S} ON ROWS FROM Warehouse"
+        )
         sliced = plain + " WHERE ([NY])"
-        assert [parse_for_serving(t)[1] for t in (plain, filtered, sliced)] == [
-            False,
-            True,
-            False,
-        ]
-        assert parse_for_serving(filtered) is parse_for_serving(filtered)
+        texts = (plain, filtered, in_a_set, sliced)
+        verdicts = [prepare(warehouse, t).resolve().reads_cells for t in texts]
+        assert verdicts == [False, True, True, False]
+        assert [prepare(warehouse, t).reads_cells for t in texts] == verdicts
+        assert prepare(warehouse, plain).plan is prepare(warehouse, plain).plan
         # a client sending a never-seen text per request cannot grow it
-        for padding in range(600):
-            parse_for_serving(plain + " " * padding)
-        assert parse_for_serving.cache_info().currsize <= 256
+        for padding in range(300):
+            prepare(warehouse, plain + " " * padding)
+        assert len(warehouse.plan_cache) == 256
 
     def test_value_dependent_sets_are_answered_locally(self, running_service):
         text = (
@@ -127,6 +143,23 @@ class TestParseCache:
         assert repr(result.cells) == repr(
             running_service.warehouse.query(text).cells
         )
+
+    def test_a_filter_inside_with_set_is_answered_locally(self, workforce_service):
+        """A FILTER in a WITH SET reads cell values as one inline does:
+        the coordinator answers it in process, and says so."""
+        text = (
+            "WITH SET S AS Filter({Department.Children}, ([Acct000]) > 0) "
+            "SELECT {Period.Children} ON COLUMNS, {S} ON ROWS FROM [App].[Db] "
+            "WHERE ([Current])"
+        )
+        for _ in range(2):  # cold, then from the plan
+            before = _fallbacks(workforce_service)
+            result = workforce_service.execute(text)
+            assert "sharded" not in result.stats
+            assert _fallbacks(workforce_service) == before + 1
+            assert repr(result.cells) == repr(
+                workforce_service.warehouse.query(text).cells
+            )
 
 
 class TestWorkforceParity:
