@@ -102,15 +102,14 @@ THREAD_SHARED: dict[str, GuardSpec] = {
     "RollupIndex": GuardSpec(
         "_lock",
         # ``_struct`` is the structure generation shared with forks (code
-        # columns, tables, liveness, and the address / lookup / mask
-        # caches read off them): replaced or mutated only under the lock
+        # columns, tables, liveness, the point lookup and the mask caches
+        # read off them): replaced or mutated only under the lock
         # of the one live index; ``_values`` is the value column's store
         # (replaced by renumbering, written by ``set_leaf``); ``_inherited``
         # and ``_written`` are what the next fork's memo carry reads
         (
             "_struct",
             "_struct_shared",
-            "_owns_addrs",
             "_struct_copied",
             "_memo",
             "_memo_count",

@@ -19,11 +19,14 @@ index **is** the leaf store.  ``_leaf_cells`` is a read-only
 and value column, :meth:`Cube.set_value` writes the index and nothing beside
 it, derived-cell scopes are served from it at O(|scope|) per query, and
 :meth:`Cube.frozen_copy` / :meth:`Cube.copy` are forks of it — nothing
-proportional to the cube is copied.  :meth:`Cube.load` is the bulk entry
-point: on an empty cube it validates every cell and builds the columns
-once.  ``repro.perf.config.naive_mode()`` selects the full-scan reference
-path (over the view's addresses and values; it trusts no code column);
-both paths produce bit-identical values.  Every mutation bumps
+proportional to the cube is copied.  The index is arrays only: no address
+tuple, list or dict is kept per leaf, whether the cube was loaded,
+derived or written.  :meth:`Cube.load` is the bulk entry point: on an
+empty cube it validates every cell and builds the columns once; the
+addresses it collected do not outlive the call.
+``repro.perf.config.naive_mode()`` selects the full-scan reference path
+(over the view's addresses and values; it trusts no code column); both
+paths produce bit-identical values.  Every mutation bumps
 :attr:`version`, which the warehouse's scenario cache uses for
 invalidation; a leaf insert or delete also moves
 :attr:`structure_generation`, which is all the warehouse's prepared query
@@ -34,8 +37,7 @@ Bulk transforms
 The what-if operators never write cells one by one: they read the leaf
 cells column-wise (:meth:`Cube.leaf_columns`), compute their output as an
 array program and hand the finished rollup index — *derived* from the
-input's, arrays only: no address is built per leaf — to
-:meth:`Cube.adopt`.
+input's: no address is built per leaf — to :meth:`Cube.adopt`.
 """
 
 from __future__ import annotations

@@ -20,8 +20,8 @@ Leaf *values* are one more column over the same id space: a
 scope's values are ``column[ids]`` — one fancy-indexed gather — reduced by
 :func:`~repro.olap.aggregation.reduce_array`, a sequential fold whose
 result is bit-identical to the naive scan.  Which rows are leaves is the
-structure's business (``_Structure.live``, the address dict, the key
-lookup); the value column keeps no liveness of its own, and a row is read
+structure's business (``_Structure.live`` and the point lookup); the
+value column keeps no liveness of its own, and a row is read
 only after the structure resolved it to a live id.
 
 Every cube holds one index from construction and that index *is* its
@@ -47,8 +47,8 @@ operator that produced the cube) and renumbering (relative order kept).
 Structure generations
 ---------------------
 Everything that depends only on *which* leaves exist — code columns,
-coordinate tables, liveness, and the caches read off them (address list,
-point lookup, ordered id array, per-coordinate masks) — is one
+coordinate tables, liveness, the point lookup, and the caches read off
+them (ordered id array, per-coordinate masks) — is one
 :class:`_Structure` generation.
 ``Cube.frozen_copy`` and ``Cube.copy`` *fork* the index: the fork shares
 the generation (so a mask computed by one snapshot serves every later
@@ -65,33 +65,36 @@ its values twice (884,736 B of planes + a 768,000 B mirror at 96,000
 leaves).  A value write touches no structure.
 An insert or delete on either side first replaces a shared generation
 with a private copy (the other side keeps the old one): its arrays and
-per-coordinate tables are copied, its address list, address dict and
-masks are shared or layered (:meth:`_Structure.copy`).  Ids are never
+per-coordinate tables are copied, its sorted keys shared and its masks
+carried (:meth:`_Structure.copy`).  Ids are never
 reused, and once dead ids outnumber live
 ones the next structural write renumbers, so churn cannot grow the id
 space past twice the cube.  The what-if operators (ρ, S) and the restrictions (σ,
 the shard's slice) *derive* the index of their output from the input's:
 the unchanged dimensions' columns are permuted, a moved dimension's
-column is recoded, and the gathered values are bulk-loaded — no rebuild,
-and no per-leaf Python object: a derived generation is arrays only.
+column is recoded, and the gathered values are bulk-loaded — no rebuild.
+No generation holds a per-leaf Python object: every one is arrays only.
 Columns are built from addresses in one place, :meth:`RollupIndex.from_cells`:
 a bulk ``Cube.load``, an output whose rows clash on one address, and
-anything computed under ``naive_mode()``.
+anything computed under ``naive_mode()``; the addresses do not outlive
+the call.
 
 Addresses and point lookup
 --------------------------
 A leaf's address is row ``k`` of the code columns read through the
-coordinate tables (:meth:`_Structure.addresses`), so the address list is a
-cache of the columns: a generation born from addresses (``from_cells``)
-keeps the list it was handed, a derived one builds only the rows somebody
-names (a scope, an error message) and the whole list only when asked for
-all of them — never on a query path.  Address → leaf id is served from
-what the generation holds (:meth:`_Structure.finder`): the address dict
-on a generation born from addresses or written to, and on a derived one
-the sorted mixed-radix key of its code columns — the same sort that
-proved its rows distinct — searched once per address and remembered.
-The ``rollup_index.materialize`` span marks every full address list or
-dict a generation has to build.
+coordinate tables (:meth:`_Structure.addresses`): built for the rows
+somebody names (a scope, an error message) and for all of them only when
+somebody asks for all (an export) — never on a query path.  The
+``rollup_index.materialize`` span marks every such full read.
+
+Every generation has one point lookup (:meth:`_Structure.find`): the
+sorted mixed-radix keys of its code columns (:class:`_SortedPart`, the
+same sort that proves a derived generation's rows distinct), searched once
+per address and remembered; a small dict of the leaves inserted since the
+sort; and the liveness mask, which confirms a sorted hit.  A structural
+write sorts the inserts in once they outnumber an eighth of the sorted
+rows, and every copy of a generation shares its sorted part, so a
+resolved address stays resolved across snapshots.
 
 The memo across writes
 ----------------------
@@ -110,7 +113,6 @@ from typing import (
     Callable,
     Iterator,
     Mapping,
-    NamedTuple,
     Sequence,
     TypeAlias,
 )
@@ -147,8 +149,9 @@ _MEMO_CAP = 65536
 _KEY_LIMIT = 2**63
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
-#: "not in the resolved-address cache" (``None`` there means "no such leaf")
-_UNSEEN = object()
+#: "not in the resolved-address cache" (``None`` there means "no such
+#: row"); no row id is negative
+_UNSEEN = -1
 
 
 @dataclass(slots=True, eq=False)
@@ -166,9 +169,9 @@ class LeafColumns:
 
     The rows' addresses are not part of the read: columns scanned off
     addresses keep the list they scanned, columns read from an index
-    build :attr:`addresses` — all of them — or :meth:`addresses_at` — the
-    rows named — from the generation they were read from when somebody
-    asks.  The operators never do.
+    build :attr:`addresses` — all of them, kept for this read — or
+    :meth:`addresses_at` — the rows named — from the generation they were
+    read from when somebody asks.  The operators never do.
     """
 
     values: np.ndarray
@@ -183,16 +186,14 @@ class LeafColumns:
 
     @property
     def addresses(self) -> list[Address]:
-        """Every row's address.  On columns read from a derived index
-        this builds the generation's whole address list (≈ 22 ms at 96k
-        leaves), so nothing on a query path may ask."""
+        """Every row's address.  On columns read from an index this builds
+        one address per row (tens of ms at 96k leaves), so nothing on a query
+        path may ask."""
         if self._addresses is None:
-            ids = self.ids
-            addrs = self._struct.all_addresses()
-            n = len(ids)
-            # ascending distinct ids ending at n - 1 are 0 .. n - 1
-            dense = n == 0 or int(ids[-1]) == n - 1
-            self._addresses = addrs[:n] if dense else [addrs[i] for i in ids.tolist()]
+            with trace_span("rollup_index.materialize") as span:
+                self._addresses = self._struct.addresses(self.ids)
+                if span is not None:
+                    span.set(leaves=len(self.ids), what="addresses")
         return self._addresses
 
     def addresses_at(self, rows: np.ndarray) -> list[Address]:
@@ -417,63 +418,56 @@ def _ids_in_column(row_ids: np.ndarray, col_scope: AxisScope) -> np.ndarray:
     return row_ids if col_mask is None else row_ids[col_mask[row_ids]]
 
 
-class _KeyLookup(NamedTuple):
-    """The point lookup of a generation that holds no address dict: the
-    mixed-radix key of every row's codes (radix = coordinate-table size),
-    sorted, and the row behind each."""
+class _SortedPart:
+    """The sorted part of a generation's point lookup: the mixed-radix key
+    of some live rows' codes, sorted, and the row behind each.  The
+    radices are the coordinate-table sizes at sort time, so a coordinate
+    coded at or above its radix came later and is in no key: inserts that
+    grow a table never re-key anything.  The keys are ``int64`` while
+    their product of radices fits, Python ints otherwise — one code path,
+    two dtypes.
 
-    keys: np.ndarray
-    rows: np.ndarray
+    A part never changes once built, except ``resolved``, which remembers
+    every address :meth:`search` was asked, hit or miss, so a repeat read
+    is one dict probe.  Every generation that shares the part shares the
+    cache: below its radix a coordinate has one code in all of them."""
 
+    __slots__ = ("keys", "rows", "radices", "resolved")
 
-class _IdOverlay:
-    """address -> live id of a generation copied for a structural write:
-    the writes since the copy in a dict of their own (``None`` = deleted
-    since) over the address dict of the generation it was copied from,
-    which nobody writes any more.  The subset of a dict the generation's
-    readers and writers use; a point read is two probes at most."""
+    def __init__(
+        self, codes: Sequence[np.ndarray], tables: Sequence[_CoordTable], rows: np.ndarray
+    ) -> None:
+        radices = [len(table.coords) for table in tables]
+        wide = math.prod(radices) >= _KEY_LIMIT
+        key = np.zeros(len(rows), dtype=object if wide else np.int64)
+        for column, radix in zip(codes, radices):
+            key *= radix
+            key += column[rows].astype(object) if wide else column[rows]
+        order = np.argsort(key)
+        self.keys = key[order]
+        self.rows = rows[order]
+        self.radices = radices
+        self.resolved: "dict[Address, int | None]" = {}
 
-    __slots__ = ("base", "over")
+    def distinct(self) -> bool:
+        """Whether no two sorted rows share a key — an address."""
+        keys = self.keys
+        return not (keys[1:] == keys[:-1]).any()
 
-    def __init__(self, base: dict[Address, int], over: "dict[Address, int | None]") -> None:
-        self.base = base
-        self.over = over
-
-    @staticmethod
-    def layered(id_of: "dict[Address, int] | _IdOverlay") -> "dict[Address, int] | _IdOverlay":
-        """The lookup of a copy of the generation that holds ``id_of``:
-        the same shared dict under a copy of the overlay — or, once the
-        overlay outgrows an eighth of the shared dict, the two flattened
-        into a plain dict (amortised: the eighth was paid in writes)."""
-        if not isinstance(id_of, _IdOverlay):
-            return _IdOverlay(id_of, {})
-        base, over = id_of.base, id_of.over
-        if len(over) <= len(base) >> 3:
-            return _IdOverlay(base, dict(over))
-        flat = dict(base)
-        for addr, ident in over.items():
-            if ident is None:
-                flat.pop(addr, None)
-            else:
-                flat[addr] = ident
-        return flat
-
-    def get(self, addr: Address, default: "int | None" = None) -> "int | None":
-        ident = self.over.get(addr, _UNSEEN)
-        if ident is _UNSEEN:
-            return self.base.get(addr, default)
-        return default if ident is None else ident  # type: ignore[return-value]
-
-    def __contains__(self, addr: Address) -> bool:
-        return self.get(addr) is not None
-
-    def __setitem__(self, addr: Address, ident: int) -> None:
-        self.over[addr] = ident
-
-    def pop(self, addr: Address) -> "int | None":
-        ident = self.get(addr)
-        self.over[addr] = None
-        return ident
+    def search(self, tables: Sequence[_CoordTable], addr: Address) -> "int | None":
+        """The sorted row at ``addr``: one ``code_of`` probe per
+        dimension, one binary search."""
+        key = 0
+        for table, radix, coord in zip(tables, self.radices, addr):
+            code = table.code_of.get(coord, radix)
+            if code >= radix:
+                return None  # a coordinate no sorted row has
+            key = key * radix + code
+        keys = self.keys
+        at = int(keys.searchsorted(key))
+        if at < len(keys) and keys[at] == key:
+            return int(self.rows[at])
+        return None
 
 
 @dataclass(slots=True, eq=False)
@@ -485,39 +479,30 @@ class _Structure:
     the int32 coordinate code of every leaf id and ``live`` their liveness
     (both may carry spare capacity past the id space; a deleted id keeps
     its codes); ``tables`` are the per-dimension :class:`_CoordTable`.
-    That is the whole of a generation — the address of leaf ``k`` is row
-    ``k`` of the code columns read through the tables
-    (:meth:`addresses`) — and everything else is a cache of it:
+    The address of leaf ``k`` is row ``k`` of the code columns read
+    through the tables (:meth:`addresses`); nothing is kept per leaf.
 
-    * ``addrs`` — the address of every id.  A generation born from
-      addresses (``from_cells``) keeps the list it was handed; a derived
-      one has none until somebody asks for all of them.  The list may run
-      past ``n_ids``: a copy made for a structural write by the index that
-      owned the old generation goes on appending to the same list, which
-      the old generation reads only below its own ``n_ids``.
-    * ``id_of`` — address -> live id, the dict a write maintains; built
-      from ``addrs`` on first use, or, on a copy, the old generation's
-      under an :class:`_IdOverlay` of the writes since.
-    * ``lookup`` — what a derived generation has instead of ``id_of``
-      (:meth:`index_rows`), with ``resolved`` remembering every address it
-      was asked, hit or miss, so a repeat read is one dict probe.
-    * ``ordered`` (ascending live ids) and ``masks`` ((dim_index, coord)
-      -> boolean mask over the id space).
-    * ``carried`` — masks computed before the last structural write(s),
-      each over the id space as it was then (:meth:`RollupIndex._coord_mask`
-      patches one on first use: a leaf's codes never change, so only the
-      ids appended since are looked up and the deleted ones cleared).  A
-      key is in ``masks`` or ``carried``, never both.
+    The point lookup (:meth:`find`) is ``recent`` — address -> id of the
+    leaves inserted since the last sort — over ``sorted_part`` (a
+    :class:`_SortedPart`), whose hits ``live`` confirms: a delete pops
+    ``recent`` or clears a sorted row's liveness.
+
+    The rest is a cache: ``ordered`` (ascending live ids), ``masks``
+    ((dim_index, coord) -> boolean mask over the id space) and
+    ``carried`` — masks computed before the last structural write(s),
+    each over the id space as it was then (:meth:`RollupIndex._coord_mask`
+    patches one on first use: a leaf's codes never change, so only the
+    ids appended since are looked up and the deleted ones cleared).  A
+    key is in ``masks`` or ``carried``, never both.
 
     An index and its forks share one generation.  An index mutates a
-    generation in place only while nothing shares it *and* it holds
-    ``id_of``; otherwise the structural write replaces it with
-    :meth:`copy` first (frozen snapshots never write; a writable
-    ``Cube.copy`` does, and diverges the same way), so a generation that
-    serves reads from ``lookup`` never changes.  The caches are filled
-    lazily by whichever index asks first: every filler computes the same
-    value and the store is one attribute or dict assignment, atomic under
-    the GIL, so a mask computed for one snapshot serves all later ones.
+    generation in place only while nothing shares it; otherwise the
+    structural write replaces it with :meth:`copy` first (frozen
+    snapshots never write; a writable ``Cube.copy`` does, and diverges the
+    same way).  The caches are filled lazily by whichever index asks
+    first: every filler computes the same value and the store is one
+    attribute or dict assignment, atomic under the GIL, so a mask computed
+    for one snapshot serves all later ones.
     """
 
     n_ids: int
@@ -525,45 +510,57 @@ class _Structure:
     tables: list[_CoordTable]
     live: np.ndarray
     n_live: int
-    addrs: "list[Address] | None" = None
-    id_of: "dict[Address, int] | None" = None
-    lookup: "_KeyLookup | None" = None
-    resolved: "dict[Address, int | None]" = field(default_factory=dict)
+    sorted_part: _SortedPart
+    recent: dict[Address, int] = field(default_factory=dict)
     ordered: "np.ndarray | None" = None
     masks: dict[tuple[int, str], np.ndarray] = field(default_factory=dict)
     carried: dict[tuple[int, str], np.ndarray] = field(default_factory=dict)
 
-    def copy(self, owns_addrs: bool) -> "_Structure":
+    @classmethod
+    def over(
+        cls, schema: "CubeSchema", columns: Sequence[Column], n: int
+    ) -> "_Structure":
+        """The generation of ``n`` live leaves, leaf id == row: ``columns``
+        holds one ``(codes, coords)`` pair per schema dimension, adopted,
+        and every row is sorted."""
+        codes = [column for column, _ in columns]
+        tables = [
+            _CoordTable(
+                schema, i, coords, np.bincount(column, minlength=len(coords)).tolist()
+            )
+            for i, (column, coords) in enumerate(columns)
+        ]
+        return cls(
+            n,
+            codes,
+            tables,
+            np.ones(n, dtype=np.bool_),
+            n,
+            _SortedPart(codes, tables, np.arange(n)),
+        )
+
+    def copy(self) -> "_Structure":
         """A private generation for a structural write: same ids, columns
         trimmed to the id space plus headroom — arrays and per-coordinate
-        tables, nothing per leaf.  The address list is shared when the
-        writer ``owns_addrs`` (and cut to the id space otherwise), the
-        address dict is layered (:meth:`_IdOverlay.layered`) and every
-        mask is carried for patching; the caches of the old id space
-        (ordered ids, key lookup) are left behind."""
+        tables, nothing per leaf.  The sorted part is shared, ``recent``
+        copied, and every mask is carried for patching; the ordered ids of
+        the old id space are left behind."""
         n = self.n_ids
-        addrs, id_of = self.addrs, self.id_of
         return _Structure(
             n,
             [_with_headroom(codes, n) for codes in self.codes],
             [table.copy() for table in self.tables],
             _with_headroom(self.live, n),
             self.n_live,
-            addrs if addrs is None or owns_addrs else addrs[:n],
-            None if id_of is None else _IdOverlay.layered(id_of),
+            self.sorted_part,
+            dict(self.recent),
             carried={**self.carried, **self.masks},
         )
-
-    # -- addresses: a cache of the columns ---------------------------------------
 
     def addresses(self, ids: np.ndarray) -> list[Address]:
         """The addresses of the given leaf ids, and the one place an
         address is defined: row ``k`` of the code columns through the
-        coordinate tables.  Served from the address list when the
-        generation holds one."""
-        addrs = self.addrs
-        if addrs is not None:
-            return [addrs[i] for i in ids.tolist()]
+        coordinate tables."""
         return list(
             zip(
                 *(
@@ -573,87 +570,37 @@ class _Structure:
             )
         )
 
-    def all_addresses(self) -> list[Address]:
-        """``addrs``, filled on first use."""
-        addrs = self.addrs
-        if addrs is None:
-            with trace_span("rollup_index.materialize") as span:
-                addrs = self.addrs = self.addresses(np.arange(self.n_ids))
-                if span is not None:
-                    span.set(leaves=self.n_ids, what="addresses")
-        return addrs
-
-    def ids(self) -> dict[Address, int]:
-        """``id_of``, filled on first use from ``addrs``.  Every id is
-        live then: a generation that has seen a delete holds the dict."""
-        id_of = self.id_of
-        if id_of is None:
-            addrs = self.all_addresses()
-            with trace_span("rollup_index.materialize") as span:
-                id_of = self.id_of = dict(zip(addrs, range(self.n_ids)))
-                if span is not None:
-                    span.set(leaves=self.n_ids, what="id_map")
-        return id_of
-
     # -- point lookup ------------------------------------------------------------
 
-    def index_rows(self) -> bool:
-        """Give a freshly derived generation (every id live) its point
-        lookup, and say whether its rows are distinct addresses.
+    def index_rows(self) -> None:
+        """Sort every live row, the leaves in ``recent`` among them, into
+        a new sorted part.  The part is installed before ``recent`` is
+        emptied, so a lock-free reader finds a leaf in one or the other."""
+        self.sorted_part = _SortedPart(
+            self.codes, self.tables, np.flatnonzero(self.live[: self.n_ids])
+        )
+        self.recent = {}
 
-        Two rows share an address iff they share the mixed-radix key of
-        their codes, so one sort of the keys decides — equal neighbours —
-        and, kept, *is* the lookup (:meth:`search`).  Where the key does
-        not fit ``int64`` the address dict decides and serves, as it did
-        before there were keys.
-        """
-        n = self.n_ids
-        radices = [len(table.coords) for table in self.tables]
-        if math.prod(radices) >= _KEY_LIMIT:
-            return len(self.ids()) == n
-        key = np.zeros(n, dtype=np.int64)
-        for codes, radix in zip(self.codes, radices):
-            key *= radix
-            key += codes[:n]
-        rows = np.argsort(key)
-        keys = key[rows]
-        self.lookup = _KeyLookup(keys, rows)
-        return not (keys[1:] == keys[:-1]).any()
-
-    def search(self, addr: Address) -> "int | None":
-        """The leaf id at ``addr`` by its key: one ``code_of`` probe per
-        dimension, one binary search."""
-        keys, rows = self.lookup
-        key = 0
-        for table, coord in zip(self.tables, addr):
-            code = table.code_of.get(coord)
-            if code is None:
-                return None  # a coordinate no leaf of this generation has
-            key = key * len(table.coords) + code
-        at = int(keys.searchsorted(key))
-        if at < len(keys) and keys[at] == key:
-            return int(rows[at])
-        return None
-
-    def resolve(self, addr: Address) -> "int | None":
-        """:meth:`search`, remembered."""
-        resolved = self.resolved
-        ident = resolved.get(addr, _UNSEEN)
-        if ident is _UNSEEN:
-            ident = self.search(addr)
+    def find(self, addr: Address) -> "int | None":
+        """The live leaf id at ``addr`` (``None`` = no such leaf):
+        ``recent``, then the sorted part's resolved cache or search, then
+        ``live`` — which only a generation that has seen a delete needs."""
+        recent = self.recent
+        if recent:  # an empty one is not worth hashing ``addr`` for
+            ident = recent.get(addr)
+            if ident is not None:
+                return ident
+        part = self.sorted_part
+        resolved = part.resolved
+        row = resolved.get(addr, _UNSEEN)
+        if row == _UNSEEN:
+            row = part.search(self.tables, addr)
             if len(resolved) >= _MEMO_CAP:
                 resolved.clear()
-            resolved[addr] = ident
-        return ident
-
-    def finder(self) -> "Callable[[Address], int | None]":
-        """address -> leaf id (``None`` = no such leaf), chosen from what
-        the generation holds: the dict's own ``get`` when there is a dict
-        (or only an address list to build one from), the key search
-        behind the resolved cache otherwise."""
-        if self.lookup is not None:
-            return self.resolve
-        return self.ids().get
+            resolved[addr] = row
+        if row is None or (self.n_live != self.n_ids and not self.live[row]):
+            return None
+        return row
 
 
 class LeafView(Mapping[Address, float]):
@@ -661,9 +608,9 @@ class LeafView(Mapping[Address, float]):
     index — what ``Cube._leaf_cells`` is.  Iteration is insertion order
     (ascending leaf id), like a dict's; bulk reads (``values``) are one
     column gather, point reads one probe of the generation's lookup
-    (:meth:`_Structure.finder`) plus one column read under the index lock.
-    Iterating the keys or ``items`` of a derived view builds its whole
-    address list — that is for exports, oracles and tests, not queries.
+    (:meth:`_Structure.find`) plus one column read under the index lock.
+    Iterating the keys or ``items`` builds every address — that is for
+    exports, oracles and tests, not queries.
     The view holds the index, never the other way round."""
 
     __slots__ = ("_index",)
@@ -675,13 +622,12 @@ class LeafView(Mapping[Address, float]):
         """The value stored at ``addr`` (a stored NaN reads back as NaN —
         liveness, not the value, says whether a leaf exists)."""
         index = self._index
-        id_of = index._struct.id_of
-        if id_of is not None and addr not in id_of:
+        if index._struct.find(addr) is None:
             # lock-free: an insert publishes its id last, so a miss was true
             # a moment ago — and most probes (derived addresses) are misses
             return default
         with index._lock:
-            ident = index._struct.finder()(addr)
+            ident = index._struct.find(addr)
             return default if ident is None else index._values.get(ident)
 
     def __getitem__(self, addr: Address) -> float:
@@ -719,27 +665,21 @@ class RollupIndex:
     :meth:`LeafView.get`.
     """
 
-    def __init__(self, schema: "CubeSchema") -> None:
+    def __init__(self, schema: "CubeSchema", struct: "_Structure | None" = None) -> None:
+        # ``struct``: the generation to serve, an empty one by default
         self.schema = schema
         #: memo and build counters; a fork shares its parent's, so the
         #: numbers describe the cube however many snapshots served it
         self.stats = CacheStats()
         self._lock = make_lock("RollupIndex._lock")
-        self._struct = _Structure(
-            0,
-            [np.empty(0, dtype=np.int32) for _ in range(schema.n_dims)],
-            [_CoordTable(schema, i, [], ()) for i in range(schema.n_dims)],
-            np.empty(0, dtype=np.bool_),
-            0,
-            [],
-            {},
-        )
+        if struct is None:
+            struct = _Structure.over(
+                schema, [(np.empty(0, dtype=np.int32), []) for _ in range(schema.n_dims)], 0
+            )
+        self._struct = struct
         #: True while ``_struct`` is shared with a fork; the next
         #: structural write replaces it first
         self._struct_shared = False
-        #: whether this index may append to its generation's address list
-        #: (false on a fork until its own first structural write)
-        self._owns_addrs = True
         #: whether a structural write replaced the generation since the
         #: last fork (reported by the ``cube.snapshot`` span)
         self._struct_copied = False
@@ -762,27 +702,10 @@ class RollupIndex:
         schema: "CubeSchema",
         columns: Sequence[Column],
         values: np.ndarray,
-        addresses: "list[Address] | None" = None,
     ) -> "RollupIndex":
-        # leaf id == row: every row is a live leaf, ``columns`` has one
-        # (codes, coords) pair per schema dimension; ``addresses``, when
-        # the caller has them, are the rows' addresses.  The arrays are
+        # leaf id == row (:meth:`_Structure.over`); the arrays are
         # adopted: every caller passes ones it has just gathered
-        index = cls(schema)
-        n = len(values)
-        index._struct = _Structure(
-            n,
-            [codes for codes, _ in columns],
-            [
-                _CoordTable(
-                    schema, i, coords, np.bincount(codes, minlength=len(coords)).tolist()
-                )
-                for i, (codes, coords) in enumerate(columns)
-            ],
-            np.ones(n, dtype=np.bool_),
-            n,
-            addresses,
-        )
+        index = cls(schema, _Structure.over(schema, columns, len(values)))
         index._values = ColumnarLeafStore.from_values(values)
         return index
 
@@ -798,7 +721,7 @@ class RollupIndex:
         its point lookup; nothing is validated per cell and the arrays
         become the index's own."""
         index = cls._from_columns(schema, columns, values)
-        if not index._struct.index_rows():
+        if not index._struct.sorted_part.distinct():
             raise ValueError("two rows of the columns share one address")
         return index
 
@@ -812,8 +735,9 @@ class RollupIndex:
         cls, schema: "CubeSchema", leaf_cells: Mapping[Address, float]
     ) -> "RollupIndex":
         """The one place columns are built from addresses: leaf ids follow
-        the mapping's iteration order.  Nothing is validated — the caller
-        guarantees leaf addresses of ``schema`` with float values."""
+        the mapping's iteration order, and the index keeps the columns
+        only.  Nothing is validated — the caller guarantees leaf addresses
+        of ``schema`` with float values."""
         with trace_span("rollup_index.build") as span:
             n_dims = schema.n_dims
             cols = scan_columns(leaf_cells, range(n_dims))
@@ -821,7 +745,6 @@ class RollupIndex:
                 schema,
                 [(cols.codes[dim], cols.coords[dim]) for dim in range(n_dims)],
                 cols.values,
-                cols.addresses,
             )
             index.stats.builds += 1
             if span is not None:
@@ -889,7 +812,7 @@ class RollupIndex:
             child = RollupIndex._from_columns(
                 self.schema, self._permuted(ids, recoded), values
             )
-            distinct = child._struct.index_rows()
+            distinct = child._struct.sorted_part.distinct()
             if span is not None:
                 span.set(
                     leaves_in=self._struct.n_live,
@@ -898,9 +821,7 @@ class RollupIndex:
                 )
         if distinct:
             return child
-        return RollupIndex.from_cells(
-            self.schema, dict(zip(child._struct.all_addresses(), values.tolist()))
-        )
+        return RollupIndex.from_cells(self.schema, dict(child.leaf_view().items()))
 
     def coords_with_data(self, dim_index: int, under: "str | None" = None) -> list[str]:
         """Distinct leaf coordinates on one dimension that hold a leaf —
@@ -916,26 +837,30 @@ class RollupIndex:
     # -- the leaf store: writes, point reads, the mapping view --------------------
 
     def _writable_structure(self) -> _Structure:  # reprolint: locked
-        """The generation a structural write may mutate, holding its
-        address dict.  Dead ids that outnumber the live ones are squeezed
-        out first; a generation shared with forks, or one that serves
-        reads from its key lookup, is replaced by a private copy; one
-        that is already private only loses the ordered ids and sets its
-        masks aside for patching."""
+        """The generation a structural write may mutate.  Dead ids that
+        outnumber the live ones are squeezed out first; a generation
+        shared with forks is replaced by a private copy; one that is
+        already private only loses the ordered ids and sets its masks
+        aside for patching.  Once the leaves inserted since the last sort
+        outnumber an eighth of the sorted ones (plus a few), they are
+        sorted in (:meth:`_Structure.index_rows`; amortised: the eighth
+        was paid in inserts)."""
         struct = self._struct
         if struct.n_ids - struct.n_live > struct.n_live:
             struct = self._renumbered()
-        elif self._struct_shared or struct.id_of is None:
-            struct = struct.copy(self._owns_addrs)
         else:
-            struct.carried.update(struct.masks)
-            struct.masks.clear()
-            struct.ordered = None
-            return struct
-        struct.ids()
+            if self._struct_shared:
+                struct = struct.copy()
+            else:
+                struct.carried.update(struct.masks)
+                struct.masks.clear()
+                struct.ordered = None
+            if len(struct.recent) > (len(struct.sorted_part.rows) >> 3) + 8:
+                struct.index_rows()
+            if struct is self._struct:
+                return struct
         self._struct = struct
         self._struct_shared = False
-        self._owns_addrs = True
         self._struct_copied = True
         return struct
 
@@ -948,7 +873,6 @@ class RollupIndex:
             self.schema,
             self._permuted(ids, {}),
             self._values.gather(ids),
-            self._struct.addresses(ids),
         )
         # a new store, not a rewrite of the old one: a point reader that
         # still holds the old generation's lookup holds the old store
@@ -962,7 +886,7 @@ class RollupIndex:
         otherwise — ``True`` for an insert.  Either way the write is
         recorded (:meth:`_wrote`)."""
         with self._lock:
-            ident = self._struct.finder()(addr)
+            ident = self._struct.find(addr)
             inserted = ident is None
             if not inserted:
                 self._values.update(ident, value)
@@ -978,13 +902,12 @@ class RollupIndex:
                         coord, chain(i, coord)
                     )
                 self._values.append(value)  # row == ident by construction
-                struct.addrs.append(addr)
                 struct.live[ident] = True
                 struct.n_live += 1
                 struct.n_ids += 1
                 # published last: a lock-free point reader that finds the
                 # id finds its row in the (possibly regrown) value column
-                struct.id_of[addr] = ident
+                struct.recent[addr] = ident
             self._wrote(addr)
             return inserted
 
@@ -992,11 +915,12 @@ class RollupIndex:
         """Delete the leaf at ``addr``; ``False`` when there is none (not
         a mutation).  Its id is not reused."""
         with self._lock:
-            if self._struct.finder()(addr) is None:
+            if self._struct.find(addr) is None:
                 return False
             struct = self._writable_structure()
-            ident = struct.id_of.pop(addr)
+            ident = struct.find(addr)
             struct.live[ident] = False
+            struct.recent.pop(addr, None)
             struct.n_live -= 1
             chain = self.schema.ancestor_chain
             for i, coord in enumerate(addr):
@@ -1022,26 +946,17 @@ class RollupIndex:
         (``None`` = absent) without taking the index lock per read.
 
         Like :meth:`memo_table`, it snapshots the generation's lookup
-        (:meth:`_Structure.finder`) and the value store once under the
-        lock — on its first read, so a grid that reads no leaf never
-        makes a freshly loaded cube build its address dict; value updates
-        show through (it holds the store's ``get``, not the array a write
-        may replace), and
-        grid-scoped callers re-fetch per query, so its staleness profile
-        matches the live memo table's.
+        (:meth:`_Structure.find`) and the value store once under the lock;
+        value updates show through (it holds the store's ``get``, not the
+        array a write may replace), and grid-scoped callers re-fetch per
+        query, so its staleness profile matches the live memo table's.
         """
-        find = values_get = None
+        with self._lock:
+            find, values_get = self._struct.find, self._values.get
 
         def read(addr: Address) -> "float | None":
-            nonlocal find, values_get
-            if find is None:
-                with self._lock:
-                    values_get = self._values.get
-                    find = self._struct.finder()
             ident = find(addr)
-            if ident is None:
-                return None
-            return values_get(ident)
+            return None if ident is None else values_get(ident)
 
         return read
 
@@ -1074,11 +989,10 @@ class RollupIndex:
         inherits from, and the write record starts again.
         """
         with self._lock:
-            clone = RollupIndex(self.schema)
+            struct = self._struct
+            clone = RollupIndex(self.schema, struct)
             clone.stats = self.stats
-            clone._struct = struct = self._struct
             clone._struct_shared = self._struct_shared = True
-            clone._owns_addrs = False
             self._struct_copied = False
             clone._values = self._values.fork()
             if not frozen:

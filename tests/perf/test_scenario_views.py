@@ -1,14 +1,14 @@
 """A scenario view is its code columns.
 
 The output of ρ, S, σ (and the shard's slice, and renumbering) is a
-*derived* structure generation: arrays only.  It has no address list and
-no address dict — addresses are a cache of the columns, filled only when
-somebody asks for all of them; "two rows on one address" is one sort of
-the rows' mixed-radix keys; and that sorted key array is the view's point
-lookup, with every resolved address remembered.  None of this may be
-visible: every way of reading a cell of a view answers what a plain dict
-of the per-cell reference operators' output answers, and a view that is
-written to builds what the write needs and behaves like any other cube.
+*derived* structure generation: arrays only, like every generation.
+Addresses are read off the columns, all of them only when somebody asks
+for all; "two rows on one address" is one sort of the rows' mixed-radix
+keys; and that sorted key array is the view's point lookup, with every
+resolved address remembered.  None of this may be visible: every way of
+reading a cell of a view answers what a plain dict of the per-cell
+reference operators' output answers, and a view that is written to
+behaves like any other cube.
 
 The CI chaos job runs this module under ``REPRO_LOCKDEP=1`` as well, so
 the threaded test's lock order is witnessed.
@@ -48,6 +48,7 @@ from repro.olap.missing import MISSING  # noqa: E402
 from repro.perf.config import naive_mode  # noqa: E402
 from repro.warehouse import Warehouse  # noqa: E402
 from repro.workload.running_example import build_running_example  # noqa: E402
+from repro.workload.workforce import WorkforceConfig, build_workforce  # noqa: E402
 
 
 def _struct(cube: Cube):
@@ -55,14 +56,10 @@ def _struct(cube: Cube):
 
 
 def _is_columns_only(cube: Cube) -> bool:
-    """No address list, no address dict, nothing resolved: a fresh view."""
+    """Nothing inserted since the sort, nothing resolved: a fresh
+    generation holds no per-leaf Python object."""
     struct = _struct(cube)
-    return (
-        struct.addrs is None
-        and struct.id_of is None
-        and struct.lookup is not None
-        and not struct.resolved
-    )
+    return not struct.recent and not struct.sorted_part.resolved
 
 
 def _filled_per_cell(schema, cells) -> Cube:
@@ -150,9 +147,11 @@ class TestPointReads:
         world, changes, negative, kept = inputs
         for label, out, expected in _outputs(world, changes, negative, kept):
             assert _is_columns_only(out), label
-            _assert_reads_agree(out, expected, _probes(world, expected))
+            probes = _probes(world, expected)
+            _assert_reads_agree(out, expected, probes)
             struct = _struct(out)
-            assert struct.addrs is None and struct.id_of is None, label
+            assert not struct.recent, label
+            assert set(struct.sorted_part.resolved) <= set(probes), label
 
     def test_four_threads_reading_one_fresh_view(self, monkeypatch):
         """Concurrent first reads of a view fill its resolved cache from
@@ -201,8 +200,8 @@ class TestPointReads:
         assert not errors, errors
         assert [out._leaf_cells.get(addr) for addr in probes] == want
         struct = _struct(out)
-        assert struct.addrs is None and struct.id_of is None
-        assert set(struct.resolved) == set(probes)
+        assert not struct.recent
+        assert set(struct.sorted_part.resolved) == set(probes)
 
 
 WITH = "WITH PERSPECTIVE {(Feb)} FOR Organization DYNAMIC FORWARD VISUAL "
@@ -233,7 +232,7 @@ class TestLaziness:
             ).fingerprint(),
         )
         view = warehouse.scenario_cache.get(key, example.cube.version)[1]
-        # derived cells only: 0 addresses, 0 id-map entries, nothing resolved
+        # derived cells only: nothing resolved
         assert _is_columns_only(view.leaf_cube)
 
         result, names, _ = self._traced_query(warehouse, EMPLOYEE_GRID)
@@ -248,15 +247,16 @@ class TestLaziness:
             for column in result.columns
         }
         struct = _struct(view.leaf_cube)
-        assert struct.addrs is None and struct.id_of is None
+        assert not struct.recent
         # exactly the distinct leaf addresses asked, hits and misses alike
-        assert set(struct.resolved) == asked
+        resolved = struct.sorted_part.resolved
+        assert set(resolved) == asked
         assert len(asked) == len(result.rows) * len(result.columns)
         stored = dict(view.leaf_cube.leaf_cells())  # an export: all addresses
-        assert {a: i for a, i in struct.resolved.items() if i is not None} == {
+        assert {a: i for a, i in resolved.items() if i is not None} == {
             a: list(stored).index(a) for a in asked if a in stored
         }
-        assert any(i is None for i in struct.resolved.values())
+        assert any(i is None for i in resolved.values())
 
     def test_asking_for_everything_is_one_visible_materialisation(self, example):
         negative = NegativeScenario("Organization", ["Feb"], Semantics.FORWARD)
@@ -269,12 +269,13 @@ class TestLaziness:
             with TRACER.start("test") as span:
                 addresses = list(out._leaf_cells)
                 again = list(out._leaf_cells)
+        # each ask is one full read, and none of them is kept
         spans = [s for s in span.iter_spans() if s.name == "rollup_index.materialize"]
         assert [s.attrs for s in spans] == [
             {"leaves": out.n_leaf_cells, "what": "addresses"}
-        ]
+        ] * 2
         assert addresses == again == [a for a, _ in out.rollup_index().scope_cells(root)]
-        assert _struct(out).id_of is None
+        assert _is_columns_only(out)
 
 
 def _three_months(tiny_schema, values=(1.0, 2.0, 3.0)):
@@ -319,7 +320,7 @@ class TestClashIsASort:
             tiny_schema, [3, 1, 0], ["Jan", "Feb", "Mar", "Apr"], values=(5.0, 5.0, 5.0)
         )
         assert distinct is True and index.stats.builds == 0
-        assert index._struct.addrs is None and index._struct.id_of is None
+        assert not index._struct.recent and not index._struct.sorted_part.resolved
         assert index.leaf_view().items() == [
             (("Apr", "Sales"), 5.0),
             (("Feb", "Sales"), 5.0),
@@ -337,16 +338,19 @@ class TestClashIsASort:
         self, tiny_schema, monkeypatch, out_codes, cells
     ):
         """3 x 1 coordinates need a key below 3; with the limit lowered
-        under that, the generation builds its address list and dict, which
-        decide the clash and serve the reads."""
+        under that, the keys are Python ints, which decide the clash and
+        serve the reads through the same sort and search."""
         monkeypatch.setattr(rollup_index_module, "_KEY_LIMIT", 2)
         index, distinct = self._derive(tiny_schema, out_codes, ["Jan", "Feb", "Mar"])
         assert distinct is (len(cells) == 3)
         assert index.leaf_view().items() == cells
-        struct = index._struct
-        assert struct.lookup is None and struct.addrs == [addr for addr, _ in cells]
-        assert index.leaf_view().get(("Jan", "Sales")) == dict(cells).get(("Jan", "Sales"))
-        assert struct.id_of == {addr: i for i, (addr, _) in enumerate(cells)}
+        part = index._struct.sorted_part
+        assert part.keys.dtype == object and not index._struct.recent
+        for addr in [("Jan", "Sales"), ("Feb", "Sales"), ("Mar", "Sales")]:
+            assert index.leaf_view().get(addr) == dict(cells).get(addr)
+        assert {a: i for a, i in part.resolved.items() if i is not None} == {
+            addr: i for i, (addr, _) in enumerate(cells)
+        }
 
 
 class TestRadixOverflow:
@@ -358,9 +362,8 @@ class TestRadixOverflow:
             patch.setattr(rollup_index_module, "_KEY_LIMIT", 1)
             outputs = list(_outputs(world, changes, negative, kept))
         for label, out, expected in outputs:
-            struct = _struct(out)
             if out.n_leaf_cells:
-                assert struct.lookup is None and struct.id_of is not None, label
+                assert _struct(out).sorted_part.keys.dtype == object, label
             assert list(out.leaf_cells()) == list(expected.leaf_cells()), label
             _assert_reads_agree(out, expected, _probes(world, expected))
 
@@ -370,8 +373,8 @@ class TestWriteAfterDerive:
     @given(inputs=_scenario_inputs(), data=st.data())
     def test_a_copy_of_a_never_read_view_takes_writes(self, inputs, data):
         """``copy()`` forks the view's generation; the first structural
-        write replaces it with a private one that holds the address dict,
-        and the view itself stays columns only."""
+        write replaces it with a private copy of its arrays, and the view
+        itself takes none of the writes."""
         world, changes, negative, kept = inputs
         for label, out, expected in _outputs(world, changes, negative, kept):
             scratch = out.copy()
@@ -397,12 +400,13 @@ class TestWriteAfterDerive:
             with naive_mode():
                 naive = model.rollup(root)
             assert repr(scratch.rollup(root)) == repr(naive), label
-            _assert_reads_agree(scratch, model, _probes(world, expected))
+            probes = _probes(world, expected)
+            _assert_reads_agree(scratch, model, probes)
             # the view never saw any of it, and built nothing for it (the
-            # copy's lookups went through the generation they share)
+            # copy resolves through the sorted part the two share)
             struct = _struct(out)
-            assert struct.addrs is None and struct.id_of is None, label
-            assert set(struct.resolved) <= {addr for addr, _ in writes}, label
+            assert not struct.recent, label
+            assert set(struct.sorted_part.resolved) <= set(probes), label
             assert list(out.leaf_cells()) == list(expected.leaf_cells()), label
 
     def test_a_value_write_on_a_view_touches_no_structure(self, example):
@@ -413,13 +417,15 @@ class TestWriteAfterDerive:
         victim, value = out.rollup_index().scope_cells(
             tuple(d.root.name for d in example.schema.dimensions)
         )[3]
+        n_live = before.n_live
         out.set_value(victim, value + 1.0)
-        assert _struct(out) is before and before.id_of is None and before.addrs is None
+        assert _struct(out) is before and before.n_live == n_live
+        assert not before.recent
         assert out.value(victim) == value + 1.0
-        out.set_value(victim, MISSING)  # structural: now it holds the dict
-        assert _struct(out) is not before and _struct(out).id_of is not None
+        out.set_value(victim, MISSING)  # structural: the view's own generation
+        assert _struct(out) is before and before.n_live == n_live - 1
         assert out.value(victim) is MISSING
-        assert before.id_of is None and before.addrs is None
+        assert not before.recent
 
 
 def test_positive_change_on_the_running_example_is_columns_only(example):
@@ -432,5 +438,46 @@ def test_positive_change_on_the_running_example_is_columns_only(example):
     first = chain[0].apply(example.cube).leaf_cube
     out = apply_scenarios(example.cube, chain).leaf_cube
     assert _is_columns_only(first) and _is_columns_only(out)
-    assert _is_columns_only(example.cube) is False  # born from addresses
-    assert _struct(example.cube).addrs is not None
+    assert _is_columns_only(example.cube)  # born from addresses, kept as columns
+
+
+def test_no_generation_builds_a_per_leaf_object():
+    """Point reads, a snapshot, inserts and deletes on a loaded cube, and
+    an insert into a σ view of it: no step builds a whole address list or
+    an address → id map (each would open ``rollup_index.materialize``)."""
+    cube = build_workforce(
+        WorkforceConfig(
+            n_employees=40, n_departments=4, n_changing=6, max_moves=3, n_accounts=3
+        )
+    ).warehouse.cube
+    leaves = dict(cube.leaf_cells())  # an export, before the trace starts
+    months = sorted({addr[1] for addr in leaves})
+
+    def absent(keep) -> tuple[str, ...]:
+        return next(
+            moved
+            for addr in leaves
+            if keep(addr[0])
+            for moved in (addr[:1] + (month,) + addr[2:] for month in months)
+            if moved not in leaves
+        )
+
+    addr, value = next(iter(leaves.items()))
+    new = absent(lambda path: True)
+    def in_view(path: str) -> bool:
+        return "/Dept001/" in path
+
+    with tracing():
+        with TRACER.start("test") as span:
+            assert cube.value(addr) == value
+            assert cube.rollup_index().leaf_reader()(addr) == value
+            snap = cube.frozen_copy()
+            cube.set_value(new, 1.5)  # insert
+            cube.set_value(addr, MISSING)  # delete
+            cube.set_value(addr, value + 1.0)  # re-insert
+            view = cube.filter_dimension("Department", in_view)
+            view.set_value(absent(in_view), 2.5)
+    assert "rollup_index.materialize" not in [s.name for s in span.iter_spans()]
+    assert cube.value(new) == 1.5 and cube.value(addr) == value + 1.0
+    assert snap.value(addr) == value and snap.value(new) is MISSING
+    assert view.n_leaf_cells == 1 + sum(map(in_view, (a[0] for a in leaves)))

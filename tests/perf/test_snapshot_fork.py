@@ -163,12 +163,12 @@ class SnapshotForkMachine(RuleBasedStateMachine):
         ),
     )
     def derive_then_write(self, kept, overrides):
-        """A σ view is derived — code columns and a key lookup, no address
-        list, no dict — and then written to before anything read it: the
-        write builds what it needs on the view's own generation."""
+        """A σ view is derived — code columns and a key lookup, nothing
+        per leaf — and then written to before anything read it: the write
+        goes to the view's own generation."""
         view = self.cube.filter_dimension("Time", kept.__contains__)
         struct = view.rollup_index()._struct
-        assert struct.addrs is None and struct.id_of is None
+        assert not struct.recent and not struct.sorted_part.resolved
         model = Cube(self.cube.schema)
         for addr, value in self.twin.leaf_cells():
             if addr[0] in kept:
@@ -268,6 +268,87 @@ def test_snapshots_under_concurrent_writes(monkeypatch):
         assert answered == expected[version], f"version {version}"
     assert _grid(cube) == expected[cube.version]
     assert cube.rollup_index().stats.builds == 1
+
+
+def test_lock_free_point_reads_while_the_structure_churns(monkeypatch):
+    """Readers probe the live cube itself — ``Cube.value`` and a
+    ``leaf_reader`` — while a writer inserts and deletes other leaves past
+    the re-sort threshold and past a renumber: a leaf nobody writes always
+    hits with its value, an address nobody inserts always misses."""
+    monkeypatch.setenv("REPRO_LOCKDEP", "1")  # read when a lock is made
+    rows = [f"r{i}" for i in range(120)]
+    row_dim = Dimension("Row")
+    row_dim.add_children(None, rows)
+    measures = Dimension("Measures", is_measures=True)
+    measures.add_children(None, list(MEASURES))
+    cube = Cube(CubeSchema([row_dim, measures]))
+    hits = [(r, m) for r in rows[:30] for m in MEASURES]
+    stable = {addr: float(i) for i, addr in enumerate(hits)}
+    cube.load(stable.items())
+    churn = [(r, m) for r in rows[30:90] for m in MEASURES]
+    never = [(r, m) for r in rows[90:] for m in MEASURES]
+    index = cube.rollup_index()
+    generations: set[object] = set()
+    sorted_parts: set[object] = set()
+    reads = [0]
+    errors: list[BaseException] = []
+    done = threading.Event()
+    start = threading.Barrier(4)
+
+    def reader(turn: int) -> None:
+        try:
+            start.wait(timeout=30)
+            i = turn
+            while not done.is_set():
+                if i % 64 == turn:
+                    read = index.leaf_reader()
+                addr, miss = hits[i % len(hits)], never[i % len(never)]
+                assert cube.value(addr) == stable[addr]
+                assert read(addr) == stable[addr]
+                assert cube.value(miss) is MISSING
+                assert read(miss) is None
+                i += 1
+                reads[0] += 1
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    def writer() -> None:
+        try:
+            start.wait(timeout=30)
+            for _ in range(2):
+                for value in (1.0, MISSING):
+                    for addr in churn:
+                        cube.set_value(addr, value)
+                        struct = index._struct
+                        generations.add(struct)
+                        sorted_parts.add(struct.sorted_part)
+                        time.sleep(0)
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+        finally:
+            done.set()
+
+    threads = [threading.Thread(target=reader, args=(turn,)) for turn in range(3)]
+    threads.append(threading.Thread(target=writer))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert reads[0] >= 3, "readers barely ran"
+    # 120 inserts against 60 sorted leaves re-sort in place; after 120
+    # deletes against 60 live ones the next insert renumbers (a new
+    # generation)
+    assert len(generations) > 1
+    assert len(sorted_parts) > len(generations)
+    assert dict(cube.leaf_cells()) == stable
 
 
 DERIVED = [("H1", "Sales"), ("H2", "COGS")]
@@ -438,3 +519,26 @@ def test_churn_keeps_the_id_space_bounded():
         assert cube.rollup_index().plane_store.n_rows == struct.n_ids
         assert _grid(cube) == _naive_grid(twin)
     assert cube.rollup_index().stats.builds == 1
+
+
+def test_a_resort_after_deletes_and_reinserts_keeps_live_rows_only():
+    """Leaves deleted out of the sorted part and re-inserted past the
+    re-sort threshold: the new sort holds each address once, at its live
+    id, so every leaf still reads back."""
+    rows = [f"r{i}" for i in range(100)]
+    row_dim = Dimension("Row")
+    row_dim.add_children(None, rows)
+    measures = Dimension("Measures", is_measures=True)
+    measures.add_children(None, ["Sales"])
+    cube = Cube(CubeSchema([row_dim, measures]))
+    cube.load(((row, "Sales"), float(i)) for i, row in enumerate(rows))
+    for row in rows[:30]:
+        cube.set_value((row, "Sales"), MISSING)
+    for row in rows[:30]:
+        cube.set_value((row, "Sales"), -1.0)
+    struct = cube.rollup_index()._struct
+    assert len(struct.sorted_part.rows) + len(struct.recent) == 100  # re-sorted
+    assert struct.n_ids > 100  # no renumber: the dead ids are still there
+    assert [cube.value((row, "Sales")) for row in rows] == [-1.0] * 30 + [
+        float(i) for i in range(30, 100)
+    ]

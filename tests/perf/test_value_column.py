@@ -15,9 +15,10 @@ from __future__ import annotations
 import gc
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.perf.rollup_index as rollup_index_module
 from repro.olap.cube import Cube
 from repro.olap.dimension import Dimension
 from repro.olap.schema import CubeSchema
@@ -76,6 +77,28 @@ def _check(index: RollupIndex, model: dict) -> None:
     filled=st.lists(st.tuples(slots, values), max_size=12),
     script=st.lists(ops, max_size=40),
 )
+# on a fork, inserts at coordinates the loaded cells never used: each side
+# grows its own coordinate table past the radix of the sort they share
+@example(
+    filled=[(0, 1.0)],
+    script=[("fork", 0), ("set", 1, 11, 2.0), ("set", 0, 4, 3.0), ("set", 1, 4, 4.0)],
+)
+# a sorted-part address deleted and re-inserted, on both sides of a fork
+@example(
+    filled=[(0, 1.0), (1, 2.0), (2, 3.0)],
+    script=[
+        ("fork", 0),
+        ("delete", 0, 1),
+        ("set", 0, 1, 5.0),
+        ("delete", 1, 0),
+        ("set", 1, 0, -0.0),
+    ],
+)
+# enough inserts past the sort to sort them in, then a delete and re-insert
+@example(
+    filled=[],
+    script=[("set", 0, k, float(k)) for k in range(12)] + [("delete", 0, 3), ("set", 0, 3, 1.0)],
+)
 def test_value_store_agrees_with_its_model(filled, script):
     schema = _schema()
     model: dict = {}
@@ -104,6 +127,12 @@ def test_value_store_agrees_with_its_model(filled, script):
         # a write on one side is seen by that side alone
         for member, expected_cells in family:
             _check(member, expected_cells)
+
+
+def test_object_keys_take_the_same_writes(monkeypatch):
+    """The same contract with every sorted key a Python int."""
+    monkeypatch.setattr(rollup_index_module, "_KEY_LIMIT", 1)
+    test_value_store_agrees_with_its_model()
 
 
 def _float64_arrays(root: object) -> list[np.ndarray]:

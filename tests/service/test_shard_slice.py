@@ -131,7 +131,7 @@ def test_opened_slice_agrees_with_the_in_process_restriction(build, dimension, t
 
         # arrays only, like the derived index it replaces
         struct = sub.cube.rollup_index()._struct
-        assert struct.addrs is None and struct.id_of is None
+        assert not struct.recent and not struct.sorted_part.resolved
         # the far side of the pipe: its own schema, which its rules share
         assert sub.schema is not full.schema
         assert sub.cube.schema is sub.schema
