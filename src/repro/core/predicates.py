@@ -17,7 +17,7 @@ plus the boolean combinators ``and_``, ``or_``, ``not_``.
 from __future__ import annotations
 
 import operator
-from typing import Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.errors import QueryError
 from repro.olap.cube import Cube
@@ -36,7 +36,8 @@ __all__ = [
 
 Predicate = Callable[[Cube, int, str], bool]
 
-_RELOPS: dict[str, Callable[[float, float], bool]] = {
+#: applied to a value array at once (NaN compares as a float does)
+_RELOPS: dict[str, Callable[[Any, float], Any]] = {
     "=": operator.eq,
     "==": operator.eq,
     "!=": operator.ne,
@@ -116,7 +117,9 @@ def value_predicate(
     Time="Jan", Measure="Sales"); the comparison runs over every leaf cell
     of the candidate coordinate consistent with those pins.  Follows the
     paper's example σ over "products with Sales over $1000 in Jan in some
-    market".
+    market".  The candidate and the pins are one scope of the rollup index
+    (:meth:`~repro.perf.rollup_index.RollupIndex.ids_under`), so a
+    candidate costs one value gather and one vectorised compare.
     """
     try:
         compare = _RELOPS[relop]
@@ -128,21 +131,15 @@ def value_predicate(
 
     def predicate(cube: Cube, dim_index: int, coord: str) -> bool:
         schema = cube.schema
-        pin_indices = {schema.dim_index(name): value for name, value in fixed.items()}
-        if dim_index in pin_indices:
+        named = {schema.dim_index(name): (value,) for name, value in fixed.items()}
+        if dim_index in named:
             raise QueryError(
                 "value predicate pins the selection dimension itself"
             )
-        for addr, value in cube.leaf_cells():
-            if not cube.coord_rolls_up(dim_index, addr[dim_index], coord):
-                continue
-            if all(
-                cube.coord_rolls_up(i, addr[i], pin)
-                for i, pin in pin_indices.items()
-            ):
-                if compare(value, threshold):
-                    return True
-        return False
+        named[dim_index] = (coord,)
+        index = cube.rollup_index()
+        values = index.columns((), index.ids_under(named)).values
+        return bool(compare(values, threshold).any())
 
     return predicate
 

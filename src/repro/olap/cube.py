@@ -356,7 +356,7 @@ class Cube:
 
         addr = self.schema.validate_address(address)
         if perf_config.engine_enabled():
-            return self._index.rollup(addr, aggregator)
+            return self._index.rollup(addr, aggregator=aggregator)
         return aggregate(aggregator, self.scope_values(addr))
 
     def scope_values(self, address: Sequence[str]) -> Iterator[float]:

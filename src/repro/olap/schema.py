@@ -172,20 +172,23 @@ class CubeSchema:
     def is_leaf_address(self, address: Sequence[str]) -> bool:
         """A cell is leaf iff every coordinate is leaf level (Sec. 2).
 
-        :meth:`coordinate_is_leaf` in dimension order, stopping at the
-        first coordinate that is not: a known leaf is one probe of its
-        dimension's leaf-name set, and only a coordinate outside the set
-        is looked up — which raises ``MemberNotFoundError`` for an
-        unknown member, as the per-coordinate test does."""
+        :meth:`coordinate_is_leaf` for every coordinate: a known leaf is
+        one probe of its dimension's leaf-name set, and any other
+        coordinate of a non-varying dimension is looked up — which raises
+        ``MemberNotFoundError`` for an unknown member wherever it stands,
+        so no write can store a cell at a member that does not exist.
+        Instance paths are not looked up
+        (:func:`~repro.core.validation.check_warehouse` checks those)."""
         varying = self._varying
+        leaf = True
         for dimension, coord in zip(self.dimensions, address):
             if dimension.name in varying:
                 if "/" not in coord:
-                    return False
+                    leaf = False
             elif coord not in dimension.leaf_names():
                 dimension.member(coord)  # an unknown member raises here
-                return False
-        return True
+                leaf = False
+        return leaf
 
     def coordinate_display(self, dim_index: int, coord: str) -> str:
         """Short display form (``FTE/Joe`` for instance paths)."""

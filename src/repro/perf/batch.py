@@ -9,22 +9,24 @@ the whole grid in one pass with the per-cell work hoisted out:
   are applied positionally;
 * per-coordinate leafness is memoised, so the leaf/derived split of an
   address is O(n_dims) dict probes;
-* leaf cells are point reads of the leaf cube's store — the rollup
-  index's point lookup and value column; stored aggregates are read straight
-  out of the cube's dict;
+* leaf cells are point reads of the leaf cube's store through the
+  rollup index's one point read (:meth:`RollupIndex.leaf_reader`, taken
+  once per grid); a stored aggregate is never at a leaf address, so
+  derived cells alone probe the cube's stored-aggregate dict;
 * default-rollup derived cells are resolved **memo-first** against the
   :class:`~repro.perf.rollup_index.RollupIndex`: the index's live memo
   table answers repeat addresses with one lock-free dict probe before any
   scope work happens (profiling showed the warm path spending ~40% of its
   time intersecting scopes for cells whose value was already memoised);
-* memo misses are served as *axis planes* over the columnar kernel:
-  columns are grouped by the dimensions they bind (one group in any
+* a memo miss is the index's one scope and one reduction, split along the
+  grid: columns are grouped by the dimensions they bind (one group in any
   ordinary grid); each row's scope over the dimensions a group leaves
-  free is resolved once to its ascending leaf ids and each column's once
-  per query to a boolean mask, and a cell's scope is the row's ids
-  filtered by the column's mask + one fancy-indexed value gather
-  (:meth:`RollupIndex.rollup_axes`) — work proportional to the row, not
-  to the id space, and no per-cell set intersections or generator sums.
+  free is resolved once to its ascending leaf ids
+  (:meth:`RollupIndex.ids_under`) and each column's once per query to a
+  boolean mask (:meth:`RollupIndex.mask_under`), and the cell's scope —
+  the row's ids filtered by the column's mask — goes to
+  :meth:`RollupIndex.rollup`, the reducer a point rollup uses: work
+  proportional to the row, not to the id space.
 
 Semantics are preserved exactly: cells are produced in row-major order,
 the ``mdx.cell`` failpoint fires once per *evaluated* cell in that order,
@@ -86,7 +88,6 @@ def evaluate_grid(
     base = [base_coords[d.name] for d in dims]
 
     leaf_cube, agg_cube = _split_view(view)
-    leaf_stored_derived = leaf_cube._stored_derived
     agg_stored_derived = agg_cube._stored_derived
     leaf_rules = leaf_cube.rules
     agg_rules = agg_cube.rules
@@ -134,7 +135,7 @@ def evaluate_grid(
 
     index = agg_cube.rollup_index()
     memo = index.memo_table("sum")
-    col_scopes: list = [None] * len(columns)
+    col_masks: "dict[int, Any]" = {}  # column -> its mask, once computed
 
     stats = {"cells_evaluated": 0, "cells_skipped": 0, "indexed_rollups": 0}
     cells: list[list[CellValue]] = []
@@ -149,7 +150,7 @@ def evaluate_grid(
         row_leaf_outside = [all(row_flags[i] for i in dims) for dims in outside]
         # most rows of a grid are above the leaves: one test skips the rest
         row_may_be_leaf = any(row_leaf_outside)
-        row_ids: "list[Any]" = [None] * len(groups)
+        row_ids: "dict[int, Any]" = {}  # column group -> the row's ids there
 
         row_cells: list[CellValue] = []
         for j, col_patch in enumerate(col_patches):
@@ -167,8 +168,6 @@ def evaluate_grid(
             addr = tuple(addr_list)
             if row_may_be_leaf and col_all_leaf[j] and row_leaf_outside[col_group[j]]:
                 value = leaf_read(addr)
-                if value is None:
-                    value = leaf_stored_derived.get(addr)
                 if value is None:
                     if leaf_rules is not None and leaf_rules.has_rule_for(
                         leaf_cube, addr
@@ -197,14 +196,18 @@ def evaluate_grid(
                 row_cells.append(value)
                 continue
             group = col_group[j]
-            ids = row_ids[group]
-            if ids is None:
-                ids = row_ids[group] = index.axis_ids(
-                    [(i, row_addr[i]) for i in outside[group]]
+            if group not in row_ids:
+                row_ids[group] = index.ids_under(
+                    {i: (row_addr[i],) for i in outside[group]}
                 )
-            if col_scopes[j] is None:
-                col_scopes[j] = index.axis_scope(col_patch)
-            row_cells.append(index.rollup_axes(addr, ids, col_scopes[j]))
+            ids = row_ids[group]
+            if ids is not None:  # None: the row is every leaf, the cell its own scope
+                if j not in col_masks:
+                    col_masks[j] = index.mask_under(col_patch)
+                mask = col_masks[j]
+                if mask is not None:
+                    ids = ids[mask[ids]]
+            row_cells.append(index.rollup(addr, ids))
         cells.append(row_cells)
 
     stats["cells_skipped"] = cells_skipped

@@ -96,6 +96,16 @@ write sorts the inserts in once they outnumber an eighth of the sorted
 rows, and every copy of a generation shares its sorted part, so a
 resolved address stays resolved across snapshots.
 
+Reads
+-----
+Every derived cell is one scope and one memoised reduction, whoever asks.
+:meth:`RollupIndex._scope` turns ``{dim: coords}`` into the live leaves
+under them — for a point rollup, ``scope_cells``, σ's rows
+(:meth:`RollupIndex.ids_under`) and a grid's rows and columns
+(:meth:`RollupIndex.mask_under`) — and :meth:`RollupIndex.rollup` folds
+the values of a scope, memoised per (address, aggregator).  A leaf value
+is read through :meth:`RollupIndex.leaf_reader` and nothing else.
+
 The memo across writes
 ----------------------
 A leaf write can change exactly the cells whose coordinate on every
@@ -110,7 +120,6 @@ import math
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Iterator,
     Mapping,
     Sequence,
@@ -133,11 +142,12 @@ __all__ = ["ColumnarLeafStore", "LeafColumns", "LeafView", "RollupIndex", "scan_
 
 Address = tuple[str, ...]
 CellValue: TypeAlias = "float | Missing"
-#: (empty, mask) — the mask-based axis-plane scope served to the batched
-#: grid evaluator; ``mask=None`` means "no constraint" (every leaf).
-AxisScope: TypeAlias = "tuple[bool, np.ndarray | None]"
 #: one coordinate column: per-row codes plus the code -> coordinate list
 Column: TypeAlias = "tuple[np.ndarray, list[str]]"
+#: a scope as :meth:`RollupIndex._scope` returns it: the AND of some
+#: per-coordinate masks and ``(kept, dim, keep)`` code filters, ``None``
+#: for no leaf
+Scope: TypeAlias = "tuple[np.ndarray | None, list[tuple[int, int, np.ndarray]]] | None"
 
 #: soft cap on the per-index rollup memo (total entries across all
 #: aggregator tables) and on a generation's resolved-address cache, to
@@ -410,14 +420,6 @@ class ColumnarLeafStore:
         return f"ColumnarLeafStore({self._size} rows, {len(self._column)} slots)"
 
 
-def _ids_in_column(row_ids: np.ndarray, col_scope: AxisScope) -> np.ndarray:
-    """The ids of an ascending row scope that a column scope keeps."""
-    col_empty, col_mask = col_scope
-    if col_empty:
-        return _EMPTY_IDS
-    return row_ids if col_mask is None else row_ids[col_mask[row_ids]]
-
-
 class _SortedPart:
     """The sorted part of a generation's point lookup: the mixed-radix key
     of some live rows' codes, sorted, and the row behind each.  The
@@ -607,8 +609,9 @@ class LeafView(Mapping[Address, float]):
     """The leaf cells of a cube as a read-only mapping over its rollup
     index — what ``Cube._leaf_cells`` is.  Iteration is insertion order
     (ascending leaf id), like a dict's; bulk reads (``values``) are one
-    column gather, point reads one probe of the generation's lookup
-    (:meth:`_Structure.find`) plus one column read under the index lock.
+    column gather, point reads go through :meth:`RollupIndex.leaf_reader`
+    (one lock acquisition, then one probe of the generation's lookup and
+    one column read).
     Iterating the keys or ``items`` builds every address — that is for
     exports, oracles and tests, not queries.
     The view holds the index, never the other way round."""
@@ -620,15 +623,10 @@ class LeafView(Mapping[Address, float]):
 
     def get(self, addr: Address, default: object = None) -> object:
         """The value stored at ``addr`` (a stored NaN reads back as NaN —
-        liveness, not the value, says whether a leaf exists)."""
-        index = self._index
-        if index._struct.find(addr) is None:
-            # lock-free: an insert publishes its id last, so a miss was true
-            # a moment ago — and most probes (derived addresses) are misses
-            return default
-        with index._lock:
-            ident = index._struct.find(addr)
-            return default if ident is None else index._values.get(ident)
+        liveness, not the value, says whether a leaf exists), read through
+        :meth:`RollupIndex.leaf_reader`."""
+        value = self._index.leaf_reader()(addr)
+        return default if value is None else value
 
     def __getitem__(self, addr: Address) -> float:
         value = self.get(addr)
@@ -661,8 +659,8 @@ class RollupIndex:
     interleaved query/mutation safe.  The sanctioned lock-free reads are
     the memo probe through :meth:`memo_table` — a single dict ``get`` on
     a table that is only ever cleared in place (atomic under the GIL) —
-    the point reads of :meth:`leaf_reader`, and the miss of
-    :meth:`LeafView.get`.
+    and the point reads of :meth:`leaf_reader`, which :meth:`LeafView.get`
+    reads through.
     """
 
     def __init__(self, schema: "CubeSchema", struct: "_Structure | None" = None) -> None:
@@ -942,8 +940,9 @@ class RollupIndex:
         return LeafView(self)
 
     def leaf_reader(self) -> "object":
-        """A point-read callable for grid evaluation: address -> value
-        (``None`` = absent) without taking the index lock per read.
+        """The one point read: a callable address -> value (``None`` =
+        absent) that takes no lock per read.  The grid holds one per query;
+        :meth:`LeafView.get` takes one per read.
 
         Like :meth:`memo_table`, it snapshots the generation's lookup
         (:meth:`_Structure.find`) and the value store once under the lock;
@@ -1084,7 +1083,9 @@ class RollupIndex:
         return self._struct.n_live
 
     def coord_count(self, dim_index: int, coord: str) -> int:
-        """Number of leaves under ``coord`` on one dimension.
+        """Number of live leaves under ``coord`` on one dimension — the
+        probe :meth:`_scope` makes per coordinate, and what EXPLAIN's scope
+        estimates read.
 
         An unknown member of a non-varying dimension raises
         :class:`~repro.errors.MemberNotFoundError`, matching the contract
@@ -1136,142 +1137,107 @@ class RollupIndex:
             struct.carried.pop(key, None)
         return mask
 
-    def _scope_mask(self, pairs: Sequence[tuple[int, str]]) -> AxisScope:
-        # under self._lock: AND of the constraining coordinates' masks
-        n = self._struct.n_live
-        if n == 0:
-            return True, None
-        combined: "np.ndarray | None" = None
-        for dim_index, coord in pairs:
-            count = self.coord_count(dim_index, coord)
-            if count == 0:
-                return True, None
-            if count == n:
-                continue  # the coordinate covers every leaf — no constraint
-            mask = self._coord_mask(dim_index, coord)
-            combined = mask if combined is None else combined & mask
-        return False, combined
+    def _scope(self, named: Mapping[int, "Sequence[str] | frozenset[str]"]) -> Scope:  # reprolint: locked
+        """The one scope: the live leaves that, on every dimension of
+        ``named``, roll up into one of its coordinates, as ``(mask,
+        filters)`` — ``None`` when no leaf does, ``(None, [])`` when every
+        live leaf does.
 
-    def _scope_ids_array(self, pairs: Sequence[tuple[int, str]]) -> np.ndarray:
-        # under self._lock: ascending leaf ids under every (dim, coord)
-        empty, mask = self._scope_mask(pairs)
-        if empty:
+        A coordinate costs one ``n_under`` probe (:meth:`coord_count`);
+        one that every live leaf rolls up into adds no constraint, one that
+        none does empties the scope.  The cached masks (:meth:`_coord_mask`)
+        of the dimensions naming one coordinate are ANDed into ``mask``; a
+        dimension naming several is a ``(kept, dim, keep)`` filter over its
+        codes, applied to the ids that survive (:meth:`_ids`).  An unknown
+        member of a non-varying dimension raises
+        :class:`~repro.errors.MemberNotFoundError`, the naive scan's
+        contract; an unknown instance path keeps nothing.
+        """
+        struct = self._struct
+        n_live = struct.n_live
+        mask: "np.ndarray | None" = None
+        filters: list[tuple[int, int, np.ndarray]] = []
+        for dim, coords in named.items():
+            if len(coords) == 1:
+                (coord,) = coords
+                kept = self.coord_count(dim, coord)
+                if kept == n_live:
+                    continue
+                if kept == 0:
+                    return None
+                coord_mask = self._coord_mask(dim, coord)
+                mask = coord_mask if mask is None else mask & coord_mask
+                continue
+            table = struct.tables[dim]
+            codes: set[int] = set()
+            for coord in coords:
+                under = table.under.get(coord)
+                if under is None:
+                    self.coord_count(dim, coord)  # an unknown member raises
+                else:
+                    codes.update(under)
+            kept = sum(table.n_under[table.coords[code]] for code in codes)
+            if kept == n_live:
+                continue
+            if kept == 0:
+                return None
+            keep = np.zeros(len(table.coords), dtype=np.bool_)
+            keep[list(codes)] = True
+            filters.append((kept, dim, keep))
+        filters.sort(key=lambda item: item[0])
+        return mask, filters
+
+    def _ids(self, scope: Scope) -> "np.ndarray | None":  # reprolint: locked
+        # a scope (``_scope``) as ascending leaf ids, ``None`` = every live
+        # leaf: the masks' survivors (without a mask, the first filter's
+        # over the code column), then the other filters on those ids
+        if scope is None:
             return _EMPTY_IDS
+        mask, filters = scope
+        struct = self._struct
         if mask is None:
-            return self._ordered_array()
-        return np.flatnonzero(mask)
+            if not filters:
+                return None
+            (_, dim, keep), *filters = filters
+            n = struct.n_ids
+            mask = keep[struct.codes[dim][:n]]
+            if struct.n_live != n:
+                mask &= struct.live[:n]
+        ids = np.flatnonzero(mask)
+        for _, dim, keep in filters:
+            ids = ids[keep[struct.codes[dim][ids]]]
+        return ids
 
-    def _address_ids(self, address: Sequence[str]) -> np.ndarray:  # reprolint: locked
-        return self._scope_ids_array(list(enumerate(address)))
+    def _point_ids(self, address: Sequence[str]) -> np.ndarray:  # reprolint: locked
+        # a cell's scope — one coordinate per dimension — as ascending ids
+        ids = self._ids(self._scope({dim: (coord,) for dim, coord in enumerate(address)}))
+        return self._ordered_array() if ids is None else ids
 
     def ids_under(
         self, named: Mapping[int, "Sequence[str] | frozenset[str]"]
     ) -> "np.ndarray | None":
-        """σ as a row set: the ascending ids of the live leaves that, on
-        every dimension of ``named``, roll up into *one of* that
-        dimension's coordinates — ``None`` when that is every leaf.
-
-        Per dimension the coordinates become the set of coordinate codes
-        under them (the table has a few hundred); a dimension whose
-        coordinates cover every leaf costs nothing more.  Dimensions
-        naming one coordinate are intersected through the cached
-        per-coordinate masks (the ones grid evaluation fills); the rest
-        filter the ids that survive, so no pass over the id space is made
-        that a query on the same coordinates would not make.  A
-        coordinate no leaf rolls up into keeps nothing (it is not looked
-        up in the schema: nothing is evaluated there).
-        """
+        """:meth:`_scope` as ascending leaf ids, ``None`` when it is every
+        live leaf: σ's rows and a grid row's scope.  An unknown member of a
+        non-varying dimension raises ``MemberNotFoundError``; an unknown
+        instance path keeps nothing.  Callers must not mutate the array."""
         with self._lock:
-            struct = self._struct
-            n_live = struct.n_live
-            masks: list[np.ndarray] = []
-            filters: list[tuple[int, int, np.ndarray]] = []
-            for dim, coords in named.items():
-                table = struct.tables[dim]
-                codes = {
-                    code for coord in coords for code in table.under.get(coord, ())
-                }
-                kept = sum(table.n_under[table.coords[code]] for code in codes)
-                if kept == n_live:
-                    continue
-                if kept == 0:
-                    return _EMPTY_IDS
-                if len(coords) == 1:
-                    masks.append(self._coord_mask(dim, next(iter(coords))))
-                else:
-                    keep = np.zeros(len(table.coords), dtype=np.bool_)
-                    keep[list(codes)] = True
-                    filters.append((kept, dim, keep))
-            if not masks and not filters:
-                return None
-            filters.sort(key=lambda item: item[0])
-            if masks:
-                mask = masks[0]
-                for other in masks[1:]:
-                    mask = mask & other
-            else:
-                n = struct.n_ids
-                _, dim, keep = filters.pop(0)
-                mask = keep[struct.codes[dim][:n]]
-                if n_live != n:
-                    mask &= struct.live[:n]
-            ids = np.flatnonzero(mask)
-            for _, dim, keep in filters:
-                ids = ids[keep[struct.codes[dim][ids]]]
-            return ids
+            return self._ids(self._scope(named))
+
+    def mask_under(self, pairs: Sequence[tuple[int, str]]) -> "np.ndarray | None":
+        """:meth:`_scope` of ``(dim_index, coord)`` pairs — a grid column —
+        as a mask over the id space that filters ids the caller holds
+        (``ids[mask[ids]]``), ``None`` when it is every live leaf.  It may
+        be a cached mask: callers must not mutate it."""
+        with self._lock:
+            scope = self._scope({dim: (coord,) for dim, coord in pairs})
+            if scope is None:
+                return np.zeros(self._struct.n_ids, dtype=np.bool_)
+            return scope[0]  # one coordinate per dimension: no filters
 
     def scope_ids(self, address: Sequence[str]) -> list[int]:
         """Ids of the leaf cells in a cell's scope, in insertion order."""
         with self._lock:
-            return self._address_ids(address).tolist()
-
-    def axis_scope(self, pairs: Sequence[tuple[int, str]]) -> AxisScope:
-        """The scope of some (dim_index, coord) pairs as a mask.
-
-        Returns ``(empty, mask)``: ``empty=True`` means provably no leaf
-        matches; otherwise the mask is a boolean vector over the id space
-        (``None`` = no constraint, every leaf matches).  Masks are cached
-        per coordinate and combined with ``&``.  The returned mask may
-        alias a cached one — callers must not mutate it.
-        """
-        with self._lock:
-            return self._scope_mask(pairs)
-
-    def axis_ids(self, pairs: Sequence[tuple[int, str]]) -> np.ndarray:
-        """The scope of some (dim_index, coord) pairs as its ascending
-        leaf ids — a grid row resolves this once and every cell of the
-        row tests its column over these ids only (:meth:`rollup_axes`).
-        Callers must not mutate the array."""
-        with self._lock:
-            return self._scope_ids_array(pairs)
-
-    def _reduced(
-        self, address: Address, aggregator: str, scope_ids: "Callable[..., np.ndarray]", *scope: object
-    ) -> CellValue:  # reprolint: locked
-        # the memoised value of ``address``, else the reduction of the
-        # leaves at ``scope_ids(*scope)`` (ascending), memoised
-        table = self._memo.setdefault(aggregator, {})
-        if address in table:
-            self.stats.hits += 1
-            return table[address]
-        self.stats.misses += 1
-        value = reduce_array(aggregator, self._values.gather(scope_ids(*scope)))
-        self._memo_put(table, address, value)
-        return value
-
-    def rollup_axes(
-        self,
-        address: Address,
-        row_ids: np.ndarray,
-        col_scope: AxisScope,
-        aggregator: str = "sum",
-    ) -> CellValue:
-        """Aggregate the leaves of a row scope (:meth:`axis_ids`) that
-        fall in a column scope (:meth:`axis_scope`), memoised per
-        (address, aggregator).  Filtering ascending ids keeps them
-        ascending, so results are bit-identical to the naive scan."""
-        with self._lock:
-            return self._reduced(address, aggregator, _ids_in_column, row_ids, col_scope)
+            return self._point_ids(address).tolist()
 
     def scope_cells(self, address: Sequence[str]) -> list[tuple[Address, float]]:
         """(address, value) of the leaf cells in a cell's scope, in
@@ -1279,19 +1245,35 @@ class RollupIndex:
         would read columns and values at the caller's pace, racing
         concurrent maintenance)."""
         with self._lock:
-            ids = self._address_ids(address)
+            ids = self._point_ids(address)
             return list(
                 zip(self._struct.addresses(ids), self._values.gather(ids).tolist())
             )
 
-    def scope_addresses(self, address: Sequence[str]) -> list[Address]:
-        return [addr for addr, _ in self.scope_cells(address)]
-
-    def rollup(self, address: Address, aggregator: str = "sum") -> CellValue:
-        """Aggregate a cell's scope through the index, memoised per
-        (address, aggregator) until the next leaf mutation."""
+    def rollup(
+        self,
+        address: Address,
+        ids: "np.ndarray | None" = None,
+        aggregator: str = "sum",
+    ) -> CellValue:
+        """The one memoised reduction: ``aggregator`` folded over the values
+        of the leaves ``ids`` — ascending, so in the naive scan's order;
+        ``None`` is the address's own scope — and memoised per (address,
+        aggregator) until the next leaf write.  A caller passing ``ids``
+        passes the address's scope: the grid hands in its row's ids
+        filtered by its column's mask (:meth:`ids_under`,
+        :meth:`mask_under`)."""
         with self._lock:
-            return self._reduced(address, aggregator, self._address_ids, address)
+            table = self._memo.setdefault(aggregator, {})
+            if address in table:
+                self.stats.hits += 1
+                return table[address]
+            self.stats.misses += 1
+            if ids is None:
+                ids = self._point_ids(address)
+            value = reduce_array(aggregator, self._values.gather(ids))
+            self._memo_put(table, address, value)
+            return value
 
     # -- introspection ----------------------------------------------------------
 

@@ -14,7 +14,9 @@ from repro.core.predicates import (
     validity_intersects,
     value_predicate,
 )
+from repro.core.operators import select
 from repro.errors import QueryError
+from repro.obs.trace import TRACER, tracing
 
 JOE_PTE = "Organization/PTE/Joe"
 LISA = "Organization/FTE/Lisa"
@@ -110,6 +112,35 @@ class TestValuePredicate:
     def test_bad_relop(self):
         with pytest.raises(QueryError):
             value_predicate({}, "~=", 1)
+
+    def test_pinning_the_selection_dimension_is_refused(self, example, org_index):
+        pred = value_predicate({"Organization": "FTE"}, ">", 0)
+        with pytest.raises(QueryError, match="pins the selection dimension"):
+            pred(example.cube, org_index, JOE_PTE)
+
+    def test_a_stored_nan_compares_as_a_float_does(self, example, org_index):
+        cube = example.cube.copy()
+        pins = {"Location": "NY", "Time": "Mar", "Measures": "Salary"}
+        cube.set_value(("Organization/Contractor/Joe", "NY", "Mar", "Salary"), float("nan"))
+        assert not value_predicate(pins, ">", 0)(cube, org_index, "Organization/Contractor/Joe")
+        assert value_predicate(pins, "!=", 0)(cube, org_index, "Organization/Contractor/Joe")
+
+    def test_select_reads_scopes_not_addresses(self, example):
+        """σ with a value predicate reads each candidate's scope off the
+        rollup index — one gather, one compare — and builds no address
+        of every leaf (that read opens ``rollup_index.materialize``)."""
+        pins = {"Location": "NY", "Time": "Mar", "Measures": "Salary"}
+        leaves = list(example.cube.leaf_cells())  # the oracle, untraced
+        expected = {
+            addr[0]
+            for addr, value in leaves
+            if addr[1:] == ("NY", "Mar", "Salary") and value > 25
+        }
+        with tracing():
+            with TRACER.start("test") as span:
+                out = select(example.cube, "Organization", value_predicate(pins, ">", 25))
+        assert "rollup_index.materialize" not in [s.name for s in span.iter_spans()]
+        assert expected and {addr[0] for addr, _ in out.leaf_cells()} == expected
 
 
 class TestCombinators:

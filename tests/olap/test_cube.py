@@ -55,6 +55,33 @@ class TestStorage:
         assert tiny_cube.n_stored_derived == 0
 
 
+class TestWritesNameKnownMembers:
+    """Every coordinate of a written address is checked, not only those up
+    to the first non-leaf one: a derived cell at a member that does not
+    exist is refused by every write entry point, as a read refuses it."""
+
+    BAD = ("Organization", "Location", "Time", "NoSuchMeasure")
+
+    def _state(self, cube):
+        return repr((list(cube.cells()), cube.version))
+
+    @pytest.mark.parametrize("write", ["set_value", "load", "apply_overrides"])
+    def test_unknown_member_after_a_non_leaf_coordinate(self, example, write):
+        cube = example.cube if write != "load" else example.cube.empty_like()
+        before = self._state(cube)
+        with pytest.raises(MemberNotFoundError, match="NoSuchMeasure"):
+            if write == "set_value":
+                cube.set_value(self.BAD, 1.0)
+            else:
+                getattr(cube, write)([(self.BAD, 1.0)])
+        assert self._state(cube) == before
+        assert list(cube.stored_derived_cells()) == list(
+            example.cube.stored_derived_cells() if write != "load" else []
+        )
+        with pytest.raises(MemberNotFoundError):
+            cube.effective_value(self.BAD)
+
+
 class TestRollup:
     def test_rollup_over_time(self, tiny_cube):
         # Jan+Feb+Mar sales = 10+20+30

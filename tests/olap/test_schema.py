@@ -137,11 +137,18 @@ class TestCoordinateSemantics:
         assert str(raised.value) == str(per_coordinate.value)
         assert dimension in str(raised.value) and member in str(raised.value)
 
-    def test_a_non_leaf_coordinate_stops_before_an_unknown_one(self, example):
-        # the short-circuit: "Qtr1" is known and not a leaf, so the
-        # unknown measure after it is never asked about
+    def test_every_coordinate_is_asked(self, example):
+        # no short-circuit: "Qtr1" is known and not a leaf, and the unknown
+        # measure after it still raises — a write must not store a cell
+        # at a member that does not exist
+        from repro.errors import MemberNotFoundError
+
+        with pytest.raises(MemberNotFoundError, match="Bonus"):
+            example.schema.is_leaf_address(
+                ("Organization/FTE/Joe", "NY", "Qtr1", "Bonus")
+            )
         assert not example.schema.is_leaf_address(
-            ("Organization/FTE/Joe", "NY", "Qtr1", "Bonus")
+            ("Organization/FTE/Joe", "NY", "Qtr1", "Salary")
         )
 
     def test_coordinate_display(self, example):

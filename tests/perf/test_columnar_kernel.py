@@ -59,7 +59,7 @@ def _assert_parity(cube: Cube, index: RollupIndex, addresses) -> None:
     """Indexed (columnar) results must equal the naive scan bit-for-bit."""
     for address in addresses:
         for aggregator in AGGREGATORS:
-            indexed = index.rollup(address, aggregator)
+            indexed = index.rollup(address, aggregator=aggregator)
             with naive_mode():
                 naive = cube.rollup(address, aggregator)
             if is_missing(indexed) or is_missing(naive):
@@ -183,7 +183,7 @@ def _assert_index_parity(cube: Cube, index: RollupIndex, addresses) -> None:
     rebuilt = RollupIndex.build(cube)
     assert index.columns(()).addresses == list(cube._leaf_cells)
     for address in addresses:
-        assert index.scope_addresses(address) == rebuilt.scope_addresses(address)
+        assert index.scope_cells(address) == rebuilt.scope_cells(address)
         served = index.rollup(address)
         with naive_mode():
             naive = cube.rollup(address)

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import numpy as np
+from typing import NamedTuple
+
 import pytest
 
 from repro.core.operators import ChangeTuple
@@ -12,6 +13,7 @@ from repro.errors import MemberNotFoundError
 from repro.olap.aggregation import AGGREGATORS, aggregate
 from repro.olap.cube import Cube
 from repro.olap.missing import MISSING, is_missing
+from repro.perf.batch import evaluate_grid
 from repro.perf.config import naive_mode
 from repro.perf.rollup_index import RollupIndex
 
@@ -55,7 +57,7 @@ class TestAgreementWithNaive:
             with naive_mode():
                 scope = list(cube.scope_values(addr))
             for aggregator in AGGREGATORS:
-                indexed = cube.rollup_index().rollup(addr, aggregator)
+                indexed = cube.rollup_index().rollup(addr, aggregator=aggregator)
                 naive = aggregate(aggregator, scope)
                 assert indexed == naive or (
                     is_missing(indexed) and is_missing(naive)
@@ -80,6 +82,66 @@ class TestAgreementWithNaive:
             with naive_mode():
                 naive = list(cube.scope_cells(addr))
             assert indexed == naive
+
+
+class _Axis(NamedTuple):
+    """An axis position as ``evaluate_grid`` reads one."""
+
+    coordinates: tuple
+
+
+def _grid_cell(cube, addr, split):
+    """The cell at ``addr`` through the grid, its dimensions split at
+    ``split`` between one row and one column."""
+    pairs = tuple(zip((d.name for d in cube.schema.dimensions), addr))
+    cells, _, _ = evaluate_grid(
+        cube, cube.schema, dict(pairs), [_Axis(pairs[:split])], [_Axis(pairs[split:])],
+        None, None,
+    )
+    return cells[0][0]
+
+
+class TestPointRollupParity:
+    """One cell read three ways — ``Cube.rollup``, the grid and the naive
+    scan — is one value, bit for bit, before and after inserts and deletes."""
+
+    def _assert_three_reads_agree(self, cube):
+        schema = cube.schema
+        # every 37th of the ~22,600 derived addresses: every coordinate of
+        # every dimension still recurs, and a state takes under a second
+        derived = [a for a in _all_addresses(schema) if not schema.is_leaf_address(a)][::37]
+        # a fresh index per split: each grid read reduces, none is a memo hit
+        grids = [cube.adopt(RollupIndex.build(cube), {}) for _ in range(schema.n_dims + 1)]
+        for addr in derived:
+            engine = repr(cube.rollup(addr))
+            with naive_mode():
+                naive = repr(cube.rollup(addr))
+            assert engine == naive, addr
+            for split, grid in enumerate(grids):
+                assert repr(_grid_cell(grid, addr, split)) == engine, (addr, split)
+
+    def test_before_and_after_inserts_and_deletes(self, example):
+        cube = example.cube
+        self._assert_three_reads_agree(cube)
+        victim, _ = next(iter(cube.leaf_cells()))
+        cube.set_value(("Organization/FTE/Lisa", "MA", "Feb", "Benefits"), 0.1)
+        cube.set_value(victim, MISSING)
+        self._assert_three_reads_agree(cube)
+        cube.set_value(victim, -0.0)
+        self._assert_three_reads_agree(cube)
+
+    @pytest.mark.parametrize("dim_name", ["Location", "Time", "Measures"])
+    def test_an_unknown_member_raises_on_every_read(self, example, dim_name):
+        cube = example.cube
+        roots = {d.name: d.root.name for d in cube.schema.dimensions}
+        bad = cube.schema.address(**{**roots, dim_name: "Nowhere"})
+        with pytest.raises(MemberNotFoundError):
+            cube.rollup(bad)
+        with naive_mode(), pytest.raises(MemberNotFoundError):
+            cube.rollup(bad)
+        for split in range(cube.schema.n_dims + 1):
+            with pytest.raises(MemberNotFoundError):
+                _grid_cell(cube, bad, split)
 
 
 class TestIncrementalMaintenance:
@@ -180,9 +242,10 @@ class TestContracts:
 
 
 class TestPlaneScopes:
-    """axis_scope/rollup_axes — the batched-grid API."""
+    """The grid's split of one scope: a row's ids (``ids_under``) filtered
+    by a column's mask (``mask_under``), reduced by ``rollup``."""
 
-    def test_axis_scopes_and_to_full_scope(self, example):
+    def test_row_ids_and_column_mask_make_the_scope(self, example):
         cube = example.cube
         index = cube.rollup_index()
         everything = index.scope_ids(
@@ -192,31 +255,26 @@ class TestPlaneScopes:
             pairs = list(enumerate(addr))
             expected = index.scope_ids(addr)
             for split in range(len(pairs) + 1):
-                row_empty, row_mask = index.axis_scope(pairs[:split])
-                col_empty, col_mask = index.axis_scope(pairs[split:])
-                if row_empty or col_empty:
-                    assert expected == []
-                    continue
-                masks = [m for m in (row_mask, col_mask) if m is not None]
-                if not masks:
-                    assert expected == everything
-                else:
-                    combined = masks[0] if len(masks) == 1 else masks[0] & masks[1]
-                    assert np.flatnonzero(combined).tolist() == expected
+                row = index.ids_under({dim: (coord,) for dim, coord in pairs[:split]})
+                mask = index.mask_under(pairs[split:])
+                ids = everything if row is None else row.tolist()
+                if mask is not None:
+                    ids = [i for i in ids if mask[i]]
+                assert ids == expected, (addr, split)
 
-    def test_rollup_axes_matches_rollup(self, example):
+    def test_grid_reduction_matches_rollup(self, example):
         cube = example.cube
         index = cube.rollup_index()
         fresh = RollupIndex.build(cube)  # separate memo: rollup() recomputes
         for addr in _all_addresses(cube.schema):
             pairs = list(enumerate(addr))
-            via_axes = index.rollup_axes(
-                addr, index.axis_ids(pairs[:2]), index.axis_scope(pairs[2:])
-            )
+            ids = index.ids_under({dim: (coord,) for dim, coord in pairs[:2]})
+            mask = index.mask_under(pairs[2:])
+            if ids is not None and mask is not None:
+                ids = ids[mask[ids]]
+            via_grid = index.rollup(addr, ids)
             direct = fresh.rollup(addr)
-            assert via_axes == direct or (
-                is_missing(via_axes) and is_missing(direct)
-            )
+            assert repr(via_grid) == repr(direct), addr
 
 
 def _assert_agrees_with_rebuild(cube, index):
@@ -232,7 +290,7 @@ def _assert_agrees_with_rebuild(cube, index):
         if dense:
             assert ids == rebuilt.scope_ids(addr), addr
         else:
-            assert index.scope_addresses(addr) == rebuilt.scope_addresses(addr)
+            assert index.scope_cells(addr) == rebuilt.scope_cells(addr)
         served = index.rollup(addr)
         assert repr(served) == repr(rebuilt.rollup(addr)), addr
 
