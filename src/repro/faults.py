@@ -225,10 +225,13 @@ class FaultRegistry:
 
     # -- the hot-path hook --------------------------------------------------------
 
-    def hit(self, failpoint: str) -> None:
+    def hit(self, failpoint: str, times: int = 1) -> None:
         """Raise if ``failpoint`` is armed and due; no-op otherwise.
 
-        The fast path (nothing armed) is one dict lookup, so leaving the
+        ``times`` counts that many hits in a row, stopping at the first
+        that fires: exactly ``times`` single hits, in one critical
+        section (a grid fires ``mdx.cell`` once per row this way).  The
+        fast path (nothing armed) is one dict lookup, so leaving the
         hooks in production code costs nothing measurable.
         """
         if self._armed.get(failpoint) is None:
@@ -237,7 +240,10 @@ class FaultRegistry:
             arming = self._armed.get(failpoint)
             if arming is None:
                 return  # disarmed between the unlocked check and here
-            if not arming.should_fire():
+            for _ in range(times):
+                if arming.should_fire():
+                    break
+            else:
                 return
             arming.fired += 1
             exc = arming.make_exception()

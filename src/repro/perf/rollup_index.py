@@ -104,7 +104,10 @@ under them — for a point rollup, ``scope_cells``, σ's rows
 (:meth:`RollupIndex.ids_under`) and a grid's rows and columns
 (:meth:`RollupIndex.mask_under`) — and :meth:`RollupIndex.rollup` folds
 the values of a scope, memoised per (address, aggregator).  A leaf value
-is read through :meth:`RollupIndex.leaf_reader` and nothing else.
+is read through :meth:`RollupIndex.leaf_reader` — one address — or
+:meth:`RollupIndex.leaf_block` — a grid's rows × columns, the same lookup
+with each row's and column's part of the sorted key computed once and
+one ``searchsorted`` for the block — and nothing else.
 
 The memo across writes
 ----------------------
@@ -118,6 +121,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import (
     TYPE_CHECKING,
     Iterator,
@@ -154,6 +158,11 @@ Scope: TypeAlias = "tuple[np.ndarray | None, list[tuple[int, int, np.ndarray]]] 
 #: bound worst-case memory on long-lived cubes queried at ever-changing
 #: addresses
 _MEMO_CAP = 65536
+#: soft cap on a generation's cached per-coordinate masks (``masks`` and
+#: ``carried`` together, each one byte per leaf id): a grid scopes a few
+#: dozen coordinates, while σ with a value predicate scopes every
+#: candidate once — uncapped, 494 masks (48 MB) on the ledger's cube
+_MASK_CAP = 64
 #: a generation's mixed-radix address key must fit ``int64``: the product
 #: of its coordinate-table sizes must stay below this
 _KEY_LIMIT = 2**63
@@ -432,9 +441,11 @@ class _SortedPart:
     A part never changes once built, except ``resolved``, which remembers
     every address :meth:`search` was asked, hit or miss, so a repeat read
     is one dict probe.  Every generation that shares the part shares the
-    cache: below its radix a coordinate has one code in all of them."""
+    cache: below its radix a coordinate has one code in all of them.  A
+    block search (:meth:`partial_keys`, :meth:`search_block`) remembers
+    nothing: a grid asks each of its blocks once."""
 
-    __slots__ = ("keys", "rows", "radices", "resolved")
+    __slots__ = ("keys", "rows", "radices", "strides", "resolved")
 
     def __init__(
         self, codes: Sequence[np.ndarray], tables: Sequence[_CoordTable], rows: np.ndarray
@@ -449,6 +460,9 @@ class _SortedPart:
         self.keys = key[order]
         self.rows = rows[order]
         self.radices = radices
+        #: a dimension's place value in the key: the product of the
+        #: radices after it
+        self.strides = [math.prod(radices[dim + 1 :]) for dim in range(len(radices))]
         self.resolved: "dict[Address, int | None]" = {}
 
     def distinct(self) -> bool:
@@ -470,6 +484,70 @@ class _SortedPart:
         if at < len(keys) and keys[at] == key:
             return int(self.rows[at])
         return None
+
+    def partial_keys(
+        self,
+        tables: Sequence[_CoordTable],
+        dims: Sequence[int],
+        coords: "Sequence[Sequence[str]]",
+        n: int,
+    ) -> "tuple[np.ndarray, np.ndarray | None]":
+        """For ``n`` addresses whose coordinates on ``dims`` are
+        ``coords`` (one sequence of ``n`` per dimension): the part of each
+        one's key those dimensions make — code times stride, summed — and
+        which of them have every coordinate in some sorted key (a
+        coordinate coded at or above its radix is in none); ``None`` when
+        all do.  A dimension with one coordinate for every address costs
+        one ``code_of`` probe, any other one probe per address."""
+        dtype = self.keys.dtype
+        if not n:
+            return np.zeros(0, dtype=dtype), None
+        base = 0
+        ok: "np.ndarray | None" = None
+        varying: list[tuple[np.ndarray, int]] = []
+        for dim, column in zip(dims, coords):
+            radix, stride = self.radices[dim], self.strides[dim]
+            code_of = tables[dim].code_of
+            if column.count(column[0]) == n:
+                code = code_of.get(column[0], radix)
+                if code >= radix:
+                    return np.zeros(n, dtype=dtype), np.zeros(n, dtype=np.bool_)
+                base += code * stride
+                continue
+            codes = np.fromiter(map(code_of.get, column, repeat(radix, n)), np.int64, n)
+            # a code at or above the radix may wrap an ``int64`` key; ``ok``
+            # rules that address out whatever its key reads
+            valid = codes < radix
+            ok = valid if ok is None else ok & valid
+            varying.append((codes if dtype == codes.dtype else codes.astype(object), stride))
+        keys = np.full(n, base, dtype=dtype)
+        for codes, stride in varying:
+            keys += codes * stride
+        return keys, ok
+
+    def search_block(
+        self,
+        rows: "tuple[np.ndarray, np.ndarray | None]",
+        cols: "tuple[np.ndarray, np.ndarray | None]",
+    ) -> np.ndarray:
+        """The sorted row at every address whose key is ``rows`` key
+        ``r`` plus ``cols`` key ``c`` (both :meth:`partial_keys`), as an
+        ``int64`` array of shape (rows, columns), -1 where there is none:
+        one broadcast add, one ``searchsorted`` and one gather, whichever
+        dtype the keys are."""
+        (row_keys, row_ok), (col_keys, col_ok) = rows, cols
+        key = row_keys[:, None] + col_keys[None, :]
+        keys = self.keys
+        if not len(keys):
+            return np.full(key.shape, -1, dtype=np.int64)
+        at = keys.searchsorted(key)
+        np.minimum(at, len(keys) - 1, out=at)
+        hit = keys[at] == key
+        if row_ok is not None:
+            hit &= row_ok[:, None]
+        if col_ok is not None:
+            hit &= col_ok[None, :]
+        return np.where(hit, self.rows[at], -1)
 
 
 @dataclass(slots=True, eq=False)
@@ -495,7 +573,9 @@ class _Structure:
     each over the id space as it was then (:meth:`RollupIndex._coord_mask`
     patches one on first use: a leaf's codes never change, so only the
     ids appended since are looked up and the deleted ones cleared).  A
-    key is in ``masks`` or ``carried``, never both.
+    key is in ``masks`` or ``carried``, never both, and the two together
+    hold at most ``_MASK_CAP`` masks: the next mask past the cap empties
+    both first.
 
     An index and its forks share one generation.  An index mutates a
     generation in place only while nothing shares it; otherwise the
@@ -941,14 +1021,14 @@ class RollupIndex:
 
     def leaf_reader(self) -> "object":
         """The one point read: a callable address -> value (``None`` =
-        absent) that takes no lock per read.  The grid holds one per query;
-        :meth:`LeafView.get` takes one per read.
+        absent) that takes no lock per read.  :meth:`LeafView.get` takes
+        one per read; a grid reads blocks instead (:meth:`leaf_block`).
 
         Like :meth:`memo_table`, it snapshots the generation's lookup
         (:meth:`_Structure.find`) and the value store once under the lock;
         value updates show through (it holds the store's ``get``, not the
-        array a write may replace), and grid-scoped callers re-fetch per
-        query, so its staleness profile matches the live memo table's.
+        array a write may replace), so a caller that holds one across
+        writes sees the staleness profile of the live memo table.
         """
         with self._lock:
             find, values_get = self._struct.find, self._values.get
@@ -958,6 +1038,66 @@ class RollupIndex:
             return None if ident is None else values_get(ident)
 
         return read
+
+    def leaf_block(
+        self,
+        rows: "Sequence[Sequence[str]]",
+        dims: Sequence[int],
+        columns: "Sequence[Sequence[str]]",
+    ) -> "tuple[list[list[float | None]], dict[int, list[int]]]":
+        """The block point read: the value at every address ``rows[r]``
+        with, on ``dims``, the coordinates ``columns[c]`` (one per entry
+        of ``dims``) — ``None`` where there is no leaf — and, per row
+        that has such a miss, the columns it misses.  Every value equals
+        :meth:`leaf_reader`'s at the same address; the generation and the
+        value store are read once, under the lock (:meth:`_read_block`),
+        and nothing is cached: a grid asks each block once."""
+        with self._lock:
+            found, values = self._read_block(rows, dims, columns)
+        if found.all():
+            return values.reshape(found.shape).tolist(), {}
+        cells = np.full(found.shape, None, dtype=object)
+        cells[found] = values
+        misses: dict[int, list[int]] = {}
+        for row, column in zip(*(axis.tolist() for axis in np.nonzero(~found))):
+            misses.setdefault(row, []).append(column)
+        return cells.tolist(), misses
+
+    def _read_block(
+        self,
+        rows: "Sequence[Sequence[str]]",
+        dims: Sequence[int],
+        columns: "Sequence[Sequence[str]]",
+    ) -> "tuple[np.ndarray, np.ndarray]":  # reprolint: locked
+        # :meth:`_Structure.find` for a block: each row's and column's half
+        # of the sorted key once (:meth:`_SortedPart.partial_keys`), one
+        # search for all of them, ``live`` where the generation has
+        # deletes, and ``recent`` only for the misses.  Returns the found
+        # mask and the found leaves' values, row-major
+        if not rows or not columns:
+            return np.zeros((len(rows), len(columns)), dtype=np.bool_), np.empty(0)
+        struct = self._struct
+        part, tables = struct.sorted_part, struct.tables
+        by_dim = list(zip(*rows))
+        free = [dim for dim in range(len(tables)) if dim not in dims]
+        ids = part.search_block(
+            part.partial_keys(tables, free, [by_dim[dim] for dim in free], len(rows)),
+            part.partial_keys(tables, dims, list(zip(*columns)), len(columns)),
+        )
+        if struct.n_live != struct.n_ids:
+            hit = ids >= 0
+            ids[hit & ~struct.live[np.where(hit, ids, 0)]] = -1
+        recent = struct.recent
+        if recent:
+            for at, column in zip(*(axis.tolist() for axis in np.nonzero(ids < 0))):
+                addr = list(rows[at])
+                for dim, coord in zip(dims, columns[column]):
+                    addr[dim] = coord
+                ident = recent.get(tuple(addr))
+                if ident is not None:
+                    ids[at, column] = ident
+        found = ids >= 0
+        return found, self._values.gather(ids[found])
 
     def _flush_memo(self) -> None:  # reprolint: locked
         for table in self._memo.values():
@@ -1072,9 +1212,9 @@ class RollupIndex:
         with self._lock:
             return self._memo.setdefault(aggregator, {})
 
-    def count_hit(self) -> None:
-        """Record a lock-free memo probe hit (stats only)."""
-        self.stats.hits += 1
+    def count_hits(self, hits: int) -> None:
+        """Record ``hits`` lock-free memo probe hits (stats only)."""
+        self.stats.hits += hits
 
     # -- queries ----------------------------------------------------------------
 
@@ -1132,6 +1272,11 @@ class RollupIndex:
                 mask[done:] = rolls_up[codes[done:n]]
             if struct.n_live != n:
                 mask &= struct.live[:n]
+            if len(struct.masks) + len(struct.carried) >= _MASK_CAP:
+                # a cache, flushed whole like the memo: a clear is atomic
+                # against a fork's reader of the same generation
+                struct.masks.clear()
+                struct.carried.clear()
             struct.masks[key] = mask
             # after the store: a concurrent reader finds one or the other
             struct.carried.pop(key, None)

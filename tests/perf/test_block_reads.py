@@ -1,0 +1,203 @@
+"""Leaf grids are block reads: races against a writer.
+
+A grid reads its leaf cells a block at a time
+(:meth:`~repro.perf.rollup_index.RollupIndex.leaf_block`): one snapshot of
+the generation's lookup and value column, taken under the index lock.  A
+writer inserts, deletes and re-inserts leaves — so the generation's
+``recent`` dict, its liveness and its sorted part all move, starting from
+a cube whose sorted part is empty — while readers fill leaf-only grids:
+
+* two ``QueryService`` readers: every answer equals a ``naive_mode()``
+  twin that took the same writes, at the version the reader's snapshot
+  pinned;
+* one reader of the live cube's own index, while the writer writes one
+  cell at a time: every block equals the twin's leaves at some version
+  from the one read before it to the one after the one read after it
+  (a write lands in the index before the version moves).
+
+The CI chaos job runs this module under ``REPRO_FAULTS=ci-matrix`` (more
+rounds) with the lockdep witness armed.
+"""
+
+from __future__ import annotations
+
+import itertools
+import os
+import sys
+import threading
+import time
+
+from repro.olap.cube import Cube
+from repro.olap.dimension import Dimension
+from repro.olap.missing import MISSING
+from repro.olap.schema import CubeSchema
+from repro.perf.config import naive_mode
+from repro.warehouse import Warehouse
+
+FULL_MATRIX = "ci-matrix" in os.environ.get("REPRO_FAULTS", "")
+
+MONTHS = ("Jan", "Feb", "Mar", "Apr", "May")
+CITIES = ("NYC", "Albany", "Boston", "LA")
+
+
+def _schema() -> CubeSchema:
+    time_dim = Dimension("Time", ordered=True)
+    time_dim.add_member("H1")
+    time_dim.add_children("H1", list(MONTHS))
+    geo = Dimension("Geo")
+    geo.add_member("East")
+    geo.add_children("East", list(CITIES[:3]))
+    geo.add_member("West")
+    geo.add_children("West", list(CITIES[3:]))
+    measures = Dimension("Measures", is_measures=True)
+    measures.add_children(None, ["Sales", "COGS"])
+    return CubeSchema([time_dim, geo, measures])
+
+
+SCHEMA = _schema()
+LEAVES = sorted(itertools.product(MONTHS, CITIES, ("Sales", "COGS")))
+#: every cell a leaf: cities x months at one measure
+QUERY = (
+    "SELECT {" + ", ".join(f"Time.[{m}]" for m in MONTHS) + "} ON COLUMNS, "
+    "{" + ", ".join(f"[{c}]" for c in CITIES) + "} ON ROWS FROM W WHERE ([Sales])"
+)
+BLOCK = ([(MONTHS[0], city, "Sales") for city in CITIES], [0], [(m,) for m in MONTHS])
+
+
+def _script() -> "list[list[tuple[tuple, object]]]":
+    """Inserts into an empty cube (so the first answers come from
+    ``recent`` alone), then rounds of in-place writes, deletes,
+    re-inserts at new ids and bulk mutations."""
+    script: list[list[tuple[tuple, object]]] = [
+        [(addr, float(i + 1))] for i, addr in enumerate(LEAVES)
+    ]
+    for round_ in range(6 if FULL_MATRIX else 1):
+        for i in range(0, len(LEAVES) - 2, 3):
+            a, b, c = LEAVES[i : i + 3]
+            script += [
+                [(a, 0.5 + i + round_)],
+                [(b, MISSING)],
+                [(b, float("nan") if round_ % 2 else -0.0)],
+                [(a, -1.0), (c, MISSING), (b, 2.0 * i)],
+                [(c, 7.0 + round_)],
+            ]
+    return script
+
+
+def _race(writer_target, readers) -> None:
+    errors: list[BaseException] = []
+    done = threading.Event()
+
+    def guarded(target):
+        def run() -> None:
+            try:
+                target(done)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+            finally:
+                if target is writer_target:
+                    done.set()
+
+        return run
+
+    threads = [threading.Thread(target=guarded(reader)) for reader in readers]
+    threads.append(threading.Thread(target=guarded(writer_target)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+
+
+def test_service_readers_fill_leaf_grids_like_the_twin(monkeypatch):
+    from repro.service import QueryService
+
+    monkeypatch.setenv("REPRO_LOCKDEP", "1")  # read when a lock is made
+    cube, twin = Cube(SCHEMA), Cube(SCHEMA)
+    warehouse = Warehouse(SCHEMA, cube, name="W")
+    twin_warehouse = Warehouse(SCHEMA, twin, name="W")
+    script = _script()
+
+    def naive_cells() -> str:
+        with naive_mode():
+            return repr(twin_warehouse.query(QUERY).cells)
+
+    expected = {twin.version: naive_cells()}
+    for writes in script:
+        twin.apply_overrides(writes)
+        expected[twin.version] = naive_cells()
+
+    seen: list[tuple[int, str]] = []
+    with QueryService(warehouse, workers=2) as service:
+
+        def reader(done: threading.Event) -> None:
+            while not done.is_set():
+                ticket = service.submit(QUERY)
+                cells = ticket.result(timeout=30.0).cells
+                seen.append((ticket.snapshot_version, repr(cells)))
+
+        def writer(done: threading.Event) -> None:
+            for writes in script:
+                cube.apply_overrides(writes)
+                answered, deadline = len(seen), time.monotonic() + 2.0
+                while len(seen) == answered and time.monotonic() < deadline:
+                    time.sleep(0.0005)
+
+        _race(writer, [reader, reader])
+    assert len({version for version, _ in seen}) >= 5, "readers saw few versions"
+    for version, answered in seen:
+        assert answered == expected[version], f"version {version}"
+
+
+def test_a_block_of_the_live_cube_is_one_version(monkeypatch):
+    monkeypatch.setenv("REPRO_LOCKDEP", "1")
+    cube, twin = Cube(SCHEMA), Cube(SCHEMA)
+    # one cell per write: the version moves after the cell is written, so
+    # a block read between the two sees the next version's leaves
+    script = [[cell] for writes in _script() for cell in writes]
+    rows, dims, columns = BLOCK
+
+    def leaves(source: Cube) -> str:
+        read = source.rollup_index().leaf_reader()
+        return repr(
+            [
+                [read((month, row[1], row[2])) for (month,) in columns]
+                for row in rows
+            ]
+        )
+
+    expected = {twin.version: leaves(twin)}
+    for writes in script:
+        twin.apply_overrides(writes)
+        expected[twin.version] = leaves(twin)
+    # the live cube numbers its versions as the twin does
+    assert cube.version == min(expected)
+
+    seen: list[tuple[int, int, str]] = []
+
+    def reader(done: threading.Event) -> None:
+        while not done.is_set():
+            before = cube.version
+            values, _ = cube.rollup_index().leaf_block(rows, dims, columns)
+            seen.append((before, cube.version, repr(values)))
+
+    def writer(done: threading.Event) -> None:
+        for writes in script:
+            cube.apply_overrides(writes)
+            answered, deadline = len(seen), time.monotonic() + 2.0
+            while len(seen) == answered and time.monotonic() < deadline:
+                time.sleep(0.0005)
+
+    _race(writer, [reader])
+    assert len({before for before, _, _ in seen}) >= 5, "the reader saw few versions"
+    for before, after, values in seen:
+        assert values in {
+            expected[v] for v in range(before, after + 2) if v in expected
+        }, (before, after)

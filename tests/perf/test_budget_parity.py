@@ -146,3 +146,48 @@ class TestNarrowed:
         ticks[0] = 0.6  # 600ms on the injected clock
         assert not tracker.charge_cell()
         assert tracker.breached == "deadline"
+
+
+# Leaf and derived cells in one row, columns in two interleaved groups
+# (Time and Location): the block read, the rules and the per-row charge
+# all meet in one row.
+MIXED_QUERY = """
+    SELECT {Time.[Jan], [MA], Time.[Qtr1], Time.[Feb], [East]} ON COLUMNS,
+           {[Joe], [FTE], [Lisa]} ON ROWS
+    FROM Warehouse WHERE ([NY], [Salary])
+"""
+
+
+class TestMixedGridParity:
+    @pytest.mark.parametrize("deadline_ms", [0.5, 1.5, 2.5, 4.5, 7.5, 12.5, 19.5, 24.5, 99.0])
+    def test_deadline_gives_the_same_pattern_counts_and_clock_reads(
+        self, example, deadline_ms
+    ):
+        runs = []
+        for naive in (False, True):
+            warehouse = Warehouse(example.schema, example.cube, name="Warehouse")
+            clock = SteppingClock()
+            budget = QueryBudget(deadline_ms=deadline_ms, clock=clock)
+            if naive:
+                with naive_mode():
+                    result = warehouse.query(MIXED_QUERY, budget=budget)
+            else:
+                result = warehouse.query(MIXED_QUERY, budget=budget)
+            runs.append(
+                (
+                    repr(result.cells),
+                    result.stats["cells_evaluated"],
+                    result.stats["cells_skipped"],
+                    [d.to_dict() for d in result.degradations],
+                    clock.reads,
+                )
+            )
+        assert runs[0] == runs[1]
+
+    def test_a_deadline_lands_mid_row(self, example):
+        warehouse = Warehouse(example.schema, example.cube, name="Warehouse")
+        budget = QueryBudget(deadline_ms=7.5, clock=SteppingClock())
+        result = warehouse.query(MIXED_QUERY, budget=budget)
+        assert result.stats["cells_evaluated"] == 7
+        assert result.stats["cells_evaluated"] % len(result.columns) != 0
+        assert result.degradations[0].reason == "deadline"

@@ -360,3 +360,189 @@ class TestInterleavedMutationQueries:
         for version, answered in seen:
             assert answered == expected[version], f"version {version}"
         assert grids(warehouse) == expected[cube.version]
+
+
+# -- mixed grids: leaf and derived cells in one row, two column groups ----------
+
+#: the running example (formula rules: every derived cell is the rules')
+#: with columns on Time and on Location, interleaved
+MIXED_EXAMPLE_QUERY = """
+    SELECT {Time.[Jan], [MA], Time.[Qtr1], Time.[Feb], [East]} ON COLUMNS,
+           {[Joe], [FTE], [Lisa]} ON ROWS
+    FROM Warehouse WHERE ([NY], [Salary])
+"""
+
+#: column tuples binding Location and Measures, with Time free between
+#: them: the addresses' middle part is filled from the row
+MIXED_SPAN_QUERY = """
+    SELECT {CrossJoin({[NY], [East]}, {[Salary], [Benefits]}), Time.[Feb],
+            CrossJoin({[MA]}, {[Salary]})} ON COLUMNS,
+           {[Joe], [FTE], [Lisa]} ON ROWS
+    FROM Warehouse WHERE (Time.[Jan])
+"""
+
+#: the workforce cube (no rules: derived cells are memo sweeps and the
+#: reducer) with columns on Period and on Scenario, interleaved
+MIXED_WORKFORCE_QUERY = """
+    SELECT {Period.[Jan], Scenario.[Scenario1], Period.[Q1], Period.[Feb],
+            Scenario.[Scenario]} ON COLUMNS,
+           {Dept000.Children, [Dept000]} ON ROWS
+    FROM [App].[Db]
+    WHERE ([Acct000], [Current], [Local], [BU Version_1], [HSP_InputValue])
+"""
+
+
+def _mixed_warehouse(kind: str) -> Warehouse:
+    if kind.startswith("example"):
+        return _fresh(None)
+    from repro.workload.workforce import WorkforceConfig, build_workforce
+
+    return build_workforce(
+        WorkforceConfig(
+            n_employees=20, n_departments=3, n_changing=4, max_moves=2, n_accounts=2
+        )
+    ).warehouse
+
+
+MIXED = {
+    "example": MIXED_EXAMPLE_QUERY,
+    "example_span": MIXED_SPAN_QUERY,
+    "workforce": MIXED_WORKFORCE_QUERY,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(MIXED))
+def mixed(request) -> "tuple[Warehouse, str]":
+    return _mixed_warehouse(request.param), MIXED[request.param]
+
+
+class TestMixedGrids:
+    """Grids whose rows hold leaf and derived cells and whose columns form
+    two groups: the block read, the memo sweep and the slow path all
+    serve one row, and every contract of the per-cell loop holds."""
+
+    def test_the_grid_is_mixed(self, mixed):
+        warehouse, query = mixed
+        result = warehouse.query(query)
+        with naive_mode():
+            naive = warehouse.query(query)
+        assert repr(result.cells) == repr(naive.cells)
+        assert any(is_missing(v) for row in result.cells for v in row)
+        # two column groups, interleaved
+        bound = [frozenset(dim for dim, _ in c.coordinates) for c in result.columns]
+        groups = [[j for j, b in enumerate(bound) if b == dims] for dims in set(bound)]
+        assert len(groups) == 2
+        assert any(cols[-1] - cols[0] != len(cols) - 1 for cols in groups)
+
+    def test_fail_after_every_n_is_path_independent(self, mixed):
+        warehouse, query = mixed
+        shape = warehouse.query(query)
+        n_cells = len(shape.rows) * len(shape.columns)
+
+        def outcome(n: int, use_naive: bool):
+            FAULTS.clear()
+            FAULTS.fail_after("mdx.cell", n)
+            try:
+                if use_naive:
+                    with naive_mode():
+                        result = warehouse.query(query)
+                else:
+                    result = warehouse.query(query)
+                return ("ok", repr(result.cells))
+            except FaultInjectedError as err:
+                return ("fault", err.failpoint, FAULTS.fired_count("mdx.cell"))
+            finally:
+                FAULTS.clear()
+
+        outcomes = [outcome(n, False) for n in range(1, n_cells + 2)]
+        assert outcomes == [outcome(n, True) for n in range(1, n_cells + 2)]
+        assert outcomes[-1][0] == "ok" and outcomes[-2][0] == "fault"
+
+    @pytest.mark.parametrize("max_cells", [0, 1, 2, 4, 6, 7, 11, 23, 44, 45, 1000])
+    def test_cell_cap_cuts_identically(self, mixed, max_cells):
+        warehouse, query = mixed
+        budget = QueryBudget(max_cells=max_cells)
+        engine = warehouse.query(query, budget=budget)
+        with naive_mode():
+            naive = warehouse.query(query, budget=budget)
+        assert repr(engine.cells) == repr(naive.cells)
+        assert [d.to_dict() for d in engine.degradations] == [
+            d.to_dict() for d in naive.degradations
+        ]
+        for key in ("cells_evaluated", "cells_skipped"):
+            assert engine.stats[key] == naive.stats[key]
+
+    def test_a_warm_grid_counts_its_memo_served_cells(self):
+        warehouse = _mixed_warehouse("workforce")
+        stats = warehouse.cube.rollup_index().stats
+        cold = warehouse.query(MIXED_WORKFORCE_QUERY)
+        hits, misses = stats.hits, stats.misses
+        warm = warehouse.query(MIXED_WORKFORCE_QUERY)
+        assert repr(warm.cells) == repr(cold.cells)
+        schema = warehouse.schema
+        slicer = {
+            "Account": "Acct000", "Scenario": "Current", "Currency": "Local",
+            "Version": "BU Version_1", "Value": "HSP_InputValue", "Period": "Period",
+            "Department": "Department",
+        }
+        derived = sum(
+            not schema.is_leaf_address(
+                schema.address(**{**slicer, **dict(row.coordinates + column.coordinates)})
+            )
+            for row in warm.rows
+            for column in warm.columns
+        )
+        assert derived == warm.stats["indexed_rollups"] > 0
+        # every derived cell was a memo hit, every leaf cell none
+        assert stats.hits - hits == derived
+        assert stats.misses == misses
+
+
+class TestFaultHitTimes:
+    """``FAULTS.hit(name, times=n)`` is exactly ``n`` single hits: the same
+    raise, at the same hit, leaving the same state behind."""
+
+    ARMINGS = {
+        "after": lambda r: r.fail_after("mdx.cell", 7),
+        "transient": lambda r: r.fail_transient("mdx.cell", 3),
+        "prob": lambda r: r.fail_probabilistic("mdx.cell", 0.2, seed=11),
+    }
+
+    @pytest.mark.parametrize("mode", sorted(ARMINGS))
+    def test_times_n_is_n_single_hits(self, mode):
+        from repro.faults import FaultRegistry
+
+        batches = [0, 1, 3, 2, 5, 1, 4, 6, 2, 3]
+
+        def trace(batched: bool):
+            registry = FaultRegistry()
+            self.ARMINGS[mode](registry)
+            events = []
+            for n in batches:
+                try:
+                    if batched:
+                        registry.hit("mdx.cell", times=n)
+                    else:
+                        for _ in range(n):
+                            registry.hit("mdx.cell")
+                    events.append("pass")
+                except Exception as exc:  # noqa: BLE001 - the outcome under test
+                    events.append(type(exc).__name__)
+                arming = registry._armed["mdx.cell"]
+                events.append((arming.hits, arming.fired))
+            return events
+
+        batched = trace(True)
+        assert batched == trace(False)
+        assert any(event not in ("pass",) and isinstance(event, str) for event in batched)
+
+    def test_times_zero_and_disarmed_are_no_ops(self):
+        from repro.faults import FaultRegistry
+
+        registry = FaultRegistry()
+        registry.hit("mdx.cell", times=5)  # nothing armed
+        registry.fail_with("mdx.cell")
+        registry.hit("mdx.cell", times=0)
+        assert registry._armed["mdx.cell"].hits == 0
+        with pytest.raises(FaultInjectedError):
+            registry.hit("mdx.cell", times=1)

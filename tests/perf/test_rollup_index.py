@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import random
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 
+import repro.perf.rollup_index as rollup_index_module
 from repro.core.operators import ChangeTuple
 from repro.core.perspective import Mode, Semantics
 from repro.core.scenario import NegativeScenario, PositiveScenario, apply_scenarios
@@ -142,6 +145,126 @@ class TestPointRollupParity:
         for split in range(cube.schema.n_dims + 1):
             with pytest.raises(MemberNotFoundError):
                 _grid_cell(cube, bad, split)
+
+
+def _block_parity(cube, seed: int = 0, grids: int = 60, also=()) -> "tuple[int, int]":
+    """Generated grids read through :meth:`RollupIndex.leaf_block` equal
+    the per-address point read at every row x column, by ``repr``; the
+    misses it reports are exactly its ``None`` cells.  Rows and columns
+    mostly come from stored leaves and the addresses ``also`` names, the
+    rest from every coordinate the tables or the schema know and one
+    nobody does.  Returns the numbers of hits and misses seen."""
+    schema = cube.schema
+    index = cube.rollup_index()
+    tables = index._struct.tables
+    stored = [addr for addr, _ in cube.leaf_cells()] + list(also)
+    per_dim = []
+    for i, dimension in enumerate(schema.dimensions):
+        coords = {*tables[i].coords, "Nowhere"}
+        if not schema.is_varying(dimension.name):
+            coords.update(m.name for m in dimension.root.leaves())
+        per_dim.append(sorted(coords))
+    rng = random.Random(seed)
+
+    def coord(dim: int) -> str:
+        if stored and rng.random() < 0.7:
+            return rng.choice(stored)[dim]
+        return rng.choice(per_dim[dim])
+
+    read = index.leaf_reader()
+    hits = misses = 0
+    for _ in range(grids):
+        dims = sorted(rng.sample(range(schema.n_dims), rng.randint(0, schema.n_dims)))
+        rows = [
+            list(rng.choice(stored)) if stored and rng.random() < 0.5
+            else [coord(dim) for dim in range(schema.n_dims)]
+            for _ in range(rng.randint(1, 5))
+        ]
+        columns = [tuple(coord(dim) for dim in dims) for _ in range(rng.randint(1, 5))]
+        values, missed = index.leaf_block(rows, dims, columns)
+        assert len(values) == len(rows)
+        for r, row in enumerate(rows):
+            expected = []
+            for column in columns:
+                addr = list(row)
+                for dim, value in zip(dims, column):
+                    addr[dim] = value
+                expected.append(read(tuple(addr)))
+            assert repr(values[r]) == repr(expected), (row, dims, columns)
+            assert list(missed.get(r, ())) == [
+                c for c, value in enumerate(expected) if value is None
+            ]
+            hits += sum(value is not None for value in expected)
+            misses += sum(value is None for value in expected)
+    return hits, misses
+
+
+class TestBlockReadParity:
+    """The grid's block read and the one point read agree on every state
+    a generation's lookup can be in, for ``int64`` and ``object`` keys."""
+
+    @pytest.fixture(params=["int64", "object"])
+    def keys(self, request, monkeypatch):
+        if request.param == "object":
+            # no radix product fits: Python-int keys in an object array
+            monkeypatch.setattr(rollup_index_module, "_KEY_LIMIT", 0)
+        return request.param
+
+    @staticmethod
+    def _assert_keys(cube, keys):
+        dtype = cube.rollup_index()._struct.sorted_part.keys.dtype
+        assert dtype == (object if keys == "object" else np.int64)
+
+    def test_loaded(self, example, keys):
+        cube = example.cube.adopt(RollupIndex.build(example.cube), {})
+        self._assert_keys(cube, keys)
+        hits, misses = _block_parity(cube)
+        assert hits and misses
+
+    def test_every_leaf_in_recent_and_none_sorted(self, tiny_schema, keys):
+        cube = Cube(tiny_schema)
+        for i, month in enumerate(("Jan", "Feb", "Mar", "Apr", "May")):
+            cube.set_value((month, "Sales"), float(i))
+        cube.set_value(("Jun", "COGS"), 7.0)
+        struct = cube.rollup_index()._struct
+        assert len(struct.sorted_part.keys) == 0 and len(struct.recent) == 6
+        self._assert_keys(cube, keys)
+        hits, misses = _block_parity(cube)
+        assert hits and misses
+
+    def test_inserts_deletes_and_reinserts_since_the_sort(self, example, keys):
+        cube = example.cube.adopt(RollupIndex.build(example.cube), {})
+        stored = [addr for addr, _ in cube.leaf_cells()]
+        # a coordinate coded after the sort, and one known since
+        cube.set_value(("Organization/FTE/Lisa", "CA", "Feb", "Benefits"), 0.5)
+        cube.set_value(("Organization/FTE/Lisa", "MA", "Feb", "Benefits"), 1.5)
+        cube.set_value(stored[0], MISSING)  # a delete
+        cube.set_value(stored[1], MISSING)
+        cube.set_value(stored[1], 2.5)  # re-inserted at a new id
+        struct = cube.rollup_index()._struct
+        assert struct.recent and struct.n_live != struct.n_ids
+        location = struct.tables[1]
+        assert location.code_of["CA"] >= struct.sorted_part.radices[1]
+        self._assert_keys(cube, keys)
+        # the deleted leaf: its sorted row is dead
+        values, missed = cube.rollup_index().leaf_block([list(stored[0])], [], [()])
+        assert values == [[None]] and missed == {0: [0]}
+        hits, misses = _block_parity(cube, seed=1, also=stored[:2])
+        assert hits and misses
+
+    def test_nan_and_negative_zero_read_back_bit_for_bit(self, example, keys):
+        cube = example.cube.adopt(RollupIndex.build(example.cube), {})
+        stored = [addr for addr, _ in cube.leaf_cells()]
+        cube.set_value(stored[2], float("nan"))
+        cube.set_value(stored[3], -0.0)
+        cube.set_value(("Organization/FTE/Lisa", "CA", "Mar", "Salary"), float("nan"))
+        cube.set_value(("Organization/FTE/Lisa", "CA", "Apr", "Salary"), -0.0)
+        self._assert_keys(cube, keys)
+        values, _ = cube.rollup_index().leaf_block(
+            [list(stored[2]), list(stored[3])], [], [()]
+        )
+        assert repr(values) == "[[nan], [-0.0]]"
+        _block_parity(cube, seed=2)
 
 
 class TestIncrementalMaintenance:
@@ -377,3 +500,37 @@ class TestStreamingAggregators:
     def test_empty_is_missing(self):
         for name in AGGREGATORS:
             assert is_missing(aggregate(name, iter([])))
+
+
+class TestMaskCacheBound:
+    def test_sigma_with_a_value_predicate_keeps_the_masks_bounded(self):
+        """σ scopes every candidate coordinate once; the generation keeps
+        at most ``_MASK_CAP`` of their masks, however many it scoped."""
+        from repro.core.operators import select
+        from repro.core.predicates import value_predicate
+        from repro.workload.workforce import WorkforceConfig, build_workforce
+
+        cube = build_workforce(
+            WorkforceConfig(
+                n_employees=120, n_departments=4, n_changing=12, max_moves=2, n_accounts=2
+            )
+        ).warehouse.cube
+        dept = cube.schema.dim_index("Department")
+        struct = cube.rollup_index()._struct
+        candidates = len(struct.tables[dept].coords)
+        assert candidates > 2 * rollup_index_module._MASK_CAP
+        kept = select(
+            cube,
+            "Department",
+            value_predicate({"Account": "Acct000", "Period": "Jan"}, ">", 50.0),
+        )
+        assert 0 < kept.n_leaf_cells < cube.n_leaf_cells
+        assert 0 < len(struct.masks) + len(struct.carried) <= rollup_index_module._MASK_CAP
+        # the bound changes no answer
+        with naive_mode():
+            naive = select(
+                cube,
+                "Department",
+                value_predicate({"Account": "Acct000", "Period": "Jan"}, ">", 50.0),
+            )
+        assert dict(kept.leaf_cells()) == dict(naive.leaf_cells())

@@ -219,7 +219,7 @@ class TestLaziness:
             root = TRACER.take_last()
         return result, [span.name for span in root.iter_spans()], root
 
-    def test_a_cold_query_builds_no_address_and_no_dict(self, example):
+    def test_a_cold_query_builds_no_address_and_no_dict(self, example, monkeypatch):
         warehouse = Warehouse(example.schema, example.cube, name="Warehouse")
         _, names, root = self._traced_query(warehouse, DERIVED_GRID)
         assert "rollup_index.derive" in names
@@ -235,28 +235,42 @@ class TestLaziness:
         # derived cells only: nothing resolved
         assert _is_columns_only(view.leaf_cube)
 
+        # the leaf grid is one block read: no address list is built from
+        # the columns, and no address is remembered, hit or miss
+        built = []
+        addresses = rollup_index_module._Structure.addresses
+        monkeypatch.setattr(
+            rollup_index_module._Structure,
+            "addresses",
+            lambda struct, ids: built.append(len(ids)) or addresses(struct, ids),
+        )
         result, names, _ = self._traced_query(warehouse, EMPLOYEE_GRID)
+        monkeypatch.undo()
         assert "rollup_index.materialize" not in names
-        asked = {
-            example.schema.address(
-                **dict(row.coordinates + column.coordinates),
-                Location="NY",
-                Measures="Salary",
-            )
+        assert built == []
+        assert _is_columns_only(view.leaf_cube)
+        # and it answers what the per-cell point read answers, hits and
+        # misses alike
+        read = view.leaf_cube.rollup_index().leaf_reader()
+        asked = [
+            [
+                example.schema.address(
+                    **dict(row.coordinates + column.coordinates),
+                    Location="NY",
+                    Measures="Salary",
+                )
+                for column in result.columns
+            ]
             for row in result.rows
-            for column in result.columns
-        }
-        struct = _struct(view.leaf_cube)
-        assert not struct.recent
-        # exactly the distinct leaf addresses asked, hits and misses alike
-        resolved = struct.sorted_part.resolved
-        assert set(resolved) == asked
-        assert len(asked) == len(result.rows) * len(result.columns)
-        stored = dict(view.leaf_cube.leaf_cells())  # an export: all addresses
-        assert {a: i for a, i in resolved.items() if i is not None} == {
-            a: list(stored).index(a) for a in asked if a in stored
-        }
-        assert any(i is None for i in resolved.values())
+        ]
+        assert len({addr for line in asked for addr in line}) == 4
+        expected = [
+            [MISSING if read(addr) is None else read(addr) for addr in line]
+            for line in asked
+        ]
+        assert repr(result.cells) == repr(expected)
+        assert any(read(addr) is None for line in asked for addr in line)
+        assert any(read(addr) is not None for line in asked for addr in line)
 
     def test_asking_for_everything_is_one_visible_materialisation(self, example):
         negative = NegativeScenario("Organization", ["Feb"], Semantics.FORWARD)
