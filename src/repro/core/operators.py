@@ -10,15 +10,17 @@ All operators are pure: they return new cubes and never mutate their input.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro.core.perspective import ValidityMap
 from repro.core.predicates import Predicate
 from repro.validity import ValiditySet
 from repro.errors import InvalidChangeError, QueryError
 from repro.olap.cube import Cube
-from repro.olap.instances import VaryingDimension
+from repro.olap.instances import InstanceTable, VaryingDimension
 
 if TYPE_CHECKING:  # pragma: no cover - repro.obs imports the MDX stack, which imports this module
     from repro.perf.rollup_index import LeafColumns
@@ -68,16 +70,55 @@ def _moments_of(
     cols: "LeafColumns", param_index: int, varying: VaryingDimension
 ) -> np.ndarray:
     """Moment index of every row (-1 where the parameter coordinate is
-    not a leaf of the parameter dimension), resolved once per distinct
-    parameter coordinate."""
-    moment_of = {
-        m.name: i for i, m in enumerate(varying.parameter.leaf_members())
-    }
-    by_code = np.array(
-        [moment_of.get(coord, -1) for coord in cols.coords[param_index]],
-        dtype=np.int64,
+    not a leaf of the parameter dimension), resolved once per parameter
+    coordinate list (:meth:`~repro.perf.rollup_index.LeafColumns.labels`)."""
+    parameter = varying.parameter
+
+    def label(coords: "list[str]") -> "list[int]":
+        moment_of = {m.name: i for i, m in enumerate(parameter.leaf_members())}
+        return [moment_of.get(coord, -1) for coord in coords]
+
+    key = ("moment", parameter, parameter.generation)
+    return cols.labels(param_index, key, label)[cols.codes[param_index]]
+
+
+def _members_of(
+    cols: "LeafColumns", dim_index: int, table: InstanceTable
+) -> np.ndarray:
+    """Member number of every coordinate code of the varying column, read
+    once per coordinate list; a coordinate naming no member of the
+    skeleton gets a number past the members of its own (members + code),
+    so it groups with no other and no route reaches it."""
+    labels = cols.labels(dim_index, *table.member_labels())
+    return np.where(labels >= 0, labels, len(table.members) + np.arange(len(labels)))
+
+
+def _routes(
+    validity_out: Mapping[str, ValiditySet], table: InstanceTable, universe: int
+) -> "tuple[list[str], np.ndarray, np.ndarray]":
+    """``validity_out`` as ρ routes it: the output coordinates in mapping
+    order, each one's member number (-1: it names no member) and its
+    output moments as a row of a ``bool`` matrix.  Φ's own output
+    (:class:`~repro.core.perspective.ValidityMap`) carries all three; any
+    other mapping is read key by key, one row per distinct set."""
+    paths = list(validity_out)
+    if isinstance(validity_out, ValidityMap) and validity_out.table.members == table.members:
+        return (
+            paths,
+            validity_out.table.member[validity_out.instances],
+            validity_out.matrix[validity_out.rows],
+        )
+    member_id = table.member_id
+    members = np.array(
+        [member_id.get(path.rsplit("/", 1)[-1], -1) for path in paths], dtype=np.int64
     )
-    return by_code[cols.codes[param_index]]
+    sets: dict[ValiditySet, int] = {}
+    of_set = [sets.setdefault(validity, len(sets)) for validity in validity_out.values()]
+    matrix = np.zeros((len(sets), universe), dtype=np.bool_)
+    for row, validity in enumerate(sets):
+        # later moments hold no data to route
+        matrix[row, [t for t in validity.moments if t < universe]] = True
+    return paths, members, matrix[np.array(of_set, dtype=np.int64)]
 
 
 def _coord_at(cols: "LeafColumns", dim_index: int, row: int) -> str:
@@ -148,11 +189,15 @@ def relocate(
     (Def. 4.4's closing remark).
 
     Evaluated as one array program over the varying and parameter
-    coordinate columns: the input rows are grouped by (member, moment),
-    ``validity_out`` becomes a routing table of (output instance, moment)
-    entries, and the output is the concatenation of each entry's group.
-    **Emission order** — the order strict rollups sum in — is output
-    instance (in ``validity_out`` order), then moment, then input order.
+    coordinate columns: the input rows are grouped by (member, moment) —
+    member numbers off the varying structure's instance table, read once
+    per coordinate list — ``validity_out`` becomes a routing table of
+    (output instance, moment) entries, the nonzeros of its output rows
+    (``np.nonzero``, row-major; Φ's :class:`~repro.core.perspective.ValidityMap`
+    carries those rows), and the output is the concatenation of each
+    entry's group.  **Emission order** — the order strict rollups sum in
+    — is output instance (in ``validity_out`` order), then moment, then
+    input order.
 
     ``rows`` (ascending leaf ids of the cube's rollup index,
     :meth:`~repro.perf.rollup_index.RollupIndex.ids_under`) applies ρ to
@@ -168,6 +213,7 @@ def relocate(
     dim_index = schema.dim_index(varying_name)
     param_index = schema.dim_index(varying.parameter.name)
     universe = varying.universe
+    table = varying.instance_table()
     from repro.obs.trace import trace_span
 
     with trace_span("core.relocate") as span:
@@ -180,22 +226,20 @@ def relocate(
         # instance conflicts first, like a cell-by-cell scan would
         checked = int(bad[0]) if len(bad) else n
 
-        # group rows by (member, moment); the sort is stable, so a group
-        # lists its rows in input order.  Members are numbered for the
-        # coordinates the rows read hold, not for the cube's whole table
-        present = np.flatnonzero(np.bincount(vcodes, minlength=len(vcoords))).tolist()
-        member_of = {code: vcoords[code].rsplit("/", 1)[-1] for code in present}
-        member_id = {name: i for i, name in enumerate(dict.fromkeys(member_of.values()))}
-        member_by_code = np.zeros(len(vcoords), dtype=np.int64)
-        member_by_code[present] = [member_id[name] for name in member_of.values()]
+        # group rows by (member, moment) — a dense key, so the groups'
+        # sizes and offsets are one ``bincount``; the sort is stable (a
+        # radix sort while the keys fit 16 bits), so a group lists its rows
+        # in input order
+        member_by_code = _members_of(cols, dim_index, table)
+        n_keys = (len(table.members) + len(vcoords)) * universe
         group = member_by_code[vcodes[:checked]] * universe + moments[:checked]
-        order = np.argsort(group, kind="stable")
-        sorted_group = group[order]
-        fresh = np.ones(checked, dtype=np.bool_)
-        fresh[1:] = sorted_group[1:] != sorted_group[:-1]
-        starts = np.flatnonzero(fresh)
-        counts = np.diff(np.append(starts, checked))
-        groups = sorted_group[starts]
+        order = np.argsort(
+            group.astype(np.uint16) if n_keys <= 1 << 16 else group, kind="stable"
+        )
+        size_of = np.bincount(group, minlength=n_keys)
+        start_of = np.cumsum(size_of) - size_of
+        groups = np.flatnonzero(size_of)
+        starts, counts = start_of[groups], size_of[groups]
 
         # validity sets of one member must be disjoint in the input: every
         # row of a group carries the group's first instance coordinate
@@ -209,68 +253,59 @@ def relocate(
             first = starts[np.searchsorted(starts, at, side="right") - 1]
             raise QueryError(
                 f"input cube has two instances of member "
-                f"{member_of[int(sorted_vcodes[at])]!r} with data at the same moment "
-                f"{_coord_at(cols, param_index, row)!r}: "
+                f"{vcoords[sorted_vcodes[at]].rsplit('/', 1)[-1]!r} with data at "
+                f"the same moment {_coord_at(cols, param_index, row)!r}: "
                 f"{vcoords[sorted_vcodes[first]]!r} and "
                 f"{vcoords[sorted_vcodes[at]]!r} (validity sets must be disjoint)"
             )
         if len(bad):
             raise _not_a_moment(cols, param_index, checked, varying)
 
-        # routing table: one (group key, output code) entry per output
-        # instance and moment, in emission order — expanded from one row
-        # per output instance and one moment list per *distinct* validity
-        # set (most members never move: they share one)
-        out_coords = list(vcoords)
-        out_code_of = {coord: code for code, coord in enumerate(vcoords)}
-        entry_base: list[int] = []
-        entry_code: list[int] = []
-        entry_set: list[int] = []
-        sets: dict[ValiditySet, int] = {}
-        for out_coord, validity in validity_out.items():
-            member = member_id.get(out_coord.rsplit("/", 1)[-1])
-            if member is None:
-                continue  # no data for this member: every cell is ⊥
-            code = out_code_of.get(out_coord)
-            if code is None:
-                code = out_code_of[out_coord] = len(out_coords)
-                out_coords.append(out_coord)
-            entry_base.append(member * universe)
-            entry_code.append(code)
-            entry_set.append(sets.setdefault(validity, len(sets)))
-        # later moments hold no data to route
-        moments_of = [[t for t in validity if t < universe] for validity in sets]
-        set_len = np.array([len(ts) for ts in moments_of], dtype=np.int64)
-        set_at = np.cumsum(set_len) - set_len
-        set_moments = np.array([t for ts in moments_of for t in ts], dtype=np.int64)
-        of_set = np.array(entry_set, dtype=np.int64)
-        span_len = set_len[of_set]
-        shift = np.cumsum(span_len) - span_len - set_at[of_set]
-        wanted = np.repeat(np.array(entry_base, dtype=np.int64), span_len) + (
-            set_moments[np.arange(int(span_len.sum())) - np.repeat(shift, span_len)]
-        )
-        wanted_code = np.repeat(np.array(entry_code, dtype=np.int32), span_len)
+        # routing table: one (group key, entry) pair per output instance
+        # and moment of its output set, in emission order — the nonzeros
+        # of the entries' output rows, row-major
+        paths, entry_member, entry_rows = _routes(validity_out, table, universe)
+        entry, moment = np.nonzero(entry_rows)
+        named = entry_member[entry] >= 0
+        entry, wanted = entry[named], entry_member[entry[named]] * universe + moment[named]
+        hit = np.flatnonzero(size_of[wanted])
 
         # the output is the concatenation, entry by entry, of the groups
         # that hold data
-        hit = np.flatnonzero(np.isin(wanted, groups))
-        at_group = np.searchsorted(groups, wanted[hit])
-        run = counts[at_group]
+        at_group = wanted[hit]
+        run = size_of[at_group]
         total = int(run.sum())
-        offset = np.cumsum(run) - run - starts[at_group]
+        offset = np.cumsum(run) - run - start_of[at_group]
         emitted = order[np.arange(total) - np.repeat(offset, run)]
-        out_codes = np.repeat(wanted_code[hit], run)
+
+        # each emitting entry's coordinate code: the cube's own, or a new
+        # one past it, in entry order
+        n_coords = len(vcoords)
+        routed_entry = entry[hit]
+        emitting = np.flatnonzero(np.bincount(routed_entry, minlength=len(paths)))
+        chosen = list(map(paths.__getitem__, emitting.tolist()))
+        codes = np.fromiter(
+            map(cols.code_of(dim_index).get, chosen, repeat(n_coords)),
+            dtype=np.int64,
+            count=len(chosen),
+        )
+        fresh = np.flatnonzero(codes >= n_coords)
+        codes[fresh] = np.arange(n_coords, n_coords + len(fresh))
+        out_coords = [*vcoords, *map(chosen.__getitem__, fresh.tolist())]
+        entry_code = np.zeros(len(paths), dtype=np.int32)
+        entry_code[emitting] = codes
+        out_codes = np.repeat(entry_code[routed_entry], run)
 
         out, moved = _project(cube, cols, emitted, dim_index, out_codes, out_coords)
         if span is not None:
-            routed = np.zeros(len(groups), dtype=np.bool_)
+            routed = np.zeros(n_keys, dtype=np.bool_)
             routed[at_group] = True
             span.set(
                 leaves_in=cube.n_leaf_cells,
                 footprint_rows=n,
                 leaves_out=total,
                 moved=moved,
-                dropped=n - int(counts[routed].sum()),
+                dropped=n - int(size_of[routed].sum()),
             )
     return out
 
@@ -397,10 +432,11 @@ def split(
         out_code_of = {coord: code for code, coord in enumerate(vcoords)}
         route_row = np.full(len(vcoords), -1, dtype=np.int64)
         route: list[list[int]] = []
-        for code, coord in enumerate(vcoords):
-            member = coord.rsplit("/", 1)[-1]
-            if member not in affected:
-                continue
+        table = varying.instance_table()
+        member_by_code = _members_of(cols, dim_index, table)
+        moving = [table.member_id[member] for member in affected]
+        for code in np.flatnonzero(np.isin(member_by_code, moving)).tolist():
+            member = table.members[member_by_code[code]]
             route_row[code] = len(route)
             targets = []
             for t in range(universe):

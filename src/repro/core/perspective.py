@@ -26,9 +26,11 @@ from __future__ import annotations
 import enum
 from typing import Iterable, Mapping, Sequence, TypeVar
 
+import numpy as np
+
 from repro.validity import ValiditySet
 from repro.errors import QueryError
-from repro.olap.instances import MemberInstance, VaryingDimension
+from repro.olap.instances import InstanceTable, MemberInstance, VaryingDimension
 
 __all__ = [
     "Semantics",
@@ -37,6 +39,9 @@ __all__ = [
     "stretch",
     "phi",
     "phi_member",
+    "phi_rows",
+    "phi_table",
+    "ValidityMap",
 ]
 
 K = TypeVar("K")
@@ -155,39 +160,96 @@ class PerspectiveSet:
         return f"PerspectiveSet({list(self._moments)}, universe={self._universe})"
 
 
+def _stretched(
+    matrix: np.ndarray, perspectives: PerspectiveSet, backward: bool
+) -> np.ndarray:
+    """``Stretch`` of every row, one gather: moment ``t`` is in it iff the
+    row holds the perspective point governing ``t`` — ``max{p ∈ P : p <=
+    t}`` forward, ``min{p ∈ P : p >= t}`` backward — and no moment before
+    Pmin (after Pmax) is."""
+    universe = perspectives.universe
+    points = list(perspectives.moments)
+    if backward:
+        at = np.full(universe, universe, dtype=np.int64)
+        at[points] = points
+        governing = np.minimum.accumulate(at[::-1])[::-1]
+        covered = governing < universe
+    else:
+        at = np.full(universe, -1, dtype=np.int64)
+        at[points] = points
+        governing = np.maximum.accumulate(at)
+        covered = governing >= 0
+    return matrix[:, np.where(covered, governing, 0)] & covered
+
+
+def phi_rows(
+    matrix: np.ndarray, perspectives: PerspectiveSet, semantics: Semantics
+) -> np.ndarray:
+    """The one Φ (Defs. 4.2 / 4.3): every row of a ``bool`` matrix — one
+    validity set per row, one column per moment of ``perspectives``'
+    universe — mapped to its output set, same shape.  A row left empty is
+    an instance σ drops (an instance survives iff VS_in ∩ P ≠ ∅).
+
+    ``Stretch`` is one gather (:func:`_stretched`).  Forward keeps the
+    row's own moments before Pmin, extended forward all of them when the
+    row holds Pmin; backward and extended backward are the mirror images
+    after Pmax.  Rows are independent, so overlapping sets are fine."""
+    if semantics is Semantics.STATIC:
+        return matrix & matrix[:, list(perspectives.moments)].any(axis=1)[:, None]
+    backward = semantics.is_backward
+    stretched = _stretched(matrix, perspectives, backward)
+    anchor = perspectives.pmax if backward else perspectives.pmin
+    moments = np.arange(perspectives.universe)
+    outside = moments > anchor if backward else moments < anchor
+    rest = matrix[:, anchor, None] if semantics.is_extended else matrix
+    return (stretched | (rest & outside)) & stretched.any(axis=1)[:, None]
+
+
+def _validity_rows(
+    sets: Iterable[ValiditySet], perspectives: PerspectiveSet
+) -> np.ndarray:
+    """The validity matrix of ``sets`` over ``perspectives``' universe;
+    a set of another universe is refused."""
+    sets = list(sets)
+    universe = perspectives.universe
+    matrix = np.zeros((len(sets), universe), dtype=np.bool_)
+    for row, validity in enumerate(sets):
+        if validity.universe != universe:
+            raise QueryError(
+                "validity set and perspective set have different universes: "
+                f"{validity.universe} vs {universe}"
+            )
+        matrix[row, list(validity.moments)] = True
+    return matrix
+
+
+def _row_sets(rows: np.ndarray) -> "list[ValiditySet | None]":
+    """One :class:`ValiditySet` per row of a validity matrix (``None`` for
+    an empty row), each distinct row built once."""
+    universe = rows.shape[1]
+    which, moments = np.nonzero(rows)
+    moments = moments.tolist()
+    built: "dict[tuple[int, ...], ValiditySet | None]" = {(): None}
+    out: "list[ValiditySet | None]" = []
+    start = 0
+    for stop in np.cumsum(np.bincount(which, minlength=len(rows))).tolist():
+        key = tuple(moments[start:stop])
+        start = stop
+        if key not in built:
+            built[key] = ValiditySet.trusted(frozenset(key), universe)
+        out.append(built[key])
+    return out
+
+
 def stretch(validity: ValiditySet, perspectives: PerspectiveSet) -> ValiditySet:
     """``Stretch(d)`` of Def. 4.3 for one instance's input validity set.
 
     The union of intervals ``[p_i, p_{i+1})`` over the perspective points
-    ``p_i`` at which the instance was valid (``p_{k+1} = +inf``).
+    ``p_i`` at which the instance was valid (``p_{k+1} = +inf``): the
+    forward gather of :func:`phi_rows` on one row.
     """
-    if validity.universe != perspectives.universe:
-        raise QueryError(
-            "validity set and perspective set have different universes: "
-            f"{validity.universe} vs {perspectives.universe}"
-        )
-    moments: set[int] = set()
-    points = perspectives.moments
-    for index, p in enumerate(points):
-        if p not in validity:
-            continue
-        stop = points[index + 1] if index + 1 < len(points) else validity.universe
-        moments.update(range(p, stop))
-    return ValiditySet(moments, validity.universe)
-
-
-def _stretch_backward(
-    validity: ValiditySet, perspectives: PerspectiveSet
-) -> ValiditySet:
-    """Backward mirror of :func:`stretch`: intervals ``(p_{i-1}, p_i]``."""
-    moments: set[int] = set()
-    points = perspectives.moments
-    for index, p in enumerate(points):
-        if p not in validity:
-            continue
-        start = points[index - 1] + 1 if index > 0 else 0
-        moments.update(range(start, p + 1))
-    return ValiditySet(moments, validity.universe)
+    rows = _stretched(_validity_rows((validity,), perspectives), perspectives, False)
+    return _row_sets(rows)[0] or ValiditySet.empty(validity.universe)
 
 
 def phi(
@@ -202,48 +264,17 @@ def phi(
     empty are dropped from the result, which also realises the
     active-member filter of Def. 3.4 (an instance survives iff
     VS_in ∩ P ≠ ∅ — for every semantics, an instance not valid at any
-    perspective point gets an empty output set).
+    perspective point gets an empty output set).  :func:`phi_rows` over
+    the distinct input sets.
     """
-    out: dict[K, ValiditySet] = {}
-    p_moments = set(perspectives.moments)
-    for key, validity in validity_in.items():
-        if semantics is Semantics.STATIC:
-            result = (
-                validity
-                if validity.intersects_moments(p_moments)
-                else ValiditySet.empty(validity.universe)
-            )
-        elif semantics.is_forward:
-            stretched = stretch(validity, perspectives)
-            if stretched.is_empty:
-                result = stretched
-            elif semantics is Semantics.FORWARD:
-                result = stretched | validity.restrict_before(perspectives.pmin)
-            else:  # EXTENDED_FORWARD
-                if perspectives.pmin in validity:
-                    prefix = ValiditySet.interval(
-                        0, perspectives.pmin, validity.universe
-                    )
-                else:
-                    prefix = ValiditySet.empty(validity.universe)
-                result = stretched | prefix
-        else:  # backward family
-            stretched = _stretch_backward(validity, perspectives)
-            if stretched.is_empty:
-                result = stretched
-            elif semantics is Semantics.BACKWARD:
-                result = stretched | validity.restrict_from(perspectives.pmax + 1)
-            else:  # EXTENDED_BACKWARD
-                if perspectives.pmax in validity:
-                    suffix = ValiditySet.interval(
-                        perspectives.pmax + 1, None, validity.universe
-                    )
-                else:
-                    suffix = ValiditySet.empty(validity.universe)
-                result = stretched | suffix
-        if result:
-            out[key] = result
-    return out
+    distinct = list(dict.fromkeys(validity_in.values()))
+    rows = phi_rows(_validity_rows(distinct, perspectives), perspectives, semantics)
+    out_of = dict(zip(distinct, _row_sets(rows)))
+    return {
+        key: out_of[validity]
+        for key, validity in validity_in.items()
+        if out_of[validity] is not None
+    }
 
 
 def phi_member(
@@ -258,3 +289,57 @@ def phi_member(
         perspectives,
         semantics,
     )
+
+
+class ValidityMap(dict):
+    """Output validity sets by instance full path, as Φ over an instance
+    table leaves them (:func:`phi_table`): a plain ``dict`` that also
+    carries the table rows behind its entries, so ρ routes them without
+    reading a key — entry ``k`` is instance ``instances[k]`` of ``table``
+    and its output set row ``rows[k]`` of ``matrix``."""
+
+    __slots__ = ("table", "instances", "rows", "matrix")
+
+
+def phi_table(
+    table: InstanceTable,
+    instances: np.ndarray,
+    perspectives: PerspectiveSet,
+    semantics: Semantics,
+    memo: "dict[ValiditySet, ValiditySet | None] | None" = None,
+) -> ValidityMap:
+    """Φ over the instances ``instances`` of an instance table, in that
+    order: :func:`phi_rows` once, on the distinct validity sets they hold,
+    and each distinct output set built once (``memo``, input set → output
+    set or ``None``, lends and keeps them across calls under one (P,
+    sem)).  An instance whose output set is empty is left out (σ)."""
+    if table.matrix.shape[1] != perspectives.universe:
+        raise QueryError(
+            "validity set and perspective set have different universes: "
+            f"{table.matrix.shape[1]} vs {perspectives.universe}"
+        )
+    held = table.set_of[instances]
+    used = np.flatnonzero(np.bincount(held, minlength=len(table.matrix)))
+    matrix = phi_rows(table.matrix[used], perspectives, semantics)
+    built = _row_sets(matrix)
+    if memo is not None:
+        sets = list(table.set_id)
+        for row, set_id in enumerate(used.tolist()):
+            validity = sets[set_id]
+            if validity in memo:
+                built[row] = memo[validity]
+            else:
+                memo[validity] = built[row]
+    row_of = np.full(len(table.matrix), -1, dtype=np.int64)
+    row_of[used] = np.where(matrix.any(axis=1), np.arange(len(used)), -1)
+    rows = row_of[held]
+    kept = rows >= 0
+    instances, rows = instances[kept], rows[kept]
+    out = ValidityMap(
+        zip(
+            map(table.paths.__getitem__, instances.tolist()),
+            map(built.__getitem__, rows.tolist()),
+        )
+    )
+    out.table, out.instances, out.rows, out.matrix = table, instances, rows, matrix
+    return out

@@ -43,6 +43,7 @@ of the same call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Mapping, NamedTuple, Sequence, TypeAlias
 
 import numpy as np
@@ -53,7 +54,13 @@ from repro.core.operators import (
     relocate,
     split,
 )
-from repro.core.perspective import Mode, PerspectiveSet, Semantics, phi_member
+from repro.core.perspective import (
+    Mode,
+    PerspectiveSet,
+    Semantics,
+    ValidityMap,
+    phi_table,
+)
 from repro.validity import ValiditySet
 from repro.errors import QueryError
 from repro.olap.cube import Cube
@@ -155,10 +162,22 @@ def _algebra(movement: str, mode: Mode) -> str:
 
 def _members_with_data(cube: Cube, dim_name: str) -> list[str]:
     """Members holding leaf data, sorted — one entry per member however
-    many instance coordinates carry its cells."""
-    return sorted(
-        {coord.rsplit("/", 1)[-1] for coord in cube.coordinates_used(dim_name)}
+    many instance coordinates carry its cells: off the cube's coordinate
+    counts and the coordinates' member numbers, which sort like the
+    names."""
+    table = cube.schema.varying_dimension(dim_name).instance_table()
+    coords, counts, labels = cube.rollup_index().coord_labels(
+        cube.schema.dim_index(dim_name), *table.member_labels()
     )
+    held = counts > 0
+    numbers = np.bincount(labels[held & (labels >= 0)], minlength=len(table.members))
+    names = [table.members[m] for m in np.flatnonzero(numbers).tolist()]
+    strays = held & (labels < 0)
+    if strays.any():  # names no member of the skeleton: instances_of refuses them
+        names = sorted(
+            {*names, *(coords[c].rsplit("/", 1)[-1] for c in np.flatnonzero(strays))}
+        )
+    return names
 
 
 def phi_validity(
@@ -167,27 +186,21 @@ def phi_validity(
     pset: PerspectiveSet,
     semantics: Semantics,
     memo: "dict[ValiditySet, ValiditySet | None] | None" = None,
-) -> dict[str, ValiditySet]:
+) -> ValidityMap:
     """Φ per member (Def. 3.4 / 4.3) over every instance of ``members``:
     instance full path → output validity set, in member then instance
     order.  σ (the active filter) is implicit: an instance whose output
-    set is empty is left out.  Φ of an instance depends only on its own
-    validity set, and most members share one (never moved: valid
-    throughout), so it runs once per distinct input set — ``memo`` holds
-    them, for a caller that asks member by member under one (P, sem)."""
-    validity_out: dict[str, ValiditySet] = {}
-    transformed = {} if memo is None else memo
-    for member in members:
-        for instance in varying.instances_of(member):
-            try:
-                validity = transformed[instance.validity]
-            except KeyError:
-                validity = transformed[instance.validity] = phi_member(
-                    (instance,), pset, semantics
-                ).get(instance)
-            if validity is not None:
-                validity_out[instance.full_path] = validity
-    return validity_out
+    set is empty is left out.  One :func:`~repro.core.perspective.phi_table`
+    over the structure's instance table: Φ runs once per distinct input
+    set, and ``memo`` keeps the output sets for a caller that asks member
+    by member under one (P, sem)."""
+    table = varying.instance_table()
+    ids = np.fromiter(
+        map(table.member_id.get, members, repeat(-1)), dtype=np.int64, count=len(members)
+    )
+    if len(ids) and ids.min() < 0:
+        varying.dimension.member(members[int(np.argmin(ids))])  # raises
+    return phi_table(table, table.of_members(ids), pset, semantics, memo)
 
 
 def expand_instances(
@@ -483,38 +496,38 @@ def chain_structure(
 
 def _rows_of_members_reaching(
     cube: Cube, name: str, structures: Sequence[VaryingDimension], named: frozenset[str]
-) -> list[str]:
-    """On a scenario's own dimension: the leaf coordinates (with data) of
-    the members that have an instance at or under a named coordinate in
-    one of ``structures`` — the input one and the hypothetical one.  ρ and
-    S move a value between instances of one member only, so these members'
-    rows are the ones that can come to lie under a named coordinate:
-    Fig. 13's axis.
+) -> np.ndarray:
+    """On a scenario's own dimension: the codes (in ``cube``'s index) of
+    the leaf coordinates with data of the members that have an instance
+    at or under a named coordinate in one of ``structures`` — the input
+    one and the hypothetical one.  ρ and S move a value between instances
+    of one member only, so these members' rows are the ones that can come
+    to lie under a named coordinate: Fig. 13's axis.
 
     A named instance path names its member outright; a member with data
-    at an instance under a named coordinate is read off the index; only
-    the others are looked up in the structures (an instance that holds no
-    data yet — a hypothetical one, or one Φ routes into)."""
+    at a coordinate under a named one is read off the index; the
+    instances through a named coordinate (one that holds no data yet — a
+    hypothetical one, or one Φ routes into — included) off each
+    structure's instance table.  Array operations all, over member
+    numbers: no coordinate is split per query."""
+    table = structures[0].instance_table()
     index = cube.rollup_index()
     dim_index = cube.schema.dim_index(name)
-    member_of = {
-        coord: coord.rsplit("/", 1)[-1] for coord in index.coords_with_data(dim_index)
-    }
-    reaching = {coord.rsplit("/", 1)[-1] for coord in named if "/" in coord}
-    above = {coord for coord in named if "/" not in coord}
+    _, counts, labels = index.coord_labels(dim_index, *table.member_labels())
+    # one slot past the members: the coordinates naming none (label -1)
+    reaching = np.zeros(len(table.members) + 1, dtype=np.bool_)
+    above = [coord for coord in named if "/" not in coord]
+    for coord in named:
+        if "/" in coord:
+            reaching[table.member_id.get(coord.rsplit("/", 1)[-1], -1)] = True
     for coord in above:
-        reaching.update(
-            member_of[held] for held in index.coords_with_data(dim_index, under=coord)
-        )
+        codes = index.codes_under(dim_index, coord)
+        reaching[labels[codes[counts[codes] > 0]]] = True
     if above:
-        for member in dict.fromkeys(member_of.values()):
-            if member not in reaching and any(
-                not above.isdisjoint(instance.path)
-                for structure in structures
-                for instance in structure.instances_of(member)
-            ):
-                reaching.add(member)
-    return [coord for coord, member in member_of.items() if member in reaching]
+        for structure in structures:
+            through = structure.instance_table()
+            reaching[through.member[through.through(above)]] = True
+    return np.flatnonzero((counts > 0) & reaching[labels])
 
 
 def footprint_rows(
@@ -532,10 +545,10 @@ def footprint_rows(
     between instances *at one moment*): the rows rolling up into a named
     coordinate, off the base index's per-coordinate masks.  On a
     scenario's own dimension, all rows of the members that reach a named
-    coordinate (:func:`_rows_of_members_reaching`).  Applying the chain to
-    these rows yields the restriction of the full view to them, order
-    included (``relocate`` / ``split`` say why), and a cell's scope lies
-    within them by construction.
+    coordinate (:func:`_rows_of_members_reaching`, as codes).  Applying
+    the chain to these rows yields the restriction of the full view to
+    them, order included (``relocate`` / ``split`` say why), and a cell's
+    scope lies within them by construction.
 
     A cube with a rule engine is read whole — a formula may read any cell
     — and so is anything under ``naive_mode()``, which trusts no mask.
@@ -544,7 +557,7 @@ def footprint_rows(
         return None
     schema = cube.schema
     touched = {scenario.dimension for scenario in scenarios}
-    under: dict[int, "Sequence[str] | frozenset[str]"] = {}
+    under: dict[int, "Sequence[str] | frozenset[str] | np.ndarray"] = {}
     for name, coords in named.items():
         if name in touched:
             structures = [schema.varying_dimension(name)]

@@ -71,6 +71,17 @@ class Span:
         return self._t1 is not None
 
     @property
+    def start(self) -> float:
+        """When the span opened (``time.perf_counter`` seconds)."""
+        return self._t0
+
+    @property
+    def end(self) -> "float | None":
+        """When the span finished (``time.perf_counter`` seconds), or
+        ``None`` while it is open."""
+        return self._t1
+
+    @property
     def duration_ms(self) -> float:
         end = self._t1 if self._t1 is not None else time.perf_counter()
         return (end - self._t0) * 1000.0

@@ -25,14 +25,16 @@ supported, as the definition requires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.validity import ValiditySet
 from repro.errors import InvalidChangeError, SchemaError
 from repro.olap.dimension import Dimension, Member, next_generation
 
-__all__ = ["MemberInstance", "VaryingDimension"]
+__all__ = ["InstanceTable", "MemberInstance", "VaryingDimension"]
 
 
 @dataclass(frozen=True)
@@ -40,12 +42,18 @@ class MemberInstance:
     """One instance of a member: a root-to-member path plus its validity set.
 
     ``path`` runs from the dimension root down to the member itself, e.g.
-    ``("Organization", "FTE", "Joe")``.
+    ``("Organization", "FTE", "Joe")``; ``full_path`` is its ``/``-joined
+    form (``Organization/FTE/Joe``), the instance's cell coordinate, set
+    once at construction.
     """
 
     member: str
     path: tuple[str, ...]
     validity: ValiditySet
+    full_path: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "full_path", "/".join(self.path))
 
     @property
     def qualified_name(self) -> str:
@@ -53,10 +61,6 @@ class MemberInstance:
         if len(self.path) >= 2:
             return f"{self.path[-2]}/{self.path[-1]}"
         return self.member
-
-    @property
-    def full_path(self) -> str:
-        return "/".join(self.path)
 
     @property
     def parent_name(self) -> str | None:
@@ -67,6 +71,182 @@ class MemberInstance:
             f"MemberInstance({self.qualified_name!r}, "
             f"VS={self.validity.sorted_moments()})"
         )
+
+
+class InstanceTable:
+    """Every instance of every member of one varying structure, as arrays:
+    what Φ, ρ's routing and the footprint read
+    (:meth:`VaryingDimension.instance_table` builds one per structure
+    generation).
+
+    Members are numbered in name order (``members``, ``member_id``), so
+    every table over one skeleton numbers them alike.  Instances are
+    listed member by member, each member's in its own order (first moment
+    of validity): instance ``i`` is ``instances[i]``, with full path
+    ``paths[i]``, member number ``member[i]`` and validity set
+    ``set_of[i]`` — a row of ``matrix``, which holds one ``bool`` row per
+    *distinct* validity set and one column per moment
+    (:func:`repro.core.perspective.phi_rows` reads nothing else).  Member
+    ``m``'s instances are ``start[m]:start[m + 1]``; the member numbers
+    along instance ``i``'s path, root first, are
+    ``nodes[node_start[i]:node_start[i + 1]]``, and ``node_of`` names the
+    instance of every node.  A table is never changed once built.
+    """
+
+    __slots__ = (
+        "members",
+        "member_id",
+        "dim_generation",
+        "start",
+        "instances",
+        "paths",
+        "member",
+        "set_of",
+        "set_id",
+        "matrix",
+        "nodes",
+        "node_start",
+        "node_of",
+    )
+
+    @classmethod
+    def build(cls, varying: "VaryingDimension") -> "InstanceTable":
+        """The table of every member of ``varying``'s skeleton."""
+        members = tuple(sorted(m.name for m in varying.dimension.members()))
+        table = cls.__new__(cls)
+        table.members = members
+        table.member_id = {name: i for i, name in enumerate(members)}
+        table.dim_generation = varying.dimension.generation
+        table._assemble(None, varying, range(len(members)))
+        return table
+
+    def patched(
+        self, varying: "VaryingDimension", names: Iterable[str]
+    ) -> "InstanceTable":
+        """This table with the members ``names`` re-read from ``varying``
+        (a structure that differs from this table's in those members' rows
+        only); every other member's rows are sliced, not rebuilt."""
+        table = InstanceTable.__new__(InstanceTable)
+        table.members, table.member_id = self.members, self.member_id
+        table.dim_generation = self.dim_generation
+        table._assemble(self, varying, sorted(map(self.member_id.__getitem__, names)))
+        return table
+
+    def _assemble(
+        self,
+        old: "InstanceTable | None",
+        varying: "VaryingDimension",
+        changed: Sequence[int],
+    ) -> None:
+        # the members ``changed`` (ascending numbers) read off ``varying``;
+        # with an ``old`` table, the runs of members between them sliced
+        # off it.  A piece is (instances, paths, member, set_of, path
+        # lengths, nodes) of consecutive members
+        member_id, universe = self.member_id, varying.universe
+        set_id = {} if old is None else dict(old.set_id)
+        n_old_sets = len(set_id)
+        sizes = (
+            np.zeros(len(self.members), dtype=np.int64)
+            if old is None
+            else np.diff(old.start)
+        )
+        pieces: list[tuple] = []
+
+        def keep(first: int, stop: int) -> None:
+            a, b = int(old.start[first]), int(old.start[stop])
+            if a < b:
+                na, nb = int(old.node_start[a]), int(old.node_start[b])
+                pieces.append(
+                    (
+                        old.instances[a:b],
+                        old.paths[a:b],
+                        old.member[a:b],
+                        old.set_of[a:b],
+                        np.diff(old.node_start[a : b + 1]),
+                        old.nodes[na:nb],
+                    )
+                )
+
+        def read(ids: Iterable[int]) -> None:
+            instances: list[MemberInstance] = []
+            members: list[int] = []
+            sets: list[int] = []
+            lengths: list[int] = []
+            nodes: list[int] = []
+            for m in ids:
+                block = varying.instances_of(self.members[m])
+                sizes[m] = len(block)
+                for instance in block:
+                    instances.append(instance)
+                    members.append(m)
+                    sets.append(set_id.setdefault(instance.validity, len(set_id)))
+                    lengths.append(len(instance.path))
+                    nodes.extend(map(member_id.__getitem__, instance.path))
+            pieces.append(
+                (
+                    instances,
+                    [instance.full_path for instance in instances],
+                    *(np.array(c, dtype=np.int64) for c in (members, sets, lengths, nodes)),
+                )
+            )
+
+        if old is None:
+            read(changed)
+        else:
+            cursor = 0
+            for m in changed:
+                keep(cursor, m)
+                read((m,))
+                cursor = m + 1
+            keep(cursor, len(self.members))
+        self.instances = [i for piece in pieces for i in piece[0]]
+        self.paths = [p for piece in pieces for p in piece[1]]
+        self.member, self.set_of, path_len, self.nodes = (
+            np.concatenate([piece[k] for piece in pieces] or [np.zeros(0, np.int64)])
+            for k in range(2, 6)
+        )
+        self.start = np.concatenate(([0], np.cumsum(sizes)))
+        self.node_start = np.concatenate(([0], np.cumsum(path_len)))
+        self.node_of = np.repeat(np.arange(len(path_len)), path_len)
+        self.set_id = set_id
+        rows = np.zeros((len(set_id) - n_old_sets, universe), dtype=np.bool_)
+        for row, validity in enumerate(list(set_id)[n_old_sets:]):
+            rows[row, list(validity.moments)] = True
+        self.matrix = rows if old is None else np.concatenate((old.matrix, rows))
+
+    def member_labels(self) -> "tuple[object, Callable[[list[str]], list[int]]]":
+        """The labelling of the dimension's cell coordinates by member
+        number, for a cube index to compute once per coordinate list
+        (:meth:`~repro.perf.rollup_index.RollupIndex.coord_labels`): an
+        instance path gets the number of the member it ends at, a
+        coordinate naming no member -1.  Every table over one skeleton
+        gives the same key, so a hypothetical structure's reads share the
+        base's."""
+        member_id = self.member_id
+
+        def label(coords: "list[str]") -> "list[int]":
+            return [member_id.get(coord.rsplit("/", 1)[-1], -1) for coord in coords]
+
+        return ("member", self.members), label
+
+    def of_members(self, ids: np.ndarray) -> np.ndarray:
+        """The instances of the members ``ids``, member by member (in the
+        order given), each member's in its own order."""
+        first, stop = self.start[ids], self.start[ids + 1]
+        sizes = stop - first
+        total = int(sizes.sum())
+        if not total:
+            return np.zeros(0, dtype=np.int64)
+        shift = np.repeat(first - (np.cumsum(sizes) - sizes), sizes)
+        return np.arange(total) + shift
+
+    def through(self, names: Iterable[str]) -> np.ndarray:
+        """The instances whose path passes through (or ends at) one of
+        ``names``, ascending; a name that is no member passes nothing."""
+        ids = [self.member_id[name] for name in names if name in self.member_id]
+        through = np.zeros(len(self.instances), dtype=np.bool_)
+        through[self.node_of[np.isin(self.nodes, ids)]] = True
+        return np.flatnonzero(through)
 
 
 class VaryingDimension:
@@ -98,6 +278,10 @@ class VaryingDimension:
         #: member -> its instances, computed on first ask and kept until a
         #: write can change them (:meth:`_forget`)
         self._instances: dict[str, list[MemberInstance]] = {}
+        #: the instance table (:meth:`instance_table`) and the members a
+        #: write re-rowed since it was built; dropped with ``_instances``
+        self._table: InstanceTable | None = None
+        self._stale: set[str] = set()
         #: bumped by every write (see :attr:`CubeSchema.generation`)
         self.generation = next_generation()
 
@@ -163,8 +347,10 @@ class VaryingDimension:
         self.generation = next_generation()
         if self.dimension.member(member).children or member in self._parents_named:
             self._instances.clear()
+            self._table = None
         else:
             self._instances.pop(member, None)
+            self._stale.add(member)
 
     def assign(
         self,
@@ -239,6 +425,7 @@ class VaryingDimension:
             parent for row in table.values() for parent in row if parent is not None
         }
         self._instances = {}
+        self._table = None
         self.generation = next_generation()
 
     def copy(self) -> "VaryingDimension":
@@ -246,13 +433,15 @@ class VaryingDimension:
 
         Used to build *hypothetical* structures (positive scenarios) without
         disturbing the real one.  The clone starts with every instance this
-        structure has already computed (instances are immutable), so a
-        change relation recomputes the members it moves and no other.
+        structure has already computed (instances are immutable), and with
+        this structure's instance table, so a change relation recomputes
+        the members it moves and no other.
         """
         clone = VaryingDimension(self.dimension, self.parameter)
         clone._parent_at = {name: list(row) for name, row in self._parent_at.items()}
         clone._parents_named = set(self._parents_named)
         clone._instances = dict(self._instances)
+        clone._table, clone._stale = self._table, set(self._stale)
         return clone
 
     # -- structure queries ---------------------------------------------------
@@ -324,6 +513,23 @@ class VaryingDimension:
             self.dimension.member(member)  # validate existence
             instances = self._instances[member] = self._compute_instances(member)
         return list(instances)
+
+    def instance_table(self) -> InstanceTable:
+        """Every instance of every member, as arrays (:class:`InstanceTable`):
+        built once per structure generation — a write that re-rows only
+        some members patches the table it leaves behind, re-reading those
+        members alone, and so does the first ask of a :meth:`copy` that
+        R changed."""
+        table, generation = self._table, self.generation
+        if table is None or table.dim_generation != self.dimension.generation:
+            table = InstanceTable.build(self)
+        elif self._stale:
+            table = table.patched(self, self._stale)
+        else:
+            return table
+        if generation == self.generation:  # no write raced the build
+            self._table, self._stale = table, set()
+        return table
 
     def instance_at(self, member: str, moment: str | int) -> MemberInstance | None:
         """The unique instance of ``member`` valid at a moment, if any.

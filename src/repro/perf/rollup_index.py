@@ -65,14 +65,17 @@ its values twice (884,736 B of planes + a 768,000 B mirror at 96,000
 leaves).  A value write touches no structure.
 An insert or delete on either side first replaces a shared generation
 with a private copy (the other side keeps the old one): its arrays and
-per-coordinate tables are copied, its sorted keys shared and its masks
-carried (:meth:`_Structure.copy`).  Ids are never
+per-coordinate counts are copied, its roll-up maps and sorted keys
+shared and its masks carried (:meth:`_Structure.copy`).  Ids are never
 reused, and once dead ids outnumber live
 ones the next structural write renumbers, so churn cannot grow the id
 space past twice the cube.  The what-if operators (ρ, S) and the restrictions (σ,
 the shard's slice) *derive* the index of their output from the input's:
 the unchanged dimensions' columns are permuted, a moved dimension's
-column is recoded, and the gathered values are bulk-loaded — no rebuild.
+column is recoded, every coordinate table shares its parent's roll-up
+map (:class:`_CoordTable`: built once per coordinate list, the derived
+generation counting only its own leaves), and the gathered values are
+bulk-loaded — no rebuild.
 No generation holds a per-leaf Python object: every one is arrays only.
 Columns are built from addresses in one place, :meth:`RollupIndex.from_cells`:
 a bulk ``Cube.load``, an output whose rows clash on one address, and
@@ -124,6 +127,8 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import (
     TYPE_CHECKING,
+    Callable,
+    Iterable,
     Iterator,
     Mapping,
     Sequence,
@@ -221,6 +226,27 @@ class LeafColumns:
             return [self._addresses[row] for row in rows.tolist()]
         return self._struct.addresses(self.ids[rows])
 
+    def code_of(self, dim: int) -> Mapping[str, int]:
+        """Coordinate -> code on dimension ``dim``: the coordinate table's
+        own map for columns read from an index — where a code at or past
+        ``len(coords[dim])`` was added after this read — built from
+        ``coords[dim]`` for scanned ones."""
+        if self._struct is None:
+            return {coord: code for code, coord in enumerate(self.coords[dim])}
+        return self._struct.tables[dim].code_of
+
+    def labels(
+        self, dim: int, key: object, label: "Callable[[list[str]], Iterable[int]]"
+    ) -> np.ndarray:
+        """``label`` of each coordinate of ``coords[dim]``, one ``int64``
+        per code: off the coordinate table's labels for columns read from
+        an index (:meth:`RollupIndex.coord_labels`), computed for scanned
+        ones."""
+        coords = self.coords[dim]
+        if self._struct is None:
+            return np.array(list(label(coords)), dtype=np.int64)
+        return self._struct.tables[dim].labelled(key, label)[: len(coords)]
+
     def derive(
         self, schema: "CubeSchema", rows: np.ndarray, recoded: Mapping[int, Column]
     ) -> "RollupIndex":
@@ -271,68 +297,165 @@ def scan_columns(
 
 
 class _CoordTable:
-    """The distinct leaf coordinates of one dimension and what they roll
-    up to: ``under[c]`` lists the codes of the leaf coordinates below (or
-    equal to) coordinate ``c`` and ``n_under[c]`` counts the live leaves
-    there.  Built from ``CubeSchema.ancestor_chain`` once per *distinct*
-    coordinate that has held a leaf: a coordinate the table merely lists
-    (a derived cube keeps its parent's codes, whatever rows it kept) rolls
-    up to nothing until :meth:`add_leaf` counts a leaf there, so a table
-    costs what its cube holds."""
+    """The distinct leaf coordinates of one dimension, what they roll up
+    to, and how many live leaves each holds.
 
-    __slots__ = ("coords", "code_of", "under", "n_under")
+    ``under[c]`` lists the codes of the leaf coordinates below (or equal
+    to) coordinate ``c`` — of every coordinate the table lists, whether a
+    leaf is there now or not — and ``counts[code]`` the live leaves at
+    each: one ``bincount`` of the generation's code column when first
+    asked (every row is live when a generation is made, and every write
+    asks before it changes a count).  ``n_under`` (live leaves under a
+    coordinate) is filled on demand (:meth:`count`), and ``labels`` holds
+    per-code arrays read off the coordinates (:meth:`labelled`).
+
+    The roll-up map — ``coords``, ``code_of``, ``under`` and ``labels`` —
+    depends on the coordinate list alone, resolved from
+    ``CubeSchema.ancestor_chain`` once per coordinate.  So a derived
+    generation shares its parent's map and keeps only its own counts
+    (:meth:`derived`: one ``bincount``), and so does the private copy a
+    structural write makes (:meth:`copy`).  A shared map is never
+    changed: a table that must add a coordinate to one copies it first
+    (``own`` says whether the map is this table's alone)."""
+
+    __slots__ = (
+        "coords", "code_of", "under", "labels", "n_under", "own", "_column", "_counts"
+    )
 
     def __init__(
         self,
         schema: "CubeSchema",
         dim_index: int,
         coords: list[str],
-        counts: Sequence[int],
+        column: np.ndarray,
     ) -> None:
         self.coords = coords
         self.code_of = {coord: code for code, coord in enumerate(coords)}
         self.under: dict[str, list[int]] = {}
-        self.n_under: dict[str, int] = {}
-        under, n_under = self.under, self.n_under
-        chain = schema.ancestor_chain
-        for code, (coord, count) in enumerate(zip(coords, counts)):
-            if not count:
-                continue
+        under, chain = self.under, schema.ancestor_chain
+        for code, coord in enumerate(coords):
             for ancestor in chain(dim_index, coord):
                 codes = under.get(ancestor)
                 if codes is None:
                     under[ancestor] = [code]
-                    n_under[ancestor] = count
                 else:
                     codes.append(code)
-                    n_under[ancestor] += count
+        self.n_under: dict[str, int] = {}
+        self.labels: dict[object, np.ndarray] = {}
+        self.own = True
+        self._column: "np.ndarray | None" = column
+        self._counts: "list[int] | None" = None
+
+    @property
+    def counts(self) -> list[int]:
+        counts = self._counts
+        if counts is None:
+            counts = self._counts = np.bincount(
+                self._column, minlength=len(self.coords)
+            ).tolist()
+        return counts
+
+    def _sharing(self, column: "np.ndarray | None") -> "_CoordTable":
+        # a table over this one's map counting ``column``; neither side
+        # may change the map in place from now on
+        clone = _CoordTable.__new__(_CoordTable)
+        clone.coords, clone.code_of = self.coords, self.code_of
+        clone.under, clone.labels = self.under, self.labels
+        clone.n_under = {}
+        clone.own = self.own = False
+        clone._column, clone._counts = column, None
+        return clone
 
     def copy(self) -> "_CoordTable":
-        clone = _CoordTable.__new__(_CoordTable)
-        clone.coords = list(self.coords)
-        clone.code_of = dict(self.code_of)
-        clone.under = {coord: list(codes) for coord, codes in self.under.items()}
+        clone = self._sharing(None)
+        clone._counts = list(self.counts)
         clone.n_under = dict(self.n_under)
         return clone
 
+    def derived(
+        self,
+        schema: "CubeSchema",
+        dim_index: int,
+        coords: list[str],
+        column: np.ndarray,
+    ) -> "_CoordTable":
+        """The table of a derived generation whose coordinate list is
+        ``coords`` and whose rows' codes are ``column``: this table's map,
+        shared — extended by the coordinates ``coords`` adds past this
+        table's (a moved dimension's new instances) — or, for a list that
+        does not extend this one, a map of its own."""
+        n = len(self.coords)
+        if coords is not self.coords and coords[:n] != self.coords:
+            return _CoordTable(schema, dim_index, list(coords), column)
+        clone = self._sharing(column)
+        if len(coords) > n:
+            # copy the lists the new coordinates join, and no other
+            clone.coords = list(coords)
+            clone.code_of = dict(self.code_of)
+            clone.under = dict(self.under)
+            clone.labels = dict(self.labels)
+            chain = schema.ancestor_chain
+            for code in range(n, len(coords)):
+                coord = coords[code]
+                clone.code_of[coord] = code
+                for ancestor in chain(dim_index, coord):
+                    clone.under[ancestor] = [*clone.under.get(ancestor, ()), code]
+        return clone
+
+    def count(self, coord: str) -> int:
+        """Live leaves under (or at) ``coord``; 0 for a coordinate the
+        table does not know."""
+        count = self.n_under.get(coord)
+        if count is None:
+            codes = self.under.get(coord)
+            if codes is None:
+                return 0
+            count = self.n_under[coord] = sum(map(self.counts.__getitem__, codes))
+        return count
+
+    def labelled(
+        self, key: object, label: "Callable[[list[str]], Iterable[int]]"
+    ) -> np.ndarray:
+        """``label`` of every coordinate, one ``int64`` per code: computed
+        once per coordinate list and ``key``, and for the codes added since
+        only when the list has grown."""
+        n = len(self.coords)
+        known = self.labels.get(key, _EMPTY_IDS)
+        if len(known) < n:
+            more = np.array(list(label(self.coords[len(known) : n])), dtype=np.int64)
+            known = self.labels[key] = np.concatenate((known, more))
+        return known[:n]
+
     def add_leaf(self, coord: str, chain: tuple[str, ...]) -> int:
         """Count one more leaf at ``coord``; returns its code."""
+        counts = self.counts  # counted before the table grows
         code = self.code_of.get(coord)
         if code is None:
+            if not self.own:
+                self.coords = list(self.coords)
+                self.code_of = dict(self.code_of)
+                self.under = {c: list(codes) for c, codes in self.under.items()}
+                self.labels = dict(self.labels)
+                self.own = True
             code = len(self.coords)
             self.coords.append(coord)
             self.code_of[coord] = code
-        n_under = self.n_under
-        if coord not in n_under:  # the first leaf ever counted here
+            counts.append(0)
             for ancestor in chain:
                 self.under.setdefault(ancestor, []).append(code)
+        counts[code] += 1
+        n_under = self.n_under
         for ancestor in chain:
-            n_under[ancestor] = n_under.get(ancestor, 0) + 1
+            if ancestor in n_under:
+                n_under[ancestor] += 1
         return code
 
-    def remove_leaf(self, chain: tuple[str, ...]) -> None:
+    def remove_leaf(self, coord: str, chain: tuple[str, ...]) -> None:
+        self.counts[self.code_of[coord]] -= 1
+        n_under = self.n_under
         for ancestor in chain:
-            self.n_under[ancestor] -= 1
+            if ancestor in n_under:
+                n_under[ancestor] -= 1
 
 
 def _with_headroom(array: np.ndarray, n: int) -> np.ndarray:
@@ -454,8 +577,9 @@ class _SortedPart:
         wide = math.prod(radices) >= _KEY_LIMIT
         key = np.zeros(len(rows), dtype=object if wide else np.int64)
         for column, radix in zip(codes, radices):
-            key *= radix
-            key += column[rows].astype(object) if wide else column[rows]
+            if radix > 1:  # a one-coordinate table's digit is always 0
+                key *= radix
+                key += column[rows].astype(object) if wide else column[rows]
         order = np.argsort(key)
         self.keys = key[order]
         self.rows = rows[order]
@@ -607,9 +731,7 @@ class _Structure:
         and every row is sorted."""
         codes = [column for column, _ in columns]
         tables = [
-            _CoordTable(
-                schema, i, coords, np.bincount(column, minlength=len(coords)).tolist()
-            )
+            _CoordTable(schema, i, coords, column[:n])
             for i, (column, coords) in enumerate(columns)
         ]
         return cls(
@@ -621,12 +743,36 @@ class _Structure:
             _SortedPart(codes, tables, np.arange(n)),
         )
 
+    def derived(
+        self, schema: "CubeSchema", ids: np.ndarray, recoded: Mapping[int, Column]
+    ) -> "_Structure":
+        """The generation of ``len(ids)`` live leaves, leaf ``k`` being
+        this generation's leaf ``ids[k]`` — with, on the dimensions of
+        ``recoded``, the code of that dimension's new ``(codes, coords)``
+        column instead — every row sorted.  Each dimension's table shares
+        this generation's roll-up map (:meth:`_CoordTable.derived`) and
+        counts its own leaves when asked, one ``bincount``."""
+        codes: list[np.ndarray] = []
+        tables: list[_CoordTable] = []
+        for dim, table in enumerate(self.tables):
+            column, coords = (
+                recoded[dim] if dim in recoded else (self.codes[dim][ids], table.coords)
+            )
+            codes.append(column)
+            tables.append(table.derived(schema, dim, coords, column))
+        n = len(ids)
+        return _Structure(
+            n, codes, tables, np.ones(n, dtype=np.bool_), n,
+            _SortedPart(codes, tables, np.arange(n)),
+        )
+
     def copy(self) -> "_Structure":
         """A private generation for a structural write: same ids, columns
         trimmed to the id space plus headroom — arrays and per-coordinate
-        tables, nothing per leaf.  The sorted part is shared, ``recent``
-        copied, and every mask is carried for patching; the ordered ids of
-        the old id space are left behind."""
+        counts (the roll-up maps are shared), nothing per leaf.  The
+        sorted part is shared, ``recent`` copied, and every mask is
+        carried for patching; the ordered ids of the old id space are left
+        behind."""
         n = self.n_ids
         return _Structure(
             n,
@@ -852,19 +998,6 @@ class RollupIndex:
                 struct,
             )
 
-    def _permuted(
-        self, ids: np.ndarray, recoded: Mapping[int, Column]
-    ) -> list[Column]:  # reprolint: locked
-        # one (codes, coords) column per dimension for the rows ``ids``:
-        # the ``recoded`` ones as given, the others this index's own
-        struct = self._struct
-        return [
-            recoded[dim]
-            if dim in recoded
-            else (struct.codes[dim][ids], list(struct.tables[dim].coords))
-            for dim in range(self.schema.n_dims)
-        ]
-
     def derive(
         self, ids: np.ndarray, values: np.ndarray, recoded: Mapping[int, Column]
     ) -> "RollupIndex":
@@ -873,11 +1006,12 @@ class RollupIndex:
         ``recoded`` to the coordinate their new ``(codes, coords)``
         columns give.
 
-        Every other column is this index's own, permuted by ``ids``.
-        Output leaf ids are the output rows, so ascending id == the
-        operator's emission order.  Nothing per leaf is built: whether
-        two rows landed on one address is read off the sorted row keys,
-        which the output keeps as its point lookup
+        Every other column is this index's own, permuted by ``ids``, and
+        every coordinate table shares this index's roll-up map
+        (:meth:`_Structure.derived`).  Output leaf ids are the output
+        rows, so ascending id == the operator's emission order.  Nothing
+        per leaf is built: whether two rows landed on one address is read
+        off the sorted row keys, which the output keeps as its point lookup
         (:meth:`_Structure.index_rows`).  If two did, rows and leaves no
         longer line up and the output is rebuilt from its addresses, where
         the later value wins at the earlier position as a dict write
@@ -887,9 +1021,8 @@ class RollupIndex:
         snapshots and scenario views, which have none).
         """
         with trace_span("rollup_index.derive") as span, self._lock:
-            child = RollupIndex._from_columns(
-                self.schema, self._permuted(ids, recoded), values
-            )
+            child = RollupIndex(self.schema, self._struct.derived(self.schema, ids, recoded))
+            child._values = ColumnarLeafStore.from_values(values)
             distinct = child._struct.sorted_part.distinct()
             if span is not None:
                 span.set(
@@ -906,11 +1039,38 @@ class RollupIndex:
         all of them, or those rolling up into ``under``."""
         with self._lock:
             table = self._struct.tables[dim_index]
-            n_under = table.n_under
+            coords, counts = table.coords, table.counts
             if under is None:
-                return [c for c in table.coords if n_under.get(c)]
-            coords = [table.coords[code] for code in table.under.get(under, ())]
-            return [c for c in coords if n_under[c]]
+                return [c for c, count in zip(coords, counts) if count]
+            return [coords[code] for code in table.under.get(under, ()) if counts[code]]
+
+    def coord_labels(
+        self,
+        dim_index: int,
+        key: object,
+        label: "Callable[[list[str]], Iterable[int]]",
+    ) -> "tuple[list[str], np.ndarray, np.ndarray]":
+        """One dimension's coordinate table as arrays: its coordinates, the
+        live leaves at each, and ``label`` of each as an ``int64`` — the
+        last computed once per coordinate list (``key`` names the
+        labelling), which every generation derived from this one and
+        every snapshot shares, so a per-coordinate property costs a query
+        nothing after the first."""
+        with self._lock:
+            table = self._struct.tables[dim_index]
+            return (
+                list(table.coords),
+                np.array(table.counts, dtype=np.int64),
+                table.labelled(key, label),
+            )
+
+    def codes_under(self, dim_index: int, coord: str) -> np.ndarray:
+        """The codes of the leaf coordinates rolling up into ``coord`` on
+        one dimension, leaves there or not."""
+        with self._lock:
+            return np.array(
+                self._struct.tables[dim_index].under.get(coord, ()), dtype=np.int64
+            )
 
     # -- the leaf store: writes, point reads, the mapping view --------------------
 
@@ -947,16 +1107,12 @@ class RollupIndex:
         leaves keep their relative order, so ascending id is still
         insertion order and strict reductions are unchanged."""
         ids = self._ordered_array()
-        fresh = RollupIndex._from_columns(
-            self.schema,
-            self._permuted(ids, {}),
-            self._values.gather(ids),
-        )
+        struct = self._struct.derived(self.schema, ids, {})
         # a new store, not a rewrite of the old one: a point reader that
         # still holds the old generation's lookup holds the old store
-        self._values = fresh._values
+        self._values = ColumnarLeafStore.from_values(self._values.gather(ids))
         self._values.copied = True
-        return fresh._struct
+        return struct
 
     def set_leaf(self, addr: Address, value: float) -> bool:
         """Store ``value`` at leaf ``addr``: a value-column write when the leaf
@@ -1002,7 +1158,7 @@ class RollupIndex:
             struct.n_live -= 1
             chain = self.schema.ancestor_chain
             for i, coord in enumerate(addr):
-                struct.tables[i].remove_leaf(chain(i, coord))
+                struct.tables[i].remove_leaf(coord, chain(i, coord))
             self._wrote(addr)
             return True
 
@@ -1231,7 +1387,11 @@ class RollupIndex:
         :class:`~repro.errors.MemberNotFoundError`, matching the contract
         of the hierarchy lookup the naive scan performs.
         """
-        count = self._struct.tables[dim_index].n_under.get(coord, 0)
+        with self._lock:  # the count may be filled in here
+            return self._coord_count(dim_index, coord)
+
+    def _coord_count(self, dim_index: int, coord: str) -> int:  # reprolint: locked
+        count = self._struct.tables[dim_index].count(coord)
         if count == 0:
             dimension = self.schema.dimensions[dim_index]
             if not self.schema.is_varying(dimension.name):
@@ -1282,11 +1442,13 @@ class RollupIndex:
             struct.carried.pop(key, None)
         return mask
 
-    def _scope(self, named: Mapping[int, "Sequence[str] | frozenset[str]"]) -> Scope:  # reprolint: locked
+    def _scope(self, named: Mapping[int, "Sequence[str] | frozenset[str] | np.ndarray"]) -> Scope:  # reprolint: locked
         """The one scope: the live leaves that, on every dimension of
         ``named``, roll up into one of its coordinates, as ``(mask,
         filters)`` — ``None`` when no leaf does, ``(None, [])`` when every
-        live leaf does.
+        live leaf does.  A dimension may name the codes of its leaf
+        coordinates instead (an ``int`` array, as
+        :meth:`coord_labels` numbers them).
 
         A coordinate costs one ``n_under`` probe (:meth:`coord_count`);
         one that every live leaf rolls up into adds no constraint, one that
@@ -1303,9 +1465,9 @@ class RollupIndex:
         mask: "np.ndarray | None" = None
         filters: list[tuple[int, int, np.ndarray]] = []
         for dim, coords in named.items():
-            if len(coords) == 1:
+            if len(coords) == 1 and not isinstance(coords, np.ndarray):
                 (coord,) = coords
-                kept = self.coord_count(dim, coord)
+                kept = self._coord_count(dim, coord)
                 if kept == n_live:
                     continue
                 if kept == 0:
@@ -1314,20 +1476,24 @@ class RollupIndex:
                 mask = coord_mask if mask is None else mask & coord_mask
                 continue
             table = struct.tables[dim]
-            codes: set[int] = set()
-            for coord in coords:
-                under = table.under.get(coord)
-                if under is None:
-                    self.coord_count(dim, coord)  # an unknown member raises
-                else:
-                    codes.update(under)
-            kept = sum(table.n_under[table.coords[code]] for code in codes)
+            if isinstance(coords, np.ndarray):
+                codes = coords
+            else:
+                found: set[int] = set()
+                for coord in coords:
+                    under = table.under.get(coord)
+                    if under is None:
+                        self._coord_count(dim, coord)  # an unknown member raises
+                    else:
+                        found.update(under)
+                codes = np.fromiter(found, dtype=np.int64, count=len(found))
+            kept = int(np.array(table.counts, dtype=np.int64)[codes].sum())
             if kept == n_live:
                 continue
             if kept == 0:
                 return None
             keep = np.zeros(len(table.coords), dtype=np.bool_)
-            keep[list(codes)] = True
+            keep[codes] = True
             filters.append((kept, dim, keep))
         filters.sort(key=lambda item: item[0])
         return mask, filters
@@ -1359,7 +1525,7 @@ class RollupIndex:
         return self._ordered_array() if ids is None else ids
 
     def ids_under(
-        self, named: Mapping[int, "Sequence[str] | frozenset[str]"]
+        self, named: Mapping[int, "Sequence[str] | frozenset[str] | np.ndarray"]
     ) -> "np.ndarray | None":
         """:meth:`_scope` as ascending leaf ids, ``None`` when it is every
         live leaf: σ's rows and a grid row's scope.  An unknown member of a

@@ -52,6 +52,16 @@ class ValiditySet:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def trusted(cls, moments: frozenset[int], universe: int) -> "ValiditySet":
+        """A set whose moments the caller guarantees are ints in
+        ``range(universe)`` — what Φ builds off a validity matrix row —
+        adopted without the per-moment check."""
+        validity = cls.__new__(cls)
+        validity._moments = moments
+        validity._universe = universe
+        return validity
+
+    @classmethod
     def empty(cls, universe: int) -> "ValiditySet":
         return cls((), universe)
 

@@ -6,8 +6,10 @@ governing perspectives) and hypothesis properties checking Φ against it.
 
 from __future__ import annotations
 
+import os
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.perspective import (
@@ -18,7 +20,11 @@ from repro.core.perspective import (
     phi_member,
     stretch,
 )
+from repro.core.scenario import phi_validity
 from repro.errors import QueryError
+from repro.olap.dimension import Dimension
+from repro.olap.instances import MemberInstance, VaryingDimension
+from repro.olap.schema import CubeSchema
 from repro.validity import ValiditySet
 
 UNIVERSE = 12
@@ -290,3 +296,180 @@ def test_mode_enum_values():
     assert not Semantics.STATIC.is_dynamic
     assert Semantics.EXTENDED_BACKWARD.is_backward
     assert Semantics.EXTENDED_BACKWARD.is_extended
+
+
+# -- every semantics against the definitional model ----------------------------------
+#
+# Def. 3.4's per-moment reading, one rule per semantics: a moment takes the
+# instance valid at the perspective that governs it, and a moment no
+# perspective governs keeps its own assignment — or, extended, takes the
+# instance valid at the nearest perspective.  Universes of 1-14 moments,
+# sets drawn freely (overlapping ones included), and the edge perspective
+# sets {0}, {U-1} and every moment.  Tier-1 draws a few dozen cases per
+# law; the CI ``faults`` job (``REPRO_FAULTS=ci-matrix``) the wide run.
+
+WIDE = "ci-matrix" in os.environ.get("REPRO_FAULTS", "")
+PHI_EXAMPLES = 1500 if WIDE else 40
+
+
+def model_phi(
+    validity: ValiditySet, p: PerspectiveSet, semantics: Semantics
+) -> "set[int]":
+    """The output moments of one instance under ``semantics``, moment by
+    moment; empty when the instance holds no perspective (σ drops it)."""
+    if not any(m in validity for m in p.moments):
+        return set()
+    if semantics is Semantics.STATIC:
+        return set(validity.moments)
+    out = set()
+    for t in range(p.universe):
+        if semantics.is_forward:
+            governing, anchor = p.governing_forward(t), p.pmin
+        else:
+            governing, anchor = p.governing_backward(t), p.pmax
+        if governing is not None:
+            held = governing in validity
+        elif semantics.is_extended:
+            held = anchor in validity
+        else:
+            held = t in validity
+        if held:
+            out.add(t)
+    return out
+
+
+def model_stretch(validity: ValiditySet, p: PerspectiveSet) -> "set[int]":
+    """Def. 4.3's Stretch, moment by moment: t >= Pmin whose governing
+    perspective the instance holds."""
+    return {
+        t
+        for t in range(p.universe)
+        if p.governing_forward(t) is not None and p.governing_forward(t) in validity
+    }
+
+
+@st.composite
+def perspective_cases(draw):
+    """A universe, a perspective set — drawn, or one of the edge sets —
+    and a handful of validity sets drawn independently (they may
+    overlap)."""
+    universe = draw(st.integers(min_value=1, max_value=14))
+    moment = st.integers(min_value=0, max_value=universe - 1)
+    p_moments = draw(
+        st.one_of(
+            st.sets(moment, min_size=1, max_size=universe),
+            st.just({0}),
+            st.just({universe - 1}),
+            st.just(set(range(universe))),
+        )
+    )
+    sets = draw(st.lists(st.sets(moment), min_size=1, max_size=6))
+    return (
+        PerspectiveSet(p_moments, universe),
+        [ValiditySet(moments, universe) for moments in sets],
+    )
+
+
+@settings(max_examples=PHI_EXAMPLES, deadline=None)
+@given(case=perspective_cases(), semantics=st.sampled_from(list(Semantics)))
+def test_phi_matches_the_model_under_every_semantics(case, semantics):
+    p, sets = case
+    validity_in = {f"i{k}": validity for k, validity in enumerate(sets)}
+    expected = {
+        key: ValiditySet(moments, p.universe)
+        for key, validity in validity_in.items()
+        if (moments := model_phi(validity, p, semantics))
+    }
+    result = phi(validity_in, p, semantics)
+    assert result == expected
+    assert list(result) == [key for key in validity_in if key in expected]
+
+
+@settings(max_examples=PHI_EXAMPLES, deadline=None)
+@given(case=perspective_cases(), semantics=st.sampled_from(list(Semantics)))
+def test_phi_member_matches_the_model_under_every_semantics(case, semantics):
+    p, sets = case
+    instances = [
+        MemberInstance("m", ("D", f"g{k}", "m"), validity)
+        for k, validity in enumerate(sets)
+    ]
+    result = phi_member(instances, p, semantics)
+    expected = {
+        instance: ValiditySet(moments, p.universe)
+        for instance in instances
+        if (moments := model_phi(instance.validity, p, semantics))
+    }
+    assert result == expected
+    assert list(result) == [i for i in instances if i in expected]
+
+
+@settings(max_examples=PHI_EXAMPLES, deadline=None)
+@given(case=perspective_cases())
+def test_stretch_matches_the_model(case):
+    p, sets = case
+    for validity in sets:
+        assert stretch(validity, p) == ValiditySet(model_stretch(validity, p), p.universe)
+
+
+def _structure(universe: int, rows: "dict[str, list[int]]") -> VaryingDimension:
+    """A varying dimension D over an ordered parameter of ``universe``
+    moments: groups g0-g2 and members e0.. whose parent at moment t is
+    group ``rows[e][t]`` (-1: invalid there)."""
+    dim = Dimension("D")
+    dim.add_children(None, ["g0", "g1", "g2"])
+    for member in rows:
+        dim.add_member(member, "g0")
+    time = Dimension("T", ordered=True)
+    time.add_children(None, [f"t{i}" for i in range(universe)])
+    varying = CubeSchema([dim, time]).make_varying("D", "T")
+    for member, row in rows.items():
+        for t, group in enumerate(row):
+            if group < 0:
+                varying.set_invalid(member, [t])
+            else:
+                varying.assign(member, f"g{group}", [t])
+    return varying
+
+
+@st.composite
+def structure_cases(draw):
+    universe = draw(st.integers(min_value=1, max_value=14))
+    moment = st.integers(min_value=0, max_value=universe - 1)
+    p_moments = draw(
+        st.one_of(
+            st.sets(moment, min_size=1, max_size=universe),
+            st.just({0}),
+            st.just({universe - 1}),
+            st.just(set(range(universe))),
+        )
+    )
+    names = [f"e{k}" for k in range(draw(st.integers(min_value=1, max_value=5)))]
+    group = st.integers(min_value=-1, max_value=2)
+    rows = {
+        name: draw(st.lists(group, min_size=universe, max_size=universe))
+        for name in names
+    }
+    order = draw(st.permutations(names))
+    asked = order[: draw(st.integers(min_value=1, max_value=len(order)))]
+    return _structure(universe, rows), PerspectiveSet(p_moments, universe), asked
+
+
+@settings(max_examples=PHI_EXAMPLES, deadline=None)
+@given(case=structure_cases(), semantics=st.sampled_from(list(Semantics)))
+def test_phi_validity_matches_the_model_in_member_and_instance_order(case, semantics):
+    """The table path: every instance of the members asked, in the order
+    asked, each member's in its own order."""
+    varying, p, asked = case
+    expected = {
+        instance.full_path: ValiditySet(moments, p.universe)
+        for member in asked
+        for instance in varying.instances_of(member)
+        if (moments := model_phi(instance.validity, p, semantics))
+    }
+    result = phi_validity(varying, asked, p, semantics)
+    assert list(result.items()) == list(expected.items())
+    memo: dict = {}
+    by_member = {}
+    for member in asked:
+        by_member.update(phi_validity(varying, [member], p, semantics, memo))
+    assert list(by_member.items()) == list(expected.items())
