@@ -37,14 +37,17 @@ from the structure half, the coordinates the cells name are the query's
 *footprint* (:data:`Footprint`), :func:`footprint_rows` turns it into the
 base rows that can reach one of those cells, and ρ / S run over those
 rows only (:func:`apply_chain`).  The full view is the unrestricted case
-of the same call.
+of the same call.  A NON_VISUAL last stage's ρ / S runs only if a cell
+lies at leaf level on every dimension: every other cell of such a stage
+is its input cube's (Sec. 3.3), so its leaves wait for a reader
+(:attr:`WhatIfCube.leaf_cube`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Any, Mapping, NamedTuple, Sequence, TypeAlias
+from typing import Any, Callable, Mapping, NamedTuple, Sequence, TypeAlias
 
 import numpy as np
 
@@ -63,6 +66,7 @@ from repro.core.perspective import (
 )
 from repro.validity import ValiditySet
 from repro.errors import QueryError
+from repro.lint.lockdep import make_lock
 from repro.olap.cube import Cube
 from repro.olap.instances import MemberInstance, VaryingDimension
 from repro.olap.missing import Missing
@@ -102,17 +106,25 @@ class WhatIfCube:
     Supports the same read API as :class:`~repro.olap.cube.Cube`
     (``effective_value`` / ``value``), so MDX evaluation and the algebra
     operators can consume it transparently.
+
+    A NON_VISUAL stage may hand in ``build`` — the ρ / S call that moves
+    its leaves — instead of ``leaf_cube``: its aggregates are its input's,
+    so the leaves are moved only when someone reads them
+    (:attr:`leaf_cube`), once, however many threads ask at the same time.
     """
 
     def __init__(
         self,
-        leaf_cube: Cube,
+        leaf_cube: "Cube | None",
         aggregate_cube: Cube,
         mode: Mode,
         validity_out: Mapping[str, ValiditySet] | None = None,
         varying_out: VaryingDimension | None = None,
+        build: "Callable[[], Cube] | None" = None,
     ) -> None:
-        self.leaf_cube = leaf_cube
+        self._leaf_cube = leaf_cube
+        self._build = build
+        self._lock = make_lock("WhatIfCube._lock", reentrant=False)
         self.aggregate_cube = aggregate_cube
         self.mode = mode
         #: output validity sets keyed by member-instance full path
@@ -127,8 +139,27 @@ class WhatIfCube:
         self.surviving: dict[str, frozenset[str]] = {}
 
     @property
+    def leaf_cube(self) -> Cube:
+        """The hypothetical leaves: moved by the first reader when the
+        stage deferred them; a racing reader waits for that one build,
+        and a build that raises leaves the next reader to try again."""
+        leaves = self._leaf_cube
+        if leaves is None:
+            with self._lock:
+                leaves = self._leaf_cube
+                if leaves is None:
+                    leaves = self._leaf_cube = self._build()
+                    self._build = None
+        return leaves
+
+    @property
+    def leaves_moved(self) -> bool:
+        """Whether :attr:`leaf_cube` exists yet (always, unless deferred)."""
+        return self._leaf_cube is not None
+
+    @property
     def schema(self) -> CubeSchema:
-        return self.leaf_cube.schema
+        return self.aggregate_cube.schema
 
     def effective_value(self, address: Sequence[str]) -> CellValue:
         addr = self.schema.validate_address(address)
@@ -147,11 +178,29 @@ class WhatIfCube:
         return self.leaf_cube
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        leaves = self._leaf_cube
         return (
             f"WhatIfCube(mode={self.mode.value}, "
-            f"{self.leaf_cube.n_leaf_cells} leaf cells, "
-            f"{len(self.validity_out)} instances)"
+            + ("leaves not moved, " if leaves is None else f"{leaves.n_leaf_cells} leaf cells, ")
+            + f"{len(self.validity_out)} instances)"
         )
+
+
+def _deferred(
+    scenario: "NegativeScenario | PositiveScenario", move: "Callable[[], Cube]"
+) -> "Callable[[], Cube]":
+    """A NON_VISUAL stage's leaf half, for :class:`WhatIfCube` to run on
+    first read, under a ``scenario.leaves`` span of its own."""
+
+    def build() -> Cube:
+        from repro.obs.trace import trace_span
+
+        with trace_span(
+            "scenario.leaves", kind=type(scenario).__name__, dimension=scenario.dimension
+        ):
+            return move()
+
+    return build
 
 
 def _algebra(movement: str, mode: Mode) -> str:
@@ -292,13 +341,20 @@ class NegativeScenario:
         """``rows`` applies ρ to those leaves of ``cube`` only
         (:func:`footprint_rows`); ``structure`` is this stage's structure
         half when the caller already ran it (once per chain, on the whole
-        cube — Φ is not asked again)."""
+        cube — Φ is not asked again).  A NON_VISUAL stage handed its
+        structure half has nothing left to compute but its leaves: it
+        defers them to their first reader (:class:`WhatIfCube`)."""
         varying = varying or cube.schema.varying_dimension(self.dimension)
         _, validity_out = structure or self.structure(
             varying, _members_with_data(cube, self.dimension)
         )
         operands = (cube, self.dimension, validity_out, varying)
-        out = relocate(*operands) if rows is None else relocate(*operands, rows)
+        if rows is not None:
+            operands += (rows,)
+        if structure is not None and self.mode is Mode.NON_VISUAL:
+            move = _deferred(self, lambda: relocate(*operands))
+            return WhatIfCube(None, cube, self.mode, validity_out, build=move)
+        out = relocate(*operands)
         if self.mode is Mode.VISUAL:
             out.clear_stored_derived()
             return WhatIfCube(out, out, self.mode, validity_out)
@@ -385,9 +441,15 @@ class PositiveScenario:
         varying = varying or cube.schema.varying_dimension(self.dimension)
         if not self.changes:
             raise QueryError("a changes clause needs at least one change tuple")
-        # split owns its structure half (R applied) and hands it back
         operands = (cube, self.dimension, list(self.changes), varying)
-        out, hypo = split(*operands) if rows is None else split(*operands, rows)
+        if rows is not None:
+            operands += (rows,)
+        if structure is not None and self.mode is Mode.NON_VISUAL:
+            hypo, validity_out = structure
+            move = _deferred(self, lambda: split(*operands)[0])
+            return WhatIfCube(None, cube, self.mode, validity_out, hypo, build=move)
+        # split owns its structure half (R applied) and hands it back
+        out, hypo = split(*operands)
         validity_out = (
             structure[1]
             if structure is not None
@@ -419,7 +481,11 @@ def apply_scenarios(
     first stage reads those leaves of ``cube`` only, and every later
     stage the — already restricted — output of the one before.
     ``stages`` hands each stage the structure half :func:`chain_structure`
-    computed for it on the whole cube.
+    computed for it on the whole cube; a NON_VISUAL stage then defers its
+    leaves to their first reader.  A stage before the last is read at
+    once, as the next stage's input; the last one's leaves are moved only
+    if the query reads a cell at leaf level (Sec. 3.3: every other cell
+    of a NON_VISUAL stage is its input's).
     """
     from repro.obs.trace import trace_span
 
@@ -430,6 +496,8 @@ def apply_scenarios(
     varying: dict[str, VaryingDimension] = {}
     surviving: dict[str, frozenset[str]] = {}
     for position, scenario in enumerate(scenarios):
+        if result is not None:  # a stage's input is the leaves of the one before
+            current = result.leaf_cube
         # Data-driven scenarios (e.g. AllocationScenario) have no varying
         # dimension; structural ones thread the hypothetical structure.
         dimension = getattr(scenario, "dimension", None)
@@ -446,7 +514,6 @@ def apply_scenarios(
             surviving[dimension] = frozenset(result.validity_out)
             if result.varying_out is not None:
                 varying[dimension] = result.varying_out
-        current = result.leaf_cube
     assert result is not None
     result.varying, result.surviving = varying, surviving
     return result

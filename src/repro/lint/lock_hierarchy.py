@@ -48,6 +48,9 @@ LOCK_ORDER: tuple[str, ...] = (
     "ScenarioCatalog._lock",
     "CatalogJournal._lock",
     "CircuitBreaker._lock",
+    # a deferred NON_VISUAL stage's one leaf build: ρ / S derive a cube
+    # and its index inside it
+    "WhatIfCube._lock",
     "Cube._lock",
     "RollupIndex._lock",
     "ScenarioCache._lock",
@@ -119,6 +122,7 @@ THREAD_SHARED: dict[str, GuardSpec] = {
         ),
     ),
     "ScenarioCache": GuardSpec("_lock", ("_entries",)),
+    "WhatIfCube": GuardSpec("_lock", ("_leaf_cube", "_build")),
     "SlowQueryLog": GuardSpec("_lock", ("_entries", "observed", "recorded")),
     "FaultRegistry": GuardSpec("_lock", ("_armed",)),
     "ChunkStore": GuardSpec(

@@ -16,7 +16,10 @@ The pipeline follows the paper's semantics exactly:
    is applied — by :func:`~repro.core.scenario.apply_scenarios`, the one
    runner, behind the scenario cache — to the base rows that can reach
    one of those cells (Theorem 4.1 applies it "to the result of the core
-   query", σ first), yielding a perspective cube (WhatIfCube).
+   query", σ first), yielding a perspective cube (WhatIfCube).  A
+   NON_VISUAL last stage moves its leaves only if some cell lies at leaf
+   level on every dimension (:func:`grid_reads_leaves`): every other cell
+   is its input cube's.
 4. Each result cell is the perspective cube's value at the address formed
    by the slicer, the axis coordinates, and dimension roots for every
    unmentioned dimension (the Essbase default member).
@@ -37,7 +40,7 @@ Resolve reads the **prepared plan** (:class:`Plan`).  By Theorem 4.1 a
 query's algebra expression depends on its text and the cube's
 *structure*, not on its cell values, so the warehouse's ``plan_cache``
 keeps, per text, the analyzer's report and the resolved axes, slicer,
-base coordinates and footprint, versioned by
+base coordinates, footprint and leaf predicate, versioned by
 :meth:`~repro.warehouse.Warehouse.plan_version` (the cube's structure
 generation, the schema's, the named sets').  A value write keeps a plan;
 a leaf insert or delete, a schema edit or a named-set edit drops it.  Axes
@@ -284,16 +287,24 @@ class _Context:
             self._structure = ({**self.schema.varying, **varying}, surviving)
         return self._structure
 
-    def view_under(self, named: Footprint):
+    def view_under(self, named: Footprint, leaves: bool = True):
         """The cube to read the cells of a footprint from: the
         warehouse's, or the chain applied to the rows those cells can
         reach (:func:`~repro.core.scenario.apply_chain`: the entry's data
         if it covers them, else re-applied for the union and swapped in).
-        Every reader of a scenario's cells comes through here."""
+        Every reader of a scenario's cells comes through here.
+
+        ``leaves``: whether some cell read lies at leaf level on every
+        dimension (:func:`grid_reads_leaves`).  A NON_VISUAL last stage's
+        leaves are then moved here — in the caller's scenario phase, and
+        before the entry is kept, so a failed move keeps nothing — and
+        otherwise not at all."""
         if not self.scenarios:
             return self.warehouse.cube
         entry = self.chain()
         applied = apply_chain(entry, self.scenarios, named)
+        if leaves:
+            applied.view.leaf_cube  # moves a deferred stage's leaves
         if applied is not entry:
             self._entry, self._unsaved = applied, True
         self.keep()
@@ -314,17 +325,21 @@ class _Context:
 
     def view_for(self, resolved: "ResolvedQuery"):
         """:meth:`view_under` the footprint of a resolved grid."""
-        if not self.scenarios or self._holds_everything():
-            return self.view
-        return self.view_under(resolved.footprint())
+        if not self.scenarios:
+            return self.warehouse.cube
+        named = {} if self._holds_everything() else resolved.footprint()
+        return self.view_under(named, resolved.reads_leaves())
 
     def view_at(self, base_coords: "dict[str, str]", blocks: "Sequence[GridBlock]"):
         """:meth:`view_under` the footprint of some blocks of a grid
         (:func:`grid_footprint`): a shard's share of a query, or the
         coordinator's residue."""
-        if not self.scenarios or self._holds_everything():
-            return self.view
-        return self.view_under(grid_footprint(self.schema, base_coords, blocks))
+        if not self.scenarios:
+            return self.warehouse.cube
+        named = (
+            {} if self._holds_everything() else grid_footprint(self.schema, base_coords, blocks)
+        )
+        return self.view_under(named, grid_reads_leaves(self.schema, base_coords, blocks))
 
     @property
     def footprint_rows(self) -> "int | None":
@@ -649,6 +664,53 @@ def grid_footprint(
     }
 
 
+def grid_reads_leaves(
+    schema, base_coords: "dict[str, str]", blocks: "Sequence[GridBlock]"
+) -> bool:
+    """Whether some cell of some grid blocks lies at leaf level on every
+    dimension: the one kind of cell a NON_VISUAL last stage's moved leaves
+    answer — every other cell is the stage's input cube's (Sec. 3.3).
+
+    A cell takes each dimension's coordinate from its column tuple, else
+    from its row tuple, else from ``base_coords``, so per block it is
+    enough to pair the distinct row shapes (the dimensions a tuple binds,
+    and those of them above the leaves) with the distinct shapes of the
+    columns at leaf level throughout.  O(rows + columns), like
+    :func:`grid_footprint`."""
+    dim_index = {d.name: i for i, d in enumerate(schema.dimensions)}
+    is_leaf: dict[tuple[str, str], bool] = {}
+
+    def above(coords) -> frozenset[str]:  # the dimensions bound above the leaves
+        out = []
+        for dim, coord in coords:
+            key = (dim, coord)
+            flag = is_leaf.get(key)
+            if flag is None:
+                flag = is_leaf[key] = schema.coordinate_is_leaf(dim_index[dim], coord)
+            if not flag:
+                out.append(dim)
+        return frozenset(out)
+
+    base_above = above(base_coords.items())
+    for rows, columns in blocks:
+        leaf_columns = set()
+        for column in columns:
+            coords = dict(column.coordinates)
+            if not above(coords.items()):
+                leaf_columns.add(frozenset(coords))
+        if not leaf_columns:
+            continue
+        row_shapes = set()
+        for row in rows:
+            coords = dict(row.coordinates)
+            row_shapes.add((frozenset(coords), above(coords.items())))
+        for bound, row_above in row_shapes:
+            for column_bound in leaf_columns:
+                if not row_above - column_bound and not base_above - bound - column_bound:
+                    return True
+    return False
+
+
 @dataclass(slots=True)
 class ResolvedQuery:
     """What a query asks for before any cell is read (:func:`resolve_query`,
@@ -664,6 +726,8 @@ class ResolvedQuery:
     non_empty: frozenset[str]  #: the axes ("rows" / "columns") to prune
     #: :meth:`footprint`, once computed (a plan keeps it)
     named: "Footprint | None" = None
+    #: :meth:`reads_leaves`, once computed (a plan keeps it)
+    leaves: "bool | None" = None
 
     @property
     def reads_cells(self) -> bool:
@@ -678,6 +742,16 @@ class ResolvedQuery:
                 self.context.schema, self.base_coords, [(self.rows, self.columns)]
             )
         return self.named
+
+    def reads_leaves(self) -> bool:
+        """Whether some cell of the grid lies at leaf level on every
+        dimension (:func:`grid_reads_leaves` of the whole grid as one
+        block)."""
+        if self.leaves is None:
+            self.leaves = grid_reads_leaves(
+                self.context.schema, self.base_coords, [(self.rows, self.columns)]
+            )
+        return self.leaves
 
 
 def resolve_query(context: _Context) -> ResolvedQuery:
@@ -719,7 +793,7 @@ def resolve_query(context: _Context) -> ResolvedQuery:
 class _Axes:
     """What a resolve found, as a plan keeps it: the scenario chain, the
     un-pruned axes, the slicer and base coordinates, and — under a
-    scenario — the grid's footprint."""
+    scenario — the grid's footprint and whether a cell reads a leaf."""
 
     scenarios: "tuple[NegativeScenario | PositiveScenario, ...]"
     columns: tuple[AxisTuple, ...]
@@ -728,6 +802,7 @@ class _Axes:
     base_coords: dict[str, str]
     non_empty: frozenset[str]
     named: "Footprint | None"
+    leaves: "bool | None"
 
     @classmethod
     def of(cls, resolved: ResolvedQuery) -> "_Axes":
@@ -740,6 +815,7 @@ class _Axes:
             dict(resolved.base_coords),
             resolved.non_empty,
             resolved.footprint() if scenarios else None,
+            resolved.reads_leaves() if scenarios else None,
         )
 
 
@@ -850,6 +926,7 @@ class Prepared:
             dict(axes.base_coords),
             axes.non_empty,
             axes.named,
+            axes.leaves,
         )
 
 
@@ -931,6 +1008,7 @@ def evaluate_query(resolved: ResolvedQuery) -> MdxResult:
                 scenarios=len(context.scenarios),
                 leaves_in=context.warehouse.cube.n_leaf_cells,
                 footprint_rows=context.footprint_rows,
+                leaves_moved=view.leaves_moved,
             )
 
     tracker = context.tracker

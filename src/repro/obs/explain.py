@@ -21,7 +21,11 @@ is evaluated.  The one exception is a FILTER / ORDER set, whose condition
 reads cells of the applied scenario.  The report also says what the
 chain would be applied *to*: the query's footprint — the dimensions its
 cells restrict and the base rows that can reach one of them, counted off
-the rollup index's masks (:func:`~repro.core.scenario.footprint_rows`).
+the rollup index's masks (:func:`~repro.core.scenario.footprint_rows`),
+and whether the last stage would move its leaves at all: a NON_VISUAL
+one does only for a cell at leaf level on every dimension
+(:func:`~repro.mdx.evaluator.grid_reads_leaves`, the evaluator's own
+test).
 
 Surfaced as ``python -m repro explain <query-file>`` (``--json`` for the
 structured report).
@@ -110,6 +114,7 @@ def explain_report(warehouse, text: str) -> dict[str, Any]:
     out too — the diagnostics already say why.
     """
     # Imported lazily to keep obs dependency-light.
+    from repro.core.perspective import Mode
     from repro.core.scenario import footprint_rows
     from repro.errors import MdxEvaluationError
     from repro.mdx.evaluator import build_scenarios, prepare
@@ -168,6 +173,14 @@ def explain_report(warehouse, text: str) -> dict[str, Any]:
                 "rows": total if kept is None else len(kept),
                 "leaf_cells": total,
             }
+            # whether the last stage's ρ / S would run: a NON_VISUAL one
+            # moves its leaves only for a cell at leaf level (or a FILTER /
+            # ORDER condition, which reads the whole view)
+            report["last_stage_moves_leaves"] = (
+                context.scenarios[-1].mode is Mode.VISUAL
+                or resolved.reads_cells
+                or resolved.reads_leaves()
+            )
         context.keep()
         report["scenario_cache"] = dict(context.scenario_stats)
         report["scope_estimates"] = _scope_estimates(
@@ -217,6 +230,15 @@ def explain_query(warehouse, text: str) -> str:
             f"footprint: {footprint['rows']} of {footprint['leaf_cells']} base "
             "row(s) can reach a cell; restricted on "
             + (", ".join(footprint["restricted"]) or "no dimension")
+        )
+        lines.append(
+            "last stage: "
+            + (
+                "moves its leaves"
+                if report["last_stage_moves_leaves"]
+                else "moves no leaf (NON_VISUAL, no cell at leaf level: "
+                "every cell is the stage input's)"
+            )
         )
     if report["scenario_cache"]:
         cache = ", ".join(

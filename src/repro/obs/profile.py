@@ -123,13 +123,15 @@ class QueryProfile:
         return payload
 
     def _operator_lines(self) -> list[str]:
-        """The spans under each ``scenario.apply`` — which operator (ρ, S,
-        index derivation) a cold query spent its scenario phase in.  (Φ is
-        the structure half: it runs while axes resolve.)"""
+        """The spans under each ``scenario.apply`` — and each
+        ``scenario.leaves``, a deferred stage moving its leaves — which
+        operator (ρ, S, index derivation) a cold query spent its scenario
+        phase in.  (Φ is the structure half: it runs while axes
+        resolve.)"""
         lines: list[str] = []
 
         def walk(node: dict[str, Any], depth: int, inside: bool) -> None:
-            inside = inside or node["name"] == "scenario.apply"
+            inside = inside or node["name"] in ("scenario.apply", "scenario.leaves")
             if inside:
                 lines.append(
                     f"  {'  ' * depth}{node['name']} "

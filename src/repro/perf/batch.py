@@ -62,14 +62,6 @@ Address = tuple[str, ...]
 CellValue: TypeAlias = "float | Missing"
 
 
-def _split_view(view: Any) -> tuple[Any, Any]:
-    """(leaf cube, aggregate cube) of a view — a WhatIfCube routes leaf
-    reads and aggregate reads to different cubes; a plain Cube is both."""
-    leaf_cube = getattr(view, "leaf_cube", view)
-    aggregate_cube = getattr(view, "aggregate_cube", view)
-    return leaf_cube, aggregate_cube
-
-
 class _Segment:
     """Some columns of one group, ascending: their positions, each one's
     coordinates on the bound dimensions, and the part of their addresses
@@ -200,11 +192,15 @@ def evaluate_grid(
     dim_index = {d.name: i for i, d in enumerate(dims)}
     base = [base_coords[d.name] for d in dims]
 
-    leaf_cube, agg_cube = _split_view(view)
+    # a WhatIfCube routes leaf reads and aggregate reads to different
+    # cubes, a plain Cube is both; the leaf side is asked for at the first
+    # leaf cell only (a NON_VISUAL stage may not have moved its leaves)
+    agg_cube = getattr(view, "aggregate_cube", view)
+    leaf_cube: Any = None
+    leaf_rules: Any = None
+    leaf_index: Any = None
     agg_stored_derived = agg_cube._stored_derived
-    leaf_rules = leaf_cube.rules
     agg_rules = agg_cube.rules
-    leaf_index = leaf_cube.rollup_index()
     index = agg_cube.rollup_index()
     memo = index.memo_table("sum")
     memo_get = memo.get
@@ -286,6 +282,10 @@ def evaluate_grid(
                     leaf = group.leaf
                     n = leaf.size if whole else bisect_left(leaf.cols, admitted)
                     if n:
+                        if leaf_cube is None:
+                            leaf_cube = getattr(view, "leaf_cube", view)
+                            leaf_rules = leaf_cube.rules
+                            leaf_index = leaf_cube.rollup_index()
                         values, missed = group.block_row(r, leaf_index, row_addrs)
                         leaf.store(row_cells, values, n)
                         for c in missed:

@@ -1071,6 +1071,7 @@ class QueryService:
                 span.set(
                     leaves_in=context.warehouse.cube.n_leaf_cells,
                     footprint_rows=context.footprint_rows,
+                    leaves_moved=view.leaves_moved,
                 )
             schema, base = self.warehouse.schema, resolved.base_coords
             _fill_blocks(

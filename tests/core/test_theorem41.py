@@ -16,14 +16,23 @@ order* compared — the order strict rollups sum in:
 * **non-visual mode** reads non-leaf values off the *stage's* input cube
   (DESIGN.md §5, pinned here so that changing it is a decision);
 * an MDX text with the same WITH clause reads those values at its grid
-  addresses.
+  addresses;
+* a NON_VISUAL grid with no leaf cell is ``repr``-identical whether or not
+  the last stage's leaves were ever moved (the query path never moves
+  them), and VISUAL and NON_VISUAL agree on every leaf cell — for ρ under
+  all five semantics, S and S→ρ ("A Formal Algebra for OLAP",
+  arXiv:1609.05020).  Tier-1 draws a few worlds per law; the CI ``faults``
+  job (``REPRO_FAULTS=ci-matrix``) draws the wide run.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+import os
+
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_operator_parity import World, worlds, worlds_with_changes
+from test_operator_parity import MEASURES, World, worlds, worlds_with_changes
 
 from repro.core.operators import evaluate, relocate, split
 from repro.core.perspective import Mode, PerspectiveSet, Semantics, phi
@@ -33,6 +42,7 @@ from repro.core.scenario import (
     WhatIfCube,
     apply_scenarios,
 )
+from repro.core.validation import check_warehouse
 from repro.olap.cube import Cube
 from repro.olap.instances import VaryingDimension
 from repro.validity import ValiditySet
@@ -242,3 +252,114 @@ def test_non_visual_aggregates_come_from_the_stage_input(pair, data):
     after_s = alone.leaf_cube  # stored aggregates carried over from the base
     same_leaves(chained.aggregate_cube, after_s)
     same_values(chained, after_s, non_leaf_addresses(world, chained.leaf_cube))
+
+
+# -- a NON_VISUAL last stage's leaves are read only by leaf cells ---------------------
+
+#: the wide run of the two laws below keys on the CI ``faults`` job
+LEAF_LAW_EXAMPLES = 150 if "ci-matrix" in os.environ.get("REPRO_FAULTS", "") else 8
+
+#: grids with no cell at leaf level on every dimension: instances × quarters,
+#: groups × months
+AGGREGATE_GRIDS = (
+    ("[Org].Levels(0).Members", "[Time].Children"),
+    ("[Org].Children", "[Time].Levels(0).Members"),
+)
+LEAF_GRID = ("[Org].Levels(0).Members", "[Time].Levels(0).Members")
+
+
+def _stages(kind: str, world: World, changes, semantics, perspectives, mode: Mode):
+    """(chain, WITH clause) of one chain kind MDX can express: ρ, S or S→ρ."""
+    chain, clauses = [], []
+    if kind in ("S", "S→ρ"):
+        chain.append(PositiveScenario("Org", changes, mode))
+        clauses.append(changes_clause(changes, mode))
+    if kind in ("ρ", "S→ρ"):
+        chain.append(NegativeScenario("Org", perspectives, semantics, mode))
+        clauses.append(perspective_clause(perspectives, semantics, mode))
+    return chain, " ".join(clauses)
+
+
+def _grid_text(with_clause: str, rows: str, columns: str, measure: str) -> str:
+    return (
+        f"WITH {with_clause} SELECT {{{columns}}} ON COLUMNS, "
+        f"{{{rows}}} ON ROWS FROM W WHERE ([{measure}])"
+    )
+
+
+def _shown(result) -> str:
+    return repr((result.row_labels(), result.column_labels(), result.cells))
+
+
+def _law_world(pair, kind: str):
+    world, changes = pair
+    assume(changes or kind == "ρ")
+    assume(not check_warehouse(Warehouse(world.schema, world.cube)))
+    return world, changes
+
+
+@pytest.mark.parametrize("kind", ["ρ", "S", "S→ρ"])
+@settings(max_examples=LEAF_LAW_EXAMPLES, deadline=None)
+@given(
+    pair=worlds_with_changes(), semantics=st.sampled_from(list(Semantics)), data=st.data()
+)
+def test_a_non_visual_grid_with_no_leaf_cell_never_moves_the_last_stages_leaves(
+    kind, pair, semantics, data
+):
+    """Sec. 3.3: a NON_VISUAL stage's non-leaf cells are its input's.  So a
+    grid with no cell at leaf level answers the same whether or not the
+    last stage's leaves were ever moved — and the query path never moves
+    them."""
+    world, changes = _law_world(pair, kind)
+    chain, with_clause = _stages(
+        kind, world, changes, semantics, data.draw(perspective_points(world)),
+        Mode.NON_VISUAL,
+    )
+    moved = apply_scenarios(world.cube, chain)  # every stage's leaves moved
+    warehouse = Warehouse(world.schema, world.cube, name="W")
+    key = tuple(scenario.fingerprint() for scenario in chain)
+    grids = [(grid, measure) for grid in AGGREGATE_GRIDS for measure in MEASURES]
+    texts = [_grid_text(with_clause, *grid, measure) for grid, measure in grids]
+    first = []
+    for text, (_, measure) in zip(texts, grids):
+        result = warehouse.query(text, analyze=False)
+        for row, cells in zip(result.rows, result.cells):
+            for column, cell in zip(result.columns, cells):
+                address = (row.coordinate("Org"), column.coordinate("Time"), measure)
+                assert repr(cell) == repr(moved.effective_value(address)), address
+        first.append(_shown(result))
+    view = warehouse.scenario_cache.get(key, world.cube.version).view
+    assert not view.leaves_moved
+    view.leaf_cube  # move them now: the same entry answers the same grids
+    assert view.leaves_moved
+    assert [_shown(warehouse.query(text, analyze=False)) for text in texts] == first
+
+
+@pytest.mark.parametrize("kind", ["ρ", "S", "S→ρ"])
+@settings(max_examples=LEAF_LAW_EXAMPLES, deadline=None)
+@given(
+    pair=worlds_with_changes(), semantics=st.sampled_from(list(Semantics)), data=st.data()
+)
+def test_visual_and_non_visual_agree_on_every_leaf_cell(kind, pair, semantics, data):
+    """The mode decides where non-leaf cells come from, never what a leaf
+    holds: the chain's leaves, and every cell of a leaf grid, agree."""
+    world, changes = _law_world(pair, kind)
+    perspectives = data.draw(perspective_points(world))
+    views, shown = {}, {}
+    for mode in Mode:
+        chain, with_clause = _stages(kind, world, changes, semantics, perspectives, mode)
+        views[mode] = apply_scenarios(world.cube, chain)
+        warehouse = Warehouse(world.schema, world.cube, name="W")
+        results = [
+            warehouse.query(_grid_text(with_clause, *LEAF_GRID, m), analyze=False)
+            for m in MEASURES
+        ]
+        shown[mode] = [_shown(result) for result in results]
+        key = tuple(scenario.fingerprint() for scenario in chain)
+        view = warehouse.scenario_cache.get(key, world.cube.version).view
+        # a VISUAL stage always moves them; a NON_VISUAL one for a leaf
+        # cell — none when no instance survives: no row, no cell
+        read = bool(results[0].rows and results[0].columns)
+        assert view.leaves_moved == (mode is Mode.VISUAL or read)
+    same_leaves(views[Mode.VISUAL].leaf_cube, views[Mode.NON_VISUAL].leaf_cube)
+    assert shown[Mode.VISUAL] == shown[Mode.NON_VISUAL]

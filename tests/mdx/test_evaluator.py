@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import MdxEvaluationError
+from repro.mdx.evaluator import grid_reads_leaves
+from repro.mdx.result import AxisTuple
 from repro.olap.missing import is_missing
 from repro.warehouse import Warehouse
+from repro.workload import build_running_example
 
 
 @pytest.fixture
@@ -347,3 +352,53 @@ class TestRegressions:
             """
         )
         assert baseline.row_labels() == ["FTE/Joe"]
+
+
+# -- which grids read a leaf ---------------------------------------------------------
+
+_SCHEMA = build_running_example().schema
+
+
+def _coordinates(dimension) -> "list[str]":
+    """Every member name, plus — on a varying dimension, whose leaf
+    coordinates are instance paths — a path per leaf member."""
+    names = [member.name for member in dimension.members()]
+    if _SCHEMA.is_varying(dimension.name):
+        names += [f"{dimension.name}/{m.parent.name}/{m.name}" for m in dimension.leaf_members()]
+    return names
+
+
+@st.composite
+def _axis_tuples(draw) -> AxisTuple:
+    dims = draw(st.sets(st.sampled_from(_SCHEMA.dimensions), max_size=_SCHEMA.n_dims))
+    coordinates = tuple(
+        (d.name, draw(st.sampled_from(_coordinates(d))))
+        for d in sorted(dims, key=lambda d: d.name)
+    )
+    return AxisTuple(coordinates, tuple(coord for _, coord in coordinates))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    base=st.fixed_dictionaries(
+        {d.name: st.sampled_from(_coordinates(d)) for d in _SCHEMA.dimensions}
+    ),
+    blocks=st.lists(
+        st.tuples(st.lists(_axis_tuples(), max_size=4), st.lists(_axis_tuples(), max_size=4)),
+        min_size=1,
+        max_size=2,
+    ),
+)
+def test_grid_reads_leaves_is_some_cell_at_leaf_level(base, blocks):
+    """The predicate over row and column shapes is the cell-by-cell test:
+    some cell — base, then row, then column coordinates — a leaf address."""
+    expected = False
+    for rows, columns in blocks:
+        for row in rows:
+            for column in columns:
+                coords = {**base, **dict(row.coordinates), **dict(column.coordinates)}
+                address = [coords[d.name] for d in _SCHEMA.dimensions]
+                expected = expected or all(
+                    _SCHEMA.coordinate_is_leaf(i, coord) for i, coord in enumerate(address)
+                )
+    assert grid_reads_leaves(_SCHEMA, base, blocks) is expected

@@ -161,6 +161,37 @@ class TestRunningExample:
         pruned = warehouse.query(text)
         assert pruned.rows == []  # nobody works in CA; pruning is not EXPLAIN's
 
+    def test_it_says_whether_the_last_stage_moves_its_leaves(self, warehouse):
+        """The evaluator's own test (``grid_reads_leaves``): a NON_VISUAL
+        last stage moves its leaves only for a cell at leaf level — and
+        the query that follows does as EXPLAIN said."""
+        from repro.mdx.evaluator import build_scenarios
+        from repro.mdx.parser import parse_query
+
+        non_visual = HEADLINE.replace("FORWARD VISUAL", "FORWARD")
+        groups = non_visual.replace("{[Joe]}", "{[FTE], [PTE]}")
+        quarters = non_visual.replace(
+            "{Time.[Jan], Time.[Feb], Time.[Mar], Time.[Apr]}", "{Time.[Qtr1], Time.[Qtr2]}"
+        )
+        for text, moves in (
+            (HEADLINE, True),  # VISUAL: always
+            (non_visual, True),  # Joe's instances × months: leaf cells
+            (groups, False),
+            (quarters, False),
+        ):
+            report = explain_report(warehouse, text)
+            assert report["last_stage_moves_leaves"] is moves, text
+            rendered = explain_query(warehouse, text)
+            assert ("last stage: moves its leaves" in rendered) is moves
+            assert ("last stage: moves no leaf" in rendered) is not moves
+            warehouse.query(text)
+            key = tuple(
+                s.fingerprint() for s in build_scenarios(warehouse, parse_query(text))
+            )
+            view = warehouse.scenario_cache.get(key, warehouse.cube.version).view
+            assert view.leaves_moved is moves, text
+            warehouse.scenario_cache.clear()
+
     def test_unscenarioed_query_reports_base_cube(self, warehouse):
         rendered = explain_query(
             warehouse, "SELECT {Time.[Qtr1]} ON COLUMNS FROM Warehouse"

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import RuleError
 from repro.olap.aggregation import (
+    _strict_sum,
     agg_avg,
     agg_count,
     agg_max,
@@ -92,3 +94,37 @@ def test_sum_matches_python_sum(values):
 def test_aggregators_never_raise_on_mixed_input(values):
     for name in ("sum", "avg", "min", "max", "count"):
         aggregate(name, values)
+
+
+# -- one pass over buckets: np.bincount is the strict fold, bucket by bucket --------
+
+_SPECIALS = np.array([np.nan, 0.0, -0.0, 1e-5, -1e-5, 1e12, -1e12])
+
+
+def _draw_values(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Magnitudes from 1e-5 to 1e12 of either sign, with NaN and ±0
+    sprinkled in."""
+    values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-5, 12, n)
+    special = rng.random(n) < 0.15
+    values[special] = rng.choice(_SPECIALS, int(special.sum()))
+    return values
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bincount_is_the_strict_sum_of_each_bucket(seed):
+    """``np.bincount(bucket, weights=values)`` folds each bucket from 0.0
+    in input order — ``_strict_sum`` of the bucket's values, bit for bit
+    (NaN, the sign of zero and rounding alike): a grid level can be summed
+    in one pass over its rows without changing a cell."""
+    rng = np.random.default_rng(seed)
+    for _ in range(500):
+        n = int(rng.integers(0, 40))
+        n_buckets = int(rng.integers(1, 8))
+        values = _draw_values(rng, n)
+        bucket = rng.integers(0, n_buckets, n)
+        got = np.bincount(bucket, weights=values, minlength=n_buckets)
+        expected = np.array([_strict_sum(values[bucket == b]) for b in range(n_buckets)])
+        assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist(), (
+            values.tolist(),
+            bucket.tolist(),
+        )

@@ -14,7 +14,10 @@ the per-dimension union and swapped in.  Pinned here:
 * threads missing at once lose no build and corrupt nothing;
 * ρ's refusals follow the footprint: a malformed row fails the queries
   whose cells it can reach, and no other;
-* spans and EXPLAIN say what was kept.
+* spans and EXPLAIN say what was kept;
+* a NON_VISUAL last stage moves its leaves only for a grid with a leaf
+  cell — once, in the scenario phase, however many threads race for them
+  — and refuses a malformed row only then.
 
 The law this stands on is ``tests/core/test_sigma_below_rho.py``.
 """
@@ -26,6 +29,7 @@ import threading
 
 import pytest
 
+import repro.core.scenario as scenario_module
 from repro.core.scenario import apply_scenarios
 from repro.core.validation import check_warehouse
 from repro.errors import QueryError
@@ -40,6 +44,7 @@ CONFIG = WorkforceConfig(
     n_employees=24, n_departments=3, n_changing=4, max_moves=3, n_accounts=3, n_scenarios=2
 )
 PERSPECTIVE = "WITH PERSPECTIVE {(Mar), (Sep)} FOR Department DYNAMIC FORWARD VISUAL "
+NON_VISUAL = PERSPECTIVE.replace(" VISUAL ", " ")
 COLUMNS = ", ".join(f"Period.[{month}]" for month in MONTHS)
 TAIL = "[Current], [Local], [BU Version_1], [HSP_InputValue]"
 
@@ -314,6 +319,40 @@ class TestValidationFollowsTheFootprint:
         assert repr(second) in str(narrow.value) and repr(first) not in str(narrow.value)
 
 
+class TestNonVisualValidationFollowsTheLeaves:
+    """The same refusal under a NON_VISUAL perspective, whose cells off the
+    leaves are the base cube's (Sec. 3.3): ρ runs — and refuses — only for
+    a grid with a cell at leaf level, over the rows that grid reaches."""
+
+    def test_a_leaf_grid_reaching_the_offender_raises_the_whole_cubes_error(self, workforce):
+        warehouse = workforce.warehouse
+        employee, home = TestValidationFollowsTheFootprint._clash(workforce, "Acct001", 0)
+        text = employees(home, "Acct001", NON_VISUAL)
+        chain = build_scenarios(warehouse, parse_query(text))
+        with pytest.raises(QueryError) as whole:
+            apply_scenarios(warehouse.cube, chain)
+        assert repr(employee) in str(whole.value)
+        with pytest.raises(QueryError) as caught:
+            warehouse.query(text, analyze=False)
+        assert str(caught.value) == str(whole.value)
+        assert len(warehouse.scenario_cache) == 0  # nothing half-applied was kept
+
+    def test_an_aggregate_only_dashboard_over_the_offender_answers(self, workforce):
+        """The department row's footprint holds both of the offender's
+        rows, so moving its leaves would raise; no cell reads one, and the
+        grid is the one the repaired cube answers."""
+        warehouse = workforce.warehouse
+        _, home = TestValidationFollowsTheFootprint._clash(workforce, "Acct001", 0)
+        text = dashboard("Acct001", NON_VISUAL).replace(
+            "{Department.Children}", f"{{[{home}]}}"
+        )
+        assert _grid(warehouse.query(text, analyze=False)) == _reference(text)
+        # ... and a leaf grid under the same entry still refuses
+        with pytest.raises(QueryError):
+            warehouse.query(employees(home, "Acct001", NON_VISUAL), analyze=False)
+        assert _grid(warehouse.query(text, analyze=False)) == _reference(text)
+
+
 class TestObservability:
     def _traced(self, warehouse, text):
         with tracing():
@@ -354,6 +393,67 @@ class TestObservability:
         assert split["leaves_in"] == warehouse.cube.n_leaf_cells
         assert 0 < split["footprint_rows"] < warehouse.cube.n_leaf_cells // 6
         assert relocate["leaves_in"] == relocate["footprint_rows"] == split["leaves_out"]
+
+    def test_a_leafless_non_visual_dashboard_moves_no_leaf(self, warehouse):
+        result, root = self._traced(warehouse, dashboard("Acct001", NON_VISUAL))
+        assert result.stats["scenario_cache_misses"] == 1
+        assert root.find("mdx.scenario").attrs["leaves_moved"] is False
+        opened = {span.name for span in root.iter_spans()}
+        assert not opened & {"core.relocate", "scenario.leaves"}
+        assert _grid(result) == _reference(dashboard("Acct001", NON_VISUAL))
+
+    def test_a_leaf_grid_then_moves_them_once_in_the_scenario_phase(self, warehouse, workforce):
+        warehouse.query(dashboard("Acct001", NON_VISUAL))
+        text = employees(workforce.departments[1], "Acct001", NON_VISUAL)
+        result, root = self._traced(warehouse, text)
+        assert result.stats["scenario_cache_hits"] == 1  # the dashboard's entry
+        relocates = [span for span in root.iter_spans() if span.name == "core.relocate"]
+        assert len(relocates) == 1
+        phase = root.find("mdx.scenario")
+        assert phase.attrs["leaves_moved"] is True
+        assert relocates[0] in list(phase.find("scenario.leaves").iter_spans())
+        assert relocates[0].attrs["footprint_rows"] == warehouse.cube.n_leaf_cells // 6
+        assert _grid(result) == _reference(text)
+        # moved once: the next leaf grid moves nothing
+        _, root = self._traced(warehouse, employees(workforce.departments[2], "Acct001", NON_VISUAL))
+        assert root.find("core.relocate") is None
+
+    def test_threads_racing_the_first_leaf_read_move_the_leaves_once(
+        self, warehouse, workforce, monkeypatch
+    ):
+        texts = [employees(d, "Acct001", NON_VISUAL) for d in workforce.departments]
+        expected = {text: _reference(text) for text in texts}
+        warehouse.query(dashboard("Acct001", NON_VISUAL))  # the entry, leaves not moved
+        calls = []
+        relocate = scenario_module.relocate
+        monkeypatch.setattr(
+            scenario_module, "relocate", lambda *args: calls.append(1) or relocate(*args)
+        )
+        barrier = threading.Barrier(len(texts))
+        errors: list[BaseException] = []
+
+        def worker(text: str) -> None:
+            try:
+                barrier.wait(timeout=30)
+                assert _grid(warehouse.query(text)) == expected[text]
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+                barrier.abort()
+
+        threads = [threading.Thread(target=worker, args=(text,)) for text in texts]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert len(calls) == 1
+        assert warehouse.scenario_cache.stats.builds == 1
 
     def test_explain_prints_the_footprint_and_applies_nothing(self, warehouse):
         n_leaves = warehouse.cube.n_leaf_cells
