@@ -108,8 +108,10 @@ THREAD_SHARED: dict[str, GuardSpec] = {
         # columns, tables, liveness, the point lookup and the mask caches
         # read off them): replaced or mutated only under the lock
         # of the one live index; ``_values`` is the value column's store
-        # (replaced by renumbering, written by ``set_leaf``); ``_inherited``
-        # and ``_written`` are what the next fork's memo carry reads
+        # (replaced by renumbering, written by ``set_leaf``); ``_inherited``,
+        # ``_written`` and ``_written_ids`` (the buffer of written leaf ids
+        # not yet settled into ``_written``) are what the next fork's memo
+        # carry reads
         (
             "_struct",
             "_struct_shared",
@@ -118,6 +120,7 @@ THREAD_SHARED: dict[str, GuardSpec] = {
             "_memo_count",
             "_inherited",
             "_written",
+            "_written_ids",
             "_values",
         ),
     ),

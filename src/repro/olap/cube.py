@@ -203,14 +203,16 @@ class Cube:
     def _write(self, addr: Address, is_leaf: bool, value: object) -> bool:  # reprolint: locked
         """Store one validated cell (MISSING/None deletes it) in the one
         place it lives; ``False`` when nothing changed (the cell to delete
-        was absent)."""
+        was absent).  A value at a leaf comes first: the index writes it in
+        place when the leaf exists and inserts it otherwise."""
         if is_leaf:
-            if is_missing(value):
-                if not self._index.remove_leaf(addr):
-                    return False
-                self._structure_generation = next_generation()
-            elif self._index.set_leaf(addr, float(value)):  # type: ignore[arg-type]
-                self._structure_generation = next_generation()
+            if value is not MISSING and value is not None:
+                if self._index.set_leaf(addr, float(value)):  # type: ignore[arg-type]
+                    self._structure_generation = next_generation()
+                return True
+            if not self._index.remove_leaf(addr):
+                return False
+            self._structure_generation = next_generation()
         elif is_missing(value):
             return self._stored_derived.pop(addr, None) is not None
         else:
@@ -223,12 +225,15 @@ class Cube:
 
         Writers serialise on the cube lock, so the version bump and the
         cell write commit as one unit — a snapshot copy taken
-        concurrently sees all of it or none.
+        concurrently sees all of it or none.  The address is validated by
+        its classification (:meth:`CubeSchema.is_leaf_address` raises for
+        a wrong length or an unknown member).
         """
-        addr = self.schema.validate_address(address)
+        addr = tuple(address)
         is_leaf = self.schema.is_leaf_address(addr)
         with self._lock:
-            self._check_writable()
+            if self._frozen:
+                self._check_writable()
             if self._write(addr, is_leaf, value):
                 self._version += 1
 
@@ -245,10 +250,11 @@ class Cube:
         per-cell writes would leave it (insertion order, values, version),
         except that a stream which fails validation leaves it empty.
 
-        Each cell is classified by :meth:`CubeSchema.is_leaf_address`, as
-        :meth:`set_value` classifies it — a set probe per coordinate — so
-        an unknown member raises what the per-cell path raises, at the
-        cell that first names it.
+        Each cell is validated and classified by
+        :meth:`CubeSchema.is_leaf_address`, as :meth:`set_value` does it —
+        one pass of set probes for a leaf — so a wrong length or an
+        unknown member raises what the per-cell path raises, at the cell
+        that first names it.
         """
         from repro.perf.rollup_index import RollupIndex
 
@@ -260,7 +266,7 @@ class Cube:
                 derived: dict[Address, float] = {}
                 mutations = 0
                 for address, value in cells:
-                    addr = schema.validate_address(address)
+                    addr = tuple(address)
                     store = leaves if schema.is_leaf_address(addr) else derived
                     if is_missing(value):
                         mutations += store.pop(addr, None) is not None
@@ -289,7 +295,7 @@ class Cube:
         schema = self.schema
         validated = []
         for address, value in cells:
-            addr = schema.validate_address(address)
+            addr = tuple(address)
             validated.append((addr, schema.is_leaf_address(addr), value))
         with self._lock:
             self._check_writable()

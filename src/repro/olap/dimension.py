@@ -22,7 +22,7 @@ hierarchy.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator
+from typing import AbstractSet, Callable, Iterable, Iterator
 
 from repro.errors import DuplicateMemberError, MemberNotFoundError, SchemaError
 
@@ -152,9 +152,10 @@ class Dimension:
         self.is_measures = is_measures
         self._root = Member(name, None, self)
         self._members: dict[str, Member] = {name: self._root}
-        # both lazily rebuilt after add_member
+        #: the names of the leaf members (:meth:`leaf_names`)
+        self._leaves: set[str] = {name}
+        # lazily rebuilt after add_member
         self._leaf_order: dict[str, int] | None = None
-        self._leaf_names: frozenset[str] | None = None
         #: bumped by every add_member (see :attr:`CubeSchema.generation`)
         self.generation = next_generation()
 
@@ -174,7 +175,9 @@ class Dimension:
         member = Member(name, parent_member, self)
         parent_member._children.append(member)
         self._members[name] = member
-        self._leaf_order = self._leaf_names = None
+        self._leaves.discard(parent_member._name)
+        self._leaves.add(name)
+        self._leaf_order = None
         self.generation = next_generation()
         return member
 
@@ -228,14 +231,13 @@ class Dimension:
             }
         return self._leaf_order
 
-    def leaf_names(self) -> frozenset[str]:
+    def leaf_names(self) -> AbstractSet[str]:
         """The names of the leaf members — a membership test is the
-        leafness test of a known member (``add_member`` under a leaf
-        makes it a parent, so the set is rebuilt after every add)."""
-        names = self._leaf_names
-        if names is None:
-            names = self._leaf_names = frozenset(self._ensure_leaf_order())
-        return names
+        leafness test of a known member.  The set is live: ``add_member``
+        updates it in place (a child under a leaf makes the leaf a
+        parent), so a holder always sees the current hierarchy.  Callers
+        read it and never write it."""
+        return self._leaves
 
     @property
     def leaf_count(self) -> int:

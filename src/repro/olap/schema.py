@@ -23,6 +23,7 @@ members on varying dimensions.
 
 from __future__ import annotations
 
+from operator import contains
 from typing import Sequence
 
 from repro.errors import SchemaError
@@ -32,6 +33,19 @@ from repro.olap.instances import MemberInstance, VaryingDimension
 __all__ = ["CubeSchema"]
 
 Address = tuple[str, ...]
+
+
+class _InstancePaths:
+    """The leaf test of a varying dimension: a leaf coordinate is a
+    member-instance path (``"/" in coord``)."""
+
+    __slots__ = ()
+
+    def __contains__(self, coord: str) -> bool:
+        return "/" in coord
+
+
+_INSTANCE_PATHS = _InstancePaths()
 
 
 class CubeSchema:
@@ -54,6 +68,16 @@ class CubeSchema:
         self._under_cache: dict[tuple[int, str, str], bool] = {}
         self._ancestor_cache: dict[tuple[int, str], tuple[str, ...]] = {}
         self._generation = next_generation()
+        self._leaf_tests = self._tests()
+
+    def _tests(self) -> tuple[object, ...]:
+        # one leaf test per dimension, each answering ``coord in test``:
+        # the dimension's live leaf-name set, or the instance-path test of
+        # a varying dimension
+        return tuple(
+            _INSTANCE_PATHS if d.name in self._varying else d.leaf_names()
+            for d in self.dimensions
+        )
 
     # -- registry ------------------------------------------------------------
 
@@ -79,6 +103,7 @@ class CubeSchema:
         self._under_cache.clear()
         self._ancestor_cache.clear()
         self._generation = next_generation()
+        self._leaf_tests = self._tests()
         return varying
 
     @property
@@ -172,21 +197,27 @@ class CubeSchema:
     def is_leaf_address(self, address: Sequence[str]) -> bool:
         """A cell is leaf iff every coordinate is leaf level (Sec. 2).
 
-        :meth:`coordinate_is_leaf` for every coordinate: a known leaf is
-        one probe of its dimension's leaf-name set, and any other
-        coordinate of a non-varying dimension is looked up — which raises
-        ``MemberNotFoundError`` for an unknown member wherever it stands,
-        so no write can store a cell at a member that does not exist.
-        Instance paths are not looked up
+        :meth:`coordinate_is_leaf` for every coordinate.  A leaf address
+        is one pass of C-level probes — its length, then each coordinate
+        against its dimension's test (the live leaf-name set, or ``"/" in
+        coord`` on a varying dimension) — and nothing else.  Any other
+        address is asked coordinate by coordinate: a wrong length raises
+        :class:`~repro.errors.SchemaError` as :meth:`validate_address`
+        does, and a coordinate of a non-varying dimension that is no leaf
+        is looked up — which raises ``MemberNotFoundError`` for an unknown
+        member wherever it stands, so no write can store a cell at a
+        member that does not exist.  Instance paths are not looked up
         (:func:`~repro.core.validation.check_warehouse` checks those)."""
+        tests = self._leaf_tests
+        if len(address) == len(tests) and all(map(contains, tests, address)):
+            return True
+        self.validate_address(address)
         varying = self._varying
         leaf = True
-        for dimension, coord in zip(self.dimensions, address):
-            if dimension.name in varying:
-                if "/" not in coord:
-                    leaf = False
-            elif coord not in dimension.leaf_names():
-                dimension.member(coord)  # an unknown member raises here
+        for dimension, test, coord in zip(self.dimensions, tests, address):
+            if coord not in test:
+                if dimension.name not in varying:
+                    dimension.member(coord)  # an unknown member raises here
                 leaf = False
         return leaf
 

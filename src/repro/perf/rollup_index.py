@@ -118,6 +118,9 @@ A leaf write can change exactly the cells whose coordinate on every
 dimension is the leaf's own or one of its ancestors — its roll-up cone.
 The live index flushes its memo on every leaf write; a fork starts from
 the last *frozen* fork's memo less that cone (:meth:`RollupIndex._carry_memo`).
+A write records only its leaf's id; the ids become per-dimension
+coordinates in one vectorised pass when the record is read, before a
+renumbering and whenever the buffer fills (:meth:`RollupIndex._settle_written`).
 """
 
 from __future__ import annotations
@@ -171,6 +174,9 @@ _MASK_CAP = 64
 #: a generation's mixed-radix address key must fit ``int64``: the product
 #: of its coordinate-table sizes must stay below this
 _KEY_LIMIT = 2**63
+#: written leaf ids the write record buffers before it settles them into
+#: coordinates (:meth:`RollupIndex._settle_written`)
+_WRITTEN_BUFFER = 4096
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
 #: "not in the resolved-address cache" (``None`` there means "no such
@@ -912,11 +918,14 @@ class RollupIndex:
         # live
         self._memo: dict[str, dict[Address, CellValue]] = {}
         self._memo_count = 0
-        #: the last frozen fork's memo, as its queries fill it, and per
-        #: dimension the leaf coordinates written since that fork: what
-        #: the next fork carries forward (:meth:`_carry_memo`)
+        #: the last frozen fork's memo, as its queries fill it, and the
+        #: leaves written since that fork — per dimension the coordinates
+        #: settled so far, plus the ids of the writes not yet settled
+        #: (:meth:`_settle_written`): what the next fork carries forward
+        #: (:meth:`_carry_memo`)
         self._inherited: "dict[str, dict[Address, CellValue]] | None" = None
         self._written: list[set[str]] = [set() for _ in range(schema.n_dims)]
+        self._written_ids: list[int] = []
         #: the value column; row == leaf id
         self._values = ColumnarLeafStore()
 
@@ -1105,7 +1114,10 @@ class RollupIndex:
     def _renumbered(self) -> _Structure:  # reprolint: locked
         """A generation (and value store) without the dead ids: live
         leaves keep their relative order, so ascending id is still
-        insertion order and strict reductions are unchanged."""
+        insertion order and strict reductions are unchanged.  The write
+        record is settled first: a buffered id names a leaf of the old
+        numbering, a deleted one among them."""
+        self._settle_written()
         ids = self._ordered_array()
         struct = self._struct.derived(self.schema, ids, {})
         # a new store, not a rewrite of the old one: a point reader that
@@ -1116,34 +1128,40 @@ class RollupIndex:
 
     def set_leaf(self, addr: Address, value: float) -> bool:
         """Store ``value`` at leaf ``addr``: a value-column write when the leaf
-        exists (no structure is touched), an insert at the next id
-        otherwise — ``True`` for an insert.  Either way the write is
+        exists (one lookup, no structure is touched), an insert at the next
+        id otherwise — ``True`` for an insert.  Either way the write is
         recorded (:meth:`_wrote`)."""
         with self._lock:
             ident = self._struct.find(addr)
-            inserted = ident is None
-            if not inserted:
+            if ident is not None:
                 self._values.update(ident, value)
-            else:
-                struct = self._writable_structure()
-                ident = struct.n_ids
-                if ident == len(struct.live):
-                    struct.codes = [_with_headroom(c, ident) for c in struct.codes]
-                    struct.live = _with_headroom(struct.live, ident)
-                chain = self.schema.ancestor_chain
-                for i, coord in enumerate(addr):
-                    struct.codes[i][ident] = struct.tables[i].add_leaf(
-                        coord, chain(i, coord)
-                    )
-                self._values.append(value)  # row == ident by construction
-                struct.live[ident] = True
-                struct.n_live += 1
-                struct.n_ids += 1
-                # published last: a lock-free point reader that finds the
-                # id finds its row in the (possibly regrown) value column
-                struct.recent[addr] = ident
-            self._wrote(addr)
-            return inserted
+                # :meth:`_wrote`, inline: this is the hot write
+                written = self._written_ids
+                written.append(ident)
+                if len(written) >= _WRITTEN_BUFFER:
+                    self._settle_written()
+                if self._memo_count:
+                    self._flush_memo()
+                return False
+            struct = self._writable_structure()
+            ident = struct.n_ids
+            if ident == len(struct.live):
+                struct.codes = [_with_headroom(c, ident) for c in struct.codes]
+                struct.live = _with_headroom(struct.live, ident)
+            chain = self.schema.ancestor_chain
+            for i, coord in enumerate(addr):
+                struct.codes[i][ident] = struct.tables[i].add_leaf(
+                    coord, chain(i, coord)
+                )
+            self._values.append(value)  # row == ident by construction
+            struct.live[ident] = True
+            struct.n_live += 1
+            struct.n_ids += 1
+            # published last: a lock-free point reader that finds the
+            # id finds its row in the (possibly regrown) value column
+            struct.recent[addr] = ident
+            self._wrote(ident)
+            return True
 
     def remove_leaf(self, addr: Address) -> bool:
         """Delete the leaf at ``addr``; ``False`` when there is none (not
@@ -1159,17 +1177,36 @@ class RollupIndex:
             chain = self.schema.ancestor_chain
             for i, coord in enumerate(addr):
                 struct.tables[i].remove_leaf(coord, chain(i, coord))
-            self._wrote(addr)
+            self._wrote(ident)
             return True
 
-    def _wrote(self, addr: Address) -> None:  # reprolint: locked
-        # after every leaf write: the coordinates join the record the next
+    def _wrote(self, ident: int) -> None:  # reprolint: locked
+        # after every leaf write: the leaf's id joins the record the next
         # fork's memo carry reads, and the live memo — whose lock-free
         # probes must never see a value older than a write — is flushed
-        for coords, coord in zip(self._written, addr):
-            coords.add(coord)
+        written = self._written_ids
+        written.append(ident)
+        if len(written) >= _WRITTEN_BUFFER:
+            self._settle_written()
         if self._memo_count:
             self._flush_memo()
+
+    def _settle_written(self) -> None:  # reprolint: locked
+        """Move the buffered written leaf ids into the per-dimension
+        coordinate sets: per dimension one gather of the code column, its
+        distinct codes read through the coordinate table.  A deleted leaf
+        keeps its codes, so its coordinates stay in the record.  Runs
+        before the record is read, before renumbering changes what an id
+        names, and whenever the buffer fills — so the record holds at most
+        the distinct coordinates plus one buffer."""
+        ids = self._written_ids
+        if not ids:
+            return
+        struct = self._struct
+        rows = np.array(ids, dtype=np.int64)
+        for coords, codes, table in zip(self._written, struct.codes, struct.tables):
+            coords.update(map(table.coords.__getitem__, set(codes[rows].tolist())))
+        ids.clear()
 
     def leaf_view(self) -> LeafView:
         """This index as the read-only leaf mapping of its cube."""
@@ -1304,6 +1341,7 @@ class RollupIndex:
             self._inherited = clone._memo
             for coords in self._written:
                 coords.clear()
+            self._written_ids.clear()
             return clone
 
     def _carry_memo(self, clone: "RollupIndex") -> int:  # reprolint: locked
@@ -1324,12 +1362,14 @@ class RollupIndex:
         ``dict.copy()``, which no concurrent insert can tear."""
         inherited = (self._inherited or {}).copy()
         cone = None
-        if inherited and any(self._written):
-            chain = self.schema.ancestor_chain
-            cone = [
-                {up for coord in coords for up in chain(dim, coord)}
-                for dim, coords in enumerate(self._written)
-            ]
+        if inherited:
+            self._settle_written()
+            if any(self._written):
+                chain = self.schema.ancestor_chain
+                cone = [
+                    {up for coord in coords for up in chain(dim, coord)}
+                    for dim, coords in enumerate(self._written)
+                ]
         reached = set.__contains__
         memo: dict[str, dict[Address, CellValue]] = {}
         dropped = 0

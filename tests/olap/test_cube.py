@@ -82,6 +82,61 @@ class TestWritesNameKnownMembers:
             cube.effective_value(self.BAD)
 
 
+class TestOneProbePerWrite:
+    """Work counts, not timings: a value write to an existing leaf is one
+    classification pass and one lookup, so it resolves no member and no
+    ancestor chain; an insert and a delete still resolve their chains."""
+
+    @staticmethod
+    def _counting(monkeypatch) -> "dict[str, int]":
+        from repro.olap.dimension import Dimension
+        from repro.olap.schema import CubeSchema
+
+        calls = {"member": 0, "leaf_names": 0, "ancestor_chain": 0}
+        counted_methods = (
+            (Dimension, "member"),
+            (Dimension, "leaf_names"),
+            (CubeSchema, "ancestor_chain"),
+        )
+        for cls, name in counted_methods:
+            original = getattr(cls, name)
+
+            def counted(self, *args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+        return calls
+
+    def test_a_value_write_to_an_existing_leaf_resolves_nothing(self, example, monkeypatch):
+        """Not a member, not a per-dimension leaf-name read, not a chain:
+        the chains of the written coordinates are the next fork's to
+        resolve, once per distinct coordinate."""
+        cube = example.cube
+        leaves = [addr for addr, _ in cube.leaf_cells()]
+        cube.frozen_copy()  # a fork: the next write copies the value column
+        calls = self._counting(monkeypatch)
+        version = cube.version
+        for i, addr in enumerate(leaves):
+            cube.set_value(addr, float(i))
+        assert calls == {"member": 0, "leaf_names": 0, "ancestor_chain": 0}
+        assert cube.version == version + len(leaves)
+        assert [value for _, value in cube.leaf_cells()] == [
+            float(i) for i in range(len(leaves))
+        ]
+
+    def test_an_insert_and_a_delete_resolve_their_chains(self, example, monkeypatch):
+        cube = example.cube
+        addr, value = next(iter(cube.leaf_cells()))
+        n_dims = cube.schema.n_dims
+        calls = self._counting(monkeypatch)
+        cube.set_value(addr, MISSING)
+        assert calls["ancestor_chain"] == n_dims
+        cube.set_value(addr, value)
+        assert calls["ancestor_chain"] == 2 * n_dims
+        assert cube.value(addr) == value
+
+
 class TestRollup:
     def test_rollup_over_time(self, tiny_cube):
         # Jan+Feb+Mar sales = 10+20+30

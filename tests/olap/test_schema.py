@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import itertools
+import os
+import random
+
 import pytest
 
-from repro.errors import SchemaError
+from repro.errors import MemberNotFoundError, SchemaError
+from repro.olap.cube import Cube
 from repro.olap.dimension import Dimension
 from repro.olap.instances import VaryingDimension
 from repro.olap.schema import CubeSchema
+
+FULL_MATRIX = "ci-matrix" in os.environ.get("REPRO_FAULTS", "")
+#: seeded runs of the leaf-test law; the CI fault job draws the wide run
+LAW_RUNS = 200 if FULL_MATRIX else 6
 
 
 class TestRegistry:
@@ -151,6 +160,39 @@ class TestCoordinateSemantics:
             ("Organization/FTE/Joe", "NY", "Qtr1", "Salary")
         )
 
+    @pytest.mark.parametrize("length", [0, 1, 3, 5])
+    def test_a_wrong_length_address_raises(self, example, length):
+        """``zip`` must not truncate: a short or long address is no leaf
+        address, it is an error — the one :meth:`validate_address`
+        raises, from the classification and from a write, which then
+        moves nothing."""
+        schema = example.schema
+        address = ("Organization/FTE/Joe", "NY", "Jan", "Salary", "Extra")[:length]
+        with pytest.raises(SchemaError, match="coordinates"):
+            schema.is_leaf_address(address)
+        cube = example.cube
+        version, n_leaves = cube.version, cube.n_leaf_cells
+        with pytest.raises(SchemaError, match="coordinates"):
+            cube.set_value(address, 1.0)
+        assert (cube.version, cube.n_leaf_cells) == (version, n_leaves)
+
+    def test_a_pickled_schema_classifies_like_the_original(self, example):
+        """A shard's schema crosses a pipe: its leaf tests must still be
+        its own dimensions' live sets, and a varying dimension's test must
+        still look nothing up."""
+        import pickle
+
+        schema = pickle.loads(pickle.dumps(example.schema, pickle.HIGHEST_PROTOCOL))
+        for address in (
+            ("Organization/FTE/Joe", "NY", "Jan", "Salary"),
+            ("FTE", "NY", "Qtr1", "Salary"),
+            ("NoSuchInstance", "NY", "Jan", "Salary"),  # never looked up
+        ):
+            assert schema.is_leaf_address(address) == example.schema.is_leaf_address(address)
+        schema.dimension("Location").add_member("Boston", "MA")
+        assert not schema.is_leaf_address(("Organization/FTE/Joe", "MA", "Jan", "Salary"))
+        assert schema.is_leaf_address(("Organization/FTE/Joe", "Boston", "Jan", "Salary"))
+
     def test_coordinate_display(self, example):
         schema = example.schema
         org = schema.dim_index("Organization")
@@ -200,3 +242,95 @@ class TestCoordinateSemantics:
         assert schema.instance_for_coordinate(org, "FTE") is None
         time = schema.dim_index("Time")
         assert schema.instance_for_coordinate(time, "Jan") is None
+
+
+def _law_schema() -> "tuple[CubeSchema, Dimension, Dimension, Dimension]":
+    dept = Dimension("Dept")
+    dept.add_children(None, ["Sales", "Ops"])
+    time = Dimension("Time", ordered=True)
+    time.add_children(None, ["Jan", "Feb", "Mar"])
+    measures = Dimension("Measures", is_measures=True)
+    measures.add_children(None, ["FTE"])
+    return CubeSchema([dept, time, measures]), dept, time, measures
+
+
+def _formable(schema: CubeSchema) -> "list[tuple[str, ...]]":
+    """Every address the schema can form: every member on every
+    dimension, and every leaf's instance path on a varying one."""
+    per_dim = []
+    for dimension in schema.dimensions:
+        coords = [member.name for member in dimension.members()]
+        if schema.is_varying(dimension.name):
+            coords += [leaf.path() for leaf in dimension.leaf_members()]
+        per_dim.append(coords)
+    return list(itertools.product(*per_dim))
+
+
+def _assert_leaf_law(schema: CubeSchema, cube: Cube, rng: random.Random) -> None:
+    for dimension in schema.dimensions:
+        names = {member.name for member in dimension.leaf_members()}
+        assert dimension.leaf_names() == names
+    for address in _formable(schema):
+        assert schema.is_leaf_address(address) == all(
+            schema.coordinate_is_leaf(dim, coord) for dim, coord in enumerate(address)
+        ), address
+    # an unknown member of a non-varying dimension raises from a write,
+    # wherever it stands, and the write moves nothing
+    plain = [
+        dim for dim, d in enumerate(schema.dimensions) if not schema.is_varying(d.name)
+    ]
+    address = list(rng.choice(_formable(schema)))
+    address[rng.choice(plain)] = f"Nobody{rng.randrange(10**6)}"
+    version = cube.version
+    with pytest.raises(MemberNotFoundError):
+        cube.set_value(tuple(address), 1.0)
+    assert cube.version == version
+
+
+@pytest.mark.parametrize("seed", range(LAW_RUNS))
+def test_the_leaf_test_follows_every_add_member(seed):
+    """The leaf-test law: random ``add_member`` sequences — under a root,
+    under a leaf, under a leaf that holds data in a cube — then a late
+    ``register_varying`` and more members: after every step
+    ``is_leaf_address`` is the conjunction of ``coordinate_is_leaf`` over
+    every address the schema can form, and each dimension's live
+    leaf-name set is its leaves' names."""
+    rng = random.Random(seed)
+    schema, dept, time, measures = _law_schema()
+    cube = Cube(schema)
+    grown = [dept, measures]  # the parameter dimension stays as it is
+    names = (f"m{k}" for k in itertools.count())
+
+    def leaf_address() -> "tuple[str, ...]":
+        return tuple(
+            rng.choice(
+                [leaf.path() for leaf in d.leaf_members()]
+                if schema.is_varying(d.name)
+                else sorted(d.leaf_names())
+            )
+            for d in schema.dimensions
+        )
+
+    def step(kind: str) -> None:
+        dimension = rng.choice(grown)
+        if kind == "root":
+            parent = None
+        elif kind == "leaf":
+            parent = rng.choice(sorted(dimension.leaf_names()))
+        else:  # under a leaf that holds data
+            address = leaf_address()
+            cube.set_value(address, float(rng.randrange(100)))
+            coord = address[schema.dim_index(dimension.name)]
+            parent = coord.rsplit("/", 1)[-1]
+        dimension.add_member(next(names), parent)
+        if rng.random() < 0.5:
+            cube.set_value(leaf_address(), float(rng.randrange(100)))
+        _assert_leaf_law(schema, cube, rng)
+
+    _assert_leaf_law(schema, cube, rng)
+    for _ in range(rng.randint(1, 8)):
+        step(rng.choice(("root", "leaf", "data")))
+    schema.register_varying(VaryingDimension(dept, time))
+    _assert_leaf_law(schema, cube, rng)
+    for _ in range(rng.randint(0, 3)):
+        step(rng.choice(("root", "leaf", "data")))

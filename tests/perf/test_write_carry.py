@@ -465,3 +465,77 @@ def test_readers_through_the_service_see_the_twin_at_their_version(monkeypatch):
     assert len({version for version, _ in seen}) >= 5, "readers saw few versions"
     for version, answered in seen:
         assert answered == expected[version], f"version {version}"
+
+
+def _cone_of(written: list) -> "list[set[str]]":
+    """The reference cone of some written leaf addresses: per dimension,
+    every written coordinate's ancestor chain."""
+    return [
+        {up for leaf in written for up in SCHEMA.ancestor_chain(dim, leaf[dim])}
+        for dim in range(SCHEMA.n_dims)
+    ]
+
+
+def _reached(keys, cone) -> set:
+    return {key for key in keys if all(c in s for c, s in zip(key[0], cone))}
+
+
+def test_the_record_survives_a_renumbering_between_forks():
+    """Deletes that leave dead ids outnumbering live ones renumber the
+    index between two frozen forks; the record keeps leaf ids, so it must
+    settle them before the ids change.  The carried memo drops exactly
+    what a cone built from the written addresses drops — the deleted
+    leaves' coordinates among them — and every kept entry is current."""
+    sales = [leaf for leaf in LEAVES if leaf[2] == "Sales"][:5]
+    cogs = [leaf for leaf in LEAVES if leaf[2] == "COGS"]
+    cube = Cube(SCHEMA)
+    cube.apply_overrides([(leaf, float(i + 1)) for i, leaf in enumerate(sales + cogs)])
+    first = cube.frozen_copy()
+    _rollups(first)
+    before = _memo_entries(first)
+    index = cube.rollup_index()
+    n_ids = index._struct.n_ids
+
+    for leaf in cogs:  # deletes; the twelfth one renumbers
+        cube.set_value(leaf, MISSING)
+    assert index._struct.n_ids < n_ids, "no renumbering"
+    cube.set_value(cogs[-1], 3.5)  # an insert
+    cube.set_value(cogs[-1], -0.0)  # a value write
+    second = cube.frozen_copy()
+
+    reached = _reached(before, _cone_of(cogs))
+    carried = _memo_entries(second)
+    assert reached and carried
+    assert set(carried) == set(before) - reached
+    assert {key[0][2] for key in carried} == {"Sales"}
+    expected = _naive(cube)
+    for key, value in carried.items():
+        assert value == expected[key], key
+    assert _rollups(second) == expected
+
+
+def test_a_live_index_holds_a_bounded_record():
+    """Ten buffers' worth of writes and no fork: the record holds at most
+    one buffer of ids plus the distinct written coordinates, and the next
+    fork still drops exactly the writes' cone."""
+    from repro.perf.rollup_index import _WRITTEN_BUFFER
+
+    cube = Cube(SCHEMA)
+    cube.apply_overrides([(leaf, float(i + 1)) for i, leaf in enumerate(LEAVES)])
+    first = cube.frozen_copy()
+    _rollups(first)
+    before = _memo_entries(first)
+    written = [leaf for leaf in LEAVES if leaf[2] == "Sales" and leaf[0] != "Jan"]
+    index = cube.rollup_index()
+    for i in range(10 * _WRITTEN_BUFFER):
+        cube.set_value(written[i % len(written)], float(i % 97))
+        assert len(index._written_ids) < _WRITTEN_BUFFER
+    tables = index._struct.tables
+    for coords, table in zip(index._written, tables):
+        assert coords <= set(table.coords)
+
+    second = cube.frozen_copy()
+    carried = _memo_entries(second)
+    assert set(carried) == set(before) - _reached(before, _cone_of(written))
+    assert not index._written_ids and not any(index._written)
+    assert _rollups(second) == _naive(cube)
