@@ -18,11 +18,16 @@ The pipeline follows the paper's semantics exactly:
    one of those cells (Theorem 4.1 applies it "to the result of the core
    query", σ first), yielding a perspective cube (WhatIfCube).  A
    NON_VISUAL last stage moves its leaves only if some cell lies at leaf
-   level on every dimension (:func:`grid_reads_leaves`): every other cell
-   is its input cube's.
+   level on every dimension (``GridLayout.reads_leaves``): every other
+   cell is its input cube's.
 4. Each result cell is the perspective cube's value at the address formed
    by the slicer, the axis coordinates, and dimension roots for every
-   unmentioned dimension (the Essbase default member).
+   unmentioned dimension (the Essbase default member) — a row coordinate
+   overriding the slicer, a column coordinate both.  The rule is worked
+   out once per grid, by :class:`~repro.perf.batch.GridLayout` when the
+   axes resolve: each cell's address, its leaf test, the footprint of
+   step 3.  Only the reference loop under ``naive_mode()`` composes its
+   own addresses.
 
 Theorem 4.1 gives a query one meaning whoever executes it, so there is
 one pipeline — **prepare → resolve → fill → finish** — and executors
@@ -34,13 +39,14 @@ scatter/gather over the shard pool in
 :class:`~repro.service.service.QueryService`, nothing in EXPLAIN;
 :func:`finish_query` prunes NON EMPTY axes and builds the result.  Whoever
 reads a scenario's cells asks :class:`_Context` for the view of *its*
-cells (:meth:`_Context.view_under`, by way of ``view_for`` / ``view_at``).
+cells (:meth:`_Context.view_under`, by way of :meth:`_Context.view_of`
+the layouts of the grid, or of the blocks, it fills).
 
 Resolve reads the **prepared plan** (:class:`Plan`).  By Theorem 4.1 a
 query's algebra expression depends on its text and the cube's
 *structure*, not on its cell values, so the warehouse's ``plan_cache``
 keeps, per text, the analyzer's report and the resolved axes, slicer,
-base coordinates, footprint and leaf predicate, versioned by
+base coordinates and grid layout, versioned by
 :meth:`~repro.warehouse.Warehouse.plan_version` (the cube's structure
 generation, the schema's, the named sets').  A value write keeps a plan;
 a leaf insert or delete, a schema edit or a named-set edit drops it.  Axes
@@ -92,6 +98,7 @@ from repro.mdx.result import AxisTuple, MdxResult
 from repro.obs.trace import trace_span
 from repro.olap.dimension import Dimension, Member
 from repro.perf import config as perf_config
+from repro.perf.batch import GridLayout, evaluate_grid
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.diagnostics import DiagnosticReport
@@ -295,7 +302,7 @@ class _Context:
         Every reader of a scenario's cells comes through here.
 
         ``leaves``: whether some cell read lies at leaf level on every
-        dimension (:func:`grid_reads_leaves`).  A NON_VISUAL last stage's
+        dimension (``GridLayout.reads_leaves``).  A NON_VISUAL last stage's
         leaves are then moved here — in the caller's scenario phase, and
         before the entry is kept, so a failed move keeps nothing — and
         otherwise not at all."""
@@ -323,23 +330,21 @@ class _Context:
         entry = self.chain()
         return entry.view is not None and not entry.named
 
-    def view_for(self, resolved: "ResolvedQuery"):
-        """:meth:`view_under` the footprint of a resolved grid."""
+    def view_of(self, layouts: "Sequence[GridLayout]"):
+        """:meth:`view_under` the footprint of some grid layouts
+        (:func:`grid_footprint`): a whole grid's, a shard's share of a
+        query, or the coordinator's residue."""
         if not self.scenarios:
             return self.warehouse.cube
-        named = {} if self._holds_everything() else resolved.footprint()
-        return self.view_under(named, resolved.reads_leaves())
+        named = {} if self._holds_everything() else grid_footprint(layouts)
+        return self.view_under(named, any(layout.reads_leaves for layout in layouts))
 
-    def view_at(self, base_coords: "dict[str, str]", blocks: "Sequence[GridBlock]"):
-        """:meth:`view_under` the footprint of some blocks of a grid
-        (:func:`grid_footprint`): a shard's share of a query, or the
-        coordinator's residue."""
-        if not self.scenarios:
-            return self.warehouse.cube
-        named = (
-            {} if self._holds_everything() else grid_footprint(self.schema, base_coords, blocks)
-        )
-        return self.view_under(named, grid_reads_leaves(self.schema, base_coords, blocks))
+    def fill_blocks(self, layouts: "Sequence[GridLayout]"):
+        """The view of some blocks of a grid (:meth:`view_of`) and each
+        block's cells, filled with no budget and no failpoint: a shard's
+        share of a query, or the coordinator's residue."""
+        view = self.view_of(layouts)
+        return view, [evaluate_grid(view, layout, None, None)[0] for layout in layouts]
 
     @property
     def footprint_rows(self) -> "int | None":
@@ -632,83 +637,16 @@ def _axis_tuples(
     return result
 
 
-def grid_footprint(
-    schema, base_coords: "dict[str, str]", blocks: "Sequence[GridBlock]"
-) -> Footprint:
+def grid_footprint(layouts: "Sequence[GridLayout]") -> Footprint:
     """The coordinates the cells of some grid blocks name, per dimension:
-    those of each block's row and column tuples, and the slicer / default
-    coordinate of every dimension some cell of a block leaves to it (one
-    an axis binds in every tuple of the block is never read off
-    ``base_coords``).  A dimension whose root some cell names is
-    unrestricted, hence left out.  O(rows + columns)."""
-    named: dict[str, set[str]] = {name: set() for name in base_coords}
-    for block in blocks:
-        overridden: set[str] = set()
-        for axis in block:
-            shapes: set[tuple[str, ...]] = set()  # the dimensions a tuple binds
-            for axis_tuple in axis:
-                shape = []
-                for dim, coord in axis_tuple.coordinates:
-                    named[dim].add(coord)
-                    shape.append(dim)
-                shapes.add(tuple(shape))
-            if shapes:
-                overridden.update(set.intersection(*map(set, shapes)))
-        for dim, coord in base_coords.items():
-            if dim not in overridden:
-                named[dim].add(coord)
+    the union of the blocks' ``GridLayout.footprint``.  A dimension one
+    block leaves unrestricted is unrestricted."""
+    first, *rest = layouts
     return {
-        d.name: frozenset(named[d.name])
-        for d in schema.dimensions
-        if d.root.name not in named[d.name]
+        dim: coords.union(*(layout.footprint[dim] for layout in rest))
+        for dim, coords in first.footprint.items()
+        if all(dim in layout.footprint for layout in rest)
     }
-
-
-def grid_reads_leaves(
-    schema, base_coords: "dict[str, str]", blocks: "Sequence[GridBlock]"
-) -> bool:
-    """Whether some cell of some grid blocks lies at leaf level on every
-    dimension: the one kind of cell a NON_VISUAL last stage's moved leaves
-    answer — every other cell is the stage's input cube's (Sec. 3.3).
-
-    A cell takes each dimension's coordinate from its column tuple, else
-    from its row tuple, else from ``base_coords``, so per block it is
-    enough to pair the distinct row shapes (the dimensions a tuple binds,
-    and those of them above the leaves) with the distinct shapes of the
-    columns at leaf level throughout.  O(rows + columns), like
-    :func:`grid_footprint`."""
-    dim_index = {d.name: i for i, d in enumerate(schema.dimensions)}
-    is_leaf: dict[tuple[str, str], bool] = {}
-
-    def above(coords) -> frozenset[str]:  # the dimensions bound above the leaves
-        out = []
-        for dim, coord in coords:
-            key = (dim, coord)
-            flag = is_leaf.get(key)
-            if flag is None:
-                flag = is_leaf[key] = schema.coordinate_is_leaf(dim_index[dim], coord)
-            if not flag:
-                out.append(dim)
-        return frozenset(out)
-
-    base_above = above(base_coords.items())
-    for rows, columns in blocks:
-        leaf_columns = set()
-        for column in columns:
-            coords = dict(column.coordinates)
-            if not above(coords.items()):
-                leaf_columns.add(frozenset(coords))
-        if not leaf_columns:
-            continue
-        row_shapes = set()
-        for row in rows:
-            coords = dict(row.coordinates)
-            row_shapes.add((frozenset(coords), above(coords.items())))
-        for bound, row_above in row_shapes:
-            for column_bound in leaf_columns:
-                if not row_above - column_bound and not base_above - bound - column_bound:
-                    return True
-    return False
 
 
 @dataclass(slots=True)
@@ -724,34 +662,12 @@ class ResolvedQuery:
     #: order; a row coordinate overrides it, a column coordinate both
     base_coords: dict[str, str]
     non_empty: frozenset[str]  #: the axes ("rows" / "columns") to prune
-    #: :meth:`footprint`, once computed (a plan keeps it)
-    named: "Footprint | None" = None
-    #: :meth:`reads_leaves`, once computed (a plan keeps it)
-    leaves: "bool | None" = None
+    layout: GridLayout  #: the cell rule over ``rows`` × ``columns``
 
     @property
     def reads_cells(self) -> bool:
         """Whether resolving read a cell value (a FILTER / ORDER set)."""
         return self.context.reads_cells
-
-    def footprint(self) -> Footprint:
-        """The coordinates the grid's cells name (:func:`grid_footprint`
-        of the whole grid as one block)."""
-        if self.named is None:
-            self.named = grid_footprint(
-                self.context.schema, self.base_coords, [(self.rows, self.columns)]
-            )
-        return self.named
-
-    def reads_leaves(self) -> bool:
-        """Whether some cell of the grid lies at leaf level on every
-        dimension (:func:`grid_reads_leaves` of the whole grid as one
-        block)."""
-        if self.leaves is None:
-            self.leaves = grid_reads_leaves(
-                self.context.schema, self.base_coords, [(self.rows, self.columns)]
-            )
-        return self.leaves
 
 
 def resolve_query(context: _Context) -> ResolvedQuery:
@@ -783,7 +699,8 @@ def resolve_query(context: _Context) -> ResolvedQuery:
         d.name: slicer.get(d.name, d.root.name) for d in context.schema.dimensions
     }
     non_empty = frozenset(name for name, axis in by_axis.items() if axis.non_empty)
-    return ResolvedQuery(context, columns, rows, slicer, base_coords, non_empty)
+    layout = GridLayout(context.schema, base_coords, rows, columns)
+    return ResolvedQuery(context, columns, rows, slicer, base_coords, non_empty, layout)
 
 
 # -- prepared plans -----------------------------------------------------------------
@@ -792,8 +709,8 @@ def resolve_query(context: _Context) -> ResolvedQuery:
 @dataclass(frozen=True, slots=True)
 class _Axes:
     """What a resolve found, as a plan keeps it: the scenario chain, the
-    un-pruned axes, the slicer and base coordinates, and — under a
-    scenario — the grid's footprint and whether a cell reads a leaf."""
+    un-pruned axes, the slicer and base coordinates, and the grid's
+    layout."""
 
     scenarios: "tuple[NegativeScenario | PositiveScenario, ...]"
     columns: tuple[AxisTuple, ...]
@@ -801,21 +718,18 @@ class _Axes:
     slicer: dict[str, str]
     base_coords: dict[str, str]
     non_empty: frozenset[str]
-    named: "Footprint | None"
-    leaves: "bool | None"
+    layout: GridLayout
 
     @classmethod
     def of(cls, resolved: ResolvedQuery) -> "_Axes":
-        scenarios = tuple(resolved.context.scenarios)
         return cls(
-            scenarios,
+            tuple(resolved.context.scenarios),
             tuple(resolved.columns),
             tuple(resolved.rows),
             dict(resolved.slicer),
             dict(resolved.base_coords),
             resolved.non_empty,
-            resolved.footprint() if scenarios else None,
-            resolved.reads_leaves() if scenarios else None,
+            resolved.layout,
         )
 
 
@@ -925,8 +839,7 @@ class Prepared:
             dict(axes.slicer),
             dict(axes.base_coords),
             axes.non_empty,
-            axes.named,
-            axes.leaves,
+            axes.layout,
         )
 
 
@@ -1002,7 +915,7 @@ def evaluate_query(resolved: ResolvedQuery) -> MdxResult:
     with trace_span("mdx.scenario") as scenario_span:
         # Cells are read below, so the chain is applied here — to the rows
         # the grid's cells can reach.
-        view = context.view_for(resolved)
+        view = context.view_of([resolved.layout])
         if scenario_span is not None and context.scenarios:
             scenario_span.set(
                 scenarios=len(context.scenarios),
@@ -1015,16 +928,8 @@ def evaluate_query(resolved: ResolvedQuery) -> MdxResult:
     with trace_span("mdx.cells") as cells_span:
         stats = dict(context.scenario_stats)
         if perf_config.engine_enabled():
-            from repro.perf.batch import evaluate_grid
-
             cells, cells_skipped, grid_stats = evaluate_grid(
-                view,
-                context.schema,
-                resolved.base_coords,
-                rows,
-                columns,
-                tracker,
-                FP_MDX_CELL,
+                view, resolved.layout, tracker, FP_MDX_CELL
             )
             stats.update(grid_stats)
         else:

@@ -23,9 +23,10 @@ chain would be applied *to*: the query's footprint — the dimensions its
 cells restrict and the base rows that can reach one of them, counted off
 the rollup index's masks (:func:`~repro.core.scenario.footprint_rows`),
 and whether the last stage would move its leaves at all: a NON_VISUAL
-one does only for a cell at leaf level on every dimension
-(:func:`~repro.mdx.evaluator.grid_reads_leaves`, the evaluator's own
-test).
+one does only for a cell at leaf level on every dimension.  The
+footprint, that leaf test and every estimated cell's address are read off
+the grid's :class:`~repro.perf.batch.GridLayout` — the evaluator's own,
+kept on the prepared plan.
 
 Surfaced as ``python -m repro explain <query-file>`` (``--json`` for the
 structured report).
@@ -43,9 +44,7 @@ __all__ = ["explain_query", "explain_report"]
 _ESTIMATE_CAP = 4096
 
 
-def _scope_estimates(
-    warehouse, schema, base_coords: dict[str, str], rows, columns
-) -> dict[str, Any]:
+def _scope_estimates(warehouse, layout) -> dict[str, Any]:
     """Estimated scope sizes for the result grid, from the rollup index.
 
     For each cell address the estimate is the smallest per-coordinate
@@ -54,32 +53,21 @@ def _scope_estimates(
     """
     index = warehouse.cube.rollup_index()
     n_leaves = index.n_leaves
-    dims = schema.dimensions
-    base = [base_coords[d.name] for d in dims]
-    dim_index = {d.name: i for i, d in enumerate(dims)}
+    n_rows, n_cols = len(layout.row_addrs), layout.n_cols
 
-    n_cells = len(rows) * len(columns)
+    n_cells = n_rows * n_cols
     estimated = min(n_cells, _ESTIMATE_CAP)
     sizes: list[int] = []
     derived_cells = 0
-    for row in rows[: max(1, _ESTIMATE_CAP // max(1, len(columns)))]:
-        row_addr = list(base)
-        for dim, coord in row.coordinates:
-            row_addr[dim_index[dim]] = coord
-        for column in columns:
+    for r in range(min(n_rows, max(1, _ESTIMATE_CAP // max(1, n_cols)))):
+        leaf_cols = layout.leaf_columns(r)
+        for c in range(n_cols):
             if len(sizes) >= estimated:
                 break
-            addr = list(row_addr)
-            for dim, coord in column.coordinates:
-                addr[dim_index[dim]] = coord
-            is_leaf = all(
-                schema.coordinate_is_leaf(i, coord)
-                for i, coord in enumerate(addr)
-            )
-            if not is_leaf:
+            if c not in leaf_cols:
                 derived_cells += 1
             estimate = n_leaves
-            for i, coord in enumerate(addr):
+            for i, coord in enumerate(layout.address(r, c)):
                 estimate = min(estimate, index.coord_count(i, coord))
                 if estimate == 0:
                     break
@@ -163,7 +151,7 @@ def explain_report(warehouse, text: str) -> dict[str, Any]:
         report["slicer"] = dict(sorted(resolved.slicer.items()))
         if context.scenarios:
             # what the chain would be applied to — counted, not applied
-            named = resolved.footprint()
+            named = resolved.layout.footprint
             kept = footprint_rows(
                 warehouse.cube, context.scenarios, context.chain().structure, named
             )
@@ -179,13 +167,11 @@ def explain_report(warehouse, text: str) -> dict[str, Any]:
             report["last_stage_moves_leaves"] = (
                 context.scenarios[-1].mode is Mode.VISUAL
                 or resolved.reads_cells
-                or resolved.reads_leaves()
+                or resolved.layout.reads_leaves
             )
         context.keep()
         report["scenario_cache"] = dict(context.scenario_stats)
-        report["scope_estimates"] = _scope_estimates(
-            warehouse, warehouse.schema, resolved.base_coords, rows, columns
-        )
+        report["scope_estimates"] = _scope_estimates(warehouse, resolved.layout)
         return report
 
 

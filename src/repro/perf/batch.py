@@ -5,13 +5,14 @@ The naive evaluator resolves every result cell independently:
 each derived cell re-derives its scope from scratch.  This module fills
 the grid a row — and the leaf cells a block — at a time:
 
-* the layout is computed once per call: every row's address (defaults +
-  slicer + the row's coordinates) and, as a bit mask, the dimensions
-  where it is above the leaves; the columns split into groups by the
-  dimensions they bind (one group in any ordinary grid), each with its
-  columns' coordinates on those dimensions;
-* per-coordinate leafness is memoised, so the leaf/derived split of a
-  cell is a per-row test per group, never a per-cell one;
+* the layout is the grid's :class:`GridLayout`, built once when the
+  query is resolved and kept on its prepared plan, so a warm query builds
+  none: every row's address (defaults + slicer + the row's coordinates)
+  and, as a bit mask, the dimensions where it is above the leaves; the
+  columns split into groups by the dimensions they bind (one group in any
+  ordinary grid), each with its columns' coordinates on those dimensions
+  and its leaf rows — the leaf/derived split of a cell is a per-row test
+  per group, never a per-cell one;
 * leaf cells are one block read per column group
   (:meth:`RollupIndex.leaf_block`): the group's leaf rows × leaf columns
   go through one ``searchsorted`` over the generation's sorted keys, then
@@ -56,7 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mdx.budget import BudgetTracker
     from repro.olap.schema import CubeSchema
 
-__all__ = ["evaluate_grid"]
+__all__ = ["GridLayout", "evaluate_grid"]
 
 Address = tuple[str, ...]
 CellValue: TypeAlias = "float | Missing"
@@ -115,11 +116,11 @@ class _Segment:
 
 class _Group:
     """The columns that bind one set of dimensions — every column, its
-    leaf ones and the others — and per row whether the row is at leaf
-    level on every dimension they leave free: a row's leaf-ness and its
-    scope ids there are shared by all of them."""
+    leaf ones and the others — and the rows at leaf level on every
+    dimension they leave free, each with its place in the group's block:
+    a row's leaf-ness and its scope ids there are shared by all of them."""
 
-    __slots__ = ("bound", "free", "every", "leaf", "derived", "leaf_row", "_block")
+    __slots__ = ("bound", "free", "every", "leaf", "derived", "leaf_rows")
 
     def __init__(
         self,
@@ -137,24 +138,127 @@ class _Group:
         leaf = set(leaf_cols)
         self.derived = _Segment([j for j in cols if j not in leaf], patches, bound)
         free = sum(1 << dim for dim in self.free)
-        self.leaf_row = [not above & free for above in row_above]
-        self._block: "tuple[dict[int, int], list[list[Any]], dict[int, list[int]]] | None" = None
+        #: each leaf row, by its place among them (its row of the block)
+        self.leaf_rows = {
+            r: k
+            for k, r in enumerate(r for r, above in enumerate(row_above) if not above & free)
+        }
 
-    def block_row(
-        self, r: int, leaf_index: Any, row_addrs: list[list[str]]
-    ) -> "tuple[list[Any], Sequence[int]]":
-        """Row ``r``'s leaf columns, values with ``None`` at a miss, and
-        the misses: the group's block — its leaf rows × leaf columns — is
-        read once, on first use (:meth:`RollupIndex.leaf_block`)."""
-        if self._block is None:
-            at = [r for r, leaf in enumerate(self.leaf_row) if leaf]
-            values, misses = leaf_index.leaf_block(
-                [row_addrs[r] for r in at], self.bound, self.leaf.tuples
-            )
-            self._block = ({r: k for k, r in enumerate(at)}, values, misses)
-        at, values, misses = self._block
-        k = at[r]
-        return values[k], misses.get(k, ())
+
+class GridLayout:
+    """The paper's cell rule for one grid, worked out once.
+
+    A cell is the cube's value at the address formed by ``base_coords``
+    (the slicer over every dimension's default member), then the row
+    tuple's coordinates, then the column tuple's — a dimension's last
+    binding in a tuple winning.  By Theorem 4.1 that depends on the query
+    text and the cube's structure only, so a prepared plan keeps its
+    grid's layout and every reader of the rule reads it: the fill
+    (:func:`evaluate_grid`), the footprint and leaf test a scenario is
+    applied under, the shard classifier and EXPLAIN.  Immutable once
+    built, so threads share it.
+
+    * ``row_addrs`` — each row's address, and ``col_patches`` each
+      column's coordinates by dimension index; :meth:`address`;
+    * ``groups`` — the columns by the dimensions they bind (one group in
+      any ordinary grid), each with its leaf columns and its leaf rows
+      (:meth:`leaf_columns`);
+    * ``footprint`` — the coordinates the cells name, per dimension: those
+      of every row and column tuple, and the ``base_coords`` coordinate of
+      each dimension some cell leaves to it (one an axis binds in every
+      tuple is never read off ``base_coords``); a dimension whose root is
+      named is unrestricted, hence left out;
+    * ``reads_leaves`` — whether some cell lies at leaf level on every
+      dimension: the one kind of cell a NON_VISUAL last stage's moved
+      leaves answer (Sec. 3.3).
+    """
+
+    __slots__ = ("n_cols", "row_addrs", "col_patches", "groups", "footprint", "reads_leaves")
+
+    def __init__(
+        self,
+        schema: "CubeSchema",
+        base_coords: Mapping[str, str],
+        rows: "Sequence[Any]",
+        columns: "Sequence[Any]",
+    ) -> None:
+        dims = schema.dimensions
+        dim_index = {d.name: i for i, d in enumerate(dims)}
+        named: list[set[str]] = [set() for _ in dims]
+        flags: dict[tuple[int, str], bool] = {}
+
+        def is_leaf(i: int, coord: str) -> bool:  # once per coordinate
+            flag = flags.get((i, coord))
+            if flag is None:
+                flag = flags[i, coord] = schema.coordinate_is_leaf(i, coord)
+            return flag
+
+        def patches(tuples: "Sequence[Any]") -> "tuple[list[dict[int, str]], set[int]]":
+            # each tuple's coordinates by dimension index, and the
+            # dimensions every tuple binds
+            out: list[dict[int, str]] = []
+            for axis_tuple in tuples:
+                patch: dict[int, str] = {}
+                for dim, coord in axis_tuple.coordinates:
+                    i = dim_index[dim]
+                    patch[i] = coord
+                    named[i].add(coord)
+                out.append(patch)
+            bound: set[int] = set(out[0]).intersection(*out) if out else set()
+            return out, bound
+
+        row_patches, row_bound = patches(rows)
+        col_patches, col_bound = patches(columns)
+        base = [base_coords[d.name] for d in dims]
+        for i, coord in enumerate(base):
+            if i not in row_bound and i not in col_bound:
+                named[i].add(coord)
+        self.footprint: Mapping[str, frozenset[str]] = {
+            d.name: frozenset(named[i]) for i, d in enumerate(dims) if d.root.name not in named[i]
+        }
+
+        # a row's address, and as a bit mask the dimensions where it is
+        # above the leaves
+        above = sum(1 << i for i, coord in enumerate(base) if not is_leaf(i, coord))
+        row_addrs: list[Address] = []
+        row_above: list[int] = []
+        for patch in row_patches:
+            addr, row_mask = list(base), above
+            for i, coord in patch.items():
+                addr[i] = coord
+                if is_leaf(i, coord):
+                    row_mask &= ~(1 << i)
+                else:
+                    row_mask |= 1 << i
+            row_addrs.append(tuple(addr))
+            row_above.append(row_mask)
+
+        by_bound: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
+        for j, patch in enumerate(col_patches):
+            cols, leaf_cols = by_bound.setdefault(tuple(sorted(patch)), ([], []))
+            cols.append(j)
+            if all(is_leaf(i, coord) for i, coord in patch.items()):
+                leaf_cols.append(j)
+        self.n_cols = len(col_patches)
+        self.row_addrs = tuple(row_addrs)
+        self.col_patches = tuple(col_patches)
+        self.groups = tuple(
+            _Group(bound, cols, leaf_cols, col_patches, row_above, len(dims))
+            for bound, (cols, leaf_cols) in by_bound.items()
+        )
+        self.reads_leaves = any(g.leaf.size and g.leaf_rows for g in self.groups)
+
+    def address(self, r: int, c: int) -> Address:
+        """The address of the cell in row ``r`` and column ``c``."""
+        addr = list(self.row_addrs[r])
+        for i, coord in self.col_patches[c].items():
+            addr[i] = coord
+        return tuple(addr)
+
+    def leaf_columns(self, r: int) -> set[int]:
+        """The columns whose cell in row ``r`` lies at leaf level on every
+        dimension."""
+        return {j for g in self.groups if r in g.leaf_rows for j in g.leaf.cols}
 
 
 def _memo_sweep(
@@ -171,27 +275,17 @@ def _memo_sweep(
 
 def evaluate_grid(
     view: Any,
-    schema: "CubeSchema",
-    base_coords: Mapping[str, str],
-    rows: "Sequence[Any]",
-    columns: "Sequence[Any]",
+    layout: GridLayout,
     tracker: "BudgetTracker | None",
     failpoint: "str | None",
 ) -> tuple[list[list[CellValue]], int, dict[str, int]]:
-    """Fill the result grid for ``rows`` x ``columns`` axis tuples.
+    """Fill the result grid ``layout`` lays out from ``view``.
 
-    ``base_coords`` maps every dimension to its default/slicer coordinate;
-    row and column coordinates are patched on top (columns last, matching
-    the per-cell evaluator's dict-update order).  ``failpoint`` counts one
-    hit per evaluated cell; ``None`` counts none (a shard, or the shard
-    coordinator's residue, fills blocks of a request that has its own
-    failpoints).  Returns ``(cells, cells_skipped, stats)``.
+    ``failpoint`` counts one hit per evaluated cell; ``None`` counts none
+    (a shard, or the shard coordinator's residue, fills blocks of a
+    request that has its own failpoints).  Returns ``(cells,
+    cells_skipped, stats)``.
     """
-    dims = schema.dimensions
-    n_dims = schema.n_dims
-    dim_index = {d.name: i for i, d in enumerate(dims)}
-    base = [base_coords[d.name] for d in dims]
-
     # a WhatIfCube routes leaf reads and aggregate reads to different
     # cubes, a plain Cube is both; the leaf side is asked for at the first
     # leaf cell only (a NON_VISUAL stage may not have moved its leaves)
@@ -208,54 +302,13 @@ def evaluate_grid(
     # the reducer's on a miss
     sweep = agg_rules is None and not agg_stored_derived
 
-    # -- memoised coordinate leafness -------------------------------------------
-    leaf_flag: dict[tuple[int, str], bool] = {}
-
-    def coord_is_leaf(i: int, coord: str) -> bool:
-        key = (i, coord)
-        flag = leaf_flag.get(key)
-        if flag is None:
-            flag = schema.coordinate_is_leaf(i, coord)
-            leaf_flag[key] = flag
-        return flag
-
-    # -- layout, once per call ---------------------------------------------------
-    # a row's address, and as a bit mask the dimensions where it is above
-    # the leaves
-    above = sum(1 << i for i, coord in enumerate(base) if not coord_is_leaf(i, coord))
-    row_addrs: list[list[str]] = []
-    row_above: list[int] = []
-    for row in rows:
-        addr, row_mask = list(base), above
-        for dim, coord in row.coordinates:
-            i = dim_index[dim]
-            addr[i] = coord
-            if coord_is_leaf(i, coord):
-                row_mask &= ~(1 << i)
-            else:
-                row_mask |= 1 << i
-        row_addrs.append(addr)
-        row_above.append(row_mask)
-
-    col_patches = [
-        {dim_index[dim]: coord for dim, coord in column.coordinates}
-        for column in columns
-    ]
-    # columns that bind the same dimensions form a group (one in any
-    # ordinary grid)
-    by_bound: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
-    for j, patch in enumerate(col_patches):
-        cols, leaf_cols = by_bound.setdefault(tuple(sorted(patch)), ([], []))
-        cols.append(j)
-        if all(coord_is_leaf(i, coord) for i, coord in patch.items()):
-            leaf_cols.append(j)
-    groups = [
-        _Group(bound, cols, leaf_cols, col_patches, row_above, n_dims)
-        for bound, (cols, leaf_cols) in by_bound.items()
-    ]
-
+    row_addrs, groups = layout.row_addrs, layout.groups
+    # per group, its block — its leaf rows × leaf columns — as values with
+    # ``None`` at a miss and the misses per block row, read once, on first
+    # use (:meth:`RollupIndex.leaf_block`)
+    blocks: "dict[_Group, tuple[list[list[Any]], dict[int, list[int]]]]" = {}
     col_masks: "dict[int, Any]" = {}  # column -> its mask, once computed
-    n_cols = len(columns)
+    n_cols = layout.n_cols
     cells: list[list[CellValue]] = []
     cells_skipped = cells_evaluated = indexed_rollups = hits = 0
     try:
@@ -278,7 +331,8 @@ def evaluate_grid(
             # read or the memo sweep left to the slow path
             misses: list[tuple[int, bool, _Group, Address]] = []
             for group in groups:
-                if group.leaf_row[r]:
+                k = group.leaf_rows.get(r)  # the row's place in the group's block
+                if k is not None:
                     leaf = group.leaf
                     n = leaf.size if whole else bisect_left(leaf.cols, admitted)
                     if n:
@@ -286,18 +340,19 @@ def evaluate_grid(
                             leaf_cube = getattr(view, "leaf_cube", view)
                             leaf_rules = leaf_cube.rules
                             leaf_index = leaf_cube.rollup_index()
-                        values, missed = group.block_row(r, leaf_index, row_addrs)
-                        leaf.store(row_cells, values, n)
-                        for c in missed:
+                        block = blocks.get(group)
+                        if block is None:
+                            block = blocks[group] = leaf_index.leaf_block(
+                                [row_addrs[i] for i in group.leaf_rows], group.bound, leaf.tuples
+                            )
+                        leaf.store(row_cells, block[0][k], n)
+                        for c in block[1].get(k, ()):
                             if c >= n:
                                 break
                             j = leaf.cols[c]
                             row_cells[j] = MISSING
                             if leaf_rules is not None:
-                                addr = list(row_addr)
-                                for dim, coord in col_patches[j].items():
-                                    addr[dim] = coord
-                                misses.append((j, True, group, tuple(addr)))
+                                misses.append((j, True, group, layout.address(r, j)))
                     derived = group.derived
                 else:
                     derived = group.every
@@ -351,7 +406,7 @@ def evaluate_grid(
                 ids = row_ids[group]
                 if ids is not None:  # None: the row is every leaf, the cell its own scope
                     if j not in col_masks:
-                        col_masks[j] = index.mask_under(list(col_patches[j].items()))
+                        col_masks[j] = index.mask_under(list(layout.col_patches[j].items()))
                     mask = col_masks[j]
                     if mask is not None:
                         ids = ids[mask[ids]]

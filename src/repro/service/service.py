@@ -30,8 +30,8 @@ Otherwise the coordinator runs *resolve* from the scenario's structure
 half (a chain is applied here only to read a coordinator cell) and
 *finish*; its *fill* is a stage per method over one :class:`_QueryState`:
 classify → admit → scatter → gather → merge → local residue.  Shards and
-the residue fill grid blocks with ``perf.batch.evaluate_grid``, as
-``Warehouse.query`` fills a grid.
+the residue fill grid blocks — one ``perf.batch.GridLayout`` each — with
+``_Context.fill_blocks``, as ``Warehouse.query`` fills a grid.
 
 Three rules hold whatever the shard count: the service breaker gates
 every admission but counts only the coordinator's own evaluation (a
@@ -308,19 +308,6 @@ class _Rpc:
     payload: "dict[str, Any]"
     client: "ShardClient | None" = None
     pending: Any = None  #: the slot to gather on; None = submit first
-
-
-def _patches(schema: Any, tuples: "list[Any]") -> "list[list[tuple[int, str]]]":
-    """Each axis tuple as (dimension index, coordinate) pairs, a
-    dimension's last binding winning."""
-    return [
-        list({schema.dim_index(dim): coord for dim, coord in t.coordinates}.items())
-        for t in tuples
-    ]
-
-
-def _never_leaf(dim_index: int, coord: str) -> bool:
-    return False
 
 
 class QueryService:
@@ -804,15 +791,14 @@ class QueryService:
 
         A cell is owned when one shard covers its shard-dimension
         coordinate and it is not a leaf read, a rule-bearing cell or (with
-        no scenario) a stored aggregate; every other cell is local.  What
-        decides a cell's class is worked out once per axis tuple and once
-        for the base coordinates (docs/serving.md, "Classification is per
-        axis tuple"); a cell is then a tuple fill and a few boolean tests.
-        A column coordinate overrides a row coordinate overrides the base,
-        as in the single-process evaluator.  Only a cube that has rules,
-        or stored aggregates, pays a per-cell probe for them.
+        no scenario) a stored aggregate; every other cell is local.  A
+        cell's address and leaf test are the grid's layout's
+        (:class:`~repro.perf.batch.GridLayout`: per row and column group,
+        docs/serving.md, "Classification is per layout group"); a cell is
+        then a tuple fill and a few boolean tests.  Only a cube that has
+        rules, or stored aggregates, pays a per-cell probe for them.
         """
-        schema = self.warehouse.schema
+        layout = resolved.layout
         cube = resolved.context.warehouse.cube
         rules = cube.rules
         check_rules = rules is not None and bool(rules.rules)
@@ -823,53 +809,27 @@ class QueryService:
         # without a scenario a stored aggregate is a point read here, as a
         # leaf is
         stored_local = bool(stored_derived) and not has_scenario
-        # under a scenario leaf-ness decides nothing: never look it up
-        is_leaf = _never_leaf if has_scenario else schema.coordinate_is_leaf
 
-        base = list(resolved.base_coords.values())
-        base_leaf = [is_leaf(i, coord) for i, coord in enumerate(base)]
-        row_patches = _patches(schema, resolved.rows)
-        col_patches = _patches(schema, resolved.columns)
-
-        # Columns that bind the same dimensions share a row's verdict on
-        # all the other dimensions (one group in any ordinary grid).
-        col_dims = [frozenset(i for i, _ in patch) for patch in col_patches]
-        groups = list(dict.fromkeys(col_dims))
-        col_group = [groups.index(dims) for dims in col_dims]
-        col_leaf = [
-            all(is_leaf(i, coord) for i, coord in patch) for patch in col_patches
-        ]
         unbound = object()
         col_shard = [
-            shard_of(dict(patch)[shard_dim]) if shard_dim in dims else unbound
-            for patch, dims in zip(col_patches, col_dims)
+            shard_of(patch[shard_dim]) if shard_dim in patch else unbound
+            for patch in layout.col_patches
         ]
-
         owned: "dict[int, list[_Cell]]" = {}
         local: "list[_Cell]" = []
-        for r, row_patch in enumerate(row_patches):
-            row_addr = list(base)
-            row_leaf = list(base_leaf)
-            for i, coord in row_patch:
-                row_addr[i] = coord
-                row_leaf[i] = is_leaf(i, coord)
-            leaf_outside = [
-                all(flag for i, flag in enumerate(row_leaf) if i not in dims)
-                for dims in groups
-            ]
+        no_leaf: "set[int]" = set()
+        for r, row_addr in enumerate(layout.row_addrs):
+            # under a scenario leaf-ness decides nothing
+            leaf_cols = no_leaf if has_scenario else layout.leaf_columns(r)
             row_shard = shard_of(row_addr[shard_dim])
-            for c, col_patch in enumerate(col_patches):
-                cell = list(row_addr)
-                for i, coord in col_patch:
-                    cell[i] = coord
-                addr = tuple(cell)
-                shard = col_shard[c]
+            for c, shard in enumerate(col_shard):
+                addr = layout.address(r, c)
                 if shard is unbound:
                     shard = row_shard
                 if (
                     shard is None
                     or (check_rules and rules.has_rule_for(cube, addr))
-                    or (leaf_outside[col_group[c]] and col_leaf[c])
+                    or c in leaf_cols
                     or (stored_local and addr in stored_derived)
                 ):
                     local.append((r, c, addr))
@@ -1053,7 +1013,7 @@ class QueryService:
         first, the way ``Warehouse.query`` fills a grid."""
         if not state.local and not state.fallback:
             return
-        from repro.perf.batch import evaluate_grid
+        from repro.perf.batch import GridLayout
 
         context = resolved.context
         with trace_span(
@@ -1062,26 +1022,21 @@ class QueryService:
             fallback_cells=len(state.fallback),
         ) as span:
             blocks = _blocks(state.local + state.fallback)
-            axis_blocks = _axis_blocks(resolved, blocks)
+            layouts = [
+                GridLayout(context.schema, resolved.base_coords, rows, columns)
+                for rows, columns in _axis_blocks(resolved, blocks)
+            ]
             # under a scenario this is where the coordinator applies the
             # chain, to the rows these blocks can reach; the scenario
             # cache amortises it across queries
-            view = context.view_at(resolved.base_coords, axis_blocks)
+            view, values = context.fill_blocks(layouts)
             if span is not None and context.scenarios:
                 span.set(
                     leaves_in=context.warehouse.cube.n_leaf_cells,
                     footprint_rows=context.footprint_rows,
                     leaves_moved=view.leaves_moved,
                 )
-            schema, base = self.warehouse.schema, resolved.base_coords
-            _fill_blocks(
-                state.grid,
-                blocks,
-                [
-                    evaluate_grid(view, schema, base, rows, columns, None, None)[0]
-                    for rows, columns in axis_blocks
-                ],
-            )
+            _fill_blocks(state.grid, blocks, values)
 
     # -- introspection / lifecycle ------------------------------------------------
 

@@ -12,7 +12,8 @@ A query crosses the pipe as one request shape, ``cells``: the shard's
 owned cells as grid blocks (:func:`cells_request`: the base coordinates
 plus, per block, its row and column axis tuples' coordinates).  The shard
 applies the query's scenario chain to the rows of its slice those blocks
-can reach and fills each block with
+can reach and fills each block — one
+:class:`~repro.perf.batch.GridLayout` each — with
 :func:`~repro.perf.batch.evaluate_grid`, as ``Warehouse.query`` fills a
 whole grid.  Besides ``cells`` a shard answers only ``ping`` and
 ``sleep`` (a diagnostic).
@@ -353,25 +354,25 @@ class _ShardRuntime:
         inject_io_fault(FP_SHARD_EXEC)
         if op == "cells":
             from repro.mdx.result import AxisTuple
-            from repro.perf.batch import evaluate_grid
+            from repro.perf.batch import GridLayout
 
             context = self._context(request["text"])
-            base = request["base"]
-            blocks = [
-                ([AxisTuple(t, ()) for t in rows], [AxisTuple(t, ()) for t in columns])
+            schema, base = self.warehouse.schema, request["base"]
+            layouts = [
+                GridLayout(
+                    schema,
+                    base,
+                    [AxisTuple(t, ()) for t in rows],
+                    [AxisTuple(t, ()) for t in columns],
+                )
                 for rows, columns in request["blocks"]
             ]
             # the footprint of a shard's share of a query is the blocks it
             # was sent: the chain is applied to the rows of the slice those
             # cells can reach
-            view = context.view_at(base, blocks)
-            schema = self.warehouse.schema
+            _, grids = context.fill_blocks(layouts)
             values = [
-                [
-                    [_encode_value(value) for value in row]
-                    for row in evaluate_grid(view, schema, base, rows, columns, None, None)[0]
-                ]
-                for rows, columns in blocks
+                [[_encode_value(value) for value in row] for row in grid] for grid in grids
             ]
             return {"ok": True, "values": values}
         return {"ok": False, "error": "ShardError", "message": f"unknown op {op!r}"}

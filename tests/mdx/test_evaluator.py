@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MdxEvaluationError
-from repro.mdx.evaluator import grid_reads_leaves
+from repro.mdx.evaluator import grid_footprint
 from repro.mdx.result import AxisTuple
 from repro.olap.missing import is_missing
+from repro.perf.batch import GridLayout
 from repro.warehouse import Warehouse
 from repro.workload import build_running_example
 
@@ -354,9 +357,11 @@ class TestRegressions:
         assert baseline.row_labels() == ["FTE/Joe"]
 
 
-# -- which grids read a leaf ---------------------------------------------------------
+# -- the grid layout is the cell rule ------------------------------------------------
 
 _SCHEMA = build_running_example().schema
+#: the CI chaos job (``REPRO_FAULTS=ci-matrix``) draws the wide run
+EXAMPLES = 1000 if "ci-matrix" in os.environ.get("REPRO_FAULTS", "") else 100
 
 
 def _coordinates(dimension) -> "list[str]":
@@ -378,7 +383,31 @@ def _axis_tuples(draw) -> AxisTuple:
     return AxisTuple(coordinates, tuple(coord for _, coord in coordinates))
 
 
-@settings(max_examples=100, deadline=None)
+def _footprint(base, blocks) -> dict:
+    """The footprint by its per-axis definition: the coordinates of every
+    row and column tuple, plus the base coordinate of each dimension not
+    bound by every tuple of one of a block's axes; a dimension whose root
+    is named is left out."""
+    named: dict[str, set[str]] = {d.name: set() for d in _SCHEMA.dimensions}
+    for block in blocks:
+        overridden: set[str] = set()
+        for axis in block:
+            for axis_tuple in axis:
+                for dim, coord in axis_tuple.coordinates:
+                    named[dim].add(coord)
+            if axis:
+                overridden |= set.intersection(*(set(dict(t.coordinates)) for t in axis))
+        for dim, coord in base.items():
+            if dim not in overridden:
+                named[dim].add(coord)
+    return {
+        d.name: frozenset(named[d.name])
+        for d in _SCHEMA.dimensions
+        if d.root.name not in named[d.name]
+    }
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
 @given(
     base=st.fixed_dictionaries(
         {d.name: st.sampled_from(_coordinates(d)) for d in _SCHEMA.dimensions}
@@ -389,16 +418,26 @@ def _axis_tuples(draw) -> AxisTuple:
         max_size=2,
     ),
 )
-def test_grid_reads_leaves_is_some_cell_at_leaf_level(base, blocks):
-    """The predicate over row and column shapes is the cell-by-cell test:
-    some cell — base, then row, then column coordinates — a leaf address."""
-    expected = False
-    for rows, columns in blocks:
-        for row in rows:
-            for column in columns:
+def test_a_grid_layout_is_the_cell_by_cell_rule(base, blocks):
+    """A block's layout against the cell-by-cell rule — base, then row,
+    then column coordinates: every cell's address and leaf flag, whether
+    some cell is a leaf address, and the footprint, a block's and the
+    blocks' union."""
+    layouts = [GridLayout(_SCHEMA, base, rows, columns) for rows, columns in blocks]
+    for layout, (rows, columns) in zip(layouts, blocks):
+        assert (len(layout.row_addrs), layout.n_cols) == (len(rows), len(columns))
+        reads_leaves = False
+        for r, row in enumerate(rows):
+            leaf_columns = layout.leaf_columns(r)
+            for c, column in enumerate(columns):
                 coords = {**base, **dict(row.coordinates), **dict(column.coordinates)}
-                address = [coords[d.name] for d in _SCHEMA.dimensions]
-                expected = expected or all(
+                address = tuple(coords[d.name] for d in _SCHEMA.dimensions)
+                leaf = all(
                     _SCHEMA.coordinate_is_leaf(i, coord) for i, coord in enumerate(address)
                 )
-    assert grid_reads_leaves(_SCHEMA, base, blocks) is expected
+                assert layout.address(r, c) == address
+                assert (c in leaf_columns) is leaf, address
+                reads_leaves = reads_leaves or leaf
+        assert layout.reads_leaves is reads_leaves
+        assert layout.footprint == _footprint(base, [(rows, columns)])
+    assert grid_footprint(layouts) == _footprint(base, blocks)

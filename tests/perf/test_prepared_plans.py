@@ -12,6 +12,10 @@ analysis and the resolved axes per text and
   ``repr``-equal to a fresh ``naive_mode()`` query, which keeps no plan;
 * FILTER / ORDER axes read cell values, so they resolve on every call
   (budget charges fire there) and only their analysis is kept;
+* the grid's layout — each cell's address and leaf test — is the plan's:
+  a hit asks the schema for no coordinate's leaf-ness, a leaf member
+  gaining a child changes the next plan's leaf flags, and two threads
+  filling one plan's grid, one under a budget, each get the naive answer;
 * a plan pins no snapshot and holds no warehouse, cube, view or context;
   a result is the caller's to edit; a plan an ``analyze=False`` call made
   never lets an ``analyze=True`` call skip the analyzer.
@@ -40,6 +44,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
 from repro.errors import MdxAnalysisError, QueryBudgetExceededError
 from repro.mdx.budget import QueryBudget
+from repro.mdx.evaluator import prepare
 from repro.obs.trace import tracing
 from repro.olap.missing import MISSING
 from repro.perf.config import naive_mode
@@ -224,6 +229,42 @@ class TestCarryRule:
         assert _stats(warehouse)["plan_cache.invalidations"] >= 1
         assert repr(again.rows) != repr(first.rows)  # Lisa has a PTE instance now
         assert _outcome(warehouse, text) == _naive(warehouse, text)
+
+        # a leaf member gains a child: the plan's grid layout goes with it
+        def leaf_flags() -> list[set[int]]:
+            layout = prepare(warehouse, text, analyze=False).plan.axes.layout
+            return [layout.leaf_columns(r) for r in range(len(layout.row_addrs))]
+
+        before, invalidations = leaf_flags(), _stats(warehouse)["plan_cache.invalidations"]
+        assert all(0 in columns for columns in before)  # Jan is a leaf month
+        warehouse.schema.dimension("Time").add_member("Jan Wk1", "Jan")
+        warehouse.query(text)
+        assert _stats(warehouse)["plan_cache.invalidations"] == invalidations + 1
+        after = leaf_flags()
+        assert after == [columns - {0} for columns in before]
+        assert _outcome(warehouse, text) == _naive(warehouse, text)
+
+    def test_a_plan_hit_builds_no_layout(self, warehouse, monkeypatch):
+        """A cell's address and leaf test are the plan's grid layout: a
+        warm dashboard, base or NON_VISUAL, asks the schema whether a
+        coordinate is a leaf not once."""
+        from repro.olap.schema import CubeSchema
+
+        calls: list[tuple[int, str]] = []
+        real = CubeSchema.coordinate_is_leaf
+
+        def counting(self, dim_index, coord):
+            calls.append((dim_index, coord))
+            return real(self, dim_index, coord)
+
+        monkeypatch.setattr(CubeSchema, "coordinate_is_leaf", counting)
+        for tag in ("base", "non_visual"):
+            text = TEXTS[tag]
+            first = _outcome(warehouse, text)
+            assert calls, tag  # the cold run built the layout
+            calls.clear()
+            assert _outcome(warehouse, text) == first
+            assert calls == [], tag
 
     def test_a_named_set_edit_on_the_origin_leaves_a_snapshot_its_own(self, warehouse):
         text = TEXTS["base"]
@@ -436,3 +477,57 @@ def test_readers_racing_a_writer_see_their_snapshots_plan():
     for version, text, answer in seen:
         assert answer == expected[version][text], (version, text[:40])
     assert warehouse.plan_cache.stats.hits > 0
+
+
+def test_two_fills_share_one_plans_layout():
+    """The layout is shared read-only: two threads fill one plan's grid
+    at the same time, one under a ``max_cells`` budget, and each answer —
+    degradations included — equals its ``naive_mode()`` twin."""
+    warehouse = _warehouse()
+    texts = [TEXTS[tag] for tag in ("base", "non_visual", "visual", "changes")]
+    budgets = [None, QueryBudget(max_cells=7)]
+
+    def answer(text: str, budget) -> str:
+        result = warehouse.query(text, budget=budget)
+        degradations = [d.to_dict() for d in result.degradations]
+        return repr((result.rows, result.columns, result.cells, degradations))
+
+    expected = {}
+    for text in texts:
+        for k, budget in enumerate(budgets):
+            with naive_mode():
+                expected[text, k] = answer(text, budget)
+        answer(text, None)  # the plan every fill below reads
+    assert any("cell-cap" in expected[text, 1] for text in texts)
+
+    rounds = 60 if FULL_MATRIX else 15
+    start = threading.Barrier(len(budgets))
+    errors: list[BaseException] = []
+    seen: list[tuple[str, int, str]] = []
+
+    def filler(k: int) -> None:
+        try:
+            start.wait(timeout=30)
+            for _ in range(rounds):
+                for text in texts:
+                    seen.append((text, k, answer(text, budgets[k])))
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    hits = warehouse.plan_cache.stats.hits
+    threads = [threading.Thread(target=filler, args=(k,)) for k in range(len(budgets))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert len(seen) == rounds * len(texts) * len(budgets)
+    for text, k, got in seen:
+        assert got == expected[text, k], (text[:40], k)
+    assert warehouse.plan_cache.stats.hits >= hits + len(seen)

@@ -16,7 +16,7 @@ from repro.errors import MemberNotFoundError
 from repro.olap.aggregation import AGGREGATORS, aggregate
 from repro.olap.cube import Cube
 from repro.olap.missing import MISSING, is_missing
-from repro.perf.batch import evaluate_grid
+from repro.perf.batch import GridLayout, evaluate_grid
 from repro.perf.config import naive_mode
 from repro.perf.rollup_index import RollupIndex
 
@@ -97,10 +97,8 @@ def _grid_cell(cube, addr, split):
     """The cell at ``addr`` through the grid, its dimensions split at
     ``split`` between one row and one column."""
     pairs = tuple(zip((d.name for d in cube.schema.dimensions), addr))
-    cells, _, _ = evaluate_grid(
-        cube, cube.schema, dict(pairs), [_Axis(pairs[:split])], [_Axis(pairs[split:])],
-        None, None,
-    )
+    layout = GridLayout(cube.schema, dict(pairs), [_Axis(pairs[:split])], [_Axis(pairs[split:])])
+    cells, _, _ = evaluate_grid(cube, layout, None, None)
     return cells[0][0]
 
 
