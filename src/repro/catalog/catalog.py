@@ -238,15 +238,6 @@ class ScenarioCatalog:
         self._base_digest_cache: "tuple[int, dict[str, str]] | None" = None
         self.recovery = self._recover(allow_lost=allow_lost)
 
-    @classmethod
-    def open_recovered(
-        cls, root: "Path | str", **options: object
-    ) -> "tuple[ScenarioCatalog, CatalogRecovery]":
-        """Open and also return the recovery report (mirrors
-        :func:`~repro.io.load_warehouse_recovered`)."""
-        catalog = cls(root, **options)  # type: ignore[arg-type]
-        return catalog, catalog.recovery
-
     # -- recovery -----------------------------------------------------------
 
     def _recover(self, *, allow_lost: bool) -> CatalogRecovery:

@@ -153,9 +153,6 @@ class PerspectiveSet:
                 return p
         return None
 
-    def as_validity_set(self) -> ValiditySet:
-        return ValiditySet(self._moments, self._universe)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PerspectiveSet({list(self._moments)}, universe={self._universe})"
 

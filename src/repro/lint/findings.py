@@ -93,13 +93,6 @@ class LintFinding:
             symbol=symbol,
         )
 
-    @property
-    def baseline_key(self) -> tuple[str, str, str]:
-        """Stable identity used for baseline matching: the rule, the
-        file's path, and the symbol — deliberately *not* the line number,
-        which churns on every edit above the finding."""
-        return (self.rule, self.path, self.symbol)
-
     def to_text(self) -> str:
         location = f"{self.path}:{self.line}:{self.column}"
         return f"{location}: {self.severity.value} {self.rule}: {self.message}"

@@ -50,10 +50,6 @@ class MemberPath(SetExpr):
     parts: tuple[str, ...]
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
-    @property
-    def leaf_name(self) -> str:
-        return self.parts[-1]
-
     def display(self) -> str:
         return ".".join(f"[{p}]" for p in self.parts)
 

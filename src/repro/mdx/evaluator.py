@@ -23,18 +23,21 @@ The pipeline follows the paper's semantics exactly:
 4. Each result cell is the perspective cube's value at the address formed
    by the slicer, the axis coordinates, and dimension roots for every
    unmentioned dimension (the Essbase default member) — a row coordinate
-   overriding the slicer, a column coordinate both.  The rule is worked
-   out once per grid, by :class:`~repro.perf.batch.GridLayout` when the
-   axes resolve: each cell's address, its leaf test, the footprint of
-   step 3.  Only the reference loop under ``naive_mode()`` composes its
-   own addresses.
+   overriding the slicer, a column coordinate both.  The address is
+   worked out once per grid, by :class:`~repro.perf.batch.GridLayout`
+   when the axes resolve: each cell's address, its leaf test, the
+   footprint of step 3.  The value is the cube's own cell rule
+   (``effective_value``); a plain roll-up cube's grid is filled by blocks
+   that give the same cells.
 
 Theorem 4.1 gives a query one meaning whoever executes it, so there is
 one pipeline — **prepare → resolve → fill → finish** — and executors
 differ only in *fill*.  :func:`prepare` parses and analyzes; steps 1–2
 are *resolve* (:meth:`Prepared.resolve`: :class:`_Context`,
 :func:`resolve_query`); steps 3–4 are *fill*: ``perf.batch.evaluate_grid``
-in :func:`evaluate_query` (the per-cell loop under ``naive_mode()``),
+in :func:`evaluate_query` — by blocks for a plain roll-up cube, else by
+``perf.batch.evaluate_cells``, the one per-cell fill, which
+``naive_mode()`` also takes with addresses it composes itself —
 scatter/gather over the shard pool in
 :class:`~repro.service.service.QueryService`, nothing in EXPLAIN;
 :func:`finish_query` prunes NON EMPTY axes and builds the result.  Whoever
@@ -98,7 +101,7 @@ from repro.mdx.result import AxisTuple, MdxResult
 from repro.obs.trace import trace_span
 from repro.olap.dimension import Dimension, Member
 from repro.perf import config as perf_config
-from repro.perf.batch import GridLayout, evaluate_grid
+from repro.perf.batch import GridLayout, evaluate_cells, evaluate_grid
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.diagnostics import DiagnosticReport
@@ -902,8 +905,8 @@ def finish_query(
 def evaluate_query(resolved: ResolvedQuery) -> MdxResult:
     """Fill and finish a resolved query in process: the chain applied to
     the rows the grid's cells can reach, the grid filled by
-    ``evaluate_grid`` (the per-cell loop under ``naive_mode()``), NON EMPTY
-    axes pruned.
+    ``evaluate_grid`` (under ``naive_mode()`` by ``evaluate_cells``, over
+    addresses composed cell by cell), NON EMPTY axes pruned.
 
     On a budget breach during cell evaluation the result is *partial* —
     remaining cells are ⊥ and ``result.degradations`` is non-empty.
@@ -931,33 +934,18 @@ def evaluate_query(resolved: ResolvedQuery) -> MdxResult:
             cells, cells_skipped, grid_stats = evaluate_grid(
                 view, resolved.layout, tracker, FP_MDX_CELL
             )
-            stats.update(grid_stats)
         else:
-            from repro.olap.missing import MISSING
 
-            cells = []
-            cells_skipped = 0
-            cells_evaluated = 0
-            for row in rows:
-                row_cells: list[object] = []
-                for column in columns:
-                    # Graceful degradation: once the budget is breached,
-                    # every remaining cell is ⊥ — cheap, so the grid shape
-                    # survives.
-                    if tracker is not None and not tracker.charge_cell():
-                        row_cells.append(MISSING)
-                        cells_skipped += 1
-                        continue
-                    inject_io_fault(FP_MDX_CELL)
-                    cells_evaluated += 1
-                    coords = dict(resolved.base_coords)
-                    coords.update(dict(row.coordinates))
-                    coords.update(dict(column.coordinates))
-                    address = context.schema.address(**coords)
-                    row_cells.append(view.effective_value(address))
-                cells.append(row_cells)
-            stats["cells_evaluated"] = cells_evaluated
-            stats["cells_skipped"] = cells_skipped
+            def address(r: int, c: int) -> "tuple[str, ...]":
+                coords = dict(resolved.base_coords)
+                coords.update(dict(rows[r].coordinates))
+                coords.update(dict(columns[c].coordinates))
+                return context.schema.address(**coords)
+
+            cells, cells_skipped, grid_stats = evaluate_cells(
+                view, len(rows), len(columns), address, tracker, FP_MDX_CELL
+            )
+        stats.update(grid_stats)
         if cells_span is not None:
             cells_span.set(
                 evaluated=stats.get("cells_evaluated", 0),

@@ -152,6 +152,12 @@ class RuleEngine:
     def rules(self) -> tuple[Rule, ...]:
         return tuple(self._rules)
 
+    @property
+    def rolls_up(self) -> bool:
+        """Whether every cell is what it is with no engine: no formula
+        rule, and ``sum`` the default aggregator."""
+        return not self._rules and self.default_aggregator == "sum"
+
     # -- matching -----------------------------------------------------------------
 
     def _matching_rule(self, address: Address) -> Rule | None:

@@ -1,9 +1,13 @@
 """Batched MDX grid evaluation.
 
-The naive evaluator resolves every result cell independently:
-``schema.address(**coords)`` + ``view.effective_value`` per cell, where
-each derived cell re-derives its scope from scratch.  This module fills
-the grid a row — and the leaf cells a block — at a time:
+A cell is the cube's value at its address, by the cube's own cell rule
+(:meth:`Cube.effective_value <repro.olap.cube.Cube.effective_value>`:
+the stored value, else a formula rule's value or the roll-up of the
+cell's scope).  :func:`evaluate_cells` asks that rule one cell at a time:
+the fill of a cube with formula rules or stored aggregates, and of
+``naive_mode()``.  :func:`evaluate_grid` fills a plain roll-up cube, where
+a derived cell is the sum over its scope, a row — and the leaf cells a
+block — at a time:
 
 * the layout is the grid's :class:`GridLayout`, built once when the
   query is resolved and kept on its prepared plan, so a warm query builds
@@ -16,27 +20,25 @@ the grid a row — and the leaf cells a block — at a time:
 * leaf cells are one block read per column group
   (:meth:`RollupIndex.leaf_block`): the group's leaf rows × leaf columns
   go through one ``searchsorted`` over the generation's sorted keys, then
-  one gather from the value column.  A miss is a leaf rule or ⊥, as in
-  the per-cell evaluator; a stored aggregate is never at a leaf address,
-  so derived cells alone probe the cube's stored-aggregate dict;
+  one gather from the value column.  A miss is ⊥;
 * derived cells are one memo sweep per row and group: the row's
   addresses are built in one pass — the row's coordinates before and
   after the bound dimensions around each column's own — and the index's
   live memo table answers them in one pass with no lock;
-* a memo miss — in row-major order — is the stored aggregate, the rules,
-  or the index's one scope and one reduction, split along the grid: each
-  row's scope over the dimensions a group leaves free is resolved once to
-  its ascending leaf ids (:meth:`RollupIndex.ids_under`) and each column's
-  once per call to a boolean mask (:meth:`RollupIndex.mask_under`), and
-  the cell's scope — the row's ids filtered by the column's mask — goes to
+* a memo miss — in row-major order — is the index's one scope and one
+  reduction, split along the grid: each row's scope over the dimensions a
+  group leaves free is resolved once to its ascending leaf ids
+  (:meth:`RollupIndex.ids_under`) and each column's once per call to a
+  boolean mask (:meth:`RollupIndex.mask_under`), and the cell's scope —
+  the row's ids filtered by the column's mask — goes to
   :meth:`RollupIndex.rollup`, the reducer a point rollup uses: work
   proportional to the row, not to the id space.  Memo hits are added to
   the index's counters once per call.
 
-Semantics are preserved exactly: cells are produced in row-major order
-and budget degradation is cell-exact.  Each row charges the budget per
-cell (:meth:`~repro.mdx.budget.BudgetTracker.charge_cell`), as the
-per-cell evaluator does, so a cap or a deadline that trips mid-row
+Both fills give the same grid: cells are produced in row-major order and
+budget degradation is cell-exact.  Each row charges the budget per cell
+(:meth:`~repro.mdx.budget.BudgetTracker.charge_cell`), as
+:func:`evaluate_cells` does, so a cap or a deadline that trips mid-row
 degrades at the same cell with the same ``cells_evaluated``,
 ``cells_skipped`` and clock reads; the ``mdx.cell`` failpoint then counts
 one hit per admitted cell (``FAULTS.hit(name, times=n)``, exactly ``n``
@@ -48,7 +50,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import islice, repeat
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence, TypeAlias
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence, TypeAlias
 
 from repro.faults import FAULTS
 from repro.olap.missing import MISSING, Missing
@@ -57,7 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mdx.budget import BudgetTracker
     from repro.olap.schema import CubeSchema
 
-__all__ = ["GridLayout", "evaluate_grid"]
+__all__ = ["GridLayout", "evaluate_cells", "evaluate_grid"]
 
 Address = tuple[str, ...]
 CellValue: TypeAlias = "float | Missing"
@@ -273,13 +275,48 @@ def _memo_sweep(
         return None
 
 
+def evaluate_cells(
+    view: Any,
+    n_rows: int,
+    n_cols: int,
+    address: "Callable[[int, int], Sequence[str]]",
+    tracker: "BudgetTracker | None",
+    failpoint: "str | None",
+) -> tuple[list[list[CellValue]], int, dict[str, int]]:
+    """Fill an ``n_rows`` × ``n_cols`` grid a cell at a time, in row-major
+    order: charge the budget, hit ``failpoint`` once if the cell is
+    admitted, and read the view's value at ``address(r, c)`` — the cube's
+    own cell rule (:meth:`~repro.olap.cube.Cube.effective_value`).
+    ``failpoint`` ``None`` counts none.  Returns ``(cells, cells_skipped,
+    stats)``, as :func:`evaluate_grid` does."""
+    cells: list[list[CellValue]] = []
+    cells_skipped = 0
+    for r in range(n_rows):
+        row_cells: list[CellValue] = []
+        for c in range(n_cols):
+            # once the budget is breached every remaining cell is ⊥ —
+            # cheap, so the grid shape survives
+            if tracker is not None and not tracker.charge_cell():
+                row_cells.append(MISSING)
+                cells_skipped += 1
+                continue
+            if failpoint is not None:
+                FAULTS.hit(failpoint)
+            row_cells.append(view.effective_value(address(r, c)))
+        cells.append(row_cells)
+    stats = {"cells_evaluated": n_rows * n_cols - cells_skipped, "cells_skipped": cells_skipped}
+    return cells, cells_skipped, stats
+
+
 def evaluate_grid(
     view: Any,
     layout: GridLayout,
     tracker: "BudgetTracker | None",
     failpoint: "str | None",
 ) -> tuple[list[list[CellValue]], int, dict[str, int]]:
-    """Fill the result grid ``layout`` lays out from ``view``.
+    """Fill the result grid ``layout`` lays out from ``view``: by blocks,
+    or — a cube with formula rules or stored aggregates — by
+    :func:`evaluate_cells` over ``layout.address``.
 
     ``failpoint`` counts one hit per evaluated cell; ``None`` counts none
     (a shard, or the shard coordinator's residue, fills blocks of a
@@ -290,17 +327,17 @@ def evaluate_grid(
     # cubes, a plain Cube is both; the leaf side is asked for at the first
     # leaf cell only (a NON_VISUAL stage may not have moved its leaves)
     agg_cube = getattr(view, "aggregate_cube", view)
-    leaf_cube: Any = None
-    leaf_rules: Any = None
+    # a cube with rules or stored aggregates fills through its own cell
+    # rule; ρ, S and E hand the leaf cube its input's rules
+    rules = agg_cube.rules
+    if agg_cube._stored_derived or not (rules is None or rules.rolls_up):
+        return evaluate_cells(
+            view, len(layout.row_addrs), layout.n_cols, layout.address, tracker, failpoint
+        )
     leaf_index: Any = None
-    agg_stored_derived = agg_cube._stored_derived
-    agg_rules = agg_cube.rules
     index = agg_cube.rollup_index()
     memo = index.memo_table("sum")
     memo_get = memo.get
-    # no rule and no stored aggregate: a derived cell is the memo's, or
-    # the reducer's on a miss
-    sweep = agg_rules is None and not agg_stored_derived
 
     row_addrs, groups = layout.row_addrs, layout.groups
     # per group, its block — its leaf rows × leaf columns — as values with
@@ -327,32 +364,27 @@ def evaluate_grid(
                 FAULTS.hit(failpoint, times=admitted)
             cells_evaluated += admitted
             whole = admitted == n_cols
-            # (column, is a leaf, group, address) of every cell the block
-            # read or the memo sweep left to the slow path
-            misses: list[tuple[int, bool, _Group, Address]] = []
+            # (column, group, address) of every derived cell the memo
+            # sweep missed
+            misses: list[tuple[int, _Group, Address]] = []
             for group in groups:
                 k = group.leaf_rows.get(r)  # the row's place in the group's block
                 if k is not None:
                     leaf = group.leaf
                     n = leaf.size if whole else bisect_left(leaf.cols, admitted)
                     if n:
-                        if leaf_cube is None:
-                            leaf_cube = getattr(view, "leaf_cube", view)
-                            leaf_rules = leaf_cube.rules
-                            leaf_index = leaf_cube.rollup_index()
+                        if leaf_index is None:
+                            leaf_index = getattr(view, "leaf_cube", view).rollup_index()
                         block = blocks.get(group)
                         if block is None:
                             block = blocks[group] = leaf_index.leaf_block(
                                 [row_addrs[i] for i in group.leaf_rows], group.bound, leaf.tuples
                             )
                         leaf.store(row_cells, block[0][k], n)
-                        for c in block[1].get(k, ()):
+                        for c in block[1].get(k, ()):  # a leaf address no leaf holds: ⊥
                             if c >= n:
                                 break
-                            j = leaf.cols[c]
-                            row_cells[j] = MISSING
-                            if leaf_rules is not None:
-                                misses.append((j, True, group, layout.address(r, j)))
+                            row_cells[leaf.cols[c]] = MISSING
                     derived = group.derived
                 else:
                     derived = group.every
@@ -360,11 +392,6 @@ def evaluate_grid(
                 if not n:
                     continue
                 addrs = derived.addresses(row_addr, n)
-                if not sweep:
-                    misses.extend(
-                        (j, False, group, addr) for j, addr in zip(derived.cols, addrs)
-                    )
-                    continue
                 indexed_rollups += n
                 hits += n
                 swept = _memo_sweep(memo, addrs)
@@ -372,33 +399,14 @@ def evaluate_grid(
                     swept = list(map(memo_get, addrs))
                     for j, value, addr in zip(derived.cols, swept, addrs):
                         if value is None:
-                            misses.append((j, False, group, addr))
+                            misses.append((j, group, addr))
                             hits -= 1
                 derived.store(row_cells, swept, n)
             if not misses:
                 continue
             misses.sort(key=itemgetter(0))
             row_ids: "dict[_Group, Any]" = {}  # the row's ids per group
-            for j, is_leaf, group, addr in misses:
-                if is_leaf:  # a leaf address no leaf holds: a rule, or ⊥
-                    if leaf_rules.has_rule_for(leaf_cube, addr):
-                        row_cells[j] = leaf_rules.evaluate_cell(leaf_cube, addr)
-                    continue
-                if not sweep:
-                    # not a leaf address, so the leaf store cannot hold it
-                    value = agg_stored_derived.get(addr)
-                    if value is not None:
-                        row_cells[j] = value
-                        continue
-                    if agg_rules is not None:
-                        row_cells[j] = agg_rules.evaluate_cell(agg_cube, addr)
-                        continue
-                    indexed_rollups += 1
-                    value = memo_get(addr)
-                    if value is not None:
-                        hits += 1
-                        row_cells[j] = value
-                        continue
+            for j, group, addr in misses:
                 if group not in row_ids:
                     row_ids[group] = index.ids_under(
                         {i: (row_addr[i],) for i in group.free}

@@ -162,7 +162,7 @@ class TestRunningExample:
         assert pruned.rows == []  # nobody works in CA; pruning is not EXPLAIN's
 
     def test_it_says_whether_the_last_stage_moves_its_leaves(self, warehouse):
-        """The evaluator's own test (``grid_reads_leaves``): a NON_VISUAL
+        """The evaluator's own test (``GridLayout.reads_leaves``): a NON_VISUAL
         last stage moves its leaves only for a cell at leaf level — and
         the query that follows does as EXPLAIN said."""
         from repro.mdx.evaluator import build_scenarios

@@ -14,6 +14,8 @@ from repro.mdx.budget import BudgetTracker, QueryBudget
 from repro.perf.config import naive_mode
 from repro.warehouse import Warehouse
 
+from .test_engine_equivalence import TWINS, _twin
+
 # 4 columns x employee-instance rows; no WITH clause so the scenario
 # cache cannot blur the two modes' clock-call sequences.
 GRID_QUERY = """
@@ -183,6 +185,38 @@ class TestMixedGridParity:
                 )
             )
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("kind", TWINS)
+    @pytest.mark.parametrize("deadline_ms", [0.5, 1.5, 2.5, 4.5, 7.5, 12.5, 19.5, 24.5, 99.0])
+    def test_a_twin_gives_the_same_pattern_counts_and_clock_reads(self, kind, deadline_ms):
+        runs = []
+        for naive in (False, True):
+            warehouse = _twin(kind)
+            clock = SteppingClock()
+            budget = QueryBudget(deadline_ms=deadline_ms, clock=clock)
+            if naive:
+                with naive_mode():
+                    result = warehouse.query(MIXED_QUERY, budget=budget)
+            else:
+                result = warehouse.query(MIXED_QUERY, budget=budget)
+            runs.append(
+                (
+                    repr(result.cells),
+                    result.stats["cells_evaluated"],
+                    result.stats["cells_skipped"],
+                    [d.to_dict() for d in result.degradations],
+                    clock.reads,
+                )
+            )
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("kind", TWINS)
+    def test_a_deadline_lands_mid_row_on_a_twin(self, kind):
+        budget = QueryBudget(deadline_ms=7.5, clock=SteppingClock())
+        result = _twin(kind).query(MIXED_QUERY, budget=budget)
+        assert result.stats["cells_evaluated"] == 7
+        assert result.stats["cells_evaluated"] % len(result.columns) != 0
+        assert result.degradations[0].reason == "deadline"
 
     def test_a_deadline_lands_mid_row(self, example):
         warehouse = Warehouse(example.schema, example.cube, name="Warehouse")

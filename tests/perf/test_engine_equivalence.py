@@ -27,6 +27,7 @@ from repro.olap.missing import MISSING, is_missing
 from repro.olap.schema import CubeSchema
 from repro.perf.config import naive_mode
 from repro.warehouse import Warehouse
+from repro.workload.running_example import build_running_example
 
 # -- a small static cube for the mutation property ---------------------------
 
@@ -188,6 +189,41 @@ class TestQueryEquivalence:
         assert repeat.cells == naive.cells
 
 
+#: the running example as built holds a rule engine with no rule — a plain
+#: roll-up cube, filled by blocks.  Its twins: the same leaves in a cube
+#: with no rule engine (filled by blocks), and the example with formula
+#: rules its grids read (filled a cell at a time, through its cell rule)
+TWINS = ("example_plain", "example_rules")
+
+
+def _twin(kind: str) -> Warehouse:
+    ex = build_running_example()
+    cube = ex.cube
+    if kind == "example_plain":
+        cube = Cube(ex.schema)
+        cube.load(ex.cube.leaf_cells())
+    else:
+        ex.rules.define("Compensation", "Salary + 2 * Benefits")
+        ex.rules.define("Salary", "2 * Benefits", scope={"Location": "East"})
+    return Warehouse(ex.schema, cube, name="Warehouse")
+
+
+def _fault_outcome(warehouse: Warehouse, query: str, nth: int, use_naive: bool):
+    FAULTS.clear()
+    FAULTS.fail_after("mdx.cell", nth)
+    try:
+        if use_naive:
+            with naive_mode():
+                result = warehouse.query(query)
+        else:
+            result = warehouse.query(query)
+        return ("ok", repr(result.cells))
+    except FaultInjectedError as err:
+        return ("fault", err.failpoint, FAULTS.fired_count("mdx.cell"))
+    finally:
+        FAULTS.clear()
+
+
 class TestFaultEquivalence:
     """The mdx.cell failpoint must fire at the same evaluation step."""
 
@@ -223,6 +259,21 @@ class TestFaultEquivalence:
         with naive_mode(), pytest.raises(FaultInjectedError):
             warehouse.query(QUERIES[1])
 
+    @pytest.mark.parametrize("kind", TWINS)
+    @settings(max_examples=15, deadline=None)
+    @given(nth=st.integers(min_value=1, max_value=30))
+    def test_fail_after_nth_hit_is_path_independent_on_a_twin(self, kind, nth):
+        assert _fault_outcome(_twin(kind), QUERIES[0], nth, False) == _fault_outcome(
+            _twin(kind), QUERIES[0], nth, True
+        )
+
+    @pytest.mark.parametrize("kind", TWINS)
+    def test_scenario_query_fault_parity_on_a_twin(self, kind):
+        warehouse = _twin(kind)
+        engine = _fault_outcome(warehouse, QUERIES[1], 3, False)
+        assert engine[0] == "fault"
+        assert engine == _fault_outcome(warehouse, QUERIES[1], 3, True)
+
 
 class TestBudgetEquivalence:
     @pytest.mark.parametrize("max_cells", [0, 1, 2, 3, 5, 8, 13, 1000])
@@ -247,6 +298,31 @@ class TestBudgetEquivalence:
         assert engine.degradations[0].cells_evaluated == 0
         assert engine.degradations[0].reason == "deadline"
         assert naive.degradations[0].reason == "deadline"
+
+    @pytest.mark.parametrize("kind", TWINS)
+    @pytest.mark.parametrize("max_cells", [0, 1, 2, 3, 5, 8, 13, 1000])
+    def test_cell_cap_cuts_identically_on_a_twin(self, kind, max_cells):
+        warehouse = _twin(kind)
+        budget = QueryBudget(max_cells=max_cells)
+        engine = warehouse.query(QUERIES[0], budget=budget)
+        with naive_mode():
+            naive = warehouse.query(QUERIES[0], budget=budget)
+        assert repr(engine.cells) == repr(naive.cells)
+        assert [d.to_dict() for d in engine.degradations] == [
+            d.to_dict() for d in naive.degradations
+        ]
+
+    @pytest.mark.parametrize("kind", TWINS)
+    def test_zero_deadline_evaluates_nothing_on_a_twin(self, kind):
+        warehouse = _twin(kind)
+        budget = QueryBudget(deadline_ms=0)
+        engine = warehouse.query(QUERIES[0], budget=budget)
+        with naive_mode():
+            naive = warehouse.query(QUERIES[0], budget=budget)
+        assert all(is_missing(v) for row in engine.cells for v in row)
+        assert repr(engine.cells) == repr(naive.cells)
+        assert engine.degradations[0].cells_evaluated == 0
+        assert engine.degradations[0].reason == naive.degradations[0].reason == "deadline"
 
 
 class TestInterleavedMutationQueries:
@@ -393,6 +469,8 @@ MIXED_WORKFORCE_QUERY = """
 
 
 def _mixed_warehouse(kind: str) -> Warehouse:
+    if kind in TWINS:
+        return _twin(kind)
     if kind.startswith("example"):
         return _fresh(None)
     from repro.workload.workforce import WorkforceConfig, build_workforce
@@ -407,6 +485,8 @@ def _mixed_warehouse(kind: str) -> Warehouse:
 MIXED = {
     "example": MIXED_EXAMPLE_QUERY,
     "example_span": MIXED_SPAN_QUERY,
+    "example_plain": MIXED_EXAMPLE_QUERY,
+    "example_rules": MIXED_EXAMPLE_QUERY,
     "workforce": MIXED_WORKFORCE_QUERY,
 }
 
@@ -471,6 +551,21 @@ class TestMixedGrids:
         ]
         for key in ("cells_evaluated", "cells_skipped"):
             assert engine.stats[key] == naive.stats[key]
+
+    @pytest.mark.parametrize("kind", sorted(MIXED))
+    def test_only_a_rule_cube_fills_cell_by_cell(self, kind):
+        """The block fill counts its memo probes; the per-cell fill, which
+        a cube with formula rules or stored aggregates takes, counts none."""
+        warehouse = _mixed_warehouse(kind)
+        by_blocks = kind != "example_rules"
+        assert ("indexed_rollups" in warehouse.query(MIXED[kind]).stats) is by_blocks
+        if by_blocks:  # a stored aggregate sends the grid to the per-cell fill
+            root = tuple(d.root.name for d in warehouse.schema.dimensions)
+            warehouse.cube.set_value(root, 1.0)
+            result = warehouse.query(MIXED[kind])
+            assert "indexed_rollups" not in result.stats
+            with naive_mode():
+                assert repr(warehouse.query(MIXED[kind]).cells) == repr(result.cells)
 
     def test_a_warm_grid_counts_its_memo_served_cells(self):
         warehouse = _mixed_warehouse("workforce")

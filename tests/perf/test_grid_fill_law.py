@@ -1,0 +1,172 @@
+"""The block fill is the per-cell fill.
+
+:func:`~repro.perf.batch.evaluate_grid` fills a plain roll-up cube's grid
+a row — and its leaf cells a block — at a time;
+:func:`~repro.perf.batch.evaluate_cells` asks the cube's own cell rule
+(``Cube.effective_value``) one cell at a time.  Over one
+:class:`~repro.perf.batch.GridLayout` the two must be indistinguishable:
+the same cells by ``repr`` (⊥, NaN and the sign of zero included), the
+same ``cells_evaluated`` and ``cells_skipped``, the same degradation, the
+same clock reads and the same ``mdx.cell`` hits, under any cell cap, any
+stepping-clock deadline and any ``fail_after`` arming.
+
+The drawn cubes have ⊥ leaves (never written, or deleted after the load),
+NaN and ±0 values; every grid has at least two column groups and a row
+that holds a leaf cell and a derived one.  Tier-1 draws a few examples;
+the CI ``faults`` job (``REPRO_FAULTS=ci-matrix``) draws the wide run.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import os
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import FaultInjectedError
+from repro.faults import FAULTS
+from repro.mdx.budget import BudgetTracker, QueryBudget
+from repro.mdx.result import AxisTuple
+from repro.olap.cube import Cube
+from repro.olap.dimension import Dimension
+from repro.olap.missing import MISSING
+from repro.olap.schema import CubeSchema
+from repro.perf.batch import GridLayout, evaluate_cells, evaluate_grid
+
+from .test_budget_parity import SteppingClock
+
+EXAMPLES = 400 if "ci-matrix" in os.environ.get("REPRO_FAULTS", "") else 25
+
+MONTHS = ("Jan", "Feb", "Mar", "Apr", "May")
+CITIES = ("NYC", "Boston", "LA")
+MEASURES = ("Sales", "COGS")
+
+
+def _schema() -> CubeSchema:
+    time_dim = Dimension("Time", ordered=True)
+    time_dim.add_member("H1")
+    time_dim.add_children("H1", list(MONTHS[:3]))
+    time_dim.add_member("H2")
+    time_dim.add_children("H2", list(MONTHS[3:]))
+    geo = Dimension("Geo")
+    geo.add_member("East")
+    geo.add_children("East", list(CITIES[:2]))
+    geo.add_member("West")
+    geo.add_children("West", list(CITIES[2:]))
+    measures = Dimension("Measures", is_measures=True)
+    measures.add_children(None, list(MEASURES))
+    return CubeSchema([time_dim, geo, measures])
+
+
+SCHEMA = _schema()
+LEAVES = list(itertools.product(MONTHS, CITIES, MEASURES))
+COORDS = {
+    d.name: [m.name for m in d.root.descendants(include_self=True)] for d in SCHEMA.dimensions
+}
+
+#: ⊥ (``None``), signed zeros, NaN, and ordinary values
+values = st.one_of(
+    st.none(),
+    st.sampled_from([0.0, -0.0, math.nan, 1e12, 1e-5]),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+
+
+@st.composite
+def axis_tuples(draw) -> AxisTuple:
+    dims = draw(st.sets(st.sampled_from(sorted(COORDS)), min_size=1))
+    coordinates = tuple((dim, draw(st.sampled_from(COORDS[dim]))) for dim in sorted(dims))
+    return AxisTuple(coordinates, tuple(coord for _, coord in coordinates))
+
+
+def _tuple(**coords: str) -> AxisTuple:
+    coordinates = tuple(coords.items())
+    return AxisTuple(coordinates, tuple(coords.values()))
+
+
+@st.composite
+def grids(draw) -> "tuple[dict[str, str], list[AxisTuple], list[AxisTuple], int]":
+    """Base coordinates, rows, columns, and the place of a row binding a
+    city and a measure: with a leaf month, a half-year and a Geo column
+    it holds a leaf cell and a derived one, in two column groups."""
+    base = {dim: draw(st.sampled_from(COORDS[dim])) for dim in COORDS}
+    rows = draw(st.lists(axis_tuples(), max_size=4))
+    mixed_row = draw(st.integers(0, len(rows)))
+    rows.insert(
+        mixed_row,
+        _tuple(
+            Geo=draw(st.sampled_from(CITIES)), Measures=draw(st.sampled_from(MEASURES))
+        ),
+    )
+    fixed = [
+        _tuple(Time=draw(st.sampled_from(MONTHS))),
+        _tuple(Time=draw(st.sampled_from(["H1", "H2", "Time"]))),
+        _tuple(Geo=draw(st.sampled_from(COORDS["Geo"]))),
+    ]
+    columns = draw(st.permutations(draw(st.lists(axis_tuples(), max_size=4)) + fixed))
+    return base, rows, columns, mixed_row
+
+
+def _cube(cells, edits) -> Cube:
+    cube = Cube(SCHEMA)
+    cube.load((addr, value) for addr, value in zip(LEAVES, cells) if value is not None)
+    for i, value in edits:  # after the load: deletes and inserts past the sort
+        cube.set_value(LEAVES[i], MISSING if value is None else value)
+    return cube
+
+
+def _fill(fill, cube, layout, budget_kind, limit, nth):
+    FAULTS.clear()
+    FAULTS.fail_after("mdx.cell", nth)
+    clock = SteppingClock()
+    budget = {
+        "none": None,
+        "cap": QueryBudget(max_cells=limit),
+        "deadline": QueryBudget(deadline_ms=limit + 0.5, clock=clock),
+    }[budget_kind]
+    tracker = None if budget is None else BudgetTracker(budget)
+    try:
+        if fill == "block":
+            cells, skipped, stats = evaluate_grid(cube, layout, tracker, "mdx.cell")
+        else:
+            cells, skipped, stats = evaluate_cells(
+                cube, len(layout.row_addrs), layout.n_cols, layout.address, tracker,
+                "mdx.cell",
+            )
+        hits = FAULTS._armed["mdx.cell"].hits
+    except FaultInjectedError:
+        return "fault", FAULTS._armed["mdx.cell"].hits
+    finally:
+        FAULTS.clear()
+    degraded = tracker is not None and tracker.breached is not None
+    return (
+        repr(cells),
+        stats["cells_evaluated"],
+        stats["cells_skipped"],
+        skipped,
+        tracker.degradation(skipped).to_dict() if degraded else None,
+        clock.reads,
+        hits,
+    )
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(
+    cells=st.lists(values, min_size=len(LEAVES), max_size=len(LEAVES)),
+    edits=st.lists(st.tuples(st.integers(0, len(LEAVES) - 1), values), max_size=6),
+    grid=grids(),
+    budget_kind=st.sampled_from(["none", "cap", "deadline"]),
+    limit=st.integers(0, 40),
+    nth=st.one_of(st.just(10**9), st.integers(1, 40)),
+)
+def test_the_block_fill_is_the_per_cell_fill(cells, edits, grid, budget_kind, limit, nth):
+    base, rows, columns, mixed_row = grid
+    layout = GridLayout(SCHEMA, base, rows, columns)
+    assert len(layout.groups) >= 2
+    assert 0 < len(layout.leaf_columns(mixed_row)) < layout.n_cols
+
+    block = _fill("block", _cube(cells, edits), layout, budget_kind, limit, nth)
+    per_cell = _fill("cell", _cube(cells, edits), layout, budget_kind, limit, nth)
+    assert block == per_cell

@@ -5,7 +5,7 @@ column tuples of the shard's share of the grid, as blocks.  The shard
 applies the text's scenario chain to the rows *of its slice* that those
 cells can reach — through the same call, and the same footprint rule
 (``grid_footprint``), every other reader of scenario cells uses
-(``_Context.view_at``) — and the coordinator does the same for its local
+(``_Context.view_of``) — and the coordinator does the same for its local
 residue (``serve.local``).  The answers are those of the whole cube's
 view, whatever was kept.
 """
