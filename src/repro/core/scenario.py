@@ -162,10 +162,13 @@ class WhatIfCube:
         return self.aggregate_cube.schema
 
     def effective_value(self, address: Sequence[str]) -> CellValue:
-        addr = self.schema.validate_address(address)
+        """The one cell rule (:meth:`Cube.effective_value`): the address is
+        validated and leaf-tested once, and the half that answers it — the
+        leaves or the aggregates — reads it with no second test."""
+        addr = tuple(address)
         if self.schema.is_leaf_address(addr):
-            return self.leaf_cube.effective_value(addr)
-        return self.aggregate_cube.effective_value(addr)
+            return self.leaf_cube._cell(addr, True)
+        return self.aggregate_cube._cell(addr, False)
 
     def value(self, address: Sequence[str]) -> CellValue:
         return self.effective_value(address)

@@ -91,10 +91,7 @@ class GuardSpec:
 THREAD_SHARED: dict[str, GuardSpec] = {
     "Cube": GuardSpec(
         "_lock",
-        # ``_leaf_cells`` is the LeafView over ``_index``; a bulk load
-        # installs the two together
         (
-            "_leaf_cells",
             "_stored_derived",
             "_version",
             "_structure_generation",

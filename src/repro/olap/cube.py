@@ -14,23 +14,34 @@ Leaf store and rollup serving
 -----------------------------
 A cube is columnar from its first cell: it holds one
 :class:`~repro.perf.rollup_index.RollupIndex` from construction and that
-index **is** the leaf store.  ``_leaf_cells`` is a read-only
-:class:`~repro.perf.rollup_index.LeafView` over the index's point lookup
-and value column, :meth:`Cube.set_value` writes the index and nothing beside
-it, derived-cell scopes are served from it at O(|scope|) per query, and
-:meth:`Cube.frozen_copy` / :meth:`Cube.copy` are forks of it — nothing
+index **is** the leaf store.  The cube reads it directly — a point read
+through :meth:`~repro.perf.rollup_index.RollupIndex.leaf_reader`, a full
+read (:meth:`Cube.leaf_cells`, the naive scans) through one
+``columns(())`` —, :meth:`Cube.set_value` writes the index and nothing
+beside it, derived-cell scopes are served from it at O(|scope|) per query,
+and :meth:`Cube.frozen_copy` / :meth:`Cube.copy` are forks of it — nothing
 proportional to the cube is copied.  The index is arrays only: no address
 tuple, list or dict is kept per leaf, whether the cube was loaded,
 derived or written.  :meth:`Cube.load` is the bulk entry point: on an
 empty cube it validates every cell and builds the columns once; the
 addresses it collected do not outlive the call.
 ``repro.perf.config.naive_mode()`` selects the full-scan reference path
-(over the view's addresses and values; it trusts no code column); both
-paths produce bit-identical values.  Every mutation bumps
+(over the leaf cells' addresses and values; it trusts no code column);
+both paths produce bit-identical values.  Every mutation bumps
 :attr:`version`, which the warehouse's scenario cache uses for
 invalidation; a leaf insert or delete also moves
 :attr:`structure_generation`, which is all the warehouse's prepared query
 plans depend on.
+
+One cell rule
+-------------
+Which store answers an address is decided in one place,
+:meth:`Cube._cell`, by the address's leaf test (Sec. 2): a leaf address
+is base data and reads the leaf store, any other address is derived and
+reads the stored aggregates, then its rule or roll-up.  A row left at an
+address that is no longer a leaf (``add_member`` under a leaf that holds
+data) is never read back as that cell: it counts in the cell's roll-up,
+as the grid's block fill and the ``naive_mode()`` oracle count it.
 
 Bulk transforms
 ---------------
@@ -47,7 +58,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeAl
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.perf.rollup_index import Column, LeafColumns, LeafView, RollupIndex
+    from repro.perf.rollup_index import Column, LeafColumns, RollupIndex
 
 from repro.errors import RuleError, SnapshotImmutableError
 from repro.lint.lockdep import make_lock
@@ -103,9 +114,8 @@ class Cube:
     ) -> None:
         self.schema = schema
         self.rules = rules
-        #: the leaf store, and the leaf cells as a read-only mapping over it
+        #: the leaf store
         self._index = index
-        self._leaf_cells: "LeafView" = index.leaf_view()
         self._stored_derived = stored_derived
         #: mutation counter; bumped by every write so caches keyed on it
         #: (scenario cache, rollup memo) can invalidate
@@ -261,7 +271,7 @@ class Cube:
         schema = self.schema
         with self._lock:
             self._check_writable()
-            if not (self._leaf_cells or self._stored_derived):
+            if not (self._index.n_leaves or self._stored_derived):
                 leaves: dict[Address, float] = {}
                 derived: dict[Address, float] = {}
                 mutations = 0
@@ -274,7 +284,6 @@ class Cube:
                         store[addr] = float(value)  # type: ignore[arg-type]
                         mutations += 1
                 self._index = RollupIndex.from_cells(schema, leaves)
-                self._leaf_cells = self._index.leaf_view()
                 self._stored_derived = derived
                 self._version += mutations
                 self._structure_generation = next_generation()
@@ -316,11 +325,13 @@ class Cube:
     # -- read path ---------------------------------------------------------------
 
     def value(self, address: Sequence[str]) -> CellValue:
-        """The *stored* value of a cell (MISSING if not stored)."""
-        addr = self.schema.validate_address(address)
-        value = self._leaf_cells.get(addr)
-        if value is not None:
-            return value
+        """The *stored* value of a cell (MISSING if not stored): the leaf
+        store's at a leaf address, the stored aggregate's at any other —
+        by the address's one leaf test, which validates it as
+        :meth:`effective_value` does."""
+        addr = tuple(address)
+        if self.schema.is_leaf_address(addr):
+            return self._stored_leaf(addr)
         return self._stored_derived.get(addr, MISSING)
 
     def at(self, **coords: str) -> CellValue:
@@ -328,29 +339,41 @@ class Cube:
         return self.value(self.schema.address(**coords))
 
     def effective_value(self, address: Sequence[str]) -> CellValue:
-        """Stored value if present; otherwise rule/rollup for derived cells.
+        """The value of a cell by the one cell rule (:meth:`_cell`); the
+        address is validated and leaf-tested once
+        (:meth:`CubeSchema.is_leaf_address` raises for a wrong length or
+        an unknown member)."""
+        addr = tuple(address)
+        return self._cell(addr, self.schema.is_leaf_address(addr))
 
-        Leaf cells that are not stored are ⊥ by definition.
-        """
-        addr = self.schema.validate_address(address)
-        value = self._leaf_cells.get(addr)
-        if value is None:
-            value = self._stored_derived.get(addr)
-        if value is not None:
-            return value
-        if self.schema.is_leaf_address(addr):
-            # A leaf measure governed by a formula rule is still derived.
-            if self.rules is not None and self.rules.has_rule_for(self, addr):
-                return self.rules.evaluate_cell(self, addr)
-            return MISSING
-        return self.derive(addr)
+    def _cell(self, addr: Address, is_leaf: bool) -> CellValue:
+        """The one cell rule, for a validated address and its leaf test: a
+        leaf address reads the leaf store — on a miss, a formula rule for
+        its measure if one governs it (still derived), else ⊥ — and any
+        other address reads the stored aggregates, then its rule or
+        roll-up, and never the leaf store."""
+        if not is_leaf:
+            value = self._stored_derived.get(addr, MISSING)
+            return self._derived(addr) if value is MISSING else value
+        value = self._stored_leaf(addr)
+        rules = self.rules
+        if value is MISSING and rules is not None and rules.has_rule_for(self, addr):
+            return rules.evaluate_cell(self, addr)
+        return value
+
+    def _stored_leaf(self, addr: Address) -> CellValue:
+        # the index's one point read (a stored NaN reads back as NaN)
+        value = self._index.leaf_reader()(addr)
+        return MISSING if value is None else value  # type: ignore[return-value]
 
     def derive(self, address: Sequence[str]) -> CellValue:
         """Evaluate the rule for a (derived) cell, ignoring any stored value."""
-        addr = self.schema.validate_address(address)
+        return self._derived(self.schema.validate_address(address))
+
+    def _derived(self, addr: Address) -> CellValue:
         if self.rules is not None:
             return self.rules.evaluate_cell(self, addr)
-        return self.rollup(addr)
+        return self._rollup(addr, "sum")
 
     def rollup(self, address: Sequence[str], aggregator: str = "sum") -> CellValue:
         """Default derived-cell rule: aggregate descendant leaf cells.
@@ -358,12 +381,14 @@ class Cube:
         The scope of a non-leaf cell is the set of its descendant leaf cells
         (Sec. 4.3); leaf coordinates contribute themselves.
         """
-        from repro.olap.aggregation import aggregate
+        return self._rollup(self.schema.validate_address(address), aggregator)
 
-        addr = self.schema.validate_address(address)
+    def _rollup(self, addr: Address, aggregator: str) -> CellValue:
         if perf_config.engine_enabled():
             return self._index.rollup(addr, aggregator=aggregator)
-        return aggregate(aggregator, self.scope_values(addr))
+        from repro.olap.aggregation import aggregate
+
+        return aggregate(aggregator, (value for _, value in self._scope_cells(addr)))
 
     def scope_values(self, address: Sequence[str]) -> Iterator[float]:
         """Values of the leaf cells in a cell's scope."""
@@ -372,12 +397,14 @@ class Cube:
 
     def scope_cells(self, address: Sequence[str]) -> Iterator[tuple[Address, float]]:
         """(address, value) of leaf cells in a cell's scope."""
-        addr = self.schema.validate_address(address)
+        return self._scope_cells(self.schema.validate_address(address))
+
+    def _scope_cells(self, addr: Address) -> Iterator[tuple[Address, float]]:
         if perf_config.engine_enabled():
             yield from self._index.scope_cells(addr)
             return
         # the naive path: one full pass over all leaf cells
-        for leaf_addr, value in self._leaf_cells.items():
+        for leaf_addr, value in self.leaf_cells():
             if self._address_under(leaf_addr, addr):
                 yield leaf_addr, value
 
@@ -395,18 +422,22 @@ class Cube:
     # -- iteration ------------------------------------------------------------
 
     def leaf_cells(self) -> Iterator[tuple[Address, float]]:
-        yield from self._leaf_cells.items()
+        """Every leaf cell in insertion order: one ``columns(())`` read of
+        the index, which builds every address — for exports, oracles and
+        tests, not queries."""
+        columns = self._index.columns(())
+        yield from zip(columns.addresses, columns.values.tolist())
 
     def stored_derived_cells(self) -> Iterator[tuple[Address, float]]:
         yield from self._stored_derived.items()
 
     def cells(self) -> Iterator[tuple[Address, float]]:
-        yield from self._leaf_cells.items()
+        yield from self.leaf_cells()
         yield from self._stored_derived.items()
 
     @property
     def n_leaf_cells(self) -> int:
-        return len(self._leaf_cells)
+        return self._index.n_leaves
 
     @property
     def n_stored_derived(self) -> int:
@@ -417,7 +448,7 @@ class Cube:
         dim_index = self.schema.dim_index(dim_name)
         if perf_config.engine_enabled():
             return set(self._index.coords_with_data(dim_index))
-        return {addr[dim_index] for addr in self._leaf_cells}
+        return {addr[dim_index] for addr, _ in self.leaf_cells()}
 
     def leaf_columns(
         self, *dim_indexes: int, ids: "np.ndarray | None" = None
@@ -436,7 +467,7 @@ class Cube:
             raise ValueError("naive_mode() reads whole cubes: leaf ids name index rows")
         from repro.perf.rollup_index import scan_columns
 
-        return scan_columns(self._leaf_cells, dim_indexes)
+        return scan_columns(dict(self.leaf_cells()), dim_indexes)
 
     # -- structure-preserving transforms -----------------------------------------
 
@@ -518,12 +549,12 @@ class Cube:
     def materialize_derived(self, addresses: Iterable[Sequence[str]]) -> None:
         """Evaluate and store derived values for the given addresses."""
         for address in addresses:
-            addr = self.schema.validate_address(address)
+            addr = tuple(address)
             if self.schema.is_leaf_address(addr):
                 raise RuleError(
                     f"cannot materialise a leaf address as derived: {addr!r}"
                 )
-            value = self.derive(addr)
+            value = self._derived(addr)
             with self._lock:
                 self._check_writable()
                 if self._write(addr, False, value):
@@ -534,7 +565,8 @@ class Cube:
     def leaf_equal(self, other: "Cube", tolerance: float = 1e-9) -> bool:
         """Whether two cubes have identical leaf cells (within tolerance;
         a stored NaN equals a stored NaN)."""
-        if set(self._leaf_cells) != set(other._leaf_cells):
+        left, right = dict(self.leaf_cells()), dict(other.leaf_cells())
+        if left.keys() != right.keys():
             return False
         def same(mine: float, theirs: float) -> bool:
             return (
@@ -544,12 +576,11 @@ class Cube:
             )
 
         return all(
-            same(value, other._leaf_cells[addr])
-            for addr, value in self._leaf_cells.items()
+            same(value, right[addr]) for addr, value in left.items()
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Cube({self.schema!r}, {len(self._leaf_cells)} leaf cells, "
+            f"Cube({self.schema!r}, {self._index.n_leaves} leaf cells, "
             f"{len(self._stored_derived)} stored derived)"
         )

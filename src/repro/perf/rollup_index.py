@@ -25,9 +25,11 @@ value column keeps no liveness of its own, and a row is read
 only after the structure resolved it to a live id.
 
 Every cube holds one index from construction and that index *is* its
-leaf store: the cube keeps no address-keyed dict, ``Cube._leaf_cells`` is
-a :class:`LeafView` over the point lookup and the value column, and
-``Cube.set_value`` writes here and nowhere else (:meth:`RollupIndex.set_leaf` /
+leaf store: the cube keeps no address-keyed dict and no wrapper around
+the index — it reads a leaf through :meth:`RollupIndex.leaf_reader`, all
+of them through one ``columns(())`` and their count off
+:attr:`RollupIndex.n_leaves` — and ``Cube.set_value`` writes here and
+nowhere else (:meth:`RollupIndex.set_leaf` /
 :meth:`RollupIndex.remove_leaf`).  An index built with
 :meth:`RollupIndex.build` and not handed to ``Cube.adopt`` is a
 point-in-time copy of the cube it was built from.
@@ -132,7 +134,6 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Iterable,
-    Iterator,
     Mapping,
     Sequence,
     TypeAlias,
@@ -150,7 +151,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.olap.cube import Cube
     from repro.olap.schema import CubeSchema
 
-__all__ = ["ColumnarLeafStore", "LeafColumns", "LeafView", "RollupIndex", "scan_columns"]
+__all__ = ["ColumnarLeafStore", "LeafColumns", "RollupIndex", "scan_columns"]
 
 Address = tuple[str, ...]
 CellValue: TypeAlias = "float | Missing"
@@ -837,49 +838,6 @@ class _Structure:
         return row
 
 
-class LeafView(Mapping[Address, float]):
-    """The leaf cells of a cube as a read-only mapping over its rollup
-    index — what ``Cube._leaf_cells`` is.  Iteration is insertion order
-    (ascending leaf id), like a dict's; bulk reads (``values``) are one
-    column gather, point reads go through :meth:`RollupIndex.leaf_reader`
-    (one lock acquisition, then one probe of the generation's lookup and
-    one column read).
-    Iterating the keys or ``items`` builds every address — that is for
-    exports, oracles and tests, not queries.
-    The view holds the index, never the other way round."""
-
-    __slots__ = ("_index",)
-
-    def __init__(self, index: "RollupIndex") -> None:
-        self._index = index
-
-    def get(self, addr: Address, default: object = None) -> object:
-        """The value stored at ``addr`` (a stored NaN reads back as NaN —
-        liveness, not the value, says whether a leaf exists), read through
-        :meth:`RollupIndex.leaf_reader`."""
-        value = self._index.leaf_reader()(addr)
-        return default if value is None else value
-
-    def __getitem__(self, addr: Address) -> float:
-        value = self.get(addr)
-        if value is None:
-            raise KeyError(addr)
-        return value  # type: ignore[return-value]
-
-    def __len__(self) -> int:
-        return self._index.n_leaves
-
-    def __iter__(self) -> Iterator[Address]:
-        return iter(self._index.columns(()).addresses)
-
-    def values(self) -> list[float]:  # type: ignore[override]
-        return self._index.columns(()).values.tolist()
-
-    def items(self) -> list[tuple[Address, float]]:  # type: ignore[override]
-        columns = self._index.columns(())
-        return list(zip(columns.addresses, columns.values.tolist()))
-
-
 class RollupIndex:
     """Per-dimension coordinate-code columns over the leaf-cell id space.
 
@@ -891,8 +849,8 @@ class RollupIndex:
     interleaved query/mutation safe.  The sanctioned lock-free reads are
     the memo probe through :meth:`memo_table` — a single dict ``get`` on
     a table that is only ever cleared in place (atomic under the GIL) —
-    and the point reads of :meth:`leaf_reader`, which :meth:`LeafView.get`
-    reads through.
+    and the point reads of :meth:`leaf_reader`, which ``Cube.value`` and
+    ``Cube.effective_value`` read through.
     """
 
     def __init__(self, schema: "CubeSchema", struct: "_Structure | None" = None) -> None:
@@ -960,8 +918,9 @@ class RollupIndex:
 
     @classmethod
     def build(cls, cube: "Cube") -> "RollupIndex":
-        """A point-in-time copy of a cube's leaf cells, built column-wise."""
-        return cls.from_cells(cube.schema, cube._leaf_cells)
+        """A point-in-time copy of a cube's leaf cells, built column-wise
+        from one full read of its index (``Cube.leaf_cells``)."""
+        return cls.from_cells(cube.schema, dict(cube.leaf_cells()))
 
     @classmethod
     def from_cells(
@@ -1041,7 +1000,8 @@ class RollupIndex:
                 )
         if distinct:
             return child
-        return RollupIndex.from_cells(self.schema, dict(child.leaf_view().items()))
+        cols = child.columns(())
+        return RollupIndex.from_cells(self.schema, dict(zip(cols.addresses, cols.values.tolist())))
 
     def coords_with_data(self, dim_index: int, under: "str | None" = None) -> list[str]:
         """Distinct leaf coordinates on one dimension that hold a leaf —
@@ -1081,7 +1041,7 @@ class RollupIndex:
                 self._struct.tables[dim_index].under.get(coord, ()), dtype=np.int64
             )
 
-    # -- the leaf store: writes, point reads, the mapping view --------------------
+    # -- the leaf store: writes and point reads ------------------------------------
 
     def _writable_structure(self) -> _Structure:  # reprolint: locked
         """The generation a structural write may mutate.  Dead ids that
@@ -1208,14 +1168,10 @@ class RollupIndex:
             coords.update(map(table.coords.__getitem__, set(codes[rows].tolist())))
         ids.clear()
 
-    def leaf_view(self) -> LeafView:
-        """This index as the read-only leaf mapping of its cube."""
-        return LeafView(self)
-
     def leaf_reader(self) -> "object":
         """The one point read: a callable address -> value (``None`` =
-        absent) that takes no lock per read.  :meth:`LeafView.get` takes
-        one per read; a grid reads blocks instead (:meth:`leaf_block`).
+        absent) that takes no lock per read.  ``Cube.value`` takes one per
+        read; a grid reads blocks instead (:meth:`leaf_block`).
 
         Like :meth:`memo_table`, it snapshots the generation's lookup
         (:meth:`_Structure.find`) and the value store once under the lock;

@@ -12,8 +12,8 @@ Cost model: a snapshot is a *fork*, not a copy.  The live cube owns its
 rollup index (built once, by the bulk load that filled the cube) and that
 index is its leaf store; ``Cube.frozen_copy`` forks it — the structure
 generation (code columns, coordinate tables, lookup and mask caches) is
-shared, the value column is shared copy-on-write — and wraps the fork in
-a read-only leaf view.  Nothing proportional to the cube is copied at
+shared, the value column is shared copy-on-write — and hands the fork to
+a frozen cube as its leaf store.  Nothing proportional to the cube is copied at
 snapshot time; the *writer* pays afterwards, in proportion to what it
 writes: one copy of the value column for the first value write after a
 snapshot, one copy of the structure's arrays for the first insert/delete.

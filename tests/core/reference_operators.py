@@ -95,7 +95,7 @@ def _map_leaf_cells(
     """New cube with each leaf cell rewritten (or dropped on ``None``);
     stored derived cells are carried over unchanged."""
     clone = cube.empty_like()
-    for addr, value in cube._leaf_cells.items():
+    for addr, value in cube.leaf_cells():
         result = transform(addr, value)
         if result is None:
             continue

@@ -110,9 +110,10 @@ def _same_cube(out: Cube, expected: Cube) -> None:
 def _index_follows_insertion_order(out: Cube) -> None:
     """Ascending leaf id == insertion order, in a derived index too."""
     index = out.rollup_index()
-    assert index.columns(()).addresses == list(out._leaf_cells)
-    for addr in list(out._leaf_cells)[:5]:
-        assert out.rollup(addr) == out._leaf_cells[addr]
+    cells = list(out.leaf_cells())
+    assert index.columns(()).addresses == [addr for addr, _ in cells]
+    for addr, value in cells[:5]:
+        assert out.rollup(addr) == value
 
 
 @contextmanager

@@ -14,8 +14,12 @@ from repro.errors import (
     SnapshotImmutableError,
 )
 from repro.olap.cube import Cube
+from repro.olap.dimension import Dimension
 from repro.olap.missing import MISSING, is_missing
+from repro.olap.schema import CubeSchema
+from repro.perf.config import naive_mode
 from repro.perf.rollup_index import RollupIndex
+from repro.warehouse import Warehouse
 
 
 class TestStorage:
@@ -53,6 +57,42 @@ class TestStorage:
         tiny_cube.set(99.0, Time="H1", Measures="Sales")
         tiny_cube.clear_stored_derived()
         assert tiny_cube.n_stored_derived == 0
+
+
+class TestOneCellRule:
+    def test_a_former_leaf_is_read_by_its_leaf_test(self):
+        """``add_member`` under a leaf that holds data leaves a row at an
+        address that is no longer a leaf: the row is rolled up into that
+        cell, never read back as it, and a write there is a stored
+        aggregate that reads back — on the engine and under
+        ``naive_mode()`` alike."""
+        time_dim = Dimension("Time", ordered=True)
+        time_dim.add_children(None, ["Jan", "Feb"])
+        measures = Dimension("Measures", is_measures=True)
+        measures.add_children(None, ["Sales"])
+        schema = CubeSchema([time_dim, measures])
+        cube = Cube(schema)
+        cube.set_value(("Jan", "Sales"), -0.0)
+        cube.set_value(("Feb", "Sales"), 2.0)
+        time_dim.add_member("Jan1", "Jan")
+        cube.set_value(("Jan1", "Sales"), 5.0)
+        warehouse = Warehouse(schema, cube, name="C")
+        query = "SELECT {Time.[Jan], Time.[Feb]} ON COLUMNS FROM C WHERE ([Sales])"
+
+        def grid() -> str:
+            engine = repr(warehouse.query(query).cells)
+            with naive_mode():
+                assert repr(warehouse.query(query).cells) == engine
+            return engine
+
+        jan = ("Jan", "Sales")
+        assert grid() == "[[5.0, 2.0]]"
+        assert cube.value(jan) is MISSING
+        assert cube.effective_value(jan) == cube.rollup(jan) == 5.0
+        cube.set_value(jan, 7.0)
+        assert cube.n_stored_derived == 1
+        assert cube.value(jan) == cube.effective_value(jan) == 7.0
+        assert grid() == "[[7.0, 2.0]]"
 
 
 class TestWritesNameKnownMembers:

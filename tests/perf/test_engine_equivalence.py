@@ -567,6 +567,28 @@ class TestMixedGrids:
             with naive_mode():
                 assert repr(warehouse.query(MIXED[kind]).cells) == repr(result.cells)
 
+    def test_a_derived_only_rule_grid_probes_no_leaf(self):
+        """A rule cube's grid of derived cells — whose formula operands,
+        Salary and Benefits at a group, a region and a quarter, are
+        derived too — filled a cell at a time, on the engine and under
+        ``naive_mode()``: no cell probes the leaf store, so the leaf
+        generation's point lookup resolves nothing."""
+        warehouse = _twin("example_rules")
+        query = """
+            SELECT {Time.[Qtr1], Time.[Qtr2]} ON COLUMNS, {[FTE], [PTE]} ON ROWS
+            FROM Warehouse WHERE ([East], [Compensation])
+        """
+        struct = warehouse.cube.rollup_index()._struct
+        assert not struct.recent and not struct.sorted_part.resolved
+        result = warehouse.query(query)
+        assert "indexed_rollups" not in result.stats  # the per-cell fill
+        with naive_mode():
+            naive = warehouse.query(query)
+        assert repr(result.cells) == repr(naive.cells)
+        assert not any(is_missing(v) for row in result.cells for v in row)
+        assert warehouse.cube.rollup_index()._struct is struct
+        assert not struct.recent and not struct.sorted_part.resolved
+
     def test_a_warm_grid_counts_its_memo_served_cells(self):
         warehouse = _mixed_warehouse("workforce")
         stats = warehouse.cube.rollup_index().stats

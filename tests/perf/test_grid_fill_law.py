@@ -11,8 +11,11 @@ same clock reads and the same ``mdx.cell`` hits, under any cell cap, any
 stepping-clock deadline and any ``fail_after`` arming.
 
 The drawn cubes have ⊥ leaves (never written, or deleted after the load),
-NaN and ±0 values; every grid has at least two column groups and a row
-that holds a leaf cell and a derived one.  Tier-1 draws a few examples;
+NaN and ±0 values, and may have a member added under a leaf the grid
+reads once that leaf holds data: its row stays at an address that is no
+longer a leaf, which both fills must roll up.  Every drawn grid has at
+least two column groups and a row that holds a leaf cell and a derived
+one (before any member is added).  Tier-1 draws a few examples;
 the CI ``faults`` job (``REPRO_FAULTS=ci-matrix``) draws the wide run.
 """
 
@@ -22,7 +25,7 @@ import itertools
 import math
 import os
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FaultInjectedError
@@ -109,12 +112,25 @@ def grids(draw) -> "tuple[dict[str, str], list[AxisTuple], list[AxisTuple], int]
     return base, rows, columns, mixed_row
 
 
-def _cube(cells, edits) -> Cube:
-    cube = Cube(SCHEMA)
+def _cube(schema, cells, edits) -> Cube:
+    cube = Cube(schema)
     cube.load((addr, value) for addr, value in zip(LEAVES, cells) if value is not None)
     for i, value in edits:  # after the load: deletes and inserts past the sort
         cube.set_value(LEAVES[i], MISSING if value is None else value)
     return cube
+
+
+def _grow(schema, cubes, addr, dim, held, value) -> None:
+    """Write ``held`` at leaf ``addr``, then add a member under its
+    coordinate on ``dim`` (the row stays where it is, no longer at a
+    leaf) and write ``value`` at the new leaf (⊥ writes nothing)."""
+    for cube in cubes:
+        cube.set_value(addr, held)
+    child = f"{addr[dim]}-new"
+    schema.dimensions[dim].add_member(child, addr[dim])
+    if value is not None:
+        for cube in cubes:
+            cube.set_value(addr[:dim] + (child,) + addr[dim + 1 :], value)
 
 
 def _fill(fill, cube, layout, budget_kind, limit, nth):
@@ -160,13 +176,45 @@ def _fill(fill, cube, layout, budget_kind, limit, nth):
     budget_kind=st.sampled_from(["none", "cap", "deadline"]),
     limit=st.integers(0, 40),
     nth=st.one_of(st.just(10**9), st.integers(1, 40)),
+    # a member added under one of the mixed row's leaf cells: which one,
+    # on which dimension, the value held there and the new leaf's value
+    grow=st.one_of(
+        st.none(),
+        st.tuples(
+            st.integers(0, 10), st.integers(0, 2), values.filter(lambda v: v is not None), values
+        ),
+    ),
 )
-def test_the_block_fill_is_the_per_cell_fill(cells, edits, grid, budget_kind, limit, nth):
+# Jan becomes a parent once (Jan, NYC, Sales) holds -0.0: the cell reads
+# its roll-up, -0.0 + 5.0, in both fills
+@example(
+    cells=[1.0] * len(LEAVES),
+    edits=[],
+    grid=(
+        {"Time": "Time", "Geo": "Geo", "Measures": "Measures"},
+        [_tuple(Geo="NYC", Measures="Sales")],
+        [_tuple(Time="Jan"), _tuple(Time="H1"), _tuple(Geo="East")],
+        0,
+    ),
+    budget_kind="none",
+    limit=0,
+    nth=10**9,
+    grow=(0, 0, -0.0, 5.0),
+)
+def test_the_block_fill_is_the_per_cell_fill(cells, edits, grid, budget_kind, limit, nth, grow):
     base, rows, columns, mixed_row = grid
     layout = GridLayout(SCHEMA, base, rows, columns)
     assert len(layout.groups) >= 2
-    assert 0 < len(layout.leaf_columns(mixed_row)) < layout.n_cols
+    leaf_columns = sorted(layout.leaf_columns(mixed_row))
+    assert 0 < len(leaf_columns) < layout.n_cols
 
-    block = _fill("block", _cube(cells, edits), layout, budget_kind, limit, nth)
-    per_cell = _fill("cell", _cube(cells, edits), layout, budget_kind, limit, nth)
+    schema = SCHEMA if grow is None else _schema()
+    cubes = [_cube(schema, cells, edits) for _ in range(2)]
+    if grow is not None:
+        column, dim, held, value = grow
+        addr = layout.address(mixed_row, leaf_columns[column % len(leaf_columns)])
+        _grow(schema, cubes, addr, dim, held, value)
+        layout = GridLayout(schema, base, rows, columns)
+    block = _fill("block", cubes[0], layout, budget_kind, limit, nth)
+    per_cell = _fill("cell", cubes[1], layout, budget_kind, limit, nth)
     assert block == per_cell

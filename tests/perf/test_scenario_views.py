@@ -80,24 +80,22 @@ def _probes(world, expected: Cube) -> "list[tuple[str, ...]]":
 
 
 def _assert_reads_agree(out: Cube, expected: Cube, probes) -> None:
-    """``LeafView.get``, a ``leaf_reader``, ``Cube.value`` and
-    ``effective_value`` against plain dicts of the expected cube — every
-    probe twice, so the second read comes from the resolved cache."""
+    """A ``leaf_reader``, ``Cube.value`` and ``effective_value`` against
+    plain dicts of the expected cube — every probe twice, so the second
+    read comes from the resolved cache."""
     leaves = dict(expected.leaf_cells())
     stored = dict(expected.stored_derived_cells())
-    view, schema = out._leaf_cells, out.schema
+    schema = out.schema
     read = out.rollup_index().leaf_reader()
     for addr in probes + probes:
         want = leaves.get(addr)
-        assert view.get(addr) == want, addr
         assert read(addr) == want, addr
-        assert (addr in view) == (addr in leaves)
         stored_want = stored.get(addr, MISSING) if want is None else want
         assert out.value(addr) is stored_want or out.value(addr) == stored_want, addr
         if schema.is_leaf_address(addr):
             got = out.effective_value(addr)
             assert (got is MISSING) if want is None else (got == want), addr
-    assert len(view) == len(leaves)
+    assert out.n_leaf_cells == len(leaves)
 
 
 def _outputs(world, changes, negative, kept):
@@ -165,7 +163,7 @@ class TestPointReads:
             expected = dict(negative.apply(example.cube).leaf_cube.leaf_cells())
         out = negative.apply(example.cube).leaf_cube
         assert _is_columns_only(out)
-        probes = list(example.cube._leaf_cells) + list(expected)
+        probes = [addr for addr, _ in example.cube.leaf_cells()] + list(expected)
         probes.append(("Organization/FTE/Nobody", "NY", "Jan", "Salary"))
         want = [expected.get(addr) for addr in probes]
         errors: list[BaseException] = []
@@ -179,7 +177,7 @@ class TestPointReads:
                 for addr in order:
                     value = expected.get(addr)
                     assert read(addr) == value
-                    assert out._leaf_cells.get(addr) == value
+                    assert out.value(addr) == (MISSING if value is None else value)
                     assert out.effective_value(addr) == (
                         MISSING if value is None else value
                     )
@@ -198,7 +196,8 @@ class TestPointReads:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors
-        assert [out._leaf_cells.get(addr) for addr in probes] == want
+        read = out.rollup_index().leaf_reader()
+        assert [read(addr) for addr in probes] == want
         struct = _struct(out)
         assert not struct.recent
         assert set(struct.sorted_part.resolved) == set(probes)
@@ -281,8 +280,8 @@ class TestLaziness:
         assert _is_columns_only(out)
         with tracing():
             with TRACER.start("test") as span:
-                addresses = list(out._leaf_cells)
-                again = list(out._leaf_cells)
+                addresses = [addr for addr, _ in out.leaf_cells()]
+                again = [addr for addr, _ in out.leaf_cells()]
         # each ask is one full read, and none of them is kept
         spans = [s for s in span.iter_spans() if s.name == "rollup_index.materialize"]
         assert [s.attrs for s in spans] == [
@@ -290,6 +289,12 @@ class TestLaziness:
         ] * 2
         assert addresses == again == [a for a, _ in out.rollup_index().scope_cells(root)]
         assert _is_columns_only(out)
+
+
+def _cells(index) -> "list[tuple[tuple[str, ...], float]]":
+    """An index's leaf cells in id order, off one full column read."""
+    cols = index.columns(())
+    return list(zip(cols.addresses, cols.values.tolist()))
 
 
 def _three_months(tiny_schema, values=(1.0, 2.0, 3.0)):
@@ -320,14 +325,14 @@ class TestClashIsASort:
         index, distinct = self._derive(tiny_schema, [1, 1, 2], ["Jan", "Feb", "Mar"])
         assert distinct is False and index.stats.builds == 1
         # later value wins at the earlier position, as a dict write would
-        assert index.leaf_view().items() == [(("Feb", "Sales"), 2.0), (("Mar", "Sales"), 3.0)]
+        assert _cells(index) == [(("Feb", "Sales"), 2.0), (("Mar", "Sales"), 3.0)]
 
     def test_two_moved_rows_land_on_each_other(self, tiny_schema):
         index, distinct = self._derive(
             tiny_schema, [3, 2, 3], ["Jan", "Feb", "Mar", "Apr"]
         )
         assert distinct is False and index.stats.builds == 1
-        assert index.leaf_view().items() == [(("Apr", "Sales"), 3.0), (("Mar", "Sales"), 2.0)]
+        assert _cells(index) == [(("Apr", "Sales"), 3.0), (("Mar", "Sales"), 2.0)]
 
     def test_repeated_values_are_not_a_clash(self, tiny_schema):
         index, distinct = self._derive(
@@ -335,7 +340,7 @@ class TestClashIsASort:
         )
         assert distinct is True and index.stats.builds == 0
         assert not index._struct.recent and not index._struct.sorted_part.resolved
-        assert index.leaf_view().items() == [
+        assert _cells(index) == [
             (("Apr", "Sales"), 5.0),
             (("Feb", "Sales"), 5.0),
             (("Jan", "Sales"), 5.0),
@@ -357,11 +362,11 @@ class TestClashIsASort:
         monkeypatch.setattr(rollup_index_module, "_KEY_LIMIT", 2)
         index, distinct = self._derive(tiny_schema, out_codes, ["Jan", "Feb", "Mar"])
         assert distinct is (len(cells) == 3)
-        assert index.leaf_view().items() == cells
+        assert _cells(index) == cells
         part = index._struct.sorted_part
         assert part.keys.dtype == object and not index._struct.recent
         for addr in [("Jan", "Sales"), ("Feb", "Sales"), ("Mar", "Sales")]:
-            assert index.leaf_view().get(addr) == dict(cells).get(addr)
+            assert index.leaf_reader()(addr) == dict(cells).get(addr)
         assert {a: i for a, i in part.resolved.items() if i is not None} == {
             addr: i for i, (addr, _) in enumerate(cells)
         }

@@ -1,7 +1,7 @@
 """The cube's rollup index as its leaf store, snapshots and copies as forks.
 
-The index *is* the leaf store from the cube's first cell: ``_leaf_cells``
-is a view over it, ``set_value`` writes it alone, ``load`` builds it in
+The index *is* the leaf store from the cube's first cell: the cube reads
+it with nothing in between, ``set_value`` writes it alone, ``load`` builds it in
 one step, ``frozen_copy`` and ``copy`` fork it.  The contract is that
 none of this is visible: every snapshot answers exactly what a
 ``naive_mode()`` replay of the writes up to its version answers
@@ -30,7 +30,7 @@ from repro.olap.dimension import Dimension
 from repro.olap.missing import MISSING
 from repro.olap.schema import CubeSchema
 from repro.perf.config import naive_mode
-from repro.perf.rollup_index import LeafView, RollupIndex
+from repro.perf.rollup_index import RollupIndex
 from repro.warehouse import Warehouse
 
 MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun")
@@ -135,7 +135,6 @@ class SnapshotForkMachine(RuleBasedStateMachine):
     def snapshot(self):
         snap = self.cube.frozen_copy()
         assert snap.version == self.cube.version == self.twin.version
-        assert isinstance(snap._leaf_cells, LeafView)
         self.snapshots.append((snap, _naive_grid(self.twin)))
 
     @rule(
@@ -416,36 +415,34 @@ def test_bulk_load_equals_per_cell_writes(cells):
 
 
 class TestViewBackedCube:
-    """The public cube API on a cube whose leaf store is the view."""
+    """The public cube API on a cube whose leaf store is its index, read
+    with no wrapper in between."""
 
     @pytest.fixture
     def cube(self, example):
         cube = example.cube
         before = dict(cube.leaf_cells())
         cube.rollup_index()
-        assert isinstance(cube._leaf_cells, LeafView)
         assert dict(cube.leaf_cells()) == before
         assert list(cube.leaf_cells()) == list(before.items())
         return cube
 
     def test_build_reads_the_view(self, cube):
         rebuilt = RollupIndex.build(cube)
-        assert rebuilt.columns(()).addresses == list(cube._leaf_cells)
+        assert rebuilt.columns(()).addresses == [addr for addr, _ in cube.leaf_cells()]
         assert rebuilt.plane_store.nbytes > 0
         assert cube.rollup_index().plane_store.nbytes > 0
         root = tuple(d.root.name for d in cube.schema.dimensions)
         assert repr(rebuilt.rollup(root)) == repr(cube.rollup(root))
 
     def test_point_reads_and_membership(self, cube):
-        view = cube._leaf_cells
+        read = cube.rollup_index().leaf_reader()
         addr, value = next(iter(cube.leaf_cells()))
-        assert view[addr] == value and addr in view and view.get(addr) == value
+        assert cube.value(addr) == value and read(addr) == value
         gone = ("Organization/FTE/Lisa", "MA", "Feb", "Benefits")
-        assert gone not in view and view.get(gone) is None
-        with pytest.raises(KeyError):
-            view[gone]
+        assert read(gone) is None
         assert cube.value(gone) is MISSING
-        assert len(view) == cube.n_leaf_cells
+        assert len(list(cube.leaf_cells())) == cube.n_leaf_cells
 
     def test_copy_thaws_to_a_writable_fork(self, cube):
         clone = cube.frozen_copy().copy()
