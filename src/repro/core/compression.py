@@ -8,14 +8,16 @@ cube can be stored as a **delta**: a reference to the base cube plus the
 leaf cells that were added/changed (*overrides*) and the base leaf cells
 that disappeared (*deletions*), along with the output validity sets.
 
-:func:`compress` builds the delta from a base cube and a what-if result;
-:class:`CompressedPerspectiveCube` answers point reads directly from the
-delta and can :meth:`materialize` the full cube back (a lossless
-round-trip, property-tested).
+:func:`compress` builds the delta from a base cube and a what-if result,
+comparing leaf values by their bits (a sign of zero is a change, an
+unchanged NaN is not); :class:`CompressedPerspectiveCube` answers point
+reads directly from the delta and can :meth:`materialize` the full cube
+back (a lossless round-trip, property-tested).
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, TypeAlias
 
@@ -29,6 +31,10 @@ from repro.validity import ValiditySet
 __all__ = ["CompressedPerspectiveCube", "compress"]
 
 CellValue: TypeAlias = "float | Missing"
+
+#: a leaf value's eight bytes: two values are the same leaf value when
+#: their bits are
+_BITS = struct.Struct("<d")
 
 
 @dataclass
@@ -119,11 +125,15 @@ def compress(
             "compress() requires the result and base to share a schema"
         )
 
+    # compared by bits: ``!=`` would keep a 0.0 -> -0.0 change out of the
+    # delta (lost on the way back) and put every unchanged NaN in it
+    bits = _BITS.pack
     base_cells = dict(base.leaf_cells())
     out_cells = dict(leaf_cube.leaf_cells())
     overrides: dict[Address, float] = {}
     for addr, value in out_cells.items():
-        if base_cells.get(addr) != value:
+        before = base_cells.get(addr)
+        if before is None or bits(before) != bits(value):
             overrides[addr] = value
     deletions = frozenset(addr for addr in base_cells if addr not in out_cells)
     return CompressedPerspectiveCube(base, overrides, deletions, validity)

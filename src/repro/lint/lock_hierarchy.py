@@ -108,7 +108,8 @@ THREAD_SHARED: dict[str, GuardSpec] = {
         # (replaced by renumbering, written by ``set_leaf``); ``_inherited``,
         # ``_written`` and ``_written_ids`` (the buffer of written leaf ids
         # not yet settled into ``_written``) are what the next fork's memo
-        # carry reads
+        # carry reads; ``_reader`` is the held point read, read lock-free
+        # and dropped under the lock when ``_struct`` is replaced
         (
             "_struct",
             "_struct_shared",
@@ -119,6 +120,7 @@ THREAD_SHARED: dict[str, GuardSpec] = {
             "_written",
             "_written_ids",
             "_values",
+            "_reader",
         ),
     ),
     "ScenarioCache": GuardSpec("_lock", ("_entries",)),

@@ -362,9 +362,11 @@ class Cube:
         return value
 
     def _stored_leaf(self, addr: Address) -> CellValue:
-        # the index's one point read (a stored NaN reads back as NaN)
+        # the index's one point read, held by the index until its
+        # generation or value store is replaced (a stored NaN reads back
+        # as NaN)
         value = self._index.leaf_reader()(addr)
-        return MISSING if value is None else value  # type: ignore[return-value]
+        return MISSING if value is None else value
 
     def derive(self, address: Sequence[str]) -> CellValue:
         """Evaluate the rule for a (derived) cell, ignoring any stored value."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,6 +76,30 @@ class TestRoundTrip:
         ) == 30.0
 
 
+class TestBitExactDelta:
+    """Leaf values are compared by their bits."""
+
+    def test_a_sign_of_zero_change_is_an_override(self, example):
+        base = example.cube
+        addr, _ = next(iter(base.leaf_cells()))
+        base.set_value(addr, 0.0)
+        result = base.copy()
+        result.set_value(addr, -0.0)
+        compressed = compress(base, result)
+        assert addr in compressed.overrides
+        assert repr(compressed.value(addr)) == "-0.0"
+        assert repr(compressed.materialize().value(addr)) == "-0.0"
+
+    def test_an_unchanged_nan_is_not_an_override(self, example):
+        base = example.cube
+        addr, _ = next(iter(base.leaf_cells()))
+        base.set_value(addr, math.nan)
+        compressed = compress(base, base.copy())
+        assert compressed.delta_cells == 0
+        assert math.isnan(compressed.value(addr))
+        assert math.isnan(compressed.materialize().value(addr))
+
+
 class TestStatistics:
     def test_delta_much_smaller_than_cube(self):
         """With ~8% of employees changing, the delta stays a small fraction."""
@@ -121,10 +147,18 @@ class TestStatistics:
     semantics=st.sampled_from(
         [Semantics.STATIC, Semantics.FORWARD, Semantics.BACKWARD]
     ),
+    # leaves rewritten to a signed zero or NaN before the query
+    specials=st.lists(
+        st.tuples(st.integers(min_value=0), st.sampled_from([0.0, -0.0, math.nan])),
+        max_size=6,
+    ),
 )
-def test_compression_round_trip_property(p_moments, semantics):
+def test_compression_round_trip_property(p_moments, semantics, specials):
     """compress + materialize is lossless for any perspective query."""
     example = build_running_example()
+    leaves = [addr for addr, _ in example.cube.leaf_cells()]
+    for i, value in specials:
+        example.cube.set_value(leaves[i % len(leaves)], value)
     months = ["Jan", "Feb", "Mar", "Apr", "May", "Jun",
               "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"]
     scenario = NegativeScenario(

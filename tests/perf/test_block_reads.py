@@ -1,15 +1,18 @@
-"""Leaf grids are block reads: races against a writer.
+"""Grids are block reads and block reductions: races against a writer.
 
 A grid reads its leaf cells a block at a time
 (:meth:`~repro.perf.rollup_index.RollupIndex.leaf_block`): one snapshot of
 the generation's lookup and value column, taken under the index lock.  A
 writer inserts, deletes and re-inserts leaves — so the generation's
 ``recent`` dict, its liveness and its sorted part all move, starting from
-a cube whose sorted part is empty — while readers fill leaf-only grids:
+a cube whose sorted part is empty — while readers fill grids:
 
-* two ``QueryService`` readers: every answer equals a ``naive_mode()``
-  twin that took the same writes, at the version the reader's snapshot
-  pinned;
+* two ``QueryService`` readers of a leaf-only grid, and two of a grid of
+  derived cells at mixed levels, whose memo misses are one block reduction
+  (:meth:`~repro.perf.rollup_index.RollupIndex.rollup_block`) on a
+  snapshot that carried the previous one's memo: every answer equals a
+  ``naive_mode()`` twin that took the same writes, at the version the
+  reader's snapshot pinned;
 * one reader of the live cube's own index, while the writer writes one
   cell at a time: every block equals the twin's leaves at some version
   from the one read before it to the one after the one read after it
@@ -60,6 +63,12 @@ LEAVES = sorted(itertools.product(MONTHS, CITIES, ("Sales", "COGS")))
 QUERY = (
     "SELECT {" + ", ".join(f"Time.[{m}]" for m in MONTHS) + "} ON COLUMNS, "
     "{" + ", ".join(f"[{c}]" for c in CITIES) + "} ON ROWS FROM W WHERE ([Sales])"
+)
+#: derived cells at mixed levels — the root, a half-year, regions — with
+#: a few leaf cells (Boston x months) among them
+DERIVED_QUERY = (
+    "SELECT {Time.[Time], Time.[H1], Time.[Jan], Time.[Mar]} ON COLUMNS, "
+    "{[Geo], [East], [West], [Boston]} ON ROWS FROM W WHERE ([Sales])"
 )
 BLOCK = ([(MONTHS[0], city, "Sales") for city in CITIES], [0], [(m,) for m in MONTHS])
 
@@ -117,9 +126,21 @@ def _race(writer_target, readers) -> None:
 
 
 def test_service_readers_fill_leaf_grids_like_the_twin(monkeypatch):
+    monkeypatch.setenv("REPRO_LOCKDEP", "1")  # read when a lock is made
+    _service_readers_match_the_twin(QUERY)
+
+
+def test_service_readers_fill_derived_grids_like_the_twin(monkeypatch):
+    """Grids of derived cells at mixed levels — their memo misses are one
+    block reduction (``RollupIndex.rollup_block``) on the reader's
+    snapshot — raced against the same writer."""
+    monkeypatch.setenv("REPRO_LOCKDEP", "1")
+    _service_readers_match_the_twin(DERIVED_QUERY)
+
+
+def _service_readers_match_the_twin(query: str) -> None:
     from repro.service import QueryService
 
-    monkeypatch.setenv("REPRO_LOCKDEP", "1")  # read when a lock is made
     cube, twin = Cube(SCHEMA), Cube(SCHEMA)
     warehouse = Warehouse(SCHEMA, cube, name="W")
     twin_warehouse = Warehouse(SCHEMA, twin, name="W")
@@ -127,7 +148,7 @@ def test_service_readers_fill_leaf_grids_like_the_twin(monkeypatch):
 
     def naive_cells() -> str:
         with naive_mode():
-            return repr(twin_warehouse.query(QUERY).cells)
+            return repr(twin_warehouse.query(query).cells)
 
     expected = {twin.version: naive_cells()}
     for writes in script:
@@ -139,7 +160,7 @@ def test_service_readers_fill_leaf_grids_like_the_twin(monkeypatch):
 
         def reader(done: threading.Event) -> None:
             while not done.is_set():
-                ticket = service.submit(QUERY)
+                ticket = service.submit(query)
                 cells = ticket.result(timeout=30.0).cells
                 seen.append((ticket.snapshot_version, repr(cells)))
 

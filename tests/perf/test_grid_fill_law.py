@@ -11,9 +11,12 @@ same clock reads and the same ``mdx.cell`` hits, under any cell cap, any
 stepping-clock deadline and any ``fail_after`` arming.
 
 The drawn cubes have ⊥ leaves (never written, or deleted after the load),
-NaN and ±0 values, and may have a member added under a leaf the grid
-reads once that leaf holds data: its row stays at an address that is no
-longer a leaf, which both fills must roll up.  Every drawn grid has at
+NaN and ±0 values, coordinates that hold no leaf (``H3`` and its ``Jun``),
+a memo that some of the grid's cells were read into first through
+``Cube.rollup`` (the rest miss and are reduced as one block), and may
+have a member added under a leaf the grid reads once that leaf holds
+data: its row stays at an address that is no longer a leaf, which both
+fills must roll up.  Every drawn grid has at
 least two column groups and a row that holds a leaf cell and a derived
 one (before any member is added).  Tier-1 draws a few examples;
 the CI ``faults`` job (``REPRO_FAULTS=ci-matrix``) draws the wide run.
@@ -53,6 +56,9 @@ def _schema() -> CubeSchema:
     time_dim.add_children("H1", list(MONTHS[:3]))
     time_dim.add_member("H2")
     time_dim.add_children("H2", list(MONTHS[3:]))
+    # a half-year and a month no leaf is ever written under
+    time_dim.add_member("H3")
+    time_dim.add_children("H3", ["Jun"])
     geo = Dimension("Geo")
     geo.add_member("East")
     geo.add_children("East", list(CITIES[:2]))
@@ -184,6 +190,8 @@ def _fill(fill, cube, layout, budget_kind, limit, nth):
             st.integers(0, 10), st.integers(0, 2), values.filter(lambda v: v is not None), values
         ),
     ),
+    # cells read through Cube.rollup before the fill, as (row, column)
+    warm=st.lists(st.tuples(st.integers(0, 10), st.integers(0, 10)), max_size=6),
 )
 # Jan becomes a parent once (Jan, NYC, Sales) holds -0.0: the cell reads
 # its roll-up, -0.0 + 5.0, in both fills
@@ -200,8 +208,11 @@ def _fill(fill, cube, layout, budget_kind, limit, nth):
     limit=0,
     nth=10**9,
     grow=(0, 0, -0.0, 5.0),
+    warm=[],
 )
-def test_the_block_fill_is_the_per_cell_fill(cells, edits, grid, budget_kind, limit, nth, grow):
+def test_the_block_fill_is_the_per_cell_fill(
+    cells, edits, grid, budget_kind, limit, nth, grow, warm
+):
     base, rows, columns, mixed_row = grid
     layout = GridLayout(SCHEMA, base, rows, columns)
     assert len(layout.groups) >= 2
@@ -215,6 +226,10 @@ def test_the_block_fill_is_the_per_cell_fill(cells, edits, grid, budget_kind, li
         addr = layout.address(mixed_row, leaf_columns[column % len(leaf_columns)])
         _grow(schema, cubes, addr, dim, held, value)
         layout = GridLayout(schema, base, rows, columns)
+    for r, c in warm:
+        address = layout.address(r % len(layout.row_addrs), c % layout.n_cols)
+        for cube in cubes:
+            cube.rollup(address)
     block = _fill("block", cubes[0], layout, budget_kind, limit, nth)
     per_cell = _fill("cell", cubes[1], layout, budget_kind, limit, nth)
     assert block == per_cell
