@@ -392,6 +392,7 @@ def split(
     changes: ChangeRelation,
     varying: VaryingDimension | None = None,
     rows: "np.ndarray | None" = None,
+    hypo: VaryingDimension | None = None,
 ) -> tuple[Cube, VaryingDimension]:
     """S(C, R): split member sub-cubes at the change moments (Def. 4.5).
 
@@ -412,10 +413,14 @@ def split(
     is input order — so over a row subset (``rows``, as in
     :func:`relocate`) it is the subset's, and ``S(σ_F(C))`` lists the
     leaves of ``σ_F(S(C))`` in its order under the same condition on ``F``.
+    ``hypo`` is the hypothetical structure when the caller already built
+    it from ``varying`` and ``changes`` (a chain's structure half); it is
+    returned as it is.
     """
     schema = cube.schema
     varying = varying or schema.varying_dimension(varying_name)
-    hypo = _hypothetical_structure(varying, changes)
+    if hypo is None:
+        hypo = _hypothetical_structure(varying, changes)
     dim_index = schema.dim_index(varying_name)
     param_index = schema.dim_index(varying.parameter.name)
     universe = varying.universe

@@ -445,19 +445,21 @@ class PositiveScenario:
         if not self.changes:
             raise QueryError("a changes clause needs at least one change tuple")
         operands = (cube, self.dimension, list(self.changes), varying)
+        options: dict[str, Any] = {}
         if rows is not None:
-            operands += (rows,)
-        if structure is not None and self.mode is Mode.NON_VISUAL:
+            options["rows"] = rows
+        if structure is not None:
+            # S's structure half (R applied) is the chain's: split is handed
+            # it, not asked to build it again
             hypo, validity_out = structure
-            move = _deferred(self, lambda: split(*operands)[0])
-            return WhatIfCube(None, cube, self.mode, validity_out, hypo, build=move)
-        # split owns its structure half (R applied) and hands it back
-        out, hypo = split(*operands)
-        validity_out = (
-            structure[1]
-            if structure is not None
-            else self._validity(hypo, varying, _members_with_data(out, self.dimension))
-        )
+            options["hypo"] = hypo
+            if self.mode is Mode.NON_VISUAL:
+                move = _deferred(self, lambda: split(*operands, **options)[0])
+                return WhatIfCube(None, cube, self.mode, validity_out, hypo, build=move)
+        # without a structure half split builds its own and hands it back
+        out, hypo = split(*operands, **options)
+        if structure is None:
+            validity_out = self._validity(hypo, varying, _members_with_data(out, self.dimension))
         if self.mode is Mode.VISUAL:
             out.clear_stored_derived()
             return WhatIfCube(out, out, self.mode, validity_out, varying_out=hypo)

@@ -16,6 +16,7 @@ from repro.core.scenario import (
 )
 from repro.errors import QueryError
 from repro.olap.missing import is_missing
+from repro.perf.config import naive_mode
 
 JOE_FTE = "Organization/FTE/Joe"
 JOE_PTE = "Organization/PTE/Joe"
@@ -210,6 +211,41 @@ class TestScenarioPipelines:
         # Apr salary returns to FTE/Lisa.
         assert val(out, "Organization/FTE/Lisa", "Apr") == 10.0
         assert is_missing(val(out, "Organization/PTE/Lisa", "Apr"))
+
+    @pytest.mark.parametrize("mode", ["VISUAL", ""])
+    def test_a_cold_chained_query_builds_the_hypothetical_structure_once(
+        self, example, monkeypatch, mode
+    ):
+        """The chain's structure half builds S's hypothetical structure;
+        S's leaf half (``split``) is handed it instead of replaying R on a
+        second copy of the varying structure."""
+        import repro.core.operators as operators
+        import repro.core.scenario as scenario
+        from repro.warehouse import Warehouse
+
+        built = []
+        real = operators._hypothetical_structure
+
+        def counted(varying, changes):
+            built.append(changes)
+            return real(varying, changes)
+
+        monkeypatch.setattr(operators, "_hypothetical_structure", counted)
+        monkeypatch.setattr(scenario, "_hypothetical_structure", counted)
+        warehouse = Warehouse(example.schema, example.cube, name="Warehouse")
+        text = f"""
+        WITH CHANGES {{([Lisa], FTE, PTE, Apr)}} FOR Organization {mode}
+             PERSPECTIVE {{(Mar)}} FOR Organization DYNAMIC BACKWARD {mode}
+        SELECT {{Time.[Mar], Time.[Apr]}} ON COLUMNS, {{[Lisa]}} ON ROWS
+        FROM Warehouse WHERE ([NY], [Salary])
+        """
+        result = warehouse.query(text)
+        assert len(built) == 1
+        warehouse.scenario_cache.clear()
+        assert repr(warehouse.query(text).cells) == repr(result.cells)
+        assert len(built) == 2
+        with naive_mode():
+            assert repr(warehouse.query(text).cells) == repr(result.cells)
 
     def test_empty_pipeline_rejected(self, example):
         with pytest.raises(QueryError):

@@ -177,6 +177,60 @@ def _service_readers_match_the_twin(query: str) -> None:
         assert answered == expected[version], f"version {version}"
 
 
+def test_live_derived_grid_rows_match_the_twin_and_settle(monkeypatch):
+    """``Warehouse.query`` of the derived grid on the *live* cube — its
+    rows answered from the index's row memo once warm — while the writer
+    writes one cell at a time, waiting for two answers after each write:
+    every row of every answer equals that row of the twin at some version
+    from the one read before the answer to the one after the one read
+    after it, and the first answer once the writer stops is the final
+    version — a row stored after a write's flush would outlive it.
+
+    Rows, not whole answers: a live cube's grid is read row by row with
+    no lock, so a write between two rows splits the answer between two
+    versions, row memo or not; a row is one probe."""
+    monkeypatch.setenv("REPRO_LOCKDEP", "1")
+    cube, twin = Cube(SCHEMA), Cube(SCHEMA)
+    warehouse = Warehouse(SCHEMA, cube, name="W")
+    twin_warehouse = Warehouse(SCHEMA, twin, name="W")
+    script = [[cell] for writes in _script() for cell in writes]
+
+    def naive_rows() -> "list[str]":
+        with naive_mode():
+            return [repr(row) for row in twin_warehouse.query(DERIVED_QUERY).cells]
+
+    expected = {twin.version: naive_rows()}
+    for writes in script:
+        twin.apply_overrides(writes)
+        expected[twin.version] = naive_rows()
+    assert cube.version == min(expected)
+
+    seen: list[tuple[int, int, list[str]]] = []
+
+    def reader(done: threading.Event) -> None:
+        while not done.is_set():
+            before = cube.version
+            cells = warehouse.query(DERIVED_QUERY).cells
+            seen.append((before, cube.version, [repr(row) for row in cells]))
+
+    def writer(done: threading.Event) -> None:
+        for writes in script:
+            cube.apply_overrides(writes)
+            answered, deadline = len(seen), time.monotonic() + 2.0
+            while len(seen) < answered + 2 and time.monotonic() < deadline:
+                time.sleep(0.0005)
+
+    _race(writer, [reader])
+    assert len({before for before, _, _ in seen}) >= 5, "the reader saw few versions"
+    for before, after, rows in seen:
+        window = [expected[v] for v in range(before, after + 2) if v in expected]
+        for r, row in enumerate(rows):
+            assert row in {version[r] for version in window}, (before, after, r)
+    assert cube.version == max(expected)
+    cells = warehouse.query(DERIVED_QUERY).cells
+    assert [repr(row) for row in cells] == expected[cube.version]
+
+
 def test_a_block_of_the_live_cube_is_one_version(monkeypatch):
     monkeypatch.setenv("REPRO_LOCKDEP", "1")
     cube, twin = Cube(SCHEMA), Cube(SCHEMA)
