@@ -23,45 +23,54 @@ Quick start::
         WHERE ([NY], [Salary])
     ''')
     print(result.to_text())
+
+The names below are re-exported lazily (:mod:`repro._lazy`): each
+is imported from its module on first access, so importing one
+submodule loads only what that submodule imports.
 """
 
-from repro.core import (
-    ChangeTuple,
-    Mode,
-    NegativeScenario,
-    PerspectiveSet,
-    PositiveScenario,
-    Semantics,
-    ValiditySet,
-    WhatIfCube,
-    apply_scenarios,
-)
-from repro.errors import (
-    CircuitOpenError,
-    QueryBudgetExceededError,
-    ReproError,
-    ServiceError,
-    ServiceOverloadedError,
-    ServiceStoppedError,
-    SnapshotImmutableError,
-    WarehouseCorruptionError,
-    WarehouseFormatError,
-)
-from repro.io import load_warehouse, load_warehouse_recovered, save_warehouse
-from repro.mdx.budget import Degradation, QueryBudget
-from repro.olap import (
-    MISSING,
-    Cube,
-    CubeSchema,
-    Dimension,
-    MemberInstance,
-    Rule,
-    RuleEngine,
-    VaryingDimension,
-    is_missing,
-)
-from repro.warehouse import NamedSet, Warehouse
-from repro.service import CircuitBreaker, QueryService, QueryTicket
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core import (
+        ChangeTuple,
+        Mode,
+        NegativeScenario,
+        PerspectiveSet,
+        PositiveScenario,
+        Semantics,
+        ValiditySet,
+        WhatIfCube,
+        apply_scenarios,
+    )
+    from repro.errors import (
+        CircuitOpenError,
+        QueryBudgetExceededError,
+        ReproError,
+        ServiceError,
+        ServiceOverloadedError,
+        ServiceStoppedError,
+        SnapshotImmutableError,
+        WarehouseCorruptionError,
+        WarehouseFormatError,
+    )
+    from repro.io import load_warehouse, load_warehouse_recovered, save_warehouse
+    from repro.mdx.budget import Degradation, QueryBudget
+    from repro.olap import (
+        MISSING,
+        Cube,
+        CubeSchema,
+        Dimension,
+        MemberInstance,
+        Rule,
+        RuleEngine,
+        VaryingDimension,
+        is_missing,
+    )
+    from repro.warehouse import NamedSet, Warehouse
+    from repro.service import CircuitBreaker, QueryService, QueryTicket
 
 __version__ = "0.1.0"
 
@@ -105,3 +114,46 @@ __all__ = [
     "Warehouse",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core": (
+            "ChangeTuple",
+            "Mode",
+            "NegativeScenario",
+            "PerspectiveSet",
+            "PositiveScenario",
+            "Semantics",
+            "ValiditySet",
+            "WhatIfCube",
+            "apply_scenarios",
+        ),
+        "repro.errors": (
+            "CircuitOpenError",
+            "QueryBudgetExceededError",
+            "ReproError",
+            "ServiceError",
+            "ServiceOverloadedError",
+            "ServiceStoppedError",
+            "SnapshotImmutableError",
+            "WarehouseCorruptionError",
+            "WarehouseFormatError",
+        ),
+        "repro.io": ("load_warehouse", "load_warehouse_recovered", "save_warehouse"),
+        "repro.mdx.budget": ("Degradation", "QueryBudget"),
+        "repro.olap": (
+            "MISSING",
+            "Cube",
+            "CubeSchema",
+            "Dimension",
+            "MemberInstance",
+            "Rule",
+            "RuleEngine",
+            "VaryingDimension",
+            "is_missing",
+        ),
+        "repro.warehouse": ("NamedSet", "Warehouse"),
+        "repro.service": ("CircuitBreaker", "QueryService", "QueryTicket"),
+    },
+)

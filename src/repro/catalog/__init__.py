@@ -10,17 +10,26 @@ never a torn state), supports git-like ``fork`` / ``merge`` / ``rebase``
 
 See ``docs/scenarios.md`` for the catalog model, the journal format, the
 recovery policy and the quota semantics.
+
+The names below are re-exported lazily (:mod:`repro._lazy`): each
+is imported from its module on first access, so importing one
+submodule loads only what that submodule imports.
 """
 
-from repro.catalog.catalog import (
-    CatalogRecovery,
-    ScenarioCatalog,
-    ScenarioInfo,
-    TenantQuota,
-)
-from repro.catalog.diff import ScenarioDiff, diff_states
-from repro.catalog.journal import CatalogJournal
-from repro.catalog.model import Delta, ScenarioState
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.catalog.catalog import (
+        CatalogRecovery,
+        ScenarioCatalog,
+        ScenarioInfo,
+        TenantQuota,
+    )
+    from repro.catalog.diff import ScenarioDiff, diff_states
+    from repro.catalog.journal import CatalogJournal
+    from repro.catalog.model import Delta, ScenarioState
 
 __all__ = [
     "CatalogJournal",
@@ -33,3 +42,18 @@ __all__ = [
     "TenantQuota",
     "diff_states",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.catalog.catalog": (
+            "CatalogRecovery",
+            "ScenarioCatalog",
+            "ScenarioInfo",
+            "TenantQuota",
+        ),
+        "repro.catalog.diff": ("ScenarioDiff", "diff_states"),
+        "repro.catalog.journal": ("CatalogJournal",),
+        "repro.catalog.model": ("Delta", "ScenarioState"),
+    },
+)

@@ -11,34 +11,43 @@ The algebra is executable once: the operators are plain functions
 over them, and :func:`apply_scenarios` is the one runner.  There is no
 plan tree, optimiser or plan analyzer (Sec. 8's "algebraic optimisation"
 is not implemented; see docs/paper_mapping.md).
+
+The names below are re-exported lazily (:mod:`repro._lazy`): each
+is imported from its module on first access, so importing one
+submodule loads only what that submodule imports.
 """
 
-from repro.core.compression import CompressedPerspectiveCube, compress
-from repro.core.data_scenario import AllocationScenario
-from repro.core.operators import (
-    ChangeRelation,
-    ChangeTuple,
-    evaluate,
-    relocate,
-    select,
-    split,
-)
-from repro.core.perspective import (
-    Mode,
-    PerspectiveSet,
-    Semantics,
-    phi,
-    phi_member,
-    stretch,
-)
-from repro.core.validation import Finding, check_warehouse
-from repro.core.scenario import (
-    NegativeScenario,
-    PositiveScenario,
-    WhatIfCube,
-    apply_scenarios,
-)
-from repro.validity import ValiditySet
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.compression import CompressedPerspectiveCube, compress
+    from repro.core.data_scenario import AllocationScenario
+    from repro.core.operators import (
+        ChangeRelation,
+        ChangeTuple,
+        evaluate,
+        relocate,
+        select,
+        split,
+    )
+    from repro.core.perspective import (
+        Mode,
+        PerspectiveSet,
+        Semantics,
+        phi,
+        phi_member,
+        stretch,
+    )
+    from repro.core.validation import Finding, check_warehouse
+    from repro.core.scenario import (
+        NegativeScenario,
+        PositiveScenario,
+        WhatIfCube,
+        apply_scenarios,
+    )
+    from repro.validity import ValiditySet
 
 __all__ = [
     "AllocationScenario",
@@ -64,3 +73,35 @@ __all__ = [
     "apply_scenarios",
     "ValiditySet",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.compression": ("CompressedPerspectiveCube", "compress"),
+        "repro.core.data_scenario": ("AllocationScenario",),
+        "repro.core.operators": (
+            "ChangeRelation",
+            "ChangeTuple",
+            "evaluate",
+            "relocate",
+            "select",
+            "split",
+        ),
+        "repro.core.perspective": (
+            "Mode",
+            "PerspectiveSet",
+            "Semantics",
+            "phi",
+            "phi_member",
+            "stretch",
+        ),
+        "repro.core.validation": ("Finding", "check_warehouse"),
+        "repro.core.scenario": (
+            "NegativeScenario",
+            "PositiveScenario",
+            "WhatIfCube",
+            "apply_scenarios",
+        ),
+        "repro.validity": ("ValiditySet",),
+    },
+)

@@ -22,7 +22,7 @@ from repro.errors import InvalidChangeError, QueryError
 from repro.olap.cube import Cube
 from repro.olap.instances import InstanceTable, VaryingDimension
 
-if TYPE_CHECKING:  # pragma: no cover - repro.obs imports the MDX stack, which imports this module
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.perf.rollup_index import LeafColumns
 
 __all__ = [

@@ -152,6 +152,22 @@ class WhatIfCube:
                     self._build = None
         return leaves
 
+    def with_aggregates(self, aggregate_cube: Cube) -> "WhatIfCube":
+        """This cube over another aggregate half — a frozen copy of the one
+        it reads — sharing its leaves: deferred ones are moved once, by
+        whichever of the two is read first."""
+        leaves = self._leaf_cube
+        clone = WhatIfCube(
+            leaves,
+            aggregate_cube,
+            self.mode,
+            self.validity_out,
+            self.varying_out,
+            build=None if leaves is not None else lambda: self.leaf_cube,
+        )
+        clone.varying, clone.surviving = self.varying, self.surviving
+        return clone
+
     @property
     def leaves_moved(self) -> bool:
         """Whether :attr:`leaf_cube` exists yet (always, unless deferred)."""

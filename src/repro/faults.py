@@ -39,6 +39,7 @@ test suite recognises to widen the fault matrix (see
 
 from __future__ import annotations
 
+import importlib
 import os
 import random
 import time
@@ -51,6 +52,7 @@ from repro.lint.lockdep import LockProtocol, make_lock
 __all__ = [
     "FAULTS",
     "FaultRegistry",
+    "INSTRUMENTED_MODULES",
     "failpoint_names",
     "inject_io_fault",
     "register_failpoint",
@@ -64,6 +66,21 @@ T = TypeVar("T")
 #: test silently vacuous.
 _KNOWN_FAILPOINTS: set[str] = set()
 
+#: Every module that registers a failpoint (a module-level ``FP_X =
+#: register_failpoint("name")``): imported before the registry lists its
+#: names or refuses one, so neither depends on what the process imported
+#: so far (tests/test_faults.py holds this tuple to the lint's bindings).
+INSTRUMENTED_MODULES = (
+    "repro.catalog.catalog",
+    "repro.catalog.journal",
+    "repro.durability",
+    "repro.io",
+    "repro.mdx.evaluator",
+    "repro.service.shard",
+    "repro.service.supervisor",
+    "repro.storage.chunk_store",
+)
+
 
 def register_failpoint(name: str) -> str:
     """Declare a failpoint name (called at import time by instrumented
@@ -72,8 +89,15 @@ def register_failpoint(name: str) -> str:
     return name
 
 
+def _register_all() -> None:
+    for module in INSTRUMENTED_MODULES:
+        importlib.import_module(module)
+
+
 def failpoint_names() -> tuple[str, ...]:
-    """All registered failpoint names, sorted (the fault-matrix domain)."""
+    """Every failpoint name, sorted (the fault-matrix domain): the
+    instrumented modules are imported first."""
+    _register_all()
     return tuple(sorted(_KNOWN_FAILPOINTS))
 
 
@@ -133,8 +157,12 @@ class FaultRegistry:
     # -- arming -----------------------------------------------------------------
 
     def _check_known(self, failpoint: str) -> None:
+        # a name this process has registered needs no import; any other
+        # is checked against every instrumented module's
         if failpoint not in _KNOWN_FAILPOINTS:
-            known = ", ".join(failpoint_names()) or "<none registered>"
+            _register_all()
+        if failpoint not in _KNOWN_FAILPOINTS:
+            known = ", ".join(failpoint_names())
             raise ValueError(
                 f"unknown failpoint {failpoint!r}; registered: {known}"
             )

@@ -9,16 +9,25 @@ and error-taxonomy enforcement at public entry points (RPL5xx).
 Dynamic side: the lockdep witness (:mod:`repro.lint.lockdep`), enabled
 with ``REPRO_LOCKDEP=1``, which fails fast on lock-order inversions the
 static pass cannot see.
+
+The names below are re-exported lazily (:mod:`repro._lazy`): each
+is imported from its module on first access, so importing one
+submodule loads only what that submodule imports.
 """
 
-from repro.lint.baseline import Baseline, BaselineEntry
-from repro.lint.findings import (
-    RULE_CATALOG,
-    LintFinding,
-    LintReport,
-    LintSeverity,
-)
-from repro.lint.runner import run_lint
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.lint.baseline import Baseline, BaselineEntry
+    from repro.lint.findings import (
+        RULE_CATALOG,
+        LintFinding,
+        LintReport,
+        LintSeverity,
+    )
+    from repro.lint.runner import run_lint
 
 __all__ = [
     "Baseline",
@@ -29,3 +38,17 @@ __all__ = [
     "RULE_CATALOG",
     "run_lint",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.lint.baseline": ("Baseline", "BaselineEntry"),
+        "repro.lint.findings": (
+            "RULE_CATALOG",
+            "LintFinding",
+            "LintReport",
+            "LintSeverity",
+        ),
+        "repro.lint.runner": ("run_lint",),
+    },
+)

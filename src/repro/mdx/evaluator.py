@@ -61,7 +61,7 @@ fire there as without a plan — and only their analysis is kept.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence, TypeAlias
 
 from repro.core.operators import ChangeTuple
 from repro.core.perspective import Mode, Semantics
@@ -188,6 +188,26 @@ def build_scenarios(
             )
         )
     return scenarios
+
+
+#: what a grid fill returns: ``(cells, cells_skipped, stats)``
+FillResult: TypeAlias = "tuple[list[list[Any]], int, dict[str, int]]"
+
+
+class _Admitted:
+    """A refill's budget (:meth:`_Context.fill`): it admits the first
+    ``n`` cells the fill asks for and no other, and charges no budget."""
+
+    __slots__ = ("left",)
+
+    def __init__(self, n: int) -> None:
+        self.left = n
+
+    def charge_cell(self) -> bool:
+        if not self.left:
+            return False
+        self.left -= 1
+        return True
 
 
 class _Context:
@@ -344,10 +364,43 @@ class _Context:
 
     def fill_blocks(self, layouts: "Sequence[GridLayout]"):
         """The view of some blocks of a grid (:meth:`view_of`) and each
-        block's cells, filled with no budget and no failpoint: a shard's
-        share of a query, or the coordinator's residue."""
+        block's cells, filled (:meth:`fill`) with no budget and no
+        failpoint: a shard's share of a query, or the coordinator's
+        residue."""
         view = self.view_of(layouts)
-        return view, [evaluate_grid(view, layout, None, None)[0] for layout in layouts]
+        return view, [
+            self.fill(
+                view, lambda v, t, f, layout=layout: evaluate_grid(v, layout, t, f), None, None
+            )[0]
+            for layout in layouts
+        ]
+
+    def fill(self, view, fill: "Callable[[Any, Any, str | None], FillResult]", tracker, failpoint) -> "FillResult":
+        """``fill(view, tracker, failpoint)`` — a grid's ``(cells,
+        cells_skipped, stats)`` — as one version of the warehouse's cube.
+
+        A fill reads the view row by row with no lock, so a view that reads
+        the warehouse's cube while it is writable — the cube itself, or a
+        NON_VISUAL stage's aggregates — has the cube's version read before
+        the fill and again under the cube's write lock after it (a write
+        lands in the leaf store before the version moves).  If it moved,
+        the grid is filled once more, from a :meth:`Cube.frozen_copy`
+        taken then, which no write can move: no retry loop.  The refill
+        admits exactly the cells the first fill admitted — a row-major
+        prefix, since a breach is sticky — charges the budget nothing more
+        and hits no failpoint: every cell is charged and hits ``mdx.cell``
+        once per query."""
+        base = self.warehouse.cube
+        if base.frozen or (view is not base and getattr(view, "aggregate_cube", None) is not base):
+            return fill(view, tracker, failpoint)
+        version = base.version
+        result = fill(view, tracker, failpoint)
+        if not base.wrote_since(version):
+            return result
+        frozen = base.frozen_copy()
+        again = frozen if view is base else view.with_aggregates(frozen)
+        admitted = None if tracker is None else _Admitted(result[2]["cells_evaluated"])
+        return fill(again, admitted, None)
 
     @property
     def footprint_rows(self) -> "int | None":
@@ -931,9 +984,10 @@ def evaluate_query(resolved: ResolvedQuery) -> MdxResult:
     with trace_span("mdx.cells") as cells_span:
         stats = dict(context.scenario_stats)
         if perf_config.engine_enabled():
-            cells, cells_skipped, grid_stats = evaluate_grid(
-                view, resolved.layout, tracker, FP_MDX_CELL
-            )
+
+            def fill(view, tracker, failpoint) -> FillResult:
+                return evaluate_grid(view, resolved.layout, tracker, failpoint)
+
         else:
 
             def address(r: int, c: int) -> "tuple[str, ...]":
@@ -942,9 +996,12 @@ def evaluate_query(resolved: ResolvedQuery) -> MdxResult:
                 coords.update(dict(columns[c].coordinates))
                 return context.schema.address(**coords)
 
-            cells, cells_skipped, grid_stats = evaluate_cells(
-                view, len(rows), len(columns), address, tracker, FP_MDX_CELL
-            )
+            def fill(view, tracker, failpoint) -> FillResult:
+                return evaluate_cells(
+                    view, len(rows), len(columns), address, tracker, failpoint
+                )
+
+        cells, cells_skipped, grid_stats = context.fill(view, fill, tracker, FP_MDX_CELL)
         stats.update(grid_stats)
         if cells_span is not None:
             cells_span.set(

@@ -16,13 +16,22 @@ The layer every perf/robustness PR measures itself with (see
   ring buffer.
 * :mod:`repro.obs.explain` — ``repro explain``: the analyzed plan plus
   rollup-index scope estimates, without filling the grid.
+
+The names below are re-exported lazily (:mod:`repro._lazy`): each
+is imported from its module on first access, so importing one
+submodule loads only what that submodule imports.
 """
 
-from repro.obs.explain import explain_query, explain_report
-from repro.obs.metrics import METRICS, MetricsRegistry
-from repro.obs.profile import PROFILE_SCHEMA, QueryProfile, validate_profile
-from repro.obs.slowlog import SlowQueryEntry, SlowQueryLog
-from repro.obs.trace import TRACER, Span, Tracer, trace_event, trace_span, tracing
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.obs.explain import explain_query, explain_report
+    from repro.obs.metrics import METRICS, MetricsRegistry
+    from repro.obs.profile import PROFILE_SCHEMA, QueryProfile, validate_profile
+    from repro.obs.slowlog import SlowQueryEntry, SlowQueryLog
+    from repro.obs.trace import TRACER, Span, Tracer, trace_event, trace_span, tracing
 
 __all__ = [
     "METRICS",
@@ -41,3 +50,21 @@ __all__ = [
     "tracing",
     "validate_profile",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.obs.explain": ("explain_query", "explain_report"),
+        "repro.obs.metrics": ("METRICS", "MetricsRegistry"),
+        "repro.obs.profile": ("PROFILE_SCHEMA", "QueryProfile", "validate_profile"),
+        "repro.obs.slowlog": ("SlowQueryEntry", "SlowQueryLog"),
+        "repro.obs.trace": (
+            "TRACER",
+            "Span",
+            "Tracer",
+            "trace_event",
+            "trace_span",
+            "tracing",
+        ),
+    },
+)

@@ -23,8 +23,9 @@ and :meth:`Cube.frozen_copy` / :meth:`Cube.copy` are forks of it — nothing
 proportional to the cube is copied.  The index is arrays only: no address
 tuple, list or dict is kept per leaf, whether the cube was loaded,
 derived or written.  :meth:`Cube.load` is the bulk entry point: on an
-empty cube it validates every cell and builds the columns once; the
-addresses it collected do not outlive the call.
+empty cube it reads the stream a chunk at a time into code columns,
+tests each distinct coordinate once and builds the index once from the
+columns — no address is kept past its chunk.
 ``repro.perf.config.naive_mode()`` selects the full-scan reference path
 (over the leaf cells' addresses and values; it trusts no code column);
 both paths produce bit-identical values.  Every mutation bumps
@@ -53,19 +54,19 @@ input's: no address is built per leaf — to :meth:`Cube.adopt`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeAlias
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence, TypeAlias
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.perf.rollup_index import Column, LeafColumns, RollupIndex
-
-from repro.errors import RuleError, SnapshotImmutableError
+from repro.errors import RuleError, SchemaError, SnapshotImmutableError
 from repro.lint.lockdep import make_lock
+from repro.obs.trace import trace_span
 from repro.olap.dimension import next_generation
 from repro.olap.missing import MISSING, Missing, is_missing
 from repro.olap.schema import Address, CubeSchema
 from repro.perf import config as perf_config
+from repro.perf.rollup_index import Column, LeafColumns, RollupIndex, scan_columns
 
 __all__ = ["Cube"]
 
@@ -86,6 +87,125 @@ def _kept_rows(
     return np.flatnonzero(kept[codes])
 
 
+#: cells :meth:`Cube.load` transposes at a time: its transient is one
+#: chunk's tuples, not the stream's.  Building the ledger's 96,000-cell
+#: cube grows the resident set by 24 MB at 32,768 cells a chunk and by
+#: 14-15 MB at 8,192 or fewer, and no smaller chunk loads slower
+_LOAD_CHUNK = 1 << 12
+
+
+def _read_stream(
+    schema: CubeSchema, cells: Iterable[tuple[Sequence[str], object]]
+) -> "tuple[list[Column], np.ndarray, np.ndarray | None, dict[Address, float], int]":
+    """A stream of cell writes read column by column, for :meth:`Cube.load`
+    on an empty cube: the leaf writes as one ``(codes, coords)`` column per
+    dimension, their values and which of them delete (``None``: none
+    does), for :meth:`RollupIndex.from_writes`; and the stored aggregates
+    the other writes leave, with how many of those changed something.
+
+    The stream is consumed a chunk at a time and each chunk transposed;
+    every dimension codes its coordinates against one table that grows
+    with the stream, and each distinct coordinate is leaf-tested once
+    (:meth:`CubeSchema.coordinate_is_leaf`, the test
+    :meth:`CubeSchema.is_leaf_address` asks of each coordinate).  A chunk
+    that fails anywhere is replayed cell by cell (:func:`_first_error`),
+    which raises what :meth:`Cube.set_value` raises at the first cell
+    that names what is wrong."""
+    n_dims = schema.n_dims
+    code_of: list[dict[str, int]] = [{} for _ in range(n_dims)]
+    coords: list[list[str]] = [[] for _ in range(n_dims)]
+    is_leaf: list[list[bool]] = [[] for _ in range(n_dims)]
+    code_parts: list[list[np.ndarray]] = [[] for _ in range(n_dims)]
+    value_parts: list[np.ndarray] = []
+    gone_parts: list[np.ndarray] = []
+    deletes = False
+    derived: dict[Address, float] = {}
+    changed = 0
+    stream = iter(cells)
+    while chunk := list(islice(stream, _LOAD_CHUNK)):
+        try:
+            addresses = [tuple(address) for address, _ in chunk]
+            raw = [value for _, value in chunk]
+            if set(map(len, addresses)) != {n_dims}:
+                raise SchemaError("an address of the wrong length")
+            n = len(raw)
+            try:
+                values = np.fromiter(map(float, raw), np.float64, n)
+                gone = np.zeros(n, dtype=np.bool_)
+            except TypeError:  # a ⊥ or None among them: it deletes
+                gone = np.fromiter((is_missing(v) for v in raw), np.bool_, n)
+                values = np.fromiter(
+                    (0.0 if g else float(v) for v, g in zip(raw, gone.tolist())),
+                    np.float64,
+                    n,
+                )
+            codes: list[np.ndarray] = []
+            leaf_rows: "np.ndarray | None" = None
+            for dim, column in enumerate(zip(*addresses)):
+                table = code_of[dim]
+                distinct = set(column)
+                if not distinct.issubset(table):
+                    for coord in dict.fromkeys(column):
+                        if coord not in table:
+                            table[coord] = len(coords[dim])
+                            coords[dim].append(coord)
+                            is_leaf[dim].append(schema.coordinate_is_leaf(dim, coord))
+                if len(distinct) == 1:
+                    column_codes = np.full(n, table[column[0]], dtype=np.int32)
+                else:
+                    column_codes = np.fromiter(map(table.__getitem__, column), np.int32, n)
+                codes.append(column_codes)
+                if not all(is_leaf[dim]):
+                    at_leaf = np.array(is_leaf[dim])[column_codes]
+                    leaf_rows = at_leaf if leaf_rows is None else leaf_rows & at_leaf
+        except Exception:
+            # whatever a per-cell write would raise (a bad length, member,
+            # value or cell): the replay finds the first cell that raises
+            _first_error(schema, chunk)
+            raise
+        if leaf_rows is not None:
+            for row in np.flatnonzero(~leaf_rows).tolist():
+                addr = addresses[row]
+                if gone[row]:
+                    changed += derived.pop(addr, None) is not None
+                else:
+                    derived[addr] = float(raw[row])  # type: ignore[arg-type]
+                    changed += 1
+            codes = [column_codes[leaf_rows] for column_codes in codes]
+            values, gone = values[leaf_rows], gone[leaf_rows]
+        for dim, column_codes in enumerate(codes):
+            code_parts[dim].append(column_codes)
+        value_parts.append(values)
+        gone_parts.append(gone)
+        deletes = deletes or bool(gone.any())
+    columns: list[Column] = []
+    for dim in range(n_dims):
+        column_codes = _joined(code_parts[dim], np.int32)
+        if not all(is_leaf[dim]):
+            # only stored aggregates name these coordinates: no leaf table
+            # lists them
+            kept = np.array(is_leaf[dim])
+            column_codes = (np.cumsum(kept, dtype=np.int32) - 1)[column_codes]
+            coords[dim] = [coord for coord, leaf in zip(coords[dim], kept) if leaf]
+        columns.append((column_codes, coords[dim]))
+    deleted = _joined(gone_parts, np.bool_) if deletes else None
+    return columns, _joined(value_parts, np.float64), deleted, derived, changed
+
+
+def _joined(parts: list[np.ndarray], dtype: type) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+
+
+def _first_error(schema: CubeSchema, chunk: list) -> None:
+    """Validate a chunk's cells one at a time as :meth:`Cube.set_value`
+    does — the address (:meth:`CubeSchema.is_leaf_address`), then the
+    value of a write that is no delete — so the first bad cell raises."""
+    for address, value in chunk:
+        schema.is_leaf_address(tuple(address))
+        if not is_missing(value):
+            float(value)  # type: ignore[arg-type]
+
+
 class Cube:
     """A sparse multidimensional cube over a :class:`CubeSchema`.
 
@@ -99,10 +219,6 @@ class Cube:
     """
 
     def __init__(self, schema: CubeSchema, rules: "object | None" = None) -> None:
-        # function-local: the index imports repro.obs and repro.storage,
-        # whose package __init__s import this module
-        from repro.perf.rollup_index import RollupIndex
-
         self._init(schema, rules, RollupIndex(schema), {})
 
     def _init(  # reprolint: locked
@@ -136,6 +252,13 @@ class Cube:
     def version(self) -> int:
         """Monotonic mutation counter (any leaf or stored-derived write)."""
         return self._version
+
+    def wrote_since(self, version: int) -> bool:
+        """Whether a write committed since :attr:`version` read
+        ``version``: asked under the write lock, so a write whose cells
+        have landed but whose version has not moved yet is waited for."""
+        with self._lock:
+            return self._version != version
 
     @property
     def structure_generation(self) -> int:
@@ -186,8 +309,6 @@ class Cube:
         (``RollupIndex.fork(frozen=True)``).  Lock order here is
         Cube._lock -> RollupIndex._lock, as declared in the lint hierarchy.
         """
-        from repro.obs.trace import trace_span  # repro.obs imports this module
-
         with trace_span("cube.snapshot") as span, self._lock:
             if span is not None:
                 span.set(forked=True, **self._index.writes_since_fork())
@@ -255,37 +376,25 @@ class Cube:
         """:meth:`set_value` every cell of a stream, in order.
 
         On an empty cube — how the workloads and :mod:`repro.io` fill one
-        — every cell is validated as :meth:`set_value` would, collected,
-        and the columns are built once; the cube ends up exactly as the
-        per-cell writes would leave it (insertion order, values, version),
-        except that a stream which fails validation leaves it empty.
-
-        Each cell is validated and classified by
-        :meth:`CubeSchema.is_leaf_address`, as :meth:`set_value` does it —
-        one pass of set probes for a leaf — so a wrong length or an
-        unknown member raises what the per-cell path raises, at the cell
-        that first names it.
+        — the stream is read column by column (:func:`_read_stream`) and
+        the leaf store is built once from code columns
+        (:meth:`RollupIndex.from_writes`): the cube ends up exactly as the
+        per-cell writes would leave it (insertion order, values, stored
+        aggregates, version), except that a stream which fails validation
+        leaves it empty.  A wrong length or an unknown member raises what
+        :meth:`set_value` raises, at the cell that first names it.
         """
-        from repro.perf.rollup_index import RollupIndex
-
-        schema = self.schema
         with self._lock:
             self._check_writable()
             if not (self._index.n_leaves or self._stored_derived):
-                leaves: dict[Address, float] = {}
-                derived: dict[Address, float] = {}
-                mutations = 0
-                for address, value in cells:
-                    addr = tuple(address)
-                    store = leaves if schema.is_leaf_address(addr) else derived
-                    if is_missing(value):
-                        mutations += store.pop(addr, None) is not None
-                    else:
-                        store[addr] = float(value)  # type: ignore[arg-type]
-                        mutations += 1
-                self._index = RollupIndex.from_cells(schema, leaves)
+                columns, values, deleted, derived, changed = _read_stream(
+                    self.schema, cells
+                )
+                self._index, leaf_changed = RollupIndex.from_writes(
+                    self.schema, columns, values, deleted
+                )
                 self._stored_derived = derived
-                self._version += mutations
+                self._version += changed + leaf_changed
                 self._structure_generation = next_generation()
                 return
         for address, value in cells:
@@ -467,8 +576,6 @@ class Cube:
             return self._index.columns(dim_indexes, ids)
         if ids is not None:
             raise ValueError("naive_mode() reads whole cubes: leaf ids name index rows")
-        from repro.perf.rollup_index import scan_columns
-
         return scan_columns(dict(self.leaf_cells()), dim_indexes)
 
     # -- structure-preserving transforms -----------------------------------------

@@ -188,11 +188,17 @@ class CubeSchema:
     # -- coordinate semantics ------------------------------------------------
 
     def coordinate_is_leaf(self, dim_index: int, coord: str) -> bool:
-        """Whether a coordinate addresses a leaf-level cell slot."""
+        """Whether a coordinate addresses a leaf-level cell slot: a probe
+        of the dimension's leaf test (the live leaf-name set, or ``"/" in
+        coord`` on a varying dimension); a coordinate of a non-varying
+        dimension that is no leaf is looked up, which raises
+        ``MemberNotFoundError`` for an unknown member."""
+        if coord in self._leaf_tests[dim_index]:
+            return True
         dimension = self.dimensions[dim_index]
-        if dimension.name in self._varying:
-            return "/" in coord
-        return dimension.member(coord).is_leaf
+        if dimension.name not in self._varying:
+            dimension.member(coord)  # an unknown member raises here
+        return False
 
     def is_leaf_address(self, address: Sequence[str]) -> bool:
         """A cell is leaf iff every coordinate is leaf level (Sec. 2).
@@ -212,14 +218,7 @@ class CubeSchema:
         if len(address) == len(tests) and all(map(contains, tests, address)):
             return True
         self.validate_address(address)
-        varying = self._varying
-        leaf = True
-        for dimension, test, coord in zip(self.dimensions, tests, address):
-            if coord not in test:
-                if dimension.name not in varying:
-                    dimension.member(coord)  # an unknown member raises here
-                leaf = False
-        return leaf
+        return all([self.coordinate_is_leaf(i, coord) for i, coord in enumerate(address)])
 
     def coordinate_display(self, dim_index: int, coord: str) -> str:
         """Short display form (``FTE/Joe`` for instance paths)."""

@@ -17,11 +17,20 @@ engine:
 
 Everything here is behaviour-preserving: with the engine on or off, query
 results are bit-identical (enforced by the equivalence property tests).
+
+The names below are re-exported lazily (:mod:`repro._lazy`): each
+is imported from its module on first access, so importing one
+submodule loads only what that submodule imports.
 """
 
-from typing import Any
+from typing import TYPE_CHECKING
 
-from repro.perf.config import engine_enabled, naive_mode
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.perf.config import engine_enabled, naive_mode
+    from repro.perf.rollup_index import RollupIndex
+    from repro.perf.scenario_cache import ScenarioCache
 
 __all__ = [
     "RollupIndex",
@@ -30,18 +39,11 @@ __all__ = [
     "naive_mode",
 ]
 
-
-def __getattr__(name: str) -> Any:
-    # Lazy re-exports: repro.olap.cube imports repro.perf.config, and the
-    # rollup index imports repro.obs.trace and repro.storage.io_stats, whose
-    # package __init__s import the evaluator and the chunked cube — both of
-    # which import repro.olap.cube.  Eagerly that is a cycle.
-    if name == "RollupIndex":
-        from repro.perf.rollup_index import RollupIndex
-
-        return RollupIndex
-    if name == "ScenarioCache":
-        from repro.perf.scenario_cache import ScenarioCache
-
-        return ScenarioCache
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.perf.config": ("engine_enabled", "naive_mode"),
+        "repro.perf.rollup_index": ("RollupIndex",),
+        "repro.perf.scenario_cache": ("ScenarioCache",),
+    },
+)

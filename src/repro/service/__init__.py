@@ -44,25 +44,34 @@ bounded under real concurrency:
 See ``docs/robustness.md`` for the service model and guarantees, and
 ``docs/serving.md`` for the sharded serving tier and its failure
 semantics.
+
+The names below are re-exported lazily (:mod:`repro._lazy`): each
+is imported from its module on first access, so importing one
+submodule loads only what that submodule imports.
 """
 
-from repro.service.breaker import BreakerState, CircuitBreaker
-from repro.service.http_api import TenantQuotas, make_server, serve_http
-from repro.service.service import (
-    QueryService,
-    QueryTicket,
-    ShardedQueryService,
-)
-from repro.service.snapshot import WarehouseSnapshot
-from repro.service.stress import (
-    ShardStormConfig,
-    ShardStormReport,
-    StressConfig,
-    StressReport,
-    run_shard_storm,
-    run_stress,
-)
-from repro.service.supervisor import ShardSupervisor, SupervisorConfig
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.service.breaker import BreakerState, CircuitBreaker
+    from repro.service.http_api import TenantQuotas, make_server, serve_http
+    from repro.service.service import (
+        QueryService,
+        QueryTicket,
+        ShardedQueryService,
+    )
+    from repro.service.snapshot import WarehouseSnapshot
+    from repro.service.stress import (
+        ShardStormConfig,
+        ShardStormReport,
+        StressConfig,
+        StressReport,
+        run_shard_storm,
+        run_stress,
+    )
+    from repro.service.supervisor import ShardSupervisor, SupervisorConfig
 
 __all__ = [
     "BreakerState",
@@ -83,3 +92,22 @@ __all__ = [
     "run_stress",
     "serve_http",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.service.breaker": ("BreakerState", "CircuitBreaker"),
+        "repro.service.http_api": ("TenantQuotas", "make_server", "serve_http"),
+        "repro.service.service": ("QueryService", "QueryTicket", "ShardedQueryService"),
+        "repro.service.snapshot": ("WarehouseSnapshot",),
+        "repro.service.stress": (
+            "ShardStormConfig",
+            "ShardStormReport",
+            "StressConfig",
+            "StressReport",
+            "run_shard_storm",
+            "run_stress",
+        ),
+        "repro.service.supervisor": ("ShardSupervisor", "SupervisorConfig"),
+    },
+)

@@ -25,20 +25,20 @@ single two-instance ``EmployeeS3``) are defined on the warehouse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from repro.core.merge_graph import VaryingAxisSpec
 from repro.olap.cube import Cube
 from repro.olap.dimension import Dimension
 from repro.olap.instances import VaryingDimension
 from repro.olap.schema import CubeSchema
-from repro.storage.array_cube import Axis, ChunkedCube
-from repro.storage.chunk_store import ChunkStore
-from repro.storage.chunks import ChunkGrid
-from repro.storage.io_stats import IoCostModel
 from repro.warehouse import Warehouse
+
+if TYPE_CHECKING:
+    from repro.core.merge_graph import VaryingAxisSpec
+    from repro.storage.array_cube import ChunkedCube
+    from repro.storage.io_stats import IoCostModel
 
 __all__ = ["WorkforceConfig", "WorkforceWarehouse", "build_workforce"]
 
@@ -116,6 +116,13 @@ class WorkforceWarehouse:
         *different* regions of the axis, exactly the physical separation
         the Fig. 12 experiment manipulates.
         """
+        # the chunked store is the Sec. 5-6 experiments' business alone: a
+        # process that only queries the warehouse never imports it
+        from repro.core.merge_graph import VaryingAxisSpec
+        from repro.storage.array_cube import Axis, ChunkedCube
+        from repro.storage.chunk_store import ChunkStore
+        from repro.storage.chunks import ChunkGrid
+
         varying = self.employee_varying
         slot_records: list[tuple[int, str, str]] = []  # (dept idx, label, member)
         dept_index = {name: i for i, name in enumerate(self.departments)}

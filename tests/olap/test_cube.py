@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import threading
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     MemberNotFoundError,
@@ -13,6 +17,7 @@ from repro.errors import (
     SchemaError,
     SnapshotImmutableError,
 )
+from repro.olap import cube as cube_module
 from repro.olap.cube import Cube
 from repro.olap.dimension import Dimension
 from repro.olap.missing import MISSING, is_missing
@@ -20,6 +25,7 @@ from repro.olap.schema import CubeSchema
 from repro.perf.config import naive_mode
 from repro.perf.rollup_index import RollupIndex
 from repro.warehouse import Warehouse
+from repro.workload import build_running_example
 
 
 class TestStorage:
@@ -433,3 +439,86 @@ class TestBulkLoad:
         after = Cube(tiny_schema)
         after.load([(("Jan", "Sales"), 1.0), (("Jan-w1", "Sales"), 2.0)])
         assert (after.n_leaf_cells, after.n_stored_derived) == (1, 1)
+
+
+# -- the load law ------------------------------------------------------------------
+
+#: examples per run of the load law: the CI ``faults`` job
+#: (``REPRO_FAULTS=ci-matrix``) draws the wide run
+LOAD_EXAMPLES = 300 if "ci-matrix" in os.environ.get("REPRO_FAULTS", "") else 25
+
+_LOAD_SCHEMA = build_running_example().schema
+_LEAF_COORDS = (
+    ("Organization/FTE/Joe", "Organization/PTE/Joe", "Organization/FTE/Lisa"),
+    ("NY", "MA", "CA"),
+    ("Jan", "Feb", "Jun"),
+    ("Salary", "Benefits"),
+)
+#: stored aggregates: a parent on a plain dimension, a member on the
+#: varying one, and a non-path coordinate there that no member has —
+#: the per-cell leaf test looks up no coordinate of a varying dimension
+_NON_LEAF = (
+    ("FTE", "NY", "Jan", "Salary"),
+    ("Organization/FTE/Joe", "East", "Jan", "Salary"),
+    ("Organization/PTE/Joe", "NY", "Qtr1", "Benefits"),
+    ("Nobody", "MA", "Feb", "Salary"),
+)
+#: a bad cell: the wrong length either way, or an unknown member of a
+#: plain dimension (at a leaf address and at a non-leaf one)
+_BAD = (
+    ("Organization/FTE/Joe", "NY", "Jan"),
+    ("Organization/FTE/Joe", "NY", "Jan", "Salary", "Extra"),
+    ("Organization/FTE/Joe", "Atlantis", "Jan", "Salary"),
+    ("FTE", "NY", "Jan", "Bonus"),
+)
+
+_values = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=False, width=64),
+    st.sampled_from([0.0, -0.0, float("nan")]),
+    st.integers(-1000, 1000),
+    st.just(MISSING),
+    st.none(),
+)
+_addresses = st.one_of(
+    st.tuples(*(st.sampled_from(coords) for coords in _LEAF_COORDS)),
+    st.sampled_from(_NON_LEAF),
+)
+
+
+@settings(max_examples=LOAD_EXAMPLES, deadline=None)
+@given(
+    stream=st.lists(st.tuples(_addresses, _values), max_size=40),
+    bad=st.one_of(st.none(), st.tuples(st.integers(0, 40), st.sampled_from(_BAD))),
+    chunk=st.integers(1, 9),
+)
+def test_load_is_a_set_value_replay_on_an_empty_cube(stream, bad, chunk):
+    """``load(stream)`` leaves the cube a ``set_value`` replay of the
+    stream leaves: leaf cells in order by ``repr``, stored aggregates,
+    version — over duplicates, deletes and re-inserts, non-leaf cells,
+    NaN, ±0 and ints, read in chunks of any size; with one bad cell at a
+    random place, the same exception type and message, and an empty
+    cube."""
+    if bad is not None:
+        stream.insert(min(bad[0], len(stream)), (bad[1], 1.0))
+    single = Cube(_LOAD_SCHEMA)
+    error: "Exception | None" = None
+    try:
+        for address, value in stream:
+            single.set_value(address, value)
+    except (SchemaError, MemberNotFoundError) as exc:
+        error = exc
+    bulk = Cube(_LOAD_SCHEMA)
+    with mock.patch.object(cube_module, "_LOAD_CHUNK", chunk):
+        if error is None:
+            bulk.load(stream)
+        else:
+            with pytest.raises(type(error)) as raised:
+                bulk.load(stream)
+            assert str(raised.value) == str(error)
+            single = Cube(_LOAD_SCHEMA)
+    assert repr(list(bulk.leaf_cells())) == repr(list(single.leaf_cells()))
+    assert repr(list(bulk.stored_derived_cells())) == repr(
+        list(single.stored_derived_cells())
+    )
+    assert bulk.version == single.version
+    assert bulk.n_leaf_cells == single.n_leaf_cells

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.errors import FaultInjectedError, TransientFaultError
 from repro.faults import (
     FAULTS,
+    INSTRUMENTED_MODULES,
     failpoint_names,
     inject_io_fault,
     with_retries,
@@ -95,6 +102,76 @@ class TestRegistry:
             "io.save.schema",
             "mdx.cell",
         } <= names
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _bindings_in_source() -> "dict[str, set[str]]":
+    """Module -> the failpoint names it registers, as the failpoint lint
+    (RPL3xx) reads the module-level ``register_failpoint`` bindings."""
+    from repro.lint.check_failpoints import _collect_constants
+    from repro.lint.model import SourceFile
+
+    found: dict[str, set[str]] = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        source = SourceFile.parse(path, path.read_text(encoding="utf-8"))
+        names = set(_collect_constants(source).values())
+        if names:
+            found[".".join(path.relative_to(SRC).with_suffix("").parts)] = names
+    return found
+
+
+class TestRegistryWithoutImports:
+    """The registry's list and its refusal of an unknown name do not
+    depend on what the process imported before."""
+
+    def test_the_instrumented_modules_are_the_ones_that_register(self):
+        assert set(INSTRUMENTED_MODULES) == set(_bindings_in_source())
+
+    def test_a_process_that_imported_only_the_registry_lists_every_failpoint(self):
+        expected = sorted(set().union(*_bindings_in_source().values()))
+        assert len(expected) == 21
+        done = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                f"import json, sys; sys.path.insert(0, {str(SRC)!r}); "
+                "import repro.faults as faults; "
+                "assert not [m for m in sys.modules if m.startswith('repro.catalog')]; "
+                "print(json.dumps(faults.failpoint_names()))",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == expected
+
+    def test_the_cli_arms_a_failpoint_of_a_module_it_has_not_imported(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        env.pop("REPRO_FAULTS", None)
+        done = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "repro",
+                "--faults",
+                "catalog.journal.append:after=1",
+                "catalog",
+                "list",
+                str(tmp_path),
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=env,
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_an_unknown_name_is_still_refused(self):
+        with pytest.raises(ValueError, match="unknown failpoint 'chunk.raed'"):
+            FAULTS.fail_with("chunk.raed")
 
 
 class TestSpecParsing:
