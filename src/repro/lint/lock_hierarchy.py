@@ -119,7 +119,6 @@ THREAD_SHARED: dict[str, GuardSpec] = {
             "_struct_copied",
             "_memo",
             "_rows",
-            "_memo_count",
             "_row_count",
             "_flushes",
             "_inherited",

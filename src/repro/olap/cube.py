@@ -490,20 +490,29 @@ class Cube:
         """Default derived-cell rule: aggregate descendant leaf cells.
 
         The scope of a non-leaf cell is the set of its descendant leaf cells
-        (Sec. 4.3); leaf coordinates contribute themselves.
+        (Sec. 4.3); leaf coordinates contribute themselves.  The engine
+        answers ``sum`` from the rollup index's memo; every other
+        aggregator, and ``sum`` under ``naive_mode()``, is the streaming
+        fold of :mod:`repro.olap.aggregation` over the scope's values.
         """
         return self._rollup(self.schema.validate_address(address), aggregator)
 
     def _rollup(self, addr: Address, aggregator: str) -> CellValue:
-        if perf_config.engine_enabled():
-            return self._index.rollup(addr, aggregator=aggregator)
+        if aggregator == "sum" and perf_config.engine_enabled():
+            return self._index.rollup(addr)
         from repro.olap.aggregation import aggregate
 
-        return aggregate(aggregator, (value for _, value in self._scope_cells(addr)))
+        return aggregate(aggregator, self._scope_values(addr))
 
     def scope_values(self, address: Sequence[str]) -> Iterator[float]:
         """Values of the leaf cells in a cell's scope."""
-        for _, value in self.scope_cells(address):
+        return self._scope_values(self.schema.validate_address(address))
+
+    def _scope_values(self, addr: Address) -> Iterator[float]:
+        if perf_config.engine_enabled():
+            yield from self._index.scope_values(addr)
+            return
+        for _, value in self._scope_cells(addr):
             yield value
 
     def scope_cells(self, address: Sequence[str]) -> Iterator[tuple[Address, float]]:

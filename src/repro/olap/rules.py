@@ -109,11 +109,8 @@ class RuleEngine:
     references with cycle detection.
     """
 
-    def __init__(
-        self, schema: CubeSchema, default_aggregator: str = "sum"
-    ) -> None:
+    def __init__(self, schema: CubeSchema) -> None:
         self.schema = schema
-        self.default_aggregator = default_aggregator
         self._rules: list[Rule] = []
         self._measures_name = self._default_rule_dimension()
         self._in_flight: set[tuple[Address, str]] = set()
@@ -155,8 +152,8 @@ class RuleEngine:
     @property
     def rolls_up(self) -> bool:
         """Whether every cell is what it is with no engine: no formula
-        rule, and ``sum`` the default aggregator."""
-        return not self._rules and self.default_aggregator == "sum"
+        rule, so every derived cell is the sum of its scope."""
+        return not self._rules
 
     # -- matching -----------------------------------------------------------------
 
@@ -193,7 +190,7 @@ class RuleEngine:
         addr = self.schema.validate_address(address)
         rule = self._matching_rule(addr)
         if rule is None:
-            return cube.rollup(addr, self.default_aggregator)  # type: ignore[attr-defined]
+            return cube.rollup(addr)  # type: ignore[attr-defined]
         guard = (addr, rule.target)
         if guard in self._in_flight:
             raise RuleError(

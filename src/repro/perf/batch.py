@@ -349,7 +349,7 @@ def evaluate_grid(
         )
     leaf_index: Any = None
     index = agg_cube.rollup_index()
-    memo = index.memo_table("sum")
+    memo = index.memo_table()
     memo_get = memo.get
     # read before the first row: a flush since voids this grid's rows
     row_memo, epoch = index.row_table()

@@ -9,9 +9,11 @@ their output's columns from its addresses instead of deriving them.  It
 exists as the *reference*: the ledger's oracle and the equivalence suites
 evaluate under it and require bit-identical results.
 
-Reductions are strict everywhere (a sequential fold in insertion order,
-see :func:`repro.olap.aggregation.reduce_array`), so there is no
-reduction mode to choose.
+Reductions are strict everywhere: a sequential fold from ``0.0`` in
+insertion order, the streaming :mod:`repro.olap.aggregation` folds on
+the reference path and the rollup index's block reduction
+(``RollupIndex._block_sums``) on the engine's, so there is no reduction
+mode to choose.
 """
 
 from __future__ import annotations

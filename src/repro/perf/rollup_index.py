@@ -17,11 +17,11 @@ Leaf store
 Leaf *values* are one more column over the same id space: a
 :class:`ColumnarLeafStore` is one contiguous ``float64`` array where row
 == leaf id, grown and copied on write exactly like the code columns.  A
-scope's values are ``column[ids]`` — one fancy-indexed gather — reduced by
-:func:`~repro.olap.aggregation.reduce_array`, a sequential fold whose
-result is bit-identical to the naive scan.  Which rows are leaves is the
-structure's business (``_Structure.live`` and the point lookup); the
-value column keeps no liveness of its own, and a row is read
+scope's values are ``column[ids]`` — one fancy-indexed gather — summed
+by :meth:`RollupIndex._block_sums`, a fold from ``0.0`` in ascending id
+order whose result is bit-identical to the naive scan.  Which rows are
+leaves is the structure's business (``_Structure.live`` and the point
+lookup); the value column keeps no liveness of its own, and a row is read
 only after the structure resolved it to a live id.
 
 Every cube holds one index from construction and that index *is* its
@@ -81,11 +81,13 @@ map (:class:`_CoordTable`: built once per coordinate list, the derived
 generation counting only its own leaves), and the gathered values are
 bulk-loaded — no rebuild.
 No generation holds a per-leaf Python object: every one is arrays only.
-A bulk ``Cube.load`` hands over code columns it built a chunk of the
-stream at a time (:meth:`RollupIndex.from_writes`).  Columns are built
-from addresses in one place, :meth:`RollupIndex.from_cells`: an output
-whose rows clash on one address, and anything computed under
-``naive_mode()``; the addresses do not outlive the call.
+Columns are coded from addresses in two places: a bulk ``Cube.load``
+codes its stream a chunk at a time (``_read_stream`` in
+:mod:`repro.olap.cube`) and hands the code columns over
+(:meth:`RollupIndex.from_writes`), and :meth:`RollupIndex.from_cells`
+codes a mapping — :meth:`RollupIndex.build`, an output whose rows clash
+on one address, and anything computed under ``naive_mode()``.  Neither
+keeps the addresses past the call.
 
 Addresses and point lookup
 --------------------------
@@ -106,17 +108,22 @@ resolved address stays resolved across snapshots.
 
 Reads
 -----
-Every derived cell is a memoised strict sum (or other aggregate) of its
-scope, whoever asks.  :meth:`RollupIndex._scope` turns ``{dim: coords}``
-into the live leaves under them — for a point rollup, ``scope_cells``
-and σ's rows (:meth:`RollupIndex.ids_under`) — and
-:meth:`RollupIndex.rollup` folds the values of one address's scope,
-memoised per (address, aggregator).  A grid's memo misses are reduced
-together (:meth:`RollupIndex.rollup_block`): the dimensions on which
-they name one coordinate filter the leaves once, each other dimension
-is split into hierarchy levels of disjoint coordinates, and every
-combination of levels is one ``np.bincount`` over the filtered leaves,
-which folds each cell in ascending id order exactly as ``rollup`` does.
+Every derived cell the index answers is a memoised strict sum of its
+scope, whoever asks, and one reduction computes it,
+:meth:`RollupIndex._block_sums`; the memo is one ``address → value``
+table.  :meth:`RollupIndex._scope` turns ``{dim: coords}`` into the live
+leaves under them — for the reduction, ``scope_values``/``scope_cells``
+and σ's rows (:meth:`RollupIndex.ids_under`).  A grid's memo misses are
+reduced together (:meth:`RollupIndex.rollup_block`): the dimensions on
+which they name one coordinate filter the leaves once, each other
+dimension is split into hierarchy levels of disjoint coordinates, and
+every combination of levels is one ``np.bincount`` over the filtered
+leaves, which folds each cell from ``0.0`` in ascending id order — the
+naive scan's ``agg_sum``.  One address (:meth:`RollupIndex.rollup`) is
+the same reduction with no level to combine: one bucket.  Other
+aggregates are not the index's: ``Cube.rollup`` folds them over
+:meth:`RollupIndex.scope_values` with the streaming aggregators of
+:mod:`repro.olap.aggregation`.
 A leaf value is read through :meth:`RollupIndex.leaf_reader` — one
 address, the reader held until the generation or value store is replaced
 — or :meth:`RollupIndex.leaf_block` — a grid's rows × columns, the same
@@ -161,7 +168,6 @@ import numpy as np
 
 from repro.lint.lockdep import make_lock
 from repro.obs.trace import trace_span
-from repro.olap.aggregation import reduce_array
 from repro.olap.missing import MISSING, Missing
 from repro.storage.io_stats import CacheStats
 
@@ -186,10 +192,9 @@ LeafReader: TypeAlias = "Callable[[Address], float | None]"
 #: many each slot has
 _Levels: TypeAlias = "list[tuple[list[int], list[int]]]"
 
-#: soft cap on the per-index rollup memo (total entries across all
-#: aggregator tables) and on a generation's resolved-address cache, to
-#: bound worst-case memory on long-lived cubes queried at ever-changing
-#: addresses
+#: soft cap on the per-index rollup memo (entries) and on a generation's
+#: resolved-address cache, to bound worst-case memory on long-lived cubes
+#: queried at ever-changing addresses
 _MEMO_CAP = 65536
 #: soft cap on the row memo (:meth:`RollupIndex.row_table`), in values
 #: across its rows: its own bound, so rows never evict a memoised cell
@@ -909,15 +914,12 @@ class RollupIndex:
         #: whether a structural write replaced the generation since the
         #: last fork (reported by the ``cube.snapshot`` span)
         self._struct_copied = False
-        # aggregator -> {address: value}; inner tables are cleared *in
-        # place* on invalidation so refs handed out via memo_table() stay
-        # live
-        self._memo: dict[str, dict[Address, CellValue]] = {}
+        # address -> strict sum; cleared *in place* on invalidation so
+        # refs handed out via memo_table() stay live
+        self._memo: dict[Address, CellValue] = {}
         #: the row memo (:meth:`row_table`): (row address, segment) -> the
         #: segment's values in that row, cleared with ``_memo``
         self._rows: dict[tuple[Address, object], Sequence[CellValue]] = {}
-        #: entries of the cell memo
-        self._memo_count = 0
         #: values in the row memo, a row of ``n`` values counting ``n``
         self._row_count = 0
         #: memo flushes so far: a row is stored only if none came since
@@ -928,7 +930,7 @@ class RollupIndex:
         #: settled so far, plus the ids of the writes not yet settled
         #: (:meth:`_settle_written`): what the next fork carries forward
         #: (:meth:`_carry_memo`)
-        self._inherited: "dict[str, dict[Address, CellValue]] | None" = None
+        self._inherited: "dict[Address, CellValue] | None" = None
         self._written: list[set[str]] = [set() for _ in range(schema.n_dims)]
         self._written_ids: list[int] = []
         #: the value column; row == leaf id
@@ -1146,15 +1148,11 @@ class RollupIndex:
         cols = child.columns(())
         return RollupIndex.from_cells(self.schema, dict(zip(cols.addresses, cols.values.tolist())))
 
-    def coords_with_data(self, dim_index: int, under: "str | None" = None) -> list[str]:
-        """Distinct leaf coordinates on one dimension that hold a leaf —
-        all of them, or those rolling up into ``under``."""
+    def coords_with_data(self, dim_index: int) -> list[str]:
+        """Distinct leaf coordinates on one dimension that hold a leaf."""
         with self._lock:
             table = self._struct.tables[dim_index]
-            coords, counts = table.coords, table.counts
-            if under is None:
-                return [c for c, count in zip(coords, counts) if count]
-            return [coords[code] for code in table.under.get(under, ()) if counts[code]]
+            return [c for c, count in zip(table.coords, table.counts) if count]
 
     def coord_labels(
         self,
@@ -1244,7 +1242,7 @@ class RollupIndex:
                 written.append(ident)
                 if len(written) >= _WRITTEN_BUFFER:
                     self._settle_written()
-                if self._memo_count or self._row_count:
+                if self._memo or self._row_count:
                     self._flush_memo()
                 return False
             struct = self._writable_structure()
@@ -1292,7 +1290,7 @@ class RollupIndex:
         written.append(ident)
         if len(written) >= _WRITTEN_BUFFER:
             self._settle_written()
-        if self._memo_count or self._row_count:
+        if self._memo or self._row_count:
             self._flush_memo()
 
     def _settle_written(self) -> None:  # reprolint: locked
@@ -1401,10 +1399,9 @@ class RollupIndex:
         return found, self._values.gather(ids[found])
 
     def _flush_memo(self) -> None:  # reprolint: locked
-        for table in self._memo.values():
-            table.clear()
+        self._memo.clear()
         self._rows.clear()
-        self._memo_count = self._row_count = 0
+        self._row_count = 0
         self._flushes += 1
 
     # -- fork (snapshot copy-on-write) -------------------------------------------
@@ -1444,7 +1441,7 @@ class RollupIndex:
                 dropped = self._carry_memo(clone)
                 if span is not None:
                     span.set(
-                        memo_kept=clone._memo_count,
+                        memo_kept=len(clone._memo),
                         memo_dropped=dropped,
                         masks_kept=len(struct.masks) + len(struct.carried),
                     )
@@ -1467,12 +1464,12 @@ class RollupIndex:
         ascending-id order with the same values (renumbering keeps
         relative order; an insert or delete is in its own cone).  A
         writable fork is never inherited from: it may take writes this
-        index never saw.  The inherited tables belong to a snapshot whose
-        queries may be filling them: each is read with one
-        ``dict.copy()``, which no concurrent insert can tear."""
-        inherited = (self._inherited or {}).copy()
-        cone = None
-        if inherited:
+        index never saw.  The inherited table belongs to a snapshot whose
+        queries may be filling it: it is read with one ``dict.copy()``,
+        which no concurrent insert can tear."""
+        memo = (self._inherited or {}).copy()
+        dropped = 0
+        if memo:
             self._settle_written()
             if any(self._written):
                 chain = self.schema.ancestor_chain
@@ -1480,50 +1477,40 @@ class RollupIndex:
                     {up for coord in coords for up in chain(dim, coord)}
                     for dim, coords in enumerate(self._written)
                 ]
-        reached = set.__contains__
-        memo: dict[str, dict[Address, CellValue]] = {}
-        dropped = 0
-        for aggregator, table in inherited.items():
-            table = table.copy()
-            if cone is not None:
+                reached = set.__contains__
                 kept = {
                     addr: value
-                    for addr, value in table.items()
+                    for addr, value in memo.items()
                     if not all(map(reached, cone, addr))
                 }
-                dropped += len(table) - len(kept)
-                table = kept
-            memo[aggregator] = table
-        for aggregator, table in self._memo.items():
-            memo.setdefault(aggregator, {}).update(table)
+                dropped = len(memo) - len(kept)
+                memo = kept
+        memo.update(self._memo)
         clone._memo = memo
-        clone._memo_count = sum(map(len, memo.values()))
         return dropped
 
     # -- memo -------------------------------------------------------------------
 
-    def _memo_put(self, table: dict[Address, CellValue], address: Address, value: CellValue) -> None:  # reprolint: locked
-        if self._memo_count >= _MEMO_CAP:
-            self.stats.evictions += self._memo_count
+    def _memo_put(self, address: Address, value: CellValue) -> None:  # reprolint: locked
+        if len(self._memo) >= _MEMO_CAP:
+            self.stats.evictions += len(self._memo)
             self._flush_memo()
-        if address not in table:
-            self._memo_count += 1
-        table[address] = value
+        self._memo[address] = value
 
-    def memo_table(self, aggregator: str = "sum") -> dict[Address, CellValue]:
-        """The live memo table for ``aggregator``.  Invalidation clears it
-        *in place*, so a held reference is always current: a lock-free
-        ``table.get(addr)`` is either a fresh value or a miss, never a
-        stale value.  Callers must treat it as read-only.
+    def memo_table(self) -> dict[Address, CellValue]:
+        """The live memo: address -> the strict sum of its scope.
+        Invalidation clears it *in place*, so a held reference is always
+        current: a lock-free ``table.get(addr)`` is either a fresh value or
+        a miss, never a stale value.  Callers must treat it as read-only.
 
-        Its ``"sum"`` cells are also read a row at a time through the row
+        Its cells are also read a row at a time through the row
         memo (:meth:`row_table`), keyed by (row address, segment): cleared
         with this table by every write and cap flush, bounded on its own
         (a full row memo never evicts a cell), stored only if no flush
         came since the epoch a grid read before its first row, and not
         carried by a fork."""
         with self._lock:
-            return self._memo.setdefault(aggregator, {})
+            return self._memo
 
     def row_table(self) -> "tuple[dict[tuple[Address, object], Sequence[CellValue]], int]":
         """The live row memo and the flush epoch, read together.
@@ -1531,8 +1518,8 @@ class RollupIndex:
         A grid row's derived cells in one column segment are keyed by
         ``(row address, segment)`` — the segment an immutable object of the
         grid's layout, so one key names one list of addresses — and hold
-        the ``"sum"`` values :meth:`memo_table` or :meth:`rollup_block`
-        gave them, in column order.  Every leaf write and every cap flush
+        the values :meth:`memo_table` or :meth:`rollup_block` gave them, in
+        column order.  Every leaf write and every cap flush
         of the cell memo clears it in place, so a lock-free ``get`` is a
         current row or a miss.  Its bound is its own, ``_ROW_CAP`` values
         (a row of ``n`` values counting ``n``): a grid's rows never evict
@@ -1754,31 +1741,34 @@ class RollupIndex:
                 zip(self._struct.addresses(ids), self._values.gather(ids).tolist())
             )
 
-    def rollup(self, address: Address, aggregator: str = "sum") -> CellValue:
-        """The one memoised point reduction: ``aggregator`` folded over the
-        values of the address's scope in ascending id order — the naive
-        scan's — and memoised per (address, aggregator) until the next leaf
-        write.  A grid's misses go to :meth:`rollup_block` instead, which
-        gives every one of them this value."""
+    def scope_values(self, address: Sequence[str]) -> list[float]:
+        """Values of the leaf cells in a cell's scope, in insertion order
+        (no address is built)."""
         with self._lock:
-            table = self._memo.setdefault(aggregator, {})
-            if address in table:
+            return self._values.gather(self._point_ids(address)).tolist()
+
+    def rollup(self, address: Address) -> CellValue:
+        """The strict sum of the address's scope, memoised until the next
+        leaf write: a memo probe, then on a miss the one-cell block
+        reduction (:meth:`_block_sums`)."""
+        with self._lock:
+            value = self._memo.get(address)  # a memoised value is never None
+            if value is not None:
                 self.stats.hits += 1
-                return table[address]
+                return value
             self.stats.misses += 1
-            value = reduce_array(aggregator, self._values.gather(self._point_ids(address)))
-            self._memo_put(table, address, value)
+            (value,) = self._block_sums([address])
+            self._memo_put(address, value)
             return value
 
     def rollup_block(self, addresses: Sequence[Address]) -> list[CellValue]:
-        """:meth:`rollup` of every address under ``"sum"``, in one pass and
-        one lock acquisition: a memo hit — or an address met earlier in the
-        call — counts as a hit, and every other distinct address is
-        reduced by :meth:`_block_sums`, memoised and counted as a miss,
-        exactly as one ``rollup`` call per address would count and store
-        it."""
+        """:meth:`rollup` of every address, in one pass and one lock
+        acquisition: a memo hit — or an address met earlier in the call —
+        counts as a hit, and every other distinct address is reduced by
+        :meth:`_block_sums`, memoised and counted as a miss, exactly as one
+        ``rollup`` call per address would count and store it."""
         with self._lock:
-            table = self._memo.setdefault("sum", {})
+            table = self._memo
             found: "list[CellValue | None]" = []
             todo: dict[Address, CellValue] = {}
             for address in addresses:
@@ -1793,7 +1783,7 @@ class RollupIndex:
                 missed = list(todo)
                 for address, value in zip(missed, self._block_sums(missed)):
                     todo[address] = value
-                    self._memo_put(table, address, value)
+                    self._memo_put(address, value)
             return [
                 todo[address] if value is None else value
                 for address, value in zip(addresses, found)
@@ -1801,7 +1791,8 @@ class RollupIndex:
 
     def _block_sums(self, addresses: list[Address]) -> list[CellValue]:  # reprolint: locked
         """The strict sum of each address's scope, the cells at one
-        combination of hierarchy levels by one ``np.bincount``.
+        combination of hierarchy levels by one ``np.bincount``: the index's
+        one reduction.
 
         The dimensions on which the addresses name one coordinate are one
         :meth:`_scope`: their cached masks, nothing for one that every
@@ -1820,8 +1811,9 @@ class RollupIndex:
         a ``bincount`` has at most that many buckets and memory stays
         O(ids + cells) however the coordinates combine.  ``bincount``
         folds each bucket from ``0.0`` in input order, so every cell is
-        ``_strict_sum`` of its scope in ascending id order, NaN and the
-        sign of zero included."""
+        ``agg_sum`` of its scope in ascending id order, NaN and the sign
+        of zero included.  Where no dimension names two coordinates — one
+        address — the scope is one bucket, with no level to combine."""
         struct = self._struct
         n_cells = len(addresses)
         out: list[CellValue] = [MISSING] * n_cells
@@ -1831,10 +1823,10 @@ class RollupIndex:
         #: up into its coordinate: ⊥) and slot in that level
         varying: "list[tuple[int, _Levels, np.ndarray, np.ndarray]]" = []
         for dim, column in enumerate(zip(*addresses)):
-            coords = dict.fromkeys(column)
-            if len(coords) == 1:
+            if column.count(column[0]) == n_cells:
                 single[dim] = column[:1]
                 continue
+            coords = dict.fromkeys(column)
             table = struct.tables[dim]
             levels: _Levels = []
             taken: list[set[int]] = []
@@ -1867,19 +1859,24 @@ class RollupIndex:
                 )
             )
 
+        scope = self._scope(single)
+        if scope is None:
+            return out
+        ids = self._ids(scope)
+        if ids is None:
+            ids = self._ordered_array()
+        values = self._values.gather(ids)
+        if not varying:  # one address: its scope is one bucket
+            if len(ids):
+                bucket = np.zeros(len(ids), dtype=np.intp)
+                out = np.bincount(bucket, weights=values).tolist() * n_cells
+            return out
         # each cell's combination of levels, as one number
         alive = np.ones(n_cells, dtype=np.bool_)
         combo = np.zeros(n_cells, dtype=np.int64)
         for _, levels, cell_levels, _ in varying:
             alive &= cell_levels >= 0
             combo = combo * len(levels) + cell_levels
-        scope = self._scope(single)
-        if scope is None or not alive.any():
-            return out
-        ids = self._ids(scope)
-        if ids is None:
-            ids = self._ordered_array()
-        values = self._values.gather(ids)
         labels: dict[tuple[int, int], np.ndarray] = {}  # each id's slot at a level
         for key in np.unique(combo[alive]).tolist():
             cells = np.flatnonzero(alive & (combo == key))

@@ -56,10 +56,15 @@ def _all_addresses(schema) -> list[tuple[str, str]]:
 
 
 def _assert_parity(cube: Cube, index: RollupIndex, addresses) -> None:
-    """Indexed (columnar) results must equal the naive scan bit-for-bit."""
+    """Indexed (columnar) results must equal the naive scan bit-for-bit:
+    ``sum`` read off ``index``, every other aggregator folded over the
+    engine's scope."""
     for address in addresses:
         for aggregator in AGGREGATORS:
-            indexed = index.rollup(address, aggregator=aggregator)
+            if aggregator == "sum":
+                indexed = index.rollup(address)
+            else:
+                indexed = cube.rollup(address, aggregator)
             with naive_mode():
                 naive = cube.rollup(address, aggregator)
             if is_missing(indexed) or is_missing(naive):

@@ -16,7 +16,7 @@ import repro.perf.rollup_index as rollup_index_module
 from repro.core.operators import ChangeTuple
 from repro.core.perspective import Mode, Semantics
 from repro.core.scenario import NegativeScenario, PositiveScenario, apply_scenarios
-from repro.errors import MemberNotFoundError
+from repro.errors import MemberNotFoundError, RuleError
 from repro.olap.aggregation import AGGREGATORS, aggregate
 from repro.olap.cube import Cube
 from repro.olap.missing import MISSING, is_missing
@@ -65,6 +65,13 @@ def _naive_rollup(cube, addr, aggregator):
         return cube.rollup(addr, aggregator)
 
 
+def _naive_sums(cube, addresses):
+    """The reference for the block reduction: ``repr`` of each address's
+    sum on the full scan, never the block reduction itself."""
+    with naive_mode():
+        return [repr(cube.rollup(addr)) for addr in addresses]
+
+
 class TestAgreementWithNaive:
     def test_every_address_every_aggregator(self, example):
         """Under ``naive_mode()`` ``Cube.rollup(addr, agg)`` *is*
@@ -75,7 +82,7 @@ class TestAgreementWithNaive:
             with naive_mode():
                 scope = list(cube.scope_values(addr))
             for aggregator in AGGREGATORS:
-                indexed = cube.rollup_index().rollup(addr, aggregator=aggregator)
+                indexed = cube.rollup(addr, aggregator)
                 naive = aggregate(aggregator, scope)
                 assert indexed == naive or (
                     is_missing(indexed) and is_missing(naive)
@@ -352,6 +359,22 @@ class TestContracts:
         with naive_mode(), pytest.raises(MemberNotFoundError):
             cube.rollup(bad)
 
+    def test_an_unknown_aggregator_raises_on_both_paths(self, example):
+        """``median`` over TX, a scope that holds no leaf, raises
+        ``RuleError`` with the engine as under ``naive_mode()``, and the
+        index neither memoises nor counts it."""
+        cube = example.cube
+        index = cube.rollup_index()
+        addr = ("Organization", "TX", "Time", "Measures")
+        assert is_missing(cube.rollup(addr))  # the scope is empty
+        memo, misses = dict(index._memo), index.stats.misses
+        with pytest.raises(RuleError):
+            cube.rollup(addr, "median")
+        with naive_mode(), pytest.raises(RuleError):
+            cube.rollup(addr, "median")
+        assert index._memo == memo
+        assert index.stats.misses == misses
+
     def test_empty_cube_rollup_is_missing(self, tiny_schema):
         cube = Cube(tiny_schema)
         root = tuple(d.root.name for d in tiny_schema.dimensions)
@@ -379,14 +402,13 @@ class TestContracts:
 
 class TestPlaneScopes:
     """A grid's misses are one block reduction (``rollup_block``): every
-    cell of it is the address's own scope reduced by ``rollup``."""
+    cell of it is the sum of the address's own scope on the naive scan."""
 
     def test_grid_reduction_matches_rollup(self, example):
         cube = example.cube
         addresses = _all_addresses(cube.schema)[::7]
-        fresh = RollupIndex.build(cube)  # separate memo: rollup() recomputes
         block = RollupIndex.build(cube).rollup_block(addresses)
-        assert [repr(v) for v in block] == [repr(fresh.rollup(a)) for a in addresses]
+        assert [repr(v) for v in block] == _naive_sums(cube, addresses)
 
     def test_the_block_memoises_and_counts_like_rollup(self, example):
         """A memo hit and a repeat within the block are hits, each other
@@ -408,8 +430,8 @@ class TestPlaneScopes:
         ``i`` names the ``i``-th coordinate of every dimension (each list
         cycled), in one block — every dimension at every level; on the
         diagonal the product of the radices far exceeds ids + cells, so
-        the buckets are renumbered among the cells' own — to the values of
-        one ``rollup`` each."""
+        the buckets are renumbered among the cells' own — to the naive
+        sums."""
         cube = example.cube
         per_dim = _schema_coords(cube.schema)
         if shape == "cross product":
@@ -419,9 +441,8 @@ class TestPlaneScopes:
                 tuple(coords[i % len(coords)] for coords in per_dim)
                 for i in range(max(map(len, per_dim)))
             ]
-        fresh = RollupIndex.build(cube)
         block = RollupIndex.build(cube).rollup_block(addresses)
-        assert [repr(v) for v in block] == [repr(fresh.rollup(a)) for a in addresses]
+        assert [repr(v) for v in block] == _naive_sums(cube, addresses)
 
     def test_a_grid_of_one_dimension_at_three_levels(self, example):
         """Rows Time's root, quarters and months; columns Location's root,
@@ -434,9 +455,8 @@ class TestPlaneScopes:
         addresses = [
             ("Organization", place, time, "Salary") for time in times for place in places
         ]
-        fresh = RollupIndex.build(cube)
         block = RollupIndex.build(cube).rollup_block(addresses)
-        assert [repr(v) for v in block] == [repr(fresh.rollup(a)) for a in addresses]
+        assert [repr(v) for v in block] == _naive_sums(cube, addresses)
         south = addresses.index(("Organization", "South", "Time", "Salary"))
         assert is_missing(block[south])
 
@@ -454,7 +474,7 @@ class TestBlockSumsOverASharedMap:
         cube; S moves Lisa to PTE, so the derived generation's map gains
         ``Organization/PTE/Lisa``, which rolls up into PTE.  The same
         block on the derived cube — and one naming the new coordinate —
-        reads what a fresh ``rollup`` reads."""
+        reads the naive sums."""
         cube = example.cube
         org = cube.schema.dim_index("Organization")
         levels = ["Organization", "FTE", "PTE", "Contractor"]
@@ -467,13 +487,12 @@ class TestBlockSumsOverASharedMap:
         grown = derived.rollup_index()._struct.tables[org]
         (new,) = grown.coords[len(table.coords) :]
         assert new == "Organization/PTE/Lisa"
-        fresh = RollupIndex.build(derived)
         for orgs in (levels, levels + [new], [new, "PTE", "Organization/PTE/Tom"]):
             addresses = self._addresses(orgs)
             block = derived.rollup_index().rollup_block(addresses)
-            assert [repr(v) for v in block] == [repr(fresh.rollup(a)) for a in addresses]
+            assert [repr(v) for v in block] == _naive_sums(derived, addresses)
         pte_apr = ("PTE", "Location", "Apr", "Salary")
-        assert block[3 + 2] == fresh.rollup(pte_apr) != cube.rollup(pte_apr)
+        assert block[3 + 2] == _naive_rollup(derived, pte_apr, "sum") != cube.rollup(pte_apr)
 
     def test_an_unknown_member_raises_every_time(self, example):
         cube = example.cube
@@ -512,8 +531,8 @@ _LEAF_VALUES = st.one_of(
     data=st.data(),
 )
 def test_the_block_reduction_is_each_address_rollup(values, derive, data):
-    """``rollup_block(addresses)`` is ``rollup`` of every address on a
-    fresh index, by ``repr``: NaN and ±0 leaves, sums that depend on the
+    """``rollup_block(addresses)`` is the naive sum of every address, by
+    ``repr``: NaN and ±0 leaves, sums that depend on the
     order of their terms, deleted ids, a derived generation with an
     appended instance coordinate (S moves Lisa to PTE), a grid whose rows
     and columns are at mixed levels of one or two dimensions, coordinates
@@ -552,8 +571,7 @@ def test_the_block_reduction_is_each_address_rollup(values, derive, data):
     warm = data.draw(st.lists(st.sampled_from(addresses), max_size=4))
     for addr in warm:
         index.rollup(addr)
-    fresh = RollupIndex.build(cube)
-    expected = [repr(fresh.rollup(addr)) for addr in addresses]
+    expected = _naive_sums(cube, addresses)
     misses = index.stats.misses
     assert [repr(value) for value in index.rollup_block(addresses)] == expected
     assert index.stats.misses - misses == len(set(addresses) - set(warm))
@@ -597,9 +615,9 @@ class TestRowMemo:
         layout = _derived_grid(cube, self.ORGS)
         cold = evaluate_grid(cube, layout, None, None)
         assert len(index._rows) == len(self.ORGS)
-        assert index._memo_count == index._row_count == len(self.ORGS) * layout.n_cols
+        assert len(index._memo) == index._row_count == len(self.ORGS) * layout.n_cols
         hits = index.stats.hits
-        index.memo_table("sum").clear()  # only the row memo can answer now
+        index.memo_table().clear()  # only the row memo can answer now
         warm = evaluate_grid(cube, layout, None, None)
         assert repr(warm) == repr(cold)
         assert repr(warm[0]) == _naive_grid(cube, layout)
@@ -612,15 +630,15 @@ class TestRowMemo:
         evaluate_grid(cube, layout, None, None)
         snapshot = cube.frozen_copy()
         assert snapshot.rollup_index()._rows == {}
-        assert snapshot.rollup_index()._memo_count == len(self.ORGS) * layout.n_cols
+        assert len(snapshot.rollup_index()._memo) == len(self.ORGS) * layout.n_cols
         cube.set_value(("Organization/FTE/Lisa", "NY", "Feb", "Salary"), 99.0)
-        assert index._rows == {} and index._memo_count == 0
+        assert index._rows == {} and len(index._memo) == 0
         assert repr(evaluate_grid(cube, layout, None, None)[0]) == _naive_grid(cube, layout)
         assert repr(evaluate_grid(snapshot, layout, None, None)[0]) == _naive_grid(
             snapshot, layout
         )
         # a cap flush of the cell memo clears the rows too
-        monkeypatch.setattr(rollup_index_module, "_MEMO_CAP", index._memo_count)
+        monkeypatch.setattr(rollup_index_module, "_MEMO_CAP", len(index._memo))
         evictions = index.stats.evictions
         other = _derived_grid(cube, ("Contractor",))
         assert repr(evaluate_grid(cube, other, None, None)[0]) == _naive_grid(cube, other)
@@ -643,7 +661,7 @@ class TestRowMemo:
             assert repr(evaluate_grid(cube, layout, None, None)[0]) == cold
         assert (index.stats.misses, index.stats.evictions) == (misses, evictions)
         assert len(index._rows) == len(self.ORGS)
-        assert index._memo_count == index._row_count == cells
+        assert len(index._memo) == index._row_count == cells
         assert cold == _naive_grid(cube, layout)
 
     def test_a_full_row_memo_empties_itself_not_the_cell_memo(self, example, monkeypatch):
@@ -656,7 +674,7 @@ class TestRowMemo:
         other = _derived_grid(cube, ("Contractor",))
         evaluate_grid(cube, other, None, None)
         assert set(index._rows) == {(other.row_addrs[0], other.groups[0].every)}
-        assert index._memo_count == cells + other.n_cols
+        assert len(index._memo) == cells + other.n_cols
         misses = index.stats.misses
         assert repr(evaluate_grid(cube, layout, None, None)[0]) == _naive_grid(cube, layout)
         assert index.stats.misses == misses, "answered by the cell memo"

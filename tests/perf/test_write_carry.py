@@ -120,11 +120,8 @@ def _mutated(cube: Cube, cells) -> list:
 
 
 def _memo_entries(cube: Cube) -> "dict[tuple, str]":
-    return {
-        (addr, agg): repr(value)
-        for agg, table in cube.rollup_index()._memo.items()
-        for addr, value in table.items()
-    }
+    """The memo as ``(address, "sum")`` -> ``repr``, keyed like ``_rollups``."""
+    return {(addr, "sum"): repr(value) for addr, value in cube.rollup_index()._memo.items()}
 
 
 def _assert_masks_fresh(cube: Cube) -> None:
@@ -292,10 +289,10 @@ def test_a_written_copy_never_reaches_the_next_snapshot():
 
     second = cube.frozen_copy()  # no write on the source: everything carries
     assert _memo_entries(second) == _memo_entries(first)
-    assert second.rollup_index()._memo["sum"][root] == sum(range(1, len(LEAVES) + 1))
+    assert second.rollup_index()._memo[root] == sum(range(1, len(LEAVES) + 1))
     cube.set_value(LEAVES[0], 0.5)
     third = cube.frozen_copy()
-    assert root not in third.rollup_index()._memo["sum"]  # the root reaches every leaf
+    assert root not in third.rollup_index()._memo  # the root reaches every leaf
     with naive_mode():
         expected = cube.rollup(root)
     assert repr(third.rollup(root)) == repr(expected) != repr(diverged)
@@ -369,11 +366,11 @@ def test_one_row_edit_misses_exactly_that_departments_cells():
     for addr, value in row:
         cube.set_value(addr, value)
     snap = warehouse.snapshot()
-    carried = set(snap.cube.rollup_index()._memo["sum"])
+    carried = set(snap.cube.rollup_index()._memo)
     misses, hits = stats.misses, stats.hits
     result = snap.query(dashboard)
     n_cells = len(result.rows) * len(result.columns)
-    recomputed = set(snap.cube.rollup_index()._memo["sum"]) - carried
+    recomputed = set(snap.cube.rollup_index()._memo) - carried
     periods = len(list(wf.schema.dimension("Period").members()))
     assert stats.misses - misses == len(recomputed) == len(wf.scenarios) * periods
     assert stats.hits - hits == n_cells - len(recomputed)
