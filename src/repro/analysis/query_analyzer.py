@@ -102,7 +102,6 @@ class QueryAnalyzer:
         #: no (valid) perspective clause
         self._pset: PerspectiveSet | None = None
         self._semantics: Semantics | None = None
-        self._phi_memo: dict = {}  #: Φ per distinct validity set, this run
         self._scenario_dim: str | None = None
         self._has_scenario = False
 
@@ -519,8 +518,7 @@ class QueryAnalyzer:
         if self._pset is not None and name == self._scenario_dim:
             surviving = frozenset(
                 phi_validity(
-                    varying, [member.name], self._pset,
-                    self._semantics or Semantics.STATIC, self._phi_memo,
+                    varying, [member.name], self._pset, self._semantics or Semantics.STATIC
                 )
             )
         return [

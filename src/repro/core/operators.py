@@ -95,19 +95,24 @@ def _members_of(
 
 def _routes(
     validity_out: Mapping[str, ValiditySet], table: InstanceTable, universe: int
-) -> "tuple[list[str], np.ndarray, np.ndarray]":
-    """``validity_out`` as ρ routes it: the output coordinates in mapping
-    order, each one's member number (-1: it names no member) and its
-    output moments as a row of a ``bool`` matrix.  Φ's own output
-    (:class:`~repro.core.perspective.ValidityMap`) carries all three; any
-    other mapping is read key by key, one row per distinct set."""
-    paths = list(validity_out)
+) -> "tuple[Sequence[str], np.ndarray, np.ndarray, np.ndarray]":
+    """``validity_out`` as ρ routes it, one entry per output coordinate in
+    mapping order: ``(paths, at, member, rows)`` — entry ``k``'s
+    coordinate is ``paths[at[k]]``, its member number ``member[k]`` (-1:
+    it names no member) and its output moments row ``k`` of a ``bool``
+    matrix.  Φ's own output (:class:`~repro.core.perspective.ValidityMap`)
+    is these arrays over its instance table, and is read without building
+    a key; any other mapping is read key by key, one row per distinct
+    set."""
     if isinstance(validity_out, ValidityMap) and validity_out.table.members == table.members:
+        routed = validity_out
         return (
-            paths,
-            validity_out.table.member[validity_out.instances],
-            validity_out.matrix[validity_out.rows],
+            routed.table.paths,
+            routed.instances,
+            routed.table.member[routed.instances],
+            routed.matrix[routed.rows],
         )
+    paths = list(validity_out)
     member_id = table.member_id
     members = np.array(
         [member_id.get(path.rsplit("/", 1)[-1], -1) for path in paths], dtype=np.int64
@@ -118,7 +123,7 @@ def _routes(
     for row, validity in enumerate(sets):
         # later moments hold no data to route
         matrix[row, [t for t in validity.moments if t < universe]] = True
-    return paths, members, matrix[np.array(of_set, dtype=np.int64)]
+    return paths, np.arange(len(paths)), members, matrix[np.array(of_set, dtype=np.int64)]
 
 
 def _coord_at(cols: "LeafColumns", dim_index: int, row: int) -> str:
@@ -264,7 +269,7 @@ def relocate(
         # routing table: one (group key, entry) pair per output instance
         # and moment of its output set, in emission order — the nonzeros
         # of the entries' output rows, row-major
-        paths, entry_member, entry_rows = _routes(validity_out, table, universe)
+        paths, path_at, entry_member, entry_rows = _routes(validity_out, table, universe)
         entry, moment = np.nonzero(entry_rows)
         named = entry_member[entry] >= 0
         entry, wanted = entry[named], entry_member[entry[named]] * universe + moment[named]
@@ -282,8 +287,8 @@ def relocate(
         # one past it, in entry order
         n_coords = len(vcoords)
         routed_entry = entry[hit]
-        emitting = np.flatnonzero(np.bincount(routed_entry, minlength=len(paths)))
-        chosen = list(map(paths.__getitem__, emitting.tolist()))
+        emitting = np.flatnonzero(np.bincount(routed_entry, minlength=len(path_at)))
+        chosen = list(map(paths.__getitem__, path_at[emitting].tolist()))
         codes = np.fromiter(
             map(cols.code_of(dim_index).get, chosen, repeat(n_coords)),
             dtype=np.int64,
@@ -292,7 +297,7 @@ def relocate(
         fresh = np.flatnonzero(codes >= n_coords)
         codes[fresh] = np.arange(n_coords, n_coords + len(fresh))
         out_coords = [*vcoords, *map(chosen.__getitem__, fresh.tolist())]
-        entry_code = np.zeros(len(paths), dtype=np.int32)
+        entry_code = np.zeros(len(path_at), dtype=np.int32)
         entry_code[emitting] = codes
         out_codes = np.repeat(entry_code[routed_entry], run)
 

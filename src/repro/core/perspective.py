@@ -24,7 +24,7 @@ Moving the cell values accordingly is the job of the relocate operator ρ
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -288,14 +288,65 @@ def phi_member(
     )
 
 
-class ValidityMap(dict):
-    """Output validity sets by instance full path, as Φ over an instance
-    table leaves them (:func:`phi_table`): a plain ``dict`` that also
-    carries the table rows behind its entries, so ρ routes them without
-    reading a key — entry ``k`` is instance ``instances[k]`` of ``table``
-    and its output set row ``rows[k]`` of ``matrix``."""
+class ValidityMap(Mapping[str, ValiditySet]):
+    """Output validity sets by instance full path, as arrays over an
+    instance table: entry ``k`` is instance ``instances[k]`` of ``table``
+    and its output set row ``rows[k]`` of ``matrix`` — what Φ over a table
+    leaves (:func:`phi_table`), and what ρ routes without reading a key.
 
-    __slots__ = ("table", "instances", "rows", "matrix")
+    A read-only mapping, in entry order.  Iterating, ``len`` and ``in``
+    read the table alone (``in`` through its path index); the
+    :class:`ValiditySet` objects and the path → set dict behind them are
+    built on the first key read (``sets``, when given, builds one set per
+    matrix row) — a racing build yields equal objects."""
+
+    __slots__ = ("table", "instances", "rows", "matrix", "_sets", "_entries", "_held")
+
+    def __init__(
+        self,
+        table: InstanceTable,
+        instances: np.ndarray,
+        rows: np.ndarray,
+        matrix: np.ndarray,
+        sets: "Callable[[], Sequence[ValiditySet | None]] | None" = None,
+    ) -> None:
+        self.table, self.instances, self.rows, self.matrix = table, instances, rows, matrix
+        self._sets = sets
+        self._entries: "dict[str, ValiditySet] | None" = None
+        self._held: "bytes | None" = None
+
+    def _dict(self) -> "dict[str, ValiditySet]":
+        entries = self._entries
+        if entries is None:
+            built = _row_sets(self.matrix) if self._sets is None else self._sets()
+            entries = self._entries = dict(
+                zip(
+                    map(self.table.paths.__getitem__, self.instances.tolist()),
+                    map(built.__getitem__, self.rows.tolist()),
+                )
+            )
+        return entries
+
+    def __getitem__(self, path: str) -> ValiditySet:
+        return self._dict()[path]
+
+    def __iter__(self) -> Iterator[str]:
+        return map(self.table.paths.__getitem__, self.instances.tolist())
+
+    def __len__(self) -> int:
+        return len(self.instances)
+
+    def __contains__(self, path: object) -> bool:
+        held = self._held
+        if held is None:
+            mask = np.zeros(len(self.table.paths), dtype=np.bool_)
+            mask[self.instances] = True
+            held = self._held = mask.tobytes()
+        at = self.table.path_id.get(path, -1)  # type: ignore[call-overload]
+        return at >= 0 and held[at]
+
+    def __repr__(self) -> str:
+        return f"ValidityMap({self._dict()!r})"
 
 
 def phi_table(
@@ -306,10 +357,11 @@ def phi_table(
     memo: "dict[ValiditySet, ValiditySet | None] | None" = None,
 ) -> ValidityMap:
     """Φ over the instances ``instances`` of an instance table, in that
-    order: :func:`phi_rows` once, on the distinct validity sets they hold,
-    and each distinct output set built once (``memo``, input set → output
-    set or ``None``, lends and keeps them across calls under one (P,
-    sem)).  An instance whose output set is empty is left out (σ)."""
+    order: :func:`phi_rows` once, on the distinct validity sets they hold.
+    An instance whose output set is empty is left out (σ).  Each distinct
+    output set is built once, when a key is first read; ``memo`` (input
+    set → output set or ``None``) lends and keeps them across maps under
+    one (P, sem)."""
     if table.matrix.shape[1] != perspectives.universe:
         raise QueryError(
             "validity set and perspective set have different universes: "
@@ -318,25 +370,23 @@ def phi_table(
     held = table.set_of[instances]
     used = np.flatnonzero(np.bincount(held, minlength=len(table.matrix)))
     matrix = phi_rows(table.matrix[used], perspectives, semantics)
-    built = _row_sets(matrix)
-    if memo is not None:
-        sets = list(table.set_id)
-        for row, set_id in enumerate(used.tolist()):
-            validity = sets[set_id]
-            if validity in memo:
-                built[row] = memo[validity]
-            else:
-                memo[validity] = built[row]
     row_of = np.full(len(table.matrix), -1, dtype=np.int64)
     row_of[used] = np.where(matrix.any(axis=1), np.arange(len(used)), -1)
     rows = row_of[held]
     kept = rows >= 0
-    instances, rows = instances[kept], rows[kept]
-    out = ValidityMap(
-        zip(
-            map(table.paths.__getitem__, instances.tolist()),
-            map(built.__getitem__, rows.tolist()),
-        )
+
+    def lent() -> "list[ValiditySet | None]":
+        assert memo is not None
+        built = _row_sets(matrix)
+        inputs = list(table.set_id)
+        for row, set_id in enumerate(used.tolist()):
+            validity = inputs[set_id]
+            if validity in memo:
+                built[row] = memo[validity]
+            else:
+                memo[validity] = built[row]
+        return built
+
+    return ValidityMap(
+        table, instances[kept], rows[kept], matrix, None if memo is None else lent
     )
-    out.table, out.instances, out.rows, out.matrix = table, instances, rows, matrix
-    return out

@@ -40,14 +40,21 @@ rows only (:func:`apply_chain`).  The full view is the unrestricted case
 of the same call.  A NON_VISUAL last stage's ρ / S runs only if a cell
 lies at leaf level on every dimension: every other cell of such a stage
 is its input cube's (Sec. 3.3), so its leaves wait for a reader
-(:attr:`WhatIfCube.leaf_cube`).
+(:attr:`WhatIfCube.leaf_cube`) — and, when it is the first stage too,
+so do the footprint's rows.
+
+Both halves are array programs over the varying structure's instance
+table: the members holding data are member numbers, and Φ's and S's
+output validity sets are a :class:`~repro.core.perspective.ValidityMap`
+over that table, whose :class:`ValiditySet` objects are built only for a
+reader of its values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Any, Callable, Mapping, NamedTuple, Sequence, TypeAlias
+from typing import AbstractSet, Any, Callable, Mapping, NamedTuple, Sequence, TypeAlias
 
 import numpy as np
 
@@ -68,7 +75,7 @@ from repro.validity import ValiditySet
 from repro.errors import QueryError
 from repro.lint.lockdep import make_lock
 from repro.olap.cube import Cube
-from repro.olap.instances import MemberInstance, VaryingDimension
+from repro.olap.instances import InstanceTable, MemberInstance, VaryingDimension
 from repro.olap.missing import Missing
 from repro.olap.schema import CubeSchema
 from repro.perf import config as perf_config
@@ -92,7 +99,13 @@ CellValue: TypeAlias = "float | Missing"
 #: one stage's structure half, as ``scenario.structure`` returns it: the
 #: hypothetical structure S leaves (``None`` for ρ) and the output validity
 #: sets by instance full path
-Stage: TypeAlias = "tuple[VaryingDimension | None, dict[str, ValiditySet]]"
+Stage: TypeAlias = "tuple[VaryingDimension | None, ValidityMap]"
+#: the members holding data, as :func:`_members_with_data` lists them:
+#: member numbers of the dimension's instance tables, or names
+Members: TypeAlias = "np.ndarray | Sequence[str]"
+#: σ_F's base rows as :func:`apply_scenarios` takes them: leaf ids, ``None``
+#: for every leaf, or a callable computing one of the two when first needed
+Rows: TypeAlias = "np.ndarray | None | Callable[[], np.ndarray | None]"
 #: what a query's cells name: per dimension the coordinates some cell
 #: carries there.  A dimension left out is unrestricted (a cell names its
 #: root, or nothing may be assumed about the reader); ``{}`` is the whole
@@ -111,6 +124,7 @@ class WhatIfCube:
     its leaves — instead of ``leaf_cube``: its aggregates are its input's,
     so the leaves are moved only when someone reads them
     (:attr:`leaf_cube`), once, however many threads ask at the same time.
+    ``validity_out`` is kept as handed in, not copied.
     """
 
     def __init__(
@@ -121,6 +135,7 @@ class WhatIfCube:
         validity_out: Mapping[str, ValiditySet] | None = None,
         varying_out: VaryingDimension | None = None,
         build: "Callable[[], Cube] | None" = None,
+        footprint_rows: "int | None" = None,
     ) -> None:
         self._leaf_cube = leaf_cube
         self._build = build
@@ -128,7 +143,12 @@ class WhatIfCube:
         self.aggregate_cube = aggregate_cube
         self.mode = mode
         #: output validity sets keyed by member-instance full path
-        self.validity_out: dict[str, ValiditySet] = dict(validity_out or {})
+        self.validity_out: Mapping[str, ValiditySet] = (
+            {} if validity_out is None else validity_out
+        )
+        #: base leaves the chain's first stage read (``None`` until a
+        #: deferred first stage has read them)
+        self.footprint_rows = footprint_rows
         #: hypothetical varying structure (positive scenarios)
         self.varying_out = varying_out
         #: over the whole chain that produced this cube, per varying
@@ -136,7 +156,7 @@ class WhatIfCube:
         #: the same dimension overwrites): the hypothetical structure S
         #: left behind, and the instances with a non-empty output validity
         self.varying: dict[str, VaryingDimension] = {}
-        self.surviving: dict[str, frozenset[str]] = {}
+        self.surviving: dict[str, AbstractSet[str]] = {}
 
     @property
     def leaf_cube(self) -> Cube:
@@ -164,6 +184,7 @@ class WhatIfCube:
             self.validity_out,
             self.varying_out,
             build=None if leaves is not None else lambda: self.leaf_cube,
+            footprint_rows=self.footprint_rows,
         )
         clone.varying, clone.surviving = self.varying, self.surviving
         return clone
@@ -205,11 +226,45 @@ class WhatIfCube:
         )
 
 
+def _picked(rows: Rows, cube: Cube) -> "tuple[np.ndarray | None, int]":
+    """The rows a stage reads of ``cube`` (computed now, if ``rows`` is a
+    callable) and how many they are."""
+    picked = rows() if callable(rows) else rows
+    return picked, cube.n_leaf_cells if picked is None else len(picked)
+
+
+def _view(
+    scenario: "NegativeScenario | PositiveScenario",
+    cube: Cube,
+    out: Cube,
+    n_rows: int,
+    validity_out: Mapping[str, ValiditySet],
+    varying_out: "VaryingDimension | None" = None,
+) -> WhatIfCube:
+    """A stage's view over the leaves ``out`` it moved from ``n_rows``
+    rows of ``cube``: its aggregates are ``out``'s own, re-evaluated, in
+    VISUAL mode and ``cube``'s in NON_VISUAL mode."""
+    aggregates = cube
+    if scenario.mode is Mode.VISUAL:
+        out.clear_stored_derived()
+        aggregates = out
+    return WhatIfCube(
+        out, aggregates, scenario.mode, validity_out, varying_out, footprint_rows=n_rows
+    )
+
+
 def _deferred(
-    scenario: "NegativeScenario | PositiveScenario", move: "Callable[[], Cube]"
-) -> "Callable[[], Cube]":
-    """A NON_VISUAL stage's leaf half, for :class:`WhatIfCube` to run on
-    first read, under a ``scenario.leaves`` span of its own."""
+    scenario: "NegativeScenario | PositiveScenario",
+    cube: Cube,
+    rows: Rows,
+    move: "Callable[[np.ndarray | None], Cube]",
+    validity_out: Mapping[str, ValiditySet],
+    varying_out: "VaryingDimension | None" = None,
+) -> WhatIfCube:
+    """A NON_VISUAL stage's view whose leaf half — the rows ``rows`` of
+    ``cube`` (computed then, if a callable) moved by ``move`` — waits for
+    the first reader of :attr:`WhatIfCube.leaf_cube`, under a
+    ``scenario.leaves`` span of its own."""
 
     def build() -> Cube:
         from repro.obs.trace import trace_span
@@ -217,9 +272,11 @@ def _deferred(
         with trace_span(
             "scenario.leaves", kind=type(scenario).__name__, dimension=scenario.dimension
         ):
-            return move()
+            picked, view.footprint_rows = _picked(rows, cube)
+            return move(picked)
 
-    return build
+    view = WhatIfCube(None, cube, scenario.mode, validity_out, varying_out, build=build)
+    return view
 
 
 def _algebra(movement: str, mode: Mode) -> str:
@@ -228,46 +285,61 @@ def _algebra(movement: str, mode: Mode) -> str:
     return f"E ∘ {movement}" if mode is Mode.VISUAL else movement
 
 
-def _members_with_data(cube: Cube, dim_name: str) -> list[str]:
-    """Members holding leaf data, sorted — one entry per member however
-    many instance coordinates carry its cells: off the cube's coordinate
-    counts and the coordinates' member numbers, which sort like the
-    names."""
+def _members_with_data(cube: Cube, dim_name: str) -> Members:
+    """Members holding leaf data, once each however many instance
+    coordinates carry their cells: their numbers in the dimension's
+    instance tables, ascending (name order), off the cube's coordinate
+    counts and the coordinates' member numbers.  A coordinate naming no
+    member of the skeleton has no number: then the sorted names, its own
+    included, for the stage to refuse after its own checks
+    (:func:`_numbered`)."""
     table = cube.schema.varying_dimension(dim_name).instance_table()
     coords, counts, labels = cube.rollup_index().coord_labels(
         cube.schema.dim_index(dim_name), *table.member_labels()
     )
     held = counts > 0
-    numbers = np.bincount(labels[held & (labels >= 0)], minlength=len(table.members))
-    names = [table.members[m] for m in np.flatnonzero(numbers).tolist()]
     strays = held & (labels < 0)
-    if strays.any():  # names no member of the skeleton: instances_of refuses them
-        names = sorted(
-            {*names, *(coords[c].rsplit("/", 1)[-1] for c in np.flatnonzero(strays))}
+    if strays.any():
+        return sorted(
+            {
+                *(table.members[m] for m in labels[held & (labels >= 0)].tolist()),
+                *(coords[c].rsplit("/", 1)[-1] for c in np.flatnonzero(strays)),
+            }
         )
-    return names
+    return np.flatnonzero(np.bincount(labels[held], minlength=len(table.members)))
 
 
-def phi_validity(
-    varying: VaryingDimension,
-    members: Sequence[str],
-    pset: PerspectiveSet,
-    semantics: Semantics,
-    memo: "dict[ValiditySet, ValiditySet | None] | None" = None,
-) -> ValidityMap:
-    """Φ per member (Def. 3.4 / 4.3) over every instance of ``members``:
-    instance full path → output validity set, in member then instance
-    order.  σ (the active filter) is implicit: an instance whose output
-    set is empty is left out.  One :func:`~repro.core.perspective.phi_table`
-    over the structure's instance table: Φ runs once per distinct input
-    set, and ``memo`` keeps the output sets for a caller that asks member
-    by member under one (P, sem)."""
-    table = varying.instance_table()
+def _numbered(table: InstanceTable, varying: VaryingDimension, members: Members) -> np.ndarray:
+    """``members`` as member numbers of ``table``: numbers as they are,
+    names looked up — the first that names no member refused as the
+    dimension refuses it."""
+    if isinstance(members, np.ndarray):
+        return members
     ids = np.fromiter(
         map(table.member_id.get, members, repeat(-1)), dtype=np.int64, count=len(members)
     )
     if len(ids) and ids.min() < 0:
         varying.dimension.member(members[int(np.argmin(ids))])  # raises
+    return ids
+
+
+def phi_validity(
+    varying: VaryingDimension,
+    members: Members,
+    pset: PerspectiveSet,
+    semantics: Semantics,
+    memo: "dict[ValiditySet, ValiditySet | None] | None" = None,
+) -> ValidityMap:
+    """Φ per member (Def. 3.4 / 4.3) over every instance of ``members``
+    (member numbers, or names): instance full path → output validity set,
+    in member then instance order.  σ (the active filter) is implicit: an
+    instance whose output set is empty is left out.  One
+    :func:`~repro.core.perspective.phi_table` over the structure's
+    instance table: Φ runs once per distinct input set, and ``memo`` keeps
+    the output sets for a caller that reads them member by member under
+    one (P, sem)."""
+    table = varying.instance_table()
+    ids = _numbered(table, varying, members)
     return phi_table(table, table.of_members(ids), pset, semantics, memo)
 
 
@@ -275,7 +347,7 @@ def expand_instances(
     varying: VaryingDimension,
     member: str,
     ancestors: Sequence[str],
-    surviving: "frozenset[str] | None",
+    surviving: "AbstractSet[str] | None",
 ) -> list[MemberInstance]:
     """The instances a reference to a varying leaf member names: those
     under every named ancestor and, when a scenario touched the dimension
@@ -329,11 +401,12 @@ class NegativeScenario:
         }
 
     def structure(
-        self, varying: VaryingDimension, members: Sequence[str]
-    ) -> "tuple[None, dict[str, ValiditySet]]":
+        self, varying: VaryingDimension, members: Members
+    ) -> "tuple[None, ValidityMap]":
         """The structure half: Φ_sem(VS_in, P) over the instances of
-        ``members`` (the members holding data).  ρ leaves the varying
-        structure as it is, hence the ``None``."""
+        ``members`` (the members holding data, as numbers or names) in
+        ``varying``'s instance table.  ρ leaves the varying structure as
+        it is, hence the ``None``."""
         if not self.perspectives:
             raise QueryError("a perspective clause needs at least one moment")
         if self.semantics.is_dynamic and not varying.parameter.ordered:
@@ -354,30 +427,29 @@ class NegativeScenario:
         self,
         cube: Cube,
         varying: VaryingDimension | None = None,
-        rows: "np.ndarray | None" = None,
+        rows: Rows = None,
         structure: "Stage | None" = None,
     ) -> WhatIfCube:
         """``rows`` applies ρ to those leaves of ``cube`` only
-        (:func:`footprint_rows`); ``structure`` is this stage's structure
-        half when the caller already ran it (once per chain, on the whole
-        cube — Φ is not asked again).  A NON_VISUAL stage handed its
-        structure half has nothing left to compute but its leaves: it
-        defers them to their first reader (:class:`WhatIfCube`)."""
+        (:func:`footprint_rows`; a callable computes them when ρ runs);
+        ``structure`` is this stage's structure half when the caller
+        already ran it (once per chain, on the whole cube — Φ is not asked
+        again).  A NON_VISUAL stage handed its structure half has nothing
+        left to compute but its leaves: it defers them, and their rows, to
+        their first reader (:class:`WhatIfCube`)."""
         varying = varying or cube.schema.varying_dimension(self.dimension)
         _, validity_out = structure or self.structure(
             varying, _members_with_data(cube, self.dimension)
         )
-        operands = (cube, self.dimension, validity_out, varying)
-        if rows is not None:
-            operands += (rows,)
+
+        def move(picked: "np.ndarray | None") -> Cube:
+            operands = (cube, self.dimension, validity_out, varying)
+            return relocate(*operands) if picked is None else relocate(*operands, picked)
+
         if structure is not None and self.mode is Mode.NON_VISUAL:
-            move = _deferred(self, lambda: relocate(*operands))
-            return WhatIfCube(None, cube, self.mode, validity_out, build=move)
-        out = relocate(*operands)
-        if self.mode is Mode.VISUAL:
-            out.clear_stored_derived()
-            return WhatIfCube(out, out, self.mode, validity_out)
-        return WhatIfCube(out, cube, self.mode, validity_out)
+            return _deferred(self, cube, rows, move, validity_out)
+        picked, n_rows = _picked(rows, cube)
+        return _view(self, cube, move(picked), n_rows, validity_out)
 
 
 @dataclass
@@ -420,19 +492,26 @@ class PositiveScenario:
         }
 
     def _validity(
-        self, hypo: VaryingDimension, varying: VaryingDimension, members: Sequence[str]
-    ) -> dict[str, ValiditySet]:
-        """The validity sets S leaves behind, per instance of ``members``."""
-        validity_out: dict[str, ValiditySet] = {}
-        for member in members:
-            source = hypo if hypo.is_managed(member) else varying
-            for instance in source.instances_of(member):
-                validity_out[instance.full_path] = instance.validity
-        return validity_out
+        self, hypo: VaryingDimension, varying: VaryingDimension, members: Members
+    ) -> ValidityMap:
+        """The validity sets S leaves behind, per instance of ``members``
+        (numbers or names), member then instance: a managed member's
+        instances under ``hypo``, every other member's under ``varying``.
+        One instance table: ``hypo``'s, which differs from ``varying``'s
+        in R's members alone — unless R moves a member others hang below,
+        whose instances S leaves where they were: then ``varying``'s
+        table with ``hypo``'s managed members re-read."""
+        table = hypo.instance_table()
+        if any(hypo.has_below(change.member) for change in self.changes):
+            table = varying.instance_table().patched(hypo, hypo.managed_members())
+        instances = table.of_members(_numbered(table, varying, members))
+        return ValidityMap(
+            table, instances, table.set_of[instances], table.matrix, lambda: list(table.set_id)
+        )
 
     def structure(
-        self, varying: VaryingDimension, members: Sequence[str]
-    ) -> "tuple[VaryingDimension, dict[str, ValiditySet]]":
+        self, varying: VaryingDimension, members: Members
+    ) -> "tuple[VaryingDimension, ValidityMap]":
         """The structure half: R applied to a copy of ``varying``, and the
         validity sets of the instances of ``members`` (the members holding
         data) under it.
@@ -453,7 +532,7 @@ class PositiveScenario:
         self,
         cube: Cube,
         varying: VaryingDimension | None = None,
-        rows: "np.ndarray | None" = None,
+        rows: Rows = None,
         structure: "Stage | None" = None,
     ) -> WhatIfCube:
         """``rows`` / ``structure`` as in :meth:`NegativeScenario.apply`."""
@@ -461,31 +540,30 @@ class PositiveScenario:
         if not self.changes:
             raise QueryError("a changes clause needs at least one change tuple")
         operands = (cube, self.dimension, list(self.changes), varying)
-        options: dict[str, Any] = {}
-        if rows is not None:
-            options["rows"] = rows
-        if structure is not None:
-            # S's structure half (R applied) is the chain's: split is handed
-            # it, not asked to build it again
-            hypo, validity_out = structure
-            options["hypo"] = hypo
-            if self.mode is Mode.NON_VISUAL:
-                move = _deferred(self, lambda: split(*operands, **options)[0])
-                return WhatIfCube(None, cube, self.mode, validity_out, hypo, build=move)
-        # without a structure half split builds its own and hands it back
-        out, hypo = split(*operands, **options)
         if structure is None:
+            # without a structure half split builds its own and hands it back
+            picked, n_rows = _picked(rows, cube)
+            out, hypo = split(*operands, **({} if picked is None else {"rows": picked}))
             validity_out = self._validity(hypo, varying, _members_with_data(out, self.dimension))
-        if self.mode is Mode.VISUAL:
-            out.clear_stored_derived()
-            return WhatIfCube(out, out, self.mode, validity_out, varying_out=hypo)
-        return WhatIfCube(out, cube, self.mode, validity_out, varying_out=hypo)
+            return _view(self, cube, out, n_rows, validity_out, hypo)
+        # S's structure half (R applied) is the chain's: split is handed
+        # it, not asked to build it again
+        hypo, validity_out = structure
+
+        def move(picked: "np.ndarray | None") -> Cube:
+            restricted = {} if picked is None else {"rows": picked}
+            return split(*operands, hypo=hypo, **restricted)[0]
+
+        if self.mode is Mode.NON_VISUAL:
+            return _deferred(self, cube, rows, move, validity_out, hypo)
+        picked, n_rows = _picked(rows, cube)
+        return _view(self, cube, move(picked), n_rows, validity_out, hypo)
 
 
 def apply_scenarios(
     cube: Cube,
     scenarios: Sequence[NegativeScenario | PositiveScenario],
-    rows: "np.ndarray | None" = None,
+    rows: Rows = None,
     stages: "Sequence[Stage] | None" = None,
 ) -> WhatIfCube:
     """Apply a chain of scenarios left to right (a query may carry both
@@ -500,13 +578,16 @@ def apply_scenarios(
 
     ``rows`` (:func:`footprint_rows`) is σ pushed below the chain: the
     first stage reads those leaves of ``cube`` only, and every later
-    stage the — already restricted — output of the one before.
+    stage the — already restricted — output of the one before; a
+    callable is asked for them when the first stage moves its leaves.
     ``stages`` hands each stage the structure half :func:`chain_structure`
     computed for it on the whole cube; a NON_VISUAL stage then defers its
     leaves to their first reader.  A stage before the last is read at
     once, as the next stage's input; the last one's leaves are moved only
     if the query reads a cell at leaf level (Sec. 3.3: every other cell
-    of a NON_VISUAL stage is its input's).
+    of a NON_VISUAL stage is its input's) — so a NON_VISUAL chain of one
+    stage computes its rows only then.  The result's ``footprint_rows``
+    counts the base leaves the first stage read.
     """
     from repro.obs.trace import trace_span
 
@@ -515,7 +596,8 @@ def apply_scenarios(
     current = cube
     result: WhatIfCube | None = None
     varying: dict[str, VaryingDimension] = {}
-    surviving: dict[str, frozenset[str]] = {}
+    surviving: dict[str, AbstractSet[str]] = {}
+    first: WhatIfCube | None = None
     for position, scenario in enumerate(scenarios):
         if result is not None:  # a stage's input is the leaves of the one before
             current = result.leaf_cube
@@ -531,11 +613,15 @@ def apply_scenarios(
             "scenario.apply", kind=type(scenario).__name__, dimension=dimension
         ):
             result = scenario.apply(current, varying.get(dimension), **restricted)
+        if first is None:
+            first = result
         if dimension:
-            surviving[dimension] = frozenset(result.validity_out)
+            surviving[dimension] = result.validity_out.keys()
             if result.varying_out is not None:
                 varying[dimension] = result.varying_out
-    assert result is not None
+    assert first is not None and result is not None
+    if result is not first:  # read at once, as the second stage's input
+        result.footprint_rows = first.footprint_rows
     result.varying, result.surviving = varying, surviving
     return result
 
@@ -543,10 +629,12 @@ def apply_scenarios(
 class ChainStructure(NamedTuple):
     """The structure half of a whole chain (:func:`chain_structure`): what
     :func:`apply_scenarios` reports as ``.varying`` / ``.surviving``, and
-    each stage's own half for the apply that follows."""
+    each stage's own half for the apply that follows.  A dimension's
+    surviving instances are the keys of its last stage's validity map:
+    ``in`` reads that map's instance table, and no set is built."""
 
     varying: dict[str, VaryingDimension]
-    surviving: dict[str, frozenset[str]]
+    surviving: dict[str, AbstractSet[str]]
     stages: tuple[Stage, ...]
 
 
@@ -554,9 +642,10 @@ def chain_structure(
     cube: Cube, scenarios: Sequence[NegativeScenario | PositiveScenario]
 ) -> ChainStructure:
     """The structure half of :func:`apply_scenarios`, from the varying
-    structures and the names of the members holding data in ``cube`` alone
-    — no cell is read or moved, no ``scenario.apply`` / ``core.relocate`` /
-    ``core.split`` span opens.
+    structures and the members holding data in ``cube`` alone — no cell
+    is read or moved, no ``scenario.apply`` / ``core.relocate`` /
+    ``core.split`` span opens.  An S stage's validity map and a ρ stage's
+    Φ after it read one instance table, the hypothetical structure's.
 
     Holds for the chains MDX can express (at most one S, then at most one
     ρ) over a warehouse :func:`~repro.core.validation.check_warehouse`
@@ -564,14 +653,14 @@ def chain_structure(
     then sees the base cube's members-with-data.
     """
     varying: dict[str, VaryingDimension] = {}
-    surviving: dict[str, frozenset[str]] = {}
+    surviving: dict[str, AbstractSet[str]] = {}
     stages: list[Stage] = []
     for scenario in scenarios:
         dimension = scenario.dimension
         current = varying.get(dimension) or cube.schema.varying_dimension(dimension)
         stage = scenario.structure(current, _members_with_data(cube, dimension))
         stages.append(stage)
-        surviving[dimension] = frozenset(stage[1])
+        surviving[dimension] = stage[1].keys()
         if stage[0] is not None:
             varying[dimension] = stage[0]
     return ChainStructure(varying, surviving, tuple(stages))
@@ -641,7 +730,7 @@ def footprint_rows(
     A cube with a rule engine is read whole — a formula may read any cell
     — and so is anything under ``naive_mode()``, which trusts no mask.
     """
-    if not named or cube.rules is not None or not perf_config.engine_enabled():
+    if _reads_whole(cube, named):
         return None
     schema = cube.schema
     touched = {scenario.dimension for scenario in scenarios}
@@ -654,6 +743,13 @@ def footprint_rows(
             coords = _rows_of_members_reaching(cube, name, structures, coords)
         under[schema.dim_index(name)] = coords
     return cube.rollup_index().ids_under(under)
+
+
+def _reads_whole(cube: Cube, named: Footprint) -> bool:
+    """Whether σ_F keeps every leaf of ``cube`` (:func:`footprint_rows`
+    is ``None``): no dimension restricted, a rule engine, or
+    ``naive_mode()``."""
+    return not named or cube.rules is not None or not perf_config.engine_enabled()
 
 
 def _covers(schema: CubeSchema, have: Footprint, want: Footprint) -> bool:
@@ -684,8 +780,13 @@ class AppliedChain(NamedTuple):
     structure: ChainStructure
     #: the footprint ``view`` was applied under; ``{}`` = the whole cube
     named: "Footprint | None" = None
-    #: base leaves ``view`` was applied to
-    footprint_rows: int = 0
+
+    @property
+    def footprint_rows(self) -> "int | None":
+        """Base leaves ``view`` was applied to — ``None`` until they are
+        known: no view yet, or a NON_VISUAL stage of one whose leaves, and
+        the rows they come from, wait for a reader."""
+        return None if self.view is None else self.view.footprint_rows
 
 
 def apply_chain(
@@ -696,7 +797,12 @@ def apply_chain(
     """``entry`` if its data covers the footprint ``named``; otherwise the
     chain applied to the rows of the per-dimension union of both
     footprints (a dimension either leaves unrestricted stays so), so an
-    entry only ever widens — towards, and never past, the full view."""
+    entry only ever widens — towards, and never past, the full view.
+    The rows are computed when the first stage moves its leaves: at once,
+    or — a NON_VISUAL chain of one stage — on the first read of them.  An
+    entry whose rows are every leaf covers any footprint (``named`` is
+    ``{}``); a deferred one says so only where no row needs computing
+    (:func:`_reads_whole`)."""
     base, schema = entry.base, entry.base.schema
     if entry.view is not None:
         if _covers(schema, entry.named, named):
@@ -705,8 +811,11 @@ def apply_chain(
             name: entry.named[name] | named[name]
             for name in entry.named.keys() & named.keys()
         }
-    rows = footprint_rows(base, scenarios, entry.structure, named)
-    view = apply_scenarios(base, scenarios, rows, entry.structure.stages)
-    if rows is None:
-        return entry._replace(view=view, named={}, footprint_rows=base.n_leaf_cells)
-    return entry._replace(view=view, named=named, footprint_rows=len(rows))
+    structure = entry.structure
+
+    def rows() -> "np.ndarray | None":
+        return footprint_rows(base, scenarios, structure, named)
+
+    view = apply_scenarios(base, scenarios, rows, structure.stages)
+    whole = _reads_whole(base, named) or view.footprint_rows == base.n_leaf_cells
+    return entry._replace(view=view, named={} if whole else named)

@@ -405,7 +405,9 @@ class _Context:
     @property
     def footprint_rows(self) -> "int | None":
         """Base leaves the view this query read was applied to (``None``:
-        no scenario, or no cell read yet)."""
+        no scenario, no cell read yet, or a NON_VISUAL chain of one stage
+        whose leaves no cell has read — their rows are computed with
+        them)."""
         return None if self._applied is None else self._entry.footprint_rows
 
     # -- member expansion -----------------------------------------------------------

@@ -90,7 +90,9 @@ class InstanceTable:
     ``m``'s instances are ``start[m]:start[m + 1]``; the member numbers
     along instance ``i``'s path, root first, are
     ``nodes[node_start[i]:node_start[i + 1]]``, and ``node_of`` names the
-    instance of every node.  A table is never changed once built.
+    instance of every node.  A table is never changed once built;
+    ``path_id`` (instance number by full path) is derived from it on first
+    ask.
     """
 
     __slots__ = (
@@ -107,6 +109,7 @@ class InstanceTable:
         "nodes",
         "node_start",
         "node_of",
+        "_path_id",
     )
 
     @classmethod
@@ -208,11 +211,21 @@ class InstanceTable:
         self.start = np.concatenate(([0], np.cumsum(sizes)))
         self.node_start = np.concatenate(([0], np.cumsum(path_len)))
         self.node_of = np.repeat(np.arange(len(path_len)), path_len)
+        self._path_id: "dict[str, int] | None" = None
         self.set_id = set_id
         rows = np.zeros((len(set_id) - n_old_sets, universe), dtype=np.bool_)
         for row, validity in enumerate(list(set_id)[n_old_sets:]):
             rows[row, list(validity.moments)] = True
         self.matrix = rows if old is None else np.concatenate((old.matrix, rows))
+
+    @property
+    def path_id(self) -> "dict[str, int]":
+        """Instance number by full path, built on first ask (a racing
+        build yields an equal dict)."""
+        path_id = self._path_id
+        if path_id is None:
+            path_id = self._path_id = dict(zip(self.paths, range(len(self.paths))))
+        return path_id
 
     def member_labels(self) -> "tuple[object, Callable[[list[str]], list[int]]]":
         """The labelling of the dimension's cell coordinates by member
@@ -310,6 +323,11 @@ class VaryingDimension:
         """Whether this member has a per-moment parent assignment."""
         return member in self._parent_at
 
+    def has_below(self, member: str) -> bool:
+        """Whether another member's path may pass through ``member``: it
+        has a skeleton child or was named as a parent."""
+        return bool(self.dimension.member(member).children) or member in self._parents_named
+
     # -- mutation -------------------------------------------------------------
 
     def _managed_row(self, member: str) -> list[str | None]:
@@ -345,7 +363,7 @@ class VaryingDimension:
         every path may pass through it (Def. 3.1: a non-leaf reparent
         changes every root-to-leaf path under it), so everything goes."""
         self.generation = next_generation()
-        if self.dimension.member(member).children or member in self._parents_named:
+        if self.has_below(member):
             self._instances.clear()
             self._table = None
         else:

@@ -356,6 +356,9 @@ class _Handler(BaseHTTPRequestHandler):
             degrade = payload.get("degrade")
             if degrade is not None and not isinstance(degrade, str):
                 raise QueryError('"degrade" must be a string policy name')
+            analyze = payload.get("analyze", True)
+            if not isinstance(analyze, bool):
+                raise QueryError('"analyze" must be true or false')
             deadline_ms = check_deadline_ms(payload.get("deadline_ms"))
             tenant = self._tenant(payload)
             if not self.server.quotas.acquire(tenant):
@@ -375,7 +378,7 @@ class _Handler(BaseHTTPRequestHandler):
                     return
                 result = self.server.service.execute(
                     text,
-                    analyze=bool(payload.get("analyze", True)),
+                    analyze=analyze,
                     degrade=degrade,
                     deadline_ms=deadline_ms,
                 )

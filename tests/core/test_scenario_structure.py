@@ -8,6 +8,9 @@ plans, ⊥ months, sparse cubes), over a warehouse ``check_warehouse``
 accepts — while reading and moving no cell.  Axis resolution on the shard
 coordinator, EXPLAIN and the static analyzer stand on this.
 
+S's validity sets are a ``ValidityMap`` over one instance table; a law
+below holds them to the per-member reading they replaced, keys in order.
+
 Tier-1 draws a few worlds per law; the CI ``faults`` job
 (``REPRO_FAULTS=ci-matrix``) draws the wide run.
 """
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -30,6 +34,7 @@ from repro.core.scenario import (
     chain_structure,
 )
 from repro.core.validation import check_warehouse
+from repro.errors import InvalidChangeError
 from repro.obs.trace import tracing
 from repro.olap.cube import Cube
 from repro.olap.dimension import Dimension
@@ -102,6 +107,48 @@ def test_split_then_relocate(pair, semantics, data):
         NegativeScenario("Org", _perspectives(data, world), semantics),
     ]
     _same_structure(world.cube, chain)
+
+
+def _s_validity_reference(hypo, varying, members: "list[str]") -> dict:
+    """S's validity sets read member by member: a managed member's
+    instances under the hypothetical structure, every other member's
+    under the input one."""
+    return {
+        instance.full_path: instance.validity
+        for member in members
+        for instance in (hypo if hypo.is_managed(member) else varying).instances_of(member)
+    }
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(pair=worlds_with_changes(), data=st.data())
+def test_s_validity_is_the_per_member_reading_in_its_order(pair, data):
+    """For the drawn R, and for R that also moves a group — a member
+    others hang below, whose employees' instances change under the
+    hypothetical structure while S leaves their cells where they were."""
+    world, changes = pair
+    skeleton = world.varying.dimension
+    parents = sorted({skeleton.member(e).parent.name for e in world.employees})
+    group = data.draw(st.sampled_from(parents))
+    host = data.draw(st.sampled_from([g for g in world.groups if g != group]))
+    month = data.draw(st.sampled_from(world.months[1:]))
+    members = sorted({c.rsplit("/", 1)[-1] for c in world.cube.coordinates_used("Org")})
+    for relation in (changes, [*changes, ChangeTuple(group, "Org", host, month)]):
+        if not relation:
+            continue
+        scenario = PositiveScenario("Org", relation)
+        try:
+            hypo, validity = scenario.structure(world.varying, members)
+        except InvalidChangeError:
+            continue
+        expected = _s_validity_reference(hypo, world.varying, members)
+        assert list(validity.items()) == list(expected.items())
+        assert list(validity) == list(expected) and len(validity) == len(expected)
+        # the numbers the chain hands in name the same members
+        numbers = np.array([validity.table.member_id[m] for m in members], dtype=np.int64)
+        assert list(scenario.structure(world.varying, numbers)[1].items()) == list(expected.items())
+        if relation is changes:  # one table for S's map and the ρ after it
+            assert validity.table is hypo.instance_table()
 
 
 def test_the_precondition_is_the_one_check_warehouse_audits():

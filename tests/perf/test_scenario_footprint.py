@@ -17,7 +17,11 @@ the per-dimension union and swapped in.  Pinned here:
 * spans and EXPLAIN say what was kept;
 * a NON_VISUAL last stage moves its leaves only for a grid with a leaf
   cell — once, in the scenario phase, however many threads race for them
-  — and refuses a malformed row only then.
+  — and refuses a malformed row only then; a chain of that one stage
+  computes the footprint's rows only then too, from the entry's
+  footprint;
+* Φ's output is a read-only mapping over the instance table that reads
+  as the dict it replaced.
 
 The law this stands on is ``tests/core/test_sigma_below_rho.py``.
 """
@@ -26,11 +30,13 @@ from __future__ import annotations
 
 import sys
 import threading
+from collections.abc import Mapping
 
 import pytest
 
 import repro.core.scenario as scenario_module
-from repro.core.scenario import apply_scenarios
+from repro.core.perspective import PerspectiveSet, Semantics, ValidityMap, phi_member
+from repro.core.scenario import apply_scenarios, phi_validity
 from repro.core.validation import check_warehouse
 from repro.errors import QueryError
 from repro.mdx.evaluator import build_scenarios
@@ -418,6 +424,37 @@ class TestObservability:
         _, root = self._traced(warehouse, employees(workforce.departments[2], "Acct001", NON_VISUAL))
         assert root.find("core.relocate") is None
 
+    def test_the_footprint_follows_the_leaves(self, warehouse, workforce, monkeypatch):
+        """A leafless NON_VISUAL dashboard computes no footprint row; the
+        first leaf grid its entry covers computes them once, for the
+        footprint the entry was asked for, inside the leaves' build."""
+        text = dashboard("Acct001", NON_VISUAL)
+        leaf = employees(workforce.departments[1], "Acct001", NON_VISUAL)
+        expected = {text: _reference(text), leaf: _reference(leaf)}
+        calls = []
+        footprint_rows = scenario_module.footprint_rows
+
+        def counted(cube, scenarios, structure, named):
+            calls.append(dict(named))
+            return footprint_rows(cube, scenarios, structure, named)
+
+        monkeypatch.setattr(scenario_module, "footprint_rows", counted)
+        result, root = self._traced(warehouse, text)
+        assert calls == []
+        assert _grid(result) == expected[text]
+        entry = _entry(warehouse, text)
+        assert entry.footprint_rows is None  # deferred with the leaves
+        assert root.find("mdx.scenario").attrs["footprint_rows"] is None
+        result, root = self._traced(warehouse, leaf)
+        assert result.stats["scenario_cache_hits"] == 1
+        assert _entry(warehouse, leaf) is entry  # covered: no new entry
+        assert calls == [dict(entry.named)]
+        assert entry.footprint_rows == warehouse.cube.n_leaf_cells // 6
+        assert root.find("mdx.scenario").attrs["footprint_rows"] == entry.footprint_rows
+        assert _grid(result) == expected[leaf]
+        warehouse.query(employees(workforce.departments[2], "Acct001", NON_VISUAL))
+        assert len(calls) == 1
+
     def test_threads_racing_the_first_leaf_read_move_the_leaves_once(
         self, warehouse, workforce, monkeypatch
     ):
@@ -476,3 +513,45 @@ class TestObservability:
         assert _entry(warehouse, dashboard("Acct001")).footprint_rows == report["footprint"]["rows"]
         # a base-cube query has no chain, hence no footprint
         assert "footprint" not in explain_report(warehouse, dashboard("Acct001", ""))
+
+
+class TestValidityMap:
+    """Φ's output reads as the path → output set dict it replaced: built
+    here member by member (``phi_member``), the way that dict was."""
+
+    def test_reads_as_the_eager_dict(self, warehouse):
+        varying = warehouse.schema.varying_dimension("Department")
+        members = sorted(
+            {c.rsplit("/", 1)[-1] for c in warehouse.cube.coordinates_used("Department")}
+        )
+        pset = PerspectiveSet.from_names(["Mar", "Sep"], varying)
+        for semantics in Semantics:
+            eager = {
+                instance.full_path: validity
+                for member in members
+                for instance, validity in phi_member(
+                    varying.instances_of(member), pset, semantics
+                ).items()
+            }
+            vm = phi_validity(varying, members, pset, semantics)
+            assert isinstance(vm, ValidityMap) and isinstance(vm, Mapping)
+            assert not isinstance(vm, dict)
+            # length, order and membership come off the table
+            assert len(vm) == len(eager)
+            assert list(vm) == list(eager)
+            assert all(path in vm for path in eager)
+            dropped = [
+                instance.full_path
+                for member in members
+                for instance in varying.instances_of(member)
+                if instance.full_path not in eager
+            ]
+            assert not any(path in vm for path in dropped)
+            assert "Department/nowhere" not in vm and 7 not in vm
+            assert vm.keys() == eager.keys()
+            assert vm._entries is None  # no set built yet
+            assert dict(vm) == eager and list(vm.items()) == list(eager.items())
+            assert vm == eager and eager == vm
+            assert vm[next(iter(eager))] == next(iter(eager.values()))
+            with pytest.raises(TypeError):
+                vm["Department/x"] = next(iter(eager.values()))  # read-only

@@ -496,6 +496,21 @@ class TestAdmission:
             server.server_close()
             thread.join(timeout=5)
 
+    @pytest.mark.parametrize("analyze", ["false", [], 0, None])
+    def test_a_non_bool_analyze_is_a_typed_400(self, base_url, analyze):
+        """``bool(payload["analyze"])`` ran the analyzer for ``"false"``
+        and skipped it for ``[]``; only ``true`` and ``false`` are read."""
+        status, _, body = _request(
+            base_url, "/v1/query", {"query": QUERY, "analyze": analyze}
+        )
+        assert (status, body["error"]) == (400, "QueryError")
+        assert '"analyze"' in body["message"]
+        for flag in (True, False):
+            status, _, body = _request(
+                base_url, "/v1/query", {"query": QUERY, "analyze": flag}
+            )
+            assert status == 200 and body["partial"] is False
+
     def test_nan_deadline_is_a_400_not_six_shard_timeouts(self, service, base_url):
         """``json.loads`` accepts NaN; ``Event.wait(nan)`` returns at once,
         so every RPC "timed out" against a healthy shard and six such
