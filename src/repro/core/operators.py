@@ -23,7 +23,7 @@ from repro.olap.cube import Cube
 from repro.olap.instances import InstanceTable, VaryingDimension
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.perf.rollup_index import LeafColumns
+    from repro.perf.leaf_store import LeafColumns
 
 __all__ = [
     "select",
@@ -71,7 +71,7 @@ def _moments_of(
 ) -> np.ndarray:
     """Moment index of every row (-1 where the parameter coordinate is
     not a leaf of the parameter dimension), resolved once per parameter
-    coordinate list (:meth:`~repro.perf.rollup_index.LeafColumns.labels`)."""
+    coordinate list (:meth:`~repro.perf.leaf_store.LeafColumns.labels`)."""
     parameter = varying.parameter
 
     def label(coords: "list[str]") -> "list[int]":

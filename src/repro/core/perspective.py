@@ -354,14 +354,11 @@ def phi_table(
     instances: np.ndarray,
     perspectives: PerspectiveSet,
     semantics: Semantics,
-    memo: "dict[ValiditySet, ValiditySet | None] | None" = None,
 ) -> ValidityMap:
     """Φ over the instances ``instances`` of an instance table, in that
     order: :func:`phi_rows` once, on the distinct validity sets they hold.
     An instance whose output set is empty is left out (σ).  Each distinct
-    output set is built once, when a key is first read; ``memo`` (input
-    set → output set or ``None``) lends and keeps them across maps under
-    one (P, sem)."""
+    output set is built once, when a key is first read."""
     if table.matrix.shape[1] != perspectives.universe:
         raise QueryError(
             "validity set and perspective set have different universes: "
@@ -374,19 +371,4 @@ def phi_table(
     row_of[used] = np.where(matrix.any(axis=1), np.arange(len(used)), -1)
     rows = row_of[held]
     kept = rows >= 0
-
-    def lent() -> "list[ValiditySet | None]":
-        assert memo is not None
-        built = _row_sets(matrix)
-        inputs = list(table.set_id)
-        for row, set_id in enumerate(used.tolist()):
-            validity = inputs[set_id]
-            if validity in memo:
-                built[row] = memo[validity]
-            else:
-                memo[validity] = built[row]
-        return built
-
-    return ValidityMap(
-        table, instances[kept], rows[kept], matrix, None if memo is None else lent
-    )
+    return ValidityMap(table, instances[kept], rows[kept], matrix)

@@ -328,19 +328,16 @@ def phi_validity(
     members: Members,
     pset: PerspectiveSet,
     semantics: Semantics,
-    memo: "dict[ValiditySet, ValiditySet | None] | None" = None,
 ) -> ValidityMap:
     """Φ per member (Def. 3.4 / 4.3) over every instance of ``members``
     (member numbers, or names): instance full path → output validity set,
     in member then instance order.  σ (the active filter) is implicit: an
     instance whose output set is empty is left out.  One
     :func:`~repro.core.perspective.phi_table` over the structure's
-    instance table: Φ runs once per distinct input set, and ``memo`` keeps
-    the output sets for a caller that reads them member by member under
-    one (P, sem)."""
+    instance table: Φ runs once per distinct input set."""
     table = varying.instance_table()
     ids = _numbered(table, varying, members)
-    return phi_table(table, table.of_members(ids), pset, semantics, memo)
+    return phi_table(table, table.of_members(ids), pset, semantics)
 
 
 def expand_instances(

@@ -128,6 +128,13 @@ THREAD_SHARED: dict[str, GuardSpec] = {
             "_reader",
         ),
     ),
+    # a leaf-store generation (``repro.perf.leaf_store``) has no lock of
+    # its own: the one index that may write it holds ``RollupIndex._lock``
+    # around every call, so only its methods marked locked may assign
+    # these attributes (the lazy ``ordered`` cache included)
+    "_Structure": GuardSpec(
+        "_lock", ("n_ids", "n_live", "codes", "live", "sorted_part", "recent", "ordered")
+    ),
     "ScenarioCache": GuardSpec("_lock", ("_entries",)),
     "WhatIfCube": GuardSpec("_lock", ("_leaf_cube", "_build")),
     "SlowQueryLog": GuardSpec("_lock", ("_entries", "observed", "recorded")),

@@ -14,7 +14,8 @@ Leaf store and rollup serving
 -----------------------------
 A cube is columnar from its first cell: it holds one
 :class:`~repro.perf.rollup_index.RollupIndex` from construction and that
-index **is** the leaf store.  The cube reads it directly — a point read
+index serves its leaf store (:mod:`repro.perf.leaf_store`).  The cube
+reads it directly — a point read
 through :meth:`~repro.perf.rollup_index.RollupIndex.leaf_reader`, a full
 read (:meth:`Cube.leaf_cells`, the naive scans) through one
 ``columns(())`` —, :meth:`Cube.set_value` writes the index and nothing
@@ -23,9 +24,10 @@ and :meth:`Cube.frozen_copy` / :meth:`Cube.copy` are forks of it — nothing
 proportional to the cube is copied.  The index is arrays only: no address
 tuple, list or dict is kept per leaf, whether the cube was loaded,
 derived or written.  :meth:`Cube.load` is the bulk entry point: on an
-empty cube it reads the stream a chunk at a time into code columns,
-tests each distinct coordinate once and builds the index once from the
-columns — no address is kept past its chunk.
+empty cube it codes the stream a chunk at a time with the leaf store's
+one coder (:func:`~repro.perf.leaf_store.code_columns`), tests each
+distinct coordinate once and builds the index once from the columns — no
+address is kept past its chunk.
 ``repro.perf.config.naive_mode()`` selects the full-scan reference path
 (over the leaf cells' addresses and values; it trusts no code column);
 both paths produce bit-identical values.  Every mutation bumps
@@ -66,7 +68,8 @@ from repro.olap.dimension import next_generation
 from repro.olap.missing import MISSING, Missing, is_missing
 from repro.olap.schema import Address, CubeSchema
 from repro.perf import config as perf_config
-from repro.perf.rollup_index import Column, LeafColumns, RollupIndex, scan_columns
+from repro.perf.leaf_store import Column, LeafColumns, code_columns, scan_columns
+from repro.perf.rollup_index import RollupIndex
 
 __all__ = ["Cube"]
 
@@ -103,17 +106,17 @@ def _read_stream(
     does), for :meth:`RollupIndex.from_writes`; and the stored aggregates
     the other writes leave, with how many of those changed something.
 
-    The stream is consumed a chunk at a time and each chunk transposed;
-    every dimension codes its coordinates against one table that grows
-    with the stream, and each distinct coordinate is leaf-tested once
-    (:meth:`CubeSchema.coordinate_is_leaf`, the test
-    :meth:`CubeSchema.is_leaf_address` asks of each coordinate).  A chunk
-    that fails anywhere is replayed cell by cell (:func:`_first_error`),
-    which raises what :meth:`Cube.set_value` raises at the first cell
-    that names what is wrong."""
+    The stream is consumed a chunk at a time and each chunk coded against
+    one table per dimension that grows with the stream
+    (:func:`~repro.perf.leaf_store.code_columns`); each coordinate the
+    tables gain is leaf-tested once (:meth:`CubeSchema.coordinate_is_leaf`,
+    the test :meth:`CubeSchema.is_leaf_address` asks of each coordinate).
+    A coordinate only a stored aggregate names stays in its table, and
+    ``from_writes`` drops it.  A chunk that fails anywhere is replayed cell
+    by cell (:func:`_first_error`), which raises what :meth:`Cube.set_value`
+    raises at the first cell that names what is wrong."""
     n_dims = schema.n_dims
-    code_of: list[dict[str, int]] = [{} for _ in range(n_dims)]
-    coords: list[list[str]] = [[] for _ in range(n_dims)]
+    tables: dict[int, dict[str, int]] = {dim: {} for dim in range(n_dims)}
     is_leaf: list[list[bool]] = [[] for _ in range(n_dims)]
     code_parts: list[list[np.ndarray]] = [[] for _ in range(n_dims)]
     value_parts: list[np.ndarray] = []
@@ -139,24 +142,15 @@ def _read_stream(
                     np.float64,
                     n,
                 )
-            codes: list[np.ndarray] = []
+            codes = code_columns(addresses, tables)
             leaf_rows: "np.ndarray | None" = None
-            for dim, column in enumerate(zip(*addresses)):
-                table = code_of[dim]
-                distinct = set(column)
-                if not distinct.issubset(table):
-                    for coord in dict.fromkeys(column):
-                        if coord not in table:
-                            table[coord] = len(coords[dim])
-                            coords[dim].append(coord)
-                            is_leaf[dim].append(schema.coordinate_is_leaf(dim, coord))
-                if len(distinct) == 1:
-                    column_codes = np.full(n, table[column[0]], dtype=np.int32)
-                else:
-                    column_codes = np.fromiter(map(table.__getitem__, column), np.int32, n)
-                codes.append(column_codes)
-                if not all(is_leaf[dim]):
-                    at_leaf = np.array(is_leaf[dim])[column_codes]
+            for dim, leaf in enumerate(is_leaf):
+                leaf.extend(
+                    schema.coordinate_is_leaf(dim, coord)
+                    for coord in islice(tables[dim], len(leaf), None)
+                )
+                if not all(leaf):
+                    at_leaf = np.array(leaf)[codes[dim]]
                     leaf_rows = at_leaf if leaf_rows is None else leaf_rows & at_leaf
         except Exception:
             # whatever a per-cell write would raise (a bad length, member,
@@ -171,23 +165,16 @@ def _read_stream(
                 else:
                     derived[addr] = float(raw[row])  # type: ignore[arg-type]
                     changed += 1
-            codes = [column_codes[leaf_rows] for column_codes in codes]
             values, gone = values[leaf_rows], gone[leaf_rows]
-        for dim, column_codes in enumerate(codes):
-            code_parts[dim].append(column_codes)
+        for dim, parts in enumerate(code_parts):
+            parts.append(codes[dim] if leaf_rows is None else codes[dim][leaf_rows])
         value_parts.append(values)
         gone_parts.append(gone)
         deletes = deletes or bool(gone.any())
-    columns: list[Column] = []
-    for dim in range(n_dims):
-        column_codes = _joined(code_parts[dim], np.int32)
-        if not all(is_leaf[dim]):
-            # only stored aggregates name these coordinates: no leaf table
-            # lists them
-            kept = np.array(is_leaf[dim])
-            column_codes = (np.cumsum(kept, dtype=np.int32) - 1)[column_codes]
-            coords[dim] = [coord for coord, leaf in zip(coords[dim], kept) if leaf]
-        columns.append((column_codes, coords[dim]))
+    columns = [
+        (_joined(parts, np.int32), list(tables[dim]))
+        for dim, parts in enumerate(code_parts)
+    ]
     deleted = _joined(gone_parts, np.bool_) if deletes else None
     return columns, _joined(value_parts, np.float64), deleted, derived, changed
 

@@ -3,10 +3,14 @@
 This package holds the performance layer added on top of the semantic
 engine:
 
-* :mod:`repro.perf.rollup_index` — the columnar leaf store every cube
-  holds from construction: it serves ``rollup``/``scope_values`` in
-  O(|scope|) instead of a full leaf scan per derived cell and takes the
-  cube's writes;
+* :mod:`repro.perf.leaf_store` — the columnar leaf store: per-dimension
+  code columns and one value column over the leaf-id space, its forks,
+  renumbering and derivation, and the one coder of columns from
+  addresses;
+* :mod:`repro.perf.rollup_index` — the index every cube holds from
+  construction: it serves the leaf store under one lock, takes the
+  cube's writes and answers ``rollup``/``scope_values`` in O(|scope|)
+  instead of a full leaf scan per derived cell;
 * :mod:`repro.perf.scenario_cache` — an LRU cache of applied what-if
   scenarios keyed by their canonical fingerprints, so repeated
   ``WITH PERSPECTIVE``/``WITH CHANGES`` queries skip ``scenario.apply``;

@@ -1,38 +1,30 @@
-"""Columnar rollup index: coordinate-code columns over the leaf-id space.
+"""Columnar rollup index: the memoised reduction over a cube's leaf store.
 
 The naive cost of a derived cell is one full scan of every leaf cell
 (``Cube.scope_values``): for a result grid of N derived cells that is
-O(N x leaves).  The :class:`RollupIndex` keeps the leaf cells
-**column-wise** instead.  Every leaf has an integer id (assigned in cube
-insertion order, never reused); per dimension one ``int32`` column holds
-the *code* of each leaf's coordinate, and a small per-dimension
-coordinate table maps the few hundred **distinct** coordinates to what
-they roll up to (``CubeSchema.ancestor_chain``, resolved once per
-distinct coordinate, never per cell).  The scope mask of a queried
-coordinate is then one table lookup through the code column; a scope is
-``mask & mask`` + ``np.flatnonzero`` (ascending ids == insertion order).
+O(N x leaves).  The :class:`RollupIndex` reads the leaf cells
+**column-wise** instead, off the leaf store of :mod:`repro.perf.leaf_store`
+— per dimension one ``int32`` code column over the leaf-id space, a small
+coordinate table mapping the few hundred distinct coordinates to what
+they roll up to, and one ``float64`` value column.  The scope mask of a
+queried coordinate is then one table lookup through the code column; a
+scope is ``mask & mask`` + ``np.flatnonzero`` (ascending ids == insertion
+order), and its values are ``column[ids]`` — one fancy-indexed gather —
+summed by :meth:`RollupIndex._block_sums`, a fold from ``0.0`` in
+ascending id order whose result is bit-identical to the naive scan.
 
-Leaf store
-----------
-Leaf *values* are one more column over the same id space: a
-:class:`ColumnarLeafStore` is one contiguous ``float64`` array where row
-== leaf id, grown and copied on write exactly like the code columns.  A
-scope's values are ``column[ids]`` — one fancy-indexed gather — summed
-by :meth:`RollupIndex._block_sums`, a fold from ``0.0`` in ascending id
-order whose result is bit-identical to the naive scan.  Which rows are
-leaves is the structure's business (``_Structure.live`` and the point
-lookup); the value column keeps no liveness of its own, and a row is read
-only after the structure resolved it to a live id.
-
-Every cube holds one index from construction and that index *is* its
-leaf store: the cube keeps no address-keyed dict and no wrapper around
-the index — it reads a leaf through :meth:`RollupIndex.leaf_reader`, all
-of them through one ``columns(())`` and their count off
-:attr:`RollupIndex.n_leaves` — and ``Cube.set_value`` writes here and
-nowhere else (:meth:`RollupIndex.set_leaf` /
-:meth:`RollupIndex.remove_leaf`).  An index built with
-:meth:`RollupIndex.build` and not handed to ``Cube.adopt`` is a
-point-in-time copy of the cube it was built from.
+Every cube holds one index from construction and the index serves its
+leaf store: one structure generation (``_struct``) and one value column
+(``_values``), replaced or written only under the index's lock.  The cube
+keeps no address-keyed dict and no wrapper around the index — it reads a
+leaf through :meth:`RollupIndex.leaf_reader`, all of them through one
+``columns(())`` and their count off :attr:`RollupIndex.n_leaves` — and
+``Cube.set_value`` writes here and nowhere else
+(:meth:`RollupIndex.set_leaf` / :meth:`RollupIndex.remove_leaf`).  An
+index built with :meth:`RollupIndex.build` and not handed to
+``Cube.adopt`` is a point-in-time copy of the cube it was built from.
+How the store is laid out, forked, renumbered and derived, and where
+columns are coded from addresses, is :mod:`repro.perf.leaf_store`'s.
 
 Determinism
 -----------
@@ -47,64 +39,6 @@ place each leaf's insert has in the stream), :meth:`RollupIndex.fork`
 (ids shared),
 :meth:`RollupIndex.derive` (ids follow the emission order of the
 operator that produced the cube) and renumbering (relative order kept).
-
-Structure generations
----------------------
-Everything that depends only on *which* leaves exist — code columns,
-coordinate tables, liveness, the point lookup, and the caches read off
-them (ordered id array, per-coordinate masks) — is one
-:class:`_Structure` generation.
-``Cube.frozen_copy`` and ``Cube.copy`` *fork* the index: the fork shares
-the generation (so a mask computed by one snapshot serves every later
-one) and shares the value column the same way: the first value write on
-either side copies it (``ColumnarLeafStore.fork``).  The column, not a
-4,096-row plane of it, is the copy-on-write unit: plane-granular sharing
-was measured (ISSUE 22) and lost on every path that is driven — each
-write dropped the end-to-end read copy of the planes, so write → snapshot
-→ query re-concatenated the cube anyway (55 µs against 36 µs for
-copy-write-gather at 96,000 rows, 775 against 673 µs at 10^6; 1,000 point
-reads 276 against 100 µs; bulk load 101 µs at 96k and 1.4 ms at 10^6
-against adopting the gathered array) — and every served generation held
-its values twice (884,736 B of planes + a 768,000 B mirror at 96,000
-leaves).  A value write touches no structure.
-An insert or delete on either side first replaces a shared generation
-with a private copy (the other side keeps the old one): its arrays and
-per-coordinate counts are copied, its roll-up maps and sorted keys
-shared and its masks carried (:meth:`_Structure.copy`).  Ids are never
-reused, and once dead ids outnumber live
-ones the next structural write renumbers, so churn cannot grow the id
-space past twice the cube.  The what-if operators (ρ, S) and the restrictions (σ,
-the shard's slice) *derive* the index of their output from the input's:
-the unchanged dimensions' columns are permuted, a moved dimension's
-column is recoded, every coordinate table shares its parent's roll-up
-map (:class:`_CoordTable`: built once per coordinate list, the derived
-generation counting only its own leaves), and the gathered values are
-bulk-loaded — no rebuild.
-No generation holds a per-leaf Python object: every one is arrays only.
-Columns are coded from addresses in two places: a bulk ``Cube.load``
-codes its stream a chunk at a time (``_read_stream`` in
-:mod:`repro.olap.cube`) and hands the code columns over
-(:meth:`RollupIndex.from_writes`), and :meth:`RollupIndex.from_cells`
-codes a mapping — :meth:`RollupIndex.build`, an output whose rows clash
-on one address, and anything computed under ``naive_mode()``.  Neither
-keeps the addresses past the call.
-
-Addresses and point lookup
---------------------------
-A leaf's address is row ``k`` of the code columns read through the
-coordinate tables (:meth:`_Structure.addresses`): built for the rows
-somebody names (a scope, an error message) and for all of them only when
-somebody asks for all (an export) — never on a query path.  The
-``rollup_index.materialize`` span marks every such full read.
-
-Every generation has one point lookup (:meth:`_Structure.find`): the
-sorted mixed-radix keys of its code columns (:class:`_SortedPart`, the
-same sort that proves a derived generation's rows distinct), searched once
-per address and remembered; a small dict of the leaves inserted since the
-sort; and the liveness mask, which confirms a sorted hit.  A structural
-write sorts the inserts in once they outnumber an eighth of the sorted
-rows, and every copy of a generation shares its sorted part, so a
-resolved address stays resolved across snapshots.
 
 Reads
 -----
@@ -152,35 +86,31 @@ renumbering and whenever the buffer fills (:meth:`RollupIndex._settle_written`).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from itertools import repeat
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Iterable,
-    Mapping,
-    Sequence,
-    TypeAlias,
-)
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence, TypeAlias
 
 import numpy as np
 
 from repro.lint.lockdep import make_lock
 from repro.obs.trace import trace_span
 from repro.olap.missing import MISSING, Missing
+from repro.perf.leaf_store import (
+    _EMPTY_IDS,
+    Address,
+    Column,
+    ColumnarLeafStore,
+    LeafColumns,
+    _Structure,
+    scan_columns,
+)
 from repro.storage.io_stats import CacheStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.olap.cube import Cube
     from repro.olap.schema import CubeSchema
 
-__all__ = ["ColumnarLeafStore", "LeafColumns", "RollupIndex", "scan_columns"]
+__all__ = ["RollupIndex"]
 
-Address = tuple[str, ...]
 CellValue: TypeAlias = "float | Missing"
-#: one coordinate column: per-row codes plus the code -> coordinate list
-Column: TypeAlias = "tuple[np.ndarray, list[str]]"
 #: a scope as :meth:`RollupIndex._scope` returns it: the AND of some
 #: per-coordinate masks and ``(kept, dim, keep)`` code filters, ``None``
 #: for no leaf
@@ -192,9 +122,8 @@ LeafReader: TypeAlias = "Callable[[Address], float | None]"
 #: many each slot has
 _Levels: TypeAlias = "list[tuple[list[int], list[int]]]"
 
-#: soft cap on the per-index rollup memo (entries) and on a generation's
-#: resolved-address cache, to bound worst-case memory on long-lived cubes
-#: queried at ever-changing addresses
+#: soft cap on the per-index rollup memo (entries), to bound worst-case
+#: memory on long-lived cubes queried at ever-changing addresses
 _MEMO_CAP = 65536
 #: soft cap on the row memo (:meth:`RollupIndex.row_table`), in values
 #: across its rows: its own bound, so rows never evict a memoised cell
@@ -204,135 +133,9 @@ _ROW_CAP = 65536
 #: dozen coordinates, while σ with a value predicate scopes every
 #: candidate once — uncapped, 494 masks (48 MB) on the ledger's cube
 _MASK_CAP = 64
-#: a generation's mixed-radix address key must fit ``int64``: the product
-#: of its coordinate-table sizes must stay below this
-_KEY_LIMIT = 2**63
 #: written leaf ids the write record buffers before it settles them into
 #: coordinates (:meth:`RollupIndex._settle_written`)
 _WRITTEN_BUFFER = 4096
-
-_EMPTY_IDS = np.empty(0, dtype=np.int64)
-#: "not in the resolved-address cache" (``None`` there means "no such
-#: row"); no row id is negative
-_UNSEEN = -1
-
-
-@dataclass(slots=True, eq=False)
-class LeafColumns:
-    """A cube's leaf cells column-wise, rows in cube insertion order.
-
-    This is what the what-if operators read instead of iterating cells:
-    ``codes[d][row]`` is the code of the row's coordinate on dimension
-    ``d`` and ``coords[d][code]`` the coordinate itself, for the
-    dimensions that were asked for.  ``index``/``ids`` name the rollup
-    index the columns were read from and each row's leaf id in it
-    (``None`` for columns scanned off the addresses under
-    ``naive_mode()``), which is what :meth:`derive` needs to build the
-    output's index.
-
-    The rows' addresses are not part of the read: columns scanned off
-    addresses keep the list they scanned, columns read from an index
-    build :attr:`addresses` — all of them, kept for this read — or
-    :meth:`addresses_at` — the rows named — from the generation they were
-    read from when somebody asks.  The operators never do.
-    """
-
-    values: np.ndarray
-    codes: dict[int, np.ndarray]
-    coords: dict[int, list[str]]
-    index: "RollupIndex | None" = None
-    ids: "np.ndarray | None" = None
-    #: the generation ``ids`` are ids of; it may have been replaced in
-    #: ``index`` since, but a replaced generation no longer changes
-    _struct: "_Structure | None" = None
-    _addresses: "list[Address] | None" = None
-
-    @property
-    def addresses(self) -> list[Address]:
-        """Every row's address.  On columns read from an index this builds
-        one address per row (tens of ms at 96k leaves), so nothing on a query
-        path may ask."""
-        if self._addresses is None:
-            with trace_span("rollup_index.materialize") as span:
-                self._addresses = self._struct.addresses(self.ids)
-                if span is not None:
-                    span.set(leaves=len(self.ids), what="addresses")
-        return self._addresses
-
-    def addresses_at(self, rows: np.ndarray) -> list[Address]:
-        """The addresses of the given rows, and of no other."""
-        if self._addresses is not None:
-            return [self._addresses[row] for row in rows.tolist()]
-        return self._struct.addresses(self.ids[rows])
-
-    def code_of(self, dim: int) -> Mapping[str, int]:
-        """Coordinate -> code on dimension ``dim``: the coordinate table's
-        own map for columns read from an index — where a code at or past
-        ``len(coords[dim])`` was added after this read — built from
-        ``coords[dim]`` for scanned ones."""
-        if self._struct is None:
-            return {coord: code for code, coord in enumerate(self.coords[dim])}
-        return self._struct.tables[dim].code_of
-
-    def labels(
-        self, dim: int, key: object, label: "Callable[[list[str]], Iterable[int]]"
-    ) -> np.ndarray:
-        """``label`` of each coordinate of ``coords[dim]``, one ``int64``
-        per code: off the coordinate table's labels for columns read from
-        an index (:meth:`RollupIndex.coord_labels`), computed for scanned
-        ones."""
-        coords = self.coords[dim]
-        if self._struct is None:
-            return np.array(list(label(coords)), dtype=np.int64)
-        return self._struct.tables[dim].labelled(key, label)[: len(coords)]
-
-    def derive(
-        self, schema: "CubeSchema", rows: np.ndarray, recoded: Mapping[int, Column]
-    ) -> "RollupIndex":
-        """The leaf store of the cube whose leaf ``k`` is row ``rows[k]``
-        with, on every dimension in ``recoded``, the coordinate of that
-        dimension's new ``(codes, coords)`` column: derived from the index
-        the columns were read from (:meth:`RollupIndex.derive`), or, for
-        columns scanned off addresses, built from the rows' patched
-        addresses (two rows on one address collapse to the later value)."""
-        values = self.values[rows]
-        if self.index is not None:
-            return self.index.derive(self.ids[rows], values, recoded)
-        addresses = self.addresses_at(rows)
-        for dim, (codes, coords) in recoded.items():
-            after = dim + 1
-            addresses = [
-                addr[:dim] + (coords[code],) + addr[after:]
-                for addr, code in zip(addresses, codes.tolist())
-            ]
-        return RollupIndex.from_cells(schema, dict(zip(addresses, values.tolist())))
-
-
-def _factorize(column: Sequence[str]) -> Column:
-    """Codes in first-appearance order for one coordinate column."""
-    coords = list(dict.fromkeys(column))
-    code_of = {coord: code for code, coord in enumerate(coords)}
-    codes = np.fromiter(
-        map(code_of.__getitem__, column), dtype=np.int32, count=len(column)
-    )
-    return codes, coords
-
-
-def scan_columns(
-    leaf_cells: Mapping[Address, float], dims: Sequence[int]
-) -> LeafColumns:
-    """Read :class:`LeafColumns` straight off a leaf mapping (no index is
-    consulted for the coordinates): the requested coordinate columns are
-    factorised in one pass each."""
-    addresses = list(leaf_cells)
-    values = np.fromiter(
-        leaf_cells.values(), dtype=np.float64, count=len(addresses)
-    )
-    codes: dict[int, np.ndarray] = {}
-    coords: dict[int, list[str]] = {}
-    for dim in dims:
-        codes[dim], coords[dim] = _factorize([addr[dim] for addr in addresses])
-    return LeafColumns(values, codes, coords, _addresses=addresses)
 
 
 def _renumber(at: np.ndarray, bucket: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -343,544 +146,9 @@ def _renumber(at: np.ndarray, bucket: np.ndarray) -> tuple[np.ndarray, np.ndarra
     place = np.minimum(np.searchsorted(keys, bucket), len(keys) - 1)
     return at, np.where(keys[place] == bucket, place, len(keys)), len(keys) + 1
 
-
-class _CoordTable:
-    """The distinct leaf coordinates of one dimension, what they roll up
-    to, and how many live leaves each holds.
-
-    ``under[c]`` lists the codes of the leaf coordinates below (or equal
-    to) coordinate ``c`` — of every coordinate the table lists, whether a
-    leaf is there now or not — and ``counts[code]`` the live leaves at
-    each: one ``bincount`` of the generation's code column when first
-    asked (every row is live when a generation is made, and every write
-    asks before it changes a count).  ``n_under`` (live leaves under a
-    coordinate) is filled on demand (:meth:`count`), and ``labels`` holds
-    per-code arrays read off the coordinates (:meth:`labelled`).
-
-    The roll-up map — ``coords``, ``code_of``, ``under`` and ``labels`` —
-    depends on the coordinate list alone, resolved from
-    ``CubeSchema.ancestor_chain`` once per coordinate.  So a derived
-    generation shares its parent's map and keeps only its own counts
-    (:meth:`derived`: one ``bincount``), and so does the private copy a
-    structural write makes (:meth:`copy`).  A shared map is never
-    changed: a table that must add a coordinate to one copies it first
-    (``own`` says whether the map is this table's alone)."""
-
-    __slots__ = (
-        "coords", "code_of", "under", "labels", "n_under", "own", "_column", "_counts"
-    )
-
-    def __init__(
-        self,
-        schema: "CubeSchema",
-        dim_index: int,
-        coords: list[str],
-        column: np.ndarray,
-    ) -> None:
-        self.coords = coords
-        self.code_of = {coord: code for code, coord in enumerate(coords)}
-        self.under: dict[str, list[int]] = {}
-        under, chain = self.under, schema.ancestor_chain
-        for code, coord in enumerate(coords):
-            for ancestor in chain(dim_index, coord):
-                codes = under.get(ancestor)
-                if codes is None:
-                    under[ancestor] = [code]
-                else:
-                    codes.append(code)
-        self.n_under: dict[str, int] = {}
-        self.labels: dict[object, np.ndarray] = {}
-        self.own = True
-        self._column: "np.ndarray | None" = column
-        self._counts: "list[int] | None" = None
-
-    @property
-    def counts(self) -> list[int]:
-        counts = self._counts
-        if counts is None:
-            counts = self._counts = np.bincount(
-                self._column, minlength=len(self.coords)
-            ).tolist()
-        return counts
-
-    def _sharing(self, column: "np.ndarray | None") -> "_CoordTable":
-        # a table over this one's map counting ``column``; neither side
-        # may change the map in place from now on
-        clone = _CoordTable.__new__(_CoordTable)
-        clone.coords, clone.code_of = self.coords, self.code_of
-        clone.under, clone.labels = self.under, self.labels
-        clone.n_under = {}
-        clone.own = self.own = False
-        clone._column, clone._counts = column, None
-        return clone
-
-    def copy(self) -> "_CoordTable":
-        clone = self._sharing(None)
-        clone._counts = list(self.counts)
-        clone.n_under = dict(self.n_under)
-        return clone
-
-    def derived(
-        self,
-        schema: "CubeSchema",
-        dim_index: int,
-        coords: list[str],
-        column: np.ndarray,
-    ) -> "_CoordTable":
-        """The table of a derived generation whose coordinate list is
-        ``coords`` and whose rows' codes are ``column``: this table's map,
-        shared — extended by the coordinates ``coords`` adds past this
-        table's (a moved dimension's new instances) — or, for a list that
-        does not extend this one, a map of its own."""
-        n = len(self.coords)
-        if coords is not self.coords and coords[:n] != self.coords:
-            return _CoordTable(schema, dim_index, list(coords), column)
-        clone = self._sharing(column)
-        if len(coords) > n:
-            # copy the lists the new coordinates join, and no other
-            clone.coords = list(coords)
-            clone.code_of = dict(self.code_of)
-            clone.under = dict(self.under)
-            clone.labels = dict(self.labels)
-            chain = schema.ancestor_chain
-            for code in range(n, len(coords)):
-                coord = coords[code]
-                clone.code_of[coord] = code
-                for ancestor in chain(dim_index, coord):
-                    clone.under[ancestor] = [*clone.under.get(ancestor, ()), code]
-        return clone
-
-    def count(self, coord: str) -> int:
-        """Live leaves under (or at) ``coord``; 0 for a coordinate the
-        table does not know."""
-        count = self.n_under.get(coord)
-        if count is None:
-            codes = self.under.get(coord)
-            if codes is None:
-                return 0
-            count = self.n_under[coord] = sum(map(self.counts.__getitem__, codes))
-        return count
-
-    def labelled(
-        self, key: object, label: "Callable[[list[str]], Iterable[int]]"
-    ) -> np.ndarray:
-        """``label`` of every coordinate, one ``int64`` per code: computed
-        once per coordinate list and ``key``, and for the codes added since
-        only when the list has grown."""
-        n = len(self.coords)
-        known = self.labels.get(key, _EMPTY_IDS)
-        if len(known) < n:
-            more = np.array(list(label(self.coords[len(known) : n])), dtype=np.int64)
-            known = self.labels[key] = np.concatenate((known, more))
-        return known[:n]
-
-    def add_leaf(self, coord: str, chain: tuple[str, ...]) -> int:
-        """Count one more leaf at ``coord``; returns its code."""
-        counts = self.counts  # counted before the table grows
-        code = self.code_of.get(coord)
-        if code is None:
-            if not self.own:
-                self.coords = list(self.coords)
-                self.code_of = dict(self.code_of)
-                self.under = {c: list(codes) for c, codes in self.under.items()}
-                self.labels = dict(self.labels)
-                self.own = True
-            code = len(self.coords)
-            self.coords.append(coord)
-            self.code_of[coord] = code
-            counts.append(0)
-            for ancestor in chain:
-                self.under.setdefault(ancestor, []).append(code)
-        counts[code] += 1
-        n_under = self.n_under
-        for ancestor in chain:
-            if ancestor in n_under:
-                n_under[ancestor] += 1
-        return code
-
-    def remove_leaf(self, coord: str, chain: tuple[str, ...]) -> None:
-        self.counts[self.code_of[coord]] -= 1
-        n_under = self.n_under
-        for ancestor in chain:
-            if ancestor in n_under:
-                n_under[ancestor] -= 1
-
-
-def _with_headroom(array: np.ndarray, n: int) -> np.ndarray:
-    """The first ``n`` entries of ``array`` in a fresh array with an
-    eighth (plus a few) spare slots — appends stay amortised O(1) while a
-    column never carries more than that past the id space."""
-    out = np.empty(n + (n >> 3) + 8, dtype=array.dtype)
-    out[:n] = array[:n]
-    out[n:] = 0  # only the spare slots: zeroing all of it is a second pass
-    return out
-
-
-class ColumnarLeafStore:
-    """The value column of a rollup index: one contiguous ``float64``
-    array over the leaf-id space (row == leaf id), with the same spare
-    capacity rule as the code columns.
-
-    The column is the copy-on-write unit.  :meth:`fork` shares the array
-    and marks both sides shared; the first write either side makes copies
-    it, so a pinned snapshot keeps reading the old bytes.  ``copied``
-    says whether a write since the last fork paid that copy.
-
-    The store knows nothing about liveness: a deleted leaf keeps its row
-    and its bytes, and only ids the structure resolved are ever read.
-
-    Thread-safety: writes happen under the owning index's lock.  A write
-    that replaces the array installs it only after the new value is in
-    it, so the lock-free point readers — which hold :meth:`get`, never
-    the array — read a complete column before or after the write.
-    """
-
-    __slots__ = ("_column", "_size", "_shared", "copied")
-
-    def __init__(self) -> None:
-        self._column = np.empty(0, dtype=np.float64)
-        self._size = 0
-        self._shared = False
-        self.copied = False
-
-    @classmethod
-    def from_values(cls, values: np.ndarray) -> "ColumnarLeafStore":
-        """The store whose row ``i`` holds ``values[i]``.  The array is
-        adopted, not copied: the caller hands over a ``float64`` array
-        nobody else will write."""
-        store = cls()
-        store._column = values
-        store._size = len(values)
-        return store
-
-    @property
-    def n_rows(self) -> int:
-        """Row slots in use — the size of the id space."""
-        return self._size
-
-    @property
-    def nbytes(self) -> int:
-        return self._column.nbytes
-
-    def fork(self) -> "ColumnarLeafStore":
-        """A copy-on-write clone: the array is shared until either side
-        writes."""
-        clone = ColumnarLeafStore.from_values(self._column)
-        clone._size = self._size
-        clone._shared = self._shared = True
-        self.copied = False
-        return clone
-
-    def update(self, row: int, value: float) -> None:
-        """Write one row, first copying a shared column or regrowing a
-        full one."""
-        column = self._column
-        if self._shared or row == len(column):
-            column = _with_headroom(column, self._size)
-            self.copied |= self._shared
-            self._shared = False
-        column[row] = value
-        self._column = column
-
-    def append(self, value: float) -> int:
-        """Store ``value`` at the next row; returns the row id."""
-        row = self._size
-        self.update(row, value)
-        self._size = row + 1
-        return row
-
-    def get(self, row: int) -> float:
-        return float(self._column[row])
-
-    def gather(self, rows: np.ndarray) -> np.ndarray:
-        """Values at the given row ids, as a fresh array."""
-        return self._column[rows]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ColumnarLeafStore({self._size} rows, {len(self._column)} slots)"
-
-
-class _SortedPart:
-    """The sorted part of a generation's point lookup: the mixed-radix key
-    of some live rows' codes, sorted, and the row behind each.  The
-    radices are the coordinate-table sizes at sort time, so a coordinate
-    coded at or above its radix came later and is in no key: inserts that
-    grow a table never re-key anything.  The keys are ``int64`` while
-    their product of radices fits, Python ints otherwise — one code path,
-    two dtypes.
-
-    A part never changes once built, except ``resolved``, which remembers
-    every address :meth:`search` was asked, hit or miss, so a repeat read
-    is one dict probe.  Every generation that shares the part shares the
-    cache: below its radix a coordinate has one code in all of them.  A
-    block search (:meth:`partial_keys`, :meth:`search_block`) remembers
-    nothing: a grid asks each of its blocks once."""
-
-    __slots__ = ("keys", "rows", "radices", "strides", "resolved")
-
-    def __init__(
-        self, codes: Sequence[np.ndarray], tables: Sequence[_CoordTable], rows: np.ndarray
-    ) -> None:
-        radices = [len(table.coords) for table in tables]
-        wide = math.prod(radices) >= _KEY_LIMIT
-        key = np.zeros(len(rows), dtype=object if wide else np.int64)
-        for column, radix in zip(codes, radices):
-            if radix > 1:  # a one-coordinate table's digit is always 0
-                key *= radix
-                key += column[rows].astype(object) if wide else column[rows]
-        order = np.argsort(key)
-        self.keys = key[order]
-        self.rows = rows[order]
-        self.radices = radices
-        #: a dimension's place value in the key: the product of the
-        #: radices after it
-        self.strides = [math.prod(radices[dim + 1 :]) for dim in range(len(radices))]
-        self.resolved: "dict[Address, int | None]" = {}
-
-    def distinct(self) -> bool:
-        """Whether no two sorted rows share a key — an address."""
-        keys = self.keys
-        return not (keys[1:] == keys[:-1]).any()
-
-    def search(self, tables: Sequence[_CoordTable], addr: Address) -> "int | None":
-        """The sorted row at ``addr``: one ``code_of`` probe per
-        dimension, one binary search."""
-        key = 0
-        for table, radix, coord in zip(tables, self.radices, addr):
-            code = table.code_of.get(coord, radix)
-            if code >= radix:
-                return None  # a coordinate no sorted row has
-            key = key * radix + code
-        keys = self.keys
-        at = int(keys.searchsorted(key))
-        if at < len(keys) and keys[at] == key:
-            return int(self.rows[at])
-        return None
-
-    def partial_keys(
-        self,
-        tables: Sequence[_CoordTable],
-        dims: Sequence[int],
-        coords: "Sequence[Sequence[str]]",
-        n: int,
-    ) -> "tuple[np.ndarray, np.ndarray | None]":
-        """For ``n`` addresses whose coordinates on ``dims`` are
-        ``coords`` (one sequence of ``n`` per dimension): the part of each
-        one's key those dimensions make — code times stride, summed — and
-        which of them have every coordinate in some sorted key (a
-        coordinate coded at or above its radix is in none); ``None`` when
-        all do.  A dimension with one coordinate for every address costs
-        one ``code_of`` probe, any other one probe per address."""
-        dtype = self.keys.dtype
-        if not n:
-            return np.zeros(0, dtype=dtype), None
-        base = 0
-        ok: "np.ndarray | None" = None
-        varying: list[tuple[np.ndarray, int]] = []
-        for dim, column in zip(dims, coords):
-            radix, stride = self.radices[dim], self.strides[dim]
-            code_of = tables[dim].code_of
-            if column.count(column[0]) == n:
-                code = code_of.get(column[0], radix)
-                if code >= radix:
-                    return np.zeros(n, dtype=dtype), np.zeros(n, dtype=np.bool_)
-                base += code * stride
-                continue
-            codes = np.fromiter(map(code_of.get, column, repeat(radix, n)), np.int64, n)
-            # a code at or above the radix may wrap an ``int64`` key; ``ok``
-            # rules that address out whatever its key reads
-            valid = codes < radix
-            ok = valid if ok is None else ok & valid
-            varying.append((codes if dtype == codes.dtype else codes.astype(object), stride))
-        keys = np.full(n, base, dtype=dtype)
-        for codes, stride in varying:
-            keys += codes * stride
-        return keys, ok
-
-    def search_block(
-        self,
-        rows: "tuple[np.ndarray, np.ndarray | None]",
-        cols: "tuple[np.ndarray, np.ndarray | None]",
-    ) -> np.ndarray:
-        """The sorted row at every address whose key is ``rows`` key
-        ``r`` plus ``cols`` key ``c`` (both :meth:`partial_keys`), as an
-        ``int64`` array of shape (rows, columns), -1 where there is none:
-        one broadcast add, one ``searchsorted`` and one gather, whichever
-        dtype the keys are."""
-        (row_keys, row_ok), (col_keys, col_ok) = rows, cols
-        key = row_keys[:, None] + col_keys[None, :]
-        keys = self.keys
-        if not len(keys):
-            return np.full(key.shape, -1, dtype=np.int64)
-        at = keys.searchsorted(key)
-        np.minimum(at, len(keys) - 1, out=at)
-        hit = keys[at] == key
-        if row_ok is not None:
-            hit &= row_ok[:, None]
-        if col_ok is not None:
-            hit &= col_ok[None, :]
-        return np.where(hit, self.rows[at], -1)
-
-
-@dataclass(slots=True, eq=False)
-class _Structure:
-    """One generation of an index's structure: everything that depends
-    only on *which* leaves exist, never on their values.
-
-    ``n_ids`` is the size of the id space; ``codes`` holds per dimension
-    the int32 coordinate code of every leaf id and ``live`` their liveness
-    (both may carry spare capacity past the id space; a deleted id keeps
-    its codes); ``tables`` are the per-dimension :class:`_CoordTable`.
-    The address of leaf ``k`` is row ``k`` of the code columns read
-    through the tables (:meth:`addresses`); nothing is kept per leaf.
-
-    The point lookup (:meth:`find`) is ``recent`` — address -> id of the
-    leaves inserted since the last sort — over ``sorted_part`` (a
-    :class:`_SortedPart`), whose hits ``live`` confirms: a delete pops
-    ``recent`` or clears a sorted row's liveness.
-
-    The rest is a cache: ``ordered`` (ascending live ids), ``masks``
-    ((dim_index, coord) -> boolean mask over the id space) and
-    ``carried`` — masks computed before the last structural write(s),
-    each over the id space as it was then (:meth:`RollupIndex._coord_mask`
-    patches one on first use: a leaf's codes never change, so only the
-    ids appended since are looked up and the deleted ones cleared).  A
-    key is in ``masks`` or ``carried``, never both, and the two together
-    hold at most ``_MASK_CAP`` masks: the next mask past the cap empties
-    both first.
-
-    An index and its forks share one generation.  An index mutates a
-    generation in place only while nothing shares it; otherwise the
-    structural write replaces it with :meth:`copy` first (frozen
-    snapshots never write; a writable ``Cube.copy`` does, and diverges the
-    same way).  The caches are filled lazily by whichever index asks
-    first: every filler computes the same value and the store is one
-    attribute or dict assignment, atomic under the GIL, so a mask computed
-    for one snapshot serves all later ones.
-    """
-
-    n_ids: int
-    codes: list[np.ndarray]
-    tables: list[_CoordTable]
-    live: np.ndarray
-    n_live: int
-    sorted_part: _SortedPart
-    recent: dict[Address, int] = field(default_factory=dict)
-    ordered: "np.ndarray | None" = None
-    masks: dict[tuple[int, str], np.ndarray] = field(default_factory=dict)
-    carried: dict[tuple[int, str], np.ndarray] = field(default_factory=dict)
-
-    @classmethod
-    def over(
-        cls, schema: "CubeSchema", columns: Sequence[Column], n: int
-    ) -> "_Structure":
-        """The generation of ``n`` live leaves, leaf id == row: ``columns``
-        holds one ``(codes, coords)`` pair per schema dimension, adopted,
-        and every row is sorted."""
-        codes = [column for column, _ in columns]
-        tables = [
-            _CoordTable(schema, i, coords, column[:n])
-            for i, (column, coords) in enumerate(columns)
-        ]
-        return cls(
-            n,
-            codes,
-            tables,
-            np.ones(n, dtype=np.bool_),
-            n,
-            _SortedPart(codes, tables, np.arange(n)),
-        )
-
-    def derived(
-        self, schema: "CubeSchema", ids: np.ndarray, recoded: Mapping[int, Column]
-    ) -> "_Structure":
-        """The generation of ``len(ids)`` live leaves, leaf ``k`` being
-        this generation's leaf ``ids[k]`` — with, on the dimensions of
-        ``recoded``, the code of that dimension's new ``(codes, coords)``
-        column instead — every row sorted.  Each dimension's table shares
-        this generation's roll-up map (:meth:`_CoordTable.derived`) and
-        counts its own leaves when asked, one ``bincount``."""
-        codes: list[np.ndarray] = []
-        tables: list[_CoordTable] = []
-        for dim, table in enumerate(self.tables):
-            column, coords = (
-                recoded[dim] if dim in recoded else (self.codes[dim][ids], table.coords)
-            )
-            codes.append(column)
-            tables.append(table.derived(schema, dim, coords, column))
-        n = len(ids)
-        return _Structure(
-            n, codes, tables, np.ones(n, dtype=np.bool_), n,
-            _SortedPart(codes, tables, np.arange(n)),
-        )
-
-    def copy(self) -> "_Structure":
-        """A private generation for a structural write: same ids, columns
-        trimmed to the id space plus headroom — arrays and per-coordinate
-        counts (the roll-up maps are shared), nothing per leaf.  The
-        sorted part is shared, ``recent`` copied, and every mask is
-        carried for patching; the ordered ids of the old id space are left
-        behind."""
-        n = self.n_ids
-        return _Structure(
-            n,
-            [_with_headroom(codes, n) for codes in self.codes],
-            [table.copy() for table in self.tables],
-            _with_headroom(self.live, n),
-            self.n_live,
-            self.sorted_part,
-            dict(self.recent),
-            carried={**self.carried, **self.masks},
-        )
-
-    def addresses(self, ids: np.ndarray) -> list[Address]:
-        """The addresses of the given leaf ids, and the one place an
-        address is defined: row ``k`` of the code columns through the
-        coordinate tables."""
-        return list(
-            zip(
-                *(
-                    map(table.coords.__getitem__, codes[ids].tolist())
-                    for codes, table in zip(self.codes, self.tables)
-                )
-            )
-        )
-
-    # -- point lookup ------------------------------------------------------------
-
-    def index_rows(self) -> None:
-        """Sort every live row, the leaves in ``recent`` among them, into
-        a new sorted part.  The part is installed before ``recent`` is
-        emptied, so a lock-free reader finds a leaf in one or the other."""
-        self.sorted_part = _SortedPart(
-            self.codes, self.tables, np.flatnonzero(self.live[: self.n_ids])
-        )
-        self.recent = {}
-
-    def find(self, addr: Address) -> "int | None":
-        """The live leaf id at ``addr`` (``None`` = no such leaf):
-        ``recent``, then the sorted part's resolved cache or search, then
-        ``live`` — which only a generation that has seen a delete needs."""
-        recent = self.recent
-        if recent:  # an empty one is not worth hashing ``addr`` for
-            ident = recent.get(addr)
-            if ident is not None:
-                return ident
-        part = self.sorted_part
-        resolved = part.resolved
-        row = resolved.get(addr, _UNSEEN)
-        if row == _UNSEEN:
-            row = part.search(self.tables, addr)
-            if len(resolved) >= _MEMO_CAP:
-                resolved.clear()
-            resolved[addr] = row
-        if row is None or (self.n_live != self.n_ids and not self.live[row]):
-            return None
-        return row
-
-
 class RollupIndex:
-    """Per-dimension coordinate-code columns over the leaf-cell id space.
+    """A cube's leaf store (:mod:`repro.perf.leaf_store`) served under one
+    lock, and the memoised reduction over it.
 
     Thread-safety: one reentrant lock guards both maintenance (structure
     and value writes from ``Cube.set_value``) and the query paths that
@@ -904,9 +172,8 @@ class RollupIndex:
         self.stats = CacheStats()
         self._lock = make_lock("RollupIndex._lock")
         if struct is None:
-            struct = _Structure.over(
-                schema, [(np.empty(0, dtype=np.int32), []) for _ in range(schema.n_dims)], 0
-            )
+            no_leaf = [(np.empty(0, dtype=np.int32), []) for _ in range(schema.n_dims)]
+            struct = _Structure.over(schema, no_leaf, 0)
         self._struct = struct
         #: True while ``_struct`` is shared with a fork; the next
         #: structural write replaces it first
@@ -940,15 +207,13 @@ class RollupIndex:
         self._reader: "LeafReader | None" = None
 
     @classmethod
-    def _from_columns(
-        cls,
-        schema: "CubeSchema",
-        columns: Sequence[Column],
-        values: np.ndarray,
+    def _serving(
+        cls, schema: "CubeSchema", struct: _Structure, values: np.ndarray
     ) -> "RollupIndex":
-        # leaf id == row (:meth:`_Structure.over`); the arrays are
-        # adopted: every caller passes ones it has just gathered
-        index = cls(schema, _Structure.over(schema, columns, len(values)))
+        # the index over a finished generation and its value column (row
+        # == leaf id); the arrays are adopted: every caller passes ones it
+        # has just built
+        index = cls(schema, struct)
         index._values = ColumnarLeafStore.from_values(values)
         return index
 
@@ -963,10 +228,10 @@ class RollupIndex:
         only, like every derived generation, with the sorted row keys as
         its point lookup; nothing is validated per cell and the arrays
         become the index's own."""
-        index = cls._from_columns(schema, columns, values)
-        if not index._struct.sorted_part.distinct():
+        struct = _Structure.over(schema, columns, len(values))
+        if not struct.sorted_part.distinct():
             raise ValueError("two rows of the columns share one address")
-        return index
+        return cls._serving(schema, struct, values)
 
     @classmethod
     def from_writes(
@@ -978,88 +243,19 @@ class RollupIndex:
     ) -> "tuple[RollupIndex, int]":
         """The index a stream of leaf writes leaves behind on an empty
         one, and how many of the writes changed it — ``Cube.load``'s leaf
-        half.  Row ``k`` of ``columns`` (one ``(codes, coords)`` pair per
-        schema dimension) writes ``values[k]`` at its address, or deletes
-        the leaf there where ``deleted[k]`` (``None``: no row deletes), as
-        ``set_leaf`` / ``remove_leaf`` one at a time would: the last value
-        wins, a leaf keeps the place of the write that inserted it, a
-        delete of an absent leaf changes nothing and a re-insert goes to
-        the end.  Every row is sorted once; only the rows that share an
-        address with another, or delete, are replayed one by one, and a
-        coordinate no leaf is left at is dropped from its table.  The
-        arrays are adopted; nothing is validated per cell."""
+        half, and a derived output whose rows clash
+        (:meth:`_Structure.from_writes`: row ``k`` of ``columns`` writes
+        ``values[k]``, or deletes where ``deleted[k]``, as ``set_leaf`` /
+        ``remove_leaf`` one at a time would)."""
         with trace_span("rollup_index.build") as span:
-            index = cls._from_columns(schema, columns, values)
-            struct = index._struct
-            n = len(values)
-            if (
-                deleted is not None
-                or not struct.sorted_part.distinct()
-                or not all(all(table.counts) for table in struct.tables)
-            ):
-                index, n = cls._replayed(
-                    schema, columns, values, deleted, struct.sorted_part
-                )
+            struct, values, changed = _Structure.from_writes(
+                schema, columns, values, deleted
+            )
+            index = cls._serving(schema, struct, values)
             index.stats.builds += 1
             if span is not None:
                 span.set(leaves=index.n_leaves)
-        return index, n
-
-    @classmethod
-    def _replayed(
-        cls,
-        schema: "CubeSchema",
-        columns: Sequence[Column],
-        values: np.ndarray,
-        deleted: "np.ndarray | None",
-        part: _SortedPart,
-    ) -> "tuple[RollupIndex, int]":
-        # :meth:`from_writes` for rows that clash or delete, or a table
-        # listing a coordinate no row holds: the sorted keys group the rows
-        # by address, the groups with two rows or a delete are replayed in
-        # row order, and the surviving rows are factorised again so every
-        # coordinate table lists, in order of first appearance, only
-        # coordinates some leaf holds
-        n = len(values)
-        keys, rows = part.keys, part.rows
-        same = keys[1:] == keys[:-1]
-        starts = np.ones(n, dtype=np.bool_)
-        starts[1:] = ~same
-        group = np.cumsum(starts)  # the address of each sorted row, numbered
-        touched = np.zeros(n, dtype=np.bool_)
-        touched[1:] |= same
-        touched[:-1] |= same
-        if deleted is not None:
-            touched |= deleted[rows]
-        at = np.flatnonzero(np.isin(group, group[touched]))
-        order = np.argsort(rows[at])
-        replay, groups = rows[at][order], group[at][order]
-        kept = np.ones(n, dtype=np.bool_)
-        kept[replay] = False
-        source = np.arange(n)  # the row whose value each row ends with
-        changed = n - len(replay)
-        present: dict[int, int] = {}  # group -> the row that inserted it
-        gone = repeat(False) if deleted is None else deleted[replay].tolist()
-        for row, key, delete in zip(replay.tolist(), groups.tolist(), gone):
-            if delete:
-                changed += present.pop(key, None) is not None
-                continue
-            changed += 1
-            source[present.setdefault(key, row)] = row
-        kept[list(present.values())] = True
-        keep = np.flatnonzero(kept)
-        refactored = []
-        for codes, coords in columns:
-            used, first, inverse = np.unique(
-                codes[keep], return_index=True, return_inverse=True
-            )
-            by_first = np.argsort(first)
-            rank = np.empty(len(used), dtype=np.int32)
-            rank[by_first] = np.arange(len(used), dtype=np.int32)
-            refactored.append(
-                (rank[inverse], [coords[code] for code in used[by_first].tolist()])
-            )
-        return cls._from_columns(schema, refactored, values[source[keep]]), changed
+        return index, changed
 
     @classmethod
     def build(cls, cube: "Cube") -> "RollupIndex":
@@ -1071,22 +267,15 @@ class RollupIndex:
     def from_cells(
         cls, schema: "CubeSchema", leaf_cells: Mapping[Address, float]
     ) -> "RollupIndex":
-        """The one place columns are built from addresses: leaf ids follow
-        the mapping's iteration order, and the index keeps the columns
-        only.  Nothing is validated — the caller guarantees leaf addresses
-        of ``schema`` with float values."""
-        with trace_span("rollup_index.build") as span:
-            n_dims = schema.n_dims
-            cols = scan_columns(leaf_cells, range(n_dims))
-            index = cls._from_columns(
-                schema,
-                [(cols.codes[dim], cols.coords[dim]) for dim in range(n_dims)],
-                cols.values,
-            )
-            index.stats.builds += 1
-            if span is not None:
-                span.set(leaves=index.n_leaves)
-        return index
+        """The index of a leaf mapping, its columns coded off the addresses
+        (:func:`~repro.perf.leaf_store.scan_columns`): leaf ids follow the
+        mapping's iteration order, and the index keeps the columns only.
+        Nothing is validated — the caller guarantees leaf addresses of
+        ``schema`` with float values."""
+        dims = range(schema.n_dims)
+        cols = scan_columns(leaf_cells, dims)
+        columns = [(cols.codes[dim], cols.coords[dim]) for dim in dims]
+        return cls.from_writes(schema, columns, cols.values, None)[0]
 
     # -- column reads / derivation (the what-if operators' interface) -------------
 
@@ -1101,7 +290,7 @@ class RollupIndex:
         with self._lock:
             struct = self._struct
             if ids is None:
-                ids = self._ordered_array()
+                ids = struct.ordered_ids()
             return LeafColumns(
                 self._values.gather(ids),
                 {dim: struct.codes[dim][ids] for dim in dims},
@@ -1126,17 +315,17 @@ class RollupIndex:
         per leaf is built: whether two rows landed on one address is read
         off the sorted row keys, which the output keeps as its point lookup
         (:meth:`_Structure.index_rows`).  If two did, rows and leaves no
-        longer line up and the output is rebuilt from its addresses, where
-        the later value wins at the earlier position as a dict write
-        would.  A leaf's codes never change, so the read is consistent
-        with the :meth:`columns` call that produced ``ids`` as long as no
-        structural write came between the two (the operators run on
-        snapshots and scenario views, which have none).
+        longer line up, and the output's code columns are replayed as a
+        stream of writes (:meth:`from_writes`), which keeps the later value
+        at the earlier position — no address is built.  A leaf's codes
+        never change, so the read is consistent with the :meth:`columns`
+        call that produced ``ids`` as long as no structural write came
+        between the two (the operators run on snapshots and scenario
+        views, which have none).
         """
         with trace_span("rollup_index.derive") as span, self._lock:
-            child = RollupIndex(self.schema, self._struct.derived(self.schema, ids, recoded))
-            child._values = ColumnarLeafStore.from_values(values)
-            distinct = child._struct.sorted_part.distinct()
+            struct = self._struct.derived(self.schema, ids, recoded)
+            distinct = struct.sorted_part.distinct()
             if span is not None:
                 span.set(
                     leaves_in=self._struct.n_live,
@@ -1144,9 +333,9 @@ class RollupIndex:
                     distinct=distinct,
                 )
         if distinct:
-            return child
-        cols = child.columns(())
-        return RollupIndex.from_cells(self.schema, dict(zip(cols.addresses, cols.values.tolist())))
+            return RollupIndex._serving(self.schema, struct, values)
+        columns = [(codes, table.coords) for codes, table in zip(struct.codes, struct.tables)]
+        return RollupIndex.from_writes(self.schema, columns, values, None)[0]
 
     def coords_with_data(self, dim_index: int) -> list[str]:
         """Distinct leaf coordinates on one dimension that hold a leaf."""
@@ -1186,46 +375,24 @@ class RollupIndex:
 
     def _writable_structure(self) -> _Structure:  # reprolint: locked
         """The generation a structural write may mutate.  Dead ids that
-        outnumber the live ones are squeezed out first; a generation
-        shared with forks is replaced by a private copy; one that is
-        already private only loses the ordered ids and sets its masks
-        aside for patching.  Once the leaves inserted since the last sort
-        outnumber an eighth of the sorted ones (plus a few), they are
-        sorted in (:meth:`_Structure.index_rows`; amortised: the eighth
-        was paid in inserts)."""
+        outnumber the live ones are squeezed out first, generation and
+        value store together (:meth:`_Structure.renumbered`), after the
+        write record is settled: a buffered id names a leaf of the old
+        numbering, a deleted one among them.  Otherwise a generation shared
+        with forks is replaced by a private copy, and one that is already
+        private is prepared in place (:meth:`_Structure.writable`)."""
         struct = self._struct
         if struct.n_ids - struct.n_live > struct.n_live:
-            struct = self._renumbered()
+            self._settle_written()
+            struct, self._values = struct.renumbered(self.schema, self._values)
         else:
-            if self._struct_shared:
-                struct = struct.copy()
-            else:
-                struct.carried.update(struct.masks)
-                struct.masks.clear()
-                struct.ordered = None
-            if len(struct.recent) > (len(struct.sorted_part.rows) >> 3) + 8:
-                struct.index_rows()
+            struct = struct.writable(self._struct_shared)
             if struct is self._struct:
                 return struct
         self._struct = struct
         self._struct_shared = False
         self._struct_copied = True
         self._reader = None  # it reads the generation (and store) replaced
-        return struct
-
-    def _renumbered(self) -> _Structure:  # reprolint: locked
-        """A generation (and value store) without the dead ids: live
-        leaves keep their relative order, so ascending id is still
-        insertion order and strict reductions are unchanged.  The write
-        record is settled first: a buffered id names a leaf of the old
-        numbering, a deleted one among them."""
-        self._settle_written()
-        ids = self._ordered_array()
-        struct = self._struct.derived(self.schema, ids, {})
-        # a new store, not a rewrite of the old one: a point reader that
-        # still holds the old generation's lookup holds the old store
-        self._values = ColumnarLeafStore.from_values(self._values.gather(ids))
-        self._values.copied = True
         return struct
 
     def set_leaf(self, addr: Address, value: float) -> bool:
@@ -1246,23 +413,7 @@ class RollupIndex:
                     self._flush_memo()
                 return False
             struct = self._writable_structure()
-            ident = struct.n_ids
-            if ident == len(struct.live):
-                struct.codes = [_with_headroom(c, ident) for c in struct.codes]
-                struct.live = _with_headroom(struct.live, ident)
-            chain = self.schema.ancestor_chain
-            for i, coord in enumerate(addr):
-                struct.codes[i][ident] = struct.tables[i].add_leaf(
-                    coord, chain(i, coord)
-                )
-            self._values.append(value)  # row == ident by construction
-            struct.live[ident] = True
-            struct.n_live += 1
-            struct.n_ids += 1
-            # published last: a lock-free point reader that finds the
-            # id finds its row in the (possibly regrown) value column
-            struct.recent[addr] = ident
-            self._wrote(ident)
+            self._wrote(struct.insert(self.schema, addr, self._values, value))
             return True
 
     def remove_leaf(self, addr: Address) -> bool:
@@ -1271,15 +422,7 @@ class RollupIndex:
         with self._lock:
             if self._struct.find(addr) is None:
                 return False
-            struct = self._writable_structure()
-            ident = struct.find(addr)
-            struct.live[ident] = False
-            struct.recent.pop(addr, None)
-            struct.n_live -= 1
-            chain = self.schema.ancestor_chain
-            for i, coord in enumerate(addr):
-                struct.tables[i].remove_leaf(coord, chain(i, coord))
-            self._wrote(ident)
+            self._wrote(self._writable_structure().delete(self.schema, addr))
             return True
 
     def _wrote(self, ident: int) -> None:  # reprolint: locked
@@ -1349,10 +492,12 @@ class RollupIndex:
         of ``dims``) — ``None`` where there is no leaf — and, per row
         that has such a miss, the columns it misses.  Every value equals
         :meth:`leaf_reader`'s at the same address; the generation and the
-        value store are read once, under the lock (:meth:`_read_block`),
+        value store are read once, under the lock (:meth:`_Structure.find_block`),
         and nothing is cached: a grid asks each block once."""
         with self._lock:
-            found, values = self._read_block(rows, dims, columns)
+            ids = self._struct.find_block(rows, dims, columns)
+            found = ids >= 0
+            values = self._values.gather(ids[found])
         if found.all():
             return values.reshape(found.shape).tolist(), {}
         cells = np.full(found.shape, None, dtype=object)
@@ -1361,42 +506,6 @@ class RollupIndex:
         for row, column in zip(*(axis.tolist() for axis in np.nonzero(~found))):
             misses.setdefault(row, []).append(column)
         return cells.tolist(), misses
-
-    def _read_block(
-        self,
-        rows: "Sequence[Sequence[str]]",
-        dims: Sequence[int],
-        columns: "Sequence[Sequence[str]]",
-    ) -> "tuple[np.ndarray, np.ndarray]":  # reprolint: locked
-        # :meth:`_Structure.find` for a block: each row's and column's half
-        # of the sorted key once (:meth:`_SortedPart.partial_keys`), one
-        # search for all of them, ``live`` where the generation has
-        # deletes, and ``recent`` only for the misses.  Returns the found
-        # mask and the found leaves' values, row-major
-        if not rows or not columns:
-            return np.zeros((len(rows), len(columns)), dtype=np.bool_), np.empty(0)
-        struct = self._struct
-        part, tables = struct.sorted_part, struct.tables
-        by_dim = list(zip(*rows))
-        free = [dim for dim in range(len(tables)) if dim not in dims]
-        ids = part.search_block(
-            part.partial_keys(tables, free, [by_dim[dim] for dim in free], len(rows)),
-            part.partial_keys(tables, dims, list(zip(*columns)), len(columns)),
-        )
-        if struct.n_live != struct.n_ids:
-            hit = ids >= 0
-            ids[hit & ~struct.live[np.where(hit, ids, 0)]] = -1
-        recent = struct.recent
-        if recent:
-            for at, column in zip(*(axis.tolist() for axis in np.nonzero(ids < 0))):
-                addr = list(rows[at])
-                for dim, coord in zip(dims, columns[column]):
-                    addr[dim] = coord
-                ident = recent.get(tuple(addr))
-                if ident is not None:
-                    ids[at, column] = ident
-        found = ids >= 0
-        return found, self._values.gather(ids[found])
 
     def _flush_memo(self) -> None:  # reprolint: locked
         self._memo.clear()
@@ -1588,13 +697,6 @@ class RollupIndex:
                 dimension.member(coord)  # raises MemberNotFoundError if unknown
         return count
 
-    def _ordered_array(self) -> np.ndarray:  # reprolint: locked
-        struct = self._struct
-        arr = struct.ordered
-        if arr is None:
-            arr = struct.ordered = np.flatnonzero(struct.live[: struct.n_ids])
-        return arr
-
     def _rolls_up(self, dim_index: int, coord: str) -> np.ndarray:  # reprolint: locked
         # per coordinate *code* of the dimension: does it roll up to ``coord``
         table = self._struct.tables[dim_index]
@@ -1712,7 +814,7 @@ class RollupIndex:
     def _point_ids(self, address: Sequence[str]) -> np.ndarray:  # reprolint: locked
         # a cell's scope — one coordinate per dimension — as ascending ids
         ids = self._ids(self._scope({dim: (coord,) for dim, coord in enumerate(address)}))
-        return self._ordered_array() if ids is None else ids
+        return self._struct.ordered_ids() if ids is None else ids
 
     def ids_under(
         self, named: Mapping[int, "Sequence[str] | frozenset[str] | np.ndarray"]
@@ -1864,7 +966,7 @@ class RollupIndex:
             return out
         ids = self._ids(scope)
         if ids is None:
-            ids = self._ordered_array()
+            ids = self._struct.ordered_ids()
         values = self._values.gather(ids)
         if not varying:  # one address: its scope is one bucket
             if len(ids):

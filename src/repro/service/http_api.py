@@ -354,8 +354,11 @@ class _Handler(BaseHTTPRequestHandler):
             # The whole envelope is checked before a quota slot is taken:
             # nothing between acquire and the try/finally may raise.
             degrade = payload.get("degrade")
-            if degrade is not None and not isinstance(degrade, str):
-                raise QueryError('"degrade" must be a string policy name')
+            policies = self.server.service.DEGRADE_POLICIES
+            if degrade is not None and degrade not in policies:
+                raise QueryError(
+                    f'"degrade" must be one of {", ".join(policies)}; got {degrade!r}'
+                )
             analyze = payload.get("analyze", True)
             if not isinstance(analyze, bool):
                 raise QueryError('"analyze" must be true or false')

@@ -58,7 +58,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
     from repro.mdx.evaluator import GridBlock
     from repro.olap.schema import Address, CubeSchema
-    from repro.perf.rollup_index import Column
+    from repro.perf.leaf_store import Column
     from repro.warehouse import NamedSet, Warehouse
 
 __all__ = [

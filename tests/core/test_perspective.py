@@ -468,8 +468,7 @@ def test_phi_validity_matches_the_model_in_member_and_instance_order(case, seman
     }
     result = phi_validity(varying, asked, p, semantics)
     assert list(result.items()) == list(expected.items())
-    memo: dict = {}
     by_member = {}
     for member in asked:
-        by_member.update(phi_validity(varying, [member], p, semantics, memo))
+        by_member.update(phi_validity(varying, [member], p, semantics))
     assert list(by_member.items()) == list(expected.items())

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.perf.leaf_store as leaf_store_module
 import repro.perf.rollup_index as rollup_index_module
 from repro.core.operators import ChangeTuple
 from repro.core.perspective import Mode, Semantics
@@ -227,7 +228,7 @@ class TestBlockReadParity:
     def keys(self, request, monkeypatch):
         if request.param == "object":
             # no radix product fits: Python-int keys in an object array
-            monkeypatch.setattr(rollup_index_module, "_KEY_LIMIT", 0)
+            monkeypatch.setattr(leaf_store_module, "_KEY_LIMIT", 0)
         return request.param
 
     @staticmethod

@@ -34,7 +34,7 @@ from test_operator_parity import (  # noqa: E402
     worlds_with_changes,
 )
 
-import repro.perf.rollup_index as rollup_index_module  # noqa: E402
+import repro.perf.leaf_store as leaf_store_module  # noqa: E402
 from repro.core.operators import ChangeTuple, split  # noqa: E402
 from repro.core.perspective import Mode, Semantics  # noqa: E402
 from repro.core.scenario import (  # noqa: E402
@@ -237,9 +237,9 @@ class TestLaziness:
         # the leaf grid is one block read: no address list is built from
         # the columns, and no address is remembered, hit or miss
         built = []
-        addresses = rollup_index_module._Structure.addresses
+        addresses = leaf_store_module._Structure.addresses
         monkeypatch.setattr(
-            rollup_index_module._Structure,
+            leaf_store_module._Structure,
             "addresses",
             lambda struct, ids: built.append(len(ids)) or addresses(struct, ids),
         )
@@ -359,7 +359,7 @@ class TestClashIsASort:
         """3 x 1 coordinates need a key below 3; with the limit lowered
         under that, the keys are Python ints, which decide the clash and
         serve the reads through the same sort and search."""
-        monkeypatch.setattr(rollup_index_module, "_KEY_LIMIT", 2)
+        monkeypatch.setattr(leaf_store_module, "_KEY_LIMIT", 2)
         index, distinct = self._derive(tiny_schema, out_codes, ["Jan", "Feb", "Mar"])
         assert distinct is (len(cells) == 3)
         assert _cells(index) == cells
@@ -378,7 +378,7 @@ class TestRadixOverflow:
     def test_views_without_keys_read_the_same(self, inputs):
         world, changes, negative, kept = inputs
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(rollup_index_module, "_KEY_LIMIT", 1)
+            patch.setattr(leaf_store_module, "_KEY_LIMIT", 1)
             outputs = list(_outputs(world, changes, negative, kept))
         for label, out, expected in outputs:
             if out.n_leaf_cells:

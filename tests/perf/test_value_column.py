@@ -1,7 +1,7 @@
 """What a cube's value store must do, stated once against a model.
 
 A rollup index keeps its leaf values in one ``float64`` column over the
-leaf-id space (:class:`~repro.perf.rollup_index.ColumnarLeafStore`);
+leaf-id space (:class:`~repro.perf.leaf_store.ColumnarLeafStore`);
 which rows are leaves is the structure's business.  The contract, for
 every way a row comes to hold a value — appended, re-valued, deleted and
 re-inserted, on either side of any number of forks: every index of the
@@ -18,11 +18,12 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import repro.perf.rollup_index as rollup_index_module
+import repro.perf.leaf_store as leaf_store_module
 from repro.olap.cube import Cube
 from repro.olap.dimension import Dimension
 from repro.olap.schema import CubeSchema
-from repro.perf.rollup_index import ColumnarLeafStore, RollupIndex
+from repro.perf.leaf_store import ColumnarLeafStore
+from repro.perf.rollup_index import RollupIndex
 
 MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun")
 MEASURES = ("Sales", "COGS")
@@ -129,7 +130,7 @@ def test_value_store_agrees_with_its_model(filled, script):
 
 def test_object_keys_take_the_same_writes(monkeypatch):
     """The same contract with every sorted key a Python int."""
-    monkeypatch.setattr(rollup_index_module, "_KEY_LIMIT", 1)
+    monkeypatch.setattr(leaf_store_module, "_KEY_LIMIT", 1)
     test_value_store_agrees_with_its_model()
 
 

@@ -484,7 +484,13 @@ class TestAdmission:
         thread.start()
         url = "http://%s:%d" % server.server_address[:2]
         try:
-            for bad in ({"degrade": 5}, {"deadline_ms": "soon"}, {"degrade": ["fail"]}):
+            for bad in (
+                {"degrade": 5},
+                {"deadline_ms": "soon"},
+                {"degrade": ["fail"]},
+                {"degrade": "bogus"},
+                {"degrade": ""},
+            ):
                 status, _, body = _request(url, "/v1/query", {"query": QUERY, **bad})
                 assert (status, body["error"]) == (400, "QueryError")
             assert quotas.inflight("default") == 0
