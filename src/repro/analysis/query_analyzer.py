@@ -385,14 +385,12 @@ class QueryAnalyzer:
         # as the runtime applies them.
         ordered = sorted(rows, key=lambda row: hypo.moment_index(row[0].moment))
         applied: set[tuple[str, str]] = set()
-        affected: list[str] = []
         ok = True
         for change, span in ordered:
             member, moment = change.member, change.moment
             refusal = step_change(hypo, change)
             if refusal is None:
                 applied.add((member, moment))
-                affected.append(member)
                 continue
             ok = False
             kind, message = refusal
@@ -410,16 +408,14 @@ class QueryAnalyzer:
             else:
                 code = "WIF202"
             self.report.add(code, message, span)  # type: ignore[arg-type]
-        # Cycle scan: computing every affected path is exactly the runtime
-        # check, done eagerly on metadata only.
-        for member in affected:
+        # Cycle scan: the hypothetical instance table S reads walks every
+        # path — exactly the runtime check, done eagerly on metadata only.
+        if applied:
             try:
-                for t in range(hypo.universe):
-                    hypo.path_at(member, t)
+                hypo.instance_table()
             except SchemaError as exc:
                 self.report.add("WIF205", str(exc))
                 ok = False
-                break
         if ok:
             self.varying_view[dimension] = hypo
             self._scenario_dim = self._scenario_dim or dimension

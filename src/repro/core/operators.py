@@ -412,7 +412,8 @@ def split(
     default to the input values (non-visual); apply :func:`evaluate` for
     visual mode.
 
-    Evaluated as one array program: the hypothetical structure becomes a
+    Evaluated as one array program: the hypothetical structure's instance
+    table (:meth:`~repro.olap.instances.InstanceTable.at_moments`) gives a
     small (affected instance, moment) → output instance | ⊥ routing table
     that recodes the varying column of the affected rows.  Emission order
     is input order — so over a row subset (``rows``, as in
@@ -428,7 +429,6 @@ def split(
         hypo = _hypothetical_structure(varying, changes)
     dim_index = schema.dim_index(varying_name)
     param_index = schema.dim_index(varying.parameter.name)
-    universe = varying.universe
     affected = {change.member for change in changes}
     from repro.obs.trace import trace_span
 
@@ -437,30 +437,32 @@ def split(
         vcodes, vcoords = cols.codes[dim_index], cols.coords[dim_index]
         n = len(vcodes)
 
-        # routing table over the affected input instances only; -1 is ⊥
+        # routing table over the affected input instances only, read off
+        # the hypothetical instance table (members are numbered alike in
+        # every table over one skeleton, so it labels the input's
+        # coordinates too): the instance valid at each moment, or -1 for
+        # ⊥; an instance no input coordinate names gets a new code, in
+        # order of first appearance
         out_coords = list(vcoords)
         out_code_of = {coord: code for code, coord in enumerate(vcoords)}
-        route_row = np.full(len(vcoords), -1, dtype=np.int64)
-        route: list[list[int]] = []
-        table = varying.instance_table()
+        table = hypo.instance_table()
         member_by_code = _members_of(cols, dim_index, table)
         moving = [table.member_id[member] for member in affected]
-        for code in np.flatnonzero(np.isin(member_by_code, moving)).tolist():
-            member = table.members[member_by_code[code]]
-            route_row[code] = len(route)
-            targets = []
-            for t in range(universe):
-                path = hypo.path_at(member, t)
-                if path is None:
-                    targets.append(-1)
-                    continue
-                new_coord = "/".join(path)
-                target = out_code_of.get(new_coord)
-                if target is None:
-                    target = out_code_of[new_coord] = len(out_coords)
-                    out_coords.append(new_coord)
-                targets.append(target)
-            route.append(targets)
+        codes = np.flatnonzero(np.isin(member_by_code, moving))
+        route_row = np.full(len(vcoords), -1, dtype=np.int64)
+        route_row[codes] = np.arange(len(codes))
+        at = table.at_moments(member_by_code[codes])
+        seen, first = np.unique(at, return_index=True)
+        # output code by instance; the extra last slot keeps ⊥ (-1) at -1
+        code_of = np.full(len(table.paths) + 1, -1, dtype=np.int32)
+        for instance in seen[np.argsort(first)].tolist():
+            if instance >= 0:
+                coord = table.paths[instance]
+                code = out_code_of.get(coord)
+                if code is None:
+                    code = out_code_of[coord] = len(out_coords)
+                    out_coords.append(coord)
+                code_of[instance] = code
 
         out_codes = vcodes.copy()
         touched = np.flatnonzero(route_row[vcodes] >= 0)
@@ -469,8 +471,7 @@ def split(
             if moments.min() < 0:
                 row = int(touched[np.flatnonzero(moments < 0)[0]])
                 raise _not_a_moment(cols, param_index, row, varying)
-            table = np.array(route, dtype=np.int32)
-            out_codes[touched] = table[route_row[vcodes[touched]], moments]
+            out_codes[touched] = code_of[at[route_row[vcodes[touched]], moments]]
         kept = np.flatnonzero(out_codes >= 0)
         out, moved = _project(
             cube, cols, kept, dim_index, out_codes[kept], out_coords

@@ -352,10 +352,24 @@ def _run_with_budget(
         )
         for batch in batches
     ]
+    return _merged(spec, partials)
+
+
+def _merged(
+    spec: VaryingAxisSpec, partials: Sequence[PerspectiveQueryResult]
+) -> PerspectiveQueryResult:
+    """One result out of partial ones: a row several partials hold is the
+    first one's with each later one's non-NaN cells laid over it (budget
+    batches hold disjoint rows, so there the merge is a plain union)."""
     merged_rows: dict[str, np.ndarray] = {}
     merged_validity: dict[str, object] = {}
     for partial in partials:
-        merged_rows.update(partial.rows)
+        for label, data in partial.rows.items():
+            if label in merged_rows:
+                mask = ~np.isnan(data)
+                merged_rows[label][mask] = data[mask]
+            else:
+                merged_rows[label] = data.copy()
         merged_validity.update(partial.validity_out)
     return PerspectiveQueryResult(
         rows=merged_rows,
@@ -441,31 +455,12 @@ def run_multiple_mdx_simulation(
     results are merged in post-processing (the paper notes even the merge
     overhead is not counted against this baseline; we count only the
     queries here too)."""
-    partials: list[PerspectiveQueryResult] = []
-    for p in perspectives.moments:
-        partials.append(
+    return _merged(
+        spec,
+        [
             run_perspective_query(
-                spec,
-                members,
-                PerspectiveSet([p], perspectives.universe),
-                semantics,
+                spec, members, PerspectiveSet([p], perspectives.universe), semantics
             )
-        )
-    merged_rows: dict[str, np.ndarray] = {}
-    merged_validity: dict[str, object] = {}
-    for partial in partials:
-        for label, data in partial.rows.items():
-            if label in merged_rows:
-                mask = ~np.isnan(data)
-                merged_rows[label][mask] = data[mask]
-            else:
-                merged_rows[label] = data.copy()
-            merged_validity[label] = partial.validity_out[label]
-    return PerspectiveQueryResult(
-        rows=merged_rows,
-        validity_out=merged_validity,
-        io=spec.cube.store.stats.snapshot(),
-        memory_high_water=max(p.memory_high_water for p in partials),
-        chunks_read=sum(p.chunks_read for p in partials),
-        plane_order=[c for p in partials for c in p.plane_order],
+            for p in perspectives.moments
+        ],
     )

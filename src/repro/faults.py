@@ -339,13 +339,13 @@ def with_retries(
     attempts: int = 4,
     base_delay: float = 0.005,
     max_delay: float = 0.25,
-    retry_on: tuple[type[BaseException], ...] = (TransientFaultError, OSError),
     sleep: Callable[[float], None] = time.sleep,
 ) -> T:
     """Run ``operation``, retrying transient failures with exponential
     backoff (``base_delay * 2**attempt``, capped at ``max_delay``).
 
-    Terminal faults (anything outside ``retry_on`` — notably a plain
+    Terminal faults (anything but a :class:`~repro.errors.TransientFaultError`
+    or an ``OSError`` — notably a plain
     :class:`~repro.errors.FaultInjectedError`) propagate immediately: a
     simulated crash must not be retried into oblivion.  The last transient
     error re-raises once ``attempts`` is exhausted.
@@ -356,7 +356,7 @@ def with_retries(
     for attempt in range(attempts):
         try:
             return operation()
-        except retry_on:
+        except (TransientFaultError, OSError):
             if attempt == attempts - 1:
                 raise
             sleep(min(delay, max_delay))

@@ -87,7 +87,6 @@ class QueryProfile:
         stats: "dict[str, int] | None" = None,
         degradations: "list[dict[str, Any]] | None" = None,
         fault_events: "dict[str, int] | None" = None,
-        keep_spans: bool = True,
     ) -> "QueryProfile":
         """Build a profile from a finished ``mdx.query`` root span."""
         phases: dict[str, float] = {}
@@ -103,7 +102,7 @@ class QueryProfile:
             stats=stats,
             degradations=list(degradations or []),
             fault_events=dict(fault_events or {}),
-            spans=root.to_dict() if keep_spans else None,
+            spans=root.to_dict(),
         )
 
     def to_dict(self) -> dict[str, Any]:

@@ -21,12 +21,17 @@ Legal changes (Def. 3.1) are applied with :meth:`VaryingDimension.reparent`:
 "change d's parent from e to f at moment i" assigns parent f to every moment
 ``>= i`` at which d exists.  Arbitrary finite sequences of legal changes are
 supported, as the definition requires.
+
+A structure's instances are held in one place, its :class:`InstanceTable`:
+``instances_of``, ``instance_at``, Φ, ρ, S and the schema's lookup by path
+all read it, and the per-moment path walk (:meth:`VaryingDimension.path_at`)
+runs only to fill it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -75,7 +80,8 @@ class MemberInstance:
 
 class InstanceTable:
     """Every instance of every member of one varying structure, as arrays:
-    what Φ, ρ's routing and the footprint read
+    the structure's one instance index, which Φ, ρ's and S's routing, the
+    footprint and every instance lookup read
     (:meth:`VaryingDimension.instance_table` builds one per structure
     generation).
 
@@ -177,7 +183,7 @@ class InstanceTable:
             lengths: list[int] = []
             nodes: list[int] = []
             for m in ids:
-                block = varying.instances_of(self.members[m])
+                block = varying._compute_instances(self.members[m])
                 sizes[m] = len(block)
                 for instance in block:
                     instances.append(instance)
@@ -253,6 +259,17 @@ class InstanceTable:
         shift = np.repeat(first - (np.cumsum(sizes) - sizes), sizes)
         return np.arange(total) + shift
 
+    def at_moments(self, ids: np.ndarray) -> np.ndarray:
+        """For each of the members ``ids``, the instance valid at each
+        moment — the paper's ``d_t`` — or -1 where it has none: one row per
+        member, one column per moment."""
+        instances = self.of_members(ids)
+        owner = np.repeat(np.arange(len(ids)), self.start[ids + 1] - self.start[ids])
+        hit, moment = np.nonzero(self.matrix[self.set_of[instances]])
+        at = np.full((len(ids), self.matrix.shape[1]), -1, dtype=np.int64)
+        at[owner[hit], moment] = instances[hit]  # a member's sets are disjoint
+        return at
+
     def through(self, names: Iterable[str]) -> np.ndarray:
         """The instances whose path passes through (or ends at) one of
         ``names``, ascending; a name that is no member passes nothing."""
@@ -288,11 +305,9 @@ class VaryingDimension:
         #: every name a row was ever pointed at: a write to one of these
         #: can change the path of the members below it
         self._parents_named: set[str] = set()
-        #: member -> its instances, computed on first ask and kept until a
-        #: write can change them (:meth:`_forget`)
-        self._instances: dict[str, list[MemberInstance]] = {}
-        #: the instance table (:meth:`instance_table`) and the members a
-        #: write re-rowed since it was built; dropped with ``_instances``
+        #: the instance table (:meth:`instance_table`) — the one index of
+        #: this structure's instances — and the members a write re-rowed
+        #: since it was built
         self._table: InstanceTable | None = None
         self._stale: set[str] = set()
         #: bumped by every write (see :attr:`CubeSchema.generation`)
@@ -356,18 +371,17 @@ class VaryingDimension:
         return parent_obj
 
     def _forget(self, member: str) -> None:
-        """Drop the instances a write to ``member``'s row can change.  A
+        """Mark the instances a write to ``member``'s row can change.  A
         member's instances are read off its own row and its ancestors', so
         a member nothing hangs below — no skeleton child, never named as a
-        parent — takes only its own entry with it; below any other member
-        every path may pass through it (Def. 3.1: a non-leaf reparent
-        changes every root-to-leaf path under it), so everything goes."""
+        parent — leaves the table to be patched in its rows alone; below
+        any other member every path may pass through it (Def. 3.1: a
+        non-leaf reparent changes every root-to-leaf path under it), so
+        the table goes."""
         self.generation = next_generation()
         if self.has_below(member):
-            self._instances.clear()
             self._table = None
         else:
-            self._instances.pop(member, None)
             self._stale.add(member)
 
     def assign(
@@ -442,7 +456,6 @@ class VaryingDimension:
         self._parents_named = {
             parent for row in table.values() for parent in row if parent is not None
         }
-        self._instances = {}
         self._table = None
         self.generation = next_generation()
 
@@ -450,15 +463,13 @@ class VaryingDimension:
         """Independent copy sharing the skeleton and parameter dimensions.
 
         Used to build *hypothetical* structures (positive scenarios) without
-        disturbing the real one.  The clone starts with every instance this
-        structure has already computed (instances are immutable), and with
-        this structure's instance table, so a change relation recomputes
-        the members it moves and no other.
+        disturbing the real one.  The clone starts with this structure's
+        instance table (a table is never changed), so a change relation
+        recomputes the members it moves and no other.
         """
         clone = VaryingDimension(self.dimension, self.parameter)
         clone._parent_at = {name: list(row) for name, row in self._parent_at.items()}
         clone._parents_named = set(self._parents_named)
-        clone._instances = dict(self._instances)
         clone._table, clone._stale = self._table, set(self._stale)
         return clone
 
@@ -502,6 +513,8 @@ class VaryingDimension:
     # -- instances -------------------------------------------------------------
 
     def _compute_instances(self, member: str) -> list[MemberInstance]:
+        # the one path walk: ``member``'s instances, read moment by moment
+        # off the rows (:meth:`path_at`) for the instance table
         by_path: dict[tuple[str, ...], list[int]] = {}
         first_seen: dict[tuple[str, ...], int] = {}
         for t in range(self._universe):
@@ -524,13 +537,11 @@ class VaryingDimension:
         path, so a member with an unmanaged row but a *managed ancestor*
         (non-leaf reparenting, Def. 3.1) still gets the induced instances.
         A member with no managed ancestors yields its single static
-        instance, valid at every moment.
+        instance, valid at every moment.  Read off the instance table.
         """
-        instances = self._instances.get(member)
-        if instances is None:
-            self.dimension.member(member)  # validate existence
-            instances = self._instances[member] = self._compute_instances(member)
-        return list(instances)
+        table = self.instance_table()
+        m = table.member_id[self.dimension.member(member).name]
+        return table.instances[table.start[m] : table.start[m + 1]]
 
     def instance_table(self) -> InstanceTable:
         """Every instance of every member, as arrays (:class:`InstanceTable`):
@@ -550,7 +561,8 @@ class VaryingDimension:
         return table
 
     def instance_at(self, member: str, moment: str | int) -> MemberInstance | None:
-        """The unique instance of ``member`` valid at a moment, if any.
+        """The unique instance of ``member`` valid at a moment, if any
+        (:meth:`InstanceTable.at_moments` for many members at once).
 
         This is the paper's ``d_t``.
         """
@@ -563,24 +575,6 @@ class VaryingDimension:
     def managed_members(self) -> list[str]:
         """Members with an explicit per-moment assignment, in insertion order."""
         return list(self._parent_at)
-
-    def changing_members(self) -> list[str]:
-        """Managed members with more than one instance (they actually change)."""
-        return [m for m in self._parent_at if len(self.instances_of(m)) > 1]
-
-    def all_instances(self) -> Iterator[MemberInstance]:
-        """Instances of every managed member."""
-        for member in self._parent_at:
-            yield from self.instances_of(member)
-
-    def find_instance(self, qualified_or_path: str) -> MemberInstance:
-        """Look up an instance by qualified name (``FTE/Joe``) or full path."""
-        for instance in self.all_instances():
-            if qualified_or_path in (instance.qualified_name, instance.full_path):
-                return instance
-        raise SchemaError(
-            f"no instance {qualified_or_path!r} in varying dimension {self.name!r}"
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -277,47 +277,18 @@ class CubeSchema:
             self._ancestor_cache[key] = chain
         return chain
 
-    def leaf_coordinates_under(self, dim_index: int, coord: str) -> list[str]:
-        """All leaf coordinates rolling up into ``coord`` on this dimension.
-
-        For varying dimensions this enumerates member-instance paths whose
-        path passes through ``coord`` (managed members) plus static paths of
-        unmanaged leaf members below ``coord``.
-        """
-        dimension = self.dimensions[dim_index]
-        if dimension.name not in self._varying:
-            if self.coordinate_is_leaf(dim_index, coord):
-                return [coord]
-            return [m.name for m in dimension.member(coord).leaves()]
-        varying = self._varying[dimension.name]
-        if "/" in coord:
-            return [coord]
-        result: list[str] = []
-        managed = set(varying.managed_members())
-        for member in managed:
-            for instance in varying.instances_of(member):
-                if coord == instance.path[-1] or coord in instance.path[:-1]:
-                    result.append(instance.full_path)
-        for leaf in dimension.member(coord).leaves():
-            if leaf.name in managed:
-                continue
-            (instance,) = varying.instances_of(leaf.name)
-            result.append(instance.full_path)
-        return result
-
     def instance_for_coordinate(
         self, dim_index: int, coord: str
     ) -> MemberInstance | None:
-        """Resolve a varying-dimension leaf coordinate to its MemberInstance."""
+        """Resolve a varying-dimension leaf coordinate to its MemberInstance
+        (``None`` for a coordinate that names none), off the instance table."""
         dimension = self.dimensions[dim_index]
         varying = self._varying.get(dimension.name)
         if varying is None or "/" not in coord:
             return None
-        member = coord.split("/")[-1]
-        for instance in varying.instances_of(member):
-            if instance.full_path == coord:
-                return instance
-        return None
+        table = varying.instance_table()
+        i = table.path_id.get(coord)
+        return None if i is None else table.instances[i]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = []

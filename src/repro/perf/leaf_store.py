@@ -538,6 +538,18 @@ class ColumnarLeafStore:
         return f"ColumnarLeafStore({self._size} rows, {len(self._column)} slots)"
 
 
+def _keys(codes: Sequence[np.ndarray], radices: list[int], rows: np.ndarray) -> np.ndarray:
+    """The mixed-radix key of each of ``rows``' codes: ``int64`` while the
+    product of the radices fits, Python ints otherwise."""
+    wide = math.prod(radices) >= _KEY_LIMIT
+    key = np.zeros(len(rows), dtype=object if wide else np.int64)
+    for column, radix in zip(codes, radices):
+        if radix > 1:  # a one-coordinate table's digit is always 0
+            key *= radix
+            key += column[rows].astype(object) if wide else column[rows]
+    return key
+
+
 class _SortedPart:
     """The sorted part of a generation's point lookup: the mixed-radix key
     of some live rows' codes, sorted, and the row behind each.  The
@@ -559,15 +571,21 @@ class _SortedPart:
     def __init__(
         self, codes: Sequence[np.ndarray], radices: list[int], rows: np.ndarray
     ) -> None:
-        wide = math.prod(radices) >= _KEY_LIMIT
-        key = np.zeros(len(rows), dtype=object if wide else np.int64)
-        for column, radix in zip(codes, radices):
-            if radix > 1:  # a one-coordinate table's digit is always 0
-                key *= radix
-                key += column[rows].astype(object) if wide else column[rows]
+        key = _keys(codes, radices, rows)
         order = np.argsort(key)
-        self.keys = key[order]
-        self.rows = rows[order]
+        self._adopt(key[order], rows[order], radices)
+
+    def recoded(self, codes: Sequence[np.ndarray], radices: list[int]) -> "_SortedPart":
+        """These rows, in this order, keyed by ``codes`` under ``radices``:
+        codes renumbered per dimension in their old order (:func:`_held`)
+        keep the keys sorted, so nothing is sorted again."""
+        part = object.__new__(_SortedPart)
+        part._adopt(_keys(codes, radices, self.rows), self.rows, radices)
+        return part
+
+    def _adopt(self, keys: np.ndarray, rows: np.ndarray, radices: list[int]) -> None:
+        self.keys = keys
+        self.rows = rows
         self.radices = radices
         #: a dimension's place value in the key: the product of the
         #: radices after it
@@ -786,17 +804,24 @@ class _Structure:
         :meth:`insert` / :meth:`delete` one at a time would: the last value
         wins, a leaf keeps the place of the write that inserted it, a
         delete of an absent leaf changes nothing and a re-insert goes to
-        the end.  Every row is sorted once; only the rows that share an
-        address with another, or delete, are replayed one by one
-        (:func:`_replay`), and a coordinate no leaf is left at is dropped
-        from its list (:func:`_held`) before any table is built — a
-        coordinate only a stored aggregate names may not be a leaf one.
-        The arrays are adopted; nothing is validated per cell."""
+        the end.  A coordinate no leaf is left at is dropped from its list
+        (:func:`_held`) before any table is built — a coordinate only a
+        stored aggregate names may not be a leaf one.  Every row is sorted
+        once, and while no row clashes or deletes that sort stands: the
+        cut renumbers each list in order, so the rows are re-keyed, not
+        re-sorted (:meth:`_SortedPart.recoded`).  Otherwise the rows that
+        share an address with another, or delete, are replayed one by one
+        (:func:`_replay`) and the rows left are sorted again.  The arrays
+        are adopted; nothing is validated per cell."""
         n = len(values)
         codes = [column for column, _ in columns]
         part = _SortedPart(codes, [len(coords) for _, coords in columns], np.arange(n))
-        held = all(np.bincount(c, minlength=len(coords)).all() for c, coords in columns)
-        if deleted is None and held and part.distinct():
+        if deleted is None and part.distinct():
+            if not all(np.bincount(c, minlength=len(coords)).all() for c, coords in columns):
+                columns = _held(columns, np.arange(n))
+                part = part.recoded(
+                    [column for column, _ in columns], [len(coords) for _, coords in columns]
+                )
             return cls.over(schema, columns, n, part), values, n
         keep, source, changed = _replay(part, deleted)
         return cls.over(schema, _held(columns, keep), len(keep)), values[source], changed

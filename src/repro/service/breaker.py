@@ -66,9 +66,10 @@ class CircuitBreaker:
     clock:
         Monotonic clock in *seconds* (injectable for deterministic
         tests); defaults to ``time.monotonic``.
-    on_state_change:
-        Called with the new :class:`BreakerState` on every transition —
-        the service points this at the ``circuit_state`` gauge.
+
+    ``on_state_change``, when set, is called with the new
+    :class:`BreakerState` on every transition — the service points it at
+    the ``circuit_state`` gauge.
     """
 
     def __init__(
@@ -76,7 +77,6 @@ class CircuitBreaker:
         failure_threshold: int = 5,
         reset_after_ms: float = 1000.0,
         clock: "Callable[[], float] | None" = None,
-        on_state_change: "Callable[[BreakerState], None] | None" = None,
     ) -> None:
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
@@ -85,7 +85,7 @@ class CircuitBreaker:
         self.failure_threshold = failure_threshold
         self.reset_after_ms = reset_after_ms
         self._clock = clock or time.monotonic
-        self._on_state_change = on_state_change
+        self.on_state_change: "Callable[[BreakerState], None] | None" = None
         self._lock = make_lock("CircuitBreaker._lock", reentrant=False)
         self._state = BreakerState.CLOSED
         self._consecutive_failures = 0
@@ -120,8 +120,8 @@ class CircuitBreaker:
         if state is BreakerState.OPEN:
             self._opened_at = self._clock()
             self.trips += 1
-        if self._on_state_change is not None:
-            self._on_state_change(state)
+        if self.on_state_change is not None:
+            self.on_state_change(state)
 
     # -- admission --------------------------------------------------------------
 

@@ -384,7 +384,7 @@ class QueryService:
         self._clock = clock or time.monotonic
         self._metrics = warehouse.metrics
         self.breaker = breaker or CircuitBreaker()
-        self.breaker._on_state_change = self._on_breaker_state
+        self.breaker.on_state_change = self._on_breaker_state
         self._metrics.gauge("circuit_state").set(int(self.breaker.state))
         self._lock = make_lock("QueryService._lock", reentrant=False)
         self._closed = False
@@ -437,8 +437,8 @@ class QueryService:
         try:
             self.breakers = [CircuitBreaker() for _ in range(self.n_shards)]
             for index, breaker in enumerate(self.breakers):
-                breaker._on_state_change = self._breaker_callback(index)
-                breaker._on_state_change(breaker.state)
+                breaker.on_state_change = self._breaker_callback(index)
+                breaker.on_state_change(breaker.state)
             self.supervisor.attach_breakers(self.breakers)
 
             # Startup invariant: the shards' sub-cubes partition the full

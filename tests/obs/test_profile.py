@@ -43,12 +43,6 @@ class TestFromSpan:
         assert profile.degradations == [{"reason": "deadline"}]
         assert profile.fault_events == {"mdx.cell": 1}
 
-    def test_keep_spans_toggle(self):
-        assert QueryProfile.from_span(_query_span()).spans is not None
-        profile = QueryProfile.from_span(_query_span(), keep_spans=False)
-        assert profile.spans is None
-        assert "spans" not in profile.to_dict()
-
     def test_cache_hit_ratio(self):
         untouched = QueryProfile.from_span(_query_span())
         assert untouched.cache_hit_ratio is None

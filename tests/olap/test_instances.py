@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.errors import InvalidChangeError, SchemaError
 from repro.olap.dimension import Dimension
 from repro.olap.instances import VaryingDimension
+from repro.olap.schema import CubeSchema
 
 MONTHS = ["Jan", "Feb", "Mar", "Apr", "May", "Jun"]
 
@@ -161,23 +162,12 @@ class TestInstanceLookup:
         assert varying.instance_at("Joe", "Jan").qualified_name == "FTE/Joe"
         assert varying.instance_at("Joe", "May").qualified_name == "PTE/Joe"
 
-    def test_find_instance_by_qualified_name_and_path(self):
-        varying = build_varying()
-        varying.assign("Joe", "FTE")
-        assert varying.find_instance("FTE/Joe").member == "Joe"
-        assert varying.find_instance("Org/FTE/Joe").member == "Joe"
-
-    def test_find_instance_missing(self):
-        varying = build_varying()
-        with pytest.raises(SchemaError):
-            varying.find_instance("PTE/Joe")
-
     def test_changing_members(self):
         varying = build_varying()
         varying.assign("Joe", "FTE")
         varying.assign("Lisa", "FTE")
         varying.reparent("Joe", "PTE", "Mar")
-        assert varying.changing_members() == ["Joe"]
+        assert [len(varying.instances_of(m)) for m in ("Joe", "Lisa")] == [2, 1]
         assert set(varying.managed_members()) == {"Joe", "Lisa"}
 
 
@@ -253,12 +243,14 @@ _WRITES = st.one_of(
 
 @given(before=st.lists(_WRITES, max_size=4), after=st.lists(_WRITES, max_size=8))
 def test_a_copy_remembers_exactly_the_instances_its_writes_leave_alone(before, after):
-    """Property: a structure hands its copy the instances it has computed,
-    and a write drops only what it can change — so after any sequence of
+    """Property: a structure hands its copy its instance table, and a
+    write re-reads only what it can change — so after any sequence of
     legal changes on the copy (leaf and non-leaf reparents, ⊥ moments,
     bulk assigns), interleaved with reads that refill the table,
-    ``instances_of`` of *every* member is what a structure freshly loaded
-    from ``assignments()`` computes; and the original is untouched."""
+    ``instances_of`` of *every* member, ``instance_at`` at every moment
+    and ``CubeSchema.instance_for_coordinate`` of every instance path are
+    what a structure freshly loaded from ``assignments()`` computes; and
+    the original is untouched."""
 
     def write(varying: VaryingDimension, kind, member, parent, moment) -> None:
         try:
@@ -272,7 +264,19 @@ def test_a_copy_remembers_exactly_the_instances_its_writes_leave_alone(before, a
             pass  # an illegal change leaves the structure as it was
 
     def everything(varying: VaryingDimension):
-        return {m: varying.instances_of(m) for m in _LEAVES + _TEAMS + _REGIONS}
+        members = _LEAVES + _TEAMS + _REGIONS
+        schema = CubeSchema([varying.dimension, varying.parameter])
+        schema.register_varying(varying)
+        instances = {m: varying.instances_of(m) for m in members}
+        return (
+            instances,
+            {(m, t): varying.instance_at(m, t) for m in members for t in range(len(MONTHS))},
+            {
+                i.full_path: schema.instance_for_coordinate(0, i.full_path)
+                for block in instances.values()
+                for i in block
+            },
+        )
 
     original = build_teams()
     for step in before:

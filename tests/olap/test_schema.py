@@ -216,24 +216,6 @@ class TestCoordinateSemantics:
         assert schema.is_under(loc, "NY", "East")
         assert not schema.is_under(loc, "NY", "West")
 
-    def test_leaf_coordinates_under_varying(self, example):
-        schema = example.schema
-        org = schema.dim_index("Organization")
-        under_fte = set(schema.leaf_coordinates_under(org, "FTE"))
-        assert "Organization/FTE/Joe" in under_fte
-        assert "Organization/FTE/Lisa" in under_fte
-        assert "Organization/FTE/Sue" in under_fte
-        assert "Organization/PTE/Joe" not in under_fte
-        under_contr = set(schema.leaf_coordinates_under(org, "Contractor"))
-        assert "Organization/Contractor/Joe" in under_contr
-        assert "Organization/Contractor/Jane" in under_contr
-
-    def test_leaf_coordinates_under_plain(self, example):
-        schema = example.schema
-        loc = schema.dim_index("Location")
-        assert set(schema.leaf_coordinates_under(loc, "East")) == {"NY", "MA", "NH"}
-        assert schema.leaf_coordinates_under(loc, "NY") == ["NY"]
-
     def test_instance_for_coordinate(self, example):
         schema = example.schema
         org = schema.dim_index("Organization")

@@ -269,3 +269,25 @@ def test_a_clash_is_replayed_from_the_code_columns():
     names = [s.name for s in span.iter_spans()]
     assert "rollup_index.build" in names and "rollup_index.materialize" not in names
     _check(_Member(index, {("Jan", "NY", "Sales"): 2.0}))
+
+
+def test_a_stored_aggregate_in_a_load_costs_no_second_sort(monkeypatch):
+    """A load whose stream holds a root aggregate beside its leaves sorts
+    the leaves once: cutting the aggregate's coordinates out of the coded
+    lists renumbers each in order, so the first sort's order stands."""
+    from repro.perf import leaf_store
+
+    sorts = []
+    init = leaf_store._SortedPart.__init__
+
+    def counting(self, *args):
+        sorts.append(args)
+        init(self, *args)
+
+    cells = [(leaf, float(k)) for k, leaf in enumerate(LEAVES[::3])]
+    cube = Cube(SCHEMA)
+    monkeypatch.setattr(leaf_store._SortedPart, "__init__", counting)
+    cube.load([*cells[:2], (("Time", "Geo", "Measures"), 99.0), *cells[2:]])
+    assert len(sorts) == 1
+    assert list(cube.stored_derived_cells()) == [(("Time", "Geo", "Measures"), 99.0)]
+    _check(_Member(cube.rollup_index(), dict(cells)))

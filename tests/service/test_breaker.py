@@ -102,8 +102,8 @@ class TestStateChangeCallback:
             failure_threshold=1,
             reset_after_ms=50.0,
             clock=clock,
-            on_state_change=seen.append,
         )
+        breaker.on_state_change = seen.append
         breaker.record_failure(FaultInjectedError("boom"))
         clock.advance_ms(50.0)
         assert breaker.allow()

@@ -202,7 +202,7 @@ def test_a_grid_no_shard_owns_needs_no_shard(service):
     finally:
         for i, old in enumerate(originals):
             fresh = CircuitBreaker()
-            fresh._on_state_change = old._on_state_change
+            fresh.on_state_change = old.on_state_change
             service.breakers[i] = fresh
 
 

@@ -424,7 +424,7 @@ class TestAdmission:
         finally:
             for i, old in enumerate(originals):
                 fresh = CircuitBreaker()
-                fresh._on_state_change = old._on_state_change
+                fresh.on_state_change = old.on_state_change
                 service.breakers[i] = fresh
 
     def test_open_breaker_serves_fallback_by_default(self, service, base_url):
@@ -445,7 +445,7 @@ class TestAdmission:
         finally:
             for i, old in enumerate(originals):
                 fresh = CircuitBreaker()
-                fresh._on_state_change = old._on_state_change
+                fresh.on_state_change = old.on_state_change
                 service.breakers[i] = fresh
 
     def test_open_breaker_partial_policy_returns_bottom_cells(
@@ -470,7 +470,7 @@ class TestAdmission:
         finally:
             for i, old in enumerate(originals):
                 fresh = CircuitBreaker()
-                fresh._on_state_change = old._on_state_change
+                fresh.on_state_change = old.on_state_change
                 service.breakers[i] = fresh
 
 

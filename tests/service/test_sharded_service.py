@@ -351,4 +351,4 @@ class TestOneService:
             service.breaker = original
             service.breakers[:] = [CircuitBreaker() for _ in shard_breakers]
             for fresh, old in zip(service.breakers, shard_breakers):
-                fresh._on_state_change = old._on_state_change
+                fresh.on_state_change = old.on_state_change

@@ -352,26 +352,6 @@ class TestRetriesTable:
             with_retries(always_fail, attempts=3, sleep=lambda _: None)
         assert info.value is errors[-1]
 
-    def test_custom_retry_on_classes(self):
-        calls = []
-
-        def flaky():
-            calls.append(1)
-            if len(calls) == 1:
-                raise KeyError("transient-ish")
-            return "ok"
-
-        # Not retried under the default classes...
-        with pytest.raises(KeyError):
-            with_retries(flaky, sleep=lambda _: None)
-        # ...but retried when listed explicitly.
-        calls.clear()
-        result = with_retries(
-            flaky, retry_on=(KeyError,), sleep=lambda _: None
-        )
-        assert result == "ok"
-        assert len(calls) == 2
-
     def test_rejects_nonpositive_attempts(self):
         with pytest.raises(ValueError, match="attempts >= 1"):
             with_retries(lambda: 1, attempts=0)
